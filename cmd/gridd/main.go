@@ -68,7 +68,7 @@ func main() {
 		buildTimeout = flag.Duration("build-timeout", 30*time.Second, "per-job strategy build budget (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
 		workers      = flag.Int("workers", 0, "parallel per-level build workers (0 = sequential)")
-		placers      = flag.Int("placers", 0, "concurrent optimistic placers per arrival batch (≤1 = classic single-writer placement)")
+		placers      = flag.Int("placers", 0, "concurrent optimistic placers per arrival batch (≤1 = every arrival is a batch of one)")
 		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failures that trip a domain breaker (0 disables breakers)")
 		taskFailRate = flag.Float64("task-fail-rate", 0, "per-activation mid-run task failure probability (chaos mode)")
 		mtbf         = flag.Float64("mtbf", 0, "mean model time between node outages (0 disables outages)")
@@ -82,7 +82,6 @@ func main() {
 		shardName    = flag.String("shard", "", "run as a federation shard with this name (serves the handoff/revoke/ping endpoints)")
 		joinURL      = flag.String("join", "", "router base URL to join (requires -shard); empty serves federation endpoints standalone")
 		leaseTimeout = flag.Duration("lease", 0, "router-contact lease: park the engine when the router has been silent this long (0 disables; requires -shard)")
-		noRepair     = flag.Bool("no-repair", false, "disable incremental strategy repair on the fallback path (every re-anchor runs a full critical-works rebuild)")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 		spansPath    = flag.String("spans", "", "write scheduling spans as JSON lines to this file, - for stderr")
 		tracePath    = flag.String("trace", "", "write VO lifecycle events as JSON lines to this file, - for stderr; sharing the -spans path interleaves both streams line-atomically")
@@ -153,12 +152,11 @@ func main() {
 		Telemetry:    reg,
 		Journal:      jnl,
 		Sched: metasched.Config{
-			Seed:     *seed,
-			Workers:  *workers,
-			Placers:  *placers,
-			NoRepair: *noRepair,
-			Tracer:   tracer,
-			Spans:    spans,
+			Seed:    *seed,
+			Workers: *workers,
+			Placers: *placers,
+			Tracer:  tracer,
+			Spans:   spans,
 			Faults: faults.Config{
 				MTBF:         *mtbf,
 				MTTR:         *mttr,

@@ -36,8 +36,6 @@ func main() {
 		taskFail   = flag.Float64("task-fail-rate", 0.05, "per-activation probability a running job loses a task")
 		maxRetries = flag.Int("max-retries", 2, "bounded retry attempts before falling back to remaining supporting levels")
 
-		noRepair = flag.Bool("no-repair", false, "disable incremental strategy repair on the fallback path (every re-anchor runs a full critical-works rebuild; reports and traces are byte-identical either way)")
-
 		telemetryOut = flag.String("telemetry", "", "dump a final metrics-registry snapshot (Prometheus text format) to this file, or - for stderr; reports on stdout are unaffected")
 	)
 	flag.Parse()
@@ -80,7 +78,6 @@ func main() {
 		cfg := experiments.DefaultFig4(*seed, fig4Scale(*jobs))
 		cfg.Workers = *workers
 		cfg.Telemetry = reg
-		cfg.NoRepair = *noRepair
 		return cfg
 	}
 	runners := map[string]func() (*experiments.Report, error){
@@ -126,7 +123,6 @@ func main() {
 			cfg.MaxRetries = *maxRetries
 			cfg.Workers = *workers
 			cfg.Telemetry = reg
-			cfg.NoRepair = *noRepair
 			if *mtbf > 0 {
 				// A fixed MTBF pins the sweep to the baseline plus the one
 				// availability level it implies.

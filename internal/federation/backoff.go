@@ -1,0 +1,65 @@
+package federation
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/faults"
+	"repro/internal/rng"
+	"repro/internal/simtime"
+)
+
+// backoff paces the retries of one owner (the router, or a shard's member
+// glue) with jittered exponential waits that end early when the owner
+// stops. Several of the owner's goroutines may wait at once; they share
+// the seeded jitter stream.
+type backoff struct {
+	base, limit time.Duration
+	frac        float64
+	stop        <-chan struct{} // closed when the owner shuts down
+
+	mu sync.Mutex
+	r  *rng.Source
+}
+
+// newBackoff applies the federation defaults: base 100ms when unset, the
+// caller's own default limit, jitter fraction 0.2 when unset.
+func newBackoff(base, limit, defaultLimit time.Duration, frac float64, r *rng.Source, stop <-chan struct{}) *backoff {
+	if base <= 0 {
+		base = 100 * time.Millisecond
+	}
+	if limit <= 0 {
+		limit = defaultLimit
+	}
+	if frac == 0 {
+		frac = 0.2
+	}
+	return &backoff{base: base, limit: limit, frac: frac, stop: stop, r: r}
+}
+
+// delay computes the jittered exponential wait for a 1-based attempt, at
+// millisecond resolution.
+func (b *backoff) delay(attempt int) time.Duration {
+	base := b.base / time.Millisecond
+	if base < 1 {
+		base = 1
+	}
+	ms := faults.ExpBackoff(simtime.Time(base), attempt, simtime.Time(b.limit/time.Millisecond))
+	b.mu.Lock()
+	ms = faults.Jitter(ms, b.frac, b.r)
+	b.mu.Unlock()
+	return time.Duration(ms) * time.Millisecond
+}
+
+// wait sleeps out the given attempt's delay. It reports false when the
+// owner stopped first: the caller should return instead of retrying.
+func (b *backoff) wait(attempt int) bool {
+	t := time.NewTimer(b.delay(attempt))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-b.stop:
+		return false
+	}
+}

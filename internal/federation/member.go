@@ -13,10 +13,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/service"
-	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
@@ -91,27 +89,6 @@ type MemberConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c MemberConfig) retryBase() time.Duration {
-	if c.RetryBase <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.RetryBase
-}
-
-func (c MemberConfig) retryCap() time.Duration {
-	if c.RetryCap <= 0 {
-		return 5 * time.Second
-	}
-	return c.RetryCap
-}
-
-func (c MemberConfig) jitterFrac() float64 {
-	if c.JitterFrac == 0 {
-		return 0.2
-	}
-	return c.JitterFrac
-}
-
 // Member is the shard-side half of the federation protocol: it serves the
 // handoff/revoke/ping endpoints in front of a service.Server, runs the
 // rejoin handshake for held recovered jobs, and pushes terminal-state
@@ -119,9 +96,10 @@ func (c MemberConfig) jitterFrac() float64 {
 // Terminal method can be wired as service.Config.OnTerminal, then Bind the
 // server and Start.
 type Member struct {
-	cfg MemberConfig
-	svc *service.Server
-	r   *rng.Source // notifier/join goroutines only
+	cfg   MemberConfig
+	svc   *service.Server
+	retry *backoff
+	stopc chan struct{} // closed by Close
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -136,7 +114,9 @@ type Member struct {
 // NewMember builds the member. Bind must be called before Handler or
 // Start.
 func NewMember(cfg MemberConfig) *Member {
-	m := &Member{cfg: cfg, r: rng.New(cfg.Seed).Split(fnv1a(cfg.Shard))}
+	m := &Member{cfg: cfg, stopc: make(chan struct{})}
+	m.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 5*time.Second, cfg.JitterFrac,
+		rng.New(cfg.Seed).Split(fnv1a(cfg.Shard)), m.stopc)
 	m.cond = sync.NewCond(&m.mu)
 	if reg := cfg.Telemetry; reg != nil {
 		l := telemetry.L("shard", cfg.Shard)
@@ -195,46 +175,13 @@ func (m *Member) Start() {
 // the terminal ledger.
 func (m *Member) Close() {
 	m.mu.Lock()
-	m.closed = true
+	if !m.closed {
+		m.closed = true
+		close(m.stopc)
+	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.wg.Wait()
-}
-
-// backoff computes the jittered exponential wait for the given 1-based
-// attempt.
-func (m *Member) backoff(attempt int) time.Duration {
-	base := m.cfg.retryBase() / time.Millisecond
-	cap := m.cfg.retryCap() / time.Millisecond
-	if base < 1 {
-		base = 1
-	}
-	ms := faults.ExpBackoff(simtime.Time(base), attempt, simtime.Time(cap))
-	m.mu.Lock()
-	ms = faults.Jitter(ms, m.cfg.jitterFrac(), m.r)
-	m.mu.Unlock()
-	return time.Duration(ms) * time.Millisecond
-}
-
-// sleep waits d or until Close.
-func (m *Member) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	done := make(chan struct{})
-	go func() {
-		m.mu.Lock()
-		for !m.closed {
-			m.cond.Wait()
-		}
-		m.mu.Unlock()
-		close(done)
-	}()
-	select {
-	case <-t.C:
-		return !m.isClosed()
-	case <-done:
-		return false
-	}
 }
 
 func (m *Member) isClosed() bool {
@@ -255,20 +202,18 @@ func (m *Member) joinLoop() {
 		}
 		if err := m.joinOnce(); err != nil {
 			m.logf("federation: join attempt %d: %v", attempt, err)
-			if !m.sleep(m.backoff(attempt)) {
+			if !m.retry.wait(attempt) {
 				return
 			}
 			continue
 		}
-		if m.joins != nil {
-			m.joins.Inc()
-		}
+		m.joins.Inc()
 		if len(m.svc.Held()) == 0 {
 			return
 		}
 		// Decisions missing for some held jobs (or the router asked us to
 		// wait): ask again.
-		if !m.sleep(m.backoff(attempt)) {
+		if !m.retry.wait(attempt) {
 			return
 		}
 	}
@@ -355,14 +300,12 @@ func (m *Member) notifyLoop() {
 			} else {
 				m.logf("federation: terminal notice %s attempt %d: %v", n.Job, attempt, err)
 			}
-			if !m.sleep(m.backoff(attempt)) {
+			if !m.retry.wait(attempt) {
 				return
 			}
 			attempt++
 		}
-		if m.notifies != nil {
-			m.notifies.Inc()
-		}
+		m.notifies.Inc()
 		m.mu.Lock()
 		m.notices = m.notices[1:]
 		m.mu.Unlock()
@@ -421,9 +364,7 @@ func (m *Member) refreshLease() {
 
 func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	m.refreshLease()
-	if m.handoffs != nil {
-		m.handoffs.Inc()
-	}
+	m.handoffs.Inc()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxFrameBytes+frameHeader+frameTrailer+1))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, HandoffResult{Code: "bad_frame", Reason: err.Error()})
@@ -443,9 +384,7 @@ func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 	m.refreshLease()
-	if m.revokes != nil {
-		m.revokes.Inc()
-	}
+	m.revokes.Inc()
 	var req RevokeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad revoke request"})

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/breaker"
-	"repro/internal/faults"
 	"repro/internal/jobio"
 	"repro/internal/journal"
 	"repro/internal/rng"
@@ -112,32 +111,11 @@ func (c Config) retryBudget() int {
 	return c.RetryBudget
 }
 
-func (c Config) retryBase() time.Duration {
-	if c.RetryBase <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.RetryBase
-}
-
-func (c Config) retryCap() time.Duration {
-	if c.RetryCap <= 0 {
-		return 2 * time.Second
-	}
-	return c.RetryCap
-}
-
 func (c Config) handoffTimeout() time.Duration {
 	if c.HandoffTimeout <= 0 {
 		return 2 * time.Second
 	}
 	return c.HandoffTimeout
-}
-
-func (c Config) jitterFrac() float64 {
-	if c.JitterFrac == 0 {
-		return 0.2
-	}
-	return c.JitterFrac
 }
 
 func (c Config) workers() int {
@@ -237,8 +215,7 @@ type Router struct {
 	met     Metrics
 	closed  bool
 
-	rngMu sync.Mutex
-	r     *rng.Source
+	retry *backoff
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -288,9 +265,10 @@ func New(cfg Config) (*Router, error) {
 		start:   time.Now(),
 		records: make(map[string]*jobRecord),
 		health:  make(map[string]*shardHealth, len(names)),
-		r:       rng.New(cfg.Seed).Split(fnv1a("router")),
 		stopc:   make(chan struct{}),
 	}
+	r.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 2*time.Second, cfg.JitterFrac,
+		rng.New(cfg.Seed).Split(fnv1a("router")), r.stopc)
 	r.cond = sync.NewCond(&r.mu)
 	for _, n := range names {
 		// Shards start alive: jobs dispatch immediately and the first
@@ -337,29 +315,13 @@ func (r *Router) now() simtime.Time {
 	return simtime.Time(time.Since(r.start) / time.Millisecond)
 }
 
-// backoff computes the jittered exponential wait for a 1-based attempt.
-func (r *Router) backoff(attempt int) time.Duration {
-	base := r.cfg.retryBase() / time.Millisecond
-	if base < 1 {
-		base = 1
-	}
-	capMS := r.cfg.retryCap() / time.Millisecond
-	ms := faults.ExpBackoff(simtime.Time(base), attempt, simtime.Time(capMS))
-	r.rngMu.Lock()
-	ms = faults.Jitter(ms, r.cfg.jitterFrac(), r.r)
-	r.rngMu.Unlock()
-	return time.Duration(ms) * time.Millisecond
-}
-
 func (r *Router) journal(rec journal.Record) {
 	if r.cfg.Journal == nil {
 		return
 	}
 	if _, err := r.cfg.Journal.Append(rec); err != nil {
 		r.met.JournalError++
-		if r.th.journalErrors != nil {
-			r.th.journalErrors.Inc()
-		}
+		r.th.journalErrors.Inc()
 		r.logf("federation: journal append %s/%s: %v", rec.Job, rec.State, err)
 	}
 }
@@ -386,9 +348,7 @@ func (r *Router) Start() {
 // surface directly; in async mode the job is journaled and queued, and its
 // fate is visible via Job/Jobs.
 func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobView, error) {
-	if r.th.submitted != nil {
-		r.th.submitted.Inc()
-	}
+	r.th.submitted.Inc()
 	typ, err := strategy.ParseType(strategyName)
 	if err != nil {
 		r.countSubmit(false)
@@ -429,9 +389,7 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 	r.pushLocked(wire.Name)
 	view := rec.view()
 	r.mu.Unlock()
-	if r.th.accepted != nil {
-		r.th.accepted.Inc()
-	}
+	r.th.accepted.Inc()
 	return view, nil
 }
 
@@ -475,9 +433,7 @@ func (r *Router) submitSync(wire jobio.Job, strategyName string, priority int) (
 		if routerTerminal(res.State) {
 			r.terminalLocked(rec, res.State, res.Reason, shard)
 		}
-		if r.th.accepted != nil {
-			r.th.accepted.Inc()
-		}
+		r.th.accepted.Inc()
 		return rec.view(), nil
 	case res.Code == service.CodeInfeasible:
 		// The shard ledgered a terminal rejection; mirror it so fates
@@ -488,9 +444,7 @@ func (r *Router) submitSync(wire jobio.Job, strategyName string, priority int) (
 		r.journal(journal.Record{Job: wire.Name, State: service.StateRejected,
 			Reason: res.Reason, Strategy: strategyName, Priority: priority, Shard: shard})
 		r.met.Rejected++
-		if r.th.rejected != nil {
-			r.th.rejected.Inc()
-		}
+		r.th.rejected.Inc()
 		return rec.view(), &service.SubmitError{Code: service.CodeInfeasible, Reason: res.Reason}
 	default: // overloaded, draining, internal, invalid — not ledgered
 		return JobView{}, &service.SubmitError{Code: res.Code, Reason: res.Reason,
@@ -510,9 +464,7 @@ func (r *Router) newRecordLocked(id, strategyName string, priority int, state st
 // pushLocked queues a job for dispatch. Caller holds r.mu.
 func (r *Router) pushLocked(id string) {
 	r.pending = append(r.pending, id)
-	if r.th.pending != nil {
-		r.th.pending.Set(float64(len(r.pending)))
-	}
+	r.th.pending.Set(float64(len(r.pending)))
 	r.cond.Signal()
 }
 
@@ -550,9 +502,7 @@ func (r *Router) dispatchLoop() {
 		}
 		id := r.pending[0]
 		r.pending = r.pending[1:]
-		if r.th.pending != nil {
-			r.th.pending.Set(float64(len(r.pending)))
-		}
+		r.th.pending.Set(float64(len(r.pending)))
 		r.mu.Unlock()
 		r.dispatch(id)
 	}
@@ -625,13 +575,11 @@ func (r *Router) dispatch(id string) {
 	budget := r.cfg.retryBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
 		if attempt > 1 {
-			if r.th.retries != nil {
-				r.th.retries.Inc()
-			}
+			r.th.retries.Inc()
 			r.mu.Lock()
 			r.met.Retries++
 			r.mu.Unlock()
-			if !r.sleep(r.backoff(attempt - 1)) {
+			if !r.retry.wait(attempt - 1) {
 				return
 			}
 		}
@@ -645,24 +593,18 @@ func (r *Router) dispatch(id string) {
 		began := time.Now()
 		res, err := client.Handoff(ctx, h)
 		cancel()
-		if r.th.handoffs != nil {
-			r.th.handoffs.Inc()
-		}
+		r.th.handoffs.Inc()
 		r.mu.Lock()
 		r.met.Handoffs++
 		r.mu.Unlock()
 		if err != nil {
-			if r.th.handoffFailures != nil {
-				r.th.handoffFailures.Inc()
-			}
+			r.th.handoffFailures.Inc()
 			r.brk.Get(shard).Failure(r.now())
 			r.logf("federation: handoff %s→%s attempt %d: %v", id, shard, attempt, err)
 			continue
 		}
 		r.brk.Get(shard).Success(r.now())
-		if r.th.handoffLatency != nil {
-			r.th.handoffLatency.Observe(time.Since(began).Seconds())
-		}
+		r.th.handoffLatency.Observe(time.Since(began).Seconds())
 		if r.resolveHandoff(rec, shard, res) {
 			return
 		}
@@ -722,9 +664,7 @@ func (r *Router) banAndRequeueLocked(rec *jobRecord, shard, why string) {
 	rec.epoch++
 	r.journal(journal.Record{Job: rec.ID, State: StateQueued, Reason: why, Epoch: rec.epoch})
 	r.met.Reallocated++
-	if r.th.reallocated != nil {
-		r.th.reallocated.Inc()
-	}
+	r.th.reallocated.Inc()
 	r.logf("federation: reallocating %s (%s)", rec.ID, why)
 	r.pushLocked(rec.ID)
 }
@@ -744,18 +684,14 @@ func (r *Router) terminalLocked(rec *jobRecord, state, reason, shard string) {
 	switch state {
 	case service.StateCompleted:
 		r.met.Completed++
-		if r.th.completed != nil {
-			r.th.completed.Inc()
-		}
+		r.th.completed.Inc()
 	case service.StateRejected:
 		r.met.Rejected++
-		if r.th.rejected != nil {
-			r.th.rejected.Inc()
-		}
+		r.th.rejected.Inc()
 	case service.StateDrained:
 		r.met.Drained++
 	}
-	if r.th.jobLatency != nil && !rec.submitted.IsZero() {
+	if !rec.submitted.IsZero() {
 		r.th.jobLatency.Observe(time.Since(rec.submitted).Seconds())
 	}
 }
@@ -815,7 +751,7 @@ func (r *Router) revokeLoop(id, why string) {
 		if err != nil {
 			r.logf("federation: revoke %s@%s attempt %d: %v", id, shard, attempt, err)
 		}
-		if !r.sleep(r.backoff(attempt)) {
+		if !r.retry.wait(attempt) {
 			return
 		}
 	}
@@ -838,9 +774,7 @@ func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 	switch res.Outcome {
 	case RevokeOutcomeRevoked:
 		r.met.Revocations++
-		if r.th.revocations != nil {
-			r.th.revocations.Inc()
-		}
+		r.th.revocations.Inc()
 		r.banAndRequeueLocked(rec, shard, "revoked from "+shard)
 	case RevokeOutcomeTerminal:
 		r.terminalLocked(rec, res.State, res.Reason, shard)
@@ -907,9 +841,7 @@ func (r *Router) noteMiss(name string) {
 	if g := r.th.alive[name]; g != nil {
 		g.Set(0)
 	}
-	if r.th.deaths != nil {
-		r.th.deaths.Inc()
-	}
+	r.th.deaths.Inc()
 	r.logf("federation: shard %s declared dead after %d missed heartbeats; revoking %d bound jobs",
 		name, r.cfg.deadAfter(), len(sweep))
 	for _, id := range sweep {
@@ -931,18 +863,6 @@ func (r *Router) noteAlive(name string) {
 		r.logf("federation: shard %s is back", name)
 		// Queued jobs whose only eligible shard just returned are sitting
 		// on requeue timers; nothing to do — the timer re-pushes them.
-	}
-}
-
-// sleep waits d or until the router stops.
-func (r *Router) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.stopc:
-		return false
 	}
 }
 
@@ -1018,9 +938,7 @@ func (r *Router) applyTerminalLocked(n *TerminalNotice) {
 		// reallocate — unless the binding already moved.
 		if rec.Shard == n.Shard && (rec.State == StateHanded || rec.State == StateRevoking) {
 			r.met.Revocations++
-			if r.th.revocations != nil {
-				r.th.revocations.Inc()
-			}
+			r.th.revocations.Inc()
 			r.banAndRequeueLocked(rec, n.Shard, "drained at "+n.Shard)
 		}
 		return
@@ -1126,7 +1044,7 @@ func (r *Router) reconcile(id string) {
 			return // still owned and in progress; terminal notice will come
 		}
 		r.logf("federation: reconcile %s@%s attempt %d: %v", id, shard, attempt, err)
-		if !r.sleep(r.backoff(attempt)) {
+		if !r.retry.wait(attempt) {
 			return
 		}
 	}

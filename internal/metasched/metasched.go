@@ -135,14 +135,11 @@ type Config struct {
 	// goroutines build placement proposals against one versioned
 	// calendar snapshot, and a deterministic commit arbiter applies the
 	// winners and retries the losers against refreshed state. Values
-	// ≤ 1 keep the single-writer loop byte-identical to previous
-	// releases; any value yields the same terminal state per job
-	// (equivalence up to ordering, pinned by the differential suite).
+	// ≤ 1 are the same code at width 1: every submission is its own
+	// singleton batch, so jobs place one at a time in submission order.
+	// Any value yields the same terminal state per job (equivalence up
+	// to ordering, pinned by the differential suite).
 	Placers int
-	// PlacerRounds bounds the optimistic rounds a contended batch gets
-	// before its remaining jobs fall back to the guaranteed sequential
-	// path. 0 means 3.
-	PlacerRounds int
 
 	// NoRepair disables incremental strategy repair on the fallback path:
 	// every supporting-level re-anchor runs the full critical-works build
@@ -316,10 +313,9 @@ type VO struct {
 	submitted map[string]bool // job names ever submitted, for duplicate detection
 	closed    bool            // Close called; no further submissions
 
-	pending  map[simtime.Time][]pendingArrival // same-tick batches, placers > 1 only
+	pending  map[simtime.Time][]pendingArrival // same-tick batches still open, placers > 1 only
 	batchSeq int                               // submission order across batches
 	pm       placerMetrics
-	rm       *strategy.RepairMetrics
 
 	failRng   *rng.Source // mid-run task-failure draws, nil when disabled
 	jitterRng *rng.Source // retry-backoff jitter draws, nil when disabled
@@ -345,8 +341,9 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 	if cfg.Telemetry != nil && cfg.Placers > 1 {
 		vo.pm.register(cfg.Telemetry)
 	}
+	var rm *strategy.RepairMetrics
 	if cfg.Telemetry != nil && !cfg.NoRepair {
-		vo.rm = strategy.NewRepairMetrics(cfg.Telemetry)
+		rm = strategy.NewRepairMetrics(cfg.Telemetry)
 	}
 	if cfg.Faults.JitterFrac > 0 {
 		vo.jitterRng = rng.New(cfg.Faults.Seed).Split(0x717E)
@@ -370,7 +367,7 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 				Telemetry:    cfg.Telemetry,
 				Spans:        cfg.Spans,
 				CaptureMemos: !cfg.NoRepair,
-				Repair:       vo.rm,
+				Repair:       rm,
 			},
 		}
 		vo.managers = append(vo.managers, m)
@@ -416,8 +413,8 @@ func (vo *VO) Submit(job *dag.Job, typ strategy.Type, at simtime.Time) error {
 // > 1) and several jobs arrive at the same tick, commit-time collisions
 // are resolved in favor of the higher priority (ties by submission
 // order), per the paper's priority/QoS collision-resolution rules. With
-// placers ≤ 1 the priority is irrelevant — jobs place one at a time in
-// submission order, exactly as before.
+// placers ≤ 1 the priority is irrelevant — every batch is a singleton, so
+// jobs place one at a time in submission order.
 func (vo *VO) SubmitPrio(job *dag.Job, typ strategy.Type, at simtime.Time, prio int) error {
 	if vo.closed {
 		return fmt.Errorf("metasched: job %q submitted after the VO was closed", job.Name)
@@ -429,15 +426,23 @@ func (vo *VO) SubmitPrio(job *dag.Job, typ strategy.Type, at simtime.Time, prio 
 		return fmt.Errorf("metasched: job %q arrival %d is in the past (now %d)", job.Name, at, vo.engine.Now())
 	}
 	vo.submitted[job.Name] = true
+	p := pendingArrival{job: job, typ: typ, prio: prio, seq: vo.batchSeq}
+	vo.batchSeq++
 	if vo.cfg.Placers <= 1 {
-		vo.engine.At(at, "arrive "+job.Name, func() { vo.arrive(job, typ) })
+		// Width 1: a batch of one with its own engine event, so events
+		// already queued for this tick (external load, outages, other
+		// arrivals) interleave with the arrivals in submission order.
+		vo.engine.At(at, "arrive "+job.Name, func() { vo.arriveBatch([]pendingArrival{p}) })
 		return nil
 	}
 	if len(vo.pending[at]) == 0 {
-		vo.engine.At(at, "arrive-batch", func() { vo.arriveBatch(at) })
+		vo.engine.At(at, "arrive-batch", func() {
+			batch := vo.pending[at]
+			delete(vo.pending, at)
+			vo.arriveBatch(batch)
+		})
 	}
-	vo.pending[at] = append(vo.pending[at], pendingArrival{job: job, typ: typ, prio: prio, seq: vo.batchSeq})
-	vo.batchSeq++
+	vo.pending[at] = append(vo.pending[at], p)
 	return nil
 }
 
@@ -447,40 +452,6 @@ func (vo *VO) SubmitPrio(job *dag.Job, typ strategy.Type, at simtime.Time, prio 
 // submission cannot revive a drained engine.
 func (vo *VO) Close() {
 	vo.closed = true
-}
-
-// arrive implements the metascheduler's flow distribution: pick the least
-// loaded domain and hand the job to its manager. With every domain down
-// (fault injection) the job is rejected on arrival.
-func (vo *VO) arrive(job *dag.Job, typ strategy.Type) {
-	m := vo.placeJob(nil)
-	res := &JobResult{
-		Job:     job,
-		Type:    typ,
-		Arrival: vo.engine.Now(),
-		State:   StateRejected, // until proven otherwise
-	}
-	aj := &activeJob{
-		result:   res,
-		used:     make(map[resource.Tier]bool),
-		triedDom: map[string]bool{},
-		failedAt: -1,
-	}
-	if m == nil {
-		vo.trace(EventArrive, job.Name, "", nil)
-		vo.finalize(aj, StateRejected)
-		return
-	}
-	res.Domain = m.domain
-	aj.manager = m
-	aj.triedDom[m.domain] = true
-	if vo.cfg.Telemetry != nil {
-		vo.cfg.Telemetry.Counter("grid_metasched_placements_total",
-			"jobs placed by the metascheduler, per domain", telemetry.L("domain", m.domain)).Inc()
-	}
-	vo.trace(EventArrive, job.Name, m.domain, nil)
-	vo.active[job.Name] = aj
-	m.adopt(aj, true)
 }
 
 // domainAllowed consults the configured DomainFilter; nil admits all.
@@ -501,8 +472,13 @@ func (vo *VO) buildCtx(jobName string) context.Context {
 
 // placeJob applies the configured placement policy, excluding `except`,
 // domains vetoed by the DomainFilter (circuit breaker) and (degraded-mode
-// placement) domains whose every node is down.
-func (vo *VO) placeJob(except map[string]bool) *JobManager {
+// placement) domains whose every node is down. counts holds the jobs the
+// current arrival batch already assigned to each domain (nil outside a
+// batch): least-loaded placement ranks by it first, so a batch spreads
+// out instead of piling onto the domain that was lightest before any of
+// them landed. Round-robin needs no correction — the cursor advances per
+// call.
+func (vo *VO) placeJob(except map[string]bool, counts map[string]int) *JobManager {
 	if vo.cfg.Placement == PlaceRoundRobin {
 		for i := 0; i < len(vo.managers); i++ {
 			m := vo.managers[(vo.rrNext+i)%len(vo.managers)]
@@ -514,31 +490,7 @@ func (vo *VO) placeJob(except map[string]bool) *JobManager {
 		}
 		return nil
 	}
-	return vo.leastLoaded(except)
-}
-
-// leastLoaded returns the manager whose pool has the fewest reserved
-// future ticks, excluding domains in `except` and fully-down domains.
-func (vo *VO) leastLoaded(except map[string]bool) *JobManager {
-	now := vo.engine.Now()
-	span := simtime.Interval{Start: now, End: now + 1000}
-	var best *JobManager
-	var bestLoad float64
-	for _, m := range vo.managers {
-		if except[m.domain] || !vo.env.DomainUp(m.domain) || !vo.domainAllowed(m.domain) {
-			continue
-		}
-		var load float64
-		for _, id := range m.pool {
-			load += float64(vo.env.Node(id).Calendar().BusyIn(span))
-		}
-		load /= float64(len(m.pool))
-		if best == nil || load < bestLoad || (load == bestLoad && m.domain < best.domain) {
-			best = m
-			bestLoad = load
-		}
-	}
-	return best
+	return vo.leastLoadedWith(except, counts)
 }
 
 // adopt generates (or regenerates) the job's strategy in this domain and
@@ -581,6 +533,19 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 		m.vo.finalize(aj, StateRejected)
 		return
 	}
+	aj.install(st, initial)
+	d := st.CheapestAdmissible()
+	if d == nil {
+		m.vo.reallocate(aj)
+		return
+	}
+	m.activate(aj, d)
+}
+
+// install makes st the job's current strategy and books what generating it
+// cost. initial marks the very first generation, which defines the job's
+// admissibility record (the Fig. 3a criterion).
+func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	aj.strat = st
 	aj.result.Scheduled = st.Scheduled
 	aj.used = make(map[resource.Tier]bool)
@@ -589,12 +554,6 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 	if initial {
 		aj.result.Admissible = st.Admissible()
 	}
-	d := st.CheapestAdmissible()
-	if d == nil {
-		m.vo.reallocate(aj)
-		return
-	}
-	m.activate(aj, d)
 }
 
 // activate reserves the distribution's windows in the live calendars and
@@ -618,7 +577,7 @@ func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) {
 // activateReserved is activate after the reservations are already in the
 // live books: the optimistic commit path (placer.go) applies a plan's
 // windows atomically through resource.Proposal.Commit and then runs the
-// exact bookkeeping the single-writer path runs after its Reserve loop.
+// exact bookkeeping activate runs after its Reserve loop.
 func (m *JobManager) activateReserved(aj *activeJob, d *strategy.Distribution) {
 	now := m.vo.engine.Now()
 	aj.current = d
@@ -786,33 +745,10 @@ func (m *JobManager) fallback(aj *activeJob) {
 		if sp != nil {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
-		var d *strategy.Distribution
-		var partial *criticalworks.Schedule
-		var err error
-		repaired := false
-		if !vo.cfg.NoRepair {
-			// Two memo sources, cheapest-to-validate first: the build this
-			// loop just ran, then the level's original distribution (only
-			// live when the books haven't moved since generation).
-			for _, memo := range []*criticalworks.BuildMemo{lastMemo, next.Memo()} {
-				if memo == nil {
-					continue
-				}
-				rd, outcome := m.gen.RepairLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, memo, now, gens, snap)
-				vo.rm.Observe(outcome)
-				if outcome == criticalworks.RepairStale {
-					continue
-				}
-				d, repaired = rd, true
-				break
-			}
-		}
-		if !repaired {
-			if !vo.cfg.NoRepair {
-				vo.rm.FullRebuild()
-			}
-			d, partial, err = m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, snap(), now)
-		}
+		// Two memo sources, cheapest-to-validate first: the build this loop
+		// just ran, then the level's original distribution (only live when
+		// the books haven't moved since generation).
+		d, partial, err := m.gen.ReanchorLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, now, gens, snap, lastMemo, next.Memo())
 		if d != nil && d.Memo() != nil {
 			lastMemo = d.Memo()
 		}
@@ -837,7 +773,7 @@ func (m *JobManager) fallback(aj *activeJob) {
 // reallocate moves the job to another domain (Fig. 1's job reallocation);
 // with no domains left, the job is rejected.
 func (vo *VO) reallocate(aj *activeJob) {
-	next := vo.placeJob(aj.triedDom)
+	next := vo.placeJob(aj.triedDom, nil)
 	if next == nil {
 		vo.finalize(aj, StateRejected)
 		return

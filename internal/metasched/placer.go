@@ -27,13 +27,22 @@ import (
 //     order — validating each plan's read-set (calendar generations)
 //     against the live books via resource.Proposal,
 //  4. carries commit losers into the next round against refreshed
-//     state; after PlacerRounds rounds the stragglers take the
+//     state; after placerRounds rounds the stragglers take the
 //     guaranteed sequential path (JobManager.adopt), which cannot
 //     conflict because it holds the only writer.
 //
-// The placers ≤ 1 configuration never reaches this file: Submit
-// schedules the classic per-job arrival events and the run is
-// byte-identical to the single-writer scheduler.
+// Placers ≤ 1 is the same code at width 1, not another path: every
+// submission is a singleton batch, and a batch of one skips the rounds
+// and goes straight to adopt (no one to conflict with). Each singleton
+// keeps its own engine event because the engine fires same-tick events
+// in scheduling order: an external-load or outage event queued between
+// two arrivals for that tick must see the first job placed and the
+// second not yet arrived. Merging them into one event would move every
+// later arrival ahead of it and change which plans it evicts.
+
+// placerRounds bounds the optimistic rounds a contended batch gets before
+// its remaining jobs fall back to the sequential path.
+const placerRounds = 3
 
 // pendingArrival is one same-tick submission waiting for its batch event.
 type pendingArrival struct {
@@ -96,12 +105,6 @@ func (pm *placerMetrics) register(reg *telemetry.Registry) {
 		"jobs that exhausted the optimistic rounds and placed sequentially")
 }
 
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
 // placers returns the effective placer count (≥ 1).
 func (vo *VO) placers() int {
 	if vo.cfg.Placers < 1 {
@@ -120,17 +123,15 @@ func (vo *VO) liveView() resource.CalendarView {
 	}
 }
 
-// arriveBatch fires once per tick that has pending submissions: it runs
-// the metascheduler's flow distribution for every batch member (spreading
-// a batch across domains the way sequential arrivals would) and hands the
-// placeable ones to the optimistic placer pool.
-func (vo *VO) arriveBatch(at simtime.Time) {
-	batch := vo.pending[at]
-	delete(vo.pending, at)
+// arriveBatch is the one arrival path: it runs the metascheduler's flow
+// distribution for every batch member (spreading a batch across domains
+// the way sequential arrivals would; with every domain down the job is
+// rejected on arrival) and hands the placeable ones to the placer pool.
+func (vo *VO) arriveBatch(batch []pendingArrival) {
 	counts := make(map[string]int)
 	work := make([]*placerJob, 0, len(batch))
 	for _, p := range batch {
-		m := vo.placeJobBatch(nil, counts)
+		m := vo.placeJob(nil, counts)
 		res := &JobResult{
 			Job:     p.job,
 			Type:    p.typ,
@@ -163,20 +164,10 @@ func (vo *VO) arriveBatch(at simtime.Time) {
 	vo.placeConcurrent(work)
 }
 
-// placeJobBatch is placeJob with batch awareness: least-loaded placement
-// also counts the jobs this batch already assigned to each domain, so a
-// batch spreads out instead of piling onto the domain that was lightest
-// before any of them landed. Round-robin needs no correction — the
-// cursor advances per call.
-func (vo *VO) placeJobBatch(except map[string]bool, counts map[string]int) *JobManager {
-	if vo.cfg.Placement == PlaceRoundRobin {
-		return vo.placeJob(except)
-	}
-	return vo.leastLoadedWith(except, counts)
-}
-
-// leastLoadedWith is leastLoaded ordered by (jobs assigned this batch,
-// reserved future ticks, domain name).
+// leastLoadedWith returns the manager that comes first by (jobs assigned
+// this batch, reserved future ticks over its pool, domain name), excluding
+// domains in `except`, vetoed domains and fully-down domains. counts is
+// nil outside a batch.
 func (vo *VO) leastLoadedWith(except map[string]bool, counts map[string]int) *JobManager {
 	now := vo.engine.Now()
 	span := simtime.Interval{Start: now, End: now + 1000}
@@ -205,17 +196,14 @@ func (vo *VO) leastLoadedWith(except map[string]bool, counts map[string]int) *Jo
 // placeConcurrent drives a batch through optimistic rounds until every
 // job committed a plan, was rejected, or fell back. The sequential
 // fallback is the progress guarantee: a single job cannot conflict with
-// itself, and adopt is today's single-writer path.
+// itself, and adopt holds the only writer. It is also all a batch of one
+// ever needs, which is how width 1 (Placers ≤ 1) places every job.
 func (vo *VO) placeConcurrent(work []*placerJob) {
-	maxRounds := vo.cfg.PlacerRounds
-	if maxRounds <= 0 {
-		maxRounds = 3
-	}
 	for round := 0; len(work) > 0; round++ {
-		if round >= maxRounds || len(work) == 1 {
+		if round >= placerRounds || len(work) == 1 {
 			for _, w := range work {
 				if round > 0 {
-					inc(vo.pm.fallbacks)
+					vo.pm.fallbacks.Inc()
 				}
 				w.aj.manager.adopt(w.aj, w.initial)
 			}
@@ -276,15 +264,8 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 			continue
 		}
 		st := out.st
-		aj.strat = st
-		aj.result.Scheduled = st.Scheduled
-		aj.used = make(map[resource.Tier]bool)
-		aj.result.Evaluations += st.Evaluations
-		aj.result.Collisions = append(aj.result.Collisions, st.Collisions()...)
-		if w.initial {
-			aj.result.Admissible = st.Admissible()
-			w.initial = false
-		}
+		aj.install(st, w.initial)
+		w.initial = false
 		if !st.Admissible() {
 			vo.reallocate(aj)
 			continue
@@ -306,10 +287,10 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 				Claims: d.Claims(st.Scheduled, aj.result.Job.Name),
 			}
 			if conflicts := prop.Commit(view); len(conflicts) != 0 {
-				inc(vo.pm.conflicts)
+				vo.pm.conflicts.Inc()
 				continue
 			}
-			inc(vo.pm.commits)
+			vo.pm.commits.Inc()
 			aj.manager.activateReserved(aj, d)
 			committed = true
 			break
@@ -317,7 +298,7 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 		if committed {
 			continue
 		}
-		inc(vo.pm.retries)
+		vo.pm.retries.Inc()
 		carry = append(carry, w)
 	}
 	return carry

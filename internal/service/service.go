@@ -460,22 +460,11 @@ func (s *Server) onEvent(e metasched.Event) {
 	case metasched.EventRetry:
 		rec.Retries = e.Level
 	case metasched.EventComplete:
-		rec.State = StateCompleted
 		rec.Finish = now
-		s.met.Completed++
-		s.th.completed.Inc()
-		_ = s.journalLocked(journal.Record{Job: rec.ID, State: StateCompleted})
-		s.notifyTerminalLocked(rec)
-		s.releaseBuildCtxLocked(rec.ID)
+		s.finishLocked(rec, StateCompleted, "", journal.Record{})
 	case metasched.EventReject:
-		rec.State = StateRejected
-		rec.Reason = "no feasible allocation"
 		rec.Finish = now
-		s.met.Rejected++
-		s.th.rejected.Inc()
-		_ = s.journalLocked(journal.Record{Job: rec.ID, State: StateRejected, Reason: rec.Reason})
-		s.notifyTerminalLocked(rec)
-		s.releaseBuildCtxLocked(rec.ID)
+		s.finishLocked(rec, StateRejected, "no feasible allocation", journal.Record{})
 	}
 }
 
@@ -497,20 +486,63 @@ func (s *Server) journalLocked(rec journal.Record) error {
 	return nil
 }
 
-// notifyTerminalLocked fires the terminal-state stream for rec; callers
-// hold s.mu and must invoke it exactly once, at the transition into the
-// terminal state.
-func (s *Server) notifyTerminalLocked(rec *Record) {
+// finishLocked is the only way a record enters a terminal state; callers
+// hold s.mu and call it exactly once per record lifetime (Resurrect starts
+// a new one). It is the lifecycle's transition table:
+//
+//	state      entered from                                   counters
+//	completed  VO complete event                              Completed
+//	rejected   VO reject event, VO refused the submission,    Rejected (+Shed,
+//	           shed, infeasible at admission or resurrection, +Infeasible by
+//	           recovered entry that no longer builds           the caller)
+//	drained    still queued or held at shutdown               Drained
+//	revoked    router took a queued/held job back, tombstone  Revoked
+//
+// Every row journals {job, state, reason} plus the fields of extra — the
+// strategy, priority and epoch of a record the journal holds no accept
+// for, the epoch of a revocation — before the terminal-state stream fires
+// (so an observer never learns of a transition a crash could forget), and
+// releases the job's build context.
+func (s *Server) finishLocked(rec *Record, state, reason string, extra journal.Record) {
+	rec.State, rec.Reason = state, reason
+	switch state {
+	case StateCompleted:
+		s.met.Completed++
+		s.th.completed.Inc()
+	case StateRejected:
+		s.met.Rejected++
+		s.th.rejected.Inc()
+	case StateDrained:
+		s.met.Drained++
+		s.th.drained.Inc()
+	case StateRevoked:
+		s.met.Revoked++
+		s.th.revoked.Inc()
+	default:
+		panic(fmt.Sprintf("service: finishLocked: %q is not a terminal state", state))
+	}
+	extra.Job, extra.State, extra.Reason = rec.ID, state, reason
+	_ = s.journalLocked(extra)
 	if s.cfg.OnTerminal != nil {
 		s.cfg.OnTerminal(*rec)
 	}
+	if cancel, ok := s.buildCtxs[rec.ID]; ok {
+		cancel()
+		delete(s.buildCtxs, rec.ID)
+	}
 }
 
-func (s *Server) releaseBuildCtxLocked(jobName string) {
-	if cancel, ok := s.buildCtxs[jobName]; ok {
-		cancel()
-		delete(s.buildCtxs, jobName)
+// enqueueLocked puts e on the admission queue, publishes the new depth and
+// wakes the engine loop. Callers hold s.mu.
+func (s *Server) enqueueLocked(e *entry) {
+	s.queue = append(s.queue, e)
+	d := len(s.queue)
+	s.th.queueDepth.Set(float64(d))
+	if d > s.met.QueueHighWater {
+		s.met.QueueHighWater = d
+		s.th.queueHighWater.Set(float64(d))
 	}
+	s.cond.Broadcast()
 }
 
 // minDeadline is the provable lower bound on a job's makespan: the
@@ -555,25 +587,25 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 	if err != nil {
 		return nil, &SubmitError{Code: CodeInvalid, Reason: err.Error()}
 	}
-	if bound := minDeadline(job); simtime.Time(wire.Deadline) < bound {
-		rec := s.recordRejection(wire, typ, priority,
-			fmt.Sprintf("infeasible: deadline %d is below the fastest-tier critical path %d", wire.Deadline, bound))
-		if rec == nil {
-			return nil, &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
-		}
-		s.mu.Lock()
-		s.met.Submitted++
-		s.met.Infeasible++
-		s.met.Rejected++
-		s.mu.Unlock()
-		s.th.submitted.Inc()
-		s.th.infeasible.Inc()
-		s.th.rejected.Inc()
-		return rec, &SubmitError{Code: CodeInfeasible, Reason: rec.Reason}
-	}
-
+	bound := minDeadline(job)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if simtime.Time(wire.Deadline) < bound {
+		if _, ok := s.records[wire.Name]; ok {
+			return nil, &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
+		}
+		s.met.Submitted++
+		s.met.Infeasible++
+		s.th.submitted.Inc()
+		s.th.infeasible.Inc()
+		// Ledger the rejection durably too: the duplicate-submit guard must
+		// give the same answer for this ID after a restart.
+		rec := s.newRecordLocked(wire.Name, typ, priority, StateRejected)
+		s.finishLocked(rec, StateRejected,
+			fmt.Sprintf("infeasible: deadline %d is below the fastest-tier critical path %d", wire.Deadline, bound),
+			journal.Record{Strategy: typ.String(), Priority: priority})
+		return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: rec.Reason}
+	}
 	s.met.Submitted++
 	s.th.submitted.Inc()
 	if s.draining {
@@ -612,34 +644,8 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 	rec := s.newRecordLocked(wire.Name, typ, priority, StateQueued)
 	s.met.Accepted++
 	s.th.accepted.Inc()
-	s.queue = append(s.queue, &entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
-	s.th.queueDepth.Set(float64(len(s.queue)))
-	if d := len(s.queue); d > s.met.QueueHighWater {
-		s.met.QueueHighWater = d
-		s.th.queueHighWater.Set(float64(d))
-	}
-	s.cond.Signal()
+	s.enqueueLocked(&entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
 	return rec.clone(), nil
-}
-
-// recordRejection ledgers an admission-time rejection (infeasible). It
-// returns nil when the ID already exists.
-func (s *Server) recordRejection(wire jobio.Job, typ strategy.Type, priority int, reason string) *Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.records[wire.Name]; ok {
-		return nil
-	}
-	// Ledger the rejection durably too: the duplicate-submit guard must
-	// give the same answer for this ID after a restart.
-	_ = s.journalLocked(journal.Record{
-		Job: wire.Name, State: StateRejected, Reason: reason,
-		Strategy: typ.String(), Priority: priority,
-	})
-	rec := s.newRecordLocked(wire.Name, typ, priority, StateRejected)
-	rec.Reason = reason
-	s.notifyTerminalLocked(rec)
-	return rec.clone()
 }
 
 func (s *Server) newRecordLocked(id string, typ strategy.Type, priority int, state string) *Record {
@@ -673,15 +679,10 @@ func (s *Server) shedCandidateLocked(priority int) int {
 func (s *Server) shedLocked(i int) {
 	e := s.queue[i]
 	s.queue = append(s.queue[:i], s.queue[i+1:]...)
-	e.rec.State = StateRejected
-	e.rec.Reason = "shed: displaced by higher-priority work under overload"
-	_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateRejected, Reason: e.rec.Reason})
-	s.notifyTerminalLocked(e.rec)
-	s.met.Shed++
-	s.met.Rejected++
-	s.th.shed.Inc()
-	s.th.rejected.Inc()
 	s.th.queueDepth.Set(float64(len(s.queue)))
+	s.finishLocked(e.rec, StateRejected, "shed: displaced by higher-priority work under overload", journal.Record{})
+	s.met.Shed++
+	s.th.shed.Inc()
 }
 
 // dequeueLocked pops the most important queued entry (highest priority,
@@ -747,11 +748,7 @@ func (s *Server) loop() {
 		}
 		batch := s.dequeueBatchLocked(s.placers())
 		s.mu.Unlock()
-		if len(batch) == 1 {
-			s.process(batch[0])
-		} else {
-			s.processBatch(batch)
-		}
+		s.process(batch)
 		s.mu.Lock()
 		idle := len(s.queue) == 0
 		s.mu.Unlock()
@@ -789,46 +786,16 @@ func (s *Server) publishEngineStats() {
 	s.th.eventsFired.Set(float64(fired))
 }
 
-// process hands one dequeued job to the VO and advances the engine just
-// past its arrival: the strategy is built and its windows reserved, while
-// the start/finish events stay pending so the job is genuinely in flight.
+// process hands one dequeued arrival batch (up to the placer width; one
+// job at width 1) to the VO and advances the engine just past its arrival:
+// the strategies are built and their windows reserved, while the
+// start/finish events stay pending so the jobs are genuinely in flight.
+// Every entry shares one arrival tick, so the VO places a wider batch
+// through the optimistic placer pool, with each record's admission
+// priority carried into the commit arbiter's collision-resolution order.
 // Engine goroutine only (or the test driver in manual mode).
-func (s *Server) process(e *entry) {
-	if !e.enq.IsZero() {
-		s.th.queueWait.Observe(telemetry.Since(e.enq))
-	}
+func (s *Server) process(batch []*entry) {
 	sp := s.spans.Start("service.process", 0)
-	sp.SetStr("job", e.rec.ID)
-	arrival := s.engine.Now() + 1
-	job := e.job.WithDeadline(arrival + simtime.Time(e.wire.Deadline))
-	s.mu.Lock()
-	e.rec.State = StateScheduled
-	e.rec.Arrival = arrival
-	_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateScheduled})
-	s.mu.Unlock()
-	if err := s.vo.Submit(job, e.typ, arrival); err != nil {
-		s.mu.Lock()
-		e.rec.State = StateRejected
-		e.rec.Reason = err.Error()
-		s.met.Rejected++
-		_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateRejected, Reason: e.rec.Reason})
-		s.notifyTerminalLocked(e.rec)
-		s.mu.Unlock()
-		s.th.rejected.Inc()
-		sp.SetStr("result", "rejected").End()
-		return
-	}
-	s.engine.RunUntil(arrival + 1)
-	sp.SetStr("result", "scheduled").End()
-}
-
-// processBatch is process for a whole arrival batch when concurrent
-// placement is enabled: every entry shares one arrival tick, so the VO
-// batches them through the optimistic placer pool (metasched.SubmitPrio),
-// with each record's admission priority carried into the commit arbiter's
-// collision-resolution order. Engine goroutine only.
-func (s *Server) processBatch(batch []*entry) {
-	sp := s.spans.Start("service.process_batch", 0)
 	sp.SetInt("jobs", int64(len(batch)))
 	arrival := s.engine.Now() + 1
 	for _, e := range batch {
@@ -843,13 +810,8 @@ func (s *Server) processBatch(batch []*entry) {
 		s.mu.Unlock()
 		if err := s.vo.SubmitPrio(job, e.typ, arrival, e.rec.Priority); err != nil {
 			s.mu.Lock()
-			e.rec.State = StateRejected
-			e.rec.Reason = err.Error()
-			s.met.Rejected++
-			_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateRejected, Reason: e.rec.Reason})
-			s.notifyTerminalLocked(e.rec)
+			s.finishLocked(e.rec, StateRejected, err.Error(), journal.Record{})
 			s.mu.Unlock()
-			s.th.rejected.Inc()
 		}
 	}
 	s.engine.RunUntil(arrival + 1)
@@ -873,11 +835,7 @@ func (s *Server) Process(n int) int {
 		if len(batch) == 0 {
 			break
 		}
-		if len(batch) == 1 {
-			s.process(batch[0])
-		} else {
-			s.processBatch(batch)
-		}
+		s.process(batch)
 		done += len(batch)
 	}
 	s.publishEngineStats()
@@ -962,26 +920,17 @@ func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 	}
 	// Tombstone: ledger the ID as revoked before any handoff ever landed.
 	rec := s.newRecordLocked(id, strategy.Type(0), 0, StateRevoked)
-	rec.Reason = "revoked before arrival: " + reason
 	rec.Epoch = epoch
-	_ = s.journalLocked(journal.Record{Job: id, State: StateRevoked, Reason: rec.Reason, Epoch: epoch})
-	s.met.Revoked++
-	s.th.revoked.Inc()
-	s.notifyTerminalLocked(rec)
+	s.finishLocked(rec, StateRevoked, "revoked before arrival: "+reason, journal.Record{Epoch: epoch})
 	return *rec, nil
 }
 
 // revokeEntryLocked marks one reclaimed entry's record revoked.
 func (s *Server) revokeEntryLocked(rec *Record, reason string, epoch int) {
-	rec.State = StateRevoked
-	rec.Reason = reason
 	if epoch > rec.Epoch {
 		rec.Epoch = epoch
 	}
-	_ = s.journalLocked(journal.Record{Job: rec.ID, State: StateRevoked, Reason: reason, Epoch: rec.Epoch})
-	s.met.Revoked++
-	s.th.revoked.Inc()
-	s.notifyTerminalLocked(rec)
+	s.finishLocked(rec, StateRevoked, reason, journal.Record{Epoch: rec.Epoch})
 }
 
 // ErrNotRevoked is returned by Resurrect when the job's ledger entry is
@@ -1027,14 +976,9 @@ func (s *Server) Resurrect(wire jobio.Job, strategyName string, priority, epoch 
 			Reason: "service is draining; not accepting work", RetryAfter: s.cfg.retryAfter()}
 	}
 	if infeasible != "" {
-		rec.State = StateRejected
-		rec.Reason = infeasible
 		rec.Strategy, rec.Priority, rec.Epoch = typ.String(), priority, epoch
-		_ = s.journalLocked(journal.Record{Job: wire.Name, State: StateRejected,
-			Reason: infeasible, Strategy: typ.String(), Priority: priority, Epoch: epoch})
-		s.met.Rejected++
-		s.th.rejected.Inc()
-		s.notifyTerminalLocked(rec)
+		s.finishLocked(rec, StateRejected, infeasible,
+			journal.Record{Strategy: typ.String(), Priority: priority, Epoch: epoch})
 		return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: infeasible}
 	}
 	if len(s.queue) >= s.cfg.queueCap() {
@@ -1053,13 +997,7 @@ func (s *Server) Resurrect(wire jobio.Job, strategyName string, priority, epoch 
 	rec.Reason = ""
 	rec.Strategy, rec.Priority, rec.Epoch = typ.String(), priority, epoch
 	s.met.Resurrected++
-	s.queue = append(s.queue, &entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
-	s.th.queueDepth.Set(float64(len(s.queue)))
-	if d := len(s.queue); d > s.met.QueueHighWater {
-		s.met.QueueHighWater = d
-		s.th.queueHighWater.Set(float64(d))
-	}
-	s.cond.Signal()
+	s.enqueueLocked(&entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
 	return rec.clone(), nil
 }
 
@@ -1090,16 +1028,8 @@ func (s *Server) ResumeHeld(ids []string) int {
 			continue
 		}
 		delete(s.held, id)
-		s.queue = append(s.queue, e)
+		s.enqueueLocked(e)
 		moved++
-	}
-	if moved > 0 {
-		s.th.queueDepth.Set(float64(len(s.queue)))
-		if d := len(s.queue); d > s.met.QueueHighWater {
-			s.met.QueueHighWater = d
-			s.th.queueHighWater.Set(float64(d))
-		}
-		s.cond.Broadcast()
 	}
 	return moved
 }
@@ -1204,12 +1134,7 @@ func (s *Server) snapshotQueued() error {
 	var wires []jobio.Job
 	for _, e := range s.queue {
 		wires = append(wires, e.wire)
-		e.rec.State = StateDrained
-		e.rec.Reason = "drained to snapshot on shutdown"
-		_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateDrained, Reason: e.rec.Reason})
-		s.notifyTerminalLocked(e.rec)
-		s.met.Drained++
-		s.th.drained.Inc()
+		s.finishLocked(e.rec, StateDrained, "drained to snapshot on shutdown", journal.Record{})
 	}
 	s.queue = nil
 	path := s.cfg.SnapshotPath
@@ -1261,11 +1186,7 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 		// graph) is ledgered as rejected rather than dropped silently.
 		reject := func(reason string) {
 			r := s.newRecordLocked(js.Job, typ, js.Priority, StateRejected)
-			r.Reason = reason
-			_ = s.journalLocked(journal.Record{Job: js.Job, State: StateRejected, Reason: reason})
-			s.notifyTerminalLocked(r)
-			s.met.Rejected++
-			s.th.rejected.Inc()
+			s.finishLocked(r, StateRejected, reason, journal.Record{})
 			stats.Restored++
 			stats.Invalid++
 		}
@@ -1292,7 +1213,7 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 			s.held[js.Job] = e
 			stats.Held++
 		} else {
-			s.queue = append(s.queue, e)
+			s.enqueueLocked(e)
 			stats.Requeued++
 		}
 		// Re-journal the accept: after the post-restore compaction the
@@ -1306,12 +1227,6 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 		s.th.accepted.Inc()
 		stats.Restored++
 	}
-	s.th.queueDepth.Set(float64(len(s.queue)))
-	if d := len(s.queue); d > s.met.QueueHighWater {
-		s.met.QueueHighWater = d
-		s.th.queueHighWater.Set(float64(d))
-	}
-	s.cond.Broadcast()
 	stats.ReplaySeconds = time.Since(start).Seconds()
 	s.recovery = &stats
 	s.mu.Unlock()

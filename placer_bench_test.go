@@ -13,14 +13,14 @@ import (
 	"repro/internal/workload"
 )
 
-// benchPlacers sizes the optimistic-placer pool; ≤1 forces the classic
-// single-writer placement loop, which is the CI comparison baseline.
-var benchPlacers = flag.Int("placers", 1, "optimistic placer pool size for the placement benchmarks (≤1 = single-writer)")
+// benchPlacers sizes the optimistic-placer pool; ≤1 is width 1 (every
+// job a batch of one), which is the CI comparison baseline.
+var benchPlacers = flag.Int("placers", 1, "optimistic placer pool size for the placement benchmarks (≤1 = one job at a time)")
 
 // placementRun drives one VO through `batches` arrival batches of `width`
 // jobs each: every batch shares a tick, so at placers>1 the whole batch
 // goes through snapshot → parallel build → ordered optimistic commit,
-// while at placers≤1 each job takes the sequential arrive path. Generous
+// while at placers≤1 each job is a batch of one and places alone. Generous
 // deadlines keep the corpus admissible, so the measured work is strategy
 // building and commit arbitration, not rejection handling.
 func placementRun(b *testing.B, placers, domains, batches, width int) {
