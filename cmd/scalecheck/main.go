@@ -5,10 +5,9 @@
 //     The deterministic section (admission counts, terminal states,
 //     model-time goodput) must match exactly — any drift is a behavioral
 //     scheduler regression, or an intentional change that must re-commit
-//     the baseline. The wall-clock section is gated with per-metric
-//     tolerances: goodput may not drop below baseline × -min-goodput-ratio,
-//     and the admission p99 may not exceed baseline × -max-p99-ratio once
-//     past the -p99-floor noise threshold.
+//     the baseline. The wall-clock section is printed for information
+//     only: wall-clock regressions are gated by the gridbench ledger
+//     (benchmark/, BENCHMARK.json), whose bounds are A/A-checked.
 //   - -expect-identical: diff two fresh runs of the same scenario and
 //     fail on any deterministic divergence — the reproducibility check
 //     the in-process path guarantees.
@@ -29,12 +28,9 @@ import (
 
 func main() {
 	var (
-		current    = flag.String("current", "BENCH_scale.json", "report from this run")
-		baseline   = flag.String("baseline", "", "committed baseline to gate against")
-		identical  = flag.String("expect-identical", "", "second fresh run that must match -current deterministically")
-		minGoodput = flag.Float64("min-goodput-ratio", scalereport.DefaultGate().MinGoodputRatio, "fail when wall goodput < baseline × ratio")
-		maxP99     = flag.Float64("max-p99-ratio", scalereport.DefaultGate().MaxP99Ratio, "fail when admission p99 > baseline × ratio")
-		p99Floor   = flag.Float64("p99-floor", scalereport.DefaultGate().P99FloorSeconds, "p99 below this many seconds never fails the gate")
+		current   = flag.String("current", "BENCH_scale.json", "report from this run")
+		baseline  = flag.String("baseline", "", "committed baseline to gate against")
+		identical = flag.String("expect-identical", "", "second fresh run that must match -current deterministically")
 	)
 	flag.Parse()
 	if *baseline == "" && *identical == "" {
@@ -69,15 +65,8 @@ func main() {
 			failed = true
 			fmt.Fprintf(os.Stderr, "scalecheck: FAIL — deterministic drift vs baseline %s:\n", *baseline)
 			printAll(diffs)
-		}
-		opt := scalereport.GateOptions{MinGoodputRatio: *minGoodput, MaxP99Ratio: *maxP99, P99FloorSeconds: *p99Floor}
-		if fails := scalereport.GateWall(cur, base, opt); len(fails) > 0 {
-			failed = true
-			fmt.Fprintf(os.Stderr, "scalecheck: FAIL — wall-clock gate vs baseline %s:\n", *baseline)
-			printAll(fails)
-		}
-		if !failed {
-			fmt.Printf("scalecheck: OK — goodput %.1f jobs/s (baseline %.1f), admission p99 %.4fs (baseline %.4fs), deterministic section identical\n",
+		} else {
+			fmt.Printf("scalecheck: OK — deterministic section identical (not gated: goodput %.1f jobs/s, baseline %.1f; admission p99 %.4fs, baseline %.4fs)\n",
 				cur.Wall.GoodputJobsPerSec, base.Wall.GoodputJobsPerSec,
 				cur.Wall.AdmissionP99, base.Wall.AdmissionP99)
 		}

@@ -175,12 +175,6 @@ func (c *Cluster) Name() string { return c.policy.Name() }
 // Outcomes implements System.
 func (c *Cluster) Outcomes() []Outcome { return append([]Outcome(nil), c.outcomes...) }
 
-// QueueLength returns the number of waiting requests.
-func (c *Cluster) QueueLength() int { return len(c.queue) }
-
-// RunningCount returns the number of executing jobs.
-func (c *Cluster) RunningCount() int { return len(c.running) }
-
 // Submit implements System. Requests needing more nodes than the cluster
 // has are rejected with a panic: the caller sized the request wrongly.
 func (c *Cluster) Submit(r Request) {
@@ -233,15 +227,6 @@ func (c *Cluster) startReservation(res *reservation) {
 	}
 	// A reservation's forecast is its own fixed start time.
 	c.start(res.req, res.arrival, res.startAt, res.startAt, true)
-}
-
-// FreeNodes returns currently idle processors.
-func (c *Cluster) FreeNodes() int {
-	used := 0
-	for _, r := range c.running {
-		used += r.req.Nodes
-	}
-	return c.nodes - used
 }
 
 // baseProfile builds the availability profile from running jobs (to their

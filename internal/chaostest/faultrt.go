@@ -1,8 +1,9 @@
-package federation
+package chaostest
 
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -53,7 +54,9 @@ func NewFaultTransport(plan FaultPlan, next http.RoundTripper) *FaultTransport {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &FaultTransport{next: next, plan: plan, r: rng.New(plan.Seed).Split(fnv1a("faultrt"))}
+	h := fnv.New64a()
+	h.Write([]byte("faultrt"))
+	return &FaultTransport{next: next, plan: plan, r: rng.New(plan.Seed).Split(h.Sum64())}
 }
 
 // Sever switches the full partition on or off.

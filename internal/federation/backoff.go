@@ -63,3 +63,15 @@ func (b *backoff) wait(attempt int) bool {
 		return false
 	}
 }
+
+// retry calls try with attempt 1, 2, … until it reports done, sleeping out
+// each attempt's delay in between. It reports false when the owner stopped
+// first.
+func (b *backoff) retry(try func(attempt int) (done bool)) bool {
+	for attempt := 1; !try(attempt); attempt++ {
+		if !b.wait(attempt) {
+			return false
+		}
+	}
+	return true
+}

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strconv"
 	"strings"
@@ -17,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaostest"
 	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/service"
@@ -56,15 +56,7 @@ const (
 )
 
 func TestMain(m *testing.M) {
-	switch os.Getenv(fedChildEnv) {
-	case "shard":
-		fedShardChild()
-		return
-	case "router":
-		fedRouterChild()
-		return
-	}
-	os.Exit(m.Run())
+	chaostest.Main(m, fedChildEnv, map[string]func(){"shard": fedShardChild, "router": fedRouterChild})
 }
 
 func childEnvSeed() uint64 {
@@ -113,7 +105,7 @@ func fedShardChild() {
 	if os.Getenv(fedFaultsEnv) == "1" {
 		// The shard→router direction gets mild ack-loss/dup faults too:
 		// terminal notices and join handshakes must survive redelivery.
-		client = &http.Client{Timeout: 2 * time.Second, Transport: NewFaultTransport(FaultPlan{
+		client = &http.Client{Timeout: 2 * time.Second, Transport: chaostest.NewFaultTransport(chaostest.FaultPlan{
 			Seed: seed + fnv1a(name), Drop: 0.05, AckLoss: 0.05, Dup: 0.05,
 		}, nil)}
 	}
@@ -177,7 +169,7 @@ func fedRouterChild() {
 		os.Exit(1)
 	}
 	var shards []ShardClient
-	var links []*FaultTransport
+	var links []*chaostest.FaultTransport
 	for _, kv := range strings.Split(os.Getenv(fedShardsEnv), ",") {
 		name, url, ok := strings.Cut(kv, "=")
 		if !ok {
@@ -186,7 +178,7 @@ func fedRouterChild() {
 		}
 		client := &http.Client{}
 		if faultsOn {
-			ft := NewFaultTransport(FaultPlan{
+			ft := chaostest.NewFaultTransport(chaostest.FaultPlan{
 				Seed: seed + fnv1a(name), Drop: 0.1, AckLoss: 0.1, Dup: 0.1,
 				Delay: 0.2, DelayMax: 150 * time.Millisecond,
 			}, nil)
@@ -252,47 +244,10 @@ func fedRouterChild() {
 	os.Exit(0)
 }
 
-// fedProc is one child process managed by the parent.
-type fedProc struct {
-	cmd  *exec.Cmd
-	addr string
-	out  bytes.Buffer
-}
-
-func (p *fedProc) kill(t *testing.T) {
+func spawnFed(t *testing.T, role, name, dir, addr string, extraEnv ...string) *chaostest.Proc {
 	t.Helper()
-	if err := p.cmd.Process.Kill(); err != nil {
-		t.Fatalf("SIGKILL: %v", err)
-	}
-	p.cmd.Wait()
-}
-
-func spawnFed(t *testing.T, role, name, dir, addr string, extraEnv ...string) *fedProc {
-	t.Helper()
-	p := &fedProc{addr: addr}
-	p.cmd = exec.Command(os.Args[0], "-test.run=NONE")
-	p.cmd.Env = append(os.Environ(),
-		fedChildEnv+"="+role, fedNameEnv+"="+name, fedDirEnv+"="+dir, fedAddrEnv+"="+addr)
-	p.cmd.Env = append(p.cmd.Env, extraEnv...)
-	p.cmd.Stdout = &p.out
-	p.cmd.Stderr = &p.out
-	if err := p.cmd.Start(); err != nil {
-		t.Fatalf("spawn %s: %v", role, err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return p
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	p.kill(t)
-	t.Fatalf("%s %s never became healthy; output:\n%s", role, name, p.out.String())
-	return nil
+	env := append([]string{fedNameEnv + "=" + name, fedDirEnv + "=" + dir, fedAddrEnv + "=" + addr}, extraEnv...)
+	return chaostest.Spawn(t, fedChildEnv, role, env, chaostest.Healthz(addr))
 }
 
 // freeAddr reserves a distinct loopback port.
@@ -392,16 +347,16 @@ func TestFederationPartitionChaos(t *testing.T) {
 	shardSpec := strings.Join(specs, ",")
 
 	seedEnv := fedSeedEnv + "=" + strconv.FormatInt(seed, 10)
-	spawnShard := func(i int, faults string) *fedProc {
+	spawnShard := func(i int, faults string) *chaostest.Proc {
 		return spawnFed(t, "shard", shardNames[i], shardDirs[i], shardAddrs[i],
 			fedRouterEnv+"="+routerURL, seedEnv, fedFaultsEnv+"="+faults)
 	}
-	spawnRouter := func(faults string) *fedProc {
+	spawnRouter := func(faults string) *chaostest.Proc {
 		return spawnFed(t, "router", "router", routerDir, routerAddr,
 			fedShardsEnv+"="+shardSpec, seedEnv, fedFaultsEnv+"="+faults)
 	}
 
-	shards := make([]*fedProc, nShards)
+	shards := make([]*chaostest.Proc, nShards)
 	for i := range shards {
 		shards[i] = spawnShard(i, "1")
 	}
@@ -430,7 +385,7 @@ func TestFederationPartitionChaos(t *testing.T) {
 			case http.StatusServiceUnavailable, http.StatusTooManyRequests:
 				// backpressure: owes us nothing
 			default:
-				t.Fatalf("cycle %d: submit %s = %d\nrouter output:\n%s", cycle, id, code, router.out.String())
+				t.Fatalf("cycle %d: submit %s = %d\nrouter output:\n%s", cycle, id, code, router.Output())
 			}
 		}
 		// Duplicate probe: an accepted ID must stay refused across any
@@ -448,11 +403,11 @@ func TestFederationPartitionChaos(t *testing.T) {
 		switch action := rng.Intn(10); {
 		case action < 5: // SIGKILL + restart one shard
 			i := rng.Intn(nShards)
-			shards[i].kill(t)
+			shards[i].Kill(t)
 			time.Sleep(time.Duration(rng.Intn(200)) * time.Millisecond)
 			shards[i] = spawnShard(i, "1")
 		case action < 7: // SIGKILL + restart the router
-			router.kill(t)
+			router.Kill(t)
 			// Zero accepted-job loss, part one: a 202 means the accept
 			// was fsynced into the router journal before the response.
 			rec, err := journal.Recover(routerDir)
@@ -471,8 +426,8 @@ func TestFederationPartitionChaos(t *testing.T) {
 			router = spawnRouter("1")
 		case action == 7: // shard and router die together
 			i := rng.Intn(nShards)
-			shards[i].kill(t)
-			router.kill(t)
+			shards[i].Kill(t)
+			router.Kill(t)
 			router = spawnRouter("1")
 			shards[i] = spawnShard(i, "1")
 		default: // no kill this cycle; partitions and faults keep running
@@ -481,9 +436,9 @@ func TestFederationPartitionChaos(t *testing.T) {
 
 	// Heal the fleet: restart everything with fault injection off and let
 	// the recovery ladder finish its work.
-	router.kill(t)
+	router.Kill(t)
 	for i := range shards {
-		shards[i].kill(t)
+		shards[i].Kill(t)
 		shards[i] = spawnShard(i, "0")
 	}
 	router = spawnRouter("0")
@@ -510,7 +465,7 @@ func TestFederationPartitionChaos(t *testing.T) {
 					t.Logf("stuck: %+v", v)
 				}
 			}
-			t.Fatalf("%d accepted jobs still non-terminal\nrouter output:\n%s", pending, router.out.String())
+			t.Fatalf("%d accepted jobs still non-terminal\nrouter output:\n%s", pending, router.Output())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -544,18 +499,12 @@ func TestFederationPartitionChaos(t *testing.T) {
 	}
 
 	// Graceful teardown: the router drains clean, then the shards.
-	if err := router.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := router.cmd.Wait(); err != nil {
-		t.Fatalf("router drain failed: %v\noutput:\n%s", err, router.out.String())
+	if err := router.Terminate(); err != nil {
+		t.Fatalf("router drain failed: %v\noutput:\n%s", err, router.Output())
 	}
 	for i, p := range shards {
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.cmd.Wait(); err != nil {
-			t.Fatalf("shard %d drain failed: %v\noutput:\n%s", i, err, p.out.String())
+		if err := p.Terminate(); err != nil {
+			t.Fatalf("shard %d drain failed: %v\noutput:\n%s", i, err, p.Output())
 		}
 	}
 	t.Logf("chaos: %d cycles, %d accepted, all terminal exactly once", cycles, len(accepted))

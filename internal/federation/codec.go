@@ -33,52 +33,3 @@ func DecodeHandoff(b []byte) (*Handoff, error) {
 	}
 	return &h, nil
 }
-
-// EncodeBatch renders a reallocation batch as concatenated frames.
-// Duplicate idempotency keys are refused at encode time too: a batch is a
-// set of distinct jobs by construction.
-func EncodeBatch(hs []Handoff) ([]byte, error) {
-	seen := make(map[string]struct{}, len(hs))
-	var out []byte
-	for i := range hs {
-		h := &hs[i]
-		if _, dup := seen[h.Key]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateKey, h.Key)
-		}
-		seen[h.Key] = struct{}{}
-		payload, err := json.Marshal(h)
-		if err != nil {
-			return nil, fmt.Errorf("federation: encode batch: %w", err)
-		}
-		out = appendFrame(out, payload)
-	}
-	return out, nil
-}
-
-// DecodeBatch parses a concatenation of handoff frames, refusing
-// truncation, bad versions, corrupt frames and duplicated idempotency
-// keys anywhere in the batch.
-func DecodeBatch(b []byte) ([]Handoff, error) {
-	var out []Handoff
-	seen := make(map[string]struct{})
-	for len(b) > 0 {
-		payload, rest, err := readFrame(b)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", len(out), err)
-		}
-		var h Handoff
-		if err := json.Unmarshal(payload, &h); err != nil {
-			return nil, fmt.Errorf("frame %d: federation: bad handoff payload: %w", len(out), err)
-		}
-		if err := h.Validate(); err != nil {
-			return nil, fmt.Errorf("frame %d: %w", len(out), err)
-		}
-		if _, dup := seen[h.Key]; dup {
-			return nil, fmt.Errorf("frame %d: %w: %q", len(out), ErrDuplicateKey, h.Key)
-		}
-		seen[h.Key] = struct{}{}
-		out = append(out, h)
-		b = rest
-	}
-	return out, nil
-}

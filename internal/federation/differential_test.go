@@ -2,22 +2,26 @@ package federation
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/jobio"
 	"repro/internal/metasched"
 	"repro/internal/service"
 )
 
-// The shards=1 differential suite: a federated deployment with one shard
-// (Sync router + LocalShard) must be observationally identical to a plain
-// service.Server — same submit outcomes, same ledger, same engine trace
-// bytes, same metrics — over seeded mixed workloads. This is the pin that
-// lets federation ship without perturbing the single-node paper results.
+// The handoff differential suite: a server fed through the federation's
+// shard-side path (frame encode, decode, validate, ApplyHandoff — what
+// Member.handleHandoff runs) must be observationally identical to a plain
+// service.Server fed by Submit — same submit outcomes, same ledger, same
+// engine trace bytes, same metrics — over seeded mixed workloads. This is
+// the pin that lets federation ship without perturbing the single-node
+// paper results.
 
 // diffOp is one scripted action against both deployments.
 type diffOp struct {
@@ -66,72 +70,67 @@ func diffWorkload(seed int64, n int) []diffOp {
 }
 
 // diffDeployment is either side of the comparison behind one interface.
+// submit reports the SubmitError code and reason ("" , "" on accept).
 type diffDeployment struct {
-	submit  func(jobio.Job, string, int) (string, error)
-	svc     *service.Server // the engine to drive
-	trace   *bytes.Buffer
-	metrics func() service.Metrics
+	submit func(jobio.Job, string, int) (code, reason string)
+	svc    *service.Server // the engine to drive
+	trace  *bytes.Buffer
+}
+
+func newDiffServer(t *testing.T, seed uint64) (*service.Server, *bytes.Buffer) {
+	t.Helper()
+	var trace bytes.Buffer
+	svc, err := service.New(service.Config{
+		Env:   testEnv(),
+		Sched: metasched.Config{Seed: seed, Tracer: metasched.NewJSONLTracer(&trace)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, &trace
 }
 
 func newPlainDeployment(t *testing.T, seed uint64) *diffDeployment {
 	t.Helper()
-	var trace bytes.Buffer
-	svc, err := service.New(service.Config{
-		Env:   testEnv(),
-		Sched: metasched.Config{Seed: seed, Tracer: metasched.NewJSONLTracer(&trace)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, trace := newDiffServer(t, seed)
 	return &diffDeployment{
-		submit: func(w jobio.Job, s string, p int) (string, error) {
-			rec, err := svc.Submit(w, s, p)
-			if rec == nil {
-				return "", err
+		submit: func(w jobio.Job, s string, p int) (string, string) {
+			_, err := svc.Submit(w, s, p)
+			var se *service.SubmitError
+			switch {
+			case err == nil:
+				return "", ""
+			case errors.As(err, &se):
+				return se.Code, se.Reason
 			}
-			return rec.State, err
+			return "other", err.Error()
 		},
-		svc: svc, trace: &trace, metrics: svc.Metrics,
+		svc: svc, trace: trace,
 	}
 }
 
-func newFederatedDeployment(t *testing.T, seed uint64) *diffDeployment {
+func newHandoffDeployment(t *testing.T, seed uint64) *diffDeployment {
 	t.Helper()
-	var trace bytes.Buffer
-	var rt *Router
-	svc, err := service.New(service.Config{
-		Env:   testEnv(),
-		Sched: metasched.Config{Seed: seed, Tracer: metasched.NewJSONLTracer(&trace)},
-		OnTerminal: func(rec service.Record) {
-			rt.HandleTerminal(&TerminalNotice{Shard: "s0", Job: rec.ID, State: rec.State, Reason: rec.Reason})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Config{Shards: []ShardClient{NewLocalShard("s0", svc)}, Seed: seed, Sync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt = r
+	svc, trace := newDiffServer(t, seed)
+	shard := NewLocalShard("s0", svc)
 	return &diffDeployment{
-		submit: func(w jobio.Job, s string, p int) (string, error) {
-			view, err := r.Submit(w, s, p)
-			return view.State, err
+		submit: func(w jobio.Job, s string, p int) (string, string) {
+			res, err := shard.Handoff(context.Background(), &Handoff{
+				Key: w.Name, Origin: "gridfront", Attempt: 1, Job: w, Strategy: s, Priority: p})
+			if err != nil {
+				return "other", err.Error()
+			}
+			return res.Code, res.Reason
 		},
-		svc: svc, trace: &trace, metrics: svc.Metrics,
+		svc: svc, trace: trace,
 	}
 }
 
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	var se *service.SubmitError
-	if errors.As(err, &se) {
-		return fmt.Sprintf("%s|%s", se.Code, se.Reason)
-	}
-	return "other|" + err.Error()
+// sameOutcome compares two submit outcomes: the codes always, the reasons
+// except on duplicates (a duplicate handoff answers with the existing
+// record's state, not with Submit's refusal text).
+func sameOutcome(pc, pr, fc, fr string) bool {
+	return pc == fc && (pc == service.CodeDuplicate || pr == fr)
 }
 
 func TestSingleShardFederationIsByteIdentical(t *testing.T) {
@@ -139,7 +138,7 @@ func TestSingleShardFederationIsByteIdentical(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plain := newPlainDeployment(t, uint64(seed))
-			fed := newFederatedDeployment(t, uint64(seed))
+			fed := newHandoffDeployment(t, uint64(seed))
 			ops := diffWorkload(seed, 60)
 
 			var submitted []SubmitRequest
@@ -147,20 +146,20 @@ func TestSingleShardFederationIsByteIdentical(t *testing.T) {
 				switch {
 				case op.submit != nil:
 					submitted = append(submitted, *op.submit)
-					_, perr := plain.submit(op.submit.Job, op.submit.Strategy, op.submit.Priority)
-					_, ferr := fed.submit(op.submit.Job, op.submit.Strategy, op.submit.Priority)
-					if errString(perr) != errString(ferr) {
-						t.Fatalf("op %d: submit outcome diverged:\nplain: %s\nfed:   %s", i, errString(perr), errString(ferr))
+					pc, pr := plain.submit(op.submit.Job, op.submit.Strategy, op.submit.Priority)
+					fc, fr := fed.submit(op.submit.Job, op.submit.Strategy, op.submit.Priority)
+					if !sameOutcome(pc, pr, fc, fr) {
+						t.Fatalf("op %d: submit outcome diverged:\nplain: %s|%s\nfed:   %s|%s", i, pc, pr, fc, fr)
 					}
 				case op.kind == resubmitOp:
 					if op.resubmit >= len(submitted) {
 						continue
 					}
 					req := submitted[op.resubmit]
-					_, perr := plain.submit(req.Job, req.Strategy, req.Priority)
-					_, ferr := fed.submit(req.Job, req.Strategy, req.Priority)
-					if errString(perr) != errString(ferr) {
-						t.Fatalf("op %d: duplicate probe diverged:\nplain: %s\nfed:   %s", i, errString(perr), errString(ferr))
+					pc, pr := plain.submit(req.Job, req.Strategy, req.Priority)
+					fc, fr := fed.submit(req.Job, req.Strategy, req.Priority)
+					if !sameOutcome(pc, pr, fc, fr) {
+						t.Fatalf("op %d: duplicate probe diverged:\nplain: %s|%s\nfed:   %s|%s", i, pc, pr, fc, fr)
 					}
 				case op.process > 0:
 					pn := plain.svc.Process(op.process)
@@ -192,8 +191,8 @@ func TestSingleShardFederationIsByteIdentical(t *testing.T) {
 			}
 
 			// Reports: the counters snapshot must serialize identically.
-			pm, _ := json.Marshal(plain.metrics())
-			fm, _ := json.Marshal(fed.metrics())
+			pm, _ := json.Marshal(plain.svc.Metrics())
+			fm, _ := json.Marshal(fed.svc.Metrics())
 			if !bytes.Equal(pm, fm) {
 				t.Fatalf("metrics diverged:\nplain: %s\nfed:   %s", pm, fm)
 			}
@@ -201,14 +200,11 @@ func TestSingleShardFederationIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSyncRouterMirrorsShardFates checks the router's OWN ledger agrees
-// with the shard after a sync run — every accepted job's router fate is
-// the shard fate.
+// TestSyncRouterMirrorsShardFates checks the router's own ledger stays in
+// sync with its shard: every accepted job's router fate is the shard fate.
 func TestSyncRouterMirrorsShardFates(t *testing.T) {
 	var rt *Router
-	var svc *service.Server
-	var err error
-	svc, err = service.New(service.Config{
+	svc, err := service.New(service.Config{
 		Env:   testEnv(),
 		Sched: metasched.Config{Seed: 42},
 		OnTerminal: func(rec service.Record) {
@@ -218,15 +214,27 @@ func TestSyncRouterMirrorsShardFates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(Config{Shards: []ShardClient{NewLocalShard("s0", svc)}, Seed: 42, Sync: true})
+	r, err := New(Config{Shards: []ShardClient{NewLocalShard("s0", svc)}, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt = r
-	for i := 0; i < 20; i++ {
+	r.Start()
+	defer r.Close()
+	const n = 20
+	for i := 0; i < n; i++ {
 		if _, err := r.Submit(testJob(fmt.Sprintf("job-%d", i), 60), "S1", 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The shard's engine is not started, so handed-off jobs sit in its
+	// queue until every handoff has landed and the test runs them.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(svc.Jobs()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d jobs handed off", len(svc.Jobs()), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	svc.Process(-1)
 	svc.Quiesce()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaostest"
 	"repro/internal/metasched"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -248,7 +249,7 @@ func TestFaultTransportInjection(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	rt := NewFaultTransport(FaultPlan{
+	rt := chaostest.NewFaultTransport(chaostest.FaultPlan{
 		Seed: 5, Drop: 0.2, AckLoss: 0.2, Dup: 0.2, Delay: 0.3, DelayMax: 2 * time.Millisecond,
 	}, nil)
 	client := &http.Client{Transport: rt, Timeout: 2 * time.Second}

@@ -1,0 +1,60 @@
+package federation
+
+import (
+	"context"
+
+	"repro/internal/service"
+)
+
+// LocalShard adapts an in-process service.Server to ShardClient. The
+// handoff still round-trips through the wire codec so local and remote
+// shards exercise identical encode/validate/decode paths.
+type LocalShard struct {
+	name string
+	svc  *service.Server
+}
+
+// NewLocalShard wraps svc as the named shard.
+func NewLocalShard(name string, svc *service.Server) *LocalShard {
+	return &LocalShard{name: name, svc: svc}
+}
+
+// Name implements ShardClient.
+func (l *LocalShard) Name() string { return l.name }
+
+// Service returns the wrapped server.
+func (l *LocalShard) Service() *service.Server { return l.svc }
+
+// Handoff implements ShardClient via the shared ApplyHandoff semantics,
+// after a codec round trip.
+func (l *LocalShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, error) {
+	frame, err := EncodeHandoff(h)
+	if err != nil {
+		return nil, err
+	}
+	decoded, err := DecodeHandoff(frame)
+	if err != nil {
+		return nil, err
+	}
+	return ApplyHandoff(l.svc, decoded), nil
+}
+
+// Revoke implements ShardClient.
+func (l *LocalShard) Revoke(ctx context.Context, req *RevokeRequest) (*RevokeResult, error) {
+	return ApplyRevoke(l.svc, req), nil
+}
+
+// Record implements ShardClient.
+func (l *LocalShard) Record(ctx context.Context, id string) (service.Record, bool, error) {
+	rec, ok := l.svc.Job(id)
+	return rec, ok, nil
+}
+
+// Ping implements ShardClient.
+func (l *LocalShard) Ping(ctx context.Context) (*PingResponse, error) {
+	met := l.svc.Metrics()
+	return &PingResponse{
+		Shard: l.name, Version: Version,
+		Draining: met.Draining, QueueDepth: met.QueueDepth, Held: met.Held,
+	}, nil
+}

@@ -196,27 +196,19 @@ func (m *Member) isClosed() bool {
 // attempt repeats the same question.
 func (m *Member) joinLoop() {
 	defer m.wg.Done()
-	for attempt := 1; ; attempt++ {
+	m.retry.retry(func(attempt int) bool {
 		if m.isClosed() {
-			return
+			return true
 		}
 		if err := m.joinOnce(); err != nil {
 			m.logf("federation: join attempt %d: %v", attempt, err)
-			if !m.retry.wait(attempt) {
-				return
-			}
-			continue
+			return false
 		}
 		m.joins.Inc()
-		if len(m.svc.Held()) == 0 {
-			return
-		}
-		// Decisions missing for some held jobs (or the router asked us to
-		// wait): ask again.
-		if !m.retry.wait(attempt) {
-			return
-		}
-	}
+		// Held jobs left over mean decisions are missing for some of them
+		// (or the router asked us to wait): ask again.
+		return len(m.svc.Held()) == 0
+	})
 }
 
 // joinOnce sends one join handshake and applies the router's decisions.
@@ -293,17 +285,15 @@ func (m *Member) notifyLoop() {
 		n := m.notices[0]
 		m.mu.Unlock()
 
-		attempt := 1
-		for {
-			if err := m.deliver(n); err == nil {
-				break
-			} else {
+		delivered := m.retry.retry(func(attempt int) bool {
+			err := m.deliver(n)
+			if err != nil {
 				m.logf("federation: terminal notice %s attempt %d: %v", n.Job, attempt, err)
 			}
-			if !m.retry.wait(attempt) {
-				return
-			}
-			attempt++
+			return err == nil
+		})
+		if !delivered {
+			return
 		}
 		m.notifies.Inc()
 		m.mu.Lock()
@@ -402,9 +392,8 @@ func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ApplyHandoff maps one decoded handoff onto a service submission. Shared
-// by the HTTP handler and the in-process LocalShard, so both transports
-// have identical semantics.
+// ApplyHandoff maps one decoded handoff onto a service submission: the
+// whole of what a shard does with a frame once it is decoded.
 func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 	if h.Deadline > 0 && time.Now().UnixMilli() > h.Deadline {
 		// Stale handoff: the router stopped waiting. Refusing (retryably)
@@ -479,7 +468,7 @@ func handoffError(key string, err error) *HandoffResult {
 }
 
 // ApplyRevoke maps a revocation onto the service, returning the confirmed
-// outcome. Shared by the HTTP handler and LocalShard.
+// outcome.
 func ApplyRevoke(svc *service.Server, req *RevokeRequest) *RevokeResult {
 	rec, err := svc.RevokeEpoch(req.Key, fmt.Sprintf("revoked by %s: %s", req.Origin, req.Reason), req.Epoch)
 	if errors.Is(err, service.ErrInFlight) {

@@ -72,13 +72,8 @@ type Config struct {
 	// randomness.
 	JitterFrac float64
 	Seed       uint64
-	// Workers is the dispatcher pool size (default 4). Sync mode uses
-	// none.
+	// Workers is the dispatcher pool size (default 4).
 	Workers int
-	// Sync dispatches synchronously inside Submit and starts no background
-	// loops — the deterministic single-shard mode the differential suite
-	// pins against a plain service.Server.
-	Sync bool
 	// Logf receives operational log lines. nil discards.
 	Logf func(format string, args ...any)
 }
@@ -327,11 +322,7 @@ func (r *Router) journal(rec journal.Record) {
 }
 
 // Start launches the dispatcher pool and the per-shard heartbeat loops.
-// No-op in Sync mode.
 func (r *Router) Start() {
-	if r.cfg.Sync {
-		return
-	}
 	for i := 0; i < r.cfg.workers(); i++ {
 		r.wg.Add(1)
 		go r.dispatchLoop()
@@ -344,111 +335,94 @@ func (r *Router) Start() {
 
 // Submit accepts one job into the federation. Validation failures and
 // duplicates are refused with the same SubmitError codes a plain service
-// uses. In Sync mode the handoff happens inline and shard-side rejections
-// surface directly; in async mode the job is journaled and queued, and its
-// fate is visible via Job/Jobs.
+// uses. An accepted job is journaled and queued; its fate is visible via
+// Job/Jobs.
 func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobView, error) {
 	r.th.submitted.Inc()
 	typ, err := strategy.ParseType(strategyName)
-	if err != nil {
-		r.countSubmit(false)
-		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
-	}
-	if _, err := wire.ToJob(); err != nil {
-		r.countSubmit(false)
-		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
+	if err == nil {
+		_, err = wire.ToJob()
 	}
 
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.met.Submitted++
+	if err != nil {
+		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
+	}
 	if r.met.Draining {
-		r.mu.Unlock()
 		return JobView{}, &service.SubmitError{Code: service.CodeDraining,
 			Reason: "router is draining; not accepting work", RetryAfter: time.Second}
 	}
-	if r.cfg.Sync {
-		// Sync mode forwards everything — including duplicates — so the
-		// single shard observes the exact submission stream a plain
-		// server would (its Submitted counter and duplicate answers are
-		// part of the differential pin).
-		r.mu.Unlock()
-		return r.submitSync(wire, typ.String(), priority)
-	}
 	if _, dup := r.records[wire.Name]; dup {
-		r.mu.Unlock()
 		return JobView{}, &service.SubmitError{Code: service.CodeDuplicate,
 			Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
 	}
-	rec := r.newRecordLocked(wire.Name, typ.String(), priority, StateQueued)
-	rec.wire = &wire
 	// Write-ahead: the accept is durable before the job exists only in
 	// memory, so an acknowledged submission survives a router SIGKILL.
-	r.journal(journal.Record{Job: wire.Name, State: StateQueued,
-		Strategy: typ.String(), Priority: priority, Wire: &wire})
+	rec := r.createLocked(wire.Name, typ.String(), priority, &wire, StateQueued, "", "")
 	r.met.Accepted++
-	r.pushLocked(wire.Name)
-	view := rec.view()
-	r.mu.Unlock()
 	r.th.accepted.Inc()
-	return view, nil
+	r.pushLocked(wire.Name)
+	return rec.view(), nil
 }
 
-func (r *Router) countSubmit(accepted bool) {
-	r.mu.Lock()
-	r.met.Submitted++
-	if accepted {
-		r.met.Accepted++
-	}
-	r.mu.Unlock()
+// createLocked makes a ledger entry and journals its creation record, the
+// only record that carries the admission fields (strategy, priority, wire
+// form). Every later change to the entry goes through moveLocked. Caller
+// holds r.mu.
+func (r *Router) createLocked(id, strategyName string, priority int, wire *jobio.Job, state, shard, reason string) *jobRecord {
+	rec := r.newRecordLocked(id, strategyName, priority, state)
+	rec.Shard, rec.Reason, rec.wire = shard, reason, wire
+	r.journal(journal.Record{Job: id, State: state, Reason: reason,
+		Strategy: strategyName, Priority: priority, Wire: wire, Shard: shard})
+	return rec
 }
 
-// submitSync is the deterministic shards=1 path: one inline handoff, the
-// shard's answer mapped straight back to the caller so a federated
-// single-shard deployment is observationally identical to a plain server.
-func (r *Router) submitSync(wire jobio.Job, strategyName string, priority int) (JobView, error) {
-	shard := r.ring.Owner(wire.Name)
-	client := r.clients[shard]
-	h := &Handoff{Key: wire.Name, Origin: r.cfg.origin(), Attempt: 1,
-		Job: wire, Strategy: strategyName, Priority: priority}
-	res, err := client.Handoff(context.Background(), h)
-	if err != nil {
-		return JobView{}, &service.SubmitError{Code: service.CodeInternal, Reason: err.Error()}
+// moveLocked is the only code that changes a ledger entry's State, Shard,
+// Reason or epoch after creation. It journals the uniform record
+// {Job, State, Reason, Shard, Epoch} and counts the transition, so the
+// live ledger always equals the fold of its own journal. The transitions,
+// by the event that causes them:
+//
+//	queued   → handed     bind (dispatch), join adopts a held job
+//	queued   → terminal   drain before dispatch, notice from a shard that
+//	                      ran the job before this router restarted
+//	handed   → terminal   definitive handoff answer, terminal notice
+//	handed   → queued+1   tombstone answer, drained notice
+//	handed   → revoking   retry budget exhausted, death sweep, reconcile
+//	revoking → queued+1   revoke confirmed, drained notice
+//	revoking → handed     revoke answered "inflight"
+//	revoking → terminal   revoke answered "terminal", terminal notice
+//
+// "+1" is the reallocation epoch: only a voided binding re-queues a job,
+// and the next handoff must outrank every tombstone the job left behind.
+// A terminal entry never moves again — the router half of exactly-once.
+// Caller holds r.mu.
+func (r *Router) moveLocked(rec *jobRecord, state, shard, reason string) {
+	if routerTerminal(rec.State) {
+		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch {
-	case res.Duplicate:
-		view := JobView{}
-		if rec, ok := r.records[wire.Name]; ok {
-			view = rec.view()
-		}
-		return view, &service.SubmitError{Code: service.CodeDuplicate,
-			Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
-	case res.Accepted:
-		rec := r.newRecordLocked(wire.Name, strategyName, priority, StateHanded)
-		rec.Shard = shard
-		r.journal(journal.Record{Job: wire.Name, State: StateHanded,
-			Strategy: strategyName, Priority: priority, Wire: &wire, Shard: shard})
-		r.met.Accepted++
-		if routerTerminal(res.State) {
-			r.terminalLocked(rec, res.State, res.Reason, shard)
-		}
-		r.th.accepted.Inc()
-		return rec.view(), nil
-	case res.Code == service.CodeInfeasible:
-		// The shard ledgered a terminal rejection; mirror it so fates
-		// match a plain server's.
-		rec := r.newRecordLocked(wire.Name, strategyName, priority, service.StateRejected)
-		rec.Shard = shard
-		rec.Reason = res.Reason
-		r.journal(journal.Record{Job: wire.Name, State: service.StateRejected,
-			Reason: res.Reason, Strategy: strategyName, Priority: priority, Shard: shard})
+	if state == StateQueued {
+		rec.epoch++
+	}
+	rec.State, rec.Shard, rec.Reason = state, shard, reason
+	r.journal(journal.Record{Job: rec.ID, State: state, Reason: reason, Shard: shard, Epoch: rec.epoch})
+	switch state {
+	case StateQueued:
+		r.met.Reallocated++
+		r.th.reallocated.Inc()
+	case service.StateCompleted:
+		r.met.Completed++
+		r.th.completed.Inc()
+	case service.StateRejected:
 		r.met.Rejected++
 		r.th.rejected.Inc()
-		return rec.view(), &service.SubmitError{Code: service.CodeInfeasible, Reason: res.Reason}
-	default: // overloaded, draining, internal, invalid — not ledgered
-		return JobView{}, &service.SubmitError{Code: res.Code, Reason: res.Reason,
-			RetryAfter: time.Duration(res.RetryAfter) * time.Second}
+	case service.StateDrained:
+		r.met.Drained++
+	}
+	if routerTerminal(state) && !rec.submitted.IsZero() {
+		r.th.jobLatency.Observe(time.Since(rec.submitted).Seconds())
 	}
 }
 
@@ -480,11 +454,7 @@ func (r *Router) push(id string) {
 // requeueLater re-queues id after d — the "no eligible shard right now"
 // path, paced by the heartbeat interval.
 func (r *Router) requeueLater(id string, d time.Duration) {
-	t := time.AfterFunc(d, func() { r.push(id) })
-	go func() {
-		<-r.stopc
-		t.Stop()
-	}()
+	time.AfterFunc(d, func() { r.push(id) })
 }
 
 // dispatchLoop is one worker: pop a pending job, dispatch it to the first
@@ -561,12 +531,8 @@ func (r *Router) dispatch(id string) {
 	// Journal the binding BEFORE the first byte leaves: if the router is
 	// SIGKILL'd mid-handoff, its next incarnation knows shard may own the
 	// job and reconciles instead of double-placing.
-	rec.State = StateHanded
-	realloc := rec.Shard != ""
-	from := rec.Shard
-	rec.Shard = shard
-	epoch := rec.epoch
-	r.journal(journal.Record{Job: id, State: StateHanded, Shard: shard, Epoch: epoch})
+	realloc, from, epoch := rec.Shard != "", rec.Shard, rec.epoch
+	r.moveLocked(rec, StateHanded, shard, "")
 	wire := *rec.wire
 	strategyName, priority := rec.Strategy, rec.Priority
 	r.mu.Unlock()
@@ -631,7 +597,7 @@ func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult
 	case res.Accepted:
 		if routerTerminal(res.State) {
 			// Duplicate of an already-finished accept: mirror it.
-			r.terminalLocked(rec, res.State, res.Reason, shard)
+			r.moveLocked(rec, res.State, shard, res.Reason)
 		}
 		return true
 	case res.Duplicate && (res.State == service.StateRevoked || res.State == service.StateDrained):
@@ -641,7 +607,7 @@ func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult
 		r.banAndRequeueLocked(rec, shard, "tombstone at "+shard)
 		return true
 	case res.Code == service.CodeInvalid || res.Code == service.CodeInfeasible:
-		r.terminalLocked(rec, service.StateRejected, res.Reason, shard)
+		r.moveLocked(rec, service.StateRejected, shard, res.Reason)
 		return true
 	default:
 		return false // overloaded, draining, expired, internal: retry
@@ -656,44 +622,9 @@ func (r *Router) banAndRequeueLocked(rec *jobRecord, shard, why string) {
 		rec.banned = make(map[string]bool)
 	}
 	rec.banned[shard] = true
-	rec.State = StateQueued
-	rec.Shard = ""
-	rec.Reason = ""
-	// Each voided binding starts a new reallocation epoch: the next
-	// handoff must outrank every tombstone this job left behind.
-	rec.epoch++
-	r.journal(journal.Record{Job: rec.ID, State: StateQueued, Reason: why, Epoch: rec.epoch})
-	r.met.Reallocated++
-	r.th.reallocated.Inc()
+	r.moveLocked(rec, StateQueued, "", why)
 	r.logf("federation: reallocating %s (%s)", rec.ID, why)
 	r.pushLocked(rec.ID)
-}
-
-// terminalLocked mirrors a shard-terminal state into the router ledger.
-// Caller holds r.mu.
-func (r *Router) terminalLocked(rec *jobRecord, state, reason, shard string) {
-	if routerTerminal(rec.State) {
-		return
-	}
-	rec.State = state
-	rec.Reason = reason
-	if shard != "" {
-		rec.Shard = shard
-	}
-	r.journal(journal.Record{Job: rec.ID, State: state, Reason: reason, Shard: rec.Shard})
-	switch state {
-	case service.StateCompleted:
-		r.met.Completed++
-		r.th.completed.Inc()
-	case service.StateRejected:
-		r.met.Rejected++
-		r.th.rejected.Inc()
-	case service.StateDrained:
-		r.met.Drained++
-	}
-	if !rec.submitted.IsZero() {
-		r.th.jobLatency.Observe(time.Since(rec.submitted).Seconds())
-	}
 }
 
 // beginRevoke moves a bound job into the revoking state and starts its
@@ -706,9 +637,7 @@ func (r *Router) beginRevoke(id, why string) {
 		return
 	}
 	if rec.State != StateRevoking {
-		rec.State = StateRevoking
-		rec.Reason = why
-		r.journal(journal.Record{Job: id, State: StateRevoking, Reason: why, Shard: rec.Shard, Epoch: rec.epoch})
+		r.moveLocked(rec, StateRevoking, rec.Shard, why)
 	}
 	if rec.revokeActive {
 		r.mu.Unlock()
@@ -727,7 +656,7 @@ func (r *Router) beginRevoke(id, why string) {
 // this protocol exists to prevent.
 func (r *Router) revokeLoop(id, why string) {
 	defer r.wg.Done()
-	for attempt := 1; ; attempt++ {
+	r.retry.retry(func(attempt int) bool {
 		r.mu.Lock()
 		rec, ok := r.records[id]
 		if !ok || rec.State != StateRevoking {
@@ -735,7 +664,7 @@ func (r *Router) revokeLoop(id, why string) {
 				rec.revokeActive = false
 			}
 			r.mu.Unlock()
-			return
+			return true
 		}
 		shard := rec.Shard
 		epoch := rec.epoch
@@ -745,16 +674,12 @@ func (r *Router) revokeLoop(id, why string) {
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
 		res, err := client.Revoke(ctx, &RevokeRequest{Key: id, Origin: r.cfg.origin(), Reason: why, Epoch: epoch})
 		cancel()
-		if err == nil && r.resolveRevoke(id, shard, res) {
-			return
-		}
 		if err != nil {
 			r.logf("federation: revoke %s@%s attempt %d: %v", id, shard, attempt, err)
+			return false
 		}
-		if !r.retry.wait(attempt) {
-			return
-		}
-	}
+		return r.resolveRevoke(id, shard, res)
+	})
 }
 
 // resolveRevoke applies a confirmed revocation answer. Returns false when
@@ -777,12 +702,11 @@ func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 		r.th.revocations.Inc()
 		r.banAndRequeueLocked(rec, shard, "revoked from "+shard)
 	case RevokeOutcomeTerminal:
-		r.terminalLocked(rec, res.State, res.Reason, shard)
+		r.moveLocked(rec, res.State, shard, res.Reason)
 	case RevokeOutcomeInFlight:
 		// The shard's engine owns it; rebind and wait for the terminal
 		// notice. A later death sweeps it back into revocation.
-		rec.State = StateHanded
-		r.journal(journal.Record{Job: id, State: StateHanded, Shard: shard, Epoch: rec.epoch})
+		r.moveLocked(rec, StateHanded, shard, "")
 	default:
 		rec.revokeActive = true
 		return false
@@ -882,19 +806,14 @@ func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
 		case !ok:
 			// A job this router never saw (journal lost, or the shard
 			// predates it): adopt the binding rather than orphan the job.
-			rec = r.newRecordLocked(h.ID, "", 0, StateHanded)
-			rec.Shard = req.Shard
-			r.journal(journal.Record{Job: h.ID, State: StateHanded, Shard: req.Shard,
-				Reason: "adopted from shard join"})
+			r.createLocked(h.ID, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
 			resp.Decisions[h.ID] = JoinResume
 		case rec.State == StateHanded && rec.Shard == req.Shard:
 			resp.Decisions[h.ID] = JoinResume
 		case rec.State == StateQueued:
 			// We intended to place it and the shard already holds it:
 			// adopt the existing binding.
-			rec.State = StateHanded
-			rec.Shard = req.Shard
-			r.journal(journal.Record{Job: h.ID, State: StateHanded, Shard: req.Shard})
+			r.moveLocked(rec, StateHanded, req.Shard, "")
 			resp.Decisions[h.ID] = JoinResume
 		default:
 			// Bound elsewhere, being revoked, or already terminal: the
@@ -950,7 +869,7 @@ func (r *Router) applyTerminalLocked(n *TerminalNotice) {
 			r.logf("federation: terminal notice for %s from %s but bound to %s", n.Job, n.Shard, rec.Shard)
 			return
 		}
-		r.terminalLocked(rec, n.State, n.Reason, n.Shard)
+		r.moveLocked(rec, n.State, n.Shard, n.Reason)
 	}
 }
 
@@ -970,29 +889,29 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 		if _, dup := r.records[js.Job]; dup {
 			continue
 		}
-		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, js.State)
-		jr.Shard = js.Shard
+		state, shard := js.State, js.Shard
+		if _, known := r.clients[shard]; !known && !routerTerminal(state) && state != StateRevoking {
+			// Bound to a shard no longer in the fleet: requeue.
+			state = StateQueued
+		}
+		if state == StateQueued {
+			shard = ""
+		}
+		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
+		jr.Shard = shard
 		jr.Reason = js.Reason
 		jr.wire = js.Wire
 		jr.epoch = js.Epoch
 		jr.submitted = time.Time{}
 		n++
 		switch {
-		case routerTerminal(js.State):
+		case routerTerminal(state):
 			// Done; nothing to do.
-		case js.State == StateQueued:
-			jr.Shard = ""
+		case state == StateQueued:
 			r.pushLocked(js.Job)
-		case js.State == StateRevoking:
+		case state == StateRevoking:
 			revoking = append(revoking, js.Job)
 		default: // handed
-			if _, known := r.clients[js.Shard]; !known {
-				// Bound to a shard no longer in the fleet: requeue.
-				jr.Shard = ""
-				jr.State = StateQueued
-				r.pushLocked(js.Job)
-				continue
-			}
 			reconcile = append(reconcile, js.Job)
 		}
 	}
@@ -1012,12 +931,12 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 // durable ledger.
 func (r *Router) reconcile(id string) {
 	defer r.wg.Done()
-	for attempt := 1; ; attempt++ {
+	r.retry.retry(func(attempt int) bool {
 		r.mu.Lock()
 		rec, ok := r.records[id]
 		if !ok || rec.State != StateHanded {
 			r.mu.Unlock()
-			return // a death sweep or notice got there first
+			return true // a death sweep or notice got there first
 		}
 		shard := rec.Shard
 		r.mu.Unlock()
@@ -1026,28 +945,22 @@ func (r *Router) reconcile(id string) {
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
 		srec, found, err := client.Record(ctx, id)
 		cancel()
-		if err == nil {
-			if !found {
-				// The shard never durably saw the handoff: revoke (plants
-				// a tombstone against the in-flight frame) and reallocate.
-				r.beginRevoke(id, "recovered handoff unknown at "+shard)
-				return
-			}
-			if service.Terminal(srec.State) {
-				if srec.State == service.StateRevoked {
-					r.beginRevoke(id, "recovered handoff revoked at "+shard)
-					return
-				}
-				r.HandleTerminal(&TerminalNotice{Shard: shard, Job: id, State: srec.State, Reason: srec.Reason})
-				return
-			}
-			return // still owned and in progress; terminal notice will come
+		switch {
+		case err != nil:
+			r.logf("federation: reconcile %s@%s attempt %d: %v", id, shard, attempt, err)
+			return false
+		case !found:
+			// The shard never durably saw the handoff: revoke (plants a
+			// tombstone against the in-flight frame) and reallocate.
+			r.beginRevoke(id, "recovered handoff unknown at "+shard)
+		case srec.State == service.StateRevoked:
+			r.beginRevoke(id, "recovered handoff revoked at "+shard)
+		case service.Terminal(srec.State):
+			r.HandleTerminal(&TerminalNotice{Shard: shard, Job: id, State: srec.State, Reason: srec.Reason})
 		}
-		r.logf("federation: reconcile %s@%s attempt %d: %v", id, shard, attempt, err)
-		if !r.retry.wait(attempt) {
-			return
-		}
-	}
+		// Otherwise still owned and in progress; the terminal notice will come.
+		return true
+	})
 }
 
 // Job returns one router ledger entry.
@@ -1134,7 +1047,7 @@ wait:
 	r.mu.Lock()
 	for _, rec := range r.records {
 		if rec.State == StateQueued {
-			r.terminalLocked(rec, service.StateDrained, "router shutdown before dispatch", "")
+			r.moveLocked(rec, service.StateDrained, rec.Shard, "router shutdown before dispatch")
 		}
 	}
 	r.mu.Unlock()

@@ -2,10 +2,7 @@ package federation
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/jobio"
 	"repro/internal/service"
@@ -89,32 +86,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	view, err := r.Submit(sr.Job, sr.Strategy, sr.Priority)
 	if err != nil {
-		var se *service.SubmitError
-		if !errors.As(err, &se) {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			return
-		}
-		status := http.StatusBadRequest
-		switch se.Code {
-		case service.CodeDuplicate:
-			status = http.StatusConflict
-		case service.CodeInfeasible:
-			status = http.StatusUnprocessableEntity
-		case service.CodeOverloaded:
-			status = http.StatusTooManyRequests
-		case service.CodeDraining:
-			status = http.StatusServiceUnavailable
-		case service.CodeInternal:
-			status = http.StatusInternalServerError
-		}
-		if se.RetryAfter > 0 {
-			secs := int((se.RetryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-		writeJSON(w, status, errorBody{Error: "rejected", Code: se.Code, Reason: se.Reason})
+		service.WriteSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, view)

@@ -422,7 +422,7 @@ func TestRouterJournalRecovery(t *testing.T) {
 func TestJoinHandshakeDecisions(t *testing.T) {
 	var rt *Router
 	shards := newFedShards(t, 2, &rt)
-	r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 5, Sync: true})
+	r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestJoinHandshakeDecisions(t *testing.T) {
 func TestTerminalNoticeEdgeCases(t *testing.T) {
 	var rt *Router
 	shards := newFedShards(t, 2, &rt)
-	r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 5, Sync: true})
+	r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

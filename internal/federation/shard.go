@@ -11,11 +11,10 @@ import (
 	"repro/internal/service"
 )
 
-// ShardClient is the router's view of one metascheduler shard. Two
-// implementations exist: HTTPShard speaks the wire protocol to a remote
-// gridd process, and LocalShard drives an in-process service.Server — the
-// single-shard differential suite uses the latter so shards=1 federation
-// is byte-comparable to a plain server.
+// ShardClient is the router's view of one metascheduler shard. HTTPShard,
+// which speaks the wire protocol to a remote gridd process, is the only
+// production implementation; the interface is the seam through which tests
+// substitute in-process and scripted shards.
 type ShardClient interface {
 	// Name is the shard's ring name.
 	Name() string
@@ -32,59 +31,6 @@ type ShardClient interface {
 	Record(ctx context.Context, id string) (service.Record, bool, error)
 	// Ping is the heartbeat probe.
 	Ping(ctx context.Context) (*PingResponse, error)
-}
-
-// LocalShard adapts an in-process service.Server to ShardClient. The
-// handoff still round-trips through the wire codec so local and remote
-// shards exercise identical encode/validate/decode paths.
-type LocalShard struct {
-	name string
-	svc  *service.Server
-}
-
-// NewLocalShard wraps svc as the named shard.
-func NewLocalShard(name string, svc *service.Server) *LocalShard {
-	return &LocalShard{name: name, svc: svc}
-}
-
-// Name implements ShardClient.
-func (l *LocalShard) Name() string { return l.name }
-
-// Service returns the wrapped server.
-func (l *LocalShard) Service() *service.Server { return l.svc }
-
-// Handoff implements ShardClient via the shared ApplyHandoff semantics,
-// after a codec round trip.
-func (l *LocalShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, error) {
-	frame, err := EncodeHandoff(h)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := DecodeHandoff(frame)
-	if err != nil {
-		return nil, err
-	}
-	return ApplyHandoff(l.svc, decoded), nil
-}
-
-// Revoke implements ShardClient.
-func (l *LocalShard) Revoke(ctx context.Context, req *RevokeRequest) (*RevokeResult, error) {
-	return ApplyRevoke(l.svc, req), nil
-}
-
-// Record implements ShardClient.
-func (l *LocalShard) Record(ctx context.Context, id string) (service.Record, bool, error) {
-	rec, ok := l.svc.Job(id)
-	return rec, ok, nil
-}
-
-// Ping implements ShardClient.
-func (l *LocalShard) Ping(ctx context.Context) (*PingResponse, error) {
-	met := l.svc.Metrics()
-	return &PingResponse{
-		Shard: l.name, Version: Version,
-		Draining: met.Draining, QueueDepth: met.QueueDepth, Held: met.Held,
-	}, nil
 }
 
 // HTTPShard talks the wire protocol to a remote shard.

@@ -1,0 +1,143 @@
+package federation
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/service"
+)
+
+// submitErrorStatus is the one SubmitError→HTTP contract both tiers serve.
+var submitErrorStatus = map[string]int{
+	service.CodeInvalid:    http.StatusBadRequest,
+	service.CodeDuplicate:  http.StatusConflict,
+	service.CodeInfeasible: http.StatusUnprocessableEntity,
+	service.CodeOverloaded: http.StatusTooManyRequests,
+	service.CodeDraining:   http.StatusServiceUnavailable,
+	service.CodeInternal:   http.StatusInternalServerError,
+}
+
+// TestSubmitErrorMappingIsSharedByBothTiers drives every refusal a gridd
+// and a gridfront can produce through their real POST /v1/jobs handlers
+// and checks both render it by the same table — status, Retry-After, body
+// — then walks the remaining codes and the Retry-After rounding through
+// the shared function itself.
+func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
+	type tier struct {
+		name    string
+		handler http.Handler
+		drain   func()
+	}
+	svc, err := service.New(service.Config{Env: testEnv(), QueueCap: 1, RetryAfter: 1500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{Shards: []ShardClient{&scriptShard{name: "s0"}}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	tiers := []tier{
+		{"gridd", svc.Handler(), func() { svc.Drain(cancelled) }},
+		{"gridfront", r.Handler(), func() { r.Drain(cancelled) }},
+	}
+
+	body := func(id string, deadline int64, strategy string) string {
+		b, _ := json.Marshal(SubmitRequest{Job: testJob(id, deadline), Strategy: strategy})
+		return string(b)
+	}
+	// Each step posts one body to a tier; want is the refusal code expected
+	// there ("" = 202), keyed by tier where the tiers legitimately differ:
+	// only a shard judges feasibility and bounds its queue.
+	steps := []struct {
+		name, body string
+		drainFirst bool
+		want       map[string]string
+	}{
+		{name: "accept", body: body("a", 60, "S1")},
+		{name: "duplicate", body: body("a", 60, "S1"),
+			want: map[string]string{"gridd": service.CodeDuplicate, "gridfront": service.CodeDuplicate}},
+		{name: "invalid strategy", body: body("b", 60, "NOPE"),
+			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
+		{name: "malformed", body: `{"name": 7}`,
+			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
+		{name: "infeasible deadline", body: body("c", 1, "S1"),
+			want: map[string]string{"gridd": service.CodeInfeasible}},
+		{name: "queue full", body: body("d", 60, "S1"),
+			want: map[string]string{"gridd": service.CodeOverloaded}},
+		{name: "draining", body: body("e", 60, "S1"), drainFirst: true,
+			want: map[string]string{"gridd": service.CodeDraining, "gridfront": service.CodeDraining}},
+	}
+	for _, tr := range tiers {
+		for _, st := range steps {
+			if st.drainFirst {
+				tr.drain()
+			}
+			rec := httptest.NewRecorder()
+			tr.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(st.body)))
+			code := st.want[tr.name]
+			if code == "" {
+				if rec.Code != http.StatusAccepted {
+					t.Errorf("%s/%s: status %d, want 202", tr.name, st.name, rec.Code)
+				}
+				continue
+			}
+			var got errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("%s/%s: body %q: %v", tr.name, st.name, rec.Body, err)
+			}
+			if rec.Code != submitErrorStatus[code] || got.Code != code || got.Reason == "" {
+				t.Errorf("%s/%s: status %d body %+v, want %d with code %q and a reason",
+					tr.name, st.name, rec.Code, got, submitErrorStatus[code], code)
+			}
+			// Backpressure carries a whole-second hint, rounded up: the
+			// shard's 1.5 s becomes 2, the router's 1 s stays 1.
+			wantRetry := map[string]string{
+				"gridd/" + service.CodeOverloaded:   "2",
+				"gridd/" + service.CodeDraining:     "2",
+				"gridfront/" + service.CodeDraining: "1",
+			}[tr.name+"/"+code]
+			if h := rec.Header().Get("Retry-After"); h != wantRetry {
+				t.Errorf("%s/%s: Retry-After %q, want %q", tr.name, st.name, h, wantRetry)
+			}
+		}
+	}
+
+	// The codes no live handler state reaches, and the rounding edges.
+	direct := []struct {
+		err        error
+		status     int
+		retryAfter string
+		body       errorBody
+	}{
+		{&service.SubmitError{Code: service.CodeInternal, Reason: "journal append failed"},
+			http.StatusInternalServerError, "", errorBody{Error: "rejected", Code: service.CodeInternal, Reason: "journal append failed"}},
+		{&service.SubmitError{Code: "some-future-code", Reason: "x"},
+			http.StatusBadRequest, "", errorBody{Error: "rejected", Code: "some-future-code", Reason: "x"}},
+		{&service.SubmitError{Code: service.CodeOverloaded, Reason: "full", RetryAfter: time.Millisecond},
+			http.StatusTooManyRequests, "1", errorBody{Error: "rejected", Code: service.CodeOverloaded, Reason: "full"}},
+		{&service.SubmitError{Code: service.CodeOverloaded, Reason: "full", RetryAfter: 3 * time.Second},
+			http.StatusTooManyRequests, "3", errorBody{Error: "rejected", Code: service.CodeOverloaded, Reason: "full"}},
+		{errors.New("not a SubmitError"),
+			http.StatusInternalServerError, "", errorBody{Error: "not a SubmitError"}},
+	}
+	for _, d := range direct {
+		rec := httptest.NewRecorder()
+		service.WriteSubmitError(rec, d.err)
+		var got errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%v: body %q: %v", d.err, rec.Body, err)
+		}
+		if rec.Code != d.status || rec.Header().Get("Retry-After") != d.retryAfter || got != d.body {
+			t.Errorf("%v: status %d Retry-After %q body %+v, want %d %q %+v",
+				d.err, rec.Code, rec.Header().Get("Retry-After"), got, d.status, d.retryAfter, d.body)
+		}
+	}
+}

@@ -36,18 +36,17 @@ const (
 
 // The codec's typed errors, distinguishable by errors.Is.
 var (
-	ErrTruncated    = errors.New("federation: truncated frame")
-	ErrBadMagic     = errors.New("federation: bad frame magic")
-	ErrBadVersion   = errors.New("federation: unsupported protocol version")
-	ErrBadCRC       = errors.New("federation: frame crc mismatch")
-	ErrFrameTooBig  = errors.New("federation: frame exceeds size limit")
-	ErrDuplicateKey = errors.New("federation: duplicate idempotency key in batch")
+	ErrTruncated   = errors.New("federation: truncated frame")
+	ErrBadMagic    = errors.New("federation: bad frame magic")
+	ErrBadVersion  = errors.New("federation: unsupported protocol version")
+	ErrBadCRC      = errors.New("federation: frame crc mismatch")
+	ErrFrameTooBig = errors.New("federation: frame exceeds size limit")
 )
 
 // Handoff is one job handoff (or cross-shard reallocation) from the router
-// to a shard. Key is the idempotency key: retries, duplicated frames and
-// re-sent batches all carry the same Key, and the shard's durable ledger
-// collapses them into at most one accepted job.
+// to a shard. Key is the idempotency key: retries and duplicated frames all
+// carry the same Key, and the shard's durable ledger collapses them into at
+// most one accepted job.
 type Handoff struct {
 	// Key is the idempotency key — the job's globally unique name.
 	Key string `json:"key"`

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -103,47 +102,15 @@ func TestDecodeRejectsSemanticViolations(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTripAndDuplicateRefusal(t *testing.T) {
-	hs := []Handoff{*testHandoff("a"), *testHandoff("b"), *testHandoff("c")}
-	b, err := EncodeBatch(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Key != "a" || got[2].Key != "c" {
-		t.Fatalf("batch round trip = %d frames", len(got))
-	}
-	// Duplicated idempotency key: refused at encode...
-	if _, err := EncodeBatch([]Handoff{*testHandoff("a"), *testHandoff("a")}); !errors.Is(err, ErrDuplicateKey) {
-		t.Errorf("encode dup = %v, want ErrDuplicateKey", err)
-	}
-	// ...and at decode, when a buggy or malicious peer concatenates frames.
-	single, _ := EncodeHandoff(testHandoff("a"))
-	if _, err := DecodeBatch(append(clone(single), single...)); !errors.Is(err, ErrDuplicateKey) {
-		t.Errorf("decode dup = %v, want ErrDuplicateKey", err)
-	}
-	// A torn tail inside a batch is a truncation, not a partial success.
-	if _, err := DecodeBatch(b[:len(b)-3]); !errors.Is(err, ErrTruncated) {
-		t.Errorf("torn batch = %v, want ErrTruncated", err)
-	}
-	// Empty batch decodes to nothing.
-	if got, err := DecodeBatch(nil); err != nil || len(got) != 0 {
-		t.Errorf("empty batch = (%v, %v)", got, err)
-	}
-}
-
-// FuzzHandoffDecode throws mutated frames at both decoders. The decoders
-// must never panic, and anything DecodeBatch accepts must re-encode and
-// re-decode to the same batch (the codec is a bijection on valid inputs).
+// FuzzHandoffDecode throws mutated frames at the decoder. It must never
+// panic, and anything it accepts must re-encode and re-decode to the same
+// handoff (the codec is a bijection on valid inputs).
 func FuzzHandoffDecode(f *testing.F) {
 	single, err := EncodeHandoff(testHandoff("fuzz-seed"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	batch, err := EncodeBatch([]Handoff{*testHandoff("a"), *testHandoff("b")})
+	other, err := EncodeHandoff(testHandoff("b"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -153,7 +120,7 @@ func FuzzHandoffDecode(f *testing.F) {
 	mismatched, _ := EncodeHandoff(&Handoff{Key: "k", Job: testJob("not-k", 60)})
 
 	f.Add(single)
-	f.Add(batch)
+	f.Add(append(clone(single), other...)) // two frames: trailing bytes
 	f.Add(dup)
 	f.Add(badVersion)
 	f.Add(single[:len(single)/2]) // truncated
@@ -162,49 +129,23 @@ func FuzzHandoffDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if h, err := DecodeHandoff(data); err == nil {
-			re, err := EncodeHandoff(h)
-			if err != nil {
-				t.Fatalf("decoded handoff does not re-encode: %v", err)
-			}
-			h2, err := DecodeHandoff(re)
-			if err != nil {
-				t.Fatalf("re-encoded handoff does not decode: %v", err)
-			}
-			if h2.Key != h.Key || h2.Job.Name != h.Job.Name {
-				t.Fatalf("round trip changed key %q→%q", h.Key, h2.Key)
-			}
-		}
-		hs, err := DecodeBatch(data)
+		h, err := DecodeHandoff(data)
 		if err != nil {
 			return
 		}
-		seen := make(map[string]struct{}, len(hs))
-		for i := range hs {
-			if _, dup := seen[hs[i].Key]; dup {
-				t.Fatalf("DecodeBatch accepted duplicate key %q", hs[i].Key)
-			}
-			seen[hs[i].Key] = struct{}{}
-			if hs[i].Key == "" || hs[i].Key != hs[i].Job.Name {
-				t.Fatalf("DecodeBatch accepted invalid handoff %+v", hs[i])
-			}
+		if h.Key == "" || h.Key != h.Job.Name {
+			t.Fatalf("DecodeHandoff accepted invalid handoff %+v", h)
 		}
-		re, err := EncodeBatch(hs)
+		re, err := EncodeHandoff(h)
 		if err != nil {
-			t.Fatalf("accepted batch does not re-encode: %v", err)
+			t.Fatalf("decoded handoff does not re-encode: %v", err)
 		}
-		hs2, err := DecodeBatch(re)
-		if err != nil || len(hs2) != len(hs) {
-			t.Fatalf("batch round trip = (%d, %v), want %d", len(hs2), err, len(hs))
+		h2, err := DecodeHandoff(re)
+		if err != nil {
+			t.Fatalf("re-encoded handoff does not decode: %v", err)
+		}
+		if h2.Key != h.Key || h2.Job.Name != h.Job.Name {
+			t.Fatalf("round trip changed key %q→%q", h.Key, h2.Key)
 		}
 	})
-}
-
-func TestFrameAppendIsPureConcatenation(t *testing.T) {
-	a, _ := EncodeHandoff(testHandoff("a"))
-	b, _ := EncodeHandoff(testHandoff("b"))
-	batch, _ := EncodeBatch([]Handoff{*testHandoff("a"), *testHandoff("b")})
-	if !bytes.Equal(batch, append(clone(a), b...)) {
-		t.Fatal("batch encoding is not frame concatenation")
-	}
 }

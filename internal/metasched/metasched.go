@@ -392,9 +392,6 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 // zeros when fault injection is disabled.
 func (vo *VO) FaultStats() *metrics.FaultStats { return &vo.fstats }
 
-// Managers returns the domain managers in domain-name order.
-func (vo *VO) Managers() []*JobManager { return vo.managers }
-
 // Results returns all finished (completed or rejected) job records.
 func (vo *VO) Results() []*JobResult { return vo.results }
 

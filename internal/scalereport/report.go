@@ -195,51 +195,6 @@ func CompareDeterministic(cur, base *Report) []string {
 	return diffs
 }
 
-// GateOptions are the wall-clock tolerance knobs.
-type GateOptions struct {
-	// MinGoodputRatio fails when the current jobs/sec drops below
-	// baseline × ratio. Generous by default: CI runners are slower and
-	// noisier than wherever the baseline was recorded.
-	MinGoodputRatio float64
-	// MaxP99Ratio fails when the current admission p99 exceeds
-	// baseline × ratio AND the absolute floor below.
-	MaxP99Ratio float64
-	// P99FloorSeconds absorbs sub-floor noise: a p99 under the floor
-	// never fails the gate no matter the ratio.
-	P99FloorSeconds float64
-}
-
-// DefaultGate returns the CI tolerances.
-func DefaultGate() GateOptions {
-	return GateOptions{MinGoodputRatio: 0.2, MaxP99Ratio: 5, P99FloorSeconds: 0.05}
-}
-
-// GateWall applies the tolerance gate to the wall-clock section and
-// returns one message per violated bound.
-func GateWall(cur, base *Report, opt GateOptions) []string {
-	var fails []string
-	if base.Wall.GoodputJobsPerSec > 0 {
-		floor := base.Wall.GoodputJobsPerSec * opt.MinGoodputRatio
-		if cur.Wall.GoodputJobsPerSec < floor {
-			fails = append(fails, fmt.Sprintf(
-				"goodput regression: %.1f jobs/s < %.1f (baseline %.1f × ratio %.2f)",
-				cur.Wall.GoodputJobsPerSec, floor, base.Wall.GoodputJobsPerSec, opt.MinGoodputRatio))
-		}
-	}
-	if p99 := cur.Wall.AdmissionP99; p99 > opt.P99FloorSeconds {
-		ceil := base.Wall.AdmissionP99 * opt.MaxP99Ratio
-		if ceil < opt.P99FloorSeconds {
-			ceil = opt.P99FloorSeconds
-		}
-		if p99 > ceil {
-			fails = append(fails, fmt.Sprintf(
-				"tail-latency regression: admission p99 %.4fs > %.4fs (baseline %.4fs × ratio %.1f, floor %.3fs)",
-				p99, ceil, base.Wall.AdmissionP99, opt.MaxP99Ratio, opt.P99FloorSeconds))
-		}
-	}
-	return fails
-}
-
 // Percentile returns the exact q-th percentile (0 ≤ q ≤ 1) of samples by
 // sorting a copy; 0 when the sample set is empty. The nearest-rank method
 // keeps it deterministic for a fixed sample multiset.

@@ -95,46 +95,6 @@ func TestCompareDeterministic(t *testing.T) {
 	}
 }
 
-func TestGateWall(t *testing.T) {
-	opt := GateOptions{MinGoodputRatio: 0.5, MaxP99Ratio: 2, P99FloorSeconds: 0.05}
-	base := sample()
-
-	// Exactly at both bounds: passes (bounds are inclusive).
-	cur := sample()
-	cur.Wall.GoodputJobsPerSec = base.Wall.GoodputJobsPerSec * 0.5
-	cur.Wall.AdmissionP99 = base.Wall.AdmissionP99 * 2
-	if fails := GateWall(cur, base, opt); len(fails) != 0 {
-		t.Errorf("boundary run failed: %v", fails)
-	}
-	// Goodput just below the floor fails.
-	cur.Wall.GoodputJobsPerSec = base.Wall.GoodputJobsPerSec*0.5 - 0.01
-	fails := GateWall(cur, base, opt)
-	if len(fails) != 1 || !strings.Contains(fails[0], "goodput") {
-		t.Errorf("goodput regression not caught: %v", fails)
-	}
-	// p99 above ratio AND floor fails.
-	cur = sample()
-	cur.Wall.AdmissionP99 = 0.25
-	fails = GateWall(cur, base, opt)
-	if len(fails) != 1 || !strings.Contains(fails[0], "tail-latency") {
-		t.Errorf("p99 regression not caught: %v", fails)
-	}
-	// A p99 under the noise floor never fails, even vs a tiny baseline.
-	base.Wall.AdmissionP99 = 0.0001
-	cur.Wall.AdmissionP99 = 0.04
-	if fails := GateWall(cur, base, opt); len(fails) != 0 {
-		t.Errorf("sub-floor p99 failed the gate: %v", fails)
-	}
-	// A zero-goodput baseline (e.g. an all-drained scenario) gates nothing.
-	base = sample()
-	base.Wall.GoodputJobsPerSec = 0
-	cur = sample()
-	cur.Wall.GoodputJobsPerSec = 0
-	if fails := GateWall(cur, base, opt); len(fails) != 0 {
-		t.Errorf("zero-goodput baseline failed: %v", fails)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	if got := Percentile(nil, 0.5); got != 0 {
 		t.Errorf("empty percentile = %v", got)

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strconv"
@@ -17,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaostest"
 	"repro/internal/journal"
 	"repro/internal/metasched"
 )
@@ -42,11 +42,7 @@ const (
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv(crashChildEnv) == "1" {
-		crashChild()
-		return
-	}
-	os.Exit(m.Run())
+	chaostest.Main(m, crashChildEnv, map[string]func(){"1": crashChild})
 }
 
 // crashChild is the re-exec'd server: journal + restore + HTTP on an
@@ -107,60 +103,23 @@ func crashChild() {
 	os.Exit(0)
 }
 
-// crashRun is one child incarnation managed by the parent.
-type crashRun struct {
-	cmd  *exec.Cmd
-	addr string
-	out  bytes.Buffer
+func spawnChild(t *testing.T, dir, addrFile string) *chaostest.Proc {
+	t.Helper()
+	return chaostest.Spawn(t, crashChildEnv, "1",
+		[]string{crashDirEnv + "=" + dir, crashAddrEnv + "=" + addrFile}, chaostest.AddrFile(addrFile))
 }
 
-func spawnChild(t *testing.T, dir, addrFile string) *crashRun {
-	t.Helper()
-	os.Remove(addrFile)
-	r := &crashRun{}
-	// -test.run=NONE: if the child env dispatch ever broke, the re-exec'd
-	// binary must not recursively run this test suite.
-	r.cmd = exec.Command(os.Args[0], "-test.run=NONE")
-	r.cmd.Env = append(os.Environ(),
-		crashChildEnv+"=1", crashDirEnv+"="+dir, crashAddrEnv+"="+addrFile)
-	r.cmd.Stdout = &r.out
-	r.cmd.Stderr = &r.out
-	if err := r.cmd.Start(); err != nil {
-		t.Fatalf("spawn child: %v", err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(addrFile); err == nil {
-			r.addr = string(b)
-			return r
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	r.cmd.Process.Kill()
-	r.cmd.Wait()
-	t.Fatalf("child never published its address; output:\n%s", r.out.String())
-	return nil
-}
-
-func (r *crashRun) submit(t *testing.T, id string) int {
-	t.Helper()
+// crashSubmit posts one job to the child; 0 means the kill raced the
+// request — a torn connection is not a protocol violation, it just means
+// this submit was never acknowledged.
+func crashSubmit(addr, id string) int {
 	body, _ := json.Marshal(SubmitRequest{Job: wireJob(id, 60), Strategy: "S1"})
-	resp, err := http.Post("http://"+r.addr+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post("http://"+addr+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		// The kill races the request; a torn connection is not a protocol
-		// violation, it just means this submit was never acknowledged.
 		return 0
 	}
 	resp.Body.Close()
 	return resp.StatusCode
-}
-
-func (r *crashRun) kill(t *testing.T) {
-	t.Helper()
-	if err := r.cmd.Process.Kill(); err != nil {
-		t.Fatalf("SIGKILL child: %v", err)
-	}
-	r.cmd.Wait()
 }
 
 // TestCrashRestartChaos runs seeded SIGKILL/restart cycles against one
@@ -200,7 +159,7 @@ func TestCrashRestartChaos(t *testing.T) {
 		// Submit a seeded burst of fresh jobs.
 		for i, n := 0, 3+rng.Intn(6); i < n; i++ {
 			id := fmt.Sprintf("c%d-j%d", cycle, i)
-			switch code := r.submit(t, id); code {
+			switch code := crashSubmit(r.Addr, id); code {
 			case http.StatusAccepted:
 				accepted[id] = true
 				acceptedOrder = append(acceptedOrder, id)
@@ -208,21 +167,21 @@ func TestCrashRestartChaos(t *testing.T) {
 				// torn by the kill race, or backpressure — either way the
 				// job was never acknowledged, so it owes us nothing
 			default:
-				t.Fatalf("cycle %d: submit %s = %d\nchild output:\n%s", cycle, id, code, r.out.String())
+				t.Fatalf("cycle %d: submit %s = %d\nchild output:\n%s", cycle, id, code, r.Output())
 			}
 		}
 		// Zero double-execution, part one: an accepted ID stays refused
 		// forever, across any number of restarts.
 		if len(acceptedOrder) > 0 {
 			dup := acceptedOrder[rng.Intn(len(acceptedOrder))]
-			if code := r.submit(t, dup); code != http.StatusConflict && code != 0 {
+			if code := crashSubmit(r.Addr, dup); code != http.StatusConflict && code != 0 {
 				t.Fatalf("cycle %d: resubmit of accepted %s = %d, want 409", cycle, dup, code)
 			}
 		}
 
 		// Let the engine get somewhere unpredictable, then pull the plug.
 		time.Sleep(time.Duration(rng.Intn(30)) * time.Millisecond)
-		r.kill(t)
+		r.Kill(t)
 
 		// Read the journal the child left behind, with no process holding it.
 		rec, err := journal.Recover(dir)
@@ -256,7 +215,7 @@ func TestCrashRestartChaos(t *testing.T) {
 	r := spawnChild(t, dir, addrFile)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get("http://" + r.addr + "/v1/jobs")
+		resp, err := http.Get("http://" + r.Addr + "/v1/jobs")
 		if err != nil {
 			t.Fatalf("final poll: %v", err)
 		}
@@ -292,11 +251,8 @@ func TestCrashRestartChaos(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := r.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatalf("SIGTERM: %v", err)
-	}
-	if err := r.cmd.Wait(); err != nil {
-		t.Fatalf("final drain failed: %v\nchild output:\n%s", err, r.out.String())
+	if err := r.Terminate(); err != nil {
+		t.Fatalf("final drain failed: %v\nchild output:\n%s", err, r.Output())
 	}
 	t.Logf("chaos: %d cycles, %d accepted, %d observed terminal mid-run",
 		cycles, len(accepted), len(terminalSeen))

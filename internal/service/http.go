@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"strconv"
@@ -100,31 +101,41 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := s.Submit(req.Job, req.Strategy, req.Priority)
 	if err != nil {
-		se, ok := err.(*SubmitError)
-		if !ok {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			return
-		}
-		status := http.StatusBadRequest
-		switch se.Code {
-		case CodeDuplicate:
-			status = http.StatusConflict
-		case CodeInfeasible:
-			status = http.StatusUnprocessableEntity
-		case CodeOverloaded:
-			status = http.StatusTooManyRequests
-		case CodeDraining:
-			status = http.StatusServiceUnavailable
-		case CodeInternal:
-			status = http.StatusInternalServerError
-		}
-		if se.RetryAfter > 0 {
-			setRetryAfter(w, se.RetryAfter)
-		}
-		writeJSON(w, status, errorBody{Error: "rejected", Code: se.Code, Reason: se.Reason})
+		WriteSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)
+}
+
+// WriteSubmitError renders a refused submission: the SubmitError code picks
+// the status (400 invalid, 409 duplicate, 422 infeasible, 429 overloaded,
+// 503 draining, 500 internal), a backoff hint becomes Retry-After, and the
+// body is the JSON error envelope. The federation router answers POST
+// /v1/jobs through this same function, so a client cannot tell the tiers
+// apart by their refusals.
+func WriteSubmitError(w http.ResponseWriter, err error) {
+	var se *SubmitError
+	if !errors.As(err, &se) {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	status := http.StatusBadRequest
+	switch se.Code {
+	case CodeDuplicate:
+		status = http.StatusConflict
+	case CodeInfeasible:
+		status = http.StatusUnprocessableEntity
+	case CodeOverloaded:
+		status = http.StatusTooManyRequests
+	case CodeDraining:
+		status = http.StatusServiceUnavailable
+	case CodeInternal:
+		status = http.StatusInternalServerError
+	}
+	if se.RetryAfter > 0 {
+		setRetryAfter(w, se.RetryAfter)
+	}
+	writeJSON(w, status, errorBody{Error: "rejected", Code: se.Code, Reason: se.Reason})
 }
 
 // setRetryAfter renders the backoff hint in whole seconds, rounded up so a

@@ -1334,8 +1334,3 @@ func (r *Record) clone() *Record {
 	cp := *r
 	return &cp
 }
-
-// SortRecordsByID orders records deterministically for reports.
-func SortRecordsByID(recs []Record) {
-	sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
-}
