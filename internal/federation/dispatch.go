@@ -1,0 +1,187 @@
+package federation
+
+import (
+	"context"
+	"time"
+
+	"repro/internal/service"
+)
+
+// pushLocked queues a job for dispatch. Caller holds r.mu.
+func (r *Router) pushLocked(id string) {
+	r.pending = append(r.pending, id)
+	r.th.pending.Set(float64(len(r.pending)))
+	r.cond.Signal()
+}
+
+// push is pushLocked for timers and RPC outcomes.
+func (r *Router) push(id string) {
+	r.mu.Lock()
+	if !r.closed {
+		r.pushLocked(id)
+	}
+	r.mu.Unlock()
+}
+
+// requeueLater re-queues id after d — the "no eligible shard right now"
+// path, paced by the heartbeat interval.
+func (r *Router) requeueLater(id string, d time.Duration) {
+	time.AfterFunc(d, func() { r.push(id) })
+}
+
+// dispatchLoop is one worker: pop a pending job, dispatch it to the first
+// eligible shard on its preference list, with a bounded retry budget.
+func (r *Router) dispatchLoop() {
+	defer r.wg.Done()
+	for {
+		r.mu.Lock()
+		for len(r.pending) == 0 && !r.closed {
+			r.cond.Wait()
+		}
+		if r.closed {
+			r.mu.Unlock()
+			return
+		}
+		id := r.pending[0]
+		r.pending = r.pending[1:]
+		r.th.pending.Set(float64(len(r.pending)))
+		r.mu.Unlock()
+		r.dispatch(id)
+	}
+}
+
+// eligibleLocked returns the first shard on the preference list that is
+// not banned for this job, currently alive, and admitted by its breaker.
+func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
+	now := r.now()
+	for _, s := range r.ring.Walk(rec.ID) {
+		if rec.banned[s] {
+			continue
+		}
+		if h := r.health[s]; h == nil || !h.alive {
+			continue
+		}
+		if !r.brk.Allow(s, now) {
+			continue
+		}
+		return s, true
+	}
+	return "", false
+}
+
+// dispatch binds one queued job to a shard and runs the handoff attempts.
+func (r *Router) dispatch(id string) {
+	r.mu.Lock()
+	rec, ok := r.records[id]
+	if !ok || rec.State != StateQueued {
+		r.mu.Unlock()
+		return
+	}
+	if rec.wire == nil {
+		// Adopted or recovered without a wire form: nothing to send. Leave
+		// it queued; a join from the owning shard resolves it.
+		r.mu.Unlock()
+		return
+	}
+	shard, ok := r.eligibleLocked(rec)
+	if !ok && len(rec.banned) >= len(r.ring.Shards()) {
+		// Every shard holds a tombstone for this key. Each ban was taken
+		// only after a confirmed revocation (or a shard's own durable
+		// tombstone answer), so the job is provably running nowhere — the
+		// one situation where re-walking the ring is safe. The handoff
+		// carries an epoch above every tombstone's, which lets the target
+		// resurrect its tombstone instead of refusing the key forever.
+		r.logf("federation: %s banned on every shard; clearing bans at epoch %d", id, rec.epoch)
+		rec.banned = nil
+		shard, ok = r.eligibleLocked(rec)
+	}
+	if !ok {
+		r.mu.Unlock()
+		r.requeueLater(id, r.cfg.heartbeat())
+		return
+	}
+	// Journal the binding BEFORE the first byte leaves: if the router is
+	// SIGKILL'd mid-handoff, its next incarnation knows shard may own the
+	// job and reconciles instead of double-placing.
+	realloc, from, epoch := rec.Shard != "", rec.Shard, rec.epoch
+	r.moveLocked(rec, StateHanded, shard, "")
+	wire := *rec.wire
+	strategyName, priority := rec.Strategy, rec.Priority
+	r.mu.Unlock()
+
+	client := r.clients[shard]
+	budget := r.cfg.retryBudget()
+	for attempt := 1; attempt <= budget; attempt++ {
+		if attempt > 1 {
+			r.th.retries.Inc()
+			r.mu.Lock()
+			r.met.Retries++
+			r.mu.Unlock()
+			if !r.retry.wait(attempt - 1) {
+				return
+			}
+		}
+		h := &Handoff{
+			Key: id, Origin: r.cfg.origin(), Attempt: attempt,
+			Deadline: time.Now().Add(r.cfg.handoffTimeout()).UnixMilli(),
+			Job:      wire, Strategy: strategyName, Priority: priority,
+			Realloc: realloc, FromShard: from, Epoch: epoch,
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
+		began := time.Now()
+		res, err := client.Handoff(ctx, h)
+		cancel()
+		r.th.handoffs.Inc()
+		r.mu.Lock()
+		r.met.Handoffs++
+		r.mu.Unlock()
+		if err != nil {
+			r.th.handoffFailures.Inc()
+			r.brk.Get(shard).Failure(r.now())
+			r.logf("federation: handoff %s→%s attempt %d: %v", id, shard, attempt, err)
+			continue
+		}
+		r.brk.Get(shard).Success(r.now())
+		r.th.handoffLatency.Observe(time.Since(began).Seconds())
+		if r.resolveHandoff(rec, shard, res) {
+			return
+		}
+		// Retryable shard answer (overloaded / draining / expired):
+		// consume budget and try again.
+	}
+	// Budget exhausted: the job is in doubt at shard (an attempt may have
+	// been processed with its ack lost). Walk the last recovery-ladder
+	// rung: confirmed revocation, then reallocation to a survivor.
+	r.beginRevoke(id, "handoff retry budget exhausted")
+}
+
+// resolveHandoff applies a durable shard answer. Returns false when the
+// answer is retryable.
+func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rec.State != StateHanded || rec.Shard != shard {
+		// A concurrent death sweep moved the job to revoking; the
+		// revocation loop owns it now.
+		return true
+	}
+	switch {
+	case res.Accepted:
+		if routerTerminal(res.State) {
+			// Duplicate of an already-finished accept: mirror it.
+			r.moveLocked(rec, res.State, shard, res.Reason)
+		}
+		return true
+	case res.Duplicate && (res.State == service.StateRevoked || res.State == service.StateDrained):
+		// Our own tombstone (or a drained shutdown remnant): this key was
+		// voided at this shard earlier, so the binding is void. Ban the
+		// shard and reallocate.
+		r.banAndRequeueLocked(rec, shard, "tombstone at "+shard)
+		return true
+	case res.Code == service.CodeInvalid || res.Code == service.CodeInfeasible:
+		r.moveLocked(rec, service.StateRejected, shard, res.Reason)
+		return true
+	default:
+		return false // overloaded, draining, expired, internal: retry
+	}
+}

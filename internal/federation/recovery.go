@@ -1,0 +1,360 @@
+package federation
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"time"
+
+	"repro/internal/journal"
+	"repro/internal/service"
+)
+
+// banAndRequeueLocked voids the current binding (already proven safe: the
+// shard holds a tombstone or confirmed the revoke) and requeues the job.
+// Caller holds r.mu.
+func (r *Router) banAndRequeueLocked(rec *jobRecord, shard, why string) {
+	if rec.banned == nil {
+		rec.banned = make(map[string]bool)
+	}
+	rec.banned[shard] = true
+	r.moveLocked(rec, StateQueued, "", why)
+	r.logf("federation: reallocating %s (%s)", rec.ID, why)
+	r.pushLocked(rec.ID)
+}
+
+// beginRevoke moves a bound job into the revoking state and starts its
+// revocation loop (at most one per job).
+func (r *Router) beginRevoke(id, why string) {
+	r.mu.Lock()
+	rec, ok := r.records[id]
+	if !ok || routerTerminal(rec.State) || rec.State == StateQueued {
+		r.mu.Unlock()
+		return
+	}
+	if rec.State != StateRevoking {
+		r.moveLocked(rec, StateRevoking, rec.Shard, why)
+	}
+	if rec.revokeActive {
+		r.mu.Unlock()
+		return
+	}
+	rec.revokeActive = true
+	r.mu.Unlock()
+	r.wg.Add(1)
+	go r.revokeLoop(id, why)
+}
+
+// revokeLoop retries the revocation RPC until the shard gives a durable
+// answer. A SIGKILL'd shard answers after restart from its journal; a
+// shard that never returns leaves the job in-doubt forever — by design,
+// since reallocating without confirmation is the double-execution bug
+// this protocol exists to prevent.
+func (r *Router) revokeLoop(id, why string) {
+	defer r.wg.Done()
+	r.retry.retry(func(attempt int) bool {
+		r.mu.Lock()
+		rec, ok := r.records[id]
+		if !ok || rec.State != StateRevoking {
+			if ok {
+				rec.revokeActive = false
+			}
+			r.mu.Unlock()
+			return true
+		}
+		shard := rec.Shard
+		epoch := rec.epoch
+		r.mu.Unlock()
+
+		client := r.clients[shard]
+		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
+		res, err := client.Revoke(ctx, &RevokeRequest{Key: id, Origin: r.cfg.origin(), Reason: why, Epoch: epoch})
+		cancel()
+		if err != nil {
+			r.logf("federation: revoke %s@%s attempt %d: %v", id, shard, attempt, err)
+			return false
+		}
+		return r.resolveRevoke(id, shard, res)
+	})
+}
+
+// resolveRevoke applies a confirmed revocation answer. Returns false when
+// the loop should keep trying (cannot happen today — every outcome is
+// durable — but kept for future protocol versions).
+func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rec, ok := r.records[id]
+	if !ok || rec.State != StateRevoking {
+		if ok {
+			rec.revokeActive = false
+		}
+		return true
+	}
+	rec.revokeActive = false
+	switch res.Outcome {
+	case RevokeOutcomeRevoked:
+		r.met.Revocations++
+		r.th.revocations.Inc()
+		r.banAndRequeueLocked(rec, shard, "revoked from "+shard)
+	case RevokeOutcomeTerminal:
+		r.moveLocked(rec, res.State, shard, res.Reason)
+	case RevokeOutcomeInFlight:
+		// The shard's engine owns it; rebind and wait for the terminal
+		// notice. A later death sweeps it back into revocation.
+		r.moveLocked(rec, StateHanded, shard, "")
+	default:
+		rec.revokeActive = true
+		return false
+	}
+	return true
+}
+
+// heartbeatLoop pings one shard forever, driving the failure detector and
+// the shard's breaker.
+func (r *Router) heartbeatLoop(name string) {
+	defer r.wg.Done()
+	client := r.clients[name]
+	t := time.NewTicker(r.cfg.heartbeat())
+	defer t.Stop()
+	for {
+		select {
+		case <-r.stopc:
+			return
+		case <-t.C:
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.heartbeat())
+		_, err := client.Ping(ctx)
+		cancel()
+		if err != nil {
+			r.brk.Get(name).Failure(r.now())
+			r.noteMiss(name)
+			continue
+		}
+		r.brk.Get(name).Success(r.now())
+		r.noteAlive(name)
+	}
+}
+
+func (r *Router) noteMiss(name string) {
+	r.mu.Lock()
+	h := r.health[name]
+	h.missed++
+	dead := h.alive && h.missed >= r.cfg.deadAfter()
+	if dead {
+		h.alive = false
+		r.met.ShardDeaths++
+	}
+	var sweep []string
+	if dead {
+		for id, rec := range r.records {
+			if rec.State == StateHanded && rec.Shard == name {
+				sweep = append(sweep, id)
+			}
+		}
+		sort.Strings(sweep)
+	}
+	r.mu.Unlock()
+	if !dead {
+		return
+	}
+	if g := r.th.alive[name]; g != nil {
+		g.Set(0)
+	}
+	r.th.deaths.Inc()
+	r.logf("federation: shard %s declared dead after %d missed heartbeats; revoking %d bound jobs",
+		name, r.cfg.deadAfter(), len(sweep))
+	for _, id := range sweep {
+		r.beginRevoke(id, "shard "+name+" declared dead")
+	}
+}
+
+func (r *Router) noteAlive(name string) {
+	r.mu.Lock()
+	h := r.health[name]
+	h.missed = 0
+	revived := !h.alive
+	h.alive = true
+	r.mu.Unlock()
+	if revived {
+		if g := r.th.alive[name]; g != nil {
+			g.Set(1)
+		}
+		r.logf("federation: shard %s is back", name)
+		// Queued jobs whose only eligible shard just returned are sitting
+		// on requeue timers; nothing to do — the timer re-pushes them.
+	}
+}
+
+// HandleJoin is the router side of a shard's rejoin handshake: replay the
+// shard's terminal catch-up ledger, then rule on every held job — resume
+// what the shard still owns, revoke what moved or finished elsewhere.
+func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, t := range req.Terminal {
+		r.applyTerminalLocked(&TerminalNotice{Shard: req.Shard, Job: t.ID, State: t.State, Reason: t.Reason})
+	}
+	resp := &JoinResponse{Decisions: make(map[string]string, len(req.Held))}
+	for _, h := range req.Held {
+		rec, ok := r.records[h.ID]
+		switch {
+		case !ok:
+			// A job this router never saw (journal lost, or the shard
+			// predates it): adopt the binding rather than orphan the job.
+			r.createLocked(h.ID, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
+			resp.Decisions[h.ID] = JoinResume
+		case rec.State == StateHanded && rec.Shard == req.Shard:
+			resp.Decisions[h.ID] = JoinResume
+		case rec.State == StateQueued:
+			// We intended to place it and the shard already holds it:
+			// adopt the existing binding.
+			r.moveLocked(rec, StateHanded, req.Shard, "")
+			resp.Decisions[h.ID] = JoinResume
+		default:
+			// Bound elsewhere, being revoked, or already terminal: the
+			// shard must not run it. Its own revoked ledger entry (not
+			// this advisory answer) is what frees the key. The current
+			// epoch rides along so the tombstone refuses stale replays
+			// but yields to a genuinely newer re-handoff.
+			resp.Decisions[h.ID] = fmt.Sprintf("%s@%d", JoinRevoke, rec.epoch)
+		}
+	}
+	r.logf("federation: join from %s: %d held ruled, %d terminal replayed",
+		req.Shard, len(req.Held), len(req.Terminal))
+	return resp
+}
+
+// HandleTerminal applies one terminal notice from a shard. Idempotent.
+func (r *Router) HandleTerminal(n *TerminalNotice) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.applyTerminalLocked(n)
+}
+
+// applyTerminalLocked is the idempotent core of terminal-notice handling.
+// Caller holds r.mu; the journal append inside makes the notice durable
+// before the HTTP 200 that stops the shard's redelivery.
+func (r *Router) applyTerminalLocked(n *TerminalNotice) {
+	rec, ok := r.records[n.Job]
+	if !ok {
+		return // not ours (e.g. a key another router placed)
+	}
+	if routerTerminal(rec.State) {
+		return
+	}
+	switch n.State {
+	case service.StateRevoked:
+		// Shard-terminal only: the job itself lives on (we revoked it
+		// there); the revocation loop owns the transition.
+		return
+	case service.StateDrained:
+		// The shard shut down without running it: ownership released, so
+		// reallocate — unless the binding already moved.
+		if rec.Shard == n.Shard && (rec.State == StateHanded || rec.State == StateRevoking) {
+			r.met.Revocations++
+			r.th.revocations.Inc()
+			r.banAndRequeueLocked(rec, n.Shard, "drained at "+n.Shard)
+		}
+		return
+	default:
+		if rec.Shard != "" && rec.Shard != n.Shard {
+			// A shard we revoked away from still finished it first — that
+			// can only be an inflight answer we rebound after, so the
+			// notice is authoritative for that shard's execution.
+			r.logf("federation: terminal notice for %s from %s but bound to %s", n.Job, n.Shard, rec.Shard)
+			return
+		}
+		r.moveLocked(rec, n.State, n.Shard, n.Reason)
+	}
+}
+
+// Restore rebuilds the router ledger from a journal recovery. Queued jobs
+// go back to dispatch; handed jobs are reconciled against their shard
+// (terminal → mirrored, still owned → kept, unknown → revoked and
+// reallocated); revoking jobs resume their revocation loop. Call before
+// Start.
+func (r *Router) Restore(rec *journal.Recovery) (int, error) {
+	if rec == nil {
+		return 0, nil
+	}
+	r.mu.Lock()
+	n := 0
+	var reconcile, revoking []string
+	for _, js := range rec.Jobs {
+		if _, dup := r.records[js.Job]; dup {
+			continue
+		}
+		state, shard := js.State, js.Shard
+		if _, known := r.clients[shard]; !known && !routerTerminal(state) && state != StateRevoking {
+			// Bound to a shard no longer in the fleet: requeue.
+			state = StateQueued
+		}
+		if state == StateQueued {
+			shard = ""
+		}
+		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
+		jr.Shard = shard
+		jr.Reason = js.Reason
+		jr.wire = js.Wire
+		jr.epoch = js.Epoch
+		jr.submitted = time.Time{}
+		n++
+		switch {
+		case routerTerminal(state):
+			// Done; nothing to do.
+		case state == StateQueued:
+			r.pushLocked(js.Job)
+		case state == StateRevoking:
+			revoking = append(revoking, js.Job)
+		default: // handed
+			reconcile = append(reconcile, js.Job)
+		}
+	}
+	r.mu.Unlock()
+	for _, id := range revoking {
+		r.beginRevoke(id, "recovered in-doubt revocation")
+	}
+	for _, id := range reconcile {
+		r.wg.Add(1)
+		go r.reconcile(id)
+	}
+	r.logf("federation: restored %d jobs (%d to reconcile, %d revoking)", n, len(reconcile), len(revoking))
+	return n, nil
+}
+
+// reconcile resolves one recovered "handed" binding against the shard's
+// durable ledger.
+func (r *Router) reconcile(id string) {
+	defer r.wg.Done()
+	r.retry.retry(func(attempt int) bool {
+		r.mu.Lock()
+		rec, ok := r.records[id]
+		if !ok || rec.State != StateHanded {
+			r.mu.Unlock()
+			return true // a death sweep or notice got there first
+		}
+		shard := rec.Shard
+		r.mu.Unlock()
+
+		client := r.clients[shard]
+		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
+		srec, found, err := client.Record(ctx, id)
+		cancel()
+		switch {
+		case err != nil:
+			r.logf("federation: reconcile %s@%s attempt %d: %v", id, shard, attempt, err)
+			return false
+		case !found:
+			// The shard never durably saw the handoff: revoke (plants a
+			// tombstone against the in-flight frame) and reallocate.
+			r.beginRevoke(id, "recovered handoff unknown at "+shard)
+		case srec.State == service.StateRevoked:
+			r.beginRevoke(id, "recovered handoff revoked at "+shard)
+		case service.Terminal(srec.State):
+			r.HandleTerminal(&TerminalNotice{Shard: shard, Job: id, State: srec.State, Reason: srec.Reason})
+		}
+		// Otherwise still owned and in progress; the terminal notice will come.
+		return true
+	})
+}

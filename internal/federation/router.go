@@ -435,534 +435,6 @@ func (r *Router) newRecordLocked(id, strategyName string, priority int, state st
 	return rec
 }
 
-// pushLocked queues a job for dispatch. Caller holds r.mu.
-func (r *Router) pushLocked(id string) {
-	r.pending = append(r.pending, id)
-	r.th.pending.Set(float64(len(r.pending)))
-	r.cond.Signal()
-}
-
-// push is pushLocked for timers and RPC outcomes.
-func (r *Router) push(id string) {
-	r.mu.Lock()
-	if !r.closed {
-		r.pushLocked(id)
-	}
-	r.mu.Unlock()
-}
-
-// requeueLater re-queues id after d — the "no eligible shard right now"
-// path, paced by the heartbeat interval.
-func (r *Router) requeueLater(id string, d time.Duration) {
-	time.AfterFunc(d, func() { r.push(id) })
-}
-
-// dispatchLoop is one worker: pop a pending job, dispatch it to the first
-// eligible shard on its preference list, with a bounded retry budget.
-func (r *Router) dispatchLoop() {
-	defer r.wg.Done()
-	for {
-		r.mu.Lock()
-		for len(r.pending) == 0 && !r.closed {
-			r.cond.Wait()
-		}
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		id := r.pending[0]
-		r.pending = r.pending[1:]
-		r.th.pending.Set(float64(len(r.pending)))
-		r.mu.Unlock()
-		r.dispatch(id)
-	}
-}
-
-// eligibleLocked returns the first shard on the preference list that is
-// not banned for this job, currently alive, and admitted by its breaker.
-func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
-	now := r.now()
-	for _, s := range r.ring.Walk(rec.ID) {
-		if rec.banned[s] {
-			continue
-		}
-		if h := r.health[s]; h == nil || !h.alive {
-			continue
-		}
-		if !r.brk.Allow(s, now) {
-			continue
-		}
-		return s, true
-	}
-	return "", false
-}
-
-// dispatch binds one queued job to a shard and runs the handoff attempts.
-func (r *Router) dispatch(id string) {
-	r.mu.Lock()
-	rec, ok := r.records[id]
-	if !ok || rec.State != StateQueued {
-		r.mu.Unlock()
-		return
-	}
-	if rec.wire == nil {
-		// Adopted or recovered without a wire form: nothing to send. Leave
-		// it queued; a join from the owning shard resolves it.
-		r.mu.Unlock()
-		return
-	}
-	shard, ok := r.eligibleLocked(rec)
-	if !ok && len(rec.banned) >= len(r.ring.Shards()) {
-		// Every shard holds a tombstone for this key. Each ban was taken
-		// only after a confirmed revocation (or a shard's own durable
-		// tombstone answer), so the job is provably running nowhere — the
-		// one situation where re-walking the ring is safe. The handoff
-		// carries an epoch above every tombstone's, which lets the target
-		// resurrect its tombstone instead of refusing the key forever.
-		r.logf("federation: %s banned on every shard; clearing bans at epoch %d", id, rec.epoch)
-		rec.banned = nil
-		shard, ok = r.eligibleLocked(rec)
-	}
-	if !ok {
-		r.mu.Unlock()
-		r.requeueLater(id, r.cfg.heartbeat())
-		return
-	}
-	// Journal the binding BEFORE the first byte leaves: if the router is
-	// SIGKILL'd mid-handoff, its next incarnation knows shard may own the
-	// job and reconciles instead of double-placing.
-	realloc, from, epoch := rec.Shard != "", rec.Shard, rec.epoch
-	r.moveLocked(rec, StateHanded, shard, "")
-	wire := *rec.wire
-	strategyName, priority := rec.Strategy, rec.Priority
-	r.mu.Unlock()
-
-	client := r.clients[shard]
-	budget := r.cfg.retryBudget()
-	for attempt := 1; attempt <= budget; attempt++ {
-		if attempt > 1 {
-			r.th.retries.Inc()
-			r.mu.Lock()
-			r.met.Retries++
-			r.mu.Unlock()
-			if !r.retry.wait(attempt - 1) {
-				return
-			}
-		}
-		h := &Handoff{
-			Key: id, Origin: r.cfg.origin(), Attempt: attempt,
-			Deadline: time.Now().Add(r.cfg.handoffTimeout()).UnixMilli(),
-			Job:      wire, Strategy: strategyName, Priority: priority,
-			Realloc: realloc, FromShard: from, Epoch: epoch,
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
-		began := time.Now()
-		res, err := client.Handoff(ctx, h)
-		cancel()
-		r.th.handoffs.Inc()
-		r.mu.Lock()
-		r.met.Handoffs++
-		r.mu.Unlock()
-		if err != nil {
-			r.th.handoffFailures.Inc()
-			r.brk.Get(shard).Failure(r.now())
-			r.logf("federation: handoff %s→%s attempt %d: %v", id, shard, attempt, err)
-			continue
-		}
-		r.brk.Get(shard).Success(r.now())
-		r.th.handoffLatency.Observe(time.Since(began).Seconds())
-		if r.resolveHandoff(rec, shard, res) {
-			return
-		}
-		// Retryable shard answer (overloaded / draining / expired):
-		// consume budget and try again.
-	}
-	// Budget exhausted: the job is in doubt at shard (an attempt may have
-	// been processed with its ack lost). Walk the last recovery-ladder
-	// rung: confirmed revocation, then reallocation to a survivor.
-	r.beginRevoke(id, "handoff retry budget exhausted")
-}
-
-// resolveHandoff applies a durable shard answer. Returns false when the
-// answer is retryable.
-func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec.State != StateHanded || rec.Shard != shard {
-		// A concurrent death sweep moved the job to revoking; the
-		// revocation loop owns it now.
-		return true
-	}
-	switch {
-	case res.Accepted:
-		if routerTerminal(res.State) {
-			// Duplicate of an already-finished accept: mirror it.
-			r.moveLocked(rec, res.State, shard, res.Reason)
-		}
-		return true
-	case res.Duplicate && (res.State == service.StateRevoked || res.State == service.StateDrained):
-		// Our own tombstone (or a drained shutdown remnant): this key was
-		// voided at this shard earlier, so the binding is void. Ban the
-		// shard and reallocate.
-		r.banAndRequeueLocked(rec, shard, "tombstone at "+shard)
-		return true
-	case res.Code == service.CodeInvalid || res.Code == service.CodeInfeasible:
-		r.moveLocked(rec, service.StateRejected, shard, res.Reason)
-		return true
-	default:
-		return false // overloaded, draining, expired, internal: retry
-	}
-}
-
-// banAndRequeueLocked voids the current binding (already proven safe: the
-// shard holds a tombstone or confirmed the revoke) and requeues the job.
-// Caller holds r.mu.
-func (r *Router) banAndRequeueLocked(rec *jobRecord, shard, why string) {
-	if rec.banned == nil {
-		rec.banned = make(map[string]bool)
-	}
-	rec.banned[shard] = true
-	r.moveLocked(rec, StateQueued, "", why)
-	r.logf("federation: reallocating %s (%s)", rec.ID, why)
-	r.pushLocked(rec.ID)
-}
-
-// beginRevoke moves a bound job into the revoking state and starts its
-// revocation loop (at most one per job).
-func (r *Router) beginRevoke(id, why string) {
-	r.mu.Lock()
-	rec, ok := r.records[id]
-	if !ok || routerTerminal(rec.State) || rec.State == StateQueued {
-		r.mu.Unlock()
-		return
-	}
-	if rec.State != StateRevoking {
-		r.moveLocked(rec, StateRevoking, rec.Shard, why)
-	}
-	if rec.revokeActive {
-		r.mu.Unlock()
-		return
-	}
-	rec.revokeActive = true
-	r.mu.Unlock()
-	r.wg.Add(1)
-	go r.revokeLoop(id, why)
-}
-
-// revokeLoop retries the revocation RPC until the shard gives a durable
-// answer. A SIGKILL'd shard answers after restart from its journal; a
-// shard that never returns leaves the job in-doubt forever — by design,
-// since reallocating without confirmation is the double-execution bug
-// this protocol exists to prevent.
-func (r *Router) revokeLoop(id, why string) {
-	defer r.wg.Done()
-	r.retry.retry(func(attempt int) bool {
-		r.mu.Lock()
-		rec, ok := r.records[id]
-		if !ok || rec.State != StateRevoking {
-			if ok {
-				rec.revokeActive = false
-			}
-			r.mu.Unlock()
-			return true
-		}
-		shard := rec.Shard
-		epoch := rec.epoch
-		r.mu.Unlock()
-
-		client := r.clients[shard]
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
-		res, err := client.Revoke(ctx, &RevokeRequest{Key: id, Origin: r.cfg.origin(), Reason: why, Epoch: epoch})
-		cancel()
-		if err != nil {
-			r.logf("federation: revoke %s@%s attempt %d: %v", id, shard, attempt, err)
-			return false
-		}
-		return r.resolveRevoke(id, shard, res)
-	})
-}
-
-// resolveRevoke applies a confirmed revocation answer. Returns false when
-// the loop should keep trying (cannot happen today — every outcome is
-// durable — but kept for future protocol versions).
-func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec, ok := r.records[id]
-	if !ok || rec.State != StateRevoking {
-		if ok {
-			rec.revokeActive = false
-		}
-		return true
-	}
-	rec.revokeActive = false
-	switch res.Outcome {
-	case RevokeOutcomeRevoked:
-		r.met.Revocations++
-		r.th.revocations.Inc()
-		r.banAndRequeueLocked(rec, shard, "revoked from "+shard)
-	case RevokeOutcomeTerminal:
-		r.moveLocked(rec, res.State, shard, res.Reason)
-	case RevokeOutcomeInFlight:
-		// The shard's engine owns it; rebind and wait for the terminal
-		// notice. A later death sweeps it back into revocation.
-		r.moveLocked(rec, StateHanded, shard, "")
-	default:
-		rec.revokeActive = true
-		return false
-	}
-	return true
-}
-
-// heartbeatLoop pings one shard forever, driving the failure detector and
-// the shard's breaker.
-func (r *Router) heartbeatLoop(name string) {
-	defer r.wg.Done()
-	client := r.clients[name]
-	t := time.NewTicker(r.cfg.heartbeat())
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stopc:
-			return
-		case <-t.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.heartbeat())
-		_, err := client.Ping(ctx)
-		cancel()
-		if err != nil {
-			r.brk.Get(name).Failure(r.now())
-			r.noteMiss(name)
-			continue
-		}
-		r.brk.Get(name).Success(r.now())
-		r.noteAlive(name)
-	}
-}
-
-func (r *Router) noteMiss(name string) {
-	r.mu.Lock()
-	h := r.health[name]
-	h.missed++
-	dead := h.alive && h.missed >= r.cfg.deadAfter()
-	if dead {
-		h.alive = false
-		r.met.ShardDeaths++
-	}
-	var sweep []string
-	if dead {
-		for id, rec := range r.records {
-			if rec.State == StateHanded && rec.Shard == name {
-				sweep = append(sweep, id)
-			}
-		}
-		sort.Strings(sweep)
-	}
-	r.mu.Unlock()
-	if !dead {
-		return
-	}
-	if g := r.th.alive[name]; g != nil {
-		g.Set(0)
-	}
-	r.th.deaths.Inc()
-	r.logf("federation: shard %s declared dead after %d missed heartbeats; revoking %d bound jobs",
-		name, r.cfg.deadAfter(), len(sweep))
-	for _, id := range sweep {
-		r.beginRevoke(id, "shard "+name+" declared dead")
-	}
-}
-
-func (r *Router) noteAlive(name string) {
-	r.mu.Lock()
-	h := r.health[name]
-	h.missed = 0
-	revived := !h.alive
-	h.alive = true
-	r.mu.Unlock()
-	if revived {
-		if g := r.th.alive[name]; g != nil {
-			g.Set(1)
-		}
-		r.logf("federation: shard %s is back", name)
-		// Queued jobs whose only eligible shard just returned are sitting
-		// on requeue timers; nothing to do — the timer re-pushes them.
-	}
-}
-
-// HandleJoin is the router side of a shard's rejoin handshake: replay the
-// shard's terminal catch-up ledger, then rule on every held job — resume
-// what the shard still owns, revoke what moved or finished elsewhere.
-func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, t := range req.Terminal {
-		r.applyTerminalLocked(&TerminalNotice{Shard: req.Shard, Job: t.ID, State: t.State, Reason: t.Reason})
-	}
-	resp := &JoinResponse{Decisions: make(map[string]string, len(req.Held))}
-	for _, h := range req.Held {
-		rec, ok := r.records[h.ID]
-		switch {
-		case !ok:
-			// A job this router never saw (journal lost, or the shard
-			// predates it): adopt the binding rather than orphan the job.
-			r.createLocked(h.ID, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
-			resp.Decisions[h.ID] = JoinResume
-		case rec.State == StateHanded && rec.Shard == req.Shard:
-			resp.Decisions[h.ID] = JoinResume
-		case rec.State == StateQueued:
-			// We intended to place it and the shard already holds it:
-			// adopt the existing binding.
-			r.moveLocked(rec, StateHanded, req.Shard, "")
-			resp.Decisions[h.ID] = JoinResume
-		default:
-			// Bound elsewhere, being revoked, or already terminal: the
-			// shard must not run it. Its own revoked ledger entry (not
-			// this advisory answer) is what frees the key. The current
-			// epoch rides along so the tombstone refuses stale replays
-			// but yields to a genuinely newer re-handoff.
-			resp.Decisions[h.ID] = fmt.Sprintf("%s@%d", JoinRevoke, rec.epoch)
-		}
-	}
-	r.logf("federation: join from %s: %d held ruled, %d terminal replayed",
-		req.Shard, len(req.Held), len(req.Terminal))
-	return resp
-}
-
-// HandleTerminal applies one terminal notice from a shard. Idempotent.
-func (r *Router) HandleTerminal(n *TerminalNotice) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.applyTerminalLocked(n)
-}
-
-// applyTerminalLocked is the idempotent core of terminal-notice handling.
-// Caller holds r.mu; the journal append inside makes the notice durable
-// before the HTTP 200 that stops the shard's redelivery.
-func (r *Router) applyTerminalLocked(n *TerminalNotice) {
-	rec, ok := r.records[n.Job]
-	if !ok {
-		return // not ours (e.g. a key another router placed)
-	}
-	if routerTerminal(rec.State) {
-		return
-	}
-	switch n.State {
-	case service.StateRevoked:
-		// Shard-terminal only: the job itself lives on (we revoked it
-		// there); the revocation loop owns the transition.
-		return
-	case service.StateDrained:
-		// The shard shut down without running it: ownership released, so
-		// reallocate — unless the binding already moved.
-		if rec.Shard == n.Shard && (rec.State == StateHanded || rec.State == StateRevoking) {
-			r.met.Revocations++
-			r.th.revocations.Inc()
-			r.banAndRequeueLocked(rec, n.Shard, "drained at "+n.Shard)
-		}
-		return
-	default:
-		if rec.Shard != "" && rec.Shard != n.Shard {
-			// A shard we revoked away from still finished it first — that
-			// can only be an inflight answer we rebound after, so the
-			// notice is authoritative for that shard's execution.
-			r.logf("federation: terminal notice for %s from %s but bound to %s", n.Job, n.Shard, rec.Shard)
-			return
-		}
-		r.moveLocked(rec, n.State, n.Shard, n.Reason)
-	}
-}
-
-// Restore rebuilds the router ledger from a journal recovery. Queued jobs
-// go back to dispatch; handed jobs are reconciled against their shard
-// (terminal → mirrored, still owned → kept, unknown → revoked and
-// reallocated); revoking jobs resume their revocation loop. Call before
-// Start.
-func (r *Router) Restore(rec *journal.Recovery) (int, error) {
-	if rec == nil {
-		return 0, nil
-	}
-	r.mu.Lock()
-	n := 0
-	var reconcile, revoking []string
-	for _, js := range rec.Jobs {
-		if _, dup := r.records[js.Job]; dup {
-			continue
-		}
-		state, shard := js.State, js.Shard
-		if _, known := r.clients[shard]; !known && !routerTerminal(state) && state != StateRevoking {
-			// Bound to a shard no longer in the fleet: requeue.
-			state = StateQueued
-		}
-		if state == StateQueued {
-			shard = ""
-		}
-		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
-		jr.Shard = shard
-		jr.Reason = js.Reason
-		jr.wire = js.Wire
-		jr.epoch = js.Epoch
-		jr.submitted = time.Time{}
-		n++
-		switch {
-		case routerTerminal(state):
-			// Done; nothing to do.
-		case state == StateQueued:
-			r.pushLocked(js.Job)
-		case state == StateRevoking:
-			revoking = append(revoking, js.Job)
-		default: // handed
-			reconcile = append(reconcile, js.Job)
-		}
-	}
-	r.mu.Unlock()
-	for _, id := range revoking {
-		r.beginRevoke(id, "recovered in-doubt revocation")
-	}
-	for _, id := range reconcile {
-		r.wg.Add(1)
-		go r.reconcile(id)
-	}
-	r.logf("federation: restored %d jobs (%d to reconcile, %d revoking)", n, len(reconcile), len(revoking))
-	return n, nil
-}
-
-// reconcile resolves one recovered "handed" binding against the shard's
-// durable ledger.
-func (r *Router) reconcile(id string) {
-	defer r.wg.Done()
-	r.retry.retry(func(attempt int) bool {
-		r.mu.Lock()
-		rec, ok := r.records[id]
-		if !ok || rec.State != StateHanded {
-			r.mu.Unlock()
-			return true // a death sweep or notice got there first
-		}
-		shard := rec.Shard
-		r.mu.Unlock()
-
-		client := r.clients[shard]
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
-		srec, found, err := client.Record(ctx, id)
-		cancel()
-		switch {
-		case err != nil:
-			r.logf("federation: reconcile %s@%s attempt %d: %v", id, shard, attempt, err)
-			return false
-		case !found:
-			// The shard never durably saw the handoff: revoke (plants a
-			// tombstone against the in-flight frame) and reallocate.
-			r.beginRevoke(id, "recovered handoff unknown at "+shard)
-		case srec.State == service.StateRevoked:
-			r.beginRevoke(id, "recovered handoff revoked at "+shard)
-		case service.Terminal(srec.State):
-			r.HandleTerminal(&TerminalNotice{Shard: shard, Job: id, State: srec.State, Reason: srec.Reason})
-		}
-		// Otherwise still owned and in progress; the terminal notice will come.
-		return true
-	})
-}
-
 // Job returns one router ledger entry.
 func (r *Router) Job(id string) (JobView, bool) {
 	r.mu.Lock()
