@@ -70,7 +70,7 @@ func diffWorkload(seed int64, n int) []diffOp {
 }
 
 // diffDeployment is either side of the comparison behind one interface.
-// submit reports the SubmitError code and reason ("" , "" on accept).
+// submit reports the SubmitError code and reason (both "" on accept).
 type diffDeployment struct {
 	submit func(jobio.Job, string, int) (code, reason string)
 	svc    *service.Server // the engine to drive

@@ -75,6 +75,13 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		{name: "draining", body: body("e", 60, "S1"), drainFirst: true,
 			want: map[string]string{"gridd": service.CodeDraining, "gridfront": service.CodeDraining}},
 	}
+	// Backpressure carries a whole-second hint, rounded up: the shard's
+	// 1.5 s becomes 2, the router's 1 s stays 1. Other refusals carry none.
+	wantRetryAfter := map[string]string{
+		"gridd/" + service.CodeOverloaded:   "2",
+		"gridd/" + service.CodeDraining:     "2",
+		"gridfront/" + service.CodeDraining: "1",
+	}
 	for _, tr := range tiers {
 		for _, st := range steps {
 			if st.drainFirst {
@@ -97,15 +104,8 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 				t.Errorf("%s/%s: status %d body %+v, want %d with code %q and a reason",
 					tr.name, st.name, rec.Code, got, submitErrorStatus[code], code)
 			}
-			// Backpressure carries a whole-second hint, rounded up: the
-			// shard's 1.5 s becomes 2, the router's 1 s stays 1.
-			wantRetry := map[string]string{
-				"gridd/" + service.CodeOverloaded:   "2",
-				"gridd/" + service.CodeDraining:     "2",
-				"gridfront/" + service.CodeDraining: "1",
-			}[tr.name+"/"+code]
-			if h := rec.Header().Get("Retry-After"); h != wantRetry {
-				t.Errorf("%s/%s: Retry-After %q, want %q", tr.name, st.name, h, wantRetry)
+			if h, want := rec.Header().Get("Retry-After"), wantRetryAfter[tr.name+"/"+code]; h != want {
+				t.Errorf("%s/%s: Retry-After %q, want %q", tr.name, st.name, h, want)
 			}
 		}
 	}
