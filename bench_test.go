@@ -6,7 +6,9 @@
 package repro
 
 import (
+	"errors"
 	"flag"
+	"maps"
 	"testing"
 
 	"repro/internal/baseline"
@@ -219,6 +221,31 @@ func BenchmarkCriticalWorksBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cals := criticalworks.EmptyCalendars(env)
 		if _, err := criticalworks.Build(env, cals, job, criticalworks.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuild measures one critical-works run the way the service
+// issues it: a shallow view over shared, densely booked calendars (a
+// 60-reservation denseBook per node), which the build reads and never
+// copies wholesale. B/op and allocs/op are the point — the what-if
+// attempts should allocate only what they keep.
+func BenchmarkBuild(b *testing.B) {
+	gen := workload.New(workload.Default(3))
+	env := gen.Environment(1)
+	job := gen.Job(0)
+	base := criticalworks.EmptyCalendars(env)
+	for id := range base {
+		base[id] = denseBook(60)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// An infeasible job is a legitimate outcome on these books: all
+		// five margins run, which is the service's common case.
+		var inf *criticalworks.InfeasibleError
+		if _, err := criticalworks.Build(env, maps.Clone(base), job, criticalworks.Options{}); err != nil && !errors.As(err, &inf) {
 			b.Fatal(err)
 		}
 	}

@@ -1,0 +1,381 @@
+package criticalworks
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"reflect"
+	"testing"
+
+	"repro/internal/dag"
+	"repro/internal/data"
+	"repro/internal/resource"
+	"repro/internal/rng"
+	"repro/internal/simtime"
+)
+
+// refBuild is build as it stood before copy-on-write attempt views, kept
+// as the differential reference: every margin deep-clones the whole view,
+// reserves into those clones in place (the overlay is pre-filled with a
+// clone of every book, so cal and reserve never reach the caller's),
+// starts from fresh scratch, and a success adopts every clone. It also
+// reports the index of the margin that succeeded, -1 when none did.
+func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, error) {
+	opt, tableDerived, err := normalize(env, job, opt)
+	if err != nil {
+		return nil, -1, err
+	}
+	var memo *BuildMemo
+	if opt.CaptureMemo && opt.Mode == ResolveReallocate {
+		reads := make(map[resource.NodeID]uint64, len(opt.Candidates))
+		for _, id := range opt.Candidates {
+			if c, ok := cals[id]; ok {
+				reads[id] = c.Gen()
+			}
+		}
+		memo = newMemo(opt, tableDerived, reads)
+	}
+	var firstPartial *Schedule
+	var firstErr error
+	var evals int64
+	for mi, mg := range margins {
+		trial := cals.Clone()
+		b := newBuilder(env, trial, job, opt, mg, newScratch(job))
+		b.own = trial
+		b.capture = memo != nil && mg == 1
+		sched, err := b.buildOnce()
+		evals += b.evals
+		if err == nil {
+			sched.Evaluations = evals
+			if b.capture {
+				memo.Chains = b.chains
+				memo.Schedule = sched
+				sched.memo = memo
+			}
+			for id, c := range trial {
+				cals[id] = c
+			}
+			*opt.Catalog = *b.opt.Catalog
+			return sched, mi, nil
+		}
+		var inf *InfeasibleError
+		if !errors.As(err, &inf) {
+			return nil, -1, err
+		}
+		if firstPartial == nil {
+			firstPartial, firstErr = b.partial(), err
+		}
+	}
+	firstPartial.Evaluations = evals
+	return firstPartial, -1, firstErr
+}
+
+// bookState is one input calendar as it was handed to Build or TryRepair.
+type bookState struct {
+	id  resource.NodeID
+	cal *resource.Calendar
+	gen uint64
+	res []resource.Reservation
+}
+
+func recordBooks(cals Calendars) []bookState {
+	out := make([]bookState, 0, len(cals))
+	for id, c := range cals {
+		out = append(out, bookState{id: id, cal: c, gen: c.Gen(), res: c.Reservations()})
+	}
+	return out
+}
+
+// checkBooksUntouched asserts the input contract: whatever the outcome, no
+// calendar that was passed in has moved — same generation, same
+// reservations.
+func checkBooksUntouched(t *testing.T, what string, books []bookState) {
+	t.Helper()
+	for _, b := range books {
+		if b.cal.Gen() != b.gen || !reflect.DeepEqual(b.cal.Reservations(), b.res) {
+			t.Errorf("%s mutated the input calendar of node %d (gen %d → %d)", what, b.id, b.gen, b.cal.Gen())
+		}
+	}
+}
+
+// checkSameView asserts two post-build views agree book for book:
+// reservations and generation.
+func checkSameView(t *testing.T, what string, got, want Calendars) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: view has %d nodes, want %d", what, len(got), len(want))
+	}
+	for id, w := range want {
+		g := got[id]
+		if g == nil {
+			t.Fatalf("%s: node %d missing from the view", what, id)
+		}
+		if !reflect.DeepEqual(g.Reservations(), w.Reservations()) {
+			t.Errorf("%s: node %d reservations differ:\n got %v\nwant %v", what, id, g.Reservations(), w.Reservations())
+		}
+		if g.Gen() != w.Gen() {
+			t.Errorf("%s: node %d generation = %d, want %d", what, id, g.Gen(), w.Gen())
+		}
+	}
+}
+
+// cowCase is one differential input.
+type cowCase struct {
+	name string
+	job  *dag.Job
+	env  *resource.Environment
+	cals Calendars
+	opt  Options // Catalog unset: every run gets its own from policy
+	pol  data.Policy
+	seed uint64
+}
+
+// cowCorpus is the fuzz and property corpus of this package widened along
+// the axes the attempt views depend on: the FuzzBuildSchedule seeds and
+// random byte strings through its decoder (both modes, both objectives),
+// and FuzzRepairSplice's random environments under all three data
+// policies with empty, light and dense books and deadlines from generous
+// to hopeless.
+func cowCorpus() []cowCase {
+	var out []cowCase
+	add := func(name string, raw []byte) {
+		job, env, cals, opt := decodeFuzzInput(raw)
+		opt.CaptureMemo = true
+		out = append(out, cowCase{name: name, job: job, env: env, cals: cals, opt: opt, pol: data.Policy(len(raw) % 3), seed: uint64(len(out))})
+	}
+	add("fuzz/fig2", fig2SeedBytes())
+	add("fuzz/empty", nil)
+	add("fuzz/zero", []byte{0})
+	add("fuzz/seed3", []byte{2, 3, 3, 0, 0, 0, 1, 0, 1, 20, 2, 1, 1, 2, 1, 5, 9})
+	r := rng.New(20260928)
+	for i := 0; i < 300; i++ {
+		buf := make([]byte, r.IntBetween(8, 72))
+		for j := range buf {
+			buf[j] = byte(r.Intn(256))
+		}
+		add(fmt.Sprintf("fuzz/rand%d", i), buf)
+	}
+	for seed := uint64(1); seed <= 600; seed++ {
+		r := rng.New(seed)
+		env := randomEnv(r)
+		job := randomJob(r)
+		// randomJob's deadline is generous; tighten it on two thirds of
+		// the seeds so later margins and outright infeasibility occur.
+		job = job.WithDeadline(job.Deadline * simtime.Time([]int{10, 5, 3}[seed%3]) / 10)
+		cals := EmptyCalendars(env)
+		var load int
+		switch seed % 4 {
+		case 1, 2:
+			load = r.Intn(4)
+		case 3:
+			load = 8 * env.NumNodes() // dense books
+		}
+		for i := 0; i < load; i++ {
+			n := resource.NodeID(r.Intn(env.NumNodes()))
+			st := simtime.Time(r.Intn(int(job.Deadline) + 10))
+			_ = cals[n].Reserve(simtime.Interval{Start: st, End: st + simtime.Time(r.IntBetween(1, 6))}, resource.External)
+		}
+		opt := Options{Objective: Objective(r.Intn(2)), CaptureMemo: true}
+		if r.Bool(0.2) {
+			opt.Mode = ResolveDelay
+		}
+		out = append(out, cowCase{name: fmt.Sprintf("rand/%d", seed), job: job, env: env, cals: cals, opt: opt, pol: data.Policy(r.Intn(3)), seed: seed})
+	}
+	return out
+}
+
+// TestBuildMatchesCloneReference pins the copy-on-write attempt views to
+// the clone-everything build they replaced, over the whole corpus: the
+// schedule (placements, collisions, costs, Evaluations, the partial one of
+// a failed build), the repair memo, the adopted catalog and the post-build
+// view — reservations and generation of every node — are identical; no
+// input calendar is ever mutated; and a plan replaces exactly the map
+// entries of the nodes it reserved on.
+func TestBuildMatchesCloneReference(t *testing.T) {
+	var atFirst, atLater, infeasible int
+	for _, tc := range cowCorpus() {
+		refView, refOpt := tc.cals.Clone(), tc.opt
+		refOpt.Catalog = data.NewCatalog(tc.pol, 0)
+		want, margin, wantErr := refBuild(tc.env, refView, tc.job, refOpt)
+
+		// The new build plans on a shallow copy: the books are shared with
+		// tc.cals, which is how the strategy sweep calls it.
+		view, opt := maps.Clone(tc.cals), tc.opt
+		opt.Catalog = data.NewCatalog(tc.pol, 0)
+		books := recordBooks(view)
+		got, err := Build(tc.env, view, tc.job, opt)
+		checkBooksUntouched(t, tc.name+": Build", books)
+
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%s: err = %v, reference %v", tc.name, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: schedule differs from the reference:\n got %+v\nwant %+v", tc.name, got, want)
+		}
+		if !reflect.DeepEqual(opt.Catalog, refOpt.Catalog) {
+			t.Errorf("%s: adopted catalog differs from the reference", tc.name)
+		}
+		checkSameView(t, tc.name, view, refView)
+
+		used := make(map[resource.NodeID]bool)
+		if err == nil {
+			for _, p := range got.Placements {
+				used[p.Node] = true
+			}
+		}
+		for _, b := range books {
+			if replaced := view[b.id] != b.cal; replaced != used[b.id] {
+				t.Errorf("%s: node %d entry replaced = %v, plan uses it = %v", tc.name, b.id, replaced, used[b.id])
+			}
+		}
+
+		switch {
+		case margin == 0:
+			atFirst++
+		case margin > 0:
+			atLater++
+		default:
+			infeasible++
+		}
+	}
+	t.Logf("regimes: %d margin-1 successes, %d later-margin successes, %d infeasible", atFirst, atLater, infeasible)
+	if atFirst == 0 || atLater == 0 || infeasible == 0 {
+		t.Fatalf("corpus misses a regime: %d margin-1 successes, %d later-margin successes, %d infeasible", atFirst, atLater, infeasible)
+	}
+}
+
+// TestRepairMatchesCloneReference is the same differential for TryRepair:
+// a replayed or spliced result equals the reference build over the
+// survivors (schedule, catalog, view with generations), and no outcome —
+// stale included — mutates a calendar of the snapshot it was given.
+func TestRepairMatchesCloneReference(t *testing.T) {
+	outcomes := make(map[RepairOutcome]int)
+	for _, tc := range cowCorpus() {
+		opt := tc.opt
+		opt.Catalog = data.NewCatalog(tc.pol, 0)
+		s, err := Build(tc.env, maps.Clone(tc.cals), tc.job, opt)
+		if err != nil || s.Memo() == nil {
+			continue
+		}
+		memo := s.Memo()
+		r := rng.New(tc.seed ^ 0x9e3779b97f4a7c15)
+		var survivors []resource.NodeID
+		for _, id := range memo.Candidates {
+			if !r.Bool(0.3) {
+				survivors = append(survivors, id)
+			}
+		}
+		if len(survivors) == 0 {
+			continue
+		}
+
+		books := recordBooks(tc.cals)
+		var view Calendars
+		snap := func() Calendars { view = maps.Clone(tc.cals); return view }
+		ropt := Options{Objective: tc.opt.Objective, Candidates: survivors, Release: tc.opt.Release, Catalog: data.NewCatalog(tc.pol, 0)}
+		got, out := TryRepair(tc.env, tc.job, ropt, memo, liveGens(tc.cals), snap)
+		checkBooksUntouched(t, tc.name+": TryRepair", books)
+		outcomes[out]++
+		if out == RepairStale {
+			if got != nil {
+				t.Fatalf("%s: stale repair returned a schedule", tc.name)
+			}
+			for id, c := range view {
+				if tc.cals[id] != c {
+					t.Errorf("%s: stale repair replaced node %d in its snapshot", tc.name, id)
+				}
+			}
+			continue
+		}
+
+		refView, refOpt := tc.cals.Clone(), ropt
+		refOpt.Catalog = data.NewCatalog(tc.pol, 0)
+		want, _, err := refBuild(tc.env, refView, tc.job, refOpt)
+		if err != nil {
+			t.Fatalf("%s: repair %v but the reference build failed: %v", tc.name, out, err)
+		}
+		sameSchedule(t, got, want)
+		if !reflect.DeepEqual(ropt.Catalog, refOpt.Catalog) {
+			t.Errorf("%s: catalog diverged after %v", tc.name, out)
+		}
+		if out == RepairSpliced {
+			checkSameView(t, tc.name+" (spliced)", view, refView)
+		}
+	}
+	t.Logf("outcomes: %v", outcomes)
+	for _, out := range []RepairOutcome{RepairStale, RepairReplayed, RepairSpliced} {
+		if outcomes[out] == 0 {
+			t.Fatalf("corpus never produced a %v repair: %v", out, outcomes)
+		}
+	}
+}
+
+// denseFixture is the allocation guard's fixed input: a 5-level job (two
+// tasks per level, every task feeding both tasks of the next level) over
+// 24 nodes across all four tiers, each book holding 60 background
+// reservations with 3-tick gaps between them.
+func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag.Job) {
+	b := dag.NewBuilder("levels").Deadline(deadline)
+	for l := 0; l < 5; l++ {
+		for w := 0; w < 2; w++ {
+			b.Task(fmt.Sprintf("L%dT%d", l, w), simtime.Time(2+w), int64(20+10*w))
+		}
+	}
+	for l := 0; l < 4; l++ {
+		for from := 0; from < 2; from++ {
+			for to := 0; to < 2; to++ {
+				b.Edge(fmt.Sprintf("D%d-%d%d", l, from, to), fmt.Sprintf("L%dT%d", l, from), fmt.Sprintf("L%dT%d", l+1, to), 1, 10)
+			}
+		}
+	}
+	perfs := []float64{1.0, 0.5, 0.33, 0.25}
+	nodes := make([]*resource.Node, 24)
+	for i := range nodes {
+		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), perfs[i%len(perfs)], 1, "d")
+	}
+	env := resource.NewEnvironment(nodes)
+	cals := EmptyCalendars(env)
+	for id, c := range cals {
+		for k := 0; k < 60; k++ {
+			start := simtime.Time(k*10 + int(id)%7)
+			if err := c.Reserve(simtime.Interval{Start: start, End: start + 7}, resource.External); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return env, cals, b.MustBuild()
+}
+
+// TestBuildAllocationBudget pins what one Build allocates on the dense
+// fixture, in the two regimes the service lives in: a plan found at margin
+// 1, and a job no margin can place (five attempts, all discarded). The
+// budgets are about 1.5× the readings at the time of writing (98 and 105);
+// the clone-per-margin build with allocating edge walks that this replaced
+// read 4942 and 977. A breach means an attempt has started copying state
+// it only reads, or the DP's inner loop allocates again.
+func TestBuildAllocationBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline simtime.Time
+		feasible bool
+		budget   float64
+	}{
+		{"feasible", 400, true, 150},
+		{"infeasible", 12, false, 160},
+	} {
+		env, base, job := denseFixture(tc.deadline)
+		view := make(Calendars, len(base))
+		var err error
+		allocs := testing.AllocsPerRun(20, func() {
+			maps.Copy(view, base)
+			_, err = Build(env, view, job, Options{})
+		})
+		if (err == nil) != tc.feasible {
+			t.Fatalf("%s: Build err = %v, want feasible = %v", tc.name, err, tc.feasible)
+		}
+		t.Logf("%s: %.0f allocs per Build", tc.name, allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s: %.0f allocs per Build, budget %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}

@@ -173,10 +173,21 @@ type Options struct {
 	ParentSpan telemetry.SpanID
 }
 
-// Calendars is the mutable scheduling view: one calendar per node. Build
-// reserves into it, so callers pass clones (see Snapshot) when the live
-// books must stay untouched.
+// Calendars is a scheduling view: one calendar per node. Build and
+// TryRepair only read the calendars of a view; a plan is published by
+// replacing the map entries of the nodes it reserved on with private
+// copies. Views may therefore share calendars (a shallow map copy is
+// enough to plan on), but not the map.
 type Calendars map[resource.NodeID]*resource.Calendar
+
+// Clone deep-copies the view, for code that reserves into it in place.
+func (cals Calendars) Clone() Calendars {
+	out := make(Calendars, len(cals))
+	for id, c := range cals {
+		out[id] = c.Clone()
+	}
+	return out
+}
 
 // Snapshot clones the live calendars of every node in env.
 func Snapshot(env *resource.Environment) Calendars {
@@ -202,17 +213,6 @@ func SnapshotVersioned(env *resource.Environment) (Calendars, map[resource.NodeI
 	return out, gens
 }
 
-// Live returns a view over the nodes' real calendars, without cloning.
-// Build mutates whatever view it is given; pass Live only when the
-// reservations should land directly in the environment.
-func Live(env *resource.Environment) Calendars {
-	out := make(Calendars, env.NumNodes())
-	for _, n := range env.Nodes() {
-		out[n.ID] = n.Calendar()
-	}
-	return out
-}
-
 // EmptyCalendars returns fresh calendars for every node in env.
 func EmptyCalendars(env *resource.Environment) Calendars {
 	out := make(Calendars, env.NumNodes())
@@ -236,10 +236,33 @@ func (e *InfeasibleError) Error() string {
 // ErrNoCandidates reports an empty candidate node set.
 var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 
-// builder carries one Build attempt's state.
+// scratch is one build's working memory: its margin attempts run one after
+// another and keep none of it, so they share it rather than allocate.
+type scratch struct {
+	topo  []dag.TaskID // the job's topological order and edge list, copied
+	edges []dag.Edge   // once per build rather than once per use
+	adj   []dag.Edge   // edges of the one task an edge walk is visiting
+	dp    []cell       // runDP's table, chain positions × candidates
+
+	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
+	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
+}
+
+func newScratch(job *dag.Job) *scratch {
+	n := job.NumTasks()
+	return &scratch{
+		topo: job.TopoOrder(), edges: job.Edges(),
+		bestUp: make([]simtime.Time, n), bestDown: make([]simtime.Time, n),
+	}
+}
+
+// builder carries one Build attempt's state. The attempt is a what-if: it
+// reads the caller's view and writes only to own, a copy-on-write overlay
+// of the books it has reserved on, dropped on failure, adopted on success.
 type builder struct {
 	env    *resource.Environment
-	cals   Calendars
+	base   Calendars // the caller's view; its calendars are never mutated
+	own    Calendars // clones of the books this attempt reserved on
 	job    *dag.Job
 	opt    Options
 	margin float64 // serialization margin scaling the bounds
@@ -257,8 +280,59 @@ type builder struct {
 	// off (per-chain and per-DP-phase spans hang under it).
 	span telemetry.SpanID
 
-	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
-	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
+	*scratch
+}
+
+// newBuilder starts an attempt: empty overlay, private copy of the catalog.
+func newBuilder(env *resource.Environment, cals Calendars, job *dag.Job, opt Options, margin float64, sc *scratch) *builder {
+	opt.Catalog = opt.Catalog.Clone()
+	return &builder{
+		env: env, base: cals, own: Calendars{}, job: job, opt: opt, margin: margin,
+		placed: make(map[dag.TaskID]Placement, job.NumTasks()), scratch: sc,
+	}
+}
+
+// cal is node n's book as the attempt sees it: its own copy, else the caller's.
+func (b *builder) cal(n resource.NodeID) *resource.Calendar {
+	if c, ok := b.own[n]; ok {
+		return c
+	}
+	return b.base[n]
+}
+
+// reserve books p, cloning the node's book into the overlay on first write.
+func (b *builder) reserve(p Placement) error {
+	c, ok := b.own[p.Node]
+	if !ok {
+		c = b.base[p.Node].Clone()
+		b.own[p.Node] = c
+	}
+	if err := c.Reserve(p.Window, resource.Owner{Job: b.opt.JobName, Task: b.job.Task(p.Task).Name}); err != nil {
+		return err
+	}
+	b.placed[p.Task] = p
+	return nil
+}
+
+// commitPlaced commits the data placement of every edge whose two ends are
+// placed, so later critical works of this job see the replicas.
+func (b *builder) commitPlaced() {
+	for _, e := range b.edges {
+		from, okF := b.placed[e.From]
+		to, okT := b.placed[e.To]
+		if okF && okT {
+			b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
+		}
+	}
+}
+
+// adopt publishes a successful attempt: the caller's entries of the books it
+// wrote are replaced, and the caller's catalog takes its data placements.
+func (b *builder) adopt(cat *data.Catalog) {
+	for id, c := range b.own {
+		b.base[id] = c
+	}
+	*cat = *b.opt.Catalog
 }
 
 // margins is the retry ladder of serialization margins. The pure best-case
@@ -271,8 +345,11 @@ type builder struct {
 var margins = []float64{1, 1.5, 2, 3, 4}
 
 // Build runs the critical works method for one job against the given
-// calendar view and returns the resulting Distribution. The view is
-// mutated: every placement is reserved under Owner{JobName, taskName}.
+// calendar view and returns the resulting Distribution. Build never mutates
+// an input *Calendar, it only replaces map entries: on success cals maps
+// each node the plan uses to a copy of its book with the placements
+// reserved under Owner{JobName, taskName}; on failure cals is unchanged.
+// Concurrent builds may therefore share calendars (DESIGN.md §5).
 func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
 	if opt.Telemetry == nil && opt.Spans == nil {
 		return build(env, cals, job, opt)
@@ -379,8 +456,6 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	}
 	var memo *BuildMemo
 	if opt.CaptureMemo && opt.Mode == ResolveReallocate {
-		// The read-set is captured from the input view before any attempt
-		// mutates it: the generations the build's decisions depended on.
 		reads := make(map[resource.NodeID]uint64, len(opt.Candidates))
 		for _, id := range opt.Candidates {
 			if c, ok := cals[id]; ok {
@@ -393,19 +468,10 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	var firstPartial *Schedule
 	var firstErr error
 	var evals int64
+	sc := newScratch(job)
 	for _, mg := range margins {
-		attempt := opt
-		attempt.Catalog = opt.Catalog.Clone()
-		trial := cloneView(cals)
-		b := &builder{
-			env:     env,
-			cals:    trial,
-			job:     job,
-			opt:     attempt,
-			margin:  mg,
-			placed:  make(map[dag.TaskID]Placement, job.NumTasks()),
-			capture: memo != nil && mg == 1,
-		}
+		b := newBuilder(env, cals, job, opt, mg, sc)
+		b.capture = memo != nil && mg == 1
 		var asp *telemetry.Span
 		if opt.Spans != nil {
 			asp = opt.Spans.Start("criticalworks.attempt", opt.ParentSpan)
@@ -422,12 +488,7 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 				memo.Schedule = sched
 				sched.memo = memo
 			}
-			// Adopt the successful attempt's reservations and data
-			// placements into the caller's view.
-			for id, c := range trial {
-				cals[id] = c
-			}
-			*opt.Catalog = *attempt.Catalog
+			b.adopt(opt.Catalog)
 			return sched, nil
 		}
 		var inf *InfeasibleError
@@ -459,6 +520,11 @@ func (b *builder) cancelled() error {
 // buildOnce runs the full multiphase procedure for one margin.
 func (b *builder) buildOnce() (*Schedule, error) {
 	b.computeBounds()
+	return b.placeRest()
+}
+
+// placeRest places critical works until no task is left, then finishes.
+func (b *builder) placeRest() (*Schedule, error) {
 	for len(b.placed) < b.job.NumTasks() {
 		if err := b.cancelled(); err != nil {
 			return nil, err
@@ -475,15 +541,6 @@ func (b *builder) buildOnce() (*Schedule, error) {
 		}
 	}
 	return b.finish()
-}
-
-// cloneView deep-copies a calendar view.
-func cloneView(cals Calendars) Calendars {
-	out := make(Calendars, len(cals))
-	for id, c := range cals {
-		out[id] = c.Clone()
-	}
-	return out
 }
 
 // partial packages an abandoned build: placements and collisions recorded
@@ -516,19 +573,16 @@ func (b *builder) chainWeights() dag.WeightFunc {
 // into the remaining windows — the idle gaps visible in the paper's Fig. 2
 // Gantt charts are exactly this reserved room.
 func (b *builder) computeBounds() {
-	n := b.job.NumTasks()
-	b.bestUp = make([]simtime.Time, n)
-	b.bestDown = make([]simtime.Time, n)
-	topo := b.job.TopoOrder()
 	scale := func(t simtime.Time) simtime.Time {
 		if b.margin <= 1 {
 			return t
 		}
 		return simtime.Time(float64(t)*b.margin + 0.5)
 	}
-	for _, id := range topo {
+	for _, id := range b.topo {
 		var up simtime.Time
-		for _, e := range b.job.In(id) {
+		b.adj = b.job.AppendIn(b.adj[:0], id)
+		for _, e := range b.adj {
 			cand := b.bestUp[e.From] + scale(b.opt.Table.Best(e.From)+e.BaseTime)
 			if cand > up {
 				up = cand
@@ -536,10 +590,11 @@ func (b *builder) computeBounds() {
 		}
 		b.bestUp[id] = up
 	}
-	for i := len(topo) - 1; i >= 0; i-- {
-		id := topo[i]
+	for i := len(b.topo) - 1; i >= 0; i-- {
+		id := b.topo[i]
 		var down simtime.Time
-		for _, e := range b.job.Out(id) {
+		b.adj = b.job.AppendOut(b.adj[:0], id)
+		for _, e := range b.adj {
 			cand := b.bestDown[e.To] + scale(b.opt.Table.Best(e.To)+e.BaseTime)
 			if cand > down {
 				down = cand
@@ -579,7 +634,7 @@ func (b *builder) finish() (*Schedule, error) {
 			s.Finish = p.Window.End
 		}
 	}
-	for _, e := range b.job.Edges() {
+	for _, e := range b.edges {
 		from, to := b.placed[e.From], b.placed[e.To]
 		tt := b.transferTime(e, from.Node, to.Node)
 		if to.Window.Start < from.Window.End+tt {

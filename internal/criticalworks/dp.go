@@ -12,7 +12,7 @@ import (
 
 // placeChain schedules one critical work: it computes the chain's ideal
 // placement on empty calendars (the placement the chain "attempts"), the
-// actual placement against the live calendar view, records a collision for
+// actual placement against the attempt's calendar view, records a collision for
 // every task whose ideal slot is already reserved, and books the actual
 // reservations.
 func (b *builder) placeChain(chain dag.Chain) error {
@@ -46,7 +46,7 @@ func (b *builder) placeChain(chain dag.Chain) error {
 
 	// A collision is an ideal slot that the live calendar cannot grant.
 	for _, p := range ideal {
-		if res, busy := b.cals[p.Node].ConflictWith(p.Window); busy {
+		if res, busy := b.cal(p.Node).ConflictWith(p.Window); busy {
 			b.colls = append(b.colls, Collision{
 				Task:   p.Task,
 				Node:   p.Node,
@@ -57,22 +57,11 @@ func (b *builder) placeChain(chain dag.Chain) error {
 	}
 
 	for _, p := range actual {
-		owner := resource.Owner{Job: b.opt.JobName, Task: b.job.Task(p.Task).Name}
-		if err := b.cals[p.Node].Reserve(p.Window, owner); err != nil {
+		if err := b.reserve(p); err != nil {
 			return err // internal bug: DP chose an occupied slot
 		}
-		b.placed[p.Task] = p
 	}
-
-	// Commit data placements for every edge that just became fully placed,
-	// so later critical works of this job see the replicas.
-	for _, e := range b.job.Edges() {
-		from, okF := b.placed[e.From]
-		to, okT := b.placed[e.To]
-		if okF && okT {
-			b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
-		}
-	}
+	b.commitPlaced()
 
 	if b.capture {
 		// Touched must cover the ideal placements too: the memoized
@@ -153,15 +142,20 @@ func (b *builder) betterCell(a, c cell) bool {
 // attempt); otherwise starts come from the live calendars.
 func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
 	cands := b.opt.Candidates
-	L := len(chain.Tasks)
-	dp := make([][]cell, L)
+	L, C := len(chain.Tasks), len(cands)
+	if cap(b.dp) < L*C {
+		b.dp = make([]cell, L*C)
+	}
+	dp := b.dp[:L*C] // row i is dp[i*C : (i+1)*C]
+	clear(dp)
 
 	for i := 0; i < L; i++ {
 		task := chain.Tasks[i]
-		dp[i] = make([]cell, len(cands))
 		var edgeIn dag.Edge
+		var prevRow []cell
 		if i > 0 {
 			edgeIn = b.chainEdge(chain.Tasks[i-1], task)
+			prevRow = dp[(i-1)*C : i*C]
 		}
 		for c, n := range cands {
 			node := b.env.Node(n)
@@ -169,21 +163,22 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 			if dur <= 0 {
 				continue
 			}
-			lft := b.lft(task, n)
+			// Functions of (task, n) alone: once per cell, not per predecessor.
+			est, lft, charge := b.est(task, n), b.lft(task, n), b.charge(task, dur, node)
 			best := cell{}
 			if i == 0 {
-				if st, fin, ok := b.fit(n, b.est(task, n), dur, lft, ignoreCalendar); ok {
-					best = cell{ok: true, cost: b.charge(task, dur, node), start: st, finish: fin, prev: -1}
+				if st, fin, ok := b.fit(n, est, dur, lft, ignoreCalendar); ok {
+					best = cell{ok: true, cost: charge, start: st, finish: fin, prev: -1}
 				}
 			} else {
 				for m, pn := range cands {
-					prevCell := dp[i-1][m]
+					prevCell := prevRow[m]
 					if !prevCell.ok {
 						continue
 					}
 					earliest := prevCell.finish + b.transferTime(edgeIn, pn, n)
-					if e := b.est(task, n); e > earliest {
-						earliest = e
+					if est > earliest {
+						earliest = est
 					}
 					st, fin, ok := b.fit(n, earliest, dur, lft, ignoreCalendar)
 					if !ok {
@@ -191,7 +186,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 					}
 					cand := cell{
 						ok:     true,
-						cost:   prevCell.cost + b.charge(task, dur, node),
+						cost:   prevCell.cost + charge,
 						start:  st,
 						finish: fin,
 						prev:   m,
@@ -201,16 +196,15 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 					}
 				}
 			}
-			dp[i][c] = best
+			dp[i*C+c] = best
 		}
 	}
 
 	// Select the best terminal state and backtrack.
 	final, finalIdx := cell{}, -1
-	for c := range cands {
-		if b.betterCell(dp[L-1][c], final) {
-			final = dp[L-1][c]
-			finalIdx = c
+	for c, last := range dp[(L-1)*C:] {
+		if b.betterCell(last, final) {
+			final, finalIdx = last, c
 		}
 	}
 	if finalIdx < 0 {
@@ -218,7 +212,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 	}
 	placements := make([]Placement, L)
 	for i, c := L-1, finalIdx; i >= 0; i-- {
-		st := dp[i][c]
+		st := dp[i*C+c]
 		placements[i] = Placement{
 			Task:   chain.Tasks[i],
 			Node:   cands[c],
@@ -264,7 +258,7 @@ func (b *builder) fit(n resource.NodeID, earliest, dur, lft simtime.Time, ignore
 	if ignoreCalendar {
 		start = earliest
 	} else {
-		s, found := b.cals[n].FirstFree(earliest, dur, b.opt.Horizon)
+		s, found := b.cal(n).FirstFree(earliest, dur, b.opt.Horizon)
 		if !found {
 			return 0, 0, false
 		}
@@ -287,7 +281,8 @@ func (b *builder) charge(task dag.TaskID, dur simtime.Time, node *resource.Node)
 // predecessors.
 func (b *builder) est(task dag.TaskID, n resource.NodeID) simtime.Time {
 	t := b.opt.Release + b.bestUp[task]
-	for _, e := range b.job.In(task) {
+	b.adj = b.job.AppendIn(b.adj[:0], task)
+	for _, e := range b.adj {
 		p, ok := b.placed[e.From]
 		if !ok {
 			continue
@@ -303,7 +298,8 @@ func (b *builder) est(task dag.TaskID, n resource.NodeID) simtime.Time {
 // by the optimistic downstream bound and by already-placed successors.
 func (b *builder) lft(task dag.TaskID, n resource.NodeID) simtime.Time {
 	t := b.opt.Deadline - b.bestDown[task]
-	for _, e := range b.job.Out(task) {
+	b.adj = b.job.AppendOut(b.adj[:0], task)
+	for _, e := range b.adj {
 		s, ok := b.placed[e.To]
 		if !ok {
 			continue
@@ -320,7 +316,8 @@ func (b *builder) lft(task dag.TaskID, n resource.NodeID) simtime.Time {
 func (b *builder) chainEdge(from, to dag.TaskID) dag.Edge {
 	var best dag.Edge
 	found := false
-	for _, e := range b.job.Out(from) {
+	b.adj = b.job.AppendOut(b.adj[:0], from)
+	for _, e := range b.adj {
 		if e.To != to {
 			continue
 		}

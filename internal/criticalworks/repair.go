@@ -220,33 +220,26 @@ func (b *builder) replay(cm ChainMemo) error {
 	b.evals += cm.Evals
 	b.colls = append(b.colls, cm.Colls...)
 	for _, p := range cm.Actual {
-		owner := resource.Owner{Job: b.opt.JobName, Task: b.job.Task(p.Task).Name}
-		if err := b.cals[p.Node].Reserve(p.Window, owner); err != nil {
+		if err := b.reserve(p); err != nil {
 			return err // generations matched, so the slot must be free
 		}
-		b.placed[p.Task] = p
 	}
-	for _, e := range b.job.Edges() {
-		from, okF := b.placed[e.From]
-		to, okT := b.placed[e.To]
-		if okF && okT {
-			b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
-		}
-	}
+	b.commitPlaced()
 	return nil
 }
 
 // TryRepair attempts to satisfy a build request from a prior build's
 // memo. gens resolves a node's live calendar generation (the memo's
-// read-set is validated against it); snap supplies a fresh calendar
-// snapshot and is only invoked when a splice actually needs calendars —
+// read-set is validated against it); snap supplies a view of the current
+// books (under Build's contract: calendars are only read, entries replaced
+// on success) and is only invoked when a splice actually needs calendars —
 // a full replay touches none. On RepairStale the returned schedule is nil
 // and nothing was mutated: the caller runs the full Build, whose result
 // then stands on its own. On success the schedule is exactly — placement
 // for placement, collision for collision, cost for cost — what
 // Build(env, snap(), job, opt) would have returned, opt.Catalog (when
-// non-nil) carries the adopted replica state, and the snapshot (if taken)
-// holds the plan's reservations like Build's view would.
+// non-nil) carries the adopted replica state, and the view (if taken)
+// holds the plan's reservations like Build's would.
 func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *BuildMemo, gens func(resource.NodeID) uint64, snap func() Calendars) (*Schedule, RepairOutcome) {
 	nopt, tableDerived, err := normalize(env, job, opt)
 	if err != nil {
@@ -283,43 +276,18 @@ func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *Build
 	if cals == nil {
 		return nil, RepairStale
 	}
-	attempt := nopt
-	attempt.Catalog = nopt.Catalog.Clone()
-	b := &builder{
-		env:     env,
-		cals:    cals,
-		job:     job,
-		opt:     attempt,
-		margin:  1,
-		placed:  make(map[dag.TaskID]Placement, job.NumTasks()),
-		capture: nopt.CaptureMemo,
-		span:    attempt.ParentSpan,
-	}
+	b := newBuilder(env, cals, job, nopt, 1, newScratch(job))
+	b.capture, b.span = nopt.CaptureMemo, nopt.ParentSpan
 	b.computeBounds()
 	for _, cm := range memo.Chains[:at] {
 		if err := b.replay(cm); err != nil {
 			return nil, RepairStale
 		}
 	}
-	for len(b.placed) < b.job.NumTasks() {
-		if err := b.cancelled(); err != nil {
-			return nil, RepairStale
-		}
-		chain, ok := b.job.LongestChain(b.chainWeights(), func(id dag.TaskID) bool {
-			_, done := b.placed[id]
-			return !done
-		})
-		if !ok {
-			break // cannot happen while placed < NumTasks; defensive
-		}
-		if err := b.placeChain(chain); err != nil {
-			// Margin 1 ran dry (or the context fired): the full Build's
-			// retry ladder is the correct continuation, not a patch.
-			return nil, RepairStale
-		}
-	}
-	sched, err := b.finish()
+	sched, err := b.placeRest()
 	if err != nil {
+		// Margin 1 ran dry (or the context fired): the full Build's retry
+		// ladder is the correct continuation, not a patch.
 		return nil, RepairStale
 	}
 	if b.capture {
@@ -337,6 +305,6 @@ func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *Build
 		m2.Schedule = sched
 		sched.memo = m2
 	}
-	*nopt.Catalog = *attempt.Catalog
+	b.adopt(nopt.Catalog)
 	return sched, RepairSpliced
 }

@@ -21,7 +21,7 @@ func memoizedBuild(t *testing.T, env *resource.Environment, live Calendars, job 
 		opt.Catalog = data.NewCatalog(data.RemoteAccess, 0)
 	}
 	opt.CaptureMemo = true
-	s, err := Build(env, cloneView(live), job, opt)
+	s, err := Build(env, live.Clone(), job, opt)
 	if err != nil {
 		t.Fatalf("memoized build: %v", err)
 	}
@@ -60,7 +60,7 @@ func liveGens(live Calendars) func(resource.NodeID) uint64 {
 
 // snapOf returns a snapshot closure over the test's live books.
 func snapOf(live Calendars) func() Calendars {
-	return func() Calendars { return cloneView(live) }
+	return func() Calendars { return live.Clone() }
 }
 
 // noSnap fails the test if the repair path snapshots calendars: a full
@@ -147,7 +147,7 @@ func TestRepairSplice(t *testing.T) {
 	}
 
 	var spliceView Calendars
-	snap := func() Calendars { spliceView = cloneView(live); return spliceView }
+	snap := func() Calendars { spliceView = live.Clone(); return spliceView }
 	cat := data.NewCatalog(data.RemoteAccess, 0)
 	got, out := TryRepair(env, job, Options{CaptureMemo: true, Catalog: cat, Candidates: survivors}, memo, liveGens(live), snap)
 	if out != RepairSpliced {
@@ -157,7 +157,7 @@ func TestRepairSplice(t *testing.T) {
 	// The hard contract: the spliced schedule, its catalog and its calendar
 	// view are exactly what a from-scratch Build over the survivors returns.
 	refCat := data.NewCatalog(data.RemoteAccess, 0)
-	refView := cloneView(live)
+	refView := live.Clone()
 	want, err := Build(env, refView, job, Options{Catalog: refCat, Candidates: survivors})
 	if err != nil {
 		t.Fatalf("reference build failed where splice succeeded: %v", err)
@@ -253,7 +253,7 @@ func TestRepairStaleCases(t *testing.T) {
 	})
 
 	t.Run("live reservation bumps generation", func(t *testing.T) {
-		bumped := cloneView(live)
+		bumped := live.Clone()
 		if err := bumped[0].Reserve(simtime.Interval{Start: 100, End: 110}, resource.External); err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func FuzzRepairSplice(f *testing.F) {
 			Catalog:     data.NewCatalog(policy, 0),
 			CaptureMemo: true,
 		}
-		s, err := Build(env, cloneView(live), job, opt)
+		s, err := Build(env, live.Clone(), job, opt)
 		if err != nil || s.Memo() == nil {
 			return // infeasible, or feasible only above margin 1: nothing to repair
 		}
@@ -329,7 +329,7 @@ func FuzzRepairSplice(f *testing.F) {
 		}
 
 		var spliceView Calendars
-		snap := func() Calendars { spliceView = cloneView(live); return spliceView }
+		snap := func() Calendars { spliceView = live.Clone(); return spliceView }
 		cat := data.NewCatalog(policy, 0)
 		got, out := TryRepair(env, job, Options{Catalog: cat, Candidates: survivors}, memo, liveGens(live), snap)
 		if out == RepairStale {
@@ -340,7 +340,7 @@ func FuzzRepairSplice(f *testing.F) {
 		}
 
 		refCat := data.NewCatalog(policy, 0)
-		refView := cloneView(live)
+		refView := live.Clone()
 		want, err := Build(env, refView, job, Options{Catalog: refCat, Candidates: survivors})
 		if err != nil {
 			t.Fatalf("seed %d: repair %v but reference build failed: %v", seed, out, err)

@@ -217,22 +217,32 @@ func (j *Job) TaskByName(name string) (Task, bool) {
 // TopoOrder returns a deterministic topological order of the task IDs.
 func (j *Job) TopoOrder() []TaskID { return append([]TaskID(nil), j.topo...) }
 
-// Out returns the outgoing edges of a task.
+// Out returns the outgoing edges of a task (a fresh slice).
 func (j *Job) Out(id TaskID) []Edge {
-	out := make([]Edge, 0, len(j.succ[id]))
-	for _, ei := range j.succ[id] {
-		out = append(out, j.edges[ei])
-	}
-	return out
+	return j.AppendOut(make([]Edge, 0, len(j.succ[id])), id)
 }
 
-// In returns the incoming edges of a task.
+// In returns the incoming edges of a task (a fresh slice).
 func (j *Job) In(id TaskID) []Edge {
-	in := make([]Edge, 0, len(j.pred[id]))
-	for _, ei := range j.pred[id] {
-		in = append(in, j.edges[ei])
+	return j.AppendIn(make([]Edge, 0, len(j.pred[id])), id)
+}
+
+// AppendOut appends the outgoing edges of a task to dst, in Out's order,
+// and returns the extended slice. Hot loops pass a reused buffer
+// (dst[:0]) to walk a task's edges without allocating.
+func (j *Job) AppendOut(dst []Edge, id TaskID) []Edge {
+	for _, ei := range j.succ[id] {
+		dst = append(dst, j.edges[ei])
 	}
-	return in
+	return dst
+}
+
+// AppendIn is AppendOut for the incoming edges, in In's order.
+func (j *Job) AppendIn(dst []Edge, id TaskID) []Edge {
+	for _, ei := range j.pred[id] {
+		dst = append(dst, j.edges[ei])
+	}
+	return dst
 }
 
 // Sources returns tasks with no predecessors, in ID order.

@@ -146,6 +146,62 @@ func TestInOut(t *testing.T) {
 	}
 }
 
+// TestAppendInOutMatchInOut checks the allocation-free edge accessors
+// against In/Out and against an independent derivation (the edge list
+// filtered by endpoint), on Fig. 2 and on random DAGs: same edges, same
+// order, appended after whatever dst already held, and no allocation once
+// the buffer has grown.
+func TestAppendInOutMatchInOut(t *testing.T) {
+	jobs := []*Job{fig2Job(t)}
+	for seed := uint64(1); seed <= 40; seed++ {
+		jobs = append(jobs, randomJob(rng.New(seed), 8))
+	}
+	sentinel := Edge{Name: "sentinel"}
+	for _, j := range jobs {
+		buf, buf2 := make([]Edge, 0, j.NumEdges()+1), make([]Edge, 0, j.NumEdges()+1)
+		for id := TaskID(0); int(id) < j.NumTasks(); id++ {
+			var wantIn, wantOut []Edge
+			for _, e := range j.Edges() {
+				if e.To == id {
+					wantIn = append(wantIn, e)
+				}
+				if e.From == id {
+					wantOut = append(wantOut, e)
+				}
+			}
+			for _, tc := range []struct {
+				name        string
+				got, legacy []Edge
+				want        []Edge
+			}{
+				{"AppendIn", j.AppendIn(append(buf[:0], sentinel), id), j.In(id), wantIn},
+				{"AppendOut", j.AppendOut(append(buf2[:0], sentinel), id), j.Out(id), wantOut},
+			} {
+				if tc.got[0] != sentinel {
+					t.Fatalf("%s(%d) overwrote dst's contents", tc.name, id)
+				}
+				got := tc.got[1:]
+				if len(got) != len(tc.want) || len(tc.legacy) != len(tc.want) {
+					t.Fatalf("%s(%d) = %v, In/Out = %v, want %v", tc.name, id, got, tc.legacy, tc.want)
+				}
+				for k := range tc.want {
+					if got[k] != tc.want[k] || tc.legacy[k] != tc.want[k] {
+						t.Fatalf("%s(%d)[%d] = %v, In/Out %v, want %v", tc.name, id, k, got[k], tc.legacy[k], tc.want[k])
+					}
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			for id := TaskID(0); int(id) < j.NumTasks(); id++ {
+				buf = j.AppendIn(buf[:0], id)
+				buf = j.AppendOut(buf[:0], id)
+			}
+		}); n != 0 {
+			t.Errorf("edge walks over a reused buffer allocate %.0f times per pass", n)
+		}
+	}
+}
+
 func TestFig2CriticalWorks(t *testing.T) {
 	// The paper (§3): "there are four critical works 12, 11, 10, and 9 time
 	// units long (including data transfer time) on fastest processor nodes".

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"maps"
 
 	"repro/internal/baseline"
 	"repro/internal/criticalworks"
@@ -55,7 +56,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 
 		// The critical works method, remote-access policy (S2's), so the
 		// comparison is free of replication advantages.
-		cw, err := criticalworks.Build(env, cloneCalendarsView(cals), job, criticalworks.Options{
+		cw, err := criticalworks.Build(env, maps.Clone(cals), job, criticalworks.Options{
 			Catalog: data.NewCatalog(data.RemoteAccess, 0),
 		})
 		record(0, cw, err == nil && cw != nil && cw.MeetsDeadline())
@@ -68,7 +69,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 
 		// The MinCost variant — deadline-constrained cost minimization —
 		// is the capability the ECT heuristics cannot express at all.
-		cwc, err := criticalworks.Build(env, cloneCalendarsView(cals), job, criticalworks.Options{
+		cwc, err := criticalworks.Build(env, maps.Clone(cals), job, criticalworks.Options{
 			Catalog:   data.NewCatalog(data.RemoteAccess, 0),
 			Objective: criticalworks.MinCost,
 		})
@@ -81,7 +82,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 		}
 
 		for hi, h := range baseline.Heuristics {
-			s, err := baseline.Build(env, cloneCalendarsView(cals), job, h, baseline.Options{
+			s, err := baseline.Build(env, cals.Clone(), job, h, baseline.Options{
 				Catalog: data.NewCatalog(data.RemoteAccess, 0),
 			})
 			record(2+hi, s, err == nil && s.MeetsDeadline())
@@ -126,12 +127,4 @@ type comparisonStats struct {
 	admissible int
 	finish     metrics.Series
 	cost       metrics.Series
-}
-
-func cloneCalendarsView(cals criticalworks.Calendars) criticalworks.Calendars {
-	out := make(criticalworks.Calendars, len(cals))
-	for id, c := range cals {
-		out[id] = c.Clone()
-	}
-	return out
 }

@@ -3,6 +3,8 @@ package strategy
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -470,6 +472,69 @@ func TestGenerateCtxCancellation(t *testing.T) {
 		w, g2 := want.Distributions[i], got.Distributions[i]
 		if w.Level != g2.Level || w.Cost != g2.Cost || w.Finish != g2.Finish {
 			t.Fatalf("level %d differs", i)
+		}
+	}
+}
+
+// TestConcurrentLevelsShareBaseBooks runs the level sweep at Workers 4 —
+// and four such sweeps at once, as the placer pool does — over ONE base
+// view whose books carry background load. Builds only read the calendars
+// they are given (the copy-on-write contract of criticalworks.Build), so
+// under -race this must be clean, every strategy must equal the
+// sequential one, and no base book may move.
+func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
+	env := mixedEnv()
+	base := criticalworks.EmptyCalendars(env)
+	for id, c := range base {
+		for k := 0; k < 6; k++ {
+			start := simtime.Time(k*9 + int(id))
+			if err := c.Reserve(simtime.Interval{Start: start, End: start + 4}, resource.External); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type book struct {
+		gen uint64
+		res []resource.Reservation
+	}
+	before := make(map[resource.NodeID]book, len(base))
+	for id, c := range base {
+		before[id] = book{gen: c.Gen(), res: c.Reservations()}
+	}
+
+	job := fig2Job(60)
+	for _, typ := range AllTypes {
+		want, err := (&Generator{Env: env, CaptureMemos: true}).Generate(job, typ, base, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*Strategy, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s, err := (&Generator{Env: env, Workers: 4, CaptureMemos: true}).Generate(job, typ, base, 0)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = s
+			}(i)
+		}
+		wg.Wait()
+		for i, s := range got {
+			if s == nil {
+				continue // reported above
+			}
+			if !reflect.DeepEqual(s.Distributions, want.Distributions) || !reflect.DeepEqual(s.FailedLevels, want.FailedLevels) ||
+				!reflect.DeepEqual(s.PartialCollisions, want.PartialCollisions) || s.Evaluations != want.Evaluations {
+				t.Errorf("%v: concurrent sweep %d differs from the sequential strategy", typ, i)
+			}
+		}
+	}
+	for id, c := range base {
+		if c.Gen() != before[id].gen || !reflect.DeepEqual(c.Reservations(), before[id].res) {
+			t.Errorf("base book of node %d moved (gen %d → %d)", id, before[id].gen, c.Gen())
 		}
 	}
 }

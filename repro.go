@@ -92,8 +92,8 @@ const (
 	MS1 = strategy.MS1
 )
 
-// Calendars is the mutable scheduling view: one reservation calendar per
-// node.
+// Calendars is a scheduling view: one reservation calendar per node.
+// Builds read its calendars and publish a plan by replacing map entries.
 type Calendars = criticalworks.Calendars
 
 // EmptyCalendars returns a fresh view for every node in env.
