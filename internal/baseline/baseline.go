@@ -295,7 +295,13 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 		Placements: b.placed,
 		Start:      simtime.Infinity,
 	}
-	for id, p := range b.placed {
+	// In task-ID order: the float charges must sum the same way every run.
+	for i := 0; i < b.job.NumTasks(); i++ {
+		id := dag.TaskID(i)
+		p, ok := b.placed[id]
+		if !ok {
+			continue
+		}
 		dur := p.Window.Len()
 		vol := b.opt.Table.Volume(id)
 		s.BareCF += economy.TaskCharge(vol, dur)

@@ -14,14 +14,16 @@ import (
 	"repro/internal/simtime"
 )
 
-// refBuild is build as it stood before copy-on-write attempt views, kept
-// as the differential reference: every margin deep-clones the whole view,
-// reserves into those clones in place (the overlay is pre-filled with a
-// clone of every book, so cal and reserve never reach the caller's),
-// starts from fresh scratch, and a success adopts every clone. It also
-// reports the index of the margin that succeeded, -1 when none did.
+// refBuild is build as it stood before copy-on-write attempt views and
+// before the admissibility bound, kept as the differential reference: no
+// level is refused, all five margins run; every margin deep-clones the
+// whole view, reserves into those clones in place (the overlay is
+// pre-filled with a clone of every book, so cal and reserve never reach the
+// caller's), starts from fresh scratch, searches its own first critical
+// work, and a success adopts every clone. It also reports the index of the
+// margin that succeeded, -1 when none did.
 func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, error) {
-	opt, tableDerived, err := normalize(env, job, opt)
+	opt, memoTable, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, -1, err
 	}
@@ -33,17 +35,18 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 				reads[id] = c.Gen()
 			}
 		}
-		memo = newMemo(opt, tableDerived, reads)
+		memo = newMemo(opt, memoTable, reads)
 	}
 	var firstPartial *Schedule
 	var firstErr error
 	var evals int64
 	for mi, mg := range margins {
 		trial := cals.Clone()
-		b := newBuilder(env, trial, job, opt, mg, newScratch(job))
+		b := newBuilder(env, trial, opt, mg, newScratch(job))
 		b.own = trial
 		b.capture = memo != nil && mg == 1
-		sched, err := b.buildOnce()
+		b.computeBounds(opt.Table, mg)
+		sched, err := b.placeRest()
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
@@ -191,8 +194,16 @@ func cowCorpus() []cowCase {
 // view — reservations and generation of every node — are identical; no
 // input calendar is ever mutated; and a plan replaces exactly the map
 // entries of the nodes it reserved on.
+//
+// It is also the admissibility bound's oracle. Where the bound refused a
+// build, the unbounded reference ladder must have ended infeasible with
+// the same error text, no placement and no collision; the bounded build
+// reports zero Evaluations — the reference's count is exactly the probes
+// the bound saved — and everything else is compared as above. Where the
+// bound stayed silent nothing is relaxed, Evaluations included.
 func TestBuildMatchesCloneReference(t *testing.T) {
-	var atFirst, atLater, infeasible int
+	var atFirst, atLater, refused, ladderInfeasible int
+	var savedProbes int64
 	for _, tc := range cowCorpus() {
 		refView, refOpt := tc.cals.Clone(), tc.opt
 		refOpt.Catalog = data.NewCatalog(tc.pol, 0)
@@ -208,6 +219,18 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("%s: err = %v, reference %v", tc.name, err, wantErr)
+		}
+		var inf *InfeasibleError
+		hopeless := errors.As(err, &inf) && inf.Hopeless
+		if hopeless {
+			if !want.Partial || len(want.Placements) != 0 || len(want.Collisions) != 0 {
+				t.Fatalf("%s: the bound refused a build whose reference ladder got somewhere: %+v", tc.name, want)
+			}
+			if got.Evaluations != 0 {
+				t.Errorf("%s: refused build reports %d evaluations, want 0", tc.name, got.Evaluations)
+			}
+			savedProbes += want.Evaluations
+			got.Evaluations = want.Evaluations
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: schedule differs from the reference:\n got %+v\nwant %+v", tc.name, got, want)
@@ -234,13 +257,17 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 			atFirst++
 		case margin > 0:
 			atLater++
+		case hopeless:
+			refused++
 		default:
-			infeasible++
+			ladderInfeasible++
 		}
 	}
-	t.Logf("regimes: %d margin-1 successes, %d later-margin successes, %d infeasible", atFirst, atLater, infeasible)
-	if atFirst == 0 || atLater == 0 || infeasible == 0 {
-		t.Fatalf("corpus misses a regime: %d margin-1 successes, %d later-margin successes, %d infeasible", atFirst, atLater, infeasible)
+	regimes := fmt.Sprintf("%d margin-1 successes, %d later-margin successes, %d refused by the bound (%d reference probes saved), %d infeasible after the full ladder",
+		atFirst, atLater, refused, savedProbes, ladderInfeasible)
+	t.Log("regimes: " + regimes)
+	if atFirst == 0 || atLater == 0 || refused == 0 || ladderInfeasible == 0 {
+		t.Fatalf("corpus misses a regime: %s", regimes)
 	}
 }
 
@@ -347,21 +374,29 @@ func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag
 }
 
 // TestBuildAllocationBudget pins what one Build allocates on the dense
-// fixture, in the two regimes the service lives in: a plan found at margin
-// 1, and a job no margin can place (five attempts, all discarded). The
-// budgets are about 1.5× the readings at the time of writing (98 and 105);
-// the clone-per-margin build with allocating edge walks that this replaced
-// read 4942 and 977. A breach means an attempt has started copying state
-// it only reads, or the DP's inner loop allocates again.
+// fixture, in the three regimes the service lives in: a plan found at
+// margin 1; a job the admissibility bound refuses before the ladder (the
+// critical path alone, 19 ticks, overruns the deadline); and a job the
+// bound must let through — its first chain fits the deadline on empty
+// calendars — that no margin can place in the dense books (five attempts,
+// all discarded). The budgets are about 1.5× the readings at the time of
+// writing (90, 22 and 56). Before the bound, the dense placed slice and the
+// per-generation table the first two read 99 and 110; the clone-per-margin
+// build with allocating edge walks before that, 4942 and 977. A breach
+// means an attempt has started copying state it only reads, the DP's inner
+// loop allocates again, or a refused build has started paying for the
+// ladder's working memory.
 func TestBuildAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		deadline simtime.Time
 		feasible bool
+		hopeless bool
 		budget   float64
 	}{
-		{"feasible", 400, true, 150},
-		{"infeasible", 12, false, 160},
+		{"feasible", 400, true, false, 135},
+		{"refused", 12, false, true, 33},
+		{"ladder-infeasible", 22, false, false, 85},
 	} {
 		env, base, job := denseFixture(tc.deadline)
 		view := make(Calendars, len(base))
@@ -370,8 +405,9 @@ func TestBuildAllocationBudget(t *testing.T) {
 			maps.Copy(view, base)
 			_, err = Build(env, view, job, Options{})
 		})
-		if (err == nil) != tc.feasible {
-			t.Fatalf("%s: Build err = %v, want feasible = %v", tc.name, err, tc.feasible)
+		var inf *InfeasibleError
+		if (err == nil) != tc.feasible || (errors.As(err, &inf) && inf.Hopeless) != tc.hopeless {
+			t.Fatalf("%s: Build err = %v, want feasible = %v, refused by the bound = %v", tc.name, err, tc.feasible, tc.hopeless)
 		}
 		t.Logf("%s: %.0f allocs per Build", tc.name, allocs)
 		if allocs > tc.budget {

@@ -126,7 +126,10 @@ const (
 type Options struct {
 	// JobName labels reservations; defaults to the job's own name.
 	JobName string
-	// Table holds user estimates; defaults to estimate.Derive(job).
+	// Table holds user estimates; defaults to estimate.Derive(job). A
+	// caller building one job many times may pass that derived table
+	// itself: it is recognized (Table.DerivedFrom) and treated as the
+	// default, not as a table of the caller's own.
 	Table *estimate.Table
 	// Catalog supplies data transfer times; defaults to remote access.
 	Catalog *data.Catalog
@@ -224,9 +227,14 @@ func EmptyCalendars(env *resource.Environment) Calendars {
 
 // InfeasibleError reports that no resource combination lets the job meet
 // its deadline; Task names the first chain task that could not be placed.
+// Hopeless says why: the admissibility bound refused the build before the
+// margin ladder (the first critical work misses the deadline on its fastest
+// candidates with empty calendars), as opposed to the ladder running dry.
+// It is not part of the error text.
 type InfeasibleError struct {
-	Job  string
-	Task string
+	Job      string
+	Task     string
+	Hopeless bool
 }
 
 func (e *InfeasibleError) Error() string {
@@ -239,19 +247,25 @@ var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 // scratch is one build's working memory: its margin attempts run one after
 // another and keep none of it, so they share it rather than allocate.
 type scratch struct {
-	topo  []dag.TaskID // the job's topological order and edge list, copied
-	edges []dag.Edge   // once per build rather than once per use
-	adj   []dag.Edge   // edges of the one task an edge walk is visiting
-	dp    []cell       // runDP's table, chain positions × candidates
+	job  *dag.Job
+	topo []dag.TaskID // the job's topological order, copied once per build
+	adj  []dag.Edge   // edges of the one task an edge walk is visiting
 
 	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
 	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
+
+	// What only an attempt needs is made by the first one (newBuilder): a
+	// build the admissibility bound refuses never pays for it.
+	edges    []dag.Edge  // the job's edge list, copied once per build
+	dp       []cell      // runDP's table, chain positions × candidates
+	placed   []Placement // the attempt's placements by TaskID (IDs are dense),
+	isPlaced []bool      // valid where the flag is set
 }
 
 func newScratch(job *dag.Job) *scratch {
 	n := job.NumTasks()
 	return &scratch{
-		topo: job.TopoOrder(), edges: job.Edges(),
+		job: job, topo: job.TopoOrder(),
 		bestUp: make([]simtime.Time, n), bestDown: make([]simtime.Time, n),
 	}
 }
@@ -262,14 +276,13 @@ func newScratch(job *dag.Job) *scratch {
 type builder struct {
 	env    *resource.Environment
 	base   Calendars // the caller's view; its calendars are never mutated
-	own    Calendars // clones of the books this attempt reserved on
-	job    *dag.Job
+	own    Calendars // clones of the books this attempt reserved on; nil until the first
 	opt    Options
 	margin float64 // serialization margin scaling the bounds
 
-	placed map[dag.TaskID]Placement
-	colls  []Collision
-	evals  int64
+	nPlaced int // set flags in isPlaced
+	colls   []Collision
+	evals   int64
 
 	// capture makes placeChain record a ChainMemo per critical work; set
 	// only on the margin-1 attempt of a memoizing ResolveReallocate build.
@@ -283,13 +296,33 @@ type builder struct {
 	*scratch
 }
 
-// newBuilder starts an attempt: empty overlay, private copy of the catalog.
-func newBuilder(env *resource.Environment, cals Calendars, job *dag.Job, opt Options, margin float64, sc *scratch) *builder {
+// newBuilder starts an attempt: no overlay, nothing placed, private copy of
+// the catalog.
+func newBuilder(env *resource.Environment, cals Calendars, opt Options, margin float64, sc *scratch) *builder {
 	opt.Catalog = opt.Catalog.Clone()
-	return &builder{
-		env: env, base: cals, own: Calendars{}, job: job, opt: opt, margin: margin,
-		placed: make(map[dag.TaskID]Placement, job.NumTasks()), scratch: sc,
+	if sc.placed == nil {
+		n := sc.job.NumTasks()
+		sc.edges, sc.placed, sc.isPlaced = sc.job.Edges(), make([]Placement, n), make([]bool, n)
+	} else {
+		clear(sc.isPlaced)
 	}
+	return &builder{env: env, base: cals, opt: opt, margin: margin, scratch: sc}
+}
+
+// placement returns task id's placement in this attempt, if it has one.
+func (b *builder) placement(id dag.TaskID) (Placement, bool) {
+	return b.placed[id], b.isPlaced[id]
+}
+
+// placements copies the attempt's placements into a Schedule's map.
+func (b *builder) placements() map[dag.TaskID]Placement {
+	out := make(map[dag.TaskID]Placement, b.nPlaced)
+	for id, ok := range b.isPlaced {
+		if ok {
+			out[dag.TaskID(id)] = b.placed[id]
+		}
+	}
+	return out
 }
 
 // cal is node n's book as the attempt sees it: its own copy, else the caller's.
@@ -301,16 +334,22 @@ func (b *builder) cal(n resource.NodeID) *resource.Calendar {
 }
 
 // reserve books p, cloning the node's book into the overlay on first write.
+// The copy has room for every reservation the attempt can still add to it,
+// so Reserve never has to regrow a book it was just handed at exact length.
 func (b *builder) reserve(p Placement) error {
 	c, ok := b.own[p.Node]
 	if !ok {
-		c = b.base[p.Node].Clone()
+		c = b.base[p.Node].CloneWithRoom(b.job.NumTasks() - b.nPlaced)
+		if b.own == nil {
+			b.own = make(Calendars)
+		}
 		b.own[p.Node] = c
 	}
 	if err := c.Reserve(p.Window, resource.Owner{Job: b.opt.JobName, Task: b.job.Task(p.Task).Name}); err != nil {
 		return err
 	}
-	b.placed[p.Task] = p
+	b.placed[p.Task], b.isPlaced[p.Task] = p, true
+	b.nPlaced++
 	return nil
 }
 
@@ -318,8 +357,8 @@ func (b *builder) reserve(p Placement) error {
 // placed, so later critical works of this job see the replicas.
 func (b *builder) commitPlaced() {
 	for _, e := range b.edges {
-		from, okF := b.placed[e.From]
-		to, okT := b.placed[e.To]
+		from, okF := b.placement(e.From)
+		to, okT := b.placement(e.To)
 		if okF && okT {
 			b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
 		}
@@ -400,29 +439,37 @@ func buildResult(err error) string {
 		return "cancelled"
 	default:
 		var inf *InfeasibleError
-		if errors.As(err, &inf) {
+		switch {
+		case !errors.As(err, &inf):
+			return "error"
+		case inf.Hopeless:
+			return "hopeless"
+		default:
 			return "infeasible"
 		}
-		return "error"
 	}
 }
 
 // normalize applies Build's option defaulting. It is shared with the
 // repair path (TryRepair), which must key its memo validation on exactly
-// the effective options a full build would run under. tableDerived
-// reports whether the estimate table was defaulted via estimate.Derive —
-// a deterministic function of the job, so two derived tables are
-// interchangeable where two caller-supplied tables must be pointer-equal.
-func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options, tableDerived bool, _ error) {
+// the effective options a full build would run under. memoTable is the
+// estimate table's identity for that validation: nil when the table is
+// estimate.Derive of this job — defaulted here or handed in by a caller
+// that derived it once for many builds — since that is a deterministic
+// function of the job and any two are interchangeable, else the
+// caller-supplied table, which a repair must find pointer-equal.
+func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options, memoTable *estimate.Table, _ error) {
 	if opt.JobName == "" {
 		opt.JobName = job.Name
 	}
-	tableDerived = opt.Table == nil
-	if tableDerived {
+	switch {
+	case opt.Table == nil:
 		opt.Table = estimate.Derive(job)
-	}
-	if err := opt.Table.CoversJob(job); err != nil {
-		return opt, tableDerived, err
+	case !opt.Table.DerivedFrom(job):
+		memoTable = opt.Table
+		if err := opt.Table.CoversJob(job); err != nil {
+			return opt, memoTable, err
+		}
 	}
 	if opt.Catalog == nil {
 		opt.Catalog = data.NewCatalog(data.RemoteAccess, 0)
@@ -434,7 +481,7 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options,
 		opt.Deadline = job.Deadline
 	}
 	if opt.Deadline <= opt.Release {
-		return opt, tableDerived, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoOrder()[0]).Name}
+		return opt, memoTable, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoOrder()[0]).Name}
 	}
 	if opt.Horizon == 0 {
 		opt.Horizon = opt.Release + 4*(opt.Deadline-opt.Release)
@@ -443,17 +490,35 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options,
 		opt.Candidates = allNodes(env)
 	}
 	if len(opt.Candidates) == 0 {
-		return opt, tableDerived, ErrNoCandidates
+		return opt, memoTable, ErrNoCandidates
 	}
-	return opt, tableDerived, nil
+	return opt, memoTable, nil
 }
 
-// build is the uninstrumented core of Build.
+// build is the uninstrumented core of Build: the admissibility bound, then
+// the margin ladder.
 func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
-	opt, tableDerived, err := normalize(env, job, opt)
+	opt, memoTable, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, err
 	}
+	// Before the bound: a build whose context is already done reports that,
+	// never infeasibility.
+	if err := cancelled(opt.Ctx, opt.JobName); err != nil {
+		return nil, err
+	}
+
+	// The first critical work is the longest chain over all tasks by
+	// Table.Best and base transfer times — the same at every margin, so it
+	// is found once and handed to every attempt.
+	sc := newScratch(job)
+	first, _ := job.LongestChain(chainWeights(opt.Table), nil)
+	sc.computeBounds(opt.Table, 1)
+	if sc.hopeless(env, opt, first) {
+		return &Schedule{Job: job, Placements: map[dag.TaskID]Placement{}, Partial: true},
+			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true}
+	}
+
 	var memo *BuildMemo
 	if opt.CaptureMemo && opt.Mode == ResolveReallocate {
 		reads := make(map[resource.NodeID]uint64, len(opt.Candidates))
@@ -462,15 +527,14 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 				reads[id] = c.Gen()
 			}
 		}
-		memo = newMemo(opt, tableDerived, reads)
+		memo = newMemo(opt, memoTable, reads)
 	}
 
 	var firstPartial *Schedule
 	var firstErr error
 	var evals int64
-	sc := newScratch(job)
 	for _, mg := range margins {
-		b := newBuilder(env, cals, job, opt, mg, sc)
+		b := newBuilder(env, cals, opt, mg, sc)
 		b.capture = memo != nil && mg == 1
 		var asp *telemetry.Span
 		if opt.Spans != nil {
@@ -478,7 +542,7 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 			asp.SetInt("margin_pct", int64(mg*100))
 			b.span = asp.ID()
 		}
-		sched, err := b.buildOnce()
+		sched, err := b.buildOnce(first)
 		asp.SetStr("result", buildResult(err)).SetInt("evaluations", b.evals).End()
 		evals += b.evals
 		if err == nil {
@@ -506,35 +570,108 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	return firstPartial, firstErr
 }
 
+// hopeless is the admissibility bound: it reports whether the first
+// critical work cannot finish inside the deadline even with every task on
+// its fastest candidate, every transfer at the data policy's minimum and
+// every calendar empty. It needs the margin-1 bounds in bestUp/bestDown.
+//
+// Walking the chain forward,
+//
+//	start_i  = max(Release + bestUp[t_i], finish_{i-1} + minTransfer(e_i))
+//	finish_i = start_i + min over candidates c of TimeOnNode(t_i, c)
+//
+// and the chain is refused when some finish_i > Deadline − bestDown[t_i].
+//
+// Why the margin ladder would then return exactly what build returns
+// without running it. While the first chain is placed nothing else is, so
+// the DP's window for t_i on any node is [Release + bestUp[t_i],
+// Deadline − bestDown[t_i]]: est and lft have no placed neighbours to
+// tighten them. The walk relaxes every node assignment at once: by
+// induction on i, any DP cell that is ok at position i — in the ideal
+// phase, where a start is just the earliest admissible tick — finishes no
+// earlier than finish_i, because its start is bounded below by the same
+// max with a real transfer time ≥ minTransfer (the catalog holds the
+// caller's replicas only: an attempt commits after its chain is placed) and
+// its duration is one of the candidates'. So past the first violated
+// position no cell is ok, the ideal phase fails, and placeChain returns
+// InfeasibleError{Task: chain.Tasks[0]} before it reads a calendar. That is
+// margin 1. scale is monotone in the margin, so bestUp and bestDown only
+// grow and the windows only shrink: every later margin fails the same way.
+// The argument is about true infeasibility on empty calendars, not about
+// what the margin-1 DP happened to keep — under MinCost the DP keeps the
+// cheapest cell, not the earliest, and its outcome is not monotone in the
+// margin — so it holds under either Objective, and under either
+// CollisionMode since both start from the same ideal phase.
+//
+// Every one of those attempts failed in its first chain's ideal phase:
+// none placed a task, reserved a slot or looked for a collision (collisions
+// are recorded after both phases succeed). The ladder's result is therefore
+// an empty partial schedule with no collisions and the error above — what
+// build returns. The one field that differs is Evaluations: the probes the
+// ladder would have spent proving this are not performed, and the count
+// says so (0).
+func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Chain) bool {
+	var prevFinish simtime.Time
+	for i, task := range chain.Tasks {
+		start := opt.Release + sc.bestUp[task]
+		if i > 0 {
+			prev := chain.Tasks[i-1]
+			e := sc.chainEdge(prev, task)
+			if s := prevFinish + opt.Catalog.MinTransferTime(opt.JobName, sc.job.Task(prev).Name, e.BaseTime); s > start {
+				start = s
+			}
+		}
+		fastest := simtime.Infinity
+		for _, n := range opt.Candidates {
+			if dur := opt.Table.TimeOnNode(task, env.Node(n)); dur > 0 && dur < fastest {
+				fastest = dur
+			}
+		}
+		if fastest == simtime.Infinity || start+fastest > opt.Deadline-sc.bestDown[task] {
+			return true
+		}
+		prevFinish = start + fastest
+	}
+	return false
+}
+
 // cancelled returns a build-abort error when the run's context is done.
-func (b *builder) cancelled() error {
-	if b.opt.Ctx == nil {
+func cancelled(ctx context.Context, jobName string) error {
+	if ctx == nil {
 		return nil
 	}
-	if err := b.opt.Ctx.Err(); err != nil {
-		return fmt.Errorf("criticalworks: job %q build cancelled: %w", b.opt.JobName, err)
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("criticalworks: job %q build cancelled: %w", jobName, err)
 	}
 	return nil
 }
 
-// buildOnce runs the full multiphase procedure for one margin.
-func (b *builder) buildOnce() (*Schedule, error) {
-	b.computeBounds()
+func (b *builder) cancelled() error { return cancelled(b.opt.Ctx, b.opt.JobName) }
+
+// buildOnce runs the full multiphase procedure for one margin, starting
+// from the first critical work the build already found.
+func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
+	b.computeBounds(b.opt.Table, b.margin)
+	if err := b.cancelled(); err != nil {
+		return nil, err
+	}
+	if err := b.placeChain(first); err != nil {
+		return nil, err
+	}
 	return b.placeRest()
 }
 
 // placeRest places critical works until no task is left, then finishes.
 func (b *builder) placeRest() (*Schedule, error) {
-	for len(b.placed) < b.job.NumTasks() {
+	weights := chainWeights(b.opt.Table)
+	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
+	for b.nPlaced < b.job.NumTasks() {
 		if err := b.cancelled(); err != nil {
 			return nil, err
 		}
-		chain, ok := b.job.LongestChain(b.chainWeights(), func(id dag.TaskID) bool {
-			_, done := b.placed[id]
-			return !done
-		})
+		chain, ok := b.job.LongestChain(weights, unplaced)
 		if !ok {
-			break // cannot happen while placed < NumTasks; defensive
+			break // cannot happen while nPlaced < NumTasks; defensive
 		}
 		if err := b.placeChain(chain); err != nil {
 			return nil, err
@@ -548,7 +685,7 @@ func (b *builder) placeRest() (*Schedule, error) {
 func (b *builder) partial() *Schedule {
 	return &Schedule{
 		Job:         b.job,
-		Placements:  b.placed,
+		Placements:  b.placements(),
 		Collisions:  b.colls,
 		Evaluations: b.evals,
 		Partial:     true,
@@ -556,12 +693,9 @@ func (b *builder) partial() *Schedule {
 }
 
 // chainWeights gives the critical-work metric: best-case task estimates
-// plus base transfer times.
-func (b *builder) chainWeights() dag.WeightFunc {
-	return dag.WeightFunc{
-		Task: func(t dag.Task) simtime.Time { return b.opt.Table.Best(t.ID) },
-		Edge: func(e dag.Edge) simtime.Time { return e.BaseTime },
-	}
+// plus base transfer times (WeightFunc's default for an edge).
+func chainWeights(tab *estimate.Table) dag.WeightFunc {
+	return dag.WeightFunc{Task: func(t dag.Task) simtime.Time { return tab.Best(t.ID) }}
 }
 
 // computeBounds fills bestUp and bestDown: the best-case (fastest-node)
@@ -572,35 +706,35 @@ func (b *builder) chainWeights() dag.WeightFunc {
 // back-to-back and later works cannot squeeze their tasks (plus transfers)
 // into the remaining windows — the idle gaps visible in the paper's Fig. 2
 // Gantt charts are exactly this reserved room.
-func (b *builder) computeBounds() {
+func (sc *scratch) computeBounds(tab *estimate.Table, margin float64) {
 	scale := func(t simtime.Time) simtime.Time {
-		if b.margin <= 1 {
+		if margin <= 1 {
 			return t
 		}
-		return simtime.Time(float64(t)*b.margin + 0.5)
+		return simtime.Time(float64(t)*margin + 0.5)
 	}
-	for _, id := range b.topo {
+	for _, id := range sc.topo {
 		var up simtime.Time
-		b.adj = b.job.AppendIn(b.adj[:0], id)
-		for _, e := range b.adj {
-			cand := b.bestUp[e.From] + scale(b.opt.Table.Best(e.From)+e.BaseTime)
+		sc.adj = sc.job.AppendIn(sc.adj[:0], id)
+		for _, e := range sc.adj {
+			cand := sc.bestUp[e.From] + scale(tab.Best(e.From)+e.BaseTime)
 			if cand > up {
 				up = cand
 			}
 		}
-		b.bestUp[id] = up
+		sc.bestUp[id] = up
 	}
-	for i := len(b.topo) - 1; i >= 0; i-- {
-		id := b.topo[i]
+	for i := len(sc.topo) - 1; i >= 0; i-- {
+		id := sc.topo[i]
 		var down simtime.Time
-		b.adj = b.job.AppendOut(b.adj[:0], id)
-		for _, e := range b.adj {
-			cand := b.bestDown[e.To] + scale(b.opt.Table.Best(e.To)+e.BaseTime)
+		sc.adj = sc.job.AppendOut(sc.adj[:0], id)
+		for _, e := range sc.adj {
+			cand := sc.bestDown[e.To] + scale(tab.Best(e.To)+e.BaseTime)
 			if cand > down {
 				down = cand
 			}
 		}
-		b.bestDown[id] = down
+		sc.bestDown[id] = down
 	}
 }
 
@@ -613,16 +747,22 @@ func allNodes(env *resource.Environment) []resource.NodeID {
 }
 
 // finish assembles the Schedule, prices it, commits data placements and
-// verifies precedence consistency (a violation is an internal bug).
+// verifies precedence consistency (a violation is an internal bug). The
+// charges are summed in task-ID order: float addition is not associative,
+// and Cost must be a pure function of the build's inputs.
 func (b *builder) finish() (*Schedule, error) {
 	s := &Schedule{
 		Job:         b.job,
-		Placements:  b.placed,
+		Placements:  b.placements(),
 		Collisions:  b.colls,
 		Start:       simtime.Infinity,
 		Evaluations: b.evals,
 	}
-	for id, p := range b.placed {
+	for i, ok := range b.isPlaced {
+		if !ok {
+			continue
+		}
+		id, p := dag.TaskID(i), b.placed[i]
 		dur := p.Window.Len()
 		vol := b.opt.Table.Volume(id)
 		s.BareCF += economy.TaskCharge(vol, dur)

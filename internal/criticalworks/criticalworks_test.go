@@ -1,6 +1,7 @@
 package criticalworks
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -129,6 +130,56 @@ func TestInfeasibleDeadline(t *testing.T) {
 	var inf *InfeasibleError
 	if !errors.As(err, &inf) {
 		t.Fatalf("err = %v, want InfeasibleError", err)
+	}
+}
+
+// TestInfeasibleSaysWhy: the error tells a level the bound refused (the
+// first critical work overruns the deadline on empty calendars — nothing
+// was attempted, so nothing was probed) from one the margin ladder gave up
+// on. Same text either way.
+func TestInfeasibleSaysWhy(t *testing.T) {
+	env := paperEnv()
+	cals := EmptyCalendars(env)
+	for _, c := range cals {
+		if err := c.Reserve(simtime.Interval{Start: 0, End: 10}, resource.External); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		deadline simtime.Time
+		hopeless bool
+	}{
+		{11, true},  // Fig. 2's critical path is 12 ticks on the fastest node
+		{20, false}, // fits an empty grid; the books leave only ticks 10–20
+	} {
+		s, err := Build(env, cals, fig2Job(tc.deadline), Options{})
+		var inf *InfeasibleError
+		if !errors.As(err, &inf) {
+			t.Fatalf("deadline %d: err = %v, want InfeasibleError", tc.deadline, err)
+		}
+		if inf.Hopeless != tc.hopeless {
+			t.Errorf("deadline %d: Hopeless = %v, want %v", tc.deadline, inf.Hopeless, tc.hopeless)
+		}
+		if want := `criticalworks: job "fig2": no feasible placement for task "P1"`; err.Error() != want {
+			t.Errorf("deadline %d: error text %q, want %q", tc.deadline, err, want)
+		}
+		if !s.Partial || s.Placements == nil || len(s.Placements) != 0 || (s.Evaluations == 0) != tc.hopeless {
+			t.Errorf("deadline %d: partial = %+v", tc.deadline, s)
+		}
+	}
+}
+
+// TestCancelledContextWinsOverTheBound: a build whose context is already
+// done reports the cancellation, also when the bound would have refused it
+// — a timed-out build must not be mistaken for an infeasible level.
+func TestCancelledContextWinsOverTheBound(t *testing.T) {
+	env := paperEnv()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, err := Build(env, EmptyCalendars(env), fig2Job(11), Options{Ctx: ctx})
+	var inf *InfeasibleError
+	if s != nil || !errors.Is(err, context.Canceled) || errors.As(err, &inf) {
+		t.Fatalf("Build = %v, %v; want no schedule and a cancellation", s, err)
 	}
 }
 
@@ -565,5 +616,46 @@ func TestQuickDelayNeverBeatsReallocate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildCostIsDeterministic: Schedule.Cost is a pure function of the
+// build's inputs. Under a pricing with fractional rates the per-task
+// charges are floats whose sum depends on the order of addition; summed
+// over a map range, identical builds disagreed in the last digit (and
+// CheapestAdmissible compares Cost with <). They are summed in task-ID
+// order.
+func TestBuildCostIsDeterministic(t *testing.T) {
+	perfs := []float64{1.0, 0.8, 0.5, 0.4, 0.33, 0.25}
+	nodes := make([]*resource.Node, 2*len(perfs))
+	for i := range nodes {
+		nodes[i] = resource.NewNode(resource.NodeID(i), "n", perfs[i%len(perfs)], 1, "d")
+	}
+	env := resource.NewEnvironment(nodes)
+	unstable, jobs := 0, 0
+	for seed := uint64(1); jobs < 20; seed++ {
+		job := randomJob(rng.New(seed))
+		if job.NumTasks() < 6 {
+			continue
+		}
+		jobs++
+		costs := make(map[float64]bool)
+		for i := 0; i < 200; i++ {
+			s, err := Build(env, EmptyCalendars(env), job, Options{
+				Pricing:   economy.PerformancePricing{Base: 1.7},
+				Objective: MinCost,
+			})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			costs[s.Cost] = true
+		}
+		if len(costs) > 1 {
+			unstable++
+			t.Logf("seed %d: %d distinct costs over 200 identical builds: %v", seed, len(costs), costs)
+		}
+	}
+	if unstable > 0 {
+		t.Errorf("%d of %d jobs were priced differently by identical builds", unstable, jobs)
 	}
 }

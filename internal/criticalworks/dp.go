@@ -151,10 +151,15 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 
 	for i := 0; i < L; i++ {
 		task := chain.Tasks[i]
-		var edgeIn dag.Edge
+		// The incoming edge's dataset and base time, resolved once per
+		// position: the predecessor loop below runs C² times and must not
+		// copy an Edge and a Task out of the job on each pass.
+		var inData string
+		var inBase simtime.Time
 		var prevRow []cell
 		if i > 0 {
-			edgeIn = b.chainEdge(chain.Tasks[i-1], task)
+			inData = b.job.Task(chain.Tasks[i-1]).Name
+			inBase = b.chainEdge(chain.Tasks[i-1], task).BaseTime
 			prevRow = dp[(i-1)*C : i*C]
 		}
 		for c, n := range cands {
@@ -176,7 +181,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 					if !prevCell.ok {
 						continue
 					}
-					earliest := prevCell.finish + b.transferTime(edgeIn, pn, n)
+					earliest := prevCell.finish + b.opt.Catalog.TransferTime(b.opt.JobName, inData, inBase, pn, n)
 					if est > earliest {
 						earliest = est
 					}
@@ -283,7 +288,7 @@ func (b *builder) est(task dag.TaskID, n resource.NodeID) simtime.Time {
 	t := b.opt.Release + b.bestUp[task]
 	b.adj = b.job.AppendIn(b.adj[:0], task)
 	for _, e := range b.adj {
-		p, ok := b.placed[e.From]
+		p, ok := b.placement(e.From)
 		if !ok {
 			continue
 		}
@@ -300,7 +305,7 @@ func (b *builder) lft(task dag.TaskID, n resource.NodeID) simtime.Time {
 	t := b.opt.Deadline - b.bestDown[task]
 	b.adj = b.job.AppendOut(b.adj[:0], task)
 	for _, e := range b.adj {
-		s, ok := b.placed[e.To]
+		s, ok := b.placement(e.To)
 		if !ok {
 			continue
 		}
@@ -313,11 +318,11 @@ func (b *builder) lft(task dag.TaskID, n resource.NodeID) simtime.Time {
 
 // chainEdge returns the connecting edge between two consecutive chain
 // tasks, preferring the cheapest transfer when parallel edges exist.
-func (b *builder) chainEdge(from, to dag.TaskID) dag.Edge {
+func (sc *scratch) chainEdge(from, to dag.TaskID) dag.Edge {
 	var best dag.Edge
 	found := false
-	b.adj = b.job.AppendOut(b.adj[:0], from)
-	for _, e := range b.adj {
+	sc.adj = sc.job.AppendOut(sc.adj[:0], from)
+	for _, e := range sc.adj {
 		if e.To != to {
 			continue
 		}

@@ -89,12 +89,12 @@ type BuildMemo struct {
 	Chains   []ChainMemo
 	Schedule *Schedule
 
-	// Context identity beyond the plain key: the estimate table (derived
-	// tables are deterministic, caller tables must be pointer-equal), the
-	// pricing model, and the starting catalog (policy, storage anchor,
-	// and emptiness — two fresh catalogs of the same shape price every
-	// transfer identically).
-	tableDerived bool
+	// Context identity beyond the plain key: the estimate table (nil for
+	// one derived from the job — those are deterministic and the memo must
+	// not keep a generation's table alive; a caller-assembled table must be
+	// pointer-equal), the pricing model, and the starting catalog (policy,
+	// storage anchor, and emptiness — two fresh catalogs of the same shape
+	// price every transfer identically).
 	table        *estimate.Table
 	pricing      economy.Pricing
 	policy       data.Policy
@@ -102,9 +102,10 @@ type BuildMemo struct {
 	catalogEmpty bool
 }
 
-// newMemo starts a memo from a build's normalized options and the
-// read-set captured from its input calendar view.
-func newMemo(opt Options, tableDerived bool, reads map[resource.NodeID]uint64) *BuildMemo {
+// newMemo starts a memo from a build's normalized options (table is
+// normalize's memoTable) and the read-set captured from its input calendar
+// view.
+func newMemo(opt Options, table *estimate.Table, reads map[resource.NodeID]uint64) *BuildMemo {
 	return &BuildMemo{
 		JobName:      opt.JobName,
 		Release:      opt.Release,
@@ -113,8 +114,7 @@ func newMemo(opt Options, tableDerived bool, reads map[resource.NodeID]uint64) *
 		Objective:    opt.Objective,
 		Candidates:   append([]resource.NodeID(nil), opt.Candidates...),
 		Reads:        reads,
-		tableDerived: tableDerived,
-		table:        opt.Table,
+		table:        table,
 		pricing:      opt.Pricing,
 		policy:       opt.Catalog.Policy(),
 		storage:      opt.Catalog.Storage(),
@@ -153,7 +153,7 @@ func (o RepairOutcome) String() string {
 // options and live calendar generations, returning the splice point: the
 // index of the first memoized chain whose placements touch a removed
 // candidate. splice == len(m.Chains) means the whole schedule replays.
-func (m *BuildMemo) usable(job *dag.Job, opt Options, tableDerived bool, gens func(resource.NodeID) uint64) (int, bool) {
+func (m *BuildMemo) usable(job *dag.Job, opt Options, table *estimate.Table, gens func(resource.NodeID) uint64) (int, bool) {
 	if m == nil || m.Schedule == nil || m.Schedule.Partial || m.Schedule.Job != job {
 		return 0, false
 	}
@@ -164,7 +164,7 @@ func (m *BuildMemo) usable(job *dag.Job, opt Options, tableDerived bool, gens fu
 		opt.Horizon != m.Horizon || opt.Objective != m.Objective {
 		return 0, false
 	}
-	if tableDerived != m.tableDerived || (!tableDerived && opt.Table != m.table) {
+	if table != m.table {
 		return 0, false
 	}
 	if !reflect.DeepEqual(opt.Pricing, m.pricing) {
@@ -241,11 +241,11 @@ func (b *builder) replay(cm ChainMemo) error {
 // non-nil) carries the adopted replica state, and the view (if taken)
 // holds the plan's reservations like Build's would.
 func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *BuildMemo, gens func(resource.NodeID) uint64, snap func() Calendars) (*Schedule, RepairOutcome) {
-	nopt, tableDerived, err := normalize(env, job, opt)
+	nopt, memoTable, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, RepairStale
 	}
-	at, ok := memo.usable(job, nopt, tableDerived, gens)
+	at, ok := memo.usable(job, nopt, memoTable, gens)
 	if !ok || at == 0 {
 		// at == 0 would resume from scratch — no cheaper than Build, and
 		// Build's margin ladder handles the infeasible case properly.
@@ -276,9 +276,9 @@ func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *Build
 	if cals == nil {
 		return nil, RepairStale
 	}
-	b := newBuilder(env, cals, job, nopt, 1, newScratch(job))
+	b := newBuilder(env, cals, nopt, 1, newScratch(job))
 	b.capture, b.span = nopt.CaptureMemo, nopt.ParentSpan
-	b.computeBounds()
+	b.computeBounds(nopt.Table, 1)
 	for _, cm := range memo.Chains[:at] {
 		if err := b.replay(cm); err != nil {
 			return nil, RepairStale
@@ -300,7 +300,7 @@ func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *Build
 		for _, id := range nopt.Candidates {
 			reads[id] = memo.Reads[id]
 		}
-		m2 := newMemo(nopt, tableDerived, reads)
+		m2 := newMemo(nopt, memoTable, reads)
 		m2.Chains = append(append([]ChainMemo(nil), memo.Chains[:at]...), b.chains...)
 		m2.Schedule = sched
 		sched.memo = m2

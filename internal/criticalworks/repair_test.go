@@ -7,6 +7,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/data"
 	"repro/internal/economy"
+	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -261,6 +262,55 @@ func TestRepairStaleCases(t *testing.T) {
 			t.Fatalf("outcome = %v, want stale", out)
 		}
 	})
+}
+
+// TestRepairTableIdentity pins the memo's table rule. A table that is
+// estimate.Derive of the job is interchangeable with any other such table
+// and with the defaulted one — the strategy sweep derives one per
+// generation and the fallback ladder, later, none — and the memo does not
+// keep it alive. Any other table must be the very same one.
+func TestRepairTableIdentity(t *testing.T) {
+	job := fig2Job(20)
+	env := paperEnv()
+	live := EmptyCalendars(env)
+	outcome := func(memo *BuildMemo, tab *estimate.Table) RepairOutcome {
+		_, out := TryRepair(env, job, Options{Table: tab}, memo, liveGens(live), snapOf(live))
+		return out
+	}
+
+	shared, _ := memoizedBuild(t, env, live, job, Options{Table: estimate.Derive(job)})
+	defaulted, _ := memoizedBuild(t, env, live, job, Options{})
+	for name, memo := range map[string]*BuildMemo{"handed a derived table": shared.Memo(), "defaulted": defaulted.Memo()} {
+		if memo.table != nil {
+			t.Errorf("%s: the memo retains the derived table", name)
+		}
+		if out := outcome(memo, nil); out != RepairReplayed {
+			t.Errorf("%s, repaired with no table: %v, want replayed", name, out)
+		}
+		if out := outcome(memo, estimate.Derive(job)); out != RepairReplayed {
+			t.Errorf("%s, repaired with another derived table: %v, want replayed", name, out)
+		}
+	}
+
+	// The same numbers, but no longer provably Derive(job): touched by
+	// SetRow, or derived from a different Job value.
+	touched := estimate.Derive(job)
+	if err := touched.SetRow(0, estimate.Row{Times: [resource.NumTiers]simtime.Time{2, 4, 6, 8}, Volume: 20}); err != nil {
+		t.Fatal(err)
+	}
+	for name, tab := range map[string]*estimate.Table{"touched": touched, "other job": estimate.Derive(job.WithDeadline(20))} {
+		if out := outcome(shared.Memo(), tab); out != RepairStale {
+			t.Errorf("%s table against a derived-table memo: %v, want stale", name, out)
+		}
+		own, _ := memoizedBuild(t, env, live, job, Options{Table: tab})
+		sameSchedule(t, own, shared)
+		if out := outcome(own.Memo(), tab); out != RepairReplayed {
+			t.Errorf("%s table against its own memo: %v, want replayed", name, out)
+		}
+		if out := outcome(own.Memo(), nil); out != RepairStale {
+			t.Errorf("no table against a %s-table memo: %v, want stale", name, out)
+		}
+	}
 }
 
 func TestMemoCaptureGating(t *testing.T) {

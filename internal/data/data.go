@@ -130,6 +130,24 @@ func (c *Catalog) TransferTime(jobName, dataset string, base simtime.Time, from,
 	}
 }
 
+// MinTransferTime is a lower bound on TransferTime over every (from, to)
+// node pair in the catalog's current state: what moving the dataset costs
+// at the very least, wherever producer and consumer end up. Admissibility
+// tests use it to bound a chain's finish before any node is chosen.
+func (c *Catalog) MinTransferTime(jobName, dataset string, base simtime.Time) simtime.Time {
+	switch c.policy {
+	case ActiveReplication:
+		if len(c.replica[DatasetID{Job: jobName, Dataset: dataset}]) > 0 {
+			return 0 // some node already holds a replica
+		}
+		return (3*base + 3) / 4
+	case StaticStorage:
+		return 0 // both ends on the storage node
+	default:
+		return base
+	}
+}
+
 // Commit records that the dataset has been materialized at node `to` (and,
 // under StaticStorage, at the storage node). Only ActiveReplication
 // accumulates replicas that change later costs.

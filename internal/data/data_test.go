@@ -164,3 +164,43 @@ func TestQuickReplicationIdempotent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMinTransferTimeBoundsEveryPair: MinTransferTime is a lower bound on
+// TransferTime over every (from, to) pair, for each policy, in a fresh
+// catalog and after replicas were committed (for this dataset, and for
+// another one, which must not loosen it) — and it is tight: some pair
+// attains it.
+func TestMinTransferTimeBoundsEveryPair(t *testing.T) {
+	const nodes, storage = 5, 2
+	for _, p := range []Policy{ActiveReplication, RemoteAccess, StaticStorage} {
+		for _, base := range []simtime.Time{0, 1, 2, 3, 7, 8} {
+			c := NewCatalog(p, storage)
+			check := func(state string) {
+				t.Helper()
+				lo := c.MinTransferTime("j", "D", base)
+				attained := false
+				for from := resource.NodeID(0); from < nodes; from++ {
+					for to := resource.NodeID(0); to < nodes; to++ {
+						tt := c.TransferTime("j", "D", base, from, to)
+						if tt < lo {
+							t.Errorf("%v, base %d, %s: TransferTime(%d→%d) = %d below the minimum %d", p, base, state, from, to, tt, lo)
+						}
+						attained = attained || tt == lo
+					}
+				}
+				if !attained {
+					t.Errorf("%v, base %d, %s: no node pair attains the minimum %d", p, base, state, lo)
+				}
+			}
+			check("fresh")
+			c.Commit("j", "other", 0, 1)
+			c.Commit("k", "D", 0, 1)
+			check("other datasets committed")
+			if p == ActiveReplication && c.MinTransferTime("j", "D", base) != (3*base+3)/4 {
+				t.Errorf("base %d: another dataset's replicas changed the minimum", base)
+			}
+			c.Commit("j", "D", 3, 4)
+			check("committed")
+		}
+	}
+}

@@ -25,35 +25,48 @@ type Row struct {
 	Volume int64
 }
 
-// Table is a job's complete estimation table.
+// Table is a job's complete estimation table. Task IDs are dense, so the
+// rows live in a slice indexed by TaskID; a row is present when its tier-1
+// time is positive (SetRow admits no other kind).
 type Table struct {
-	rows map[dag.TaskID]Row
+	rows []Row
+	// derived is the job Derive built the table from, nil once SetRow has
+	// touched it or when the table was assembled by hand.
+	derived *dag.Job
 }
 
 // Derive builds the canonical table from a job's base estimates the way the
 // paper's Fig. 2 table is built: T_ik = k × T_i1, V from the task volume.
 func Derive(job *dag.Job) *Table {
-	t := &Table{rows: make(map[dag.TaskID]Row, job.NumTasks())}
-	for _, task := range job.Tasks() {
-		var row Row
+	t := &Table{rows: make([]Row, job.NumTasks()), derived: job}
+	for i := range t.rows {
+		task := job.Task(dag.TaskID(i))
+		row := &t.rows[i]
 		for k := 0; k < resource.NumTiers; k++ {
 			row.Times[k] = task.BaseTime * simtime.Time(k+1)
 		}
 		row.Volume = task.Volume
-		t.rows[task.ID] = row
 	}
 	return t
 }
 
+// DerivedFrom reports whether the table is exactly Derive(job): a
+// deterministic function of the job, so any two such tables are
+// interchangeable where caller-assembled tables must be pointer-equal.
+func (t *Table) DerivedFrom(job *dag.Job) bool { return t.derived != nil && t.derived == job }
+
 // New returns an empty table; rows must be added with SetRow.
 func New() *Table {
-	return &Table{rows: make(map[dag.TaskID]Row)}
+	return &Table{}
 }
 
 // SetRow installs or replaces the estimates for one task. Estimates must be
 // positive and non-decreasing across tiers (a slower node type can never
 // have a smaller estimate).
 func (t *Table) SetRow(id dag.TaskID, row Row) error {
+	if id < 0 {
+		return fmt.Errorf("estimate: negative task ID %d", id)
+	}
 	for k := 0; k < resource.NumTiers; k++ {
 		if row.Times[k] <= 0 {
 			return fmt.Errorf("estimate: task %d tier %d has non-positive time %d", id, k+1, row.Times[k])
@@ -65,23 +78,32 @@ func (t *Table) SetRow(id dag.TaskID, row Row) error {
 	if row.Volume < 0 {
 		return fmt.Errorf("estimate: task %d has negative volume", id)
 	}
+	if int(id) >= len(t.rows) {
+		t.rows = append(t.rows, make([]Row, int(id)+1-len(t.rows))...)
+	}
 	t.rows[id] = row
+	t.derived = nil
 	return nil
 }
 
 // Has reports whether the table has a row for the task.
 func (t *Table) Has(id dag.TaskID) bool {
-	_, ok := t.rows[id]
-	return ok
+	return id >= 0 && int(id) < len(t.rows) && t.rows[id].Times[0] > 0
+}
+
+// row returns the task's row. It panics when the task has none — the table
+// must cover the whole job.
+func (t *Table) row(id dag.TaskID) *Row {
+	if !t.Has(id) {
+		panic(fmt.Sprintf("estimate: no row for task %d", id))
+	}
+	return &t.rows[id]
 }
 
 // Time returns the user estimate for the task on a node of the given tier.
 // It panics when the task has no row — the table must cover the whole job.
 func (t *Table) Time(id dag.TaskID, tier resource.Tier) simtime.Time {
-	row, ok := t.rows[id]
-	if !ok {
-		panic(fmt.Sprintf("estimate: no row for task %d", id))
-	}
+	row := t.row(id)
 	if tier < 1 {
 		tier = 1
 	}
@@ -99,11 +121,7 @@ func (t *Table) TimeOnNode(id dag.TaskID, n *resource.Node) simtime.Time {
 
 // Volume returns the task's computation volume V_i.
 func (t *Table) Volume(id dag.TaskID) int64 {
-	row, ok := t.rows[id]
-	if !ok {
-		panic(fmt.Sprintf("estimate: no row for task %d", id))
-	}
-	return row.Volume
+	return t.row(id).Volume
 }
 
 // Best returns the fastest (tier-1) estimate for the task, the weight used
@@ -115,9 +133,9 @@ func (t *Table) Worst(id dag.TaskID) simtime.Time { return t.Time(id, resource.N
 
 // CoversJob verifies that every task of the job has a row.
 func (t *Table) CoversJob(job *dag.Job) error {
-	for _, task := range job.Tasks() {
-		if !t.Has(task.ID) {
-			return fmt.Errorf("estimate: table missing task %q", task.Name)
+	for i := 0; i < job.NumTasks(); i++ {
+		if !t.Has(dag.TaskID(i)) {
+			return fmt.Errorf("estimate: table missing task %q", job.Task(dag.TaskID(i)).Name)
 		}
 	}
 	return nil

@@ -744,8 +744,9 @@ func (m *JobManager) fallback(aj *activeJob) {
 		}
 		// Two memo sources, cheapest-to-validate first: the build this loop
 		// just ran, then the level's original distribution (only live when
-		// the books haven't moved since generation).
-		d, partial, err := m.gen.ReanchorLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, now, gens, snap, lastMemo, next.Memo())
+		// the books haven't moved since generation). No shared estimate
+		// table: a ladder step is rare and usually builds once.
+		d, partial, err := m.gen.ReanchorLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, now, nil, gens, snap, lastMemo, next.Memo())
 		if d != nil && d.Memo() != nil {
 			lastMemo = d.Memo()
 		}

@@ -303,8 +303,14 @@ func (c *Calendar) Void() []Reservation {
 // passes that must not disturb the live book. The clone carries the
 // source's generation, so a proposal built against it can later prove the
 // live book unchanged (Proposal.Reads).
-func (c *Calendar) Clone() *Calendar {
-	cp := &Calendar{res: make([]Reservation, len(c.res)), gen: c.gen}
+func (c *Calendar) Clone() *Calendar { return c.CloneWithRoom(0) }
+
+// CloneWithRoom is Clone with capacity for extra more reservations, for a
+// caller that knows how many it is about to add: the first Reserve on an
+// exact-length clone reallocates the whole book. Snapshots, which mostly
+// stay unwritten, should not pay for the room and use Clone.
+func (c *Calendar) CloneWithRoom(extra int) *Calendar {
+	cp := &Calendar{res: make([]Reservation, len(c.res), len(c.res)+max(extra, 0)), gen: c.gen}
 	copy(cp.res, c.res)
 	// The index is derived from the reservation values alone, which the
 	// clone shares; publishing the same immutable index saves rebuilding

@@ -282,6 +282,47 @@ func TestCalendarCloneIsolated(t *testing.T) {
 	}
 }
 
+// TestCalendarCloneWithRoom: the roomy clone is the same book — same
+// reservations, same generation, isolated from its source — and the
+// reservations it was sized for go in without moving the backing array,
+// where the exact-length clone reallocates on the first.
+func TestCalendarCloneWithRoom(t *testing.T) {
+	c := NewCalendar()
+	for k := 0; k < 40; k++ {
+		start := simtime.Time(10 * k)
+		if err := c.Reserve(simtime.Interval{Start: start, End: start + 5}, Owner{Job: "bg"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const room = 4
+	for _, tc := range []struct {
+		name   string
+		cp     *Calendar
+		stable bool
+	}{
+		{"CloneWithRoom", c.CloneWithRoom(room), true},
+		{"Clone", c.Clone(), false},
+		{"CloneWithRoom(-1)", c.CloneWithRoom(-1), false},
+	} {
+		if tc.cp.Gen() != c.Gen() || len(tc.cp.res) != len(c.res) || tc.cp.res[7] != c.res[7] {
+			t.Fatalf("%s is not a copy of its source", tc.name)
+		}
+		before := &tc.cp.res[0]
+		for k := 0; k < room; k++ {
+			start := simtime.Time(10*k + 5)
+			if err := tc.cp.Reserve(simtime.Interval{Start: start, End: start + 5}, Owner{Job: "j"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stable := before == &tc.cp.res[0]; stable != tc.stable {
+			t.Errorf("%s: backing array kept through %d reservations = %v, want %v", tc.name, room, stable, tc.stable)
+		}
+		if c.Len() != 40 || tc.cp.Len() != 40+room {
+			t.Errorf("%s not isolated: source %d, clone %d", tc.name, c.Len(), tc.cp.Len())
+		}
+	}
+}
+
 func TestCalendarPruneBefore(t *testing.T) {
 	c := NewCalendar()
 	mk := func(s, e simtime.Time) {

@@ -1,7 +1,10 @@
 package strategy
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 )
 
 func fig2Job(deadline simtime.Time) *dag.Job {
@@ -536,5 +540,75 @@ func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 		if c.Gen() != before[id].gen || !reflect.DeepEqual(c.Reservations(), before[id].res) {
 			t.Errorf("base book of node %d moved (gen %d → %d)", id, before[id].gen, c.Gen())
 		}
+	}
+}
+
+// TestGenerateSaysWhyLevelsFailed: a failed level reports whether the
+// margin ladder ran dry ("infeasible") or the admissibility bound refused
+// it before any attempt ("hopeless") — on the strategy.level and
+// criticalworks.build spans and as the result label of
+// grid_criticalworks_builds_total, whose sum across labels still counts
+// every build. Fig. 2's job has a 12-tick critical path on tier 1 and 21
+// on tier 2: at deadline 20, with every node booked for the first 10
+// ticks, level 1 passes the bound and fails all five margins, and levels
+// 2–4 are refused without one.
+func TestGenerateSaysWhyLevelsFailed(t *testing.T) {
+	env := mixedEnv()
+	base := criticalworks.EmptyCalendars(env)
+	for _, c := range base {
+		if err := c.Reserve(simtime.Interval{Start: 0, End: 10}, resource.External); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	reg := telemetry.NewRegistry()
+	g := &Generator{Env: env, Telemetry: reg, Spans: telemetry.NewTracer(&buf)}
+	s, err := g.Generate(fig2Job(20), S1, base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Distributions) != 0 || len(s.FailedLevels) != 4 {
+		t.Fatalf("built %d levels, failed %v; want all four failed", len(s.Distributions), s.FailedLevels)
+	}
+
+	results := map[string]map[string]int{} // span name → result → count
+	attemptEvals := int64(0)
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var sp struct {
+			Name  string
+			Attrs struct {
+				Result      string
+				Evaluations int64
+			}
+		}
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+			t.Fatalf("bad span line %q: %v", sc.Text(), err)
+		}
+		if results[sp.Name] == nil {
+			results[sp.Name] = map[string]int{}
+		}
+		results[sp.Name][sp.Attrs.Result]++
+		if sp.Name == "criticalworks.attempt" {
+			attemptEvals += sp.Attrs.Evaluations
+		}
+	}
+	want := map[string]int{"infeasible": 1, "hopeless": 3}
+	for _, name := range []string{"strategy.level", "criticalworks.build"} {
+		if !reflect.DeepEqual(results[name], want) {
+			t.Errorf("%s span results = %v, want %v", name, results[name], want)
+		}
+	}
+	if got := results["criticalworks.attempt"]; !reflect.DeepEqual(got, map[string]int{"infeasible": 5}) {
+		t.Errorf("criticalworks.attempt span results = %v, want the one laddered level's five", got)
+	}
+	for result, n := range map[string]uint64{"infeasible": 1, "hopeless": 3, "ok": 0} {
+		if got := reg.Counter("grid_criticalworks_builds_total", "", telemetry.L("result", result)).Value(); got != n {
+			t.Errorf("grid_criticalworks_builds_total{result=%q} = %d, want %d", result, got, n)
+		}
+	}
+	// A refused level spends no probes: the strategy's count is level 1's.
+	if s.Evaluations == 0 || s.Evaluations != attemptEvals {
+		t.Errorf("Evaluations = %d, want the %d probes of level 1's attempts", s.Evaluations, attemptEvals)
 	}
 }

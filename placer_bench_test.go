@@ -22,9 +22,13 @@ var benchPlacers = flag.Int("placers", 1, "optimistic placer pool size for the p
 // goes through snapshot → parallel build → ordered optimistic commit,
 // while at placers≤1 each job is a batch of one and places alone. Generous
 // deadlines keep the corpus admissible, so the measured work is strategy
-// building and commit arbitration, not rejection handling.
+// building and commit arbitration, not rejection handling. Only
+// engine.Run() is timed: generating the corpus and the environment is the
+// same at every width and would dilute the ratio the gate reads.
 func placementRun(b *testing.B, placers, domains, batches, width int) {
 	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
 	cfg := workload.Default(11)
 	cfg.DeadlineFactor *= 4
 	gen := workload.New(cfg)
@@ -40,7 +44,9 @@ func placementRun(b *testing.B, placers, domains, batches, width int) {
 			b.Fatal(err)
 		}
 	}
+	b.StartTimer()
 	engine.Run()
+	b.StopTimer()
 	if got := len(vo.Results()); got != jobs {
 		b.Fatalf("results = %d, want %d", got, jobs)
 	}
