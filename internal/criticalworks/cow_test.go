@@ -3,7 +3,6 @@ package criticalworks
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"reflect"
 	"testing"
 
@@ -14,14 +13,19 @@ import (
 	"repro/internal/simtime"
 )
 
-// refBuild is build as it stood before copy-on-write attempt views and
-// before the admissibility bound, kept as the differential reference: no
+// refBuild is the differential reference for build: the clone-everything,
+// unbounded ladder the overlay and the admissibility bound replaced. No
 // level is refused, all five margins run; every margin deep-clones the
-// whole view, reserves into those clones in place (the overlay is
-// pre-filled with a clone of every book, so cal and reserve never reach the
-// caller's), starts from fresh scratch, searches its own first critical
-// work, and a success adopts every clone. It also reports the index of the
-// margin that succeeded, -1 when none did.
+// whole view, starts from fresh scratch, searches its own first critical
+// work and runs placeRest's chain loop — but after every placeChain the
+// chain's placements are reserved for real into the clones and the overlay
+// is switched off (its per-node lists emptied, so no probe looks past the
+// book). The DP and the collision scan of every later critical work are
+// therefore answered by Calendar.FirstFree and Calendar.ConflictWith on a
+// materialised merged book alone, which is what builder.firstFree and
+// builder.conflictWith claim to compute without building it. A success
+// adopts the clones into cals. It also reports the index of the margin that
+// succeeded, -1 when none did.
 func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, error) {
 	opt, memoTable, err := normalize(env, job, opt)
 	if err != nil {
@@ -43,10 +47,9 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 	for mi, mg := range margins {
 		trial := cals.Clone()
 		b := newBuilder(env, trial, opt, mg, newScratch(job))
-		b.own = trial
 		b.capture = memo != nil && mg == 1
 		b.computeBounds(opt.Table, mg)
-		sched, err := b.placeRest()
+		sched, err := refPlaceRest(b, trial)
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
@@ -73,7 +76,44 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 	return firstPartial, -1, firstErr
 }
 
-// bookState is one input calendar as it was handed to Build or TryRepair.
+// refPlaceRest is builder.placeRest materialising each critical work into
+// trial — the builder's own view — as soon as it is placed.
+func refPlaceRest(b *builder, trial Calendars) (*Schedule, error) {
+	weights := chainWeights(b.opt.Table)
+	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
+	for b.nPlaced < b.job.NumTasks() {
+		chain, _ := b.job.LongestChain(weights, unplaced)
+		if err := b.placeChain(chain); err != nil {
+			return nil, err
+		}
+		for _, id := range chain.Tasks {
+			p := b.placed[id]
+			if err := trial[p.Node].Reserve(p.Window, b.owner(id)); err != nil {
+				return nil, fmt.Errorf("reference: the overlay accepted what the book refuses: %w", err)
+			}
+		}
+		clear(b.ownHead) // no node lists an own placement: every probe stops at the book
+	}
+	return b.finish()
+}
+
+// applySchedule reserves every placement of s, under Owner{jobName, task
+// name}, into a deep copy of cals and returns the copy: the books as they
+// stand once the plan is activated. An error means the plan double-books a
+// node — against another of its tasks or against what cals already held —
+// or holds an empty window. Build publishes nothing into its view, so this
+// is how a test looks at a plan on the books.
+func applySchedule(cals Calendars, s *Schedule, jobName string) (Calendars, error) {
+	out := cals.Clone()
+	for id, p := range s.Placements {
+		if err := out[p.Node].Reserve(p.Window, resource.Owner{Job: jobName, Task: s.Job.Task(id).Name}); err != nil {
+			return nil, fmt.Errorf("task %s on node %d: %w", s.Job.Task(id).Name, p.Node, err)
+		}
+	}
+	return out, nil
+}
+
+// bookState is one entry of a view as it was handed to Build or TryRepair.
 type bookState struct {
 	id  resource.NodeID
 	cal *resource.Calendar
@@ -89,20 +129,27 @@ func recordBooks(cals Calendars) []bookState {
 	return out
 }
 
-// checkBooksUntouched asserts the input contract: whatever the outcome, no
-// calendar that was passed in has moved — same generation, same
-// reservations.
-func checkBooksUntouched(t *testing.T, what string, books []bookState) {
+// checkViewUntouched asserts the read-only contract: whatever the outcome,
+// the view is what went in — the same entries pointing at the same
+// calendars, and every calendar with the generation and the reservations it
+// had.
+func checkViewUntouched(t *testing.T, what string, view Calendars, books []bookState) {
 	t.Helper()
+	if len(view) != len(books) {
+		t.Errorf("%s: the view has %d entries, went in with %d", what, len(view), len(books))
+	}
 	for _, b := range books {
+		if view[b.id] != b.cal {
+			t.Errorf("%s replaced the view's entry for node %d", what, b.id)
+		}
 		if b.cal.Gen() != b.gen || !reflect.DeepEqual(b.cal.Reservations(), b.res) {
 			t.Errorf("%s mutated the input calendar of node %d (gen %d → %d)", what, b.id, b.gen, b.cal.Gen())
 		}
 	}
 }
 
-// checkSameView asserts two post-build views agree book for book:
-// reservations and generation.
+// checkSameView asserts two views agree book for book: reservations and
+// generation.
 func checkSameView(t *testing.T, what string, got, want Calendars) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -187,13 +234,14 @@ func cowCorpus() []cowCase {
 	return out
 }
 
-// TestBuildMatchesCloneReference pins the copy-on-write attempt views to
-// the clone-everything build they replaced, over the whole corpus: the
-// schedule (placements, collisions, costs, Evaluations, the partial one of
-// a failed build), the repair memo, the adopted catalog and the post-build
-// view — reservations and generation of every node — are identical; no
-// input calendar is ever mutated; and a plan replaces exactly the map
-// entries of the nodes it reserved on.
+// TestBuildMatchesCloneReference pins the overlay build to the
+// materialising reference, over the whole corpus: the schedule (placements,
+// collisions with their holders, costs, Evaluations, the partial one of a
+// failed build), the repair memo and the adopted catalog are identical; the
+// plan applied to the books gives the reference's materialised books,
+// reservations and generations; and after every outcome the view is
+// untouched — every entry the pointer that went in, every book with the
+// generation and reservations that went in.
 //
 // It is also the admissibility bound's oracle. Where the bound refused a
 // build, the unbounded reference ladder must have ended infeasible with
@@ -209,13 +257,12 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 		refOpt.Catalog = data.NewCatalog(tc.pol, 0)
 		want, margin, wantErr := refBuild(tc.env, refView, tc.job, refOpt)
 
-		// The new build plans on a shallow copy: the books are shared with
-		// tc.cals, which is how the strategy sweep calls it.
-		view, opt := maps.Clone(tc.cals), tc.opt
+		// The build under test plans on the corpus books themselves.
+		opt := tc.opt
 		opt.Catalog = data.NewCatalog(tc.pol, 0)
-		books := recordBooks(view)
-		got, err := Build(tc.env, view, tc.job, opt)
-		checkBooksUntouched(t, tc.name+": Build", books)
+		books := recordBooks(tc.cals)
+		got, err := Build(tc.env, tc.cals, tc.job, opt)
+		checkViewUntouched(t, tc.name+": Build", tc.cals, books)
 
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("%s: err = %v, reference %v", tc.name, err, wantErr)
@@ -238,18 +285,12 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 		if !reflect.DeepEqual(opt.Catalog, refOpt.Catalog) {
 			t.Errorf("%s: adopted catalog differs from the reference", tc.name)
 		}
-		checkSameView(t, tc.name, view, refView)
-
-		used := make(map[resource.NodeID]bool)
 		if err == nil {
-			for _, p := range got.Placements {
-				used[p.Node] = true
+			applied, aerr := applySchedule(tc.cals, got, tc.job.Name)
+			if aerr != nil {
+				t.Fatalf("%s: the plan does not fit the books it was built on: %v", tc.name, aerr)
 			}
-		}
-		for _, b := range books {
-			if replaced := view[b.id] != b.cal; replaced != used[b.id] {
-				t.Errorf("%s: node %d entry replaced = %v, plan uses it = %v", tc.name, b.id, replaced, used[b.id])
-			}
+			checkSameView(t, tc.name, applied, refView)
 		}
 
 		switch {
@@ -273,14 +314,14 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 
 // TestRepairMatchesCloneReference is the same differential for TryRepair:
 // a replayed or spliced result equals the reference build over the
-// survivors (schedule, catalog, view with generations), and no outcome —
-// stale included — mutates a calendar of the snapshot it was given.
+// survivors (schedule, catalog, the plan applied to the books), and no
+// outcome — stale included — touches the view it was given.
 func TestRepairMatchesCloneReference(t *testing.T) {
 	outcomes := make(map[RepairOutcome]int)
 	for _, tc := range cowCorpus() {
 		opt := tc.opt
 		opt.Catalog = data.NewCatalog(tc.pol, 0)
-		s, err := Build(tc.env, maps.Clone(tc.cals), tc.job, opt)
+		s, err := Build(tc.env, tc.cals, tc.job, opt)
 		if err != nil || s.Memo() == nil {
 			continue
 		}
@@ -297,20 +338,14 @@ func TestRepairMatchesCloneReference(t *testing.T) {
 		}
 
 		books := recordBooks(tc.cals)
-		var view Calendars
-		snap := func() Calendars { view = maps.Clone(tc.cals); return view }
+		snap := func() Calendars { return tc.cals }
 		ropt := Options{Objective: tc.opt.Objective, Candidates: survivors, Release: tc.opt.Release, Catalog: data.NewCatalog(tc.pol, 0)}
 		got, out := TryRepair(tc.env, tc.job, ropt, memo, liveGens(tc.cals), snap)
-		checkBooksUntouched(t, tc.name+": TryRepair", books)
+		checkViewUntouched(t, tc.name+": TryRepair", tc.cals, books)
 		outcomes[out]++
 		if out == RepairStale {
 			if got != nil {
 				t.Fatalf("%s: stale repair returned a schedule", tc.name)
-			}
-			for id, c := range view {
-				if tc.cals[id] != c {
-					t.Errorf("%s: stale repair replaced node %d in its snapshot", tc.name, id)
-				}
 			}
 			continue
 		}
@@ -325,9 +360,11 @@ func TestRepairMatchesCloneReference(t *testing.T) {
 		if !reflect.DeepEqual(ropt.Catalog, refOpt.Catalog) {
 			t.Errorf("%s: catalog diverged after %v", tc.name, out)
 		}
-		if out == RepairSpliced {
-			checkSameView(t, tc.name+" (spliced)", view, refView)
+		applied, aerr := applySchedule(tc.cals, got, tc.job.Name)
+		if aerr != nil {
+			t.Fatalf("%s: the %v plan does not fit the books: %v", tc.name, out, aerr)
 		}
+		checkSameView(t, fmt.Sprintf("%s (%v)", tc.name, out), applied, refView)
 	}
 	t.Logf("outcomes: %v", outcomes)
 	for _, out := range []RepairOutcome{RepairStale, RepairReplayed, RepairSpliced} {
@@ -380,12 +417,13 @@ func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag
 // bound must let through — its first chain fits the deadline on empty
 // calendars — that no margin can place in the dense books (five attempts,
 // all discarded). The budgets are about 1.5× the readings at the time of
-// writing (90, 22 and 56). Before the bound, the dense placed slice and the
-// per-generation table the first two read 99 and 110; the clone-per-margin
-// build with allocating edge walks before that, 4942 and 977. A breach
-// means an attempt has started copying state it only reads, the DP's inner
-// loop allocates again, or a refused build has started paying for the
-// ladder's working memory.
+// writing (63, 22 and 56). With first-write book clones and a result slice
+// per DP phase the first read 90; before the bound, the dense placed slice
+// and the per-generation table the first two read 99 and 110; the
+// clone-per-margin build with allocating edge walks before that, 4942 and
+// 977. A breach means an attempt has started copying state it only reads,
+// the DP's inner loop or its phases allocate again, or a refused build has
+// started paying for the ladder's working memory.
 func TestBuildAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -394,16 +432,14 @@ func TestBuildAllocationBudget(t *testing.T) {
 		hopeless bool
 		budget   float64
 	}{
-		{"feasible", 400, true, false, 135},
+		{"feasible", 400, true, false, 95},
 		{"refused", 12, false, true, 33},
 		{"ladder-infeasible", 22, false, false, 85},
 	} {
-		env, base, job := denseFixture(tc.deadline)
-		view := make(Calendars, len(base))
+		env, cals, job := denseFixture(tc.deadline)
 		var err error
 		allocs := testing.AllocsPerRun(20, func() {
-			maps.Copy(view, base)
-			_, err = Build(env, view, job, Options{})
+			_, err = Build(env, cals, job, Options{})
 		})
 		var inf *InfeasibleError
 		if (err == nil) != tc.feasible || (errors.As(err, &inf) && inf.Hopeless) != tc.hopeless {

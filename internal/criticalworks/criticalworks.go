@@ -19,10 +19,11 @@
 package criticalworks
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/dag"
@@ -177,10 +178,9 @@ type Options struct {
 }
 
 // Calendars is a scheduling view: one calendar per node. Build and
-// TryRepair only read the calendars of a view; a plan is published by
-// replacing the map entries of the nodes it reserved on with private
-// copies. Views may therefore share calendars (a shallow map copy is
-// enough to plan on), but not the map.
+// TryRepair read a view and write nothing — no calendar, no map entry — so
+// any number of concurrent builds may share one view, and the view may be
+// the live books themselves as long as nobody writes them meanwhile.
 type Calendars map[resource.NodeID]*resource.Calendar
 
 // Clone deep-copies the view, for code that reserves into it in place.
@@ -192,7 +192,9 @@ func (cals Calendars) Clone() Calendars {
 	return out
 }
 
-// Snapshot clones the live calendars of every node in env.
+// Snapshot clones the live calendars of every node in env, for a caller
+// that keeps the view while the environment moves on. Planning within one
+// engine event needs no copy (the Calendars contract).
 func Snapshot(env *resource.Environment) Calendars {
 	out := make(Calendars, env.NumNodes())
 	for _, n := range env.Nodes() {
@@ -205,6 +207,9 @@ func Snapshot(env *resource.Environment) Calendars {
 // records the generation each one carried, forming the read-set for
 // optimistic placement proposals (resource.Proposal, DESIGN.md §12):
 // a commit whose node generations still match needs no re-validation.
+// The placer pool no longer calls it — a round plans on the live books and
+// captures only the generations — but the signature and the deep copy stay:
+// benchmark/probes.go times this function.
 func SnapshotVersioned(env *resource.Environment) (Calendars, map[resource.NodeID]uint64) {
 	out := make(Calendars, env.NumNodes())
 	gens := make(map[resource.NodeID]uint64, env.NumNodes())
@@ -260,6 +265,17 @@ type scratch struct {
 	dp       []cell      // runDP's table, chain positions × candidates
 	placed   []Placement // the attempt's placements by TaskID (IDs are dense),
 	isPlaced []bool      // valid where the flag is set
+
+	// The current critical work's two DP results, made by the first phase
+	// that succeeds and overwritten by every chain (ChainMemo copies).
+	ideal, actual []Placement
+
+	// The attempt's overlay on the view it reads: its placements node by
+	// node, as lists threaded through placed. ownHead[n] is 1 + the task
+	// placed last on node n, ownNext[t] 1 + the task placed on t's node
+	// before t, 0 ends a list. Both are cut from one allocation made by the
+	// first reserve — an attempt that places no chain never pays for it.
+	ownHead, ownNext []int32
 }
 
 func newScratch(job *dag.Job) *scratch {
@@ -270,13 +286,13 @@ func newScratch(job *dag.Job) *scratch {
 	}
 }
 
-// builder carries one Build attempt's state. The attempt is a what-if: it
-// reads the caller's view and writes only to own, a copy-on-write overlay
-// of the books it has reserved on, dropped on failure, adopted on success.
+// builder carries one Build attempt's state. The attempt is a what-if over
+// the caller's view: it reads the view's books and writes nothing but its
+// own placements, which firstFree, conflictWith and reserve overlay on the
+// book they query. A failed attempt is simply dropped.
 type builder struct {
 	env    *resource.Environment
-	base   Calendars // the caller's view; its calendars are never mutated
-	own    Calendars // clones of the books this attempt reserved on; nil until the first
+	base   Calendars // the caller's view; never written, map or calendars
 	opt    Options
 	margin float64 // serialization margin scaling the bounds
 
@@ -296,8 +312,8 @@ type builder struct {
 	*scratch
 }
 
-// newBuilder starts an attempt: no overlay, nothing placed, private copy of
-// the catalog.
+// newBuilder starts an attempt: empty overlay, nothing placed, private copy
+// of the catalog.
 func newBuilder(env *resource.Environment, cals Calendars, opt Options, margin float64, sc *scratch) *builder {
 	opt.Catalog = opt.Catalog.Clone()
 	if sc.placed == nil {
@@ -305,6 +321,7 @@ func newBuilder(env *resource.Environment, cals Calendars, opt Options, margin f
 		sc.edges, sc.placed, sc.isPlaced = sc.job.Edges(), make([]Placement, n), make([]bool, n)
 	} else {
 		clear(sc.isPlaced)
+		clear(sc.ownHead)
 	}
 	return &builder{env: env, base: cals, opt: opt, margin: margin, scratch: sc}
 }
@@ -325,29 +342,81 @@ func (b *builder) placements() map[dag.TaskID]Placement {
 	return out
 }
 
-// cal is node n's book as the attempt sees it: its own copy, else the caller's.
-func (b *builder) cal(n resource.NodeID) *resource.Calendar {
-	if c, ok := b.own[n]; ok {
-		return c
+// ownOverlap returns the attempt's earliest-starting placement on node n
+// that overlaps iv. Own placements on a node are pairwise disjoint (reserve
+// checks), so that is also the first one a merged book would report. Only
+// node n's list is walked: a node the attempt has not reserved on costs one
+// load, whatever the job's size.
+func (b *builder) ownOverlap(n resource.NodeID, iv simtime.Interval) (first Placement, ok bool) {
+	if b.ownHead == nil {
+		return Placement{}, false
 	}
-	return b.base[n]
+	for l := b.ownHead[n]; l != 0; l = b.ownNext[l-1] {
+		if p := &b.placed[l-1]; p.Window.Overlaps(iv) && (!ok || p.Window.Start < first.Window.Start) {
+			first, ok = *p, true
+		}
+	}
+	return first, ok
 }
 
-// reserve books p, cloning the node's book into the overlay on first write.
-// The copy has room for every reservation the attempt can still add to it,
-// so Reserve never has to regrow a book it was just handed at exact length.
-func (b *builder) reserve(p Placement) error {
-	c, ok := b.own[p.Node]
-	if !ok {
-		c = b.base[p.Node].CloneWithRoom(b.job.NumTasks() - b.nPlaced)
-		if b.own == nil {
-			b.own = make(Calendars)
+// firstFree is Calendar.FirstFree on node n's book — base, the view's —
+// merged with the attempt's own placements there, without building that
+// book: ask base for its first free start t ≥ earliest, and while an own
+// placement p overlaps [t, t+length), ask again from p.End.
+//
+// Why that is the merged book's answer. Every start in [earliest, t) is
+// refused by the base book alone (FirstFree returns the minimum). Every
+// start s in [t, p.End) overlaps p: s < p.End, and s+length ≥ t+length >
+// p.Start because p overlaps [t, t+length). So the merged answer is ≥ p.End
+// and the search resumes there; each pass retires one own placement. A t
+// that no own placement overlaps is free in both books and, by the above,
+// the first such start. The horizon test is the base call's, on a start
+// the merged answer cannot precede.
+func (b *builder) firstFree(n resource.NodeID, base *resource.Calendar, earliest, length, horizon simtime.Time) (simtime.Time, bool) {
+	for {
+		t, ok := base.FirstFree(earliest, length, horizon)
+		if !ok {
+			return 0, false
 		}
-		b.own[p.Node] = c
+		p, hit := b.ownOverlap(n, simtime.Interval{Start: t, End: t + length})
+		if !hit {
+			return t, true
+		}
+		earliest = p.Window.End
 	}
-	if err := c.Reserve(p.Window, resource.Owner{Job: b.opt.JobName, Task: b.job.Task(p.Task).Name}); err != nil {
-		return err
+}
+
+// conflictWith is Calendar.ConflictWith on the merged book: the
+// earlier-starting of the base book's first overlap with iv and the
+// attempt's own, the latter under the owner a real Reserve would carry.
+func (b *builder) conflictWith(n resource.NodeID, iv simtime.Interval) (resource.Reservation, bool) {
+	res, busy := b.base[n].ConflictWith(iv)
+	if p, hit := b.ownOverlap(n, iv); hit && (!busy || p.Window.Start < res.Interval.Start) {
+		return resource.Reservation{Interval: p.Window, Owner: b.owner(p.Task)}, true
 	}
+	return res, busy
+}
+
+// owner labels the attempt's reservation for a task.
+func (b *builder) owner(task dag.TaskID) resource.Owner {
+	return resource.Owner{Job: b.opt.JobName, Task: b.job.Task(task).Name}
+}
+
+// reserve books p in the overlay, refusing what Calendar.Reserve would
+// refuse on the merged book (either is an internal bug: the DP chose it).
+func (b *builder) reserve(p Placement) error {
+	if p.Window.Empty() {
+		return fmt.Errorf("%w: %v", resource.ErrEmptyInterval, p.Window)
+	}
+	if existing, busy := b.conflictWith(p.Node, p.Window); busy {
+		return &resource.ErrConflict{Wanted: p.Window, Existing: existing}
+	}
+	if b.ownHead == nil {
+		nodes := b.env.NumNodes()
+		links := make([]int32, nodes+b.job.NumTasks())
+		b.ownHead, b.ownNext = links[:nodes], links[nodes:]
+	}
+	b.ownNext[p.Task], b.ownHead[p.Node] = b.ownHead[p.Node], int32(p.Task)+1
 	b.placed[p.Task], b.isPlaced[p.Task] = p, true
 	b.nPlaced++
 	return nil
@@ -365,14 +434,9 @@ func (b *builder) commitPlaced() {
 	}
 }
 
-// adopt publishes a successful attempt: the caller's entries of the books it
-// wrote are replaced, and the caller's catalog takes its data placements.
-func (b *builder) adopt(cat *data.Catalog) {
-	for id, c := range b.own {
-		b.base[id] = c
-	}
-	*cat = *b.opt.Catalog
-}
+// adopt publishes a successful attempt: the caller's catalog takes its data
+// placements. The view is not written.
+func (b *builder) adopt(cat *data.Catalog) { *cat = *b.opt.Catalog }
 
 // margins is the retry ladder of serialization margins. The pure best-case
 // bounds (margin 1) assume unlimited fastest nodes; when parallel branches
@@ -384,11 +448,10 @@ func (b *builder) adopt(cat *data.Catalog) {
 var margins = []float64{1, 1.5, 2, 3, 4}
 
 // Build runs the critical works method for one job against the given
-// calendar view and returns the resulting Distribution. Build never mutates
-// an input *Calendar, it only replaces map entries: on success cals maps
-// each node the plan uses to a copy of its book with the placements
-// reserved under Owner{JobName, taskName}; on failure cals is unchanged.
-// Concurrent builds may therefore share calendars (DESIGN.md §5).
+// calendar view and returns the resulting Distribution. Build reads cals
+// and writes nothing — no calendar, no map entry, whatever the outcome —
+// so concurrent builds may share a view (DESIGN.md §5); the plan is the
+// returned Schedule, and only opt.Catalog is adopted on success.
 func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
 	if opt.Telemetry == nil && opt.Spans == nil {
 		return build(env, cals, job, opt)
@@ -783,12 +846,10 @@ func (b *builder) finish() (*Schedule, error) {
 		}
 		b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
 	}
-	sort.Slice(s.Collisions, func(i, j int) bool {
-		a, c := s.Collisions[i], s.Collisions[j]
-		if a.Window.Start != c.Window.Start {
-			return a.Window.Start < c.Window.Start
-		}
-		return a.Task < c.Task
+	// (Window.Start, Task) is a total key: a task sits in one chain, which
+	// records at most one collision for it.
+	slices.SortFunc(s.Collisions, func(a, c Collision) int {
+		return cmp.Or(cmp.Compare(a.Window.Start, c.Window.Start), cmp.Compare(a.Task, c.Task))
 	})
 	return s, nil
 }

@@ -494,8 +494,8 @@ func randomJob(r *rng.Source) *dag.Job {
 
 func TestQuickBuildInvariants(t *testing.T) {
 	// Whenever Build succeeds: all tasks placed, precedence + transfers
-	// hold, no node double-booked, finish within deadline, reservations in
-	// the view match placements exactly.
+	// hold, no node double-booked (the plan reserves cleanly into the books
+	// it was built on), finish within deadline.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		env := randomEnv(r)
@@ -526,17 +526,10 @@ func TestQuickBuildInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// Every placement must be present in the calendar view.
-		for id, p := range s.Placements {
-			found := false
-			for _, res := range cals[p.Node].Reservations() {
-				if res.Interval == p.Window && res.Owner.Task == job.Task(id).Name {
-					found = true
-				}
-			}
-			if !found {
-				return false
-			}
+		// The plan fits the books it was built on: no task overlaps another
+		// or the background load.
+		if _, err := applySchedule(cals, s, job.Name); err != nil {
+			return false
 		}
 		return true
 	}

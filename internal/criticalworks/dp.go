@@ -1,7 +1,7 @@
 package criticalworks
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/economy"
@@ -12,9 +12,9 @@ import (
 
 // placeChain schedules one critical work: it computes the chain's ideal
 // placement on empty calendars (the placement the chain "attempts"), the
-// actual placement against the attempt's calendar view, records a collision for
-// every task whose ideal slot is already reserved, and books the actual
-// reservations.
+// actual placement against the view as the attempt sees it, records a
+// collision for every task whose ideal slot is already reserved, and books
+// the actual reservations in the overlay.
 func (b *builder) placeChain(chain dag.Chain) error {
 	var chainSpan *telemetry.Span
 	if b.opt.Spans != nil {
@@ -44,9 +44,9 @@ func (b *builder) placeChain(chain dag.Chain) error {
 		return &InfeasibleError{Job: b.opt.JobName, Task: b.job.Task(chain.Tasks[0]).Name}
 	}
 
-	// A collision is an ideal slot that the live calendar cannot grant.
+	// A collision is an ideal slot that the calendar view cannot grant.
 	for _, p := range ideal {
-		if res, busy := b.cal(p.Node).ConflictWith(p.Window); busy {
+		if res, busy := b.conflictWith(p.Node, p.Window); busy {
 			b.colls = append(b.colls, Collision{
 				Task:   p.Task,
 				Node:   p.Node,
@@ -78,7 +78,7 @@ func (b *builder) placeChain(chain dag.Chain) error {
 		for n := range touched {
 			nodes = append(nodes, n)
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		slices.Sort(nodes)
 		b.chains = append(b.chains, ChainMemo{
 			Tasks:   append([]dag.TaskID(nil), chain.Tasks...),
 			Actual:  append([]Placement(nil), actual...),
@@ -137,9 +137,20 @@ func (b *builder) betterCell(a, c cell) bool {
 	return a.cost < c.cost
 }
 
+// chainBuf returns *buf cut to one chain's length. The first critical work
+// sizes it — few later ones have more tasks — and every later one
+// overwrites it.
+func chainBuf(buf *[]Placement, n int) []Placement {
+	if cap(*buf) < n {
+		*buf = make([]Placement, n)
+	}
+	return (*buf)[:n]
+}
+
 // runDP finds the cost-minimal feasible placement of the chain. With
 // ignoreCalendar the search pretends every node is free (the "ideal"
-// attempt); otherwise starts come from the live calendars.
+// attempt); otherwise starts come from the calendar view. The result lives
+// in the scratch's ideal or actual buffer until the next chain's same phase.
 func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
 	cands := b.opt.Candidates
 	L, C := len(chain.Tasks), len(cands)
@@ -170,9 +181,13 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 			}
 			// Functions of (task, n) alone: once per cell, not per predecessor.
 			est, lft, charge := b.est(task, n), b.lft(task, n), b.charge(task, dur, node)
+			var book *resource.Calendar // stays nil in the ideal phase
+			if !ignoreCalendar {
+				book = b.base[n]
+			}
 			best := cell{}
 			if i == 0 {
-				if st, fin, ok := b.fit(n, est, dur, lft, ignoreCalendar); ok {
+				if st, fin, ok := b.fit(n, book, est, dur, lft); ok {
 					best = cell{ok: true, cost: charge, start: st, finish: fin, prev: -1}
 				}
 			} else {
@@ -185,7 +200,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 					if est > earliest {
 						earliest = est
 					}
-					st, fin, ok := b.fit(n, earliest, dur, lft, ignoreCalendar)
+					st, fin, ok := b.fit(n, book, earliest, dur, lft)
 					if !ok {
 						continue
 					}
@@ -215,7 +230,11 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 	if finalIdx < 0 {
 		return nil, false
 	}
-	placements := make([]Placement, L)
+	buf := &b.actual
+	if ignoreCalendar {
+		buf = &b.ideal
+	}
+	placements := chainBuf(buf, L)
 	for i, c := L-1, finalIdx; i >= 0; i-- {
 		st := dp[i*C+c]
 		placements[i] = Placement{
@@ -231,7 +250,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 // delayOnIdealNodes is the E8 ablation baseline: keep every task on its
 // ideal node and only push it later until the calendar has room.
 func (b *builder) delayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Placement, bool) {
-	out := make([]Placement, len(ideal))
+	out := chainBuf(&b.actual, len(ideal))
 	var prevFinish simtime.Time
 	var prevNode resource.NodeID
 	for i, p := range ideal {
@@ -246,7 +265,7 @@ func (b *builder) delayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Place
 				earliest = t
 			}
 		}
-		st, fin, ok := b.fit(n, earliest, dur, b.lft(task, n), false)
+		st, fin, ok := b.fit(n, b.base[n], earliest, dur, b.lft(task, n))
 		if !ok {
 			return nil, false
 		}
@@ -257,13 +276,14 @@ func (b *builder) delayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Place
 }
 
 // fit finds the earliest start ≥ earliest for a reservation of length dur
-// on node n that finishes by lft.
-func (b *builder) fit(n resource.NodeID, earliest, dur, lft simtime.Time, ignoreCalendar bool) (start, finish simtime.Time, ok bool) {
+// on node n that finishes by lft. book is the view's calendar for n, looked
+// up once per DP cell; nil pretends the node is free (the ideal phase).
+func (b *builder) fit(n resource.NodeID, book *resource.Calendar, earliest, dur, lft simtime.Time) (start, finish simtime.Time, ok bool) {
 	b.evals++
-	if ignoreCalendar {
+	if book == nil {
 		start = earliest
 	} else {
-		s, found := b.cal(n).FirstFree(earliest, dur, b.opt.Horizon)
+		s, found := b.firstFree(n, book, earliest, dur, b.opt.Horizon)
 		if !found {
 			return 0, 0, false
 		}

@@ -179,14 +179,6 @@ func FuzzBuildSchedule(f *testing.F) {
 		pol := data.Policy(len(raw) % 3)
 		opt.Catalog = data.NewCatalog(pol, 0)
 
-		// The background load, recorded before Build mutates the view.
-		background := make(map[resource.NodeID][]simtime.Interval)
-		for id, c := range cals {
-			for _, res := range c.Reservations() {
-				background[id] = append(background[id], res.Interval)
-			}
-		}
-
 		s, err := Build(env, cals, job, opt)
 		if err != nil {
 			var inf *InfeasibleError
@@ -205,8 +197,8 @@ func FuzzBuildSchedule(f *testing.F) {
 				t.Fatalf("Build returned a non-infeasibility error: %v", err)
 			}
 			if inf.Hopeless {
-				// A failed build leaves cals as it found them, and so does
-				// a failed reference.
+				// A build never writes to cals, and a failed reference
+				// leaves them as it found them.
 				refOpt := opt
 				refOpt.Catalog = data.NewCatalog(pol, 0)
 				want, _, wantErr := refBuild(env, cals, job, refOpt)
@@ -228,11 +220,7 @@ func FuzzBuildSchedule(f *testing.F) {
 		}
 
 		deadline := job.Deadline
-		overlaps := func(a, b simtime.Interval) bool {
-			return a.Start < b.End && b.Start < a.End
-		}
 
-		byNode := make(map[resource.NodeID][]Placement)
 		for id, p := range s.Placements {
 			if p.Task != id {
 				t.Errorf("placement keyed %d names task %d", id, p.Task)
@@ -240,27 +228,12 @@ func FuzzBuildSchedule(f *testing.F) {
 			if p.Window.Start < opt.Release {
 				t.Errorf("task %d starts at %d before release %d", id, p.Window.Start, opt.Release)
 			}
-			if p.Window.End <= p.Window.Start {
-				t.Errorf("task %d has empty window %v", id, p.Window)
-			}
-			byNode[p.Node] = append(byNode[p.Node], p)
 		}
-
-		for node, ps := range byNode {
-			for i := 0; i < len(ps); i++ {
-				for j := i + 1; j < len(ps); j++ {
-					if overlaps(ps[i].Window, ps[j].Window) {
-						t.Errorf("node %d double-booked: task %d %v vs task %d %v",
-							node, ps[i].Task, ps[i].Window, ps[j].Task, ps[j].Window)
-					}
-				}
-				for _, bg := range background[node] {
-					if overlaps(ps[i].Window, bg) {
-						t.Errorf("node %d: task %d %v overlaps background reservation %v",
-							node, ps[i].Task, ps[i].Window, bg)
-					}
-				}
-			}
+		// Reserving the plan into the books it was built on finds every
+		// empty window and every double-booking, between tasks or against
+		// the background load.
+		if _, err := applySchedule(cals, s, job.Name); err != nil {
+			t.Errorf("the plan does not fit the books: %v", err)
 		}
 
 		for _, e := range job.Edges() {

@@ -10,7 +10,7 @@ package criticalworks
 //
 //   - full replay: when no memoized placement touches a removed node, the
 //     memoized schedule IS the schedule the full build would produce, so
-//     it is returned without even snapshotting the calendars;
+//     it is returned without reading a calendar;
 //   - splice: otherwise the untouched prefix of critical works is
 //     re-applied verbatim (reservations, collisions, catalog commits) and
 //     the DP resumes from the first touched chain;
@@ -133,7 +133,7 @@ const (
 	// placement touched a removed candidate, no calendar was read.
 	RepairReplayed
 	// RepairSpliced means the untouched prefix of critical works was
-	// replayed and the DP re-solved the rest against a fresh snapshot.
+	// replayed and the DP re-solved the rest against the current books.
 	RepairSpliced
 )
 
@@ -231,15 +231,14 @@ func (b *builder) replay(cm ChainMemo) error {
 // TryRepair attempts to satisfy a build request from a prior build's
 // memo. gens resolves a node's live calendar generation (the memo's
 // read-set is validated against it); snap supplies a view of the current
-// books (under Build's contract: calendars are only read, entries replaced
-// on success) and is only invoked when a splice actually needs calendars —
-// a full replay touches none. On RepairStale the returned schedule is nil
-// and nothing was mutated: the caller runs the full Build, whose result
-// then stands on its own. On success the schedule is exactly — placement
-// for placement, collision for collision, cost for cost — what
-// Build(env, snap(), job, opt) would have returned, opt.Catalog (when
-// non-nil) carries the adopted replica state, and the view (if taken)
-// holds the plan's reservations like Build's would.
+// books (under Build's contract: read, never written) and is only invoked
+// when a splice actually needs calendars — a full replay touches none.
+// TryRepair writes nothing but opt.Catalog, and that only on success. On
+// RepairStale the returned schedule is nil: the caller runs the full Build,
+// whose result then stands on its own. On success the schedule is exactly —
+// placement for placement, collision for collision, cost for cost — what
+// Build(env, snap(), job, opt) would have returned, and opt.Catalog (when
+// non-nil) carries the adopted replica state.
 func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *BuildMemo, gens func(resource.NodeID) uint64, snap func() Calendars) (*Schedule, RepairOutcome) {
 	nopt, memoTable, err := normalize(env, job, opt)
 	if err != nil {
@@ -270,7 +269,7 @@ func TryRepair(env *resource.Environment, job *dag.Job, opt Options, memo *Build
 		return &cp, RepairReplayed
 	}
 
-	// Splice: replay the untouched prefix into a fresh snapshot, then let
+	// Splice: replay the untouched prefix over the current books, then let
 	// the ordinary margin-1 machinery place the remaining critical works.
 	cals := snap()
 	if cals == nil {

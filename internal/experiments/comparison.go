@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"maps"
 
 	"repro/internal/baseline"
 	"repro/internal/criticalworks"
@@ -56,7 +55,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 
 		// The critical works method, remote-access policy (S2's), so the
 		// comparison is free of replication advantages.
-		cw, err := criticalworks.Build(env, maps.Clone(cals), job, criticalworks.Options{
+		cw, err := criticalworks.Build(env, cals, job, criticalworks.Options{
 			Catalog: data.NewCatalog(data.RemoteAccess, 0),
 		})
 		record(0, cw, err == nil && cw != nil && cw.MeetsDeadline())
@@ -69,7 +68,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 
 		// The MinCost variant — deadline-constrained cost minimization —
 		// is the capability the ECT heuristics cannot express at all.
-		cwc, err := criticalworks.Build(env, maps.Clone(cals), job, criticalworks.Options{
+		cwc, err := criticalworks.Build(env, cals, job, criticalworks.Options{
 			Catalog:   data.NewCatalog(data.RemoteAccess, 0),
 			Objective: criticalworks.MinCost,
 		})

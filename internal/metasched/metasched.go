@@ -118,9 +118,10 @@ type Config struct {
 	Seed uint64
 
 	// Workers bounds the concurrent per-level builds inside strategy
-	// generation (a read-only construction pass over calendar snapshots).
+	// generation (a read-only construction pass over the live calendars).
 	// The simulation loop itself stays single-threaded and the live
-	// calendars keep a single writer: parallelism never touches them.
+	// calendars keep a single writer, which waits for the pool: parallelism
+	// only ever reads them.
 	// Values ≤ 1 keep generation fully sequential; any value produces
 	// byte-identical runs.
 	Workers int
@@ -132,8 +133,8 @@ type Config struct {
 
 	// Placers enables shared-state optimistic concurrent placement
 	// (DESIGN.md §12): same-tick arrivals are batched, up to Placers
-	// goroutines build placement proposals against one versioned
-	// calendar snapshot, and a deterministic commit arbiter applies the
+	// goroutines build placement proposals on the live calendars under
+	// one generation read-set, and a deterministic commit arbiter applies the
 	// winners and retries the losers against refreshed state. Values
 	// ≤ 1 are the same code at width 1: every submission is its own
 	// singleton batch, so jobs place one at a time in submission order.
@@ -496,7 +497,6 @@ func (vo *VO) placeJob(except map[string]bool, counts map[string]int) *JobManage
 func (m *JobManager) adopt(aj *activeJob, initial bool) {
 	vo := m.vo
 	now := vo.engine.Now()
-	snap := criticalworks.Snapshot(vo.env)
 	ctx := vo.buildCtx(aj.result.Job.Name)
 	var sp *telemetry.Span
 	var t0 time.Time
@@ -511,7 +511,7 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
 	}
-	st, err := m.gen.GenerateCtx(ctx, aj.result.Job, aj.result.Type, snap, now)
+	st, err := m.gen.GenerateCtx(ctx, aj.result.Job, aj.result.Type, vo.liveBooks(), now)
 	if vo.cfg.Telemetry != nil {
 		vo.cfg.Telemetry.Histogram("grid_metasched_adopt_seconds",
 			"wall time of one adopt (strategy generation) pass", nil).Observe(telemetry.Since(t0))
@@ -563,8 +563,8 @@ func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) {
 	}
 	for id, p := range d.Placements {
 		if err := m.vo.env.Node(p.Node).Calendar().Reserve(p.Window, owner(id)); err != nil {
-			// The plan was built against a snapshot taken this instant, so
-			// a conflict is an internal bug.
+			// The plan was built on these books inside this event, so a
+			// conflict is an internal bug.
 			panic(fmt.Sprintf("metasched: activation conflict for %s: %v", aj.result.Job.Name, err))
 		}
 	}
@@ -721,7 +721,7 @@ func (m *JobManager) fallback(aj *activeJob) {
 		defer func() { sp.SetInt("levels_tried", int64(tried)).End() }()
 	}
 	gens := func(id resource.NodeID) uint64 { return vo.env.Node(id).Calendar().Gen() }
-	snap := func() criticalworks.Calendars { return criticalworks.Snapshot(vo.env) }
+	snap := vo.liveBooks
 	// lastMemo carries the most recent level build's memo across loop
 	// passes: the live books don't change between them, and consecutive
 	// levels shrink the candidate set (the tier filter), so the previous

@@ -17,11 +17,14 @@ import (
 // (DESIGN.md §12). With Config.Placers > 1, jobs arriving at the same
 // tick form a batch. Each round of a batch:
 //
-//  1. takes one versioned snapshot of every calendar
-//     (criticalworks.SnapshotVersioned — the shared state),
-//  2. builds every job's strategy concurrently against that snapshot
-//     (up to Placers goroutines; builds are pure functions of the
-//     snapshot, so the parallelism cannot leak into the results),
+//  1. records the generation of every live calendar — the round's
+//     read-set; the live books themselves are the shared state (liveBooks),
+//  2. builds every job's strategy concurrently on those books (up to
+//     Placers goroutines; a build reads its view and writes nothing, and
+//     the engine goroutine — the books' only writer — is parked in
+//     parallel.Map until every worker has returned, so the builds are pure
+//     functions of one state and the parallelism cannot leak into the
+//     results),
 //  3. commits sequentially in the arbiter's total order — the paper's
 //     collision-resolution rule: priority first, then submission
 //     order — validating each plan's read-set (calendar generations)
@@ -111,6 +114,23 @@ func (vo *VO) placers() int {
 		return 1
 	}
 	return vo.cfg.Placers
+}
+
+// liveBooks is the view every build of this VO plans on: each node mapped
+// to its live calendar itself, no copy. That is sound because a build only
+// reads its view (the criticalworks.Build contract) and the engine
+// goroutine, the books' only writer, is the one building — synchronously in
+// adopt and fallback, between a read and a write of its own, and parked in
+// parallel.Map for the whole build phase of a placer round (Map joins every
+// worker before it returns, cancelled or not). The view is resolved from the
+// nodes each time it is taken and dropped with the event: Environment.Reset
+// replaces the books, and nothing built from a view retains a *Calendar.
+func (vo *VO) liveBooks() criticalworks.Calendars {
+	out := make(criticalworks.Calendars, vo.env.NumNodes())
+	for _, n := range vo.env.Nodes() {
+		out[n.ID] = n.Calendar()
+	}
+	return out
 }
 
 // liveView resolves node IDs to the live calendars for proposal commits.
@@ -213,13 +233,17 @@ func (vo *VO) placeConcurrent(work []*placerJob) {
 	}
 }
 
-// placeRound runs one optimistic round: snapshot, concurrent strategy
-// builds, then deterministic arbitration and commit. It returns the jobs
-// that lost every admissible level at commit time and should retry
-// against the refreshed state.
+// placeRound runs one optimistic round: read-set, concurrent strategy
+// builds on the live books, then deterministic arbitration and commit. It
+// returns the jobs that lost every admissible level at commit time and
+// should retry against the refreshed state.
 func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 	now := vo.engine.Now()
-	snap, gens := criticalworks.SnapshotVersioned(vo.env)
+	books := vo.liveBooks()
+	gens := make(map[resource.NodeID]uint64, len(books))
+	for id, c := range books {
+		gens[id] = c.Gen()
+	}
 
 	// Build contexts are acquired sequentially: the service's BuildCtx
 	// hook arms per-job timers and is not required to be goroutine-safe.
@@ -233,7 +257,7 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 	}
 	outs, err := parallel.Map(vo.placers(), len(work), func(i int) (buildOut, error) {
 		w := work[i]
-		st, gerr := w.aj.manager.gen.GenerateCtx(ctxs[i], w.aj.result.Job, w.aj.result.Type, snap, now)
+		st, gerr := w.aj.manager.gen.GenerateCtx(ctxs[i], w.aj.result.Job, w.aj.result.Type, books, now)
 		return buildOut{st: st, err: gerr}, nil
 	})
 	if err != nil {

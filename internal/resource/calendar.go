@@ -34,7 +34,7 @@ type Reservation struct {
 // The book is versioned: every mutation bumps a monotonic generation
 // counter, which the optimistic concurrent placement machinery
 // (Proposal, DESIGN.md §12) uses as the read-set of a placement built
-// against a snapshot — an unchanged generation proves the snapshot is
+// against the book — an unchanged generation proves what the build read is
 // still exact, so a proposal's claims can commit without re-scanning.
 type Calendar struct {
 	res []Reservation // sorted by Interval.Start, pairwise disjoint
@@ -43,8 +43,8 @@ type Calendar struct {
 	// idx caches the derived window-query index (prefix busy sums and a
 	// max-gap tree, see index.go). It is built lazily, dropped by every
 	// mutation, and shared with clones; the atomic publication makes
-	// concurrent Clone/query traffic on a shared snapshot race-free —
-	// a duplicate lazy build is benign, both results are identical.
+	// concurrent Clone/query traffic on a shared book race-free — a
+	// duplicate lazy build is benign, both results are identical.
 	idx atomic.Pointer[calIndex]
 }
 
@@ -299,22 +299,16 @@ func (c *Calendar) Void() []Reservation {
 	return out
 }
 
-// Clone returns a deep copy of the calendar, used for what-if scheduling
-// passes that must not disturb the live book. The clone carries the
+// Clone returns a deep copy of the calendar, for a caller that reserves
+// into it or keeps it while the live book moves on. The clone carries the
 // source's generation, so a proposal built against it can later prove the
 // live book unchanged (Proposal.Reads).
-func (c *Calendar) Clone() *Calendar { return c.CloneWithRoom(0) }
-
-// CloneWithRoom is Clone with capacity for extra more reservations, for a
-// caller that knows how many it is about to add: the first Reserve on an
-// exact-length clone reallocates the whole book. Snapshots, which mostly
-// stay unwritten, should not pay for the room and use Clone.
-func (c *Calendar) CloneWithRoom(extra int) *Calendar {
-	cp := &Calendar{res: make([]Reservation, len(c.res), len(c.res)+max(extra, 0)), gen: c.gen}
+func (c *Calendar) Clone() *Calendar {
+	cp := &Calendar{res: make([]Reservation, len(c.res)), gen: c.gen}
 	copy(cp.res, c.res)
 	// The index is derived from the reservation values alone, which the
 	// clone shares; publishing the same immutable index saves rebuilding
-	// it on every what-if pass over a snapshot.
+	// it for the copy.
 	cp.idx.Store(c.idx.Load())
 	return cp
 }

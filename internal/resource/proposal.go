@@ -1,22 +1,23 @@
 package resource
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/simtime"
 )
 
 // This file is the commit half of the shared-state optimistic concurrent
 // placement model (DESIGN.md §12). A placer builds a set of Claims
-// against a versioned snapshot of the calendars; the Proposal records
-// which calendar generations the snapshot carried (its read-set). At
-// commit time the claims are validated against the live books: when a
-// book's generation is unchanged since the snapshot the claim is known
-// good without re-scanning, otherwise the claimed window is re-checked
-// against the current reservations. Winners apply atomically; a losing
-// proposal reports the conflicting reservations so the arbiter can apply
-// the paper's collision-resolution rules and retry against fresh state.
+// against the calendars as they stood at one instant; the Proposal records
+// which calendar generations it read (its read-set). At commit time the
+// claims are validated against the live books: when a book's generation is
+// unchanged since the read the claim is known good without re-scanning,
+// otherwise the claimed window is re-checked against the current
+// reservations. Winners apply atomically; a losing proposal reports the
+// conflicting reservations so the arbiter can apply the paper's
+// collision-resolution rules and retry against fresh state.
 
 // Claim is one advance reservation a proposal wants to place.
 type Claim struct {
@@ -42,13 +43,13 @@ func (c Conflict) String() string {
 // unknown. Both live books and snapshot clones satisfy it.
 type CalendarView func(NodeID) *Calendar
 
-// Proposal is a placement built optimistically against a snapshot:
-// the claims to apply plus the generation of every calendar the build
-// read (the read-set).
+// Proposal is a placement built optimistically against the books of one
+// instant: the claims to apply plus the generation of every calendar the
+// build read (the read-set).
 type Proposal struct {
 	// Reads maps each node whose calendar the build observed to the
-	// generation it had in the snapshot. A claim on a node whose live
-	// generation still matches needs no window re-validation.
+	// generation it had then. A claim on a node whose live generation
+	// still matches needs no window re-validation.
 	Reads map[NodeID]uint64
 	// Claims are the reservations to apply, all-or-nothing.
 	Claims []Claim
@@ -59,54 +60,56 @@ type Proposal struct {
 // on nodes the view cannot resolve, claims overlapping each other, and
 // claims overlapping existing reservations. For a node whose generation
 // matches the recorded read the existing-reservation scan is skipped —
-// the snapshot already proved those windows free.
+// the build already proved those windows free.
 func (p *Proposal) Validate(view CalendarView) []Conflict {
 	var out []Conflict
 
-	// Self-disjointness: two claims of one proposal must not overlap on
-	// the same node, whatever the books say.
-	byNode := map[NodeID][]Claim{}
+	// One sorted copy of the non-empty claims; each node's claims are then
+	// a contiguous run in (start, end) order, nodes ascending. The sort is
+	// stable so that duplicate claims report in the order they were made.
+	claims := make([]Claim, 0, len(p.Claims))
 	for _, cl := range p.Claims {
 		if cl.Window.Empty() {
 			out = append(out, Conflict{Claim: cl})
 			continue
 		}
-		byNode[cl.Node] = append(byNode[cl.Node], cl)
+		claims = append(claims, cl)
 	}
-	nodes := make([]NodeID, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.SortStableFunc(claims, func(a, b Claim) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node),
+			cmp.Compare(a.Window.Start, b.Window.Start), cmp.Compare(a.Window.End, b.Window.End))
+	})
 
-	for _, n := range nodes {
-		claims := byNode[n]
-		sort.Slice(claims, func(i, j int) bool {
-			if claims[i].Window.Start != claims[j].Window.Start {
-				return claims[i].Window.Start < claims[j].Window.Start
-			}
-			return claims[i].Window.End < claims[j].Window.End
-		})
-		for i := 1; i < len(claims); i++ {
-			if claims[i].Window.Overlaps(claims[i-1].Window) {
+	for len(claims) > 0 {
+		n, end := claims[0].Node, 1
+		for end < len(claims) && claims[end].Node == n {
+			end++
+		}
+		run := claims[:end]
+		claims = claims[end:]
+
+		// Self-disjointness: two claims of one proposal must not overlap on
+		// the same node, whatever the books say.
+		for i := 1; i < len(run); i++ {
+			if run[i].Window.Overlaps(run[i-1].Window) {
 				out = append(out, Conflict{
-					Claim:    claims[i],
-					Existing: Reservation{Interval: claims[i-1].Window, Owner: claims[i-1].Owner},
+					Claim:    run[i],
+					Existing: Reservation{Interval: run[i-1].Window, Owner: run[i-1].Owner},
 				})
 			}
 		}
 
 		cal := view(n)
 		if cal == nil {
-			for _, cl := range claims {
+			for _, cl := range run {
 				out = append(out, Conflict{Claim: cl})
 			}
 			continue
 		}
 		if gen, ok := p.Reads[n]; ok && gen == cal.Gen() {
-			continue // book unchanged since the snapshot: windows proven free
+			continue // book unchanged since the build read it: windows proven free
 		}
-		for _, cl := range claims {
+		for _, cl := range run {
 			if existing, busy := cal.ConflictWith(cl.Window); busy {
 				out = append(out, Conflict{Claim: cl, Existing: existing})
 			}

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -282,10 +283,11 @@ func TestCalendarCloneIsolated(t *testing.T) {
 	}
 }
 
-// TestCalendarCloneWithRoom: the roomy clone is the same book — same
-// reservations, same generation, isolated from its source — and the
-// reservations it was sized for go in without moving the backing array,
-// where the exact-length clone reallocates on the first.
+// TestCalendarCloneWithRoom pins Clone, which the roomy variant was folded
+// back into once attempts stopped cloning books: the copy is the same book —
+// same reservations, same generation, the source's published index — at
+// exact capacity (snapshots mostly stay unwritten and must not pay for
+// room), and isolated from its source.
 func TestCalendarCloneWithRoom(t *testing.T) {
 	c := NewCalendar()
 	for k := 0; k < 40; k++ {
@@ -294,31 +296,31 @@ func TestCalendarCloneWithRoom(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const room = 4
-	for _, tc := range []struct {
-		name   string
-		cp     *Calendar
-		stable bool
-	}{
-		{"CloneWithRoom", c.CloneWithRoom(room), true},
-		{"Clone", c.Clone(), false},
-		{"CloneWithRoom(-1)", c.CloneWithRoom(-1), false},
-	} {
-		if tc.cp.Gen() != c.Gen() || len(tc.cp.res) != len(c.res) || tc.cp.res[7] != c.res[7] {
-			t.Fatalf("%s is not a copy of its source", tc.name)
+	for _, indexed := range []bool{false, true} {
+		if indexed {
+			c.FirstFree(0, 6, 1000) // publishes the lazy index
 		}
-		before := &tc.cp.res[0]
-		for k := 0; k < room; k++ {
-			start := simtime.Time(10*k + 5)
-			if err := tc.cp.Reserve(simtime.Interval{Start: start, End: start + 5}, Owner{Job: "j"}); err != nil {
-				t.Fatal(err)
-			}
+		if got := c.idx.Load() != nil; got != indexed {
+			t.Fatalf("source index published = %v, want %v", got, indexed)
 		}
-		if stable := before == &tc.cp.res[0]; stable != tc.stable {
-			t.Errorf("%s: backing array kept through %d reservations = %v, want %v", tc.name, room, stable, tc.stable)
+		cp := c.Clone()
+		if cp.Gen() != c.Gen() || !reflect.DeepEqual(cp.res, c.res) {
+			t.Fatalf("indexed=%v: clone is not a copy of its source", indexed)
 		}
-		if c.Len() != 40 || tc.cp.Len() != 40+room {
-			t.Errorf("%s not isolated: source %d, clone %d", tc.name, c.Len(), tc.cp.Len())
+		if cp.idx.Load() != c.idx.Load() {
+			t.Errorf("indexed=%v: clone does not share the source's index", indexed)
+		}
+		if cap(cp.res) != len(c.res) {
+			t.Errorf("indexed=%v: clone capacity %d, want exactly %d", indexed, cap(cp.res), len(c.res))
+		}
+		if err := cp.Reserve(simtime.Interval{Start: 5, End: 10}, Owner{Job: "j"}); err != nil {
+			t.Fatal(err)
+		}
+		if c.Len() != 40 || cp.Len() != 41 || c.Gen()+1 != cp.Gen() {
+			t.Errorf("indexed=%v: clone not isolated: source %d (gen %d), clone %d (gen %d)", indexed, c.Len(), c.Gen(), cp.Len(), cp.Gen())
+		}
+		if indexed && c.idx.Load() == nil {
+			t.Errorf("a write to the clone dropped the source's index")
 		}
 	}
 }

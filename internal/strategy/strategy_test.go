@@ -482,10 +482,13 @@ func TestGenerateCtxCancellation(t *testing.T) {
 
 // TestConcurrentLevelsShareBaseBooks runs the level sweep at Workers 4 —
 // and four such sweeps at once, as the placer pool does — over ONE base
-// view whose books carry background load. Builds only read the calendars
-// they are given (the copy-on-write contract of criticalworks.Build), so
-// under -race this must be clean, every strategy must equal the
-// sequential one, and no base book may move.
+// view whose books carry background load. Builds read the view they are
+// given and write nothing (the contract of criticalworks.Build), so under
+// -race this must be clean, every strategy must equal the sequential one,
+// and no base book may move. The concurrent sweeps start on books that
+// were just written — as the live books are after a commit — so no book
+// has a published window-query index and the sixteen builds race to
+// publish it lazily.
 func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 	env := mixedEnv()
 	base := criticalworks.EmptyCalendars(env)
@@ -497,20 +500,29 @@ func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 			}
 		}
 	}
+	// A write drops the book's index; this one leaves the reservations alone.
+	dropIndexes := func() {
+		far := simtime.Interval{Start: 1 << 40, End: 1<<40 + 1}
+		for _, c := range base {
+			if err := c.Reserve(far, resource.External); err != nil {
+				t.Fatal(err)
+			}
+			if !c.Release(far, resource.External) {
+				t.Fatal("could not release the index-dropping reservation")
+			}
+		}
+	}
 	type book struct {
 		gen uint64
 		res []resource.Reservation
 	}
-	before := make(map[resource.NodeID]book, len(base))
-	for id, c := range base {
-		before[id] = book{gen: c.Gen(), res: c.Reservations()}
-	}
 
 	job := fig2Job(60)
 	for _, typ := range AllTypes {
-		want, err := (&Generator{Env: env, CaptureMemos: true}).Generate(job, typ, base, 0)
-		if err != nil {
-			t.Fatal(err)
+		dropIndexes()
+		before := make(map[resource.NodeID]book, len(base))
+		for id, c := range base {
+			before[id] = book{gen: c.Gen(), res: c.Reservations()}
 		}
 		got := make([]*Strategy, 4)
 		var wg sync.WaitGroup
@@ -526,6 +538,11 @@ func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+		// The sequential reference runs last: it would publish the indexes.
+		want, err := (&Generator{Env: env, CaptureMemos: true}).Generate(job, typ, base, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, s := range got {
 			if s == nil {
 				continue // reported above
@@ -535,10 +552,10 @@ func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 				t.Errorf("%v: concurrent sweep %d differs from the sequential strategy", typ, i)
 			}
 		}
-	}
-	for id, c := range base {
-		if c.Gen() != before[id].gen || !reflect.DeepEqual(c.Reservations(), before[id].res) {
-			t.Errorf("base book of node %d moved (gen %d → %d)", id, before[id].gen, c.Gen())
+		for id, c := range base {
+			if c.Gen() != before[id].gen || !reflect.DeepEqual(c.Reservations(), before[id].res) {
+				t.Errorf("%v: base book of node %d moved (gen %d → %d)", typ, id, before[id].gen, c.Gen())
+			}
 		}
 	}
 }
