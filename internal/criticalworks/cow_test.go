@@ -17,7 +17,7 @@ import (
 // unbounded ladder the overlay and the admissibility bound replaced. No
 // level is refused, all five margins run; every margin deep-clones the
 // whole view, starts from fresh scratch, searches its own first critical
-// work and runs placeRest's chain loop — but after every placeChain the
+// work and runs buildOnce's chain loop — but after every placeChain the
 // chain's placements are reserved for real into the clones and the overlay
 // is switched off (its per-node lists emptied, so no probe looks past the
 // book). The DP and the collision scan of every later critical work are
@@ -27,19 +27,9 @@ import (
 // adopts the clones into cals. It also reports the index of the margin that
 // succeeded, -1 when none did.
 func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, error) {
-	opt, memoTable, err := normalize(env, job, opt)
+	opt, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, -1, err
-	}
-	var memo *BuildMemo
-	if opt.CaptureMemo && opt.Mode == ResolveReallocate {
-		reads := make(map[resource.NodeID]uint64, len(opt.Candidates))
-		for _, id := range opt.Candidates {
-			if c, ok := cals[id]; ok {
-				reads[id] = c.Gen()
-			}
-		}
-		memo = newMemo(opt, memoTable, reads)
 	}
 	var firstPartial *Schedule
 	var firstErr error
@@ -47,17 +37,11 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 	for mi, mg := range margins {
 		trial := cals.Clone()
 		b := newBuilder(env, trial, opt, mg, newScratch(job))
-		b.capture = memo != nil && mg == 1
 		b.computeBounds(opt.Table, mg)
-		sched, err := refPlaceRest(b, trial)
+		sched, err := refPlaceChains(b, trial)
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
-			if b.capture {
-				memo.Chains = b.chains
-				memo.Schedule = sched
-				sched.memo = memo
-			}
 			for id, c := range trial {
 				cals[id] = c
 			}
@@ -76,9 +60,9 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 	return firstPartial, -1, firstErr
 }
 
-// refPlaceRest is builder.placeRest materialising each critical work into
-// trial — the builder's own view — as soon as it is placed.
-func refPlaceRest(b *builder, trial Calendars) (*Schedule, error) {
+// refPlaceChains is builder.buildOnce's chain loop materialising each critical
+// work into trial — the builder's own view — as soon as it is placed.
+func refPlaceChains(b *builder, trial Calendars) (*Schedule, error) {
 	weights := chainWeights(b.opt.Table)
 	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
 	for b.nPlaced < b.job.NumTasks() {
@@ -113,7 +97,7 @@ func applySchedule(cals Calendars, s *Schedule, jobName string) (Calendars, erro
 	return out, nil
 }
 
-// bookState is one entry of a view as it was handed to Build or TryRepair.
+// bookState is one entry of a view as it was handed to Build.
 type bookState struct {
 	id  resource.NodeID
 	cal *resource.Calendar
@@ -177,21 +161,19 @@ type cowCase struct {
 	cals Calendars
 	opt  Options // Catalog unset: every run gets its own from policy
 	pol  data.Policy
-	seed uint64
 }
 
 // cowCorpus is the fuzz and property corpus of this package widened along
 // the axes the attempt views depend on: the FuzzBuildSchedule seeds and
 // random byte strings through its decoder (both modes, both objectives),
-// and FuzzRepairSplice's random environments under all three data
-// policies with empty, light and dense books and deadlines from generous
-// to hopeless.
+// and the property tests' random environments (randomEnv, randomJob) under
+// all three data policies with empty, light and dense books and deadlines
+// from generous to hopeless.
 func cowCorpus() []cowCase {
 	var out []cowCase
 	add := func(name string, raw []byte) {
 		job, env, cals, opt := decodeFuzzInput(raw)
-		opt.CaptureMemo = true
-		out = append(out, cowCase{name: name, job: job, env: env, cals: cals, opt: opt, pol: data.Policy(len(raw) % 3), seed: uint64(len(out))})
+		out = append(out, cowCase{name: name, job: job, env: env, cals: cals, opt: opt, pol: data.Policy(len(raw) % 3)})
 	}
 	add("fuzz/fig2", fig2SeedBytes())
 	add("fuzz/empty", nil)
@@ -225,11 +207,11 @@ func cowCorpus() []cowCase {
 			st := simtime.Time(r.Intn(int(job.Deadline) + 10))
 			_ = cals[n].Reserve(simtime.Interval{Start: st, End: st + simtime.Time(r.IntBetween(1, 6))}, resource.External)
 		}
-		opt := Options{Objective: Objective(r.Intn(2)), CaptureMemo: true}
+		opt := Options{Objective: Objective(r.Intn(2))}
 		if r.Bool(0.2) {
 			opt.Mode = ResolveDelay
 		}
-		out = append(out, cowCase{name: fmt.Sprintf("rand/%d", seed), job: job, env: env, cals: cals, opt: opt, pol: data.Policy(r.Intn(3)), seed: seed})
+		out = append(out, cowCase{name: fmt.Sprintf("rand/%d", seed), job: job, env: env, cals: cals, opt: opt, pol: data.Policy(r.Intn(3))})
 	}
 	return out
 }
@@ -237,11 +219,11 @@ func cowCorpus() []cowCase {
 // TestBuildMatchesCloneReference pins the overlay build to the
 // materialising reference, over the whole corpus: the schedule (placements,
 // collisions with their holders, costs, Evaluations, the partial one of a
-// failed build), the repair memo and the adopted catalog are identical; the
-// plan applied to the books gives the reference's materialised books,
-// reservations and generations; and after every outcome the view is
-// untouched — every entry the pointer that went in, every book with the
-// generation and reservations that went in.
+// failed build) and the adopted catalog are identical; the plan applied to
+// the books gives the reference's materialised books, reservations and
+// generations; and after every outcome the view is untouched — every entry
+// the pointer that went in, every book with the generation and reservations
+// that went in.
 //
 // It is also the admissibility bound's oracle. Where the bound refused a
 // build, the unbounded reference ladder must have ended infeasible with
@@ -309,68 +291,6 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 	t.Log("regimes: " + regimes)
 	if atFirst == 0 || atLater == 0 || refused == 0 || ladderInfeasible == 0 {
 		t.Fatalf("corpus misses a regime: %s", regimes)
-	}
-}
-
-// TestRepairMatchesCloneReference is the same differential for TryRepair:
-// a replayed or spliced result equals the reference build over the
-// survivors (schedule, catalog, the plan applied to the books), and no
-// outcome — stale included — touches the view it was given.
-func TestRepairMatchesCloneReference(t *testing.T) {
-	outcomes := make(map[RepairOutcome]int)
-	for _, tc := range cowCorpus() {
-		opt := tc.opt
-		opt.Catalog = data.NewCatalog(tc.pol, 0)
-		s, err := Build(tc.env, tc.cals, tc.job, opt)
-		if err != nil || s.Memo() == nil {
-			continue
-		}
-		memo := s.Memo()
-		r := rng.New(tc.seed ^ 0x9e3779b97f4a7c15)
-		var survivors []resource.NodeID
-		for _, id := range memo.Candidates {
-			if !r.Bool(0.3) {
-				survivors = append(survivors, id)
-			}
-		}
-		if len(survivors) == 0 {
-			continue
-		}
-
-		books := recordBooks(tc.cals)
-		snap := func() Calendars { return tc.cals }
-		ropt := Options{Objective: tc.opt.Objective, Candidates: survivors, Release: tc.opt.Release, Catalog: data.NewCatalog(tc.pol, 0)}
-		got, out := TryRepair(tc.env, tc.job, ropt, memo, liveGens(tc.cals), snap)
-		checkViewUntouched(t, tc.name+": TryRepair", tc.cals, books)
-		outcomes[out]++
-		if out == RepairStale {
-			if got != nil {
-				t.Fatalf("%s: stale repair returned a schedule", tc.name)
-			}
-			continue
-		}
-
-		refView, refOpt := tc.cals.Clone(), ropt
-		refOpt.Catalog = data.NewCatalog(tc.pol, 0)
-		want, _, err := refBuild(tc.env, refView, tc.job, refOpt)
-		if err != nil {
-			t.Fatalf("%s: repair %v but the reference build failed: %v", tc.name, out, err)
-		}
-		sameSchedule(t, got, want)
-		if !reflect.DeepEqual(ropt.Catalog, refOpt.Catalog) {
-			t.Errorf("%s: catalog diverged after %v", tc.name, out)
-		}
-		applied, aerr := applySchedule(tc.cals, got, tc.job.Name)
-		if aerr != nil {
-			t.Fatalf("%s: the %v plan does not fit the books: %v", tc.name, out, aerr)
-		}
-		checkSameView(t, fmt.Sprintf("%s (%v)", tc.name, out), applied, refView)
-	}
-	t.Logf("outcomes: %v", outcomes)
-	for _, out := range []RepairOutcome{RepairStale, RepairReplayed, RepairSpliced} {
-		if outcomes[out] == 0 {
-			t.Fatalf("corpus never produced a %v repair: %v", out, outcomes)
-		}
 	}
 }
 

@@ -78,17 +78,7 @@ type Schedule struct {
 	// the chains placed before the failure; its Collisions are still
 	// meaningful (the method attempted those allocations).
 	Partial bool
-
-	// memo, when the build ran with Options.CaptureMemo and succeeded at
-	// margin 1, records the construction trace for incremental repair
-	// (repair.go); nil otherwise.
-	memo *BuildMemo
 }
-
-// Memo returns the build's repair memo, or nil when the build was not
-// memoized (Options.CaptureMemo off, non-ResolveReallocate mode, or
-// success only at an inflated serialization margin).
-func (s *Schedule) Memo() *BuildMemo { return s.memo }
 
 // Makespan returns Finish − Start.
 func (s *Schedule) Makespan() simtime.Time { return s.Finish - s.Start }
@@ -129,8 +119,8 @@ type Options struct {
 	JobName string
 	// Table holds user estimates; defaults to estimate.Derive(job). A
 	// caller building one job many times may pass that derived table
-	// itself: it is recognized (Table.DerivedFrom) and treated as the
-	// default, not as a table of the caller's own.
+	// itself: it is recognized (Table.DerivedFrom) and, like the default,
+	// not checked against the job again.
 	Table *estimate.Table
 	// Catalog supplies data transfer times; defaults to remote access.
 	Catalog *data.Catalog
@@ -166,21 +156,15 @@ type Options struct {
 	// a child per margin attempt, one per critical work, and one per DP
 	// phase (ideal/actual). nil disables tracing at zero cost.
 	Spans *telemetry.Tracer
-	// CaptureMemo records the margin-1 construction trace on the returned
-	// Schedule (Schedule.Memo) so a later build over a shrunken candidate
-	// set can be replayed or spliced instead of re-solved (TryRepair).
-	// Only margin-1 successes in ResolveReallocate mode are memoized;
-	// capture never changes the build's result.
-	CaptureMemo bool
 	// ParentSpan links the build's root span under the caller's span;
 	// when zero, the parent is read from Ctx (telemetry.SpanFromContext).
 	ParentSpan telemetry.SpanID
 }
 
-// Calendars is a scheduling view: one calendar per node. Build and
-// TryRepair read a view and write nothing — no calendar, no map entry — so
-// any number of concurrent builds may share one view, and the view may be
-// the live books themselves as long as nobody writes them meanwhile.
+// Calendars is a scheduling view: one calendar per node. Build reads a view
+// and writes nothing — no calendar, no map entry — so any number of
+// concurrent builds may share one view, and the view may be the live books
+// themselves as long as nobody writes them meanwhile.
 type Calendars map[resource.NodeID]*resource.Calendar
 
 // Clone deep-copies the view, for code that reserves into it in place.
@@ -267,7 +251,7 @@ type scratch struct {
 	isPlaced []bool      // valid where the flag is set
 
 	// The current critical work's two DP results, made by the first phase
-	// that succeeds and overwritten by every chain (ChainMemo copies).
+	// that succeeds and overwritten by every chain.
 	ideal, actual []Placement
 
 	// The attempt's overlay on the view it reads: its placements node by
@@ -299,11 +283,6 @@ type builder struct {
 	nPlaced int // set flags in isPlaced
 	colls   []Collision
 	evals   int64
-
-	// capture makes placeChain record a ChainMemo per critical work; set
-	// only on the margin-1 attempt of a memoizing ResolveReallocate build.
-	capture bool
-	chains  []ChainMemo
 
 	// span is the enclosing margin attempt's span ID; 0 when tracing is
 	// off (per-chain and per-DP-phase spans hang under it).
@@ -434,10 +413,6 @@ func (b *builder) commitPlaced() {
 	}
 }
 
-// adopt publishes a successful attempt: the caller's catalog takes its data
-// placements. The view is not written.
-func (b *builder) adopt(cat *data.Catalog) { *cat = *b.opt.Catalog }
-
 // margins is the retry ladder of serialization margins. The pure best-case
 // bounds (margin 1) assume unlimited fastest nodes; when parallel branches
 // must serialize on a scarce resource pool, later critical works can find
@@ -513,15 +488,11 @@ func buildResult(err error) string {
 	}
 }
 
-// normalize applies Build's option defaulting. It is shared with the
-// repair path (TryRepair), which must key its memo validation on exactly
-// the effective options a full build would run under. memoTable is the
-// estimate table's identity for that validation: nil when the table is
-// estimate.Derive of this job — defaulted here or handed in by a caller
-// that derived it once for many builds — since that is a deterministic
-// function of the job and any two are interchangeable, else the
-// caller-supplied table, which a repair must find pointer-equal.
-func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options, memoTable *estimate.Table, _ error) {
+// normalize applies Build's option defaulting. A table that is
+// estimate.Derive of this job — defaulted here or handed in by a caller that
+// derived it once for many builds — is known to cover the job; any other is
+// checked.
+func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, error) {
 	if opt.JobName == "" {
 		opt.JobName = job.Name
 	}
@@ -529,9 +500,8 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options,
 	case opt.Table == nil:
 		opt.Table = estimate.Derive(job)
 	case !opt.Table.DerivedFrom(job):
-		memoTable = opt.Table
 		if err := opt.Table.CoversJob(job); err != nil {
-			return opt, memoTable, err
+			return opt, err
 		}
 	}
 	if opt.Catalog == nil {
@@ -544,7 +514,7 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options,
 		opt.Deadline = job.Deadline
 	}
 	if opt.Deadline <= opt.Release {
-		return opt, memoTable, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoOrder()[0]).Name}
+		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoOrder()[0]).Name}
 	}
 	if opt.Horizon == 0 {
 		opt.Horizon = opt.Release + 4*(opt.Deadline-opt.Release)
@@ -553,15 +523,15 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (_ Options,
 		opt.Candidates = allNodes(env)
 	}
 	if len(opt.Candidates) == 0 {
-		return opt, memoTable, ErrNoCandidates
+		return opt, ErrNoCandidates
 	}
-	return opt, memoTable, nil
+	return opt, nil
 }
 
 // build is the uninstrumented core of Build: the admissibility bound, then
 // the margin ladder.
 func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
-	opt, memoTable, err := normalize(env, job, opt)
+	opt, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -582,23 +552,11 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true}
 	}
 
-	var memo *BuildMemo
-	if opt.CaptureMemo && opt.Mode == ResolveReallocate {
-		reads := make(map[resource.NodeID]uint64, len(opt.Candidates))
-		for _, id := range opt.Candidates {
-			if c, ok := cals[id]; ok {
-				reads[id] = c.Gen()
-			}
-		}
-		memo = newMemo(opt, memoTable, reads)
-	}
-
 	var firstPartial *Schedule
 	var firstErr error
 	var evals int64
 	for _, mg := range margins {
 		b := newBuilder(env, cals, opt, mg, sc)
-		b.capture = memo != nil && mg == 1
 		var asp *telemetry.Span
 		if opt.Spans != nil {
 			asp = opt.Spans.Start("criticalworks.attempt", opt.ParentSpan)
@@ -610,12 +568,9 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
-			if b.capture {
-				memo.Chains = b.chains
-				memo.Schedule = sched
-				sched.memo = memo
-			}
-			b.adopt(opt.Catalog)
+			// The caller's catalog takes the attempt's data placements; the
+			// view is not written.
+			*opt.Catalog = *b.opt.Catalog
 			return sched, nil
 		}
 		var inf *InfeasibleError
@@ -711,8 +666,9 @@ func cancelled(ctx context.Context, jobName string) error {
 
 func (b *builder) cancelled() error { return cancelled(b.opt.Ctx, b.opt.JobName) }
 
-// buildOnce runs the full multiphase procedure for one margin, starting
-// from the first critical work the build already found.
+// buildOnce runs the full multiphase procedure for one margin: the first
+// critical work the build already found, then critical works until no task
+// is left.
 func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 	b.computeBounds(b.opt.Table, b.margin)
 	if err := b.cancelled(); err != nil {
@@ -721,11 +677,6 @@ func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 	if err := b.placeChain(first); err != nil {
 		return nil, err
 	}
-	return b.placeRest()
-}
-
-// placeRest places critical works until no task is left, then finishes.
-func (b *builder) placeRest() (*Schedule, error) {
 	weights := chainWeights(b.opt.Table)
 	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
 	for b.nPlaced < b.job.NumTasks() {

@@ -1,8 +1,6 @@
 package criticalworks
 
 import (
-	"slices"
-
 	"repro/internal/dag"
 	"repro/internal/economy"
 	"repro/internal/resource"
@@ -23,7 +21,6 @@ func (b *builder) placeChain(chain dag.Chain) error {
 		chainSpan.SetInt("tasks", int64(len(chain.Tasks)))
 		defer func() { chainSpan.SetInt("evaluations", b.evals-evals0).End() }()
 	}
-	memoEvals, memoColls := b.evals, len(b.colls)
 
 	ideal, ok := b.dpPhase(chainSpan, "ideal", chain, true)
 	if !ok {
@@ -62,31 +59,6 @@ func (b *builder) placeChain(chain dag.Chain) error {
 		}
 	}
 	b.commitPlaced()
-
-	if b.capture {
-		// Touched must cover the ideal placements too: the memoized
-		// collisions derive from them, so a repair may only skip this
-		// chain's re-solve when no node of either phase was removed.
-		touched := make(map[resource.NodeID]bool, len(actual))
-		for _, p := range ideal {
-			touched[p.Node] = true
-		}
-		for _, p := range actual {
-			touched[p.Node] = true
-		}
-		nodes := make([]resource.NodeID, 0, len(touched))
-		for n := range touched {
-			nodes = append(nodes, n)
-		}
-		slices.Sort(nodes)
-		b.chains = append(b.chains, ChainMemo{
-			Tasks:   append([]dag.TaskID(nil), chain.Tasks...),
-			Actual:  append([]Placement(nil), actual...),
-			Touched: nodes,
-			Colls:   append([]Collision(nil), b.colls[memoColls:]...),
-			Evals:   b.evals - memoEvals,
-		})
-	}
 	return nil
 }
 

@@ -79,14 +79,6 @@ func NewCatalog(p Policy, storageNode resource.NodeID) *Catalog {
 // Policy returns the catalog's policy.
 func (c *Catalog) Policy() Policy { return c.policy }
 
-// Storage returns the static-storage anchor node (meaningful only under
-// StaticStorage, but always comparable: two catalogs with equal Policy,
-// Storage and Empty state price every transfer identically).
-func (c *Catalog) Storage() resource.NodeID { return c.storage }
-
-// Empty reports whether the catalog has recorded no replicas yet.
-func (c *Catalog) Empty() bool { return len(c.replica) == 0 }
-
 // TransferTime returns the planned time for moving dataset (of job
 // jobName) from the producer's node to the consumer's node, given the base
 // (remote-access) transfer time. It does not mutate replica state; call

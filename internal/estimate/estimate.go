@@ -51,8 +51,8 @@ func Derive(job *dag.Job) *Table {
 }
 
 // DerivedFrom reports whether the table is exactly Derive(job): a
-// deterministic function of the job, so any two such tables are
-// interchangeable where caller-assembled tables must be pointer-equal.
+// deterministic function of the job that covers it by construction, so a
+// build handed one need not check it row by row (CoversJob).
 func (t *Table) DerivedFrom(job *dag.Job) bool { return t.derived != nil && t.derived == job }
 
 // New returns an empty table; rows must be added with SetRow.

@@ -45,11 +45,6 @@ type AvailabilityConfig struct {
 	// Telemetry, when non-nil, receives the hierarchy's runtime metrics
 	// from every cell. Observe-only: reports and traces stay byte-identical.
 	Telemetry *telemetry.Registry
-	// NoRepair forwards metasched.Config.NoRepair: disable incremental
-	// strategy repair and run every fallback re-anchor as a full rebuild.
-	// Reports and traces are byte-identical either way (the repair
-	// differential suite pins this).
-	NoRepair bool
 }
 
 // DefaultAvailability returns the calibrated sweep configuration.
@@ -107,7 +102,6 @@ func runAvailability(cfg AvailabilityConfig, typ strategy.Type, avail float64, t
 		Workers:   cfg.Workers,
 		Tracer:    tracer,
 		Telemetry: cfg.Telemetry,
-		NoRepair:  cfg.NoRepair,
 	})
 	for _, a := range flow {
 		vo.Submit(a.Job, typ, a.At)

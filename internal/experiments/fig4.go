@@ -46,11 +46,6 @@ type Fig4Config struct {
 	// metrics (grid_metasched_*, grid_strategy_*, grid_criticalworks_*)
 	// from every cell. Observe-only: reports and traces stay byte-identical.
 	Telemetry *telemetry.Registry
-	// NoRepair forwards metasched.Config.NoRepair: disable incremental
-	// strategy repair and run every fallback re-anchor as a full rebuild.
-	// Reports and traces are byte-identical either way (the repair
-	// differential suite pins this).
-	NoRepair bool
 }
 
 // DefaultFig4 returns the calibrated configuration.
@@ -122,7 +117,6 @@ func runFig4Type(cfg Fig4Config, typ strategy.Type, tracer metasched.Tracer) (*f
 		Workers:         cfg.Workers,
 		Tracer:          tracer,
 		Telemetry:       cfg.Telemetry,
-		NoRepair:        cfg.NoRepair,
 	})
 	for _, a := range flow {
 		vo.Submit(a.Job, typ, a.At)

@@ -42,7 +42,6 @@ func LocalPassing(cfg Fig4Config) (*Report, error) {
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
 		Telemetry: cfg.Telemetry,
-		NoRepair:  cfg.NoRepair,
 	})
 	flow := gen.Flow(0, cfg.Jobs, 0)
 	for _, a := range flow {

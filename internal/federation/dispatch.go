@@ -103,10 +103,9 @@ func (r *Router) dispatch(id string) {
 	// Journal the binding BEFORE the first byte leaves: if the router is
 	// SIGKILL'd mid-handoff, its next incarnation knows shard may own the
 	// job and reconciles instead of double-placing.
-	realloc, from, epoch := rec.Shard != "", rec.Shard, rec.epoch
 	r.moveLocked(rec, StateHanded, shard, "")
 	wire := *rec.wire
-	strategyName, priority := rec.Strategy, rec.Priority
+	strategyName, priority, epoch := rec.Strategy, rec.Priority, rec.epoch
 	r.mu.Unlock()
 
 	client := r.clients[shard]
@@ -125,7 +124,7 @@ func (r *Router) dispatch(id string) {
 			Key: id, Origin: r.cfg.origin(), Attempt: attempt,
 			Deadline: time.Now().Add(r.cfg.handoffTimeout()).UnixMilli(),
 			Job:      wire, Strategy: strategyName, Priority: priority,
-			Realloc: realloc, FromShard: from, Epoch: epoch,
+			Epoch: epoch,
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
 		began := time.Now()

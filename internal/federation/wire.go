@@ -63,11 +63,6 @@ type Handoff struct {
 	// Strategy and Priority carry the service-level submission fields.
 	Strategy string `json:"strategy,omitempty"`
 	Priority int    `json:"priority,omitempty"`
-	// Realloc marks a cross-shard reallocation (the job was revoked from
-	// FromShard after its owner died or exhausted its retry budget) as
-	// opposed to a first placement.
-	Realloc   bool   `json:"realloc,omitempty"`
-	FromShard string `json:"fromShard,omitempty"`
 	// Epoch is the router's reallocation round for this job: 0 for the
 	// first binding, +1 after every confirmed revocation. A shard holding
 	// a revoked tombstone for Key refuses handoffs whose Epoch is at or

@@ -26,8 +26,6 @@ func testHandoff(key string) *Handoff {
 
 func TestHandoffRoundTrip(t *testing.T) {
 	h := testHandoff("j1")
-	h.Realloc = true
-	h.FromShard = "shard-0"
 	h.Deadline = 1234567890
 	frame, err := EncodeHandoff(h)
 	if err != nil {
@@ -38,8 +36,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Key != "j1" || got.Job.Name != "j1" || got.Strategy != "S1" ||
-		got.Priority != 2 || !got.Realloc || got.FromShard != "shard-0" ||
-		got.Deadline != 1234567890 || len(got.Job.Tasks) != 2 {
+		got.Priority != 2 || got.Deadline != 1234567890 || len(got.Job.Tasks) != 2 {
 		t.Fatalf("round trip mangled the handoff: %+v", got)
 	}
 }

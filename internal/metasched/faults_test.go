@@ -239,6 +239,21 @@ func TestMidRunTaskFailureFromRate(t *testing.T) {
 	}
 }
 
+// faultyVOConfig is the VO of the stochastic tests: faultyConfig's outages and
+// task failures on top of external background load.
+func faultyVOConfig(seed uint64, until simtime.Time) Config {
+	return Config{
+		ExternalMeanGap: 10,
+		ExternalLead:    3,
+		ExternalDurLo:   4,
+		ExternalDurHi:   15,
+		ExternalUntil:   until,
+		Objective:       criticalworks.MinCost,
+		Seed:            seed,
+		Faults:          faultyConfig(seed, until),
+	}
+}
+
 // runFaultyVO executes one full faulty run and returns the JSONL trace
 // bytes and results.
 func runFaultyVO(t *testing.T, seed uint64) ([]byte, []*JobResult) {
@@ -250,17 +265,9 @@ func runFaultyVO(t *testing.T, seed uint64) ([]byte, []*JobResult) {
 	tracer := NewJSONLTracer(&buf)
 	flow := gen.Flow(0, 30, 0)
 	until := flow[len(flow)-1].At + 200
-	vo := NewVO(e, env, Config{
-		ExternalMeanGap: 10,
-		ExternalLead:    3,
-		ExternalDurLo:   4,
-		ExternalDurHi:   15,
-		ExternalUntil:   until,
-		Objective:       criticalworks.MinCost,
-		Seed:            seed,
-		Tracer:          tracer,
-		Faults:          faultyConfig(seed, until),
-	})
+	cfg := faultyVOConfig(seed, until)
+	cfg.Tracer = tracer
+	vo := NewVO(e, env, cfg)
 	for _, a := range flow {
 		vo.Submit(a.Job, strategy.S2, a.At)
 	}

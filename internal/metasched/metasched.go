@@ -141,14 +141,6 @@ type Config struct {
 	// Any value yields the same terminal state per job (equivalence up
 	// to ordering, pinned by the differential suite).
 	Placers int
-
-	// NoRepair disables incremental strategy repair on the fallback path:
-	// every supporting-level re-anchor runs the full critical-works build
-	// even when the previous build's memo could be replayed or spliced.
-	// Repair is on by default and provably byte-identical to the full
-	// rebuild (the repair differential and fuzz suites pin this); the
-	// flag is the escape hatch and the differential baseline.
-	NoRepair bool
 }
 
 // PlacementPolicy selects how the metascheduler distributes arriving jobs
@@ -342,10 +334,6 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 	if cfg.Telemetry != nil && cfg.Placers > 1 {
 		vo.pm.register(cfg.Telemetry)
 	}
-	var rm *strategy.RepairMetrics
-	if cfg.Telemetry != nil && !cfg.NoRepair {
-		rm = strategy.NewRepairMetrics(cfg.Telemetry)
-	}
 	if cfg.Faults.JitterFrac > 0 {
 		vo.jitterRng = rng.New(cfg.Faults.Seed).Split(0x717E)
 	}
@@ -359,16 +347,14 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 			domain: dom,
 			pool:   pool,
 			gen: &strategy.Generator{
-				Env:          env,
-				Pricing:      cfg.Pricing,
-				Pool:         pool,
-				StorageNode:  pool[0],
-				Objective:    cfg.Objective,
-				Workers:      cfg.Workers,
-				Telemetry:    cfg.Telemetry,
-				Spans:        cfg.Spans,
-				CaptureMemos: !cfg.NoRepair,
-				Repair:       rm,
+				Env:         env,
+				Pricing:     cfg.Pricing,
+				Pool:        pool,
+				StorageNode: pool[0],
+				Objective:   cfg.Objective,
+				Workers:     cfg.Workers,
+				Telemetry:   cfg.Telemetry,
+				Spans:       cfg.Spans,
 			},
 		}
 		vo.managers = append(vo.managers, m)
@@ -708,8 +694,9 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 	m.fallback(aj)
 }
 
-// fallback re-anchors the next supporting level at the current time; when
-// the strategy is exhausted the job goes back to the metascheduler.
+// fallback re-anchors the next supporting level at the current time — one
+// critical-works build against the live books per level tried; when the
+// strategy is exhausted the job goes back to the metascheduler.
 func (m *JobManager) fallback(aj *activeJob) {
 	vo := m.vo
 	now := vo.engine.Now()
@@ -720,13 +707,6 @@ func (m *JobManager) fallback(aj *activeJob) {
 		sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
 		defer func() { sp.SetInt("levels_tried", int64(tried)).End() }()
 	}
-	gens := func(id resource.NodeID) uint64 { return vo.env.Node(id).Calendar().Gen() }
-	snap := vo.liveBooks
-	// lastMemo carries the most recent level build's memo across loop
-	// passes: the live books don't change between them, and consecutive
-	// levels shrink the candidate set (the tier filter), so the previous
-	// build can often be replayed or spliced instead of re-run.
-	var lastMemo *criticalworks.BuildMemo
 	// Try remaining levels in the cost order of the original generation.
 	for {
 		next := aj.strat.AdmissibleAfter(aj.used)
@@ -742,14 +722,9 @@ func (m *JobManager) fallback(aj *activeJob) {
 		if sp != nil {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
-		// Two memo sources, cheapest-to-validate first: the build this loop
-		// just ran, then the level's original distribution (only live when
-		// the books haven't moved since generation). No shared estimate
-		// table: a ladder step is rare and usually builds once.
-		d, partial, err := m.gen.ReanchorLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, now, nil, gens, snap, lastMemo, next.Memo())
-		if d != nil && d.Memo() != nil {
-			lastMemo = d.Memo()
-		}
+		// No shared estimate table: a ladder step is rare and usually
+		// builds once.
+		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.liveBooks(), now, nil)
 		if err != nil || d == nil || !d.Admissible {
 			if partial != nil {
 				aj.result.Evaluations += partial.Evaluations

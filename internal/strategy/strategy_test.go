@@ -530,7 +530,7 @@ func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				s, err := (&Generator{Env: env, Workers: 4, CaptureMemos: true}).Generate(job, typ, base, 0)
+				s, err := (&Generator{Env: env, Workers: 4}).Generate(job, typ, base, 0)
 				if err != nil {
 					t.Error(err)
 				}
@@ -539,7 +539,7 @@ func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 		}
 		wg.Wait()
 		// The sequential reference runs last: it would publish the indexes.
-		want, err := (&Generator{Env: env, CaptureMemos: true}).Generate(job, typ, base, 0)
+		want, err := (&Generator{Env: env}).Generate(job, typ, base, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
