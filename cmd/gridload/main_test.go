@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -26,27 +27,42 @@ func testOptions() options {
 	}
 }
 
+// TestInProcessDeterministic is the determinism bar CI holds the in-process
+// service to, at both placement widths: two same-seed runs agree on every
+// deterministic field (at placers 4 that includes the arbiter's
+// commit/conflict/retry counters) and a different seed does not. The CI
+// `test` job runs it under -race.
 func TestInProcessDeterministic(t *testing.T) {
-	a, err := run(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := run(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffs := scalereport.CompareDeterministic(a, b); len(diffs) != 0 {
-		t.Errorf("same-seed runs diverge: %v", diffs)
-	}
-	// A different seed must actually change the outcome.
-	o := testOptions()
-	o.seed = 2
-	c, err := run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffs := scalereport.CompareDeterministic(a, c); len(diffs) == 0 {
-		t.Error("seed change produced an identical deterministic section")
+	for _, placers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("placers=%d", placers), func(t *testing.T) {
+			opts := func(seed uint64) options {
+				o := testOptions()
+				o.seed, o.placers = seed, placers
+				return o
+			}
+			a, err := run(opts(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := run(opts(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diffs := scalereport.CompareDeterministic(a, b); len(diffs) != 0 {
+				t.Errorf("same-seed runs diverge: %v", diffs)
+			}
+			if d := a.Deterministic; placers > 1 && (d.PlacerCommits == 0 || d.PlacerConflicts == 0) {
+				t.Errorf("the scenario never contended a round: commits %d, conflicts %d", d.PlacerCommits, d.PlacerConflicts)
+			}
+			// A different seed must actually change the outcome.
+			c, err := run(opts(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diffs := scalereport.CompareDeterministic(a, c); len(diffs) == 0 {
+				t.Error("seed change produced an identical deterministic section")
+			}
+		})
 	}
 }
 

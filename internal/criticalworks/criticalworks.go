@@ -187,12 +187,10 @@ func Snapshot(env *resource.Environment) Calendars {
 	return out
 }
 
-// SnapshotVersioned clones the live calendars of every node in env and
-// records the generation each one carried, forming the read-set for
-// optimistic placement proposals (resource.Proposal, DESIGN.md §12):
-// a commit whose node generations still match needs no re-validation.
-// The placer pool no longer calls it — a round plans on the live books and
-// captures only the generations — but the signature and the deep copy stay:
+// SnapshotVersioned is Snapshot plus the generation each live book carried
+// when it was copied, so a caller can later tell which books have moved
+// since (resource.Calendar.Gen). Production plans on the live books and
+// does not call it; the signature and the deep copy stay because
 // benchmark/probes.go times this function.
 func SnapshotVersioned(env *resource.Environment) (Calendars, map[resource.NodeID]uint64) {
 	out := make(Calendars, env.NumNodes())

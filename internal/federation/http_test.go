@@ -18,31 +18,32 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestHTTPFederationEndToEnd drives the whole wire path in process: two
-// shards behind real HTTP servers with the member glue, a router talking
-// to them through HTTPShard clients, clients submitting through the
-// router's HTTP API, join handshakes and terminal notices flowing back
-// over the router's own endpoint. The chaos harness covers the same path
-// across processes; this test keeps it honest (and covered) at unit
-// speed.
-func TestHTTPFederationEndToEnd(t *testing.T) {
+// httpFederation is the whole wire path in one process: shards behind real
+// HTTP servers with the member glue, and a started router behind its own,
+// talking to them through HTTPShard clients.
+type httpFederation struct {
+	router *Router
+	url    string // the router's base URL
+	client *http.Client
+	svcs   []*service.Server
+	fleet  []ShardClient
+}
+
+// startHTTPFederation brings up n shards (s0, s1, …) and their router, and
+// tears everything down with the test.
+func startHTTPFederation(t *testing.T, n int) *httpFederation {
+	t.Helper()
 	// The members need the router's URL before the router exists, so the
 	// router's server delegates through a late-bound handler.
 	var routerHandler atomic.Value // http.HandlerFunc
 	rts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		routerHandler.Load().(http.HandlerFunc)(w, req)
 	}))
-	defer rts.Close()
+	t.Cleanup(rts.Close)
 	routerHandler.Store(http.HandlerFunc(http.NotFound))
 
-	type shardProc struct {
-		svc    *service.Server
-		member *Member
-		ts     *httptest.Server
-	}
-	shards := make([]*shardProc, 2)
-	fleet := make([]ShardClient, 2)
-	for i := range shards {
+	f := &httpFederation{url: rts.URL, client: rts.Client()}
+	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("s%d", i)
 		member := NewMember(MemberConfig{
 			Shard: name, Router: rts.URL,
@@ -62,21 +63,19 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 		member.Bind(svc)
 		member.Start()
 		ts := httptest.NewServer(member.Handler(svc.Handler()))
-		defer ts.Close()
-		shards[i] = &shardProc{svc: svc, member: member, ts: ts}
-		fleet[i] = NewHTTPShard(name, ts.URL, &http.Client{Timeout: 2 * time.Second})
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			member.Close()
+			_ = svc.Drain(ctx)
+			ts.Close()
+		})
+		f.svcs = append(f.svcs, svc)
+		f.fleet = append(f.fleet, NewHTTPShard(name, ts.URL, &http.Client{Timeout: 2 * time.Second}))
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, s := range shards {
-			s.member.Close()
-			_ = s.svc.Drain(ctx)
-		}
-	}()
 
 	r, err := New(Config{
-		Shards:            fleet,
+		Shards:            f.fleet,
 		Seed:              21,
 		Telemetry:         telemetry.NewRegistry(),
 		HeartbeatInterval: 50 * time.Millisecond,
@@ -87,12 +86,25 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	}
 	routerHandler.Store(http.HandlerFunc(r.Handler().ServeHTTP))
 	r.Start()
-	defer r.Close()
-	client := rts.Client()
+	t.Cleanup(r.Close)
+	f.router = r
+	return f
+}
+
+// TestHTTPFederationEndToEnd drives the whole wire path in process: two
+// shards behind real HTTP servers with the member glue, a router talking
+// to them through HTTPShard clients, clients submitting through the
+// router's HTTP API, join handshakes and terminal notices flowing back
+// over the router's own endpoint. The chaos harness covers the same path
+// across processes; this test keeps it honest (and covered) at unit
+// speed.
+func TestHTTPFederationEndToEnd(t *testing.T) {
+	f := startHTTPFederation(t, 2)
+	client, fleet := f.client, f.fleet
 
 	post := func(body string) (*http.Response, []byte) {
 		t.Helper()
-		resp, err := client.Post(rts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := client.Post(f.url+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +145,7 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	// Everything terminal, via the router's own HTTP surface.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		resp, err := client.Get(rts.URL + "/v1/jobs")
+		resp, err := client.Get(f.url + "/v1/jobs")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,13 +171,13 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 
 	// Read-side endpoints.
 	var view JobView
-	if err := httpGetJSON(t, client, rts.URL+"/v1/jobs/"+ids[0], &view); err != nil {
+	if err := httpGetJSON(t, client, f.url+"/v1/jobs/"+ids[0], &view); err != nil {
 		t.Fatal(err)
 	}
 	if view.State != service.StateCompleted {
 		t.Fatalf("job view = %+v", view)
 	}
-	if resp, err := client.Get(rts.URL + "/v1/jobs/nope"); err != nil {
+	if resp, err := client.Get(f.url + "/v1/jobs/nope"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
@@ -174,14 +186,14 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 		}
 	}
 	var met Metrics
-	if err := httpGetJSON(t, client, rts.URL+"/v1/metrics", &met); err != nil {
+	if err := httpGetJSON(t, client, f.url+"/v1/metrics", &met); err != nil {
 		t.Fatal(err)
 	}
 	if met.Accepted != uint64(len(ids))+1 || met.Completed != uint64(len(ids)) {
 		t.Fatalf("metrics = %+v", met)
 	}
 	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
-		resp, err := client.Get(rts.URL + path)
+		resp, err := client.Get(f.url + path)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: %v %d", path, err, resp.StatusCode)
 		}
@@ -204,7 +216,7 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	if err != nil || res.Outcome != RevokeOutcomeRevoked {
 		t.Fatalf("wire revoke = (%+v, %v)", res, err)
 	}
-	if rec, ok := shards[0].svc.Job("never-seen"); !ok || rec.State != service.StateRevoked {
+	if rec, ok := f.svcs[0].Job("never-seen"); !ok || rec.State != service.StateRevoked {
 		t.Fatalf("tombstone missing: %+v", rec)
 	}
 
@@ -214,7 +226,7 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	if err != nil || pr.Shard != "s1" || pr.Draining {
 		t.Fatalf("ping = (%+v, %v)", pr, err)
 	}
-	if err := httpGetJSON(t, client, rts.URL+"/v1/metrics", &met); err != nil {
+	if err := httpGetJSON(t, client, f.url+"/v1/metrics", &met); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"s0", "s1"} {

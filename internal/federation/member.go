@@ -376,7 +376,7 @@ func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 	m.refreshLease()
 	m.revokes.Inc()
 	var req RevokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFrameBytes)).Decode(&req); err != nil || req.Key == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad revoke request"})
 		return
 	}

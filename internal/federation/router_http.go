@@ -78,10 +78,7 @@ func (r *Router) Handler() http.Handler {
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var sr SubmitRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request", Code: service.CodeInvalid, Reason: err.Error()})
+	if !service.DecodeSubmit(w, req, &sr) {
 		return
 	}
 	view, err := r.Submit(sr.Job, sr.Strategy, sr.Priority)
@@ -94,7 +91,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 	var jr JoinRequest
-	if err := json.NewDecoder(req.Body).Decode(&jr); err != nil || jr.Shard == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxFrameBytes)).Decode(&jr); err != nil || jr.Shard == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad join request"})
 		return
 	}
@@ -103,7 +100,7 @@ func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleTerminal(w http.ResponseWriter, req *http.Request) {
 	var n TerminalNotice
-	if err := json.NewDecoder(req.Body).Decode(&n); err != nil || n.Job == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxFrameBytes)).Decode(&n); err != nil || n.Job == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad terminal notice"})
 		return
 	}

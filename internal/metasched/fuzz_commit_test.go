@@ -6,84 +6,121 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/criticalworks"
+	"repro/internal/dag"
 	"repro/internal/resource"
+	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/strategy"
 )
 
-// fuzzProposal is one decoded adversarial proposal with its arbiter key.
-type fuzzProposal struct {
-	key  commitKey
-	prop *resource.Proposal
+// fuzzPlan is one decoded adversarial plan with its arbiter key: the
+// windows one job wants booked, all or nothing.
+type fuzzPlan struct {
+	key     commitKey
+	name    string
+	windows []criticalworks.Placement // Task is the index into windows
 }
 
-// decodeCommitInput turns fuzz bytes into a set of proposals: 6 bytes per
-// claim — node, start, length, proposal slot, priority, read-set poison.
-// Claims sharing a slot form one proposal; windows freely overlap each
-// other, existing load and the other proposals (that is the point), and
-// the poison byte fabricates a stale-or-lying generation read-set.
-func decodeCommitInput(data []byte) []*fuzzProposal {
-	byIdx := map[int]*fuzzProposal{}
+// decodeCommitInput turns fuzz bytes into a set of per-job plans: 6 bytes
+// per window — node, start, length, plan slot, priority, and a sixth byte
+// that is ignored (it keeps the stride of the committed corpora). Windows
+// sharing a slot form one plan; they freely overlap existing load and the
+// other plans (that is the point). Empty windows and windows overlapping an
+// earlier window of their own plan on the same node are dropped: the
+// critical-works builder cannot produce either (builder.reserve refuses
+// both), Calendar.Reserve refuses them, and activate treats that refusal as
+// the internal bug it would be. A plan left with no window is dropped.
+func decodeCommitInput(data []byte) []*fuzzPlan {
+	byIdx := map[int]*fuzzPlan{}
 	for off := 0; off+6 <= len(data); off += 6 {
 		b := data[off : off+6]
 		idx := int(b[3] % 8)
 		p, ok := byIdx[idx]
 		if !ok {
-			p = &fuzzProposal{
-				key:  commitKey{seq: idx, name: fmt.Sprintf("f%d", idx)},
-				prop: &resource.Proposal{Reads: map[resource.NodeID]uint64{}},
-			}
+			p = &fuzzPlan{key: commitKey{seq: idx}, name: fmt.Sprintf("f%d", idx)}
 			byIdx[idx] = p
 		}
 		p.key.prio = int(b[4] % 4)
 		node := resource.NodeID(b[0] % 4)
 		start := simtime.Time(b[1] % 64)
-		p.prop.Claims = append(p.prop.Claims, resource.Claim{
-			Node:   node,
-			Window: simtime.Interval{Start: start, End: start + simtime.Time(b[2]%16)}, // may be empty: adversarial
-			Owner:  resource.Owner{Job: p.key.name, Task: fmt.Sprintf("t%d", off/6)},
-		})
-		// The read-set lies freely: b[5] sometimes matches the live
-		// generation (an unearned fast path), sometimes not (forced
-		// re-validation), and odd offsets drop the read entirely.
-		if b[5]%3 != 0 {
-			p.prop.Reads[node] = uint64(b[5] % 5)
+		w := simtime.Interval{Start: start, End: start + simtime.Time(b[2]%16)}
+		ok = !w.Empty()
+		for _, q := range p.windows {
+			ok = ok && !(q.Node == node && q.Window.Overlaps(w))
+		}
+		if ok {
+			p.windows = append(p.windows, criticalworks.Placement{Task: dag.TaskID(len(p.windows)), Node: node, Window: w})
 		}
 	}
-	out := make([]*fuzzProposal, 0, len(byIdx))
+	out := make([]*fuzzPlan, 0, len(byIdx))
 	for _, p := range byIdx {
-		out = append(out, p)
+		if len(p.windows) > 0 {
+			out = append(out, p)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key.seq < out[j].key.seq })
 	return out
 }
 
-// fuzzWorld builds the fixed pre-existing load the proposals fight over.
-func fuzzWorld() map[resource.NodeID]*resource.Calendar {
-	world := map[resource.NodeID]*resource.Calendar{}
-	for id := resource.NodeID(0); id < 4; id++ {
-		world[id] = resource.NewCalendar()
+// fuzzWorld builds a VO over four nodes carrying the fixed pre-existing
+// load the plans fight over.
+func fuzzWorld() *VO {
+	nodes := make([]*resource.Node, 4)
+	for i := range nodes {
+		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), 1, 1, "d")
 	}
+	env := resource.NewEnvironment(nodes)
 	ext := resource.External
 	// Fig. 2-shaped background: staggered busy windows per node.
-	_ = world[0].Reserve(simtime.Interval{Start: 0, End: 10}, ext)
-	_ = world[1].Reserve(simtime.Interval{Start: 10, End: 20}, ext)
-	_ = world[2].Reserve(simtime.Interval{Start: 20, End: 30}, ext)
-	_ = world[3].Reserve(simtime.Interval{Start: 5, End: 15}, ext)
-	return world
+	_ = env.Node(0).Calendar().Reserve(simtime.Interval{Start: 0, End: 10}, ext)
+	_ = env.Node(1).Calendar().Reserve(simtime.Interval{Start: 10, End: 20}, ext)
+	_ = env.Node(2).Calendar().Reserve(simtime.Interval{Start: 20, End: 30}, ext)
+	_ = env.Node(3).Calendar().Reserve(simtime.Interval{Start: 5, End: 15}, ext)
+	return NewVO(sim.New(), env, Config{})
 }
 
-// FuzzCommitConflicts feeds adversarial overlapping proposals to the
-// commit arbiter's ordering and resource.Proposal.Commit, asserting:
+// offer hands the plan to the VO's one books step, JobManager.activate, as
+// a job in flight whose chosen distribution holds exactly the plan's
+// windows, and reports whether it was booked.
+func (p *fuzzPlan) offer(vo *VO) bool {
+	b := dag.NewBuilder(p.name)
+	d := &strategy.Distribution{
+		Schedule:   &criticalworks.Schedule{Placements: map[dag.TaskID]criticalworks.Placement{}},
+		Level:      1,
+		Admissible: true,
+	}
+	d.Start = p.windows[0].Window.Start
+	for i, w := range p.windows {
+		d.Placements[b.Task(p.taskName(i), 1, 0)] = w
+		d.Start = min(d.Start, w.Window.Start)
+		d.Finish = max(d.Finish, w.Window.End)
+	}
+	job := b.MustBuild()
+	aj := &activeJob{
+		result:   &JobResult{Job: job},
+		strat:    &strategy.Strategy{Job: job, Scheduled: job},
+		manager:  vo.managers[0],
+		used:     map[resource.Tier]bool{},
+		failedAt: -1,
+	}
+	return aj.manager.activate(aj, d)
+}
+
+func (p *fuzzPlan) taskName(i int) string { return fmt.Sprintf("t%d", i) }
+
+// FuzzCommitConflicts feeds adversarial overlapping plans to the commit
+// arbiter's ordering and to JobManager.activate, asserting:
 //
 //   - the collision-resolution order is total (any two distinct keys
 //     compare in exactly one direction) and the sort is deterministic,
-//   - committing the same proposal set twice over identical worlds gives
+//   - offering the same plan set twice over identical worlds gives
 //     identical outcomes and identical final books (determinism per seed),
-//   - the books stay pairwise disjoint and no commit is partial,
-//   - two committed proposals never hold overlapping windows,
+//   - the books stay pairwise disjoint and no plan is booked in part,
+//   - two booked plans never hold overlapping windows,
 //   - nothing ever panics, whatever the bytes say.
 func FuzzCommitConflicts(f *testing.F) {
-	// Fig. 2-like corpus: three proposals whose claims chain across nodes
+	// Fig. 2-like corpus: three plans whose windows chain across nodes
 	// 0–2 at the worked example's window boundaries.
 	f.Add([]byte{
 		0, 10, 10, 0, 2, 1,
@@ -92,8 +129,8 @@ func FuzzCommitConflicts(f *testing.F) {
 		2, 30, 10, 1, 1, 4,
 		0, 10, 5, 2, 3, 2,
 	})
-	// Fig. 4-like corpus: dense same-node contention — every proposal
-	// wants the same early window on node 3 plus a private tail.
+	// Fig. 4-like corpus: dense same-node contention — every plan wants
+	// the same early window on node 3 plus a private tail.
 	f.Add([]byte{
 		3, 15, 10, 0, 0, 0,
 		3, 15, 10, 1, 1, 1,
@@ -102,8 +139,8 @@ func FuzzCommitConflicts(f *testing.F) {
 		3, 50, 8, 1, 1, 4,
 		3, 60, 8, 2, 2, 5,
 	})
-	// Degenerate claims: empty windows, unknown-node poison via modulo
-	// wrap, duplicated claims inside one proposal.
+	// Degenerate windows: empty ones (a plan left with nothing) and a
+	// window duplicated inside one plan.
 	f.Add([]byte{
 		0, 5, 0, 0, 0, 0,
 		0, 5, 0, 0, 0, 0,
@@ -112,45 +149,44 @@ func FuzzCommitConflicts(f *testing.F) {
 	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		props := decodeCommitInput(data)
-		if len(props) == 0 {
+		plans := decodeCommitInput(data)
+		if len(plans) == 0 {
 			return
 		}
 
 		// Totality of the arbiter's order.
-		for i := range props {
-			for j := range props {
+		for i := range plans {
+			for j := range plans {
 				if i == j {
 					continue
 				}
-				ab := commitBefore(props[i].key, props[j].key)
-				ba := commitBefore(props[j].key, props[i].key)
+				ab := commitBefore(plans[i].key, plans[j].key)
+				ba := commitBefore(plans[j].key, plans[i].key)
 				if ab && ba {
-					t.Fatalf("order not antisymmetric: %+v vs %+v", props[i].key, props[j].key)
+					t.Fatalf("order not antisymmetric: %+v vs %+v", plans[i].key, plans[j].key)
 				}
-				if props[i].key != props[j].key && !ab && !ba {
-					t.Fatalf("order not total: %+v vs %+v", props[i].key, props[j].key)
+				if plans[i].key != plans[j].key && !ab && !ba {
+					t.Fatalf("order not total: %+v vs %+v", plans[i].key, plans[j].key)
 				}
 			}
 		}
 
 		run := func() ([]bool, map[resource.NodeID][]resource.Reservation) {
-			world := fuzzWorld()
-			view := func(id resource.NodeID) *resource.Calendar { return world[id] }
-			order := make([]int, len(props))
+			vo := fuzzWorld()
+			order := make([]int, len(plans))
 			for i := range order {
 				order[i] = i
 			}
 			sort.Slice(order, func(a, b int) bool {
-				return commitBefore(props[order[a]].key, props[order[b]].key)
+				return commitBefore(plans[order[a]].key, plans[order[b]].key)
 			})
-			committed := make([]bool, len(props))
+			committed := make([]bool, len(plans))
 			for _, i := range order {
-				committed[i] = len(props[i].prop.Commit(view)) == 0
+				committed[i] = plans[i].offer(vo)
 			}
 			books := map[resource.NodeID][]resource.Reservation{}
-			for id, c := range world {
-				books[id] = c.Reservations()
+			for _, n := range vo.env.Nodes() {
+				books[n.ID] = n.Calendar().Reservations()
 			}
 			return committed, books
 		}
@@ -158,10 +194,10 @@ func FuzzCommitConflicts(f *testing.F) {
 		c1, b1 := run()
 		c2, b2 := run()
 		if !reflect.DeepEqual(c1, c2) || !reflect.DeepEqual(b1, b2) {
-			t.Fatal("identical worlds, identical proposals, different outcomes")
+			t.Fatal("identical worlds, identical plans, different outcomes")
 		}
 
-		// Books disjoint; commits all-or-nothing.
+		// Books disjoint; plans all-or-nothing.
 		for id, res := range b1 {
 			for i := 1; i < len(res); i++ {
 				if res[i-1].Interval.Overlaps(res[i].Interval) {
@@ -169,39 +205,32 @@ func FuzzCommitConflicts(f *testing.F) {
 				}
 			}
 		}
-		inBooks := func(cl resource.Claim) bool {
-			for _, r := range b1[cl.Node] {
-				if r.Interval == cl.Window && r.Owner == cl.Owner {
-					return true
+		for i, p := range plans {
+			for k, w := range p.windows {
+				got := false
+				for _, r := range b1[w.Node] {
+					if r.Interval == w.Window && r.Owner == (resource.Owner{Job: p.name, Task: p.taskName(k)}) {
+						got = true
+					}
 				}
-			}
-			return false
-		}
-		for i, p := range props {
-			for _, cl := range p.prop.Claims {
-				if got := inBooks(cl); got != c1[i] {
-					// Duplicate claims within one committed proposal both
-					// match the same reservation, so presence can only be
-					// asserted one way: a committed claim must be present.
-					if c1[i] && !got {
-						t.Fatalf("proposal %d committed but claim %v missing", i, cl)
-					}
-					if !c1[i] && got {
-						t.Fatalf("proposal %d failed but claim %v applied", i, cl)
-					}
+				if c1[i] && !got {
+					t.Fatalf("plan %d booked but window %v missing", i, w)
+				}
+				if !c1[i] && got {
+					t.Fatalf("plan %d refused but window %v applied", i, w)
 				}
 			}
 		}
 		// Winners never overlap each other.
-		for i := range props {
-			for j := i + 1; j < len(props); j++ {
+		for i := range plans {
+			for j := i + 1; j < len(plans); j++ {
 				if !c1[i] || !c1[j] {
 					continue
 				}
-				for _, a := range props[i].prop.Claims {
-					for _, b := range props[j].prop.Claims {
+				for _, a := range plans[i].windows {
+					for _, b := range plans[j].windows {
 						if a.Node == b.Node && a.Window.Overlaps(b.Window) {
-							t.Fatalf("proposals %d and %d both committed overlapping claims", i, j)
+							t.Fatalf("plans %d and %d both booked overlapping windows", i, j)
 						}
 					}
 				}

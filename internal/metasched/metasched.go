@@ -60,10 +60,6 @@ import (
 
 // Config tunes the virtual organization simulation.
 type Config struct {
-	// Domains is the number of job-manager domains the environment's
-	// nodes are partitioned into (by their Node.Domain labels).
-	// Informational; the actual split follows the labels.
-
 	// ExternalMeanGap is the mean model-time gap between background-load
 	// reservation attempts (exponential). Zero disables the injector.
 	ExternalMeanGap float64
@@ -133,13 +129,15 @@ type Config struct {
 
 	// Placers enables shared-state optimistic concurrent placement
 	// (DESIGN.md §12): same-tick arrivals are batched, up to Placers
-	// goroutines build placement proposals on the live calendars under
-	// one generation read-set, and a deterministic commit arbiter applies the
-	// winners and retries the losers against refreshed state. Values
-	// ≤ 1 are the same code at width 1: every submission is its own
-	// singleton batch, so jobs place one at a time in submission order.
-	// Any value yields the same terminal state per job (equivalence up
-	// to ordering, pinned by the differential suite).
+	// goroutines build the batch's strategies on the live calendars, and
+	// the engine goroutine then walks the jobs in the arbiter's order
+	// (priority, then submission), booking each job's cheapest admissible
+	// level whose windows are still free (JobManager.activate); a job that
+	// lost every level is carried into the next round. Values ≤ 1 are the
+	// same code at width 1: every submission is its own singleton batch,
+	// so jobs place one at a time in submission order. Any value yields
+	// the same terminal state per job (equivalence up to ordering, pinned
+	// by the differential suite).
 	Placers int
 }
 
@@ -394,9 +392,10 @@ func (vo *VO) Submit(job *dag.Job, typ strategy.Type, at simtime.Time) error {
 
 // SubmitPrio is Submit with an explicit priority for the concurrent
 // placement arbiter: when optimistic placement is enabled (Config.Placers
-// > 1) and several jobs arrive at the same tick, commit-time collisions
-// are resolved in favor of the higher priority (ties by submission
-// order), per the paper's priority/QoS collision-resolution rules. With
+// > 1) and several jobs arrive at the same tick, the higher priority books
+// its windows first (ties by submission order) and a later job whose plan
+// needed one of them loses that level, per the paper's priority/QoS
+// collision-resolution rules. With
 // placers ≤ 1 the priority is irrelevant — every batch is a singleton, so
 // jobs place one at a time in submission order.
 func (vo *VO) SubmitPrio(job *dag.Job, typ strategy.Type, at simtime.Time, prio int) error {
@@ -522,7 +521,10 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 		m.vo.reallocate(aj)
 		return
 	}
-	m.activate(aj, d)
+	if !m.activate(aj, d) {
+		// The plan was built on these books inside this event.
+		panic(fmt.Sprintf("metasched: activation conflict for %s at level %d", aj.result.Job.Name, d.Level))
+	}
 }
 
 // install makes st the job's current strategy and books what generating it
@@ -539,29 +541,32 @@ func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	}
 }
 
-// activate reserves the distribution's windows in the live calendars and
-// schedules the job's start and finish events. The very first activation
-// (in whichever domain it happens) defines the job's planned start for the
-// Fig. 4c deviation metric.
-func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) {
-	owner := func(task dag.TaskID) resource.Owner {
-		return resource.Owner{Job: aj.result.Job.Name, Task: aj.strat.Scheduled.Task(task).Name}
+// activate is the only way a plan reaches the live calendars: the paper's
+// all-or-nothing advance reservation of every window at resource-request
+// time (§3, §5). Pass 1 asks each placement's node whether its window is
+// still free and returns false, having changed nothing, on the first one
+// that is not. Pass 2 reserves every window and then schedules the job's
+// start and finish events. The two passes are atomic because the engine
+// goroutine, which runs this, is the books' only writer (DESIGN.md §12), so
+// a Reserve refusing a window pass 1 just found free is an internal bug.
+// The outcome does not depend on the order Placements is walked in.
+//
+// The very first activation (in whichever domain it happens) defines the
+// job's planned start for the Fig. 4c deviation metric.
+func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
+	env := m.vo.env
+	for _, p := range d.Placements {
+		if _, busy := env.Node(p.Node).Calendar().ConflictWith(p.Window); busy {
+			return false
+		}
 	}
 	for id, p := range d.Placements {
-		if err := m.vo.env.Node(p.Node).Calendar().Reserve(p.Window, owner(id)); err != nil {
-			// The plan was built on these books inside this event, so a
-			// conflict is an internal bug.
+		owner := resource.Owner{Job: aj.result.Job.Name, Task: aj.strat.Scheduled.Task(id).Name}
+		if err := env.Node(p.Node).Calendar().Reserve(p.Window, owner); err != nil {
 			panic(fmt.Sprintf("metasched: activation conflict for %s: %v", aj.result.Job.Name, err))
 		}
 	}
-	m.activateReserved(aj, d)
-}
 
-// activateReserved is activate after the reservations are already in the
-// live books: the optimistic commit path (placer.go) applies a plan's
-// windows atomically through resource.Proposal.Commit and then runs the
-// exact bookkeeping activate runs after its Reserve loop.
-func (m *JobManager) activateReserved(aj *activeJob, d *strategy.Distribution) {
 	now := m.vo.engine.Now()
 	aj.current = d
 	aj.activate = now
@@ -595,6 +600,7 @@ func (m *JobManager) activateReserved(aj *activeJob, d *strategy.Distribution) {
 	if d.Start <= now {
 		aj.result.State = StateExecuting
 	}
+	return true
 }
 
 // armTaskFailure draws, at activation time, whether this plan will lose a
@@ -738,7 +744,10 @@ func (m *JobManager) fallback(aj *activeJob) {
 		m.vo.trace(EventFallback, aj.result.Job.Name, m.domain, func(e *Event) {
 			e.Level = int(d.Level)
 		})
-		m.activate(aj, d)
+		if !m.activate(aj, d) {
+			// Re-anchored on these books a moment ago, inside this event.
+			panic(fmt.Sprintf("metasched: activation conflict for %s at re-anchored level %d", aj.result.Job.Name, d.Level))
+		}
 		return
 	}
 }

@@ -17,22 +17,22 @@ import (
 // (DESIGN.md §12). With Config.Placers > 1, jobs arriving at the same
 // tick form a batch. Each round of a batch:
 //
-//  1. records the generation of every live calendar — the round's
-//     read-set; the live books themselves are the shared state (liveBooks),
-//  2. builds every job's strategy concurrently on those books (up to
-//     Placers goroutines; a build reads its view and writes nothing, and
-//     the engine goroutine — the books' only writer — is parked in
-//     parallel.Map until every worker has returned, so the builds are pure
-//     functions of one state and the parallelism cannot leak into the
-//     results),
-//  3. commits sequentially in the arbiter's total order — the paper's
-//     collision-resolution rule: priority first, then submission
-//     order — validating each plan's read-set (calendar generations)
-//     against the live books via resource.Proposal,
-//  4. carries commit losers into the next round against refreshed
-//     state; after placerRounds rounds the stragglers take the
-//     guaranteed sequential path (JobManager.adopt), which cannot
-//     conflict because it holds the only writer.
+//  1. builds every job's strategy concurrently on the live books
+//     (liveBooks; up to Placers goroutines; a build reads its view and
+//     writes nothing, and the engine goroutine — the books' only writer —
+//     is parked in parallel.Map until every worker has returned, so the
+//     builds are pure functions of one state and the parallelism cannot
+//     leak into the results),
+//  2. walks the jobs sequentially in the arbiter's total order — the
+//     paper's collision-resolution rule: priority first, then submission
+//     order — offering each job's admissible levels cheapest-first to
+//     JobManager.activate, which books a level only if every one of its
+//     windows is still free after the earlier winners of the round,
+//  3. carries the jobs that lost every level into the next round, which
+//     builds on the books as the winners left them; after placerRounds
+//     rounds the stragglers take the guaranteed sequential path
+//     (JobManager.adopt), which builds and books inside one event and so
+//     cannot lose.
 //
 // Placers ≤ 1 is the same code at width 1, not another path: every
 // submission is a singleton batch, and a batch of one skips the rounds
@@ -63,29 +63,22 @@ type placerJob struct {
 	initial bool // first generation defines the admissibility record
 }
 
-func (w *placerJob) key() commitKey {
-	return commitKey{prio: w.prio, seq: w.seq, name: w.aj.result.Job.Name}
-}
+func (w *placerJob) key() commitKey { return commitKey{prio: w.prio, seq: w.seq} }
 
-// commitKey orders proposals at the commit step. The order is total:
-// any two distinct submissions differ in seq, and the name breaks ties
-// for synthetic keys (fuzzing) that reuse a seq.
+// commitKey orders a round's plans at the commit step. The order is
+// total: any two distinct submissions differ in seq.
 type commitKey struct {
 	prio int
 	seq  int
-	name string
 }
 
 // commitBefore is the arbiter's collision-resolution order: higher
-// priority first (QoS), then earlier submission, then job name.
+// priority first (QoS), then earlier submission.
 func commitBefore(a, b commitKey) bool {
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.name < b.name
+	return a.seq < b.seq
 }
 
 // placerMetrics holds the optimistic-commit counters; all nil (and every
@@ -99,9 +92,9 @@ type placerMetrics struct {
 
 func (pm *placerMetrics) register(reg *telemetry.Registry) {
 	pm.commits = reg.Counter("grid_placer_commits_total",
-		"placement proposals committed by the optimistic arbiter")
+		"levels the optimistic arbiter booked (every window still free at commit time)")
 	pm.conflicts = reg.Counter("grid_placer_conflicts_total",
-		"placement proposals refused at commit time (read-set or window conflict)")
+		"levels the optimistic arbiter refused at commit time (a window was taken earlier in the round)")
 	pm.retries = reg.Counter("grid_placer_retries_total",
 		"jobs carried into another optimistic round after losing every level")
 	pm.fallbacks = reg.Counter("grid_placer_sequential_fallbacks_total",
@@ -131,16 +124,6 @@ func (vo *VO) liveBooks() criticalworks.Calendars {
 		out[n.ID] = n.Calendar()
 	}
 	return out
-}
-
-// liveView resolves node IDs to the live calendars for proposal commits.
-func (vo *VO) liveView() resource.CalendarView {
-	return func(id resource.NodeID) *resource.Calendar {
-		if int(id) < 0 || int(id) >= vo.env.NumNodes() {
-			return nil
-		}
-		return vo.env.Node(id).Calendar()
-	}
 }
 
 // arriveBatch is the one arrival path: it runs the metascheduler's flow
@@ -233,17 +216,13 @@ func (vo *VO) placeConcurrent(work []*placerJob) {
 	}
 }
 
-// placeRound runs one optimistic round: read-set, concurrent strategy
-// builds on the live books, then deterministic arbitration and commit. It
-// returns the jobs that lost every admissible level at commit time and
-// should retry against the refreshed state.
+// placeRound runs one optimistic round: concurrent strategy builds on the
+// live books, then deterministic arbitration and commit. It returns the
+// jobs that lost every admissible level at commit time and should retry on
+// the books as this round's winners left them.
 func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 	now := vo.engine.Now()
 	books := vo.liveBooks()
-	gens := make(map[resource.NodeID]uint64, len(books))
-	for id, c := range books {
-		gens[id] = c.Gen()
-	}
 
 	// Build contexts are acquired sequentially: the service's BuildCtx
 	// hook arms per-job timers and is not required to be goroutine-safe.
@@ -276,7 +255,6 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 		return commitBefore(work[order[a]].key(), work[order[b]].key())
 	})
 
-	view := vo.liveView()
 	var carry []*placerJob
 	for _, i := range order {
 		w, out := work[i], outs[i]
@@ -294,10 +272,10 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 			vo.reallocate(aj)
 			continue
 		}
-		// Walk the admissible levels cheapest-first, proposing each until
-		// one commits. Commit losses stay in a round-local set: a level
-		// blocked by this round's winners may fit next round, so it must
-		// not be burned in aj.used the way activated levels are.
+		// Walk the admissible levels cheapest-first until one is booked.
+		// Commit losses stay in a round-local set: a level blocked by this
+		// round's winners may fit next round, so it must not be burned in
+		// aj.used the way activated levels are.
 		tried := make(map[resource.Tier]bool)
 		committed := false
 		for {
@@ -306,16 +284,11 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 				break
 			}
 			tried[d.Level] = true
-			prop := &resource.Proposal{
-				Reads:  gens,
-				Claims: d.Claims(st.Scheduled, aj.result.Job.Name),
-			}
-			if conflicts := prop.Commit(view); len(conflicts) != 0 {
+			if !aj.manager.activate(aj, d) {
 				vo.pm.conflicts.Inc()
 				continue
 			}
 			vo.pm.commits.Inc()
-			aj.manager.activateReserved(aj, d)
 			committed = true
 			break
 		}

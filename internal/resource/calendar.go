@@ -32,10 +32,8 @@ type Reservation struct {
 // reservations. The zero value is not usable; call NewCalendar.
 //
 // The book is versioned: every mutation bumps a monotonic generation
-// counter, which the optimistic concurrent placement machinery
-// (Proposal, DESIGN.md §12) uses as the read-set of a placement built
-// against the book — an unchanged generation proves what the build read is
-// still exact, so a proposal's claims can commit without re-scanning.
+// counter (Gen). Nothing in production branches on it; tests and snapshot
+// callers use it to assert that a book did not move between two points.
 type Calendar struct {
 	res []Reservation // sorted by Interval.Start, pairwise disjoint
 	gen uint64        // bumped on every mutation of res
@@ -301,8 +299,8 @@ func (c *Calendar) Void() []Reservation {
 
 // Clone returns a deep copy of the calendar, for a caller that reserves
 // into it or keeps it while the live book moves on. The clone carries the
-// source's generation, so a proposal built against it can later prove the
-// live book unchanged (Proposal.Reads).
+// source's generation, so comparing the two later tells whether the live
+// book has moved since the copy.
 func (c *Calendar) Clone() *Calendar {
 	cp := &Calendar{res: make([]Reservation, len(c.res)), gen: c.gen}
 	copy(cp.res, c.res)

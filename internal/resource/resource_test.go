@@ -2,6 +2,7 @@ package resource
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -439,5 +440,60 @@ func TestQuickFirstFreeIsFreeAndEarliest(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestGenMonotonicAndBumpedExactlyOnMutation(t *testing.T) {
+	r := rng.New(7)
+	c := NewCalendar()
+	var held []Reservation
+	for step := 0; step < 2000; step++ {
+		before := c.Gen()
+		mutated := false
+		switch r.Intn(5) {
+		case 0, 1: // Reserve
+			start := simtime.Time(r.Int64n(200))
+			iv := simtime.Interval{Start: start, End: start + simtime.Time(r.Int64n(20))}
+			owner := Owner{Job: fmt.Sprintf("j%d", r.Intn(8))}
+			if err := c.Reserve(iv, owner); err == nil {
+				mutated = true
+				held = append(held, Reservation{Interval: iv, Owner: owner})
+			}
+		case 2: // Release a held reservation (or a miss)
+			if len(held) > 0 && r.Bool(0.7) {
+				i := r.Intn(len(held))
+				if c.Release(held[i].Interval, held[i].Owner) {
+					mutated = true
+					held = append(held[:i], held[i+1:]...)
+				}
+			} else if c.Release(simtime.Interval{Start: 9999, End: 10000}, Owner{Job: "nobody"}) {
+				t.Fatal("released a reservation that was never made")
+			}
+		case 3: // PruneBefore
+			if c.PruneBefore(simtime.Time(r.Int64n(100))) > 0 {
+				mutated = true
+				held = held[:0]
+				held = append(held, c.Reservations()...)
+			}
+		case 4: // ReleaseJob
+			if c.ReleaseJob(fmt.Sprintf("j%d", r.Intn(8))) > 0 {
+				mutated = true
+				held = held[:0]
+				held = append(held, c.Reservations()...)
+			}
+		}
+		after := c.Gen()
+		if after < before {
+			t.Fatalf("step %d: generation went backwards: %d -> %d", step, before, after)
+		}
+		if mutated && after == before {
+			t.Fatalf("step %d: mutation did not bump the generation", step)
+		}
+		if !mutated && after != before {
+			t.Fatalf("step %d: generation bumped without a mutation", step)
+		}
+	}
+	if got := c.Clone().Gen(); got != c.Gen() {
+		t.Fatalf("clone generation %d, source %d", got, c.Gen())
 	}
 }

@@ -32,7 +32,7 @@ type errorBody struct {
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/jobs      — submit a job (202, or 400/409/422/429/503)
+//	POST /v1/jobs      — submit a job (202, or 400/409/413/422/429/503)
 //	GET  /v1/jobs      — list all job records
 //	GET  /v1/jobs/{id} — one job record (404 when unknown)
 //	GET  /v1/metrics   — counters snapshot (JSON, legacy)
@@ -91,12 +91,37 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// MaxSubmitBytes bounds a POST /v1/jobs body on both tiers. What the router
+// accepts it must be able to hand off, and a shard refuses a handoff frame
+// above 16 MiB. The frame is the job re-marshalled, with its name a second
+// time as the handoff key, and json.Marshal writes a body byte as up to six
+// (<, >, & and U+2028/9 become \uXXXX): 12 × 1 MiB plus the envelope fits,
+// 12 × 2 MiB does not.
+const MaxSubmitBytes = 1 << 20
+
+// DecodeSubmit reads one POST /v1/jobs body into req: strict fields, at
+// most MaxSubmitBytes. When it cannot it answers 400 — 413 for an oversized
+// body — with the JSON error envelope and reports false. The federation
+// router decodes through it too.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request, req any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorBody{Error: "bad request", Code: CodeInvalid, Reason: err.Error()})
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request", Code: CodeInvalid, Reason: err.Error()})
+	if !DecodeSubmit(w, r, &req) {
 		return
 	}
 	rec, err := s.Submit(req.Job, req.Strategy, req.Priority)

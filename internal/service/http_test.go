@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -260,5 +261,54 @@ func TestHTTPRetryAfterAndHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("readyz while draining: status=%d Retry-After=%q",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+}
+
+// TestSubmitBodyIsCapped pins the POST /v1/jobs body cap on a gridd: a body
+// one byte over MaxSubmitBytes gets 413 with the error envelope and leaves
+// no trace — no ledger entry, no submission counted — while a body of exactly
+// the cap is accepted and runs to a terminal state.
+func TestSubmitBodyIsCapped(t *testing.T) {
+	s := newServer(t, Config{QueueCap: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// submission is a valid job whose body is exactly size bytes, padded in
+	// the job's name.
+	submission := func(prefix string, size int) SubmitRequest {
+		bare, err := json.Marshal(SubmitRequest{Job: wireJob(prefix, 60)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SubmitRequest{Job: wireJob(prefix+strings.Repeat("x", size-len(bare)), 60)}
+	}
+
+	before := s.Metrics().Submitted
+	big := submission("too-big", MaxSubmitBytes+1)
+	resp := postJob(t, ts, big)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit = %d, want 413", resp.StatusCode)
+	}
+	var eb errorBody
+	decodeInto(t, resp, &eb)
+	if eb.Code != CodeInvalid || eb.Reason == "" {
+		t.Errorf("oversized submit body: %+v", eb)
+	}
+	if _, ok := s.Job(big.Name); ok {
+		t.Error("the refused job is on the ledger")
+	}
+	if got := s.Metrics().Submitted; got != before {
+		t.Errorf("the refused job was counted: submitted %d → %d", before, got)
+	}
+
+	fits := submission("fits", MaxSubmitBytes)
+	resp = postJob(t, ts, fits)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit at the cap = %d, want 202", resp.StatusCode)
+	}
+	s.Process(-1)
+	s.Quiesce()
+	if rec, _ := s.Job(fits.Name); rec.State != StateCompleted {
+		t.Fatalf("the job at the cap ended %q (%s)", rec.State, rec.Reason)
 	}
 }
