@@ -1,9 +1,12 @@
 package criticalworks
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
@@ -36,7 +39,9 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 	var evals int64
 	for mi, mg := range margins {
 		trial := cals.Clone()
-		b := newBuilder(env, trial, opt, mg, newScratch(job))
+		sc := new(scratch) // never pooled: the reference owes the arena nothing
+		sc.reset(job, env.NumNodes())
+		b := sc.attempt(env, trial, opt, mg)
 		b.computeBounds(opt.Table, mg)
 		sched, err := refPlaceChains(b, trial)
 		evals += b.evals
@@ -294,30 +299,30 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 	}
 }
 
-// denseFixture is the allocation guard's fixed input: a 5-level job (two
-// tasks per level, every task feeding both tasks of the next level) over
-// 24 nodes across all four tiers, each book holding 60 background
-// reservations with 3-tick gaps between them.
-func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag.Job) {
+// layeredFixture is a job of the given number of levels, width tasks per
+// level and every task feeding every task of the next level, over nodes
+// nodes across all four tiers, each book holding 60 background reservations
+// with 3-tick gaps between them.
+func layeredFixture(levels, width, nodes int, deadline simtime.Time) (*resource.Environment, Calendars, *dag.Job) {
 	b := dag.NewBuilder("levels").Deadline(deadline)
-	for l := 0; l < 5; l++ {
-		for w := 0; w < 2; w++ {
+	for l := 0; l < levels; l++ {
+		for w := 0; w < width; w++ {
 			b.Task(fmt.Sprintf("L%dT%d", l, w), simtime.Time(2+w), int64(20+10*w))
 		}
 	}
-	for l := 0; l < 4; l++ {
-		for from := 0; from < 2; from++ {
-			for to := 0; to < 2; to++ {
+	for l := 0; l+1 < levels; l++ {
+		for from := 0; from < width; from++ {
+			for to := 0; to < width; to++ {
 				b.Edge(fmt.Sprintf("D%d-%d%d", l, from, to), fmt.Sprintf("L%dT%d", l, from), fmt.Sprintf("L%dT%d", l+1, to), 1, 10)
 			}
 		}
 	}
 	perfs := []float64{1.0, 0.5, 0.33, 0.25}
-	nodes := make([]*resource.Node, 24)
-	for i := range nodes {
-		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), perfs[i%len(perfs)], 1, "d")
+	ns := make([]*resource.Node, nodes)
+	for i := range ns {
+		ns[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), perfs[i%len(perfs)], 1, "d")
 	}
-	env := resource.NewEnvironment(nodes)
+	env := resource.NewEnvironment(ns)
 	cals := EmptyCalendars(env)
 	for id, c := range cals {
 		for k := 0; k < 60; k++ {
@@ -330,35 +335,53 @@ func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag
 	return env, cals, b.MustBuild()
 }
 
+// denseFixture is the allocation guard's fixed input: a 5-level job, two
+// tasks per level, over 24 nodes.
+func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag.Job) {
+	return layeredFixture(5, 2, 24, deadline)
+}
+
+// denseRegimes are the deadlines that put denseFixture's job in each of the
+// three regimes the service lives in: a plan found at margin 1; a job the
+// admissibility bound refuses before the ladder (the critical path alone,
+// 19 ticks, overruns the deadline); and a job the bound must let through —
+// its first chain fits the deadline on empty calendars — that no margin can
+// place in the dense books (five attempts, all discarded). budget is
+// TestBuildAllocationBudget's.
+var denseRegimes = []struct {
+	name     string
+	deadline simtime.Time
+	feasible bool
+	hopeless bool
+	budget   float64
+}{
+	{"feasible", 400, true, false, 33},
+	{"refused", 12, false, true, 16},
+	{"ladder-infeasible", 22, false, false, 50},
+}
+
 // TestBuildAllocationBudget pins what one Build allocates on the dense
-// fixture, in the three regimes the service lives in: a plan found at
-// margin 1; a job the admissibility bound refuses before the ladder (the
-// critical path alone, 19 ticks, overruns the deadline); and a job the
-// bound must let through — its first chain fits the deadline on empty
-// calendars — that no margin can place in the dense books (five attempts,
-// all discarded). The budgets are about 1.5× the readings at the time of
-// writing (63, 22 and 56). With first-write book clones and a result slice
-// per DP phase the first read 90; before the bound, the dense placed slice
-// and the per-generation table the first two read 99 and 110; the
-// clone-per-margin build with allocating edge walks before that, 4942 and
-// 977. A breach means an attempt has started copying state it only reads,
-// the DP's inner loop or its phases allocate again, or a refused build has
-// started paying for the ladder's working memory.
+// fixture in the three regimes of denseRegimes. A build allocates only what
+// it returns — the Schedule, its Placements map, its Collisions, the
+// attempt's catalog, the error — plus what normalize defaults (table,
+// catalog, candidates); its working memory is a pooled arena. The readings
+// are 22, 9 and 33, and 26, 12 and 37 under -race, where sync.Pool drops a
+// quarter of the Puts on purpose and the next build makes a new arena (13
+// allocations); the budgets are about 1.5× with that headroom, and the run
+// count is high enough that the dropped quarter averages out. With a map per
+// dataset in the catalog the first read 35; with working memory made per
+// build on top of that the three read 63, 22 and 56; with first-write
+// book clones and a result slice per DP phase the first read 90; before the
+// bound, the dense placed slice and the per-generation table the first two
+// read 99 and 110; the clone-per-margin build with allocating edge walks
+// before that, 4942 and 977. A breach means a build has started making
+// working memory again instead of borrowing it, an attempt copies state it
+// only reads, or the DP's inner loop or its phases allocate.
 func TestBuildAllocationBudget(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		deadline simtime.Time
-		feasible bool
-		hopeless bool
-		budget   float64
-	}{
-		{"feasible", 400, true, false, 95},
-		{"refused", 12, false, true, 33},
-		{"ladder-infeasible", 22, false, false, 85},
-	} {
+	for _, tc := range denseRegimes {
 		env, cals, job := denseFixture(tc.deadline)
 		var err error
-		allocs := testing.AllocsPerRun(20, func() {
+		allocs := testing.AllocsPerRun(100, func() {
 			_, err = Build(env, cals, job, Options{})
 		})
 		var inf *InfeasibleError
@@ -369,5 +392,117 @@ func TestBuildAllocationBudget(t *testing.T) {
 		if allocs > tc.budget {
 			t.Errorf("%s: %.0f allocs per Build, budget %.0f", tc.name, allocs, tc.budget)
 		}
+	}
+}
+
+// copySchedule deep-copies what a Schedule owns (the job is shared and
+// immutable).
+func copySchedule(s *Schedule) *Schedule {
+	cp := *s
+	cp.Placements = make(map[dag.TaskID]Placement, len(s.Placements))
+	for id, p := range s.Placements {
+		cp.Placements[id] = p
+	}
+	cp.Collisions = slices.Clone(s.Collisions)
+	return &cp
+}
+
+// TestArenaReuseLeavesResultsAlone: a build's result must own its memory.
+// Build job A — in each regime of denseRegimes, and on a one-node
+// environment where the ladder gives up with a critical work placed, so the
+// partial schedule carries placements and collisions — and deep-copy what
+// came back: the schedule and the adopted catalog. Then build a larger job
+// on a larger environment and a smaller one on a smaller, in all three
+// regimes, on the same goroutine — which takes the arena A's build
+// returned, grows it and overwrites it. A's result still equals the copy.
+// The whole thing then runs on four goroutines at once, taking and returning
+// arenas concurrently the way the placer workers do; CI runs it under -race.
+func TestArenaReuseLeavesResultsAlone(t *testing.T) {
+	type fixture struct {
+		name                 string
+		levels, width, nodes int
+		deadline             simtime.Time
+		partialTasks         int // placements in the failed build's partial schedule
+	}
+	var as []fixture
+	for _, r := range denseRegimes {
+		as = append(as, fixture{r.name, 5, 2, 24, r.deadline, 0})
+	}
+	as = append(as, fixture{"partial with a chain placed", 5, 2, 1, 60, 5})
+	run := func(t *testing.T) {
+		for _, a := range as {
+			env, cals, job := layeredFixture(a.levels, a.width, a.nodes, a.deadline)
+			cat := data.NewCatalog(data.ActiveReplication, 0)
+			sched, err := Build(env, cals, job, Options{Catalog: cat})
+			var inf *InfeasibleError
+			if err != nil && (!errors.As(err, &inf) || len(sched.Placements) != a.partialTasks || len(sched.Collisions) != a.partialTasks) {
+				t.Errorf("%s: Build err = %v, schedule %+v", a.name, err, sched)
+				return
+			}
+			keep, keepCat := copySchedule(sched), cat.Clone()
+
+			for _, b := range denseRegimes {
+				for _, size := range []struct{ levels, width, nodes int }{{9, 3, 40}, {2, 1, 3}} {
+					envB, calsB, jobB := layeredFixture(size.levels, size.width, size.nodes, b.deadline*simtime.Time(size.levels)/5)
+					if _, err := Build(envB, calsB, jobB, Options{Catalog: data.NewCatalog(data.ActiveReplication, 0)}); err != nil && !errors.As(err, &inf) {
+						t.Errorf("%s: Build err = %v", b.name, err)
+						return
+					}
+				}
+			}
+			if !reflect.DeepEqual(sched, keep) {
+				t.Errorf("%s: later builds changed a returned schedule:\n got %+v\nwant %+v", a.name, sched, keep)
+			}
+			if !reflect.DeepEqual(cat, keepCat) {
+				t.Errorf("%s: later builds changed an adopted catalog", a.name)
+			}
+		}
+	}
+	run(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(t)
+		}()
+	}
+	wg.Wait()
+}
+
+// TestReleasedArenaHoldsNothing: a pooled arena outlives the engine event
+// its build ran in, so it must come back holding no job, and with the
+// builder no view (live *resource.Calendars), options, catalog or context.
+// The arena taken right after a build is the one that build returned —
+// sync.Pool hands a goroutine its own last Put first — except that under
+// -race a quarter of the Puts are dropped; the test retries until it has
+// seen enough used ones.
+func TestReleasedArenaHoldsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	used := 0
+	for try := 0; try < 200 && used < 9; try++ {
+		tc := denseRegimes[try%len(denseRegimes)]
+		env, cals, job := denseFixture(tc.deadline)
+		_, _ = Build(env, cals, job, Options{Ctx: ctx, Catalog: data.NewCatalog(data.ActiveReplication, 0)})
+		sc := scratchPool.Get().(*scratch)
+		if cap(sc.bestUp) == 0 {
+			continue // a fresh arena: the pool dropped or lost the build's
+		}
+		used++
+		if sc.job != nil {
+			t.Errorf("%s: a released arena still holds job %q", tc.name, sc.job.Name)
+		}
+		if !reflect.ValueOf(sc.bld).IsZero() {
+			t.Errorf("%s: a released arena still holds its builder: %+v", tc.name, sc.bld)
+		}
+		for _, e := range sc.adj[:cap(sc.adj)] {
+			if e != (dag.Edge{}) {
+				t.Errorf("%s: a released arena still holds edge %+v", tc.name, e)
+			}
+		}
+	}
+	if used < 9 {
+		t.Fatalf("took a used arena only %d times in 200 builds", used)
 	}
 }

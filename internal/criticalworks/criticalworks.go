@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/dag"
@@ -231,41 +232,78 @@ func (e *InfeasibleError) Error() string {
 // ErrNoCandidates reports an empty candidate node set.
 var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 
-// scratch is one build's working memory: its margin attempts run one after
-// another and keep none of it, so they share it rather than allocate.
+// scratch is a build's working memory: everything a build makes and its
+// result does not keep. A build borrows one from scratchPool, sizes it for
+// its job and environment, and runs its margin attempts in it one after
+// another; what it returns — the Schedule, its Placements map and
+// Collisions, the adopted catalog — is allocated fresh and never points
+// here. The strategy generator that calls Build is shared by the placer
+// workers, so no caller could own an arena; a pool needs none to.
 type scratch struct {
-	job  *dag.Job
-	topo []dag.TaskID // the job's topological order, copied once per build
-	adj  []dag.Edge   // edges of the one task an edge walk is visiting
+	job *dag.Job
+	adj []dag.Edge // edges of the one task an edge walk is visiting
 
 	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
 	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
 
-	// What only an attempt needs is made by the first one (newBuilder): a
-	// build the admissibility bound refuses never pays for it.
-	edges    []dag.Edge  // the job's edge list, copied once per build
+	// The first critical work, found once and placed first by every margin:
+	// its own slice, because every later search overwrites chains.
+	first  []dag.TaskID
+	chains dag.ChainBuf // the next-critical-work search and its result
+
 	dp       []cell      // runDP's table, chain positions × candidates
 	placed   []Placement // the attempt's placements by TaskID (IDs are dense),
 	isPlaced []bool      // valid where the flag is set
 
-	// The current critical work's two DP results, made by the first phase
-	// that succeeds and overwritten by every chain.
+	// The current critical work's two DP results, overwritten by every chain.
 	ideal, actual []Placement
 
 	// The attempt's overlay on the view it reads: its placements node by
 	// node, as lists threaded through placed. ownHead[n] is 1 + the task
 	// placed last on node n, ownNext[t] 1 + the task placed on t's node
-	// before t, 0 ends a list. Both are cut from one allocation made by the
-	// first reserve — an attempt that places no chain never pays for it.
+	// before t, 0 ends a list.
 	ownHead, ownNext []int32
+
+	bld builder // the attempt in progress
 }
 
-func newScratch(job *dag.Job) *scratch {
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// takeScratch borrows an arena for one build of job over nodes nodes.
+func takeScratch(job *dag.Job, nodes int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.reset(job, nodes)
+	return sc
+}
+
+// reset points the arena at job and grows what is too small for it. What the
+// slices hold is whatever the last build left: every one is cleared or
+// overwritten before it is read (attempt, computeBounds, runDP, reserve).
+func (sc *scratch) reset(job *dag.Job, nodes int) {
 	n := job.NumTasks()
-	return &scratch{
-		job: job, topo: job.TopoOrder(),
-		bestUp: make([]simtime.Time, n), bestDown: make([]simtime.Time, n),
+	sc.job = job
+	sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
+	sc.placed, sc.isPlaced = grow(sc.placed, n), grow(sc.isPlaced, n)
+	sc.ideal, sc.actual = grow(sc.ideal, n), grow(sc.actual, n)
+	sc.ownHead, sc.ownNext = grow(sc.ownHead, nodes), grow(sc.ownNext, n)
+}
+
+// release returns the arena holding nothing of the build it served: no job,
+// and with the builder no view, options, catalog or context — a pooled arena
+// outlives the engine event, and a view's calendars must not (liveBooks).
+func (sc *scratch) release() {
+	sc.job = nil
+	sc.bld = builder{}
+	clear(sc.adj[:cap(sc.adj)]) // the edges' names
+	scratchPool.Put(sc)
+}
+
+// grow returns s with length n, reallocated when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // builder carries one Build attempt's state. The attempt is a what-if over
@@ -279,8 +317,10 @@ type builder struct {
 	margin float64 // serialization margin scaling the bounds
 
 	nPlaced int // set flags in isPlaced
-	colls   []Collision
-	evals   int64
+	// colls ends up in the attempt's Schedule — the first attempt's partial
+	// one outlives the attempts after it — so it is never arena memory.
+	colls []Collision
+	evals int64
 
 	// span is the enclosing margin attempt's span ID; 0 when tracing is
 	// off (per-chain and per-DP-phase spans hang under it).
@@ -289,18 +329,14 @@ type builder struct {
 	*scratch
 }
 
-// newBuilder starts an attempt: empty overlay, nothing placed, private copy
-// of the catalog.
-func newBuilder(env *resource.Environment, cals Calendars, opt Options, margin float64, sc *scratch) *builder {
+// attempt starts a margin's attempt in the arena: empty overlay, nothing
+// placed, private copy of the catalog.
+func (sc *scratch) attempt(env *resource.Environment, cals Calendars, opt Options, margin float64) *builder {
 	opt.Catalog = opt.Catalog.Clone()
-	if sc.placed == nil {
-		n := sc.job.NumTasks()
-		sc.edges, sc.placed, sc.isPlaced = sc.job.Edges(), make([]Placement, n), make([]bool, n)
-	} else {
-		clear(sc.isPlaced)
-		clear(sc.ownHead)
-	}
-	return &builder{env: env, base: cals, opt: opt, margin: margin, scratch: sc}
+	clear(sc.isPlaced)
+	clear(sc.ownHead)
+	sc.bld = builder{env: env, base: cals, opt: opt, margin: margin, scratch: sc}
+	return &sc.bld
 }
 
 // placement returns task id's placement in this attempt, if it has one.
@@ -325,9 +361,6 @@ func (b *builder) placements() map[dag.TaskID]Placement {
 // node n's list is walked: a node the attempt has not reserved on costs one
 // load, whatever the job's size.
 func (b *builder) ownOverlap(n resource.NodeID, iv simtime.Interval) (first Placement, ok bool) {
-	if b.ownHead == nil {
-		return Placement{}, false
-	}
 	for l := b.ownHead[n]; l != 0; l = b.ownNext[l-1] {
 		if p := &b.placed[l-1]; p.Window.Overlaps(iv) && (!ok || p.Window.Start < first.Window.Start) {
 			first, ok = *p, true
@@ -388,11 +421,6 @@ func (b *builder) reserve(p Placement) error {
 	if existing, busy := b.conflictWith(p.Node, p.Window); busy {
 		return &resource.ErrConflict{Wanted: p.Window, Existing: existing}
 	}
-	if b.ownHead == nil {
-		nodes := b.env.NumNodes()
-		links := make([]int32, nodes+b.job.NumTasks())
-		b.ownHead, b.ownNext = links[:nodes], links[nodes:]
-	}
 	b.ownNext[p.Task], b.ownHead[p.Node] = b.ownHead[p.Node], int32(p.Task)+1
 	b.placed[p.Task], b.isPlaced[p.Task] = p, true
 	b.nPlaced++
@@ -402,7 +430,8 @@ func (b *builder) reserve(p Placement) error {
 // commitPlaced commits the data placement of every edge whose two ends are
 // placed, so later critical works of this job see the replicas.
 func (b *builder) commitPlaced() {
-	for _, e := range b.edges {
+	for i, m := 0, b.job.NumEdges(); i < m; i++ {
+		e := b.job.EdgeAt(i)
 		from, okF := b.placement(e.From)
 		to, okT := b.placement(e.To)
 		if okF && okT {
@@ -424,7 +453,9 @@ var margins = []float64{1, 1.5, 2, 3, 4}
 // calendar view and returns the resulting Distribution. Build reads cals
 // and writes nothing — no calendar, no map entry, whatever the outcome —
 // so concurrent builds may share a view (DESIGN.md §5); the plan is the
-// returned Schedule, and only opt.Catalog is adopted on success.
+// returned Schedule, and only opt.Catalog is adopted on success. It
+// allocates only what it returns: its working memory is a pooled arena
+// (scratch).
 func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
 	if opt.Telemetry == nil && opt.Spans == nil {
 		return build(env, cals, job, opt)
@@ -512,7 +543,7 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 		opt.Deadline = job.Deadline
 	}
 	if opt.Deadline <= opt.Release {
-		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoOrder()[0]).Name}
+		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoAt(0)).Name}
 	}
 	if opt.Horizon == 0 {
 		opt.Horizon = opt.Release + 4*(opt.Deadline-opt.Release)
@@ -539,11 +570,14 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 		return nil, err
 	}
 
+	sc := takeScratch(job, env.NumNodes())
+	defer sc.release()
 	// The first critical work is the longest chain over all tasks by
 	// Table.Best and base transfer times — the same at every margin, so it
 	// is found once and handed to every attempt.
-	sc := newScratch(job)
-	first, _ := job.LongestChain(chainWeights(opt.Table), nil)
+	first, _ := job.LongestChainBuf(&sc.chains, chainWeights(opt.Table), nil)
+	sc.first = append(sc.first[:0], first.Tasks...)
+	first.Tasks = sc.first
 	sc.computeBounds(opt.Table, 1)
 	if sc.hopeless(env, opt, first) {
 		return &Schedule{Job: job, Placements: map[dag.TaskID]Placement{}, Partial: true},
@@ -554,7 +588,7 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	var firstErr error
 	var evals int64
 	for _, mg := range margins {
-		b := newBuilder(env, cals, opt, mg, sc)
+		b := sc.attempt(env, cals, opt, mg)
 		var asp *telemetry.Span
 		if opt.Spans != nil {
 			asp = opt.Spans.Start("criticalworks.attempt", opt.ParentSpan)
@@ -681,7 +715,7 @@ func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 		if err := b.cancelled(); err != nil {
 			return nil, err
 		}
-		chain, ok := b.job.LongestChain(weights, unplaced)
+		chain, ok := b.job.LongestChainBuf(&b.chains, weights, unplaced)
 		if !ok {
 			break // cannot happen while nPlaced < NumTasks; defensive
 		}
@@ -725,7 +759,9 @@ func (sc *scratch) computeBounds(tab *estimate.Table, margin float64) {
 		}
 		return simtime.Time(float64(t)*margin + 0.5)
 	}
-	for _, id := range sc.topo {
+	n := sc.job.NumTasks()
+	for i := 0; i < n; i++ {
+		id := sc.job.TopoAt(i)
 		var up simtime.Time
 		sc.adj = sc.job.AppendIn(sc.adj[:0], id)
 		for _, e := range sc.adj {
@@ -736,8 +772,8 @@ func (sc *scratch) computeBounds(tab *estimate.Table, margin float64) {
 		}
 		sc.bestUp[id] = up
 	}
-	for i := len(sc.topo) - 1; i >= 0; i-- {
-		id := sc.topo[i]
+	for i := n - 1; i >= 0; i-- {
+		id := sc.job.TopoAt(i)
 		var down simtime.Time
 		sc.adj = sc.job.AppendOut(sc.adj[:0], id)
 		for _, e := range sc.adj {
@@ -786,7 +822,8 @@ func (b *builder) finish() (*Schedule, error) {
 			s.Finish = p.Window.End
 		}
 	}
-	for _, e := range b.edges {
+	for i, m := 0, b.job.NumEdges(); i < m; i++ {
+		e := b.job.EdgeAt(i)
 		from, to := b.placed[e.From], b.placed[e.To]
 		tt := b.transferTime(e, from.Node, to.Node)
 		if to.Window.Start < from.Window.End+tt {

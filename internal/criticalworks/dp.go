@@ -44,6 +44,11 @@ func (b *builder) placeChain(chain dag.Chain) error {
 	// A collision is an ideal slot that the calendar view cannot grant.
 	for _, p := range ideal {
 		if res, busy := b.conflictWith(p.Node, p.Window); busy {
+			if b.colls == nil {
+				// Room for all there can be: a task sits in one chain,
+				// which records at most one collision for it.
+				b.colls = make([]Collision, 0, b.job.NumTasks())
+			}
 			b.colls = append(b.colls, Collision{
 				Task:   p.Task,
 				Node:   p.Node,
@@ -109,16 +114,6 @@ func (b *builder) betterCell(a, c cell) bool {
 	return a.cost < c.cost
 }
 
-// chainBuf returns *buf cut to one chain's length. The first critical work
-// sizes it — few later ones have more tasks — and every later one
-// overwrites it.
-func chainBuf(buf *[]Placement, n int) []Placement {
-	if cap(*buf) < n {
-		*buf = make([]Placement, n)
-	}
-	return (*buf)[:n]
-}
-
 // runDP finds the cost-minimal feasible placement of the chain. With
 // ignoreCalendar the search pretends every node is free (the "ideal"
 // attempt); otherwise starts come from the calendar view. The result lives
@@ -126,10 +121,8 @@ func chainBuf(buf *[]Placement, n int) []Placement {
 func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
 	cands := b.opt.Candidates
 	L, C := len(chain.Tasks), len(cands)
-	if cap(b.dp) < L*C {
-		b.dp = make([]cell, L*C)
-	}
-	dp := b.dp[:L*C] // row i is dp[i*C : (i+1)*C]
+	b.dp = grow(b.dp, L*C)
+	dp := b.dp // row i is dp[i*C : (i+1)*C]
 	clear(dp)
 
 	for i := 0; i < L; i++ {
@@ -202,11 +195,10 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 	if finalIdx < 0 {
 		return nil, false
 	}
-	buf := &b.actual
+	placements := b.actual[:L]
 	if ignoreCalendar {
-		buf = &b.ideal
+		placements = b.ideal[:L]
 	}
-	placements := chainBuf(buf, L)
 	for i, c := L-1, finalIdx; i >= 0; i-- {
 		st := dp[i*C+c]
 		placements[i] = Placement{
@@ -222,7 +214,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 // delayOnIdealNodes is the E8 ablation baseline: keep every task on its
 // ideal node and only push it later until the calendar has room.
 func (b *builder) delayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Placement, bool) {
-	out := chainBuf(&b.actual, len(ideal))
+	out := b.actual[:len(ideal)]
 	var prevFinish simtime.Time
 	var prevNode resource.NodeID
 	for i, p := range ideal {

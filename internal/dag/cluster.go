@@ -26,43 +26,43 @@ type Clustering struct {
 // A macro task's base time is the serial sum of its members' base times
 // plus the in-run transfer times; its volume is the members' total.
 func Coarsen(j *Job) (*Clustering, error) {
-	n := j.NumTasks()
-	// head[i] == true when task i starts a run: it is not absorbed into its
-	// single predecessor's run.
-	mergeWithPred := make([]bool, n)
-	for id := 0; id < n; id++ {
-		in := j.In(TaskID(id))
-		if len(in) != 1 {
-			continue
+	n, m := len(j.tasks), len(j.edges)
+	// A task joins the run of its predecessor when it has no other and is
+	// that predecessor's only successor; any other task starts a run. Runs
+	// are the macro tasks, numbered in topological order of their first
+	// task — which a walk in that order meets before the rest of the run.
+	macro := make([]TaskID, n)
+	runs := 0
+	for _, t := range j.topo {
+		if in := j.in(TaskID(t)); len(in) == 1 {
+			if pred := j.edges[in[0]].From; len(j.out(pred)) == 1 {
+				macro[t] = macro[pred]
+				continue
+			}
 		}
-		pred := in[0].From
-		if len(j.Out(pred)) == 1 {
-			mergeWithPred[id] = true
-		}
+		macro[t] = TaskID(runs)
+		runs++
 	}
-	// Walk in topo order assigning run representatives.
-	rep := make([]TaskID, n)
-	for _, id := range j.topo {
-		if mergeWithPred[id] {
-			rep[id] = rep[j.In(id)[0].From]
-		} else {
-			rep[id] = id
-		}
+	// Members per run, in topological order — along the run — cut from one
+	// list: run k's are members[off[k]:off[k+1]].
+	ints := make([]int32, 3*runs+1+m)
+	off, fill, ints := ints[:runs+1], ints[runs+1:2*runs+1], ints[2*runs+1:]
+	for _, k := range macro {
+		off[k+1]++
 	}
-	// Gather members per representative, in topo order within the run.
-	members := make(map[TaskID][]TaskID)
-	for _, id := range j.topo {
-		members[rep[id]] = append(members[rep[id]], id)
+	for k := 0; k < runs; k++ {
+		off[k+1] += off[k]
 	}
-	b := NewBuilder(j.Name + "/coarse").Deadline(j.Deadline)
-	macroName := make(map[TaskID]string)
-	macroOf := make(map[TaskID]TaskID)
-	// Create macro tasks in topo order of their representatives for
-	// deterministic IDs.
-	for _, id := range j.topo {
-		if rep[id] != id {
-			continue
-		}
+	members := make([]TaskID, n)
+	for _, t := range j.topo {
+		k := macro[t]
+		members[off[k]+fill[k]] = TaskID(t)
+		fill[k]++
+	}
+
+	b := NewBuilder(j.Name+"/coarse").Deadline(j.Deadline).Grow(runs, 0)
+	for k := 0; k < runs; k++ {
+		run := members[off[k]:off[k+1]]
 		var bt simtime.Time
 		var vol int64
 		// A macro task serializes its members AND their internal data
@@ -70,62 +70,56 @@ func Coarsen(j *Job) (*Clustering, error) {
 		// scheduler, but the stage-to-stage data movement still takes
 		// wall time inside the block (under S3's static storage the data
 		// still stages through the storage node between stages).
-		for i, m := range members[id] {
-			t := j.Task(m)
+		for i, id := range run {
+			t := j.tasks[id]
 			bt += t.BaseTime
 			vol += t.Volume
 			if i > 0 {
-				for _, e := range j.In(m) {
-					if e.From == members[id][i-1] {
-						bt += e.BaseTime
-						break
-					}
-				}
+				bt += j.edges[j.in(id)[0]].BaseTime // its one incoming edge, from run[i-1]
 			}
 		}
-		name := j.Task(id).Name
-		if len(members[id]) > 1 {
-			name = fmt.Sprintf("%s+%d", name, len(members[id])-1)
+		name := j.tasks[run[0]].Name
+		if len(run) > 1 {
+			name = fmt.Sprintf("%s+%d", name, len(run)-1)
 		}
-		macroName[id] = name
-		mid := b.Task(name, bt, vol)
-		macroOf[id] = mid
+		b.Task(name, bt, vol)
 	}
-	// Re-create edges whose endpoints land in different macro tasks.
-	// Multiple original edges between the same macro pair accumulate.
-	type key struct{ f, t TaskID }
-	acc := make(map[key]*Edge)
-	var order []key
-	for _, e := range j.Edges() {
-		rf, rt := rep[e.From], rep[e.To]
-		if rf == rt {
+	// Re-create edges whose endpoints land in different macro tasks, in
+	// order of first appearance. Multiple original edges between the same
+	// macro pair accumulate: head[k] is 1 + the coarse edge created last
+	// out of macro task k, next[c] 1 + the one created out of c's source
+	// before c, 0 ends a list.
+	head, next := ints[:runs], ints[runs:]
+	coarse := make([]Edge, 0, m-(n-runs)) // every task that joined a run took its one incoming edge inside
+edges:
+	for _, e := range j.edges {
+		mf, mt := macro[e.From], macro[e.To]
+		if mf == mt {
 			continue
 		}
-		k := key{rf, rt}
-		if a, ok := acc[k]; ok {
-			a.BaseTime += e.BaseTime
-			a.Volume += e.Volume
-			a.Name += "+" + e.Name
-		} else {
-			ec := e
-			acc[k] = &ec
-			order = append(order, k)
+		for l := head[mf]; l != 0; l = next[l-1] {
+			if a := &coarse[l-1]; a.To == mt {
+				a.BaseTime += e.BaseTime
+				a.Volume += e.Volume
+				a.Name += "+" + e.Name
+				continue edges
+			}
 		}
+		next[len(coarse)], head[mf] = head[mf], int32(len(coarse))+1
+		e.From, e.To = mf, mt
+		coarse = append(coarse, e)
 	}
-	for _, k := range order {
-		e := acc[k]
-		b.Edge(e.Name, macroName[k.f], macroName[k.t], e.BaseTime, e.Volume)
-	}
+	b.edges = coarse
 	cj, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("dag: coarsen %q: %w", j.Name, err)
 	}
-	c := &Clustering{Job: cj, Macro: make(map[TaskID]TaskID), Members: make(map[TaskID][]TaskID)}
-	for id := 0; id < n; id++ {
-		c.Macro[TaskID(id)] = macroOf[rep[TaskID(id)]]
+	c := &Clustering{Job: cj, Macro: make(map[TaskID]TaskID, n), Members: make(map[TaskID][]TaskID, runs)}
+	for id, k := range macro {
+		c.Macro[TaskID(id)] = k
 	}
-	for r, ms := range members {
-		c.Members[macroOf[r]] = ms
+	for k := 0; k < runs; k++ {
+		c.Members[TaskID(k)] = members[off[k]:off[k+1]:off[k+1]]
 	}
 	return c, nil
 }

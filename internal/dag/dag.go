@@ -7,6 +7,8 @@ package dag
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/simtime"
@@ -44,9 +46,14 @@ type Job struct {
 	tasks []Task
 	edges []Edge
 
-	succ [][]int // task -> indices into edges (outgoing)
-	pred [][]int // task -> indices into edges (incoming)
-	topo []TaskID
+	// The graph in compressed sparse rows, cut from one allocation. Task t's
+	// outgoing edges are the indices into edges at
+	// outIdx[outOff[t]:outOff[t+1]], its incoming ones at
+	// inIdx[inOff[t]:inOff[t+1]], each run in edge insertion order; topo is
+	// the deterministic topological order.
+	outOff, outIdx []int32
+	inOff, inIdx   []int32
+	topo           []int32
 }
 
 // Builder assembles a Job. Methods panic on structural misuse (duplicate
@@ -63,7 +70,19 @@ type Builder struct {
 
 // NewBuilder starts a job named name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, byName: make(map[string]TaskID)}
+	return &Builder{name: name}
+}
+
+// Grow makes room for tasks more tasks and edges more edges, for a caller
+// that knows the job's size before it adds the first task: the lists then
+// never reallocate and Build hands them over without slack.
+func (b *Builder) Grow(tasks, edges int) *Builder {
+	b.tasks = slices.Grow(b.tasks, tasks)
+	b.edges = slices.Grow(b.edges, edges)
+	if b.byName == nil {
+		b.byName = make(map[string]TaskID, tasks)
+	}
+	return b
 }
 
 // Deadline sets the job's required completion time.
@@ -86,6 +105,9 @@ func (b *Builder) Task(name string, baseTime simtime.Time, volume int64) TaskID 
 	}
 	id := TaskID(len(b.tasks))
 	b.tasks = append(b.tasks, Task{ID: id, Name: name, BaseTime: baseTime, Volume: volume})
+	if b.byName == nil {
+		b.byName = make(map[string]TaskID)
+	}
 	b.byName[name] = id
 	return id
 }
@@ -110,28 +132,51 @@ func (b *Builder) Edge(name, from, to string, baseTime simtime.Time, volume int6
 	return b
 }
 
-// Build validates the graph and returns the immutable Job.
+// Build validates the graph and returns the immutable Job. The job takes
+// the builder's task and edge lists as they are, without a copy; they are
+// clipped first, so a Task or Edge added to the builder afterwards
+// reallocates its list and cannot write into a built job.
 func (b *Builder) Build() (*Job, error) {
-	if len(b.tasks) == 0 {
+	n, m := len(b.tasks), len(b.edges)
+	if n == 0 {
 		return nil, fmt.Errorf("dag: job %q has no tasks", b.name)
 	}
-	j := &Job{
-		Name:     b.name,
-		Deadline: b.deadline,
-		tasks:    append([]Task(nil), b.tasks...),
-		edges:    append([]Edge(nil), b.edges...),
+	// The adjacency stores task and edge indices as int32.
+	if n >= math.MaxInt32 || m > math.MaxInt32 {
+		return nil, fmt.Errorf("dag: job %q is too large (%d tasks, %d edges)", b.name, n, m)
 	}
-	j.succ = make([][]int, len(j.tasks))
-	j.pred = make([][]int, len(j.tasks))
+	b.tasks, b.edges = slices.Clip(b.tasks), slices.Clip(b.edges)
+	j := &Job{Name: b.name, Deadline: b.deadline, tasks: b.tasks, edges: b.edges}
+
+	slab := make([]int32, 2*(n+1)+2*m+n)
+	j.outOff, slab = slab[:n+1:n+1], slab[n+1:]
+	j.inOff, slab = slab[:n+1:n+1], slab[n+1:]
+	j.outIdx, slab = slab[:m:m], slab[m:]
+	j.inIdx, j.topo = slab[:m:m], slab[m:]
+	// Counting sort by endpoint: degrees, then prefix sums, then each edge
+	// into its task's run — in edge order, so a run keeps insertion order.
+	for _, e := range j.edges {
+		j.outOff[e.From+1]++
+		j.inOff[e.To+1]++
+	}
+	for t := 0; t < n; t++ {
+		j.outOff[t+1] += j.outOff[t]
+		j.inOff[t+1] += j.inOff[t]
+	}
+	// Working memory: the fill cursors of the incoming and outgoing runs.
+	// The first ends up as every task's in-degree, which Kahn's loop counts
+	// down; the second is done with by then and becomes its ready heap.
+	tmp := make([]int32, 2*n)
+	indeg, outFill := tmp[:n], tmp[n:]
 	for i, e := range j.edges {
-		j.succ[e.From] = append(j.succ[e.From], i)
-		j.pred[e.To] = append(j.pred[e.To], i)
+		j.outIdx[j.outOff[e.From]+outFill[e.From]] = int32(i)
+		outFill[e.From]++
+		j.inIdx[j.inOff[e.To]+indeg[e.To]] = int32(i)
+		indeg[e.To]++
 	}
-	topo, err := j.computeTopo()
-	if err != nil {
+	if err := j.computeTopo(indeg, outFill[:0]); err != nil {
 		return nil, err
 	}
-	j.topo = topo
 	return j, nil
 }
 
@@ -144,41 +189,70 @@ func (b *Builder) MustBuild() *Job {
 	return j
 }
 
-// computeTopo returns a deterministic topological order (Kahn's algorithm,
-// ties broken by ascending TaskID) or an error naming a task on a cycle.
-func (j *Job) computeTopo() ([]TaskID, error) {
-	indeg := make([]int, len(j.tasks))
-	for _, e := range j.edges {
-		indeg[e.To]++
-	}
-	var ready []TaskID
-	for id := range j.tasks {
-		if indeg[id] == 0 {
-			ready = append(ready, TaskID(id))
+// computeTopo fills j.topo with the deterministic topological order — Kahn's
+// algorithm, always emitting the smallest ready TaskID — or returns an error
+// naming a task on a cycle. indeg holds every task's in-degree and is
+// consumed; ready is an empty buffer with room for every task, kept as a
+// binary min-heap.
+func (j *Job) computeTopo(indeg, ready []int32) error {
+	for id, d := range indeg {
+		if d == 0 {
+			ready = append(ready, int32(id)) // ascending, so already a heap
 		}
 	}
-	var order []TaskID
+	order := j.topo[:0]
 	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
 		id := ready[0]
-		ready = ready[1:]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready, 0)
 		order = append(order, id)
-		for _, ei := range j.succ[id] {
+		for _, ei := range j.outIdx[j.outOff[id]:j.outOff[id+1]] {
 			to := j.edges[ei].To
 			indeg[to]--
 			if indeg[to] == 0 {
-				ready = append(ready, to)
+				ready = append(ready, int32(to))
+				siftUp(ready, len(ready)-1)
 			}
 		}
 	}
 	if len(order) != len(j.tasks) {
 		for id, d := range indeg {
 			if d > 0 {
-				return nil, fmt.Errorf("dag: job %q has a cycle through task %q", j.Name, j.tasks[id].Name)
+				return fmt.Errorf("dag: job %q has a cycle through task %q", j.Name, j.tasks[id].Name)
 			}
 		}
 	}
-	return order, nil
+	return nil
+}
+
+func siftUp(h []int32, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []int32, i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[least], h[i] = h[i], h[least]
+		i = least
+	}
 }
 
 // WithDeadline returns a copy of the job that differs only in its
@@ -214,24 +288,43 @@ func (j *Job) TaskByName(name string) (Task, bool) {
 	return Task{}, false
 }
 
-// TopoOrder returns a deterministic topological order of the task IDs.
-func (j *Job) TopoOrder() []TaskID { return append([]TaskID(nil), j.topo...) }
+// EdgeAt returns the i-th edge of Edges, 0 ≤ i < NumEdges, without the copy.
+func (j *Job) EdgeAt(i int) Edge { return j.edges[i] }
+
+// TopoOrder returns a deterministic topological order of the task IDs (a
+// fresh slice).
+func (j *Job) TopoOrder() []TaskID {
+	out := make([]TaskID, len(j.topo))
+	for i, id := range j.topo {
+		out[i] = TaskID(id)
+	}
+	return out
+}
+
+// TopoAt returns the i-th task of TopoOrder, 0 ≤ i < NumTasks, without the
+// copy.
+func (j *Job) TopoAt(i int) TaskID { return TaskID(j.topo[i]) }
+
+// out and in return a task's outgoing and incoming edges as indices into
+// j.edges, in insertion order.
+func (j *Job) out(id TaskID) []int32 { return j.outIdx[j.outOff[id]:j.outOff[id+1]] }
+func (j *Job) in(id TaskID) []int32  { return j.inIdx[j.inOff[id]:j.inOff[id+1]] }
 
 // Out returns the outgoing edges of a task (a fresh slice).
 func (j *Job) Out(id TaskID) []Edge {
-	return j.AppendOut(make([]Edge, 0, len(j.succ[id])), id)
+	return j.AppendOut(make([]Edge, 0, len(j.out(id))), id)
 }
 
 // In returns the incoming edges of a task (a fresh slice).
 func (j *Job) In(id TaskID) []Edge {
-	return j.AppendIn(make([]Edge, 0, len(j.pred[id])), id)
+	return j.AppendIn(make([]Edge, 0, len(j.in(id))), id)
 }
 
 // AppendOut appends the outgoing edges of a task to dst, in Out's order,
 // and returns the extended slice. Hot loops pass a reused buffer
 // (dst[:0]) to walk a task's edges without allocating.
 func (j *Job) AppendOut(dst []Edge, id TaskID) []Edge {
-	for _, ei := range j.succ[id] {
+	for _, ei := range j.out(id) {
 		dst = append(dst, j.edges[ei])
 	}
 	return dst
@@ -239,7 +332,7 @@ func (j *Job) AppendOut(dst []Edge, id TaskID) []Edge {
 
 // AppendIn is AppendOut for the incoming edges, in In's order.
 func (j *Job) AppendIn(dst []Edge, id TaskID) []Edge {
-	for _, ei := range j.pred[id] {
+	for _, ei := range j.in(id) {
 		dst = append(dst, j.edges[ei])
 	}
 	return dst
@@ -249,7 +342,7 @@ func (j *Job) AppendIn(dst []Edge, id TaskID) []Edge {
 func (j *Job) Sources() []TaskID {
 	var out []TaskID
 	for id := range j.tasks {
-		if len(j.pred[id]) == 0 {
+		if len(j.in(TaskID(id))) == 0 {
 			out = append(out, TaskID(id))
 		}
 	}
@@ -260,7 +353,7 @@ func (j *Job) Sources() []TaskID {
 func (j *Job) Sinks() []TaskID {
 	var out []TaskID
 	for id := range j.tasks {
-		if len(j.succ[id]) == 0 {
+		if len(j.out(TaskID(id))) == 0 {
 			out = append(out, TaskID(id))
 		}
 	}
@@ -306,6 +399,15 @@ func (w WeightFunc) edge(e Edge) simtime.Time {
 	return w.Edge(e)
 }
 
+// ChainBuf is the working memory of a longest-chain search, for a caller
+// that runs many: it grows to the largest job it has served and a search
+// allocates nothing after that. The zero value is ready to use.
+type ChainBuf struct {
+	dist  []simtime.Time // best chain length ending at each task, the task included
+	prev  []int32        // predecessor on that chain, or -1
+	tasks []TaskID       // the chain last returned
+}
+
 // LongestChain returns the longest (by weight) chain through the tasks for
 // which include returns true (include==nil means all tasks). Edges to or
 // from excluded tasks still contribute their transfer weight when both
@@ -316,17 +418,25 @@ func (w WeightFunc) edge(e Edge) simtime.Time {
 // weights are the fastest-node estimates plus data transfer times, and
 // already-assigned tasks are excluded.
 func (j *Job) LongestChain(w WeightFunc, include func(TaskID) bool) (Chain, bool) {
+	return j.LongestChainBuf(new(ChainBuf), w, include)
+}
+
+// LongestChainBuf is LongestChain run in buf. The returned chain's Tasks
+// are buf's: valid until the next search that uses it.
+func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) bool) (Chain, bool) {
 	incl := func(id TaskID) bool { return include == nil || include(id) }
-	// dist[id] = best chain length ending at id (inclusive of id's weight);
-	// prev[id] = predecessor on that chain, or -1.
-	dist := make([]simtime.Time, len(j.tasks))
-	prev := make([]int, len(j.tasks))
+	n := len(j.tasks)
+	if cap(buf.dist) < n {
+		buf.dist, buf.prev, buf.tasks = make([]simtime.Time, n), make([]int32, n), make([]TaskID, n)
+	}
+	dist, prev := buf.dist[:n], buf.prev[:n]
 	any := false
 	for i := range prev {
 		prev[i] = -1
 		dist[i] = -1
 	}
-	for _, id := range j.topo {
+	for _, t := range j.topo {
+		id := TaskID(t)
 		if !incl(id) {
 			continue
 		}
@@ -336,15 +446,15 @@ func (j *Job) LongestChain(w WeightFunc, include func(TaskID) bool) (Chain, bool
 			dist[id] = base
 			prev[id] = -1
 		}
-		for _, ei := range j.succ[id] {
+		for _, ei := range j.out(id) {
 			e := j.edges[ei]
 			if !incl(e.To) {
 				continue
 			}
 			cand := dist[id] + w.edge(e) + w.task(j.tasks[e.To])
-			if cand > dist[e.To] || (cand == dist[e.To] && better(prev[e.To], int(id))) {
+			if cand > dist[e.To] || (cand == dist[e.To] && better(prev[e.To], t)) {
 				dist[e.To] = cand
-				prev[e.To] = int(id)
+				prev[e.To] = t
 			}
 		}
 	}
@@ -352,29 +462,31 @@ func (j *Job) LongestChain(w WeightFunc, include func(TaskID) bool) (Chain, bool
 		return Chain{}, false
 	}
 	// Pick the best terminal deterministically: max length, then min ID.
-	best := -1
+	best := int32(-1)
 	for id := range j.tasks {
 		if !incl(TaskID(id)) || dist[id] < 0 {
 			continue
 		}
-		if best == -1 || dist[id] > dist[best] || (dist[id] == dist[best] && id < best) {
-			best = id
+		if best == -1 || dist[id] > dist[best] || (dist[id] == dist[best] && int32(id) < best) {
+			best = int32(id)
 		}
 	}
-	var rev []TaskID
+	// Walk the chain back once for its length, once more to lay it out
+	// source first.
+	length := 0
 	for cur := best; cur != -1; cur = prev[cur] {
-		rev = append(rev, TaskID(cur))
+		length++
 	}
-	tasks := make([]TaskID, len(rev))
-	for i := range rev {
-		tasks[i] = rev[len(rev)-1-i]
+	tasks := buf.tasks[:length]
+	for i, cur := length-1, best; cur != -1; i, cur = i-1, prev[cur] {
+		tasks[i] = TaskID(cur)
 	}
 	return Chain{Tasks: tasks, Length: dist[best]}, true
 }
 
 // better is the deterministic tie-break for equal-length chains: prefer the
 // smaller predecessor ID (with -1 meaning "no predecessor", preferred last).
-func better(old, cand int) bool {
+func better(old, cand int32) bool {
 	if old == -1 {
 		return false
 	}
@@ -391,11 +503,11 @@ func (j *Job) AllChains(w WeightFunc) []Chain {
 	walk = func(id TaskID, path []TaskID, length simtime.Time) {
 		path = append(path, id)
 		length += w.task(j.tasks[id])
-		if len(j.succ[id]) == 0 {
+		if len(j.out(id)) == 0 {
 			out = append(out, Chain{Tasks: append([]TaskID(nil), path...), Length: length})
 			return
 		}
-		for _, ei := range j.succ[id] {
+		for _, ei := range j.out(id) {
 			e := j.edges[ei]
 			walk(e.To, path, length+w.edge(e))
 		}

@@ -1,6 +1,9 @@
 package dag
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -378,25 +381,45 @@ func TestCoarsenMixed(t *testing.T) {
 	}
 }
 
-// randomJob builds a random layered DAG for property tests.
-func randomJob(r *rng.Source, maxTasks int) *Job {
+// randomGraph draws a random layered DAG for property tests: the tasks and
+// edges a Builder is fed, edges by endpoint ID.
+func randomGraph(r *rng.Source, maxTasks int) ([]Task, []Edge) {
 	n := r.IntBetween(1, maxTasks)
-	b := NewBuilder("rand")
-	names := make([]string, n)
-	for i := 0; i < n; i++ {
-		names[i] = "T" + string(rune('A'+i%26)) + string(rune('0'+i/26))
-		b.Task(names[i], simtime.Time(r.IntBetween(1, 12)), int64(r.IntBetween(0, 40)))
+	tasks := make([]Task, n)
+	for i := range tasks {
+		name := "T" + string(rune('A'+i%26)) + string(rune('0'+i/26))
+		tasks[i] = Task{ID: TaskID(i), Name: name, BaseTime: simtime.Time(r.IntBetween(1, 12)), Volume: int64(r.IntBetween(0, 40))}
 	}
 	// Edges only from lower to higher index: guaranteed acyclic.
+	var edges []Edge
 	for to := 1; to < n; to++ {
 		for from := 0; from < to; from++ {
 			if r.Bool(0.25) {
-				b.Edge(names[from]+">"+names[to], names[from], names[to],
-					simtime.Time(r.IntBetween(0, 5)), int64(r.IntBetween(0, 10)))
+				edges = append(edges, Edge{
+					Name: tasks[from].Name + ">" + tasks[to].Name, From: TaskID(from), To: TaskID(to),
+					BaseTime: simtime.Time(r.IntBetween(0, 5)), Volume: int64(r.IntBetween(0, 10)),
+				})
 			}
 		}
 	}
-	return b.MustBuild()
+	return tasks, edges
+}
+
+// feed adds the graph to a builder the way a caller would, by name.
+func feed(b *Builder, tasks []Task, edges []Edge) *Builder {
+	for _, t := range tasks {
+		b.Task(t.Name, t.BaseTime, t.Volume)
+	}
+	for _, e := range edges {
+		b.Edge(e.Name, tasks[e.From].Name, tasks[e.To].Name, e.BaseTime, e.Volume)
+	}
+	return b
+}
+
+// randomJob builds a random layered DAG for property tests.
+func randomJob(r *rng.Source, maxTasks int) *Job {
+	tasks, edges := randomGraph(r, maxTasks)
+	return feed(NewBuilder("rand"), tasks, edges).MustBuild()
 }
 
 func TestQuickTopoOrderProperty(t *testing.T) {
@@ -528,5 +551,456 @@ func TestQuickCoarsenAcyclicAndConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// What follows is the job graph as it was before the flat layout — a copy of
+// the builder's lists, one index slice per task and direction, Kahn's loop
+// re-sorting its ready list at every step, a longest-chain search that
+// allocates its four slices, a coarsening through maps — kept as the
+// reference the flat Job is compared against. It is the old code, not a
+// second design: change it only to follow a deliberate change of behaviour.
+
+type refJob struct {
+	name     string
+	deadline simtime.Time
+	tasks    []Task
+	edges    []Edge
+	succ     [][]int // task -> indices into edges (outgoing)
+	pred     [][]int // task -> indices into edges (incoming)
+	topo     []TaskID
+}
+
+func refBuild(name string, deadline simtime.Time, tasks []Task, edges []Edge) (*refJob, error) {
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("dag: job %q has no tasks", name)
+	}
+	j := &refJob{
+		name: name, deadline: deadline,
+		tasks: append([]Task(nil), tasks...),
+		edges: append([]Edge(nil), edges...),
+	}
+	j.succ = make([][]int, len(j.tasks))
+	j.pred = make([][]int, len(j.tasks))
+	for i, e := range j.edges {
+		j.succ[e.From] = append(j.succ[e.From], i)
+		j.pred[e.To] = append(j.pred[e.To], i)
+	}
+	indeg := make([]int, len(j.tasks))
+	for _, e := range j.edges {
+		indeg[e.To]++
+	}
+	var ready []TaskID
+	for id := range j.tasks {
+		if indeg[id] == 0 {
+			ready = append(ready, TaskID(id))
+		}
+	}
+	for len(ready) > 0 {
+		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
+		id := ready[0]
+		ready = ready[1:]
+		j.topo = append(j.topo, id)
+		for _, ei := range j.succ[id] {
+			to := j.edges[ei].To
+			indeg[to]--
+			if indeg[to] == 0 {
+				ready = append(ready, to)
+			}
+		}
+	}
+	if len(j.topo) != len(j.tasks) {
+		for id, d := range indeg {
+			if d > 0 {
+				return nil, fmt.Errorf("dag: job %q has a cycle through task %q", name, j.tasks[id].Name)
+			}
+		}
+	}
+	return j, nil
+}
+
+func (j *refJob) in(id TaskID) []Edge {
+	var out []Edge
+	for _, ei := range j.pred[id] {
+		out = append(out, j.edges[ei])
+	}
+	return out
+}
+
+func (j *refJob) out(id TaskID) []Edge {
+	var out []Edge
+	for _, ei := range j.succ[id] {
+		out = append(out, j.edges[ei])
+	}
+	return out
+}
+
+func (j *refJob) longestChain(w WeightFunc, include func(TaskID) bool) (Chain, bool) {
+	incl := func(id TaskID) bool { return include == nil || include(id) }
+	dist := make([]simtime.Time, len(j.tasks))
+	prev := make([]int, len(j.tasks))
+	any := false
+	for i := range prev {
+		prev[i] = -1
+		dist[i] = -1
+	}
+	refBetter := func(old, cand int) bool { return old != -1 && cand < old }
+	for _, id := range j.topo {
+		if !incl(id) {
+			continue
+		}
+		any = true
+		base := w.task(j.tasks[id])
+		if dist[id] < base {
+			dist[id] = base
+			prev[id] = -1
+		}
+		for _, ei := range j.succ[id] {
+			e := j.edges[ei]
+			if !incl(e.To) {
+				continue
+			}
+			cand := dist[id] + w.edge(e) + w.task(j.tasks[e.To])
+			if cand > dist[e.To] || (cand == dist[e.To] && refBetter(prev[e.To], int(id))) {
+				dist[e.To] = cand
+				prev[e.To] = int(id)
+			}
+		}
+	}
+	if !any {
+		return Chain{}, false
+	}
+	best := -1
+	for id := range j.tasks {
+		if !incl(TaskID(id)) || dist[id] < 0 {
+			continue
+		}
+		if best == -1 || dist[id] > dist[best] || (dist[id] == dist[best] && id < best) {
+			best = id
+		}
+	}
+	var rev []TaskID
+	for cur := best; cur != -1; cur = prev[cur] {
+		rev = append(rev, TaskID(cur))
+	}
+	tasks := make([]TaskID, len(rev))
+	for i := range rev {
+		tasks[i] = rev[len(rev)-1-i]
+	}
+	return Chain{Tasks: tasks, Length: dist[best]}, true
+}
+
+// refCoarsen returns the coarse graph, every task's macro task and every
+// macro task's members.
+func refCoarsen(j *refJob) (*refJob, map[TaskID]TaskID, map[TaskID][]TaskID, error) {
+	n := len(j.tasks)
+	mergeWithPred := make([]bool, n)
+	for id := 0; id < n; id++ {
+		in := j.in(TaskID(id))
+		if len(in) != 1 {
+			continue
+		}
+		if len(j.out(in[0].From)) == 1 {
+			mergeWithPred[id] = true
+		}
+	}
+	rep := make([]TaskID, n)
+	for _, id := range j.topo {
+		if mergeWithPred[id] {
+			rep[id] = rep[j.in(id)[0].From]
+		} else {
+			rep[id] = id
+		}
+	}
+	members := make(map[TaskID][]TaskID)
+	for _, id := range j.topo {
+		members[rep[id]] = append(members[rep[id]], id)
+	}
+	var tasks []Task
+	macroOf := make(map[TaskID]TaskID)
+	for _, id := range j.topo {
+		if rep[id] != id {
+			continue
+		}
+		var bt simtime.Time
+		var vol int64
+		for i, m := range members[id] {
+			t := j.tasks[m]
+			bt += t.BaseTime
+			vol += t.Volume
+			if i > 0 {
+				for _, e := range j.in(m) {
+					if e.From == members[id][i-1] {
+						bt += e.BaseTime
+						break
+					}
+				}
+			}
+		}
+		name := j.tasks[id].Name
+		if len(members[id]) > 1 {
+			name = fmt.Sprintf("%s+%d", name, len(members[id])-1)
+		}
+		mid := TaskID(len(tasks))
+		tasks = append(tasks, Task{ID: mid, Name: name, BaseTime: bt, Volume: vol})
+		macroOf[id] = mid
+	}
+	type key struct{ f, t TaskID }
+	acc := make(map[key]*Edge)
+	var order []key
+	for _, e := range j.edges {
+		rf, rt := rep[e.From], rep[e.To]
+		if rf == rt {
+			continue
+		}
+		k := key{rf, rt}
+		if a, ok := acc[k]; ok {
+			a.BaseTime += e.BaseTime
+			a.Volume += e.Volume
+			a.Name += "+" + e.Name
+		} else {
+			ec := e
+			acc[k] = &ec
+			order = append(order, k)
+		}
+	}
+	var edges []Edge
+	for _, k := range order {
+		e := *acc[k]
+		e.From, e.To = macroOf[k.f], macroOf[k.t]
+		edges = append(edges, e)
+	}
+	cj, err := refBuild(j.name+"/coarse", j.deadline, tasks, edges)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	macro := make(map[TaskID]TaskID)
+	for id := 0; id < n; id++ {
+		macro[TaskID(id)] = macroOf[rep[id]]
+	}
+	mem := make(map[TaskID][]TaskID)
+	for r, ms := range members {
+		mem[macroOf[r]] = ms
+	}
+	return cj, macro, mem, nil
+}
+
+// sameEdges compares edge lists element by element; nil and empty agree.
+func sameEdges(a, b []Edge) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// sameGraph reports where j departs from ref, by every way there is of
+// reading a Job's graph.
+func sameGraph(j *Job, ref *refJob) error {
+	if j.Name != ref.name || j.Deadline != ref.deadline {
+		return fmt.Errorf("job %q deadline %d, reference %q deadline %d", j.Name, j.Deadline, ref.name, ref.deadline)
+	}
+	if j.NumTasks() != len(ref.tasks) || !reflect.DeepEqual(j.Tasks(), ref.tasks) {
+		return fmt.Errorf("Tasks = %v, reference %v", j.Tasks(), ref.tasks)
+	}
+	if j.NumEdges() != len(ref.edges) || !sameEdges(j.Edges(), ref.edges) {
+		return fmt.Errorf("Edges = %v, reference %v", j.Edges(), ref.edges)
+	}
+	for i, e := range ref.edges {
+		if j.EdgeAt(i) != e {
+			return fmt.Errorf("EdgeAt(%d) = %v, reference %v", i, j.EdgeAt(i), e)
+		}
+	}
+	if !reflect.DeepEqual(j.TopoOrder(), ref.topo) {
+		return fmt.Errorf("TopoOrder = %v, reference %v", j.TopoOrder(), ref.topo)
+	}
+	var sources, sinks []TaskID
+	buf := []Edge{{Name: "kept"}}
+	for i, t := range ref.tasks {
+		id := TaskID(i)
+		if j.Task(id) != t {
+			return fmt.Errorf("Task(%d) = %v, reference %v", id, j.Task(id), t)
+		}
+		if j.TopoAt(i) != ref.topo[i] {
+			return fmt.Errorf("TopoAt(%d) = %d, reference %d", i, j.TopoAt(i), ref.topo[i])
+		}
+		in, out := ref.in(id), ref.out(id)
+		if len(in) == 0 {
+			sources = append(sources, id)
+		}
+		if len(out) == 0 {
+			sinks = append(sinks, id)
+		}
+		if !sameEdges(j.In(id), in) || !sameEdges(j.Out(id), out) {
+			return fmt.Errorf("task %d: In %v Out %v, reference %v %v", id, j.In(id), j.Out(id), in, out)
+		}
+		if buf = j.AppendIn(buf[:1], id); !sameEdges(buf[1:], in) {
+			return fmt.Errorf("AppendIn(%d) = %v, reference %v", id, buf[1:], in)
+		}
+		if buf = j.AppendOut(buf[:1], id); !sameEdges(buf[1:], out) {
+			return fmt.Errorf("AppendOut(%d) = %v, reference %v", id, buf[1:], out)
+		}
+	}
+	if buf[0].Name != "kept" {
+		return fmt.Errorf("an Append walk overwrote what its buffer held")
+	}
+	if !reflect.DeepEqual(j.Sources(), sources) || !reflect.DeepEqual(j.Sinks(), sinks) {
+		return fmt.Errorf("Sources %v Sinks %v, reference %v %v", j.Sources(), j.Sinks(), sources, sinks)
+	}
+	return nil
+}
+
+// sameChains runs the longest-chain search the ways the scheduler does —
+// over all tasks, then again and again over the tasks no earlier chain took
+// (the critical works phase loop), and under arbitrary filters — with base
+// and with custom weights, through LongestChain and through one reused
+// ChainBuf, against the reference search.
+func sameChains(j *Job, ref *refJob, r *rng.Source) error {
+	custom := WeightFunc{
+		Task: func(t Task) simtime.Time { return t.BaseTime*3 + simtime.Time(t.ID%3) },
+		Edge: func(e Edge) simtime.Time { return e.BaseTime / 2 },
+	}
+	var buf ChainBuf
+	check := func(w WeightFunc, include func(TaskID) bool) (Chain, bool, error) {
+		want, wantOK := ref.longestChain(w, include)
+		got, ok := j.LongestChain(w, include)
+		if ok != wantOK || got.Length != want.Length || !reflect.DeepEqual(got.Tasks, want.Tasks) {
+			return want, wantOK, fmt.Errorf("LongestChain = %v %v, reference %v %v", got, ok, want, wantOK)
+		}
+		got, ok = j.LongestChainBuf(&buf, w, include)
+		if ok != wantOK || got.Length != want.Length || (ok && !reflect.DeepEqual(got.Tasks, want.Tasks)) {
+			return want, wantOK, fmt.Errorf("LongestChainBuf = %v %v, reference %v %v", got, ok, want, wantOK)
+		}
+		return want, wantOK, nil
+	}
+	for _, w := range []WeightFunc{{}, custom} {
+		whole, _ := ref.longestChain(w, nil) // a job has a task, so a chain
+		if got := j.CriticalPathLength(w); got != whole.Length {
+			return fmt.Errorf("CriticalPathLength = %d, reference %d", got, whole.Length)
+		}
+		taken := make([]bool, len(ref.tasks))
+		left := func(id TaskID) bool { return !taken[id] }
+		for {
+			c, ok, err := check(w, left)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			for _, id := range c.Tasks {
+				taken[id] = true
+			}
+		}
+		for k := 0; k < 4; k++ {
+			for i := range taken {
+				taken[i] = r.Bool(0.4)
+			}
+			if _, _, err := check(w, left); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// CheckAgainstReference fails t where j — its graph, its chain searches, its
+// coarsening and that coarsening's graph — departs from the reference built
+// from the same tasks and edges. Exported for the workload corpus, which this
+// package cannot import.
+func CheckAgainstReference(t *testing.T, j *Job) {
+	t.Helper()
+	ref, err := refBuild(j.Name, j.Deadline, j.Tasks(), j.Edges())
+	if err != nil {
+		t.Fatalf("%s: reference build: %v", j.Name, err)
+	}
+	if err := sameGraph(j, ref); err != nil {
+		t.Fatalf("%s: %v", j.Name, err)
+	}
+	if err := sameChains(j, ref, rng.New(uint64(j.NumTasks())<<16|uint64(j.NumEdges()))); err != nil {
+		t.Fatalf("%s: %v", j.Name, err)
+	}
+	c, err := Coarsen(j)
+	if err != nil {
+		t.Fatalf("%s: Coarsen: %v", j.Name, err)
+	}
+	cref, macro, members, err := refCoarsen(ref)
+	if err != nil {
+		t.Fatalf("%s: reference coarsening: %v", j.Name, err)
+	}
+	if err := sameGraph(c.Job, cref); err != nil {
+		t.Fatalf("%s: coarse job: %v", j.Name, err)
+	}
+	if !reflect.DeepEqual(c.Macro, macro) || !reflect.DeepEqual(c.Members, members) {
+		t.Fatalf("%s: Macro %v Members %v, reference %v %v", j.Name, c.Macro, c.Members, macro, members)
+	}
+}
+
+// TestFlatJobMatchesReference: over Fig. 2 and the property tests' random
+// graphs at every size they use, the job a Builder makes holds the tasks and
+// edges it was fed and agrees with the reference on everything derived from
+// them. (The workload.Default corpus runs through the same check in
+// corpus_test.go.)
+func TestFlatJobMatchesReference(t *testing.T) {
+	CheckAgainstReference(t, fig2Job(t))
+	for _, maxTasks := range []int{8, 9, 12, 14, 40} {
+		for seed := uint64(1); seed <= 150; seed++ {
+			r := rng.New(seed)
+			tasks, edges := randomGraph(r, maxTasks)
+			// Every third graph doubles some transfers: parallel edges are
+			// legal, and the only way two edges join one pair of macro tasks.
+			for i, m := 0, len(edges); seed%3 == 0 && i < m; i++ {
+				if e := edges[i]; r.Bool(0.3) {
+					e.Name += "'"
+					e.BaseTime += simtime.Time(r.IntBetween(0, 3))
+					edges = append(edges, e)
+				}
+			}
+			j := feed(NewBuilder("rand").Deadline(simtime.Time(seed)), tasks, edges).MustBuild()
+			if !reflect.DeepEqual(j.Tasks(), tasks) || !sameEdges(j.Edges(), edges) {
+				t.Fatalf("seed %d: the job does not hold what the builder was fed", seed)
+			}
+			CheckAgainstReference(t, j)
+		}
+	}
+}
+
+// TestBuilderReuseLeavesBuiltJobsAlone: Build hands the builder's lists to
+// the job without a copy, so whatever the builder does next — more tasks and
+// edges, another Build — must leave the first job as it was, sized lists
+// (Grow) or grown ones.
+func TestBuilderReuseLeavesBuiltJobsAlone(t *testing.T) {
+	for _, sized := range []bool{false, true} {
+		tasks, edges := randomGraph(rng.New(7), 12)
+		b := NewBuilder("first")
+		if sized {
+			b.Grow(len(tasks)+4, len(edges)+4) // room to spare: an append would fit in place
+		}
+		first := feed(b, tasks, edges).MustBuild()
+		want, err := refBuild("first", 0, tasks, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		b.Task("late-1", 3, 3)
+		b.Task("late-2", 4, 4)
+		b.Edge("late", "late-1", "late-2", 1, 1)
+		b.Edge("late-in", tasks[0].Name, "late-1", 2, 2)
+		second := b.MustBuild()
+		if err := sameGraph(first, want); err != nil {
+			t.Fatalf("sized=%v: the first job changed under the builder: %v", sized, err)
+		}
+		CheckAgainstReference(t, first)
+		if second.NumTasks() != len(tasks)+2 || second.NumEdges() != len(edges)+2 {
+			t.Fatalf("sized=%v: second job has %d tasks, %d edges", sized, second.NumTasks(), second.NumEdges())
+		}
+		CheckAgainstReference(t, second)
+
+		// A third build of the unchanged builder shares the second's lists;
+		// both stay whole when the builder moves on again.
+		third := b.MustBuild()
+		b.Task("later", 1, 1)
+		for _, j := range []*Job{second, third} {
+			if j.NumTasks() != len(tasks)+2 {
+				t.Fatalf("sized=%v: a later Task reached a built job", sized)
+			}
+			CheckAgainstReference(t, j)
+		}
 	}
 }

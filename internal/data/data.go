@@ -18,6 +18,8 @@ package data
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/resource"
 	"repro/internal/simtime"
@@ -63,8 +65,46 @@ type DatasetID struct {
 type Catalog struct {
 	policy  Policy
 	storage resource.NodeID // used by StaticStorage
-	replica map[DatasetID]map[resource.NodeID]bool
+	replica map[DatasetID]nodeSet
 }
+
+// nodeSet is a set of node IDs as a bitset. Nodes 0–63 sit in a word inside
+// the value, so a dataset on an environment of up to 64 nodes costs its map
+// entry and nothing else; higher IDs go to a slice that grows to the highest
+// member. Members never leave and the slice is never longer than that, so
+// equal sets have equal representations.
+type nodeSet struct {
+	lo uint64
+	hi []uint64 // hi[w] holds nodes 64(w+1) … 64(w+1)+63
+}
+
+func (s *nodeSet) add(id resource.NodeID) {
+	if id < 0 {
+		panic(fmt.Sprintf("data: negative node ID %d", id))
+	}
+	if id < 64 {
+		s.lo |= 1 << id
+		return
+	}
+	w := int(id)/64 - 1
+	if w >= len(s.hi) {
+		s.hi = append(s.hi, make([]uint64, w+1-len(s.hi))...)
+	}
+	s.hi[w] |= 1 << (id % 64)
+}
+
+func (s nodeSet) has(id resource.NodeID) bool {
+	if id < 0 {
+		return false
+	}
+	if id < 64 {
+		return s.lo>>id&1 != 0
+	}
+	w := int(id)/64 - 1
+	return w < len(s.hi) && s.hi[w]>>(id%64)&1 != 0
+}
+
+func (s nodeSet) empty() bool { return s.lo == 0 && len(s.hi) == 0 }
 
 // NewCatalog creates a catalog. storageNode is only meaningful for
 // StaticStorage and names the node holding all data products.
@@ -72,7 +112,7 @@ func NewCatalog(p Policy, storageNode resource.NodeID) *Catalog {
 	return &Catalog{
 		policy:  p,
 		storage: storageNode,
-		replica: make(map[DatasetID]map[resource.NodeID]bool),
+		replica: make(map[DatasetID]nodeSet),
 	}
 }
 
@@ -94,7 +134,7 @@ func (c *Catalog) TransferTime(jobName, dataset string, base simtime.Time, from,
 	switch c.policy {
 	case ActiveReplication:
 		ds := DatasetID{Job: jobName, Dataset: dataset}
-		if c.replica[ds][to] {
+		if c.replica[ds].has(to) {
 			return 0 // a replica is already there
 		}
 		// Proactive replication overlaps part of the copy with upstream
@@ -129,7 +169,7 @@ func (c *Catalog) TransferTime(jobName, dataset string, base simtime.Time, from,
 func (c *Catalog) MinTransferTime(jobName, dataset string, base simtime.Time) simtime.Time {
 	switch c.policy {
 	case ActiveReplication:
-		if len(c.replica[DatasetID{Job: jobName, Dataset: dataset}]) > 0 {
+		if !c.replica[DatasetID{Job: jobName, Dataset: dataset}].empty() {
 			return 0 // some node already holds a replica
 		}
 		return (3*base + 3) / 4
@@ -145,49 +185,50 @@ func (c *Catalog) MinTransferTime(jobName, dataset string, base simtime.Time) si
 // accumulates replicas that change later costs.
 func (c *Catalog) Commit(jobName, dataset string, from, to resource.NodeID) {
 	ds := DatasetID{Job: jobName, Dataset: dataset}
-	m := c.replica[ds]
-	if m == nil {
-		m = make(map[resource.NodeID]bool)
-		c.replica[ds] = m
-	}
-	m[from] = true
-	m[to] = true
+	s := c.replica[ds]
+	s.add(from)
+	s.add(to)
 	if c.policy == StaticStorage {
-		m[c.storage] = true
+		s.add(c.storage)
 	}
+	c.replica[ds] = s
 }
 
 // Clone returns a deep copy of the catalog, for what-if scheduling passes
 // that must not leak replica state.
 func (c *Catalog) Clone() *Catalog {
-	cp := NewCatalog(c.policy, c.storage)
-	for ds, nodes := range c.replica {
-		m := make(map[resource.NodeID]bool, len(nodes))
-		for id, v := range nodes {
-			m[id] = v
-		}
-		cp.replica[ds] = m
+	cp := &Catalog{policy: c.policy, storage: c.storage, replica: make(map[DatasetID]nodeSet, len(c.replica))}
+	for ds, s := range c.replica {
+		s.hi = slices.Clone(s.hi)
+		cp.replica[ds] = s
 	}
 	return cp
 }
 
-// Replicas returns the nodes currently holding the dataset, or nil.
+// Replicas returns the nodes currently holding the dataset, in ascending
+// order, or nil.
 func (c *Catalog) Replicas(ds DatasetID) []resource.NodeID {
-	m := c.replica[ds]
-	if len(m) == 0 {
+	s := c.replica[ds]
+	if s.empty() {
 		return nil
 	}
-	out := make([]resource.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+	n := bits.OnesCount64(s.lo)
+	for _, word := range s.hi {
+		n += bits.OnesCount64(word)
 	}
-	// Deterministic order for callers that print.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := appendMembers(make([]resource.NodeID, 0, n), 0, s.lo)
+	for w, word := range s.hi {
+		out = appendMembers(out, 64*(w+1), word)
 	}
 	return out
+}
+
+// appendMembers appends the node IDs base+i for every set bit i of word.
+func appendMembers(dst []resource.NodeID, base int, word uint64) []resource.NodeID {
+	for ; word != 0; word &= word - 1 {
+		dst = append(dst, resource.NodeID(base+bits.TrailingZeros64(word)))
+	}
+	return dst
 }
 
 // Forget drops all replica records of one job (job finished or reallocated).

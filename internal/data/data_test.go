@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -202,5 +203,51 @@ func TestMinTransferTimeBoundsEveryPair(t *testing.T) {
 			c.Commit("j", "D", 3, 4)
 			check("committed")
 		}
+	}
+}
+
+// TestReplicaSetsAcrossWords: replica sets are bitsets with the first 64
+// nodes inline and the rest in grown words. Membership, Replicas' ascending
+// order and the policies' answers must not depend on which word a node
+// falls in; a clone shares no word with its source; and equal sets built in
+// different orders are equal values (TestBuildMatchesCloneReference compares
+// catalogs with reflect.DeepEqual).
+func TestReplicaSetsAcrossWords(t *testing.T) {
+	ds := DatasetID{Job: "j", Dataset: "D"}
+	ids := []resource.NodeID{0, 63, 64, 127, 128, 200, 1000}
+	c := NewCatalog(ActiveReplication, 0)
+	for i := len(ids) - 1; i > 0; i -= 2 {
+		c.Commit("j", "D", ids[i], ids[i-1])
+	}
+	c.Commit("j", "D", ids[0], ids[0])
+	if got := c.Replicas(ds); !reflect.DeepEqual(got, ids) {
+		t.Fatalf("Replicas = %v, want %v", got, ids)
+	}
+	for _, id := range ids {
+		if c.TransferTime("j", "D", 8, 5, id) != 0 {
+			t.Errorf("node %d holds a replica but still pays", id)
+		}
+	}
+	for _, id := range []resource.NodeID{1, 62, 65, 126, 129, 199, 201, 999, 1001, 5000} {
+		if c.TransferTime("j", "D", 8, 5, id) != 6 {
+			t.Errorf("node %d holds no replica but reads for free", id)
+		}
+	}
+
+	cp := c.Clone()
+	if !reflect.DeepEqual(cp, c) {
+		t.Fatal("a clone differs from its source")
+	}
+	cp.Commit("j", "D", 70, 300)
+	if got := c.Replicas(ds); !reflect.DeepEqual(got, ids) {
+		t.Errorf("a commit to the clone reached the source: Replicas = %v", got)
+	}
+
+	fwd := NewCatalog(ActiveReplication, 0)
+	for _, id := range ids {
+		fwd.Commit("j", "D", id, id)
+	}
+	if !reflect.DeepEqual(fwd, c) {
+		t.Error("the same replica set built in another order is a different value")
 	}
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/dag"
 )
 
 // FuzzReadJobs ensures arbitrary input can never panic the decoder: it
-// must either error out or produce jobs that round-trip.
+// must either error out or produce jobs that round-trip — the job read back
+// from a job's own wire form is the same graph, task by task, edge by edge
+// and in the same topological order.
 func FuzzReadJobs(f *testing.F) {
 	f.Add(`[{"name":"x","deadline":9,"tasks":[{"name":"A","baseTime":1,"volume":2}],"edges":[]}]`)
 	f.Add(`[]`)
@@ -51,8 +55,26 @@ func FuzzReadJobs(f *testing.F) {
 			if err != nil {
 				t.Fatalf("round trip failed: %v", err)
 			}
-			if len(back) != 1 || back[0].NumTasks() != j.NumTasks() {
-				t.Fatal("round trip changed the job")
+			if len(back) != 1 {
+				t.Fatalf("round trip returned %d jobs for one", len(back))
+			}
+			b := back[0]
+			if b.Name != j.Name || b.Deadline != j.Deadline || b.NumTasks() != j.NumTasks() || b.NumEdges() != j.NumEdges() {
+				t.Fatalf("round trip changed the job: %q deadline %d, %d tasks, %d edges; was %q deadline %d, %d tasks, %d edges",
+					b.Name, b.Deadline, b.NumTasks(), b.NumEdges(), j.Name, j.Deadline, j.NumTasks(), j.NumEdges())
+			}
+			for i := 0; i < j.NumTasks(); i++ {
+				if id := dag.TaskID(i); b.Task(id) != j.Task(id) {
+					t.Fatalf("round trip changed task %d: %+v, was %+v", i, b.Task(id), j.Task(id))
+				}
+				if b.TopoAt(i) != j.TopoAt(i) {
+					t.Fatalf("round trip changed the topological order at %d: task %d, was %d", i, b.TopoAt(i), j.TopoAt(i))
+				}
+			}
+			for i := 0; i < j.NumEdges(); i++ {
+				if b.EdgeAt(i) != j.EdgeAt(i) {
+					t.Fatalf("round trip changed edge %d: %+v, was %+v", i, b.EdgeAt(i), j.EdgeAt(i))
+				}
 			}
 		}
 	})

@@ -496,7 +496,7 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
 	}
-	st, err := m.gen.GenerateCtx(ctx, aj.result.Job, aj.result.Type, vo.liveBooks(), now)
+	st, err := m.generate(ctx, aj, vo.liveBooks(), now)
 	if vo.cfg.Telemetry != nil {
 		vo.cfg.Telemetry.Histogram("grid_metasched_adopt_seconds",
 			"wall time of one adopt (strategy generation) pass", nil).Observe(telemetry.Since(t0))
@@ -527,6 +527,18 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 	}
 }
 
+// generate builds aj's strategy in this domain on books. Whatever sent the
+// job round again — a retry, a lost placer round, a reallocation — its graph
+// has not changed, so a job that already has a strategy keeps what that one
+// derived from the graph alone (strategy.Generator.RegenerateCtx). It reads
+// aj and writes nothing: the placer workers call it concurrently.
+func (m *JobManager) generate(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time) (*strategy.Strategy, error) {
+	if aj.strat != nil {
+		return m.gen.RegenerateCtx(ctx, aj.strat, books, now)
+	}
+	return m.gen.GenerateCtx(ctx, aj.result.Job, aj.result.Type, books, now)
+}
+
 // install makes st the job's current strategy and books what generating it
 // cost. initial marks the very first generation, which defines the job's
 // admissibility record (the Fig. 3a criterion).
@@ -535,7 +547,11 @@ func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	aj.result.Scheduled = st.Scheduled
 	aj.used = make(map[resource.Tier]bool)
 	aj.result.Evaluations += st.Evaluations
-	aj.result.Collisions = append(aj.result.Collisions, st.Collisions()...)
+	// Strategy.Collisions' order, without building its slice.
+	for _, d := range st.Distributions {
+		aj.result.Collisions = append(aj.result.Collisions, d.Schedule.Collisions...)
+	}
+	aj.result.Collisions = append(aj.result.Collisions, st.PartialCollisions...)
 	if initial {
 		aj.result.Admissible = st.Admissible()
 	}
@@ -728,9 +744,7 @@ func (m *JobManager) fallback(aj *activeJob) {
 		if sp != nil {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
-		// No shared estimate table: a ladder step is rare and usually
-		// builds once.
-		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.liveBooks(), now, nil)
+		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.liveBooks(), now, aj.strat.Table)
 		if err != nil || d == nil || !d.Admissible {
 			if partial != nil {
 				aj.result.Evaluations += partial.Evaluations

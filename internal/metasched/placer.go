@@ -236,7 +236,7 @@ func (vo *VO) placeRound(work []*placerJob) []*placerJob {
 	}
 	outs, err := parallel.Map(vo.placers(), len(work), func(i int) (buildOut, error) {
 		w := work[i]
-		st, gerr := w.aj.manager.gen.GenerateCtx(ctxs[i], w.aj.result.Job, w.aj.result.Type, books, now)
+		st, gerr := w.aj.manager.generate(ctxs[i], w.aj, books, now)
 		return buildOut{st: st, err: gerr}, nil
 	})
 	if err != nil {

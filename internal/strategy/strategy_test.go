@@ -629,3 +629,57 @@ func TestGenerateSaysWhyLevelsFailed(t *testing.T) {
 		t.Errorf("Evaluations = %d, want the %d probes of level 1's attempts", s.Evaluations, attemptEvals)
 	}
 }
+
+// TestRegenerateEqualsGenerate: a re-generation — the job round again on
+// other books, later — gives exactly what a generation from scratch gives
+// there, for every family, while sharing with the previous strategy what
+// that one derived from the job alone: the scheduled DAG, the clustering and
+// the estimate table are the same values, not equal copies.
+func TestRegenerateEqualsGenerate(t *testing.T) {
+	env := mixedEnv()
+	g := &Generator{Env: env}
+	// A pipeline into a fork: S3 has a run to merge and edges to re-draw.
+	b := dag.NewBuilder("regen").Deadline(120)
+	b.Task("A", 2, 20)
+	b.Task("B", 3, 30)
+	b.Task("C", 1, 10)
+	b.Task("D", 2, 20)
+	b.Edge("ab", "A", "B", 1, 10)
+	b.Edge("bc", "B", "C", 2, 10)
+	b.Edge("bd", "B", "D", 1, 10)
+	for _, job := range []*dag.Job{fig2Job(60), b.MustBuild()} {
+		for _, typ := range AllTypes {
+			prev, err := g.Generate(job, typ, criticalworks.EmptyCalendars(env), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !prev.Table.DerivedFrom(prev.Scheduled) {
+				t.Fatalf("%s %v: the strategy's table is not the scheduled DAG's", job.Name, typ)
+			}
+			// Other books, a later release: the plan itself has to change.
+			books := criticalworks.EmptyCalendars(env)
+			for id, c := range books {
+				if err := c.Reserve(simtime.Interval{Start: 3 + simtime.Time(id), End: 9 + simtime.Time(id)}, resource.External); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := g.GenerateCtx(context.Background(), job, typ, books, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := g.RegenerateCtx(context.Background(), prev, books, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Scheduled != prev.Scheduled || got.Clustering != prev.Clustering || got.Table != prev.Table {
+				t.Errorf("%s %v: a re-generation derived the job's own facts again", job.Name, typ)
+			}
+			if reflect.DeepEqual(got.Distributions, prev.Distributions) {
+				t.Errorf("%s %v: the re-generation on loaded books repeats the first plan; the comparison below shows nothing", job.Name, typ)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %v: re-generation differs from generation:\n got %+v\nwant %+v", job.Name, typ, got, want)
+			}
+		}
+	}
+}

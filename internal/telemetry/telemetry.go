@@ -26,6 +26,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -240,12 +241,18 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.lookup(name, help, KindHistogram, buckets, labels).h
 }
 
-// lookup finds or creates the family and series.
+// lookup finds or creates the family and series. Finding an existing series
+// — every call after a call site's first — allocates nothing: the label set
+// is canonicalized in place or on the stack and the series map is probed
+// with a key built in a stack buffer.
 func (r *Registry) lookup(name, help string, kind Kind, buckets []float64, labels []Label) *series {
-	key := labelKey(labels)
+	var sortBuf [8]Label
+	labels = sortedLabels(sortBuf[:0], labels)
+	var keyBuf [128]byte
+	key := appendLabelKey(keyBuf[:0], labels)
 	r.mu.RLock()
 	if f, ok := r.families[name]; ok {
-		if s, ok := f.series[key]; ok {
+		if s, ok := f.series[string(key)]; ok { // no string is built for a map probe
 			if f.kind != kind {
 				r.mu.RUnlock()
 				panic(fmt.Sprintf("telemetry: metric %q re-registered as %v, was %v", name, kind, f.kind))
@@ -269,9 +276,9 @@ func (r *Registry) lookup(name, help string, kind Kind, buckets []float64, label
 	if f.kind != kind {
 		panic(fmt.Sprintf("telemetry: metric %q re-registered as %v, was %v", name, kind, f.kind))
 	}
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
-		s = &series{labels: sortedLabels(labels)}
+		s = &series{labels: append([]Label(nil), labels...)}
 		switch kind {
 		case KindCounter:
 			s.c = &Counter{}
@@ -283,7 +290,7 @@ func (r *Registry) lookup(name, help string, kind Kind, buckets []float64, label
 				counts: make([]atomic.Uint64, len(f.buckets)+1),
 			}
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }
@@ -310,30 +317,33 @@ func normalizeBuckets(buckets []float64) []float64 {
 	return dedup
 }
 
-// sortedLabels returns a key-sorted copy of labels.
-func sortedLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+// sortedLabels returns labels in key order: labels itself when it already
+// is (any set of at most one label, and most call sites' literal order),
+// else a sorted copy appended to buf. Neither may be kept — the caller's
+// slice is the caller's, buf is usually a stack array.
+func sortedLabels(buf, labels []Label) []Label {
+	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+	if slices.IsSortedFunc(labels, byKey) {
+		return labels
+	}
+	out := append(buf, labels...)
+	slices.SortStableFunc(out, byKey) // generic: no reflection swapper to allocate
 	return out
 }
 
-// labelKey canonicalizes a label set (sorted, NUL-separated — NUL cannot
-// appear in a sane label, and escaping only matters for exposition).
-func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	ls := sortedLabels(labels)
-	var b strings.Builder
-	for i, l := range ls {
+// appendLabelKey appends the canonical key of a sorted label set to dst
+// (NUL-separated — NUL cannot appear in a sane label, and escaping only
+// matters for exposition).
+func appendLabelKey(dst []byte, labels []Label) []byte {
+	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(0)
+			dst = append(dst, 0)
 		}
-		b.WriteString(l.Key)
-		b.WriteByte(0)
-		b.WriteString(l.Value)
+		dst = append(dst, l.Key...)
+		dst = append(dst, 0)
+		dst = append(dst, l.Value...)
 	}
-	return b.String()
+	return dst
 }
 
 // Merge folds other's series into r: counters and histogram buckets add,

@@ -300,6 +300,44 @@ func TestHotOpsZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLookupHitZeroAllocs: acquiring a series that exists — what every
+// per-job call site does after its first job — allocates nothing, for the
+// label shapes the scheduler uses (none, one, two in key order) and for two
+// given out of order, which are sorted on the stack. A value that varies by
+// call (the build outcome, the domain) must not cost a string either.
+func TestLookupHitZeroAllocs(t *testing.T) {
+	r := NewRegistry()
+	results := []string{"ok", "infeasible"}
+	for _, res := range results {
+		r.Counter("c1", "", L("result", res))
+		r.Counter("c2", "", L("family", "S1"), L("result", res))
+	}
+	r.Counter("c0", "")
+	r.Histogram("h0", "", nil)
+	r.Histogram("h1", "", nil, L("family", "S1"))
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		res := results[i%2]
+		i++
+		r.Counter("c0", "").Inc()
+		r.Counter("c1", "", L("result", res)).Inc()
+		r.Counter("c2", "", L("family", "S1"), L("result", res)).Inc()
+		r.Counter("c2", "", L("result", res), L("family", "S1")).Inc()
+		r.Histogram("h0", "", nil).Observe(0.01)
+		r.Histogram("h1", "", nil, L("family", "S1")).Observe(0.01)
+	}); n != 0 {
+		t.Fatalf("looking up existing series allocates %v times per run, want 0", n)
+	}
+	// AllocsPerRun makes one warm-up call; every call counts c2 twice.
+	var got uint64
+	for _, res := range results {
+		got += r.Counter("c2", "", L("family", "S1"), L("result", res)).Value()
+	}
+	if want := uint64(2 * (1000 + 1)); got != want {
+		t.Errorf("the two label orders hit different series: counted %d, want %d", got, want)
+	}
+}
+
 // TestRegistryStress hammers one registry from 64 goroutines mixing
 // handle acquisition, all three instrument kinds and concurrent
 // Prometheus rendering; run under -race this is the data-race guard for
