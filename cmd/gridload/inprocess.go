@@ -113,8 +113,6 @@ func runInProcess(o options) (*scalereport.Report, error) {
 		det.GoodputPerKTicks = float64(m.Completed) * 1000 / float64(m.EngineNow)
 	}
 	det.PlacerCommits = reg.Counter("grid_placer_commits_total", "").Value()
-	det.PlacerConflicts = reg.Counter("grid_placer_conflicts_total", "").Value()
-	det.PlacerRetries = reg.Counter("grid_placer_retries_total", "").Value()
 
 	// Admission-latency percentiles from the same fixed-bucket histogram
 	// /metrics exposes, via telemetry.Quantile.

@@ -99,7 +99,7 @@ func main() {
 		burst      = flag.Int("burst", 16, "inprocess: arrivals submitted between scheduling steps")
 		proc       = flag.Int("proc", 12, "inprocess: jobs scheduled per step (proc < burst builds overload)")
 		workers    = flag.Int("workers", 0, "parallel per-level build workers (0 = sequential, required for determinism diffs)")
-		placers    = flag.Int("placers", 0, "inprocess: concurrent optimistic placers per scheduling step (≤1 = one job per step)")
+		placers    = flag.Int("placers", 0, "inprocess: jobs batched per scheduling step and domains placed at once (≤1 = one job per step)")
 		tick       = flag.Duration("tick", 5*time.Millisecond, "http: wall-clock duration of one model tick (arrival pacing)")
 		honorRetry = flag.Bool("honor-retry-after", true, "http: back off and retry per the Retry-After hint on 429/503")
 		wait       = flag.Duration("wait", 60*time.Second, "http: how long to wait for accepted jobs to reach a terminal state")

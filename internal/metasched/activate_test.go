@@ -14,9 +14,10 @@ import (
 )
 
 // TestActivateIsAllOrNothing pins the one way onto the books
-// (JobManager.activate, DESIGN.md §12). On a loaded VO a distribution is
-// built on the live books; then, for each of its windows in turn, one tick
-// of that window is made busy behind the plan's back. activate must return
+// (JobManager.reserve, through activate = reserve + launch; DESIGN.md §12).
+// On a loaded VO a distribution is built on the live books; then, for each
+// of its windows in turn, one tick of that window is made busy behind the
+// plan's back. activate must return
 // false and leave everything as it found it — every live book's generation
 // and reservations, aj.used, the engine's pending events, the trace —
 // whichever window it was and wherever the map walk meets it. With the

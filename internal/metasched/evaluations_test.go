@@ -1,6 +1,7 @@
 package metasched
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,10 +18,10 @@ import (
 // end to end: every level a job manager gets — at adoption, on a retry, down
 // the fallback ladder, after a reallocation — is one criticalworks.Build,
 // and Build is the only code that bumps the grid_criticalworks_* counters.
-// So at Placers ≤ 1, where no built plan is ever discarded by a lost round,
-// what the jobs were charged must add up to what the builds reported: the
-// evaluations summed over the job results equal the evaluations counter, and
-// the collisions likewise.
+// No built plan is ever discarded, so what the jobs were charged must add up
+// to what the builds reported: the evaluations summed over the job results
+// equal the evaluations counter, and the collisions likewise (at Placers > 1
+// too: TestBatchMembersAreBuiltOnce).
 //
 // A level served any other way breaks the sum: the availability case failed
 // while re-anchors could be answered from a memoized build, which charged
@@ -105,5 +106,74 @@ func TestEvaluationsAreTheProbesPerformed(t *testing.T) {
 				t.Errorf("job results carry %d collisions, the builds recorded %d", colls, got)
 			}
 		})
+	}
+}
+
+// TestBatchMembersAreBuiltOnce is the same contract at Placers 4, where a
+// lost optimistic round used to throw a built strategy away and build it
+// again: contended same-tick batches of eight over three domains. Every
+// generation asks BuildCtx for its context exactly once, so counting the
+// calls per job counts the generations:
+//
+//   - when the first member of a batch is reallocated, every member has been
+//     generated exactly once — reallocation waits for the end of the batch;
+//   - over its whole life a job is generated once plus once per reallocation
+//     (no faults or external load here, so nothing else re-plans);
+//   - Σ JobResult.Evaluations equals grid_criticalworks_evaluations_total,
+//     and the collisions likewise.
+func TestBatchMembersAreBuiltOnce(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		reg := telemetry.NewRegistry()
+		built := map[string]int{}
+		var batch []string // placeable members of the batch arriving at batchAt
+		batchAt := simtime.Time(-1)
+		checked := 0
+		vo := placerOpts{seed: seed, placers: 4, domains: 3, jobs: 40, group: 8, gap: 150, stretch: 2, doomEvery: 9,
+			cfg: func(c *Config) {
+				c.Telemetry = reg
+				c.BuildCtx = func(job string) context.Context {
+					built[job]++
+					return context.Background()
+				}
+				c.Tracer = TracerFunc(func(ev Event) {
+					switch ev.Kind {
+					case EventArrive:
+						if ev.At != batchAt {
+							batch, batchAt = batch[:0], ev.At
+						}
+						if ev.Domain != "" {
+							batch = append(batch, ev.Job)
+						}
+					case EventReallocate:
+						for _, name := range batch {
+							if built[name] != 1 {
+								t.Errorf("seed %d: %s was generated %d times when %s, the batch's first, was reallocated", seed, name, built[name], ev.Job)
+							}
+						}
+						checked += len(batch)
+						batch = batch[:0] // later reallocations of the batch re-plan by design
+					}
+				})
+			}}.run()
+
+		var evals, colls int64
+		moved := 0
+		for _, r := range vo.Results() {
+			evals += r.Evaluations
+			colls += int64(len(r.Collisions))
+			moved += r.Reallocations
+			if got, want := built[r.Job.Name], 1+r.Reallocations; got != want {
+				t.Errorf("seed %d: %s was generated %d times, want %d (1 + %d reallocations)", seed, r.Job.Name, got, want, r.Reallocations)
+			}
+		}
+		if len(vo.Results()) != 40 || moved == 0 || checked == 0 {
+			t.Fatalf("seed %d: %d results, %d reallocations, %d members checked: the batches no longer contend", seed, len(vo.Results()), moved, checked)
+		}
+		if got := int64(reg.Counter("grid_criticalworks_evaluations_total", "").Value()); got != evals {
+			t.Errorf("seed %d: job results carry %d evaluations, the builds performed %d", seed, evals, got)
+		}
+		if got := int64(reg.Counter("grid_criticalworks_collisions_total", "").Value()); got != colls {
+			t.Errorf("seed %d: job results carry %d collisions, the builds recorded %d", seed, colls, got)
+		}
 	}
 }

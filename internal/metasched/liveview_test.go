@@ -31,7 +31,7 @@ func recordLive(env *resource.Environment) map[resource.NodeID]liveBook {
 
 // watchCtx is a build context whose cancellation poll doubles as a probe:
 // every build checks its context between critical works, on the goroutine
-// that runs it, so check runs on the placer workers in mid-build.
+// that runs it, so check runs on the domain's pipeline in mid-build.
 type watchCtx struct {
 	context.Context
 	check func()
@@ -42,22 +42,29 @@ func (c watchCtx) Err() error {
 	return c.Context.Err()
 }
 
-// TestPlacerRoundsPlanOnTheLiveBooks is the guard for planning on the live
-// books (DESIGN.md §12). A loaded environment whose every book was just
-// written — so none has a published window-query index and the builds race
-// to publish it — takes one same-tick batch of twelve jobs at Placers 4,
-// through the VO's public hooks only:
+// TestPlacerPipelinesPlanOnTheLiveBooks is the guard for the writer rule of
+// DESIGN.md §12: a domain's books have exactly one writer at a time — the
+// engine goroutine, or, while it is parked in a batch's pipeline phase, that
+// domain's pipeline, which reads and writes only its own pool. A loaded
+// three-domain environment whose every book was just written — so none has a
+// published window-query index — takes one same-tick batch of twelve jobs at
+// Placers 4, through the VO's public hooks only:
 //
 //   - the view the builds share maps every node to its live calendar itself;
-//   - from the moment a build phase starts (BuildCtx is acquired for every
-//     job of a round before the first build) until the first commit after it
-//     (the first activate event), no live book moves: the placer workers see
-//     the generations they started with at every context poll, the engine
-//     goroutine finds generations and reservations unchanged at every later
-//     BuildCtx call, and the first activation finds the books changed by
-//     exactly that plan's windows;
-//   - under -race, nothing writes a book while a worker reads it.
-func TestPlacerRoundsPlanOnTheLiveBooks(t *testing.T) {
+//   - while a member of domain D builds (every context poll, made on D's
+//     pipeline goroutine in mid-build), no book of D's pool moves, and what
+//     those books gained since the batch began is owned by D's members that
+//     precede the builder in the arbiter's order, by nobody else;
+//   - after the join (the first trace event since the batch's contexts were
+//     handed out) the books are the ones the batch began with plus exactly
+//     the plans of the activate events the engine-side walk then emits, each
+//     inside its own domain;
+//   - under -race, no pipeline reads or writes a book another one owns: the
+//     probes above only ever look at the builder's own pool.
+//
+// Builds on the recovery paths (reallocation after the join) are held to the
+// first rule too: the engine goroutine is then the only writer.
+func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 	const jobs = 12
 	e := sim.New()
 	wcfg := workload.Default(11)
@@ -72,17 +79,30 @@ func TestPlacerRoundsPlanOnTheLiveBooks(t *testing.T) {
 			}
 		}
 	}
+	keys := map[string]commitKey{}
+	for i := 0; i < jobs; i++ {
+		keys[gen.Job(i).Name] = commitKey{prio: i % 3, seq: i}
+	}
 
 	var vo *VO
-	var mark map[resource.NodeID]liveBook // the books when the open build phase started
-	open := false                         // a build phase started and nothing has committed since
-	phases, firstCommits := 0, 0
-	var polls atomic.Int64 // mid-build probes, made on the placer workers
-	unchanged := func(when string) {
-		now := recordLive(env)
-		for id, was := range mark {
-			if got := now[id]; got.gen != was.gen || !reflect.DeepEqual(got.res, was.res) {
-				t.Errorf("%s: live book of node %d moved during a build phase (gen %d → %d)", when, id, was.gen, got.gen)
+	var mark map[resource.NodeID]liveBook   // the books when the batch began
+	var joined map[resource.NodeID]liveBook // the books at the first event after the join
+	want := map[resource.NodeID]liveBook{}  // mark plus the plans activated since
+	members := map[string]string{}          // batch member → the domain it was assigned
+	open, walking := false, false           // pipeline phase running; engine-side launch walk running
+	var polls atomic.Int64
+	batchBuilds, laterBuilds, activations := 0, 0, 0
+
+	// closeWalk compares the books at the join with the plans launched since.
+	closeWalk := func() {
+		if !walking {
+			return
+		}
+		walking = false
+		for id, w := range want {
+			sort.Slice(w.res, func(i, j int) bool { return w.res[i].Interval.Start < w.res[j].Interval.Start })
+			if got := joined[id]; got.gen != w.gen || !reflect.DeepEqual(got.res, w.res) {
+				t.Errorf("after the join node %d is not the batch's starting book plus the activated plans (gen %d, want %d)", id, got.gen, w.gen)
 			}
 		}
 	}
@@ -92,48 +112,73 @@ func TestPlacerRoundsPlanOnTheLiveBooks(t *testing.T) {
 		Placers:   4,
 		Telemetry: reg,
 		BuildCtx: func(job string) context.Context {
-			if open {
-				unchanged("BuildCtx " + job)
+			m := vo.active[job].manager
+			batch := joined == nil
+			if batch {
+				if !open {
+					mark, open = recordLive(env), true
+				}
+				members[job] = m.domain
+				batchBuilds++
 			} else {
-				mark, open = recordLive(env), true
-				phases++
+				laterBuilds++
 			}
-			started := mark
+			var seen []uint64 // the pool's generations at this build's first poll
 			return watchCtx{Context: context.Background(), check: func() {
 				polls.Add(1)
-				for _, n := range env.Nodes() {
-					if g := n.Calendar().Gen(); g != started[n.ID].gen {
-						t.Errorf("job %s mid-build: node %d generation %d, was %d when the phase started", job, n.ID, g, started[n.ID].gen)
+				first := seen == nil
+				for i, id := range m.pool {
+					cal := env.Node(id).Calendar()
+					if first {
+						seen = append(seen, cal.Gen())
+					} else if g := cal.Gen(); g != seen[i] {
+						t.Errorf("job %s mid-build: node %d of its own domain moved (generation %d → %d)", job, id, seen[i], g)
+					}
+					if !first || !batch {
+						continue
+					}
+					was := mark[id]
+					if got := cal.Gen() - was.gen; int(got) != cal.Len()-len(was.res) {
+						t.Errorf("job %s: node %d took %d writes for %d new reservations", job, id, got, cal.Len()-len(was.res))
+					}
+					for _, r := range cal.Reservations() {
+						if r.Owner == resource.External {
+							continue
+						}
+						if members[r.Owner.Job] != m.domain || !commitBefore(keys[r.Owner.Job], keys[job]) {
+							t.Errorf("job %s builds on a window of %s, which is not a predecessor in domain %s", job, r.Owner.Job, m.domain)
+						}
 					}
 				}
 			}}
 		},
 		Tracer: TracerFunc(func(ev Event) {
-			if ev.Kind != EventActivate || !open {
+			if open && ev.Kind != EventArrive {
+				// The pipelines have joined: this is the engine-side walk.
+				open, walking = false, true
+				joined = recordLive(env)
+				for id, was := range mark {
+					want[id] = liveBook{gen: was.gen, res: append([]resource.Reservation(nil), was.res...)}
+				}
+			}
+			if !walking {
 				return
 			}
-			// The first commit since the phase started: the books are the
-			// marked ones plus this plan's windows, nothing else.
-			open = false
-			firstCommits++
-			aj := vo.active[ev.Job]
-			want := make(map[resource.NodeID]liveBook, len(mark))
-			for id, was := range mark {
-				want[id] = liveBook{gen: was.gen, res: append([]resource.Reservation(nil), was.res...)}
+			if ev.Kind != EventActivate {
+				closeWalk()
+				return
 			}
+			activations++
+			aj := vo.active[ev.Job]
 			for task, p := range aj.current.Placements {
+				if dom := env.Node(p.Node).Domain; dom != ev.Domain || dom != members[ev.Job] {
+					t.Errorf("%s, assigned to %s, booked node %d of domain %s", ev.Job, members[ev.Job], p.Node, dom)
+				}
 				b := want[p.Node]
 				b.gen++
 				b.res = append(b.res, resource.Reservation{Interval: p.Window,
 					Owner: resource.Owner{Job: ev.Job, Task: aj.strat.Scheduled.Task(task).Name}})
 				want[p.Node] = b
-			}
-			now := recordLive(env)
-			for id, w := range want {
-				sort.Slice(w.res, func(i, j int) bool { return w.res[i].Interval.Start < w.res[j].Interval.Start })
-				if got := now[id]; got.gen != w.gen || !reflect.DeepEqual(got.res, w.res) {
-					t.Errorf("first commit (%s): node %d holds more than the marked book plus the plan (gen %d, want %d)", ev.Job, id, got.gen, w.gen)
-				}
 			}
 		}),
 	}
@@ -154,16 +199,21 @@ func TestPlacerRoundsPlanOnTheLiveBooks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	e.RunUntil(1)
+	closeWalk()
 	e.Run()
 
 	if got := len(vo.Results()); got != jobs {
 		t.Fatalf("%d of %d jobs went terminal", got, jobs)
 	}
+	domains := map[string]bool{}
+	for _, d := range members {
+		domains[d] = true
+	}
 	commits := reg.Counter("grid_placer_commits_total", "").Value()
-	conflicts := reg.Counter("grid_placer_conflicts_total", "").Value()
-	t.Logf("%d build phases, %d mid-build probes, %d first commits checked; optimistic commits %d, conflicts %d",
-		phases, polls.Load(), firstCommits, commits, conflicts)
-	if phases == 0 || polls.Load() == 0 || firstCommits == 0 || commits == 0 {
-		t.Errorf("the guard looked at nothing, or the batch never went through an optimistic round")
+	t.Logf("%d batch builds over %d domains, %d later builds, %d mid-build probes, %d activations checked against the join; pipeline commits %d",
+		batchBuilds, len(domains), laterBuilds, polls.Load(), activations, commits)
+	if batchBuilds != jobs || len(domains) != 3 || polls.Load() == 0 || activations == 0 || uint64(activations) != commits {
+		t.Errorf("the guard looked at nothing, or the batch did not go through three pipelines")
 	}
 }

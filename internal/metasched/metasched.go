@@ -127,17 +127,16 @@ type Config struct {
 	// entirely and reproduces the fault-free simulator exactly.
 	Faults faults.Config
 
-	// Placers enables shared-state optimistic concurrent placement
-	// (DESIGN.md §12): same-tick arrivals are batched, up to Placers
-	// goroutines build the batch's strategies on the live calendars, and
-	// the engine goroutine then walks the jobs in the arbiter's order
-	// (priority, then submission), booking each job's cheapest admissible
-	// level whose windows are still free (JobManager.activate); a job that
-	// lost every level is carried into the next round. Values ≤ 1 are the
-	// same code at width 1: every submission is its own singleton batch,
-	// so jobs place one at a time in submission order. Any value yields
-	// the same terminal state per job (equivalence up to ordering, pinned
-	// by the differential suite).
+	// Placers enables batched placement through per-domain pipelines
+	// (DESIGN.md §12): same-tick arrivals form one batch, the batch is
+	// split by domain in the arbiter's order (priority, then submission),
+	// and up to Placers domains plan and book their members at once, each
+	// member on the books as its predecessors left them. Values ≤ 1 are
+	// the same code with every submission its own singleton batch, so jobs
+	// place one at a time in submission order. Every value > 1 forms the
+	// same batches and gives byte-identical results and traces — the
+	// number only bounds the goroutines; ≤ 1 and > 1 batch differently and
+	// agree on every job's fate (both pinned by the differential suite).
 	Placers int
 }
 
@@ -306,7 +305,10 @@ type VO struct {
 
 	pending  map[simtime.Time][]pendingArrival // same-tick batches still open, placers > 1 only
 	batchSeq int                               // submission order across batches
-	pm       placerMetrics
+
+	// placerCommits counts the levels the pipelines booked; nil (and Inc a
+	// no-op) unless telemetry is enabled with Placers > 1.
+	placerCommits *telemetry.Counter
 
 	failRng   *rng.Source // mid-run task-failure draws, nil when disabled
 	jitterRng *rng.Source // retry-backoff jitter draws, nil when disabled
@@ -330,7 +332,8 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 		extRng:    rng.New(cfg.Seed).Split(0xE7),
 	}
 	if cfg.Telemetry != nil && cfg.Placers > 1 {
-		vo.pm.register(cfg.Telemetry)
+		vo.placerCommits = cfg.Telemetry.Counter("grid_placer_commits_total",
+			"levels a domain's placement pipeline booked for an arriving batch member")
 	}
 	if cfg.Faults.JitterFrac > 0 {
 		vo.jitterRng = rng.New(cfg.Faults.Seed).Split(0x717E)
@@ -390,14 +393,14 @@ func (vo *VO) Submit(job *dag.Job, typ strategy.Type, at simtime.Time) error {
 	return vo.SubmitPrio(job, typ, at, 0)
 }
 
-// SubmitPrio is Submit with an explicit priority for the concurrent
-// placement arbiter: when optimistic placement is enabled (Config.Placers
-// > 1) and several jobs arrive at the same tick, the higher priority books
-// its windows first (ties by submission order) and a later job whose plan
-// needed one of them loses that level, per the paper's priority/QoS
-// collision-resolution rules. With
-// placers ≤ 1 the priority is irrelevant — every batch is a singleton, so
-// jobs place one at a time in submission order.
+// SubmitPrio is Submit with an explicit priority for the placement
+// arbiter: when batched placement is enabled (Config.Placers > 1) and
+// several jobs arrive at the same tick, the higher priority plans first in
+// its domain (ties by submission order) and a later job plans on the books
+// with those windows already taken, per the paper's priority/QoS
+// collision-resolution rules. With placers ≤ 1 the priority is irrelevant —
+// every batch is a singleton, so jobs place one at a time in submission
+// order.
 func (vo *VO) SubmitPrio(job *dag.Job, typ strategy.Type, at simtime.Time, prio int) error {
 	if vo.closed {
 		return fmt.Errorf("metasched: job %q submitted after the VO was closed", job.Name)
@@ -476,13 +479,30 @@ func (vo *VO) placeJob(except map[string]bool, counts map[string]int) *JobManage
 	return vo.leastLoadedWith(except, counts)
 }
 
-// adopt generates (or regenerates) the job's strategy in this domain and
-// activates the cheapest admissible distribution. initial marks the very
-// first generation, which defines the job's admissibility record.
-func (m *JobManager) adopt(aj *activeJob, initial bool) {
+// adopt places the job in this domain inside one engine event: plan on the
+// live books, then the engine-side half. It is how a job enters a domain on
+// the recovery paths (reallocation, retry), which take their own view of the
+// books; an arriving batch shares one (placeBatch).
+func (m *JobManager) adopt(aj *activeJob) {
 	vo := m.vo
-	now := vo.engine.Now()
-	ctx := vo.buildCtx(aj.result.Job.Name)
+	d, err := m.plan(vo.buildCtx(aj.result.Job.Name), aj, vo.liveBooks(), vo.engine.Now(), false)
+	if d == nil {
+		vo.unplaced(aj, err)
+		return
+	}
+	m.launch(aj, d)
+}
+
+// plan is the calendar half of placing aj in this domain: it generates (or
+// regenerates) the job's strategy on books, installs it and reserves the
+// cheapest admissible distribution's windows, returning that distribution —
+// nil when no level is admissible. initial marks the very first generation,
+// which defines the job's admissibility record. It reads and writes aj, this
+// domain's generator and this domain's books only, which is what lets the
+// pipelines of different domains run it concurrently (DESIGN.md §12); the
+// caller follows it with launch, or unplaced, on the engine goroutine.
+func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time, initial bool) (*strategy.Distribution, error) {
+	vo := m.vo
 	var sp *telemetry.Span
 	var t0 time.Time
 	if vo.cfg.Telemetry != nil || vo.cfg.Spans != nil {
@@ -496,7 +516,7 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
 	}
-	st, err := m.generate(ctx, aj, vo.liveBooks(), now)
+	st, err := m.generate(ctx, aj, books, now)
 	if vo.cfg.Telemetry != nil {
 		vo.cfg.Telemetry.Histogram("grid_metasched_adopt_seconds",
 			"wall time of one adopt (strategy generation) pass", nil).Observe(telemetry.Since(t0))
@@ -510,28 +530,34 @@ func (m *JobManager) adopt(aj *activeJob, initial bool) {
 		sp.End()
 	}
 	if err != nil {
-		// Structural failures cannot happen for generator-produced jobs;
-		// treat as rejection rather than crash the simulation.
-		m.vo.finalize(aj, StateRejected)
-		return
+		return nil, err
 	}
 	aj.install(st, initial)
 	d := st.CheapestAdmissible()
-	if d == nil {
-		m.vo.reallocate(aj)
-		return
-	}
-	if !m.activate(aj, d) {
-		// The plan was built on these books inside this event.
+	if d != nil && !m.reserve(aj, d) {
+		// The plan was built on these books by their only writer.
 		panic(fmt.Sprintf("metasched: activation conflict for %s at level %d", aj.result.Job.Name, d.Level))
 	}
+	return d, nil
+}
+
+// unplaced sends a job whose plan found no admissible level back to the
+// metascheduler. Structural generation failures cannot happen for
+// generator-produced jobs; they are rejected rather than crash the
+// simulation.
+func (vo *VO) unplaced(aj *activeJob, err error) {
+	if err != nil {
+		vo.finalize(aj, StateRejected)
+		return
+	}
+	vo.reallocate(aj)
 }
 
 // generate builds aj's strategy in this domain on books. Whatever sent the
-// job round again — a retry, a lost placer round, a reallocation — its graph
-// has not changed, so a job that already has a strategy keeps what that one
-// derived from the graph alone (strategy.Generator.RegenerateCtx). It reads
-// aj and writes nothing: the placer workers call it concurrently.
+// job round again — a retry, a reallocation — its graph has not changed, so
+// a job that already has a strategy keeps what that one derived from the
+// graph alone (strategy.Generator.RegenerateCtx). It reads aj and writes
+// nothing.
 func (m *JobManager) generate(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time) (*strategy.Strategy, error) {
 	if aj.strat != nil {
 		return m.gen.RegenerateCtx(ctx, aj.strat, books, now)
@@ -557,19 +583,27 @@ func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	}
 }
 
-// activate is the only way a plan reaches the live calendars: the paper's
+// activate is reserve and launch back to back, for a plan built and booked
+// inside one engine event (fallback).
+func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
+	if !m.reserve(aj, d) {
+		return false
+	}
+	m.launch(aj, d)
+	return true
+}
+
+// reserve is the only way a plan reaches the live calendars: the paper's
 // all-or-nothing advance reservation of every window at resource-request
 // time (§3, §5). Pass 1 asks each placement's node whether its window is
 // still free and returns false, having changed nothing, on the first one
-// that is not. Pass 2 reserves every window and then schedules the job's
-// start and finish events. The two passes are atomic because the engine
-// goroutine, which runs this, is the books' only writer (DESIGN.md §12), so
-// a Reserve refusing a window pass 1 just found free is an internal bug.
-// The outcome does not depend on the order Placements is walked in.
-//
-// The very first activation (in whichever domain it happens) defines the
-// job's planned start for the Fig. 4c deviation metric.
-func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
+// that is not. Pass 2 reserves every window. The two passes are atomic
+// because the caller is the only writer these books have at the time — the
+// engine goroutine, or this domain's pipeline while the engine goroutine is
+// parked (DESIGN.md §12) — so a Reserve refusing a window pass 1 just found
+// free is an internal bug. The outcome does not depend on the order
+// Placements is walked in. It writes calendars and nothing else.
+func (m *JobManager) reserve(aj *activeJob, d *strategy.Distribution) bool {
 	env := m.vo.env
 	for _, p := range d.Placements {
 		if _, busy := env.Node(p.Node).Calendar().ConflictWith(p.Window); busy {
@@ -582,7 +616,17 @@ func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
 			panic(fmt.Sprintf("metasched: activation conflict for %s: %v", aj.result.Job.Name, err))
 		}
 	}
+	return true
+}
 
+// launch is the engine-side half of an activation, for a distribution whose
+// windows reserve just booked: the job's bookkeeping, the activate record,
+// its start and finish events and the task-failure draw. Engine goroutine
+// only.
+//
+// The very first activation (in whichever domain it happens) defines the
+// job's planned start for the Fig. 4c deviation metric.
+func (m *JobManager) launch(aj *activeJob, d *strategy.Distribution) {
 	now := m.vo.engine.Now()
 	aj.current = d
 	aj.activate = now
@@ -616,7 +660,6 @@ func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
 	if d.Start <= now {
 		aj.result.State = StateExecuting
 	}
-	return true
 }
 
 // armTaskFailure draws, at activation time, whether this plan will lose a
@@ -709,7 +752,7 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 			e.Start = at
 		})
 		vo.engine.At(at, "retry "+aj.result.Job.Name, func() {
-			m.adopt(aj, false)
+			m.adopt(aj)
 		})
 		return
 	}
@@ -779,7 +822,7 @@ func (vo *VO) reallocate(aj *activeJob) {
 	aj.result.Domain = next.domain
 	aj.manager = next
 	vo.trace(EventReallocate, aj.result.Job.Name, next.domain, nil)
-	next.adopt(aj, false)
+	next.adopt(aj)
 }
 
 // finalize records the job's terminal state.

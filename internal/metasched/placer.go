@@ -13,39 +13,42 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file implements shared-state optimistic concurrent placement
-// (DESIGN.md §12). With Config.Placers > 1, jobs arriving at the same
-// tick form a batch. Each round of a batch:
+// This file implements the per-domain placement pipelines (DESIGN.md §12).
+// With Config.Placers > 1, jobs arriving at the same tick form a batch, and
+// a batch is placed in three phases:
 //
-//  1. builds every job's strategy concurrently on the live books
-//     (liveBooks; up to Placers goroutines; a build reads its view and
-//     writes nothing, and the engine goroutine — the books' only writer —
-//     is parked in parallel.Map until every worker has returned, so the
-//     builds are pure functions of one state and the parallelism cannot
-//     leak into the results),
-//  2. walks the jobs sequentially in the arbiter's total order — the
-//     paper's collision-resolution rule: priority first, then submission
-//     order — offering each job's admissible levels cheapest-first to
-//     JobManager.activate, which books a level only if every one of its
-//     windows is still free after the earlier winners of the round,
-//  3. carries the jobs that lost every level into the next round, which
-//     builds on the books as the winners left them; after placerRounds
-//     rounds the stragglers take the guaranteed sequential path
-//     (JobManager.adopt), which builds and books inside one event and so
-//     cannot lose.
+//  1. the metascheduler assigns every member a domain (placeJob), exactly
+//     as sequential arrivals would spread;
+//  2. the members are put in the arbiter's total order — the paper's
+//     collision-resolution rule: priority first, then submission order —
+//     and split by domain. Each domain's pipeline walks its members in that
+//     order: generate on the live books, choose the cheapest admissible
+//     level, reserve its windows on the domain's own calendars (JobManager.
+//     plan), next member — which therefore plans on the books as its
+//     predecessors left them and can never want a window one of them took.
+//     Two jobs can only collide inside one domain, and pipelines of
+//     different domains touch disjoint pools, per-job catalogs and
+//     per-domain generators, so up to Placers of them run at once while
+//     the engine goroutine is parked in parallel.ForEach;
+//  3. after the join the engine goroutine walks the whole batch once in the
+//     arbiter's order and does the engine-side half of every activation
+//     (JobManager.launch: events, the task-failure draw, the trace), then
+//     walks it again for the members that found no admissible level, which
+//     go back to the metascheduler (reallocate). They wait for the end of
+//     the batch because a reallocated job plans in another domain, whose
+//     books belong to that domain's pipeline until the join.
 //
-// Placers ≤ 1 is the same code at width 1, not another path: every
-// submission is a singleton batch, and a batch of one skips the rounds
-// and goes straight to adopt (no one to conflict with). Each singleton
-// keeps its own engine event because the engine fires same-tick events
-// in scheduling order: an external-load or outage event queued between
-// two arrivals for that tick must see the first job placed and the
-// second not yet arrived. Merging them into one event would move every
-// later arrival ahead of it and change which plans it evicts.
-
-// placerRounds bounds the optimistic rounds a contended batch gets before
-// its remaining jobs fall back to the sequential path.
-const placerRounds = 3
+// The width — how many pipelines run at once — is therefore not an input
+// to the answer: at any Placers > 1 a batch gets the books, the results and
+// the trace it would get with its pipelines run one after another.
+//
+// Placers ≤ 1 is the same code, not another path: every submission is a
+// batch of one, so one pipeline of one job runs inline. Each singleton
+// keeps its own engine event because the engine fires same-tick events in
+// scheduling order: an external-load or outage event queued between two
+// arrivals for that tick must see the first job placed and the second not
+// yet arrived. Merging them into one event would move every later arrival
+// ahead of it and change which plans it evicts.
 
 // pendingArrival is one same-tick submission waiting for its batch event.
 type pendingArrival struct {
@@ -55,18 +58,18 @@ type pendingArrival struct {
 	seq  int
 }
 
-// placerJob is one batch member still looking for a committed plan.
-type placerJob struct {
-	aj      *activeJob
-	prio    int
-	seq     int
-	initial bool // first generation defines the admissibility record
+// batchJob is one placeable batch member and what its domain's pipeline
+// made of it.
+type batchJob struct {
+	aj  *activeJob
+	key commitKey
+	ctx context.Context
+	d   *strategy.Distribution // the level the pipeline booked; nil if none
+	err error                  // structural generation failure
 }
 
-func (w *placerJob) key() commitKey { return commitKey{prio: w.prio, seq: w.seq} }
-
-// commitKey orders a round's plans at the commit step. The order is
-// total: any two distinct submissions differ in seq.
+// commitKey orders a batch's members. The order is total: any two distinct
+// submissions differ in seq.
 type commitKey struct {
 	prio int
 	seq  int
@@ -81,43 +84,16 @@ func commitBefore(a, b commitKey) bool {
 	return a.seq < b.seq
 }
 
-// placerMetrics holds the optimistic-commit counters; all nil (and every
-// observation a no-op) unless telemetry is enabled with Placers > 1.
-type placerMetrics struct {
-	commits   *telemetry.Counter
-	conflicts *telemetry.Counter
-	retries   *telemetry.Counter
-	fallbacks *telemetry.Counter
-}
-
-func (pm *placerMetrics) register(reg *telemetry.Registry) {
-	pm.commits = reg.Counter("grid_placer_commits_total",
-		"levels the optimistic arbiter booked (every window still free at commit time)")
-	pm.conflicts = reg.Counter("grid_placer_conflicts_total",
-		"levels the optimistic arbiter refused at commit time (a window was taken earlier in the round)")
-	pm.retries = reg.Counter("grid_placer_retries_total",
-		"jobs carried into another optimistic round after losing every level")
-	pm.fallbacks = reg.Counter("grid_placer_sequential_fallbacks_total",
-		"jobs that exhausted the optimistic rounds and placed sequentially")
-}
-
-// placers returns the effective placer count (≥ 1).
-func (vo *VO) placers() int {
-	if vo.cfg.Placers < 1 {
-		return 1
-	}
-	return vo.cfg.Placers
-}
-
 // liveBooks is the view every build of this VO plans on: each node mapped
 // to its live calendar itself, no copy. That is sound because a build only
-// reads its view (the criticalworks.Build contract) and the engine
-// goroutine, the books' only writer, is the one building — synchronously in
-// adopt and fallback, between a read and a write of its own, and parked in
-// parallel.Map for the whole build phase of a placer round (Map joins every
-// worker before it returns, cancelled or not). The view is resolved from the
-// nodes each time it is taken and dropped with the event: Environment.Reset
-// replaces the books, and nothing built from a view retains a *Calendar.
+// reads its view (the criticalworks.Build contract) and only the candidate
+// nodes of its own domain's pool, and a domain's books have exactly one
+// writer at a time: the engine goroutine — building synchronously in adopt
+// and fallback, between a read and a write of its own — or, while it is
+// parked in a batch's pipeline phase, that domain's pipeline. The view is
+// resolved from the nodes each time it is taken and dropped with the event:
+// Environment.Reset replaces the books, and nothing built from a view
+// retains a *Calendar.
 func (vo *VO) liveBooks() criticalworks.Calendars {
 	out := make(criticalworks.Calendars, vo.env.NumNodes())
 	for _, n := range vo.env.Nodes() {
@@ -129,10 +105,10 @@ func (vo *VO) liveBooks() criticalworks.Calendars {
 // arriveBatch is the one arrival path: it runs the metascheduler's flow
 // distribution for every batch member (spreading a batch across domains
 // the way sequential arrivals would; with every domain down the job is
-// rejected on arrival) and hands the placeable ones to the placer pool.
+// rejected on arrival) and hands the placeable ones to the pipelines.
 func (vo *VO) arriveBatch(batch []pendingArrival) {
 	counts := make(map[string]int)
-	work := make([]*placerJob, 0, len(batch))
+	work := make([]*batchJob, 0, len(batch))
 	for _, p := range batch {
 		m := vo.placeJob(nil, counts)
 		res := &JobResult{
@@ -162,9 +138,9 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 		}
 		vo.trace(EventArrive, p.job.Name, m.domain, nil)
 		vo.active[p.job.Name] = aj
-		work = append(work, &placerJob{aj: aj, prio: p.prio, seq: p.seq, initial: true})
+		work = append(work, &batchJob{aj: aj, key: commitKey{prio: p.prio, seq: p.seq}})
 	}
-	vo.placeConcurrent(work)
+	vo.placeBatch(work)
 }
 
 // leastLoadedWith returns the manager that comes first by (jobs assigned
@@ -196,107 +172,51 @@ func (vo *VO) leastLoadedWith(except map[string]bool, counts map[string]int) *Jo
 	return best
 }
 
-// placeConcurrent drives a batch through optimistic rounds until every
-// job committed a plan, was rejected, or fell back. The sequential
-// fallback is the progress guarantee: a single job cannot conflict with
-// itself, and adopt holds the only writer. It is also all a batch of one
-// ever needs, which is how width 1 (Placers ≤ 1) places every job.
-func (vo *VO) placeConcurrent(work []*placerJob) {
-	for round := 0; len(work) > 0; round++ {
-		if round >= placerRounds || len(work) == 1 {
-			for _, w := range work {
-				if round > 0 {
-					vo.pm.fallbacks.Inc()
-				}
-				w.aj.manager.adopt(w.aj, w.initial)
-			}
-			return
-		}
-		work = vo.placeRound(work)
+// placeBatch places a batch's members: one pipeline per domain on the
+// books, then the engine-side walks (phases 2 and 3 above).
+func (vo *VO) placeBatch(work []*batchJob) {
+	if len(work) == 0 {
+		return
 	}
-}
-
-// placeRound runs one optimistic round: concurrent strategy builds on the
-// live books, then deterministic arbitration and commit. It returns the
-// jobs that lost every admissible level at commit time and should retry on
-// the books as this round's winners left them.
-func (vo *VO) placeRound(work []*placerJob) []*placerJob {
+	sort.Slice(work, func(a, b int) bool { return commitBefore(work[a].key, work[b].key) })
+	// Build contexts are acquired here, sequentially: the service's BuildCtx
+	// hook arms per-job timers and is not required to be goroutine-safe.
+	for _, w := range work {
+		w.ctx = vo.buildCtx(w.aj.result.Job.Name)
+	}
+	var lines [][]*batchJob
+	for _, m := range vo.managers {
+		var line []*batchJob
+		for _, w := range work {
+			if w.aj.manager == m {
+				line = append(line, w)
+			}
+		}
+		if line != nil {
+			lines = append(lines, line)
+		}
+	}
 	now := vo.engine.Now()
 	books := vo.liveBooks()
-
-	// Build contexts are acquired sequentially: the service's BuildCtx
-	// hook arms per-job timers and is not required to be goroutine-safe.
-	ctxs := make([]context.Context, len(work))
-	for i, w := range work {
-		ctxs[i] = vo.buildCtx(w.aj.result.Job.Name)
-	}
-	type buildOut struct {
-		st  *strategy.Strategy
-		err error
-	}
-	outs, err := parallel.Map(vo.placers(), len(work), func(i int) (buildOut, error) {
-		w := work[i]
-		st, gerr := w.aj.manager.generate(ctxs[i], w.aj, books, now)
-		return buildOut{st: st, err: gerr}, nil
-	})
-	if err != nil {
-		// The builders only ever return nil errors; Map can fail solely by
-		// a worker panicking, which must not be swallowed.
+	if err := parallel.ForEach(max(vo.cfg.Placers, 1), len(lines), func(i int) error {
+		for _, w := range lines[i] {
+			w.d, w.err = w.aj.manager.plan(w.ctx, w.aj, books, now, true)
+		}
+		return nil
+	}); err != nil {
+		// A pipeline only ever returns nil; ForEach can fail solely by one
+		// panicking, which must not be swallowed.
 		panic(err)
 	}
-
-	// The arbiter's total order: the paper's priority/QoS collision
-	// resolution, independent of build completion order.
-	order := make([]int, len(work))
-	for i := range order {
-		order[i] = i
+	for _, w := range work {
+		if w.d != nil {
+			vo.placerCommits.Inc()
+			w.aj.manager.launch(w.aj, w.d)
+		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return commitBefore(work[order[a]].key(), work[order[b]].key())
-	})
-
-	var carry []*placerJob
-	for _, i := range order {
-		w, out := work[i], outs[i]
-		aj := w.aj
-		if out.err != nil {
-			// Structural failures cannot happen for generator-produced
-			// jobs; treat as rejection exactly like the sequential path.
-			vo.finalize(aj, StateRejected)
-			continue
+	for _, w := range work {
+		if w.d == nil {
+			vo.unplaced(w.aj, w.err)
 		}
-		st := out.st
-		aj.install(st, w.initial)
-		w.initial = false
-		if !st.Admissible() {
-			vo.reallocate(aj)
-			continue
-		}
-		// Walk the admissible levels cheapest-first until one is booked.
-		// Commit losses stay in a round-local set: a level blocked by this
-		// round's winners may fit next round, so it must not be burned in
-		// aj.used the way activated levels are.
-		tried := make(map[resource.Tier]bool)
-		committed := false
-		for {
-			d := st.AdmissibleAfter(tried)
-			if d == nil {
-				break
-			}
-			tried[d.Level] = true
-			if !aj.manager.activate(aj, d) {
-				vo.pm.conflicts.Inc()
-				continue
-			}
-			vo.pm.commits.Inc()
-			committed = true
-			break
-		}
-		if committed {
-			continue
-		}
-		vo.pm.retries.Inc()
-		carry = append(carry, w)
 	}
-	return carry
 }

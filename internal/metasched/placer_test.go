@@ -1,10 +1,13 @@
 package metasched
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/criticalworks"
+	"repro/internal/dag"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/simtime"
@@ -12,24 +15,44 @@ import (
 	"repro/internal/workload"
 )
 
-// placerRun drives one deterministic VO run: `jobs` corpus jobs submitted
-// in same-tick groups of `group` (one arrival batch each when placers >
-// 1), priorities cycling 0..2, deadlines re-anchored at each group's
-// tick. stretch scales the corpus deadlines (1 keeps the generator's
-// default). Every `doomEvery`-th job (0 disables) instead gets a 1-tick
-// deadline no schedule can meet, pinning the rejection path. Returns the
-// terminal results in finalization order.
-func placerRun(seed uint64, placers, jobs, group int, gap simtime.Time, stretch float64, doomEvery int) []*JobResult {
+// placerOpts is one deterministic VO run: `jobs` corpus jobs submitted in
+// same-tick groups of `group` (one arrival batch each when placers > 1),
+// priorities cycling 0..2, deadlines re-anchored at each group's tick.
+// stretch scales the corpus deadlines (1 keeps the generator's default).
+// Every `doomEvery`-th job (0 disables) instead gets a 1-tick deadline no
+// schedule can meet, pinning the rejection path.
+type placerOpts struct {
+	seed      uint64
+	placers   int
+	domains   int
+	jobs      int
+	group     int
+	gap       simtime.Time
+	stretch   float64
+	doomEvery int
+	// serial forms the batches of `placers` and then runs every batch's
+	// pipelines one after another on the engine goroutine: the width is
+	// forced to 1 after the submissions, which is when batches form.
+	serial bool
+	cfg    func(*Config) // extra hooks; Seed and Placers are already set
+}
+
+// run drives the scenario to quiescence and returns the VO.
+func (o placerOpts) run() *VO {
 	e := sim.New()
-	cfg := workload.Default(seed)
-	cfg.DeadlineFactor *= stretch
-	gen := workload.New(cfg)
-	env := gen.Environment(3)
-	vo := NewVO(e, env, Config{Seed: seed, Placers: placers})
-	for i := 0; i < jobs; i++ {
+	wcfg := workload.Default(o.seed)
+	wcfg.DeadlineFactor *= o.stretch
+	gen := workload.New(wcfg)
+	env := gen.Environment(o.domains)
+	cfg := Config{Seed: o.seed, Placers: o.placers}
+	if o.cfg != nil {
+		o.cfg(&cfg)
+	}
+	vo := NewVO(e, env, cfg)
+	for i := 0; i < o.jobs; i++ {
 		j := gen.Job(i)
-		at := simtime.Time(i/group) * gap
-		if doomEvery > 0 && i%doomEvery == doomEvery-1 {
+		at := simtime.Time(i/o.group) * o.gap
+		if o.doomEvery > 0 && i%o.doomEvery == o.doomEvery-1 {
 			j = j.WithDeadline(at + 1) // infeasible whatever the contention
 		} else {
 			j = j.WithDeadline(at + j.Deadline)
@@ -38,21 +61,72 @@ func placerRun(seed uint64, placers, jobs, group int, gap simtime.Time, stretch 
 			panic(err)
 		}
 	}
+	if o.serial {
+		vo.cfg.Placers = 1
+	}
 	e.Run()
-	return vo.Results()
+	return vo
 }
 
-// TestPlacerDifferentialEquivalence is the concurrent-placement analogue
-// of the PR 2 workers-differential: for five seeds, -placers=1 and
-// -placers=8 must give every job the same terminal state and identical
-// QoS-miss/goodput totals. The comparison is ordering-independent (by
-// job name): the optimistic arbiter may activate batch members in a
-// different sequence, but it must not change any job's fate.
+// placerRun is the three-domain scenario; it returns the terminal results
+// in finalization order.
+func placerRun(seed uint64, placers, jobs, group int, gap simtime.Time, stretch float64, doomEvery int) []*JobResult {
+	return placerOpts{seed: seed, placers: placers, domains: 3, jobs: jobs, group: group,
+		gap: gap, stretch: stretch, doomEvery: doomEvery}.run().Results()
+}
+
+// TestPlacerDifferentialEquivalence pins what the placer width may and may
+// not change, for five seeds.
+//
+// Width is not an input to the answer: same-tick groups of 8 over 1, 2 and
+// 4 domains give reflect.DeepEqual results and byte-equal VO trace streams
+// at Placers 2, 4 and 8 — and with the same batches' pipelines run one
+// after another on the engine goroutine. The number only bounds the
+// goroutines.
+//
+// Placers 1 and N batch differently by design (singleton events against one
+// batch per tick, placed in the arbiter's order), so between them only the
+// ordering-independent comparison holds: every job meets the same fate and
+// the QoS-miss/goodput totals are identical.
 func TestPlacerDifferentialEquivalence(t *testing.T) {
-	const jobs, group = 36, 6
 	for seed := uint64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			for _, domains := range []int{1, 2, 4} {
+				run := func(placers int, serial bool) ([]*JobResult, []byte) {
+					var trace bytes.Buffer
+					tr := NewJSONLTracer(&trace)
+					vo := placerOpts{seed: seed, placers: placers, domains: domains, jobs: 32, group: 8,
+						gap: 150, stretch: 2, doomEvery: 9, serial: serial,
+						cfg: func(c *Config) { c.Tracer = tr }}.run()
+					if err := tr.Err(); err != nil {
+						t.Fatal(err)
+					}
+					return vo.Results(), trace.Bytes()
+				}
+				want, wantTrace := run(2, false)
+				moved := 0
+				for _, r := range want {
+					moved += r.Reallocations
+				}
+				if len(want) != 32 || (domains > 1 && moved == 0) {
+					t.Fatalf("domains=%d: %d results, %d reallocations: the batches no longer contend", domains, len(want), moved)
+				}
+				for _, c := range []struct {
+					placers int
+					serial  bool
+				}{{4, false}, {8, false}, {4, true}} {
+					got, gotTrace := run(c.placers, c.serial)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("domains=%d: results at placers=%d serial=%v differ from placers=2", domains, c.placers, c.serial)
+					}
+					if !bytes.Equal(gotTrace, wantTrace) {
+						t.Errorf("domains=%d: trace at placers=%d serial=%v differs from placers=2", domains, c.placers, c.serial)
+					}
+				}
+			}
+
+			const jobs, group = 36, 6
 			seq := placerRun(seed, 1, jobs, group, 150, 3, 9)
 			con := placerRun(seed, 8, jobs, group, 150, 3, 9)
 			if len(seq) != jobs || len(con) != jobs {
@@ -86,6 +160,51 @@ func TestPlacerDifferentialEquivalence(t *testing.T) {
 					compA, rejA, compB, rejB)
 			}
 		})
+	}
+}
+
+// TestPlacerPriorityPlansFirst pins the arbiter's order at build time: of
+// two identical jobs in one same-tick batch, the priority-2 job submitted
+// last gets the window the priority-0 job submitted first also wanted — the
+// one either of them gets when it arrives alone.
+func TestPlacerPriorityPlansFirst(t *testing.T) {
+	place := func(placers int, names ...string) map[string]criticalworks.Placement {
+		e := sim.New()
+		env := resource.NewEnvironment([]*resource.Node{
+			resource.NewNode(0, "fast", 1.0, 1.0, "dom"),
+			resource.NewNode(1, "slow", 0.27, 0.27, "dom"),
+		})
+		vo := NewVO(e, env, Config{Placers: placers})
+		for i, name := range names {
+			b := dag.NewBuilder(name).Deadline(200)
+			b.Task("T", 4, 16)
+			if err := vo.SubmitPrio(b.MustBuild(), strategy.S1, 5, 2*i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Run()
+		out := map[string]criticalworks.Placement{}
+		for _, r := range vo.Results() {
+			if r.State != StateCompleted || len(r.Placements) != 1 {
+				t.Fatalf("%s: %v with %d placements", r.Job.Name, r.State, len(r.Placements))
+			}
+			for _, p := range r.Placements {
+				out[r.Job.Name] = p
+			}
+		}
+		return out
+	}
+	wanted := place(2, "alone")["alone"]
+	got := place(2, "first-prio0", "last-prio2")
+	if p := got["last-prio2"]; p.Node != wanted.Node || p.Window != wanted.Window {
+		t.Errorf("the priority-2 job got node %d %v, want the contested node %d %v", p.Node, p.Window, wanted.Node, wanted.Window)
+	}
+	if p := got["first-prio0"]; p.Node == wanted.Node && p.Window.Overlaps(wanted.Window) {
+		t.Errorf("the priority-0 job holds node %d %v, which overlaps the window the priority-2 job was given", p.Node, p.Window)
+	}
+	// One at a time in submission order, the first job takes it instead.
+	if p := place(1, "first-prio0", "last-prio2")["first-prio0"]; p.Node != wanted.Node || p.Window != wanted.Window {
+		t.Errorf("at width 1 the first submission got node %d %v, want node %d %v", p.Node, p.Window, wanted.Node, wanted.Window)
 	}
 }
 

@@ -38,11 +38,11 @@ type Calendar struct {
 	res []Reservation // sorted by Interval.Start, pairwise disjoint
 	gen uint64        // bumped on every mutation of res
 
-	// idx caches the derived window-query index (prefix busy sums and a
-	// max-gap tree, see index.go). It is built lazily, dropped by every
-	// mutation, and shared with clones; the atomic publication makes
-	// concurrent Clone/query traffic on a shared book race-free — a
-	// duplicate lazy build is benign, both results are identical.
+	// idx caches the derived window-query index (a max-gap tree, see
+	// index.go). It is built lazily, dropped by every mutation, and shared
+	// with clones; the atomic publication makes concurrent Clone/query
+	// traffic on a shared book race-free — a duplicate lazy build is
+	// benign, both results are identical.
 	idx atomic.Pointer[calIndex]
 }
 
@@ -249,9 +249,17 @@ func (c *Calendar) FreeWindows(span simtime.Interval) []simtime.Interval {
 	return out
 }
 
-// BusyIn returns the number of reserved ticks inside span.
+// BusyIn returns the number of reserved ticks inside span: the clipped
+// sum of the contiguous run of reservations overlapping it. It reads the
+// sorted slice directly and never touches the lazy index, so asking about
+// a book a commit just moved builds nothing.
 func (c *Calendar) BusyIn(span simtime.Interval) simtime.Time {
-	return c.index().busyIn(c.res, span)
+	var total simtime.Time
+	i := searchRes(c.res, func(r *Reservation) bool { return r.Interval.End > span.Start })
+	for ; i < len(c.res) && c.res[i].Interval.Start < span.End; i++ {
+		total += c.res[i].Interval.Intersect(span).Len()
+	}
+	return total
 }
 
 // UtilizationIn returns the fraction of span covered by reservations.

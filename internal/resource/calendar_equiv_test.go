@@ -380,7 +380,7 @@ func TestCalendarIndexEquivalenceRandomOps(t *testing.T) {
 }
 
 // TestCalendarIndexSharedSnapshotRace exercises the concurrent pattern
-// the optimistic placer produces: many goroutines cloning one shared
+// parallel per-level builds produce: many goroutines cloning one shared
 // snapshot calendar and querying their clones (plus the shared original)
 // while the index is built lazily. Run under -race this proves the
 // atomic index publication is sound; every goroutine must also see

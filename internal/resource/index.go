@@ -6,14 +6,11 @@ import (
 
 // calIndex is the augmented search structure a Calendar keeps alongside
 // its sorted reservation slice (DESIGN.md §14). It answers the window
-// queries that used to walk the whole book in O(log n):
-//
-//   - prefix holds the cumulative reserved ticks, so BusyIn is two
-//     binary searches plus edge clipping;
-//   - gap is an implicit max-segment-tree over the free gap following
-//     each reservation (gap after the last one is Infinity), so
-//     FirstFree descends to the first sufficiently large gap instead of
-//     scanning every reservation before it.
+// query that used to walk the whole book in O(log n): gap is an implicit
+// max-segment-tree over the free gap following each reservation (gap
+// after the last one is Infinity), so FirstFree descends to the first
+// sufficiently large gap instead of scanning every reservation before
+// it.
 //
 // The index is derived data: it is built lazily on first query, thrown
 // away (atomically) by every mutation, and shared by clones — it is
@@ -22,20 +19,16 @@ import (
 // makes their Ends strictly increasing; every binary search below leans
 // on that invariant.
 type calIndex struct {
-	prefix []simtime.Time // prefix[i] = reserved ticks in res[:i]
-	gap    []simtime.Time // implicit segment tree: max free gap per leaf range
-	size   int            // leaf span of the tree (power of two ≥ n)
-	n      int            // number of reservations indexed
+	gap  []simtime.Time // implicit segment tree: max free gap per leaf range
+	size int            // leaf span of the tree (power of two ≥ n)
+	n    int            // number of reservations indexed
 }
 
 // buildIndex constructs the index for a sorted, disjoint reservation
 // slice.
 func buildIndex(res []Reservation) *calIndex {
 	n := len(res)
-	ix := &calIndex{n: n, prefix: make([]simtime.Time, n+1)}
-	for i, r := range res {
-		ix.prefix[i+1] = ix.prefix[i] + r.Interval.Len()
-	}
+	ix := &calIndex{n: n}
 	if n == 0 {
 		return ix
 	}
@@ -99,30 +92,6 @@ func (ix *calIndex) firstGapAtLeast(from int, length simtime.Time) int {
 		}
 		i++
 	}
-}
-
-// busyIn returns the reserved ticks of res that fall inside span, using
-// the prefix sums: whole-sum of the overlapped run minus the clipped
-// edges.
-func (ix *calIndex) busyIn(res []Reservation, span simtime.Interval) simtime.Time {
-	if span.Empty() || ix.n == 0 {
-		return 0
-	}
-	// a: first reservation ending after span.Start (Ends are strictly
-	// increasing). b: first reservation starting at or after span.End.
-	a := searchRes(res, func(r *Reservation) bool { return r.Interval.End > span.Start })
-	b := searchRes(res, func(r *Reservation) bool { return r.Interval.Start >= span.End })
-	if a >= b {
-		return 0
-	}
-	total := ix.prefix[b] - ix.prefix[a]
-	if head := res[a].Interval.Start; head < span.Start {
-		total -= span.Start - head
-	}
-	if tail := res[b-1].Interval.End; tail > span.End {
-		total -= tail - span.End
-	}
-	return total
 }
 
 // searchRes is sort.Search specialized to the reservation slice; pred

@@ -48,8 +48,8 @@ type RunConfig struct {
 	Proc             int     `json:"proc"`
 	Priorities       int     `json:"priorities"`
 	MeanInterarrival float64 `json:"meanInterarrival"`
-	// Placers is the concurrent optimistic-placement width (0/1 =
-	// classic single-writer placement). Absent in pre-placer baselines,
+	// Placers is the batched-placement width (0/1 = one job per
+	// scheduling step). Absent in pre-placer baselines,
 	// which unmarshal to 0 and stay comparable.
 	Placers int `json:"placers,omitempty"`
 }
@@ -83,13 +83,11 @@ type Deterministic struct {
 	// scheduler's deterministic goodput, independent of host speed.
 	GoodputPerKTicks float64 `json:"goodputPerKTicks"`
 
-	// Optimistic-placement arbiter tallies (zero with placers ≤ 1, and
-	// absent from pre-placer baselines). The commit order is
-	// deterministic, so these are seed-reproducible like everything
-	// else in this section.
-	PlacerCommits   uint64 `json:"placerCommits,omitempty"`
-	PlacerConflicts uint64 `json:"placerConflicts,omitempty"`
-	PlacerRetries   uint64 `json:"placerRetries,omitempty"`
+	// PlacerCommits counts the levels the per-domain placement pipelines
+	// booked (zero with placers ≤ 1, and absent from pre-placer
+	// baselines). The placement order is deterministic, so it is
+	// seed-reproducible like everything else in this section.
+	PlacerCommits uint64 `json:"placerCommits,omitempty"`
 }
 
 // WallClock is the host-dependent section, gated with tolerances.
@@ -173,8 +171,6 @@ func CompareDeterministic(cur, base *Report) []string {
 	cmp("engineTicks", a.EngineTicks, b.EngineTicks)
 	cmp("goodputPerKTicks", a.GoodputPerKTicks, b.GoodputPerKTicks)
 	cmp("placerCommits", a.PlacerCommits, b.PlacerCommits)
-	cmp("placerConflicts", a.PlacerConflicts, b.PlacerConflicts)
-	cmp("placerRetries", a.PlacerRetries, b.PlacerRetries)
 	keys := map[string]bool{}
 	for k := range a.TerminalByState {
 		keys[k] = true

@@ -706,7 +706,7 @@ func (s *Server) dequeueLocked() *entry {
 }
 
 // dequeueBatchLocked pops up to max entries in dequeue order, forming one
-// arrival batch for the concurrent placer pool (placers > 1).
+// arrival batch for the per-domain placement pipelines (placers > 1).
 func (s *Server) dequeueBatchLocked(max int) []*entry {
 	var out []*entry
 	for len(out) < max {
@@ -791,8 +791,8 @@ func (s *Server) publishEngineStats() {
 // the strategies are built and their windows reserved, while the
 // start/finish events stay pending so the jobs are genuinely in flight.
 // Every entry shares one arrival tick, so the VO places a wider batch
-// through the optimistic placer pool, with each record's admission
-// priority carried into the commit arbiter's collision-resolution order.
+// through its per-domain pipelines, with each record's admission priority
+// carried into the arbiter's order: the higher priority plans first.
 // Engine goroutine only (or the test driver in manual mode).
 func (s *Server) process(batch []*entry) {
 	sp := s.spans.Start("service.process", 0)

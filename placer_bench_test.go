@@ -1,4 +1,4 @@
-// Concurrent-placement benchmarks (see DESIGN.md §12). The CI
+// Batched-placement benchmarks (see DESIGN.md §12). The CI
 // bench-regression job runs BenchmarkConcurrentPlacement at -placers=1
 // and -placers=4 and gates on a ≥1.5× speedup via cmd/benchcheck; the
 // sweep is informational.
@@ -13,16 +13,16 @@ import (
 	"repro/internal/workload"
 )
 
-// benchPlacers sizes the optimistic-placer pool; ≤1 is width 1 (every
-// job a batch of one), which is the CI comparison baseline.
-var benchPlacers = flag.Int("placers", 1, "optimistic placer pool size for the placement benchmarks (≤1 = one job at a time)")
+// benchPlacers bounds the per-domain pipelines run at once; ≤1 is width 1
+// (every job a batch of one), which is the CI comparison baseline.
+var benchPlacers = flag.Int("placers", 1, "placement pipelines run at once in the placement benchmarks (≤1 = one job at a time)")
 
 // placementRun drives one VO through `batches` arrival batches of `width`
 // jobs each: every batch shares a tick, so at placers>1 the whole batch
-// goes through snapshot → parallel build → ordered optimistic commit,
-// while at placers≤1 each job is a batch of one and places alone. Generous
-// deadlines keep the corpus admissible, so the measured work is strategy
-// building and commit arbitration, not rejection handling. Only
+// is split by domain and the domains' pipelines plan and book side by
+// side, while at placers≤1 each job is a batch of one and places alone.
+// Generous deadlines keep the corpus admissible, so the measured work is
+// strategy building and booking, not rejection handling. Only
 // engine.Run() is timed: generating the corpus and the environment is the
 // same at every width and would dilute the ratio the gate reads.
 func placementRun(b *testing.B, placers, domains, batches, width int) {
@@ -52,19 +52,19 @@ func placementRun(b *testing.B, placers, domains, batches, width int) {
 	}
 }
 
-// BenchmarkConcurrentPlacement is the CI-gated workload: 48 jobs per
-// iteration in shared-tick batches of 8 over 4 domains. Batch width 8
-// keeps commit conflicts (and hence serial retry rebuilds) rare while
-// giving the parallel build two jobs per placer; ns/op at -placers=4
-// must beat -placers=1 (benchcheck, -min-speedup 1.5).
+// BenchmarkConcurrentPlacement is the CI-gated workload: 24 jobs per
+// iteration in shared-tick batches of 8 over 4 domains, two jobs per
+// pipeline; ns/op at -placers=4 must beat -placers=1 (benchcheck,
+// -min-speedup 1.5).
 func BenchmarkConcurrentPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		placementRun(b, *benchPlacers, 4, 3, 8)
 	}
 }
 
-// BenchmarkPlacementSweep maps the speedup surface: placer pool size ×
-// domain fan-in, at fixed batch width 8. Not CI-gated.
+// BenchmarkPlacementSweep maps the speedup surface: pipelines at once ×
+// domains, at fixed batch width 8; one domain is one pipeline and cannot
+// go wide. Not CI-gated.
 func BenchmarkPlacementSweep(b *testing.B) {
 	for _, placers := range []int{1, 2, 4, 8} {
 		for _, domains := range []int{1, 2, 4} {
