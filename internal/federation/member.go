@@ -96,10 +96,11 @@ type MemberConfig struct {
 // Terminal method can be wired as service.Config.OnTerminal, then Bind the
 // server and Start.
 type Member struct {
-	cfg   MemberConfig
-	svc   *service.Server
-	retry *backoff
-	stopc chan struct{} // closed by Close
+	cfg    MemberConfig
+	client *http.Client // cfg.Client, or the default built once
+	svc    *service.Server
+	retry  *backoff
+	stopc  chan struct{} // closed by Close
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -114,7 +115,10 @@ type Member struct {
 // NewMember builds the member. Bind must be called before Handler or
 // Start.
 func NewMember(cfg MemberConfig) *Member {
-	m := &Member{cfg: cfg, stopc: make(chan struct{})}
+	m := &Member{cfg: cfg, client: cfg.Client, stopc: make(chan struct{})}
+	if m.client == nil {
+		m.client = &http.Client{Timeout: 5 * time.Second}
+	}
 	m.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 5*time.Second, cfg.JitterFrac,
 		rng.New(cfg.Seed).Split(fnv1a(cfg.Shard)), m.stopc)
 	m.cond = sync.NewCond(&m.mu)
@@ -132,13 +136,6 @@ func (m *Member) logf(format string, args ...any) {
 	if m.cfg.Logf != nil {
 		m.cfg.Logf(format, args...)
 	}
-}
-
-func (m *Member) client() *http.Client {
-	if m.cfg.Client != nil {
-		return m.cfg.Client
-	}
-	return &http.Client{Timeout: 5 * time.Second}
 }
 
 // Bind attaches the service the member fronts.
@@ -230,7 +227,7 @@ func (m *Member) joinOnce() error {
 	if err != nil {
 		return err
 	}
-	resp, err := m.client().Post(m.cfg.Router+"/v1/federation/join", "application/json", bytes.NewReader(body))
+	resp, err := m.client.Post(m.cfg.Router+"/v1/federation/join", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -307,7 +304,7 @@ func (m *Member) deliver(n TerminalNotice) error {
 	if err != nil {
 		return err
 	}
-	resp, err := m.client().Post(m.cfg.Router+"/v1/federation/terminal", "application/json", bytes.NewReader(body))
+	resp, err := m.client.Post(m.cfg.Router+"/v1/federation/terminal", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -355,12 +352,7 @@ func (m *Member) refreshLease() {
 func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	m.refreshLease()
 	m.handoffs.Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxFrameBytes+frameHeader+frameTrailer+1))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, HandoffResult{Code: "bad_frame", Reason: err.Error()})
-		return
-	}
-	h, err := DecodeHandoff(body)
+	h, err := readHandoff(r.Body)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, ErrBadVersion) {

@@ -100,12 +100,16 @@ func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleTerminal(w http.ResponseWriter, req *http.Request) {
 	var n TerminalNotice
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxFrameBytes)).Decode(&n); err != nil || n.Job == "" {
+	if err := decodeJSONBody(req.Body, maxFrameBytes, &n); err != nil || n.Job == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad terminal notice"})
 		return
 	}
-	// The journal append inside happens before this 200: acknowledging an
-	// unpersisted terminal would let a router crash lose the only copy.
+	// The journal append inside happens before this 200, which ends the
+	// shard's redelivery. The router's record is not the only copy: the
+	// shard's journaled ledger is a second, read by reconcile for a job
+	// recovered as "handed" and replayed by every join. What the router's
+	// fsync buys is independence — after a crash its ledger is complete
+	// whether or not that shard and its disk are still there.
 	r.HandleTerminal(&n)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -57,14 +57,18 @@ func (s *HTTPShard) Name() string { return s.name }
 // decodable HandoffResult is a durable shard answer, not a transport
 // error.
 func (s *HTTPShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, error) {
-	frame, err := EncodeHandoff(h)
+	frame, err := newFrame(h)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/federation/handoff", bytes.NewReader(frame))
+	defer releaseFrame(frame)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/federation/handoff", nil)
 	if err != nil {
 		return nil, err
 	}
+	req.Body = newFrameBody(frame)
+	req.ContentLength = int64(frame.Len())
+	req.GetBody = func() (io.ReadCloser, error) { return newFrameBody(frame), nil }
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := s.client.Do(req)
 	if err != nil {
@@ -72,7 +76,7 @@ func (s *HTTPShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, er
 	}
 	defer resp.Body.Close()
 	var res HandoffResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&res); err != nil {
+	if err := decodeJSONBody(resp.Body, 1<<20, &res); err != nil {
 		return nil, fmt.Errorf("federation: shard %s handoff answered %d with undecodable body: %w", s.name, resp.StatusCode, err)
 	}
 	return &res, nil

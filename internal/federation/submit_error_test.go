@@ -68,6 +68,10 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
 		{name: "malformed", body: `{"name": 7}`,
 			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
+		{name: "bytes after the value", body: body("f", 60, "S1") + "garbage",
+			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
+		{name: "a second value", body: body("g", 60, "S1") + "\n" + body("h", 60, "S1"),
+			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
 		{name: "infeasible deadline", body: body("c", 1, "S1"),
 			want: map[string]string{"gridd": service.CodeInfeasible}},
 		{name: "queue full", body: body("d", 60, "S1"),
@@ -106,6 +110,17 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 			}
 			if h, want := rec.Header().Get("Retry-After"), wantRetryAfter[tr.name+"/"+code]; h != want {
 				t.Errorf("%s/%s: Retry-After %q, want %q", tr.name, st.name, h, want)
+			}
+		}
+	}
+
+	// Nothing that rode in a refused body reached a ledger.
+	for _, tr := range tiers {
+		for _, id := range []string{"f", "g", "h"} {
+			rec := httptest.NewRecorder()
+			tr.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s: job %s from a refused body is on the ledger (%d)", tr.name, id, rec.Code)
 			}
 		}
 	}

@@ -178,16 +178,6 @@ type TerminalNotice struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// appendFrame frames one JSON payload.
-func appendFrame(dst, payload []byte) []byte {
-	dst = append(dst, frameMagic...)
-	dst = append(dst, byte(Version))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return dst
-}
-
 // readFrame parses one frame at the head of b, returning the payload and
 // the remaining bytes.
 func readFrame(b []byte) (payload, rest []byte, err error) {

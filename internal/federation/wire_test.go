@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -136,6 +137,9 @@ func FuzzHandoffDecode(f *testing.F) {
 		re, err := EncodeHandoff(h)
 		if err != nil {
 			t.Fatalf("decoded handoff does not re-encode: %v", err)
+		}
+		if ref, _ := encodeHandoffRef(h); !bytes.Equal(re, ref) {
+			t.Fatalf("re-encoded frame differs from the reference\n got %q\nwant %q", re, ref)
 		}
 		h2, err := DecodeHandoff(re)
 		if err != nil {

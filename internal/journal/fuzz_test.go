@@ -1,28 +1,33 @@
 package journal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// seedRecords are the valid records of the fuzz seed corpora.
+var seedRecords = []Record{
+	{Job: "a", State: "queued", Strategy: "S1", Priority: 1, Wire: testWire("a")},
+	{Job: "a", State: "completed"},
+	{Job: "b", State: "rejected", Reason: "shed: displaced under overload"},
+}
 
 // FuzzRecoverSegment throws arbitrary bytes at the segment replayer as the
 // final (tail) segment: recovery must never panic, and whatever it accepts
 // must survive a write-mode Open (torn-tail truncation) followed by a
 // second, byte-identical replay.
 func FuzzRecoverSegment(f *testing.F) {
-	// Valid single records, hand-built via the real encoder.
-	for _, rec := range []Record{
-		{Job: "a", State: "queued", Strategy: "S1", Priority: 1, Wire: testWire("a")},
-		{Job: "a", State: "completed"},
-		{Job: "b", State: "rejected", Reason: "shed: displaced under overload"},
-	} {
+	// Valid single records, rendered by the real encoder.
+	var enc lineEncoder
+	for _, rec := range seedRecords {
 		rec.LSN = 1
-		line, err := encodeRecord(&rec)
+		line, err := enc.encode(&rec)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(line)
+		f.Add(bytes.Clone(line))
 	}
 	f.Add([]byte(`{"crc":0,"rec":{"lsn":1,"job":"x","state":"queued"}}` + "\n")) // wrong CRC
 	f.Add([]byte(`{"crc":12,"rec":` + "\n"))                                     // torn envelope

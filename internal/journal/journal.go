@@ -1,10 +1,15 @@
 // Package journal is an append-only, segmented write-ahead log for the
-// scheduler service's job lifecycle. Every lifecycle transition (accepted,
-// scheduled, completed, rejected, drained, ...) is one JSONL record with a
+// scheduler service's job lifecycle. Every lifecycle transition that
+// recovery reads — the accept with the job's wire form, a router's binding
+// of the job to a shard, the terminal state — is one JSONL record with a
 // per-record CRC32 and a monotonically increasing LSN; an acknowledgement
 // is only sent to the client after the record is durable under the
 // configured fsync policy, so a SIGKILL, OOM kill or power loss can never
-// lose an accepted job.
+// lose an accepted job. Transitions a restart would not act on (a shard's
+// "scheduled": recovery re-enqueues the job either way) are not records:
+// each would cost an fsync and change nothing. A record is encoded once,
+// straight into a buffer the Journal keeps, and written with one Write; an
+// append allocates nothing.
 //
 // # On-disk layout
 //
@@ -33,12 +38,14 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -182,7 +189,12 @@ type Stats struct {
 type Journal struct {
 	opts Options
 
-	mu            sync.Mutex
+	mu   sync.Mutex
+	line lineEncoder
+	// rec is the record being appended. It lives here because the encoder
+	// takes it behind an interface: a pointer into the Journal costs no
+	// allocation, a pointer to Append's argument would cost one per record.
+	rec           Record
 	f             *os.File
 	segBytes      int64
 	nextLSN       uint64
@@ -303,7 +315,8 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 		return 0, fmt.Errorf("journal: closed")
 	}
 	rec.LSN = j.nextLSN
-	line, err := encodeRecord(&rec)
+	j.rec = rec
+	line, err := j.line.encode(&j.rec)
 	if err != nil {
 		return 0, err
 	}
@@ -321,7 +334,7 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 	if js, ok := j.state[rec.Job]; ok && j.opts.IsTerminal != nil {
 		wasTerminal = j.opts.IsTerminal(js.State)
 	}
-	foldRecord(j.state, &j.order, &rec)
+	foldRecord(j.state, &j.order, &j.rec)
 	if j.opts.IsTerminal != nil && !wasTerminal && j.opts.IsTerminal(rec.State) {
 		j.terminalSince++
 	}
@@ -512,18 +525,47 @@ type snapshotFile struct {
 	Jobs []*JobState `json:"jobs"`
 }
 
-// encodeRecord renders one record as its envelope line, newline included.
-func encodeRecord(rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+// The envelope around a record's JSON: {"crc":C,"rec":R} and a newline. C is
+// a uint32 in decimal, so the part before R is at most linePrefixMax bytes.
+const (
+	lineCRCKey    = `{"crc":`
+	lineRecKey    = `,"rec":`
+	linePrefixMax = len(lineCRCKey) + 10 + len(lineRecKey)
+)
+
+// lineEncoder renders records as envelope lines, each encoded once into a
+// buffer it keeps. A Journal owns one and uses it under j.mu. The zero value
+// is ready to use.
+type lineEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder // writes into buf; made on first use
+}
+
+// encode renders rec as its envelope line, newline included. The bytes are
+// valid until the next call. The record's JSON goes into the buffer behind
+// room for the longest prefix; the prefix, whose CRC is only known once the
+// record is encoded, is then written right-aligned into that room, so the
+// line is contiguous without the record's bytes ever being copied.
+func (e *lineEncoder) encode(rec *Record) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.buf.Reset()
+	var room [linePrefixMax]byte
+	e.buf.Write(room[:])
+	if err := e.enc.Encode(rec); err != nil {
 		return nil, fmt.Errorf("journal: encode: %w", err)
 	}
-	crc := crc32.ChecksumIEEE(payload)
-	line := make([]byte, 0, len(payload)+24)
-	line = append(line, fmt.Sprintf(`{"crc":%d,"rec":`, crc)...)
-	line = append(line, payload...)
-	line = append(line, '}', '\n')
-	return line, nil
+	b := e.buf.Bytes()
+	end := len(b) - 1 // Encode ends the value with a newline
+	prefix := append(room[:0], lineCRCKey...)
+	prefix = strconv.AppendUint(prefix, uint64(crc32.ChecksumIEEE(b[linePrefixMax:end])), 10)
+	prefix = append(prefix, lineRecKey...)
+	start := linePrefixMax - len(prefix)
+	copy(b[start:], prefix)
+	b[end] = '}'
+	e.buf.WriteByte('\n')
+	return e.buf.Bytes()[start:], nil
 }
 
 // decodeRecord parses and verifies one envelope line (sans newline).

@@ -495,12 +495,30 @@ func TestClosedJournalRefusesWrites(t *testing.T) {
 	}
 }
 
+// randomRecord draws one lifecycle record (no LSN) of the property tests'
+// histories: a handful of jobs, every state, admission fields on half.
+func randomRecord(rng *rand.Rand) Record {
+	states := []string{"queued", "scheduled", "completed", "rejected", "drained"}
+	r := Record{
+		Job:   fmt.Sprintf("job-%d", rng.Intn(12)),
+		State: states[rng.Intn(len(states))],
+	}
+	if rng.Intn(2) == 0 {
+		r.Wire = testWire(r.Job)
+		r.Strategy = "S1"
+		r.Priority = rng.Intn(3)
+	}
+	if rng.Intn(5) == 0 {
+		r.Reason = "because"
+	}
+	return r
+}
+
 // TestPropertyRoundTrip drives seeded random lifecycle histories —
 // duplicate follow-up records, rotations, compactions and reopen cycles
 // included — and checks the replayed fold matches an independently
 // maintained model, with LSNs strictly continuous.
 func TestPropertyRoundTrip(t *testing.T) {
-	states := []string{"queued", "scheduled", "completed", "rejected", "drained"}
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -518,18 +536,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 				}
 				n := 5 + rng.Intn(40)
 				for i := 0; i < n; i++ {
-					r := Record{
-						Job:   fmt.Sprintf("job-%d", rng.Intn(12)),
-						State: states[rng.Intn(len(states))],
-					}
-					if rng.Intn(2) == 0 {
-						r.Wire = testWire(r.Job)
-						r.Strategy = "S1"
-						r.Priority = rng.Intn(3)
-					}
-					if rng.Intn(5) == 0 {
-						r.Reason = "because"
-					}
+					r := randomRecord(rng)
 					got := mustAppend(t, j, r)
 					lsn++
 					if got != lsn {

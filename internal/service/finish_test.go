@@ -50,8 +50,7 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 		reason string
 		epoch  int
 		// appends is how many journal records the step writes: the terminal
-		// one, plus the "scheduled" record where the step is a Process and
-		// the newcomer's accept where it is a shedding Submit.
+		// one, plus the newcomer's accept where the step is a shedding Submit.
 		appends uint64
 		seed    []journal.Record // journal contents before the server starts
 		cfg     Config
@@ -59,7 +58,7 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 		step    func(t *testing.T, w world) // makes j terminal
 	}{
 		{
-			name: "completed/vo-complete", state: StateCompleted, appends: 2,
+			name: "completed/vo-complete", state: StateCompleted, appends: 1,
 			setup: func(t *testing.T, w world) { submit(t, w.s, "j", 0) },
 			step: func(t *testing.T, w world) {
 				w.s.Process(-1)
@@ -67,7 +66,7 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 			},
 		},
 		{
-			name: "rejected/vo-reject", state: StateRejected, reason: "no feasible allocation", appends: 2,
+			name: "rejected/vo-reject", state: StateRejected, reason: "no feasible allocation", appends: 1,
 			setup: func(t *testing.T, w world) {
 				for id := 0; id < w.s.cfg.Env.NumNodes(); id++ {
 					w.s.vo.InjectExternal(resource.NodeID(id), simtime.Interval{Start: 0, End: 1000})
@@ -78,7 +77,7 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 		},
 		{
 			name: "rejected/vo-refused-submission", state: StateRejected,
-			reason: `metasched: job "j" submitted after the VO was closed`, appends: 2,
+			reason: `metasched: job "j" submitted after the VO was closed`, appends: 1,
 			setup: func(t *testing.T, w world) {
 				submit(t, w.s, "j", 0)
 				w.s.vo.Close()

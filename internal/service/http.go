@@ -3,9 +3,12 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/jobio"
@@ -99,17 +102,80 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // 12 × 2 MiB does not.
 const MaxSubmitBytes = 1 << 20
 
-// DecodeSubmit reads one POST /v1/jobs body into req: strict fields, at
-// most MaxSubmitBytes. When it cannot it answers 400 — 413 for an oversized
-// body — with the JSON error envelope and reports false. The federation
-// router decodes through it too.
+// submitDecoder is a strict JSON decoder that outlives a request, so its
+// read buffer is paid for once instead of per submission. To the decoder the
+// bodies it is pointed at are one stream of values; that is only sound
+// because DecodeSubmit keeps a decoder solely after proving that nothing of
+// the request it served is left unread — a kept decoder that still held
+// bytes would feed one client's tail to the next client's job.
+type submitDecoder struct {
+	dec  *json.Decoder // reads from the submitDecoder itself
+	body io.Reader     // the request being decoded; nil between requests
+	read int           // bytes of it read so far
+	tail [256]byte     // scratch for reading what follows the value
+}
+
+// submitDecoderKeep is the largest body after which a decoder is kept: its
+// buffer has grown to the body's size and would pin that much per pool slot.
+const submitDecoderKeep = 64 << 10
+
+func (d *submitDecoder) Read(p []byte) (int, error) {
+	n, err := d.body.Read(p)
+	d.read += n
+	return n, err
+}
+
+var submitDecoders = sync.Pool{New: func() any {
+	d := new(submitDecoder)
+	d.dec = json.NewDecoder(d)
+	d.dec.DisallowUnknownFields()
+	return d
+}}
+
+// onlySpaceFollows reads the rest of the request — first what the decoder
+// read ahead, then the body to its end — and reports an error unless it is
+// all JSON whitespace. On nil the decoder holds no byte that can matter.
+func (d *submitDecoder) onlySpaceFollows() error {
+	for _, r := range [...]io.Reader{d.dec.Buffered(), d} {
+		for {
+			n, err := r.Read(d.tail[:])
+			for _, c := range d.tail[:n] {
+				if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+					return fmt.Errorf("invalid character %q after top-level value", c)
+				}
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// DecodeSubmit reads one POST /v1/jobs body into req: strict fields, one
+// JSON value and nothing but whitespace after it, at most MaxSubmitBytes.
+// When it cannot it answers 400 — 413 for an oversized body — with the JSON
+// error envelope and reports false. The federation router decodes through
+// it too.
 func DecodeSubmit(w http.ResponseWriter, r *http.Request, req any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(req)
+	d := submitDecoders.Get().(*submitDecoder)
+	d.body, d.read = http.MaxBytesReader(w, r.Body, MaxSubmitBytes), 0
+	err := d.dec.Decode(req)
 	if err == nil {
+		err = d.onlySpaceFollows()
+	}
+	d.body = nil
+	if err == nil {
+		if d.read <= submitDecoderKeep {
+			submitDecoders.Put(d)
+		}
 		return true
 	}
+	// d is dropped: after an error it may hold unread bytes, or a sticky
+	// error of its own.
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

@@ -312,3 +312,135 @@ func TestSubmitBodyIsCapped(t *testing.T) {
 		t.Fatalf("the job at the cap ended %q (%s)", rec.State, rec.Reason)
 	}
 }
+
+// postRaw serves one POST /v1/jobs with the given body straight through the
+// handler and returns the recorded answer.
+func postRaw(h http.Handler, body string) *httptest.ResponseRecorder {
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	return rr
+}
+
+func submitBody(t *testing.T, name string) string {
+	t.Helper()
+	b, err := json.Marshal(SubmitRequest{Job: wireJob(name, 60), Strategy: "S1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestSubmitRejectsTrailingBytes: a body is one JSON value. Anything but
+// whitespace after it — near the value or far behind the decoder's
+// read-ahead — is a 400 that leaves no trace; whitespace is fine.
+func TestSubmitRejectsTrailingBytes(t *testing.T) {
+	s := newServer(t, Config{QueueCap: 64})
+	h := s.Handler()
+	far := strings.Repeat(" \n", 4000) // well past one decoder refill
+	for i, tail := range []string{"garbage", "}", "]", "{}", " x", "\n\n0", "\x00", far + "x", far + submitBody(t, "evil")} {
+		name := fmt.Sprintf("bad%d", i)
+		before := s.Metrics().Submitted
+		rr := postRaw(h, submitBody(t, name)+tail)
+		var eb errorBody
+		if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("tail %q: body %q: %v", tail, rr.Body, err)
+		}
+		if rr.Code != http.StatusBadRequest || eb.Code != CodeInvalid || !strings.Contains(eb.Reason, "after top-level value") {
+			t.Errorf("tail %.20q: %d %+v, want 400 %s naming the trailing byte", tail, rr.Code, eb, CodeInvalid)
+		}
+		if _, ok := s.Job(name); ok {
+			t.Errorf("tail %.20q: the refused job is on the ledger", tail)
+		}
+		if got := s.Metrics().Submitted; got != before {
+			t.Errorf("tail %.20q: the refused job was counted", tail)
+		}
+	}
+	for i, tail := range []string{"", " ", "\n", "\r\n\t ", far} {
+		name := fmt.Sprintf("ok%d", i)
+		if rr := postRaw(h, submitBody(t, name)+tail); rr.Code != http.StatusAccepted {
+			t.Errorf("whitespace tail %.20q: %d %s, want 202", tail, rr.Code, rr.Body)
+		}
+		if _, ok := s.Job(name); !ok {
+			t.Errorf("whitespace tail %.20q: job missing from the ledger", tail)
+		}
+	}
+	if _, ok := s.Job("evil"); ok {
+		t.Error("a second value riding behind a body was admitted")
+	}
+}
+
+// TestSubmitDecoderKeepsRequestsApart: DecodeSubmit reuses decoders between
+// requests, so whatever one request leaves behind — a tail, half a value, a
+// sticky error, an oversized body — must never reach the next. One handler
+// serves a hostile sequence with a well-formed job after every step, then
+// the same from several goroutines at once (the -race half).
+func TestSubmitDecoderKeepsRequestsApart(t *testing.T) {
+	s := newServer(t, Config{QueueCap: 4096})
+	h := s.Handler()
+	good := 0
+	admit := func() {
+		t.Helper()
+		name := fmt.Sprintf("good%d", good)
+		good++
+		if rr := postRaw(h, submitBody(t, name)+"\n"); rr.Code != http.StatusAccepted {
+			t.Fatalf("%s after a hostile request: %d %s", name, rr.Code, rr.Body)
+		}
+		if rec, ok := s.Job(name); !ok || rec.ID != name {
+			t.Fatalf("%s: ledger has %+v", name, rec)
+		}
+	}
+	admit()
+	hostile := []string{
+		submitBody(t, "h0") + submitBody(t, "smuggled"), // a whole second job as the tail
+		submitBody(t, "h1")[:40],                        // half a value
+		"",                                              // nothing: the decoder's own EOF
+		`{"name":"h3","bogus":1}`,                       // strict-field refusal mid-object
+		`{"name":"h4"} {"name":"smuggled"`,              // value, then half of another
+		strings.Repeat("x", MaxSubmitBytes+10),          // oversized garbage
+		`[`,
+		submitBody(t, "h7") + " ,",
+	}
+	for i, body := range hostile {
+		if rr := postRaw(h, body); rr.Code != http.StatusBadRequest && rr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("hostile body %d: %d %s, want a 400 or 413", i, rr.Code, rr.Body)
+		}
+		admit()
+		admit()
+	}
+	want := good
+	for _, rec := range s.Jobs() {
+		if !strings.HasPrefix(rec.ID, "good") {
+			t.Errorf("job %q reached the ledger", rec.ID)
+		}
+	}
+
+	const workers, each = 6, 40
+	done := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			for i := 0; i < each; i++ {
+				name := fmt.Sprintf("par%d-%d", g, i)
+				body, _ := json.Marshal(SubmitRequest{Job: wireJob(name, 60), Strategy: "S1"})
+				if i%3 == 1 {
+					if rr := postRaw(h, string(body)+"tail"); rr.Code != http.StatusBadRequest {
+						done <- fmt.Errorf("%s with a tail: %d", name, rr.Code)
+						return
+					}
+				}
+				if rr := postRaw(h, string(body)); rr.Code != http.StatusAccepted {
+					done <- fmt.Errorf("%s: %d %s", name, rr.Code, rr.Body)
+					return
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := len(s.Jobs()); got != want+workers*each {
+		t.Errorf("ledger holds %d jobs, want %d", got, want+workers*each)
+	}
+}

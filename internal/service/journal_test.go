@@ -1,9 +1,16 @@
 package service
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -90,6 +97,136 @@ func TestJournalRecoveryAcrossCrash(t *testing.T) {
 	}
 	if rs := heir.Recovery(); rs == nil || rs.Requeued != 2 {
 		t.Fatalf("Recovery() accessor: %+v", rs)
+	}
+}
+
+// journalStates reads the raw segment files under dir and returns, in LSN
+// order, the state of every record written for job — the records themselves,
+// not the fold journal.Recover returns.
+func journalStates(t *testing.T, dir, job string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	var states []string
+	for _, seg := range segs {
+		f, err := os.Open(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			var line struct {
+				Rec journal.Record `json:"rec"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatalf("%s: %v", seg, err)
+			}
+			if line.Rec.Job == job {
+				states = append(states, line.Rec.State)
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return states
+}
+
+// TestJournalHoldsAcceptAndTerminalOnly: a job's journal is its accept and
+// its terminal record. "scheduled" is a state of the live process — the
+// ledger and GET /v1/jobs/{id} report it while the job is in flight — and
+// never reaches the disk, because Restore would read it as "queued".
+func TestJournalHoldsAcceptAndTerminalOnly(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newJournaledServer(t, dir)
+	if _, err := s.Submit(wireJob("j", 60), "S1", 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Process(-1)
+
+	if rec, _ := s.Job("j"); rec.State != StateScheduled {
+		t.Fatalf("in flight, the ledger says %q, want %q", rec.State, StateScheduled)
+	}
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/jobs/j", nil))
+	var got Record
+	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil || got.State != StateScheduled {
+		t.Fatalf("GET /v1/jobs/j in flight: %d %s (%v)", rr.Code, rr.Body, err)
+	}
+	if states := journalStates(t, dir, "j"); !reflect.DeepEqual(states, []string{StateQueued}) {
+		t.Fatalf("in flight, the journal holds %v, want only the accept", states)
+	}
+
+	s.Quiesce()
+	if states := journalStates(t, dir, "j"); !reflect.DeepEqual(states, []string{StateQueued, StateCompleted}) {
+		t.Fatalf("completed job's journal is %v, want [queued completed]", states)
+	}
+	if m := s.Metrics(); m.JournalErrors != 0 {
+		t.Fatalf("journal errors: %+v", m)
+	}
+}
+
+// TestKilledInFlightRestoresExactlyOnce: a process that dies after handing a
+// job to the VO but before the job completes left only the accept on disk.
+// Its successor must take the job back exactly once — requeued on a plain
+// daemon, held for the router's ruling on a federated shard — and run it to
+// one terminal record.
+func TestKilledInFlightRestoresExactlyOnce(t *testing.T) {
+	for _, hold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hold=%v", hold), func(t *testing.T) {
+			dir := t.TempDir()
+			victim, _ := newJournaledServer(t, dir)
+			if _, err := victim.Submit(wireJob("j", 60), "S1", 0); err != nil {
+				t.Fatal(err)
+			}
+			victim.Process(-1) // dequeued, planned, booked — and never finished
+			// CRASH: no Quiesce, no Drain.
+
+			jnl, rec := openJournal(t, dir)
+			defer jnl.Close()
+			fired := 0
+			heir := newServer(t, Config{Journal: jnl, HoldRecovered: hold, OnTerminal: func(r Record) {
+				if r.ID == "j" {
+					fired++
+				}
+			}})
+			stats, err := heir.Restore(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := RecoveryStats{Restored: 1, Requeued: 1}
+			if hold {
+				want = RecoveryStats{Restored: 1, Held: 1}
+			}
+			if stats.Restored != want.Restored || stats.Requeued != want.Requeued || stats.Held != want.Held ||
+				stats.Terminal != 0 || stats.Invalid != 0 || stats.DuplicatesSuppressed != 0 {
+				t.Fatalf("recovery stats %+v, want %+v", stats, want)
+			}
+			if again, _ := heir.Restore(rec); again.Restored != 0 || again.DuplicatesSuppressed != 1 {
+				t.Fatalf("second restore took the job again: %+v", again)
+			}
+			if hold {
+				if n := heir.ResumeHeld([]string{"j"}); n != 1 {
+					t.Fatalf("resumed %d held jobs, want 1", n)
+				}
+			}
+			if n := heir.Process(-1); n != 1 {
+				t.Fatalf("heir processed %d jobs, want the one restored", n)
+			}
+			heir.Quiesce()
+			if r, _ := heir.Job("j"); r.State != StateCompleted || fired != 1 {
+				t.Fatalf("after recovery j is %+v with %d terminal events, want completed once", r, fired)
+			}
+			// Restore folded the accept into its snapshot; what the heir wrote
+			// since is the one terminal record.
+			if states := journalStates(t, dir, "j"); !reflect.DeepEqual(states, []string{StateCompleted}) {
+				t.Fatalf("since the restore snapshot the journal holds %v for j, want [completed]", states)
+			}
+		})
 	}
 }
 

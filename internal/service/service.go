@@ -803,10 +803,13 @@ func (s *Server) process(batch []*entry) {
 			s.th.queueWait.Observe(telemetry.Since(e.enq))
 		}
 		job := e.job.WithDeadline(arrival + simtime.Time(e.wire.Deadline))
+		// "scheduled" lives in memory only. Restore re-enqueues a job whose
+		// last record is its accept exactly as it would one marked scheduled
+		// (the VO's books die with the process either way), so a record here
+		// would cost an fsync per job and tell recovery nothing.
 		s.mu.Lock()
 		e.rec.State = StateScheduled
 		e.rec.Arrival = arrival
-		_ = s.journalLocked(journal.Record{Job: e.rec.ID, State: StateScheduled})
 		s.mu.Unlock()
 		if err := s.vo.SubmitPrio(job, e.typ, arrival, e.rec.Priority); err != nil {
 			s.mu.Lock()
