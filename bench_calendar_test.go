@@ -162,7 +162,7 @@ func BenchmarkBuildManyChains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, err := criticalworks.Build(env, live.Clone(), job, criticalworks.Options{
 			Candidates: cands,
-			Catalog:    data.NewCatalog(data.RemoteAccess, 0),
+			Data:       data.Model{Policy: data.RemoteAccess},
 		})
 		if err != nil {
 			b.Fatalf("build: %v", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sync"
@@ -26,13 +27,17 @@ import (
 // book). The DP and the collision scan of every later critical work are
 // therefore answered by Calendar.FirstFree and Calendar.ConflictWith on a
 // materialised merged book alone, which is what builder.firstFree and
-// builder.conflictWith claim to compute without building it. A success
-// adopts the clones into cals. It also reports the index of the margin that
-// succeeded, -1 when none did.
-func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, error) {
+// builder.conflictWith claim to compute without building it. The replica
+// sets get the same treatment: every margin keeps a string-keyed
+// data.Catalog of its own, commits to it what commitPlaced commits, and after
+// every critical work the arena's dense rows must list exactly the
+// catalog's replicas — the state the next chain's DP reads by bit test. A
+// success adopts the clones into cals. It also reports the index of the
+// margin that succeeded, -1 when none did, and that margin's catalog.
+func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, *data.Catalog, error) {
 	opt, err := normalize(env, job, opt)
 	if err != nil {
-		return nil, -1, err
+		return nil, -1, nil, err
 	}
 	var firstPartial *Schedule
 	var firstErr error
@@ -43,31 +48,32 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 		sc.reset(job, env.NumNodes())
 		b := sc.attempt(env, trial, opt, mg)
 		b.computeBounds(opt.Table, mg)
-		sched, err := refPlaceChains(b, trial)
+		cat := data.NewCatalog(opt.Data.Policy, opt.Data.Storage)
+		sched, err := refPlaceChains(b, trial, cat)
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
 			for id, c := range trial {
 				cals[id] = c
 			}
-			*opt.Catalog = *b.opt.Catalog
-			return sched, mi, nil
+			return sched, mi, cat, nil
 		}
 		var inf *InfeasibleError
 		if !errors.As(err, &inf) {
-			return nil, -1, err
+			return nil, -1, nil, err
 		}
 		if firstPartial == nil {
 			firstPartial, firstErr = b.partial(), err
 		}
 	}
 	firstPartial.Evaluations = evals
-	return firstPartial, -1, firstErr
+	return firstPartial, -1, nil, firstErr
 }
 
 // refPlaceChains is builder.buildOnce's chain loop materialising each critical
-// work into trial — the builder's own view — as soon as it is placed.
-func refPlaceChains(b *builder, trial Calendars) (*Schedule, error) {
+// work into trial — the builder's own view — and its data placements into cat
+// as soon as it is placed.
+func refPlaceChains(b *builder, trial Calendars, cat *data.Catalog) (*Schedule, error) {
 	weights := chainWeights(b.opt.Table)
 	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
 	for b.nPlaced < b.job.NumTasks() {
@@ -82,9 +88,75 @@ func refPlaceChains(b *builder, trial Calendars) (*Schedule, error) {
 			}
 		}
 		clear(b.ownHead) // no node lists an own placement: every probe stops at the book
+		for _, e := range b.job.Edges() {
+			from, okF := b.placement(e.From)
+			to, okT := b.placement(e.To)
+			if okF && okT {
+				cat.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
+			}
+		}
+		if err := sameReplicas(b.scratch, b.opt, cat); err != nil {
+			return nil, fmt.Errorf("reference: after chain %v: %w", chain.Tasks, err)
+		}
 	}
 	return b.finish()
 }
+
+// replicas lists the nodes holding a copy of task t's output in the attempt
+// the arena ran last, ascending; nil when none does.
+func (sc *scratch) replicas(t dag.TaskID) []resource.NodeID {
+	var out []resource.NodeID
+	for w, word := range sc.replica[int(t)*sc.words : (int(t)+1)*sc.words] {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, resource.NodeID(64*w+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
+}
+
+// sameReplicas compares the arena's replica sets, task by task, with what cat
+// holds for opt's job — and through them every answer the policy can give:
+// for each node as the consumer's end, the transfer time the build would
+// read against the catalog's. The sets themselves are compared under active
+// replication, the one policy that reads them; a catalog under static storage
+// also lists the storage node, which the build has no use for.
+func sameReplicas(sc *scratch, opt Options, cat *data.Catalog) error {
+	b := &builder{opt: opt, scratch: sc}
+	for id := 0; id < sc.job.NumTasks(); id++ {
+		t := dag.TaskID(id)
+		name := sc.job.Task(t).Name
+		if opt.Data.Policy == data.ActiveReplication {
+			if got, want := sc.replicas(t), cat.Replicas(data.DatasetID{Job: opt.JobName, Dataset: name}); !slices.Equal(got, want) {
+				return fmt.Errorf("task %s: the arena lists replicas at %v, the catalog at %v", name, got, want)
+			}
+		}
+		for n := range sc.ownHead { // one entry per node
+			to := resource.NodeID(n)
+			e := dag.Edge{From: t, BaseTime: 7}
+			if got, want := b.transferTime(e, 0, to), cat.TransferTime(opt.JobName, name, 7, 0, to); got != want {
+				return fmt.Errorf("task %s → node %d: the arena prices the transfer at %d, the catalog at %d", name, n, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// buildHeld is build with the arena handed to the caller instead of back to
+// the pool, so that a test can read the finished build's replica sets. The
+// caller releases it.
+func buildHeld(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, *scratch, error) {
+	opt, err := normalize(env, job, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc := takeScratch(job, env.NumNodes())
+	sched, err := sc.run(env, cals, opt)
+	return sched, sc, err
+}
+
+// policies maps a corpus draw to a data policy, in the order the corpora were
+// first drawn in.
+var policies = []data.Policy{data.ActiveReplication, data.RemoteAccess, data.StaticStorage}
 
 // applySchedule reserves every placement of s, under Owner{jobName, task
 // name}, into a deep copy of cals and returns the copy: the books as they
@@ -164,7 +236,7 @@ type cowCase struct {
 	job  *dag.Job
 	env  *resource.Environment
 	cals Calendars
-	opt  Options // Catalog unset: every run gets its own from policy
+	opt  Options // Data unset: every run gets pol
 	pol  data.Policy
 }
 
@@ -178,7 +250,7 @@ func cowCorpus() []cowCase {
 	var out []cowCase
 	add := func(name string, raw []byte) {
 		job, env, cals, opt := decodeFuzzInput(raw)
-		out = append(out, cowCase{name: name, job: job, env: env, cals: cals, opt: opt, pol: data.Policy(len(raw) % 3)})
+		out = append(out, cowCase{name: name, job: job, env: env, cals: cals, opt: opt, pol: policies[len(raw)%3]})
 	}
 	add("fuzz/fig2", fig2SeedBytes())
 	add("fuzz/empty", nil)
@@ -216,7 +288,7 @@ func cowCorpus() []cowCase {
 		if r.Bool(0.2) {
 			opt.Mode = ResolveDelay
 		}
-		out = append(out, cowCase{name: fmt.Sprintf("rand/%d", seed), job: job, env: env, cals: cals, opt: opt, pol: data.Policy(r.Intn(3))})
+		out = append(out, cowCase{name: fmt.Sprintf("rand/%d", seed), job: job, env: env, cals: cals, opt: opt, pol: policies[r.Intn(3)]})
 	}
 	return out
 }
@@ -224,7 +296,8 @@ func cowCorpus() []cowCase {
 // TestBuildMatchesCloneReference pins the overlay build to the
 // materialising reference, over the whole corpus: the schedule (placements,
 // collisions with their holders, costs, Evaluations, the partial one of a
-// failed build) and the adopted catalog are identical; the plan applied to
+// failed build) is identical and the replica sets the finished build leaves in
+// its arena are the reference catalog's; the plan applied to
 // the books gives the reference's materialised books, reservations and
 // generations; and after every outcome the view is untouched — every entry
 // the pointer that went in, every book with the generation and reservations
@@ -240,15 +313,14 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 	var atFirst, atLater, refused, ladderInfeasible int
 	var savedProbes int64
 	for _, tc := range cowCorpus() {
-		refView, refOpt := tc.cals.Clone(), tc.opt
-		refOpt.Catalog = data.NewCatalog(tc.pol, 0)
-		want, margin, wantErr := refBuild(tc.env, refView, tc.job, refOpt)
+		opt := tc.opt
+		opt.Data.Policy = tc.pol
+		refView := tc.cals.Clone()
+		want, margin, refCat, wantErr := refBuild(tc.env, refView, tc.job, opt)
 
 		// The build under test plans on the corpus books themselves.
-		opt := tc.opt
-		opt.Catalog = data.NewCatalog(tc.pol, 0)
 		books := recordBooks(tc.cals)
-		got, err := Build(tc.env, tc.cals, tc.job, opt)
+		got, arena, err := buildHeld(tc.env, tc.cals, tc.job, opt)
 		checkViewUntouched(t, tc.name+": Build", tc.cals, books)
 
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
@@ -269,15 +341,19 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: schedule differs from the reference:\n got %+v\nwant %+v", tc.name, got, want)
 		}
-		if !reflect.DeepEqual(opt.Catalog, refOpt.Catalog) {
-			t.Errorf("%s: adopted catalog differs from the reference", tc.name)
-		}
 		if err == nil {
+			if rerr := sameReplicas(arena, arena.bld.opt, refCat); rerr != nil {
+				t.Errorf("%s: the finished build's replica sets differ from the reference: %v", tc.name, rerr)
+			}
 			applied, aerr := applySchedule(tc.cals, got, tc.job.Name)
 			if aerr != nil {
 				t.Fatalf("%s: the plan does not fit the books it was built on: %v", tc.name, aerr)
 			}
 			checkSameView(t, tc.name, applied, refView)
+		}
+
+		if arena != nil {
+			arena.release()
 		}
 
 		switch {
@@ -355,28 +431,31 @@ var denseRegimes = []struct {
 	hopeless bool
 	budget   float64
 }{
-	{"feasible", 400, true, false, 33},
-	{"refused", 12, false, true, 16},
-	{"ladder-infeasible", 22, false, false, 50},
+	{"feasible", 400, true, false, 14},
+	{"refused", 12, false, true, 12},
+	{"ladder-infeasible", 22, false, false, 30},
 }
 
 // TestBuildAllocationBudget pins what one Build allocates on the dense
-// fixture in the three regimes of denseRegimes. A build allocates only what
-// it returns — the Schedule, its Placements map, its Collisions, the
-// attempt's catalog, the error — plus what normalize defaults (table,
-// catalog, candidates); its working memory is a pooled arena. The readings
-// are 22, 9 and 33, and 26, 12 and 37 under -race, where sync.Pool drops a
-// quarter of the Puts on purpose and the next build makes a new arena (13
-// allocations); the budgets are about 1.5× with that headroom, and the run
-// count is high enough that the dropped quarter averages out. With a map per
-// dataset in the catalog the first read 35; with working memory made per
-// build on top of that the three read 63, 22 and 56; with first-write
-// book clones and a result slice per DP phase the first read 90; before the
-// bound, the dense placed slice and the per-generation table the first two
-// read 99 and 110; the clone-per-margin build with allocating edge walks
-// before that, 4942 and 977. A breach means a build has started making
-// working memory again instead of borrowing it, an attempt copies state it
-// only reads, or the DP's inner loop or its phases allocate.
+// fixture in the three regimes of denseRegimes, with every option defaulted.
+// A build allocates only what it returns — the Schedule, its Placements map,
+// its Collisions at their exact length, the error (one per failed attempt) —
+// plus what normalize defaults (table, candidates); its working memory,
+// replica sets and collisions-so-far included, is a pooled arena
+// (TestBuildAllocsFig2 pins the count exactly, with nothing defaulted). The
+// readings are 9, 6 and 20, and 12, 10 and 25 under -race, where sync.Pool
+// drops a quarter of the Puts on purpose and the next build makes a new
+// arena; the budgets leave that headroom, and the run count is high enough
+// that the dropped quarter averages out. With a string-keyed catalog cloned
+// per attempt and a collision slice made per colliding attempt the three read
+// 18, 9 and 33; with a map per dataset in the catalog the first read 35; with
+// working memory made per build on top of that the three read 63, 22 and 56;
+// with first-write book clones and a result slice per DP phase the first read
+// 90; before the bound, the dense placed slice and the per-generation table
+// the first two read 99 and 110; the clone-per-margin build with allocating
+// edge walks before that, 4942 and 977. A breach means a build has started
+// making working memory again instead of borrowing it, an attempt copies
+// state it only reads, or the DP's inner loop or its phases allocate.
 func TestBuildAllocationBudget(t *testing.T) {
 	for _, tc := range denseRegimes {
 		env, cals, job := denseFixture(tc.deadline)
@@ -411,12 +490,19 @@ func copySchedule(s *Schedule) *Schedule {
 // Build job A — in each regime of denseRegimes, and on a one-node
 // environment where the ladder gives up with a critical work placed, so the
 // partial schedule carries placements and collisions — and deep-copy what
-// came back: the schedule and the adopted catalog. Then build a larger job
-// on a larger environment and a smaller one on a smaller, in all three
-// regimes, on the same goroutine — which takes the arena A's build
-// returned, grows it and overwrites it. A's result still equals the copy.
-// The whole thing then runs on four goroutines at once, taking and returning
-// arenas concurrently the way the placer workers do; CI runs it under -race.
+// came back. Then build a larger job on a larger environment and a smaller
+// one on a smaller, in all three regimes, on the same goroutine — which
+// takes the arena A's build returned, grows it and overwrites it. A's
+// result, its collisions copied out of that arena, still equals the copy.
+//
+// The other direction: an arena belongs to one build at a time. A second
+// build of A keeps its arena (buildHeld) while the later builds run — on
+// this goroutine and, in the concurrent round, on three others taking and
+// returning arenas all the while — and the finished build's replica sets
+// still answer what they answered when it finished.
+//
+// The whole thing then runs on four goroutines at once, the way the placer
+// workers use the pool; CI runs it under -race.
 func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 	type fixture struct {
 		name                 string
@@ -432,19 +518,30 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 	run := func(t *testing.T) {
 		for _, a := range as {
 			env, cals, job := layeredFixture(a.levels, a.width, a.nodes, a.deadline)
-			cat := data.NewCatalog(data.ActiveReplication, 0)
-			sched, err := Build(env, cals, job, Options{Catalog: cat})
+			opt := Options{Data: data.Model{Policy: data.ActiveReplication}}
+			sched, err := Build(env, cals, job, opt)
 			var inf *InfeasibleError
 			if err != nil && (!errors.As(err, &inf) || len(sched.Placements) != a.partialTasks || len(sched.Collisions) != a.partialTasks) {
 				t.Errorf("%s: Build err = %v, schedule %+v", a.name, err, sched)
 				return
 			}
-			keep, keepCat := copySchedule(sched), cat.Clone()
+			keep := copySchedule(sched)
+			again, arena, _ := buildHeld(env, cals, job, opt)
+			if !reflect.DeepEqual(again, sched) {
+				t.Errorf("%s: the same build in a held arena differs:\n got %+v\nwant %+v", a.name, again, sched)
+			}
+			keepReplicas := make([][]resource.NodeID, job.NumTasks())
+			for id := range keepReplicas {
+				keepReplicas[id] = arena.replicas(dag.TaskID(id))
+			}
+			if err == nil && keepReplicas[0] == nil {
+				t.Errorf("%s: a finished build under active replication holds no replica of its first task's output", a.name)
+			}
 
 			for _, b := range denseRegimes {
 				for _, size := range []struct{ levels, width, nodes int }{{9, 3, 40}, {2, 1, 3}} {
 					envB, calsB, jobB := layeredFixture(size.levels, size.width, size.nodes, b.deadline*simtime.Time(size.levels)/5)
-					if _, err := Build(envB, calsB, jobB, Options{Catalog: data.NewCatalog(data.ActiveReplication, 0)}); err != nil && !errors.As(err, &inf) {
+					if _, err := Build(envB, calsB, jobB, opt); err != nil && !errors.As(err, &inf) {
 						t.Errorf("%s: Build err = %v", b.name, err)
 						return
 					}
@@ -453,9 +550,12 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 			if !reflect.DeepEqual(sched, keep) {
 				t.Errorf("%s: later builds changed a returned schedule:\n got %+v\nwant %+v", a.name, sched, keep)
 			}
-			if !reflect.DeepEqual(cat, keepCat) {
-				t.Errorf("%s: later builds changed an adopted catalog", a.name)
+			for id, want := range keepReplicas {
+				if got := arena.replicas(dag.TaskID(id)); !slices.Equal(got, want) {
+					t.Errorf("%s: later builds changed a held arena's replica sets: task %d at %v, was %v", a.name, id, got, want)
+				}
 			}
+			arena.release()
 		}
 	}
 	run(t)
@@ -471,8 +571,9 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 }
 
 // TestReleasedArenaHoldsNothing: a pooled arena outlives the engine event
-// its build ran in, so it must come back holding no job, and with the
-// builder no view (live *resource.Calendars), options, catalog or context.
+// its build ran in, so it must come back holding no job, with the builder no
+// view (live *resource.Calendars), options or context, and no edge's or
+// collision holder's name.
 // The arena taken right after a build is the one that build returned —
 // sync.Pool hands a goroutine its own last Put first — except that under
 // -race a quarter of the Puts are dropped; the test retries until it has
@@ -484,7 +585,7 @@ func TestReleasedArenaHoldsNothing(t *testing.T) {
 	for try := 0; try < 200 && used < 9; try++ {
 		tc := denseRegimes[try%len(denseRegimes)]
 		env, cals, job := denseFixture(tc.deadline)
-		_, _ = Build(env, cals, job, Options{Ctx: ctx, Catalog: data.NewCatalog(data.ActiveReplication, 0)})
+		_, _ = Build(env, cals, job, Options{Ctx: ctx, Data: data.Model{Policy: data.ActiveReplication}})
 		sc := scratchPool.Get().(*scratch)
 		if cap(sc.bestUp) == 0 {
 			continue // a fresh arena: the pool dropped or lost the build's
@@ -499,6 +600,11 @@ func TestReleasedArenaHoldsNothing(t *testing.T) {
 		for _, e := range sc.adj[:cap(sc.adj)] {
 			if e != (dag.Edge{}) {
 				t.Errorf("%s: a released arena still holds edge %+v", tc.name, e)
+			}
+		}
+		for _, c := range sc.colls[:cap(sc.colls)] {
+			if c != (Collision{}) {
+				t.Errorf("%s: a released arena still holds collision %+v", tc.name, c)
 			}
 		}
 	}

@@ -123,8 +123,10 @@ type Options struct {
 	// itself: it is recognized (Table.DerivedFrom) and, like the default,
 	// not checked against the job again.
 	Table *estimate.Table
-	// Catalog supplies data transfer times; defaults to remote access.
-	Catalog *data.Catalog
+	// Data is the data policy transfers are priced under and, for static
+	// storage, the node every product is kept on; the zero value is remote
+	// access.
+	Data data.Model
 	// Pricing sets node rates; defaults to FlatPricing{1} (the paper's
 	// bare CF).
 	Pricing economy.Pricing
@@ -233,12 +235,14 @@ func (e *InfeasibleError) Error() string {
 var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 
 // scratch is a build's working memory: everything a build makes and its
-// result does not keep. A build borrows one from scratchPool, sizes it for
-// its job and environment, and runs its margin attempts in it one after
-// another; what it returns — the Schedule, its Placements map and
-// Collisions, the adopted catalog — is allocated fresh and never points
-// here. The strategy generator that calls Build is shared by the placer
-// workers, so no caller could own an arena; a pool needs none to.
+// result does not keep — the bounds, the chain searches, the DP table, the
+// attempt's placements with their per-node overlay, its replica sets and the
+// collisions it has recorded so far. A build borrows one from scratchPool,
+// sizes it for its job and environment, and runs its margin attempts in it
+// one after another; what it returns — the Schedule, its Placements map and
+// its Collisions, copied out at their exact length — is allocated fresh and
+// never points here. The strategy generator that calls Build is shared by the
+// placer workers, so no caller could own an arena; a pool needs none to.
 type scratch struct {
 	job *dag.Job
 	adj []dag.Edge // edges of the one task an edge walk is visiting
@@ -264,6 +268,17 @@ type scratch struct {
 	// before t, 0 ends a list.
 	ownHead, ownNext []int32
 
+	// The attempt's replica sets, a row of `words` uint64s per task: bit n of
+	// row t says node n holds a copy of task t's output. A build only ever
+	// places — and so only ever replicates — data products of its own job,
+	// which the producing TaskID names.
+	replica []uint64
+	words   int
+
+	// colls collects the attempt's collisions; room for all there can be (a
+	// task sits in one chain, which records at most one collision for it).
+	colls []Collision
+
 	bld builder // the attempt in progress
 }
 
@@ -286,15 +301,19 @@ func (sc *scratch) reset(job *dag.Job, nodes int) {
 	sc.placed, sc.isPlaced = grow(sc.placed, n), grow(sc.isPlaced, n)
 	sc.ideal, sc.actual = grow(sc.ideal, n), grow(sc.actual, n)
 	sc.ownHead, sc.ownNext = grow(sc.ownHead, nodes), grow(sc.ownNext, n)
+	sc.words = (nodes + 63) / 64
+	sc.replica = grow(sc.replica, n*sc.words)
+	sc.colls = grow(sc.colls, n)
 }
 
 // release returns the arena holding nothing of the build it served: no job,
-// and with the builder no view, options, catalog or context — a pooled arena
-// outlives the engine event, and a view's calendars must not (liveBooks).
+// and with the builder no view, options or context — a pooled arena outlives
+// the engine event, and a view's calendars must not (liveBooks).
 func (sc *scratch) release() {
 	sc.job = nil
 	sc.bld = builder{}
-	clear(sc.adj[:cap(sc.adj)]) // the edges' names
+	clear(sc.adj[:cap(sc.adj)])     // the edges' names
+	clear(sc.colls[:cap(sc.colls)]) // the holders' names
 	scratchPool.Put(sc)
 }
 
@@ -317,10 +336,7 @@ type builder struct {
 	margin float64 // serialization margin scaling the bounds
 
 	nPlaced int // set flags in isPlaced
-	// colls ends up in the attempt's Schedule — the first attempt's partial
-	// one outlives the attempts after it — so it is never arena memory.
-	colls []Collision
-	evals int64
+	evals   int64
 
 	// span is the enclosing margin attempt's span ID; 0 when tracing is
 	// off (per-chain and per-DP-phase spans hang under it).
@@ -330,11 +346,12 @@ type builder struct {
 }
 
 // attempt starts a margin's attempt in the arena: empty overlay, nothing
-// placed, private copy of the catalog.
+// placed, no replica anywhere, no collision recorded.
 func (sc *scratch) attempt(env *resource.Environment, cals Calendars, opt Options, margin float64) *builder {
-	opt.Catalog = opt.Catalog.Clone()
 	clear(sc.isPlaced)
 	clear(sc.ownHead)
+	clear(sc.replica)
+	sc.colls = sc.colls[:0]
 	sc.bld = builder{env: env, base: cals, opt: opt, margin: margin, scratch: sc}
 	return &sc.bld
 }
@@ -427,6 +444,30 @@ func (b *builder) reserve(p Placement) error {
 	return nil
 }
 
+// collisions copies the attempt's collisions out of the arena at their exact
+// length; nil when there are none.
+func (b *builder) collisions() []Collision {
+	if len(b.colls) == 0 {
+		return nil
+	}
+	out := make([]Collision, len(b.colls))
+	copy(out, b.colls)
+	return out
+}
+
+// held reports whether node n holds a replica of producer's output.
+func (b *builder) held(producer dag.TaskID, n resource.NodeID) bool {
+	return b.replica[int(producer)*b.words+int(n)/64]>>(uint(n)%64)&1 != 0
+}
+
+// commit records that producer's output has been materialized at both ends of
+// a transfer from → to (data.Catalog.Commit's rule).
+func (b *builder) commit(producer dag.TaskID, from, to resource.NodeID) {
+	row := b.replica[int(producer)*b.words:]
+	row[int(from)/64] |= 1 << (uint(from) % 64)
+	row[int(to)/64] |= 1 << (uint(to) % 64)
+}
+
 // commitPlaced commits the data placement of every edge whose two ends are
 // placed, so later critical works of this job see the replicas.
 func (b *builder) commitPlaced() {
@@ -435,7 +476,7 @@ func (b *builder) commitPlaced() {
 		from, okF := b.placement(e.From)
 		to, okT := b.placement(e.To)
 		if okF && okT {
-			b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
+			b.commit(e.From, from.Node, to.Node)
 		}
 	}
 }
@@ -453,9 +494,9 @@ var margins = []float64{1, 1.5, 2, 3, 4}
 // calendar view and returns the resulting Distribution. Build reads cals
 // and writes nothing — no calendar, no map entry, whatever the outcome —
 // so concurrent builds may share a view (DESIGN.md §5); the plan is the
-// returned Schedule, and only opt.Catalog is adopted on success. It
-// allocates only what it returns: its working memory is a pooled arena
-// (scratch).
+// returned Schedule and nothing else is handed back: the replica sets an
+// attempt accumulates are its own working state. It allocates only what it
+// returns: its working memory is a pooled arena (scratch).
 func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
 	if opt.Telemetry == nil && opt.Spans == nil {
 		return build(env, cals, job, opt)
@@ -517,6 +558,9 @@ func buildResult(err error) string {
 	}
 }
 
+// barePricing is the default Options.Pricing, boxed once.
+var barePricing economy.Pricing = economy.FlatPricing{PerTick: 1}
+
 // normalize applies Build's option defaulting. A table that is
 // estimate.Derive of this job — defaulted here or handed in by a caller that
 // derived it once for many builds — is known to cover the job; any other is
@@ -533,11 +577,8 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 			return opt, err
 		}
 	}
-	if opt.Catalog == nil {
-		opt.Catalog = data.NewCatalog(data.RemoteAccess, 0)
-	}
 	if opt.Pricing == nil {
-		opt.Pricing = economy.FlatPricing{PerTick: 1}
+		opt.Pricing = barePricing
 	}
 	if opt.Deadline == 0 {
 		opt.Deadline = job.Deadline
@@ -557,8 +598,8 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 	return opt, nil
 }
 
-// build is the uninstrumented core of Build: the admissibility bound, then
-// the margin ladder.
+// build is the uninstrumented core of Build: the options' defaults, then the
+// run in a borrowed arena.
 func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
 	opt, err := normalize(env, job, opt)
 	if err != nil {
@@ -572,6 +613,14 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 
 	sc := takeScratch(job, env.NumNodes())
 	defer sc.release()
+	return sc.run(env, cals, opt)
+}
+
+// run is a build in the arena, which reset has pointed at the job: the
+// admissibility bound, then the margin ladder. opt is normalized. On success
+// the arena is left holding the successful attempt.
+func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (*Schedule, error) {
+	job := sc.job
 	// The first critical work is the longest chain over all tasks by
 	// Table.Best and base transfer times — the same at every margin, so it
 	// is found once and handed to every attempt.
@@ -600,9 +649,6 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
-			// The caller's catalog takes the attempt's data placements; the
-			// view is not written.
-			*opt.Catalog = *b.opt.Catalog
 			return sched, nil
 		}
 		var inf *InfeasibleError
@@ -640,8 +686,8 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 // induction on i, any DP cell that is ok at position i — in the ideal
 // phase, where a start is just the earliest admissible tick — finishes no
 // earlier than finish_i, because its start is bounded below by the same
-// max with a real transfer time ≥ minTransfer (the catalog holds the
-// caller's replicas only: an attempt commits after its chain is placed) and
+// max with a real transfer time ≥ minTransfer (no node holds a replica yet:
+// an attempt starts with none and commits after its chain is placed) and
 // its duration is one of the candidates'. So past the first violated
 // position no cell is ok, the ideal phase fails, and placeChain returns
 // InfeasibleError{Task: chain.Tasks[0]} before it reads a calendar. That is
@@ -667,7 +713,7 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 		if i > 0 {
 			prev := chain.Tasks[i-1]
 			e := sc.chainEdge(prev, task)
-			if s := prevFinish + opt.Catalog.MinTransferTime(opt.JobName, sc.job.Task(prev).Name, e.BaseTime); s > start {
+			if s := prevFinish + opt.Data.MinTransferTime(e.BaseTime); s > start {
 				start = s
 			}
 		}
@@ -732,7 +778,7 @@ func (b *builder) partial() *Schedule {
 	return &Schedule{
 		Job:         b.job,
 		Placements:  b.placements(),
-		Collisions:  b.colls,
+		Collisions:  b.collisions(),
 		Evaluations: b.evals,
 		Partial:     true,
 	}
@@ -802,7 +848,6 @@ func (b *builder) finish() (*Schedule, error) {
 	s := &Schedule{
 		Job:         b.job,
 		Placements:  b.placements(),
-		Collisions:  b.colls,
 		Start:       simtime.Infinity,
 		Evaluations: b.evals,
 	}
@@ -830,17 +875,18 @@ func (b *builder) finish() (*Schedule, error) {
 			return nil, fmt.Errorf("criticalworks: internal error: edge %s violates precedence (%v + %d > %v)",
 				e.Name, from.Window, tt, to.Window)
 		}
-		b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
+		b.commit(e.From, from.Node, to.Node)
 	}
 	// (Window.Start, Task) is a total key: a task sits in one chain, which
 	// records at most one collision for it.
-	slices.SortFunc(s.Collisions, func(a, c Collision) int {
+	slices.SortFunc(b.colls, func(a, c Collision) int {
 		return cmp.Or(cmp.Compare(a.Window.Start, c.Window.Start), cmp.Compare(a.Task, c.Task))
 	})
+	s.Collisions = b.collisions()
 	return s, nil
 }
 
 // transferTime is the policy-aware transfer time for edge e between nodes.
 func (b *builder) transferTime(e dag.Edge, from, to resource.NodeID) simtime.Time {
-	return b.opt.Catalog.TransferTime(b.opt.JobName, b.job.Task(e.From).Name, e.BaseTime, from, to)
+	return b.opt.Data.TransferTime(e.BaseTime, from, to, b.held(e.From, to))
 }

@@ -47,15 +47,26 @@ func paperEnv() *resource.Environment {
 	})
 }
 
+// committedCatalog is the replica state a finished build of s ended in, as a
+// string-keyed catalog: every edge's data placement committed.
+func committedCatalog(s *Schedule, m data.Model) *data.Catalog {
+	cat := data.NewCatalog(m.Policy, m.Storage)
+	for _, e := range s.Job.Edges() {
+		cat.Commit(s.Job.Name, s.Job.Task(e.From).Name, s.Placements[e.From].Node, s.Placements[e.To].Node)
+	}
+	return cat
+}
+
 // checkValid asserts the schedule's structural invariants: everything
 // placed, precedence + transfer times respected, deadline semantics
 // consistent, windows on one node disjoint.
-func checkValid(t *testing.T, env *resource.Environment, s *Schedule, cat *data.Catalog) {
+func checkValid(t *testing.T, env *resource.Environment, s *Schedule, m data.Model) {
 	t.Helper()
 	job := s.Job
 	if len(s.Placements) != job.NumTasks() {
 		t.Fatalf("placed %d of %d tasks", len(s.Placements), job.NumTasks())
 	}
+	cat := committedCatalog(s, m)
 	for _, e := range job.Edges() {
 		from, to := s.Placements[e.From], s.Placements[e.To]
 		tt := cat.TransferTime(job.Name, job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)
@@ -209,12 +220,11 @@ func TestNoCandidates(t *testing.T) {
 func TestFig2FullBuild(t *testing.T) {
 	job := fig2Job(20)
 	env := paperEnv()
-	cat := data.NewCatalog(data.RemoteAccess, 0)
-	s, err := Build(env, EmptyCalendars(env), job, Options{Catalog: cat})
+	s, err := Build(env, EmptyCalendars(env), job, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkValid(t, env, s, cat)
+	checkValid(t, env, s, data.Model{})
 	if !s.MeetsDeadline() {
 		t.Errorf("fig2 misses deadline: finish %d > 20", s.Finish)
 	}
@@ -229,12 +239,11 @@ func TestFig2TightDeadlineStillFeasible(t *testing.T) {
 	// deadline of 14 is feasible despite the branch contention.
 	job := fig2Job(14)
 	env := paperEnv()
-	cat := data.NewCatalog(data.RemoteAccess, 0)
-	s, err := Build(env, EmptyCalendars(env), job, Options{Catalog: cat})
+	s, err := Build(env, EmptyCalendars(env), job, Options{})
 	if err != nil {
 		t.Fatalf("deadline 14 should be feasible: %v", err)
 	}
-	checkValid(t, env, s, cat)
+	checkValid(t, env, s, data.Model{})
 	if s.Finish > 14 {
 		t.Errorf("finish %d > deadline 14", s.Finish)
 	}
@@ -414,7 +423,7 @@ func TestActiveReplicationReducesMakespanOrCost(t *testing.T) {
 		job := b.MustBuild()
 		env := paperEnv()
 		return Build(env, EmptyCalendars(env), job, Options{
-			Catalog: data.NewCatalog(p, 0),
+			Data: data.Model{Policy: p},
 		})
 	}
 	rep, errRep := mk(data.ActiveReplication)
@@ -500,7 +509,7 @@ func TestQuickBuildInvariants(t *testing.T) {
 		r := rng.New(seed)
 		env := randomEnv(r)
 		job := randomJob(r)
-		cat := data.NewCatalog(data.Policy(r.Intn(3)), 0)
+		model := data.Model{Policy: policies[r.Intn(3)]}
 		cals := EmptyCalendars(env)
 		// Random background load.
 		for i := 0; i < r.Intn(5); i++ {
@@ -508,7 +517,7 @@ func TestQuickBuildInvariants(t *testing.T) {
 			st := simtime.Time(r.Intn(40))
 			_ = cals[n].Reserve(simtime.Interval{Start: st, End: st + simtime.Time(r.IntBetween(1, 10))}, resource.External)
 		}
-		s, err := Build(env, cals, job, Options{Catalog: cat, Mode: CollisionMode(r.Intn(2))})
+		s, err := Build(env, cals, job, Options{Data: model, Mode: CollisionMode(r.Intn(2))})
 		if err != nil {
 			var inf *InfeasibleError
 			return errors.As(err, &inf) // only this failure is legitimate
@@ -519,6 +528,7 @@ func TestQuickBuildInvariants(t *testing.T) {
 		if s.Finish > job.Deadline {
 			return false
 		}
+		cat := committedCatalog(s, model)
 		for _, e := range job.Edges() {
 			from, to := s.Placements[e.From], s.Placements[e.To]
 			tt := cat.TransferTime(job.Name, job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)

@@ -44,11 +44,6 @@ func (b *builder) placeChain(chain dag.Chain) error {
 	// A collision is an ideal slot that the calendar view cannot grant.
 	for _, p := range ideal {
 		if res, busy := b.conflictWith(p.Node, p.Window); busy {
-			if b.colls == nil {
-				// Room for all there can be: a task sits in one chain,
-				// which records at most one collision for it.
-				b.colls = make([]Collision, 0, b.job.NumTasks())
-			}
 			b.colls = append(b.colls, Collision{
 				Task:   p.Task,
 				Node:   p.Node,
@@ -127,14 +122,12 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 
 	for i := 0; i < L; i++ {
 		task := chain.Tasks[i]
-		// The incoming edge's dataset and base time, resolved once per
-		// position: the predecessor loop below runs C² times and must not
-		// copy an Edge and a Task out of the job on each pass.
-		var inData string
+		// The incoming edge's base time, resolved once per position: the
+		// predecessor loop below runs C² times and must not copy an Edge out
+		// of the job on each pass.
 		var inBase simtime.Time
 		var prevRow []cell
 		if i > 0 {
-			inData = b.job.Task(chain.Tasks[i-1]).Name
 			inBase = b.chainEdge(chain.Tasks[i-1], task).BaseTime
 			prevRow = dp[(i-1)*C : i*C]
 		}
@@ -156,12 +149,15 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 					best = cell{ok: true, cost: charge, start: st, finish: fin, prev: -1}
 				}
 			} else {
+				// Whether the predecessor's output is already at n: a bit
+				// test, the same for every predecessor node.
+				held := b.held(chain.Tasks[i-1], n)
 				for m, pn := range cands {
 					prevCell := prevRow[m]
 					if !prevCell.ok {
 						continue
 					}
-					earliest := prevCell.finish + b.opt.Catalog.TransferTime(b.opt.JobName, inData, inBase, pn, n)
+					earliest := prevCell.finish + b.opt.Data.TransferTime(inBase, pn, n, held)
 					if est > earliest {
 						earliest = est
 					}

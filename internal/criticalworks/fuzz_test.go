@@ -176,10 +176,13 @@ func FuzzBuildSchedule(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		job, env, cals, opt := decodeFuzzInput(raw)
-		pol := data.Policy(len(raw) % 3)
-		opt.Catalog = data.NewCatalog(pol, 0)
+		pol := policies[len(raw)%3]
+		opt.Data.Policy = pol
 
-		s, err := Build(env, cals, job, opt)
+		s, arena, err := buildHeld(env, cals, job, opt)
+		if arena != nil {
+			defer arena.release()
+		}
 		if err != nil {
 			var inf *InfeasibleError
 			if !errors.As(err, &inf) {
@@ -199,9 +202,7 @@ func FuzzBuildSchedule(f *testing.F) {
 			if inf.Hopeless {
 				// A build never writes to cals, and a failed reference
 				// leaves them as it found them.
-				refOpt := opt
-				refOpt.Catalog = data.NewCatalog(pol, 0)
-				want, _, wantErr := refBuild(env, cals, job, refOpt)
+				want, _, _, wantErr := refBuild(env, cals, job, opt)
 				if wantErr == nil || wantErr.Error() != err.Error() {
 					t.Fatalf("the bound refused the build (%v) but the reference ladder returned %v", err, wantErr)
 				}
@@ -234,6 +235,12 @@ func FuzzBuildSchedule(f *testing.F) {
 		// the background load.
 		if _, err := applySchedule(cals, s, job.Name); err != nil {
 			t.Errorf("the plan does not fit the books: %v", err)
+		}
+		// The replica sets the build ended with are those of a string-keyed
+		// catalog that committed the plan's data placements, and answer as it
+		// does for every task and node.
+		if err := sameReplicas(arena, arena.bld.opt, committedCatalog(s, opt.Data)); err != nil {
+			t.Errorf("the finished build's replica sets: %v", err)
 		}
 
 		for _, e := range job.Edges() {

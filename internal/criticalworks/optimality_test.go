@@ -40,7 +40,7 @@ func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (si
 				for _, e := range job.In(id) {
 					from := finishes[e.From]
 					// Remote access pays the base time regardless of
-					// co-location (see data.Catalog.TransferTime).
+					// co-location (see data.Model.TransferTime).
 					if t := from + e.BaseTime; t > start {
 						start = t
 					}

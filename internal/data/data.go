@@ -11,15 +11,20 @@
 //     and storage→consumer legs (2× base), which strongly rewards
 //     co-locating tasks.
 //
-// The Catalog tracks replica locations per job so Cost is stateful under
-// ActiveReplication, exactly the "active data replication policy" effect
-// that lowers S1's collision pressure on fast nodes (Fig. 3b).
+// What a transfer costs is stated once, in Model.TransferTime: a function of
+// the policy, the storage node, the two ends and whether a replica is
+// already at the consumer's end. Who knows that last fact differs. The
+// critical-works build keeps its replica sets per producing task in its own
+// arena and asks the Model directly; the Catalog keeps them in a map keyed
+// by job and dataset name, for callers that have no such arena (the
+// list-scheduling baselines, the benchmark's audit, tests). Either way cost
+// is stateful under ActiveReplication, exactly the "active data replication
+// policy" effect that lowers S1's collision pressure on fast nodes (Fig. 3b).
 package data
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/resource"
 	"repro/internal/simtime"
@@ -28,10 +33,11 @@ import (
 // Policy selects a data storage/replication model.
 type Policy int
 
-// The three policies of §4's strategy table.
+// The three policies of §4's strategy table. RemoteAccess is the zero value:
+// a caller that names no policy gets no replication and no storage node.
 const (
-	ActiveReplication Policy = iota
-	RemoteAccess
+	RemoteAccess Policy = iota
+	ActiveReplication
 	StaticStorage
 )
 
@@ -49,9 +55,10 @@ func (p Policy) String() string {
 	}
 }
 
-// DatasetID identifies a data product within a job. The critical-works
-// scheduler uses the producing task's name, so all transfers fanning out of
-// one task share a dataset: once P1's output is replicated to a node, both
+// DatasetID identifies a data product within a job. Schedulers name a
+// product after the task that produces it (the critical-works build by that
+// task's ID, in its own rows), so all transfers fanning out of one task share
+// a dataset: once P1's output is replicated to a node, both
 // D1- and D2-style consumers there read it for free under active
 // replication (the data-grid file-replica model of OptorSim/ChicSim that
 // the paper compares against).
@@ -60,11 +67,75 @@ type DatasetID struct {
 	Dataset string
 }
 
-// Catalog tracks replica placement for datasets under one policy.
-// The zero value is not usable; call NewCatalog.
+// Model is a data policy together with the node StaticStorage keeps every
+// data product on (meaningless under the other two): everything about a
+// policy that does not change while jobs are planned. The zero Model is
+// remote access.
+type Model struct {
+	Policy  Policy
+	Storage resource.NodeID
+}
+
+// TransferTime returns the planned time for moving a dataset from the
+// producer's node to the consumer's, given the base (remote-access) transfer
+// time. held reports whether a replica of the dataset is already at `to`;
+// only ActiveReplication reads it.
+//
+// Co-locating producer and consumer does NOT waive the transfer: in the
+// paper's model data transfers are explicit pipeline stages that take
+// wall time wherever they run (Fig. 2(b)'s Distribution 1 shows D1
+// between P1/1 and P2/1 — both on node 1 — still occupying a tick). Only
+// an already-present replica (active replication) or residence on the
+// static-storage node removes a leg.
+func (m Model) TransferTime(base simtime.Time, from, to resource.NodeID, held bool) simtime.Time {
+	switch m.Policy {
+	case ActiveReplication:
+		if held {
+			return 0 // a replica is already there
+		}
+		// Proactive replication overlaps part of the copy with upstream
+		// execution: the consumer observes about 3/4 of the nominal time.
+		return (3*base + 3) / 4
+	case StaticStorage:
+		// producer -> storage -> consumer, half the nominal time per leg
+		// (the storage node is well provisioned); co-location with the
+		// storage node removes the respective leg. A full cross-node
+		// transfer therefore costs about the remote-access baseline, and
+		// the S3 penalty comes from coarse-grain serialization rather
+		// than from transfer inflation.
+		var t simtime.Time
+		if from != m.Storage {
+			t += (base + 1) / 2
+		}
+		if to != m.Storage {
+			t += (base + 1) / 2
+		}
+		return t
+	default:
+		return base
+	}
+}
+
+// MinTransferTime is a lower bound on TransferTime over every (from, to)
+// node pair while no node holds a replica of the dataset: what moving it
+// costs at the very least, wherever producer and consumer end up.
+// Admissibility tests use it to bound a chain's finish before any node is
+// chosen.
+func (m Model) MinTransferTime(base simtime.Time) simtime.Time {
+	switch m.Policy {
+	case ActiveReplication:
+		return (3*base + 3) / 4
+	case StaticStorage:
+		return 0 // both ends on the storage node
+	default:
+		return base
+	}
+}
+
+// Catalog tracks replica placement for datasets under one Model, by job and
+// dataset name. The zero value is not usable; call NewCatalog.
 type Catalog struct {
-	policy  Policy
-	storage resource.NodeID // used by StaticStorage
+	model   Model
 	replica map[DatasetID]nodeSet
 }
 
@@ -110,74 +181,17 @@ func (s nodeSet) empty() bool { return s.lo == 0 && len(s.hi) == 0 }
 // StaticStorage and names the node holding all data products.
 func NewCatalog(p Policy, storageNode resource.NodeID) *Catalog {
 	return &Catalog{
-		policy:  p,
-		storage: storageNode,
+		model:   Model{Policy: p, Storage: storageNode},
 		replica: make(map[DatasetID]nodeSet),
 	}
 }
 
-// Policy returns the catalog's policy.
-func (c *Catalog) Policy() Policy { return c.policy }
-
-// TransferTime returns the planned time for moving dataset (of job
-// jobName) from the producer's node to the consumer's node, given the base
-// (remote-access) transfer time. It does not mutate replica state; call
-// Commit when the placement is adopted.
-//
-// Co-locating producer and consumer does NOT waive the transfer: in the
-// paper's model data transfers are explicit pipeline stages that take
-// wall time wherever they run (Fig. 2(b)'s Distribution 1 shows D1
-// between P1/1 and P2/1 — both on node 1 — still occupying a tick). Only
-// an already-present replica (active replication) or residence on the
-// static-storage node removes a leg.
+// TransferTime is Model.TransferTime for dataset (of job jobName), with the
+// catalog's own record of whether a replica is at `to`. It does not mutate
+// replica state; call Commit when the placement is adopted.
 func (c *Catalog) TransferTime(jobName, dataset string, base simtime.Time, from, to resource.NodeID) simtime.Time {
-	switch c.policy {
-	case ActiveReplication:
-		ds := DatasetID{Job: jobName, Dataset: dataset}
-		if c.replica[ds].has(to) {
-			return 0 // a replica is already there
-		}
-		// Proactive replication overlaps part of the copy with upstream
-		// execution: the consumer observes about 3/4 of the nominal time.
-		return (3*base + 3) / 4
-	case RemoteAccess:
-		return base
-	case StaticStorage:
-		// producer -> storage -> consumer, half the nominal time per leg
-		// (the storage node is well provisioned); co-location with the
-		// storage node removes the respective leg. A full cross-node
-		// transfer therefore costs about the remote-access baseline, and
-		// the S3 penalty comes from coarse-grain serialization rather
-		// than from transfer inflation.
-		var t simtime.Time
-		if from != c.storage {
-			t += (base + 1) / 2
-		}
-		if to != c.storage {
-			t += (base + 1) / 2
-		}
-		return t
-	default:
-		return base
-	}
-}
-
-// MinTransferTime is a lower bound on TransferTime over every (from, to)
-// node pair in the catalog's current state: what moving the dataset costs
-// at the very least, wherever producer and consumer end up. Admissibility
-// tests use it to bound a chain's finish before any node is chosen.
-func (c *Catalog) MinTransferTime(jobName, dataset string, base simtime.Time) simtime.Time {
-	switch c.policy {
-	case ActiveReplication:
-		if !c.replica[DatasetID{Job: jobName, Dataset: dataset}].empty() {
-			return 0 // some node already holds a replica
-		}
-		return (3*base + 3) / 4
-	case StaticStorage:
-		return 0 // both ends on the storage node
-	default:
-		return base
-	}
+	held := c.model.Policy == ActiveReplication && c.replica[DatasetID{Job: jobName, Dataset: dataset}].has(to)
+	return c.model.TransferTime(base, from, to, held)
 }
 
 // Commit records that the dataset has been materialized at node `to` (and,
@@ -188,21 +202,10 @@ func (c *Catalog) Commit(jobName, dataset string, from, to resource.NodeID) {
 	s := c.replica[ds]
 	s.add(from)
 	s.add(to)
-	if c.policy == StaticStorage {
-		s.add(c.storage)
+	if c.model.Policy == StaticStorage {
+		s.add(c.model.Storage)
 	}
 	c.replica[ds] = s
-}
-
-// Clone returns a deep copy of the catalog, for what-if scheduling passes
-// that must not leak replica state.
-func (c *Catalog) Clone() *Catalog {
-	cp := &Catalog{policy: c.policy, storage: c.storage, replica: make(map[DatasetID]nodeSet, len(c.replica))}
-	for ds, s := range c.replica {
-		s.hi = slices.Clone(s.hi)
-		cp.replica[ds] = s
-	}
-	return cp
 }
 
 // Replicas returns the nodes currently holding the dataset, in ascending
@@ -229,13 +232,4 @@ func appendMembers(dst []resource.NodeID, base int, word uint64) []resource.Node
 		dst = append(dst, resource.NodeID(base+bits.TrailingZeros64(word)))
 	}
 	return dst
-}
-
-// Forget drops all replica records of one job (job finished or reallocated).
-func (c *Catalog) Forget(jobName string) {
-	for ds := range c.replica {
-		if ds.Job == jobName {
-			delete(c.replica, ds)
-		}
-	}
 }

@@ -110,22 +110,6 @@ func TestCommitRegistersReplicas(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
-	c := NewCatalog(ActiveReplication, 0)
-	c.Commit("j", "P1", 0, 1)
-	c.Commit("k", "P1", 0, 1)
-	c.Forget("j")
-	if c.Replicas(DatasetID{Job: "j", Dataset: "P1"}) != nil {
-		t.Error("forgotten job still has replicas")
-	}
-	if c.Replicas(DatasetID{Job: "k", Dataset: "P1"}) == nil {
-		t.Error("Forget removed another job's replicas")
-	}
-	if got := c.TransferTime("j", "P1", 4, 0, 1); got != 3 {
-		t.Errorf("after Forget transfer = %d, want 3", got)
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if ActiveReplication.String() != "active-replication" ||
 		RemoteAccess.String() != "remote-access" ||
@@ -166,19 +150,19 @@ func TestQuickReplicationIdempotent(t *testing.T) {
 	}
 }
 
-// TestMinTransferTimeBoundsEveryPair: MinTransferTime is a lower bound on
-// TransferTime over every (from, to) pair, for each policy, in a fresh
-// catalog and after replicas were committed (for this dataset, and for
-// another one, which must not loosen it) — and it is tight: some pair
-// attains it.
+// TestMinTransferTimeBoundsEveryPair: Model.MinTransferTime is a lower bound
+// on TransferTime over every (from, to) pair while no node holds a replica of
+// the dataset, for each policy — in a fresh catalog and after replicas of
+// other datasets were committed, which must not loosen it — and it is tight:
+// some pair attains it.
 func TestMinTransferTimeBoundsEveryPair(t *testing.T) {
 	const nodes, storage = 5, 2
 	for _, p := range []Policy{ActiveReplication, RemoteAccess, StaticStorage} {
 		for _, base := range []simtime.Time{0, 1, 2, 3, 7, 8} {
 			c := NewCatalog(p, storage)
+			lo := Model{Policy: p, Storage: storage}.MinTransferTime(base)
 			check := func(state string) {
 				t.Helper()
-				lo := c.MinTransferTime("j", "D", base)
 				attained := false
 				for from := resource.NodeID(0); from < nodes; from++ {
 					for to := resource.NodeID(0); to < nodes; to++ {
@@ -197,21 +181,43 @@ func TestMinTransferTimeBoundsEveryPair(t *testing.T) {
 			c.Commit("j", "other", 0, 1)
 			c.Commit("k", "D", 0, 1)
 			check("other datasets committed")
-			if p == ActiveReplication && c.MinTransferTime("j", "D", base) != (3*base+3)/4 {
-				t.Errorf("base %d: another dataset's replicas changed the minimum", base)
-			}
-			c.Commit("j", "D", 3, 4)
-			check("committed")
 		}
+	}
+}
+
+// TestCatalogAnswersThroughTheModel: the catalog adds to Model.TransferTime
+// exactly one fact — whether a replica is at the consumer's end — so every
+// answer it gives is the model's for held or not held, and only active
+// replication tells the two apart.
+func TestCatalogAnswersThroughTheModel(t *testing.T) {
+	const nodes, storage = 4, 1
+	for _, p := range []Policy{ActiveReplication, RemoteAccess, StaticStorage} {
+		m := Model{Policy: p, Storage: storage}
+		c := NewCatalog(p, storage)
+		c.Commit("j", "D", 0, 2)
+		for _, base := range []simtime.Time{0, 1, 5, 8} {
+			for from := resource.NodeID(0); from < nodes; from++ {
+				for to := resource.NodeID(0); to < nodes; to++ {
+					held := to == 0 || to == 2
+					if got, want := c.TransferTime("j", "D", base, from, to), m.TransferTime(base, from, to, held); got != want {
+						t.Errorf("%v: TransferTime(base %d, %d→%d) = %d, the model says %d", p, base, from, to, got, want)
+					}
+					if p != ActiveReplication && m.TransferTime(base, from, to, true) != m.TransferTime(base, from, to, false) {
+						t.Errorf("%v reads the replica flag", p)
+					}
+				}
+			}
+		}
+	}
+	if (Model{}).Policy != RemoteAccess {
+		t.Error("the zero Model is not remote access")
 	}
 }
 
 // TestReplicaSetsAcrossWords: replica sets are bitsets with the first 64
 // nodes inline and the rest in grown words. Membership, Replicas' ascending
 // order and the policies' answers must not depend on which word a node
-// falls in; a clone shares no word with its source; and equal sets built in
-// different orders are equal values (TestBuildMatchesCloneReference compares
-// catalogs with reflect.DeepEqual).
+// falls in, and equal sets built in different orders are equal values.
 func TestReplicaSetsAcrossWords(t *testing.T) {
 	ds := DatasetID{Job: "j", Dataset: "D"}
 	ids := []resource.NodeID{0, 63, 64, 127, 128, 200, 1000}
@@ -232,15 +238,6 @@ func TestReplicaSetsAcrossWords(t *testing.T) {
 		if c.TransferTime("j", "D", 8, 5, id) != 6 {
 			t.Errorf("node %d holds no replica but reads for free", id)
 		}
-	}
-
-	cp := c.Clone()
-	if !reflect.DeepEqual(cp, c) {
-		t.Fatal("a clone differs from its source")
-	}
-	cp.Commit("j", "D", 70, 300)
-	if got := c.Replicas(ds); !reflect.DeepEqual(got, ids) {
-		t.Errorf("a commit to the clone reached the source: Replicas = %v", got)
 	}
 
 	fwd := NewCatalog(ActiveReplication, 0)

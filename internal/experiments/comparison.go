@@ -56,7 +56,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 		// The critical works method, remote-access policy (S2's), so the
 		// comparison is free of replication advantages.
 		cw, err := criticalworks.Build(env, cals, job, criticalworks.Options{
-			Catalog: data.NewCatalog(data.RemoteAccess, 0),
+			Data: data.Model{Policy: data.RemoteAccess},
 		})
 		record(0, cw, err == nil && cw != nil && cw.MeetsDeadline())
 		if err != nil {
@@ -69,7 +69,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 		// The MinCost variant — deadline-constrained cost minimization —
 		// is the capability the ECT heuristics cannot express at all.
 		cwc, err := criticalworks.Build(env, cals, job, criticalworks.Options{
-			Catalog:   data.NewCatalog(data.RemoteAccess, 0),
+			Data:      data.Model{Policy: data.RemoteAccess},
 			Objective: criticalworks.MinCost,
 		})
 		record(1, cwc, err == nil && cwc != nil && cwc.MeetsDeadline())

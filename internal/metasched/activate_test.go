@@ -50,7 +50,7 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	if d == nil || len(d.Placements) < 2 {
 		t.Fatalf("the fixture needs an admissible plan of several windows, got %+v", d)
 	}
-	aj := &activeJob{result: &JobResult{Job: job, Type: strategy.S1}, manager: m, failedAt: -1}
+	aj := &activeJob{result: &JobResult{Job: job, Type: strategy.S1}, manager: m, used: map[resource.Tier]bool{}, failedAt: -1}
 	aj.install(st, true)
 
 	for task, p := range d.Placements {

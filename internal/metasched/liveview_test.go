@@ -217,3 +217,34 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 		t.Errorf("the guard looked at nothing, or the batch did not go through three pipelines")
 	}
 }
+
+// TestLiveBooksAllocs pins the VO-owned view: liveBooks refills one map the
+// VO keeps, so after the first call taking the view allocates nothing — and
+// because it is refilled from the nodes every time, not cached, it follows
+// Environment.Reset, which replaces every book.
+func TestLiveBooksAllocs(t *testing.T) {
+	env := workload.New(workload.Default(5)).Environment(3)
+	vo := NewVO(sim.New(), env, Config{Seed: 5})
+	check := func(when string) {
+		t.Helper()
+		view := vo.liveBooks()
+		if len(view) != env.NumNodes() {
+			t.Fatalf("%s: the view has %d entries for %d nodes", when, len(view), env.NumNodes())
+		}
+		for _, n := range env.Nodes() {
+			if view[n.ID] != n.Calendar() {
+				t.Fatalf("%s: the view's entry for node %d is not the live calendar", when, n.ID)
+			}
+		}
+	}
+	check("first view")
+	if allocs := testing.AllocsPerRun(100, func() { vo.liveBooks() }); allocs != 0 {
+		t.Errorf("liveBooks allocates %.1f objects per call after the first, want 0", allocs)
+	}
+	before := env.Node(0).Calendar()
+	env.Reset()
+	if env.Node(0).Calendar() == before {
+		t.Fatal("Environment.Reset kept the old book; the test no longer shows that the view follows it")
+	}
+	check("after Environment.Reset")
+}

@@ -294,7 +294,8 @@ type VO struct {
 	cfg      Config
 	managers []*JobManager
 	byDomain map[string]*JobManager
-	active   map[string]*activeJob // by job name
+	active   map[string]*activeJob   // by job name
+	books    criticalworks.Calendars // the live view, refilled by liveBooks
 	results  []*JobResult
 	extRng   *rng.Source
 	extOn    bool
@@ -327,6 +328,7 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 		cfg:       cfg,
 		byDomain:  make(map[string]*JobManager),
 		active:    make(map[string]*activeJob),
+		books:     make(criticalworks.Calendars, env.NumNodes()),
 		submitted: make(map[string]bool),
 		pending:   make(map[simtime.Time][]pendingArrival),
 		extRng:    rng.New(cfg.Seed).Split(0xE7),
@@ -571,7 +573,7 @@ func (m *JobManager) generate(ctx context.Context, aj *activeJob, books critical
 func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	aj.strat = st
 	aj.result.Scheduled = st.Scheduled
-	aj.used = make(map[resource.Tier]bool)
+	clear(aj.used)
 	aj.result.Evaluations += st.Evaluations
 	// Strategy.Collisions' order, without building its slice.
 	for _, d := range st.Distributions {

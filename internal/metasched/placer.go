@@ -91,15 +91,16 @@ func commitBefore(a, b commitKey) bool {
 // writer at a time: the engine goroutine — building synchronously in adopt
 // and fallback, between a read and a write of its own — or, while it is
 // parked in a batch's pipeline phase, that domain's pipeline. The view is
-// resolved from the nodes each time it is taken and dropped with the event:
+// one map the VO owns, refilled from the nodes each time it is taken:
 // Environment.Reset replaces the books, and nothing built from a view
-// retains a *Calendar.
+// retains a *Calendar. Refilling is the engine goroutine's alone, and it
+// never takes the view while pipelines are reading it — it is parked until
+// they join.
 func (vo *VO) liveBooks() criticalworks.Calendars {
-	out := make(criticalworks.Calendars, vo.env.NumNodes())
 	for _, n := range vo.env.Nodes() {
-		out[n.ID] = n.Calendar()
+		vo.books[n.ID] = n.Calendar()
 	}
-	return out
+	return vo.books
 }
 
 // arriveBatch is the one arrival path: it runs the metascheduler's flow

@@ -39,11 +39,13 @@ type Calendar struct {
 	gen uint64        // bumped on every mutation of res
 
 	// idx caches the derived window-query index (a max-gap tree, see
-	// index.go). It is built lazily, dropped by every mutation, and shared
-	// with clones; the atomic publication makes concurrent Clone/query
-	// traffic on a shared book race-free — a duplicate lazy build is
-	// benign, both results are identical.
-	idx atomic.Pointer[calIndex]
+	// index.go). It is built lazily and dropped by every mutation; the
+	// atomic publication makes concurrent query traffic on a shared book
+	// race-free — a duplicate lazy build is benign, both results are
+	// identical. spare is the index the last mutation dropped, parked for
+	// the next build to take (by swap, so by exactly one builder) and
+	// rebuild in place.
+	idx, spare atomic.Pointer[calIndex]
 }
 
 // NewCalendar returns an empty calendar.
@@ -72,16 +74,25 @@ func (c *Calendar) Len() int { return len(c.res) }
 // bracket a span in which the book did not change.
 func (c *Calendar) Gen() uint64 { return c.gen }
 
-// mutated invalidates the derived index; call sites bump gen alongside.
-func (c *Calendar) mutated() { c.idx.Store(nil) }
+// mutated invalidates the derived index, parking it as the spare; call sites
+// bump gen alongside. A mutation has the book to itself (a book has one
+// writer and no reader beside it), so nobody is still reading what it parks.
+func (c *Calendar) mutated() {
+	if ix := c.idx.Swap(nil); ix != nil {
+		c.spare.Store(ix)
+	}
+}
 
 // index returns the calendar's window-query index, building it on first
-// use after a mutation.
+// use after a mutation — in the spare's memory when there is one. Of several
+// readers arriving at once after a mutation only one gets the spare; the
+// others allocate, so no two ever write the same memory, and whichever
+// publishes last is the index the next mutation parks.
 func (c *Calendar) index() *calIndex {
 	if ix := c.idx.Load(); ix != nil {
 		return ix
 	}
-	ix := buildIndex(c.res)
+	ix := buildIndex(c.spare.Swap(nil), c.res)
 	c.idx.Store(ix)
 	return ix
 }
@@ -308,13 +319,11 @@ func (c *Calendar) Void() []Reservation {
 // Clone returns a deep copy of the calendar, for a caller that reserves
 // into it or keeps it while the live book moves on. The clone carries the
 // source's generation, so comparing the two later tells whether the live
-// book has moved since the copy.
+// book has moved since the copy. It does not carry the source's index: an
+// index is rebuilt in place after its book's next mutation, which must not
+// reach into the other book's readers; the copy builds its own on first use.
 func (c *Calendar) Clone() *Calendar {
 	cp := &Calendar{res: make([]Reservation, len(c.res)), gen: c.gen}
 	copy(cp.res, c.res)
-	// The index is derived from the reservation values alone, which the
-	// clone shares; publishing the same immutable index saves rebuilding
-	// it for the copy.
-	cp.idx.Store(c.idx.Load())
 	return cp
 }

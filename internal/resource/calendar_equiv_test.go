@@ -379,12 +379,87 @@ func TestCalendarIndexEquivalenceRandomOps(t *testing.T) {
 	}
 }
 
+// TestCalendarCloneRecycleInterleaved: an index is recycled — parked by a
+// mutation, rebuilt in place by the next query — so it must belong to one
+// book only. A family of books grows by cloning; every step picks a member at
+// random and mutates it (equivStep, whose own Clone case hands the member on
+// to its copy half the time), or clones it into the family, and then every
+// member — the one just touched, its source, its clones, books last queried
+// many steps ago — is cross-examined against its own linear reference. A
+// recycled index still visible from another book answers for the wrong
+// reservations and fails here.
+func TestCalendarCloneRecycleInterleaved(t *testing.T) {
+	type book struct {
+		c   *Calendar
+		ref *refCalendar
+	}
+	for seed := uint64(0); seed < 6; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			r := rng.New(100 + seed)
+			family := []book{{NewCalendar(), &refCalendar{}}}
+			for step := 0; step < 300; step++ {
+				i := r.Intn(len(family))
+				if b := family[i]; r.Intn(5) == 0 {
+					cp := book{b.c.Clone(), b.ref.Clone()}
+					if len(family) < 6 {
+						family = append(family, cp)
+					} else {
+						family[r.Intn(len(family))] = cp
+					}
+				} else {
+					family[i].c, family[i].ref = equivStep(t, step, r, b.c, b.ref)
+				}
+				probes := []simtime.Time{0, simtime.Time(r.Intn(2200)), simtime.Time(r.Intn(2200))}
+				for _, b := range family {
+					compareCalendars(t, step, b.c, b.ref, probes)
+				}
+			}
+		})
+	}
+}
+
+// TestCalendarIndexAllocs pins the index's lifecycle on a warm book: a
+// mutation parks the index, the next query rebuilds it where it lay, so
+// Reserve → FirstFree → ReleaseJob on a 32-reservation book whose slice and
+// index have reached their size allocates nothing.
+func TestCalendarIndexAllocs(t *testing.T) {
+	c := NewCalendar()
+	for k := 0; k < 32; k++ {
+		start := simtime.Time(10 * k)
+		if err := c.Reserve(simtime.Interval{Start: start, End: start + 7}, External); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		if err := c.Reserve(simtime.Interval{Start: 7, End: 10}, Owner{Job: "j", Task: "t"}); err != nil {
+			t.Fatal(err)
+		}
+		if at, ok := c.FirstFree(0, 5, simtime.Infinity); !ok || at != 320-3 {
+			t.Fatalf("FirstFree = (%d, %v), want the room after the last reservation", at, ok)
+		}
+		if c.ReleaseJob("j") != 1 {
+			t.Fatal("ReleaseJob did not find the reservation")
+		}
+		if at, ok := c.FirstFree(0, 5, simtime.Infinity); !ok || at != 320-3 {
+			t.Fatalf("FirstFree = (%d, %v) after the release", at, ok)
+		}
+	}
+	cycle() // the slice grows to 33 and the first index is built
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("Reserve → FirstFree → ReleaseJob on a warm book allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestCalendarIndexSharedSnapshotRace exercises the concurrent pattern
 // parallel per-level builds produce: many goroutines cloning one shared
 // snapshot calendar and querying their clones (plus the shared original)
 // while the index is built lazily. Run under -race this proves the
 // atomic index publication is sound; every goroutine must also see
-// identical answers.
+// identical answers. Two rounds with a mutation between them: in the second
+// the shared book has a parked index, which exactly one of the sixteen
+// first readers may take and rebuild in place while the others allocate.
 func TestCalendarIndexSharedSnapshotRace(t *testing.T) {
 	shared := NewCalendar()
 	ref := &refCalendar{}
@@ -398,40 +473,54 @@ func TestCalendarIndexSharedSnapshotRace(t *testing.T) {
 			t.Fatalf("setup reserve diverged at %d", i)
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 16)
-	for g := 0; g < 16; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gr := rng.New(uint64(1000 + g))
-			for k := 0; k < 50; k++ {
-				cal := shared
-				if k%2 == 0 {
-					cal = shared.Clone()
-				}
-				earliest := simtime.Time(gr.Intn(4200))
-				length := simtime.Time(1 + gr.Intn(30))
-				gt, gok := cal.FirstFree(earliest, length, simtime.Infinity)
-				wt, wok := ref.FirstFree(earliest, length, simtime.Infinity)
-				if gt != wt || gok != wok {
-					errs[g] = fmt.Errorf("goroutine %d: FirstFree(%d,%d) = (%d,%v), reference (%d,%v)",
-						g, earliest, length, gt, gok, wt, wok)
-					return
-				}
-				span := simtime.Interval{Start: earliest, End: earliest + 300}
-				if cal.BusyIn(span) != ref.BusyIn(span) {
-					errs[g] = fmt.Errorf("goroutine %d: BusyIn(%v) diverged", g, span)
-					return
-				}
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			if shared.idx.Load() == nil {
+				t.Fatal("the first round published no index to park")
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+			iv, o := simtime.Interval{Start: 4100, End: 4110}, Owner{Job: "between-rounds"}
+			if errC, errR := shared.Reserve(iv, o), ref.Reserve(iv, o); errC != nil || errR != nil {
+				t.Fatalf("reserve between the rounds: %v, reference %v", errC, errR)
+			}
+			if shared.idx.Load() != nil || shared.spare.Load() == nil {
+				t.Fatal("the mutation did not park the index")
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 16)
+		for g := 0; g < 16; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gr := rng.New(uint64(1000 + g))
+				for k := 0; k < 50; k++ {
+					cal := shared
+					if k%2 == 1 {
+						cal = shared.Clone()
+					}
+					earliest := simtime.Time(gr.Intn(4200))
+					length := simtime.Time(1 + gr.Intn(30))
+					gt, gok := cal.FirstFree(earliest, length, simtime.Infinity)
+					wt, wok := ref.FirstFree(earliest, length, simtime.Infinity)
+					if gt != wt || gok != wok {
+						errs[g] = fmt.Errorf("round %d, goroutine %d: FirstFree(%d,%d) = (%d,%v), reference (%d,%v)",
+							round, g, earliest, length, gt, gok, wt, wok)
+						return
+					}
+					span := simtime.Interval{Start: earliest, End: earliest + 300}
+					if cal.BusyIn(span) != ref.BusyIn(span) {
+						errs[g] = fmt.Errorf("round %d, goroutine %d: BusyIn(%v) diverged", round, g, span)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -15,6 +15,12 @@ import (
 // 6-reservation Gantt rows and Fig. 4's dense availability-sweep books —
 // plus the degenerate empty program.
 //
+// The program drives two books: the current one and the one it was last
+// cloned from (or swapped with), which every step cross-examines too. A
+// book's index is recycled in place after a mutation, so clone, mutate the
+// source, mutate the clone — in any interleaving — must leave each book
+// answering for its own reservations.
+//
 // Program encoding, per op: 1 opcode byte followed by two little-endian
 // uint16 operands (a, b). Times derive from the operands modulo a 1<<13
 // universe, which keeps all arithmetic far from int64 overflow while
@@ -54,9 +60,20 @@ func FuzzCalendarIndex(f *testing.F) {
 		[3]uint16{8, 0, 0}, [3]uint16{0, 10, 10},
 	))
 
+	// Clone, then mutate and probe the source and the clone in turn (9 swaps
+	// the two books).
+	f.Add(prog(
+		[3]uint16{0, 0, 10}, [3]uint16{0, 20, 10}, [3]uint16{0, 40, 10},
+		[3]uint16{6, 0, 15}, [3]uint16{8, 0, 0}, [3]uint16{9, 0, 0},
+		[3]uint16{0, 10, 5}, [3]uint16{6, 0, 15}, [3]uint16{9, 0, 0},
+		[3]uint16{6, 0, 15}, [3]uint16{0, 30, 8}, [3]uint16{6, 0, 15},
+		[3]uint16{9, 0, 0}, [3]uint16{1, 0, 0}, [3]uint16{6, 0, 15},
+	))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const universe = 1 << 13
 		c, ref := NewCalendar(), &refCalendar{}
+		side, sideRef := NewCalendar(), &refCalendar{}
 		owners := []Owner{
 			{Job: "job-a", Task: "t0"}, {Job: "job-a", Task: "t1"},
 			{Job: "job-b", Task: "t0"}, {Job: "job-c"}, External,
@@ -67,7 +84,7 @@ func FuzzCalendarIndex(f *testing.F) {
 			data = data[5:]
 			a := simtime.Time(a16) % universe
 			b := simtime.Time(b16)
-			switch opcode % 9 {
+			switch opcode % 10 {
 			case 0: // Reserve [a, a+b%64)
 				iv := simtime.Interval{Start: a, End: a + b%64}
 				o := owners[int(b)%len(owners)]
@@ -124,10 +141,14 @@ func FuzzCalendarIndex(f *testing.F) {
 				if got, want := c.FreeWindows(span), ref.FreeWindows(span); !sameIntervals(got, want) {
 					t.Fatalf("step %d: FreeWindows(%v) = %v, reference %v", step, span, got, want)
 				}
-			case 8: // Clone both and continue on the clones
+			case 8: // Clone both and continue on the clones, the sources beside them
+				side, sideRef = c, ref
 				c, ref = c.Clone(), ref.Clone()
+			case 9: // continue on the other book
+				c, ref, side, sideRef = side, sideRef, c, ref
 			}
 			compareCalendars(t, step, c, ref, []simtime.Time{0, a, a + b%universe})
+			compareCalendars(t, step, side, sideRef, []simtime.Time{0, a, a + b%universe})
 			step++
 		}
 	})

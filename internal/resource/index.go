@@ -12,12 +12,15 @@ import (
 // sufficiently large gap instead of scanning every reservation before
 // it.
 //
-// The index is derived data: it is built lazily on first query, thrown
-// away (atomically) by every mutation, and shared by clones — it is
-// immutable once published, so concurrent cloners and readers need no
-// lock. Reservations are sorted by Start and pairwise disjoint, which
-// makes their Ends strictly increasing; every binary search below leans
-// on that invariant.
+// The index is derived data with a three-step life: built lazily on first
+// query and published atomically; dropped by the next mutation, which parks
+// it in the book's spare slot; rebuilt in place — same struct, same gap
+// slice when it is large enough — by the first query after that. Between
+// publication and the drop it is immutable, so concurrent readers of one
+// book need no lock; it belongs to that one book and is never handed to a
+// clone, whose readers a rebuild would otherwise write under. Reservations
+// are sorted by Start and pairwise disjoint, which makes their Ends strictly
+// increasing; every binary search below leans on that invariant.
 type calIndex struct {
 	gap  []simtime.Time // implicit segment tree: max free gap per leaf range
 	size int            // leaf span of the tree (power of two ≥ n)
@@ -25,19 +28,26 @@ type calIndex struct {
 }
 
 // buildIndex constructs the index for a sorted, disjoint reservation
-// slice.
-func buildIndex(res []Reservation) *calIndex {
-	n := len(res)
-	ix := &calIndex{n: n}
-	if n == 0 {
-		return ix
+// slice, in ix's memory when ix is not nil: nobody else may hold ix.
+func buildIndex(ix *calIndex, res []Reservation) *calIndex {
+	if ix == nil {
+		ix = new(calIndex)
 	}
-	size := 1
+	n := len(res)
+	size := min(n, 1) // no leaves for an empty book
 	for size < n {
 		size <<= 1
 	}
-	ix.size = size
-	ix.gap = make([]simtime.Time, 2*size)
+	ix.n, ix.size = n, size
+	if cap(ix.gap) < 2*size {
+		ix.gap = make([]simtime.Time, 2*size)
+	} else {
+		ix.gap = ix.gap[:2*size]
+		clear(ix.gap[size+n:]) // the padding leaves
+	}
+	if n == 0 {
+		return ix
+	}
 	for i := 0; i < n-1; i++ {
 		ix.gap[size+i] = res[i+1].Interval.Start - res[i].Interval.End
 	}

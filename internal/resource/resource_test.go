@@ -284,19 +284,26 @@ func TestCalendarCloneIsolated(t *testing.T) {
 	}
 }
 
-// TestCalendarCloneWithRoom pins Clone, which the roomy variant was folded
-// back into once attempts stopped cloning books: the copy is the same book —
-// same reservations, same generation, the source's published index — at
-// exact capacity (snapshots mostly stay unwritten and must not pay for
-// room), and isolated from its source.
+// TestCalendarCloneWithRoom pins Clone: the copy is the same book — same
+// reservations, same generation — at exact capacity (snapshots mostly stay
+// unwritten and must not pay for room), and it shares nothing with its
+// source, the lazy index included. An index is rebuilt in place after its
+// book's next mutation, so one handed to a copy would be rewritten under the
+// copy's readers: mutate the source after cloning, then the clone, and both
+// must keep answering like the linear reference.
 func TestCalendarCloneWithRoom(t *testing.T) {
-	c := NewCalendar()
+	c, ref := NewCalendar(), &refCalendar{}
 	for k := 0; k < 40; k++ {
 		start := simtime.Time(10 * k)
-		if err := c.Reserve(simtime.Interval{Start: start, End: start + 5}, Owner{Job: "bg"}); err != nil {
+		iv := simtime.Interval{Start: start, End: start + 5}
+		if err := c.Reserve(iv, Owner{Job: "bg"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Reserve(iv, Owner{Job: "bg"}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	probes := []simtime.Time{0, 3, 95, 200, 399, 1000}
 	for _, indexed := range []bool{false, true} {
 		if indexed {
 			c.FirstFree(0, 6, 1000) // publishes the lazy index
@@ -304,25 +311,50 @@ func TestCalendarCloneWithRoom(t *testing.T) {
 		if got := c.idx.Load() != nil; got != indexed {
 			t.Fatalf("source index published = %v, want %v", got, indexed)
 		}
-		cp := c.Clone()
+		cp, cpRef := c.Clone(), ref.Clone()
 		if cp.Gen() != c.Gen() || !reflect.DeepEqual(cp.res, c.res) {
 			t.Fatalf("indexed=%v: clone is not a copy of its source", indexed)
 		}
-		if cp.idx.Load() != c.idx.Load() {
-			t.Errorf("indexed=%v: clone does not share the source's index", indexed)
+		if cp.idx.Load() != nil || cp.spare.Load() != nil {
+			t.Errorf("indexed=%v: clone carries an index it did not build", indexed)
 		}
 		if cap(cp.res) != len(c.res) {
 			t.Errorf("indexed=%v: clone capacity %d, want exactly %d", indexed, cap(cp.res), len(c.res))
 		}
-		if err := cp.Reserve(simtime.Interval{Start: 5, End: 10}, Owner{Job: "j"}); err != nil {
+		compareCalendars(t, 0, cp, cpRef, probes) // the clone builds its own index
+
+		// Mutate the source: its index is parked, then rebuilt in place by
+		// the next query. The clone's must not notice.
+		was := c.idx.Load()
+		iv, o := simtime.Interval{Start: 5, End: 10}, Owner{Job: "src"}
+		if err := c.Reserve(iv, o); err != nil {
 			t.Fatal(err)
 		}
-		if c.Len() != 40 || cp.Len() != 41 || c.Gen()+1 != cp.Gen() {
+		if err := ref.Reserve(iv, o); err != nil {
+			t.Fatal(err)
+		}
+		compareCalendars(t, 1, c, ref, probes)
+		if indexed && c.idx.Load() != was {
+			t.Errorf("the source's index was not rebuilt where the last one lay")
+		}
+		compareCalendars(t, 1, cp, cpRef, probes)
+
+		// Then the clone, the same way.
+		iv, o = simtime.Interval{Start: 15, End: 20}, Owner{Job: "cp"}
+		if err := cp.Reserve(iv, o); err != nil {
+			t.Fatal(err)
+		}
+		if err := cpRef.Reserve(iv, o); err != nil {
+			t.Fatal(err)
+		}
+		compareCalendars(t, 2, cp, cpRef, probes)
+		compareCalendars(t, 2, c, ref, probes)
+
+		if c.Len() != cp.Len() || c.Gen() != cp.Gen() || reflect.DeepEqual(c.res, cp.res) {
 			t.Errorf("indexed=%v: clone not isolated: source %d (gen %d), clone %d (gen %d)", indexed, c.Len(), c.Gen(), cp.Len(), cp.Gen())
 		}
-		if indexed && c.idx.Load() == nil {
-			t.Errorf("a write to the clone dropped the source's index")
-		}
+		c.Release(simtime.Interval{Start: 5, End: 10}, Owner{Job: "src"})
+		ref.Release(simtime.Interval{Start: 5, End: 10}, Owner{Job: "src"})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -480,6 +481,45 @@ func TestGenerateCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestCandidatesPerLevelInPoolOrder: the lists a generation gets in one call
+// are, level by level, the pool filtered by "up and of tier ≥ level" in the
+// pool's own order — the DP breaks ties by candidate index, so a list in any
+// other order is another plan — for a shuffled pool, the whole environment
+// (nil pool), a node down, and a family that sweeps two levels only; and no
+// list can grow into the next one's memory.
+func TestCandidatesPerLevelInPoolOrder(t *testing.T) {
+	env := mixedEnv()
+	env.Node(1).MarkDown(0)
+	for _, pool := range [][]resource.NodeID{nil, {4, 0, 3, 1, 2}, {2, 1}, {1}} {
+		for _, typ := range []Type{S1, MS1} {
+			g := &Generator{Env: env, Pool: pool}
+			levels := typ.Levels()
+			got := g.candidates(levels)
+			if len(got) != len(levels) {
+				t.Fatalf("pool %v, %v: %d lists for %d levels", pool, typ, len(got), len(levels))
+			}
+			from := pool
+			if from == nil {
+				from = []resource.NodeID{0, 1, 2, 3, 4}
+			}
+			for i, level := range levels {
+				var want []resource.NodeID
+				for _, id := range from {
+					if n := env.Node(id); n.Up() && n.Tier() >= level {
+						want = append(want, id)
+					}
+				}
+				if !slices.Equal(got[i], want) {
+					t.Errorf("pool %v, %v, level %d: candidates %v, want %v", pool, typ, level, got[i], want)
+				}
+				if cap(got[i]) != len(got[i]) {
+					t.Errorf("pool %v, %v, level %d: the list has room to grow into its neighbour", pool, typ, level)
+				}
+			}
+		}
+	}
+}
+
 // TestConcurrentLevelsShareBaseBooks runs the level sweep at Workers 4 —
 // and four such sweeps at once, as the placer pool does — over ONE base
 // view whose books carry background load. Builds read the view they are
@@ -488,7 +528,11 @@ func TestGenerateCtxCancellation(t *testing.T) {
 // and no base book may move. The concurrent sweeps start on books that
 // were just written — as the live books are after a commit — so no book
 // has a published window-query index and the sixteen builds race to
-// publish it lazily.
+// publish it lazily. Every family gets two rounds. The second starts from
+// books the first round's sequential reference left indexed and a write has
+// moved since: each holds a parked index, which exactly one of its
+// concurrent first readers may take and rebuild in place while the others
+// build their own (resource.Calendar.index).
 func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 	env := mixedEnv()
 	base := criticalworks.EmptyCalendars(env)
@@ -519,42 +563,44 @@ func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
 
 	job := fig2Job(60)
 	for _, typ := range AllTypes {
-		dropIndexes()
-		before := make(map[resource.NodeID]book, len(base))
-		for id, c := range base {
-			before[id] = book{gen: c.Gen(), res: c.Reservations()}
-		}
-		got := make([]*Strategy, 4)
-		var wg sync.WaitGroup
-		for i := range got {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				s, err := (&Generator{Env: env, Workers: 4}).Generate(job, typ, base, 0)
-				if err != nil {
-					t.Error(err)
+		for round := 0; round < 2; round++ {
+			dropIndexes()
+			before := make(map[resource.NodeID]book, len(base))
+			for id, c := range base {
+				before[id] = book{gen: c.Gen(), res: c.Reservations()}
+			}
+			got := make([]*Strategy, 4)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					s, err := (&Generator{Env: env, Workers: 4}).Generate(job, typ, base, 0)
+					if err != nil {
+						t.Error(err)
+					}
+					got[i] = s
+				}(i)
+			}
+			wg.Wait()
+			// The sequential reference runs last: it would publish the indexes.
+			want, err := (&Generator{Env: env}).Generate(job, typ, base, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range got {
+				if s == nil {
+					continue // reported above
 				}
-				got[i] = s
-			}(i)
-		}
-		wg.Wait()
-		// The sequential reference runs last: it would publish the indexes.
-		want, err := (&Generator{Env: env}).Generate(job, typ, base, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range got {
-			if s == nil {
-				continue // reported above
+				if !reflect.DeepEqual(s.Distributions, want.Distributions) || !reflect.DeepEqual(s.FailedLevels, want.FailedLevels) ||
+					!reflect.DeepEqual(s.PartialCollisions, want.PartialCollisions) || s.Evaluations != want.Evaluations {
+					t.Errorf("%v, round %d: concurrent sweep %d differs from the sequential strategy", typ, round, i)
+				}
 			}
-			if !reflect.DeepEqual(s.Distributions, want.Distributions) || !reflect.DeepEqual(s.FailedLevels, want.FailedLevels) ||
-				!reflect.DeepEqual(s.PartialCollisions, want.PartialCollisions) || s.Evaluations != want.Evaluations {
-				t.Errorf("%v: concurrent sweep %d differs from the sequential strategy", typ, i)
-			}
-		}
-		for id, c := range base {
-			if c.Gen() != before[id].gen || !reflect.DeepEqual(c.Reservations(), before[id].res) {
-				t.Errorf("%v: base book of node %d moved (gen %d → %d)", typ, id, before[id].gen, c.Gen())
+			for id, c := range base {
+				if c.Gen() != before[id].gen || !reflect.DeepEqual(c.Reservations(), before[id].res) {
+					t.Errorf("%v, round %d: base book of node %d moved (gen %d → %d)", typ, round, id, before[id].gen, c.Gen())
+				}
 			}
 		}
 	}
