@@ -8,7 +8,7 @@ import (
 
 // Clustering is the result of coarse-graining a job: a new Job whose tasks
 // are merged linear runs of the original tasks, plus the mapping from each
-// original task to its macro-task.
+// original task to its macro-task and back, by index.
 //
 // Coarse-grain strategies (the paper's S3 family) schedule fewer, larger
 // tasks: every maximal linear run — consecutive tasks where each has exactly
@@ -18,8 +18,8 @@ import (
 // Transfers internal to a run disappear (the data never leaves the node).
 type Clustering struct {
 	Job     *Job
-	Macro   map[TaskID]TaskID // original task -> macro task in Job
-	Members map[TaskID][]TaskID
+	Macro   []TaskID   // original task -> macro task in Job
+	Members [][]TaskID // macro task -> its original tasks, along the run
 }
 
 // Coarsen builds the chain clustering of j. The deadline carries over.
@@ -114,12 +114,9 @@ edges:
 	if err != nil {
 		return nil, fmt.Errorf("dag: coarsen %q: %w", j.Name, err)
 	}
-	c := &Clustering{Job: cj, Macro: make(map[TaskID]TaskID, n), Members: make(map[TaskID][]TaskID, runs)}
-	for id, k := range macro {
-		c.Macro[TaskID(id)] = k
+	runsOf := make([][]TaskID, runs)
+	for k := range runsOf {
+		runsOf[k] = members[off[k]:off[k+1]:off[k+1]]
 	}
-	for k := 0; k < runs; k++ {
-		c.Members[TaskID(k)] = members[off[k]:off[k+1]:off[k+1]]
-	}
-	return c, nil
+	return &Clustering{Job: cj, Macro: macro, Members: runsOf}, nil
 }

@@ -10,6 +10,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"repro/internal/simtime"
 )
@@ -56,16 +58,18 @@ type Job struct {
 	topo           []int32
 }
 
-// Builder assembles a Job. Methods panic on structural misuse (duplicate
-// task names, unknown endpoints) because job construction in this codebase
-// is always programmatic; Build returns an error for graph-level problems
-// (cycles, emptiness) that can depend on runtime data.
+// Builder assembles a Job. Tasks are added by name and edges between task
+// IDs (Link): a caller resolves a name to its ID once, where it reads the
+// name, and Edge is by-name sugar over Link for hand-built graphs. Methods
+// panic on structural misuse (unknown endpoints, self-loops, bad weights)
+// because job construction in this codebase is always programmatic; Build
+// returns an error for graph-level problems (emptiness, duplicate task
+// names, cycles) that can depend on runtime data.
 type Builder struct {
 	name     string
 	deadline simtime.Time
 	tasks    []Task
 	edges    []Edge
-	byName   map[string]TaskID
 }
 
 // NewBuilder starts a job named name.
@@ -79,9 +83,6 @@ func NewBuilder(name string) *Builder {
 func (b *Builder) Grow(tasks, edges int) *Builder {
 	b.tasks = slices.Grow(b.tasks, tasks)
 	b.edges = slices.Grow(b.edges, edges)
-	if b.byName == nil {
-		b.byName = make(map[string]TaskID, tasks)
-	}
 	return b
 }
 
@@ -91,12 +92,10 @@ func (b *Builder) Deadline(d simtime.Time) *Builder {
 	return b
 }
 
-// Task adds a task and returns its ID. baseTime must be positive and volume
-// non-negative.
+// Task adds a task and returns its ID, which Link takes. baseTime must be
+// positive and volume non-negative. A name another task already has is not
+// refused here: Build reports the duplicate.
 func (b *Builder) Task(name string, baseTime simtime.Time, volume int64) TaskID {
-	if _, dup := b.byName[name]; dup {
-		panic(fmt.Sprintf("dag: duplicate task %q", name))
-	}
 	if baseTime <= 0 {
 		panic(fmt.Sprintf("dag: task %q has non-positive base time %d", name, baseTime))
 	}
@@ -105,31 +104,44 @@ func (b *Builder) Task(name string, baseTime simtime.Time, volume int64) TaskID 
 	}
 	id := TaskID(len(b.tasks))
 	b.tasks = append(b.tasks, Task{ID: id, Name: name, BaseTime: baseTime, Volume: volume})
-	if b.byName == nil {
-		b.byName = make(map[string]TaskID)
-	}
-	b.byName[name] = id
 	return id
 }
 
-// Edge adds a data transfer from task `from` to task `to` (by name).
-func (b *Builder) Edge(name, from, to string, baseTime simtime.Time, volume int64) *Builder {
-	f, ok := b.byName[from]
-	if !ok {
-		panic(fmt.Sprintf("dag: edge %q references unknown task %q", name, from))
+// Link adds a data transfer from task `from` to task `to`, by the IDs Task
+// returned.
+func (b *Builder) Link(name string, from, to TaskID, baseTime simtime.Time, volume int64) *Builder {
+	for _, id := range [2]TaskID{from, to} {
+		if id < 0 || int(id) >= len(b.tasks) {
+			panic(fmt.Sprintf("dag: edge %q references unknown task %d", name, id))
+		}
 	}
-	t, ok := b.byName[to]
-	if !ok {
-		panic(fmt.Sprintf("dag: edge %q references unknown task %q", name, to))
-	}
-	if f == t {
-		panic(fmt.Sprintf("dag: edge %q is a self-loop on %q", name, from))
+	if from == to {
+		panic(fmt.Sprintf("dag: edge %q is a self-loop on %q", name, b.tasks[from].Name))
 	}
 	if baseTime < 0 || volume < 0 {
 		panic(fmt.Sprintf("dag: edge %q has negative weight", name))
 	}
-	b.edges = append(b.edges, Edge{Name: name, From: f, To: t, BaseTime: baseTime, Volume: volume})
+	b.edges = append(b.edges, Edge{Name: name, From: from, To: to, BaseTime: baseTime, Volume: volume})
 	return b
+}
+
+// Edge is Link by task name, for small hand-built graphs: each endpoint is
+// found by a scan of the tasks added so far, so a graph built by name costs
+// O(tasks × edges). A caller with many tasks keeps the IDs Task returns and
+// calls Link. Of two tasks with one name Edge finds the first; Build then
+// refuses the job.
+func (b *Builder) Edge(name, from, to string, baseTime simtime.Time, volume int64) *Builder {
+	return b.Link(name, b.lookup(name, from), b.lookup(name, to), baseTime, volume)
+}
+
+// lookup returns the ID of the first task named task, for edge `edge`.
+func (b *Builder) lookup(edge, task string) TaskID {
+	for _, t := range b.tasks {
+		if t.Name == task {
+			return t.ID
+		}
+	}
+	panic(fmt.Sprintf("dag: edge %q references unknown task %q", edge, task))
 }
 
 // Build validates the graph and returns the immutable Job. The job takes
@@ -153,6 +165,9 @@ func (b *Builder) Build() (*Job, error) {
 	j.inOff, slab = slab[:n+1:n+1], slab[n+1:]
 	j.outIdx, slab = slab[:m:m], slab[m:]
 	j.inIdx, j.topo = slab[:m:m], slab[m:]
+	if err := j.checkNames(); err != nil {
+		return nil, err
+	}
 	// Counting sort by endpoint: degrees, then prefix sums, then each edge
 	// into its task's run — in edge order, so a run keeps insertion order.
 	for _, e := range j.edges {
@@ -187,6 +202,22 @@ func (b *Builder) MustBuild() *Job {
 		panic(err)
 	}
 	return j
+}
+
+// checkNames returns an error naming a task name that two tasks share. It
+// sorts the task IDs by name in j.topo, which computeTopo overwrites next.
+func (j *Job) checkNames() error {
+	ids := j.topo
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(j.tasks[a].Name, j.tasks[b].Name) })
+	for i := 1; i < len(ids); i++ {
+		if name := j.tasks[ids[i]].Name; name == j.tasks[ids[i-1]].Name {
+			return fmt.Errorf("dag: job %q has duplicate task %q", j.Name, name)
+		}
+	}
+	return nil
 }
 
 // computeTopo fills j.topo with the deterministic topological order — Kahn's
@@ -533,10 +564,16 @@ func lessTaskSeq(a, b []TaskID) bool {
 	return len(a) < len(b)
 }
 
+// chainBufs holds the working memory of CriticalPathLength's searches.
+var chainBufs = sync.Pool{New: func() any { return new(ChainBuf) }}
+
 // CriticalPathLength returns the weight of the longest chain in the whole
 // job — the lower bound on the job's makespan on unlimited fastest nodes.
+// It searches in a pooled ChainBuf and allocates nothing once warm.
 func (j *Job) CriticalPathLength(w WeightFunc) simtime.Time {
-	c, ok := j.LongestChain(w, nil)
+	buf := chainBufs.Get().(*ChainBuf)
+	defer chainBufs.Put(buf)
+	c, ok := j.LongestChainBuf(buf, w, nil)
 	if !ok {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,17 +61,27 @@ func TestBuilderPanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"dup task", func() {
-			b := NewBuilder("x")
-			b.Task("A", 1, 1)
-			b.Task("A", 1, 1)
-		}},
 		{"zero base time", func() { NewBuilder("x").Task("A", 0, 1) }},
 		{"negative volume", func() { NewBuilder("x").Task("A", 1, -1) }},
 		{"unknown edge endpoint", func() {
 			b := NewBuilder("x")
 			b.Task("A", 1, 1)
 			b.Edge("e", "A", "B", 1, 1)
+		}},
+		{"unknown edge ID", func() {
+			b := NewBuilder("x")
+			a := b.Task("A", 1, 1)
+			b.Link("e", a, a+1, 1, 1)
+		}},
+		{"negative edge ID", func() {
+			b := NewBuilder("x")
+			a := b.Task("A", 1, 1)
+			b.Link("e", -1, a, 1, 1)
+		}},
+		{"negative edge weight", func() {
+			b := NewBuilder("x")
+			a, c := b.Task("A", 1, 1), b.Task("C", 1, 1)
+			b.Link("e", a, c, -1, 1)
 		}},
 		{"self loop", func() {
 			b := NewBuilder("x")
@@ -87,6 +98,21 @@ func TestBuilderPanics(t *testing.T) {
 			}()
 			tc.fn()
 		})
+	}
+}
+
+// TestBuildRejectsDuplicateTasks: two tasks of one name are a Build error,
+// naming the name, wherever the two sit among the tasks.
+func TestBuildRejectsDuplicateTasks(t *testing.T) {
+	for _, names := range [][]string{{"A", "A"}, {"B", "A", "C", "A"}, {"Z", "Y", "X", "Z"}} {
+		b := NewBuilder("x")
+		for _, name := range names {
+			b.Task(name, 1, 1)
+		}
+		_, err := b.Build()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duplicate task %q", names[len(names)-1])) {
+			t.Errorf("%v: Build error %v, want a duplicate task %q", names, err, names[len(names)-1])
+		}
 	}
 }
 
@@ -517,9 +543,11 @@ func TestQuickCoarsenPreservesTotals(t *testing.T) {
 			return false
 		}
 		// Every original task maps to a valid macro task.
-		for id := 0; id < j.NumTasks(); id++ {
-			m, ok := c.Macro[TaskID(id)]
-			if !ok || int(m) >= c.Job.NumTasks() {
+		if len(c.Macro) != j.NumTasks() || len(c.Members) != c.Job.NumTasks() {
+			return false
+		}
+		for _, m := range c.Macro {
+			if m < 0 || int(m) >= c.Job.NumTasks() {
 				return false
 			}
 		}
@@ -539,9 +567,9 @@ func TestQuickCoarsenAcyclicAndConsistent(t *testing.T) {
 			return false
 		}
 		seen := make(map[TaskID]bool)
-		for _, ms := range c.Members {
+		for k, ms := range c.Members {
 			for _, m := range ms {
-				if seen[m] {
+				if seen[m] || c.Macro[m] != TaskID(k) {
 					return false
 				}
 				seen[m] = true
@@ -692,7 +720,7 @@ func (j *refJob) longestChain(w WeightFunc, include func(TaskID) bool) (Chain, b
 
 // refCoarsen returns the coarse graph, every task's macro task and every
 // macro task's members.
-func refCoarsen(j *refJob) (*refJob, map[TaskID]TaskID, map[TaskID][]TaskID, error) {
+func refCoarsen(j *refJob) (*refJob, []TaskID, [][]TaskID, error) {
 	n := len(j.tasks)
 	mergeWithPred := make([]bool, n)
 	for id := 0; id < n; id++ {
@@ -774,11 +802,11 @@ func refCoarsen(j *refJob) (*refJob, map[TaskID]TaskID, map[TaskID][]TaskID, err
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	macro := make(map[TaskID]TaskID)
-	for id := 0; id < n; id++ {
-		macro[TaskID(id)] = macroOf[rep[id]]
+	macro := make([]TaskID, n)
+	for id := range macro {
+		macro[id] = macroOf[rep[id]]
 	}
-	mem := make(map[TaskID][]TaskID)
+	mem := make([][]TaskID, len(tasks))
 	for r, ms := range members {
 		mem[macroOf[r]] = ms
 	}
@@ -957,6 +985,24 @@ func TestFlatJobMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: the job does not hold what the builder was fed", seed)
 			}
 			CheckAgainstReference(t, j)
+		}
+	}
+}
+
+// TestCriticalPathLengthAllocs: the whole-job chain search runs in pooled
+// memory, so once it has served a job that large it allocates nothing,
+// under any weights.
+func TestCriticalPathLengthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
+	}
+	noEdges := WeightFunc{Edge: func(Edge) simtime.Time { return 0 }}
+	for _, j := range []*Job{fig2Job(t), randomJob(rng.New(3), 40)} {
+		j.CriticalPathLength(WeightFunc{})
+		for _, w := range []WeightFunc{{}, noEdges} {
+			if allocs := testing.AllocsPerRun(100, func() { j.CriticalPathLength(w) }); allocs != 0 {
+				t.Errorf("%s: %.0f allocs per CriticalPathLength, want 0", j.Name, allocs)
+			}
 		}
 	}
 }

@@ -341,6 +341,7 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 	r.th.submitted.Inc()
 	typ, err := strategy.ParseType(strategyName)
 	if err == nil {
+		// The graph is built and dropped: only Build finds a cycle.
 		_, err = wire.ToJob()
 	}
 

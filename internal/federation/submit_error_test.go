@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobio"
 	"repro/internal/service"
 )
 
@@ -53,6 +54,14 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		b, _ := json.Marshal(SubmitRequest{Job: testJob(id, deadline), Strategy: strategy})
 		return string(b)
 	}
+	// A job whose graph is a cycle passes every check on the wire form; only
+	// building the graph finds it.
+	cyclic := func(id string) string {
+		j := testJob(id, 60)
+		j.Edges = append(j.Edges, jobio.Edge{Name: "back", From: "B", To: "A", BaseTime: 1, Volume: 5})
+		b, _ := json.Marshal(SubmitRequest{Job: j, Strategy: "S1"})
+		return string(b)
+	}
 	// Each step posts one body to a tier; want is the refusal code expected
 	// there ("" = 202), keyed by tier where the tiers legitimately differ:
 	// only a shard judges feasibility and bounds its queue.
@@ -65,6 +74,8 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		{name: "duplicate", body: body("a", 60, "S1"),
 			want: map[string]string{"gridd": service.CodeDuplicate, "gridfront": service.CodeDuplicate}},
 		{name: "invalid strategy", body: body("b", 60, "NOPE"),
+			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
+		{name: "cycle", body: cyclic("i"),
 			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
 		{name: "malformed", body: `{"name": 7}`,
 			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
@@ -116,7 +127,7 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 
 	// Nothing that rode in a refused body reached a ledger.
 	for _, tr := range tiers {
-		for _, id := range []string{"f", "g", "h"} {
+		for _, id := range []string{"f", "g", "h", "i"} {
 			rec := httptest.NewRecorder()
 			tr.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
 			if rec.Code != http.StatusNotFound {

@@ -50,7 +50,7 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	if d == nil || len(d.Placements) < 2 {
 		t.Fatalf("the fixture needs an admissible plan of several windows, got %+v", d)
 	}
-	aj := &activeJob{result: &JobResult{Job: job, Type: strategy.S1}, manager: m, used: map[resource.Tier]bool{}, failedAt: -1}
+	aj := &activeJob{result: &JobResult{Job: job, Type: strategy.S1}, manager: m, failedAt: -1}
 	aj.install(st, true)
 
 	for task, p := range d.Placements {
@@ -66,7 +66,7 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 		if now := recordLive(env); !reflect.DeepEqual(now, before) {
 			t.Errorf("task %d: a refused plan moved the live books", task)
 		}
-		if len(aj.used) != 0 || aj.current != nil || aj.everActivated {
+		if aj.used != (strategy.Levels{}) || aj.current != nil || aj.everActivated {
 			t.Errorf("task %d: a refused plan changed the job: used %v, current %v", task, aj.used, aj.current)
 		}
 		if e.Pending() != pending || len(events) != traced {
@@ -94,7 +94,9 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	if now := recordLive(env); !reflect.DeepEqual(now, want) {
 		t.Errorf("the booked plan changed the books by something other than its placements")
 	}
-	if !aj.used[d.Level] || len(aj.used) != 1 || aj.current != d {
+	var used strategy.Levels
+	used[d.Level] = true
+	if aj.used != used || aj.current != d {
 		t.Errorf("after booking level %d: used %v, current %v", d.Level, aj.used, aj.current)
 	}
 	// A start and a finish event (no fault injection), one activate record.

@@ -101,7 +101,6 @@ func (p *fuzzPlan) offer(vo *VO) bool {
 		result:   &JobResult{Job: job},
 		strat:    &strategy.Strategy{Job: job, Scheduled: job},
 		manager:  vo.managers[0],
-		used:     map[resource.Tier]bool{},
 		failedAt: -1,
 	}
 	return aj.manager.activate(aj, d)

@@ -263,14 +263,14 @@ type activeJob struct {
 	result        *JobResult
 	strat         *strategy.Strategy
 	manager       *JobManager
-	used          map[resource.Tier]bool
+	used          strategy.Levels // levels activated since the strategy was installed
 	current       *strategy.Distribution
 	activate      simtime.Time // when the current plan was activated
 	everActivated bool
 	finishEv      sim.Handle
 	startEv       sim.Handle
 	failEv        sim.Handle
-	triedDom      map[string]bool
+	triedDom      []bool       // by JobManager.idx: domains the job was placed in
 	retries       int          // recovery attempts consumed
 	failedAt      simtime.Time // last unrecovered failure time, -1 if none
 }
@@ -278,6 +278,7 @@ type activeJob struct {
 // JobManager owns one domain's nodes and keeps its jobs' strategies alive.
 type JobManager struct {
 	vo     *VO
+	idx    int // in vo.managers
 	domain string
 	pool   []resource.NodeID
 	gen    *strategy.Generator
@@ -293,7 +294,6 @@ type VO struct {
 	env      *resource.Environment
 	cfg      Config
 	managers []*JobManager
-	byDomain map[string]*JobManager
 	active   map[string]*activeJob   // by job name
 	books    criticalworks.Calendars // the live view, refilled by liveBooks
 	results  []*JobResult
@@ -326,7 +326,6 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 		engine:    engine,
 		env:       env,
 		cfg:       cfg,
-		byDomain:  make(map[string]*JobManager),
 		active:    make(map[string]*activeJob),
 		books:     make(criticalworks.Calendars, env.NumNodes()),
 		submitted: make(map[string]bool),
@@ -347,6 +346,7 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 		}
 		m := &JobManager{
 			vo:     vo,
+			idx:    len(vo.managers),
 			domain: dom,
 			pool:   pool,
 			gen: &strategy.Generator{
@@ -361,7 +361,6 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 			},
 		}
 		vo.managers = append(vo.managers, m)
-		vo.byDomain[dom] = m
 	}
 	if cfg.ExternalMeanGap > 0 {
 		vo.extOn = true
@@ -447,6 +446,12 @@ func (vo *VO) domainAllowed(domain string) bool {
 	return vo.cfg.DomainFilter == nil || vo.cfg.DomainFilter(domain)
 }
 
+// excluded reports whether placement may not pick this domain: set in
+// except (by idx; nil excludes none), vetoed by the DomainFilter, or down.
+func (m *JobManager) excluded(except []bool) bool {
+	return (except != nil && except[m.idx]) || !m.vo.env.DomainUp(m.domain) || !m.vo.domainAllowed(m.domain)
+}
+
 // buildCtx returns the job's build-bounding context, or Background.
 func (vo *VO) buildCtx(jobName string) context.Context {
 	if vo.cfg.BuildCtx == nil {
@@ -458,19 +463,19 @@ func (vo *VO) buildCtx(jobName string) context.Context {
 	return context.Background()
 }
 
-// placeJob applies the configured placement policy, excluding `except`,
-// domains vetoed by the DomainFilter (circuit breaker) and (degraded-mode
-// placement) domains whose every node is down. counts holds the jobs the
-// current arrival batch already assigned to each domain (nil outside a
-// batch): least-loaded placement ranks by it first, so a batch spreads
-// out instead of piling onto the domain that was lightest before any of
-// them landed. Round-robin needs no correction — the cursor advances per
-// call.
-func (vo *VO) placeJob(except map[string]bool, counts map[string]int) *JobManager {
+// placeJob applies the configured placement policy, excluding the domains
+// set in `except` (by JobManager.idx; nil excludes none), domains vetoed by
+// the DomainFilter (circuit breaker) and (degraded-mode placement) domains
+// whose every node is down. counts holds the jobs the current arrival batch
+// already assigned to each domain, by JobManager.idx (nil outside a batch):
+// least-loaded placement ranks by it first, so a batch spreads out instead
+// of piling onto the domain that was lightest before any of them landed.
+// Round-robin needs no correction — the cursor advances per call.
+func (vo *VO) placeJob(except []bool, counts []int) *JobManager {
 	if vo.cfg.Placement == PlaceRoundRobin {
 		for i := 0; i < len(vo.managers); i++ {
 			m := vo.managers[(vo.rrNext+i)%len(vo.managers)]
-			if except[m.domain] || !vo.env.DomainUp(m.domain) || !vo.domainAllowed(m.domain) {
+			if m.excluded(except) {
 				continue
 			}
 			vo.rrNext = (vo.rrNext + i + 1) % len(vo.managers)
@@ -573,7 +578,7 @@ func (m *JobManager) generate(ctx context.Context, aj *activeJob, books critical
 func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	aj.strat = st
 	aj.result.Scheduled = st.Scheduled
-	clear(aj.used)
+	aj.used = strategy.Levels{}
 	aj.result.Evaluations += st.Evaluations
 	// Strategy.Collisions' order, without building its slice.
 	for _, d := range st.Distributions {
@@ -819,7 +824,7 @@ func (vo *VO) reallocate(aj *activeJob) {
 		vo.finalize(aj, StateRejected)
 		return
 	}
-	aj.triedDom[next.domain] = true
+	aj.triedDom[next.idx] = true
 	aj.result.Reallocations++
 	aj.result.Domain = next.domain
 	aj.manager = next

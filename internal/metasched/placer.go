@@ -7,7 +7,6 @@ import (
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/parallel"
-	"repro/internal/resource"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
@@ -108,7 +107,7 @@ func (vo *VO) liveBooks() criticalworks.Calendars {
 // the way sequential arrivals would; with every domain down the job is
 // rejected on arrival) and hands the placeable ones to the pipelines.
 func (vo *VO) arriveBatch(batch []pendingArrival) {
-	counts := make(map[string]int)
+	counts := make([]int, len(vo.managers))
 	work := make([]*batchJob, 0, len(batch))
 	for _, p := range batch {
 		m := vo.placeJob(nil, counts)
@@ -120,8 +119,7 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 		}
 		aj := &activeJob{
 			result:   res,
-			used:     make(map[resource.Tier]bool),
-			triedDom: map[string]bool{},
+			triedDom: make([]bool, len(vo.managers)),
 			failedAt: -1,
 		}
 		if m == nil {
@@ -129,10 +127,10 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 			vo.finalize(aj, StateRejected)
 			continue
 		}
-		counts[m.domain]++
+		counts[m.idx]++
 		res.Domain = m.domain
 		aj.manager = m
-		aj.triedDom[m.domain] = true
+		aj.triedDom[m.idx] = true
 		if vo.cfg.Telemetry != nil {
 			vo.cfg.Telemetry.Counter("grid_metasched_placements_total",
 				"jobs placed by the metascheduler, per domain", telemetry.L("domain", m.domain)).Inc()
@@ -146,16 +144,16 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 
 // leastLoadedWith returns the manager that comes first by (jobs assigned
 // this batch, reserved future ticks over its pool, domain name), excluding
-// domains in `except`, vetoed domains and fully-down domains. counts is
-// nil outside a batch.
-func (vo *VO) leastLoadedWith(except map[string]bool, counts map[string]int) *JobManager {
+// domains set in `except`, vetoed domains and fully-down domains. except
+// and counts are by JobManager.idx; counts is nil outside a batch.
+func (vo *VO) leastLoadedWith(except []bool, counts []int) *JobManager {
 	now := vo.engine.Now()
 	span := simtime.Interval{Start: now, End: now + 1000}
 	var best *JobManager
 	var bestLoad float64
 	bestCount := 0
 	for _, m := range vo.managers {
-		if except[m.domain] || !vo.env.DomainUp(m.domain) || !vo.domainAllowed(m.domain) {
+		if m.excluded(except) {
 			continue
 		}
 		var load float64
@@ -163,7 +161,10 @@ func (vo *VO) leastLoadedWith(except map[string]bool, counts map[string]int) *Jo
 			load += float64(vo.env.Node(id).Calendar().BusyIn(span))
 		}
 		load /= float64(len(m.pool))
-		c := counts[m.domain]
+		c := 0
+		if counts != nil {
+			c = counts[m.idx]
+		}
 		better := best == nil || c < bestCount ||
 			(c == bestCount && (load < bestLoad || (load == bestLoad && m.domain < best.domain)))
 		if better {

@@ -236,7 +236,7 @@ func TestAdmissibleAfterSkipsUsedLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := map[resource.Tier]bool{}
+	var used Levels
 	var picked []resource.Tier
 	for {
 		d := s.AdmissibleAfter(used)

@@ -7,6 +7,9 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/resource"
@@ -144,98 +147,149 @@ func (g *Generator) Environment(domains int) *resource.Environment {
 // non-source task has at least one predecessor in the previous layer and
 // every non-sink at least one successor, so the graph is a single weakly
 // connected component with full parallel structure.
-func (g *Generator) Job(idx int) *dag.Job {
+func (g *Generator) Job(idx int) *dag.Job { return g.job(idx, 0) }
+
+// job is Job with the deadline moved `at` later: a flow's job is anchored
+// at its arrival.
+//
+// The job is drawn by task index — task P_k is ID k-1, transfer D_k the
+// k-th edge drawn — into pooled scratch, and built once the draws are done:
+// only then is it known how many names P1.. and D1.. to cut, from one
+// string each.
+func (g *Generator) job(idx int, at simtime.Time) *dag.Job {
+	cfg := &g.cfg
 	r := g.jobRNG(uint64(idx))
-	name := fmt.Sprintf("job-%05d", idx)
-	b := dag.NewBuilder(name)
+	s := scratch.Get().(*jobScratch)
+	defer scratch.Put(s)
+	s.tasks, s.elems, s.rows, s.pipe, s.edges = s.tasks[:0], s.elems[:0], s.rows[:0], s.pipe[:0], s.edges[:0]
 
-	newTask := func(taskNo int) string {
-		name := fmt.Sprintf("P%d", taskNo)
-		b.Task(name,
-			simtime.Time(r.Int64Between(int64(g.cfg.BaseTimeLo), int64(g.cfg.BaseTimeHi))),
-			r.Int64Between(g.cfg.VolumeLo, g.cfg.VolumeHi))
-		return name
+	newTask := func() dag.TaskID {
+		s.tasks = append(s.tasks, dag.Task{
+			BaseTime: simtime.Time(r.Int64Between(int64(cfg.BaseTimeLo), int64(cfg.BaseTimeHi))),
+			Volume:   r.Int64Between(cfg.VolumeLo, cfg.VolumeHi),
+		})
+		return dag.TaskID(len(s.tasks) - 1)
 	}
-
 	// Each layer element is a small pipeline: a head task optionally
 	// extended by a linear run. Incoming edges attach to the head,
 	// outgoing edges leave from the tail — the linear runs are what
 	// coarse-grain (S3) clustering merges into macro tasks.
-	type element struct{ head, tail string }
-	layers := r.IntBetween(g.cfg.MinLayers, g.cfg.MaxLayers)
-	var rows [][]element
-	taskNo := 0
-	edgeNo := 0
-	var pipeEdges []struct{ from, to string }
+	layers := r.IntBetween(cfg.MinLayers, cfg.MaxLayers)
 	for l := 0; l < layers; l++ {
+		s.rows = append(s.rows, len(s.elems))
 		width := 1
 		if l > 0 && l < layers-1 {
-			width = r.IntBetween(g.cfg.MinWidth, g.cfg.MaxWidth)
+			width = r.IntBetween(cfg.MinWidth, cfg.MaxWidth)
 		}
-		row := make([]element, width)
 		for w := 0; w < width; w++ {
-			taskNo++
-			head := newTask(taskNo)
+			head := newTask()
 			tail := head
-			if g.cfg.MaxPipeline > 0 && r.Bool(g.cfg.PipelineProb) {
-				for k := r.IntBetween(1, g.cfg.MaxPipeline); k > 0; k-- {
-					taskNo++
-					next := newTask(taskNo)
-					pipeEdges = append(pipeEdges, struct{ from, to string }{tail, next})
+			if cfg.MaxPipeline > 0 && r.Bool(cfg.PipelineProb) {
+				for k := r.IntBetween(1, cfg.MaxPipeline); k > 0; k-- {
+					next := newTask()
+					s.pipe = append(s.pipe, dag.Edge{From: tail, To: next})
 					tail = next
 				}
 			}
-			row[w] = element{head: head, tail: tail}
+			s.elems = append(s.elems, element{head: head, tail: tail})
 		}
-		rows = append(rows, row)
 	}
-	hasEdge := make(map[string]bool) // "from>to" pairs already connected
-	outDeg := make(map[string]int)
-	addEdge := func(from, to string) {
-		key := from + ">" + to
-		if hasEdge[key] {
+	s.rows = append(s.rows, len(s.elems))
+
+	n := len(s.tasks)
+	s.adj = append(s.adj[:0], make([]uint64, (n*n+63)/64)...) // bit from*n+to: from→to is an edge
+	s.outDeg = append(s.outDeg[:0], make([]int32, n)...)
+	addEdge := func(from, to dag.TaskID) {
+		bit := int(from)*n + int(to)
+		if s.adj[bit/64]&(1<<(bit%64)) != 0 {
 			return
 		}
-		hasEdge[key] = true
-		outDeg[from]++
-		edgeNo++
-		b.Edge(fmt.Sprintf("D%d", edgeNo), from, to,
-			simtime.Time(r.Int64Between(int64(g.cfg.TransferLo), int64(g.cfg.TransferHi))),
-			r.Int64Between(g.cfg.TransferVolLo, g.cfg.VolHi))
+		s.adj[bit/64] |= 1 << (bit % 64)
+		s.outDeg[from]++
+		s.edges = append(s.edges, dag.Edge{From: from, To: to,
+			BaseTime: simtime.Time(r.Int64Between(int64(cfg.TransferLo), int64(cfg.TransferHi))),
+			Volume:   r.Int64Between(cfg.TransferVolLo, cfg.VolHi),
+		})
 	}
-	for _, pe := range pipeEdges {
-		addEdge(pe.from, pe.to)
+	for _, e := range s.pipe {
+		addEdge(e.From, e.To)
 	}
-	for l := 1; l < len(rows); l++ {
-		prev, cur := rows[l-1], rows[l]
+	for l := 1; l < layers; l++ {
+		prev, cur := s.elems[s.rows[l-1]:s.rows[l]], s.elems[s.rows[l]:s.rows[l+1]]
 		// Guarantee connectivity both ways: heads consume, tails produce.
 		for _, to := range cur {
 			addEdge(prev[r.Intn(len(prev))].tail, to.head)
 		}
 		for _, from := range prev {
-			if outDeg[from.tail] == 0 {
+			if s.outDeg[from.tail] == 0 {
 				addEdge(from.tail, cur[r.Intn(len(cur))].head)
 			}
 		}
 		// Extra cross edges for data-dependency richness.
 		for _, from := range prev {
 			for _, to := range cur {
-				if r.Bool(g.cfg.CrossEdgeProb) {
+				if r.Bool(cfg.CrossEdgeProb) {
 					addEdge(from.tail, to.head)
 				}
 			}
 		}
 	}
 
+	b := dag.NewBuilder(fmt.Sprintf("job-%05d", idx)).Grow(n, len(s.edges))
+	for i, name := range s.cut('P', n) {
+		b.Task(name, s.tasks[i].BaseTime, s.tasks[i].Volume)
+	}
+	for i, name := range s.cut('D', len(s.edges)) {
+		e := s.edges[i]
+		b.Link(name, e.From, e.To, e.BaseTime, e.Volume)
+	}
 	job := b.MustBuild()
 	// Fixed completion time: factor × best-case critical path (transfers
 	// included), at least 1 tick of slack.
 	cp := job.CriticalPathLength(dag.WeightFunc{})
-	deadline := simtime.Time(g.cfg.DeadlineFactor*float64(cp) + 0.5)
+	deadline := simtime.Time(cfg.DeadlineFactor*float64(cp) + 0.5)
 	if deadline <= cp {
 		deadline = cp + 1
 	}
-	return job.WithDeadline(deadline)
+	return job.WithDeadline(at + deadline)
+}
+
+// element is one layer element: a pipeline from head to tail.
+type element struct{ head, tail dag.TaskID }
+
+// jobScratch is the working memory of one job call, kept between calls. Its
+// tasks and edges hold the draws, unnamed.
+type jobScratch struct {
+	tasks  []dag.Task // P1, P2, …
+	elems  []element  // every layer's elements, layer after layer
+	rows   []int      // layer l's elements are elems[rows[l]:rows[l+1]]
+	pipe   []dag.Edge // the pipelines' edges, weights not yet drawn
+	edges  []dag.Edge // D1, D2, …
+	adj    []uint64   // the edges drawn so far, as an n×n bitmap
+	outDeg []int32    // every task's out-degree so far
+	buf    []byte
+	names  []string
+}
+
+var scratch = sync.Pool{New: func() any { return new(jobScratch) }}
+
+// cut returns the names prefix1 … prefixN, cut from one string.
+func (s *jobScratch) cut(prefix byte, n int) []string {
+	s.buf = s.buf[:0]
+	for i := 1; i <= n; i++ {
+		s.buf = strconv.AppendInt(append(s.buf, prefix), int64(i), 10)
+	}
+	all := string(s.buf)
+	s.names = s.names[:0]
+	for len(all) > 0 {
+		end := strings.IndexByte(all[1:], prefix) + 1
+		if end == 0 {
+			end = len(all)
+		}
+		s.names = append(s.names, all[:end])
+		all = all[end:]
+	}
+	return s.names
 }
 
 // Arrival is one job of a flow with its submission time.

@@ -163,3 +163,22 @@ func TestQuickJobsAlwaysValid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGeneratorJobAllocs: a corpus job is drawn in pooled scratch and built
+// by task index, so what it allocates is the job's own memory (task and edge
+// lists, the Job, its CSR slab), Build's working memory, the one string each
+// that the P and D names are cut from, the job's name, and the copy that
+// carries the deadline. The ceiling is the measured count; the generator
+// that resolved names through maps made 95–98.
+func TestGeneratorJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
+	}
+	const ceiling = 10
+	g := New(Default(1))
+	g.Job(0)
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() { g.Job(i); i++ }); allocs > ceiling {
+		t.Errorf("%.1f allocs per Job, ceiling %d", allocs, ceiling)
+	}
+}

@@ -12,9 +12,9 @@ import (
 // the full VO.
 func TestFacadeEndToEnd(t *testing.T) {
 	b := repro.NewJob("facade").Deadline(60)
-	b.Task("prep", 3, 30)
-	b.Task("analyze", 5, 50)
-	b.Edge("d", "prep", "analyze", 2, 10)
+	prep := b.Task("prep", 3, 30)
+	analyze := b.Task("analyze", 5, 50)
+	b.Link("d", prep, analyze, 2, 10)
 	job := b.MustBuild()
 
 	env := repro.NewEnvironment([]*repro.Node{
