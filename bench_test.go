@@ -43,7 +43,7 @@ func benchFig4(seed uint64, jobs int) experiments.Fig4Config {
 func BenchmarkFig2Strategy(b *testing.B) {
 	var cheapest float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2With(*benchWorkers)
+		r, err := experiments.Fig2()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -67,8 +67,7 @@ func main() {
 		snapshot     = flag.String("snapshot", "gridd-drained.json", "drain snapshot path (empty disables)")
 		buildTimeout = flag.Duration("build-timeout", 30*time.Second, "per-job strategy build budget (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
-		workers      = flag.Int("workers", 0, "parallel per-level build workers (0 = sequential)")
-		placers      = flag.Int("placers", 0, "jobs per arrival batch and domains placed at once (≤1 = every arrival is a batch of one)")
+		placers      = flag.Int("placers", 0, "jobs per arrival batch (≤1 = every arrival is a batch of one)")
 		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failures that trip a domain breaker (0 disables breakers)")
 		taskFailRate = flag.Float64("task-fail-rate", 0, "per-activation mid-run task failure probability (chaos mode)")
 		mtbf         = flag.Float64("mtbf", 0, "mean model time between node outages (0 disables outages)")
@@ -153,7 +152,6 @@ func main() {
 		Journal:      jnl,
 		Sched: metasched.Config{
 			Seed:    *seed,
-			Workers: *workers,
 			Placers: *placers,
 			Tracer:  tracer,
 			Spans:   spans,

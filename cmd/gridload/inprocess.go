@@ -38,7 +38,7 @@ func runInProcess(o options) (*scalereport.Report, error) {
 		Env:       env,
 		QueueCap:  o.queue,
 		Telemetry: reg,
-		Sched:     metasched.Config{Seed: o.seed, Workers: o.workers, Placers: o.placers},
+		Sched:     metasched.Config{Seed: o.seed, Placers: o.placers},
 		OnTerminal: func(r service.Record) {
 			terminal[r.State]++
 		},

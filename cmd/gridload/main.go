@@ -72,7 +72,6 @@ type options struct {
 	queue      int
 	burst      int
 	proc       int
-	workers    int
 	placers    int
 	tick       time.Duration
 	honorRetry bool
@@ -98,8 +97,7 @@ func main() {
 		queue      = flag.Int("queue", 64, "admission queue bound")
 		burst      = flag.Int("burst", 16, "inprocess: arrivals submitted between scheduling steps")
 		proc       = flag.Int("proc", 12, "inprocess: jobs scheduled per step (proc < burst builds overload)")
-		workers    = flag.Int("workers", 0, "parallel per-level build workers (0 = sequential, required for determinism diffs)")
-		placers    = flag.Int("placers", 0, "inprocess: jobs batched per scheduling step and domains placed at once (≤1 = one job per step)")
+		placers    = flag.Int("placers", 0, "inprocess: jobs per arrival batch (≤1 = one job per scheduling step)")
 		tick       = flag.Duration("tick", 5*time.Millisecond, "http: wall-clock duration of one model tick (arrival pacing)")
 		honorRetry = flag.Bool("honor-retry-after", true, "http: back off and retry per the Retry-After hint on 429/503")
 		wait       = flag.Duration("wait", 60*time.Second, "http: how long to wait for accepted jobs to reach a terminal state")
@@ -125,7 +123,7 @@ func main() {
 		},
 		mean: *mean, strategy: *strategy, priorities: *priorities,
 		domains: *domains, queue: *queue, burst: *burst, proc: *proc,
-		workers: *workers, placers: *placers, tick: *tick, honorRetry: *honorRetry,
+		placers: *placers, tick: *tick, honorRetry: *honorRetry,
 		wait: *wait, out: *out,
 	}
 	rep, err := run(o)

@@ -82,7 +82,7 @@ func main() {
 	}
 	runners := map[string]func() (*experiments.Report, error){
 		"fig2": func() (*experiments.Report, error) {
-			return experiments.Fig2Telemetry(*workers, reg)
+			return experiments.Fig2Telemetry(reg)
 		},
 		"fig3a": func() (*experiments.Report, error) {
 			return experiments.Fig3a(fig3Cfg(*jobs))

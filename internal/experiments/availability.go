@@ -99,7 +99,6 @@ func runAvailability(cfg AvailabilityConfig, typ strategy.Type, avail float64, t
 		Objective: criticalworks.MinCost,
 		Seed:      cfg.Seed,
 		Faults:    fcfg,
-		Workers:   cfg.Workers,
 		Tracer:    tracer,
 		Telemetry: cfg.Telemetry,
 	})

@@ -12,7 +12,9 @@ import (
 // raw value maps, and byte-identical traces at any worker count. Each
 // case runs once sequentially (workers=1, the pre-pool code path) and
 // once wide (workers=8, oversubscribed on small machines on purpose),
-// across several seeds.
+// across several seeds. Fig. 2 has neither a seed nor a worker count: each
+// of its rows runs it once, against its golden report, so a regression
+// still shows up in every row.
 
 // diffOutcome captures everything an experiment emits.
 type diffOutcome struct {
@@ -47,12 +49,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 		name string
 		run  func(t *testing.T, seed uint64, workers int) diffOutcome
 	}{
-		{"fig2", func(t *testing.T, seed uint64, workers int) diffOutcome {
-			// Fig2 is seed-free; the seed loop still exercises it so a
-			// regression shows up in every row.
-			r, err := Fig2With(workers)
-			return capture(t, r, err, nil)
-		}},
 		{"fig3a", func(t *testing.T, seed uint64, workers int) diffOutcome {
 			cfg := DefaultFig3(seed, 40)
 			cfg.Workers = workers
@@ -84,6 +80,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}},
 	}
 
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("fig2/seed%d", seed), func(t *testing.T) {
+			r, err := Fig2()
+			compareGolden(t, "fig2_report.golden", capture(t, r, err, nil).report)
+		})
+	}
 	for _, tc := range cases {
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {

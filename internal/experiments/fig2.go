@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
-	"repro/internal/parallel"
 	"repro/internal/resource"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
@@ -50,17 +49,12 @@ func Fig2Env() *resource.Environment {
 // Fig. 2(a) and a strategy whose supporting schedules reproduce the
 // structure of Fig. 2(b) — several alternative Distributions where the
 // cheapest one (the paper's CF2 = 37 < CF1 = CF3 = 41) is NOT the fastest.
-func Fig2() (*Report, error) { return Fig2With(1) }
+func Fig2() (*Report, error) { return Fig2Telemetry(nil) }
 
-// Fig2With is Fig2 with the strategy's per-level builds bounded by the
-// given worker count (≤ 0 means one worker per CPU). Every worker count
-// produces the byte-identical report.
-func Fig2With(workers int) (*Report, error) { return Fig2Telemetry(workers, nil) }
-
-// Fig2Telemetry is Fig2With with the builds additionally reporting into
-// reg (nil disables metrics). Telemetry never changes the report: output
-// is byte-identical with reg nil or set, at any worker count.
-func Fig2Telemetry(workers int, reg *telemetry.Registry) (*Report, error) {
+// Fig2Telemetry is Fig2 with the builds additionally reporting into reg
+// (nil disables metrics). Telemetry never changes the report: output is
+// byte-identical with reg nil or set.
+func Fig2Telemetry(reg *telemetry.Registry) (*Report, error) {
 	r := newReport("fig2", "worked example: critical works and distributions (paper §3, Fig. 2)")
 	job := Fig2Job()
 	env := Fig2Env()
@@ -83,7 +77,7 @@ func Fig2Telemetry(workers int, reg *telemetry.Registry) (*Report, error) {
 	// from the Gantt's 20 to 24 so more than one estimation level is
 	// feasible and the strategy actually contains alternatives (with four
 	// nodes and full transfers, the tier-2 level needs 21 ticks).
-	gen := &strategy.Generator{Env: env, Workers: parallel.Resolve(workers), Telemetry: reg}
+	gen := &strategy.Generator{Env: env, Telemetry: reg}
 	st, err := gen.Generate(job.WithDeadline(24), strategy.S2, criticalworks.EmptyCalendars(env), 0)
 	if err != nil {
 		return nil, err

@@ -31,9 +31,8 @@ type Fig4Config struct {
 	ExternalDurLo, ExternalDurHi simtime.Time
 	ExternalUntil                simtime.Time
 
-	// Workers bounds the pool running the per-family VO cells (and, inside
-	// each cell, the per-level strategy builds); ≤ 0 means one worker per
-	// CPU, 1 forces the sequential path. Each cell owns its engine,
+	// Workers bounds the pool running the per-family VO cells; ≤ 0 means
+	// one worker per CPU, 1 forces the sequential path. Each cell owns its engine,
 	// environment and calendars, so any worker count produces byte-identical
 	// reports and traces.
 	Workers int
@@ -114,7 +113,6 @@ func runFig4Type(cfg Fig4Config, typ strategy.Type, tracer metasched.Tracer) (*f
 		ExternalUntil:   until,
 		Objective:       criticalworks.MinCost,
 		Seed:            cfg.Seed,
-		Workers:         cfg.Workers,
 		Tracer:          tracer,
 		Telemetry:       cfg.Telemetry,
 	})

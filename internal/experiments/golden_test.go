@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/criticalworks"
 	"repro/internal/metasched"
+	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 )
@@ -57,49 +58,64 @@ func compareGolden(t *testing.T, name string, got []byte) {
 
 // fig2TraceRun replays the §3 worked example through the full VO
 // hierarchy with a JSONL tracer attached and returns the trace bytes.
-// The deadline is relaxed to 24 as in Fig2With, so the strategy holds
-// more than one admissible supporting schedule.
-func fig2TraceRun(t *testing.T, workers int) []byte {
-	t.Helper()
+// The deadline is relaxed to 24 as in Fig2, so the strategy holds more
+// than one admissible supporting schedule.
+func fig2TraceRun() ([]byte, error) {
 	var trace bytes.Buffer
 	engine := sim.New()
 	env := Fig2Env()
 	vo := metasched.NewVO(engine, env, metasched.Config{
 		Objective: criticalworks.MinCost,
 		Seed:      1,
-		Workers:   workers,
 		Tracer:    metasched.NewJSONLTracer(&trace),
 	})
 	vo.Submit(Fig2Job().WithDeadline(24), strategy.S2, 0)
 	engine.Run()
 	results := vo.Results()
 	if len(results) != 1 {
-		t.Fatalf("fig2 VO run produced %d results, want 1", len(results))
+		return nil, fmt.Errorf("fig2 VO run produced %d results, want 1", len(results))
 	}
 	if results[0].State != metasched.StateCompleted {
-		t.Fatalf("fig2 VO run ended in state %v, want completed", results[0].State)
+		return nil, fmt.Errorf("fig2 VO run ended in state %v, want completed", results[0].State)
 	}
-	return trace.Bytes()
+	return trace.Bytes(), nil
 }
+
+// fig2Outputs is one run of the worked example: the printed report and
+// the VO trace.
+type fig2Outputs struct{ report, trace []byte }
 
 // TestFig2Golden pins the §3 worked example byte for byte: the printed
 // Distribution table and the full JSONL event trace of a VO run over the
 // same job. Any change to the scheduling pipeline that moves a single
 // reservation, collision, or trace field shows up here as a one-line
 // diff. Regenerate with -update after intentional changes.
+//
+// Each subtest runs the example on that many concurrent copies through
+// the experiment-cell pool; every copy must match the same goldens, so
+// the example's output does not depend on what else runs beside it.
 func TestFig2Golden(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			r, err := Fig2With(workers)
+			runs, err := parallel.Map(workers, workers, func(int) (fig2Outputs, error) {
+				r, err := Fig2()
+				if err != nil {
+					return fig2Outputs{}, err
+				}
+				var report bytes.Buffer
+				if _, err := r.WriteTo(&report); err != nil {
+					return fig2Outputs{}, err
+				}
+				trace, err := fig2TraceRun()
+				return fig2Outputs{report.Bytes(), trace}, err
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var report bytes.Buffer
-			if _, err := r.WriteTo(&report); err != nil {
-				t.Fatal(err)
+			for _, run := range runs {
+				compareGolden(t, "fig2_report.golden", run.report)
+				compareGolden(t, "fig2_trace.golden", run.trace)
 			}
-			compareGolden(t, "fig2_report.golden", report.Bytes())
-			compareGolden(t, "fig2_trace.golden", fig2TraceRun(t, workers))
 		})
 	}
 }

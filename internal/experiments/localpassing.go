@@ -40,7 +40,6 @@ func LocalPassing(cfg Fig4Config) (*Report, error) {
 	vo := metasched.NewVO(engine, env, metasched.Config{
 		Objective: criticalworks.MinCost,
 		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
 		Telemetry: cfg.Telemetry,
 	})
 	flow := gen.Flow(0, cfg.Jobs, 0)

@@ -12,8 +12,8 @@ import (
 // The telemetry differential suite: enabling the metrics registry must be
 // pure observation. For each instrumented experiment, every report byte,
 // raw value, and trace byte must be identical with telemetry off (nil
-// registry) and on, at both the sequential and the wide worker count —
-// the PR's headline invariant.
+// registry) and on, at both the sequential and the wide worker count (Fig. 2
+// has no worker count and runs the same at both).
 
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	workerCounts := []int{1, 8}
@@ -23,7 +23,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		run  func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome
 	}{
 		{"fig2", func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
-			r, err := Fig2Telemetry(workers, reg)
+			r, err := Fig2Telemetry(reg)
 			return capture(t, r, err, nil)
 		}},
 		{"fig3a", func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {

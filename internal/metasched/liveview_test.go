@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/resource"
@@ -29,41 +28,19 @@ func recordLive(env *resource.Environment) map[resource.NodeID]liveBook {
 	return out
 }
 
-// watchCtx is a build context whose cancellation poll doubles as a probe:
-// every build checks its context between critical works, on the goroutine
-// that runs it, so check runs on the domain's pipeline in mid-build.
-type watchCtx struct {
-	context.Context
-	check func()
-}
-
-func (c watchCtx) Err() error {
-	c.check()
-	return c.Context.Err()
-}
-
 // TestPlacerPipelinesPlanOnTheLiveBooks is the guard for the writer rule of
-// DESIGN.md §12: a domain's books have exactly one writer at a time — the
-// engine goroutine, or, while it is parked in a batch's pipeline phase, that
-// domain's pipeline, which reads and writes only its own pool. A loaded
-// three-domain environment whose every book was just written — so none has a
-// published window-query index — takes one same-tick batch of twelve jobs at
-// Placers 4, through the VO's public hooks only:
+// DESIGN.md §12: the engine goroutine is the books' only reader and writer,
+// and a batch plans on the live books themselves. A loaded three-domain
+// environment whose every book was just written — so none has a published
+// window-query index — takes one same-tick batch of twelve jobs at Placers
+// 4, through the VO's public hooks only:
 //
 //   - the view the builds share maps every node to its live calendar itself;
-//   - while a member of domain D builds (every context poll, made on D's
-//     pipeline goroutine in mid-build), no book of D's pool moves, and what
-//     those books gained since the batch began is owned by D's members that
-//     precede the builder in the arbiter's order, by nobody else;
-//   - after the join (the first trace event since the batch's contexts were
-//     handed out) the books are the ones the batch began with plus exactly
-//     the plans of the activate events the engine-side walk then emits, each
-//     inside its own domain;
-//   - under -race, no pipeline reads or writes a book another one owns: the
-//     probes above only ever look at the builder's own pool.
-//
-// Builds on the recovery paths (reallocation after the join) are held to the
-// first rule too: the engine goroutine is then the only writer.
+//   - no plan books a node outside the domain its member was assigned;
+//   - after the planning walk (the first trace event since the batch's first
+//     build context was handed out) the books are the ones the batch began
+//     with plus exactly the plans of the activate events the launch walk
+//     then emits.
 func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 	const jobs = 12
 	e := sim.New()
@@ -79,21 +56,16 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 			}
 		}
 	}
-	keys := map[string]commitKey{}
-	for i := 0; i < jobs; i++ {
-		keys[gen.Job(i).Name] = commitKey{prio: i % 3, seq: i}
-	}
 
 	var vo *VO
-	var mark map[resource.NodeID]liveBook   // the books when the batch began
-	var joined map[resource.NodeID]liveBook // the books at the first event after the join
-	want := map[resource.NodeID]liveBook{}  // mark plus the plans activated since
-	members := map[string]string{}          // batch member → the domain it was assigned
-	open, walking := false, false           // pipeline phase running; engine-side launch walk running
-	var polls atomic.Int64
+	var mark map[resource.NodeID]liveBook    // the books when the batch began
+	var planned map[resource.NodeID]liveBook // the books at the first event after the planning walk
+	want := map[resource.NodeID]liveBook{}   // mark plus the plans activated since
+	members := map[string]string{}           // batch member → the domain it was assigned
+	open, walking := false, false            // planning walk running; launch walk running
 	batchBuilds, laterBuilds, activations := 0, 0, 0
 
-	// closeWalk compares the books at the join with the plans launched since.
+	// closeWalk compares the books after planning with the plans launched since.
 	closeWalk := func() {
 		if !walking {
 			return
@@ -101,8 +73,8 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 		walking = false
 		for id, w := range want {
 			sort.Slice(w.res, func(i, j int) bool { return w.res[i].Interval.Start < w.res[j].Interval.Start })
-			if got := joined[id]; got.gen != w.gen || !reflect.DeepEqual(got.res, w.res) {
-				t.Errorf("after the join node %d is not the batch's starting book plus the activated plans (gen %d, want %d)", id, got.gen, w.gen)
+			if got := planned[id]; got.gen != w.gen || !reflect.DeepEqual(got.res, w.res) {
+				t.Errorf("after planning node %d is not the batch's starting book plus the activated plans (gen %d, want %d)", id, got.gen, w.gen)
 			}
 		}
 	}
@@ -112,51 +84,22 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 		Placers:   4,
 		Telemetry: reg,
 		BuildCtx: func(job string) context.Context {
-			m := vo.active[job].manager
-			batch := joined == nil
-			if batch {
+			if planned == nil {
 				if !open {
 					mark, open = recordLive(env), true
 				}
-				members[job] = m.domain
+				members[job] = vo.active[job].manager.domain
 				batchBuilds++
 			} else {
 				laterBuilds++
 			}
-			var seen []uint64 // the pool's generations at this build's first poll
-			return watchCtx{Context: context.Background(), check: func() {
-				polls.Add(1)
-				first := seen == nil
-				for i, id := range m.pool {
-					cal := env.Node(id).Calendar()
-					if first {
-						seen = append(seen, cal.Gen())
-					} else if g := cal.Gen(); g != seen[i] {
-						t.Errorf("job %s mid-build: node %d of its own domain moved (generation %d → %d)", job, id, seen[i], g)
-					}
-					if !first || !batch {
-						continue
-					}
-					was := mark[id]
-					if got := cal.Gen() - was.gen; int(got) != cal.Len()-len(was.res) {
-						t.Errorf("job %s: node %d took %d writes for %d new reservations", job, id, got, cal.Len()-len(was.res))
-					}
-					for _, r := range cal.Reservations() {
-						if r.Owner == resource.External {
-							continue
-						}
-						if members[r.Owner.Job] != m.domain || !commitBefore(keys[r.Owner.Job], keys[job]) {
-							t.Errorf("job %s builds on a window of %s, which is not a predecessor in domain %s", job, r.Owner.Job, m.domain)
-						}
-					}
-				}
-			}}
+			return context.Background()
 		},
 		Tracer: TracerFunc(func(ev Event) {
 			if open && ev.Kind != EventArrive {
-				// The pipelines have joined: this is the engine-side walk.
+				// Every member is planned: this is the launch walk.
 				open, walking = false, true
-				joined = recordLive(env)
+				planned = recordLive(env)
 				for id, was := range mark {
 					want[id] = liveBook{gen: was.gen, res: append([]resource.Reservation(nil), was.res...)}
 				}
@@ -211,10 +154,10 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 		domains[d] = true
 	}
 	commits := reg.Counter("grid_placer_commits_total", "").Value()
-	t.Logf("%d batch builds over %d domains, %d later builds, %d mid-build probes, %d activations checked against the join; pipeline commits %d",
-		batchBuilds, len(domains), laterBuilds, polls.Load(), activations, commits)
-	if batchBuilds != jobs || len(domains) != 3 || polls.Load() == 0 || activations == 0 || uint64(activations) != commits {
-		t.Errorf("the guard looked at nothing, or the batch did not go through three pipelines")
+	t.Logf("%d batch builds over %d domains, %d later builds, %d activations checked against the planned books; batch commits %d",
+		batchBuilds, len(domains), laterBuilds, activations, commits)
+	if batchBuilds != jobs || len(domains) != 3 || activations == 0 || uint64(activations) != commits {
+		t.Errorf("the guard looked at nothing, or the batch did not span three domains")
 	}
 }
 

@@ -113,30 +113,20 @@ type Config struct {
 	// Seed drives the injector's randomness.
 	Seed uint64
 
-	// Workers bounds the concurrent per-level builds inside strategy
-	// generation (a read-only construction pass over the live calendars).
-	// The simulation loop itself stays single-threaded and the live
-	// calendars keep a single writer, which waits for the pool: parallelism
-	// only ever reads them.
-	// Values ≤ 1 keep generation fully sequential; any value produces
-	// byte-identical runs.
-	Workers int
-
 	// Faults configures deterministic fault injection (node/domain
 	// outages and mid-run task failures). The zero value disables it
 	// entirely and reproduces the fault-free simulator exactly.
 	Faults faults.Config
 
-	// Placers enables batched placement through per-domain pipelines
-	// (DESIGN.md §12): same-tick arrivals form one batch, the batch is
-	// split by domain in the arbiter's order (priority, then submission),
-	// and up to Placers domains plan and book their members at once, each
-	// member on the books as its predecessors left them. Values ≤ 1 are
-	// the same code with every submission its own singleton batch, so jobs
-	// place one at a time in submission order. Every value > 1 forms the
-	// same batches and gives byte-identical results and traces — the
-	// number only bounds the goroutines; ≤ 1 and > 1 batch differently and
-	// agree on every job's fate (both pinned by the differential suite).
+	// Placers is the arrival batch width (DESIGN.md §12): above 1,
+	// same-tick arrivals form one batch, placed one member after another in
+	// the arbiter's order (priority, then submission), each member on the
+	// books as its predecessors left them; the service dequeues up to
+	// Placers jobs per batch. Values ≤ 1 are the same code with every
+	// submission its own singleton batch, so jobs place one at a time in
+	// submission order. Inside the VO every value > 1 forms the same
+	// batches; ≤ 1 and > 1 batch differently and agree on every job's fate
+	// (pinned by the differential suite).
 	Placers int
 }
 
@@ -307,8 +297,8 @@ type VO struct {
 	pending  map[simtime.Time][]pendingArrival // same-tick batches still open, placers > 1 only
 	batchSeq int                               // submission order across batches
 
-	// placerCommits counts the levels the pipelines booked; nil (and Inc a
-	// no-op) unless telemetry is enabled with Placers > 1.
+	// placerCommits counts the levels arriving batch members booked; nil
+	// (and Inc a no-op) unless telemetry is enabled with Placers > 1.
 	placerCommits *telemetry.Counter
 
 	failRng   *rng.Source // mid-run task-failure draws, nil when disabled
@@ -334,7 +324,7 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 	}
 	if cfg.Telemetry != nil && cfg.Placers > 1 {
 		vo.placerCommits = cfg.Telemetry.Counter("grid_placer_commits_total",
-			"levels a domain's placement pipeline booked for an arriving batch member")
+			"levels arriving same-tick batch members booked")
 	}
 	if cfg.Faults.JitterFrac > 0 {
 		vo.jitterRng = rng.New(cfg.Faults.Seed).Split(0x717E)
@@ -355,7 +345,6 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 				Pool:        pool,
 				StorageNode: pool[0],
 				Objective:   cfg.Objective,
-				Workers:     cfg.Workers,
 				Telemetry:   cfg.Telemetry,
 				Spans:       cfg.Spans,
 			},
@@ -504,10 +493,8 @@ func (m *JobManager) adopt(aj *activeJob) {
 // regenerates) the job's strategy on books, installs it and reserves the
 // cheapest admissible distribution's windows, returning that distribution —
 // nil when no level is admissible. initial marks the very first generation,
-// which defines the job's admissibility record. It reads and writes aj, this
-// domain's generator and this domain's books only, which is what lets the
-// pipelines of different domains run it concurrently (DESIGN.md §12); the
-// caller follows it with launch, or unplaced, on the engine goroutine.
+// which defines the job's admissibility record. It reads and writes aj and
+// this domain's books only; the caller follows it with launch, or unplaced.
 func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time, initial bool) (*strategy.Distribution, error) {
 	vo := m.vo
 	var sp *telemetry.Span
@@ -605,10 +592,8 @@ func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
 // time (§3, §5). Pass 1 asks each placement's node whether its window is
 // still free and returns false, having changed nothing, on the first one
 // that is not. Pass 2 reserves every window. The two passes are atomic
-// because the caller is the only writer these books have at the time — the
-// engine goroutine, or this domain's pipeline while the engine goroutine is
-// parked (DESIGN.md §12) — so a Reserve refusing a window pass 1 just found
-// free is an internal bug. The outcome does not depend on the order
+// because the engine goroutine is the books' only writer (DESIGN.md §12),
+// so a Reserve refusing a window pass 1 just found free is an internal bug. The outcome does not depend on the order
 // Placements is walked in. It writes calendars and nothing else.
 func (m *JobManager) reserve(aj *activeJob, d *strategy.Distribution) bool {
 	env := m.vo.env

@@ -390,35 +390,65 @@ func TestDomainFilterExcludesDomains(t *testing.T) {
 	}
 }
 
+// TestBuildCtxCancellationRejectsJob: a job whose build context is already
+// cancelled can never activate a strategy, and a job whose build panics gets
+// the panic back from the generator as an error (the third poll is inside
+// the first level's build). Either way the job is rejected cleanly, without
+// wedging or crashing, and the next job is placed — one job at a time and in
+// one same-tick batch.
 func TestBuildCtxCancellationRejectsJob(t *testing.T) {
-	// A job whose build context is already cancelled can never activate a
-	// strategy: it must be rejected cleanly, not wedge or panic.
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := sim.New()
-	vo := NewVO(e, twoDomainEnv(), Config{
-		BuildCtx: func(name string) context.Context {
-			if name == "doomed" {
-				return ctx
+	for _, placers := range []int{0, 4} {
+		polls := 0
+		for name, ctx := range map[string]context.Context{
+			"cancelled": cancelled,
+			"panicking": panicCtx{Context: context.Background(), polls: &polls, n: 3},
+		} {
+			e := sim.New()
+			vo := NewVO(e, twoDomainEnv(), Config{
+				Placers: placers,
+				BuildCtx: func(job string) context.Context {
+					if job == "doomed" {
+						return ctx
+					}
+					return context.Background()
+				},
+			})
+			for _, job := range []string{"doomed", "fine"} {
+				if err := vo.Submit(simpleJob(job, 100), strategy.S1, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
-			return context.Background()
-		},
-	})
-	if err := vo.Submit(simpleJob("doomed", 100), strategy.S1, 0); err != nil {
-		t.Fatal(err)
+			e.Run()
+			byName := map[string]State{}
+			for _, r := range vo.Results() {
+				byName[r.Job.Name] = r.State
+			}
+			if byName["doomed"] != StateRejected {
+				t.Errorf("placers=%d, %s: doomed job ended %v, want rejected", placers, name, byName["doomed"])
+			}
+			if byName["fine"] != StateCompleted {
+				t.Errorf("placers=%d, %s: unaffected job ended %v, want completed", placers, name, byName["fine"])
+			}
+		}
+		if polls < 3 {
+			t.Fatalf("placers=%d: the panicking build polled its context %d times; it never panicked", placers, polls)
+		}
 	}
-	if err := vo.Submit(simpleJob("fine", 100), strategy.S1, 0); err != nil {
-		t.Fatal(err)
+}
+
+// panicCtx is a build context whose Err panics on its nth poll.
+type panicCtx struct {
+	context.Context
+	polls *int
+	n     int
+}
+
+func (c panicCtx) Err() error {
+	*c.polls++
+	if *c.polls == c.n {
+		panic("poll exploded")
 	}
-	e.Run()
-	byName := map[string]State{}
-	for _, r := range vo.Results() {
-		byName[r.Job.Name] = r.State
-	}
-	if byName["doomed"] != StateRejected {
-		t.Errorf("doomed job ended %v, want rejected", byName["doomed"])
-	}
-	if byName["fine"] != StateCompleted {
-		t.Errorf("unaffected job ended %v, want completed", byName["fine"])
-	}
+	return c.Context.Err()
 }

@@ -1,7 +1,6 @@
 package metasched
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -30,11 +29,7 @@ type placerOpts struct {
 	gap       simtime.Time
 	stretch   float64
 	doomEvery int
-	// serial forms the batches of `placers` and then runs every batch's
-	// pipelines one after another on the engine goroutine: the width is
-	// forced to 1 after the submissions, which is when batches form.
-	serial bool
-	cfg    func(*Config) // extra hooks; Seed and Placers are already set
+	cfg       func(*Config) // extra hooks; Seed and Placers are already set
 }
 
 // run drives the scenario to quiescence and returns the VO.
@@ -61,9 +56,6 @@ func (o placerOpts) run() *VO {
 			panic(err)
 		}
 	}
-	if o.serial {
-		vo.cfg.Placers = 1
-	}
 	e.Run()
 	return vo
 }
@@ -75,62 +67,28 @@ func placerRun(seed uint64, placers, jobs, group int, gap simtime.Time, stretch 
 		gap: gap, stretch: stretch, doomEvery: doomEvery}.run().Results()
 }
 
-// TestPlacerDifferentialEquivalence pins what the placer width may and may
-// not change, for five seeds.
-//
-// Width is not an input to the answer: same-tick groups of 8 over 1, 2 and
-// 4 domains give reflect.DeepEqual results and byte-equal VO trace streams
-// at Placers 2, 4 and 8 — and with the same batches' pipelines run one
-// after another on the engine goroutine. The number only bounds the
-// goroutines.
-//
-// Placers 1 and N batch differently by design (singleton events against one
-// batch per tick, placed in the arbiter's order), so between them only the
-// ordering-independent comparison holds: every job meets the same fate and
-// the QoS-miss/goodput totals are identical.
+// TestPlacerDifferentialEquivalence pins what batching may and may not
+// change, for five seeds. Placers 1 and 8 batch differently by design
+// (singleton events against one batch per tick, placed in the arbiter's
+// order), so between them only the ordering-independent comparison holds:
+// the batches contend (some member is reallocated), every job meets the same
+// fate and the completed/rejected totals are identical.
 func TestPlacerDifferentialEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			for _, domains := range []int{1, 2, 4} {
-				run := func(placers int, serial bool) ([]*JobResult, []byte) {
-					var trace bytes.Buffer
-					tr := NewJSONLTracer(&trace)
-					vo := placerOpts{seed: seed, placers: placers, domains: domains, jobs: 32, group: 8,
-						gap: 150, stretch: 2, doomEvery: 9, serial: serial,
-						cfg: func(c *Config) { c.Tracer = tr }}.run()
-					if err := tr.Err(); err != nil {
-						t.Fatal(err)
-					}
-					return vo.Results(), trace.Bytes()
-				}
-				want, wantTrace := run(2, false)
-				moved := 0
-				for _, r := range want {
-					moved += r.Reallocations
-				}
-				if len(want) != 32 || (domains > 1 && moved == 0) {
-					t.Fatalf("domains=%d: %d results, %d reallocations: the batches no longer contend", domains, len(want), moved)
-				}
-				for _, c := range []struct {
-					placers int
-					serial  bool
-				}{{4, false}, {8, false}, {4, true}} {
-					got, gotTrace := run(c.placers, c.serial)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("domains=%d: results at placers=%d serial=%v differ from placers=2", domains, c.placers, c.serial)
-					}
-					if !bytes.Equal(gotTrace, wantTrace) {
-						t.Errorf("domains=%d: trace at placers=%d serial=%v differs from placers=2", domains, c.placers, c.serial)
-					}
-				}
-			}
-
 			const jobs, group = 36, 6
 			seq := placerRun(seed, 1, jobs, group, 150, 3, 9)
 			con := placerRun(seed, 8, jobs, group, 150, 3, 9)
 			if len(seq) != jobs || len(con) != jobs {
-				t.Fatalf("results: sequential %d, concurrent %d, want %d", len(seq), len(con), jobs)
+				t.Fatalf("results: width 1 %d, batched %d, want %d", len(seq), len(con), jobs)
+			}
+			moved := 0
+			for _, r := range con {
+				moved += r.Reallocations
+			}
+			if moved == 0 {
+				t.Fatal("no batched member was reallocated: the batches no longer contend")
 			}
 			states := func(rs []*JobResult) (map[string]State, int, int) {
 				byName := make(map[string]State, len(rs))
@@ -231,9 +189,8 @@ func TestPlacerSingletonBatchesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestPlacerDeterministicAcrossRuns: at a fixed placer width, a whole run
-// is a pure function of the seed — the parallel builds must not leak
-// scheduling noise into the results.
+// TestPlacerDeterministicAcrossRuns: at a fixed batch width, a whole run is
+// a pure function of the seed.
 func TestPlacerDeterministicAcrossRuns(t *testing.T) {
 	a := placerRun(3, 8, 36, 6, 150, 1, 0)
 	b := placerRun(3, 8, 36, 6, 150, 1, 0)
@@ -243,9 +200,8 @@ func TestPlacerDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestPlacerCompletedPlacementsNeverOverlap re-checks the live books'
-// invariant under the concurrent path: completed jobs' reservations are
-// pairwise disjoint per node — commits that raced must not have
-// double-booked a window.
+// invariant under batching: completed jobs' reservations are pairwise
+// disjoint per node — no batch member double-booked a window.
 func TestPlacerCompletedPlacementsNeverOverlap(t *testing.T) {
 	results := placerRun(9, 8, 36, 9, 120, 1, 0)
 	type win struct {

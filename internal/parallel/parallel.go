@@ -1,8 +1,9 @@
 // Package parallel provides the simulator's deterministic fan-out
 // substrate: a bounded worker pool that runs independent units of work —
-// per-job strategy builds, per-level distribution builds, per-config
-// experiment cells — across goroutines while keeping every observable
-// result byte-identical to the sequential execution.
+// the experiment engine's per-job strategy builds and per-config cells —
+// across goroutines while keeping every observable result byte-identical
+// to the sequential execution. Nothing in the scheduler itself fans out:
+// in metasched and strategy the engine goroutine plans and books alone.
 //
 // Determinism rests on two rules the callers follow:
 //
@@ -20,7 +21,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -65,17 +65,6 @@ func (e *PanicError) Error() string {
 // With one worker the units run in index order on the calling goroutine
 // and the first error aborts the loop immediately — the sequential path.
 func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
-// no further unit is dispatched and the call returns ctx.Err() (unless a
-// lower-indexed unit already failed — the lowest-indexed error still
-// wins). Units already in flight run to completion; long-running units
-// that want finer-grained interruption must watch ctx themselves. With a
-// never-cancelled context the dispatch order, result slots and returned
-// error are byte-identical to ForEach at any worker count.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -85,9 +74,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := runUnit(i, fn); err != nil {
 				return err
 			}
@@ -101,7 +87,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 		mu       sync.Mutex
 		firstIdx = -1
 		firstErr error
-		ctxErr   error
 		wg       sync.WaitGroup
 	)
 	record := func(i int, err error) {
@@ -112,26 +97,11 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 		mu.Unlock()
 		stop.Store(true)
 	}
-	cancelled := func() bool {
-		if err := ctx.Err(); err != nil {
-			mu.Lock()
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			mu.Unlock()
-			stop.Store(true)
-			return true
-		}
-		return false
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if cancelled() {
-					return
-				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -143,10 +113,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctxErr
+	return firstErr
 }
 
 // runUnit executes one unit with panic containment.
@@ -164,13 +131,8 @@ func runUnit(i int, fn func(i int) error) (err error) {
 // it or when it finished. On error the partial results are discarded and
 // the lowest-indexed failure is returned (see ForEach).
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with cooperative cancellation (see ForEachCtx).
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachCtx(ctx, workers, n, func(i int) error {
+	err := ForEach(workers, n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -155,95 +154,6 @@ func BenchmarkMapOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Map(4, 256, func(i int) (int, error) { return i, nil }); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestForEachCtxCancellation(t *testing.T) {
-	// Pre-cancelled context: nothing runs, ctx.Err comes back.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	err := ForEachCtx(ctx, 4, 100, func(i int) error {
-		ran.Add(1)
-		return nil
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d units ran under a pre-cancelled context", ran.Load())
-	}
-
-	// Sequential path honours cancellation between units.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	var seq int
-	err = ForEachCtx(ctx2, 1, 100, func(i int) error {
-		seq++
-		if i == 4 {
-			cancel2()
-		}
-		return nil
-	})
-	if err != context.Canceled {
-		t.Fatalf("sequential err = %v, want context.Canceled", err)
-	}
-	if seq != 5 {
-		t.Fatalf("sequential ran %d units after cancel at 5", seq)
-	}
-
-	// Mid-flight cancellation stops dispatch; in-flight units finish.
-	ctx3, cancel3 := context.WithCancel(context.Background())
-	var ran3 atomic.Int64
-	release := make(chan struct{})
-	err = ForEachCtx(ctx3, 2, 1000, func(i int) error {
-		ran3.Add(1)
-		if ran3.Load() == 2 {
-			cancel3()
-			close(release)
-		} else {
-			<-release
-		}
-		return nil
-	})
-	if err != context.Canceled {
-		t.Fatalf("mid-flight err = %v, want context.Canceled", err)
-	}
-	if n := ran3.Load(); n >= 1000 {
-		t.Fatalf("cancellation did not stop dispatch (%d units ran)", n)
-	}
-
-	// A unit error that precedes cancellation wins over ctx.Err.
-	ctx4, cancel4 := context.WithCancel(context.Background())
-	boom := errors.New("boom")
-	err = ForEachCtx(ctx4, 1, 10, func(i int) error {
-		if i == 0 {
-			cancel4()
-			return boom
-		}
-		return nil
-	})
-	if err != boom {
-		t.Fatalf("err = %v, want unit error to win", err)
-	}
-}
-
-func TestMapCtxMatchesMapWithoutCancellation(t *testing.T) {
-	// A background context must reproduce Map exactly at any worker count.
-	fn := func(i int) (int, error) { return i * i, nil }
-	want, err := Map(1, 64, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 8} {
-		got, err := MapCtx(context.Background(), w, 64, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d slot %d: %d != %d", w, i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -83,10 +83,10 @@ type Deterministic struct {
 	// scheduler's deterministic goodput, independent of host speed.
 	GoodputPerKTicks float64 `json:"goodputPerKTicks"`
 
-	// PlacerCommits counts the levels the per-domain placement pipelines
-	// booked (zero with placers ≤ 1, and absent from pre-placer
-	// baselines). The placement order is deterministic, so it is
-	// seed-reproducible like everything else in this section.
+	// PlacerCommits counts the levels same-tick batch members booked (zero
+	// with placers ≤ 1, and absent from pre-placer baselines). The
+	// placement order is deterministic, so it is seed-reproducible like
+	// everything else in this section.
 	PlacerCommits uint64 `json:"placerCommits,omitempty"`
 }
 

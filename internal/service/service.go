@@ -706,7 +706,7 @@ func (s *Server) dequeueLocked() *entry {
 }
 
 // dequeueBatchLocked pops up to max entries in dequeue order, forming one
-// arrival batch for the per-domain placement pipelines (placers > 1).
+// same-tick arrival batch (placers > 1).
 func (s *Server) dequeueBatchLocked(max int) []*entry {
 	var out []*entry
 	for len(out) < max {
@@ -719,7 +719,7 @@ func (s *Server) dequeueBatchLocked(max int) []*entry {
 	return out
 }
 
-// placers returns the effective concurrent-placement width (≥ 1).
+// placers returns the effective arrival batch width (≥ 1).
 func (s *Server) placers() int {
 	if s.cfg.Sched.Placers < 1 {
 		return 1
@@ -786,13 +786,13 @@ func (s *Server) publishEngineStats() {
 	s.th.eventsFired.Set(float64(fired))
 }
 
-// process hands one dequeued arrival batch (up to the placer width; one
+// process hands one dequeued arrival batch (up to the batch width; one
 // job at width 1) to the VO and advances the engine just past its arrival:
 // the strategies are built and their windows reserved, while the
 // start/finish events stay pending so the jobs are genuinely in flight.
-// Every entry shares one arrival tick, so the VO places a wider batch
-// through its per-domain pipelines, with each record's admission priority
-// carried into the arbiter's order: the higher priority plans first.
+// Every entry shares one arrival tick, so the VO places a wider batch as
+// one same-tick batch, with each record's admission priority carried into
+// the arbiter's order: the higher priority plans first.
 // Engine goroutine only (or the test driver in manual mode).
 func (s *Server) process(batch []*entry) {
 	sp := s.spans.Start("service.process", 0)
@@ -823,7 +823,7 @@ func (s *Server) process(batch []*entry) {
 
 // Process dequeues and schedules up to n queued jobs synchronously (all of
 // them when n < 0) and reports how many it handled. With placers > 1 the
-// dequeued jobs form arrival batches of up to the placer width. Manual-mode
+// dequeued jobs form arrival batches of up to the batch width. Manual-mode
 // driver for deterministic tests; never call concurrently with Start.
 func (s *Server) Process(n int) int {
 	done := 0

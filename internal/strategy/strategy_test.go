@@ -8,7 +8,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
-	"sync"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -520,88 +520,54 @@ func TestCandidatesPerLevelInPoolOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentLevelsShareBaseBooks runs the level sweep at Workers 4 —
-// and four such sweeps at once, as the placer pool does — over ONE base
-// view whose books carry background load. Builds read the view they are
-// given and write nothing (the contract of criticalworks.Build), so under
-// -race this must be clean, every strategy must equal the sequential one,
-// and no base book may move. The concurrent sweeps start on books that
-// were just written — as the live books are after a commit — so no book
-// has a published window-query index and the sixteen builds race to
-// publish it lazily. Every family gets two rounds. The second starts from
-// books the first round's sequential reference left indexed and a write has
-// moved since: each holds a parked index, which exactly one of its
-// concurrent first readers may take and rebuild in place while the others
-// build their own (resource.Calendar.index).
-func TestConcurrentLevelsShareBaseBooks(t *testing.T) {
+// pollPanicCtx is a context whose Err panics on its nth poll; 0 never.
+type pollPanicCtx struct {
+	context.Context
+	polls *int
+	n     int
+}
+
+func (c pollPanicCtx) Err() error {
+	*c.polls++
+	if *c.polls == c.n {
+		panic("poll exploded")
+	}
+	return c.Context.Err()
+}
+
+// TestGeneratePanicNamesTheLevel: a build that panics comes back from
+// GenerateCtx as an error naming the job and the level being built, not as a
+// panic. The sweep polls its context once before each level and the build
+// polls it at its checkpoints: the second poll is inside level 1's build, the
+// last one inside the last level's. The base books do not move.
+func TestGeneratePanicNamesTheLevel(t *testing.T) {
 	env := mixedEnv()
 	base := criticalworks.EmptyCalendars(env)
+	g := &Generator{Env: env}
+	job := fig2Job(40)
+	total := 0
+	if _, err := g.GenerateCtx(pollPanicCtx{context.Background(), &total, 0}, job, S1, base, 0); err != nil {
+		t.Fatal(err)
+	}
+	if total <= len(S1.Levels()) {
+		t.Fatalf("%d polls over %d levels: the builds no longer poll their context", total, len(S1.Levels()))
+	}
+	for _, c := range []struct {
+		n     int
+		level string
+	}{{2, "level 1"}, {total, "level 4"}} {
+		polls := 0
+		s, err := g.GenerateCtx(pollPanicCtx{context.Background(), &polls, c.n}, job, S1, base, 0)
+		if err == nil || s != nil {
+			t.Fatalf("poll %d panicked: strategy %v, error %v; want only an error", c.n, s, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "job fig2 "+c.level+":") || !strings.Contains(msg, "poll exploded") {
+			t.Errorf("poll %d: error %q does not name the job, %s and the panic", c.n, msg, c.level)
+		}
+	}
 	for id, c := range base {
-		for k := 0; k < 6; k++ {
-			start := simtime.Time(k*9 + int(id))
-			if err := c.Reserve(simtime.Interval{Start: start, End: start + 4}, resource.External); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// A write drops the book's index; this one leaves the reservations alone.
-	dropIndexes := func() {
-		far := simtime.Interval{Start: 1 << 40, End: 1<<40 + 1}
-		for _, c := range base {
-			if err := c.Reserve(far, resource.External); err != nil {
-				t.Fatal(err)
-			}
-			if !c.Release(far, resource.External) {
-				t.Fatal("could not release the index-dropping reservation")
-			}
-		}
-	}
-	type book struct {
-		gen uint64
-		res []resource.Reservation
-	}
-
-	job := fig2Job(60)
-	for _, typ := range AllTypes {
-		for round := 0; round < 2; round++ {
-			dropIndexes()
-			before := make(map[resource.NodeID]book, len(base))
-			for id, c := range base {
-				before[id] = book{gen: c.Gen(), res: c.Reservations()}
-			}
-			got := make([]*Strategy, 4)
-			var wg sync.WaitGroup
-			for i := range got {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					s, err := (&Generator{Env: env, Workers: 4}).Generate(job, typ, base, 0)
-					if err != nil {
-						t.Error(err)
-					}
-					got[i] = s
-				}(i)
-			}
-			wg.Wait()
-			// The sequential reference runs last: it would publish the indexes.
-			want, err := (&Generator{Env: env}).Generate(job, typ, base, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, s := range got {
-				if s == nil {
-					continue // reported above
-				}
-				if !reflect.DeepEqual(s.Distributions, want.Distributions) || !reflect.DeepEqual(s.FailedLevels, want.FailedLevels) ||
-					!reflect.DeepEqual(s.PartialCollisions, want.PartialCollisions) || s.Evaluations != want.Evaluations {
-					t.Errorf("%v, round %d: concurrent sweep %d differs from the sequential strategy", typ, round, i)
-				}
-			}
-			for id, c := range base {
-				if c.Gen() != before[id].gen || !reflect.DeepEqual(c.Reservations(), before[id].res) {
-					t.Errorf("%v, round %d: base book of node %d moved (gen %d → %d)", typ, round, id, before[id].gen, c.Gen())
-				}
-			}
+		if c.Gen() != 0 || c.Len() != 0 {
+			t.Errorf("node %d: a panicking build moved the base book", id)
 		}
 	}
 }
