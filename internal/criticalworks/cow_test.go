@@ -34,7 +34,16 @@ import (
 // catalog's replicas — the state the next chain's DP reads by bit test. A
 // success adopts the clones into cals. It also reports the index of the
 // margin that succeeded, -1 when none did, and that margin's catalog.
+//
+// Each critical work is placed by builder.placeChain, the DP under test;
+// refBuildWith takes the placement step as an argument, and with
+// refPlaceChain (dp_ref_test.go) the whole build is the reference.
 func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, *data.Catalog, error) {
+	return refBuildWith((*builder).placeChain, env, cals, job, opt)
+}
+
+// refBuildWith is refBuild placing each critical work with place.
+func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, *data.Catalog, error) {
 	opt, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, -1, nil, err
@@ -49,7 +58,7 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 		b := sc.attempt(env, trial, opt, mg)
 		b.computeBounds(opt.Table, mg)
 		cat := data.NewCatalog(opt.Data.Policy, opt.Data.Storage)
-		sched, err := refPlaceChains(b, trial, cat)
+		sched, err := refPlaceChains(b, place, trial, cat)
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
@@ -70,15 +79,15 @@ func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Optio
 	return firstPartial, -1, nil, firstErr
 }
 
-// refPlaceChains is builder.buildOnce's chain loop materialising each critical
-// work into trial — the builder's own view — and its data placements into cat
-// as soon as it is placed.
-func refPlaceChains(b *builder, trial Calendars, cat *data.Catalog) (*Schedule, error) {
+// refPlaceChains is builder.buildOnce's chain loop, placing each critical work
+// with place and materialising it into trial — the builder's own view — and
+// its data placements into cat as soon as it is placed.
+func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Calendars, cat *data.Catalog) (*Schedule, error) {
 	weights := chainWeights(b.opt.Table)
 	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
 	for b.nPlaced < b.job.NumTasks() {
 		chain, _ := b.job.LongestChain(weights, unplaced)
-		if err := b.placeChain(chain); err != nil {
+		if err := place(b, chain); err != nil {
 			return nil, err
 		}
 		for _, id := range chain.Tasks {

@@ -71,7 +71,11 @@ type Schedule struct {
 
 	// Evaluations counts slot-fitting probes performed by the DP — the
 	// "computational expenses" of generating this distribution that §4
-	// contrasts between S1 and MS1.
+	// contrasts between S1 and MS1. A DP cell probes once at the earliest
+	// start that can win it, not once per predecessor: one probe per cell
+	// under MinFinish, and under MinCost one more for every cheaper group of
+	// predecessors a probe rules out (bestStep). A level the admissibility
+	// bound refuses counts 0.
 	Evaluations int64
 
 	// Partial marks a schedule abandoned mid-construction because some
@@ -143,8 +147,10 @@ type Options struct {
 	// Objective selects the DP target; default MinFinish.
 	Objective Objective
 	// Ctx, when non-nil, bounds the build's execution: cancellation is
-	// checked between critical works and between DP rows, so a
-	// pathological job cannot wedge the worker running it. A cancelled
+	// checked before the build starts, at the start of every margin attempt,
+	// between critical works and between a chain's ideal and actual DP
+	// phases, never inside a DP phase, so a pathological job cannot wedge
+	// the worker running it. A cancelled
 	// build aborts with an error wrapping ctx.Err() (never an
 	// InfeasibleError). nil means no cancellation — byte-identical to
 	// builds before the hook existed.
@@ -256,6 +262,10 @@ type scratch struct {
 	chains dag.ChainBuf // the next-critical-work search and its result
 
 	dp       []cell      // runDP's table, chain positions × candidates
+	cells    []cellIn    // what each dp cell reads of its (task, node) pair
+	steps    []step      // one dp cell's predecessors
+	ins      []link      // the placed inputs of the task prepareCells is on
+	outs     []link      // and its placed outputs
 	placed   []Placement // the attempt's placements by TaskID (IDs are dense),
 	isPlaced []bool      // valid where the flag is set
 
@@ -293,7 +303,8 @@ func takeScratch(job *dag.Job, nodes int) *scratch {
 
 // reset points the arena at job and grows what is too small for it. What the
 // slices hold is whatever the last build left: every one is cleared or
-// overwritten before it is read (attempt, computeBounds, runDP, reserve).
+// overwritten before it is read (attempt, computeBounds, runDP, reserve);
+// the DP's own buffers are grown where they are filled.
 func (sc *scratch) reset(job *dag.Job, nodes int) {
 	n := job.NumTasks()
 	sc.job = job

@@ -1,6 +1,8 @@
 package criticalworks
 
 import (
+	"slices"
+
 	"repro/internal/dag"
 	"repro/internal/economy"
 	"repro/internal/resource"
@@ -109,75 +111,90 @@ func (b *builder) betterCell(a, c cell) bool {
 	return a.cost < c.cost
 }
 
+// cellIn is what a DP cell reads of its (task, node) pair alone: the
+// task's duration there, its earliest start, its latest finish and its
+// charge.
+type cellIn struct {
+	dur, est, lft simtime.Time
+	charge        float64
+}
+
+// link is an edge between a chain task and a neighbour the attempt has
+// already placed, reduced to what est and lft read of it.
+type link struct {
+	base     simtime.Time    // the edge's base transfer time
+	producer dag.TaskID      // the edge's source, whose replica row says held
+	node     resource.NodeID // the neighbour's node
+	at       simtime.Time    // the neighbour's finish (an input) or start (an output)
+}
+
+// step is a DP cell's view of one predecessor: the earliest start it allows
+// the cell's task and the chain's cost through it. ok is the predecessor
+// cell's own, cleared once a probe has ruled the predecessor out.
+type step struct {
+	ok       bool
+	earliest simtime.Time
+	cost     float64
+}
+
 // runDP finds the cost-minimal feasible placement of the chain. With
 // ignoreCalendar the search pretends every node is free (the "ideal"
 // attempt); otherwise starts come from the calendar view. The result lives
 // in the scratch's ideal or actual buffer until the next chain's same phase.
 func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
+	if ignoreCalendar {
+		// The ideal phase runs first for every chain, and nothing is placed
+		// before the actual phase or delayOnIdealNodes reads the same cells.
+		b.prepareCells(chain)
+	}
 	cands := b.opt.Candidates
 	L, C := len(chain.Tasks), len(cands)
 	b.dp = grow(b.dp, L*C)
-	dp := b.dp // row i is dp[i*C : (i+1)*C]
+	dp := b.dp // row i is dp[i*C : (i+1)*C], and so is b.cells'
 	clear(dp)
+	b.steps = grow(b.steps, C)
 
 	for i := 0; i < L; i++ {
-		task := chain.Tasks[i]
 		// The incoming edge's base time, resolved once per position: the
 		// predecessor loop below runs C² times and must not copy an Edge out
 		// of the job on each pass.
 		var inBase simtime.Time
 		var prevRow []cell
 		if i > 0 {
-			inBase = b.chainEdge(chain.Tasks[i-1], task).BaseTime
+			inBase = b.chainEdge(chain.Tasks[i-1], chain.Tasks[i]).BaseTime
 			prevRow = dp[(i-1)*C : i*C]
 		}
 		for c, n := range cands {
-			node := b.env.Node(n)
-			dur := b.opt.Table.TimeOnNode(task, node)
-			if dur <= 0 {
+			in := b.cells[i*C+c]
+			if in.dur <= 0 {
 				continue
 			}
-			// Functions of (task, n) alone: once per cell, not per predecessor.
-			est, lft, charge := b.est(task, n), b.lft(task, n), b.charge(task, dur, node)
 			var book *resource.Calendar // stays nil in the ideal phase
 			if !ignoreCalendar {
 				book = b.base[n]
 			}
-			best := cell{}
 			if i == 0 {
-				if st, fin, ok := b.fit(n, book, est, dur, lft); ok {
-					best = cell{ok: true, cost: charge, start: st, finish: fin, prev: -1}
+				if st, fin, ok := b.fit(n, book, in.est, in.dur, in.lft); ok {
+					dp[c] = cell{ok: true, cost: in.charge, start: st, finish: fin, prev: -1}
 				}
-			} else {
-				// Whether the predecessor's output is already at n: a bit
-				// test, the same for every predecessor node.
-				held := b.held(chain.Tasks[i-1], n)
-				for m, pn := range cands {
-					prevCell := prevRow[m]
-					if !prevCell.ok {
-						continue
-					}
-					earliest := prevCell.finish + b.opt.Data.TransferTime(inBase, pn, n, held)
-					if est > earliest {
-						earliest = est
-					}
-					st, fin, ok := b.fit(n, book, earliest, dur, lft)
-					if !ok {
-						continue
-					}
-					cand := cell{
-						ok:     true,
-						cost:   prevCell.cost + charge,
-						start:  st,
-						finish: fin,
-						prev:   m,
-					}
-					if b.betterCell(cand, best) {
-						best = cand
-					}
-				}
+				continue
 			}
-			dp[i*C+c] = best
+			// Whether the predecessor's output is already at n: a bit test,
+			// the same for every predecessor node.
+			held := b.held(chain.Tasks[i-1], n)
+			for m, pn := range cands {
+				prev := prevRow[m]
+				if !prev.ok {
+					b.steps[m] = step{}
+					continue
+				}
+				earliest := prev.finish + b.opt.Data.TransferTime(inBase, pn, n, held)
+				if in.est > earliest {
+					earliest = in.est
+				}
+				b.steps[m] = step{ok: true, earliest: earliest, cost: prev.cost + in.charge}
+			}
+			dp[i*C+c] = b.bestStep(n, book, in)
 		}
 	}
 
@@ -207,29 +224,162 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 	return placements, true
 }
 
+// bestStep fills the DP cell of the current task on node n from its
+// predecessors in b.steps, with one calendar probe where probing every
+// predecessor would find the same cell.
+//
+// Why one probe is enough. fit(n, book, e, dur, lft) returns the least start
+// ≥ e in a set that e does not change: the starts s with [s, s+dur) free in
+// the merged book (firstFree), inside the horizon and with s+dur ≤ lft — a
+// start past the horizon or lft has only later ones past it too. So fit
+// never decreases as e grows, fails for every e at or above one it fails
+// at, and returns the same start s for every e in [e₀, s] once it returns s
+// at e₀. A predecessor reaches the cell only through its earliest start and
+// its cost, and its finish would be fit of that start plus dur. Hence:
+//
+//   - MinFinish ranks (finish, cost): probe at the least earliest start. A
+//     miss leaves the cell infeasible. A hit at s is the least finish, and
+//     the predecessors reaching it are those whose earliest start is ≤ s.
+//   - MinCost ranks (cost, finish): probe the cheapest predecessors at their
+//     least earliest start. A hit at s is the cell: nothing cheaper is
+//     feasible, and the group's least finish is reached by its members
+//     whose earliest start is ≤ s. A miss rules out every predecessor whose
+//     earliest start is at or above the probed one, and the cheapest left
+//     are probed next.
+//
+// Either way the winner is the cheapest of the predecessors the hit admits,
+// the lowest candidate index among equals — what betterCell picks over a
+// probe per predecessor. Costs are compared as the sums prev.cost + charge:
+// two different prev.cost can round to one sum, and then the lower index
+// wins (TestDPBreaksFloatTiesByIndex).
+func (b *builder) bestStep(n resource.NodeID, book *resource.Calendar, in cellIn) cell {
+	steps := b.steps
+	for {
+		at := -1
+		for m, s := range steps {
+			if s.ok && (at < 0 || b.probeBefore(s, steps[at])) {
+				at = m
+			}
+		}
+		if at < 0 {
+			return cell{}
+		}
+		e := steps[at].earliest
+		if start, finish, ok := b.fit(n, book, e, in.dur, in.lft); ok {
+			best := -1
+			for m, s := range steps {
+				if s.ok && s.earliest <= start && (best < 0 || s.cost < steps[best].cost) {
+					best = m
+				}
+			}
+			return cell{ok: true, cost: steps[best].cost, start: start, finish: finish, prev: best}
+		}
+		for m := range steps {
+			if steps[m].earliest >= e {
+				steps[m].ok = false
+			}
+		}
+	}
+}
+
+// probeBefore orders predecessors for bestStep's next probe: by the
+// objective, with the earliest start standing in for the finish.
+func (b *builder) probeBefore(s, t step) bool {
+	if b.opt.Objective == MinCost && s.cost != t.cost {
+		return s.cost < t.cost
+	}
+	return s.earliest < t.earliest
+}
+
+// prepareCells fills b.cells with the cellIn of every (chain position,
+// candidate) pair. Both DP phases of the chain read them: nothing is placed
+// between the two. A task's placed neighbours are collected once per row
+// (linkPlaced), not walked again for every node.
+func (b *builder) prepareCells(chain dag.Chain) {
+	cands := b.opt.Candidates
+	C := len(cands)
+	b.cells = grow(b.cells, len(chain.Tasks)*C)
+	for i, task := range chain.Tasks {
+		b.linkPlaced(task)
+		up, down := b.opt.Release+b.bestUp[task], b.opt.Deadline-b.bestDown[task]
+		for c, n := range cands {
+			node := b.env.Node(n)
+			in := cellIn{dur: b.opt.Table.TimeOnNode(task, node)}
+			if in.dur > 0 {
+				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), b.charge(task, in.dur, node)
+			}
+			b.cells[i*C+c] = in
+		}
+	}
+}
+
+// linkPlaced collects task's edges to neighbours the attempt has placed:
+// from its placed predecessors in b.ins, to its placed successors in b.outs.
+func (b *builder) linkPlaced(task dag.TaskID) {
+	b.ins, b.outs = b.ins[:0], b.outs[:0]
+	b.adj = b.job.AppendIn(b.adj[:0], task)
+	for _, e := range b.adj {
+		if p, ok := b.placement(e.From); ok {
+			b.ins = append(b.ins, link{base: e.BaseTime, producer: e.From, node: p.Node, at: p.Window.End})
+		}
+	}
+	b.adj = b.job.AppendOut(b.adj[:0], task)
+	for _, e := range b.adj {
+		if s, ok := b.placement(e.To); ok {
+			b.outs = append(b.outs, link{base: e.BaseTime, producer: task, node: s.Node, at: s.Window.Start})
+		}
+	}
+}
+
+// est returns the earliest start on node n of the task linkPlaced visited
+// last: up (the release time plus the optimistic upstream bound) and the
+// hard constraints from its placed predecessors.
+func (b *builder) est(up simtime.Time, n resource.NodeID) simtime.Time {
+	t := up
+	for _, l := range b.ins {
+		if cand := l.at + b.opt.Data.TransferTime(l.base, l.node, n, b.held(l.producer, n)); cand > t {
+			t = cand
+		}
+	}
+	return t
+}
+
+// lft returns the latest finish on node n of the task linkPlaced visited
+// last: down (the deadline tightened by the optimistic downstream bound)
+// and the hard constraints from its placed successors.
+func (b *builder) lft(down simtime.Time, n resource.NodeID) simtime.Time {
+	t := down
+	for _, l := range b.outs {
+		if cand := l.at - b.opt.Data.TransferTime(l.base, n, l.node, b.held(l.producer, l.node)); cand < t {
+			t = cand
+		}
+	}
+	return t
+}
+
 // delayOnIdealNodes is the E8 ablation baseline: keep every task on its
-// ideal node and only push it later until the calendar has room.
+// ideal node and only push it later until the calendar has room. It reads
+// the cells the ideal phase prepared.
 func (b *builder) delayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Placement, bool) {
+	C := len(b.opt.Candidates)
 	out := b.actual[:len(ideal)]
 	var prevFinish simtime.Time
 	var prevNode resource.NodeID
 	for i, p := range ideal {
-		task := p.Task
 		n := p.Node
-		node := b.env.Node(n)
-		dur := b.opt.Table.TimeOnNode(task, node)
-		earliest := b.est(task, n)
+		in := b.cells[i*C+slices.Index(b.opt.Candidates, n)]
+		earliest := in.est
 		if i > 0 {
-			e := b.chainEdge(chain.Tasks[i-1], task)
+			e := b.chainEdge(chain.Tasks[i-1], p.Task)
 			if t := prevFinish + b.transferTime(e, prevNode, n); t > earliest {
 				earliest = t
 			}
 		}
-		st, fin, ok := b.fit(n, b.base[n], earliest, dur, b.lft(task, n))
+		st, fin, ok := b.fit(n, b.base[n], earliest, in.dur, in.lft)
 		if !ok {
 			return nil, false
 		}
-		out[i] = Placement{Task: task, Node: n, Window: simtime.Interval{Start: st, End: fin}}
+		out[i] = Placement{Task: p.Task, Node: n, Window: simtime.Interval{Start: st, End: fin}}
 		prevFinish, prevNode = fin, n
 	}
 	return out, true
@@ -259,41 +409,6 @@ func (b *builder) fit(n resource.NodeID, book *resource.Calendar, earliest, dur,
 // charge is the per-task economic cost on a node.
 func (b *builder) charge(task dag.TaskID, dur simtime.Time, node *resource.Node) float64 {
 	return economy.WeightedTaskCharge(b.opt.Table.Volume(task), dur, b.opt.Pricing.Rate(node))
-}
-
-// est returns the earliest start of task on node n: the release time, the
-// optimistic upstream bound, and the hard constraints from already-placed
-// predecessors.
-func (b *builder) est(task dag.TaskID, n resource.NodeID) simtime.Time {
-	t := b.opt.Release + b.bestUp[task]
-	b.adj = b.job.AppendIn(b.adj[:0], task)
-	for _, e := range b.adj {
-		p, ok := b.placement(e.From)
-		if !ok {
-			continue
-		}
-		if cand := p.Window.End + b.transferTime(e, p.Node, n); cand > t {
-			t = cand
-		}
-	}
-	return t
-}
-
-// lft returns the latest finish of task on node n: the deadline tightened
-// by the optimistic downstream bound and by already-placed successors.
-func (b *builder) lft(task dag.TaskID, n resource.NodeID) simtime.Time {
-	t := b.opt.Deadline - b.bestDown[task]
-	b.adj = b.job.AppendOut(b.adj[:0], task)
-	for _, e := range b.adj {
-		s, ok := b.placement(e.To)
-		if !ok {
-			continue
-		}
-		if cand := s.Window.Start - b.transferTime(e, n, s.Node); cand < t {
-			t = cand
-		}
-	}
-	return t
 }
 
 // chainEdge returns the connecting edge between two consecutive chain

@@ -1,0 +1,208 @@
+package criticalworks
+
+import (
+	"repro/internal/dag"
+	"repro/internal/resource"
+	"repro/internal/simtime"
+)
+
+// This file keeps the critical-works DP as it was before a cell probed once:
+// one calendar probe per (cell, predecessor), est and lft walking the task's
+// edges for every cell, and ResolveDelay reading them the same way. It is the
+// reference TestDPMatchesReference and FuzzDPMatchesReference hold runDP to,
+// and it reads nothing runDP prepares (scratch.cells).
+
+// refPlaceChain is placeChain with the reference DP in both phases and the
+// reference delay baseline, and no tracing.
+func refPlaceChain(b *builder, chain dag.Chain) error {
+	ideal, ok := b.refRunDP(chain, true)
+	if !ok {
+		return &InfeasibleError{Job: b.opt.JobName, Task: b.job.Task(chain.Tasks[0]).Name}
+	}
+	if err := b.cancelled(); err != nil {
+		return err
+	}
+	var actual []Placement
+	switch b.opt.Mode {
+	case ResolveDelay:
+		actual, ok = b.refDelayOnIdealNodes(chain, ideal)
+	default:
+		actual, ok = b.refRunDP(chain, false)
+	}
+	if !ok {
+		return &InfeasibleError{Job: b.opt.JobName, Task: b.job.Task(chain.Tasks[0]).Name}
+	}
+	for _, p := range ideal {
+		if res, busy := b.conflictWith(p.Node, p.Window); busy {
+			b.colls = append(b.colls, Collision{Task: p.Task, Node: p.Node, Window: p.Window, Holder: res.Owner})
+		}
+	}
+	for _, p := range actual {
+		if err := b.reserve(p); err != nil {
+			return err
+		}
+	}
+	b.commitPlaced()
+	return nil
+}
+
+// refRunDP finds the cost-minimal feasible placement of the chain. With
+// ignoreCalendar the search pretends every node is free (the "ideal"
+// attempt); otherwise starts come from the calendar view. The result lives
+// in the scratch's ideal or actual buffer until the next chain's same phase.
+func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
+	cands := b.opt.Candidates
+	L, C := len(chain.Tasks), len(cands)
+	b.dp = grow(b.dp, L*C)
+	dp := b.dp // row i is dp[i*C : (i+1)*C]
+	clear(dp)
+
+	for i := 0; i < L; i++ {
+		task := chain.Tasks[i]
+		// The incoming edge's base time, resolved once per position: the
+		// predecessor loop below runs C² times and must not copy an Edge out
+		// of the job on each pass.
+		var inBase simtime.Time
+		var prevRow []cell
+		if i > 0 {
+			inBase = b.chainEdge(chain.Tasks[i-1], task).BaseTime
+			prevRow = dp[(i-1)*C : i*C]
+		}
+		for c, n := range cands {
+			node := b.env.Node(n)
+			dur := b.opt.Table.TimeOnNode(task, node)
+			if dur <= 0 {
+				continue
+			}
+			// Functions of (task, n) alone: once per cell, not per predecessor.
+			est, lft, charge := b.refEst(task, n), b.refLft(task, n), b.charge(task, dur, node)
+			var book *resource.Calendar // stays nil in the ideal phase
+			if !ignoreCalendar {
+				book = b.base[n]
+			}
+			best := cell{}
+			if i == 0 {
+				if st, fin, ok := b.fit(n, book, est, dur, lft); ok {
+					best = cell{ok: true, cost: charge, start: st, finish: fin, prev: -1}
+				}
+			} else {
+				// Whether the predecessor's output is already at n: a bit
+				// test, the same for every predecessor node.
+				held := b.held(chain.Tasks[i-1], n)
+				for m, pn := range cands {
+					prevCell := prevRow[m]
+					if !prevCell.ok {
+						continue
+					}
+					earliest := prevCell.finish + b.opt.Data.TransferTime(inBase, pn, n, held)
+					if est > earliest {
+						earliest = est
+					}
+					st, fin, ok := b.fit(n, book, earliest, dur, lft)
+					if !ok {
+						continue
+					}
+					cand := cell{
+						ok:     true,
+						cost:   prevCell.cost + charge,
+						start:  st,
+						finish: fin,
+						prev:   m,
+					}
+					if b.betterCell(cand, best) {
+						best = cand
+					}
+				}
+			}
+			dp[i*C+c] = best
+		}
+	}
+
+	// Select the best terminal state and backtrack.
+	final, finalIdx := cell{}, -1
+	for c, last := range dp[(L-1)*C:] {
+		if b.betterCell(last, final) {
+			final, finalIdx = last, c
+		}
+	}
+	if finalIdx < 0 {
+		return nil, false
+	}
+	placements := b.actual[:L]
+	if ignoreCalendar {
+		placements = b.ideal[:L]
+	}
+	for i, c := L-1, finalIdx; i >= 0; i-- {
+		st := dp[i*C+c]
+		placements[i] = Placement{
+			Task:   chain.Tasks[i],
+			Node:   cands[c],
+			Window: simtime.Interval{Start: st.start, End: st.finish},
+		}
+		c = st.prev
+	}
+	return placements, true
+}
+
+// refDelayOnIdealNodes is the E8 ablation baseline: keep every task on its
+// ideal node and only push it later until the calendar has room.
+func (b *builder) refDelayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Placement, bool) {
+	out := b.actual[:len(ideal)]
+	var prevFinish simtime.Time
+	var prevNode resource.NodeID
+	for i, p := range ideal {
+		task := p.Task
+		n := p.Node
+		node := b.env.Node(n)
+		dur := b.opt.Table.TimeOnNode(task, node)
+		earliest := b.refEst(task, n)
+		if i > 0 {
+			e := b.chainEdge(chain.Tasks[i-1], task)
+			if t := prevFinish + b.transferTime(e, prevNode, n); t > earliest {
+				earliest = t
+			}
+		}
+		st, fin, ok := b.fit(n, b.base[n], earliest, dur, b.refLft(task, n))
+		if !ok {
+			return nil, false
+		}
+		out[i] = Placement{Task: task, Node: n, Window: simtime.Interval{Start: st, End: fin}}
+		prevFinish, prevNode = fin, n
+	}
+	return out, true
+}
+
+// refEst returns the earliest start of task on node n: the release time, the
+// optimistic upstream bound, and the hard constraints from already-placed
+// predecessors.
+func (b *builder) refEst(task dag.TaskID, n resource.NodeID) simtime.Time {
+	t := b.opt.Release + b.bestUp[task]
+	b.adj = b.job.AppendIn(b.adj[:0], task)
+	for _, e := range b.adj {
+		p, ok := b.placement(e.From)
+		if !ok {
+			continue
+		}
+		if cand := p.Window.End + b.transferTime(e, p.Node, n); cand > t {
+			t = cand
+		}
+	}
+	return t
+}
+
+// refLft returns the latest finish of task on node n: the deadline tightened
+// by the optimistic downstream bound and by already-placed successors.
+func (b *builder) refLft(task dag.TaskID, n resource.NodeID) simtime.Time {
+	t := b.opt.Deadline - b.bestDown[task]
+	b.adj = b.job.AppendOut(b.adj[:0], task)
+	for _, e := range b.adj {
+		s, ok := b.placement(e.To)
+		if !ok {
+			continue
+		}
+		if cand := s.Window.Start - b.transferTime(e, n, s.Node); cand < t {
+			t = cand
+		}
+	}
+	return t
+}

@@ -1,0 +1,176 @@
+package criticalworks
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/dag"
+	"repro/internal/data"
+	"repro/internal/economy"
+	"repro/internal/resource"
+	"repro/internal/simtime"
+)
+
+// dpVariant is one setting of the axes the DP's choices depend on beyond the
+// job, the nodes and the books.
+type dpVariant struct {
+	obj     Objective
+	pol     data.Policy
+	mode    CollisionMode
+	pricing economy.Pricing // nil: the bare CF, integer costs
+}
+
+func (v dpVariant) String() string {
+	return fmt.Sprintf("obj%d/%v/mode%d/%v", v.obj, v.pol, v.mode, v.pricing)
+}
+
+// dpVariants crosses both objectives, the three data policies, both
+// collision modes and two pricings. The fractional one (rates 0.1 × the
+// node's performance: 0.1, 0.05, 0.033, 0.025) makes costs whose sums round.
+func dpVariants() []dpVariant {
+	var out []dpVariant
+	for _, obj := range []Objective{MinFinish, MinCost} {
+		for _, pol := range policies {
+			for _, mode := range []CollisionMode{ResolveReallocate, ResolveDelay} {
+				for _, pr := range []economy.Pricing{nil, economy.PerformancePricing{Base: 0.1}} {
+					out = append(out, dpVariant{obj, pol, mode, pr})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// matchDPReference builds the job with Build and with the reference —
+// refBuild placing every critical work with refPlaceChain, the DP that
+// probes once per (cell, predecessor) — and reports a difference in any
+// Schedule field but Evaluations, in the error, or an Evaluations count
+// above the reference's. It returns both counts.
+func matchDPReference(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (got, want int64, err error) {
+	gotS, gotErr := Build(env, cals, job, opt)
+	wantS, _, _, wantErr := refBuildWith(refPlaceChain, env, cals.Clone(), job, opt)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		return 0, 0, fmt.Errorf("err = %v, reference %v", gotErr, wantErr)
+	}
+	if (gotS == nil) != (wantS == nil) {
+		return 0, 0, fmt.Errorf("schedule = %v, reference %v", gotS, wantS)
+	}
+	if gotS == nil {
+		return 0, 0, nil // an internal error, the same on both sides
+	}
+	g, w := *gotS, *wantS
+	got, want = g.Evaluations, w.Evaluations
+	g.Evaluations, w.Evaluations = 0, 0
+	if !reflect.DeepEqual(g, w) {
+		return got, want, fmt.Errorf("schedule differs from the reference:\n got %+v\nwant %+v", g, w)
+	}
+	if got > want {
+		return got, want, fmt.Errorf("%d evaluations, the reference %d", got, want)
+	}
+	return got, want, nil
+}
+
+// TestDPMatchesReference pins runDP to the per-predecessor DP it replaced,
+// over TestBuildMatchesCloneReference's corpus crossed with dpVariants: every
+// field of every schedule — placements, collisions and their holders, costs,
+// the partial schedule of a failed build — and every error are the
+// reference's; Evaluations, the probes performed, is never above the
+// reference's in any case and below it in total.
+func TestDPMatchesReference(t *testing.T) {
+	var got, want int64
+	variants := dpVariants()
+	corpus := cowCorpus()
+	for _, tc := range corpus {
+		for _, v := range variants {
+			opt := tc.opt
+			opt.Objective, opt.Mode, opt.Data.Policy, opt.Pricing = v.obj, v.mode, v.pol, v.pricing
+			g, w, err := matchDPReference(tc.env, tc.cals, tc.job, opt)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, v, err)
+			}
+			got, want = got+g, want+w
+		}
+	}
+	t.Logf("%d cases × %d variants: %d evaluations, the reference %d (%.1f×)",
+		len(corpus), len(variants), got, want, float64(want)/float64(got))
+	if got >= want {
+		t.Errorf("%d evaluations in total, the reference %d: one probe per cell saved nothing", got, want)
+	}
+}
+
+// FuzzDPMatchesReference holds runDP to the reference DP on the inputs
+// FuzzBuildSchedule decodes, under every dpVariant: the same schedule and
+// error, and no more Evaluations.
+func FuzzDPMatchesReference(f *testing.F) {
+	f.Add(fig2SeedBytes())
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{2, 3, 3, 0, 0, 0, 1, 0, 1, 20, 2, 1, 1, 2, 1, 5, 9})
+	f.Add(hopelessSeedBytes(0, 0))
+	f.Add(hopelessSeedBytes(1, 1))
+
+	variants := dpVariants()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		job, env, cals, opt := decodeFuzzInput(raw)
+		for _, v := range variants {
+			opt.Objective, opt.Mode, opt.Data.Policy, opt.Pricing = v.obj, v.mode, v.pol, v.pricing
+			if _, _, err := matchDPReference(env, cals, job, opt); err != nil {
+				t.Fatalf("%v: %v", v, err)
+			}
+		}
+	})
+}
+
+// ratePricing prices node i at rates[i].
+type ratePricing []float64
+
+func (r ratePricing) Rate(n *resource.Node) float64 { return r[n.ID] }
+
+// TestDPBreaksFloatTiesByIndex: two predecessors whose chain costs differ but
+// whose sums with the next task's charge round to one float must tie, and
+// the lower candidate index must win, as it does in the reference DP.
+//
+// A → B, V(A) = 3 with base time 1: on node 0 (tier 1, rate 0.1) A is charged
+// 3 × 0.1 = 0.30000000000000004, on node 1 (tier 3, rate 0.3) 1 × 0.3 = 0.3.
+// Node 0 is booked from tick 1 and node 1 from tick 3, so B can only run on
+// node 2 (tier 1, rate 1, charge 1), which is booked until tick 5: both
+// predecessors let B start at 5, and 0.30000000000000004 + 1 == 0.3 + 1. A on
+// node 2 would cost 3 and start B at 7. So under either objective B's cell
+// on node 2 ties between A on node 0 and A on node 1, and A goes to node 0.
+// A DP that picked the predecessor with the least chain cost before adding
+// the charge would put A on node 1.
+func TestDPBreaksFloatTiesByIndex(t *testing.T) {
+	if p0, p1 := economy.WeightedTaskCharge(3, 1, 0.1), economy.WeightedTaskCharge(3, 3, 0.3); p0 == p1 || p0+1 != p1+1 {
+		t.Fatalf("the fixture's floats do not tie: %v + 1 = %v, %v + 1 = %v", p0, p0+1, p1, p1+1)
+	}
+	b := dag.NewBuilder("tie").Deadline(100)
+	a := b.Task("A", 1, 3)
+	c := b.Task("B", 1, 1)
+	b.Link("AB", a, c, 1, 10)
+	job := b.MustBuild()
+	env := resource.NewEnvironment([]*resource.Node{
+		resource.NewNode(0, "n0", 1.0, 1, "d"),
+		resource.NewNode(1, "n1", 0.33, 1, "d"),
+		resource.NewNode(2, "n2", 1.0, 1, "d"),
+	})
+	cals := EmptyCalendars(env)
+	for n, iv := range []simtime.Interval{{Start: 1, End: 1000}, {Start: 3, End: 1000}, {Start: 0, End: 5}} {
+		if err := cals[resource.NodeID(n)].Reserve(iv, resource.External); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, obj := range []Objective{MinFinish, MinCost} {
+		opt := Options{Objective: obj, Pricing: ratePricing{0.1, 0.3, 1}}
+		s, err := Build(env, cals, job, opt)
+		if err != nil {
+			t.Fatalf("obj %d: %v", obj, err)
+		}
+		if pa, pb := s.Placements[a], s.Placements[c]; pa.Node != 0 || pb.Node != 2 || pb.Window.Start != 5 {
+			t.Errorf("obj %d: A on node %d, B on node %d at %v; want A on node 0, B on node 2 from 5", obj, pa.Node, pb.Node, pb.Window)
+		}
+		if _, _, err := matchDPReference(env, cals, job, opt); err != nil {
+			t.Errorf("obj %d: %v", obj, err)
+		}
+	}
+}
