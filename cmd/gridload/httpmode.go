@@ -19,13 +19,6 @@ import (
 	"repro/internal/workload"
 )
 
-// submitBody mirrors service.SubmitRequest on the wire.
-type submitBody struct {
-	jobio.Job
-	Strategy string `json:"strategy,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-}
-
 // httpState accumulates results across submitter goroutines.
 type httpState struct {
 	mu             sync.Mutex
@@ -213,7 +206,7 @@ func runHTTP(o options) (*scalereport.Report, error) {
 func submitHTTP(o options, client *http.Client, pool *targetPool, st *httpState, i int, a workload.Arrival) {
 	wire := jobio.FromJob(a.Job)
 	wire.Deadline = int64(a.Job.Deadline - a.At)
-	body, err := json.Marshal(submitBody{Job: wire, Strategy: o.strategy, Priority: i % o.priorities})
+	body, err := json.Marshal(service.SubmitRequest{Job: wire, Strategy: o.strategy, Priority: i % o.priorities})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridload: marshal %s: %v\n", wire.Name, err)
 		return

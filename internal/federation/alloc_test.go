@@ -108,3 +108,46 @@ func TestDurablePathAllocationCeilings(t *testing.T) {
 		}
 	}
 }
+
+// cannedBody is a response body that can be answered again and again.
+type cannedBody struct{ strings.Reader }
+
+func (*cannedBody) Close() error { return nil }
+
+// cannedTransport answers every request 200 with the router's terminal
+// acknowledgement, from memory it owns, so what a test counts is the
+// client side's alone.
+type cannedTransport struct {
+	resp http.Response
+	body cannedBody
+	hdr  http.Header
+}
+
+func (c *cannedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	io.Copy(io.Discard, r.Body)
+	r.Body.Close()
+	c.body.Reset(`{"status":"ok"}` + "\n")
+	c.resp = http.Response{StatusCode: http.StatusOK, Header: c.hdr, Body: &c.body, Request: r}
+	return &c.resp, nil
+}
+
+// TestTerminalNoticeAllocationCeiling: a shard pays one terminal notice per
+// job. Delivering it allocates 16 times on the client side — the request,
+// its marshalled body and what net/http builds around them — and no more.
+func TestTerminalNoticeAllocationCeiling(t *testing.T) {
+	if raceDetectorOn() {
+		t.Skip("sync.Pool drops items at random under -race; the ceiling holds for the plain build")
+	}
+	m := NewMember(MemberConfig{Shard: "s0", Router: "http://router.invalid",
+		Client: &http.Client{Transport: &cannedTransport{hdr: http.Header{}}}})
+	n := TerminalNotice{Shard: "s0", Job: "job-1", State: service.StateCompleted}
+	deliver := func() {
+		if err := m.deliver(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver()
+	if got := testing.AllocsPerRun(500, deliver); got > 16 {
+		t.Errorf("a terminal notice allocates %.0f times, ceiling 16", got)
+	}
+}

@@ -171,7 +171,7 @@ func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult
 			r.moveLocked(rec, res.State, shard, res.Reason)
 		}
 		return true
-	case res.Duplicate && (res.State == service.StateRevoked || res.State == service.StateDrained):
+	case res.Duplicate && service.Tombstone(res.State):
 		// Our own tombstone (or a drained shutdown remnant): this key was
 		// voided at this shard earlier, so the binding is void. Ban the
 		// shard and reallocate.

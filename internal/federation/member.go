@@ -1,12 +1,12 @@
 package federation
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,8 +45,12 @@ func NewLease(timeout time.Duration) *Lease {
 // Kick, so a gated engine loop wakes up.
 func (l *Lease) OnRefresh(f func()) { l.kick.Store(f) }
 
-// Refresh records router contact now.
+// Refresh records router contact now. Like Fresh, it is safe on a nil
+// lease, which ignores it.
 func (l *Lease) Refresh() {
+	if l == nil {
+		return
+	}
 	l.last.Store(time.Now().UnixNano())
 	if f, ok := l.kick.Load().(func()); ok && f != nil {
 		f()
@@ -223,27 +227,20 @@ func (m *Member) joinOnce() error {
 			req.Terminal = append(req.Terminal, JoinJob{ID: rec.ID, State: rec.State, Reason: rec.Reason})
 		}
 	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		return err
-	}
-	resp, err := m.client.Post(m.cfg.Router+"/v1/federation/join", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("join: router answered %d", resp.StatusCode)
-	}
 	var jr JoinResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	if _, err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &req, &jr); err != nil {
 		return err
 	}
-	if m.cfg.Lease != nil {
-		m.cfg.Lease.Refresh()
+	m.cfg.Lease.Refresh()
+	// Decisions apply in ID order, so the revocations they journal do too.
+	ids := make([]string, 0, len(jr.Decisions))
+	for id := range jr.Decisions {
+		ids = append(ids, id)
 	}
+	sort.Strings(ids)
 	var resume []string
-	for id, decision := range jr.Decisions {
+	for _, id := range ids {
+		decision := jr.Decisions[id]
 		if decision == JoinResume {
 			resume = append(resume, id)
 			continue
@@ -255,10 +252,10 @@ func (m *Member) joinOnce() error {
 		}
 		// The optional "@N" suffix carries the router's reallocation epoch;
 		// the tombstone keeps it so stale handoff replays stay refused.
+		// ErrInFlight, RevokeEpoch's only error, means a newer binding
+		// placed the job here: it stays.
 		epoch, _ := strconv.Atoi(arg)
-		if _, err := m.svc.RevokeEpoch(id, "join: ownership moved while shard was down", epoch); err != nil && !errors.Is(err, service.ErrInFlight) {
-			m.logf("federation: join revoke %s: %v", id, err)
-		}
+		_, _ = m.svc.RevokeEpoch(id, "join: ownership moved while shard was down", epoch)
 	}
 	if n := m.svc.ResumeHeld(resume); n > 0 {
 		m.logf("federation: join resumed %d held jobs, %d still parked", n, len(m.svc.Held()))
@@ -300,22 +297,10 @@ func (m *Member) notifyLoop() {
 }
 
 func (m *Member) deliver(n TerminalNotice) error {
-	body, err := json.Marshal(&n)
-	if err != nil {
+	if _, err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/terminal", &n, nil); err != nil {
 		return err
 	}
-	resp, err := m.client.Post(m.cfg.Router+"/v1/federation/terminal", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("terminal: router answered %d", resp.StatusCode)
-	}
-	if m.cfg.Lease != nil {
-		m.cfg.Lease.Refresh()
-	}
+	m.cfg.Lease.Refresh()
 	return nil
 }
 
@@ -343,14 +328,8 @@ func (m *Member) Handler(next http.Handler) http.Handler {
 	return mux
 }
 
-func (m *Member) refreshLease() {
-	if m.cfg.Lease != nil {
-		m.cfg.Lease.Refresh()
-	}
-}
-
 func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	m.refreshLease()
+	m.cfg.Lease.Refresh()
 	m.handoffs.Inc()
 	h, err := readHandoff(r.Body)
 	if err != nil {
@@ -365,10 +344,10 @@ func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
-	m.refreshLease()
+	m.cfg.Lease.Refresh()
 	m.revokes.Inc()
 	var req RevokeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFrameBytes)).Decode(&req); err != nil || req.Key == "" {
+	if err := decodeJSONBody(r.Body, maxFrameBytes, &req); err != nil || req.Key == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad revoke request"})
 		return
 	}
@@ -376,7 +355,7 @@ func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
-	m.refreshLease()
+	m.cfg.Lease.Refresh()
 	met := m.svc.Metrics()
 	writeJSON(w, http.StatusOK, PingResponse{
 		Shard: m.cfg.Shard, Version: Version,
@@ -385,7 +364,12 @@ func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
 }
 
 // ApplyHandoff maps one decoded handoff onto a service submission: the
-// whole of what a shard does with a frame once it is decoded.
+// whole of what a shard does with a frame once it is decoded. The handoff's
+// epoch rides into the admission, which alone decides whether a tombstone
+// (the key was revoked or drained here) yields to a new life. A duplicate
+// is answered with the record as it stands: a tombstone is not accepted —
+// the frame replays a binding the router already voided, so the job
+// belongs elsewhere — while a live or finished accept is, idempotently.
 func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 	if h.Deadline > 0 && time.Now().UnixMilli() > h.Deadline {
 		// Stale handoff: the router stopped waiting. Refusing (retryably)
@@ -393,51 +377,16 @@ func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 		// router may learn about it".
 		return &HandoffResult{Key: h.Key, Code: "expired", Reason: "handoff deadline passed", RetryAfter: 1}
 	}
-	rec, err := svc.Submit(h.Job, h.Strategy, h.Priority)
+	rec, err := svc.SubmitEpoch(h.Job, h.Strategy, h.Priority, h.Epoch)
 	if err == nil {
 		return &HandoffResult{Key: h.Key, Accepted: true, State: rec.State}
 	}
 	var se *service.SubmitError
-	if !errors.As(err, &se) {
-		return &HandoffResult{Key: h.Key, Code: service.CodeInternal, Reason: err.Error(), RetryAfter: 1}
+	if errors.As(err, &se) && se.Code == service.CodeDuplicate {
+		return &HandoffResult{Key: h.Key, Duplicate: true, Accepted: !service.Tombstone(rec.State),
+			State: rec.State, Code: se.Code}
 	}
-	if se.Code != service.CodeDuplicate {
-		return handoffError(h.Key, se)
-	}
-	existing, ok := svc.Job(h.Key)
-	if !ok { // cannot happen: duplicate implies a ledger entry
-		return &HandoffResult{Key: h.Key, Code: service.CodeInternal, Reason: "duplicate without ledger entry", RetryAfter: 1}
-	}
-	switch existing.State {
-	case service.StateRevoked, service.StateDrained:
-		// A tombstone: the key was revoked here (or drained away) before
-		// this handoff arrived. A handoff whose epoch outranks the
-		// tombstone's is a deliberate router decision made AFTER the
-		// revocation round that planted it — the job provably runs nowhere
-		// — so the tombstone resurrects into a fresh admission. Anything
-		// else is a stale replay of a revoked binding and is refused: the
-		// job belongs elsewhere now.
-		if h.Epoch > existing.Epoch {
-			rec, rerr := svc.Resurrect(h.Job, h.Strategy, h.Priority, h.Epoch)
-			if rerr == nil {
-				return &HandoffResult{Key: h.Key, Accepted: true, State: rec.State}
-			}
-			if errors.Is(rerr, service.ErrNotRevoked) && rec != nil {
-				// Lost a race with a concurrent resurrection of the same
-				// key: answer for the record as it stands now.
-				return &HandoffResult{
-					Key: h.Key, Duplicate: true, State: rec.State,
-					Accepted: rec.State != service.StateRevoked && rec.State != service.StateDrained,
-					Code:     se.Code,
-				}
-			}
-			return handoffError(h.Key, rerr)
-		}
-		return &HandoffResult{Key: h.Key, Duplicate: true, State: existing.State, Code: se.Code}
-	default:
-		// Duplicate of a live or finished accept — idempotent.
-		return &HandoffResult{Key: h.Key, Duplicate: true, Accepted: true, State: existing.State, Code: se.Code}
-	}
+	return handoffError(h.Key, err)
 }
 
 // handoffError maps a submission error onto the wire result. Retryable
@@ -463,11 +412,8 @@ func handoffError(key string, err error) *HandoffResult {
 // outcome.
 func ApplyRevoke(svc *service.Server, req *RevokeRequest) *RevokeResult {
 	rec, err := svc.RevokeEpoch(req.Key, fmt.Sprintf("revoked by %s: %s", req.Origin, req.Reason), req.Epoch)
-	if errors.Is(err, service.ErrInFlight) {
+	if err != nil { // service.ErrInFlight, the only error RevokeEpoch returns
 		return &RevokeResult{Key: req.Key, Outcome: RevokeOutcomeInFlight, State: rec.State}
-	}
-	if err != nil {
-		return &RevokeResult{Key: req.Key, Outcome: RevokeOutcomeInFlight, State: rec.State, Reason: err.Error()}
 	}
 	if rec.State == service.StateRevoked {
 		return &RevokeResult{Key: req.Key, Outcome: RevokeOutcomeRevoked, State: rec.State, Reason: rec.Reason}

@@ -1,16 +1,93 @@
 package federation
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/service"
 )
+
+// TestRejoinJournalIsTheSameBytesEveryRun: a rejoining shard applies the
+// router's decisions in ID order, so the revocations it journals come out in
+// one order. Eight held jobs, every other one revoked, are restored and
+// joined afresh on each run, and every run must leave the journal the first
+// run left, byte for byte.
+func TestRejoinJournalIsTheSameBytesEveryRun(t *testing.T) {
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		var jr JoinRequest
+		if err := decodeJSONBody(req.Body, maxFrameBytes, &jr); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp := JoinResponse{Decisions: map[string]string{}}
+		for i, h := range jr.Held {
+			resp.Decisions[h.ID] = JoinResume
+			if i%2 == 0 {
+				resp.Decisions[h.ID] = JoinRevoke + "@1"
+			}
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}))
+	defer router.Close()
+
+	var first []byte
+	for run := 0; run < 6; run++ {
+		dir := t.TempDir()
+		jnl, _ := openTestJournal(t, dir)
+		for i := 0; i < 8; i++ {
+			wire := testJob(fmt.Sprintf("held-%d", i), 60)
+			if _, err := jnl.Append(journal.Record{Job: wire.Name, State: service.StateQueued, Strategy: "S1", Wire: &wire}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jnl.Close()
+		jnl, recovery := openTestJournal(t, dir)
+		svc, err := service.New(service.Config{Env: testEnv(), Journal: jnl, HoldRecovered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Restore(recovery); err != nil {
+			t.Fatal(err)
+		}
+		m := NewMember(MemberConfig{Shard: "s0", Router: router.URL})
+		m.Bind(svc)
+		if err := m.joinOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if m := svc.Metrics(); m.Held != 0 || m.QueueDepth != 4 || m.Revoked != 4 {
+			t.Fatalf("run %d: after the join %d held, %d queued, %d revoked; want 0, 4, 4", run, m.Held, m.QueueDepth, m.Revoked)
+		}
+		jnl.Close()
+
+		var got []byte
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(append(got, f.Name()...), b...)
+		}
+		if run == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("run %d journaled\n%s\nrun 0 journaled\n%s", run, got, first)
+		}
+	}
+}
 
 // TestMemberRetryWaitsLeakNothingAndKeepWakeups pins the member's retry
 // wait. It used to park a helper goroutine on the member's cond for every

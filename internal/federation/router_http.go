@@ -1,20 +1,14 @@
 package federation
 
 import (
-	"encoding/json"
 	"net/http"
 
-	"repro/internal/jobio"
 	"repro/internal/service"
 )
 
-// SubmitRequest mirrors the service wire shape, so clients (and gridload)
+// SubmitRequest is the service's wire shape, so clients (and gridload)
 // talk to a router exactly as they talk to a single gridd.
-type SubmitRequest struct {
-	jobio.Job
-	Strategy string `json:"strategy,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-}
+type SubmitRequest = service.SubmitRequest
 
 type errorBody struct {
 	Error  string `json:"error"`
@@ -91,7 +85,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 	var jr JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxFrameBytes)).Decode(&jr); err != nil || jr.Shard == "" {
+	if err := decodeJSONBody(req.Body, maxFrameBytes, &jr); err != nil || jr.Shard == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad join request"})
 		return
 	}

@@ -83,26 +83,9 @@ func (s *HTTPShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, er
 }
 
 // Revoke implements ShardClient.
-func (s *HTTPShard) Revoke(ctx context.Context, rreq *RevokeRequest) (*RevokeResult, error) {
-	body, err := json.Marshal(rreq)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/federation/revoke", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("federation: shard %s revoke answered %d", s.name, resp.StatusCode)
-	}
+func (s *HTTPShard) Revoke(ctx context.Context, req *RevokeRequest) (*RevokeResult, error) {
 	var res RevokeResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&res); err != nil {
+	if _, err := callJSON(ctx, s.client, http.MethodPost, s.base+"/v1/federation/revoke", req, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -110,24 +93,12 @@ func (s *HTTPShard) Revoke(ctx context.Context, rreq *RevokeRequest) (*RevokeRes
 
 // Record implements ShardClient: GET /v1/jobs/{id}; 404 means unknown.
 func (s *HTTPShard) Record(ctx context.Context, id string) (service.Record, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return service.Record{}, false, err
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return service.Record{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return service.Record{}, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return service.Record{}, false, fmt.Errorf("federation: shard %s record answered %d", s.name, resp.StatusCode)
-	}
 	var rec service.Record
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rec); err != nil {
+	status, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/jobs/"+id, nil, &rec)
+	switch {
+	case status == http.StatusNotFound:
+		return service.Record{}, false, nil
+	case err != nil:
 		return service.Record{}, false, err
 	}
 	return rec, true, nil
@@ -135,21 +106,44 @@ func (s *HTTPShard) Record(ctx context.Context, id string) (service.Record, bool
 
 // Ping implements ShardClient.
 func (s *HTTPShard) Ping(ctx context.Context) (*PingResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/v1/federation/ping", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("federation: shard %s ping answered %d", s.name, resp.StatusCode)
-	}
 	var pr PingResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&pr); err != nil {
+	if _, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/federation/ping", nil, &pr); err != nil {
 		return nil, err
 	}
 	return &pr, nil
+}
+
+// callJSON is one JSON round trip on the federation wire, the handoff frame
+// aside: it sends in, marshalled (no body when in is nil), and decodes a 200
+// answer of at most maxFrameBytes into out (out nil discards it). It returns
+// the status whatever it was; any status but 200 is also an error. The
+// answer is read to its end either way, so the connection is kept.
+func callJSON(ctx context.Context, client *http.Client, method, url string, in, out any) (int, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return 0, err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return 0, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("federation: %s %s answered %d", method, url, resp.StatusCode)
+	} else if out != nil {
+		err = decodeJSONBody(resp.Body, maxFrameBytes, out)
+	}
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
 }

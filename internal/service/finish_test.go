@@ -103,7 +103,7 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 			name: "rejected/infeasible-resurrection", state: StateRejected, reason: infeasible, epoch: 2, appends: 1,
 			setup: func(t *testing.T, w world) { revoke(t, w.s, 1) }, // a first life, ended as a tombstone
 			step: func(t *testing.T, w world) {
-				if _, err := w.s.Resurrect(wireJob("j", 3), "S1", 0, 2); submitCode(err) != CodeInfeasible {
+				if _, err := w.s.SubmitEpoch(wireJob("j", 3), "S1", 0, 2); submitCode(err) != CodeInfeasible {
 					t.Fatalf("err = %v, want infeasible", err)
 				}
 			},

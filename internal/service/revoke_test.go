@@ -19,7 +19,7 @@ func TestRevokeQueued(t *testing.T) {
 	if _, err := s.Submit(wireJob("j1", 60), "S1", 0); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.Revoke("j1", "rebalance")
+	rec, err := s.RevokeEpoch("j1", "rebalance", 0)
 	if err != nil {
 		t.Fatalf("revoke queued: %v", err)
 	}
@@ -30,7 +30,7 @@ func TestRevokeQueued(t *testing.T) {
 		t.Fatal("revoked must be terminal")
 	}
 	// Idempotent: a second revoke returns the same terminal record.
-	rec2, err := s.Revoke("j1", "again")
+	rec2, err := s.RevokeEpoch("j1", "again", 0)
 	if err != nil || rec2.State != StateRevoked {
 		t.Fatalf("second revoke = (%v, %v), want revoked", rec2.State, err)
 	}
@@ -52,7 +52,7 @@ func TestRevokeQueued(t *testing.T) {
 // handoff arriving later is refused as a duplicate and never executes.
 func TestRevokeUnknownPlantsTombstone(t *testing.T) {
 	s := newServer(t, Config{})
-	rec, err := s.Revoke("ghost", "handoff gave up")
+	rec, err := s.RevokeEpoch("ghost", "handoff gave up", 0)
 	if err != nil {
 		t.Fatalf("tombstone revoke: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestRevokeInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Process(1) // dequeue + schedule: now in flight
-	if _, err := s.Revoke("j1", "too late"); !errors.Is(err, ErrInFlight) {
+	if _, err := s.RevokeEpoch("j1", "too late", 0); !errors.Is(err, ErrInFlight) {
 		t.Fatalf("revoke in-flight: err = %v, want ErrInFlight", err)
 	}
 	s.Quiesce()
@@ -86,7 +86,7 @@ func TestRevokeInFlight(t *testing.T) {
 		t.Fatalf("in-flight job ended %q, want completed", rec.State)
 	}
 	// Terminal now: revoke reports the existing terminal state unchanged.
-	rec2, err := s.Revoke("j1", "late again")
+	rec2, err := s.RevokeEpoch("j1", "late again", 0)
 	if err != nil || rec2.State != StateCompleted {
 		t.Fatalf("revoke after terminal = (%q, %v), want completed", rec2.State, err)
 	}
@@ -131,7 +131,7 @@ func TestHoldRecovered(t *testing.T) {
 		t.Fatalf("parked jobs processed: %d", n)
 	}
 	// The router says: b was reallocated away, a and c are still ours.
-	if rec, err := s2.Revoke("b", "reallocated to shard-2"); err != nil || rec.State != StateRevoked {
+	if rec, err := s2.RevokeEpoch("b", "reallocated to shard-2", 0); err != nil || rec.State != StateRevoked {
 		t.Fatalf("revoke held = (%q, %v)", rec.State, err)
 	}
 	if n := s2.ResumeHeld([]string{"a", "c", "b", "nope"}); n != 2 {

@@ -20,7 +20,8 @@
 // # Job lifecycle
 //
 // A submission is rejected before it enters the queue when the service is
-// draining, the wire form is invalid, the ID was seen before, or the
+// draining, the wire form is invalid, the ID was seen before (unless a
+// newer federation epoch reopens a tombstone, see SubmitEpoch), or the
 // deadline is provably unmeetable (shorter than the job's task-only
 // critical path on the fastest node tier). A valid job waits in the
 // bounded queue ("queued"), is handed to the VO ("scheduled"), and ends in
@@ -62,8 +63,9 @@ const (
 	// StateRevoked is terminal at THIS shard only: a federated router took
 	// the job back (still queued, or tombstoned before arrival) to run it
 	// elsewhere. The ledger entry persists so the job's idempotency key is
-	// refused as a duplicate forever — the guarantee the cross-shard
-	// exactly-once argument rests on.
+	// refused as a duplicate until a handoff at a higher epoch starts a new
+	// life (SubmitEpoch) — the guarantee the cross-shard exactly-once
+	// argument rests on.
 	StateRevoked = "revoked"
 )
 
@@ -71,6 +73,13 @@ const (
 func Terminal(state string) bool {
 	return state == StateCompleted || state == StateRejected ||
 		state == StateDrained || state == StateRevoked
+}
+
+// Tombstone reports whether a terminal state left the job unexecuted here
+// (revoked or drained), so a handoff at a higher epoch may start a new
+// life over it.
+func Tombstone(state string) bool {
+	return state == StateRevoked || state == StateDrained
 }
 
 // Config tunes the service.
@@ -115,8 +124,8 @@ type Config struct {
 	// HoldRecovered parks non-terminal jobs found by Restore instead of
 	// re-enqueueing them: a federated shard must not re-execute recovered
 	// work until the router's join handshake confirms it still owns each
-	// job (ResumeHeld) or revokes it (Revoke). false keeps the standalone
-	// behavior: recovered jobs go straight back into the queue.
+	// job (ResumeHeld) or revokes it (RevokeEpoch). false keeps the
+	// standalone behavior: recovered jobs go straight back into the queue.
 	HoldRecovered bool
 	// Gate, when non-nil, is consulted before the engine loop dequeues
 	// work: a false return pauses scheduling (already-scheduled jobs still
@@ -200,7 +209,7 @@ type Record struct {
 	// Epoch is the federation reallocation round that placed (or revoked)
 	// this job on this shard; always 0 outside federation. Revocation
 	// tombstones keep the epoch they were planted at, and RevokeEpoch /
-	// Resurrect use it to tell a stale replay of an old binding from a
+	// SubmitEpoch use it to tell a stale replay of an old binding from a
 	// deliberate router decision.
 	Epoch int    `json:"epoch,omitempty"`
 	Seq   uint64 `json:"seq"`
@@ -487,13 +496,13 @@ func (s *Server) journalLocked(rec journal.Record) error {
 }
 
 // finishLocked is the only way a record enters a terminal state; callers
-// hold s.mu and call it exactly once per record lifetime (Resurrect starts
-// a new one). It is the lifecycle's transition table:
+// hold s.mu and call it exactly once per record lifetime (SubmitEpoch over
+// a tombstone starts a new one). It is the lifecycle's transition table:
 //
 //	state      entered from                                   counters
 //	completed  VO complete event                              Completed
 //	rejected   VO reject event, VO refused the submission,    Rejected (+Shed,
-//	           shed, infeasible at admission or resurrection, +Infeasible by
+//	           shed, infeasible at admission,                 +Infeasible by
 //	           recovered entry that no longer builds           the caller)
 //	drained    still queued or held at shutdown               Drained
 //	revoked    router took a queued/held job back, tombstone  Revoked
@@ -558,14 +567,26 @@ func minDeadline(job *dag.Job) simtime.Time {
 // Submit validates and admits one wire-form job. The wire Deadline is a
 // relative QoS budget: the absolute deadline becomes arrival + Deadline
 // when the job is handed to the engine. priority orders overload shedding
-// (higher is more important).
+// (higher is more important). Submit is SubmitEpoch at epoch 0, which no
+// tombstone yields to.
 func (s *Server) Submit(wire jobio.Job, strategyName string, priority int) (*Record, error) {
+	return s.SubmitEpoch(wire, strategyName, priority, 0)
+}
+
+// SubmitEpoch is Submit carrying a federation reallocation epoch, which
+// the admitted record keeps. An ID already in the ledger is refused as a
+// duplicate, with the existing record returned, unless its entry is a
+// tombstone (revoked or drained here) that epoch strictly outranks: a
+// router mints a higher epoch only after confirming the job runs nowhere,
+// so the tombstone starts a new life in place, keeping its ID and Seq,
+// under exactly the rules a first admission follows.
+func (s *Server) SubmitEpoch(wire jobio.Job, strategyName string, priority, epoch int) (*Record, error) {
 	if s.spans == nil {
-		return s.submit(wire, strategyName, priority)
+		return s.submit(wire, strategyName, priority, epoch)
 	}
 	sp := s.spans.Start("service.submit", 0)
 	sp.SetStr("job", wire.Name)
-	rec, err := s.submit(wire, strategyName, priority)
+	rec, err := s.submit(wire, strategyName, priority, epoch)
 	outcome := "accepted"
 	if err != nil {
 		outcome = "error"
@@ -577,8 +598,8 @@ func (s *Server) Submit(wire jobio.Job, strategyName string, priority int) (*Rec
 	return rec, err
 }
 
-// submit is Submit without the admission span.
-func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Record, error) {
+// submit is SubmitEpoch without the admission span.
+func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int) (*Record, error) {
 	typ, err := strategy.ParseType(strategyName)
 	if err != nil {
 		return nil, &SubmitError{Code: CodeInvalid, Reason: err.Error()}
@@ -590,9 +611,12 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 	bound := minDeadline(job)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A ledgered ID is a duplicate unless it is a tombstone epoch outranks.
+	prior := s.records[wire.Name]
+	duplicate := prior != nil && !(Tombstone(prior.State) && epoch > prior.Epoch)
 	if simtime.Time(wire.Deadline) < bound {
-		if _, ok := s.records[wire.Name]; ok {
-			return nil, &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
+		if duplicate {
+			return prior.clone(), duplicateError(wire.Name)
 		}
 		s.met.Submitted++
 		s.met.Infeasible++
@@ -600,10 +624,10 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 		s.th.infeasible.Inc()
 		// Ledger the rejection durably too: the duplicate-submit guard must
 		// give the same answer for this ID after a restart.
-		rec := s.newRecordLocked(wire.Name, typ, priority, StateRejected)
+		rec := s.newLifeLocked(prior, wire.Name, typ, priority, epoch, StateRejected)
 		s.finishLocked(rec, StateRejected,
 			fmt.Sprintf("infeasible: deadline %d is below the fastest-tier critical path %d", wire.Deadline, bound),
-			journal.Record{Strategy: typ.String(), Priority: priority})
+			journal.Record{Strategy: typ.String(), Priority: priority, Epoch: epoch})
 		return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: rec.Reason}
 	}
 	s.met.Submitted++
@@ -615,8 +639,8 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 			RetryAfter: s.cfg.retryAfter(),
 		}
 	}
-	if _, ok := s.records[wire.Name]; ok {
-		return nil, &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
+	if duplicate {
+		return prior.clone(), duplicateError(wire.Name)
 	}
 	if len(s.queue) >= s.cfg.queueCap() {
 		victim := s.shedCandidateLocked(priority)
@@ -636,21 +660,36 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority int) (*Rec
 	// an acknowledged submission survives any crash.
 	if err := s.journalLocked(journal.Record{
 		Job: wire.Name, State: StateQueued,
-		Strategy: typ.String(), Priority: priority, Wire: &wire,
+		Strategy: typ.String(), Priority: priority, Wire: &wire, Epoch: epoch,
 	}); err != nil {
 		return nil, &SubmitError{Code: CodeInternal,
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
 	}
-	rec := s.newRecordLocked(wire.Name, typ, priority, StateQueued)
+	rec := s.newLifeLocked(prior, wire.Name, typ, priority, epoch, StateQueued)
 	s.met.Accepted++
 	s.th.accepted.Inc()
 	s.enqueueLocked(&entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
 	return rec.clone(), nil
 }
 
-func (s *Server) newRecordLocked(id string, typ strategy.Type, priority int, state string) *Record {
+func duplicateError(id string) *SubmitError {
+	return &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", id)}
+}
+
+// newLifeLocked ledgers an admitted job: a new record, or — over a
+// tombstone — the prior record started over in place with its ID and Seq.
+func (s *Server) newLifeLocked(prior *Record, id string, typ strategy.Type, priority, epoch int, state string) *Record {
+	if prior == nil {
+		return s.newRecordLocked(id, typ, priority, epoch, state)
+	}
+	s.met.Resurrected++
+	*prior = Record{ID: id, Strategy: typ.String(), Priority: priority, State: state, Epoch: epoch, Seq: prior.Seq}
+	return prior
+}
+
+func (s *Server) newRecordLocked(id string, typ strategy.Type, priority, epoch int, state string) *Record {
 	s.seq++
-	rec := &Record{ID: id, Strategy: typ.String(), Priority: priority, State: state, Seq: s.seq}
+	rec := &Record{ID: id, Strategy: typ.String(), Priority: priority, State: state, Epoch: epoch, Seq: s.seq}
 	s.records[id] = rec
 	s.order = append(s.order, id)
 	return rec
@@ -853,13 +892,13 @@ func (s *Server) Quiesce() simtime.Time {
 	return t
 }
 
-// ErrInFlight is returned by Revoke for a job the engine already owns: it
-// was dequeued (scheduled or about to be), so it can no longer be taken
-// back — it will reach a terminal state here.
+// ErrInFlight is returned by RevokeEpoch for a job the engine already
+// owns: it was dequeued (scheduled or about to be), so it can no longer be
+// taken back — it will reach a terminal state here.
 var ErrInFlight = fmt.Errorf("service: job is in flight and cannot be revoked")
 
-// Revoke takes a job back on behalf of a federation router so it can be
-// reallocated to another shard. The outcome is encoded in the returned
+// RevokeEpoch takes a job back on behalf of a federation router so it can
+// be reallocated to another shard. The outcome is encoded in the returned
 // record's state:
 //
 //   - still queued (or held from recovery): removed and marked revoked —
@@ -871,19 +910,14 @@ var ErrInFlight = fmt.Errorf("service: job is in flight and cannot be revoked")
 //   - dequeued by the engine: ErrInFlight — the router must keep the job
 //     bound to this shard and wait for its terminal state.
 //
-// Revoke is idempotent: repeating it returns the same terminal record.
-func (s *Server) Revoke(id, reason string) (Record, error) {
-	return s.RevokeEpoch(id, reason, 0)
-}
-
-// RevokeEpoch is Revoke carrying the router's reallocation epoch. The
-// epoch makes revocation safe against replayed RPCs once Resurrect
-// exists: a record placed at a higher epoch than the request's was bound
-// here by a NEWER router decision, so the (necessarily stale) revocation
-// is refused with ErrInFlight instead of yanking a legitimate placement.
-// Revoking an already-revoked tombstone raises the tombstone's epoch to
-// the request's, so stale handoff replays of the just-revoked binding
-// stay refused.
+// epoch is the router's reallocation epoch. It makes revocation safe
+// against replayed RPCs: a record placed at a higher epoch than the
+// request's was bound here by a NEWER router decision, so the (necessarily
+// stale) revocation is refused with ErrInFlight instead of yanking a
+// legitimate placement. Revoking an already-revoked tombstone raises the
+// tombstone's epoch to the request's, so stale handoff replays of the
+// just-revoked binding stay refused. RevokeEpoch is idempotent: repeating
+// it returns the same terminal record.
 func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -922,8 +956,7 @@ func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 		return *rec, ErrInFlight
 	}
 	// Tombstone: ledger the ID as revoked before any handoff ever landed.
-	rec := s.newRecordLocked(id, strategy.Type(0), 0, StateRevoked)
-	rec.Epoch = epoch
+	rec := s.newRecordLocked(id, strategy.Type(0), 0, epoch, StateRevoked)
 	s.finishLocked(rec, StateRevoked, "revoked before arrival: "+reason, journal.Record{Epoch: epoch})
 	return *rec, nil
 }
@@ -934,74 +967,6 @@ func (s *Server) revokeEntryLocked(rec *Record, reason string, epoch int) {
 		rec.Epoch = epoch
 	}
 	s.finishLocked(rec, StateRevoked, reason, journal.Record{Epoch: rec.Epoch})
-}
-
-// ErrNotRevoked is returned by Resurrect when the job's ledger entry is
-// not a resurrectable tombstone (missing, active, terminal another way,
-// or placed at an epoch at or above the caller's).
-var ErrNotRevoked = fmt.Errorf("service: record is not a resurrectable tombstone")
-
-// Resurrect re-admits a job whose ledger entry is a revoked (or drained)
-// tombstone — the service half of the federation recovery ladder's final
-// rung. After a router has confirmed revocation of a job on every shard,
-// the job is provably running nowhere, so a deliberate re-handoff
-// carrying a reallocation epoch strictly above the tombstone's may turn
-// the tombstone back into a queued admission; stale replays of a revoked
-// binding carry the tombstone's own epoch or lower and are refused. The
-// record keeps its identity and Seq and remembers the placement epoch;
-// the re-admission is journaled write-ahead like any accept. An
-// infeasible resurrection flips the tombstone to a rejected ledger entry
-// instead, so definitive rejections stay shard-ledgered.
-func (s *Server) Resurrect(wire jobio.Job, strategyName string, priority, epoch int) (*Record, error) {
-	typ, err := strategy.ParseType(strategyName)
-	if err != nil {
-		return nil, &SubmitError{Code: CodeInvalid, Reason: err.Error()}
-	}
-	job, err := wire.ToJob()
-	if err != nil {
-		return nil, &SubmitError{Code: CodeInvalid, Reason: err.Error()}
-	}
-	infeasible := ""
-	if bound := minDeadline(job); simtime.Time(wire.Deadline) < bound {
-		infeasible = fmt.Sprintf("infeasible: deadline %d is below the fastest-tier critical path %d", wire.Deadline, bound)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.records[wire.Name]
-	if !ok {
-		return nil, ErrNotRevoked
-	}
-	if (rec.State != StateRevoked && rec.State != StateDrained) || epoch <= rec.Epoch {
-		return rec.clone(), ErrNotRevoked
-	}
-	if s.draining {
-		return nil, &SubmitError{Code: CodeDraining,
-			Reason: "service is draining; not accepting work", RetryAfter: s.cfg.retryAfter()}
-	}
-	if infeasible != "" {
-		rec.Strategy, rec.Priority, rec.Epoch = typ.String(), priority, epoch
-		s.finishLocked(rec, StateRejected, infeasible,
-			journal.Record{Strategy: typ.String(), Priority: priority, Epoch: epoch})
-		return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: infeasible}
-	}
-	if len(s.queue) >= s.cfg.queueCap() {
-		return nil, &SubmitError{Code: CodeOverloaded,
-			Reason:     fmt.Sprintf("admission queue full (%d)", s.cfg.queueCap()),
-			RetryAfter: s.cfg.retryAfter()}
-	}
-	if err := s.journalLocked(journal.Record{
-		Job: wire.Name, State: StateQueued,
-		Strategy: typ.String(), Priority: priority, Wire: &wire, Epoch: epoch,
-	}); err != nil {
-		return nil, &SubmitError{Code: CodeInternal,
-			Reason: fmt.Sprintf("journal append failed, job not resurrected: %v", err)}
-	}
-	rec.State = StateQueued
-	rec.Reason = ""
-	rec.Strategy, rec.Priority, rec.Epoch = typ.String(), priority, epoch
-	s.met.Resurrected++
-	s.enqueueLocked(&entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
-	return rec.clone(), nil
 }
 
 // Held returns the IDs of recovered jobs parked by Restore under
@@ -1177,9 +1142,8 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 		}
 		typ, terr := strategy.ParseType(js.Strategy)
 		if Terminal(js.State) {
-			r := s.newRecordLocked(js.Job, typ, js.Priority, js.State)
+			r := s.newRecordLocked(js.Job, typ, js.Priority, js.Epoch, js.State)
 			r.Reason = js.Reason
-			r.Epoch = js.Epoch
 			stats.Restored++
 			stats.Terminal++
 			continue
@@ -1188,7 +1152,7 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 		// no longer build (lost wire form, unknown strategy, invalid
 		// graph) is ledgered as rejected rather than dropped silently.
 		reject := func(reason string) {
-			r := s.newRecordLocked(js.Job, typ, js.Priority, StateRejected)
+			r := s.newRecordLocked(js.Job, typ, js.Priority, 0, StateRejected)
 			s.finishLocked(r, StateRejected, reason, journal.Record{})
 			stats.Restored++
 			stats.Invalid++
@@ -1206,13 +1170,12 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 			reject(fmt.Sprintf("recovery: %v", err))
 			continue
 		}
-		r := s.newRecordLocked(js.Job, typ, js.Priority, StateQueued)
-		r.Epoch = js.Epoch
+		r := s.newRecordLocked(js.Job, typ, js.Priority, js.Epoch, StateQueued)
 		e := &entry{rec: r, job: job, wire: *js.Wire, typ: typ}
 		if s.cfg.HoldRecovered {
 			// Park it: the federation join handshake decides whether this
 			// shard still owns the job (ResumeHeld) or lost it while down
-			// (Revoke). Until then it must not execute.
+			// (RevokeEpoch). Until then it must not execute.
 			s.held[js.Job] = e
 			stats.Held++
 		} else {
