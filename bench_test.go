@@ -2,42 +2,28 @@
 // index), plus micro-benchmarks of the hot substrates. The experiment
 // benchmarks run reduced corpora and report the headline metric of their
 // figure via b.ReportMetric, so `go test -bench=. -benchmem` regenerates a
-// compact form of every table and figure.
+// compact form of every table and figure. They run the experiment engine
+// sequentially (Workers: 1), so ns/op does not depend on the host's core
+// count; internal/experiments' TestFig3ParallelBeatsSequential holds the
+// pool to paying for itself.
 package repro
 
 import (
 	"errors"
-	"flag"
+	"fmt"
 	"maps"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/criticalworks"
+	"repro/internal/dag"
+	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
-
-// benchWorkers sizes the worker pool inside the experiment benchmarks;
-// 1 forces the sequential path, <1 means one worker per CPU. The CI
-// bench-regression job runs the suite at both settings and compares.
-var benchWorkers = flag.Int("workers", 1, "worker pool size for the experiment benchmarks (1 = sequential)")
-
-// benchFig3 is DefaultFig3 with the -workers flag applied.
-func benchFig3(seed uint64, jobs int) experiments.Fig3Config {
-	cfg := experiments.DefaultFig3(seed, jobs)
-	cfg.Workers = *benchWorkers
-	return cfg
-}
-
-// benchFig4 is DefaultFig4 with the -workers flag applied.
-func benchFig4(seed uint64, jobs int) experiments.Fig4Config {
-	cfg := experiments.DefaultFig4(seed, jobs)
-	cfg.Workers = *benchWorkers
-	return cfg
-}
 
 // BenchmarkFig2Strategy regenerates the §3 worked example (E1).
 func BenchmarkFig2Strategy(b *testing.B) {
@@ -57,7 +43,9 @@ func BenchmarkFig2Strategy(b *testing.B) {
 func BenchmarkFig3aAdmissibility(b *testing.B) {
 	var s1, s2, s3 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3a(benchFig3(1, 60))
+		cfg := experiments.DefaultFig3(1, 60)
+		cfg.Workers = 1
+		r, err := experiments.Fig3a(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +61,9 @@ func BenchmarkFig3aAdmissibility(b *testing.B) {
 func BenchmarkFig3bCollisions(b *testing.B) {
 	var f1, f2, f3 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3b(benchFig3(1, 60))
+		cfg := experiments.DefaultFig3(1, 60)
+		cfg.Workers = 1
+		r, err := experiments.Fig3b(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +78,9 @@ func BenchmarkFig3bCollisions(b *testing.B) {
 func BenchmarkFig4aLoad(b *testing.B) {
 	var s1slow, s3fast float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4a(benchFig4(1, 60))
+		cfg := experiments.DefaultFig4(1, 60)
+		cfg.Workers = 1
+		r, err := experiments.Fig4a(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +94,9 @@ func BenchmarkFig4aLoad(b *testing.B) {
 func BenchmarkFig4bCostTime(b *testing.B) {
 	var costS3, taskS3 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4b(benchFig4(1, 60))
+		cfg := experiments.DefaultFig4(1, 60)
+		cfg.Workers = 1
+		r, err := experiments.Fig4b(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +110,9 @@ func BenchmarkFig4bCostTime(b *testing.B) {
 func BenchmarkFig4cTTL(b *testing.B) {
 	var ttlS3, devMS1 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4c(benchFig4(1, 60))
+		cfg := experiments.DefaultFig4(1, 60)
+		cfg.Workers = 1
+		r, err := experiments.Fig4c(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +141,9 @@ func BenchmarkPolicyWaitTimes(b *testing.B) {
 func BenchmarkAblationCollision(b *testing.B) {
 	var realloc, delay float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationCollision(benchFig3(1, 40))
+		cfg := experiments.DefaultFig3(1, 40)
+		cfg.Workers = 1
+		r, err := experiments.AblationCollision(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +159,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 	var s1, ms1 float64
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.DefaultAblationLevels(1, 40)
-		cfg.Workers = *benchWorkers
+		cfg.Workers = 1
 		r, err := experiments.AblationLevels(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -175,7 +173,9 @@ func BenchmarkAblationLevels(b *testing.B) {
 func BenchmarkComparison(b *testing.B) {
 	var cwCost, mmCost float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Comparison(benchFig3(1, 40))
+		cfg := experiments.DefaultFig3(1, 40)
+		cfg.Workers = 1
+		r, err := experiments.Comparison(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,7 +202,9 @@ func BenchmarkBaselineMinMin(b *testing.B) {
 func BenchmarkLocalPassing(b *testing.B) {
 	var queued float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.LocalPassing(benchFig4(1, 60))
+		cfg := experiments.DefaultFig4(1, 60)
+		cfg.Workers = 1
+		r, err := experiments.LocalPassing(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,6 +228,27 @@ func BenchmarkCriticalWorksBuild(b *testing.B) {
 	}
 }
 
+// denseBook builds a book of n reservations [10i, 10i+7) — every gap 3
+// ticks wide — with one length-50 hole before the final reservation, so
+// a FirstFree probe for anything wider than 3 must reach the far end of
+// the book: the linear walk's worst case, one max-gap-tree descent for
+// the index.
+func denseBook(n int) *resource.Calendar {
+	c := resource.NewCalendar()
+	hole := simtime.Time((n - 1) * 10)
+	for i := 0; i < n; i++ {
+		start := simtime.Time(i * 10)
+		if start >= hole {
+			start += 50
+		}
+		iv := simtime.Interval{Start: start, End: start + 7}
+		if err := c.Reserve(iv, resource.External); err != nil {
+			panic(err)
+		}
+	}
+	return c
+}
+
 // BenchmarkBuild measures one critical-works run the way the service
 // issues it: a shallow view over shared, densely booked calendars (a
 // 60-reservation denseBook per node), which the build reads and never
@@ -247,6 +270,46 @@ func BenchmarkBuild(b *testing.B) {
 		var inf *criticalworks.InfeasibleError
 		if _, err := criticalworks.Build(env, maps.Clone(base), job, criticalworks.Options{}); err != nil && !errors.As(err, &inf) {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildManyChains builds a job of eight independent three-task
+// chains — eight critical works, the only fixture with many — over nine of
+// ten empty equal nodes, once per iteration, each on a fresh clone of the
+// books. BenchmarkBuild's single dense job places few chains and missed a
+// +35 % per-probe scan of the attempt's own placements that this one caught.
+// Node 7 is left out because the outage benchmark this fixture comes from
+// dropped it: EXPERIMENTS.md E15–E17 read this build as
+// "BenchmarkOutageRepair -repair=false".
+func BenchmarkBuildManyChains(b *testing.B) {
+	bl := dag.NewBuilder("outage").Deadline(600)
+	for _, c := range []string{"A", "B", "C", "D", "E", "F", "G", "H"} {
+		bl.Task(c+"1", 2, 20)
+		bl.Task(c+"2", 2, 20)
+		bl.Task(c+"3", 2, 20)
+		bl.Edge(c+"e1", c+"1", c+"2", 1, 5)
+		bl.Edge(c+"e2", c+"2", c+"3", 1, 5)
+	}
+	job := bl.MustBuild()
+	nodes := make([]*resource.Node, 10)
+	for i := range nodes {
+		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), 1.0, 1, "d")
+	}
+	env := resource.NewEnvironment(nodes)
+	live := criticalworks.EmptyCalendars(env)
+	cands := []resource.NodeID{0, 1, 2, 3, 4, 5, 6, 8, 9}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := criticalworks.Build(env, live.Clone(), job, criticalworks.Options{
+			Candidates: cands,
+			Data:       data.Model{Policy: data.RemoteAccess},
+		})
+		if err != nil {
+			b.Fatalf("build: %v", err)
+		}
+		if s.Partial {
+			b.Fatal("build went partial")
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -14,15 +15,15 @@ import (
 	"time"
 
 	"repro/internal/jobio"
-	"repro/internal/scalereport"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // httpState accumulates results across submitter goroutines.
 type httpState struct {
 	mu             sync.Mutex
-	det            scalereport.Deterministic
+	counts         counts
 	clientLat      []float64
 	accepted       map[string]bool
 	backoffRetries int
@@ -80,17 +81,27 @@ func (p *targetPool) setBackoff(idx int, d time.Duration, now time.Time) {
 
 func (p *targetPool) url(idx int) string { return p.urls[idx] }
 
-// runHTTP paces the arrival schedule on the wall clock against a live
-// daemon: each arrival fires at start + At·tick on its own goroutine, so
+// run paces the arrival schedule on the wall clock against the live
+// fleet: each arrival fires at start + At·tick on its own goroutine, so
 // a slow or shedding server never slows the offered load (open loop).
-// After the last response the harness waits for accepted jobs to reach a
-// terminal state, then reads the server-side counters and scrapes
-// /metrics for the admission-latency histogram.
-func runHTTP(o options) (*scalereport.Report, error) {
-	if len(o.targets) == 0 {
-		return nil, fmt.Errorf("-mode http needs at least one -target")
+// After the last response it waits for accepted jobs to reach a terminal
+// state, then reads the server-side counters and scrapes /metrics for the
+// admission-latency histogram.
+func run(o options) (*report, error) {
+	if o.jobs <= 0 {
+		return nil, fmt.Errorf("-jobs must be positive")
 	}
-	gen := workload.New(workloadConfig(o))
+	if len(o.targets) == 0 {
+		return nil, fmt.Errorf("at least one -target is required")
+	}
+	if o.priorities < 1 {
+		o.priorities = 1
+	}
+	cfg := workload.Default(o.seed)
+	if o.mean > 0 {
+		cfg.MeanInterarrival = o.mean
+	}
+	gen := workload.New(cfg)
 	flow := gen.FlowWith(o.spec, 0, o.jobs, 0)
 	client := &http.Client{Timeout: 30 * time.Second}
 	pool := newTargetPool(o.targets)
@@ -145,7 +156,7 @@ func runHTTP(o options) (*scalereport.Report, error) {
 			if pending > 0 {
 				fmt.Fprintf(os.Stderr, "gridload: %d accepted jobs still pending after %s\n", pending, o.wait)
 			}
-			st.det.TerminalByState = terminal
+			st.counts.TerminalByState = terminal
 			break
 		}
 		time.Sleep(250 * time.Millisecond)
@@ -156,43 +167,46 @@ func runHTTP(o options) (*scalereport.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	det := st.det
-	det.Submitted = m1.Submitted - m0.Submitted
-	det.Accepted = m1.Accepted - m0.Accepted
-	det.Completed = m1.Completed - m0.Completed
-	det.Rejected = m1.Rejected - m0.Rejected
-	det.Shed = m1.Shed - m0.Shed
-	det.Infeasible = m1.Infeasible - m0.Infeasible
-	det.Overloaded = m1.Overloaded - m0.Overloaded
-	det.Drained = m1.Drained - m0.Drained
-	det.QueueHighWater = m1.QueueHighWater
-	det.EngineTicks = m1.EngineNow
-	if ticks := m1.EngineNow - m0.EngineNow; ticks > 0 {
-		det.GoodputPerKTicks = float64(det.Completed) * 1000 / float64(ticks)
+	c := st.counts
+	c.Submitted = m1.Submitted - m0.Submitted
+	c.Accepted = m1.Accepted - m0.Accepted
+	c.Completed = m1.Completed - m0.Completed
+	c.Rejected = m1.Rejected - m0.Rejected
+	c.Shed = m1.Shed - m0.Shed
+	c.Infeasible = m1.Infeasible - m0.Infeasible
+	c.Overloaded = m1.Overloaded - m0.Overloaded
+	c.Drained = m1.Drained - m0.Drained
+	c.QueueHighWater = m1.QueueHighWater
+	c.EngineTicks = int64(m1.EngineNow - m0.EngineNow)
+	if c.EngineTicks > 0 {
+		c.GoodputPerKTicks = float64(c.Completed) * 1000 / float64(c.EngineTicks)
 	}
 
 	p50, p95, p99, p999, err := scrapeQueueWait(client, o.targets)
 	if err != nil {
 		return nil, err
 	}
-	wall := scalereport.WallClock{
+	wall := wallClock{
 		ElapsedSeconds: elapsed,
 		AdmissionP50:   p50, AdmissionP95: p95, AdmissionP99: p99, AdmissionP999: p999,
-		ClientP50:      scalereport.Percentile(st.clientLat, 0.5),
-		ClientP95:      scalereport.Percentile(st.clientLat, 0.95),
-		ClientP99:      scalereport.Percentile(st.clientLat, 0.99),
-		ClientP999:     scalereport.Percentile(st.clientLat, 0.999),
+		ClientP50:      percentile(st.clientLat, 0.5),
+		ClientP95:      percentile(st.clientLat, 0.95),
+		ClientP99:      percentile(st.clientLat, 0.99),
+		ClientP999:     percentile(st.clientLat, 0.999),
 		BackoffRetries: st.backoffRetries,
 		BackoffSeconds: st.backoffSeconds,
 	}
 	if elapsed > 0 {
-		wall.GoodputJobsPerSec = float64(det.Completed) / elapsed
+		wall.GoodputJobsPerSec = float64(c.Completed) / elapsed
 	}
-	return &scalereport.Report{
-		Schema:        scalereport.Schema,
-		Config:        runConfig(o),
-		Deterministic: det,
-		Wall:          wall,
+	return &report{
+		Config: runConfig{
+			Arrival: o.arrival.String(), Strategy: o.strategy, Seed: o.seed,
+			Jobs: o.jobs, Priorities: o.priorities,
+			MeanInterarrival: cfg.MeanInterarrival,
+		},
+		Counts: c,
+		Wall:   wall,
 	}, nil
 }
 
@@ -235,7 +249,7 @@ func submitHTTP(o options, client *http.Client, pool *targetPool, st *httpState,
 		secs, ok := parseRetryAfter(resp)
 		st.mu.Lock()
 		if !ok {
-			st.det.RetryAfterViolations++
+			st.counts.RetryAfterViolations++
 		}
 		st.mu.Unlock()
 		if !o.honorRetry || retries >= 2 {
@@ -256,12 +270,12 @@ func submitHTTP(o options, client *http.Client, pool *targetPool, st *httpState,
 	st.backoffSeconds += backoff
 	switch status {
 	case http.StatusAccepted:
-		st.det.ClientAccepted++
+		st.counts.ClientAccepted++
 		st.accepted[wire.Name] = true
 	case http.StatusTooManyRequests:
-		st.det.Client429++
+		st.counts.Client429++
 	case http.StatusServiceUnavailable:
-		st.det.Client503++
+		st.counts.Client503++
 	case http.StatusUnprocessableEntity:
 		// Infeasible: counted server-side.
 	default:
@@ -319,7 +333,7 @@ func getJSON(client *http.Client, url string, out any) error {
 
 // scrapeQueueWait reads the Prometheus exposition from every target's
 // /metrics and estimates the fleet-wide queue-wait percentiles from the
-// merged fixed buckets — the same linear-interpolation estimate
+// merged fixed buckets with telemetry.Quantile, the estimate
 // telemetry.Histogram.Quantile computes in process, demonstrating that
 // p99 is recoverable from scrape data. Targets without the series (a
 // gridfront router runs no admission queue of its own) are skipped, as
@@ -359,13 +373,32 @@ func scrapeQueueWait(client *http.Client, targets []string) (p50, p95, p99, p999
 	for i, b := range bounds {
 		cums[i] = merged[b]
 	}
-	q := func(p float64) float64 { return finiteOrZero(bucketQuantile(bounds, cums, p)) }
+	q := func(p float64) float64 { return bucketQuantile(bounds, cums, p) }
 	return q(0.5), q(0.95), q(0.99), q(0.999), nil
+}
+
+// bucketQuantile estimates the q-th quantile from a scrape's cumulative
+// buckets (bounds ascending, +Inf last) with telemetry.Quantile, which
+// takes per-bucket counts with the +Inf bucket after the finite bounds;
+// 0 when there is no finite estimate.
+func bucketQuantile(bounds []float64, cums []uint64, q float64) float64 {
+	finite := bounds
+	if n := len(bounds); n > 0 && math.IsInf(bounds[n-1], 1) {
+		finite = bounds[:n-1]
+	}
+	counts := make([]uint64, len(finite)+1)
+	var prev uint64
+	for i, cum := range cums {
+		if cum > prev {
+			counts[i], prev = cum-prev, cum
+		}
+	}
+	return finiteOrZero(telemetry.Quantile(finite, counts, q))
 }
 
 // parseBuckets extracts a histogram's cumulative buckets from Prometheus
 // text format: `name{le="BOUND"} COUNT` lines, +Inf included. Bounds are
-// returned ascending with the +Inf bucket last.
+// returned ascending, so the +Inf bucket is last.
 func parseBuckets(text, name string) (bounds []float64, cums []uint64, err error) {
 	type bkt struct {
 		le  float64
@@ -385,7 +418,6 @@ func parseBuckets(text, name string) (bounds []float64, cums []uint64, err error
 		if leEnd < 0 {
 			continue
 		}
-		leStr := rest[:leEnd]
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
 			continue
@@ -394,10 +426,8 @@ func parseBuckets(text, name string) (bounds []float64, cums []uint64, err error
 		if err != nil {
 			return nil, nil, fmt.Errorf("parse %s: bad count in %q", name, line)
 		}
-		le := 0.0
-		if leStr == "+Inf" {
-			le = infBound
-		} else if le, err = strconv.ParseFloat(leStr, 64); err != nil {
+		le, err := strconv.ParseFloat(rest[:leEnd], 64) // "+Inf" parses to +Inf
+		if err != nil {
 			return nil, nil, fmt.Errorf("parse %s: bad le in %q", name, line)
 		}
 		bkts = append(bkts, bkt{le: le, cum: cum})
@@ -411,46 +441,4 @@ func parseBuckets(text, name string) (bounds []float64, cums []uint64, err error
 		cums = append(cums, b.cum)
 	}
 	return bounds, cums, nil
-}
-
-// infBound stands in for +Inf while sorting parsed buckets.
-const infBound = 1e308
-
-// bucketQuantile mirrors telemetry.Histogram.Quantile over parsed
-// cumulative buckets (bounds ascending, +Inf last as infBound).
-func bucketQuantile(bounds []float64, cums []uint64, q float64) float64 {
-	n := len(bounds)
-	if n == 0 || cums[n-1] == 0 {
-		return 0
-	}
-	total := cums[n-1]
-	rank := q * float64(total)
-	var prev uint64
-	for i := 0; i < n; i++ {
-		cum := cums[i]
-		if float64(cum) < rank || cum == prev {
-			prev = cum
-			continue
-		}
-		upper := bounds[i]
-		if upper == infBound {
-			if i == 0 {
-				return 0
-			}
-			return bounds[i-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = bounds[i-1]
-		} else if upper <= 0 {
-			lower = upper
-		}
-		inBucket := float64(cum - prev)
-		frac := (rank - float64(prev)) / inBucket
-		if frac < 0 {
-			frac = 0
-		}
-		return lower + (upper-lower)*frac
-	}
-	return bounds[n-1]
 }

@@ -1,16 +1,10 @@
 package main
 
 import (
-	"context"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/metasched"
 	"repro/internal/service"
-	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // TestTargetPoolRoundRobin pins the fleet rotation and the per-target
@@ -77,56 +71,23 @@ func TestTargetPoolRoundRobin(t *testing.T) {
 // submissions round-robin across both, the counter diff and terminal poll
 // aggregate across both ledgers, and the scrape merges both histograms.
 func TestHTTPModeMultiTarget(t *testing.T) {
-	var wg sync.WaitGroup
 	targets := make([]string, 2)
 	servers := make([]*service.Server, 2)
 	for i := range servers {
-		gen := workload.New(workload.Default(7))
-		srv, err := service.New(service.Config{
-			Env:       gen.Environment(2),
-			QueueCap:  64,
-			Telemetry: telemetry.NewRegistry(),
-			Sched:     metasched.Config{Seed: uint64(i) + 7},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Start()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		servers[i] = srv
-		targets[i] = ts.URL
+		servers[i], targets[i] = newTestServer(t, 64, uint64(i)+7)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, srv := range servers {
-			wg.Add(1)
-			go func(s *service.Server) { defer wg.Done(); s.Drain(ctx) }(srv)
-		}
-		wg.Wait()
-	}()
-
-	o := testOptions()
-	o.mode = "http"
-	o.targets = targets
-	o.jobs = 40
-	o.seed = 7
-	o.honorRetry = false
-	o.tick = 0
-	o.wait = 20 * time.Second
-	rep, err := run(o)
+	rep, err := run(testOptions(targets...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := rep.Deterministic
-	if d.Submitted != 40 {
-		t.Errorf("fleet saw %d submissions, want 40", d.Submitted)
+	c := rep.Counts
+	if c.Submitted != 40 {
+		t.Errorf("fleet saw %d submissions, want 40", c.Submitted)
 	}
-	if uint64(d.ClientAccepted) != d.Accepted {
-		t.Errorf("client accepted %d != fleet accepted %d", d.ClientAccepted, d.Accepted)
+	if uint64(c.ClientAccepted) != c.Accepted {
+		t.Errorf("client accepted %d != fleet accepted %d", c.ClientAccepted, c.Accepted)
 	}
-	if len(rep.Deterministic.TerminalByState) == 0 {
+	if len(c.TerminalByState) == 0 {
 		t.Error("no accepted job reached a terminal state within the wait")
 	}
 	// Round-robin with a generous queue must land work on BOTH servers.

@@ -454,9 +454,11 @@ var denseRegimes = []struct {
 // (TestBuildAllocsFig2 pins the count exactly, with nothing defaulted). The
 // readings are 9, 6 and 20, and 12, 10 and 25 under -race, where sync.Pool
 // drops a quarter of the Puts on purpose and the next build makes a new
-// arena; the budgets leave that headroom, and the run count is high enough
-// that the dropped quarter averages out. With a string-keyed catalog cloned
-// per attempt and a collision slice made per colliding attempt the three read
+// arena. The budgets leave that headroom, but over 100 runs the dropped
+// quarter does not always average out (15 against 14 in 6 of 20 race runs),
+// so the pin skips under -race and runs in CI's step without it. With a
+// string-keyed catalog cloned per attempt and a collision slice made per
+// colliding attempt the three read
 // 18, 9 and 33; with a map per dataset in the catalog the first read 35; with
 // working memory made per build on top of that the three read 63, 22 and 56;
 // with first-write book clones and a result slice per DP phase the first read
@@ -466,6 +468,9 @@ var denseRegimes = []struct {
 // making working memory again instead of borrowing it, an attempt copies
 // state it only reads, or the DP's inner loop or its phases allocate.
 func TestBuildAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
+	}
 	for _, tc := range denseRegimes {
 		env, cals, job := denseFixture(tc.deadline)
 		var err error

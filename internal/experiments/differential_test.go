@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // The differential equivalence suite: every experiment that fans out
@@ -106,5 +108,38 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFig3ParallelBeatsSequential requires the worker pool to pay for
+// itself: Fig. 3(a) on 60 jobs at Workers 2 must be faster than at Workers
+// 1, best of 5 runs each, the two sides alternating. On a loaded host every
+// Workers 2 run can meet a busy CPU, so a side keeps its best of up to 15
+// runs before the gate fails.
+func TestFig3ParallelBeatsSequential(t *testing.T) {
+	if raceEnabled {
+		t.Skip("host-time gate; it runs in CI's step without -race")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("host-time gate; needs at least 2 CPUs")
+	}
+	var best [3]time.Duration // by worker count
+	for i := 0; i < 15 && (i < 5 || best[2] >= best[1]); i++ {
+		for _, workers := range []int{1, 2} {
+			cfg := DefaultFig3(1, 60)
+			cfg.Workers = workers
+			start := time.Now()
+			if _, err := Fig3a(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); best[workers] == 0 || d < best[workers] {
+				best[workers] = d
+			}
+		}
+	}
+	speedup := float64(best[1]) / float64(best[2])
+	t.Logf("Fig. 3(a), 60 jobs: Workers 1 %v, Workers 2 %v, %.2f×", best[1], best[2], speedup)
+	if speedup <= 1 {
+		t.Errorf("Workers 2 is %.2f× Workers 1, want > 1×", speedup)
 	}
 }

@@ -1,0 +1,111 @@
+package resource
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/simtime"
+)
+
+// Dense-calendar queries (DESIGN.md §14): the indexed FirstFree and
+// ConflictsWith on a 12k-reservation book, timed alone by the benchmarks
+// and against the linear reference refCalendar by
+// TestDenseCalendarIndexBeatsLinearScan.
+
+const denseBookSize = 12_000
+
+// denseBook builds a book of n reservations [10i, 10i+7) — every gap 3
+// ticks wide — with one length-50 hole before the final reservation, so
+// a FirstFree probe for anything wider than 3 must reach the far end of
+// the book: the linear walk's worst case, one max-gap-tree descent for
+// the index.
+func denseBook(n int) *Calendar {
+	c := NewCalendar()
+	hole := simtime.Time((n - 1) * 10)
+	for i := 0; i < n; i++ {
+		start := simtime.Time(i * 10)
+		if start >= hole {
+			start += 50
+		}
+		if err := c.Reserve(simtime.Interval{Start: start, End: start + 7}, External); err != nil {
+			panic(err)
+		}
+	}
+	return c
+}
+
+const denseHorizon = simtime.Time(denseBookSize*10 + 1000)
+
+// denseFirstFree probes the dense book for a window wider than every
+// regular gap, from a rotating set of origins. The answer is always the
+// engineered hole near the end of the book.
+func denseFirstFree(b *testing.B, firstFree func(earliest, length, horizon simtime.Time) (simtime.Time, bool)) {
+	for i := 0; i < b.N; i++ {
+		if _, ok := firstFree(simtime.Time((i%64)*100), 20, denseHorizon); !ok {
+			b.Fatal("no window found in the dense book")
+		}
+	}
+}
+
+// denseConflictsWith queries short windows across the dense book, short of
+// the last reservation, which the hole moved; each overlaps at most two
+// reservations.
+func denseConflictsWith(b *testing.B, conflictsWith func(simtime.Interval) []Reservation) {
+	for i := 0; i < b.N; i++ {
+		at := simtime.Time(((i*5261)%(denseBookSize-1))*10 + 5)
+		if len(conflictsWith(simtime.Interval{Start: at, End: at + 10})) == 0 {
+			b.Fatal("query window missed every reservation")
+		}
+	}
+}
+
+func BenchmarkDenseCalendarFirstFree(b *testing.B) {
+	c := denseBook(denseBookSize)
+	c.FirstFree(0, 20, denseHorizon) // build the lazy index outside the timed region
+	b.ResetTimer()
+	denseFirstFree(b, c.FirstFree)
+}
+
+func BenchmarkDenseCalendarConflictsWith(b *testing.B) {
+	c := denseBook(denseBookSize)
+	b.ResetTimer()
+	denseConflictsWith(b, c.ConflictsWith)
+}
+
+// TestDenseCalendarIndexBeatsLinearScan requires each indexed query to beat
+// the linear walk it replaced by more than 2× on the dense book.
+func TestDenseCalendarIndexBeatsLinearScan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("host-time gate; it runs in CI's step without -race")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("host-time gate; needs at least 2 CPUs")
+	}
+	c := denseBook(denseBookSize)
+	c.FirstFree(0, 20, denseHorizon)
+	ref := &refCalendar{res: c.Reservations()}
+	for _, q := range []struct {
+		name            string
+		indexed, linear func(*testing.B)
+	}{
+		{"FirstFree",
+			func(b *testing.B) { denseFirstFree(b, c.FirstFree) },
+			func(b *testing.B) { denseFirstFree(b, ref.FirstFree) }},
+		{"ConflictsWith",
+			func(b *testing.B) { denseConflictsWith(b, c.ConflictsWith) },
+			func(b *testing.B) { denseConflictsWith(b, ref.ConflictsWith) }},
+	} {
+		nsPerOp := func(f func(*testing.B)) float64 {
+			r := testing.Benchmark(f)
+			if r.N == 0 {
+				t.Fatalf("%s: the benchmark failed", q.name)
+			}
+			return float64(r.T.Nanoseconds()) / float64(r.N)
+		}
+		linear, indexed := nsPerOp(q.linear), nsPerOp(q.indexed)
+		t.Logf("%s: linear %.0f ns/op, indexed %.0f ns/op, %.1f×", q.name, linear, indexed, linear/indexed)
+		if linear/indexed <= 2 {
+			t.Errorf("indexed %s is %.2f× the linear walk, want > 2×", q.name, linear/indexed)
+		}
+	}
+}

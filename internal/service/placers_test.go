@@ -39,8 +39,9 @@ func jobName(i int) string {
 
 // TestServicePlacersDeterministic: with -placers=4 the whole service run —
 // per-job records and counters — must be a pure function of the seed.
-// This covers the full stack the gridload -expect-identical CI gate
-// relies on: batched dequeue, shared-tick arrival, per-domain pipelines.
+// This covers the full stack TestBurstyOverloadMatchesRecordedRun's
+// placers=4 row relies on: batched dequeue, shared-tick arrival, planning
+// in the arbiter's order.
 func TestServicePlacersDeterministic(t *testing.T) {
 	ja, ma := placersServiceRun(t, 4)
 	jb, mb := placersServiceRun(t, 4)

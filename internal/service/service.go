@@ -138,11 +138,13 @@ type Config struct {
 	// OnTerminal, when non-nil, is called exactly once per job the moment
 	// its record reaches a terminal state (completed, rejected or
 	// drained), with a copy of the record. It is the push-based
-	// terminal-state stream the scale harness (cmd/gridload) uses to
-	// measure goodput without polling the job registry. The callback runs
-	// synchronously on the goroutine driving the transition while the
-	// service's internal lock is held: it must return quickly and must
-	// not call back into the Server. Jobs restored from the journal
+	// terminal-state stream: a federation shard reports terminal states to
+	// its router through it (federation.Member.Terminal), and the gridbench
+	// workloads tally terminal states with it without polling the job
+	// registry. The callback runs synchronously on the goroutine driving
+	// the transition while the service's internal lock is held: it must
+	// return quickly and must not call back into the Server. Jobs restored
+	// from the journal
 	// already in a terminal state do not re-fire; terminal transitions
 	// that happen during Restore (invalid payloads rejected) do.
 	OnTerminal func(Record)

@@ -3,32 +3,45 @@ package telemetry
 import "math"
 
 // Quantile estimates the q-th quantile (0 ≤ q ≤ 1) of the observed
-// distribution from the fixed buckets, using linear interpolation within
-// the bucket the quantile rank falls into — the same estimate
-// histogram_quantile() computes from scrape data, so a p99 reported here
-// matches what a Prometheus dashboard over /metrics would show.
-//
-// Conventions:
-//   - nil histogram, no observations, or q outside [0,1] (or NaN) → NaN.
-//   - The first bucket interpolates from a lower edge of 0 when its upper
-//     bound is positive (latency ladders), or from the bound itself when
-//     the bound is ≤ 0 (no width to interpolate over).
-//   - A rank landing in the +Inf bucket returns the highest finite bound —
-//     the estimate is a lower bound, as with Prometheus — or +Inf when the
-//     histogram has no finite buckets at all.
+// distribution from the fixed buckets; see the package-level Quantile.
 //
 // The bucket counts are loaded once into a local snapshot, so a Quantile
 // racing concurrent Observe calls returns an estimate for some consistent
 // prefix of the observation stream rather than tearing.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || math.IsNaN(q) || q < 0 || q > 1 {
+	if h == nil {
 		return math.NaN()
 	}
 	counts := make([]uint64, len(h.counts))
-	var total uint64
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
-		total += counts[i]
+	}
+	return Quantile(h.bounds, counts, q)
+}
+
+// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) of a fixed-bucket
+// distribution, using linear interpolation within the bucket the quantile
+// rank falls into — the same estimate histogram_quantile() computes from
+// scrape data, so a p99 reported here matches what a Prometheus dashboard
+// over /metrics would show. bounds are the ascending finite upper bounds;
+// counts holds one per-bucket (not cumulative) count per bound, then the
+// +Inf bucket's count last, len(bounds)+1 in all.
+//
+// Conventions:
+//   - no observations, or q outside [0,1] (or NaN) → NaN.
+//   - The first bucket interpolates from a lower edge of 0 when its upper
+//     bound is positive (latency ladders), or from the bound itself when
+//     the bound is ≤ 0 (no width to interpolate over).
+//   - A rank landing in the +Inf bucket returns the highest finite bound —
+//     the estimate is a lower bound, as with Prometheus — or +Inf when
+//     there are no finite buckets at all.
+func Quantile(bounds []float64, counts []uint64, q float64) float64 {
+	if math.IsNaN(q) || q < 0 || q > 1 {
+		return math.NaN()
+	}
+	var total uint64
+	for _, c := range counts {
+		total += c
 	}
 	if total == 0 {
 		return math.NaN()
@@ -44,17 +57,17 @@ func (h *Histogram) Quantile(q float64) float64 {
 		if cum < rank {
 			continue
 		}
-		if i == len(h.bounds) {
+		if i == len(bounds) {
 			// +Inf bucket: no upper edge to interpolate toward.
-			if len(h.bounds) == 0 {
+			if len(bounds) == 0 {
 				return math.Inf(1)
 			}
-			return h.bounds[len(h.bounds)-1]
+			return bounds[len(bounds)-1]
 		}
-		upper := h.bounds[i]
+		upper := bounds[i]
 		lower := 0.0
 		if i > 0 {
-			lower = h.bounds[i-1]
+			lower = bounds[i-1]
 		} else if upper <= 0 {
 			lower = upper
 		}

@@ -85,3 +85,36 @@ func TestQuantileNilIsAllocationFree(t *testing.T) {
 		t.Errorf("nil Quantile allocates %v times per run", n)
 	}
 }
+
+// TestQuantile holds the package-level estimate over bucket counts as a
+// client reads them from a scrape: per-bucket counts, +Inf last.
+func TestQuantile(t *testing.T) {
+	bounds := []float64{0.01, 0.1}
+	counts := []uint64{3, 6, 1} // cumulative 3, 9, 10
+	tests := []struct {
+		name   string
+		bounds []float64
+		counts []uint64
+		q      float64
+		want   float64 // NaN means "want NaN"
+	}{
+		// Rank 5 lands in (0.01, 0.1], 2 of its 6 observations in.
+		{"median interpolates", bounds, counts, 0.5, 0.01 + (0.1-0.01)*(2.0/6.0)},
+		// Rank 9.9 lands in the +Inf bucket: the highest finite bound.
+		{"p99 in the inf bucket", bounds, counts, 0.99, 0.1},
+		{"no buckets", nil, nil, 0.5, math.NaN()},
+		{"all zero", bounds, []uint64{0, 0, 0}, 0.5, math.NaN()},
+	}
+	for _, tc := range tests {
+		got := Quantile(tc.bounds, tc.counts, tc.q)
+		if math.IsNaN(tc.want) {
+			if !math.IsNaN(got) {
+				t.Errorf("%s: Quantile(%v) = %v, want NaN", tc.name, tc.q, got)
+			}
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
+		}
+	}
+}
