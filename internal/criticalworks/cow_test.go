@@ -18,8 +18,9 @@ import (
 )
 
 // refBuild is the differential reference for build: the clone-everything,
-// unbounded ladder the overlay and the admissibility bound replaced. No
-// level is refused, all five margins run; every margin deep-clones the
+// unbounded ladder the overlay, the admissibility bound, the calendar bound
+// and the DP cut replaced. No level is refused and no margin is skipped:
+// all five run until one succeeds; every margin deep-clones the
 // whole view, starts from fresh scratch, searches its own first critical
 // work and runs buildOnce's chain loop — but after every placeChain the
 // chain's placements are reserved for real into the clones and the overlay
@@ -304,22 +305,23 @@ func cowCorpus() []cowCase {
 
 // TestBuildMatchesCloneReference pins the overlay build to the
 // materialising reference, over the whole corpus: the schedule (placements,
-// collisions with their holders, costs, Evaluations, the partial one of a
-// failed build) is identical and the replica sets the finished build leaves in
-// its arena are the reference catalog's; the plan applied to
-// the books gives the reference's materialised books, reservations and
-// generations; and after every outcome the view is untouched — every entry
-// the pointer that went in, every book with the generation and reservations
-// that went in.
+// collisions with their holders, costs, the partial one of a failed build)
+// is identical in every field but Evaluations, which is never above the
+// reference's, and the replica sets the finished build leaves in its arena
+// are the reference catalog's; the plan applied to the books gives the
+// reference's materialised books, reservations and generations; and after
+// every outcome the view is untouched — every entry the pointer that went
+// in, every book with the generation and reservations that went in.
 //
-// It is also the admissibility bound's oracle. Where the bound refused a
-// build, the unbounded reference ladder must have ended infeasible with
-// the same error text, no placement and no collision; the bounded build
-// reports zero Evaluations — the reference's count is exactly the probes
-// the bound saved — and everything else is compared as above. Where the
-// bound stayed silent nothing is relaxed, Evaluations included.
+// It is also the oracle of the ladder's early exits. Where a proof about the
+// first critical work refused a build (InfeasibleError.FirstWork), the
+// unbounded reference ladder must have ended infeasible with the same error
+// text, no placement and no collision; where the admissibility bound did,
+// nothing was probed. Evaluations falls below the reference's by the probes
+// the refusals and the cuts spared, and by nothing else: the build runs the
+// reference's DP, so where neither fires the counts are equal.
 func TestBuildMatchesCloneReference(t *testing.T) {
-	var atFirst, atLater, refused, ladderInfeasible int
+	var atFirst, atLater, hopeless, proved, ladderInfeasible int
 	var savedProbes int64
 	for _, tc := range cowCorpus() {
 		opt := tc.opt
@@ -335,20 +337,28 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("%s: err = %v, reference %v", tc.name, err, wantErr)
 		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: schedule %v, reference %v", tc.name, got, want)
+		}
 		var inf *InfeasibleError
-		hopeless := errors.As(err, &inf) && inf.Hopeless
-		if hopeless {
-			if !want.Partial || len(want.Placements) != 0 || len(want.Collisions) != 0 {
-				t.Fatalf("%s: the bound refused a build whose reference ladder got somewhere: %+v", tc.name, want)
-			}
-			if got.Evaluations != 0 {
+		errors.As(err, &inf)
+		if inf != nil && inf.FirstWork && (!want.Partial || len(want.Placements) != 0 || len(want.Collisions) != 0) {
+			t.Fatalf("%s: a proof refused a build whose reference ladder got somewhere: %+v", tc.name, want)
+		}
+		if got != nil {
+			if inf != nil && inf.Hopeless && got.Evaluations != 0 {
 				t.Errorf("%s: refused build reports %d evaluations, want 0", tc.name, got.Evaluations)
 			}
-			savedProbes += want.Evaluations
-			got.Evaluations = want.Evaluations
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: schedule differs from the reference:\n got %+v\nwant %+v", tc.name, got, want)
+			// A success ran every attempt the reference ran.
+			if got.Evaluations > want.Evaluations || err == nil && got.Evaluations != want.Evaluations {
+				t.Fatalf("%s: %d evaluations, the reference %d", tc.name, got.Evaluations, want.Evaluations)
+			}
+			savedProbes += want.Evaluations - got.Evaluations
+			g := *got
+			g.Evaluations = want.Evaluations
+			if !reflect.DeepEqual(&g, want) {
+				t.Fatalf("%s: schedule differs from the reference:\n got %+v\nwant %+v", tc.name, got, want)
+			}
 		}
 		if err == nil {
 			if rerr := sameReplicas(arena, arena.bld.opt, refCat); rerr != nil {
@@ -370,16 +380,18 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 			atFirst++
 		case margin > 0:
 			atLater++
-		case hopeless:
-			refused++
+		case inf != nil && inf.Hopeless:
+			hopeless++
+		case inf != nil && inf.FirstWork:
+			proved++
 		default:
 			ladderInfeasible++
 		}
 	}
-	regimes := fmt.Sprintf("%d margin-1 successes, %d later-margin successes, %d refused by the bound (%d reference probes saved), %d infeasible after the full ladder",
-		atFirst, atLater, refused, savedProbes, ladderInfeasible)
+	regimes := fmt.Sprintf("%d margin-1 successes, %d later-margin successes, %d refused by the admissibility bound, %d refused after margin 1 by the DP cut or the calendar bound, %d infeasible by the ladder (%d reference probes spared)",
+		atFirst, atLater, hopeless, proved, ladderInfeasible, savedProbes)
 	t.Log("regimes: " + regimes)
-	if atFirst == 0 || atLater == 0 || refused == 0 || ladderInfeasible == 0 {
+	if atFirst == 0 || atLater == 0 || hopeless == 0 || proved == 0 || ladderInfeasible == 0 {
 		t.Fatalf("corpus misses a regime: %s", regimes)
 	}
 }
@@ -431,7 +443,8 @@ func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag
 // admissibility bound refuses before the ladder (the critical path alone,
 // 19 ticks, overruns the deadline); and a job the bound must let through —
 // its first chain fits the deadline on empty calendars — that no margin can
-// place in the dense books (five attempts, all discarded). budget is
+// place in the dense books (margin 1's DP finds no placement for the first
+// critical work, and the DP cut spares the other four attempts). budget is
 // TestBuildAllocationBudget's.
 var denseRegimes = []struct {
 	name     string
@@ -442,7 +455,7 @@ var denseRegimes = []struct {
 }{
 	{"feasible", 400, true, false, 14},
 	{"refused", 12, false, true, 12},
-	{"ladder-infeasible", 22, false, false, 30},
+	{"ladder-infeasible", 22, false, false, 12},
 }
 
 // TestBuildAllocationBudget pins what one Build allocates on the dense
@@ -452,11 +465,13 @@ var denseRegimes = []struct {
 // plus what normalize defaults (table, candidates); its working memory,
 // replica sets and collisions-so-far included, is a pooled arena
 // (TestBuildAllocsFig2 pins the count exactly, with nothing defaulted). The
-// readings are 9, 6 and 20, and 12, 10 and 25 under -race, where sync.Pool
+// readings are 9, 6 and 8, and 12–13, 10 and 11 under -race, where sync.Pool
 // drops a quarter of the Puts on purpose and the next build makes a new
 // arena. The budgets leave that headroom, but over 100 runs the dropped
 // quarter does not always average out (15 against 14 in 6 of 20 race runs),
-// so the pin skips under -race and runs in CI's step without it. With a
+// so the pin skips under -race and runs in CI's step without it. Before the
+// DP cut the third read 20: all five attempts ran, each leaving an error
+// behind. With a
 // string-keyed catalog cloned per attempt and a collision slice made per
 // colliding attempt the three read
 // 18, 9 and 33; with a map per dataset in the catalog the first read 35; with

@@ -74,8 +74,12 @@ type Schedule struct {
 	// contrasts between S1 and MS1. A DP cell probes once at the earliest
 	// start that can win it, not once per predecessor: one probe per cell
 	// under MinFinish, and under MinCost one more for every cheaper group of
-	// predecessors a probe rules out (bestStep). A level the admissibility
-	// bound refuses counts 0.
+	// predecessors a probe rules out (bestStep). A build counts the attempts
+	// it ran: one the admissibility bound refuses counts 0, one the DP cut
+	// stops counts the margins before the cut, and one the calendar bound
+	// refuses counts margin 1 plus the bound's own probes, which never
+	// exceed what the spared attempts would have probed. So the count is at
+	// most the full five-margin ladder's.
 	Evaluations int64
 
 	// Partial marks a schedule abandoned mid-construction because some
@@ -223,14 +227,27 @@ func EmptyCalendars(env *resource.Environment) Calendars {
 
 // InfeasibleError reports that no resource combination lets the job meet
 // its deadline; Task names the first chain task that could not be placed.
-// Hopeless says why: the admissibility bound refused the build before the
-// margin ladder (the first critical work misses the deadline on its fastest
-// candidates with empty calendars), as opposed to the ladder running dry.
-// It is not part of the error text.
+// The two flags say how the build knew; neither is part of the error text.
+//
+// Hopeless: the build was refused before any attempt, reading no calendar —
+// the deadline is not after the release, or the admissibility bound (the
+// first critical work misses the deadline on its fastest candidates with
+// empty calendars).
+//
+// FirstWork: a proof showed that the first critical work has no placement at
+// any margin, so nothing was placed or collided — Hopeless, the calendar
+// bound (no candidate has a free gap for some task of it inside the task's
+// window) or the DP cut at margin 1 (MinFinish with ResolveReallocate).
+// Every such proof is that no candidate will do and reads nothing else that
+// depends on the candidate set, so it holds on every subset of the
+// candidates: a level sweep refuses its later levels on it (strategy).
+// Without FirstWork the ladder ran until its margins, or a later margin's
+// DP cut, said no.
 type InfeasibleError struct {
-	Job      string
-	Task     string
-	Hopeless bool
+	Job       string
+	Task      string
+	Hopeless  bool
+	FirstWork bool
 }
 
 func (e *InfeasibleError) Error() string {
@@ -247,8 +264,9 @@ var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 // sizes it for its job and environment, and runs its margin attempts in it
 // one after another; what it returns — the Schedule, its Placements map and
 // its Collisions, copied out at their exact length — is allocated fresh and
-// never points here. The strategy generator that calls Build is shared by the
-// placer workers, so no caller could own an arena; a pool needs none to.
+// never points here. Build is a function, not a method of a long-lived
+// owner, and concurrent builds may share one view (experiments run jobs on
+// parallel workers), so the arena comes from a pool rather than a caller.
 type scratch struct {
 	job *dag.Job
 	adj []dag.Edge // edges of the one task an edge walk is visiting
@@ -595,7 +613,7 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 		opt.Deadline = job.Deadline
 	}
 	if opt.Deadline <= opt.Release {
-		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoAt(0)).Name}
+		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoAt(0)).Name, Hopeless: true, FirstWork: true}
 	}
 	if opt.Horizon == 0 {
 		opt.Horizon = opt.Release + 4*(opt.Deadline-opt.Release)
@@ -628,8 +646,29 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 }
 
 // run is a build in the arena, which reset has pointed at the job: the
-// admissibility bound, then the margin ladder. opt is normalized. On success
-// the arena is left holding the successful attempt.
+// admissibility bound, then the margin ladder, cut short once a proof shows
+// that the margins left fail the way the last one did. opt is normalized. On
+// success the arena is left holding the successful attempt.
+//
+// The DP cut. Under MinFinish the DP is feasibility-exact for the first
+// critical work: nothing else is placed yet, no node holds a replica, and a
+// cell keeps the least finish that any assignment of the chain prefix ending
+// there reaches (bestStep probes at the least earliest start, and fit is
+// monotone in it). So a phase fails only when the chain has no assignment to
+// candidates and free starts inside its windows: on empty books in the ideal
+// phase, on the view in the actual one. The windows only shrink as the
+// margin grows (hopeless), so no later margin has one either, and every
+// later attempt fails in its first critical work, reserving and recording
+// nothing. The ladder's result is margin 1's, whichever margin the cut comes
+// at. Under ResolveDelay the actual phase tries only the nodes the ideal
+// phase picked, and a later margin may pick others; under MinCost a cell
+// keeps its cheapest predecessor, whose later finish can strand the next
+// position where a dearer one would not. There a failure proves nothing, and
+// the calendar bound (noGap) is asked instead.
+//
+// The admissibility bound, the calendar bound and a cut at margin 1 prove
+// that the first critical work has no placement at any margin; the error
+// says so (FirstWork).
 func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (*Schedule, error) {
 	job := sc.job
 	// The first critical work is the longest chain over all tasks by
@@ -641,13 +680,13 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 	sc.computeBounds(opt.Table, 1)
 	if sc.hopeless(env, opt, first) {
 		return &Schedule{Job: job, Placements: map[dag.TaskID]Placement{}, Partial: true},
-			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true}
+			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
 	}
 
 	var firstPartial *Schedule
-	var firstErr error
+	var firstErr *InfeasibleError
 	var evals int64
-	for _, mg := range margins {
+	for i, mg := range margins {
 		b := sc.attempt(env, cals, opt, mg)
 		var asp *telemetry.Span
 		if opt.Spans != nil {
@@ -670,7 +709,23 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 			// Keep the margin-1 attempt's partial schedule: its collisions
 			// reflect the method's genuine allocation attempts (Fig. 3b
 			// counts them).
-			firstPartial, firstErr = b.partial(), err
+			firstPartial, firstErr = b.partial(), inf
+		}
+		if b.nPlaced > 0 {
+			continue // a later critical work failed; a wider margin may place it
+		}
+		// The first critical work failed: the DP cut, or after margin 1 the
+		// calendar bound, may prove that every later margin fails it too.
+		if opt.Objective == MinFinish && opt.Mode == ResolveReallocate {
+			firstErr.FirstWork = i == 0
+			break
+		}
+		if i == 0 {
+			if probes, refused := sc.noGap(env, cals, opt, first); refused {
+				evals += probes
+				firstErr.FirstWork = true
+				break
+			}
 		}
 	}
 	firstPartial.Evaluations = evals
@@ -740,6 +795,68 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 		prevFinish = start + fastest
 	}
 	return false
+}
+
+// noGap is the calendar bound, asked once the margin-1 attempt has failed in
+// the first critical work where the DP cut does not apply. It reports
+// whether some position t_i of the chain has no candidate n with a free gap
+// of TimeOnNode(t_i, n) inside [Release + bestUp[t_i], Deadline −
+// bestDown[t_i]], and how many probes it spent asking: one Calendar.FirstFree
+// per candidate, a position ending at the first candidate with a gap. It
+// needs the margin-1 bounds in bestUp/bestDown.
+//
+// Why the rest of the ladder would then end where margin 1 did. While the
+// first chain is placed nothing else is: the attempt's overlay is empty, so
+// firstFree is the view's own FirstFree, and the window of t_i on n is
+// [est, lft] = [Release + bestUp[t_i], Deadline − bestDown[t_i]] with no
+// placed neighbour to tighten it. Every calendar probe for t_i on n — a
+// cell of the actual DP, or delayOnIdealNodes on the ideal node — is fit at
+// some e ≥ est, which needs a free start s ≥ e with s + dur inside the
+// horizon and ≤ lft. FirstFree(est) is the least free start ≥ est inside the
+// horizon, so when it has none, or its start overruns lft, every such fit
+// fails, and no candidate has one: the first chain fails at t_i (or in its
+// ideal phase before) with InfeasibleError{Task: chain.Tasks[0]}, having
+// reserved nothing and recorded no collision. That holds for every cell
+// whatever the DP keeps of the one before, so under either Objective and
+// either CollisionMode; and at every later margin, whose windows only
+// shrink (hopeless). The ladder's result is the margin-1 attempt's, which
+// run already holds.
+//
+// A refusal counts these probes in Evaluations, in place of the four
+// attempts it spares. Each of those would probe at least once per runnable
+// candidate in its first ideal row, so the bound gives up unrefused before
+// it spends more, and a refusal never counts above the full ladder. A bound
+// that lets the ladder go on stands in for no attempt, and its probes are
+// not counted.
+func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options, chain dag.Chain) (probes int64, refused bool) {
+	var budget int64
+	for _, n := range opt.Candidates {
+		if opt.Table.TimeOnNode(chain.Tasks[0], env.Node(n)) > 0 {
+			budget += int64(len(margins) - 1)
+		}
+	}
+	for _, task := range chain.Tasks {
+		est, lft := opt.Release+sc.bestUp[task], opt.Deadline-sc.bestDown[task]
+		gap := false
+		for _, n := range opt.Candidates {
+			dur := opt.Table.TimeOnNode(task, env.Node(n))
+			if dur <= 0 {
+				continue
+			}
+			if probes == budget {
+				return probes, false
+			}
+			probes++
+			if s, ok := cals[n].FirstFree(est, dur, opt.Horizon); ok && s+dur <= lft {
+				gap = true
+				break
+			}
+		}
+		if !gap {
+			return probes, true
+		}
+	}
+	return probes, false
 }
 
 // cancelled returns a build-abort error when the run's context is done.

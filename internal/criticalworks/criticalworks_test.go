@@ -144,39 +144,66 @@ func TestInfeasibleDeadline(t *testing.T) {
 	}
 }
 
-// TestInfeasibleSaysWhy: the error tells a level the bound refused (the
-// first critical work overruns the deadline on empty calendars — nothing
-// was attempted, so nothing was probed) from one the margin ladder gave up
-// on. Same text either way.
+// TestInfeasibleSaysWhy: the error tells how a build knew — refused before
+// any attempt (Hopeless: nothing probed), stopped after margin 1 by a proof
+// about the first critical work (FirstWork: the DP cut, or the calendar
+// bound where the cut does not apply), or left to the ladder — with the same
+// text every way, and the count holds only the probes spent. Every node is
+// booked for ticks 0–10. Fig. 2's critical path P1→P2→P4→P6 is 12 ticks on
+// the fastest node, transfers included, so P1 must end by deadline − 10.
 func TestInfeasibleSaysWhy(t *testing.T) {
 	env := paperEnv()
-	cals := EmptyCalendars(env)
-	for _, c := range cals {
+	booked := EmptyCalendars(env)
+	for _, c := range booked {
 		if err := c.Reserve(simtime.Interval{Start: 0, End: 10}, resource.External); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tc := range []struct {
-		deadline simtime.Time
-		hopeless bool
+		name                string
+		deadline            simtime.Time
+		opt                 Options
+		hopeless, firstWork bool
 	}{
-		{11, true},  // Fig. 2's critical path is 12 ticks on the fastest node
-		{20, false}, // fits an empty grid; the books leave only ticks 10–20
+		// 12 ticks overrun 11 even on an empty grid.
+		{"bound", 11, Options{}, true, true},
+		// Fits an empty grid, but P1 would have to end by 10 and every node
+		// is busy until then. MinFinish's DP finds no placement at margin 1,
+		// which proves it for every margin.
+		{"dp cut", 20, Options{}, false, true},
+		// MinCost's DP failing proves nothing; P1 having no free gap inside
+		// [0, 10) on any node does.
+		{"calendar bound, MinCost", 20, Options{Objective: MinCost}, false, true},
+		{"calendar bound, delay", 20, Options{Mode: ResolveDelay}, false, true},
 	} {
-		s, err := Build(env, cals, fig2Job(tc.deadline), Options{})
+		s, err := Build(env, booked, fig2Job(tc.deadline), tc.opt)
 		var inf *InfeasibleError
 		if !errors.As(err, &inf) {
-			t.Fatalf("deadline %d: err = %v, want InfeasibleError", tc.deadline, err)
+			t.Fatalf("%s: err = %v, want InfeasibleError", tc.name, err)
 		}
-		if inf.Hopeless != tc.hopeless {
-			t.Errorf("deadline %d: Hopeless = %v, want %v", tc.deadline, inf.Hopeless, tc.hopeless)
+		if inf.Hopeless != tc.hopeless || inf.FirstWork != tc.firstWork {
+			t.Errorf("%s: Hopeless = %v, FirstWork = %v; want %v, %v", tc.name, inf.Hopeless, inf.FirstWork, tc.hopeless, tc.firstWork)
 		}
 		if want := `criticalworks: job "fig2": no feasible placement for task "P1"`; err.Error() != want {
-			t.Errorf("deadline %d: error text %q, want %q", tc.deadline, err, want)
+			t.Errorf("%s: error text %q, want %q", tc.name, err, want)
 		}
-		if !s.Partial || s.Placements == nil || len(s.Placements) != 0 || (s.Evaluations == 0) != tc.hopeless {
-			t.Errorf("deadline %d: partial = %+v", tc.deadline, s)
+		if !s.Partial || s.Placements == nil || len(s.Placements) != 0 || len(s.Collisions) != 0 || (s.Evaluations == 0) != tc.hopeless {
+			t.Errorf("%s: partial = %+v", tc.name, s)
 		}
+		// Each proof spares the attempts the full ladder runs after it.
+		want, _, _, _ := refBuild(env, booked.Clone(), fig2Job(tc.deadline), tc.opt)
+		if s.Evaluations >= want.Evaluations {
+			t.Errorf("%s: %d evaluations, the full ladder %d", tc.name, s.Evaluations, want.Evaluations)
+		}
+	}
+
+	// One node: the first critical work fits, the second cannot at any
+	// margin. No proof is about the first work; the ladder says no.
+	env1, cals1, job1 := layeredFixture(5, 2, 1, 60)
+	s, err := Build(env1, cals1, job1, Options{})
+	var inf *InfeasibleError
+	if !errors.As(err, &inf) || inf.Hopeless || inf.FirstWork || len(s.Placements) == 0 {
+		t.Errorf("ladder: err = %v (%+v), partial with %d placements; want a plain InfeasibleError after a chain was placed", err, inf, len(s.Placements))
 	}
 }
 

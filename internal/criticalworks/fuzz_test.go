@@ -3,12 +3,15 @@ package criticalworks
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/data"
 	"repro/internal/resource"
+	"repro/internal/rng"
 	"repro/internal/simtime"
 )
 
@@ -147,6 +150,106 @@ func hopelessSeedBytes(objective, mode byte) []byte {
 		}
 	}
 	return append(out, 3, 0, 0, objective, mode) // 4 nodes, deadline 10, release 0, empty books
+}
+
+// blockedSeedBytes is Fig. 2 at deadline 20 with every node booked for ticks
+// 0–10: under MinFinish the DP cut refuses it after margin 1, otherwise the
+// calendar bound does (TestInfeasibleSaysWhy).
+func blockedSeedBytes() []byte {
+	out := fig2SeedBytes()
+	out = out[:len(out)-4] // the four nodes' empty books
+	for n := 0; n < 4; n++ {
+		out = append(out, 1, 0, 9) // one reservation, at 0, 10 ticks long
+	}
+	return out
+}
+
+// bookMore adds background reservations to cals, drawn from a seed the
+// input's bytes give: none, light, busy or dense books, over ticks up to ten
+// past the job's deadline, so that the first critical work's windows are
+// blocked on some inputs and not on others.
+func bookMore(cals Calendars, job *dag.Job, raw []byte) {
+	h := fnv.New64a()
+	h.Write(raw)
+	r := rng.New(h.Sum64())
+	per := []int{0, 2, 6, 12}[r.Intn(4)]
+	for n := 0; n < len(cals); n++ {
+		for k := 0; k < per; k++ {
+			st := simtime.Time(r.Intn(int(job.Deadline) + 10))
+			_ = cals[resource.NodeID(n)].Reserve(simtime.Interval{Start: st, End: st + simtime.Time(r.IntBetween(1, 6))}, resource.External)
+		}
+	}
+}
+
+// FuzzRefusalMatchesLadder holds every way Build stops early — the
+// admissibility bound, the calendar bound and the DP cut — to refBuild, the
+// unbounded five-margin ladder, on the inputs FuzzBuildSchedule decodes with
+// more background booked (bookMore), under each of the three data policies,
+// both objectives and both collision modes. The schedule and the error are
+// the reference's in every field but Evaluations, which is never above the
+// reference's. Wherever a proof about the first critical work fired
+// (InfeasibleError.FirstWork), the reference must have ended infeasible with
+// the same error text and an empty partial schedule with no collision.
+//
+// testdata/fuzz keeps one input the fuzzer found against each of four wrong
+// provers: the DP cut under MinCost, the DP cut under ResolveDelay, and the
+// calendar bound reading a gap that ends at lft as none, or its window a
+// tick late.
+func FuzzRefusalMatchesLadder(f *testing.F) {
+	f.Add(fig2SeedBytes())
+	f.Add(blockedSeedBytes())
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{2, 3, 3, 0, 0, 0, 1, 0, 1, 20, 2, 1, 1, 2, 1, 5, 9})
+	f.Add(hopelessSeedBytes(0, 0))
+	f.Add(hopelessSeedBytes(1, 1))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		job, env, cals, opt := decodeFuzzInput(raw)
+		bookMore(cals, job, raw)
+		for _, pol := range policies {
+			for _, obj := range []Objective{MinFinish, MinCost} {
+				for _, mode := range []CollisionMode{ResolveReallocate, ResolveDelay} {
+					opt.Data.Policy, opt.Objective, opt.Mode = pol, obj, mode
+					if err := matchLadder(env, cals, job, opt); err != nil {
+						t.Fatalf("%v, objective %d, mode %d: %v", pol, obj, mode, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// matchLadder builds the job with Build and with refBuild and reports where
+// they part: the error text, any schedule field but Evaluations, an
+// Evaluations count above the reference's, or a proof about the first
+// critical work where the reference ladder placed or collided something.
+func matchLadder(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) error {
+	got, err := Build(env, cals, job, opt)
+	want, _, _, wantErr := refBuild(env, cals.Clone(), job, opt)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		return fmt.Errorf("err = %v, reference %v", err, wantErr)
+	}
+	if (got == nil) != (want == nil) {
+		return fmt.Errorf("schedule = %v, reference %v", got, want)
+	}
+	if got == nil {
+		return nil // an error before or after the ladder, the same on both sides
+	}
+	var inf *InfeasibleError
+	if errors.As(err, &inf) && inf.FirstWork && (len(want.Placements) != 0 || len(want.Collisions) != 0) {
+		return fmt.Errorf("a proof refused the build, but the reference ladder placed %d tasks and recorded %d collisions",
+			len(want.Placements), len(want.Collisions))
+	}
+	if got.Evaluations > want.Evaluations {
+		return fmt.Errorf("%d evaluations, the reference %d", got.Evaluations, want.Evaluations)
+	}
+	g := *got
+	g.Evaluations = want.Evaluations
+	if !reflect.DeepEqual(&g, want) {
+		return fmt.Errorf("schedule differs from the reference:\n got %+v\nwant %+v", got, want)
+	}
+	return nil
 }
 
 // FuzzBuildSchedule drives the critical works method over random small

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/data"
+	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -572,15 +574,21 @@ func TestGeneratePanicNamesTheLevel(t *testing.T) {
 	}
 }
 
-// TestGenerateSaysWhyLevelsFailed: a failed level reports whether the
-// margin ladder ran dry ("infeasible") or the admissibility bound refused
-// it before any attempt ("hopeless") — on the strategy.level and
+// TestGenerateSaysWhyLevelsFailed: a failed level reports how its build knew
+// — the ladder, or a proof after margin 1 ("infeasible"), or a refusal
+// before any attempt ("hopeless") — on the strategy.level and
 // criticalworks.build spans and as the result label of
 // grid_criticalworks_builds_total, whose sum across labels still counts
-// every build. Fig. 2's job has a 12-tick critical path on tier 1 and 21
-// on tier 2: at deadline 20, with every node booked for the first 10
-// ticks, level 1 passes the bound and fails all five margins, and levels
-// 2–4 are refused without one.
+// every build. A level refused because an earlier one failed on its first
+// critical work is a "refused" strategy.level span with no build under it.
+//
+// Fig. 2's job has a 12-tick critical path on tier 1. At deadline 20, with
+// every node booked for the first 10 ticks, level 1 passes the admissibility
+// bound, its first attempt finds no placement for the first critical work,
+// and the DP cut spares the other four margins; levels 2–4 are refused.
+// Released at its deadline, the job has no window at all: level 1 is
+// refused before any attempt — a "hopeless" level, not one without
+// candidates — and levels 2–4 with it.
 func TestGenerateSaysWhyLevelsFailed(t *testing.T) {
 	env := mixedEnv()
 	base := criticalworks.EmptyCalendars(env)
@@ -589,56 +597,283 @@ func TestGenerateSaysWhyLevelsFailed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	reg := telemetry.NewRegistry()
-	g := &Generator{Env: env, Telemetry: reg, Spans: telemetry.NewTracer(&buf)}
-	s, err := g.Generate(fig2Job(20), S1, base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Distributions) != 0 || len(s.FailedLevels) != 4 {
-		t.Fatalf("built %d levels, failed %v; want all four failed", len(s.Distributions), s.FailedLevels)
-	}
+	for _, tc := range []struct {
+		name     string
+		release  simtime.Time
+		level1   string // level 1's result, on its level span and its build span
+		attempts int
+	}{
+		{"dp cut", 0, "infeasible", 1},
+		{"no window", 20, "hopeless", 0},
+	} {
+		var buf bytes.Buffer
+		reg := telemetry.NewRegistry()
+		g := &Generator{Env: env, Telemetry: reg, Spans: telemetry.NewTracer(&buf)}
+		s, err := g.Generate(fig2Job(20), S1, base, tc.release)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Distributions) != 0 || !slices.Equal(s.FailedLevels, []resource.Tier{1, 2, 3, 4}) {
+			t.Fatalf("%s: built %d levels, failed %v; want all four failed", tc.name, len(s.Distributions), s.FailedLevels)
+		}
 
-	results := map[string]map[string]int{} // span name → result → count
-	attemptEvals := int64(0)
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var sp struct {
-			Name  string
-			Attrs struct {
-				Result      string
-				Evaluations int64
+		results := map[string]map[string]int{} // span name → result → count
+		attemptEvals := int64(0)
+		sc := bufio.NewScanner(&buf)
+		for sc.Scan() {
+			var sp struct {
+				Name  string
+				Attrs struct {
+					Result      string
+					Evaluations int64
+				}
+			}
+			if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
+				t.Fatalf("bad span line %q: %v", sc.Text(), err)
+			}
+			if results[sp.Name] == nil {
+				results[sp.Name] = map[string]int{}
+			}
+			results[sp.Name][sp.Attrs.Result]++
+			if sp.Name == "criticalworks.attempt" {
+				attemptEvals += sp.Attrs.Evaluations
 			}
 		}
-		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
-			t.Fatalf("bad span line %q: %v", sc.Text(), err)
+		if want := map[string]int{tc.level1: 1, "refused": 3}; !reflect.DeepEqual(results["strategy.level"], want) {
+			t.Errorf("%s: strategy.level span results = %v, want %v", tc.name, results["strategy.level"], want)
 		}
-		if results[sp.Name] == nil {
-			results[sp.Name] = map[string]int{}
+		if want := map[string]int{tc.level1: 1}; !reflect.DeepEqual(results["criticalworks.build"], want) {
+			t.Errorf("%s: criticalworks.build span results = %v, want level 1's only: %v", tc.name, results["criticalworks.build"], want)
 		}
-		results[sp.Name][sp.Attrs.Result]++
-		if sp.Name == "criticalworks.attempt" {
-			attemptEvals += sp.Attrs.Evaluations
+		if got := results["criticalworks.attempt"]["infeasible"]; got != tc.attempts || len(results["criticalworks.attempt"]) > 1 {
+			t.Errorf("%s: criticalworks.attempt span results = %v, want %d infeasible", tc.name, results["criticalworks.attempt"], tc.attempts)
 		}
-	}
-	want := map[string]int{"infeasible": 1, "hopeless": 3}
-	for _, name := range []string{"strategy.level", "criticalworks.build"} {
-		if !reflect.DeepEqual(results[name], want) {
-			t.Errorf("%s span results = %v, want %v", name, results[name], want)
+		for _, result := range []string{"infeasible", "hopeless", "ok"} {
+			want := uint64(0)
+			if result == tc.level1 {
+				want = 1
+			}
+			if got := reg.Counter("grid_criticalworks_builds_total", "", telemetry.L("result", result)).Value(); got != want {
+				t.Errorf("%s: grid_criticalworks_builds_total{result=%q} = %d, want %d", tc.name, result, got, want)
+			}
 		}
-	}
-	if got := results["criticalworks.attempt"]; !reflect.DeepEqual(got, map[string]int{"infeasible": 5}) {
-		t.Errorf("criticalworks.attempt span results = %v, want the one laddered level's five", got)
-	}
-	for result, n := range map[string]uint64{"infeasible": 1, "hopeless": 3, "ok": 0} {
-		if got := reg.Counter("grid_criticalworks_builds_total", "", telemetry.L("result", result)).Value(); got != n {
-			t.Errorf("grid_criticalworks_builds_total{result=%q} = %d, want %d", result, got, n)
+		// A refused level spends no probes: the strategy's count is level 1's.
+		if (s.Evaluations == 0) != (tc.attempts == 0) || s.Evaluations != attemptEvals {
+			t.Errorf("%s: Evaluations = %d, want the %d probes of level 1's attempts", tc.name, s.Evaluations, attemptEvals)
 		}
 	}
-	// A refused level spends no probes: the strategy's count is level 1's.
-	if s.Evaluations == 0 || s.Evaluations != attemptEvals {
-		t.Errorf("Evaluations = %d, want the %d probes of level 1's attempts", s.Evaluations, attemptEvals)
+}
+
+// everyLevelBuilt is the reference for the level cascade: Generate as it was
+// before the cascade, every level of the family built on its own by
+// BuildLevelCtx, in level order.
+func everyLevelBuilt(g *Generator, job *dag.Job, typ Type, base criticalworks.Calendars, release simtime.Time) (*Strategy, error) {
+	s := &Strategy{Job: job, Type: typ, Scheduled: job}
+	if typ.CoarseGrain() {
+		cl, err := dag.Coarsen(job)
+		if err != nil {
+			return nil, err
+		}
+		s.Clustering, s.Scheduled = cl, cl.Job
+	}
+	s.Table = estimate.Derive(s.Scheduled)
+	for _, level := range typ.Levels() {
+		d, partial, err := g.BuildLevelCtx(context.Background(), s.Scheduled, job.Name, typ, level, base, release, s.Table)
+		if err != nil {
+			return nil, err
+		}
+		if d == nil {
+			s.FailedLevels = append(s.FailedLevels, level)
+			if partial != nil {
+				s.Evaluations += partial.Evaluations
+				s.PartialCollisions = append(s.PartialCollisions, partial.Collisions...)
+			}
+			continue
+		}
+		s.Evaluations += d.Evaluations
+		s.Distributions = append(s.Distributions, *d)
+	}
+	return s, nil
+}
+
+// sweepCase is one input of TestSweepMatchesEveryLevelBuilt.
+type sweepCase struct {
+	name    string
+	env     *resource.Environment
+	job     *dag.Job
+	books   criticalworks.Calendars
+	release simtime.Time
+}
+
+// sweepCorpus is Fig. 2 at deadlines from hopeless to generous, on empty
+// books, on books busy for the first 10 ticks and on dense random books,
+// released at 0, at 3 and at its deadline; plus random jobs of up to seven
+// tasks in the manner of criticalworks' fuzz decoder, on books from empty to
+// dense, on mixedEnv and on a larger environment with a node down.
+func sweepCorpus() []sweepCase {
+	book := func(env *resource.Environment, r *rng.Source, per int, until simtime.Time) criticalworks.Calendars {
+		cals := criticalworks.EmptyCalendars(env)
+		for n := 0; n < env.NumNodes(); n++ {
+			for k := 0; k < per; k++ {
+				st := simtime.Time(r.Intn(int(until)))
+				_ = cals[resource.NodeID(n)].Reserve(simtime.Interval{Start: st, End: st + simtime.Time(r.IntBetween(1, 6))}, resource.External)
+			}
+		}
+		return cals
+	}
+	wide := resource.NewEnvironment([]*resource.Node{
+		resource.NewNode(0, "a1", 1.0, 1, "d"), resource.NewNode(1, "b1", 0.8, 1, "d"),
+		resource.NewNode(2, "a2", 0.5, 1, "d"), resource.NewNode(3, "b2", 0.5, 1, "d"),
+		resource.NewNode(4, "a3", 0.33, 1, "d"), resource.NewNode(5, "b3", 0.33, 1, "d"),
+		resource.NewNode(6, "a4", 0.25, 1, "d"), resource.NewNode(7, "b4", 0.25, 1, "d"),
+	})
+	wide.Node(1).MarkDown(0)
+	var out []sweepCase
+	env := mixedEnv()
+	r := rng.New(20261015)
+	for _, deadline := range []simtime.Time{11, 14, 20, 30, 45, 80} {
+		busy := criticalworks.EmptyCalendars(env)
+		for _, c := range busy {
+			_ = c.Reserve(simtime.Interval{Start: 0, End: 10}, resource.External)
+		}
+		for bi, books := range []criticalworks.Calendars{criticalworks.EmptyCalendars(env), busy, book(env, r, 8, deadline+10)} {
+			for _, release := range []simtime.Time{0, 3, deadline} {
+				out = append(out, sweepCase{fmt.Sprintf("fig2/d%d/books%d/r%d", deadline, bi, release), env, fig2Job(deadline), books, release})
+			}
+		}
+	}
+	for seed := uint64(1); seed <= 160; seed++ {
+		r := rng.New(seed)
+		b := dag.NewBuilder("q").Deadline(simtime.Time(r.IntBetween(5, 90)))
+		n := r.IntBetween(1, 7)
+		names := make([]string, n)
+		for i := range names {
+			names[i] = string(rune('A' + i))
+			b.Task(names[i], simtime.Time(r.IntBetween(1, 5)), int64(r.IntBetween(1, 30)))
+		}
+		for to := 1; to < n; to++ {
+			for from := 0; from < to; from++ {
+				if r.Bool(0.35) {
+					b.Edge(names[from]+names[to], names[from], names[to], simtime.Time(r.IntBetween(1, 3)), 1)
+				}
+			}
+		}
+		job := b.MustBuild()
+		e := env
+		if seed%2 == 0 {
+			e = wide
+		}
+		books := book(e, r, []int{0, 2, 6, 12}[seed%4], job.Deadline+10)
+		out = append(out, sweepCase{fmt.Sprintf("rand/%d", seed), e, job, books, simtime.Time(r.Intn(6))})
+	}
+	return out
+}
+
+// buildsCounted sums grid_criticalworks_builds_total over its outcomes.
+func buildsCounted(reg *telemetry.Registry) uint64 {
+	var n uint64
+	for _, result := range []string{"ok", "hopeless", "infeasible", "cancelled", "error"} {
+		n += reg.Counter("grid_criticalworks_builds_total", "", telemetry.L("result", result)).Value()
+	}
+	return n
+}
+
+// TestSweepMatchesEveryLevelBuilt: the level cascade is exact. Over
+// sweepCorpus, for every family, both objectives and both collision modes,
+// Generate gives the Distributions, FailedLevels and PartialCollisions of a
+// sweep that builds every level (everyLevelBuilt), with no more Evaluations.
+// The corpus must make the cascade refuse levels, and it must spare probes.
+func TestSweepMatchesEveryLevelBuilt(t *testing.T) {
+	var refusedLevels, builds uint64
+	var evals, refEvals int64
+	for _, tc := range sweepCorpus() {
+		for _, obj := range []criticalworks.Objective{criticalworks.MinFinish, criticalworks.MinCost} {
+			for _, mode := range []criticalworks.CollisionMode{criticalworks.ResolveReallocate, criticalworks.ResolveDelay} {
+				reg, refReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+				g := &Generator{Env: tc.env, Objective: obj, Mode: mode, Telemetry: reg}
+				ref := &Generator{Env: tc.env, Objective: obj, Mode: mode, Telemetry: refReg}
+				for _, typ := range AllTypes {
+					what := fmt.Sprintf("%s %v objective %d mode %d", tc.name, typ, obj, mode)
+					got, err := g.Generate(tc.job, typ, tc.books, tc.release)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					want, err := everyLevelBuilt(ref, tc.job, typ, tc.books, tc.release)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", what, err)
+					}
+					if !reflect.DeepEqual(got.Distributions, want.Distributions) {
+						t.Fatalf("%s: distributions differ:\n got %+v\nwant %+v", what, got.Distributions, want.Distributions)
+					}
+					if !slices.Equal(got.FailedLevels, want.FailedLevels) || !reflect.DeepEqual(got.PartialCollisions, want.PartialCollisions) {
+						t.Fatalf("%s: failed levels %v with collisions %v, want %v with %v",
+							what, got.FailedLevels, got.PartialCollisions, want.FailedLevels, want.PartialCollisions)
+					}
+					if got.Evaluations > want.Evaluations {
+						t.Fatalf("%s: %d evaluations, every level built %d", what, got.Evaluations, want.Evaluations)
+					}
+					evals, refEvals = evals+got.Evaluations, refEvals+want.Evaluations
+				}
+				builds += buildsCounted(reg)
+				refusedLevels += buildsCounted(refReg) - buildsCounted(reg)
+			}
+		}
+	}
+	t.Logf("%d builds, %d levels refused without one; %d evaluations, every level built %d", builds, refusedLevels, evals, refEvals)
+	if refusedLevels == 0 || evals >= refEvals {
+		t.Errorf("the corpus never exercises the cascade: %d levels refused, %d evaluations against %d", refusedLevels, evals, refEvals)
+	}
+}
+
+// TestLevelsAscendAndCandidatesNest checks the level cascade's premise:
+// every family's levels strictly ascend, and the candidate lists one
+// generation gets for them nest — each a subset of the one before — for any
+// environment, pool and set of nodes down.
+func TestLevelsAscendAndCandidatesNest(t *testing.T) {
+	for _, typ := range AllTypes {
+		levels := typ.Levels()
+		for i := range levels {
+			if levels[i] < 1 || levels[i] > resource.NumTiers || i > 0 && levels[i] <= levels[i-1] {
+				t.Fatalf("%v levels %v do not strictly ascend within the tiers", typ, levels)
+			}
+		}
+	}
+	perfs := []float64{1.0, 0.8, 0.5, 0.33, 0.25}
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		nodes := make([]*resource.Node, r.IntBetween(1, 12))
+		for i := range nodes {
+			nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), perfs[r.Intn(len(perfs))], 1, "d")
+		}
+		env := resource.NewEnvironment(nodes)
+		for _, n := range nodes {
+			if r.Bool(0.2) {
+				n.MarkDown(0)
+			}
+		}
+		var pool []resource.NodeID // nil: the whole environment
+		if r.Bool(0.5) {
+			for _, i := range r.Perm(len(nodes))[:r.IntBetween(1, len(nodes))] {
+				pool = append(pool, resource.NodeID(i))
+			}
+		}
+		g := &Generator{Env: env, Pool: pool}
+		for _, typ := range AllTypes {
+			lists := g.candidates(typ.Levels())
+			for i := 1; i < len(lists); i++ {
+				for _, id := range lists[i] {
+					if !slices.Contains(lists[i-1], id) {
+						t.Logf("seed %d, %v: level %d lists node %d, level %d does not: %v ⊄ %v",
+							seed, typ, typ.Levels()[i], id, typ.Levels()[i-1], lists[i], lists[i-1])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
