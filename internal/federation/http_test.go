@@ -236,6 +236,43 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPShardRecordEscapesTheID: a job ID is a path segment of the
+// Record probe, so an ID holding a URL's own syntax must still name the job
+// on a shard that holds it — reconcile revokes a handed binding its shard
+// answers "unknown" for. A real member and service handler answer the
+// probe, for IDs a client may choose freely.
+func TestHTTPShardRecordEscapesTheID(t *testing.T) {
+	svc, err := service.New(service.Config{Env: testEnv(), QueueCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := NewMember(MemberConfig{Shard: "s0"})
+	member.Bind(svc)
+	ts := httptest.NewServer(member.Handler(svc.Handler()))
+	defer ts.Close()
+	shard := NewHTTPShard("s0", ts.URL, ts.Client())
+
+	ids := []string{"plain", "a?b", "x/y", "p%20q", "h#1", "sp ace", "ü"}
+	for _, id := range ids {
+		if _, err := svc.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatalf("submit %q: %v", id, err)
+		}
+	}
+	for _, id := range ids {
+		rec, ok, err := shard.Record(context.Background(), id)
+		if err != nil || !ok || rec.ID != id {
+			t.Errorf("Record(%q) = (%+v, %v, %v), want the shard's record of it", id, rec, ok, err)
+		}
+	}
+	// An ID the shard does not hold — here the prefixes an unescaped URL
+	// would cut the IDs above at — is unknown, not an error.
+	for _, id := range []string{"a", "x", "h", "p q"} {
+		if _, ok, err := shard.Record(context.Background(), id); ok || err != nil {
+			t.Errorf("Record(%q) = (%v, %v), want unknown", id, ok, err)
+		}
+	}
+}
+
 func httpGetJSON(t *testing.T, client *http.Client, url string, out any) error {
 	t.Helper()
 	resp, err := client.Get(url)

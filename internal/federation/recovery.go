@@ -202,7 +202,9 @@ func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
 		case !ok:
 			// A job this router never saw (journal lost, or the shard
 			// predates it): adopt the binding rather than orphan the job.
-			r.createLocked(h.ID, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
+			// An adoption the journal cannot take leaves no entry, as a
+			// refused submission does; the shard runs the job either way.
+			_, _ = r.createLocked(h.ID, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
 			resp.Decisions[h.ID] = JoinResume
 		case rec.State == StateHanded && rec.Shard == req.Shard:
 			resp.Decisions[h.ID] = JoinResume

@@ -310,15 +310,19 @@ func (r *Router) now() simtime.Time {
 	return simtime.Time(time.Since(r.start) / time.Millisecond)
 }
 
-func (r *Router) journal(rec journal.Record) {
+// journal appends rec when the router journals. A failed append is counted,
+// logged and returned.
+func (r *Router) journal(rec journal.Record) error {
 	if r.cfg.Journal == nil {
-		return
+		return nil
 	}
-	if _, err := r.cfg.Journal.Append(rec); err != nil {
+	_, err := r.cfg.Journal.Append(rec)
+	if err != nil {
 		r.met.JournalError++
 		r.th.journalErrors.Inc()
 		r.logf("federation: journal append %s/%s: %v", rec.Job, rec.State, err)
 	}
+	return err
 }
 
 // Start launches the dispatcher pool and the per-shard heartbeat loops.
@@ -359,25 +363,33 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 		return JobView{}, &service.SubmitError{Code: service.CodeDuplicate,
 			Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
 	}
-	// Write-ahead: the accept is durable before the job exists only in
-	// memory, so an acknowledged submission survives a router SIGKILL.
-	rec := r.createLocked(wire.Name, typ.String(), priority, &wire, StateQueued, "", "")
+	// Write-ahead: the accept is durable before the job exists in memory,
+	// so an acknowledged submission survives a router SIGKILL, and one the
+	// journal could not take is refused, as a shard refuses it.
+	rec, err := r.createLocked(wire.Name, typ.String(), priority, &wire, StateQueued, "", "")
+	if err != nil {
+		return JobView{}, &service.SubmitError{Code: service.CodeInternal,
+			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
+	}
 	r.met.Accepted++
 	r.th.accepted.Inc()
 	r.pushLocked(wire.Name)
 	return rec.view(), nil
 }
 
-// createLocked makes a ledger entry and journals its creation record, the
-// only record that carries the admission fields (strategy, priority, wire
-// form). Every later change to the entry goes through moveLocked. Caller
+// createLocked journals a ledger entry's creation record, the only record
+// that carries the admission fields (strategy, priority, wire form), and
+// then makes the entry. When the append fails it returns the error and makes
+// nothing. Every later change to the entry goes through moveLocked. Caller
 // holds r.mu.
-func (r *Router) createLocked(id, strategyName string, priority int, wire *jobio.Job, state, shard, reason string) *jobRecord {
+func (r *Router) createLocked(id, strategyName string, priority int, wire *jobio.Job, state, shard, reason string) (*jobRecord, error) {
+	if err := r.journal(journal.Record{Job: id, State: state, Reason: reason,
+		Strategy: strategyName, Priority: priority, Wire: wire, Shard: shard}); err != nil {
+		return nil, err
+	}
 	rec := r.newRecordLocked(id, strategyName, priority, state)
 	rec.Shard, rec.Reason, rec.wire = shard, reason, wire
-	r.journal(journal.Record{Job: id, State: state, Reason: reason,
-		Strategy: strategyName, Priority: priority, Wire: wire, Shard: shard})
-	return rec
+	return rec, nil
 }
 
 // moveLocked is the only code that changes a ledger entry's State, Shard,
@@ -408,7 +420,7 @@ func (r *Router) moveLocked(rec *jobRecord, state, shard, reason string) {
 		rec.epoch++
 	}
 	rec.State, rec.Shard, rec.Reason = state, shard, reason
-	r.journal(journal.Record{Job: rec.ID, State: state, Reason: reason, Shard: shard, Epoch: rec.epoch})
+	_ = r.journal(journal.Record{Job: rec.ID, State: state, Reason: reason, Shard: shard, Epoch: rec.epoch}) // counted and logged; the move stands
 	switch state {
 	case StateQueued:
 		r.met.Reallocated++

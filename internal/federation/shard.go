@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 
 	"repro/internal/service"
 )
@@ -94,7 +95,7 @@ func (s *HTTPShard) Revoke(ctx context.Context, req *RevokeRequest) (*RevokeResu
 // Record implements ShardClient: GET /v1/jobs/{id}; 404 means unknown.
 func (s *HTTPShard) Record(ctx context.Context, id string) (service.Record, bool, error) {
 	var rec service.Record
-	status, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/jobs/"+id, nil, &rec)
+	status, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/jobs/"+url.PathEscape(id), nil, &rec)
 	switch {
 	case status == http.StatusNotFound:
 		return service.Record{}, false, nil

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/jobio"
+	"repro/internal/journal"
 	"repro/internal/service"
 )
 
@@ -97,43 +98,77 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		"gridd/" + service.CodeDraining:     "2",
 		"gridfront/" + service.CodeDraining: "1",
 	}
-	for _, tr := range tiers {
-		for _, st := range steps {
-			if st.drainFirst {
-				tr.drain()
+	post := func(tr tier, step, body, code string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		tr.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		if code == "" {
+			if rec.Code != http.StatusAccepted {
+				t.Errorf("%s/%s: status %d, want 202", tr.name, step, rec.Code)
 			}
-			rec := httptest.NewRecorder()
-			tr.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(st.body)))
-			code := st.want[tr.name]
-			if code == "" {
-				if rec.Code != http.StatusAccepted {
-					t.Errorf("%s/%s: status %d, want 202", tr.name, st.name, rec.Code)
-				}
-				continue
-			}
-			var got errorBody
-			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-				t.Fatalf("%s/%s: body %q: %v", tr.name, st.name, rec.Body, err)
-			}
-			if rec.Code != submitErrorStatus[code] || got.Code != code || got.Reason == "" {
-				t.Errorf("%s/%s: status %d body %+v, want %d with code %q and a reason",
-					tr.name, st.name, rec.Code, got, submitErrorStatus[code], code)
-			}
-			if h, want := rec.Header().Get("Retry-After"), wantRetryAfter[tr.name+"/"+code]; h != want {
-				t.Errorf("%s/%s: Retry-After %q, want %q", tr.name, st.name, h, want)
-			}
+			return
+		}
+		var got errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s/%s: body %q: %v", tr.name, step, rec.Body, err)
+		}
+		if rec.Code != submitErrorStatus[code] || got.Code != code || got.Reason == "" {
+			t.Errorf("%s/%s: status %d body %+v, want %d with code %q and a reason",
+				tr.name, step, rec.Code, got, submitErrorStatus[code], code)
+		}
+		if h, want := rec.Header().Get("Retry-After"), wantRetryAfter[tr.name+"/"+code]; h != want {
+			t.Errorf("%s/%s: Retry-After %q, want %q", tr.name, step, h, want)
 		}
 	}
-
-	// Nothing that rode in a refused body reached a ledger.
-	for _, tr := range tiers {
-		for _, id := range []string{"f", "g", "h", "i"} {
+	// absent checks that none of ids reached tr's ledger.
+	absent := func(tr tier, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
 			rec := httptest.NewRecorder()
 			tr.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
 			if rec.Code != http.StatusNotFound {
 				t.Errorf("%s: job %s from a refused body is on the ledger (%d)", tr.name, id, rec.Code)
 			}
 		}
+	}
+	for _, tr := range tiers {
+		for _, st := range steps {
+			if st.drainFirst {
+				tr.drain()
+			}
+			post(tr, st.name, st.body, st.want[tr.name])
+		}
+		absent(tr, "f", "g", "h", "i")
+	}
+
+	// A journal append that fails refuses the job on both tiers, as the
+	// shard always did: the client is not told "accepted" for a job a
+	// restart would forget. Each tier journals into a journal already
+	// closed, so its first append fails.
+	closedJournal := func() *journal.Journal {
+		jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncNever, IsTerminal: service.Terminal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return jnl
+	}
+	jsvc, err := service.New(service.Config{Env: testEnv(), Journal: closedJournal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := New(Config{Shards: []ShardClient{&scriptShard{name: "s0"}}, Journal: closedJournal(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []tier{{name: "gridd", handler: jsvc.Handler()}, {name: "gridfront", handler: jr.Handler()}} {
+		post(tr, "journal append fails", body("j", 60, "S1"), service.CodeInternal)
+		absent(tr, "j")
+	}
+	if a, b := jsvc.Metrics().Accepted, jr.Metrics().Accepted; a != 0 || b != 0 {
+		t.Errorf("a job refused for its journal append counts as accepted: gridd %d, gridfront %d", a, b)
 	}
 
 	// The codes no live handler state reaches, and the rounding edges.
@@ -143,8 +178,6 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		retryAfter string
 		body       errorBody
 	}{
-		{&service.SubmitError{Code: service.CodeInternal, Reason: "journal append failed"},
-			http.StatusInternalServerError, "", errorBody{Error: "rejected", Code: service.CodeInternal, Reason: "journal append failed"}},
 		{&service.SubmitError{Code: "some-future-code", Reason: "x"},
 			http.StatusBadRequest, "", errorBody{Error: "rejected", Code: "some-future-code", Reason: "x"}},
 		{&service.SubmitError{Code: service.CodeOverloaded, Reason: "full", RetryAfter: time.Millisecond},

@@ -92,7 +92,7 @@ func TestEvaluationsAreTheProbesPerformed(t *testing.T) {
 			var evals, colls, ladder int64
 			for _, r := range vo.Results() {
 				evals += r.Evaluations
-				colls += int64(len(r.Collisions))
+				colls += int64(r.Collisions)
 				ladder += int64(r.Fallbacks + r.Reallocations + r.Retries)
 			}
 			if len(vo.Results()) != tc.jobs || ladder == 0 {
@@ -160,7 +160,7 @@ func TestBatchMembersAreBuiltOnce(t *testing.T) {
 		moved := 0
 		for _, r := range vo.Results() {
 			evals += r.Evaluations
-			colls += int64(len(r.Collisions))
+			colls += int64(r.Collisions)
 			moved += r.Reallocations
 			if got, want := built[r.Job.Name], 1+r.Reallocations; got != want {
 				t.Errorf("seed %d: %s was generated %d times, want %d (1 + %d reallocations)", seed, r.Job.Name, got, want, r.Reallocations)

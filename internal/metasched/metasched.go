@@ -220,8 +220,10 @@ type JobResult struct {
 	// to its next successful activation (or terminal rejection).
 	Downtime simtime.Time
 
-	// Collisions aggregated over all generation passes, by node.
-	Collisions []criticalworks.Collision
+	// Collisions counts the collisions of every schedule the job was charged
+	// for, over all generation passes; the records themselves are each
+	// Schedule's (Fig. 3b reads them from the strategies).
+	Collisions int
 
 	// Placements of the finally executed distribution.
 	Placements map[dag.TaskID]criticalworks.Placement
@@ -304,6 +306,8 @@ type VO struct {
 	failRng   *rng.Source // mid-run task-failure draws, nil when disabled
 	jitterRng *rng.Source // retry-backoff jitter draws, nil when disabled
 	fstats    metrics.FaultStats
+
+	voided []resource.Reservation // outageDown's buffer: one crashed node's book at a time
 }
 
 // NewVO builds the hierarchy over env: one job manager per distinct node
@@ -567,11 +571,10 @@ func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	aj.result.Scheduled = st.Scheduled
 	aj.used = strategy.Levels{}
 	aj.result.Evaluations += st.Evaluations
-	// Strategy.Collisions' order, without building its slice.
 	for _, d := range st.Distributions {
-		aj.result.Collisions = append(aj.result.Collisions, d.Schedule.Collisions...)
+		aj.result.Collisions += len(d.Schedule.Collisions)
 	}
-	aj.result.Collisions = append(aj.result.Collisions, st.PartialCollisions...)
+	aj.result.Collisions += len(st.PartialCollisions)
 	if initial {
 		aj.result.Admissible = st.Admissible()
 	}
@@ -636,13 +639,11 @@ func (m *JobManager) launch(aj *activeJob, d *strategy.Distribution) {
 	}
 	aj.result.FinalLevel = d.Level
 	aj.result.ActualStart = d.Start
-	m.vo.trace(EventActivate, aj.result.Job.Name, m.domain, func(e *Event) {
-		e.Level = int(d.Level)
-		e.Start, e.End = d.Start, d.Finish
-	})
+	m.vo.trace(Event{Kind: EventActivate, Job: aj.result.Job.Name, Domain: m.domain,
+		Level: int(d.Level), Start: d.Start, End: d.Finish})
 	aj.startEv = m.vo.engine.At(d.Start, "start "+aj.result.Job.Name, func() {
 		aj.result.State = StateExecuting
-		m.vo.trace(EventStart, aj.result.Job.Name, m.domain, nil)
+		m.vo.trace(Event{Kind: EventStart, Job: aj.result.Job.Name, Domain: m.domain})
 	})
 	aj.finishEv = m.vo.engine.At(d.Finish, "finish "+aj.result.Job.Name, func() {
 		m.complete(aj)
@@ -715,7 +716,7 @@ func (m *JobManager) release(aj *activeJob) {
 // teardown is an eviction: the plan of a not-yet-started job is removed
 // because the environment claimed one of its windows.
 func (m *JobManager) teardown(aj *activeJob) {
-	m.vo.trace(EventEvict, aj.result.Job.Name, m.domain, nil)
+	m.vo.trace(Event{Kind: EventEvict, Job: aj.result.Job.Name, Domain: m.domain})
 	m.release(aj)
 }
 
@@ -729,9 +730,7 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 	now := vo.engine.Now()
 	aj.result.TaskFailures++
 	vo.fstats.TaskFailures++
-	vo.trace(EventTaskFailed, aj.result.Job.Name, m.domain, func(e *Event) {
-		e.Detail = detail
-	})
+	vo.trace(Event{Kind: EventTaskFailed, Job: aj.result.Job.Name, Domain: m.domain, Detail: detail})
 	m.release(aj)
 	aj.failedAt = now
 	if aj.retries < vo.cfg.Faults.MaxRetries {
@@ -739,10 +738,7 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 		aj.result.Retries++
 		vo.fstats.Retries++
 		at := now + vo.cfg.Faults.JitteredBackoff(aj.retries, vo.jitterRng)
-		vo.trace(EventRetry, aj.result.Job.Name, m.domain, func(e *Event) {
-			e.Level = aj.retries
-			e.Start = at
-		})
+		vo.trace(Event{Kind: EventRetry, Job: aj.result.Job.Name, Domain: m.domain, Level: aj.retries, Start: at})
 		vo.engine.At(at, "retry "+aj.result.Job.Name, func() {
 			m.adopt(aj)
 		})
@@ -783,16 +779,14 @@ func (m *JobManager) fallback(aj *activeJob) {
 		if err != nil || d == nil || !d.Admissible {
 			if partial != nil {
 				aj.result.Evaluations += partial.Evaluations
-				aj.result.Collisions = append(aj.result.Collisions, partial.Collisions...)
+				aj.result.Collisions += len(partial.Collisions)
 			}
 			continue
 		}
 		aj.result.Evaluations += d.Schedule.Evaluations
-		aj.result.Collisions = append(aj.result.Collisions, d.Schedule.Collisions...)
+		aj.result.Collisions += len(d.Schedule.Collisions)
 		aj.result.Fallbacks++
-		m.vo.trace(EventFallback, aj.result.Job.Name, m.domain, func(e *Event) {
-			e.Level = int(d.Level)
-		})
+		m.vo.trace(Event{Kind: EventFallback, Job: aj.result.Job.Name, Domain: m.domain, Level: int(d.Level)})
 		if !m.activate(aj, d) {
 			// Re-anchored on these books a moment ago, inside this event.
 			panic(fmt.Sprintf("metasched: activation conflict for %s at re-anchored level %d", aj.result.Job.Name, d.Level))
@@ -813,7 +807,7 @@ func (vo *VO) reallocate(aj *activeJob) {
 	aj.result.Reallocations++
 	aj.result.Domain = next.domain
 	aj.manager = next
-	vo.trace(EventReallocate, aj.result.Job.Name, next.domain, nil)
+	vo.trace(Event{Kind: EventReallocate, Job: aj.result.Job.Name, Domain: next.domain})
 	next.adopt(aj)
 }
 
@@ -832,7 +826,7 @@ func (vo *VO) finalize(aj *activeJob, st State) {
 	if aj.result.TaskFailures > 0 {
 		vo.fstats.Downtime.Add(float64(aj.result.Downtime))
 	}
-	vo.trace(kind, aj.result.Job.Name, aj.result.Domain, nil)
+	vo.trace(Event{Kind: kind, Job: aj.result.Job.Name, Domain: aj.result.Domain})
 	delete(vo.active, aj.result.Job.Name)
 	vo.results = append(vo.results, aj.result)
 	// Keep the calendars lean on long runs: finished reservations cannot
@@ -864,15 +858,14 @@ func (vo *VO) outageDown(o faults.Outage) {
 	if o.Domain != "" {
 		vo.fstats.DomainOutages++
 	}
-	vo.trace(EventNodeDown, "", o.Domain, func(e *Event) {
-		e.Node = int(o.Node)
-		e.Start, e.End = o.Interval.Start, o.Interval.End
-	})
+	vo.trace(Event{Kind: EventNodeDown, Domain: o.Domain, Node: int(o.Node),
+		Start: o.Interval.Start, End: o.Interval.End})
 	victims := make(map[string]*activeJob)
 	for _, id := range ids {
 		n := vo.env.Node(id)
 		n.MarkDown(now)
-		for _, r := range n.Calendar().Void() {
+		vo.voided = n.Calendar().Void(vo.voided[:0])
+		for _, r := range vo.voided {
 			if r.Owner == resource.External {
 				continue
 			}
@@ -915,9 +908,7 @@ func (vo *VO) outageUp(o faults.Outage) {
 	for _, id := range ids {
 		vo.env.Node(id).MarkUp(now)
 	}
-	vo.trace(EventNodeUp, "", o.Domain, func(e *Event) {
-		e.Node = int(o.Node)
-	})
+	vo.trace(Event{Kind: EventNodeUp, Domain: o.Domain, Node: int(o.Node)})
 }
 
 // scheduleNextExternal arms the background-load injector.
@@ -998,6 +989,7 @@ func (vo *VO) isProtected(owner resource.Owner) bool {
 // booked. Exposed for deterministic scenario construction.
 func (vo *VO) InjectExternal(node resource.NodeID, iv simtime.Interval) bool {
 	n := vo.env.Node(node)
+	// A view of the book: read to its end before the teardowns below move it.
 	conflicts := n.Calendar().ConflictsWith(iv)
 	var victims []*activeJob
 	for _, c := range conflicts {
@@ -1030,7 +1022,7 @@ func (vo *VO) InjectExternal(node resource.NodeID, iv simtime.Interval) bool {
 	if err := n.Calendar().Reserve(iv, resource.External); err != nil {
 		panic(fmt.Sprintf("metasched: external booking failed after eviction: %v", err))
 	}
-	vo.traceExternal(node, iv)
+	vo.trace(Event{Kind: EventExternal, Node: int(node), Start: iv.Start, End: iv.End})
 	for _, v := range evictees {
 		v.manager.fallback(v)
 	}

@@ -109,7 +109,7 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 			failedAt: -1,
 		}
 		if m == nil {
-			vo.trace(EventArrive, p.job.Name, "", nil)
+			vo.trace(Event{Kind: EventArrive, Job: p.job.Name})
 			vo.finalize(aj, StateRejected)
 			continue
 		}
@@ -121,7 +121,7 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 			vo.cfg.Telemetry.Counter("grid_metasched_placements_total",
 				"jobs placed by the metascheduler, per domain", telemetry.L("domain", m.domain)).Inc()
 		}
-		vo.trace(EventArrive, p.job.Name, m.domain, nil)
+		vo.trace(Event{Kind: EventArrive, Job: p.job.Name, Domain: m.domain})
 		vo.active[p.job.Name] = aj
 		work = append(work, &batchJob{aj: aj, key: commitKey{prio: p.prio, seq: p.seq}})
 	}

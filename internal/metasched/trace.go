@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/resource"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
@@ -116,28 +115,18 @@ func (t *MemoryTracer) Count(kind EventKind) int {
 	return n
 }
 
-// trace emits an event if a tracer is configured. The telemetry counter
-// fires regardless of the Tracer, so /metrics shows lifecycle rates even
-// when nobody captures the full event stream.
-func (vo *VO) trace(kind EventKind, job, domain string, f func(*Event)) {
+// trace stamps e with the engine's time and emits it if a tracer is
+// configured. The telemetry counter fires regardless of the Tracer, so
+// /metrics shows lifecycle rates even when nobody captures the full event
+// stream. e travels by value, so emitting allocates nothing of its own.
+func (vo *VO) trace(e Event) {
 	if vo.cfg.Telemetry != nil {
 		vo.cfg.Telemetry.Counter("grid_metasched_events_total",
-			"VO lifecycle events by kind", telemetry.L("kind", string(kind))).Inc()
+			"VO lifecycle events by kind", telemetry.L("kind", string(e.Kind))).Inc()
 	}
 	if vo.cfg.Tracer == nil {
 		return
 	}
-	e := Event{At: vo.engine.Now(), Kind: kind, Job: job, Domain: domain}
-	if f != nil {
-		f(&e)
-	}
+	e.At = vo.engine.Now()
 	vo.cfg.Tracer.Trace(e)
-}
-
-// traceExternal records a booked background reservation.
-func (vo *VO) traceExternal(node resource.NodeID, iv simtime.Interval) {
-	vo.trace(EventExternal, "", "", func(e *Event) {
-		e.Node = int(node)
-		e.Start, e.End = iv.Start, iv.End
-	})
 }

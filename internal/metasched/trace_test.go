@@ -115,6 +115,30 @@ func TestTracerFuncAdapter(t *testing.T) {
 	}
 }
 
+// TestTraceAllocs pins the event stream's cost: an event travels by value
+// from the call site to the Tracer, stamped with the engine's time on the
+// way, so emitting one allocates nothing.
+func TestTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the pin runs in CI's step without -race")
+	}
+	var got Event
+	seen := 0
+	e := sim.New()
+	vo := NewVO(e, twoDomainEnv(), Config{Tracer: TracerFunc(func(ev Event) { got = ev; seen++ })})
+	e.At(7, "advance", func() {})
+	e.Run()
+	want := Event{Kind: EventActivate, Job: "j", Domain: "dom-0", Level: 2, Start: 9, End: 30}
+	emit := func() { vo.trace(want) }
+	if allocs := testing.AllocsPerRun(100, emit); allocs != 0 {
+		t.Errorf("one trace with a Tracer set allocates %.1f objects, want 0", allocs)
+	}
+	want.At = 7
+	if seen != 101 || got != want {
+		t.Errorf("the tracer saw %d events, the last %+v; want 101, the last %+v", seen, got, want)
+	}
+}
+
 func TestRoundRobinPlacement(t *testing.T) {
 	e := sim.New()
 	env := twoDomainEnv()

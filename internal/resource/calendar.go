@@ -114,7 +114,11 @@ func (c *Calendar) ConflictWith(iv simtime.Interval) (Reservation, bool) {
 	return Reservation{}, false
 }
 
-// ConflictsWith returns every reservation overlapping iv, in start order.
+// ConflictsWith returns every reservation overlapping iv, in start order. The
+// result is a read-only view of the book, not a copy: it is valid until the
+// book's next mutation, so a caller that mutates the book finishes reading
+// first (or copies). Its capacity ends with the run, so an append to it
+// cannot write into the book.
 func (c *Calendar) ConflictsWith(iv simtime.Interval) []Reservation {
 	if iv.Empty() {
 		return nil
@@ -122,12 +126,12 @@ func (c *Calendar) ConflictsWith(iv simtime.Interval) []Reservation {
 	// Ends are strictly increasing (sorted + disjoint), so the overlap
 	// run is contiguous: from the first reservation ending after iv.Start
 	// up to the first one starting at or after iv.End.
-	var out []Reservation
 	i := searchRes(c.res, func(r *Reservation) bool { return r.Interval.End > iv.Start })
-	for ; i < len(c.res) && c.res[i].Interval.Start < iv.End; i++ {
-		out = append(out, c.res[i])
+	j := i
+	for j < len(c.res) && c.res[j].Interval.Start < iv.End {
+		j++
 	}
-	return out
+	return c.res[i:j:j]
 }
 
 // Free reports whether iv overlaps no reservation.
@@ -303,17 +307,19 @@ func (c *Calendar) PruneBefore(t simtime.Time) int {
 	return removed
 }
 
-// Void removes every reservation and returns them in start order — the
-// node's local batch system losing its book when the node crashes. The
-// caller decides each voided owner's fate (evict, retry, drop).
-func (c *Calendar) Void() []Reservation {
-	out := c.res
-	c.res = nil
-	if len(out) > 0 {
+// Void removes every reservation and appends them to dst in start order —
+// the node's local batch system losing its book when the node crashes. The
+// caller decides each voided owner's fate (evict, retry, drop). The book
+// keeps its array, so it fills again after the outage without growing, and
+// a caller that voids into one buffer allocates only when the buffer grows.
+func (c *Calendar) Void(dst []Reservation) []Reservation {
+	dst = append(dst, c.res...)
+	if len(c.res) > 0 {
+		c.res = c.res[:0]
 		c.gen++
 		c.mutated()
 	}
-	return out
+	return dst
 }
 
 // Clone returns a deep copy of the calendar, for a caller that reserves

@@ -344,7 +344,7 @@ func equivStep(t failer, step int, r *rng.Source, c *Calendar, ref *refCalendar)
 			t.Fatalf("step %d: PruneBefore(%d) = %d, reference %d", step, at, got, want)
 		}
 	case 8:
-		got, want := c.Void(), ref.Void()
+		got, want := c.Void(nil), ref.Void()
 		if !sameReservations(got, want) {
 			t.Fatalf("step %d: Void() = %v, reference %v", step, got, want)
 		}
@@ -449,6 +449,66 @@ func TestCalendarIndexAllocs(t *testing.T) {
 	cycle() // the slice grows to 33 and the first index is built
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("Reserve → FirstFree → ReleaseJob on a warm book allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestConflictsWithAllocs pins ConflictsWith's view: the overlapping run is
+// returned as a slice of the book, so asking allocates nothing, and the view
+// ends at the run's capacity, so a caller appending to it gets a copy and
+// the book is untouched.
+func TestConflictsWithAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the pin runs in CI's step without -race")
+	}
+	c := NewCalendar()
+	for k := 0; k < 32; k++ {
+		start := simtime.Time(10 * k)
+		if err := c.Reserve(simtime.Interval{Start: start, End: start + 7}, External); err != nil {
+			t.Fatal(err)
+		}
+	}
+	span := simtime.Interval{Start: 95, End: 128}
+	view := c.ConflictsWith(span)
+	if len(view) != 4 || view[0].Interval.Start != 90 || view[3].Interval.Start != 120 {
+		t.Fatalf("ConflictsWith(%v) = %v, want the four reservations from 90 to 120", span, view)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { view = c.ConflictsWith(span) }); allocs != 0 {
+		t.Errorf("ConflictsWith over a book with overlaps allocates %.1f objects, want 0", allocs)
+	}
+	grown := append(view, Reservation{Owner: Owner{Job: "appended"}})
+	if next := c.Reservations()[13]; next.Owner != External || next.Interval.Start != 130 || len(grown) != 5 {
+		t.Fatalf("an append to the view wrote into the book: %v", next)
+	}
+}
+
+// TestVoidAllocs pins Void's buffer contract: voiding into a warm buffer
+// allocates nothing, and the book keeps its array, so filling it again
+// within that capacity allocates nothing either — a crashed node's book does
+// not grow back from nil.
+func TestVoidAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the pin runs in CI's step without -race")
+	}
+	c := NewCalendar()
+	fill := func() {
+		for k := 0; k < 32; k++ {
+			start := simtime.Time(10 * k)
+			if err := c.Reserve(simtime.Interval{Start: start, End: start + 7}, External); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill()
+	buf := c.Void(nil)
+	cycle := func() {
+		fill()
+		buf = c.Void(buf[:0])
+		if len(buf) != 32 || c.Len() != 0 {
+			t.Fatalf("voided %d of 32, %d left on the book", len(buf), c.Len())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("Void into a warm buffer, then Reserve within the kept capacity, allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -116,7 +116,7 @@ func FuzzCalendarIndex(f *testing.F) {
 					t.Fatalf("step %d: PruneBefore(%d) = %d, reference %d", step, a, got, want)
 				}
 			case 5: // Void
-				if got, want := c.Void(), ref.Void(); !sameReservations(got, want) {
+				if got, want := c.Void(nil), ref.Void(); !sameReservations(got, want) {
 					t.Fatalf("step %d: Void() = %v, reference %v", step, got, want)
 				}
 			case 6: // FirstFree probe batch at (a, lengths..., horizon a+b)

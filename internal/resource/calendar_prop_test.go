@@ -117,10 +117,12 @@ func TestCalendarVoid(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	voided := c.Void()
-	if len(voided) != 5 {
-		t.Fatalf("voided %d reservations, want 5", len(voided))
+	held := Reservation{Owner: Owner{Job: "already in the buffer"}}
+	voided := c.Void([]Reservation{held})
+	if len(voided) != 6 || voided[0] != held {
+		t.Fatalf("Void appended to %v, want the buffer's entry then 5 reservations", voided)
 	}
+	voided = voided[1:]
 	for i := 1; i < len(voided); i++ {
 		if voided[i-1].Interval.Start > voided[i].Interval.Start {
 			t.Fatal("voided reservations not in start order")
@@ -129,9 +131,16 @@ func TestCalendarVoid(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("calendar holds %d reservations after Void", c.Len())
 	}
-	// The book is usable again after a crash.
+	if got := c.Void(nil); got != nil {
+		t.Fatalf("voiding an empty book returned %v", got)
+	}
+	// The book is usable again after a crash, and refilling the array it kept
+	// leaves what Void returned alone.
 	if err := c.Reserve(simtime.Interval{Start: 0, End: 100}, External); err != nil {
 		t.Fatal(err)
+	}
+	if voided[0].Owner.Job != "j0" || voided[0].Interval.End != 5 {
+		t.Fatalf("the voided copy changed with the book: %v", voided[0])
 	}
 }
 
