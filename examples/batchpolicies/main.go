@@ -8,7 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/batch"
-	"repro/internal/metrics"
+	"repro/internal/experiments"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/simtime"
@@ -56,7 +56,7 @@ func run(name string, mk func(e *sim.Engine) batch.System, reserveEvery int) {
 	}
 	e.Run()
 
-	var wait, errs metrics.Series
+	var wait, errs experiments.Series
 	for _, o := range sys.Outcomes() {
 		if o.Reserved {
 			continue

@@ -84,10 +84,11 @@ type Config struct {
 	// but reproducibly.
 	Seed uint64
 
-	// Telemetry, when non-nil, exports each breaker's trips, observed
+	// Telemetry is the registry that keeps each breaker's trips, observed
 	// failures and current state as grid_breaker_* series labelled by the
-	// breaker name. The handles are acquired once at New, so a state
-	// transition costs one atomic op; nil disables export entirely.
+	// breaker name; Trips and Failures read them back. The handles are
+	// acquired once at New, so a state transition costs one atomic op. nil
+	// keeps them in a private registry.
 	Telemetry *telemetry.Registry
 }
 
@@ -133,12 +134,8 @@ type Breaker struct {
 	probes   int          // consecutive half-open successes
 	inflight bool         // a half-open probe is outstanding
 
-	// Stats.
-	totalTrips    int
-	totalFailures int
-
-	// Telemetry handles, acquired once at New; all nil (and therefore
-	// free no-ops) when Config.Telemetry is nil.
+	// Telemetry handles, acquired once at New: the only tally of trips and
+	// failures.
 	tripsC *telemetry.Counter
 	failsC *telemetry.Counter
 	stateG *telemetry.Gauge
@@ -146,20 +143,19 @@ type Breaker struct {
 
 // New returns a closed breaker named name.
 func New(name string, cfg Config) *Breaker {
-	b := &Breaker{
-		name: name,
-		cfg:  cfg,
-		r:    rng.New(cfg.Seed).Split(hashName(name)),
+	reg := cfg.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
-	if reg := cfg.Telemetry; reg != nil {
-		b.tripsC = reg.Counter("grid_breaker_trips_total",
-			"times the breaker opened", telemetry.L("name", name))
-		b.failsC = reg.Counter("grid_breaker_failures_total",
-			"failures the breaker observed", telemetry.L("name", name))
-		b.stateG = reg.Gauge("grid_breaker_state",
-			"breaker state: 0 closed, 1 open, 2 half-open", telemetry.L("name", name))
+	l := telemetry.L("name", name)
+	return &Breaker{
+		name:   name,
+		cfg:    cfg,
+		r:      rng.New(cfg.Seed).Split(hashName(name)),
+		tripsC: reg.Counter("grid_breaker_trips_total", "times the breaker opened", l),
+		failsC: reg.Counter("grid_breaker_failures_total", "failures the breaker observed", l),
+		stateG: reg.Gauge("grid_breaker_state", "breaker state: 0 closed, 1 open, 2 half-open", l),
 	}
-	return b
 }
 
 // hashName folds a name into a split label (FNV-1a).
@@ -250,7 +246,6 @@ func (b *Breaker) Success(now simtime.Time) {
 func (b *Breaker) Failure(now simtime.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.totalFailures++
 	b.failsC.Inc()
 	switch b.stateLocked(now) {
 	case Closed:
@@ -271,7 +266,6 @@ func (b *Breaker) Failure(now simtime.Time) {
 // trip opens the breaker at now with the next backoff window.
 func (b *Breaker) trip(now simtime.Time) {
 	b.trips++
-	b.totalTrips++
 	b.tripsC.Inc()
 	b.stateG.Set(1)
 	window := faults.ExpBackoff(b.cfg.openBase(), b.trips, b.cfg.openMax())
@@ -294,19 +288,13 @@ func (b *Breaker) RetryAfter(now simtime.Time) simtime.Time {
 	return 0
 }
 
-// Trips returns how many times the breaker has ever opened.
-func (b *Breaker) Trips() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.totalTrips
-}
+// Trips returns how many times the breaker has ever opened: its
+// grid_breaker_trips_total series.
+func (b *Breaker) Trips() int { return int(b.tripsC.Value()) }
 
-// Failures returns how many failures the breaker has ever observed.
-func (b *Breaker) Failures() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.totalFailures
-}
+// Failures returns how many failures the breaker has ever observed: its
+// grid_breaker_failures_total series.
+func (b *Breaker) Failures() int { return int(b.failsC.Value()) }
 
 // Set manages one breaker per named resource, created lazily with a
 // shared config and per-name seeded jitter streams. Safe for concurrent

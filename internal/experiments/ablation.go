@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/criticalworks"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/strategy"
 	"repro/internal/workload"
@@ -23,8 +22,8 @@ func AblationCollision(cfg Fig3Config) (*Report, error) {
 
 	type stats struct {
 		admissible int
-		finish     metrics.Series
-		cost       metrics.Series
+		finish     Series
+		cost       Series
 	}
 	// Each job is an independent unit; the per-job outcomes are merged into
 	// the Series in job order so the float accumulation (and therefore the
@@ -76,7 +75,7 @@ func AblationCollision(cfg Fig3Config) (*Report, error) {
 		st   *stats
 	}{{"economic-reallocation", realloc}, {"pinned-node-delay", delay}} {
 		share := float64(row.st.admissible) / float64(cfg.Jobs)
-		r.addLine("%-22s %12s %12.1f %10.1f", row.name, metrics.Ratio(share),
+		r.addLine("%-22s %12s %12.1f %10.1f", row.name, Ratio(share),
 			row.st.finish.Mean(), row.st.cost.Mean())
 		r.Values["admissible-"+row.name] = share
 		r.Values["finish-"+row.name] = row.st.finish.Mean()
@@ -155,7 +154,7 @@ func AblationLevels(cfg Fig3Config) (*Report, error) {
 	for _, typ := range []strategy.Type{strategy.S1, strategy.MS1} {
 		st := out[typ]
 		share := float64(st.admissible) / float64(cfg.Jobs)
-		r.addLine("%-6s %12s %16d %18.2f", typ, metrics.Ratio(share),
+		r.addLine("%-6s %12s %16d %18.2f", typ, Ratio(share),
 			st.evaluations, float64(st.dists)/float64(cfg.Jobs))
 		r.Values["admissible-"+typ.String()] = share
 		r.Values["evaluations-"+typ.String()] = float64(st.evaluations)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/criticalworks"
 	"repro/internal/faults"
 	"repro/internal/metasched"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/strategy"
@@ -66,7 +65,7 @@ type availOutcome struct {
 	meanTTL   float64
 	fallbacks int
 	reallocs  int
-	stats     *metrics.FaultStats
+	stats     metasched.FaultStats
 }
 
 // runAvailability executes one VO run with the outage process tuned to
@@ -108,7 +107,7 @@ func runAvailability(cfg AvailabilityConfig, typ strategy.Type, avail float64, t
 	engine.Run()
 
 	out := &availOutcome{stats: vo.FaultStats()}
-	var ttl metrics.Series
+	var ttl Series
 	total, rejected := 0, 0
 	for _, r := range vo.Results() {
 		total++
@@ -173,7 +172,7 @@ func Availability(cfg AvailabilityConfig) (*Report, error) {
 			}
 		}
 		r.addLine("%-6s %7.2f %10s %10.1f %10d %9d %9d %9d %8d",
-			c.typ, c.avail, metrics.Ratio(o.missRate), o.meanTTL,
+			c.typ, c.avail, Ratio(o.missRate), o.meanTTL,
 			o.stats.TaskFailures, o.stats.Retries,
 			o.fallbacks, o.reallocs, o.stats.NodeOutages)
 		key := fmt.Sprintf("%s-%.2f", c.typ, c.avail)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/criticalworks"
 	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/workload"
 )
@@ -113,7 +112,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 	for _, n := range names {
 		st := out[n]
 		share := float64(st.admissible) / float64(cfg.Jobs)
-		r.addLine("%-16s %12s %12.1f %10.1f", n, metrics.Ratio(share), st.finish.Mean(), st.cost.Mean())
+		r.addLine("%-16s %12s %12.1f %10.1f", n, Ratio(share), st.finish.Mean(), st.cost.Mean())
 		r.Values["admissible-"+n] = share
 		r.Values["finish-"+n] = st.finish.Mean()
 		r.Values["cf-"+n] = st.cost.Mean()
@@ -124,6 +123,6 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 // comparisonStats accumulates one scheduler's outcomes.
 type comparisonStats struct {
 	admissible int
-	finish     metrics.Series
-	cost       metrics.Series
+	finish     Series
+	cost       Series
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/criticalworks"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/resource"
 	"repro/internal/rng"
@@ -109,7 +108,7 @@ func loadedCalendars(env *resource.Environment, r *rng.Source, cfg Fig3Config) c
 // fig3Run holds the per-strategy aggregates of one corpus pass.
 type fig3Run struct {
 	admissible map[strategy.Type]int
-	collisions map[strategy.Type]*metrics.Counter
+	collisions map[strategy.Type]*Counter
 	total      int
 }
 
@@ -200,11 +199,11 @@ func runFig3(cfg Fig3Config) (*fig3Run, error) {
 
 	run := &fig3Run{
 		admissible: make(map[strategy.Type]int),
-		collisions: make(map[strategy.Type]*metrics.Counter),
+		collisions: make(map[strategy.Type]*Counter),
 		total:      cfg.Jobs,
 	}
 	for _, typ := range fig3Strategies {
-		run.collisions[typ] = metrics.NewCounter()
+		run.collisions[typ] = NewCounter()
 	}
 	for _, tally := range tallies {
 		for ti, typ := range fig3Strategies {
@@ -230,7 +229,7 @@ func Fig3a(cfg Fig3Config) (*Report, error) {
 	r.addLine("%-6s %12s  (over %d jobs)", "type", "admissible", run.total)
 	for _, typ := range fig3Strategies {
 		share := float64(run.admissible[typ]) / float64(run.total)
-		r.addLine("%-6s %12s", typ, metrics.Ratio(share))
+		r.addLine("%-6s %12s", typ, Ratio(share))
 		r.Values["admissible-"+typ.String()] = share
 	}
 	return r, nil
@@ -248,7 +247,7 @@ func Fig3b(cfg Fig3Config) (*Report, error) {
 	for _, typ := range fig3Strategies {
 		c := run.collisions[typ]
 		r.addLine("%-6s %8s %8s %10d", typ,
-			metrics.Ratio(c.Share("fast")), metrics.Ratio(c.Share("slow")), c.Total())
+			Ratio(c.Share("fast")), Ratio(c.Share("slow")), c.Total())
 		r.Values["fast-"+typ.String()] = c.Share("fast")
 		r.Values["slow-"+typ.String()] = c.Share("slow")
 		r.Values["total-"+typ.String()] = float64(c.Total())

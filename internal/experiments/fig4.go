@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/criticalworks"
 	"repro/internal/metasched"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -122,7 +121,7 @@ func runFig4Type(cfg Fig4Config, typ strategy.Type, tracer metasched.Tracer) (*f
 	end := engine.Run()
 
 	out := &fig4Outcome{typ: typ, load: vo.NodeLoad(simtime.Interval{Start: 0, End: end + 1})}
-	var cf, task, ttl, dev metrics.Series
+	var cf, task, ttl, dev Series
 	for _, r := range vo.Results() {
 		out.fallbacks += r.Fallbacks
 		out.reallocs += r.Reallocations
@@ -196,9 +195,9 @@ func Fig4a(cfg Fig4Config) (*Report, error) {
 	for _, typ := range types {
 		o := outs[typ]
 		r.addLine("%-6s %8s %8s %8s %10d %9d", typ,
-			metrics.Ratio(o.load[resource.GroupFast]),
-			metrics.Ratio(o.load[resource.GroupMedium]),
-			metrics.Ratio(o.load[resource.GroupSlow]),
+			Ratio(o.load[resource.GroupFast]),
+			Ratio(o.load[resource.GroupMedium]),
+			Ratio(o.load[resource.GroupSlow]),
 			o.completed, o.rejected)
 		r.Values["fast-"+typ.String()] = o.load[resource.GroupFast]
 		r.Values["medium-"+typ.String()] = o.load[resource.GroupMedium]
@@ -225,7 +224,7 @@ func Fig4b(cfg Fig4Config) (*Report, error) {
 		cost[typ.String()] = o.meanCF
 		task[typ.String()] = o.meanTask
 	}
-	relCost, relTask := metrics.Normalize(cost), metrics.Normalize(task)
+	relCost, relTask := Normalize(cost), Normalize(task)
 	r := newReport("fig4b", "relative job cost and task execution time (paper Fig. 4b: S3 cheapest and slowest)")
 	r.addLine("%-6s %10s %10s %12s %12s", "type", "rel-cost", "rel-task", "mean-CF", "mean-task")
 	for _, typ := range fig4bcTypes {
@@ -252,7 +251,7 @@ func Fig4c(cfg Fig4Config) (*Report, error) {
 		ttl[typ.String()] = o.meanTTL
 		dev[typ.String()] = o.meanDevRat
 	}
-	relTTL, relDev := metrics.Normalize(ttl), metrics.Normalize(dev)
+	relTTL, relDev := Normalize(ttl), Normalize(dev)
 	r := newReport("fig4c", "relative time-to-live and start deviation (paper Fig. 4c)")
 	r.addLine("%-6s %10s %10s %12s %14s %10s %9s", "type", "rel-ttl", "rel-dev", "mean-ttl", "mean-dev-ratio", "fallbacks", "reallocs")
 	for _, typ := range fig4bcTypes {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/metasched"
-	"repro/internal/metrics"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/simtime"
@@ -65,7 +64,7 @@ func LocalPassing(cfg Fig4Config) (*Report, error) {
 	}
 
 	met := 0
-	var lateness metrics.Series
+	var lateness Series
 	for i, res := range completed {
 		fin := finishes[i]
 		if fin <= res.Job.Deadline {
@@ -78,8 +77,8 @@ func LocalPassing(cfg Fig4Config) (*Report, error) {
 	queuedShare := float64(met) / float64(len(completed))
 
 	r.addLine("%-24s %14s %12s", "mode", "met-deadline", "mean-lateness")
-	r.addLine("%-24s %14s %12s", "advance-reservations", metrics.Ratio(reservedShare), "0.0")
-	r.addLine("%-24s %14s %12.1f", "queued-local-passing", metrics.Ratio(queuedShare), lateness.Mean())
+	r.addLine("%-24s %14s %12s", "advance-reservations", Ratio(reservedShare), "0.0")
+	r.addLine("%-24s %14s %12.1f", "queued-local-passing", Ratio(queuedShare), lateness.Mean())
 	r.addLine("(%d completed jobs replayed through per-node FCFS queues)", len(completed))
 	r.Values["met-reserved"] = reservedShare
 	r.Values["met-queued"] = queuedShare

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/batch"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/simtime"
@@ -108,7 +107,7 @@ func runPolicy(cfg PoliciesConfig, mk func(e *sim.Engine) batch.System, reserved
 		})
 	}
 	e.Run()
-	var wait, errs, resp metrics.Series
+	var wait, errs, resp Series
 	st := policyStats{}
 	for _, o := range sys.Outcomes() {
 		if o.Reserved {

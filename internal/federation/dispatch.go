@@ -113,9 +113,6 @@ func (r *Router) dispatch(id string) {
 	for attempt := 1; attempt <= budget; attempt++ {
 		if attempt > 1 {
 			r.th.retries.Inc()
-			r.mu.Lock()
-			r.met.Retries++
-			r.mu.Unlock()
 			if !r.retry.wait(attempt - 1) {
 				return
 			}
@@ -131,9 +128,6 @@ func (r *Router) dispatch(id string) {
 		res, err := client.Handoff(ctx, h)
 		cancel()
 		r.th.handoffs.Inc()
-		r.mu.Lock()
-		r.met.Handoffs++
-		r.mu.Unlock()
 		if err != nil {
 			r.th.handoffFailures.Inc()
 			r.brk.Get(shard).Failure(r.now())

@@ -356,10 +356,10 @@ func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
 	m.cfg.Lease.Refresh()
-	met := m.svc.Metrics()
+	draining, depth, held := m.svc.QueueState()
 	writeJSON(w, http.StatusOK, PingResponse{
 		Shard: m.cfg.Shard, Version: Version,
-		Draining: met.Draining, QueueDepth: met.QueueDepth, Held: met.Held,
+		Draining: draining, QueueDepth: depth, Held: held,
 	})
 }
 

@@ -94,7 +94,6 @@ func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 	rec.revokeActive = false
 	switch res.Outcome {
 	case RevokeOutcomeRevoked:
-		r.met.Revocations++
 		r.th.revocations.Inc()
 		r.banAndRequeueLocked(rec, shard, "revoked from "+shard)
 	case RevokeOutcomeTerminal:
@@ -143,7 +142,7 @@ func (r *Router) noteMiss(name string) {
 	dead := h.alive && h.missed >= r.cfg.deadAfter()
 	if dead {
 		h.alive = false
-		r.met.ShardDeaths++
+		r.th.deaths.Inc()
 	}
 	var sweep []string
 	if dead {
@@ -158,10 +157,7 @@ func (r *Router) noteMiss(name string) {
 	if !dead {
 		return
 	}
-	if g := r.th.alive[name]; g != nil {
-		g.Set(0)
-	}
-	r.th.deaths.Inc()
+	r.th.alive[name].Set(0)
 	r.logf("federation: shard %s declared dead after %d missed heartbeats; revoking %d bound jobs",
 		name, r.cfg.deadAfter(), len(sweep))
 	for _, id := range sweep {
@@ -177,9 +173,7 @@ func (r *Router) noteAlive(name string) {
 	h.alive = true
 	r.mu.Unlock()
 	if revived {
-		if g := r.th.alive[name]; g != nil {
-			g.Set(1)
-		}
+		r.th.alive[name].Set(1)
 		r.logf("federation: shard %s is back", name)
 		// Queued jobs whose only eligible shard just returned are sitting
 		// on requeue timers; nothing to do — the timer re-pushes them.
@@ -254,7 +248,6 @@ func (r *Router) applyTerminalLocked(n *TerminalNotice) {
 		// The shard shut down without running it: ownership released, so
 		// reallocate — unless the binding already moved.
 		if rec.Shard == n.Shard && (rec.State == StateHanded || rec.State == StateRevoking) {
-			r.met.Revocations++
 			r.th.revocations.Inc()
 			r.banAndRequeueLocked(rec, n.Shard, "drained at "+n.Shard)
 		}

@@ -47,7 +47,10 @@ type Config struct {
 	Replicas int
 	// Journal, when non-nil, makes router placement state durable.
 	Journal *journal.Journal
-	// Telemetry exports grid_fed_* metrics. nil disables.
+	// Telemetry keeps the grid_fed_* metrics, the only tally behind
+	// Metrics, served on GET /metrics. nil makes New create a private one.
+	// A registry serves one router: two would share one tally. It is
+	// forwarded to the shard breakers unless Breaker carries its own.
 	Telemetry *telemetry.Registry
 	// Breaker configures the per-shard circuit breakers. Breaker time is
 	// wall milliseconds since router start, so OpenBase=512 means ~0.5s.
@@ -168,7 +171,8 @@ type ShardStatus struct {
 	Breaker string `json:"breaker"`
 }
 
-// Metrics is the router's counter snapshot.
+// Metrics is the router's counter snapshot: every counter field is a read
+// of its grid_fed_* series.
 type Metrics struct {
 	Submitted    uint64                 `json:"submitted"`
 	Accepted     uint64                 `json:"accepted"`
@@ -201,14 +205,14 @@ type Router struct {
 	brk     *breaker.Set
 	start   time.Time
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	records map[string]*jobRecord
-	pending []string
-	health  map[string]*shardHealth
-	seq     uint64
-	met     Metrics
-	closed  bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	records  map[string]*jobRecord
+	pending  []string
+	health   map[string]*shardHealth
+	seq      uint64
+	draining bool
+	closed   bool
 
 	retry *backoff
 
@@ -218,8 +222,12 @@ type Router struct {
 	th routerTelemetry
 }
 
+// routerTelemetry caches the router's registry handles. Every counter but
+// handoffs, handoffFailures and retries moves under r.mu, so Metrics reads
+// those whole.
 type routerTelemetry struct {
 	submitted, accepted, completed, rejected *telemetry.Counter
+	drained                                  *telemetry.Counter
 	handoffs, handoffFailures, retries       *telemetry.Counter
 	reallocated, revocations, deaths         *telemetry.Counter
 	journalErrors                            *telemetry.Counter
@@ -248,9 +256,16 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
+	reg := cfg.Telemetry
 	bcfg := cfg.Breaker
 	if bcfg.Seed == 0 {
 		bcfg.Seed = cfg.Seed
+	}
+	if bcfg.Telemetry == nil {
+		bcfg.Telemetry = reg
 	}
 	r := &Router{
 		cfg:     cfg,
@@ -270,31 +285,32 @@ func New(cfg Config) (*Router, error) {
 		// heartbeat round corrects optimism within one interval.
 		r.health[n] = &shardHealth{alive: true}
 	}
-	if reg := cfg.Telemetry; reg != nil {
-		r.th.submitted = reg.Counter("grid_fed_submitted_total", "jobs submitted to the router")
-		r.th.accepted = reg.Counter("grid_fed_accepted_total", "jobs accepted by the router")
-		r.th.completed = reg.Counter("grid_fed_completed_total", "federated jobs completed")
-		r.th.rejected = reg.Counter("grid_fed_rejected_total", "federated jobs rejected")
-		r.th.handoffs = reg.Counter("grid_fed_handoffs_total", "handoff attempts sent to shards")
-		r.th.handoffFailures = reg.Counter("grid_fed_handoff_failures_total", "handoff attempts that failed in transport")
-		r.th.retries = reg.Counter("grid_fed_handoff_retries_total", "handoff retries after the first attempt")
-		r.th.reallocated = reg.Counter("grid_fed_reallocations_total", "jobs moved to another shard after confirmed revocation")
-		r.th.revocations = reg.Counter("grid_fed_revocations_total", "confirmed revocations (incl. tombstones)")
-		r.th.deaths = reg.Counter("grid_fed_shard_deaths_total", "shards declared dead by the heartbeat detector")
-		r.th.journalErrors = reg.Counter("grid_fed_journal_errors_total", "router journal append failures")
-		r.th.pending = reg.Gauge("grid_fed_jobs_pending", "router jobs awaiting dispatch")
-		r.th.handoffLatency = reg.Histogram("grid_fed_handoff_latency_seconds",
+	r.th = routerTelemetry{
+		submitted:       reg.Counter("grid_fed_submitted_total", "jobs submitted to the router"),
+		accepted:        reg.Counter("grid_fed_accepted_total", "jobs accepted by the router"),
+		completed:       reg.Counter("grid_fed_completed_total", "federated jobs completed"),
+		rejected:        reg.Counter("grid_fed_rejected_total", "federated jobs rejected"),
+		drained:         reg.Counter("grid_fed_drained_total", "router jobs drained before dispatch"),
+		handoffs:        reg.Counter("grid_fed_handoffs_total", "handoff attempts sent to shards"),
+		handoffFailures: reg.Counter("grid_fed_handoff_failures_total", "handoff attempts that failed in transport"),
+		retries:         reg.Counter("grid_fed_handoff_retries_total", "handoff retries after the first attempt"),
+		reallocated:     reg.Counter("grid_fed_reallocations_total", "jobs moved to another shard after confirmed revocation"),
+		revocations:     reg.Counter("grid_fed_revocations_total", "confirmed revocations (incl. tombstones)"),
+		deaths:          reg.Counter("grid_fed_shard_deaths_total", "shards declared dead by the heartbeat detector"),
+		journalErrors:   reg.Counter("grid_fed_journal_errors_total", "router journal append failures"),
+		pending:         reg.Gauge("grid_fed_jobs_pending", "router jobs awaiting dispatch"),
+		handoffLatency: reg.Histogram("grid_fed_handoff_latency_seconds",
 			"latency of one successful handoff RPC",
-			[]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5})
-		r.th.jobLatency = reg.Histogram("grid_fed_job_latency_seconds",
+			[]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}),
+		jobLatency: reg.Histogram("grid_fed_job_latency_seconds",
 			"submit-to-terminal latency of federated jobs",
-			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60})
-		r.th.alive = make(map[string]*telemetry.Gauge, len(names))
-		for _, n := range names {
-			g := reg.Gauge("grid_fed_shard_alive", "1 when the shard passes heartbeats", telemetry.L("shard", n))
-			g.Set(1)
-			r.th.alive[n] = g
-		}
+			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}),
+		alive: make(map[string]*telemetry.Gauge, len(names)),
+	}
+	for _, n := range names {
+		g := reg.Gauge("grid_fed_shard_alive", "1 when the shard passes heartbeats", telemetry.L("shard", n))
+		g.Set(1)
+		r.th.alive[n] = g
 	}
 	return r, nil
 }
@@ -318,7 +334,6 @@ func (r *Router) journal(rec journal.Record) error {
 	}
 	_, err := r.cfg.Journal.Append(rec)
 	if err != nil {
-		r.met.JournalError++
 		r.th.journalErrors.Inc()
 		r.logf("federation: journal append %s/%s: %v", rec.Job, rec.State, err)
 	}
@@ -342,7 +357,6 @@ func (r *Router) Start() {
 // uses. An accepted job is journaled and queued; its fate is visible via
 // Job/Jobs.
 func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobView, error) {
-	r.th.submitted.Inc()
 	typ, err := strategy.ParseType(strategyName)
 	if err == nil {
 		// The graph is built and dropped: only Build finds a cycle.
@@ -351,11 +365,11 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.met.Submitted++
+	r.th.submitted.Inc()
 	if err != nil {
 		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
 	}
-	if r.met.Draining {
+	if r.draining {
 		return JobView{}, &service.SubmitError{Code: service.CodeDraining,
 			Reason: "router is draining; not accepting work", RetryAfter: time.Second}
 	}
@@ -371,7 +385,6 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 		return JobView{}, &service.SubmitError{Code: service.CodeInternal,
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
 	}
-	r.met.Accepted++
 	r.th.accepted.Inc()
 	r.pushLocked(wire.Name)
 	return rec.view(), nil
@@ -423,16 +436,13 @@ func (r *Router) moveLocked(rec *jobRecord, state, shard, reason string) {
 	_ = r.journal(journal.Record{Job: rec.ID, State: state, Reason: reason, Shard: shard, Epoch: rec.epoch}) // counted and logged; the move stands
 	switch state {
 	case StateQueued:
-		r.met.Reallocated++
 		r.th.reallocated.Inc()
 	case service.StateCompleted:
-		r.met.Completed++
 		r.th.completed.Inc()
 	case service.StateRejected:
-		r.met.Rejected++
 		r.th.rejected.Inc()
 	case service.StateDrained:
-		r.met.Drained++
+		r.th.drained.Inc()
 	}
 	if routerTerminal(state) && !rec.submitted.IsZero() {
 		r.th.jobLatency.Observe(time.Since(rec.submitted).Seconds())
@@ -473,10 +483,23 @@ func (r *Router) Jobs() []JobView {
 
 // Metrics snapshots the router counters and per-shard health.
 func (r *Router) Metrics() Metrics {
+	th := &r.th
 	r.mu.Lock()
-	m := r.met
-	m.Pending = len(r.pending)
-	m.Handed, m.Revoking = 0, 0
+	m := Metrics{
+		Submitted:    th.submitted.Value(),
+		Accepted:     th.accepted.Value(),
+		Completed:    th.completed.Value(),
+		Rejected:     th.rejected.Value(),
+		Drained:      th.drained.Value(),
+		Handoffs:     th.handoffs.Value(),
+		Retries:      th.retries.Value(),
+		Reallocated:  th.reallocated.Value(),
+		Revocations:  th.revocations.Value(),
+		ShardDeaths:  th.deaths.Value(),
+		Pending:      len(r.pending),
+		Draining:     r.draining,
+		JournalError: th.journalErrors.Value(),
+	}
 	for _, rec := range r.records {
 		switch rec.State {
 		case StateHanded:
@@ -515,7 +538,7 @@ func (r *Router) Quiesced() bool {
 // marks what never dispatched as drained, and stops the loops.
 func (r *Router) Drain(ctx context.Context) error {
 	r.mu.Lock()
-	r.met.Draining = true
+	r.draining = true
 	r.mu.Unlock()
 
 	tick := time.NewTicker(10 * time.Millisecond)

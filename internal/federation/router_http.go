@@ -47,10 +47,6 @@ func (r *Router) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, r.Metrics())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		if r.cfg.Telemetry == nil {
-			http.Error(w, "telemetry disabled", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.cfg.Telemetry.WritePrometheus(w)
 	})

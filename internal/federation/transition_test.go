@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 // scriptShard is a ShardClient that answers handoffs from a script and is
@@ -80,9 +79,9 @@ type transitionRow struct {
 	// appends is how many journal records fire must write: one per
 	// transition it makes.
 	appends uint64
-	// moves names the counters fire must bump by exactly one — in Metrics
-	// and, where a series exists, in grid_fed_*; every other counter must
-	// stay put.
+	// moves names the counters fire must bump by exactly one — in Metrics,
+	// where a field exists, and in grid_fed_*; every other counter must stay
+	// put.
 	moves []string
 	// want is the ledger entry after fire, live and as a fresh router
 	// restores it from the journal; State "" means no entry exists.
@@ -294,7 +293,7 @@ func newTableRouter(t *testing.T, fleet [2]*scriptShard, jnl *journal.Journal) *
 	t.Helper()
 	r, err := New(Config{
 		Shards: []ShardClient{fleet[0], fleet[1]}, Seed: 1, Journal: jnl,
-		Telemetry: telemetry.NewRegistry(), RetryBudget: 1, DeadAfter: 1,
+		RetryBudget: 1, DeadAfter: 1,
 		RetryBase: time.Hour, RetryCap: time.Hour,
 	})
 	if err != nil {
@@ -303,24 +302,37 @@ func newTableRouter(t *testing.T, fleet [2]*scriptShard, jnl *journal.Journal) *
 	return r
 }
 
-// counters reads every counter the router keeps, under one vocabulary: the
-// Metrics field and the grid_fed_* series of the same event share a name.
-func counters(r *Router) (met, series map[string]uint64) {
-	m := r.Metrics()
-	met = map[string]uint64{
-		"submitted": m.Submitted, "accepted": m.Accepted, "completed": m.Completed,
-		"rejected": m.Rejected, "drained": m.Drained, "handoffs": m.Handoffs,
-		"retries": m.Retries, "reallocated": m.Reallocated, "revocations": m.Revocations,
-		"deaths": m.ShardDeaths, "journalErrors": m.JournalError,
-	}
-	series = map[string]uint64{}
-	for name, c := range map[string]*telemetry.Counter{
-		"submitted": r.th.submitted, "accepted": r.th.accepted, "completed": r.th.completed,
-		"rejected": r.th.rejected, "handoffs": r.th.handoffs, "handoffFailures": r.th.handoffFailures,
-		"retries": r.th.retries, "reallocated": r.th.reallocated, "revocations": r.th.revocations,
-		"deaths": r.th.deaths, "journalErrors": r.th.journalErrors,
-	} {
-		series[name] = c.Value()
+// routerCounters maps every counter the router keeps, under one vocabulary,
+// to its Metrics field (nil where it has none) and its grid_fed_* series.
+var routerCounters = map[string]struct {
+	field  func(Metrics) uint64
+	series string
+}{
+	"submitted":       {func(m Metrics) uint64 { return m.Submitted }, "grid_fed_submitted_total"},
+	"accepted":        {func(m Metrics) uint64 { return m.Accepted }, "grid_fed_accepted_total"},
+	"completed":       {func(m Metrics) uint64 { return m.Completed }, "grid_fed_completed_total"},
+	"rejected":        {func(m Metrics) uint64 { return m.Rejected }, "grid_fed_rejected_total"},
+	"drained":         {func(m Metrics) uint64 { return m.Drained }, "grid_fed_drained_total"},
+	"handoffs":        {func(m Metrics) uint64 { return m.Handoffs }, "grid_fed_handoffs_total"},
+	"handoffFailures": {nil, "grid_fed_handoff_failures_total"},
+	"retries":         {func(m Metrics) uint64 { return m.Retries }, "grid_fed_handoff_retries_total"},
+	"reallocated":     {func(m Metrics) uint64 { return m.Reallocated }, "grid_fed_reallocations_total"},
+	"revocations":     {func(m Metrics) uint64 { return m.Revocations }, "grid_fed_revocations_total"},
+	"deaths":          {func(m Metrics) uint64 { return m.ShardDeaths }, "grid_fed_shard_deaths_total"},
+	"journalErrors":   {func(m Metrics) uint64 { return m.JournalError }, "grid_fed_journal_errors_total"},
+}
+
+// counters reads every counter the router keeps: its Metrics field and its
+// sample on GET /metrics.
+func counters(t *testing.T, r *Router) (met, series map[string]uint64) {
+	t.Helper()
+	m, samples := r.Metrics(), scrape(t, r.Handler())
+	met, series = map[string]uint64{}, map[string]uint64{}
+	for name, c := range routerCounters {
+		if c.field != nil {
+			met[name] = c.field(m)
+		}
+		series[name] = uint64(samples[c.series])
 	}
 	return met, series
 }
@@ -337,7 +349,7 @@ func runTransitionRow(t *testing.T, row transitionRow) (liveReason, journaledRea
 	want.Shard, want.Reason = resolve(want.Shard), resolve(want.Reason)
 
 	appends := x.jnl.Stats().Appends
-	met0, series0 := counters(x.r)
+	met0, series0 := counters(t, x.r)
 	row.fire(x)
 	if got := x.jnl.Stats().Appends - appends; got != row.appends {
 		t.Errorf("journal appends = %d, want %d", got, row.appends)
@@ -346,7 +358,7 @@ func runTransitionRow(t *testing.T, row transitionRow) (liveReason, journaledRea
 	for _, name := range row.moves {
 		moved[name] = 1
 	}
-	met1, series1 := counters(x.r)
+	met1, series1 := counters(t, x.r)
 	for name := range met1 {
 		if got := met1[name] - met0[name]; got != moved[name] {
 			t.Errorf("Metrics %s moved by %d, want %d", name, got, moved[name])

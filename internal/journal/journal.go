@@ -117,8 +117,9 @@ type Options struct {
 	// only their ledger entry in snapshots, live jobs keep the full wire
 	// form. nil treats every state as live.
 	IsTerminal func(state string) bool
-	// Telemetry receives append/fsync/rotation/compaction counters and the
-	// LSN gauge. nil disables.
+	// Telemetry keeps the append/fsync/rotation/compaction counters, which
+	// Stats reads back, and the LSN gauge. nil keeps them in a private
+	// registry. A registry serves one journal: two would share one tally.
 	Telemetry *telemetry.Registry
 }
 
@@ -173,7 +174,8 @@ type JobState struct {
 	LastLSN  uint64     `json:"lastLSN"`
 }
 
-// Stats is a point-in-time snapshot of journal activity.
+// Stats is a point-in-time snapshot of journal activity. Appends, Fsyncs,
+// Rotations and Compactions are the grid_journal_* counters.
 type Stats struct {
 	NextLSN     uint64 `json:"nextLSN"`
 	SnapshotLSN uint64 `json:"snapshotLSN"`
@@ -202,7 +204,6 @@ type Journal struct {
 	state         map[string]*JobState
 	order         []string // job IDs by first-seen LSN
 	terminalSince int
-	stats         Stats
 	closed        bool
 
 	stopc chan struct{} // interval syncer; nil unless FsyncInterval
@@ -234,23 +235,25 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		}
 	}
 
+	reg := opts.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	j := &Journal{
-		opts:    opts,
-		nextLSN: rec.LastLSN + 1,
-		snapLSN: rec.SnapshotLSN,
-		state:   make(map[string]*JobState, len(rec.Jobs)),
+		opts:        opts,
+		nextLSN:     rec.LastLSN + 1,
+		snapLSN:     rec.SnapshotLSN,
+		state:       make(map[string]*JobState, len(rec.Jobs)),
+		appends:     reg.Counter("grid_journal_appends_total", "journal records appended"),
+		fsyncs:      reg.Counter("grid_journal_fsyncs_total", "journal fsync calls"),
+		rotations:   reg.Counter("grid_journal_rotations_total", "journal segment rotations"),
+		compactions: reg.Counter("grid_journal_compactions_total", "journal compactions"),
+		lsnGauge:    reg.Gauge("grid_journal_lsn", "highest assigned journal LSN"),
 	}
 	for _, js := range rec.Jobs {
 		cp := *js
 		j.state[js.Job] = &cp
 		j.order = append(j.order, js.Job)
-	}
-	if reg := opts.Telemetry; reg != nil {
-		j.appends = reg.Counter("grid_journal_appends_total", "journal records appended")
-		j.fsyncs = reg.Counter("grid_journal_fsyncs_total", "journal fsync calls")
-		j.rotations = reg.Counter("grid_journal_rotations_total", "journal segment rotations")
-		j.compactions = reg.Counter("grid_journal_compactions_total", "journal compactions")
-		j.lsnGauge = reg.Gauge("grid_journal_lsn", "highest assigned journal LSN")
 	}
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, err
@@ -325,11 +328,8 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 	}
 	j.nextLSN++
 	j.segBytes += int64(len(line))
-	j.stats.Appends++
-	if j.appends != nil {
-		j.appends.Inc()
-		j.lsnGauge.Set(float64(rec.LSN))
-	}
+	j.appends.Inc()
+	j.lsnGauge.Set(float64(rec.LSN))
 	wasTerminal := false
 	if js, ok := j.state[rec.Job]; ok && j.opts.IsTerminal != nil {
 		wasTerminal = j.opts.IsTerminal(js.State)
@@ -361,10 +361,7 @@ func (j *Journal) syncLocked() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
-	j.stats.Fsyncs++
-	if j.fsyncs != nil {
-		j.fsyncs.Inc()
-	}
+	j.fsyncs.Inc()
 	return nil
 }
 
@@ -387,10 +384,7 @@ func (j *Journal) rotateLocked() error {
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("journal: close segment: %w", err)
 	}
-	j.stats.Rotations++
-	if j.rotations != nil {
-		j.rotations.Inc()
-	}
+	j.rotations.Inc()
 	return j.openSegmentLocked()
 }
 
@@ -451,10 +445,7 @@ func (j *Journal) compactLocked() error {
 	}
 	j.snapLSN = snapLSN
 	j.terminalSince = 0
-	j.stats.Compactions++
-	if j.compactions != nil {
-		j.compactions.Inc()
-	}
+	j.compactions.Inc()
 	return j.openSegmentLocked()
 }
 
@@ -501,10 +492,15 @@ func (j *Journal) Close() error {
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := j.stats
-	st.NextLSN = j.nextLSN
-	st.SnapshotLSN = j.snapLSN
-	st.Jobs = len(j.state)
+	st := Stats{
+		NextLSN:     j.nextLSN,
+		SnapshotLSN: j.snapLSN,
+		Appends:     j.appends.Value(),
+		Fsyncs:      j.fsyncs.Value(),
+		Rotations:   j.rotations.Value(),
+		Compactions: j.compactions.Value(),
+		Jobs:        len(j.state),
+	}
 	for _, js := range j.state {
 		if j.opts.IsTerminal == nil || !j.opts.IsTerminal(js.State) {
 			st.Live++

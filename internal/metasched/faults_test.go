@@ -362,3 +362,47 @@ func TestCompletedPlacementsAvoidVoidedWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultStatsCountsTheTrace: FaultStats is read off the finished jobs'
+// results plus the outage counts; over a whole faulty run it agrees with the
+// events the VO traced.
+func TestFaultStatsCountsTheTrace(t *testing.T) {
+	e := sim.New()
+	gen := workload.New(workload.Default(9))
+	env := gen.Environment(2)
+	flow := gen.Flow(0, 30, 0)
+	cfg := faultyVOConfig(9, flow[len(flow)-1].At+200)
+	var tr MemoryTracer
+	cfg.Tracer = &tr
+	vo := NewVO(e, env, cfg)
+	for _, a := range flow {
+		vo.Submit(a.Job, strategy.S2, a.At)
+	}
+	e.Run()
+	domainOutages := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == EventNodeDown && ev.Domain != "" {
+			domainOutages++
+		}
+	}
+	f := vo.FaultStats()
+	if f.TaskFailures == 0 || f.NodeOutages == 0 {
+		t.Fatalf("the aggressive fault config broke nothing: %v", f)
+	}
+	if f.TaskFailures != tr.Count(EventTaskFailed) || f.Retries != tr.Count(EventRetry) ||
+		f.NodeOutages != tr.Count(EventNodeDown) || f.DomainOutages != domainOutages {
+		t.Errorf("FaultStats %v; trace: %d task failures, %d retries, %d outages (%d domain)",
+			f, tr.Count(EventTaskFailed), tr.Count(EventRetry), tr.Count(EventNodeDown), domainOutages)
+	}
+}
+
+func TestFaultStatsString(t *testing.T) {
+	f := FaultStats{NodeOutages: 3, DomainOutages: 1, TaskFailures: 4, Retries: 5, Recoveries: 3,
+		Downtime: 40, DowntimeJobs: 2}
+	if got, want := f.String(), "outages=3(domain=1) task-failures=4 retries=5 recoveries=3 mean-downtime=20.0"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if got := (FaultStats{}).String(); got != "outages=0(domain=0) task-failures=0 retries=0 recoveries=0 mean-downtime=0.0" {
+		t.Errorf("zero String() = %q", got)
+	}
+}

@@ -49,7 +49,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/economy"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -305,7 +304,10 @@ type VO struct {
 
 	failRng   *rng.Source // mid-run task-failure draws, nil when disabled
 	jitterRng *rng.Source // retry-backoff jitter draws, nil when disabled
-	fstats    metrics.FaultStats
+
+	// nodeOutages and domainOutages count the outage windows that began:
+	// the part of FaultStats no job records.
+	nodeOutages, domainOutages int
 
 	voided []resource.Reservation // outageDown's buffer: one crashed node's book at a time
 }
@@ -370,9 +372,55 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 	return vo
 }
 
-// FaultStats returns the run's aggregated fault-injection record; all
-// zeros when fault injection is disabled.
-func (vo *VO) FaultStats() *metrics.FaultStats { return &vo.fstats }
+// FaultStats is one run's fault-injection record: how often the
+// environment broke and how the two scheduling levels recovered. A run
+// without fault injection reads all zeros.
+type FaultStats struct {
+	// NodeOutages and DomainOutages count outage windows that began.
+	NodeOutages   int
+	DomainOutages int
+	// TaskFailures counts mid-run task deaths (including those caused by
+	// a node going down under a running job).
+	TaskFailures int
+	// Retries counts backoff-delayed in-domain recovery attempts.
+	Retries int
+	// Recoveries counts jobs that completed despite at least one failure.
+	Recoveries int
+	// Downtime sums the per-job downtime of the DowntimeJobs finished jobs
+	// that saw at least one failure: model time between a failure and the
+	// next successful (re)activation.
+	Downtime     float64
+	DowntimeJobs int
+}
+
+// String renders the counters on one line for reports and logs.
+func (f FaultStats) String() string {
+	mean := 0.0
+	if f.DowntimeJobs > 0 {
+		mean = f.Downtime / float64(f.DowntimeJobs)
+	}
+	return fmt.Sprintf("outages=%d(domain=%d) task-failures=%d retries=%d recoveries=%d mean-downtime=%.1f",
+		f.NodeOutages, f.DomainOutages, f.TaskFailures, f.Retries, f.Recoveries, mean)
+}
+
+// FaultStats returns the run's fault-injection record. Everything but the
+// outage counts is read off the finished jobs' results, in finalize order.
+func (vo *VO) FaultStats() FaultStats {
+	f := FaultStats{NodeOutages: vo.nodeOutages, DomainOutages: vo.domainOutages}
+	for _, r := range vo.results {
+		f.TaskFailures += r.TaskFailures
+		f.Retries += r.Retries
+		if r.TaskFailures == 0 {
+			continue
+		}
+		if r.State == StateCompleted {
+			f.Recoveries++
+		}
+		f.Downtime += float64(r.Downtime)
+		f.DowntimeJobs++
+	}
+	return f
+}
 
 // Results returns all finished (completed or rejected) job records.
 func (vo *VO) Results() []*JobResult { return vo.results }
@@ -691,9 +739,6 @@ func (m *JobManager) complete(aj *activeJob) {
 	if len(d.Placements) > 0 {
 		aj.result.MeanTaskTime = float64(total) / float64(len(d.Placements))
 	}
-	if aj.result.TaskFailures > 0 {
-		m.vo.fstats.Recoveries++
-	}
 	m.vo.finalize(aj, StateCompleted)
 }
 
@@ -729,14 +774,12 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 	vo := m.vo
 	now := vo.engine.Now()
 	aj.result.TaskFailures++
-	vo.fstats.TaskFailures++
 	vo.trace(Event{Kind: EventTaskFailed, Job: aj.result.Job.Name, Domain: m.domain, Detail: detail})
 	m.release(aj)
 	aj.failedAt = now
 	if aj.retries < vo.cfg.Faults.MaxRetries {
 		aj.retries++
 		aj.result.Retries++
-		vo.fstats.Retries++
 		at := now + vo.cfg.Faults.JitteredBackoff(aj.retries, vo.jitterRng)
 		vo.trace(Event{Kind: EventRetry, Job: aj.result.Job.Name, Domain: m.domain, Level: aj.retries, Start: at})
 		vo.engine.At(at, "retry "+aj.result.Job.Name, func() {
@@ -823,9 +866,6 @@ func (vo *VO) finalize(aj *activeJob, st State) {
 		aj.result.Downtime += vo.engine.Now() - aj.failedAt
 		aj.failedAt = -1
 	}
-	if aj.result.TaskFailures > 0 {
-		vo.fstats.Downtime.Add(float64(aj.result.Downtime))
-	}
 	vo.trace(Event{Kind: kind, Job: aj.result.Job.Name, Domain: aj.result.Domain})
 	delete(vo.active, aj.result.Job.Name)
 	vo.results = append(vo.results, aj.result)
@@ -854,9 +894,9 @@ func (vo *VO) outageDown(o faults.Outage) {
 			ids = append(ids, n.ID)
 		}
 	}
-	vo.fstats.NodeOutages++
+	vo.nodeOutages++
 	if o.Domain != "" {
-		vo.fstats.DomainOutages++
+		vo.domainOutages++
 	}
 	vo.trace(Event{Kind: EventNodeDown, Domain: o.Domain, Node: int(o.Node),
 		Start: o.Interval.Start, End: o.Interval.End})

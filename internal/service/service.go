@@ -109,10 +109,12 @@ type Config struct {
 	// RetryAfter is the hint returned with backpressure rejections.
 	// Default 1s.
 	RetryAfter time.Duration
-	// Telemetry is the metrics registry backing GET /metrics. nil makes
-	// New create a private one, so the endpoint always works. The same
-	// registry is forwarded to the VO hierarchy (Sched.Telemetry) and the
-	// circuit breakers unless those configs already carry their own.
+	// Telemetry is the metrics registry backing GET /metrics and the only
+	// tally behind Metrics. nil makes New create a private one, so the
+	// endpoint always works. A registry serves one server: two would share
+	// one tally. The same registry is forwarded to the VO hierarchy
+	// (Sched.Telemetry) and the circuit breakers unless those configs
+	// already carry their own.
 	Telemetry *telemetry.Registry
 	// Journal, when non-nil, makes the job lifecycle crash-safe: every
 	// transition (queued, scheduled, completed, rejected, drained) is
@@ -217,7 +219,10 @@ type Record struct {
 	Seq   uint64 `json:"seq"`
 }
 
-// Metrics is a point-in-time counters snapshot.
+// Metrics is a point-in-time counters snapshot. It is a read of the
+// server's registry — every counter field is its grid_service_* series, the
+// engine fields are the grid_service_engine_* gauges — and of the breaker
+// set at the published engine time.
 type Metrics struct {
 	Submitted      uint64            `json:"submitted"`
 	Accepted       uint64            `json:"accepted"`
@@ -296,22 +301,16 @@ type Server struct {
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*entry
-	held    map[string]*entry // parked recovered jobs (Config.HoldRecovered)
-	records map[string]*Record
-	order   []string // record IDs in submission order
-	seq     uint64
-	met     Metrics
-	// engineNow/engineFired are the engine clock as of the last completed
-	// processing step, published under mu because the live engine is owned
-	// by the loop goroutine and must not be read from handlers.
-	engineNow   simtime.Time
-	engineFired uint64
-	draining    bool
-	buildCtxs   map[string]context.CancelFunc // per scheduled job
-	recovery    *RecoveryStats                // set by Restore; nil before
+	mu        sync.Mutex
+	cond      *sync.Cond
+	queue     []*entry
+	held      map[string]*entry // parked recovered jobs (Config.HoldRecovered)
+	records   map[string]*Record
+	order     []string // record IDs in submission order
+	seq       uint64
+	draining  bool
+	buildCtxs map[string]context.CancelFunc // per scheduled job
+	recovery  *RecoveryStats                // set by Restore; nil before
 
 	// drainDone is closed (and drainErr set) when the first Drain call
 	// finishes; later callers wait on it instead of racing the first.
@@ -323,11 +322,14 @@ type Server struct {
 
 // telemetryHandles caches the service's registry handles so every counter
 // bump is one atomic op — the registry map is never consulted on the
-// request or engine path.
+// request or engine path. Counters move under s.mu, so Metrics, which reads
+// them under s.mu too, sees every transition whole. The engine gauges are
+// the engine clock as of the last completed processing step: the live
+// engine is owned by the loop goroutine and must not be read from handlers.
 type telemetryHandles struct {
 	submitted, accepted, completed, rejected *telemetry.Counter
 	shed, infeasible, overloaded, drained    *telemetry.Counter
-	revoked                                  *telemetry.Counter
+	revoked, resurrected                     *telemetry.Counter
 	queueDepth, queueHighWater               *telemetry.Gauge
 	engineNow, eventsFired                   *telemetry.Gauge
 	queueWait                                *telemetry.Histogram
@@ -350,6 +352,7 @@ func newTelemetryHandles(reg *telemetry.Registry) telemetryHandles {
 		overloaded:     c("grid_service_overloaded_total", "submissions refused with backpressure"),
 		drained:        c("grid_service_drained_total", "queued jobs snapshotted at shutdown"),
 		revoked:        c("grid_service_revoked_total", "jobs revoked by the federation router (incl. tombstones)"),
+		resurrected:    c("grid_service_resurrected_total", "tombstones a newer federation epoch started a new life over"),
 		queueDepth:     g("grid_service_queue_depth", "current admission-queue length"),
 		queueHighWater: g("grid_service_queue_high_water", "maximum admission-queue length observed"),
 		engineNow:      g("grid_service_engine_now", "model time as of the last completed step"),
@@ -490,7 +493,6 @@ func (s *Server) journalLocked(rec journal.Record) error {
 		return nil
 	}
 	if _, err := s.cfg.Journal.Append(rec); err != nil {
-		s.met.JournalErrors++
 		s.th.journalErrors.Inc()
 		return err
 	}
@@ -518,16 +520,12 @@ func (s *Server) finishLocked(rec *Record, state, reason string, extra journal.R
 	rec.State, rec.Reason = state, reason
 	switch state {
 	case StateCompleted:
-		s.met.Completed++
 		s.th.completed.Inc()
 	case StateRejected:
-		s.met.Rejected++
 		s.th.rejected.Inc()
 	case StateDrained:
-		s.met.Drained++
 		s.th.drained.Inc()
 	case StateRevoked:
-		s.met.Revoked++
 		s.th.revoked.Inc()
 	default:
 		panic(fmt.Sprintf("service: finishLocked: %q is not a terminal state", state))
@@ -549,8 +547,7 @@ func (s *Server) enqueueLocked(e *entry) {
 	s.queue = append(s.queue, e)
 	d := len(s.queue)
 	s.th.queueDepth.Set(float64(d))
-	if d > s.met.QueueHighWater {
-		s.met.QueueHighWater = d
+	if float64(d) > s.th.queueHighWater.Value() {
 		s.th.queueHighWater.Set(float64(d))
 	}
 	s.cond.Broadcast()
@@ -620,8 +617,6 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 		if duplicate {
 			return prior.clone(), duplicateError(wire.Name)
 		}
-		s.met.Submitted++
-		s.met.Infeasible++
 		s.th.submitted.Inc()
 		s.th.infeasible.Inc()
 		// Ledger the rejection durably too: the duplicate-submit guard must
@@ -632,7 +627,6 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 			journal.Record{Strategy: typ.String(), Priority: priority, Epoch: epoch})
 		return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: rec.Reason}
 	}
-	s.met.Submitted++
 	s.th.submitted.Inc()
 	if s.draining {
 		return nil, &SubmitError{
@@ -647,7 +641,6 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 	if len(s.queue) >= s.cfg.queueCap() {
 		victim := s.shedCandidateLocked(priority)
 		if victim < 0 {
-			s.met.Overloaded++
 			s.th.overloaded.Inc()
 			return nil, &SubmitError{
 				Code:       CodeOverloaded,
@@ -668,7 +661,6 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
 	}
 	rec := s.newLifeLocked(prior, wire.Name, typ, priority, epoch, StateQueued)
-	s.met.Accepted++
 	s.th.accepted.Inc()
 	s.enqueueLocked(&entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
 	return rec.clone(), nil
@@ -684,7 +676,7 @@ func (s *Server) newLifeLocked(prior *Record, id string, typ strategy.Type, prio
 	if prior == nil {
 		return s.newRecordLocked(id, typ, priority, epoch, state)
 	}
-	s.met.Resurrected++
+	s.th.resurrected.Inc()
 	*prior = Record{ID: id, Strategy: typ.String(), Priority: priority, State: state, Epoch: epoch, Seq: prior.Seq}
 	return prior
 }
@@ -722,7 +714,6 @@ func (s *Server) shedLocked(i int) {
 	s.queue = append(s.queue[:i], s.queue[i+1:]...)
 	s.th.queueDepth.Set(float64(len(s.queue)))
 	s.finishLocked(e.rec, StateRejected, "shed: displaced by higher-priority work under overload", journal.Record{})
-	s.met.Shed++
 	s.th.shed.Inc()
 }
 
@@ -815,16 +806,11 @@ func (s *Server) Kick() {
 	s.mu.Unlock()
 }
 
-// publishEngineStats copies the engine clock into the locked snapshot
-// fields; engine goroutine (or manual-mode driver) only.
+// publishEngineStats copies the engine clock into the engine gauges;
+// engine goroutine (or manual-mode driver) only.
 func (s *Server) publishEngineStats() {
-	now, fired := s.engine.Now(), s.engine.Fired()
-	s.mu.Lock()
-	s.engineNow = now
-	s.engineFired = fired
-	s.mu.Unlock()
-	s.th.engineNow.Set(float64(now))
-	s.th.eventsFired.Set(float64(fired))
+	s.th.engineNow.Set(float64(s.engine.Now()))
+	s.th.eventsFired.Set(float64(s.engine.Fired()))
 }
 
 // process hands one dequeued arrival batch (up to the batch width; one
@@ -1191,7 +1177,6 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 			Job: js.Job, State: StateQueued,
 			Strategy: typ.String(), Priority: js.Priority, Wire: js.Wire, Epoch: js.Epoch,
 		})
-		s.met.Accepted++
 		s.th.accepted.Inc()
 		stats.Restored++
 	}
@@ -1248,37 +1233,57 @@ func (s *Server) Jobs() []Record {
 	return out
 }
 
-// Metrics returns a counters snapshot. Breaker states are reported only
-// between engine-loop activity (they live on the engine goroutine); the
-// snapshot reflects the last completed processing step.
+// Metrics returns a counters snapshot: a read of the registry, and of the
+// breakers at the engine time of the last completed processing step. Safe
+// from any goroutine.
 func (s *Server) Metrics() Metrics {
+	th := &s.th
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.met
-	m.QueueDepth = len(s.queue)
-	m.Held = len(s.held)
-	m.EngineNow = s.engineNow
-	m.EventsFired = s.engineFired
-	m.Draining = s.draining
+	m := Metrics{
+		Submitted:      th.submitted.Value(),
+		Accepted:       th.accepted.Value(),
+		Completed:      th.completed.Value(),
+		Rejected:       th.rejected.Value(),
+		Shed:           th.shed.Value(),
+		Infeasible:     th.infeasible.Value(),
+		Overloaded:     th.overloaded.Value(),
+		Drained:        th.drained.Value(),
+		Revoked:        th.revoked.Value(),
+		Resurrected:    th.resurrected.Value(),
+		Held:           len(s.held),
+		QueueDepth:     len(s.queue),
+		QueueHighWater: int(th.queueHighWater.Value()),
+		Draining:       s.draining,
+		JournalErrors:  th.journalErrors.Value(),
+	}
+	s.mu.Unlock()
+	m.EngineNow = simtime.Time(th.engineNow.Value())
+	m.EventsFired = uint64(th.eventsFired.Value())
+	if s.breakers != nil {
+		m.Breakers = s.breakers.States(m.EngineNow)
+		for name := range m.Breakers {
+			m.BreakerTrips += s.breakers.Get(name).Trips()
+		}
+	}
 	return m
 }
 
-// BreakerStates returns every domain breaker's state. Engine goroutine (or
-// manual mode) only — see Metrics for the handler-safe view.
+// QueueState reports what a federation heartbeat sends: whether the server
+// is draining, the admission queue's depth and the number of held jobs.
+func (s *Server) QueueState() (draining bool, depth, held int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining, len(s.queue), len(s.held)
+}
+
+// BreakerStates returns every domain breaker's state at the engine's
+// current time. Engine goroutine (or manual mode) only — Metrics carries the
+// handler-safe view.
 func (s *Server) BreakerStates() map[string]string {
 	if s.breakers == nil {
 		return nil
 	}
-	out := s.breakers.States(s.engine.Now())
-	trips := 0
-	for _, name := range s.breakers.Names() {
-		trips += s.breakers.Get(name).Trips()
-	}
-	s.mu.Lock()
-	s.met.Breakers = out
-	s.met.BreakerTrips = trips
-	s.mu.Unlock()
-	return out
+	return s.breakers.States(s.engine.Now())
 }
 
 // Telemetry returns the server's metrics registry (never nil): the one

@@ -381,18 +381,7 @@ func breakerTrips(s *Server) int {
 // to end in manual mode: repeated mid-run failures in one domain open its
 // breaker, and placement then avoids the quarantined domain.
 func TestBreakerQuarantinesFailingDomain(t *testing.T) {
-	s := newServer(t, Config{
-		QueueCap: 64,
-		Breaker:  &breaker.Config{Threshold: 2, OpenBase: 10000, OpenMax: 10000},
-		Sched: metasched.Config{
-			Seed: 1,
-			Faults: faults.Config{
-				TaskFailRate: 1.0, // every activation loses a task
-				MaxRetries:   0,
-				Seed:         7,
-			},
-		},
-	})
+	s := newServer(t, failingDomains(Config{QueueCap: 64}))
 	// Everything fails mid-run everywhere, so both breakers eventually
 	// open; jobs arriving afterwards find no admissible domain.
 	for i := 0; i < 12; i++ {
