@@ -108,7 +108,7 @@ func main() {
 	if spanSink != nil {
 		spans = telemetry.NewTracer(spanSink)
 	}
-	var tracer metasched.Tracer
+	var tracer *metasched.JSONLTracer
 	if traceSink != nil {
 		tracer = metasched.NewJSONLTracer(traceSink)
 	}
@@ -153,7 +153,6 @@ func main() {
 		Sched: metasched.Config{
 			Seed:    *seed,
 			Placers: *placers,
-			Tracer:  tracer,
 			Spans:   spans,
 			Faults: faults.Config{
 				MTBF:         *mtbf,
@@ -165,6 +164,9 @@ func main() {
 				Seed:         *seed + 1,
 			},
 		},
+	}
+	if tracer != nil {
+		cfg.Sched.Tracer = tracer
 	}
 	if *brThreshold > 0 {
 		cfg.Breaker = &breaker.Config{Threshold: *brThreshold, JitterFrac: 0.2, Seed: *seed + 2}
@@ -260,6 +262,11 @@ func main() {
 	m := srv.Metrics()
 	log.Printf("gridd: drained — accepted=%d completed=%d rejected=%d drained=%d",
 		m.Accepted, m.Completed, m.Rejected, m.Drained)
+	if tracer != nil {
+		if err := tracer.Err(); err != nil {
+			log.Printf("gridd: trace: %v", err)
+		}
+	}
 }
 
 // openSink opens (or reuses) a line-oriented JSONL sink. Identical paths

@@ -61,16 +61,11 @@ func (h Heuristic) String() string {
 	}
 }
 
-// Options mirrors criticalworks.Options for the shared substrates.
+// Options configures one Build run.
 type Options struct {
-	JobName    string
-	Table      *estimate.Table
-	Catalog    *data.Catalog
-	Pricing    economy.Pricing
-	Candidates []resource.NodeID
-	Release    simtime.Time
-	Deadline   simtime.Time
-	Horizon    simtime.Time
+	// Catalog holds the job's data replicas and prices transfers; defaults
+	// to an empty remote-access catalog.
+	Catalog *data.Catalog
 }
 
 // InfeasibleError reports that the heuristic could not place a task within
@@ -85,54 +80,34 @@ func (e *InfeasibleError) Error() string {
 }
 
 // Build schedules the whole job with the given heuristic against the
-// calendar view (mutated in place; pass clones to keep the originals).
-// The resulting Schedule is interface-compatible with the core method's.
+// calendar view (mutated in place; pass clones to keep the originals), on
+// every node of env, from time 0 to the job's deadline, at the job's derived
+// estimates and the bare cost function. The resulting Schedule is
+// interface-compatible with the core method's.
 func Build(env *resource.Environment, cals criticalworks.Calendars, job *dag.Job, h Heuristic, opt Options) (*criticalworks.Schedule, error) {
-	if opt.JobName == "" {
-		opt.JobName = job.Name
-	}
-	if opt.Table == nil {
-		opt.Table = estimate.Derive(job)
-	}
-	if err := opt.Table.CoversJob(job); err != nil {
-		return nil, err
-	}
 	if opt.Catalog == nil {
 		opt.Catalog = data.NewCatalog(data.RemoteAccess, 0)
 	}
-	if opt.Pricing == nil {
-		opt.Pricing = economy.FlatPricing{PerTick: 1}
+	if job.Deadline <= 0 {
+		return nil, &InfeasibleError{Job: job.Name, Task: job.Task(job.TopoOrder()[0]).Name}
 	}
-	if opt.Deadline == 0 {
-		opt.Deadline = job.Deadline
-	}
-	if opt.Deadline <= opt.Release {
-		return nil, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoOrder()[0]).Name}
-	}
-	if opt.Horizon == 0 {
-		opt.Horizon = opt.Release + 4*(opt.Deadline-opt.Release)
-	}
-	if opt.Candidates == nil {
-		opt.Candidates = make([]resource.NodeID, env.NumNodes())
-		for i := range opt.Candidates {
-			opt.Candidates[i] = resource.NodeID(i)
-		}
-	}
-	if len(opt.Candidates) == 0 {
+	if env.NumNodes() == 0 {
 		return nil, criticalworks.ErrNoCandidates
 	}
-
-	b := &builder{env: env, cals: cals, job: job, h: h, opt: opt,
+	b := &builder{env: env, cals: cals, job: job, h: h, catalog: opt.Catalog,
+		table: estimate.Derive(job), horizon: 4 * job.Deadline,
 		placed: make(map[dag.TaskID]criticalworks.Placement, job.NumTasks())}
 	return b.run()
 }
 
 type builder struct {
-	env  *resource.Environment
-	cals criticalworks.Calendars
-	job  *dag.Job
-	h    Heuristic
-	opt  Options
+	env     *resource.Environment
+	cals    criticalworks.Calendars
+	job     *dag.Job
+	h       Heuristic
+	catalog *data.Catalog
+	table   *estimate.Table
+	horizon simtime.Time // calendar searches stop at 4× the deadline
 
 	placed map[dag.TaskID]criticalworks.Placement
 }
@@ -151,15 +126,15 @@ func (b *builder) run() (*criticalworks.Schedule, error) {
 		if !ok {
 			// Some ready task has no feasible slot.
 			name := b.job.Task(ready[0]).Name
-			return nil, &InfeasibleError{Job: b.opt.JobName, Task: name}
+			return nil, &InfeasibleError{Job: b.job.Name, Task: name}
 		}
-		owner := resource.Owner{Job: b.opt.JobName, Task: b.job.Task(pick.task).Name}
+		owner := resource.Owner{Job: b.job.Name, Task: b.job.Task(pick.task).Name}
 		if err := b.cals[pick.node].Reserve(pick.window, owner); err != nil {
 			return nil, fmt.Errorf("baseline: internal error: %w", err)
 		}
 		b.placed[pick.task] = criticalworks.Placement{Task: pick.task, Node: pick.node, Window: pick.window}
 		for _, e := range b.job.In(pick.task) {
-			b.opt.Catalog.Commit(b.opt.JobName, b.job.Task(e.From).Name, b.placed[e.From].Node, pick.node)
+			b.catalog.Commit(b.job.Name, b.job.Task(e.From).Name, b.placed[e.From].Node, pick.node)
 		}
 	}
 	return b.assemble()
@@ -199,7 +174,7 @@ func (b *builder) selectNext(ready []dag.TaskID) (candidate, bool) {
 	for i, id := range ready {
 		best, second := simtime.Infinity, simtime.Infinity
 		var bc candidate
-		for _, n := range b.opt.Candidates {
+		for n := range resource.NodeID(b.env.NumNodes()) {
 			w, ok := b.earliestWindow(id, n)
 			if !ok {
 				continue
@@ -244,7 +219,7 @@ func (b *builder) selectNext(ready []dag.TaskID) (candidate, bool) {
 			}
 			bestStart := simtime.Infinity
 			var bc candidate
-			for _, n := range b.opt.Candidates {
+			for n := range resource.NodeID(b.env.NumNodes()) {
 				w, ok := b.earliestWindow(id, n)
 				if ok && w.Start < bestStart {
 					bestStart = w.Start
@@ -265,24 +240,24 @@ func (b *builder) selectNext(ready []dag.TaskID) (candidate, bool) {
 // honouring placed predecessors, transfers and the deadline.
 func (b *builder) earliestWindow(id dag.TaskID, n resource.NodeID) (simtime.Interval, bool) {
 	node := b.env.Node(n)
-	dur := b.opt.Table.TimeOnNode(id, node)
+	dur := b.table.TimeOnNode(id, node)
 	if dur <= 0 {
 		return simtime.Interval{}, false
 	}
-	earliest := b.opt.Release
+	var earliest simtime.Time
 	for _, e := range b.job.In(id) {
 		p := b.placed[e.From]
-		tt := b.opt.Catalog.TransferTime(b.opt.JobName, b.job.Task(e.From).Name, e.BaseTime, p.Node, n)
+		tt := b.catalog.TransferTime(b.job.Name, b.job.Task(e.From).Name, e.BaseTime, p.Node, n)
 		if t := p.Window.End + tt; t > earliest {
 			earliest = t
 		}
 	}
-	start, ok := b.cals[n].FirstFree(earliest, dur, b.opt.Horizon)
+	start, ok := b.cals[n].FirstFree(earliest, dur, b.horizon)
 	if !ok {
 		return simtime.Interval{}, false
 	}
 	w := simtime.Interval{Start: start, End: start + dur}
-	if w.End > b.opt.Deadline {
+	if w.End > b.job.Deadline {
 		return simtime.Interval{}, false
 	}
 	return w, true
@@ -295,7 +270,6 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 		Placements: b.placed,
 		Start:      simtime.Infinity,
 	}
-	// In task-ID order: the float charges must sum the same way every run.
 	for i := 0; i < b.job.NumTasks(); i++ {
 		id := dag.TaskID(i)
 		p, ok := b.placed[id]
@@ -303,9 +277,7 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 			continue
 		}
 		dur := p.Window.Len()
-		vol := b.opt.Table.Volume(id)
-		s.BareCF += economy.TaskCharge(vol, dur)
-		s.Cost += economy.WeightedTaskCharge(vol, dur, b.opt.Pricing.Rate(b.env.Node(p.Node)))
+		s.BareCF += economy.TaskCharge(b.table.Volume(id), dur)
 		if p.Window.Start < s.Start {
 			s.Start = p.Window.Start
 		}
@@ -313,10 +285,11 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 			s.Finish = p.Window.End
 		}
 	}
+	s.Cost = float64(s.BareCF) // every node at the bare rate 1
 	// Precedence verification, as in the core method.
 	for _, e := range b.job.Edges() {
 		from, to := b.placed[e.From], b.placed[e.To]
-		tt := b.opt.Catalog.TransferTime(b.opt.JobName, b.job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)
+		tt := b.catalog.TransferTime(b.job.Name, b.job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)
 		if to.Window.Start < from.Window.End+tt {
 			return nil, fmt.Errorf("baseline: internal error: edge %s violates precedence", e.Name)
 		}

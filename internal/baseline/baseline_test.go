@@ -122,26 +122,9 @@ func TestInfeasibleDeadline(t *testing.T) {
 	}
 }
 
-func TestCandidateRestriction(t *testing.T) {
-	env := env4()
-	s, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(200), MinMin, Options{
-		Candidates: []resource.NodeID{2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range s.Placements {
-		if p.Node != 2 {
-			t.Errorf("placed on %d despite restriction", p.Node)
-		}
-	}
-}
-
 func TestNoCandidates(t *testing.T) {
-	env := env4()
-	_, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(50), MinMin, Options{
-		Candidates: []resource.NodeID{},
-	})
+	env := resource.NewEnvironment(nil)
+	_, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(50), MinMin, Options{})
 	if !errors.Is(err, criticalworks.ErrNoCandidates) {
 		t.Fatalf("err = %v", err)
 	}

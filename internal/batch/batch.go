@@ -282,21 +282,6 @@ func (c *Cluster) ordered() []*queued {
 	return out
 }
 
-// SetPriority changes a queued request's priority and re-evaluates the
-// queue — the §5 dynamic priority change (a user paying more for a
-// specific resource). It reports whether the request was found waiting;
-// running or finished jobs are unaffected.
-func (c *Cluster) SetPriority(id string, priority int) bool {
-	for _, q := range c.queue {
-		if q.req.ID == id {
-			q.req.Priority = priority
-			c.dispatch()
-			return true
-		}
-	}
-	return false
-}
-
 // forecastStart predicts when q will start, by placing the queue (in
 // policy order) plus q into the current profile, conservative-style.
 func (c *Cluster) forecastStart(q *queued) simtime.Time {

@@ -175,41 +175,6 @@ func TestPriorityDiscipline(t *testing.T) {
 	}
 }
 
-func TestDynamicPriorityBump(t *testing.T) {
-	// §5: a user raising the price they pay re-orders the queue while
-	// their job waits.
-	e := sim.New()
-	c := NewCluster(e, 1, Policy{Discipline: Priority})
-	c.Submit(req("runner", 1, 10, 10))
-	c.Submit(req("first", 1, 5, 5))
-	c.Submit(req("second", 1, 5, 5))
-	e.At(3, "bump", func() {
-		if !c.SetPriority("second", 100) {
-			t.Error("SetPriority did not find the queued job")
-		}
-	})
-	e.Run()
-	if got := outcomeByID(t, c.Outcomes(), "second").Start; got != 10 {
-		t.Errorf("bumped job start = %d, want 10", got)
-	}
-	if got := outcomeByID(t, c.Outcomes(), "first").Start; got != 15 {
-		t.Errorf("displaced job start = %d, want 15", got)
-	}
-}
-
-func TestSetPriorityOnRunningJobFails(t *testing.T) {
-	e := sim.New()
-	c := NewCluster(e, 1, Policy{Discipline: Priority})
-	c.Submit(req("r", 1, 5, 5)) // starts immediately
-	if c.SetPriority("r", 9) {
-		t.Error("SetPriority succeeded on a running job")
-	}
-	if c.SetPriority("ghost", 9) {
-		t.Error("SetPriority succeeded on an unknown job")
-	}
-	e.Run()
-}
-
 func TestPriorityPolicyName(t *testing.T) {
 	if got := (Policy{Discipline: Priority}).Name(); got != "PRIO" {
 		t.Errorf("Name = %q", got)

@@ -13,9 +13,8 @@
 //	            faults.Jitter), so a persistently bad domain is probed
 //	            geometrically less often.
 //	half-open — the window expired; a single probe job is allowed through.
-//	            ProbeSuccesses consecutive successes close the breaker and
-//	            reset the trip count; any failure re-opens it with the next
-//	            larger window.
+//	            Its success closes the breaker and resets the trip count;
+//	            its failure re-opens it with the next larger window.
 //
 // Time is the caller's model time (simtime.Time): in the in-process
 // simulation the breaker advances with the engine clock, which keeps every
@@ -28,7 +27,6 @@ package breaker
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/faults"
@@ -76,9 +74,6 @@ type Config struct {
 	// so breakers tripped by one shared outage do not re-probe in
 	// lock-step. Zero disables jitter.
 	JitterFrac float64
-	// ProbeSuccesses is the number of consecutive half-open successes that
-	// close the breaker again. Default 1.
-	ProbeSuccesses int
 	// Seed drives the jitter stream. Breakers created via a Set derive a
 	// per-name stream from it, so a fleet of domains jitters independently
 	// but reproducibly.
@@ -113,25 +108,16 @@ func (c Config) openMax() simtime.Time {
 	return c.OpenMax
 }
 
-func (c Config) probeSuccesses() int {
-	if c.ProbeSuccesses <= 0 {
-		return 1
-	}
-	return c.ProbeSuccesses
-}
-
 // Breaker guards one resource. Create with New or through a Set.
 type Breaker struct {
-	name string
-	cfg  Config
-	r    *rng.Source
+	cfg Config
+	r   *rng.Source
 
 	mu       sync.Mutex
 	state    State
 	fails    int          // consecutive failures while closed
 	trips    int          // consecutive open episodes (resets on close)
 	until    simtime.Time // open window expiry
-	probes   int          // consecutive half-open successes
 	inflight bool         // a half-open probe is outstanding
 
 	// Telemetry handles, acquired once at New: the only tally of trips and
@@ -149,7 +135,6 @@ func New(name string, cfg Config) *Breaker {
 	}
 	l := telemetry.L("name", name)
 	return &Breaker{
-		name:   name,
 		cfg:    cfg,
 		r:      rng.New(cfg.Seed).Split(hashName(name)),
 		tripsC: reg.Counter("grid_breaker_trips_total", "times the breaker opened", l),
@@ -167,9 +152,6 @@ func hashName(name string) uint64 {
 	}
 	return h
 }
-
-// Name returns the guarded resource's name.
-func (b *Breaker) Name() string { return b.name }
 
 // State returns the breaker's state at model time now, resolving an
 // expired open window to HalfOpen.
@@ -203,7 +185,6 @@ func (b *Breaker) Allow(now simtime.Time) bool {
 		if b.state == Open {
 			// The window just expired; transition for real.
 			b.state = HalfOpen
-			b.probes = 0
 			b.inflight = false
 			b.stateG.Set(2)
 		}
@@ -223,16 +204,11 @@ func (b *Breaker) Success(now simtime.Time) {
 	case Closed:
 		b.fails = 0
 	case HalfOpen:
-		b.state = HalfOpen
+		b.state = Closed
 		b.inflight = false
-		b.probes++
-		if b.probes >= b.cfg.probeSuccesses() {
-			b.state = Closed
-			b.fails = 0
-			b.trips = 0
-			b.probes = 0
-			b.stateG.Set(0)
-		}
+		b.fails = 0
+		b.trips = 0
+		b.stateG.Set(0)
 	case Open:
 		// A success from work admitted before the trip; it neither closes
 		// nor extends the quarantine.
@@ -273,7 +249,6 @@ func (b *Breaker) trip(now simtime.Time) {
 	b.state = Open
 	b.until = now + window
 	b.fails = 0
-	b.probes = 0
 	b.inflight = false
 }
 
@@ -331,18 +306,6 @@ func (s *Set) Success(name string, now simtime.Time) { s.Get(name).Success(now) 
 
 // Failure is Get(name).Failure(now).
 func (s *Set) Failure(name string, now simtime.Time) { s.Get(name).Failure(now) }
-
-// Names returns the set's resource names in sorted order.
-func (s *Set) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.m))
-	for n := range s.m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // States returns every breaker's state at now, keyed by name.
 func (s *Set) States(now simtime.Time) map[string]string {

@@ -121,17 +121,6 @@ func TestBreakerStateMachine(t *testing.T) {
 		}
 	})
 
-	t.Run("multiple probe successes required", func(t *testing.T) {
-		b := New("d", Config{Threshold: 1, OpenBase: 10, ProbeSuccesses: 2})
-		run(t, b, []step{
-			{0, "fail", Open, "trips instantly at threshold 1"},
-			{10, "allow", HalfOpen, "probe 1"},
-			{11, "ok", HalfOpen, "one success is not enough"},
-			{11, "allow", HalfOpen, "probe 2"},
-			{12, "ok", Closed, "second success closes"},
-		})
-	})
-
 	t.Run("trip count resets after closing", func(t *testing.T) {
 		b := New("d", Config{Threshold: 1, OpenBase: 10, OpenMax: 1000})
 		run(t, b, []step{
@@ -217,12 +206,8 @@ func TestSetLazyCreationAndIteration(t *testing.T) {
 	if s.Allow("a-dom", 2) != true {
 		t.Fatal("independent breaker affected")
 	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a-dom" || names[1] != "b-dom" {
-		t.Fatalf("Names() = %v", names)
-	}
 	st := s.States(2)
-	if st["a-dom"] != "closed" || st["b-dom"] != "open" {
+	if len(st) != 2 || st["a-dom"] != "closed" || st["b-dom"] != "open" {
 		t.Fatalf("States() = %v", st)
 	}
 }

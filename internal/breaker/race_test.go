@@ -108,7 +108,6 @@ func TestBreakerStress(t *testing.T) {
 					s.Get(n).RetryAfter(now)
 				}
 				_ = s.States(now)
-				_ = s.Names()
 			}
 		}(w)
 	}

@@ -89,9 +89,6 @@ type Schedule struct {
 	Partial bool
 }
 
-// Makespan returns Finish − Start.
-func (s *Schedule) Makespan() simtime.Time { return s.Finish - s.Start }
-
 // MeetsDeadline reports whether the schedule completes by the job deadline.
 func (s *Schedule) MeetsDeadline() bool { return s.Finish <= s.Job.Deadline }
 
@@ -142,10 +139,6 @@ type Options struct {
 	Candidates []resource.NodeID
 	// Release is the earliest model time any task may start.
 	Release simtime.Time
-	// Deadline overrides the job's deadline when non-zero.
-	Deadline simtime.Time
-	// Horizon bounds calendar searches; defaults to 4× the deadline span.
-	Horizon simtime.Time
 	// Mode selects collision resolution; default ResolveReallocate.
 	Mode CollisionMode
 	// Objective selects the DP target; default MinFinish.
@@ -169,15 +162,18 @@ type Options struct {
 	// a child per margin attempt, one per critical work, and one per DP
 	// phase (ideal/actual). nil disables tracing at zero cost.
 	Spans *telemetry.Tracer
-	// ParentSpan links the build's root span under the caller's span;
-	// when zero, the parent is read from Ctx (telemetry.SpanFromContext).
-	ParentSpan telemetry.SpanID
+
+	// Set by Build: the job's deadline, the horizon calendar searches stop
+	// at (4× the deadline span) and the span the margin attempts hang under.
+	deadline, horizon simtime.Time
+	parentSpan        telemetry.SpanID
 }
 
 // Calendars is a scheduling view: one calendar per node. Build reads a view
-// and writes nothing — no calendar, no map entry — so any number of
-// concurrent builds may share one view, and the view may be the live books
-// themselves as long as nobody writes them meanwhile.
+// and writes nothing — no reservation, no map entry — so builds may share one
+// view, and the view may be the live books themselves as long as nobody
+// writes them meanwhile. A view belongs to one goroutine: a query may
+// rebuild a book's window index (resource.Calendar).
 type Calendars map[resource.NodeID]*resource.Calendar
 
 // Clone deep-copies the view, for code that reserves into it in place.
@@ -265,8 +261,8 @@ var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 // one after another; what it returns — the Schedule, its Placements map and
 // its Collisions, copied out at their exact length — is allocated fresh and
 // never points here. Build is a function, not a method of a long-lived
-// owner, and concurrent builds may share one view (experiments run jobs on
-// parallel workers), so the arena comes from a pool rather than a caller.
+// owner, and builds run on several goroutines at once (experiments run jobs
+// on parallel workers), so the arena comes from a pool rather than a caller.
 type scratch struct {
 	job *dag.Job
 	adj []dag.Edge // edges of the one task an edge walk is visiting
@@ -521,8 +517,8 @@ var margins = []float64{1, 1.5, 2, 3, 4}
 
 // Build runs the critical works method for one job against the given
 // calendar view and returns the resulting Distribution. Build reads cals
-// and writes nothing — no calendar, no map entry, whatever the outcome —
-// so concurrent builds may share a view (DESIGN.md §5); the plan is the
+// and writes nothing — no reservation, no map entry, whatever the outcome —
+// so builds may share a view (DESIGN.md §5); the plan is the
 // returned Schedule and nothing else is handed back: the replica sets an
 // attempt accumulates are its own working state. It allocates only what it
 // returns: its working memory is a pooled arena (scratch).
@@ -538,14 +534,14 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	if name == "" {
 		name = job.Name
 	}
-	parent := opt.ParentSpan
-	if parent == 0 && opt.Ctx != nil {
+	var parent telemetry.SpanID
+	if opt.Ctx != nil {
 		parent = telemetry.SpanFromContext(opt.Ctx)
 	}
 	root := opt.Spans.Start("criticalworks.build", parent)
 	root.SetStr("job", name)
 	if root != nil {
-		opt.ParentSpan = root.ID()
+		opt.parentSpan = root.ID()
 	}
 	sched, err := build(env, cals, job, opt)
 	var evals, colls int64
@@ -609,15 +605,11 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 	if opt.Pricing == nil {
 		opt.Pricing = barePricing
 	}
-	if opt.Deadline == 0 {
-		opt.Deadline = job.Deadline
-	}
-	if opt.Deadline <= opt.Release {
+	opt.deadline = job.Deadline
+	if opt.deadline <= opt.Release {
 		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoAt(0)).Name, Hopeless: true, FirstWork: true}
 	}
-	if opt.Horizon == 0 {
-		opt.Horizon = opt.Release + 4*(opt.Deadline-opt.Release)
-	}
+	opt.horizon = opt.Release + 4*(opt.deadline-opt.Release)
 	if opt.Candidates == nil {
 		opt.Candidates = allNodes(env)
 	}
@@ -690,7 +682,7 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 		b := sc.attempt(env, cals, opt, mg)
 		var asp *telemetry.Span
 		if opt.Spans != nil {
-			asp = opt.Spans.Start("criticalworks.attempt", opt.ParentSpan)
+			asp = opt.Spans.Start("criticalworks.attempt", opt.parentSpan)
 			asp.SetInt("margin_pct", int64(mg*100))
 			b.span = asp.ID()
 		}
@@ -789,7 +781,7 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 				fastest = dur
 			}
 		}
-		if fastest == simtime.Infinity || start+fastest > opt.Deadline-sc.bestDown[task] {
+		if fastest == simtime.Infinity || start+fastest > opt.deadline-sc.bestDown[task] {
 			return true
 		}
 		prevFinish = start + fastest
@@ -836,7 +828,7 @@ func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options,
 		}
 	}
 	for _, task := range chain.Tasks {
-		est, lft := opt.Release+sc.bestUp[task], opt.Deadline-sc.bestDown[task]
+		est, lft := opt.Release+sc.bestUp[task], opt.deadline-sc.bestDown[task]
 		gap := false
 		for _, n := range opt.Candidates {
 			dur := opt.Table.TimeOnNode(task, env.Node(n))
@@ -847,7 +839,7 @@ func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options,
 				return probes, false
 			}
 			probes++
-			if s, ok := cals[n].FirstFree(est, dur, opt.Horizon); ok && s+dur <= lft {
+			if s, ok := cals[n].FirstFree(est, dur, opt.horizon); ok && s+dur <= lft {
 				gap = true
 				break
 			}

@@ -301,7 +301,7 @@ func (b *builder) prepareCells(chain dag.Chain) {
 	b.cells = grow(b.cells, len(chain.Tasks)*C)
 	for i, task := range chain.Tasks {
 		b.linkPlaced(task)
-		up, down := b.opt.Release+b.bestUp[task], b.opt.Deadline-b.bestDown[task]
+		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
 		for c, n := range cands {
 			node := b.env.Node(n)
 			in := cellIn{dur: b.opt.Table.TimeOnNode(task, node)}
@@ -393,7 +393,7 @@ func (b *builder) fit(n resource.NodeID, book *resource.Calendar, earliest, dur,
 	if book == nil {
 		start = earliest
 	} else {
-		s, found := b.firstFree(n, book, earliest, dur, b.opt.Horizon)
+		s, found := b.firstFree(n, book, earliest, dur, b.opt.horizon)
 		if !found {
 			return 0, 0, false
 		}

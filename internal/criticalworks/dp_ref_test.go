@@ -193,7 +193,7 @@ func (b *builder) refEst(task dag.TaskID, n resource.NodeID) simtime.Time {
 // refLft returns the latest finish of task on node n: the deadline tightened
 // by the optimistic downstream bound and by already-placed successors.
 func (b *builder) refLft(task dag.TaskID, n resource.NodeID) simtime.Time {
-	t := b.opt.Deadline - b.bestDown[task]
+	t := b.opt.deadline - b.bestDown[task]
 	b.adj = b.job.AppendOut(b.adj[:0], task)
 	for _, e := range b.adj {
 		s, ok := b.placement(e.To)

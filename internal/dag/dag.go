@@ -380,17 +380,6 @@ func (j *Job) Sources() []TaskID {
 	return out
 }
 
-// Sinks returns tasks with no successors, in ID order.
-func (j *Job) Sinks() []TaskID {
-	var out []TaskID
-	for id := range j.tasks {
-		if len(j.out(TaskID(id))) == 0 {
-			out = append(out, TaskID(id))
-		}
-	}
-	return out
-}
-
 // TotalVolume returns the sum of task computation volumes.
 func (j *Job) TotalVolume() int64 {
 	var v int64

@@ -53,58 +53,3 @@ func TaskCharge(volume int64, loadTime simtime.Time) int64 {
 func WeightedTaskCharge(volume int64, loadTime simtime.Time, rate float64) float64 {
 	return float64(TaskCharge(volume, loadTime)) * rate
 }
-
-// Budget tracks a user's or flow's quota account. The zero value is an
-// empty account with no allowance.
-type Budget struct {
-	allowance float64
-	spent     float64
-}
-
-// NewBudget returns a budget with the given allowance in quotas.
-func NewBudget(allowance float64) *Budget {
-	return &Budget{allowance: allowance}
-}
-
-// Remaining returns the unspent allowance.
-func (b *Budget) Remaining() float64 { return b.allowance - b.spent }
-
-// Spent returns the total charged so far.
-func (b *Budget) Spent() float64 { return b.spent }
-
-// CanAfford reports whether the charge fits the remaining allowance.
-func (b *Budget) CanAfford(charge float64) bool { return charge <= b.Remaining() }
-
-// Charge debits the budget. It returns an error (and debits nothing) when
-// the charge exceeds the remaining allowance or is negative.
-func (b *Budget) Charge(charge float64) error {
-	if charge < 0 {
-		return fmt.Errorf("economy: negative charge %v", charge)
-	}
-	if !b.CanAfford(charge) {
-		return fmt.Errorf("economy: charge %.2f exceeds remaining quota %.2f", charge, b.Remaining())
-	}
-	b.spent += charge
-	return nil
-}
-
-// Refund credits back a previously made charge (e.g. an abandoned
-// supporting schedule). Refunding more than was spent is an error.
-func (b *Budget) Refund(charge float64) error {
-	if charge < 0 {
-		return fmt.Errorf("economy: negative refund %v", charge)
-	}
-	if charge > b.spent {
-		return fmt.Errorf("economy: refund %.2f exceeds spent %.2f", charge, b.spent)
-	}
-	b.spent -= charge
-	return nil
-}
-
-// Grant raises the allowance (dynamic priority changes, §5).
-func (b *Budget) Grant(extra float64) {
-	if extra < 0 {
-		panic("economy: negative grant")
-	}
-	b.allowance += extra
-}

@@ -27,12 +27,10 @@ type Row struct {
 
 // Table is a job's complete estimation table. Task IDs are dense, so the
 // rows live in a slice indexed by TaskID; a row is present when its tier-1
-// time is positive (SetRow admits no other kind).
+// time is positive.
 type Table struct {
-	rows []Row
-	// derived is the job Derive built the table from, nil once SetRow has
-	// touched it or when the table was assembled by hand.
-	derived *dag.Job
+	rows    []Row
+	derived *dag.Job // the job Derive built the table from
 }
 
 // Derive builds the canonical table from a job's base estimates the way the
@@ -53,38 +51,7 @@ func Derive(job *dag.Job) *Table {
 // DerivedFrom reports whether the table is exactly Derive(job): a
 // deterministic function of the job that covers it by construction, so a
 // build handed one need not check it row by row (CoversJob).
-func (t *Table) DerivedFrom(job *dag.Job) bool { return t.derived != nil && t.derived == job }
-
-// New returns an empty table; rows must be added with SetRow.
-func New() *Table {
-	return &Table{}
-}
-
-// SetRow installs or replaces the estimates for one task. Estimates must be
-// positive and non-decreasing across tiers (a slower node type can never
-// have a smaller estimate).
-func (t *Table) SetRow(id dag.TaskID, row Row) error {
-	if id < 0 {
-		return fmt.Errorf("estimate: negative task ID %d", id)
-	}
-	for k := 0; k < resource.NumTiers; k++ {
-		if row.Times[k] <= 0 {
-			return fmt.Errorf("estimate: task %d tier %d has non-positive time %d", id, k+1, row.Times[k])
-		}
-		if k > 0 && row.Times[k] < row.Times[k-1] {
-			return fmt.Errorf("estimate: task %d estimates decrease from tier %d to %d", id, k, k+1)
-		}
-	}
-	if row.Volume < 0 {
-		return fmt.Errorf("estimate: task %d has negative volume", id)
-	}
-	if int(id) >= len(t.rows) {
-		t.rows = append(t.rows, make([]Row, int(id)+1-len(t.rows))...)
-	}
-	t.rows[id] = row
-	t.derived = nil
-	return nil
-}
+func (t *Table) DerivedFrom(job *dag.Job) bool { return t.derived == job }
 
 // Has reports whether the table has a row for the task.
 func (t *Table) Has(id dag.TaskID) bool {
@@ -127,9 +94,6 @@ func (t *Table) Volume(id dag.TaskID) int64 {
 // Best returns the fastest (tier-1) estimate for the task, the weight used
 // when searching critical works.
 func (t *Table) Best(id dag.TaskID) simtime.Time { return t.Time(id, 1) }
-
-// Worst returns the slowest (tier-NumTiers) estimate.
-func (t *Table) Worst(id dag.TaskID) simtime.Time { return t.Time(id, resource.NumTiers) }
 
 // CoversJob verifies that every task of the job has a row.
 func (t *Table) CoversJob(job *dag.Job) error {

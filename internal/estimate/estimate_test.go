@@ -45,8 +45,8 @@ func TestDeriveMatchesPaperTable(t *testing.T) {
 func TestBestWorst(t *testing.T) {
 	tab := Derive(paperJob(t))
 	p2 := dag.TaskID(1)
-	if tab.Best(p2) != 3 || tab.Worst(p2) != 12 {
-		t.Errorf("Best/Worst = %d/%d, want 3/12", tab.Best(p2), tab.Worst(p2))
+	if tab.Best(p2) != 3 {
+		t.Errorf("Best = %d, want 3", tab.Best(p2))
 	}
 }
 
@@ -72,41 +72,22 @@ func TestTimeOnNode(t *testing.T) {
 	}
 }
 
-func TestSetRowValidation(t *testing.T) {
-	tab := New()
-	bad := []Row{
-		{Times: [resource.NumTiers]simtime.Time{0, 1, 2, 3}, Volume: 1},
-		{Times: [resource.NumTiers]simtime.Time{4, 3, 5, 6}, Volume: 1},
-		{Times: [resource.NumTiers]simtime.Time{1, 2, 3, 4}, Volume: -1},
-	}
-	for i, row := range bad {
-		if err := tab.SetRow(0, row); err == nil {
-			t.Errorf("bad row %d accepted", i)
-		}
-	}
-	good := Row{Times: [resource.NumTiers]simtime.Time{2, 2, 5, 5}, Volume: 0}
-	if err := tab.SetRow(0, good); err != nil {
-		t.Errorf("plateau row rejected: %v", err)
-	}
-	if !tab.Has(0) || tab.Has(1) {
-		t.Error("Has is wrong")
-	}
-}
-
 func TestCoversJob(t *testing.T) {
 	job := paperJob(t)
 	tab := Derive(job)
 	if err := tab.CoversJob(job); err != nil {
 		t.Errorf("derived table does not cover its job: %v", err)
 	}
-	partial := New()
+	b := dag.NewBuilder("one")
+	b.Task("P1", 2, 20)
+	partial := Derive(b.MustBuild())
 	if err := partial.CoversJob(job); err == nil {
-		t.Error("empty table claims to cover job")
+		t.Error("a one-task table claims to cover a six-task job")
 	}
 }
 
 func TestPanicsOnMissingRow(t *testing.T) {
-	tab := New()
+	tab := Derive(paperJob(t)) // tasks 0..5
 	for _, fn := range []func(){
 		func() { tab.Time(7, 1) },
 		func() { tab.Volume(7) },
@@ -146,79 +127,15 @@ func TestQuickDeriveMonotone(t *testing.T) {
 	}
 }
 
-// TestSparseRows: rows live in a slice indexed by TaskID, and a table
-// assembled by hand may set them in any order and leave gaps. A gap is a
-// missing row — Has is false, CoversJob names it, access panics — exactly
-// as when rows were map entries.
-func TestSparseRows(t *testing.T) {
-	row := func(base simtime.Time) Row {
-		return Row{Times: [resource.NumTiers]simtime.Time{base, 2 * base, 3 * base, 4 * base}, Volume: int64(base)}
-	}
-	tab := New()
-	for _, id := range []dag.TaskID{5, 0, 3} {
-		if err := tab.SetRow(id, row(simtime.Time(id)+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := dag.TaskID(-1); id <= 7; id++ {
-		want := id == 0 || id == 3 || id == 5
-		if tab.Has(id) != want {
-			t.Errorf("Has(%d) = %v, want %v", id, !want, want)
-		}
-		if !want {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("Time(%d) on a missing row did not panic", id)
-					}
-				}()
-				tab.Time(id, 1)
-			}()
-		}
-	}
-	if tab.Time(5, 2) != 12 || tab.Volume(3) != 4 || tab.Best(0) != 1 {
-		t.Errorf("sparse rows read back wrong: T(5,2)=%d V(3)=%d Best(0)=%d", tab.Time(5, 2), tab.Volume(3), tab.Best(0))
-	}
-	if err := tab.SetRow(5, row(9)); err != nil || tab.Time(5, 1) != 9 {
-		t.Errorf("replacing a row: err %v, T(5,1) = %d", err, tab.Time(5, 1))
-	}
-	if err := tab.SetRow(-1, row(1)); err == nil {
-		t.Error("negative task ID accepted")
-	}
-	if err := tab.SetRow(9, Row{}); err == nil || tab.Has(9) {
-		t.Error("an invalid row was installed")
-	}
-
-	job := paperJob(t) // tasks 0..5
-	if err := tab.CoversJob(job); err == nil {
-		t.Error("table with gaps at 1, 2 and 4 claims to cover the job")
-	}
-	for _, id := range []dag.TaskID{1, 2, 4} {
-		if err := tab.SetRow(id, row(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tab.CoversJob(job); err != nil {
-		t.Errorf("filled table does not cover the job: %v", err)
-	}
-}
-
-// TestDerivedFrom: only an untouched Derive(job) counts as derived from
-// that job; the marker is what lets repair memos treat derived tables as
-// interchangeable.
+// TestDerivedFrom: only Derive(job) counts as derived from that job; the
+// marker is what lets a build skip checking a table it is handed.
 func TestDerivedFrom(t *testing.T) {
 	job := paperJob(t)
 	tab := Derive(job)
 	if !tab.DerivedFrom(job) {
 		t.Error("Derive(job) is not derived from job")
 	}
-	if tab.DerivedFrom(paperJob(t)) || New().DerivedFrom(job) {
+	if tab.DerivedFrom(paperJob(t)) {
 		t.Error("a table claims derivation from a job it was not derived from")
-	}
-	if err := tab.SetRow(0, Row{Times: [resource.NumTiers]simtime.Time{2, 4, 6, 8}, Volume: 20}); err != nil {
-		t.Fatal(err)
-	}
-	if tab.DerivedFrom(job) {
-		t.Error("a table touched by SetRow still claims to be derived")
 	}
 }

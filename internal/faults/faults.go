@@ -64,9 +64,6 @@ type Config struct {
 // DefaultBackoff is the base retry backoff when Config.RetryBackoff is 0.
 const DefaultBackoff simtime.Time = 4
 
-// Enabled reports whether any fault mechanism is switched on.
-func (c Config) Enabled() bool { return c.MTBF > 0 || c.TaskFailRate > 0 }
-
 // OutagesEnabled reports whether the outage process is switched on.
 func (c Config) OutagesEnabled() bool { return c.MTBF > 0 && c.Until > 0 }
 

@@ -24,7 +24,7 @@ func testEnv() *resource.Environment {
 
 func TestZeroConfigDisabled(t *testing.T) {
 	var cfg Config
-	if cfg.Enabled() || cfg.OutagesEnabled() {
+	if cfg.OutagesEnabled() {
 		t.Error("zero config not disabled")
 	}
 	if got := Schedule(cfg, testEnv()); got != nil {

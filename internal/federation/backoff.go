@@ -15,26 +15,25 @@ import (
 // the seeded jitter stream.
 type backoff struct {
 	base, limit time.Duration
-	frac        float64
 	stop        <-chan struct{} // closed when the owner shuts down
 
 	mu sync.Mutex
 	r  *rng.Source
 }
 
+// jitterFrac spreads every federation backoff wait by ±20 %.
+const jitterFrac = 0.2
+
 // newBackoff applies the federation defaults: base 100ms when unset, the
-// caller's own default limit, jitter fraction 0.2 when unset.
-func newBackoff(base, limit, defaultLimit time.Duration, frac float64, r *rng.Source, stop <-chan struct{}) *backoff {
+// caller's own default limit.
+func newBackoff(base, limit, defaultLimit time.Duration, r *rng.Source, stop <-chan struct{}) *backoff {
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
 	if limit <= 0 {
 		limit = defaultLimit
 	}
-	if frac == 0 {
-		frac = 0.2
-	}
-	return &backoff{base: base, limit: limit, frac: frac, stop: stop, r: r}
+	return &backoff{base: base, limit: limit, stop: stop, r: r}
 }
 
 // delay computes the jittered exponential wait for a 1-based attempt, at
@@ -46,7 +45,7 @@ func (b *backoff) delay(attempt int) time.Duration {
 	}
 	ms := faults.ExpBackoff(simtime.Time(base), attempt, simtime.Time(b.limit/time.Millisecond))
 	b.mu.Lock()
-	ms = faults.Jitter(ms, b.frac, b.r)
+	ms = faults.Jitter(ms, jitterFrac, b.r)
 	b.mu.Unlock()
 	return time.Duration(ms) * time.Millisecond
 }

@@ -84,9 +84,8 @@ type MemberConfig struct {
 	// join and terminal-notification attempts. Defaults 100ms / 5s.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// JitterFrac spreads the backoff (default 0.2); Seed drives it.
-	JitterFrac float64
-	Seed       uint64
+	// Seed drives the backoff's jitter.
+	Seed uint64
 	// Telemetry exports grid_fed_member_* counters. nil disables.
 	Telemetry *telemetry.Registry
 	// Logf receives operational log lines. nil discards.
@@ -123,7 +122,7 @@ func NewMember(cfg MemberConfig) *Member {
 	if m.client == nil {
 		m.client = &http.Client{Timeout: 5 * time.Second}
 	}
-	m.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 5*time.Second, cfg.JitterFrac,
+	m.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 5*time.Second,
 		rng.New(cfg.Seed).Split(fnv1a(cfg.Shard)), m.stopc)
 	m.cond = sync.NewCond(&m.mu)
 	if reg := cfg.Telemetry; reg != nil {
@@ -212,35 +211,42 @@ func (m *Member) joinLoop() {
 	})
 }
 
-// joinOnce sends one join handshake and applies the router's decisions.
+// joinOnce sends one join handshake and applies the router's decisions. The
+// handshake is as many requests as the shard's ledger needs (joinPages); a
+// failed one fails the attempt, and the next attempt sends them all again,
+// which the router applies idempotently.
 func (m *Member) joinOnce() error {
-	req := JoinRequest{Shard: m.cfg.Shard}
-	for _, id := range m.svc.Held() {
-		rec, ok := m.svc.Job(id)
-		if !ok {
-			continue
-		}
-		req.Held = append(req.Held, JoinJob{ID: id, State: rec.State, Reason: rec.Reason})
-	}
+	var terminal, held []JoinJob
 	for _, rec := range m.svc.Jobs() {
 		if service.Terminal(rec.State) {
-			req.Terminal = append(req.Terminal, JoinJob{ID: rec.ID, State: rec.State, Reason: rec.Reason})
+			terminal = append(terminal, JoinJob{ID: rec.ID, State: rec.State, Reason: rec.Reason})
 		}
 	}
-	var jr JoinResponse
-	if _, err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &req, &jr); err != nil {
-		return err
+	for _, id := range m.svc.Held() {
+		if rec, ok := m.svc.Job(id); ok {
+			held = append(held, JoinJob{ID: id, State: rec.State, Reason: rec.Reason})
+		}
 	}
-	m.cfg.Lease.Refresh()
+	decisions := map[string]string{}
+	for _, req := range joinPages(m.cfg.Shard, terminal, held) {
+		var jr JoinResponse
+		if _, err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &req, &jr); err != nil {
+			return err
+		}
+		m.cfg.Lease.Refresh()
+		for id, d := range jr.Decisions {
+			decisions[id] = d
+		}
+	}
 	// Decisions apply in ID order, so the revocations they journal do too.
-	ids := make([]string, 0, len(jr.Decisions))
-	for id := range jr.Decisions {
+	ids := make([]string, 0, len(decisions))
+	for id := range decisions {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	var resume []string
 	for _, id := range ids {
-		decision := jr.Decisions[id]
+		decision := decisions[id]
 		if decision == JoinResume {
 			resume = append(resume, id)
 			continue
@@ -261,6 +267,35 @@ func (m *Member) joinOnce() error {
 		m.logf("federation: join resumed %d held jobs, %d still parked", n, len(m.svc.Held()))
 	}
 	return nil
+}
+
+// joinPageBytes bounds one join request's encoding: half the frame limit
+// the router reads a body under, whatever the shard's ledger holds.
+const joinPageBytes = maxFrameBytes / 2
+
+// joinPages splits one join into requests that each encode under
+// joinPageBytes: the terminal catch-up first, the held jobs after it, in the
+// last page when they fit there. A join with nothing to send is one empty
+// request.
+func joinPages(shard string, terminal, held []JoinJob) []JoinRequest {
+	name, _ := json.Marshal(shard)
+	empty := len(`{"shard":,"held":[],"terminal":[]}`) + len(name)
+	var pages []JoinRequest
+	page, size := JoinRequest{Shard: shard}, empty
+	for i, j := range append(terminal[:len(terminal):len(terminal)], held...) {
+		b, _ := json.Marshal(j)
+		if size+len(b)+1 > joinPageBytes && size > empty {
+			pages = append(pages, page)
+			page, size = JoinRequest{Shard: shard}, empty
+		}
+		if i < len(terminal) {
+			page.Terminal = append(page.Terminal, j)
+		} else {
+			page.Held = append(page.Held, j)
+		}
+		size += len(b) + 1 // and a comma
+	}
+	return append(pages, page)
 }
 
 // notifyLoop delivers terminal notices in order, retrying with backoff.

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,5 +169,71 @@ func TestMemberRetryWaitsLeakNothingAndKeepWakeups(t *testing.T) {
 				runtime.NumGoroutine(), refusals, before)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestLargeLedgerRejoins: a rejoining shard sends the router every terminal
+// record it ever ledgered, and compaction keeps them all. 20 000 of them
+// with 1 KiB reasons encode past the frame limit the router reads a body
+// under, which it refused with 400 on every attempt, so the held job never
+// resumed. The member pages the catch-up: every request stays under the
+// limit, the router answers each, and the held job resumes.
+func TestLargeLedgerRejoins(t *testing.T) {
+	r, err := New(Config{Shards: []ShardClient{&scriptShard{name: "s0"}}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var mu sync.Mutex
+	var bodies []int
+	handler := r.Handler()
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		bodies = append(bodies, len(body))
+		mu.Unlock()
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		handler.ServeHTTP(w, req)
+	}))
+	defer router.Close()
+
+	reason := strings.Repeat("r", 1024)
+	recovery := &journal.Recovery{}
+	for i := 0; i < 20000; i++ {
+		recovery.Jobs = append(recovery.Jobs, &journal.JobState{
+			Job: fmt.Sprintf("done-%05d", i), State: service.StateCompleted, Reason: reason, Strategy: "S1"})
+	}
+	wire := testJob("held", 60)
+	recovery.Jobs = append(recovery.Jobs, &journal.JobState{Job: "held", State: service.StateQueued, Strategy: "S1", Wire: &wire})
+	svc, err := service.New(service.Config{Env: testEnv(), HoldRecovered: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Restore(recovery); err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewMember(MemberConfig{Shard: "s0", Router: router.URL})
+	m.Bind(svc)
+	if err := m.joinOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if held, depth := svc.Held(), svc.Metrics().QueueDepth; len(held) != 0 || depth != 1 {
+		t.Fatalf("after the join %v held and %d queued; want the held job resumed", held, depth)
+	}
+	if view, ok := r.Job("held"); !ok || view.Shard != "s0" {
+		t.Fatalf("router's record of the held job: %+v, %v; want it bound to s0", view, ok)
+	}
+	if len(bodies) < 2 {
+		t.Fatalf("%d join requests; a 20 MiB ledger needs pages", len(bodies))
+	}
+	for i, n := range bodies {
+		if n >= maxFrameBytes {
+			t.Errorf("join request %d is %d bytes, at or past the %d-byte limit", i, n, maxFrameBytes)
+		}
 	}
 }

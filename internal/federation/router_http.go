@@ -12,7 +12,6 @@ type SubmitRequest = service.SubmitRequest
 
 type errorBody struct {
 	Error  string `json:"error"`
-	Code   string `json:"code,omitempty"`
 	Reason string `json:"reason,omitempty"`
 }
 

@@ -110,8 +110,8 @@ func TestAsyncDispatchAcrossShards(t *testing.T) {
 		if !ok || view.State != service.StateCompleted {
 			t.Fatalf("job %s = %+v, want completed", id, view)
 		}
-		if view.Shard != ring.Owner(id) {
-			t.Errorf("job %s ran on %s, ring owner %s", id, view.Shard, ring.Owner(id))
+		if view.Shard != ring.Walk(id)[0] {
+			t.Errorf("job %s ran on %s, ring owner %s", id, view.Shard, ring.Walk(id)[0])
 		}
 		// Exactly one shard's ledger has the job.
 		holders := 0
@@ -201,7 +201,7 @@ func TestRetryExhaustionReallocatesThroughRevoke(t *testing.T) {
 	id := ""
 	for i := 0; ; i++ {
 		cand := fmt.Sprintf("job-%d", i)
-		if ring.Owner(cand) == "s0" {
+		if ring.Walk(cand)[0] == "s0" {
 			id = cand
 			break
 		}
@@ -279,7 +279,7 @@ func TestDeadShardSweep(t *testing.T) {
 	var s0jobs, s1jobs []string
 	for i := 0; len(s0jobs) < 3 || len(s1jobs) < 3; i++ {
 		id := fmt.Sprintf("job-%d", i)
-		if ring.Owner(id) == "s0" {
+		if ring.Walk(id)[0] == "s0" {
 			s0jobs = append(s0jobs, id)
 		} else {
 			s1jobs = append(s1jobs, id)
@@ -304,7 +304,7 @@ func TestDeadShardSweep(t *testing.T) {
 	extra := "extra-s1"
 	for i := 0; ; i++ {
 		cand := fmt.Sprintf("extra-%d", i)
-		if ring.Owner(cand) == "s1" {
+		if ring.Walk(cand)[0] == "s1" {
 			extra = cand
 			break
 		}

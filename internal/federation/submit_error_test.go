@@ -25,6 +25,14 @@ var submitErrorStatus = map[string]int{
 	service.CodeInternal:   http.StatusInternalServerError,
 }
 
+// submitErrorBody is the error body both tiers render a refusal as
+// (service.WriteSubmitError).
+type submitErrorBody struct {
+	Error  string `json:"error"`
+	Code   string `json:"code,omitempty"`
+	Reason string `json:"reason,omitempty"`
+}
+
 // TestSubmitErrorMappingIsSharedByBothTiers drives every refusal a gridd
 // and a gridfront can produce through their real POST /v1/jobs handlers
 // and checks both render it by the same table — status, Retry-After, body
@@ -36,7 +44,7 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		handler http.Handler
 		drain   func()
 	}
-	svc, err := service.New(service.Config{Env: testEnv(), QueueCap: 1, RetryAfter: 1500 * time.Millisecond})
+	svc, err := service.New(service.Config{Env: testEnv(), QueueCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +99,11 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		{name: "draining", body: body("e", 60, "S1"), drainFirst: true,
 			want: map[string]string{"gridd": service.CodeDraining, "gridfront": service.CodeDraining}},
 	}
-	// Backpressure carries a whole-second hint, rounded up: the shard's
-	// 1.5 s becomes 2, the router's 1 s stays 1. Other refusals carry none.
+	// Backpressure carries a whole-second hint: 1 s on both tiers. Other
+	// refusals carry none. The rounding is checked below.
 	wantRetryAfter := map[string]string{
-		"gridd/" + service.CodeOverloaded:   "2",
-		"gridd/" + service.CodeDraining:     "2",
+		"gridd/" + service.CodeOverloaded:   "1",
+		"gridd/" + service.CodeDraining:     "1",
 		"gridfront/" + service.CodeDraining: "1",
 	}
 	post := func(tr tier, step, body, code string) {
@@ -108,7 +116,7 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 			}
 			return
 		}
-		var got errorBody
+		var got submitErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatalf("%s/%s: body %q: %v", tr.name, step, rec.Body, err)
 		}
@@ -176,21 +184,21 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		err        error
 		status     int
 		retryAfter string
-		body       errorBody
+		body       submitErrorBody
 	}{
 		{&service.SubmitError{Code: "some-future-code", Reason: "x"},
-			http.StatusBadRequest, "", errorBody{Error: "rejected", Code: "some-future-code", Reason: "x"}},
+			http.StatusBadRequest, "", submitErrorBody{Error: "rejected", Code: "some-future-code", Reason: "x"}},
 		{&service.SubmitError{Code: service.CodeOverloaded, Reason: "full", RetryAfter: time.Millisecond},
-			http.StatusTooManyRequests, "1", errorBody{Error: "rejected", Code: service.CodeOverloaded, Reason: "full"}},
+			http.StatusTooManyRequests, "1", submitErrorBody{Error: "rejected", Code: service.CodeOverloaded, Reason: "full"}},
 		{&service.SubmitError{Code: service.CodeOverloaded, Reason: "full", RetryAfter: 3 * time.Second},
-			http.StatusTooManyRequests, "3", errorBody{Error: "rejected", Code: service.CodeOverloaded, Reason: "full"}},
+			http.StatusTooManyRequests, "3", submitErrorBody{Error: "rejected", Code: service.CodeOverloaded, Reason: "full"}},
 		{errors.New("not a SubmitError"),
-			http.StatusInternalServerError, "", errorBody{Error: "not a SubmitError"}},
+			http.StatusInternalServerError, "", submitErrorBody{Error: "not a SubmitError"}},
 	}
 	for _, d := range direct {
 		rec := httptest.NewRecorder()
 		service.WriteSubmitError(rec, d.err)
-		var got errorBody
+		var got submitErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatalf("%v: body %q: %v", d.err, rec.Body, err)
 		}

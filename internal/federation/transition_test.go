@@ -259,7 +259,7 @@ func newTableCtx(t *testing.T, dir, from string) *tableCtx {
 	}
 	x := &tableCtx{jnl: jnl, id: "job", fleet: [2]*scriptShard{{name: "s0"}, {name: "s1"}}}
 	x.r = newTableRouter(t, x.fleet, jnl)
-	x.shard, x.other = x.r.ring.Owner(x.id), "s0"
+	x.shard, x.other = x.r.ring.Walk(x.id)[0], "s0"
 	if x.shard == "s0" {
 		x.other = "s1"
 	}

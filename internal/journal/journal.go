@@ -365,16 +365,6 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Sync forces the active segment to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("journal: closed")
-	}
-	return j.syncLocked()
-}
-
 // rotateLocked seals the active segment and starts a new one named after
 // the next LSN to be assigned.
 func (j *Journal) rotateLocked() error {

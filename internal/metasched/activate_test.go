@@ -42,7 +42,7 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 
 	job := gen.Job(0)
 	m := vo.managers[0]
-	st, err := m.gen.GenerateCtx(context.Background(), job, strategy.S1, vo.liveBooks(), 0)
+	st, err := m.gen.GenerateCtx(context.Background(), job, strategy.S1, vo.books, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

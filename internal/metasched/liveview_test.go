@@ -127,7 +127,7 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 	}
 	vo = NewVO(e, env, cfg)
 
-	view := vo.liveBooks()
+	view := vo.books
 	if len(view) != env.NumNodes() {
 		t.Fatalf("the view has %d entries for %d nodes", len(view), env.NumNodes())
 	}
@@ -161,33 +161,36 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 	}
 }
 
-// TestLiveBooksAllocs pins the VO-owned view: liveBooks refills one map the
-// VO keeps, so after the first call taking the view allocates nothing — and
-// because it is refilled from the nodes every time, not cached, it follows
-// Environment.Reset, which replaces every book.
+// TestLiveBooksAllocs pins the VO-owned view: NewVO fills one map with every
+// node's live calendar once, and every plan reads that map, so taking the
+// view allocates nothing. A node keeps its book for life, so after a loaded
+// run that reserved, released and pruned the books the view still maps every
+// node to its live calendar.
 func TestLiveBooksAllocs(t *testing.T) {
-	env := workload.New(workload.Default(5)).Environment(3)
-	vo := NewVO(sim.New(), env, Config{Seed: 5})
+	e := sim.New()
+	gen := workload.New(workload.Default(5))
+	env := gen.Environment(3)
+	vo := NewVO(e, env, Config{Seed: 5, ExternalMeanGap: 9, ExternalLead: 3, ExternalDurLo: 4, ExternalDurHi: 12, ExternalUntil: 400})
 	check := func(when string) {
 		t.Helper()
-		view := vo.liveBooks()
-		if len(view) != env.NumNodes() {
-			t.Fatalf("%s: the view has %d entries for %d nodes", when, len(view), env.NumNodes())
+		if len(vo.books) != env.NumNodes() {
+			t.Fatalf("%s: the view has %d entries for %d nodes", when, len(vo.books), env.NumNodes())
 		}
 		for _, n := range env.Nodes() {
-			if view[n.ID] != n.Calendar() {
+			if vo.books[n.ID] != n.Calendar() {
 				t.Fatalf("%s: the view's entry for node %d is not the live calendar", when, n.ID)
 			}
 		}
 	}
 	check("first view")
-	if allocs := testing.AllocsPerRun(100, func() { vo.liveBooks() }); allocs != 0 {
-		t.Errorf("liveBooks allocates %.1f objects per call after the first, want 0", allocs)
+	for _, a := range gen.Flow(0, 20, 0) {
+		if err := vo.Submit(a.Job, strategy.S1, a.At); err != nil {
+			t.Fatal(err)
+		}
 	}
-	before := env.Node(0).Calendar()
-	env.Reset()
-	if env.Node(0).Calendar() == before {
-		t.Fatal("Environment.Reset kept the old book; the test no longer shows that the view follows it")
+	e.Run()
+	if got := len(vo.Results()); got != 20 {
+		t.Fatalf("%d of 20 jobs went terminal", got)
 	}
-	check("after Environment.Reset")
+	check("after a loaded run")
 }

@@ -47,7 +47,6 @@ import (
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
-	"repro/internal/economy"
 	"repro/internal/faults"
 	"repro/internal/resource"
 	"repro/internal/rng"
@@ -69,14 +68,8 @@ type Config struct {
 	// ExternalUntil stops the injector at this model time.
 	ExternalUntil simtime.Time
 
-	// Pricing prices node time; defaults to the bare CF.
-	Pricing economy.Pricing
 	// Objective is the DP target for all strategy generation.
 	Objective criticalworks.Objective
-
-	// Placement selects the metascheduler's flow-distribution rule;
-	// default PlaceLeastLoaded.
-	Placement PlacementPolicy
 
 	// DomainFilter, when set, lets an outer control layer veto placement
 	// domains — the service layer points it at a per-domain circuit
@@ -128,19 +121,6 @@ type Config struct {
 	// (pinned by the differential suite).
 	Placers int
 }
-
-// PlacementPolicy selects how the metascheduler distributes arriving jobs
-// between domains.
-type PlacementPolicy int
-
-const (
-	// PlaceLeastLoaded assigns each job to the domain whose nodes carry
-	// the fewest reserved future ticks.
-	PlaceLeastLoaded PlacementPolicy = iota
-	// PlaceRoundRobin cycles through the domains in name order — the
-	// baseline distribution rule.
-	PlaceRoundRobin
-)
 
 // State is a job's lifecycle phase.
 type State int
@@ -275,9 +255,6 @@ type JobManager struct {
 	gen    *strategy.Generator
 }
 
-// Domain returns the manager's domain name.
-func (m *JobManager) Domain() string { return m.domain }
-
 // VO is the virtual organization: environment, metascheduler, domain
 // managers and the background-load injector.
 type VO struct {
@@ -285,12 +262,18 @@ type VO struct {
 	env      *resource.Environment
 	cfg      Config
 	managers []*JobManager
-	active   map[string]*activeJob   // by job name
-	books    criticalworks.Calendars // the live view, refilled by liveBooks
+	active   map[string]*activeJob // by job name
 	results  []*JobResult
 	extRng   *rng.Source
 	extOn    bool
-	rrNext   int // round-robin cursor
+
+	// books is the view every build of this VO plans on: each node mapped to
+	// its live calendar itself, no copy, filled once by NewVO (a node keeps
+	// its book for life). That is sound because the engine goroutine is the
+	// books' only reader and writer: a build only reads its view (the
+	// criticalworks.Build contract), and the engine goroutine runs every
+	// build to its end before it writes a book.
+	books criticalworks.Calendars
 
 	submitted map[string]bool // job names ever submitted, for duplicate detection
 	closed    bool            // Close called; no further submissions
@@ -315,9 +298,6 @@ type VO struct {
 // NewVO builds the hierarchy over env: one job manager per distinct node
 // domain label.
 func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
-	if cfg.Pricing == nil {
-		cfg.Pricing = economy.FlatPricing{PerTick: 1}
-	}
 	vo := &VO{
 		engine:    engine,
 		env:       env,
@@ -327,6 +307,9 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 		submitted: make(map[string]bool),
 		pending:   make(map[simtime.Time][]pendingArrival),
 		extRng:    rng.New(cfg.Seed).Split(0xE7),
+	}
+	for _, n := range env.Nodes() {
+		vo.books[n.ID] = n.Calendar()
 	}
 	if cfg.Telemetry != nil && cfg.Placers > 1 {
 		vo.placerCommits = cfg.Telemetry.Counter("grid_placer_commits_total",
@@ -347,7 +330,6 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 			pool:   pool,
 			gen: &strategy.Generator{
 				Env:         env,
-				Pricing:     cfg.Pricing,
 				Pool:        pool,
 				StorageNode: pool[0],
 				Objective:   cfg.Objective,
@@ -504,36 +486,13 @@ func (vo *VO) buildCtx(jobName string) context.Context {
 	return context.Background()
 }
 
-// placeJob applies the configured placement policy, excluding the domains
-// set in `except` (by JobManager.idx; nil excludes none), domains vetoed by
-// the DomainFilter (circuit breaker) and (degraded-mode placement) domains
-// whose every node is down. counts holds the jobs the current arrival batch
-// already assigned to each domain, by JobManager.idx (nil outside a batch):
-// least-loaded placement ranks by it first, so a batch spreads out instead
-// of piling onto the domain that was lightest before any of them landed.
-// Round-robin needs no correction — the cursor advances per call.
-func (vo *VO) placeJob(except []bool, counts []int) *JobManager {
-	if vo.cfg.Placement == PlaceRoundRobin {
-		for i := 0; i < len(vo.managers); i++ {
-			m := vo.managers[(vo.rrNext+i)%len(vo.managers)]
-			if m.excluded(except) {
-				continue
-			}
-			vo.rrNext = (vo.rrNext + i + 1) % len(vo.managers)
-			return m
-		}
-		return nil
-	}
-	return vo.leastLoadedWith(except, counts)
-}
-
 // adopt places the job in this domain inside one engine event: plan on the
 // live books, then the engine-side half. It is how a job enters a domain on
 // the recovery paths (reallocation, retry), which take their own view of the
 // books; an arriving batch shares one (placeBatch).
 func (m *JobManager) adopt(aj *activeJob) {
 	vo := m.vo
-	d, err := m.plan(vo.buildCtx(aj.result.Job.Name), aj, vo.liveBooks(), vo.engine.Now(), false)
+	d, err := m.plan(vo.buildCtx(aj.result.Job.Name), aj, vo.books, vo.engine.Now(), false)
 	if d == nil {
 		vo.unplaced(aj, err)
 		return
@@ -818,7 +777,7 @@ func (m *JobManager) fallback(aj *activeJob) {
 		if sp != nil {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
-		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.liveBooks(), now, aj.strat.Table)
+		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now, aj.strat.Table)
 		if err != nil || d == nil || !d.Admissible {
 			if partial != nil {
 				aj.result.Evaluations += partial.Evaluations
@@ -841,7 +800,7 @@ func (m *JobManager) fallback(aj *activeJob) {
 // reallocate moves the job to another domain (Fig. 1's job reallocation);
 // with no domains left, the job is rejected.
 func (vo *VO) reallocate(aj *activeJob) {
-	next := vo.placeJob(aj.triedDom, nil)
+	next := vo.leastLoadedWith(aj.triedDom, nil)
 	if next == nil {
 		vo.finalize(aj, StateRejected)
 		return

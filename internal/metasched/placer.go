@@ -3,7 +3,6 @@ package metasched
 import (
 	"sort"
 
-	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
@@ -14,8 +13,8 @@ import (
 // Config.Placers > 1, jobs arriving at the same tick form a batch, and the
 // engine goroutine places a batch in three steps:
 //
-//  1. the metascheduler assigns every member a domain (placeJob), exactly
-//     as sequential arrivals would spread;
+//  1. the metascheduler assigns every member the least-loaded domain
+//     (leastLoadedWith), exactly as sequential arrivals would spread;
 //  2. the members are put in the arbiter's total order — the paper's
 //     collision-resolution rule: priority first, then submission order —
 //     and planned one after another on one view of the live books:
@@ -73,21 +72,6 @@ func commitBefore(a, b commitKey) bool {
 	return a.seq < b.seq
 }
 
-// liveBooks is the view every build of this VO plans on: each node mapped
-// to its live calendar itself, no copy. That is sound because the engine
-// goroutine is the books' only reader and writer: a build only reads its
-// view (the criticalworks.Build contract), and the engine goroutine runs
-// every build to its end before it writes a book. The view is one map the
-// VO owns, refilled from the nodes each time it is taken:
-// Environment.Reset replaces the books, and nothing built from a view
-// retains a *Calendar.
-func (vo *VO) liveBooks() criticalworks.Calendars {
-	for _, n := range vo.env.Nodes() {
-		vo.books[n.ID] = n.Calendar()
-	}
-	return vo.books
-}
-
 // arriveBatch is the one arrival path: it runs the metascheduler's flow
 // distribution for every batch member (spreading a batch across domains
 // the way sequential arrivals would; with every domain down the job is
@@ -96,7 +80,7 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 	counts := make([]int, len(vo.managers))
 	work := make([]*batchJob, 0, len(batch))
 	for _, p := range batch {
-		m := vo.placeJob(nil, counts)
+		m := vo.leastLoadedWith(nil, counts)
 		res := &JobResult{
 			Job:     p.job,
 			Type:    p.typ,
@@ -131,7 +115,9 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 // leastLoadedWith returns the manager that comes first by (jobs assigned
 // this batch, reserved future ticks over its pool, domain name), excluding
 // domains set in `except`, vetoed domains and fully-down domains. except
-// and counts are by JobManager.idx; counts is nil outside a batch.
+// and counts are by JobManager.idx; counts is nil outside a batch. Ranking
+// by counts first spreads a batch out instead of piling it onto the domain
+// that was lightest before any of it landed.
 func (vo *VO) leastLoadedWith(except []bool, counts []int) *JobManager {
 	now := vo.engine.Now()
 	span := simtime.Interval{Start: now, End: now + 1000}
@@ -168,9 +154,8 @@ func (vo *VO) placeBatch(work []*batchJob) {
 	}
 	sort.Slice(work, func(a, b int) bool { return commitBefore(work[a].key, work[b].key) })
 	now := vo.engine.Now()
-	books := vo.liveBooks()
 	for _, w := range work {
-		w.d, w.err = w.aj.manager.plan(vo.buildCtx(w.aj.result.Job.Name), w.aj, books, now, true)
+		w.d, w.err = w.aj.manager.plan(vo.buildCtx(w.aj.result.Job.Name), w.aj, vo.books, now, true)
 	}
 	for _, w := range work {
 		if w.d != nil {

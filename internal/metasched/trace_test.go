@@ -139,30 +139,10 @@ func TestTraceAllocs(t *testing.T) {
 	}
 }
 
-func TestRoundRobinPlacement(t *testing.T) {
-	e := sim.New()
-	env := twoDomainEnv()
-	vo := NewVO(e, env, Config{Placement: PlaceRoundRobin})
-	for i := 0; i < 4; i++ {
-		vo.Submit(simpleJob(strings.Repeat("x", i+1), 200), strategy.S1, simtime.Time(i))
-	}
-	e.Run()
-	counts := map[string]int{}
-	for _, r := range vo.Results() {
-		if r.Reallocations == 0 { // only count the original placement
-			counts[r.Domain]++
-		}
-	}
-	// Four jobs over two domains, strictly alternating.
-	if counts["dom-0"] != 2 || counts["dom-1"] != 2 {
-		t.Errorf("round-robin distribution = %v, want 2/2", counts)
-	}
-}
-
 func TestRoundRobinSkipsExcluded(t *testing.T) {
 	e := sim.New()
 	env := twoDomainEnv()
-	vo := NewVO(e, env, Config{Placement: PlaceRoundRobin})
+	vo := NewVO(e, env, Config{})
 	// Deadline 1 is infeasible anywhere: the job is placed, fails, and
 	// must try the OTHER domain exactly once before rejection.
 	vo.Submit(simpleJob("tight", 1), strategy.S1, 0)

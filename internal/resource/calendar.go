@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/simtime"
 )
@@ -38,14 +37,11 @@ type Calendar struct {
 	res []Reservation // sorted by Interval.Start, pairwise disjoint
 	gen uint64        // bumped on every mutation of res
 
-	// idx caches the derived window-query index (a max-gap tree, see
-	// index.go). It is built lazily and dropped by every mutation; the
-	// atomic publication makes concurrent query traffic on a shared book
-	// race-free — a duplicate lazy build is benign, both results are
-	// identical. spare is the index the last mutation dropped, parked for
-	// the next build to take (by swap, so by exactly one builder) and
-	// rebuild in place.
-	idx, spare atomic.Pointer[calIndex]
+	// idx is the derived window-query index (a max-gap tree, see index.go):
+	// nil until the first query, marked stale by every mutation and rebuilt
+	// in place by the next query. A book has one goroutine (DESIGN.md §14),
+	// so nobody reads an index while it is rebuilt.
+	idx *calIndex
 }
 
 // NewCalendar returns an empty calendar.
@@ -74,27 +70,20 @@ func (c *Calendar) Len() int { return len(c.res) }
 // bracket a span in which the book did not change.
 func (c *Calendar) Gen() uint64 { return c.gen }
 
-// mutated invalidates the derived index, parking it as the spare; call sites
-// bump gen alongside. A mutation has the book to itself (a book has one
-// writer and no reader beside it), so nobody is still reading what it parks.
+// mutated marks the derived index stale; call sites bump gen alongside.
 func (c *Calendar) mutated() {
-	if ix := c.idx.Swap(nil); ix != nil {
-		c.spare.Store(ix)
+	if c.idx != nil {
+		c.idx.stale = true
 	}
 }
 
-// index returns the calendar's window-query index, building it on first
-// use after a mutation — in the spare's memory when there is one. Of several
-// readers arriving at once after a mutation only one gets the spare; the
-// others allocate, so no two ever write the same memory, and whichever
-// publishes last is the index the next mutation parks.
+// index returns the calendar's window-query index, rebuilding it in its own
+// memory on the first query after a mutation.
 func (c *Calendar) index() *calIndex {
-	if ix := c.idx.Load(); ix != nil {
-		return ix
+	if c.idx == nil || c.idx.stale {
+		c.idx = buildIndex(c.idx, c.res)
 	}
-	ix := buildIndex(c.spare.Swap(nil), c.res)
-	c.idx.Store(ix)
-	return ix
+	return c.idx
 }
 
 // Reservations returns a copy of all reservations in start order.
@@ -172,26 +161,6 @@ func (c *Calendar) Release(iv simtime.Interval, owner Owner) bool {
 	return false
 }
 
-// ReleaseOwner removes every reservation held by owner and returns how many
-// were removed. Used when a supporting schedule is abandoned.
-func (c *Calendar) ReleaseOwner(owner Owner) int {
-	out := c.res[:0]
-	removed := 0
-	for _, r := range c.res {
-		if r.Owner == owner {
-			removed++
-			continue
-		}
-		out = append(out, r)
-	}
-	c.res = out
-	if removed > 0 {
-		c.gen++
-		c.mutated()
-	}
-	return removed
-}
-
 // ReleaseJob removes every reservation whose owner belongs to job.
 func (c *Calendar) ReleaseJob(job string) int {
 	out := c.res[:0]
@@ -239,31 +208,6 @@ func (c *Calendar) FirstFree(earliest, length, horizon simtime.Time) (simtime.Ti
 	return 0, false
 }
 
-// FreeWindows returns the free gaps within the given span, in start
-// order, or nil when the span is fully reserved (or empty). The gaps are
-// derived directly from the sorted reservation slice — the book's
-// disjointness means the in-span reservations form one contiguous run,
-// so no interval-set materialization is needed.
-func (c *Calendar) FreeWindows(span simtime.Interval) []simtime.Interval {
-	if span.Empty() {
-		return nil
-	}
-	var out []simtime.Interval
-	cursor := span.Start
-	i := searchRes(c.res, func(r *Reservation) bool { return r.Interval.End > span.Start })
-	for ; i < len(c.res) && c.res[i].Interval.Start < span.End; i++ {
-		r := c.res[i].Interval
-		if r.Start > cursor {
-			out = append(out, simtime.Interval{Start: cursor, End: r.Start})
-		}
-		cursor = r.End
-	}
-	if cursor < span.End {
-		out = append(out, simtime.Interval{Start: cursor, End: span.End})
-	}
-	return out
-}
-
 // BusyIn returns the number of reserved ticks inside span: the clipped
 // sum of the contiguous run of reservations overlapping it. It reads the
 // sorted slice directly and never touches the lazy index, so asking about
@@ -275,14 +219,6 @@ func (c *Calendar) BusyIn(span simtime.Interval) simtime.Time {
 		total += c.res[i].Interval.Intersect(span).Len()
 	}
 	return total
-}
-
-// UtilizationIn returns the fraction of span covered by reservations.
-func (c *Calendar) UtilizationIn(span simtime.Interval) float64 {
-	if span.Len() == 0 {
-		return 0
-	}
-	return float64(c.BusyIn(span)) / float64(span.Len())
 }
 
 // PruneBefore drops every reservation that ends at or before t, returning

@@ -2,7 +2,6 @@ package resource
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -94,23 +93,6 @@ func (c *refCalendar) Release(iv simtime.Interval, owner Owner) bool {
 	return false
 }
 
-func (c *refCalendar) ReleaseOwner(owner Owner) int {
-	out := c.res[:0]
-	removed := 0
-	for _, r := range c.res {
-		if r.Owner == owner {
-			removed++
-			continue
-		}
-		out = append(out, r)
-	}
-	c.res = out
-	if removed > 0 {
-		c.gen++
-	}
-	return removed
-}
-
 func (c *refCalendar) ReleaseJob(job string) int {
 	out := c.res[:0]
 	removed := 0
@@ -148,27 +130,12 @@ func (c *refCalendar) FirstFree(earliest, length, horizon simtime.Time) (simtime
 	return 0, false
 }
 
-func (c *refCalendar) FreeWindows(span simtime.Interval) []simtime.Interval {
-	busy := simtime.NewSet()
-	for _, r := range c.res {
-		busy.Add(r.Interval)
-	}
-	return busy.Complement(span).Intervals()
-}
-
 func (c *refCalendar) BusyIn(span simtime.Interval) simtime.Time {
 	var total simtime.Time
 	for _, r := range c.res {
 		total += r.Interval.Intersect(span).Len()
 	}
 	return total
-}
-
-func (c *refCalendar) UtilizationIn(span simtime.Interval) float64 {
-	if span.Len() == 0 {
-		return 0
-	}
-	return float64(c.BusyIn(span)) / float64(span.Len())
 }
 
 func (c *refCalendar) PruneBefore(t simtime.Time) int {
@@ -222,18 +189,6 @@ func sameReservations(a, b []Reservation) bool {
 	return true
 }
 
-func sameIntervals(a, b []simtime.Interval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // compareCalendars cross-examines the indexed calendar against the
 // reference on the full query surface, over a battery of windows derived
 // from the current book plus the probe values supplied by the driver.
@@ -275,12 +230,6 @@ func compareCalendars(t failer, step int, c *Calendar, ref *refCalendar, probes 
 		}
 		if got, want := c.BusyIn(span), ref.BusyIn(span); got != want {
 			t.Fatalf("step %d: BusyIn(%v) = %d, reference %d", step, span, got, want)
-		}
-		if got, want := c.UtilizationIn(span), ref.UtilizationIn(span); got != want {
-			t.Fatalf("step %d: UtilizationIn(%v) = %v, reference %v", step, span, got, want)
-		}
-		if got, want := c.FreeWindows(span), ref.FreeWindows(span); !sameIntervals(got, want) {
-			t.Fatalf("step %d: FreeWindows(%v) = %v, reference %v", step, span, got, want)
 		}
 	}
 	for _, earliest := range probes {
@@ -328,12 +277,7 @@ func equivStep(t failer, step int, r *rng.Source, c *Calendar, ref *refCalendar)
 		if got, want := c.Release(iv, o), ref.Release(iv, o); got != want {
 			t.Fatalf("step %d: Release(%v) = %v, reference %v", step, iv, got, want)
 		}
-	case 5:
-		o := owner()
-		if got, want := c.ReleaseOwner(o), ref.ReleaseOwner(o); got != want {
-			t.Fatalf("step %d: ReleaseOwner(%v) = %d, reference %d", step, o, got, want)
-		}
-	case 6:
+	case 5, 6:
 		job := fmt.Sprintf("job-%d", r.Intn(6))
 		if got, want := c.ReleaseJob(job), ref.ReleaseJob(job); got != want {
 			t.Fatalf("step %d: ReleaseJob(%q) = %d, reference %d", step, job, got, want)
@@ -379,8 +323,8 @@ func TestCalendarIndexEquivalenceRandomOps(t *testing.T) {
 	}
 }
 
-// TestCalendarCloneRecycleInterleaved: an index is recycled — parked by a
-// mutation, rebuilt in place by the next query — so it must belong to one
+// TestCalendarCloneRecycleInterleaved: an index is recycled — marked stale by
+// a mutation, rebuilt in place by the next query — so it must belong to one
 // book only. A family of books grows by cloning; every step picks a member at
 // random and mutates it (equivStep, whose own Clone case hands the member on
 // to its copy half the time), or clones it into the family, and then every
@@ -421,7 +365,7 @@ func TestCalendarCloneRecycleInterleaved(t *testing.T) {
 }
 
 // TestCalendarIndexAllocs pins the index's lifecycle on a warm book: a
-// mutation parks the index, the next query rebuilds it where it lay, so
+// mutation marks the index stale, the next query rebuilds it where it lay, so
 // Reserve → FirstFree → ReleaseJob on a 32-reservation book whose slice and
 // index have reached their size allocates nothing.
 func TestCalendarIndexAllocs(t *testing.T) {
@@ -509,112 +453,5 @@ func TestVoidAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("Void into a warm buffer, then Reserve within the kept capacity, allocates %.1f objects, want 0", allocs)
-	}
-}
-
-// TestCalendarIndexSharedSnapshotRace exercises the concurrent pattern
-// parallel per-level builds produce: many goroutines cloning one shared
-// snapshot calendar and querying their clones (plus the shared original)
-// while the index is built lazily. Run under -race this proves the
-// atomic index publication is sound; every goroutine must also see
-// identical answers. Two rounds with a mutation between them: in the second
-// the shared book has a parked index, which exactly one of the sixteen
-// first readers may take and rebuild in place while the others allocate.
-func TestCalendarIndexSharedSnapshotRace(t *testing.T) {
-	shared := NewCalendar()
-	ref := &refCalendar{}
-	r := rng.New(42)
-	for i := 0; i < 200; i++ {
-		start := simtime.Time(r.Intn(4000))
-		iv := simtime.Interval{Start: start, End: start + 1 + simtime.Time(r.Intn(20))}
-		o := Owner{Job: fmt.Sprintf("j%d", i)}
-		errC, errR := shared.Reserve(iv, o), ref.Reserve(iv, o)
-		if (errC == nil) != (errR == nil) {
-			t.Fatalf("setup reserve diverged at %d", i)
-		}
-	}
-	for round := 0; round < 2; round++ {
-		if round == 1 {
-			if shared.idx.Load() == nil {
-				t.Fatal("the first round published no index to park")
-			}
-			iv, o := simtime.Interval{Start: 4100, End: 4110}, Owner{Job: "between-rounds"}
-			if errC, errR := shared.Reserve(iv, o), ref.Reserve(iv, o); errC != nil || errR != nil {
-				t.Fatalf("reserve between the rounds: %v, reference %v", errC, errR)
-			}
-			if shared.idx.Load() != nil || shared.spare.Load() == nil {
-				t.Fatal("the mutation did not park the index")
-			}
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, 16)
-		for g := 0; g < 16; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				gr := rng.New(uint64(1000 + g))
-				for k := 0; k < 50; k++ {
-					cal := shared
-					if k%2 == 1 {
-						cal = shared.Clone()
-					}
-					earliest := simtime.Time(gr.Intn(4200))
-					length := simtime.Time(1 + gr.Intn(30))
-					gt, gok := cal.FirstFree(earliest, length, simtime.Infinity)
-					wt, wok := ref.FirstFree(earliest, length, simtime.Infinity)
-					if gt != wt || gok != wok {
-						errs[g] = fmt.Errorf("round %d, goroutine %d: FirstFree(%d,%d) = (%d,%v), reference (%d,%v)",
-							round, g, earliest, length, gt, gok, wt, wok)
-						return
-					}
-					span := simtime.Interval{Start: earliest, End: earliest + 300}
-					if cal.BusyIn(span) != ref.BusyIn(span) {
-						errs[g] = fmt.Errorf("round %d, goroutine %d: BusyIn(%v) diverged", round, g, span)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestFreeWindowsAllocs pins the FreeWindows rewrite: deriving gaps from
-// the sorted slice must not materialize a per-call interval set. One
-// growing output slice is the only permitted allocation (≤ 5 appends'
-// worth of growth for a book with ~32 in-span gaps).
-func TestFreeWindowsAllocs(t *testing.T) {
-	c := NewCalendar()
-	for i := 0; i < 64; i++ {
-		iv := simtime.Interval{Start: simtime.Time(i * 10), End: simtime.Time(i*10 + 5)}
-		if err := c.Reserve(iv, Owner{Job: "j"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	span := simtime.Interval{Start: 0, End: 640}
-	if got := len(c.FreeWindows(span)); got != 64 {
-		t.Fatalf("free windows = %d, want 64", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		c.FreeWindows(span)
-	})
-	// append-doubling from nil to 64 elements: 1,2,4,...,64 → 7 allocs.
-	if allocs > 8 {
-		t.Fatalf("FreeWindows allocates %.1f objects/op; the slice-derived version must stay ≤ 8", allocs)
-	}
-	// The old implementation built a simtime.Set (64 Add calls, each
-	// allocating a fresh merged slice) — well over 8 allocations. Guard
-	// the dense-probe case too: a span overlapping nothing must not
-	// allocate at all.
-	if allocs := testing.AllocsPerRun(100, func() {
-		c.FreeWindows(simtime.Interval{Start: 10, End: 15})
-	}); allocs != 0 {
-		t.Fatalf("FreeWindows over a fully reserved span allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -101,12 +101,7 @@ func FuzzCalendarIndex(f *testing.F) {
 				if got, want := c.Release(pick.Interval, pick.Owner), ref.Release(pick.Interval, pick.Owner); got != want {
 					t.Fatalf("step %d: Release(%v) = %v, reference %v", step, pick.Interval, got, want)
 				}
-			case 2: // ReleaseOwner
-				o := owners[int(a)%len(owners)]
-				if got, want := c.ReleaseOwner(o), ref.ReleaseOwner(o); got != want {
-					t.Fatalf("step %d: ReleaseOwner(%v) = %d, reference %d", step, o, got, want)
-				}
-			case 3: // ReleaseJob
+			case 2, 3: // ReleaseJob
 				o := owners[int(a)%len(owners)]
 				if got, want := c.ReleaseJob(o.Job), ref.ReleaseJob(o.Job); got != want {
 					t.Fatalf("step %d: ReleaseJob(%q) = %d, reference %d", step, o.Job, got, want)
@@ -137,9 +132,6 @@ func FuzzCalendarIndex(f *testing.F) {
 				}
 				if got, want := c.BusyIn(span), ref.BusyIn(span); got != want {
 					t.Fatalf("step %d: BusyIn(%v) = %d, reference %d", step, span, got, want)
-				}
-				if got, want := c.FreeWindows(span), ref.FreeWindows(span); !sameIntervals(got, want) {
-					t.Fatalf("step %d: FreeWindows(%v) = %v, reference %v", step, span, got, want)
 				}
 			case 8: // Clone both and continue on the clones, the sources beside them
 				side, sideRef = c, ref

@@ -12,23 +12,22 @@ import (
 // sufficiently large gap instead of scanning every reservation before
 // it.
 //
-// The index is derived data with a three-step life: built lazily on first
-// query and published atomically; dropped by the next mutation, which parks
-// it in the book's spare slot; rebuilt in place — same struct, same gap
-// slice when it is large enough — by the first query after that. Between
-// publication and the drop it is immutable, so concurrent readers of one
-// book need no lock; it belongs to that one book and is never handed to a
-// clone, whose readers a rebuild would otherwise write under. Reservations
-// are sorted by Start and pairwise disjoint, which makes their Ends strictly
-// increasing; every binary search below leans on that invariant.
+// The index is derived data with a two-step life: built on the first query,
+// marked stale by the next mutation, then rebuilt in place — same struct,
+// same gap slice when it is large enough — by the first query after that. It
+// belongs to one book and is never handed to a clone, whose queries a rebuild
+// would otherwise write under. Reservations are sorted by Start and pairwise
+// disjoint, which makes their Ends strictly increasing; every binary search
+// below leans on that invariant.
 type calIndex struct {
-	gap  []simtime.Time // implicit segment tree: max free gap per leaf range
-	size int            // leaf span of the tree (power of two ≥ n)
-	n    int            // number of reservations indexed
+	gap   []simtime.Time // implicit segment tree: max free gap per leaf range
+	size  int            // leaf span of the tree (power of two ≥ n)
+	n     int            // number of reservations indexed
+	stale bool           // the book has mutated since the build
 }
 
 // buildIndex constructs the index for a sorted, disjoint reservation
-// slice, in ix's memory when ix is not nil: nobody else may hold ix.
+// slice, in ix's memory when ix is not nil.
 func buildIndex(ix *calIndex, res []Reservation) *calIndex {
 	if ix == nil {
 		ix = new(calIndex)
@@ -38,7 +37,7 @@ func buildIndex(ix *calIndex, res []Reservation) *calIndex {
 	for size < n {
 		size <<= 1
 	}
-	ix.n, ix.size = n, size
+	ix.n, ix.size, ix.stale = n, size, false
 	if cap(ix.gap) < 2*size {
 		ix.gap = make([]simtime.Time, 2*size)
 	} else {

@@ -168,34 +168,6 @@ func (n *Node) Outages() []simtime.Interval {
 	return append([]simtime.Interval(nil), n.outages...)
 }
 
-// AvailableIn reports whether the node is up and no recorded outage
-// overlaps iv — the availability-window check placement uses before
-// trusting a reservation on this node.
-func (n *Node) AvailableIn(iv simtime.Interval) bool {
-	if n.downDepth > 0 {
-		return false
-	}
-	for _, o := range n.outages {
-		if o.Overlaps(iv) {
-			return false
-		}
-	}
-	return true
-}
-
-// ExecTime converts a type-1 base estimate into this node's execution time:
-// ceil(base / Perf), at least 1 tick for positive base times.
-func (n *Node) ExecTime(base simtime.Time) simtime.Time {
-	if base <= 0 {
-		return 0
-	}
-	t := simtime.Time(float64(base)/n.Perf + 0.9999999)
-	if t < base {
-		t = base // performance never exceeds the type-1 reference
-	}
-	return t
-}
-
 // Environment is the full set of nodes in the virtual organization.
 type Environment struct {
 	nodes []*Node
@@ -220,17 +192,6 @@ func (e *Environment) Node(id NodeID) *Node { return e.nodes[id] }
 // Nodes returns all nodes in ID order. The slice is shared; callers must
 // not modify it.
 func (e *Environment) Nodes() []*Node { return e.nodes }
-
-// ByGroup returns the nodes of one performance group, in ID order.
-func (e *Environment) ByGroup(g Group) []*Node {
-	var out []*Node
-	for _, n := range e.nodes {
-		if n.Group() == g {
-			out = append(out, n)
-		}
-	}
-	return out
-}
 
 // ByDomain returns the nodes of one domain, in ID order.
 func (e *Environment) ByDomain(domain string) []*Node {
@@ -257,35 +218,6 @@ func (e *Environment) Domains() []string {
 	return out
 }
 
-// FastestFirst returns node IDs sorted by descending performance (ties by
-// ascending ID), the order in which the critical works method prefers
-// candidates.
-func (e *Environment) FastestFirst() []NodeID {
-	ids := make([]NodeID, len(e.nodes))
-	for i := range e.nodes {
-		ids[i] = NodeID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		na, nb := e.nodes[ids[a]], e.nodes[ids[b]]
-		if na.Perf != nb.Perf {
-			return na.Perf > nb.Perf
-		}
-		return na.ID < nb.ID
-	})
-	return ids
-}
-
-// UpNodes returns the currently available nodes, in ID order.
-func (e *Environment) UpNodes() []*Node {
-	var out []*Node
-	for _, n := range e.nodes {
-		if n.Up() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // DomainUp reports whether at least one node of the domain is available.
 func (e *Environment) DomainUp(domain string) bool {
 	for _, n := range e.nodes {
@@ -294,16 +226,4 @@ func (e *Environment) DomainUp(domain string) bool {
 		}
 	}
 	return false
-}
-
-// Reset clears every node calendar and fault state (between experiment
-// repetitions).
-func (e *Environment) Reset() {
-	for _, n := range e.nodes {
-		n.cal = NewCalendar()
-		n.downDepth = 0
-		n.downSince = 0
-		n.downtime = 0
-		n.outages = nil
-	}
 }

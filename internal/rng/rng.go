@@ -126,19 +126,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Exp returns an exponentially distributed value with the given mean,
 // suitable for Poisson inter-arrival times. Mean must be positive.
 func (s *Source) Exp(mean float64) float64 {

@@ -56,7 +56,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
-			setRetryAfter(w, s.cfg.retryAfter())
+			setRetryAfter(w, retryAfter)
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 			return
 		}

@@ -226,6 +226,9 @@ func TestHTTPRetryAfterAndHealthz(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	// Restore journals nothing; one accept is the activity to surface.
+	resp := postJob(t, ts, SubmitRequest{Job: wireJob("w3", 60)})
+	resp.Body.Close()
 
 	var hb healthzBody
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
@@ -236,7 +239,7 @@ func TestHTTPRetryAfterAndHealthz(t *testing.T) {
 	if hb.Status != "ok" || hb.Journal == nil || hb.Recovery == nil {
 		t.Fatalf("healthz body: %+v", hb)
 	}
-	if hb.Journal.Appends == 0 || hb.Recovery.Requeued != 1 || hb.Recovery.Terminal != 1 {
+	if hb.Journal.Appends != 1 || hb.Recovery.Requeued != 1 || hb.Recovery.Terminal != 1 {
 		t.Fatalf("healthz detail: journal=%+v recovery=%+v", hb.Journal, hb.Recovery)
 	}
 

@@ -430,3 +430,77 @@ func TestDrainIdempotentConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoreJournalsNothing: the journal a recovery came from already holds
+// each recovered job's accept, and the compaction that ends Restore keeps
+// it, so Restore appends nothing — no record, and under -fsync always no
+// fsync, per queued job at startup. A second crash and restore still
+// requeues each job once.
+func TestRestoreJournalsNothing(t *testing.T) {
+	const jobs = 5
+	dir := t.TempDir()
+	victim, _ := newJournaledServer(t, dir)
+	for i := 0; i < jobs; i++ {
+		if _, err := victim.Submit(wireJob(fmt.Sprintf("j%d", i), 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// CRASH, twice: each heir restores and dies before scheduling anything.
+	for round := 0; round < 2; round++ {
+		jnl, rec := openJournal(t, dir)
+		heir := newServer(t, Config{Journal: jnl})
+		before := jnl.Stats().Appends
+		stats, err := heir.Restore(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Requeued != jobs || stats.Restored != jobs {
+			t.Fatalf("round %d: recovery stats %+v, want %d restored and requeued", round, stats, jobs)
+		}
+		if got := jnl.Stats().Appends - before; got != 0 {
+			t.Fatalf("round %d: Restore appended %d journal records, want 0", round, got)
+		}
+		if err := jnl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFailedDrainSnapshotKeepsJobsQueued: Drain marked every queued job
+// drained — journaled, and the terminal stream fired — before it wrote the
+// snapshot. When the write failed, Drain returned the error, but the jobs
+// were already terminal in the journal, so a restart ledgered them and ran
+// none. Now the snapshot is written first: on failure the jobs stay queued,
+// and a restart requeues them.
+func TestFailedDrainSnapshotKeepsJobsQueued(t *testing.T) {
+	dir := t.TempDir()
+	jnl, rec := openJournal(t, dir)
+	defer jnl.Close()
+	terminal := 0
+	s := newServer(t, Config{Journal: jnl, OnTerminal: func(Record) { terminal++ },
+		SnapshotPath: filepath.Join(t.TempDir(), "missing", "drained.json")})
+	if _, err := s.Restore(rec); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Submit(wireJob(fmt.Sprintf("q%d", i), 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(context.Background()); err == nil {
+		t.Fatal("Drain wrote a snapshot into a directory that does not exist")
+	}
+	if m := s.Metrics(); m.Drained != 0 || m.QueueDepth != 3 || terminal != 0 {
+		t.Fatalf("after the failed drain: %d drained, %d queued, %d terminal notices; want 0, 3, 0", m.Drained, m.QueueDepth, terminal)
+	}
+
+	jnl2, rec2 := openJournal(t, dir)
+	defer jnl2.Close()
+	stats, err := newServer(t, Config{Journal: jnl2}).Restore(rec2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Requeued != 3 || stats.Terminal != 0 {
+		t.Fatalf("restart after the failed drain: %+v, want all 3 requeued", stats)
+	}
+}

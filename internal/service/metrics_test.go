@@ -196,7 +196,7 @@ func TestMetricsFieldsAreTheirSeries(t *testing.T) {
 		{"journal Rotations", float64(st.Rotations), "grid_journal_rotations_total"},
 		{"journal Compactions", float64(st.Compactions), "grid_journal_compactions_total"},
 	}
-	for _, name := range s.breakers.Names() {
+	for name := range s.BreakerStates() {
 		b, l := s.breakers.Get(name), `{name="`+name+`"}`
 		rows = append(rows,
 			row{name + " Trips", float64(b.Trips()), "grid_breaker_trips_total" + l},

@@ -106,9 +106,6 @@ type Config struct {
 	// SnapshotPath is where Drain writes still-queued jobs (jobio wire
 	// format). Empty disables the snapshot; drained jobs are still marked.
 	SnapshotPath string
-	// RetryAfter is the hint returned with backpressure rejections.
-	// Default 1s.
-	RetryAfter time.Duration
 	// Telemetry is the metrics registry backing GET /metrics and the only
 	// tally behind Metrics. nil makes New create a private one, so the
 	// endpoint always works. A registry serves one server: two would share
@@ -166,12 +163,8 @@ func (c Config) drainTimeout() time.Duration {
 	return c.DrainTimeout
 }
 
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter <= 0 {
-		return time.Second
-	}
-	return c.RetryAfter
-}
+// retryAfter is the hint returned with backpressure rejections.
+const retryAfter = time.Second
 
 // SubmitError is a typed admission failure; the HTTP layer maps Code to a
 // status.
@@ -334,9 +327,6 @@ type telemetryHandles struct {
 	engineNow, eventsFired                   *telemetry.Gauge
 	queueWait                                *telemetry.Histogram
 	journalErrors                            *telemetry.Counter
-	recoveredRequeued, recoveredTerminal     *telemetry.Gauge
-	recoveryDuplicates                       *telemetry.Gauge
-	replaySeconds                            *telemetry.Histogram
 }
 
 func newTelemetryHandles(reg *telemetry.Registry) telemetryHandles {
@@ -359,12 +349,7 @@ func newTelemetryHandles(reg *telemetry.Registry) telemetryHandles {
 		eventsFired:    g("grid_service_engine_events_fired", "simulation events fired so far"),
 		queueWait: reg.Histogram("grid_service_queue_wait_seconds",
 			"wall time jobs spent in the admission queue", nil),
-		journalErrors:      c("grid_service_journal_errors_total", "lifecycle transitions that failed to journal"),
-		recoveredRequeued:  g("grid_service_recovered_requeued", "non-terminal jobs re-enqueued by the last journal restore"),
-		recoveredTerminal:  g("grid_service_recovered_terminal", "terminal jobs re-ledgered by the last journal restore"),
-		recoveryDuplicates: g("grid_service_recovery_duplicates_suppressed", "journal entries skipped as duplicates during restore"),
-		replaySeconds: reg.Histogram("grid_journal_replay_seconds",
-			"wall time spent replaying the journal into the service", nil),
+		journalErrors: c("grid_service_journal_errors_total", "lifecycle transitions that failed to journal"),
 	}
 }
 
@@ -632,7 +617,7 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 		return nil, &SubmitError{
 			Code:       CodeDraining,
 			Reason:     "service is draining; not accepting work",
-			RetryAfter: s.cfg.retryAfter(),
+			RetryAfter: retryAfter,
 		}
 	}
 	if duplicate {
@@ -645,7 +630,7 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 			return nil, &SubmitError{
 				Code:       CodeOverloaded,
 				Reason:     fmt.Sprintf("admission queue full (%d)", s.cfg.queueCap()),
-				RetryAfter: s.cfg.retryAfter(),
+				RetryAfter: retryAfter,
 			}
 		}
 		s.shedLocked(victim)
@@ -1073,37 +1058,46 @@ func (s *Server) drain(ctx context.Context) error {
 	return nil
 }
 
-// snapshotQueued writes every still-queued job to the snapshot file and
-// marks it drained. With no SnapshotPath the jobs are only marked. The
-// write is atomic and durable (temp file, fsync, rename, dir fsync): a
-// crash mid-drain leaves either no snapshot or a complete one, never a
-// truncated file.
+// snapshotQueued writes every still-queued or held job to the snapshot file,
+// then marks it drained. With no SnapshotPath the jobs are only marked. The
+// write is atomic and durable (temp file, fsync, rename, dir fsync): a crash
+// mid-drain leaves either no snapshot or a complete one, never a truncated
+// file. When the write fails the jobs stay queued, as the journal still
+// records them, so a restart runs them.
 func (s *Server) snapshotQueued() error {
 	s.mu.Lock()
 	// Held recovered jobs drain like queued ones: they are accepted work
 	// this shard still owes an answer for.
-	for id, e := range s.held {
-		s.queue = append(s.queue, e)
-		delete(s.held, id)
+	entries := append([]*entry(nil), s.queue...)
+	for _, e := range s.held {
+		entries = append(entries, e)
 	}
-	sort.Slice(s.queue, func(a, b int) bool { return s.queue[a].rec.Seq < s.queue[b].rec.Seq })
-	var wires []jobio.Job
-	for _, e := range s.queue {
-		wires = append(wires, e.wire)
-		s.finishLocked(e.rec, StateDrained, "drained to snapshot on shutdown", journal.Record{})
-	}
-	s.queue = nil
+	sort.Slice(entries, func(a, b int) bool { return entries[a].rec.Seq < entries[b].rec.Seq })
 	path := s.cfg.SnapshotPath
 	s.mu.Unlock()
+	if len(entries) > 0 && path != "" {
+		wires := make([]jobio.Job, len(entries))
+		for i, e := range entries {
+			wires[i] = e.wire
+		}
+		if err := atomicfile.WriteFile(path, func(w io.Writer) error {
+			return jobio.WriteJobs(w, wires)
+		}); err != nil {
+			return fmt.Errorf("service: snapshot: %w", err)
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range entries {
+		// A RevokeEpoch may have taken the job back while the lock was free.
+		if e.rec.State == StateQueued {
+			s.finishLocked(e.rec, StateDrained, "drained to snapshot on shutdown", journal.Record{})
+		}
+	}
+	s.queue = nil
+	clear(s.held)
 	s.th.queueDepth.Set(0)
-	if len(wires) == 0 || path == "" {
-		return nil
-	}
-	if err := atomicfile.WriteFile(path, func(w io.Writer) error {
-		return jobio.WriteJobs(w, wires)
-	}); err != nil {
-		return fmt.Errorf("service: snapshot: %w", err)
-	}
 	return nil
 }
 
@@ -1170,24 +1164,14 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 			s.enqueueLocked(e)
 			stats.Requeued++
 		}
-		// Re-journal the accept: after the post-restore compaction the
-		// journal stays self-contained even though the original admission
-		// record is gone.
-		_ = s.journalLocked(journal.Record{
-			Job: js.Job, State: StateQueued,
-			Strategy: typ.String(), Priority: js.Priority, Wire: js.Wire, Epoch: js.Epoch,
-		})
+		// Nothing to journal: the journal this recovery came from already
+		// holds the job's accept, and the compaction below keeps it.
 		s.th.accepted.Inc()
 		stats.Restored++
 	}
 	stats.ReplaySeconds = time.Since(start).Seconds()
 	s.recovery = &stats
 	s.mu.Unlock()
-
-	s.th.recoveredRequeued.Set(float64(stats.Requeued))
-	s.th.recoveredTerminal.Set(float64(stats.Terminal))
-	s.th.recoveryDuplicates.Set(float64(stats.DuplicatesSuppressed))
-	s.th.replaySeconds.Observe(stats.ReplaySeconds)
 
 	// Fold the restored state into a fresh snapshot: replay cost stays
 	// bounded no matter how many crash/restart cycles the journal lived
@@ -1285,11 +1269,6 @@ func (s *Server) BreakerStates() map[string]string {
 	}
 	return s.breakers.States(s.engine.Now())
 }
-
-// Telemetry returns the server's metrics registry (never nil): the one
-// from Config, or the private registry New created. GET /metrics renders
-// it in Prometheus text format.
-func (s *Server) Telemetry() *telemetry.Registry { return s.telem }
 
 // Draining reports whether the service has stopped admitting work.
 func (s *Server) Draining() bool {

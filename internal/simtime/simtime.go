@@ -7,10 +7,7 @@
 // and cheap to compare.
 package simtime
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Time is a point in model time, measured in abstract integer ticks.
 type Time = int64
@@ -25,15 +22,6 @@ type Interval struct {
 	End   Time
 }
 
-// NewInterval returns the interval [start, end). It panics if end < start,
-// which always indicates a programming error in the caller.
-func NewInterval(start, end Time) Interval {
-	if end < start {
-		panic(fmt.Sprintf("simtime: invalid interval [%d,%d)", start, end))
-	}
-	return Interval{Start: start, End: end}
-}
-
 // Len returns the length of the interval, or 0 if it is empty.
 func (iv Interval) Len() Time {
 	if iv.End <= iv.Start {
@@ -44,19 +32,6 @@ func (iv Interval) Len() Time {
 
 // Empty reports whether the interval contains no points.
 func (iv Interval) Empty() bool { return iv.End <= iv.Start }
-
-// Contains reports whether t lies inside [Start, End).
-func (iv Interval) Contains(t Time) bool { return t >= iv.Start && t < iv.End }
-
-// ContainsInterval reports whether other lies fully inside iv.
-// An empty other is contained in any non-empty interval that contains its
-// start point; by convention an empty interval is contained everywhere.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	if other.Empty() {
-		return true
-	}
-	return other.Start >= iv.Start && other.End <= iv.End
-}
 
 // Overlaps reports whether the two half-open intervals share any point.
 func (iv Interval) Overlaps(other Interval) bool {
@@ -69,194 +44,15 @@ func (iv Interval) Overlaps(other Interval) bool {
 // Intersect returns the common part of the two intervals. The result is
 // empty (Len()==0) when they do not overlap.
 func (iv Interval) Intersect(other Interval) Interval {
-	s := max64(iv.Start, other.Start)
-	e := min64(iv.End, other.End)
+	s := max(iv.Start, other.Start)
+	e := min(iv.End, other.End)
 	if e < s {
 		return Interval{Start: s, End: s}
 	}
 	return Interval{Start: s, End: e}
 }
 
-// Shift returns the interval translated by d ticks.
-func (iv Interval) Shift(d Time) Interval {
-	return Interval{Start: iv.Start + d, End: iv.End + d}
-}
-
 // String renders the interval as "[start,end)".
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%d,%d)", iv.Start, iv.End)
-}
-
-// Set is an ordered collection of disjoint, non-empty intervals.
-// The zero value is an empty set ready to use.
-type Set struct {
-	ivs []Interval // sorted by Start, pairwise disjoint, all non-empty
-}
-
-// NewSet builds a Set from arbitrary intervals, merging overlaps and
-// adjacent intervals and dropping empty ones.
-func NewSet(ivs ...Interval) *Set {
-	s := &Set{}
-	for _, iv := range ivs {
-		s.Add(iv)
-	}
-	return s
-}
-
-// Len returns the number of disjoint intervals in the set.
-func (s *Set) Len() int { return len(s.ivs) }
-
-// Total returns the total number of ticks covered by the set.
-func (s *Set) Total() Time {
-	var t Time
-	for _, iv := range s.ivs {
-		t += iv.Len()
-	}
-	return t
-}
-
-// Intervals returns a copy of the set's intervals in ascending order.
-func (s *Set) Intervals() []Interval {
-	out := make([]Interval, len(s.ivs))
-	copy(out, s.ivs)
-	return out
-}
-
-// Covers reports whether every point of iv is in the set.
-func (s *Set) Covers(iv Interval) bool {
-	if iv.Empty() {
-		return true
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End > iv.Start })
-	return i < len(s.ivs) && s.ivs[i].ContainsInterval(iv)
-}
-
-// ContainsPoint reports whether t lies in any interval of the set.
-func (s *Set) ContainsPoint(t Time) bool {
-	return s.Covers(Interval{Start: t, End: t + 1})
-}
-
-// Overlaps reports whether any interval of the set overlaps iv.
-func (s *Set) Overlaps(iv Interval) bool {
-	if iv.Empty() {
-		return false
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End > iv.Start })
-	return i < len(s.ivs) && s.ivs[i].Overlaps(iv)
-}
-
-// Add inserts iv into the set, merging with any overlapping or adjacent
-// intervals. Empty intervals are ignored.
-func (s *Set) Add(iv Interval) {
-	if iv.Empty() {
-		return
-	}
-	// Find first interval whose End >= iv.Start (candidate to merge).
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End >= iv.Start })
-	j := i
-	merged := iv
-	for j < len(s.ivs) && s.ivs[j].Start <= merged.End {
-		merged.Start = min64(merged.Start, s.ivs[j].Start)
-		merged.End = max64(merged.End, s.ivs[j].End)
-		j++
-	}
-	out := make([]Interval, 0, len(s.ivs)-(j-i)+1)
-	out = append(out, s.ivs[:i]...)
-	out = append(out, merged)
-	out = append(out, s.ivs[j:]...)
-	s.ivs = out
-}
-
-// Remove deletes every point of iv from the set, splitting intervals that
-// straddle its boundaries.
-func (s *Set) Remove(iv Interval) {
-	if iv.Empty() || len(s.ivs) == 0 {
-		return
-	}
-	out := make([]Interval, 0, len(s.ivs)+1)
-	for _, cur := range s.ivs {
-		if !cur.Overlaps(iv) {
-			out = append(out, cur)
-			continue
-		}
-		if cur.Start < iv.Start {
-			out = append(out, Interval{Start: cur.Start, End: iv.Start})
-		}
-		if cur.End > iv.End {
-			out = append(out, Interval{Start: iv.End, End: cur.End})
-		}
-	}
-	s.ivs = out
-}
-
-// FirstFit returns the earliest start time t >= earliest such that
-// [t, t+length) is fully covered by the set, and true on success.
-// A zero length fits at the earliest covered point at or after earliest
-// (or at earliest itself if the set is unbounded there).
-func (s *Set) FirstFit(earliest, length Time) (Time, bool) {
-	if length < 0 {
-		return 0, false
-	}
-	for _, iv := range s.ivs {
-		start := max64(iv.Start, earliest)
-		if start+length <= iv.End {
-			return start, true
-		}
-	}
-	return 0, false
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	cp := &Set{ivs: make([]Interval, len(s.ivs))}
-	copy(cp.ivs, s.ivs)
-	return cp
-}
-
-// Complement returns the gaps of the set inside the universe interval.
-func (s *Set) Complement(universe Interval) *Set {
-	out := &Set{}
-	cursor := universe.Start
-	for _, iv := range s.ivs {
-		if iv.End <= universe.Start {
-			continue
-		}
-		if iv.Start >= universe.End {
-			break
-		}
-		if iv.Start > cursor {
-			out.Add(Interval{Start: cursor, End: min64(iv.Start, universe.End)})
-		}
-		cursor = max64(cursor, iv.End)
-	}
-	if cursor < universe.End {
-		out.Add(Interval{Start: cursor, End: universe.End})
-	}
-	return out
-}
-
-// String renders the set as a list of intervals.
-func (s *Set) String() string {
-	out := "{"
-	for i, iv := range s.ivs {
-		if i > 0 {
-			out += " "
-		}
-		out += iv.String()
-	}
-	return out + "}"
-}
-
-func min64(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,9 +1,6 @@
 package simtime
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestIntervalBasics(t *testing.T) {
 	tests := []struct {
@@ -26,27 +23,6 @@ func TestIntervalBasics(t *testing.T) {
 				t.Errorf("Empty() = %v, want %v", got, tt.wantEmpt)
 			}
 		})
-	}
-}
-
-func TestNewIntervalPanicsOnInverted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewInterval(5, 2) did not panic")
-		}
-	}()
-	NewInterval(5, 2)
-}
-
-func TestIntervalContains(t *testing.T) {
-	iv := Interval{10, 20}
-	for _, tc := range []struct {
-		t    Time
-		want bool
-	}{{9, false}, {10, true}, {15, true}, {19, true}, {20, false}} {
-		if got := iv.Contains(tc.t); got != tc.want {
-			t.Errorf("Contains(%d) = %v, want %v", tc.t, got, tc.want)
-		}
 	}
 }
 
@@ -82,231 +58,5 @@ func TestIntervalIntersect(t *testing.T) {
 	c := Interval{20, 30}
 	if !a.Intersect(c).Empty() {
 		t.Errorf("disjoint Intersect not empty: %v", a.Intersect(c))
-	}
-}
-
-func TestIntervalShift(t *testing.T) {
-	if got := (Interval{3, 8}).Shift(10); got != (Interval{13, 18}) {
-		t.Errorf("Shift = %v", got)
-	}
-	if got := (Interval{3, 8}).Shift(-3); got != (Interval{0, 5}) {
-		t.Errorf("Shift negative = %v", got)
-	}
-}
-
-func TestSetAddMerges(t *testing.T) {
-	s := NewSet(Interval{0, 5}, Interval{10, 15})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	s.Add(Interval{5, 10}) // adjacent to both: everything merges
-	if s.Len() != 1 {
-		t.Fatalf("after bridging Add, Len = %d, want 1; set=%v", s.Len(), s)
-	}
-	if got := s.Intervals()[0]; got != (Interval{0, 15}) {
-		t.Errorf("merged interval = %v, want [0,15)", got)
-	}
-}
-
-func TestSetAddIgnoresEmpty(t *testing.T) {
-	s := NewSet()
-	s.Add(Interval{5, 5})
-	s.Add(Interval{7, 2})
-	if s.Len() != 0 {
-		t.Errorf("empty adds changed set: %v", s)
-	}
-}
-
-func TestSetRemoveSplits(t *testing.T) {
-	s := NewSet(Interval{0, 100})
-	s.Remove(Interval{40, 60})
-	want := []Interval{{0, 40}, {60, 100}}
-	got := s.Intervals()
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("after Remove: %v, want %v", got, want)
-	}
-	if s.Total() != 80 {
-		t.Errorf("Total = %d, want 80", s.Total())
-	}
-}
-
-func TestSetRemoveEdges(t *testing.T) {
-	s := NewSet(Interval{10, 20})
-	s.Remove(Interval{0, 10}) // touches start, no overlap
-	if s.Total() != 10 {
-		t.Fatalf("prefix remove changed set: %v", s)
-	}
-	s.Remove(Interval{15, 30}) // removes tail
-	if got := s.Intervals(); len(got) != 1 || got[0] != (Interval{10, 15}) {
-		t.Errorf("tail remove: %v", got)
-	}
-}
-
-func TestSetCovers(t *testing.T) {
-	s := NewSet(Interval{0, 10}, Interval{20, 30})
-	tests := []struct {
-		iv   Interval
-		want bool
-	}{
-		{Interval{0, 10}, true},
-		{Interval{2, 8}, true},
-		{Interval{8, 12}, false},
-		{Interval{20, 30}, true},
-		{Interval{15, 16}, false},
-		{Interval{5, 5}, true}, // empty covered by convention
-	}
-	for _, tt := range tests {
-		if got := s.Covers(tt.iv); got != tt.want {
-			t.Errorf("Covers(%v) = %v, want %v", tt.iv, got, tt.want)
-		}
-	}
-}
-
-func TestSetFirstFit(t *testing.T) {
-	s := NewSet(Interval{0, 5}, Interval{10, 20})
-	tests := []struct {
-		earliest, length Time
-		wantT            Time
-		wantOK           bool
-	}{
-		{0, 3, 0, true},
-		{0, 6, 10, true},  // does not fit in [0,5)
-		{3, 3, 10, true},  // only 2 ticks left in first interval
-		{12, 5, 12, true}, // inside second
-		{12, 9, 0, false}, // nothing long enough
-		{25, 1, 0, false}, // past everything
-	}
-	for _, tt := range tests {
-		gotT, ok := s.FirstFit(tt.earliest, tt.length)
-		if ok != tt.wantOK || (ok && gotT != tt.wantT) {
-			t.Errorf("FirstFit(%d,%d) = (%d,%v), want (%d,%v)",
-				tt.earliest, tt.length, gotT, ok, tt.wantT, tt.wantOK)
-		}
-	}
-}
-
-func TestSetComplement(t *testing.T) {
-	s := NewSet(Interval{10, 20}, Interval{30, 40})
-	c := s.Complement(Interval{0, 50})
-	want := []Interval{{0, 10}, {20, 30}, {40, 50}}
-	got := c.Intervals()
-	if len(got) != len(want) {
-		t.Fatalf("Complement = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Complement[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSetComplementOfEmpty(t *testing.T) {
-	c := NewSet().Complement(Interval{5, 9})
-	if c.Total() != 4 || c.Len() != 1 {
-		t.Errorf("Complement of empty = %v", c)
-	}
-}
-
-func TestSetClone(t *testing.T) {
-	s := NewSet(Interval{0, 10})
-	c := s.Clone()
-	c.Remove(Interval{0, 5})
-	if s.Total() != 10 {
-		t.Errorf("Clone aliases original: %v", s)
-	}
-}
-
-// normalize maps raw quick-generated values into small bounded intervals so
-// that overlaps are frequent enough to exercise the merge logic.
-func normIv(a, b int64) Interval {
-	const m = 64
-	s, e := a%m, b%m
-	if s < 0 {
-		s = -s
-	}
-	if e < 0 {
-		e = -e
-	}
-	if s > e {
-		s, e = e, s
-	}
-	return Interval{Start: s, End: e}
-}
-
-func TestQuickSetInvariants(t *testing.T) {
-	// After any sequence of Adds and Removes, the set's intervals must be
-	// sorted, disjoint, non-adjacent and non-empty, and point membership
-	// must match a reference bitmap.
-	f := func(ops []struct {
-		A, B int64
-		Del  bool
-	}) bool {
-		s := NewSet()
-		var ref [64]bool
-		for _, op := range ops {
-			iv := normIv(op.A, op.B)
-			if op.Del {
-				s.Remove(iv)
-			} else {
-				s.Add(iv)
-			}
-			for t := iv.Start; t < iv.End && t < 64; t++ {
-				ref[t] = !op.Del
-			}
-		}
-		ivs := s.Intervals()
-		for i, iv := range ivs {
-			if iv.Empty() {
-				return false
-			}
-			if i > 0 && ivs[i-1].End >= iv.Start {
-				return false // must be disjoint and non-adjacent
-			}
-		}
-		for p := Time(0); p < 64; p++ {
-			if s.ContainsPoint(p) != ref[p] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickFirstFitIsCovered(t *testing.T) {
-	// Whatever FirstFit returns must actually be covered and must respect
-	// the earliest bound.
-	f := func(a, b, c, d int64, earliest, length uint8) bool {
-		s := NewSet(normIv(a, b), normIv(c, d))
-		e, l := Time(earliest%64), Time(length%16)
-		start, ok := s.FirstFit(e, l)
-		if !ok {
-			return true
-		}
-		return start >= e && s.Covers(Interval{Start: start, End: start + l})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickComplementPartition(t *testing.T) {
-	// Set and its complement within a universe partition the universe.
-	f := func(a, b, c, d int64) bool {
-		s := NewSet(normIv(a, b), normIv(c, d))
-		u := Interval{0, 64}
-		comp := s.Complement(u)
-		for p := Time(0); p < 64; p++ {
-			in, out := s.ContainsPoint(p), comp.ContainsPoint(p)
-			if in == out {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -272,43 +272,6 @@ func TestAdmissibleAfterSkipsUsedLevels(t *testing.T) {
 	}
 }
 
-func TestBestWithinBudget(t *testing.T) {
-	env := mixedEnv()
-	g := &Generator{Env: env}
-	b := dag.NewBuilder("one").Deadline(100)
-	b.Task("T", 2, 20)
-	job := b.MustBuild()
-	s, err := g.Generate(job, S1, criticalworks.EmptyCalendars(env), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheap := s.CheapestAdmissible()
-	fast := s.FastestAdmissible()
-	if cheap.Cost >= fast.Cost {
-		t.Skip("no cost spread to exercise")
-	}
-	// An unlimited budget buys the fastest distribution.
-	if got := s.BestWithinBudget(fast.Cost + 1); got.Level != fast.Level {
-		t.Errorf("rich budget picked level %d, want %d", got.Level, fast.Level)
-	}
-	// A budget exactly at the cheapest only affords the cheapest.
-	if got := s.BestWithinBudget(cheap.Cost); got.Level != cheap.Level {
-		t.Errorf("tight budget picked level %d, want %d", got.Level, cheap.Level)
-	}
-	// Below the cheapest, nothing fits.
-	if got := s.BestWithinBudget(cheap.Cost - 0.5); got != nil {
-		t.Errorf("impossible budget returned level %d", got.Level)
-	}
-	// Intermediate budgets buy the fastest affordable option.
-	mid := s.BestWithinBudget(fast.Cost - 0.5)
-	if mid == nil || mid.Cost > fast.Cost-0.5 {
-		t.Errorf("mid budget pick = %+v", mid)
-	}
-	if mid.Finish < fast.Finish {
-		t.Errorf("mid budget finish %d beats the unconstrained fastest %d", mid.Finish, fast.Finish)
-	}
-}
-
 func TestGenerateDoesNotMutateBase(t *testing.T) {
 	env := mixedEnv()
 	g := &Generator{Env: env}
@@ -342,16 +305,12 @@ func TestCollisionsByGroupCountsAtContendedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byGroup := s.CollisionsByGroup(env)
-	total := 0
-	for _, n := range byGroup {
-		total += n
+	collisions := len(s.PartialCollisions)
+	for _, d := range s.Distributions {
+		collisions += len(d.Schedule.Collisions)
 	}
-	if total == 0 {
+	if collisions == 0 {
 		t.Fatal("no collisions recorded on a contended environment")
-	}
-	if len(s.Collisions()) != total {
-		t.Errorf("Collisions() length %d != group total %d", len(s.Collisions()), total)
 	}
 }
 
@@ -853,9 +812,12 @@ func TestLevelsAscendAndCandidatesNest(t *testing.T) {
 		}
 		var pool []resource.NodeID // nil: the whole environment
 		if r.Bool(0.5) {
-			for _, i := range r.Perm(len(nodes))[:r.IntBetween(1, len(nodes))] {
-				pool = append(pool, resource.NodeID(i))
+			perm := make([]resource.NodeID, len(nodes)) // a shuffle of the nodes
+			for i := range perm {
+				j := r.Intn(i + 1)
+				perm[i], perm[j] = perm[j], resource.NodeID(i)
 			}
+			pool = perm[:r.IntBetween(1, len(nodes))]
 		}
 		g := &Generator{Env: env, Pool: pool}
 		for _, typ := range AllTypes {
