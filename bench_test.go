@@ -43,8 +43,7 @@ func BenchmarkFig2Strategy(b *testing.B) {
 func BenchmarkFig3aAdmissibility(b *testing.B) {
 	var s1, s2, s3 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig3(1, 60)
-		cfg.Workers = 1
+		cfg := experiments.Fig3Config{Seed: 1, Jobs: 60, Workers: 1}
 		r, err := experiments.Fig3a(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -61,8 +60,7 @@ func BenchmarkFig3aAdmissibility(b *testing.B) {
 func BenchmarkFig3bCollisions(b *testing.B) {
 	var f1, f2, f3 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig3(1, 60)
-		cfg.Workers = 1
+		cfg := experiments.Fig3Config{Seed: 1, Jobs: 60, Workers: 1}
 		r, err := experiments.Fig3b(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -78,8 +76,7 @@ func BenchmarkFig3bCollisions(b *testing.B) {
 func BenchmarkFig4aLoad(b *testing.B) {
 	var s1slow, s3fast float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig4(1, 60)
-		cfg.Workers = 1
+		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
 		r, err := experiments.Fig4a(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -94,8 +91,7 @@ func BenchmarkFig4aLoad(b *testing.B) {
 func BenchmarkFig4bCostTime(b *testing.B) {
 	var costS3, taskS3 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig4(1, 60)
-		cfg.Workers = 1
+		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
 		r, err := experiments.Fig4b(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -110,8 +106,7 @@ func BenchmarkFig4bCostTime(b *testing.B) {
 func BenchmarkFig4cTTL(b *testing.B) {
 	var ttlS3, devMS1 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig4(1, 60)
-		cfg.Workers = 1
+		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
 		r, err := experiments.Fig4c(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -126,7 +121,7 @@ func BenchmarkFig4cTTL(b *testing.B) {
 func BenchmarkPolicyWaitTimes(b *testing.B) {
 	var fcfs, easy, res float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Policies(experiments.DefaultPolicies(1, 250))
+		r, err := experiments.Policies(experiments.PoliciesConfig{Seed: 1, Jobs: 250})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,8 +136,7 @@ func BenchmarkPolicyWaitTimes(b *testing.B) {
 func BenchmarkAblationCollision(b *testing.B) {
 	var realloc, delay float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig3(1, 40)
-		cfg.Workers = 1
+		cfg := experiments.Fig3Config{Seed: 1, Jobs: 40, Workers: 1}
 		r, err := experiments.AblationCollision(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -158,8 +152,7 @@ func BenchmarkAblationCollision(b *testing.B) {
 func BenchmarkAblationLevels(b *testing.B) {
 	var s1, ms1 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultAblationLevels(1, 40)
-		cfg.Workers = 1
+		cfg := experiments.Fig3Config{Seed: 1, Jobs: 40, Workers: 1}
 		r, err := experiments.AblationLevels(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -173,8 +166,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 func BenchmarkComparison(b *testing.B) {
 	var cwCost, mmCost float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig3(1, 40)
-		cfg.Workers = 1
+		cfg := experiments.Fig3Config{Seed: 1, Jobs: 40, Workers: 1}
 		r, err := experiments.Comparison(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -202,8 +194,7 @@ func BenchmarkBaselineMinMin(b *testing.B) {
 func BenchmarkLocalPassing(b *testing.B) {
 	var queued float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultFig4(1, 60)
-		cfg.Workers = 1
+		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
 		r, err := experiments.LocalPassing(cfg)
 		if err != nil {
 			b.Fatal(err)

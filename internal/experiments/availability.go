@@ -1,27 +1,21 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
-	"repro/internal/criticalworks"
 	"repro/internal/faults"
 	"repro/internal/metasched"
-	"repro/internal/parallel"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // AvailabilityConfig parameterizes the fault-injection sweep (E12): one VO
 // run per (strategy family, node availability level), the same workload
 // and fault seed at every level so only the outage intensity varies.
 type AvailabilityConfig struct {
-	Seed    uint64
-	Jobs    int
-	Domains int
+	Seed uint64
+	Jobs int
 
 	// Levels are the steady-state node availabilities to sweep, from 1.0
 	// (faults off, the seed baseline) downward.
@@ -51,7 +45,6 @@ func DefaultAvailability(seed uint64, jobs int) AvailabilityConfig {
 	return AvailabilityConfig{
 		Seed:         seed,
 		Jobs:         jobs,
-		Domains:      2,
 		Levels:       []float64{1.0, 0.98, 0.95, 0.9, 0.8},
 		MTTR:         20,
 		TaskFailRate: 0.05,
@@ -72,39 +65,26 @@ type availOutcome struct {
 // the given availability. No background (external) load: the sweep
 // isolates the fault model's effect. tracer may be nil.
 func runAvailability(cfg AvailabilityConfig, typ strategy.Type, avail float64, tracer metasched.Tracer) (*availOutcome, error) {
-	gen := workload.New(fig4Workload(cfg.Seed))
-	env := gen.Environment(cfg.Domains)
-	engine := sim.New()
-
-	flow := gen.Flow(0, cfg.Jobs, 0)
-	var until int64
-	if len(flow) > 0 {
-		until = flow[len(flow)-1].At + 200
+	var fcfg faults.Config
+	if avail < 1 {
+		mtbf, mttr := faults.ForAvailability(avail, cfg.MTTR)
+		fcfg = faults.Config{
+			MTBF:             mtbf,
+			MTTR:             mttr,
+			DomainOutageProb: 0.1,
+			TaskFailRate:     cfg.TaskFailRate,
+			MaxRetries:       cfg.MaxRetries,
+			Seed:             cfg.Seed,
+		}
 	}
-	mtbf, mttr := faults.ForAvailability(avail, cfg.MTTR)
-	fcfg := faults.Config{
-		MTBF:             mtbf,
-		MTTR:             mttr,
-		DomainOutageProb: 0.1,
-		TaskFailRate:     cfg.TaskFailRate,
-		MaxRetries:       cfg.MaxRetries,
-		Until:            until,
-		Seed:             cfg.Seed,
-	}
-	if avail >= 1 {
-		fcfg = faults.Config{}
-	}
-	vo := metasched.NewVO(engine, env, metasched.Config{
-		Objective: criticalworks.MinCost,
-		Seed:      cfg.Seed,
+	vo, _, _, err := runFlow(cfg.Seed, cfg.Jobs, typ, metasched.Config{
 		Faults:    fcfg,
 		Tracer:    tracer,
 		Telemetry: cfg.Telemetry,
 	})
-	for _, a := range flow {
-		vo.Submit(a.Job, typ, a.At)
+	if err != nil {
+		return nil, err
 	}
-	engine.Run()
 
 	out := &availOutcome{stats: vo.FaultStats()}
 	var ttl Series
@@ -153,12 +133,7 @@ func Availability(cfg AvailabilityConfig) (*Report, error) {
 			grid = append(grid, cell{typ: typ, avail: avail})
 		}
 	}
-	traces := make([]bytes.Buffer, len(grid))
-	outs, err := parallel.Map(cfg.Workers, len(grid), func(i int) (*availOutcome, error) {
-		var tracer metasched.Tracer
-		if cfg.Trace != nil {
-			tracer = metasched.NewJSONLTracer(&traces[i])
-		}
+	outs, err := mapCells(cfg.Workers, len(grid), cfg.Trace, func(i int, tracer metasched.Tracer) (*availOutcome, error) {
 		return runAvailability(cfg, grid[i].typ, grid[i].avail, tracer)
 	})
 	if err != nil {
@@ -166,11 +141,6 @@ func Availability(cfg AvailabilityConfig) (*Report, error) {
 	}
 	for i, c := range grid {
 		o := outs[i]
-		if cfg.Trace != nil {
-			if _, err := cfg.Trace.Write(traces[i].Bytes()); err != nil {
-				return nil, fmt.Errorf("experiments: availability trace: %w", err)
-			}
-		}
 		r.addLine("%-6s %7.2f %10s %10.1f %10d %9d %9d %9d %8d",
 			c.typ, c.avail, Ratio(o.missRate), o.meanTTL,
 			o.stats.TaskFailures, o.stats.Retries,

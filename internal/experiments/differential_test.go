@@ -52,22 +52,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 		run  func(t *testing.T, seed uint64, workers int) diffOutcome
 	}{
 		{"fig3a", func(t *testing.T, seed uint64, workers int) diffOutcome {
-			cfg := DefaultFig3(seed, 40)
-			cfg.Workers = workers
+			cfg := Fig3Config{Seed: seed, Jobs: 40, Workers: workers}
 			r, err := Fig3a(cfg)
 			return capture(t, r, err, nil)
 		}},
 		{"fig3b", func(t *testing.T, seed uint64, workers int) diffOutcome {
-			cfg := DefaultFig3(seed, 40)
-			cfg.Workers = workers
+			cfg := Fig3Config{Seed: seed, Jobs: 40, Workers: workers}
 			r, err := Fig3b(cfg)
 			return capture(t, r, err, nil)
 		}},
 		{"fig4", func(t *testing.T, seed uint64, workers int) diffOutcome {
 			var trace bytes.Buffer
-			cfg := DefaultFig4(seed, 25)
-			cfg.Workers = workers
-			cfg.Trace = &trace
+			cfg := Fig4Config{Seed: seed, Jobs: 25, Workers: workers, Trace: &trace}
 			r, err := Fig4a(cfg)
 			return capture(t, r, err, &trace)
 		}},
@@ -126,8 +122,7 @@ func TestFig3ParallelBeatsSequential(t *testing.T) {
 	var best [3]time.Duration // by worker count
 	for i := 0; i < 15 && (i < 5 || best[2] >= best[1]); i++ {
 		for _, workers := range []int{1, 2} {
-			cfg := DefaultFig3(1, 60)
-			cfg.Workers = workers
+			cfg := Fig3Config{Seed: 1, Jobs: 60, Workers: workers}
 			start := time.Now()
 			if _, err := Fig3a(cfg); err != nil {
 				t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/criticalworks"
-	"repro/internal/parallel"
+	"repro/internal/dag"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -20,32 +20,6 @@ type Fig3Config struct {
 	Seed uint64
 	// Jobs is the corpus size; the paper used "more than 12000".
 	Jobs int
-	// BackgroundPerNode is the mean number of background reservations per
-	// node in each job's snapshot.
-	BackgroundPerNode float64
-	// BackgroundDurLo/Hi bound each background reservation's length.
-	BackgroundDurLo, BackgroundDurHi simtime.Time
-	// BackgroundSpan is the horizon background load is scattered over.
-	BackgroundSpan simtime.Time
-	// DeadlineFactor overrides the workload's deadline stretch (0 keeps
-	// the workload default). Tighter deadlines push strategies with heavy
-	// data-transfer penalties onto fast nodes.
-	DeadlineFactor float64
-	// TransferLo/Hi override the workload's transfer-time range (0 keeps
-	// the default). Heavier transfers widen the gap between the data
-	// policies, which is what separates the strategies' collision
-	// profiles.
-	TransferLo, TransferHi simtime.Time
-	// MinWidth/MaxWidth override the job parallelism degree (0 keeps the
-	// default). §4 conformed the node count to the task parallelism.
-	MinWidth, MaxWidth int
-	// MinLayers/MaxLayers override the job depth (0 keeps the default).
-	MinLayers, MaxLayers int
-	// PipelineProb/MaxPipeline override the linear-run structure (0 keeps
-	// the defaults). Long pipelines make coarse-grain macro tasks dominate
-	// the critical path, forcing S3 onto the fastest nodes.
-	PipelineProb float64
-	MaxPipeline  int
 	// Workers bounds the pool fanning per-job strategy builds across
 	// goroutines; ≤ 0 means one worker per CPU, 1 forces the sequential
 	// path. Every worker count produces byte-identical reports: each job
@@ -58,51 +32,85 @@ type Fig3Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultFig3 returns the calibrated configuration (see EXPERIMENTS.md for
-// the calibration trail: the collision split is most sensitive to the
-// transfer weight and pipeline length, the admissibility rates to the
-// deadline factor and background volume).
-func DefaultFig3(seed uint64, jobs int) Fig3Config {
-	return Fig3Config{
-		Seed:              seed,
-		Jobs:              jobs,
-		BackgroundPerNode: 10,
-		BackgroundDurLo:   10,
-		BackgroundDurHi:   25,
-		BackgroundSpan:    250,
-		DeadlineFactor:    1.2,
-		TransferLo:        2,
-		TransferHi:        8,
-		MinWidth:          2,
-		MaxWidth:          4,
-		MinLayers:         3,
-		MaxLayers:         5,
-		PipelineProb:      0.8,
-		MaxPipeline:       5,
-	}
+// The Fig. 3 corpus's calibration (EXPERIMENTS.md holds the trail: the
+// collision split is most sensitive to the transfer weight and pipeline
+// length, the admissibility rates to the deadline factor and background
+// volume). Tight deadlines push strategies with heavy data-transfer
+// penalties onto fast nodes.
+const (
+	fig3DeadlineFactor    = 1.2
+	fig3BackgroundPerNode = 10.0
+)
+
+// Every background reservation lasts backgroundDurLo–Hi ticks and starts in
+// the first backgroundSpan ticks of the horizon.
+const (
+	backgroundDurLo, backgroundDurHi = 10, 25
+	backgroundSpan                   = 250
+)
+
+// fig3Workload is the Fig. 3 corpus at the given deadline stretch: §4's
+// widths and depths, with heavier transfers and long pipelines. Heavier
+// transfers widen the gap between the data policies, which is what separates
+// the strategies' collision profiles; long pipelines make coarse-grain macro
+// tasks dominate the critical path, forcing S3 onto the fastest nodes.
+func fig3Workload(seed uint64, deadlineFactor float64) workload.Config {
+	cfg := workload.Default(seed)
+	cfg.DeadlineFactor = deadlineFactor
+	cfg.TransferLo, cfg.TransferHi = 2, 8
+	cfg.PipelineProb, cfg.MaxPipeline = 0.8, 5
+	return cfg
 }
 
 // fig3Strategies are the families of the application-level study.
 var fig3Strategies = []strategy.Type{strategy.S1, strategy.S2, strategy.S3}
 
 // loadedCalendars builds one job's background-load snapshot: every node
-// receives a random number of external reservations scattered over the
+// receives perNode external reservations on average, scattered over the
 // background span.
-func loadedCalendars(env *resource.Environment, r *rng.Source, cfg Fig3Config) criticalworks.Calendars {
+func loadedCalendars(env *resource.Environment, r *rng.Source, perNode float64) criticalworks.Calendars {
 	cals := criticalworks.EmptyCalendars(env)
 	for _, n := range env.Nodes() {
-		count := int(cfg.BackgroundPerNode)
-		if r.Float64() < cfg.BackgroundPerNode-float64(count) {
+		count := int(perNode)
+		if r.Float64() < perNode-float64(count) {
 			count++
 		}
 		for k := 0; k < count; k++ {
-			start := simtime.Time(r.Int64n(int64(cfg.BackgroundSpan)))
-			dur := simtime.Time(r.Int64Between(int64(cfg.BackgroundDurLo), int64(cfg.BackgroundDurHi)))
+			start := simtime.Time(r.Int64n(backgroundSpan))
+			dur := simtime.Time(r.Int64Between(backgroundDurLo, backgroundDurHi))
 			// Conflicting background windows are simply dropped.
 			_ = cals[n.ID].Reserve(simtime.Interval{Start: start, End: start + dur}, resource.External)
 		}
 	}
 	return cals
+}
+
+// mapCorpus runs plan on every job of a Fig. 3-shaped corpus — the Fig. 3
+// workload at deadlineFactor on one domain, each job against its own
+// background snapshot of perNode reservations per node — across cfg.Workers
+// goroutines, and returns the results in job order. A job's snapshot comes
+// from its own pre-split RNG stream, so every worker count sees the same one.
+func mapCorpus[T any](cfg Fig3Config, deadlineFactor, perNode float64,
+	plan func(env *resource.Environment, job *dag.Job, cals criticalworks.Calendars) (T, error)) ([]T, error) {
+	if err := checkJobs(cfg.Jobs); err != nil {
+		return nil, err
+	}
+	gen := workload.New(fig3Workload(cfg.Seed, deadlineFactor))
+	env := gen.Environment(1)
+	streams := rng.New(cfg.Seed).Split(0xB6).SplitN(cfg.Jobs)
+	return mapIndexed(cfg.Workers, cfg.Jobs, func(i int) (T, error) {
+		return plan(env, gen.Job(i), loadedCalendars(env, streams[i], perNode))
+	})
+}
+
+// checkJobs refuses a corpus of no jobs: its shares would divide by zero,
+// and a flow without arrivals would leave the VO's background load re-arming
+// forever.
+func checkJobs(jobs int) error {
+	if jobs < 1 {
+		return fmt.Errorf("experiments: %d jobs, want at least 1", jobs)
+	}
+	return nil
 }
 
 // fig3Run holds the per-strategy aggregates of one corpus pass.
@@ -112,37 +120,8 @@ type fig3Run struct {
 	total      int
 }
 
-// fig3WorkloadConfig translates the experiment config into workload
-// overrides.
-func fig3WorkloadConfig(cfg Fig3Config) workload.Config {
-	wcfg := workload.Default(cfg.Seed)
-	if cfg.DeadlineFactor > 0 {
-		wcfg.DeadlineFactor = cfg.DeadlineFactor
-	}
-	if cfg.TransferHi > 0 {
-		wcfg.TransferLo, wcfg.TransferHi = cfg.TransferLo, cfg.TransferHi
-	}
-	if cfg.MaxWidth > 0 {
-		wcfg.MinWidth, wcfg.MaxWidth = cfg.MinWidth, cfg.MaxWidth
-	}
-	if cfg.MaxLayers > 0 {
-		wcfg.MinLayers, wcfg.MaxLayers = cfg.MinLayers, cfg.MaxLayers
-	}
-	if cfg.MaxPipeline > 0 {
-		wcfg.PipelineProb, wcfg.MaxPipeline = cfg.PipelineProb, cfg.MaxPipeline
-	}
-	return wcfg
-}
-
-// fig3Background returns the root source for per-job background snapshots.
-func fig3Background(cfg Fig3Config) *rng.Source {
-	return rng.New(cfg.Seed).Split(0xB6)
-}
-
 // fig3JobTally is one job's contribution to the corpus aggregates, indexed
-// by position in fig3Strategies. Units fill tallies independently; the
-// merge walks them in job order, so the aggregates are identical at any
-// worker count.
+// by position in fig3Strategies.
 type fig3JobTally struct {
 	admissible [3]bool
 	fast, slow [3]int
@@ -150,49 +129,40 @@ type fig3JobTally struct {
 
 // runFig3 generates each job's strategy for every family against identical
 // background snapshots and tallies admissibility and collision placement.
-// The per-job builds fan out across cfg.Workers goroutines: each job's
-// background snapshot comes from its own pre-split RNG stream, and the
-// tallies are merged in job order after the pool drains.
 func runFig3(cfg Fig3Config) (*fig3Run, error) {
-	gen := workload.New(fig3WorkloadConfig(cfg))
-	env := gen.Environment(1)
-	streams := fig3Background(cfg).SplitN(cfg.Jobs)
-
-	// MinCost reproduces the paper's economics: strategies drift to the
-	// cheapest (slowest) nodes their deadline and data policy allow, which
-	// is what shapes both the admissibility rates and the collision split.
-	sgen := &strategy.Generator{Env: env, Objective: criticalworks.MinCost, Telemetry: cfg.Telemetry}
-
-	tallies, err := parallel.Map(cfg.Workers, cfg.Jobs, func(i int) (fig3JobTally, error) {
-		var tally fig3JobTally
-		job := gen.Job(i)
-		cals := loadedCalendars(env, streams[i], cfg)
-		for ti, typ := range fig3Strategies {
-			st, err := sgen.Generate(job, typ, cals, 0)
-			if err != nil {
-				return tally, fmt.Errorf("experiments: fig3 job %d type %v: %w", i, typ, err)
-			}
-			tally.admissible[ti] = st.Admissible()
-			// Fig. 3b counts the conflicts of the supporting schedules the
-			// strategy actually consists of — the admissible distributions
-			// (attempts at levels that end up infeasible are not part of
-			// the strategy). The two-way split is "fast" nodes
-			// (performance 0.66–1) versus the slower rest.
-			for _, d := range st.Distributions {
-				if !d.Admissible {
-					continue
+	tallies, err := mapCorpus(cfg, fig3DeadlineFactor, fig3BackgroundPerNode,
+		func(env *resource.Environment, job *dag.Job, cals criticalworks.Calendars) (fig3JobTally, error) {
+			var tally fig3JobTally
+			// MinCost reproduces the paper's economics: strategies drift to the
+			// cheapest (slowest) nodes their deadline and data policy allow, which
+			// is what shapes both the admissibility rates and the collision split.
+			sgen := strategy.Generator{Env: env, Objective: criticalworks.MinCost, Telemetry: cfg.Telemetry}
+			for ti, typ := range fig3Strategies {
+				st, err := sgen.Generate(job, typ, cals, 0)
+				if err != nil {
+					return tally, fmt.Errorf("experiments: fig3 %s type %v: %w", job.Name, typ, err)
 				}
-				for _, c := range d.Schedule.Collisions {
-					if env.Node(c.Node).Group() == resource.GroupFast {
-						tally.fast[ti]++
-					} else {
-						tally.slow[ti]++
+				tally.admissible[ti] = st.Admissible()
+				// Fig. 3b counts the conflicts of the supporting schedules the
+				// strategy actually consists of — the admissible distributions
+				// (attempts at levels that end up infeasible are not part of
+				// the strategy). The two-way split is "fast" nodes
+				// (performance 0.66–1) versus the slower rest.
+				for _, d := range st.Distributions {
+					if !d.Admissible {
+						continue
+					}
+					for _, c := range d.Schedule.Collisions {
+						if env.Node(c.Node).Group() == resource.GroupFast {
+							tally.fast[ti]++
+						} else {
+							tally.slow[ti]++
+						}
 					}
 				}
 			}
-		}
-		return tally, nil
-	})
+			return tally, nil
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/batch"
-	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/metasched"
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
-	"repro/internal/workload"
 )
 
 // LocalPassing (E11) implements the simulation study the paper's §5 names
@@ -33,19 +31,10 @@ func LocalPassing(cfg Fig4Config) (*Report, error) {
 
 	// Phase 1: the reservation-backed VO run (no background load, so the
 	// replay differences come from queueing alone).
-	gen := workload.New(fig4Workload(cfg.Seed))
-	env := gen.Environment(cfg.Domains)
-	engine := sim.New()
-	vo := metasched.NewVO(engine, env, metasched.Config{
-		Objective: criticalworks.MinCost,
-		Seed:      cfg.Seed,
-		Telemetry: cfg.Telemetry,
-	})
-	flow := gen.Flow(0, cfg.Jobs, 0)
-	for _, a := range flow {
-		vo.Submit(a.Job, strategy.S1, a.At)
+	vo, env, _, err := runFlow(cfg.Seed, cfg.Jobs, strategy.S1, metasched.Config{Telemetry: cfg.Telemetry})
+	if err != nil {
+		return nil, err
 	}
-	engine.Run()
 
 	var completed []*metasched.JobResult
 	for _, res := range vo.Results() {

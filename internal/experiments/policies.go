@@ -14,43 +14,28 @@ import (
 // reservations "nearly always increase queue waiting time" while
 // "backfilling decreases this time".
 type PoliciesConfig struct {
-	Seed     uint64
-	Jobs     int
-	Nodes    int
-	MeanGap  float64 // mean inter-arrival
-	WallLo   simtime.Time
-	WallHi   simtime.Time
-	RunLo    float64 // runtime as a fraction of walltime, lower bound
-	RunHi    float64
-	MaxNodes int // per-request node demand bound
-	// ReservedShare is the fraction of jobs submitted as advance
-	// reservations in the +reservations scenario.
-	ReservedShare float64
-	// ReserveLead is how far ahead reservations book their start.
-	ReserveLead simtime.Time
-	// GangQuantum is the gang scheduler's time slice.
-	GangQuantum simtime.Time
+	Seed uint64
+	Jobs int
 }
 
-// DefaultPolicies returns the calibrated configuration.
-func DefaultPolicies(seed uint64, jobs int) PoliciesConfig {
-	return PoliciesConfig{
-		Seed:          seed,
-		Jobs:          jobs,
-		Nodes:         16,
-		MeanGap:       9,
-		WallLo:        5,
-		WallHi:        60,
-		RunLo:         0.5,
-		RunHi:         1.0,
-		MaxNodes:      8,
-		ReservedShare: 0.2,
-		ReserveLead:   30,
-		GangQuantum:   5,
-	}
-}
+// The study's cluster and request stream: policyNodes nodes; requests every
+// policyMeanGap ticks on average, each for up to policyMaxNodes nodes with a
+// walltime in policyWallLo–Hi and a runtime of policyRunLo–Hi of it. In the
+// +reservations scenario policyReservedShare of the requests book their
+// start policyReserveLead ticks ahead; the gang scheduler slices time in
+// policyGangQuantum ticks.
+const (
+	policyNodes                = 16
+	policyMeanGap              = 9.0
+	policyWallLo, policyWallHi = 5, 60
+	policyRunLo, policyRunHi   = 0.5, 1.0
+	policyMaxNodes             = 8
+	policyReservedShare        = 0.2
+	policyReserveLead          = 30
+	policyGangQuantum          = 5
+)
 
-// policyStream builds the request stream shared by every policy run.
+// policyArrival is one request of the stream every policy run shares.
 type policyArrival struct {
 	req batch.Request
 	at  simtime.Time
@@ -61,16 +46,16 @@ func policyStream(cfg PoliciesConfig) []policyArrival {
 	out := make([]policyArrival, cfg.Jobs)
 	t := 0.0
 	for i := range out {
-		t += r.Exp(cfg.MeanGap)
-		wall := simtime.Time(r.Int64Between(int64(cfg.WallLo), int64(cfg.WallHi)))
-		run := simtime.Time(float64(wall) * r.Float64Between(cfg.RunLo, cfg.RunHi))
+		t += r.Exp(policyMeanGap)
+		wall := simtime.Time(r.Int64Between(policyWallLo, policyWallHi))
+		run := simtime.Time(float64(wall) * r.Float64Between(policyRunLo, policyRunHi))
 		if run < 1 {
 			run = 1
 		}
 		out[i] = policyArrival{
 			req: batch.Request{
 				ID:       fmt.Sprintf("j%05d", i),
-				Nodes:    r.IntBetween(1, cfg.MaxNodes),
+				Nodes:    r.IntBetween(1, policyMaxNodes),
 				Walltime: wall,
 				Runtime:  run,
 			},
@@ -98,7 +83,7 @@ func runPolicy(cfg PoliciesConfig, mk func(e *sim.Engine) batch.System, reserved
 		e.At(a.at, "submit "+a.req.ID, func() {
 			if reserved {
 				if c, ok := sys.(*batch.Cluster); ok {
-					if c.SubmitReservation(a.req, e.Now()+cfg.ReserveLead) {
+					if c.SubmitReservation(a.req, e.Now()+policyReserveLead) {
 						return
 					}
 				}
@@ -132,6 +117,9 @@ func runPolicy(cfg PoliciesConfig, mk func(e *sim.Engine) batch.System, reserved
 // time and start-forecast error per policy, the backfilling gain, and the
 // advance-reservation penalty.
 func Policies(cfg PoliciesConfig) (*Report, error) {
+	if err := checkJobs(cfg.Jobs); err != nil {
+		return nil, err
+	}
 	r := newReport("policies", "local batch policies (paper §5: backfilling shrinks waits, reservations grow them)")
 	type entry struct {
 		name string
@@ -139,20 +127,20 @@ func Policies(cfg PoliciesConfig) (*Report, error) {
 		res  float64
 	}
 	entries := []entry{
-		{"FCFS", func(e *sim.Engine) batch.System { return batch.NewCluster(e, cfg.Nodes, batch.Policy{}) }, 0},
+		{"FCFS", func(e *sim.Engine) batch.System { return batch.NewCluster(e, policyNodes, batch.Policy{}) }, 0},
 		{"LWF", func(e *sim.Engine) batch.System {
-			return batch.NewCluster(e, cfg.Nodes, batch.Policy{Discipline: batch.LWF})
+			return batch.NewCluster(e, policyNodes, batch.Policy{Discipline: batch.LWF})
 		}, 0},
 		{"FCFS+easy-backfill", func(e *sim.Engine) batch.System {
-			return batch.NewCluster(e, cfg.Nodes, batch.Policy{Backfill: batch.EasyBackfill})
+			return batch.NewCluster(e, policyNodes, batch.Policy{Backfill: batch.EasyBackfill})
 		}, 0},
 		{"FCFS+conservative-backfill", func(e *sim.Engine) batch.System {
-			return batch.NewCluster(e, cfg.Nodes, batch.Policy{Backfill: batch.ConservativeBackfill})
+			return batch.NewCluster(e, policyNodes, batch.Policy{Backfill: batch.ConservativeBackfill})
 		}, 0},
 		{"FCFS+reservations", func(e *sim.Engine) batch.System {
-			return batch.NewCluster(e, cfg.Nodes, batch.Policy{})
-		}, cfg.ReservedShare},
-		{"gang", func(e *sim.Engine) batch.System { return batch.NewGang(e, cfg.Nodes, cfg.GangQuantum) }, 0},
+			return batch.NewCluster(e, policyNodes, batch.Policy{})
+		}, policyReservedShare},
+		{"gang", func(e *sim.Engine) batch.System { return batch.NewGang(e, policyNodes, policyGangQuantum) }, 0},
 	}
 	r.addLine("%-28s %10s %10s %10s %12s %12s", "policy", "mean-wait", "p95-wait", "max-wait", "mean-error", "mean-resp")
 	for _, en := range entries {

@@ -27,18 +27,15 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 			return capture(t, r, err, nil)
 		}},
 		{"fig3a", func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
-			cfg := DefaultFig3(3, 40)
-			cfg.Workers = workers
-			cfg.Telemetry = reg
+			cfg := Fig3Config{Seed: 3, Jobs: 40, Workers: workers, Telemetry: reg}
 			r, err := Fig3a(cfg)
 			return capture(t, r, err, nil)
 		}},
+		{"ablation-levels", gridsimRow("ablation-levels")},
+		{"comparison", gridsimRow("comparison")},
 		{"fig4", func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
 			var trace bytes.Buffer
-			cfg := DefaultFig4(3, 25)
-			cfg.Workers = workers
-			cfg.Telemetry = reg
-			cfg.Trace = &trace
+			cfg := Fig4Config{Seed: 3, Jobs: 25, Workers: workers, Telemetry: reg, Trace: &trace}
 			r, err := Fig4a(cfg)
 			return capture(t, r, err, &trace)
 		}},
@@ -79,6 +76,23 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
+// gridsimRow runs gridsim's row id on 20 jobs at seed 3, with the registry
+// handed in the way gridsim's -telemetry hands it.
+func gridsimRow(id string) func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
+	return func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
+		cfg := DefaultAvailability(3, 20)
+		cfg.Workers, cfg.Telemetry = workers, reg
+		for _, e := range Experiments {
+			if e.ID == id {
+				r, err := e.Run(cfg)
+				return capture(t, r, err, nil)
+			}
+		}
+		t.Fatalf("no experiment %q", id)
+		return diffOutcome{}
+	}
+}
+
 // TestTelemetryRegistryIndependentOfWorkers: the counters themselves (not
 // just the reports) must agree between worker counts — the same builds
 // happen, only scheduled differently. Duration histograms are exempt
@@ -86,9 +100,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 func TestTelemetryRegistryIndependentOfWorkers(t *testing.T) {
 	countersAt := func(workers int) map[string]uint64 {
 		reg := telemetry.NewRegistry()
-		cfg := DefaultFig3(2, 30)
-		cfg.Workers = workers
-		cfg.Telemetry = reg
+		cfg := Fig3Config{Seed: 2, Jobs: 30, Workers: workers, Telemetry: reg}
 		if _, err := Fig3a(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -17,31 +17,34 @@ import (
 	"repro/internal/simtime"
 )
 
-// Config parameterizes generation. The defaults reproduce §4's stated
-// setup; the spread between a distribution's Lo and Hi is the paper's
-// "difference equal to 2...3" between task parameters.
+// The §4 setup's fixed parameters: the node count, the cross-edge density
+// and the uniform task and transfer distributions, each Lo–Hi range with the
+// paper's "difference equal to 2...3" between task parameters.
+const (
+	minNodes, maxNodes           = 20, 30 // §4: varied from 20 to 30
+	crossEdgeProb                = 0.35   // extra edges between adjacent layers
+	baseTimeLo, baseTimeHi       = 2, 6   // 3× spread
+	volumeLo, volumeHi           = 10, 30
+	transferVolLo, transferVolHi = 5, 15
+)
+
+// Config is what a corpus may set apart from §4's: its job shape, transfer
+// times, deadlines and arrival rate.
 type Config struct {
 	Seed uint64
-
-	// Environment shape.
-	MinNodes, MaxNodes int // §4: varied from 20 to 30
 
 	// Job shape: layered DAGs whose width matches a task parallelism
 	// degree conformable with the node count.
 	MinLayers, MaxLayers int
 	MinWidth, MaxWidth   int
-	CrossEdgeProb        float64 // extra edges between adjacent layers
 	// PipelineProb is the chance each layer element extends into a linear
 	// run of up to MaxPipeline extra tasks — the "computational
 	// granularity" structure that coarse-grain (S3) strategies cluster.
 	PipelineProb float64
 	MaxPipeline  int
 
-	// Task parameters (uniform, spread 2–3×).
-	BaseTimeLo, BaseTimeHi simtime.Time
-	VolumeLo, VolumeHi     int64
+	// TransferLo/Hi bound the uniform transfer base time.
 	TransferLo, TransferHi simtime.Time
-	TransferVolLo, VolHi   int64
 
 	// DeadlineFactor stretches the best-case critical path into the job's
 	// fixed completion time: deadline = release + factor × criticalPath.
@@ -56,23 +59,14 @@ type Config struct {
 func Default(seed uint64) Config {
 	return Config{
 		Seed:             seed,
-		MinNodes:         20,
-		MaxNodes:         30,
 		MinLayers:        3,
 		MaxLayers:        5,
 		MinWidth:         2,
 		MaxWidth:         4,
-		CrossEdgeProb:    0.35,
 		PipelineProb:     0.5,
 		MaxPipeline:      2,
-		BaseTimeLo:       2,
-		BaseTimeHi:       6, // 3× spread
-		VolumeLo:         10,
-		VolumeHi:         30,
 		TransferLo:       1,
 		TransferHi:       3,
-		TransferVolLo:    5,
-		VolHi:            15,
 		DeadlineFactor:   1.6,
 		MeanInterarrival: 12,
 	}
@@ -104,7 +98,7 @@ func (g *Generator) jobRNG(idx uint64) *rng.Source {
 	return rng.New(g.base ^ (idx+1)*0x9e3779b97f4a7c15)
 }
 
-// Environment builds the §4 node set: a node count in [MinNodes, MaxNodes]
+// Environment builds the §4 node set: a node count in [minNodes, maxNodes]
 // split into three groups — "fast" with relative performance 0.66–1.0,
 // medium 0.34–0.66, and "slow" 0.25–0.34 (the paper pins the slow group at
 // the 0.33 floor; we widen it slightly downward so all four estimation
@@ -114,7 +108,7 @@ func (g *Generator) Environment(domains int) *resource.Environment {
 	if domains < 1 {
 		domains = 1
 	}
-	n := g.env.IntBetween(g.cfg.MinNodes, g.cfg.MaxNodes)
+	n := g.env.IntBetween(minNodes, maxNodes)
 	// The first four nodes pin one representative per estimation tier so
 	// every strategy level always has at least one candidate; the rest are
 	// drawn uniformly from their group's band.
@@ -165,8 +159,8 @@ func (g *Generator) job(idx int, at simtime.Time) *dag.Job {
 
 	newTask := func() dag.TaskID {
 		s.tasks = append(s.tasks, dag.Task{
-			BaseTime: simtime.Time(r.Int64Between(int64(cfg.BaseTimeLo), int64(cfg.BaseTimeHi))),
-			Volume:   r.Int64Between(cfg.VolumeLo, cfg.VolumeHi),
+			BaseTime: simtime.Time(r.Int64Between(baseTimeLo, baseTimeHi)),
+			Volume:   r.Int64Between(volumeLo, volumeHi),
 		})
 		return dag.TaskID(len(s.tasks) - 1)
 	}
@@ -208,7 +202,7 @@ func (g *Generator) job(idx int, at simtime.Time) *dag.Job {
 		s.outDeg[from]++
 		s.edges = append(s.edges, dag.Edge{From: from, To: to,
 			BaseTime: simtime.Time(r.Int64Between(int64(cfg.TransferLo), int64(cfg.TransferHi))),
-			Volume:   r.Int64Between(cfg.TransferVolLo, cfg.VolHi),
+			Volume:   r.Int64Between(transferVolLo, transferVolHi),
 		})
 	}
 	for _, e := range s.pipe {
@@ -228,7 +222,7 @@ func (g *Generator) job(idx int, at simtime.Time) *dag.Job {
 		// Extra cross edges for data-dependency richness.
 		for _, from := range prev {
 			for _, to := range cur {
-				if r.Bool(cfg.CrossEdgeProb) {
+				if r.Bool(crossEdgeProb) {
 					addEdge(from.tail, to.head)
 				}
 			}

@@ -75,10 +75,10 @@ func TestJobSpreadWithinConfig(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		job := g.Job(i)
 		for _, task := range job.Tasks() {
-			if task.BaseTime < cfg.BaseTimeLo || task.BaseTime > cfg.BaseTimeHi {
-				t.Fatalf("task base time %d outside [%d,%d]", task.BaseTime, cfg.BaseTimeLo, cfg.BaseTimeHi)
+			if task.BaseTime < baseTimeLo || task.BaseTime > baseTimeHi {
+				t.Fatalf("task base time %d outside [%d,%d]", task.BaseTime, baseTimeLo, baseTimeHi)
 			}
-			if task.Volume < cfg.VolumeLo || task.Volume > cfg.VolumeHi {
+			if task.Volume < volumeLo || task.Volume > volumeHi {
 				t.Fatalf("task volume %d outside bounds", task.Volume)
 			}
 		}

@@ -85,11 +85,13 @@ var reachAllow = map[string]keptAPI{
 //     referenced by no non-test file beyond its own declaration, or
 //   - an exported field of a *Config or *Options struct declared under
 //     internal/ (or of strategy.Generator) is set by no non-test file outside
-//     the declaring package's own defaulting.
+//     the declaring package's own defaulting: an assignment there, or a
+//     compile-time constant in one of its literals.
 //
 // A method that satisfies an interface is reached through it, and
 // internal/chaostest is a test harness by design; both are exempt. Every
-// other exception is a reachAllow entry.
+// other exception is a reachAllow entry. The log line counts the option
+// fields the gate covers and how many of them the allowlist keeps.
 func TestReachability(t *testing.T) {
 	u := loadModule(t)
 	flagged := map[string]bool{}
@@ -99,13 +101,18 @@ func TestReachability(t *testing.T) {
 			t.Errorf("%s: referenced by no non-test file", id)
 		}
 	}
-	for _, id := range u.unsetFields() {
+	unset, options := u.unsetFields()
+	for _, id := range unset {
 		flagged[id] = true
 		if _, ok := reachAllow[id]; !ok {
 			t.Errorf("%s: set by no non-test file outside its package's defaulting", id)
 		}
 	}
+	allowedOptions := 0
 	for id, k := range reachAllow {
+		if options[id] {
+			allowedOptions++
+		}
 		if !flagged[id] {
 			t.Errorf("reachAllow[%q]: production reaches it, or it is gone; drop the entry", id)
 		}
@@ -118,6 +125,8 @@ func TestReachability(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d exported option fields under the gate, %d of them allowlisted; %d allowlist entries in all",
+		len(options), allowedOptions, len(reachAllow))
 }
 
 const modulePath = "repro"
@@ -303,7 +312,9 @@ func (u *universe) satisfiesInterface(recv *types.Named, m *types.Func) bool {
 // address handed to another writer (flag.IntVar(&cfg.F, ...)), along every
 // field of the selector chain (cfg.Journal.Fsync = x sets Journal too). An
 // assignment inside the field's own package is that package's defaulting and
-// does not count.
+// does not count, and neither is a compile-time constant its own package
+// writes in a literal (Default's MaxNodes: 30); a value passed in (Default's
+// Seed: seed) still counts.
 func (u *universe) collectWrites(cp *checkedPackage, f *ast.File) {
 	fields := func(e ast.Expr, assign bool) {
 		for {
@@ -327,11 +338,13 @@ func (u *universe) collectWrites(cp *checkedPackage, f *ast.File) {
 				break
 			}
 			for i, elt := range n.Elts {
-				v := st.Field(i)
+				v, val := st.Field(i), elt
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					v = cp.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+					v, val = cp.info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
 				}
-				u.set[origin(v).(*types.Var)] = true
+				if v.Pkg() != cp.types || cp.info.Types[val].Value == nil {
+					u.set[origin(v).(*types.Var)] = true
+				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -406,9 +419,10 @@ func (u *universe) unreferenced() []string {
 }
 
 // unsetFields lists, sorted, the exported fields of gated option structs
-// that no non-test file sets outside their package's defaulting.
-func (u *universe) unsetFields() []string {
-	var ids []string
+// that no non-test file sets outside their package's defaulting, and returns
+// the names of every such field, set or not.
+func (u *universe) unsetFields() (ids []string, all map[string]bool) {
+	all = map[string]bool{}
 	for _, cp := range u.pkgs {
 		if !gated(cp.path) {
 			continue
@@ -426,12 +440,17 @@ func (u *universe) unsetFields() []string {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
-				if v := st.Field(i); v.Exported() && !u.set[v] {
+				v := st.Field(i)
+				if !v.Exported() {
+					continue
+				}
+				all[displayName(v, name)] = true
+				if !u.set[v] {
 					ids = append(ids, displayName(v, name))
 				}
 			}
 		}
 	}
 	sort.Strings(ids)
-	return ids
+	return ids, all
 }
