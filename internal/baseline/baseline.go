@@ -96,7 +96,7 @@ func Build(env *resource.Environment, cals criticalworks.Calendars, job *dag.Job
 	}
 	b := &builder{env: env, cals: cals, job: job, h: h, catalog: opt.Catalog,
 		table: estimate.Derive(job), horizon: 4 * job.Deadline,
-		placed: make(map[dag.TaskID]criticalworks.Placement, job.NumTasks())}
+		placed: make([]criticalworks.Placement, job.NumTasks())}
 	return b.run()
 }
 
@@ -109,7 +109,8 @@ type builder struct {
 	table   *estimate.Table
 	horizon simtime.Time // calendar searches stop at 4× the deadline
 
-	placed map[dag.TaskID]criticalworks.Placement
+	placed  []criticalworks.Placement // by TaskID; an empty window where none yet
+	nPlaced int
 }
 
 // candidate is one (task, node) placement option with its completion time.
@@ -120,7 +121,7 @@ type candidate struct {
 }
 
 func (b *builder) run() (*criticalworks.Schedule, error) {
-	for len(b.placed) < b.job.NumTasks() {
+	for b.nPlaced < b.job.NumTasks() {
 		ready := b.readyTasks()
 		pick, ok := b.selectNext(ready)
 		if !ok {
@@ -133,6 +134,7 @@ func (b *builder) run() (*criticalworks.Schedule, error) {
 			return nil, fmt.Errorf("baseline: internal error: %w", err)
 		}
 		b.placed[pick.task] = criticalworks.Placement{Task: pick.task, Node: pick.node, Window: pick.window}
+		b.nPlaced++
 		for _, e := range b.job.In(pick.task) {
 			b.catalog.Commit(b.job.Name, b.job.Task(e.From).Name, b.placed[e.From].Node, pick.node)
 		}
@@ -145,12 +147,12 @@ func (b *builder) run() (*criticalworks.Schedule, error) {
 func (b *builder) readyTasks() []dag.TaskID {
 	var out []dag.TaskID
 	for _, id := range b.job.TopoOrder() {
-		if _, done := b.placed[id]; done {
+		if !b.placed[id].Window.Empty() {
 			continue
 		}
 		allIn := true
 		for _, e := range b.job.In(id) {
-			if _, done := b.placed[e.From]; !done {
+			if b.placed[e.From].Window.Empty() {
 				allIn = false
 				break
 			}
@@ -270,14 +272,9 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 		Placements: b.placed,
 		Start:      simtime.Infinity,
 	}
-	for i := 0; i < b.job.NumTasks(); i++ {
-		id := dag.TaskID(i)
-		p, ok := b.placed[id]
-		if !ok {
-			continue
-		}
+	for id, p := range b.placed {
 		dur := p.Window.Len()
-		s.BareCF += economy.TaskCharge(b.table.Volume(id), dur)
+		s.BareCF += economy.TaskCharge(b.table.Volume(dag.TaskID(id)), dur)
 		if p.Window.Start < s.Start {
 			s.Start = p.Window.Start
 		}

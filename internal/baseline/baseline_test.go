@@ -50,6 +50,11 @@ func checkValid(t *testing.T, job *dag.Job, s *criticalworks.Schedule, cat *data
 	if len(s.Placements) != job.NumTasks() {
 		t.Fatalf("placed %d of %d", len(s.Placements), job.NumTasks())
 	}
+	for id, p := range s.Placements {
+		if p.Task != dag.TaskID(id) || p.Window.Empty() {
+			t.Fatalf("Placements[%d] = %+v, want task %d's placement", id, p, id)
+		}
+	}
 	for _, e := range job.Edges() {
 		from, to := s.Placements[e.From], s.Placements[e.To]
 		tt := cat.TransferTime(job.Name, job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)

@@ -212,7 +212,7 @@ func (c *Cluster) SubmitReservation(r Request, startAt simtime.Time) bool {
 	}
 	res := &reservation{req: r, arrival: now, startAt: startAt}
 	c.reserved = append(c.reserved, res)
-	c.engine.At(startAt, "reservation-start "+r.ID, func() { c.startReservation(res) })
+	c.engine.At(startAt, "reservation-start", func() { c.startReservation(res) })
 	// New blocked window may invalidate queued jobs' plans; re-dispatch.
 	c.dispatch()
 	return true
@@ -373,7 +373,7 @@ func (c *Cluster) start(r Request, arrival, forecast, now simtime.Time, reserved
 		dur = r.Walltime
 		killed = true
 	}
-	c.engine.At(now+dur, "complete "+r.ID, func() {
+	c.engine.At(now+dur, "complete", func() {
 		for i, cand := range c.running {
 			if cand == run {
 				c.running = append(c.running[:i], c.running[i+1:]...)

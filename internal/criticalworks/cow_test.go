@@ -85,7 +85,7 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 // its data placements into cat as soon as it is placed.
 func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Calendars, cat *data.Catalog) (*Schedule, error) {
 	weights := chainWeights(b.opt.Table)
-	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
+	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
 		chain, _ := b.job.LongestChain(weights, unplaced)
 		if err := place(b, chain); err != nil {
@@ -176,9 +176,9 @@ var policies = []data.Policy{data.ActiveReplication, data.RemoteAccess, data.Sta
 // is how a test looks at a plan on the books.
 func applySchedule(cals Calendars, s *Schedule, jobName string) (Calendars, error) {
 	out := cals.Clone()
-	for id, p := range s.Placements {
-		if err := out[p.Node].Reserve(p.Window, resource.Owner{Job: jobName, Task: s.Job.Task(id).Name}); err != nil {
-			return nil, fmt.Errorf("task %s on node %d: %w", s.Job.Task(id).Name, p.Node, err)
+	for _, p := range s.Placements {
+		if err := out[p.Node].Reserve(p.Window, resource.Owner{Job: jobName, Task: s.Job.Task(p.Task).Name}); err != nil {
+			return nil, fmt.Errorf("task %s on node %d: %w", s.Job.Task(p.Task).Name, p.Node, err)
 		}
 	}
 	return out, nil
@@ -453,25 +453,25 @@ var denseRegimes = []struct {
 	hopeless bool
 	budget   float64
 }{
-	{"feasible", 400, true, false, 14},
-	{"refused", 12, false, true, 12},
-	{"ladder-infeasible", 22, false, false, 12},
+	{"feasible", 400, true, false, 6},
+	{"refused", 12, false, true, 5},
+	{"ladder-infeasible", 22, false, false, 7},
 }
 
 // TestBuildAllocationBudget pins what one Build allocates on the dense
 // fixture in the three regimes of denseRegimes, with every option defaulted.
-// A build allocates only what it returns — the Schedule, its Placements map,
-// its Collisions at their exact length, the error (one per failed attempt) —
-// plus what normalize defaults (table, candidates); its working memory,
-// replica sets and collisions-so-far included, is a pooled arena
+// A build allocates only what it returns — the Schedule, its Placements (one
+// slice, and none at all when no chain was placed, as in the two failures
+// here), its Collisions at their exact length, the error (one per failed
+// attempt) — plus what normalize defaults (table, candidates); its working
+// memory, replica sets and collisions-so-far included, is a pooled arena
 // (TestBuildAllocsFig2 pins the count exactly, with nothing defaulted). The
-// readings are 9, 6 and 8, and 12–13, 10 and 11 under -race, where sync.Pool
-// drops a quarter of the Puts on purpose and the next build makes a new
-// arena. The budgets leave that headroom, but over 100 runs the dropped
-// quarter does not always average out (15 against 14 in 6 of 20 race runs),
-// so the pin skips under -race and runs in CI's step without it. Before the
-// DP cut the third read 20: all five attempts ran, each leaving an error
-// behind. With a
+// budgets are the readings. Under -race sync.Pool drops a quarter of the Puts
+// on purpose and the next build makes a new arena, so the pin skips there
+// and runs in CI's step without it. With Placements a map the three read 9,
+// 6 and 8: the map took three allocations, and each failure returned an
+// empty one. Before the DP cut the third read 20: all five attempts ran, each
+// leaving an error behind. With a
 // string-keyed catalog cloned per attempt and a collision slice made per
 // colliding attempt the three read
 // 18, 9 and 33; with a map per dataset in the catalog the first read 35; with
@@ -507,10 +507,7 @@ func TestBuildAllocationBudget(t *testing.T) {
 // immutable).
 func copySchedule(s *Schedule) *Schedule {
 	cp := *s
-	cp.Placements = make(map[dag.TaskID]Placement, len(s.Placements))
-	for id, p := range s.Placements {
-		cp.Placements[id] = p
-	}
+	cp.Placements = slices.Clone(s.Placements)
 	cp.Collisions = slices.Clone(s.Collisions)
 	return &cp
 }
@@ -550,7 +547,7 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 			opt := Options{Data: data.Model{Policy: data.ActiveReplication}}
 			sched, err := Build(env, cals, job, opt)
 			var inf *InfeasibleError
-			if err != nil && (!errors.As(err, &inf) || len(sched.Placements) != a.partialTasks || len(sched.Collisions) != a.partialTasks) {
+			if err != nil && (!errors.As(err, &inf) || placedTasks(sched) != a.partialTasks || len(sched.Collisions) != a.partialTasks) {
 				t.Errorf("%s: Build err = %v, schedule %+v", a.name, err, sched)
 				return
 			}

@@ -55,10 +55,10 @@ type Collision struct {
 }
 
 // Schedule is the paper's Distribution: a complete coordinated allocation
-// of all tasks of one job.
+// of all tasks of one job, Placements[id] binding task id.
 type Schedule struct {
 	Job        *dag.Job
-	Placements map[dag.TaskID]Placement
+	Placements []Placement
 	Collisions []Collision
 
 	// Cost is the economic cost Σ ceil(V/T)·rate(node); BareCF is the same
@@ -83,9 +83,10 @@ type Schedule struct {
 	Evaluations int64
 
 	// Partial marks a schedule abandoned mid-construction because some
-	// critical work had no feasible placement. Its Placements cover only
-	// the chains placed before the failure; its Collisions are still
-	// meaningful (the method attempted those allocations).
+	// critical work had no feasible placement. Its Placements are nil if no
+	// chain was placed, else the dense table with the zero Placement (an
+	// empty Window, which no placed task has) for each task left unplaced.
+	// Its Collisions are still meaningful (the method attempted them).
 	Partial bool
 }
 
@@ -258,7 +259,7 @@ var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 // attempt's placements with their per-node overlay, its replica sets and the
 // collisions it has recorded so far. A build borrows one from scratchPool,
 // sizes it for its job and environment, and runs its margin attempts in it
-// one after another; what it returns — the Schedule, its Placements map and
+// one after another; what it returns — the Schedule, its Placements and
 // its Collisions, copied out at their exact length — is allocated fresh and
 // never points here. Build is a function, not a method of a long-lived
 // owner, and builds run on several goroutines at once (experiments run jobs
@@ -275,13 +276,12 @@ type scratch struct {
 	first  []dag.TaskID
 	chains dag.ChainBuf // the next-critical-work search and its result
 
-	dp       []cell      // runDP's table, chain positions × candidates
-	cells    []cellIn    // what each dp cell reads of its (task, node) pair
-	steps    []step      // one dp cell's predecessors
-	ins      []link      // the placed inputs of the task prepareCells is on
-	outs     []link      // and its placed outputs
-	placed   []Placement // the attempt's placements by TaskID (IDs are dense),
-	isPlaced []bool      // valid where the flag is set
+	dp     []cell      // runDP's table, chain positions × candidates
+	cells  []cellIn    // what each dp cell reads of its (task, node) pair
+	steps  []step      // one dp cell's predecessors
+	ins    []link      // the placed inputs of the task prepareCells is on
+	outs   []link      // and its placed outputs
+	placed []Placement // the attempt's placements by TaskID; zero where none
 
 	// The current critical work's two DP results, overwritten by every chain.
 	ideal, actual []Placement
@@ -323,7 +323,7 @@ func (sc *scratch) reset(job *dag.Job, nodes int) {
 	n := job.NumTasks()
 	sc.job = job
 	sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
-	sc.placed, sc.isPlaced = grow(sc.placed, n), grow(sc.isPlaced, n)
+	sc.placed = grow(sc.placed, n)
 	sc.ideal, sc.actual = grow(sc.ideal, n), grow(sc.actual, n)
 	sc.ownHead, sc.ownNext = grow(sc.ownHead, nodes), grow(sc.ownNext, n)
 	sc.words = (nodes + 63) / 64
@@ -360,7 +360,7 @@ type builder struct {
 	opt    Options
 	margin float64 // serialization margin scaling the bounds
 
-	nPlaced int // set flags in isPlaced
+	nPlaced int // tasks placed
 	evals   int64
 
 	// span is the enclosing margin attempt's span ID; 0 when tracing is
@@ -373,7 +373,7 @@ type builder struct {
 // attempt starts a margin's attempt in the arena: empty overlay, nothing
 // placed, no replica anywhere, no collision recorded.
 func (sc *scratch) attempt(env *resource.Environment, cals Calendars, opt Options, margin float64) *builder {
-	clear(sc.isPlaced)
+	clear(sc.placed)
 	clear(sc.ownHead)
 	clear(sc.replica)
 	sc.colls = sc.colls[:0]
@@ -383,17 +383,17 @@ func (sc *scratch) attempt(env *resource.Environment, cals Calendars, opt Option
 
 // placement returns task id's placement in this attempt, if it has one.
 func (b *builder) placement(id dag.TaskID) (Placement, bool) {
-	return b.placed[id], b.isPlaced[id]
+	return b.placed[id], !b.placed[id].Window.Empty()
 }
 
-// placements copies the attempt's placements into a Schedule's map.
-func (b *builder) placements() map[dag.TaskID]Placement {
-	out := make(map[dag.TaskID]Placement, b.nPlaced)
-	for id, ok := range b.isPlaced {
-		if ok {
-			out[dag.TaskID(id)] = b.placed[id]
-		}
+// placements copies the attempt's placements out of the arena as a
+// Schedule's table by TaskID; nil when nothing is placed.
+func (b *builder) placements() []Placement {
+	if b.nPlaced == 0 {
+		return nil
 	}
+	out := make([]Placement, len(b.placed))
+	copy(out, b.placed)
 	return out
 }
 
@@ -464,7 +464,7 @@ func (b *builder) reserve(p Placement) error {
 		return &resource.ErrConflict{Wanted: p.Window, Existing: existing}
 	}
 	b.ownNext[p.Task], b.ownHead[p.Node] = b.ownHead[p.Node], int32(p.Task)+1
-	b.placed[p.Task], b.isPlaced[p.Task] = p, true
+	b.placed[p.Task] = p
 	b.nPlaced++
 	return nil
 }
@@ -671,7 +671,7 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 	first.Tasks = sc.first
 	sc.computeBounds(opt.Table, 1)
 	if sc.hopeless(env, opt, first) {
-		return &Schedule{Job: job, Placements: map[dag.TaskID]Placement{}, Partial: true},
+		return &Schedule{Job: job, Partial: true},
 			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
 	}
 
@@ -876,7 +876,7 @@ func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 		return nil, err
 	}
 	weights := chainWeights(b.opt.Table)
-	unplaced := func(id dag.TaskID) bool { return !b.isPlaced[id] }
+	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
 		if err := b.cancelled(); err != nil {
 			return nil, err
@@ -971,13 +971,9 @@ func (b *builder) finish() (*Schedule, error) {
 		Start:       simtime.Infinity,
 		Evaluations: b.evals,
 	}
-	for i, ok := range b.isPlaced {
-		if !ok {
-			continue
-		}
-		id, p := dag.TaskID(i), b.placed[i]
+	for id, p := range s.Placements {
 		dur := p.Window.Len()
-		vol := b.opt.Table.Volume(id)
+		vol := b.opt.Table.Volume(dag.TaskID(id))
 		s.BareCF += economy.TaskCharge(vol, dur)
 		s.Cost += economy.WeightedTaskCharge(vol, dur, b.opt.Pricing.Rate(b.env.Node(p.Node)))
 		if p.Window.Start < s.Start {

@@ -57,14 +57,31 @@ func committedCatalog(s *Schedule, m data.Model) *data.Catalog {
 	return cat
 }
 
+// placedTasks counts the tasks s placed: the entries of its table by TaskID
+// whose window is not empty.
+func placedTasks(s *Schedule) int {
+	n := 0
+	for _, p := range s.Placements {
+		if !p.Window.Empty() {
+			n++
+		}
+	}
+	return n
+}
+
 // checkValid asserts the schedule's structural invariants: everything
-// placed, precedence + transfer times respected, deadline semantics
-// consistent, windows on one node disjoint.
+// placed, one entry per task at its own TaskID, precedence + transfer times
+// respected, deadline semantics consistent, windows on one node disjoint.
 func checkValid(t *testing.T, env *resource.Environment, s *Schedule, m data.Model) {
 	t.Helper()
 	job := s.Job
-	if len(s.Placements) != job.NumTasks() {
-		t.Fatalf("placed %d of %d tasks", len(s.Placements), job.NumTasks())
+	if len(s.Placements) != job.NumTasks() || placedTasks(s) != job.NumTasks() {
+		t.Fatalf("placed %d of %d tasks in a table of %d", placedTasks(s), job.NumTasks(), len(s.Placements))
+	}
+	for id, p := range s.Placements {
+		if p.Task != dag.TaskID(id) {
+			t.Fatalf("Placements[%d] holds task %d", id, p.Task)
+		}
 	}
 	cat := committedCatalog(s, m)
 	for _, e := range job.Edges() {
@@ -187,7 +204,7 @@ func TestInfeasibleSaysWhy(t *testing.T) {
 		if want := `criticalworks: job "fig2": no feasible placement for task "P1"`; err.Error() != want {
 			t.Errorf("%s: error text %q, want %q", tc.name, err, want)
 		}
-		if !s.Partial || s.Placements == nil || len(s.Placements) != 0 || len(s.Collisions) != 0 || (s.Evaluations == 0) != tc.hopeless {
+		if !s.Partial || s.Placements != nil || len(s.Collisions) != 0 || (s.Evaluations == 0) != tc.hopeless {
 			t.Errorf("%s: partial = %+v", tc.name, s)
 		}
 		// Each proof spares the attempts the full ladder runs after it.
@@ -202,8 +219,9 @@ func TestInfeasibleSaysWhy(t *testing.T) {
 	env1, cals1, job1 := layeredFixture(5, 2, 1, 60)
 	s, err := Build(env1, cals1, job1, Options{})
 	var inf *InfeasibleError
-	if !errors.As(err, &inf) || inf.Hopeless || inf.FirstWork || len(s.Placements) == 0 {
-		t.Errorf("ladder: err = %v (%+v), partial with %d placements; want a plain InfeasibleError after a chain was placed", err, inf, len(s.Placements))
+	if !errors.As(err, &inf) || inf.Hopeless || inf.FirstWork || placedTasks(s) == 0 || len(s.Placements) != job1.NumTasks() {
+		t.Errorf("ladder: err = %v (%+v), partial with %d placements in a table of %d; want a plain InfeasibleError after a chain was placed",
+			err, inf, placedTasks(s), len(s.Placements))
 	}
 }
 
@@ -474,7 +492,7 @@ func TestScheduleAccountingMatchesPlacements(t *testing.T) {
 	var start, finish simtime.Time = simtime.Infinity, 0
 	tab := estimate.Derive(job)
 	for id, p := range s.Placements {
-		cf += economy.TaskCharge(tab.Volume(id), p.Window.Len())
+		cf += economy.TaskCharge(tab.Volume(dag.TaskID(id)), p.Window.Len())
 		if p.Window.Start < start {
 			start = p.Window.Start
 		}

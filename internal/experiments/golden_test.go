@@ -141,6 +141,7 @@ func TestExperimentGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareGolden(t, e.ID+"_report.golden", report.Bytes())
+			checkClaims(t, r)
 		})
 	}
 }

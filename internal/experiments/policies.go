@@ -80,7 +80,7 @@ func runPolicy(cfg PoliciesConfig, mk func(e *sim.Engine) batch.System, reserved
 	for _, a := range policyStream(cfg) {
 		a := a
 		reserved := rr.Float64() < reservedShare
-		e.At(a.at, "submit "+a.req.ID, func() {
+		e.At(a.at, "submit", func() {
 			if reserved {
 				if c, ok := sys.(*batch.Cluster); ok {
 					if c.SubmitReservation(a.req, e.Now()+policyReserveLead) {

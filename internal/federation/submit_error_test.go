@@ -79,6 +79,12 @@ func TestSubmitErrorMappingIsSharedByBothTiers(t *testing.T) {
 		drainFirst bool
 		want       map[string]string
 	}{
+		// GET /v1/jobs/{id} cannot reach these: the mux cleans the path. First, so
+		// that no queued job stands between them and a 202.
+		{name: "job named ..", body: body("..", 60, "S1"),
+			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
+		{name: "job named .", body: body(".", 60, "S1"),
+			want: map[string]string{"gridd": service.CodeInvalid, "gridfront": service.CodeInvalid}},
 		{name: "accept", body: body("a", 60, "S1")},
 		{name: "duplicate", body: body("a", 60, "S1"),
 			want: map[string]string{"gridd": service.CodeDuplicate, "gridfront": service.CodeDuplicate}},

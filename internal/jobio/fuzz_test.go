@@ -99,6 +99,9 @@ func FuzzReadJobs(f *testing.F) {
 // Build. Change it only to follow a deliberate change of behaviour.
 
 func refValidate(j Job) error {
+	if j.Name == "." || j.Name == ".." {
+		return fmt.Errorf("jobio: job name %q cannot be addressed in a URL path", j.Name)
+	}
 	if len(j.Tasks) == 0 {
 		return fmt.Errorf("jobio: job %q has no tasks", j.Name)
 	}

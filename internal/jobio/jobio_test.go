@@ -70,6 +70,8 @@ func TestValidatePreciseErrors(t *testing.T) {
 		job  Job
 		want string
 	}{
+		{"job named .", Job{Name: ".", Tasks: []Task{task("A")}}, `job name "." cannot be addressed`},
+		{"job named ..", Job{Name: "..", Tasks: []Task{task("A")}}, `job name ".." cannot be addressed`},
 		{"negative deadline", Job{Name: "x", Deadline: -1, Tasks: []Task{task("A")}}, "negative deadline"},
 		{"empty task name", Job{Name: "x", Tasks: []Task{{BaseTime: 1, Volume: 1}}}, "empty name"},
 		{"duplicate task", Job{Name: "x", Tasks: []Task{task("A"), task("A")}}, `duplicate task name "A"`},

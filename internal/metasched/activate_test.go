@@ -81,11 +81,11 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	if !m.activate(aj, d) {
 		t.Fatal("activate refused a plan whose every window is free")
 	}
-	for task, p := range d.Placements {
+	for _, p := range d.Placements {
 		b := want[p.Node]
 		b.gen++
 		b.res = append(b.res, resource.Reservation{Interval: p.Window,
-			Owner: resource.Owner{Job: job.Name, Task: st.Scheduled.Task(task).Name}})
+			Owner: resource.Owner{Job: job.Name, Task: st.Scheduled.Task(p.Task).Name}})
 		want[p.Node] = b
 	}
 	for _, w := range want {

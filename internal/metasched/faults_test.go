@@ -322,6 +322,38 @@ func TestFaultyRunAllJobsTerminal(t *testing.T) {
 	}
 }
 
+// TestCompletedPlacementsAreDenseByTaskID: a completed job's Placements is a
+// table by the scheduled DAG's TaskID — one entry per task, each at its own
+// ID, none left empty — also when the job reached completion through task
+// failures, retries, fallbacks and reallocations.
+func TestCompletedPlacementsAreDenseByTaskID(t *testing.T) {
+	completed, recovered := 0, 0
+	for _, seed := range []uint64{5, 9, 13, 21} {
+		_, results := runFaultyVO(t, seed)
+		for _, r := range results {
+			if r.State != StateCompleted {
+				continue
+			}
+			completed++
+			if r.TaskFailures+r.Fallbacks+r.Reallocations > 0 {
+				recovered++
+			}
+			if len(r.Placements) != r.Scheduled.NumTasks() {
+				t.Fatalf("seed %d: %s has %d placements for %d scheduled tasks",
+					seed, r.Job.Name, len(r.Placements), r.Scheduled.NumTasks())
+			}
+			for i, p := range r.Placements {
+				if p.Task != dag.TaskID(i) || p.Window.Empty() {
+					t.Errorf("seed %d: %s: Placements[%d] = %+v", seed, r.Job.Name, i, p)
+				}
+			}
+		}
+	}
+	if completed == 0 || recovered == 0 {
+		t.Fatalf("%d completed jobs, %d of them after a recovery: the fixture checks nothing", completed, recovered)
+	}
+}
+
 func TestCompletedPlacementsAvoidVoidedWindows(t *testing.T) {
 	// No completed job's task window may overlap an outage of the node it
 	// ran on: crashes void those reservations and force replanning.

@@ -86,13 +86,13 @@ func fuzzWorld() *VO {
 func (p *fuzzPlan) offer(vo *VO) bool {
 	b := dag.NewBuilder(p.name)
 	d := &strategy.Distribution{
-		Schedule:   &criticalworks.Schedule{Placements: map[dag.TaskID]criticalworks.Placement{}},
+		Schedule:   &criticalworks.Schedule{Placements: p.windows},
 		Level:      1,
 		Admissible: true,
 	}
 	d.Start = p.windows[0].Window.Start
 	for i, w := range p.windows {
-		d.Placements[b.Task(p.taskName(i), 1, 0)] = w
+		b.Task(p.taskName(i), 1, 0) // TaskID i, the window's Task
 		d.Start = min(d.Start, w.Window.Start)
 		d.Finish = max(d.Finish, w.Window.End)
 	}

@@ -113,14 +113,14 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 			}
 			activations++
 			aj := vo.active[ev.Job]
-			for task, p := range aj.current.Placements {
+			for _, p := range aj.current.Placements {
 				if dom := env.Node(p.Node).Domain; dom != ev.Domain || dom != members[ev.Job] {
 					t.Errorf("%s, assigned to %s, booked node %d of domain %s", ev.Job, members[ev.Job], p.Node, dom)
 				}
 				b := want[p.Node]
 				b.gen++
 				b.res = append(b.res, resource.Reservation{Interval: p.Window,
-					Owner: resource.Owner{Job: ev.Job, Task: aj.strat.Scheduled.Task(task).Name}})
+					Owner: resource.Owner{Job: ev.Job, Task: aj.strat.Scheduled.Task(p.Task).Name}})
 				want[p.Node] = b
 			}
 		}),

@@ -204,8 +204,8 @@ type JobResult struct {
 	// Schedule's (Fig. 3b reads them from the strategies).
 	Collisions int
 
-	// Placements of the finally executed distribution.
-	Placements map[dag.TaskID]criticalworks.Placement
+	// Placements of the finally executed distribution, by Scheduled's TaskID.
+	Placements []criticalworks.Placement
 
 	// Evaluations spent generating (and re-generating) strategies.
 	Evaluations int64
@@ -442,7 +442,7 @@ func (vo *VO) SubmitPrio(job *dag.Job, typ strategy.Type, at simtime.Time, prio 
 		// Width 1: a batch of one with its own engine event, so events
 		// already queued for this tick (external load, outages, other
 		// arrivals) interleave with the arrivals in submission order.
-		vo.engine.At(at, "arrive "+job.Name, func() { vo.arriveBatch([]pendingArrival{p}) })
+		vo.engine.At(at, "arrive", func() { vo.arriveBatch([]pendingArrival{p}) })
 		return nil
 	}
 	if len(vo.pending[at]) == 0 {
@@ -603,8 +603,8 @@ func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
 // still free and returns false, having changed nothing, on the first one
 // that is not. Pass 2 reserves every window. The two passes are atomic
 // because the engine goroutine is the books' only writer (DESIGN.md §12),
-// so a Reserve refusing a window pass 1 just found free is an internal bug. The outcome does not depend on the order
-// Placements is walked in. It writes calendars and nothing else.
+// so a Reserve refusing a window pass 1 just found free is an internal bug.
+// It writes calendars and nothing else.
 func (m *JobManager) reserve(aj *activeJob, d *strategy.Distribution) bool {
 	env := m.vo.env
 	for _, p := range d.Placements {
@@ -612,8 +612,8 @@ func (m *JobManager) reserve(aj *activeJob, d *strategy.Distribution) bool {
 			return false
 		}
 	}
-	for id, p := range d.Placements {
-		owner := resource.Owner{Job: aj.result.Job.Name, Task: aj.strat.Scheduled.Task(id).Name}
+	for _, p := range d.Placements {
+		owner := resource.Owner{Job: aj.result.Job.Name, Task: aj.strat.Scheduled.Task(p.Task).Name}
 		if err := env.Node(p.Node).Calendar().Reserve(p.Window, owner); err != nil {
 			panic(fmt.Sprintf("metasched: activation conflict for %s: %v", aj.result.Job.Name, err))
 		}
@@ -648,11 +648,11 @@ func (m *JobManager) launch(aj *activeJob, d *strategy.Distribution) {
 	aj.result.ActualStart = d.Start
 	m.vo.trace(Event{Kind: EventActivate, Job: aj.result.Job.Name, Domain: m.domain,
 		Level: int(d.Level), Start: d.Start, End: d.Finish})
-	aj.startEv = m.vo.engine.At(d.Start, "start "+aj.result.Job.Name, func() {
+	aj.startEv = m.vo.engine.At(d.Start, "start", func() {
 		aj.result.State = StateExecuting
 		m.vo.trace(Event{Kind: EventStart, Job: aj.result.Job.Name, Domain: m.domain})
 	})
-	aj.finishEv = m.vo.engine.At(d.Finish, "finish "+aj.result.Job.Name, func() {
+	aj.finishEv = m.vo.engine.At(d.Finish, "finish", func() {
 		m.complete(aj)
 	})
 	m.armTaskFailure(aj, d)
@@ -677,7 +677,7 @@ func (m *JobManager) armTaskFailure(aj *activeJob, d *strategy.Distribution) {
 	// The task dies strictly inside the execution window, after the start
 	// event of its tick (start events precede failure events in the queue).
 	at := d.Start + 1 + vo.failRng.Int64n(int64(span-1))
-	aj.failEv = vo.engine.At(at, "task-fail "+aj.result.Job.Name, func() {
+	aj.failEv = vo.engine.At(at, "task-fail", func() {
 		m.taskFailed(aj, "task died mid-run")
 	})
 }
@@ -741,7 +741,7 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 		aj.result.Retries++
 		at := now + vo.cfg.Faults.JitteredBackoff(aj.retries, vo.jitterRng)
 		vo.trace(Event{Kind: EventRetry, Job: aj.result.Job.Name, Domain: m.domain, Level: aj.retries, Start: at})
-		vo.engine.At(at, "retry "+aj.result.Job.Name, func() {
+		vo.engine.At(at, "retry", func() {
 			m.adopt(aj)
 		})
 		return

@@ -26,7 +26,6 @@ type Handle struct{ ev *event }
 type event struct {
 	at        simtime.Time
 	seq       uint64
-	name      string
 	fn        func()
 	cancelled bool
 }
@@ -52,14 +51,15 @@ func (e *Engine) Pending() int {
 }
 
 // At schedules fn to run at model time t. Scheduling strictly in the past
-// panics: it always indicates a logic error in the caller. Scheduling at
-// the current time is allowed and runs after already-queued events of this
-// tick.
+// panics, naming the event by name: it always indicates a logic error in
+// the caller. The engine keeps nothing else of name, so a static label
+// costs nothing. Scheduling at the current time is allowed and runs after
+// already-queued events of this tick.
 func (e *Engine) At(t simtime.Time, name string, fn func()) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %d, now is %d", name, t, e.now))
 	}
-	ev := &event{at: t, seq: e.seq, name: name, fn: fn}
+	ev := &event{at: t, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return Handle{ev: ev}
