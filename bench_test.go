@@ -184,7 +184,7 @@ func BenchmarkBaselineMinMin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cals := criticalworks.EmptyCalendars(env)
-		if _, err := baseline.Build(env, cals, job, baseline.MinMin, baseline.Options{}); err != nil {
+		if _, err := baseline.Build(env, cals, job, baseline.MinMin); err != nil {
 			b.Fatal(err)
 		}
 	}

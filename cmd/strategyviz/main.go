@@ -70,8 +70,8 @@ func main() {
 		fmt.Printf("infeasible levels: %v\n", st.FailedLevels)
 	}
 	for _, d := range st.Distributions {
-		fmt.Printf("\nDistribution (level %d): CF=%d cost=%.1f finish=%d admissible=%v\n",
-			d.Level, d.BareCF, d.Cost, d.Finish, d.Admissible)
+		fmt.Printf("\nDistribution (level %d): CF=%d finish=%d admissible=%v\n",
+			d.Level, d.Cost, d.Finish, d.Admissible)
 		renderGantt(os.Stdout, env, st.Scheduled, d)
 	}
 }

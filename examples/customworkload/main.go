@@ -59,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("schedule: CF=%d, window [%d,%d), %d collisions\n",
-		sched.BareCF, sched.Start, sched.Finish, len(sched.Collisions))
+		sched.Cost, sched.Start, sched.Finish, len(sched.Collisions))
 	for _, t := range job.Tasks() {
 		p := sched.Placements[t.ID]
 		fmt.Printf("  %-10s -> %-6s %v\n", t.Name, env.Node(p.Node).Name, p.Window)

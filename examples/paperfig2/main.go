@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndistribution: CF=%d, window [%d,%d), deadline %d\n",
-		sched.BareCF, sched.Start, sched.Finish, job.Deadline)
+		sched.Cost, sched.Start, sched.Finish, job.Deadline)
 	for _, t := range job.Tasks() {
 		p := sched.Placements[t.ID]
 		fmt.Printf("  %s/%d %v\n", t.Name, p.Node+1, p.Window)

@@ -52,7 +52,7 @@ func main() {
 		st.Type, job.Name, len(st.Distributions), st.FailedLevels)
 	for _, d := range st.Distributions {
 		fmt.Printf("  level %d: CF=%d finish=%d admissible=%v collisions=%d\n",
-			d.Level, d.BareCF, d.Finish, d.Admissible, len(d.Schedule.Collisions))
+			d.Level, d.Cost, d.Finish, d.Admissible, len(d.Schedule.Collisions))
 	}
 
 	// The metascheduler's default pick is the cheapest admissible
@@ -62,11 +62,11 @@ func main() {
 	if cheap == nil {
 		log.Fatal("no admissible distribution — tighten the environment or loosen the deadline")
 	}
-	fmt.Printf("\ncheapest admissible (level %d, CF=%d):\n", cheap.Level, cheap.BareCF)
+	fmt.Printf("\ncheapest admissible (level %d, CF=%d):\n", cheap.Level, cheap.Cost)
 	for _, t := range job.Tasks() {
 		p := cheap.Placements[t.ID]
 		fmt.Printf("  %-8s -> %-6s %v\n", t.Name, env.Node(p.Node).Name, p.Window)
 	}
-	fmt.Printf("\nfastest admissible finishes at %d (costs %.0f vs %.0f — paying for speed)\n",
+	fmt.Printf("\nfastest admissible finishes at %d (CF=%d vs %d — paying for speed)\n",
 		fast.Finish, fast.Cost, cheap.Cost)
 }

@@ -6,8 +6,8 @@
 // ready set (all predecessors placed).
 //
 // The heuristics run against the same substrates as the core method —
-// estimation tables, reservation calendars, data-policy transfer times —
-// so the comparison isolates the allocation logic itself.
+// estimation tables, reservation calendars, remote-access transfer times (S2's
+// policy) — so the comparison isolates the allocation logic itself.
 package baseline
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
-	"repro/internal/data"
 	"repro/internal/economy"
 	"repro/internal/estimate"
 	"repro/internal/resource"
@@ -61,13 +60,6 @@ func (h Heuristic) String() string {
 	}
 }
 
-// Options configures one Build run.
-type Options struct {
-	// Catalog holds the job's data replicas and prices transfers; defaults
-	// to an empty remote-access catalog.
-	Catalog *data.Catalog
-}
-
 // InfeasibleError reports that the heuristic could not place a task within
 // the deadline.
 type InfeasibleError struct {
@@ -82,19 +74,17 @@ func (e *InfeasibleError) Error() string {
 // Build schedules the whole job with the given heuristic against the
 // calendar view (mutated in place; pass clones to keep the originals), on
 // every node of env, from time 0 to the job's deadline, at the job's derived
-// estimates and the bare cost function. The resulting Schedule is
+// estimates, remote data access (every transfer takes its edge's base time)
+// and the paper's cost function. The resulting Schedule is
 // interface-compatible with the core method's.
-func Build(env *resource.Environment, cals criticalworks.Calendars, job *dag.Job, h Heuristic, opt Options) (*criticalworks.Schedule, error) {
-	if opt.Catalog == nil {
-		opt.Catalog = data.NewCatalog(data.RemoteAccess, 0)
-	}
+func Build(env *resource.Environment, cals criticalworks.Calendars, job *dag.Job, h Heuristic) (*criticalworks.Schedule, error) {
 	if job.Deadline <= 0 {
 		return nil, &InfeasibleError{Job: job.Name, Task: job.Task(job.TopoOrder()[0]).Name}
 	}
 	if env.NumNodes() == 0 {
 		return nil, criticalworks.ErrNoCandidates
 	}
-	b := &builder{env: env, cals: cals, job: job, h: h, catalog: opt.Catalog,
+	b := &builder{env: env, cals: cals, job: job, h: h,
 		table: estimate.Derive(job), horizon: 4 * job.Deadline,
 		placed: make([]criticalworks.Placement, job.NumTasks())}
 	return b.run()
@@ -105,7 +95,6 @@ type builder struct {
 	cals    criticalworks.Calendars
 	job     *dag.Job
 	h       Heuristic
-	catalog *data.Catalog
 	table   *estimate.Table
 	horizon simtime.Time // calendar searches stop at 4× the deadline
 
@@ -135,9 +124,6 @@ func (b *builder) run() (*criticalworks.Schedule, error) {
 		}
 		b.placed[pick.task] = criticalworks.Placement{Task: pick.task, Node: pick.node, Window: pick.window}
 		b.nPlaced++
-		for _, e := range b.job.In(pick.task) {
-			b.catalog.Commit(b.job.Name, b.job.Task(e.From).Name, b.placed[e.From].Node, pick.node)
-		}
 	}
 	return b.assemble()
 }
@@ -248,9 +234,7 @@ func (b *builder) earliestWindow(id dag.TaskID, n resource.NodeID) (simtime.Inte
 	}
 	var earliest simtime.Time
 	for _, e := range b.job.In(id) {
-		p := b.placed[e.From]
-		tt := b.catalog.TransferTime(b.job.Name, b.job.Task(e.From).Name, e.BaseTime, p.Node, n)
-		if t := p.Window.End + tt; t > earliest {
+		if t := b.placed[e.From].Window.End + e.BaseTime; t > earliest {
 			earliest = t
 		}
 	}
@@ -273,8 +257,7 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 		Start:      simtime.Infinity,
 	}
 	for id, p := range b.placed {
-		dur := p.Window.Len()
-		s.BareCF += economy.TaskCharge(b.table.Volume(dag.TaskID(id)), dur)
+		s.Cost += economy.TaskCharge(b.table.Volume(dag.TaskID(id)), p.Window.Len())
 		if p.Window.Start < s.Start {
 			s.Start = p.Window.Start
 		}
@@ -282,12 +265,9 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 			s.Finish = p.Window.End
 		}
 	}
-	s.Cost = float64(s.BareCF) // every node at the bare rate 1
 	// Precedence verification, as in the core method.
 	for _, e := range b.job.Edges() {
-		from, to := b.placed[e.From], b.placed[e.To]
-		tt := b.catalog.TransferTime(b.job.Name, b.job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)
-		if to.Window.Start < from.Window.End+tt {
+		if b.placed[e.To].Window.Start < b.placed[e.From].Window.End+e.BaseTime {
 			return nil, fmt.Errorf("baseline: internal error: edge %s violates precedence", e.Name)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
-	"repro/internal/data"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -45,7 +44,7 @@ func forkJob(deadline simtime.Time) *dag.Job {
 	return b.MustBuild()
 }
 
-func checkValid(t *testing.T, job *dag.Job, s *criticalworks.Schedule, cat *data.Catalog) {
+func checkValid(t *testing.T, job *dag.Job, s *criticalworks.Schedule) {
 	t.Helper()
 	if len(s.Placements) != job.NumTasks() {
 		t.Fatalf("placed %d of %d", len(s.Placements), job.NumTasks())
@@ -56,9 +55,7 @@ func checkValid(t *testing.T, job *dag.Job, s *criticalworks.Schedule, cat *data
 		}
 	}
 	for _, e := range job.Edges() {
-		from, to := s.Placements[e.From], s.Placements[e.To]
-		tt := cat.TransferTime(job.Name, job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)
-		if to.Window.Start < from.Window.End+tt {
+		if s.Placements[e.To].Window.Start < s.Placements[e.From].Window.End+e.BaseTime {
 			t.Errorf("edge %s violates precedence", e.Name)
 		}
 	}
@@ -67,12 +64,11 @@ func checkValid(t *testing.T, job *dag.Job, s *criticalworks.Schedule, cat *data
 func TestAllHeuristicsScheduleLinearJob(t *testing.T) {
 	for _, h := range Heuristics {
 		env := env4()
-		cat := data.NewCatalog(data.RemoteAccess, 0)
-		s, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(60), h, Options{Catalog: cat})
+		s, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(60), h)
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
-		checkValid(t, s.Job, s, cat)
+		checkValid(t, s.Job, s)
 		if !s.MeetsDeadline() {
 			t.Errorf("%v misses a loose deadline: finish %d", h, s.Finish)
 		}
@@ -96,11 +92,11 @@ func TestMinMinPicksShortTaskFirst(t *testing.T) {
 		resource.NewNode(0, "only", 1.0, 1, "d"),
 	})
 	job := forkJob(100)
-	minmin, err := Build(env, criticalworks.EmptyCalendars(env), job, MinMin, Options{})
+	minmin, err := Build(env, criticalworks.EmptyCalendars(env), job, MinMin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxmin, err := Build(env, criticalworks.EmptyCalendars(env), job, MaxMin, Options{})
+	maxmin, err := Build(env, criticalworks.EmptyCalendars(env), job, MaxMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +115,7 @@ func TestMinMinPicksShortTaskFirst(t *testing.T) {
 func TestInfeasibleDeadline(t *testing.T) {
 	env := env4()
 	for _, h := range Heuristics {
-		_, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(3), h, Options{})
+		_, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(3), h)
 		var inf *InfeasibleError
 		if !errors.As(err, &inf) {
 			t.Errorf("%v: err = %v, want InfeasibleError", h, err)
@@ -129,7 +125,7 @@ func TestInfeasibleDeadline(t *testing.T) {
 
 func TestNoCandidates(t *testing.T) {
 	env := resource.NewEnvironment(nil)
-	_, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(50), MinMin, Options{})
+	_, err := Build(env, criticalworks.EmptyCalendars(env), lineJob(50), MinMin)
 	if !errors.Is(err, criticalworks.ErrNoCandidates) {
 		t.Fatalf("err = %v", err)
 	}
@@ -143,7 +139,7 @@ func TestRespectsExistingReservations(t *testing.T) {
 	if err := cals[0].Reserve(simtime.Interval{Start: 0, End: 10}, resource.External); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(env, cals, lineJob(60), MinMin, Options{})
+	s, err := Build(env, cals, lineJob(60), MinMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +173,16 @@ func randomJob(r *rng.Source) *dag.Job {
 }
 
 func TestQuickBaselineInvariants(t *testing.T) {
-	// Whenever a heuristic succeeds: every task placed, precedence holds,
-	// deadline met, no double-booking in the view.
+	// Whenever a heuristic succeeds: every task placed, precedence holds
+	// with every transfer at its edge's base time (remote access), deadline
+	// met, no double-booking in the view.
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		env := env4()
 		job := randomJob(r)
 		h := Heuristics[r.Intn(len(Heuristics))]
-		cat := data.NewCatalog(data.Policy(r.Intn(3)), 0)
 		cals := criticalworks.EmptyCalendars(env)
-		s, err := Build(env, cals, job, h, Options{Catalog: cat})
+		s, err := Build(env, cals, job, h)
 		if err != nil {
 			var inf *InfeasibleError
 			return errors.As(err, &inf)
@@ -195,9 +191,7 @@ func TestQuickBaselineInvariants(t *testing.T) {
 			return false
 		}
 		for _, e := range job.Edges() {
-			from, to := s.Placements[e.From], s.Placements[e.To]
-			tt := cat.TransferTime(job.Name, job.Task(e.From).Name, e.BaseTime, from.Node, to.Node)
-			if to.Window.Start < from.Window.End+tt {
+			if s.Placements[e.To].Window.Start < s.Placements[e.From].Window.End+e.BaseTime {
 				return false
 			}
 		}
@@ -225,7 +219,7 @@ func TestQuickDeterministic(t *testing.T) {
 		mk := func() (*criticalworks.Schedule, error) {
 			r := rng.New(seed)
 			env := env4()
-			return Build(env, criticalworks.EmptyCalendars(env), randomJob(r), h, Options{})
+			return Build(env, criticalworks.EmptyCalendars(env), randomJob(r), h)
 		}
 		a, errA := mk()
 		b, errB := mk()
@@ -235,7 +229,7 @@ func TestQuickDeterministic(t *testing.T) {
 		if errA != nil {
 			return true
 		}
-		if a.Finish != b.Finish || a.BareCF != b.BareCF {
+		if a.Finish != b.Finish || a.Cost != b.Cost {
 			return false
 		}
 		for id, pa := range a.Placements {

@@ -8,7 +8,7 @@
 //     tasks.
 //  2. Choose the best combination of available resources for that chain by
 //     dynamic programming over (chain position × candidate node),
-//     minimizing the economic cost Σ ceil(V/T)·rate subject to the job's
+//     minimizing the economic cost Σ ceil(V/T) subject to the job's
 //     deadline and the nodes' reservation calendars.
 //  3. Detect collisions — the chain's ideal placement landing on node time
 //     already reserved by a task of a different critical work (the paper's
@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/data"
-	"repro/internal/economy"
 	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/simtime"
@@ -61,10 +60,8 @@ type Schedule struct {
 	Placements []Placement
 	Collisions []Collision
 
-	// Cost is the economic cost Σ ceil(V/T)·rate(node); BareCF is the same
-	// sum with rate 1 — the paper's CF as printed in Fig. 2.
-	Cost   float64
-	BareCF int64
+	// Cost is the paper's cost function CF = Σ ceil(V/T), as Fig. 2 prints it.
+	Cost int64
 
 	// Start and Finish bound the whole job's execution window.
 	Start, Finish simtime.Time
@@ -133,9 +130,6 @@ type Options struct {
 	// storage, the node every product is kept on; the zero value is remote
 	// access.
 	Data data.Model
-	// Pricing sets node rates; defaults to FlatPricing{1} (the paper's
-	// bare CF).
-	Pricing economy.Pricing
 	// Candidates restricts the usable nodes; nil means every node.
 	Candidates []resource.NodeID
 	// Release is the earliest model time any task may start.
@@ -583,9 +577,6 @@ func buildResult(err error) string {
 	}
 }
 
-// barePricing is the default Options.Pricing, boxed once.
-var barePricing economy.Pricing = economy.FlatPricing{PerTick: 1}
-
 // normalize applies Build's option defaulting. A table that is
 // estimate.Derive of this job — defaulted here or handed in by a caller that
 // derived it once for many builds — is known to cover the job; any other is
@@ -601,9 +592,6 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 		if err := opt.Table.CoversJob(job); err != nil {
 			return opt, err
 		}
-	}
-	if opt.Pricing == nil {
-		opt.Pricing = barePricing
 	}
 	opt.deadline = job.Deadline
 	if opt.deadline <= opt.Release {
@@ -961,9 +949,7 @@ func allNodes(env *resource.Environment) []resource.NodeID {
 }
 
 // finish assembles the Schedule, prices it, commits data placements and
-// verifies precedence consistency (a violation is an internal bug). The
-// charges are summed in task-ID order: float addition is not associative,
-// and Cost must be a pure function of the build's inputs.
+// verifies precedence consistency (a violation is an internal bug).
 func (b *builder) finish() (*Schedule, error) {
 	s := &Schedule{
 		Job:         b.job,
@@ -972,10 +958,7 @@ func (b *builder) finish() (*Schedule, error) {
 		Evaluations: b.evals,
 	}
 	for id, p := range s.Placements {
-		dur := p.Window.Len()
-		vol := b.opt.Table.Volume(dag.TaskID(id))
-		s.BareCF += economy.TaskCharge(vol, dur)
-		s.Cost += economy.WeightedTaskCharge(vol, dur, b.opt.Pricing.Rate(b.env.Node(p.Node)))
+		s.Cost += b.charge(dag.TaskID(id), p.Window.Len())
 		if p.Window.Start < s.Start {
 			s.Start = p.Window.Start
 		}

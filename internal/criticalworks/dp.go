@@ -84,7 +84,7 @@ func (b *builder) dpPhase(parent *telemetry.Span, phase string, chain dag.Chain,
 // with position i on node cands[c]".
 type cell struct {
 	ok            bool
-	cost          float64
+	cost          int64
 	start, finish simtime.Time
 	prev          int // candidate index at position i-1, -1 at i=0
 }
@@ -116,7 +116,7 @@ func (b *builder) betterCell(a, c cell) bool {
 // charge.
 type cellIn struct {
 	dur, est, lft simtime.Time
-	charge        float64
+	charge        int64
 }
 
 // link is an edge between a chain task and a neighbour the attempt has
@@ -134,7 +134,7 @@ type link struct {
 type step struct {
 	ok       bool
 	earliest simtime.Time
-	cost     float64
+	cost     int64
 }
 
 // runDP finds the cost-minimal feasible placement of the chain. With
@@ -249,9 +249,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 //
 // Either way the winner is the cheapest of the predecessors the hit admits,
 // the lowest candidate index among equals — what betterCell picks over a
-// probe per predecessor. Costs are compared as the sums prev.cost + charge:
-// two different prev.cost can round to one sum, and then the lower index
-// wins (TestDPBreaksFloatTiesByIndex).
+// probe per predecessor (TestDPBreaksCostTiesByIndex).
 func (b *builder) bestStep(n resource.NodeID, book *resource.Calendar, in cellIn) cell {
 	steps := b.steps
 	for {
@@ -303,10 +301,9 @@ func (b *builder) prepareCells(chain dag.Chain) {
 		b.linkPlaced(task)
 		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
 		for c, n := range cands {
-			node := b.env.Node(n)
-			in := cellIn{dur: b.opt.Table.TimeOnNode(task, node)}
+			in := cellIn{dur: b.opt.Table.TimeOnNode(task, b.env.Node(n))}
 			if in.dur > 0 {
-				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), b.charge(task, in.dur, node)
+				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), b.charge(task, in.dur)
 			}
 			b.cells[i*C+c] = in
 		}
@@ -406,9 +403,9 @@ func (b *builder) fit(n resource.NodeID, book *resource.Calendar, earliest, dur,
 	return start, finish, true
 }
 
-// charge is the per-task economic cost on a node.
-func (b *builder) charge(task dag.TaskID, dur simtime.Time, node *resource.Node) float64 {
-	return economy.WeightedTaskCharge(b.opt.Table.Volume(task), dur, b.opt.Pricing.Rate(node))
+// charge is the task's cost term ceil(V/T) at a load time of dur.
+func (b *builder) charge(task dag.TaskID, dur simtime.Time) int64 {
+	return economy.TaskCharge(b.opt.Table.Volume(task), dur)
 }
 
 // chainEdge returns the connecting edge between two consecutive chain

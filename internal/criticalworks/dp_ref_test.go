@@ -69,13 +69,12 @@ func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, b
 			prevRow = dp[(i-1)*C : i*C]
 		}
 		for c, n := range cands {
-			node := b.env.Node(n)
-			dur := b.opt.Table.TimeOnNode(task, node)
+			dur := b.opt.Table.TimeOnNode(task, b.env.Node(n))
 			if dur <= 0 {
 				continue
 			}
 			// Functions of (task, n) alone: once per cell, not per predecessor.
-			est, lft, charge := b.refEst(task, n), b.refLft(task, n), b.charge(task, dur, node)
+			est, lft, charge := b.refEst(task, n), b.refLft(task, n), b.charge(task, dur)
 			var book *resource.Calendar // stays nil in the ideal phase
 			if !ignoreCalendar {
 				book = b.base[n]

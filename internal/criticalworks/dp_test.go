@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/data"
-	"repro/internal/economy"
 	"repro/internal/resource"
 	"repro/internal/simtime"
 )
@@ -15,27 +14,23 @@ import (
 // dpVariant is one setting of the axes the DP's choices depend on beyond the
 // job, the nodes and the books.
 type dpVariant struct {
-	obj     Objective
-	pol     data.Policy
-	mode    CollisionMode
-	pricing economy.Pricing // nil: the bare CF, integer costs
+	obj  Objective
+	pol  data.Policy
+	mode CollisionMode
 }
 
 func (v dpVariant) String() string {
-	return fmt.Sprintf("obj%d/%v/mode%d/%v", v.obj, v.pol, v.mode, v.pricing)
+	return fmt.Sprintf("obj%d/%v/mode%d", v.obj, v.pol, v.mode)
 }
 
-// dpVariants crosses both objectives, the three data policies, both
-// collision modes and two pricings. The fractional one (rates 0.1 × the
-// node's performance: 0.1, 0.05, 0.033, 0.025) makes costs whose sums round.
+// dpVariants crosses both objectives, the three data policies and both
+// collision modes.
 func dpVariants() []dpVariant {
 	var out []dpVariant
 	for _, obj := range []Objective{MinFinish, MinCost} {
 		for _, pol := range policies {
 			for _, mode := range []CollisionMode{ResolveReallocate, ResolveDelay} {
-				for _, pr := range []economy.Pricing{nil, economy.PerformancePricing{Base: 0.1}} {
-					out = append(out, dpVariant{obj, pol, mode, pr})
-				}
+				out = append(out, dpVariant{obj, pol, mode})
 			}
 		}
 	}
@@ -84,7 +79,7 @@ func TestDPMatchesReference(t *testing.T) {
 	for _, tc := range corpus {
 		for _, v := range variants {
 			opt := tc.opt
-			opt.Objective, opt.Mode, opt.Data.Policy, opt.Pricing = v.obj, v.mode, v.pol, v.pricing
+			opt.Objective, opt.Mode, opt.Data.Policy = v.obj, v.mode, v.pol
 			g, w, err := matchDPReference(tc.env, tc.cals, tc.job, opt)
 			if err != nil {
 				t.Fatalf("%s %v: %v", tc.name, v, err)
@@ -114,7 +109,7 @@ func FuzzDPMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		job, env, cals, opt := decodeFuzzInput(raw)
 		for _, v := range variants {
-			opt.Objective, opt.Mode, opt.Data.Policy, opt.Pricing = v.obj, v.mode, v.pol, v.pricing
+			opt.Objective, opt.Mode, opt.Data.Policy = v.obj, v.mode, v.pol
 			if _, _, err := matchDPReference(env, cals, job, opt); err != nil {
 				t.Fatalf("%v: %v", v, err)
 			}
@@ -122,28 +117,18 @@ func FuzzDPMatchesReference(f *testing.F) {
 	})
 }
 
-// ratePricing prices node i at rates[i].
-type ratePricing []float64
-
-func (r ratePricing) Rate(n *resource.Node) float64 { return r[n.ID] }
-
-// TestDPBreaksFloatTiesByIndex: two predecessors whose chain costs differ but
-// whose sums with the next task's charge round to one float must tie, and
-// the lower candidate index must win, as it does in the reference DP.
+// TestDPBreaksCostTiesByIndex: among predecessors of equal chain cost that
+// the probe's hit admits, the lower candidate index wins, as it does in the
+// reference DP.
 //
-// A → B, V(A) = 3 with base time 1: on node 0 (tier 1, rate 0.1) A is charged
-// 3 × 0.1 = 0.30000000000000004, on node 1 (tier 3, rate 0.3) 1 × 0.3 = 0.3.
-// Node 0 is booked from tick 1 and node 1 from tick 3, so B can only run on
-// node 2 (tier 1, rate 1, charge 1), which is booked until tick 5: both
-// predecessors let B start at 5, and 0.30000000000000004 + 1 == 0.3 + 1. A on
-// node 2 would cost 3 and start B at 7. So under either objective B's cell
-// on node 2 ties between A on node 0 and A on node 1, and A goes to node 0.
-// A DP that picked the predecessor with the least chain cost before adding
-// the charge would put A on node 1.
-func TestDPBreaksFloatTiesByIndex(t *testing.T) {
-	if p0, p1 := economy.WeightedTaskCharge(3, 1, 0.1), economy.WeightedTaskCharge(3, 3, 0.3); p0 == p1 || p0+1 != p1+1 {
-		t.Fatalf("the fixture's floats do not tie: %v + 1 = %v, %v + 1 = %v", p0, p0+1, p1, p1+1)
-	}
+// A → B, V(A) = 3, V(B) = 1, base times 1, on three nodes of tier 1: A is
+// charged 3 on any of them, B 1. Nodes 0 and 1 are booked from tick 1 and
+// node 2 until tick 5, so B can only run on node 2, from 5. A on node 0 and
+// A on node 1 both let B start at 2 ≤ 5 and cost 4 with it; A on node 2
+// would start B at 7. So under either objective B's cell on node 2 ties
+// between A on node 0 and A on node 1, and A goes to node 0. A DP that kept
+// the last of the equal-cost predecessors would put A on node 1.
+func TestDPBreaksCostTiesByIndex(t *testing.T) {
 	b := dag.NewBuilder("tie").Deadline(100)
 	a := b.Task("A", 1, 3)
 	c := b.Task("B", 1, 1)
@@ -151,23 +136,24 @@ func TestDPBreaksFloatTiesByIndex(t *testing.T) {
 	job := b.MustBuild()
 	env := resource.NewEnvironment([]*resource.Node{
 		resource.NewNode(0, "n0", 1.0, 1, "d"),
-		resource.NewNode(1, "n1", 0.33, 1, "d"),
+		resource.NewNode(1, "n1", 1.0, 1, "d"),
 		resource.NewNode(2, "n2", 1.0, 1, "d"),
 	})
 	cals := EmptyCalendars(env)
-	for n, iv := range []simtime.Interval{{Start: 1, End: 1000}, {Start: 3, End: 1000}, {Start: 0, End: 5}} {
+	for n, iv := range []simtime.Interval{{Start: 1, End: 1000}, {Start: 1, End: 1000}, {Start: 0, End: 5}} {
 		if err := cals[resource.NodeID(n)].Reserve(iv, resource.External); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, obj := range []Objective{MinFinish, MinCost} {
-		opt := Options{Objective: obj, Pricing: ratePricing{0.1, 0.3, 1}}
+		opt := Options{Objective: obj}
 		s, err := Build(env, cals, job, opt)
 		if err != nil {
 			t.Fatalf("obj %d: %v", obj, err)
 		}
-		if pa, pb := s.Placements[a], s.Placements[c]; pa.Node != 0 || pb.Node != 2 || pb.Window.Start != 5 {
-			t.Errorf("obj %d: A on node %d, B on node %d at %v; want A on node 0, B on node 2 from 5", obj, pa.Node, pb.Node, pb.Window)
+		if pa, pb := s.Placements[a], s.Placements[c]; pa.Node != 0 || pb.Node != 2 || pb.Window.Start != 5 || s.Cost != 4 {
+			t.Errorf("obj %d: A on node %d, B on node %d at %v, cost %d; want A on node 0, B on node 2 from 5, cost 4",
+				obj, pa.Node, pb.Node, pb.Window, s.Cost)
 		}
 		if _, _, err := matchDPReference(env, cals, job, opt); err != nil {
 			t.Errorf("obj %d: %v", obj, err)

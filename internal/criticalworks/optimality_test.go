@@ -15,13 +15,13 @@ import (
 // job on empty calendars under earliest-start semantics and returns the
 // optimal (finish, cost) under the given objective. Only usable for tiny
 // instances.
-func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (simtime.Time, float64, bool) {
+func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (simtime.Time, int64, bool) {
 	tab := estimate.Derive(job)
 	order := job.TopoOrder()
 	n := env.NumNodes()
 
 	bestFinish := simtime.Infinity
-	bestCost := 0.0
+	var bestCost int64
 	found := false
 
 	assign := make([]resource.NodeID, len(order))
@@ -32,7 +32,7 @@ func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (si
 			// transfers (the default policy in Build).
 			finishes := make(map[dag.TaskID]simtime.Time)
 			var finish simtime.Time
-			var cost float64
+			var cost int64
 			for i, id := range order {
 				node := env.Node(assign[i])
 				dur := tab.TimeOnNode(id, node)
@@ -50,7 +50,7 @@ func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (si
 				if end > finish {
 					finish = end
 				}
-				cost += float64((tab.Volume(id) + int64(dur) - 1) / int64(dur))
+				cost += (tab.Volume(id) + int64(dur) - 1) / int64(dur)
 			}
 			if finish > job.Deadline {
 				return

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/resource"
 	"repro/internal/simtime"
 )
 
@@ -37,28 +36,6 @@ func TestTaskChargePanicsOnZeroTime(t *testing.T) {
 		}
 	}()
 	TaskCharge(5, 0)
-}
-
-func TestPricing(t *testing.T) {
-	fast := resource.NewNode(0, "f", 1.0, 0, "d")
-	slow := resource.NewNode(1, "s", 0.25, 0, "d")
-	flat := FlatPricing{PerTick: 1}
-	if flat.Rate(fast) != 1 || flat.Rate(slow) != 1 {
-		t.Error("flat pricing not flat")
-	}
-	perf := PerformancePricing{Base: 4}
-	if perf.Rate(fast) != 4 {
-		t.Errorf("perf rate fast = %v", perf.Rate(fast))
-	}
-	if perf.Rate(slow) != 1 {
-		t.Errorf("perf rate slow = %v", perf.Rate(slow))
-	}
-}
-
-func TestWeightedTaskCharge(t *testing.T) {
-	if got := WeightedTaskCharge(20, 2, 1.5); got != 15 {
-		t.Errorf("WeightedTaskCharge = %v, want 15", got)
-	}
 }
 
 func TestQuickTaskChargeCeiling(t *testing.T) {

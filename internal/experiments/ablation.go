@@ -31,7 +31,7 @@ func AblationCollision(cfg Fig3Config) (*Report, error) {
 					continue
 				}
 				d := s.CheapestAdmissible()
-				outs[m] = planOutcome{ok: true, finish: int64(d.Finish), cost: d.BareCF}
+				outs[m] = planOutcome{ok: true, finish: int64(d.Finish), cost: d.Cost}
 			}
 			return outs, nil
 		})

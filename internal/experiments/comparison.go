@@ -34,7 +34,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 				if !ok || s == nil {
 					return
 				}
-				outs[slot] = planOutcome{ok: true, finish: int64(s.Finish), cost: s.BareCF}
+				outs[slot] = planOutcome{ok: true, finish: int64(s.Finish), cost: s.Cost}
 			}
 
 			// The critical works method, remote-access policy (S2's), so the
@@ -55,9 +55,7 @@ func Comparison(cfg Fig3Config) (*Report, error) {
 			}
 
 			for hi, h := range baseline.Heuristics {
-				s, err := baseline.Build(env, cals.Clone(), job, h, baseline.Options{
-					Catalog: data.NewCatalog(data.RemoteAccess, 0),
-				})
+				s, err := baseline.Build(env, cals.Clone(), job, h)
 				record(2+hi, s, err == nil && s.MeetsDeadline())
 				var inf *baseline.InfeasibleError
 				if err != nil && !errors.As(err, &inf) {

@@ -85,8 +85,8 @@ func Fig2Telemetry(reg *telemetry.Registry) (*Report, error) {
 	r.addLine("distributions (one per estimation level):")
 	for _, d := range st.Distributions {
 		r.addLine("  level %d: CF=%d finish=%d admissible=%v  %s",
-			d.Level, d.BareCF, d.Finish, d.Admissible, renderAllocations(job, env, d))
-		r.Values[fmt.Sprintf("cf-level%d", d.Level)] = float64(d.BareCF)
+			d.Level, d.Cost, d.Finish, d.Admissible, renderAllocations(job, env, d))
+		r.Values[fmt.Sprintf("cf-level%d", d.Level)] = float64(d.Cost)
 		r.Values[fmt.Sprintf("finish-level%d", d.Level)] = float64(d.Finish)
 		if d.Admissible {
 			r.Values[fmt.Sprintf("admissible-level%d", d.Level)] = 1
@@ -98,9 +98,9 @@ func Fig2Telemetry(reg *telemetry.Registry) (*Report, error) {
 		return nil, fmt.Errorf("experiments: fig2 strategy has no admissible distribution")
 	}
 	r.addLine("cheapest admissible: level %d (CF=%d); fastest: level %d (CF=%d)",
-		cheap.Level, cheap.BareCF, fast.Level, fast.BareCF)
-	r.Values["cheapest-cf"] = float64(cheap.BareCF)
-	r.Values["fastest-cf"] = float64(fast.BareCF)
+		cheap.Level, cheap.Cost, fast.Level, fast.Cost)
+	r.Values["cheapest-cf"] = float64(cheap.Cost)
+	r.Values["fastest-cf"] = float64(fast.Cost)
 	r.Values["cheapest-level"] = float64(cheap.Level)
 	r.Values["fastest-level"] = float64(fast.Level)
 

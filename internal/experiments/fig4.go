@@ -165,7 +165,7 @@ func runFig4Type(cfg Fig4Config, typ strategy.Type, tracer metasched.Tracer) (*f
 			continue
 		}
 		out.completed++
-		cf.AddInt(r.BareCF)
+		cf.Add(r.Cost)
 		task.Add(r.MeanTaskTime)
 		if rt := r.RunTime(); rt > 0 {
 			dev.Add(float64(r.StartDeviation()) / float64(rt))

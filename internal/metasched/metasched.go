@@ -170,9 +170,8 @@ type JobResult struct {
 	// and last activated distributions.
 	InitialLevel, FinalLevel resource.Tier
 
-	// Cost/BareCF of the finally executed distribution.
-	Cost   float64
-	BareCF int64
+	// Cost is the cost function CF of the finally executed distribution.
+	Cost float64
 
 	// MeanTaskTime is the average reserved task duration of the final
 	// distribution (Fig. 4b's task execution time).
@@ -329,12 +328,11 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 			domain: dom,
 			pool:   pool,
 			gen: &strategy.Generator{
-				Env:         env,
-				Pool:        pool,
-				StorageNode: pool[0],
-				Objective:   cfg.Objective,
-				Telemetry:   cfg.Telemetry,
-				Spans:       cfg.Spans,
+				Env:       env,
+				Pool:      pool,
+				Objective: cfg.Objective,
+				Telemetry: cfg.Telemetry,
+				Spans:     cfg.Spans,
 			},
 		}
 		vo.managers = append(vo.managers, m)
@@ -686,8 +684,7 @@ func (m *JobManager) armTaskFailure(aj *activeJob, d *strategy.Distribution) {
 func (m *JobManager) complete(aj *activeJob) {
 	d := aj.current
 	aj.result.Finish = d.Finish
-	aj.result.Cost = d.Cost
-	aj.result.BareCF = d.BareCF
+	aj.result.Cost = float64(d.Cost)
 	aj.result.TTLs = append(aj.result.TTLs, d.Finish-aj.activate)
 	aj.result.Placements = d.Placements
 	var total simtime.Time

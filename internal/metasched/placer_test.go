@@ -180,7 +180,7 @@ func TestPlacerSingletonBatchesMatchSequential(t *testing.T) {
 		for i := range a {
 			x, y := a[i], b[i]
 			if x.Job.Name != y.Job.Name || x.State != y.State || x.Finish != y.Finish ||
-				x.Cost != y.Cost || x.BareCF != y.BareCF || x.Domain != y.Domain ||
+				x.Cost != y.Cost || x.Domain != y.Domain ||
 				x.InitialLevel != y.InitialLevel || x.FinalLevel != y.FinalLevel ||
 				!reflect.DeepEqual(x.Placements, y.Placements) {
 				t.Fatalf("seed %d: result %d diverged:\nplacers=1: %+v\nplacers=4: %+v", seed, i, x, y)

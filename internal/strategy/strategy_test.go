@@ -259,7 +259,7 @@ func TestAdmissibleAfterSkipsUsedLevels(t *testing.T) {
 		seen[lv] = true
 	}
 	// Costs must be non-decreasing along the fallback order.
-	var lastCost float64 = -1
+	var lastCost int64 = -1
 	for i, lv := range picked {
 		for _, d := range s.Distributions {
 			if d.Level == lv {

@@ -36,10 +36,10 @@ var reachAllow = map[string]keptAPI{
 		"refBuild (criticalworks/cow_test.go) finds each critical work with the allocating search; production runs LongestChainBuf"},
 	"internal/data.Catalog.Replicas": {"reference", []string{"TestDenseReplicasMatchCatalog", "TestBuildMatchesCloneReference"},
 		"sameReplicas compares a build's dense replica rows with the string-keyed catalog's replica sets"},
+	"internal/data.Catalog.Commit": {"reference", []string{"TestBuildMatchesCloneReference", "TestDenseReplicasMatchCatalog"},
+		"refBuild and the replica differential track replicas in the string-keyed catalog the build's dense rows are compared with"},
 	"internal/federation.EncodeHandoff": {"seam", []string{"TestHandoffRoundTrip", "TestDecodeRejectsCorruption", "TestRouterRefusesAnOversizedSubmit"},
 		"frames the handoffs the decoder, a local shard and the size limit are driven with; the router encodes in place"},
-	"internal/criticalworks.Options.Pricing": {"seam", []string{"TestPerformancePricingPullsTowardSlowNodes", "TestDPBreaksFloatTiesByIndex"},
-		"drives the DP under rates other than the bare cost function every VO plans at"},
 	"internal/telemetry.Tracer.SetClock": {"seam", []string{"TestSpanJSONLExactBytes"},
 		"a fixed clock makes the span stream's bytes comparable"},
 	"internal/breaker.Breaker.RetryAfter": {"seam", []string{"TestBreakerStateMachine", "TestBreakerDefaultsAndZeroConfig"},

@@ -10,7 +10,7 @@
 //     paper's performance groups (internal/resource);
 //   - the data policies distinguishing the strategy families: active
 //     replication, remote access, static storage (internal/data);
-//   - the VO economic model, CF = Σ ceil(V/T)·rate (internal/economy);
+//   - the VO economic model, CF = Σ ceil(V/T) (internal/economy);
 //   - the critical works method — the paper's core application-level
 //     co-allocation algorithm with collision detection and economic
 //     resolution (internal/criticalworks);

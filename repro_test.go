@@ -29,7 +29,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(sched.Placements) != 2 || !sched.MeetsDeadline() {
 		t.Fatalf("schedule = %+v", sched)
 	}
-	if sched.BareCF <= 0 {
+	if sched.Cost <= 0 {
 		t.Error("no cost computed")
 	}
 }
