@@ -95,7 +95,7 @@ type builder struct {
 	cals    criticalworks.Calendars
 	job     *dag.Job
 	h       Heuristic
-	table   *estimate.Table
+	table   estimate.Table
 	horizon simtime.Time // calendar searches stop at 4× the deadline
 
 	placed  []criticalworks.Placement // by TaskID; an empty window where none yet

@@ -57,7 +57,7 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 		sc := new(scratch) // never pooled: the reference owes the arena nothing
 		sc.reset(job, env.NumNodes())
 		b := sc.attempt(env, trial, opt, mg)
-		b.computeBounds(opt.Table, mg)
+		b.computeBounds(opt.tab, mg)
 		cat := data.NewCatalog(opt.Data.Policy, opt.Data.Storage)
 		sched, err := refPlaceChains(b, place, trial, cat)
 		evals += b.evals
@@ -84,7 +84,7 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 // with place and materialising it into trial — the builder's own view — and
 // its data placements into cat as soon as it is placed.
 func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Calendars, cat *data.Catalog) (*Schedule, error) {
-	weights := chainWeights(b.opt.Table)
+	weights := chainWeights(b.opt.tab)
 	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
 		chain, _ := b.job.LongestChain(weights, unplaced)
@@ -453,9 +453,9 @@ var denseRegimes = []struct {
 	hopeless bool
 	budget   float64
 }{
-	{"feasible", 400, true, false, 6},
-	{"refused", 12, false, true, 5},
-	{"ladder-infeasible", 22, false, false, 7},
+	{"feasible", 400, true, false, 4},
+	{"refused", 12, false, true, 3},
+	{"ladder-infeasible", 22, false, false, 3},
 }
 
 // TestBuildAllocationBudget pins what one Build allocates on the dense
@@ -463,12 +463,15 @@ var denseRegimes = []struct {
 // A build allocates only what it returns — the Schedule, its Placements (one
 // slice, and none at all when no chain was placed, as in the two failures
 // here), its Collisions at their exact length, the error (one per failed
-// attempt) — plus what normalize defaults (table, candidates); its working
-// memory, replica sets and collisions-so-far included, is a pooled arena
-// (TestBuildAllocsFig2 pins the count exactly, with nothing defaulted). The
-// budgets are the readings. Under -race sync.Pool drops a quarter of the Puts
-// on purpose and the next build makes a new arena, so the pin skips there
-// and runs in CI's step without it. With Placements a map the three read 9,
+// attempt) — plus the candidates normalize defaults; the estimate table is a
+// view of the job, and its working memory, replica sets and collisions-so-far
+// included, is a pooled arena (TestBuildAllocsFig2 pins the count exactly,
+// with nothing defaulted). The budgets are the readings. Under -race
+// sync.Pool drops a quarter of the Puts on purpose and the next build makes a
+// new arena, so the pin skips there and runs in CI's step without it. With a
+// two-allocation estimate table made per build, and the errors.As target
+// that tested each failed attempt's error escaping to the heap, the three
+// read 6, 5 and 7. With Placements a map the three read 9,
 // 6 and 8: the map took three allocations, and each failure returned an
 // empty one. Before the DP cut the third read 20: all five attempts ran, each
 // leaving an error behind. With a

@@ -121,11 +121,6 @@ const (
 type Options struct {
 	// JobName labels reservations; defaults to the job's own name.
 	JobName string
-	// Table holds user estimates; defaults to estimate.Derive(job). A
-	// caller building one job many times may pass that derived table
-	// itself: it is recognized (Table.DerivedFrom) and, like the default,
-	// not checked against the job again.
-	Table *estimate.Table
 	// Data is the data policy transfers are priced under and, for static
 	// storage, the node every product is kept on; the zero value is remote
 	// access.
@@ -158,8 +153,10 @@ type Options struct {
 	// phase (ideal/actual). nil disables tracing at zero cost.
 	Spans *telemetry.Tracer
 
-	// Set by Build: the job's deadline, the horizon calendar searches stop
-	// at (4× the deadline span) and the span the margin attempts hang under.
+	// Set by Build: the job's user estimates, its deadline, the horizon
+	// calendar searches stop at (4× the deadline span) and the span the
+	// margin attempts hang under.
+	tab               estimate.Table
 	deadline, horizon simtime.Time
 	parentSpan        telemetry.SpanID
 }
@@ -234,6 +231,8 @@ func EmptyCalendars(env *resource.Environment) Calendars {
 // candidates: a level sweep refuses its later levels on it (strategy).
 // Without FirstWork the ladder ran until its margins, or a later margin's
 // DP cut, said no.
+//
+// Build returns it unwrapped, so a type assertion finds it.
 type InfeasibleError struct {
 	Job       string
 	Task      string
@@ -559,40 +558,27 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 
 // buildResult classifies a build's outcome for the telemetry counters.
 func buildResult(err error) string {
+	inf, _ := err.(*InfeasibleError) // Build returns it unwrapped
 	switch {
 	case err == nil:
 		return "ok"
+	case inf != nil && inf.Hopeless:
+		return "hopeless"
+	case inf != nil:
+		return "infeasible"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return "cancelled"
 	default:
-		var inf *InfeasibleError
-		switch {
-		case !errors.As(err, &inf):
-			return "error"
-		case inf.Hopeless:
-			return "hopeless"
-		default:
-			return "infeasible"
-		}
+		return "error"
 	}
 }
 
-// normalize applies Build's option defaulting. A table that is
-// estimate.Derive of this job — defaulted here or handed in by a caller that
-// derived it once for many builds — is known to cover the job; any other is
-// checked.
+// normalize applies Build's option defaulting.
 func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, error) {
 	if opt.JobName == "" {
 		opt.JobName = job.Name
 	}
-	switch {
-	case opt.Table == nil:
-		opt.Table = estimate.Derive(job)
-	case !opt.Table.DerivedFrom(job):
-		if err := opt.Table.CoversJob(job); err != nil {
-			return opt, err
-		}
-	}
+	opt.tab = estimate.Derive(job)
 	opt.deadline = job.Deadline
 	if opt.deadline <= opt.Release {
 		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoAt(0)).Name, Hopeless: true, FirstWork: true}
@@ -654,10 +640,10 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 	// The first critical work is the longest chain over all tasks by
 	// Table.Best and base transfer times — the same at every margin, so it
 	// is found once and handed to every attempt.
-	first, _ := job.LongestChainBuf(&sc.chains, chainWeights(opt.Table), nil)
+	first, _ := job.LongestChainBuf(&sc.chains, chainWeights(opt.tab), nil)
 	sc.first = append(sc.first[:0], first.Tasks...)
 	first.Tasks = sc.first
-	sc.computeBounds(opt.Table, 1)
+	sc.computeBounds(opt.tab, 1)
 	if sc.hopeless(env, opt, first) {
 		return &Schedule{Job: job, Partial: true},
 			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
@@ -675,14 +661,16 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 			b.span = asp.ID()
 		}
 		sched, err := b.buildOnce(first)
-		asp.SetStr("result", buildResult(err)).SetInt("evaluations", b.evals).End()
+		if asp != nil {
+			asp.SetStr("result", buildResult(err)).SetInt("evaluations", b.evals).End()
+		}
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
 			return sched, nil
 		}
-		var inf *InfeasibleError
-		if !errors.As(err, &inf) {
+		inf, ok := err.(*InfeasibleError)
+		if !ok {
 			return nil, err
 		}
 		if firstPartial == nil {
@@ -765,7 +753,7 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 		}
 		fastest := simtime.Infinity
 		for _, n := range opt.Candidates {
-			if dur := opt.Table.TimeOnNode(task, env.Node(n)); dur > 0 && dur < fastest {
+			if dur := opt.tab.TimeOnNode(task, env.Node(n)); dur > 0 && dur < fastest {
 				fastest = dur
 			}
 		}
@@ -811,7 +799,7 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options, chain dag.Chain) (probes int64, refused bool) {
 	var budget int64
 	for _, n := range opt.Candidates {
-		if opt.Table.TimeOnNode(chain.Tasks[0], env.Node(n)) > 0 {
+		if opt.tab.TimeOnNode(chain.Tasks[0], env.Node(n)) > 0 {
 			budget += int64(len(margins) - 1)
 		}
 	}
@@ -819,7 +807,7 @@ func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options,
 		est, lft := opt.Release+sc.bestUp[task], opt.deadline-sc.bestDown[task]
 		gap := false
 		for _, n := range opt.Candidates {
-			dur := opt.Table.TimeOnNode(task, env.Node(n))
+			dur := opt.tab.TimeOnNode(task, env.Node(n))
 			if dur <= 0 {
 				continue
 			}
@@ -856,14 +844,14 @@ func (b *builder) cancelled() error { return cancelled(b.opt.Ctx, b.opt.JobName)
 // critical work the build already found, then critical works until no task
 // is left.
 func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
-	b.computeBounds(b.opt.Table, b.margin)
+	b.computeBounds(b.opt.tab, b.margin)
 	if err := b.cancelled(); err != nil {
 		return nil, err
 	}
 	if err := b.placeChain(first); err != nil {
 		return nil, err
 	}
-	weights := chainWeights(b.opt.Table)
+	weights := chainWeights(b.opt.tab)
 	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
 		if err := b.cancelled(); err != nil {
@@ -894,7 +882,7 @@ func (b *builder) partial() *Schedule {
 
 // chainWeights gives the critical-work metric: best-case task estimates
 // plus base transfer times (WeightFunc's default for an edge).
-func chainWeights(tab *estimate.Table) dag.WeightFunc {
+func chainWeights(tab estimate.Table) dag.WeightFunc {
 	return dag.WeightFunc{Task: func(t dag.Task) simtime.Time { return tab.Best(t.ID) }}
 }
 
@@ -906,7 +894,7 @@ func chainWeights(tab *estimate.Table) dag.WeightFunc {
 // back-to-back and later works cannot squeeze their tasks (plus transfers)
 // into the remaining windows — the idle gaps visible in the paper's Fig. 2
 // Gantt charts are exactly this reserved room.
-func (sc *scratch) computeBounds(tab *estimate.Table, margin float64) {
+func (sc *scratch) computeBounds(tab estimate.Table, margin float64) {
 	scale := func(t simtime.Time) simtime.Time {
 		if margin <= 1 {
 			return t

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/data"
-	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -109,15 +108,14 @@ func TestBuildOnMultiWordReplicaRows(t *testing.T) {
 // and, when the build recorded any, its Collisions at their exact length.
 // Nothing else: the bounds, the chain searches, the DP table, the overlay,
 // the replica sets and the collisions as they are found all live in the
-// pooled arena, and the candidates, the table and the data model are the
-// caller's. The ceilings are the measured counts.
+// pooled arena, the candidates and the data model are the caller's, and the
+// table is a view of the job. The ceilings are the measured counts.
 func TestBuildAllocsFig2(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
 	}
 	job := fig2Job(40)
 	env := paperEnv()
-	tab := estimate.Derive(job)
 	cands := []resource.NodeID{0, 1, 2, 3}
 	cals := EmptyCalendars(env)
 	for id, c := range cals {
@@ -129,7 +127,7 @@ func TestBuildAllocsFig2(t *testing.T) {
 		}
 	}
 	for _, pol := range policies {
-		opt := Options{Table: tab, Candidates: cands, Data: data.Model{Policy: pol}}
+		opt := Options{Candidates: cands, Data: data.Model{Policy: pol}}
 		s, err := Build(env, cals, job, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)

@@ -72,20 +72,8 @@ func TestTimeOnNode(t *testing.T) {
 	}
 }
 
-func TestCoversJob(t *testing.T) {
-	job := paperJob(t)
-	tab := Derive(job)
-	if err := tab.CoversJob(job); err != nil {
-		t.Errorf("derived table does not cover its job: %v", err)
-	}
-	b := dag.NewBuilder("one")
-	b.Task("P1", 2, 20)
-	partial := Derive(b.MustBuild())
-	if err := partial.CoversJob(job); err == nil {
-		t.Error("a one-task table claims to cover a six-task job")
-	}
-}
-
+// TestPanicsOnMissingRow: a task the job does not have has no row; reading
+// one is a bug and panics.
 func TestPanicsOnMissingRow(t *testing.T) {
 	tab := Derive(paperJob(t)) // tasks 0..5
 	for _, fn := range []func(){
@@ -124,18 +112,5 @@ func TestQuickDeriveMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestDerivedFrom: only Derive(job) counts as derived from that job; the
-// marker is what lets a build skip checking a table it is handed.
-func TestDerivedFrom(t *testing.T) {
-	job := paperJob(t)
-	tab := Derive(job)
-	if !tab.DerivedFrom(job) {
-		t.Error("Derive(job) is not derived from job")
-	}
-	if tab.DerivedFrom(paperJob(t)) {
-		t.Error("a table claims derivation from a job it was not derived from")
 	}
 }

@@ -579,7 +579,7 @@ func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
 	for _, d := range st.Distributions {
 		aj.result.Collisions += len(d.Schedule.Collisions)
 	}
-	aj.result.Collisions += len(st.PartialCollisions)
+	aj.result.Collisions += st.PartialCollisions
 	if initial {
 		aj.result.Admissible = st.Admissible()
 	}
@@ -774,7 +774,7 @@ func (m *JobManager) fallback(aj *activeJob) {
 		if sp != nil {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
-		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now, aj.strat.Table)
+		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now)
 		if err != nil || d == nil || !d.Admissible {
 			if partial != nil {
 				aj.result.Evaluations += partial.Evaluations

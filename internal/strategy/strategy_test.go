@@ -16,7 +16,6 @@ import (
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/data"
-	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -305,7 +304,7 @@ func TestCollisionsByGroupCountsAtContendedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collisions := len(s.PartialCollisions)
+	collisions := s.PartialCollisions
 	for _, d := range s.Distributions {
 		collisions += len(d.Schedule.Collisions)
 	}
@@ -442,41 +441,33 @@ func TestGenerateCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestCandidatesPerLevelInPoolOrder: the lists a generation gets in one call
-// are, level by level, the pool filtered by "up and of tier ≥ level" in the
-// pool's own order — the DP breaks ties by candidate index, so a list in any
-// other order is another plan — for a shuffled pool, the whole environment
-// (nil pool), a node down, and a family that sweeps two levels only; and no
-// list can grow into the next one's memory.
+// TestCandidatesPerLevelInPoolOrder: a level's list is the pool filtered by
+// "up and of tier ≥ level" in the pool's own order — the DP breaks ties by
+// candidate index, so a list in any other order is another plan — for a
+// shuffled pool, the whole environment (nil pool) and a node down. Each list
+// goes back to candidateBufs before the next is taken, so the next may be
+// filled over a longer one's leftovers.
 func TestCandidatesPerLevelInPoolOrder(t *testing.T) {
 	env := mixedEnv()
 	env.Node(1).MarkDown(0)
 	for _, pool := range [][]resource.NodeID{nil, {4, 0, 3, 1, 2}, {2, 1}, {1}} {
-		for _, typ := range []Type{S1, MS1} {
-			g := &Generator{Env: env, Pool: pool}
-			levels := typ.Levels()
-			got := g.candidates(levels)
-			if len(got) != len(levels) {
-				t.Fatalf("pool %v, %v: %d lists for %d levels", pool, typ, len(got), len(levels))
-			}
-			from := pool
-			if from == nil {
-				from = []resource.NodeID{0, 1, 2, 3, 4}
-			}
-			for i, level := range levels {
-				var want []resource.NodeID
-				for _, id := range from {
-					if n := env.Node(id); n.Up() && n.Tier() >= level {
-						want = append(want, id)
-					}
-				}
-				if !slices.Equal(got[i], want) {
-					t.Errorf("pool %v, %v, level %d: candidates %v, want %v", pool, typ, level, got[i], want)
-				}
-				if cap(got[i]) != len(got[i]) {
-					t.Errorf("pool %v, %v, level %d: the list has room to grow into its neighbour", pool, typ, level)
+		g := &Generator{Env: env, Pool: pool}
+		from := pool
+		if from == nil {
+			from = []resource.NodeID{0, 1, 2, 3, 4}
+		}
+		for _, level := range []resource.Tier{4, 1, 3, 2} {
+			var want []resource.NodeID
+			for _, id := range from {
+				if n := env.Node(id); n.Up() && n.Tier() >= level {
+					want = append(want, id)
 				}
 			}
+			got := g.candidates(level)
+			if !slices.Equal(*got, want) {
+				t.Errorf("pool %v, level %d: candidates %v, want %v", pool, level, *got, want)
+			}
+			candidateBufs.Put(got)
 		}
 	}
 }
@@ -635,9 +626,8 @@ func everyLevelBuilt(g *Generator, job *dag.Job, typ Type, base criticalworks.Ca
 		}
 		s.Clustering, s.Scheduled = cl, cl.Job
 	}
-	s.Table = estimate.Derive(s.Scheduled)
 	for _, level := range typ.Levels() {
-		d, partial, err := g.BuildLevelCtx(context.Background(), s.Scheduled, job.Name, typ, level, base, release, s.Table)
+		d, partial, err := g.BuildLevelCtx(context.Background(), s.Scheduled, job.Name, typ, level, base, release)
 		if err != nil {
 			return nil, err
 		}
@@ -645,7 +635,7 @@ func everyLevelBuilt(g *Generator, job *dag.Job, typ Type, base criticalworks.Ca
 			s.FailedLevels = append(s.FailedLevels, level)
 			if partial != nil {
 				s.Evaluations += partial.Evaluations
-				s.PartialCollisions = append(s.PartialCollisions, partial.Collisions...)
+				s.PartialCollisions += len(partial.Collisions)
 			}
 			continue
 		}
@@ -764,7 +754,7 @@ func TestSweepMatchesEveryLevelBuilt(t *testing.T) {
 					if !reflect.DeepEqual(got.Distributions, want.Distributions) {
 						t.Fatalf("%s: distributions differ:\n got %+v\nwant %+v", what, got.Distributions, want.Distributions)
 					}
-					if !slices.Equal(got.FailedLevels, want.FailedLevels) || !reflect.DeepEqual(got.PartialCollisions, want.PartialCollisions) {
+					if !slices.Equal(got.FailedLevels, want.FailedLevels) || got.PartialCollisions != want.PartialCollisions {
 						t.Fatalf("%s: failed levels %v with collisions %v, want %v with %v",
 							what, got.FailedLevels, got.PartialCollisions, want.FailedLevels, want.PartialCollisions)
 					}
@@ -784,10 +774,12 @@ func TestSweepMatchesEveryLevelBuilt(t *testing.T) {
 	}
 }
 
-// TestLevelsAscendAndCandidatesNest checks the level cascade's premise:
-// every family's levels strictly ascend, and the candidate lists one
-// generation gets for them nest — each a subset of the one before — for any
-// environment, pool and set of nodes down.
+// TestLevelsAscendAndCandidatesNest checks the premise of the level cascade
+// and of the sweep's one candidate list: every family's levels strictly
+// ascend, and each level's candidates are the previous level's with the
+// nodes of lower tier cut out, in the same order — a subset of them, and
+// what the sweep's in-place cut leaves — for any environment, pool and set
+// of nodes down.
 func TestLevelsAscendAndCandidatesNest(t *testing.T) {
 	for _, typ := range AllTypes {
 		levels := typ.Levels()
@@ -821,15 +813,16 @@ func TestLevelsAscendAndCandidatesNest(t *testing.T) {
 		}
 		g := &Generator{Env: env, Pool: pool}
 		for _, typ := range AllTypes {
-			lists := g.candidates(typ.Levels())
-			for i := 1; i < len(lists); i++ {
-				for _, id := range lists[i] {
-					if !slices.Contains(lists[i-1], id) {
-						t.Logf("seed %d, %v: level %d lists node %d, level %d does not: %v ⊄ %v",
-							seed, typ, typ.Levels()[i], id, typ.Levels()[i-1], lists[i], lists[i-1])
-						return false
-					}
+			levels := typ.Levels()
+			prev := *g.candidates(levels[0])
+			for _, level := range levels[1:] {
+				cut := slices.DeleteFunc(slices.Clone(prev), func(id resource.NodeID) bool { return env.Node(id).Tier() < level })
+				got := *g.candidates(level)
+				if !slices.Equal(got, cut) {
+					t.Logf("seed %d, %v: level %d lists %v, the previous level's cut to it %v", seed, typ, level, got, cut)
+					return false
 				}
+				prev = got
 			}
 		}
 		return true
@@ -842,8 +835,8 @@ func TestLevelsAscendAndCandidatesNest(t *testing.T) {
 // TestRegenerateEqualsGenerate: a re-generation — the job round again on
 // other books, later — gives exactly what a generation from scratch gives
 // there, for every family, while sharing with the previous strategy what
-// that one derived from the job alone: the scheduled DAG, the clustering and
-// the estimate table are the same values, not equal copies.
+// that one derived from the job alone: the scheduled DAG and the clustering
+// are the same values, not equal copies.
 func TestRegenerateEqualsGenerate(t *testing.T) {
 	env := mixedEnv()
 	g := &Generator{Env: env}
@@ -862,9 +855,6 @@ func TestRegenerateEqualsGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !prev.Table.DerivedFrom(prev.Scheduled) {
-				t.Fatalf("%s %v: the strategy's table is not the scheduled DAG's", job.Name, typ)
-			}
 			// Other books, a later release: the plan itself has to change.
 			books := criticalworks.EmptyCalendars(env)
 			for id, c := range books {
@@ -880,7 +870,7 @@ func TestRegenerateEqualsGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Scheduled != prev.Scheduled || got.Clustering != prev.Clustering || got.Table != prev.Table {
+			if got.Scheduled != prev.Scheduled || got.Clustering != prev.Clustering {
 				t.Errorf("%s %v: a re-generation derived the job's own facts again", job.Name, typ)
 			}
 			if reflect.DeepEqual(got.Distributions, prev.Distributions) {
@@ -888,6 +878,63 @@ func TestRegenerateEqualsGenerate(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %v: re-generation differs from generation:\n got %+v\nwant %+v", job.Name, typ, got, want)
+			}
+		}
+	}
+}
+
+// TestGenerateAllocs pins what a generation allocates on the Fig. 2 job over
+// mixedEnv, per family: Generate, RegenerateCtx from its result, and
+// BuildLevelCtx re-anchoring level 2. Each allocates its strategy and its
+// builds' results — schedules, placements, collisions, errors — and nothing
+// it only reads while planning: the estimate table is a view of the job and
+// the candidate list is borrowed from candidateBufs. S3's generation also
+// coarsens the job, which its re-generation shares. The budgets are the
+// readings; with a table derived per generation and candidate lists made per
+// generation and per level they read 43/41/8 (S1, S2), 54/41/8 (S3) and
+// 31/29/8 (MS1). A breach means a per-generation table or candidate list has
+// come back. Under -race sync.Pool drops Puts on purpose, so the pin skips
+// there and runs in CI's step without it.
+func TestGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
+	}
+	env := mixedEnv()
+	g := &Generator{Env: env}
+	job := fig2Job(60)
+	books := criticalworks.EmptyCalendars(env)
+	budgets := map[Type]struct{ generate, regenerate, level float64 }{
+		S1:  {24, 24, 4},
+		S2:  {24, 24, 4},
+		S3:  {35, 24, 4},
+		MS1: {14, 14, 4},
+	}
+	for _, typ := range AllTypes {
+		prev, err := g.Generate(job, typ, books, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prev.Distributions) == 0 || len(prev.FailedLevels) == 0 {
+			t.Fatalf("%v: the fixture needs built and failed levels, got %d and %v", typ, len(prev.Distributions), prev.FailedLevels)
+		}
+		ctx := context.Background()
+		b := budgets[typ]
+		for _, c := range []struct {
+			name   string
+			budget float64
+			run    func()
+		}{
+			{"Generate", b.generate, func() { _, err = g.Generate(job, typ, books, 0) }},
+			{"RegenerateCtx", b.regenerate, func() { _, err = g.RegenerateCtx(ctx, prev, books, 0) }},
+			{"BuildLevelCtx", b.level, func() { _, _, err = g.BuildLevelCtx(ctx, prev.Scheduled, job.Name, typ, 2, books, 0) }},
+		} {
+			allocs := testing.AllocsPerRun(100, c.run)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", typ, c.name, err)
+			}
+			t.Logf("%v: %s allocates %.0f", typ, c.name, allocs)
+			if allocs > c.budget {
+				t.Errorf("%v: %s allocates %.0f, budget %.0f", typ, c.name, allocs, c.budget)
 			}
 		}
 	}
