@@ -33,11 +33,11 @@ const jobJSON = `[{
 }]`
 
 const envJSON = `[
-  {"name": "gpu-1",  "performance": 1.0,  "price": 1.0,  "domain": "farm"},
-  {"name": "gpu-2",  "performance": 0.8,  "price": 0.8,  "domain": "farm"},
-  {"name": "cpu-1",  "performance": 0.5,  "price": 0.5,  "domain": "farm"},
-  {"name": "cpu-2",  "performance": 0.33, "price": 0.33, "domain": "farm"},
-  {"name": "spare",  "performance": 0.27, "price": 0.27, "domain": "farm"}
+  {"name": "gpu-1",  "performance": 1.0,  "domain": "farm"},
+  {"name": "gpu-2",  "performance": 0.8,  "domain": "farm"},
+  {"name": "cpu-1",  "performance": 0.5,  "domain": "farm"},
+  {"name": "cpu-2",  "performance": 0.33, "domain": "farm"},
+  {"name": "spare",  "performance": 0.27, "domain": "farm"}
 ]`
 
 func main() {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
-	"repro/internal/estimate"
 	"repro/internal/experiments"
 	"repro/internal/resource"
 )
@@ -21,14 +20,13 @@ func main() {
 
 	// 1. The user estimation table of §3 derives from the type-1 times:
 	//    T_ik = k × T_i1.
-	tab := estimate.Derive(job)
 	fmt.Println("estimation table (rows: tasks; columns: node types 1..4; V):")
 	for _, t := range job.Tasks() {
 		fmt.Printf("  %-3s", t.Name)
 		for k := resource.Tier(1); k <= resource.NumTiers; k++ {
-			fmt.Printf(" %3d", tab.Time(t.ID, k))
+			fmt.Printf(" %3d", resource.Estimate(t.BaseTime, k))
 		}
-		fmt.Printf("   V=%d\n", tab.Volume(t.ID))
+		fmt.Printf("   V=%d\n", t.Volume)
 	}
 
 	// 2. The four critical works — the paper reports lengths 12, 11, 10, 9.
@@ -59,8 +57,8 @@ func main() {
 	// 4. The paper's collision: on a two-node environment P4 and P5 both
 	//    want the same node; the loser is reallocated.
 	constrained := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "node-3", 0.33, 0.33, "example"),
-		resource.NewNode(1, "node-4", 0.25, 0.25, "example"),
+		resource.NewNode(0, "node-3", 0.33, "example"),
+		resource.NewNode(1, "node-4", 0.25, "example"),
 	})
 	sched2, err := criticalworks.Build(constrained, criticalworks.EmptyCalendars(constrained),
 		job.WithDeadline(80), criticalworks.Options{})

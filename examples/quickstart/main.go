@@ -34,10 +34,10 @@ func main() {
 	// A heterogeneous four-node environment: one node per estimation tier
 	// of the paper's §3 table (performance 1, 0.5, 0.33, 0.25).
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "fast", 1.0, 1.0, "site"),
-		resource.NewNode(1, "mid", 0.5, 0.5, "site"),
-		resource.NewNode(2, "slow", 0.33, 0.33, "site"),
-		resource.NewNode(3, "slower", 0.25, 0.25, "site"),
+		resource.NewNode(0, "fast", 1.0, "site"),
+		resource.NewNode(1, "mid", 0.5, "site"),
+		resource.NewNode(2, "slow", 0.33, "site"),
+		resource.NewNode(3, "slower", 0.25, "site"),
 	})
 
 	// Generate the S1 strategy (fine-grain, active data replication): one

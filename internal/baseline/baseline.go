@@ -16,7 +16,6 @@ import (
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/economy"
-	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/simtime"
 )
@@ -84,8 +83,7 @@ func Build(env *resource.Environment, cals criticalworks.Calendars, job *dag.Job
 	if env.NumNodes() == 0 {
 		return nil, criticalworks.ErrNoCandidates
 	}
-	b := &builder{env: env, cals: cals, job: job, h: h,
-		table: estimate.Derive(job), horizon: 4 * job.Deadline,
+	b := &builder{env: env, cals: cals, job: job, h: h, horizon: 4 * job.Deadline,
 		placed: make([]criticalworks.Placement, job.NumTasks())}
 	return b.run()
 }
@@ -95,7 +93,6 @@ type builder struct {
 	cals    criticalworks.Calendars
 	job     *dag.Job
 	h       Heuristic
-	table   estimate.Table
 	horizon simtime.Time // calendar searches stop at 4× the deadline
 
 	placed  []criticalworks.Placement // by TaskID; an empty window where none yet
@@ -228,7 +225,7 @@ func (b *builder) selectNext(ready []dag.TaskID) (candidate, bool) {
 // honouring placed predecessors, transfers and the deadline.
 func (b *builder) earliestWindow(id dag.TaskID, n resource.NodeID) (simtime.Interval, bool) {
 	node := b.env.Node(n)
-	dur := b.table.TimeOnNode(id, node)
+	dur := resource.Estimate(b.job.Task(id).BaseTime, node.Tier())
 	if dur <= 0 {
 		return simtime.Interval{}, false
 	}
@@ -257,7 +254,7 @@ func (b *builder) assemble() (*criticalworks.Schedule, error) {
 		Start:      simtime.Infinity,
 	}
 	for id, p := range b.placed {
-		s.Cost += economy.TaskCharge(b.table.Volume(dag.TaskID(id)), p.Window.Len())
+		s.Cost += economy.TaskCharge(b.job.Task(dag.TaskID(id)).Volume, p.Window.Len())
 		if p.Window.Start < s.Start {
 			s.Start = p.Window.Start
 		}

@@ -14,10 +14,10 @@ import (
 
 func env4() *resource.Environment {
 	return resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "n1", 1.0, 1, "d"),
-		resource.NewNode(1, "n2", 0.5, 1, "d"),
-		resource.NewNode(2, "n3", 0.33, 1, "d"),
-		resource.NewNode(3, "n4", 0.25, 1, "d"),
+		resource.NewNode(0, "n1", 1.0, "d"),
+		resource.NewNode(1, "n2", 0.5, "d"),
+		resource.NewNode(2, "n3", 0.33, "d"),
+		resource.NewNode(3, "n4", 0.25, "d"),
 	})
 }
 
@@ -89,7 +89,7 @@ func TestMinMinPicksShortTaskFirst(t *testing.T) {
 	// node: min-min runs B before A on the contended fast node; max-min
 	// runs A first.
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "only", 1.0, 1, "d"),
+		resource.NewNode(0, "only", 1.0, "d"),
 	})
 	job := forkJob(100)
 	minmin, err := Build(env, criticalworks.EmptyCalendars(env), job, MinMin)
@@ -133,7 +133,7 @@ func TestNoCandidates(t *testing.T) {
 
 func TestRespectsExistingReservations(t *testing.T) {
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "only", 1.0, 1, "d"),
+		resource.NewNode(0, "only", 1.0, "d"),
 	})
 	cals := criticalworks.EmptyCalendars(env)
 	if err := cals[0].Reserve(simtime.Interval{Start: 0, End: 10}, resource.External); err != nil {

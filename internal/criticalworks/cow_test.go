@@ -57,7 +57,7 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 		sc := new(scratch) // never pooled: the reference owes the arena nothing
 		sc.reset(job, env.NumNodes())
 		b := sc.attempt(env, trial, opt, mg)
-		b.computeBounds(opt.tab, mg)
+		b.computeBounds(mg)
 		cat := data.NewCatalog(opt.Data.Policy, opt.Data.Storage)
 		sched, err := refPlaceChains(b, place, trial, cat)
 		evals += b.evals
@@ -84,10 +84,9 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 // with place and materialising it into trial — the builder's own view — and
 // its data placements into cat as soon as it is placed.
 func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Calendars, cat *data.Catalog) (*Schedule, error) {
-	weights := chainWeights(b.opt.tab)
 	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
-		chain, _ := b.job.LongestChain(weights, unplaced)
+		chain, _ := b.job.LongestChain(dag.WeightFunc{}, unplaced)
 		if err := place(b, chain); err != nil {
 			return nil, err
 		}
@@ -342,7 +341,7 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 		}
 		var inf *InfeasibleError
 		errors.As(err, &inf)
-		if inf != nil && inf.FirstWork && (!want.Partial || len(want.Placements) != 0 || len(want.Collisions) != 0) {
+		if inf != nil && inf.FirstWork && (len(want.Placements) != 0 || len(want.Collisions) != 0) {
 			t.Fatalf("%s: a proof refused a build whose reference ladder got somewhere: %+v", tc.name, want)
 		}
 		if got != nil {
@@ -417,7 +416,7 @@ func layeredFixture(levels, width, nodes int, deadline simtime.Time) (*resource.
 	perfs := []float64{1.0, 0.5, 0.33, 0.25}
 	ns := make([]*resource.Node, nodes)
 	for i := range ns {
-		ns[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), perfs[i%len(perfs)], 1, "d")
+		ns[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), perfs[i%len(perfs)], "d")
 	}
 	env := resource.NewEnvironment(ns)
 	cals := EmptyCalendars(env)

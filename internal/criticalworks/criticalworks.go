@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/data"
-	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
@@ -54,7 +53,12 @@ type Collision struct {
 }
 
 // Schedule is the paper's Distribution: a complete coordinated allocation
-// of all tasks of one job, Placements[id] binding task id.
+// of all tasks of one job, Placements[id] binding task id. Beside an
+// *InfeasibleError, Build returns the partial schedule of an abandoned
+// construction: its Placements are nil if no chain was placed, else the dense
+// table with the zero Placement (an empty Window, which no placed task has)
+// for each task left unplaced, and its Collisions are still meaningful (the
+// method attempted them).
 type Schedule struct {
 	Job        *dag.Job
 	Placements []Placement
@@ -78,13 +82,6 @@ type Schedule struct {
 	// exceed what the spared attempts would have probed. So the count is at
 	// most the full five-margin ladder's.
 	Evaluations int64
-
-	// Partial marks a schedule abandoned mid-construction because some
-	// critical work had no feasible placement. Its Placements are nil if no
-	// chain was placed, else the dense table with the zero Placement (an
-	// empty Window, which no placed task has) for each task left unplaced.
-	// Its Collisions are still meaningful (the method attempted them).
-	Partial bool
 }
 
 // MeetsDeadline reports whether the schedule completes by the job deadline.
@@ -153,10 +150,8 @@ type Options struct {
 	// phase (ideal/actual). nil disables tracing at zero cost.
 	Spans *telemetry.Tracer
 
-	// Set by Build: the job's user estimates, its deadline, the horizon
-	// calendar searches stop at (4× the deadline span) and the span the
-	// margin attempts hang under.
-	tab               estimate.Table
+	// Set by Build: the job's deadline, the horizon calendar searches stop
+	// at (4× the deadline span) and the span the margin attempts hang under.
 	deadline, horizon simtime.Time
 	parentSpan        telemetry.SpanID
 }
@@ -578,7 +573,6 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 	if opt.JobName == "" {
 		opt.JobName = job.Name
 	}
-	opt.tab = estimate.Derive(job)
 	opt.deadline = job.Deadline
 	if opt.deadline <= opt.Release {
 		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoAt(0)).Name, Hopeless: true, FirstWork: true}
@@ -637,15 +631,15 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 // says so (FirstWork).
 func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (*Schedule, error) {
 	job := sc.job
-	// The first critical work is the longest chain over all tasks by
-	// Table.Best and base transfer times — the same at every margin, so it
-	// is found once and handed to every attempt.
-	first, _ := job.LongestChainBuf(&sc.chains, chainWeights(opt.tab), nil)
+	// The first critical work is the longest chain over all tasks by base
+	// (tier-1) times and base transfer times — the same at every margin, so
+	// it is found once and handed to every attempt.
+	first, _ := job.LongestChainBuf(&sc.chains, dag.WeightFunc{}, nil)
 	sc.first = append(sc.first[:0], first.Tasks...)
 	first.Tasks = sc.first
-	sc.computeBounds(opt.tab, 1)
+	sc.computeBounds(1)
 	if sc.hopeless(env, opt, first) {
-		return &Schedule{Job: job, Partial: true},
+		return &Schedule{Job: job},
 			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
 	}
 
@@ -708,7 +702,7 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 // Walking the chain forward,
 //
 //	start_i  = max(Release + bestUp[t_i], finish_{i-1} + minTransfer(e_i))
-//	finish_i = start_i + min over candidates c of TimeOnNode(t_i, c)
+//	finish_i = start_i + min over candidates c of Estimate(t_i, c)
 //
 // and the chain is refused when some finish_i > Deadline − bestDown[t_i].
 //
@@ -751,9 +745,9 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 				start = s
 			}
 		}
-		fastest := simtime.Infinity
+		fastest, base := simtime.Infinity, sc.job.Task(task).BaseTime
 		for _, n := range opt.Candidates {
-			if dur := opt.tab.TimeOnNode(task, env.Node(n)); dur > 0 && dur < fastest {
+			if dur := resource.Estimate(base, env.Node(n).Tier()); dur > 0 && dur < fastest {
 				fastest = dur
 			}
 		}
@@ -768,7 +762,7 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 // noGap is the calendar bound, asked once the margin-1 attempt has failed in
 // the first critical work where the DP cut does not apply. It reports
 // whether some position t_i of the chain has no candidate n with a free gap
-// of TimeOnNode(t_i, n) inside [Release + bestUp[t_i], Deadline −
+// of Estimate(t_i, n) inside [Release + bestUp[t_i], Deadline −
 // bestDown[t_i]], and how many probes it spent asking: one Calendar.FirstFree
 // per candidate, a position ending at the first candidate with a gap. It
 // needs the margin-1 bounds in bestUp/bestDown.
@@ -799,15 +793,15 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options, chain dag.Chain) (probes int64, refused bool) {
 	var budget int64
 	for _, n := range opt.Candidates {
-		if opt.tab.TimeOnNode(chain.Tasks[0], env.Node(n)) > 0 {
+		if resource.Estimate(sc.job.Task(chain.Tasks[0]).BaseTime, env.Node(n).Tier()) > 0 {
 			budget += int64(len(margins) - 1)
 		}
 	}
 	for _, task := range chain.Tasks {
 		est, lft := opt.Release+sc.bestUp[task], opt.deadline-sc.bestDown[task]
-		gap := false
+		gap, base := false, sc.job.Task(task).BaseTime
 		for _, n := range opt.Candidates {
-			dur := opt.tab.TimeOnNode(task, env.Node(n))
+			dur := resource.Estimate(base, env.Node(n).Tier())
 			if dur <= 0 {
 				continue
 			}
@@ -844,20 +838,19 @@ func (b *builder) cancelled() error { return cancelled(b.opt.Ctx, b.opt.JobName)
 // critical work the build already found, then critical works until no task
 // is left.
 func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
-	b.computeBounds(b.opt.tab, b.margin)
+	b.computeBounds(b.margin)
 	if err := b.cancelled(); err != nil {
 		return nil, err
 	}
 	if err := b.placeChain(first); err != nil {
 		return nil, err
 	}
-	weights := chainWeights(b.opt.tab)
 	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
 		if err := b.cancelled(); err != nil {
 			return nil, err
 		}
-		chain, ok := b.job.LongestChainBuf(&b.chains, weights, unplaced)
+		chain, ok := b.job.LongestChainBuf(&b.chains, dag.WeightFunc{}, unplaced)
 		if !ok {
 			break // cannot happen while nPlaced < NumTasks; defensive
 		}
@@ -876,14 +869,7 @@ func (b *builder) partial() *Schedule {
 		Placements:  b.placements(),
 		Collisions:  b.collisions(),
 		Evaluations: b.evals,
-		Partial:     true,
 	}
-}
-
-// chainWeights gives the critical-work metric: best-case task estimates
-// plus base transfer times (WeightFunc's default for an edge).
-func chainWeights(tab estimate.Table) dag.WeightFunc {
-	return dag.WeightFunc{Task: func(t dag.Task) simtime.Time { return tab.Best(t.ID) }}
 }
 
 // computeBounds fills bestUp and bestDown: the best-case (fastest-node)
@@ -894,7 +880,7 @@ func chainWeights(tab estimate.Table) dag.WeightFunc {
 // back-to-back and later works cannot squeeze their tasks (plus transfers)
 // into the remaining windows — the idle gaps visible in the paper's Fig. 2
 // Gantt charts are exactly this reserved room.
-func (sc *scratch) computeBounds(tab estimate.Table, margin float64) {
+func (sc *scratch) computeBounds(margin float64) {
 	scale := func(t simtime.Time) simtime.Time {
 		if margin <= 1 {
 			return t
@@ -907,7 +893,7 @@ func (sc *scratch) computeBounds(tab estimate.Table, margin float64) {
 		var up simtime.Time
 		sc.adj = sc.job.AppendIn(sc.adj[:0], id)
 		for _, e := range sc.adj {
-			cand := sc.bestUp[e.From] + scale(tab.Best(e.From)+e.BaseTime)
+			cand := sc.bestUp[e.From] + scale(sc.job.Task(e.From).BaseTime+e.BaseTime)
 			if cand > up {
 				up = cand
 			}
@@ -919,7 +905,7 @@ func (sc *scratch) computeBounds(tab estimate.Table, margin float64) {
 		var down simtime.Time
 		sc.adj = sc.job.AppendOut(sc.adj[:0], id)
 		for _, e := range sc.adj {
-			cand := sc.bestDown[e.To] + scale(tab.Best(e.To)+e.BaseTime)
+			cand := sc.bestDown[e.To] + scale(sc.job.Task(e.To).BaseTime+e.BaseTime)
 			if cand > down {
 				down = cand
 			}

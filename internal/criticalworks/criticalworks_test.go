@@ -9,7 +9,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/data"
 	"repro/internal/economy"
-	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -40,10 +39,10 @@ func fig2Job(deadline simtime.Time) *dag.Job {
 // 1, 0.5, 0.33, 0.25).
 func paperEnv() *resource.Environment {
 	return resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "n1", 1.0, 1, "d"),
-		resource.NewNode(1, "n2", 0.5, 1, "d"),
-		resource.NewNode(2, "n3", 0.33, 1, "d"),
-		resource.NewNode(3, "n4", 0.25, 1, "d"),
+		resource.NewNode(0, "n1", 1.0, "d"),
+		resource.NewNode(1, "n2", 0.5, "d"),
+		resource.NewNode(2, "n3", 0.33, "d"),
+		resource.NewNode(3, "n4", 0.25, "d"),
 	})
 }
 
@@ -204,7 +203,7 @@ func TestInfeasibleSaysWhy(t *testing.T) {
 		if want := `criticalworks: job "fig2": no feasible placement for task "P1"`; err.Error() != want {
 			t.Errorf("%s: error text %q, want %q", tc.name, err, want)
 		}
-		if !s.Partial || s.Placements != nil || len(s.Collisions) != 0 || (s.Evaluations == 0) != tc.hopeless {
+		if s.Placements != nil || len(s.Collisions) != 0 || (s.Evaluations == 0) != tc.hopeless {
 			t.Errorf("%s: partial = %+v", tc.name, s)
 		}
 		// Each proof spares the attempts the full ladder runs after it.
@@ -323,7 +322,7 @@ func TestCollisionDetectedOnContendedNode(t *testing.T) {
 	b.Edge("dB", "S", "B", 1, 1)
 	job := b.MustBuild()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "only", 1.0, 1, "d"),
+		resource.NewNode(0, "only", 1.0, "d"),
 	})
 	s, err := Build(env, EmptyCalendars(env), job, Options{})
 	if err != nil {
@@ -346,7 +345,7 @@ func TestCollisionAgainstExternalReservation(t *testing.T) {
 	b.Task("T", 4, 4)
 	job := b.MustBuild()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "only", 1.0, 1, "d"),
+		resource.NewNode(0, "only", 1.0, "d"),
 	})
 	cals := EmptyCalendars(env)
 	// Background load occupies the ideal window [0,4).
@@ -375,8 +374,8 @@ func TestReallocateBeatsDelay(t *testing.T) {
 		b.Task("B", 10, 10)
 		job := b.MustBuild()
 		env := resource.NewEnvironment([]*resource.Node{
-			resource.NewNode(0, "n0", 1.0, 1, "d"),
-			resource.NewNode(1, "n1", 1.0, 1, "d"),
+			resource.NewNode(0, "n0", 1.0, "d"),
+			resource.NewNode(1, "n1", 1.0, "d"),
 		})
 		s, err := Build(env, EmptyCalendars(env), job, Options{Mode: mode})
 		if err != nil {
@@ -470,9 +469,8 @@ func TestScheduleAccountingMatchesPlacements(t *testing.T) {
 	}
 	var cf int64
 	var start, finish simtime.Time = simtime.Infinity, 0
-	tab := estimate.Derive(job)
 	for id, p := range s.Placements {
-		cf += economy.TaskCharge(tab.Volume(dag.TaskID(id)), p.Window.Len())
+		cf += economy.TaskCharge(job.Task(dag.TaskID(id)).Volume, p.Window.Len())
 		if p.Window.Start < start {
 			start = p.Window.Start
 		}
@@ -494,7 +492,7 @@ func randomEnv(r *rng.Source) *resource.Environment {
 	nodes := make([]*resource.Node, n)
 	perfs := []float64{1.0, 0.8, 0.5, 0.4, 0.33, 0.25}
 	for i := 0; i < n; i++ {
-		nodes[i] = resource.NewNode(resource.NodeID(i), "n", perfs[r.Intn(len(perfs))], 1, "d")
+		nodes[i] = resource.NewNode(resource.NodeID(i), "n", perfs[r.Intn(len(perfs))], "d")
 	}
 	return resource.NewEnvironment(nodes)
 }

@@ -300,8 +300,9 @@ func (b *builder) prepareCells(chain dag.Chain) {
 	for i, task := range chain.Tasks {
 		b.linkPlaced(task)
 		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
+		base := b.job.Task(task).BaseTime
 		for c, n := range cands {
-			in := cellIn{dur: b.opt.tab.TimeOnNode(task, b.env.Node(n))}
+			in := cellIn{dur: resource.Estimate(base, b.env.Node(n).Tier())}
 			if in.dur > 0 {
 				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), b.charge(task, in.dur)
 			}
@@ -405,7 +406,7 @@ func (b *builder) fit(n resource.NodeID, book *resource.Calendar, earliest, dur,
 
 // charge is the task's cost term ceil(V/T) at a load time of dur.
 func (b *builder) charge(task dag.TaskID, dur simtime.Time) int64 {
-	return economy.TaskCharge(b.opt.tab.Volume(task), dur)
+	return economy.TaskCharge(b.job.Task(task).Volume, dur)
 }
 
 // chainEdge returns the connecting edge between two consecutive chain

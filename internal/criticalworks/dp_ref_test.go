@@ -69,7 +69,7 @@ func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, b
 			prevRow = dp[(i-1)*C : i*C]
 		}
 		for c, n := range cands {
-			dur := b.opt.tab.TimeOnNode(task, b.env.Node(n))
+			dur := resource.Estimate(b.job.Task(task).BaseTime, b.env.Node(n).Tier())
 			if dur <= 0 {
 				continue
 			}
@@ -153,7 +153,7 @@ func (b *builder) refDelayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Pl
 		task := p.Task
 		n := p.Node
 		node := b.env.Node(n)
-		dur := b.opt.tab.TimeOnNode(task, node)
+		dur := resource.Estimate(b.job.Task(task).BaseTime, node.Tier())
 		earliest := b.refEst(task, n)
 		if i > 0 {
 			e := b.chainEdge(chain.Tasks[i-1], task)

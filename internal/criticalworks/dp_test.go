@@ -135,9 +135,9 @@ func TestDPBreaksCostTiesByIndex(t *testing.T) {
 	b.Link("AB", a, c, 1, 10)
 	job := b.MustBuild()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "n0", 1.0, 1, "d"),
-		resource.NewNode(1, "n1", 1.0, 1, "d"),
-		resource.NewNode(2, "n2", 1.0, 1, "d"),
+		resource.NewNode(0, "n0", 1.0, "d"),
+		resource.NewNode(1, "n1", 1.0, "d"),
+		resource.NewNode(2, "n2", 1.0, "d"),
 	})
 	cals := EmptyCalendars(env)
 	for n, iv := range []simtime.Interval{{Start: 1, End: 1000}, {Start: 1, End: 1000}, {Start: 0, End: 5}} {

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dag"
-	"repro/internal/estimate"
 	"repro/internal/resource"
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -16,7 +15,6 @@ import (
 // optimal (finish, cost) under the given objective. Only usable for tiny
 // instances.
 func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (simtime.Time, int64, bool) {
-	tab := estimate.Derive(job)
 	order := job.TopoOrder()
 	n := env.NumNodes()
 
@@ -35,7 +33,7 @@ func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (si
 			var cost int64
 			for i, id := range order {
 				node := env.Node(assign[i])
-				dur := tab.TimeOnNode(id, node)
+				dur := resource.Estimate(job.Task(id).BaseTime, node.Tier())
 				var start simtime.Time
 				for _, e := range job.In(id) {
 					from := finishes[e.From]
@@ -50,7 +48,7 @@ func bruteForceChain(env *resource.Environment, job *dag.Job, obj Objective) (si
 				if end > finish {
 					finish = end
 				}
-				cost += (tab.Volume(id) + int64(dur) - 1) / int64(dur)
+				cost += (job.Task(id).Volume + int64(dur) - 1) / int64(dur)
 			}
 			if finish > job.Deadline {
 				return
@@ -105,7 +103,7 @@ func smallEnv(r *rng.Source) *resource.Environment {
 	n := r.IntBetween(2, 3)
 	nodes := make([]*resource.Node, n)
 	for i := range nodes {
-		nodes[i] = resource.NewNode(resource.NodeID(i), "n", perfs[r.Intn(len(perfs))], 1, "d")
+		nodes[i] = resource.NewNode(resource.NodeID(i), "n", perfs[r.Intn(len(perfs))], "d")
 	}
 	return resource.NewEnvironment(nodes)
 }

@@ -6,26 +6,18 @@ import (
 	"repro/internal/simtime"
 )
 
-// Clustering is the result of coarse-graining a job: a new Job whose tasks
-// are merged linear runs of the original tasks, plus the mapping from each
-// original task to its macro-task and back, by index.
+// Coarsen builds the chain clustering of j: a new Job whose tasks are merged
+// linear runs of j's tasks. The deadline carries over.
 //
 // Coarse-grain strategies (the paper's S3 family) schedule fewer, larger
 // tasks: every maximal linear run — consecutive tasks where each has exactly
 // one successor and the next has exactly one predecessor — collapses into a
 // single macro-task whose base time is the run's serial execution time plus
 // the in-run transfer times, and whose volume is the sum of run volumes.
-// Transfers internal to a run disappear (the data never leaves the node).
-type Clustering struct {
-	Job     *Job
-	Macro   []TaskID   // original task -> macro task in Job
-	Members [][]TaskID // macro task -> its original tasks, along the run
-}
-
-// Coarsen builds the chain clustering of j. The deadline carries over.
-// A macro task's base time is the serial sum of its members' base times
-// plus the in-run transfer times; its volume is the members' total.
-func Coarsen(j *Job) (*Clustering, error) {
+// Transfers internal to a run disappear (the data never leaves the node). A
+// macro task is named after the run's first task, with "+k" for a run of
+// k+1 tasks.
+func Coarsen(j *Job) (*Job, error) {
 	n, m := len(j.tasks), len(j.edges)
 	// A task joins the run of its predecessor when it has no other and is
 	// that predecessor's only successor; any other task starts a run. Runs
@@ -114,9 +106,5 @@ edges:
 	if err != nil {
 		return nil, fmt.Errorf("dag: coarsen %q: %w", j.Name, err)
 	}
-	runsOf := make([][]TaskID, runs)
-	for k := range runsOf {
-		runsOf[k] = members[off[k]:off[k+1]:off[k+1]]
-	}
-	return &Clustering{Job: cj, Macro: macro, Members: runsOf}, nil
+	return cj, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -333,19 +334,16 @@ func TestCoarsenLinearChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Job.NumTasks() != 1 || c.Job.NumEdges() != 0 {
-		t.Fatalf("coarse job has %d tasks %d edges", c.Job.NumTasks(), c.Job.NumEdges())
+	if c.NumTasks() != 1 || c.NumEdges() != 0 {
+		t.Fatalf("coarse job has %d tasks %d edges", c.NumTasks(), c.NumEdges())
 	}
-	mt := c.Job.Task(0)
+	mt := c.Task(0)
 	// 2+3+4 task time plus the two internal 5-tick handoffs.
-	if mt.BaseTime != 19 || mt.Volume != 60 {
-		t.Errorf("macro task = %+v, want time 19 volume 60", mt)
+	if mt.BaseTime != 19 || mt.Volume != 60 || mt.Name != "A+2" {
+		t.Errorf("macro task = %+v, want A+2 with time 19 volume 60", mt)
 	}
-	if c.Job.Deadline != 50 {
-		t.Errorf("deadline not carried: %d", c.Job.Deadline)
-	}
-	if len(c.Members[0]) != 3 {
-		t.Errorf("members = %v", c.Members[0])
+	if c.Deadline != 50 {
+		t.Errorf("deadline not carried: %d", c.Deadline)
 	}
 }
 
@@ -358,11 +356,11 @@ func TestCoarsenFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Job.NumTasks() != 6 {
-		t.Errorf("fig2 coarse tasks = %d, want 6", c.Job.NumTasks())
+	if c.NumTasks() != 6 {
+		t.Errorf("fig2 coarse tasks = %d, want 6", c.NumTasks())
 	}
-	if c.Job.NumEdges() != 8 {
-		t.Errorf("fig2 coarse edges = %d, want 8", c.Job.NumEdges())
+	if c.NumEdges() != 8 {
+		t.Errorf("fig2 coarse edges = %d, want 8", c.NumEdges())
 	}
 }
 
@@ -386,18 +384,16 @@ func TestCoarsenMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Job.NumTasks() != 4 {
-		t.Fatalf("coarse tasks = %d, want 4 (S, A+B, C, T)", c.Job.NumTasks())
+	if c.NumTasks() != 4 {
+		t.Fatalf("coarse tasks = %d, want 4 (S, A+B, C, T)", c.NumTasks())
 	}
-	if c.Job.NumEdges() != 4 {
-		t.Errorf("coarse edges = %d, want 4", c.Job.NumEdges())
+	if c.NumEdges() != 4 {
+		t.Errorf("coarse edges = %d, want 4", c.NumEdges())
 	}
-	a, _ := j.TaskByName("A")
-	bID, _ := j.TaskByName("B")
-	if c.Macro[a.ID] != c.Macro[bID.ID] {
-		t.Error("A and B not merged into the same macro task")
+	macro, ok := c.TaskByName("A+1")
+	if !ok {
+		t.Fatal("A and B not merged into one macro task A+1")
 	}
-	macro := c.Job.Task(c.Macro[a.ID])
 	// 2+3 task time plus the internal 9-tick handoff.
 	if macro.BaseTime != 14 || macro.Volume != 5 {
 		t.Errorf("A+B macro = %+v, want time 14 volume 5", macro)
@@ -523,32 +519,20 @@ func TestQuickCoarsenPreservesTotals(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if c.Job.NumTasks() > j.NumTasks() || c.Job.NumEdges() > j.NumEdges() {
+		if c.NumTasks() > j.NumTasks() || c.NumEdges() > j.NumEdges() {
 			return false
 		}
-		if c.Job.TotalVolume() != j.TotalVolume() {
+		if c.TotalVolume() != j.TotalVolume() {
 			return false
 		}
 		var bt, cbt simtime.Time
 		for _, tk := range j.Tasks() {
 			bt += tk.BaseTime
 		}
-		for _, tk := range c.Job.Tasks() {
+		for _, tk := range c.Tasks() {
 			cbt += tk.BaseTime
 		}
-		if cbt < bt {
-			return false
-		}
-		// Every original task maps to a valid macro task.
-		if len(c.Macro) != j.NumTasks() || len(c.Members) != c.Job.NumTasks() {
-			return false
-		}
-		for _, m := range c.Macro {
-			if m < 0 || int(m) >= c.Job.NumTasks() {
-				return false
-			}
-		}
-		return true
+		return cbt >= bt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -556,23 +540,32 @@ func TestQuickCoarsenPreservesTotals(t *testing.T) {
 }
 
 func TestQuickCoarsenAcyclicAndConsistent(t *testing.T) {
-	// Macro membership partitions the original tasks.
+	// The macro tasks partition the original tasks: each is named after a
+	// distinct original task heading its run, and the runs' lengths sum to
+	// the task count.
 	f := func(seed uint64) bool {
 		j := randomJob(rng.New(seed), 14)
 		c, err := Coarsen(j)
 		if err != nil {
 			return false
 		}
-		seen := make(map[TaskID]bool)
-		for k, ms := range c.Members {
-			for _, m := range ms {
-				if seen[m] || c.Macro[m] != TaskID(k) {
+		heads, tasks := map[string]bool{}, 0
+		for _, tk := range c.Tasks() {
+			head, extra, _ := strings.Cut(tk.Name, "+")
+			if _, ok := j.TaskByName(head); !ok || heads[head] {
+				return false
+			}
+			heads[head] = true
+			tasks++
+			if extra != "" {
+				k, err := strconv.Atoi(extra)
+				if err != nil || k < 1 {
 					return false
 				}
-				seen[m] = true
+				tasks += k
 			}
 		}
-		return len(seen) == j.NumTasks()
+		return tasks == j.NumTasks()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -715,9 +708,8 @@ func (j *refJob) longestChain(w WeightFunc, include func(TaskID) bool) (Chain, b
 	return Chain{Tasks: tasks, Length: dist[best]}, true
 }
 
-// refCoarsen returns the coarse graph, every task's macro task and every
-// macro task's members.
-func refCoarsen(j *refJob) (*refJob, []TaskID, [][]TaskID, error) {
+// refCoarsen returns the coarse graph.
+func refCoarsen(j *refJob) (*refJob, error) {
 	n := len(j.tasks)
 	mergeWithPred := make([]bool, n)
 	for id := 0; id < n; id++ {
@@ -795,19 +787,7 @@ func refCoarsen(j *refJob) (*refJob, []TaskID, [][]TaskID, error) {
 		e.From, e.To = macroOf[k.f], macroOf[k.t]
 		edges = append(edges, e)
 	}
-	cj, err := refBuild(j.name+"/coarse", j.deadline, tasks, edges)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	macro := make([]TaskID, n)
-	for id := range macro {
-		macro[id] = macroOf[rep[id]]
-	}
-	mem := make([][]TaskID, len(tasks))
-	for r, ms := range members {
-		mem[macroOf[r]] = ms
-	}
-	return cj, macro, mem, nil
+	return refBuild(j.name+"/coarse", j.deadline, tasks, edges)
 }
 
 // sameEdges compares edge lists element by element; nil and empty agree.
@@ -942,15 +922,12 @@ func CheckAgainstReference(t *testing.T, j *Job) {
 	if err != nil {
 		t.Fatalf("%s: Coarsen: %v", j.Name, err)
 	}
-	cref, macro, members, err := refCoarsen(ref)
+	cref, err := refCoarsen(ref)
 	if err != nil {
 		t.Fatalf("%s: reference coarsening: %v", j.Name, err)
 	}
-	if err := sameGraph(c.Job, cref); err != nil {
+	if err := sameGraph(c, cref); err != nil {
 		t.Fatalf("%s: coarse job: %v", j.Name, err)
-	}
-	if !reflect.DeepEqual(c.Macro, macro) || !reflect.DeepEqual(c.Members, members) {
-		t.Fatalf("%s: Macro %v Members %v, reference %v %v", j.Name, c.Macro, c.Members, macro, members)
 	}
 }
 

@@ -35,12 +35,12 @@ func Fig2Job() *dag.Job {
 }
 
 // Fig2Env builds the example's node set: one node per §3 estimation tier
-// (types 1..4), priced by performance.
+// (types 1..4).
 func Fig2Env() *resource.Environment {
 	perfs := []float64{1.0, 0.5, 0.33, 0.25}
 	nodes := make([]*resource.Node, len(perfs))
 	for i, p := range perfs {
-		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("node-%d", i+1), p, p, "example")
+		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("node-%d", i+1), p, "example")
 	}
 	return resource.NewEnvironment(nodes)
 }
@@ -107,8 +107,8 @@ func Fig2Telemetry(reg *telemetry.Registry) (*Report, error) {
 	// The paper's P4/P5 collision on node 3: reproduce it on a constrained
 	// environment where both branch tasks prefer the same node.
 	constrained := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "node-3", 0.33, 0.33, "example"),
-		resource.NewNode(1, "node-4", 0.25, 0.25, "example"),
+		resource.NewNode(0, "node-3", 0.33, "example"),
+		resource.NewNode(1, "node-4", 0.25, "example"),
 	})
 	sched, err := criticalworks.Build(constrained, criticalworks.EmptyCalendars(constrained),
 		job.WithDeadline(80), criticalworks.Options{Telemetry: reg})

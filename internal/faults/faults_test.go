@@ -17,7 +17,7 @@ func testEnv() *resource.Environment {
 		if i >= 3 {
 			dom = "dom-1"
 		}
-		nodes[i] = resource.NewNode(resource.NodeID(i), "n", p, p, dom)
+		nodes[i] = resource.NewNode(resource.NodeID(i), "n", p, dom)
 	}
 	return resource.NewEnvironment(nodes)
 }

@@ -44,7 +44,7 @@ func randomHandoff(rng *rand.Rand) *Handoff {
 	words := []string{"", "j", "job-7", "<script>&", "naïve ✓", "tab\there", "\xff", `q"uo\te`, strings.Repeat("long", 200)}
 	word := func() string { return words[rng.Intn(len(words))] }
 	h := &Handoff{
-		Key: word(), Origin: word(), Attempt: rng.Intn(4), Strategy: word(),
+		Key: word(), Strategy: word(),
 		Priority: rng.Intn(5) - 1, Epoch: rng.Intn(3),
 	}
 	if rng.Intn(2) == 0 {
@@ -226,7 +226,7 @@ func TestHandoffOverRealHTTP(t *testing.T) {
 			mu.Lock()
 			seen[h.Key]++
 			mu.Unlock()
-			writeJSON(w, http.StatusOK, HandoffResult{Key: h.Key, Accepted: true})
+			writeJSON(w, http.StatusOK, HandoffResult{Accepted: true})
 		}
 	}))
 	defer ts.Close()
@@ -246,7 +246,7 @@ func TestHandoffOverRealHTTP(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				res, err := shard.Handoff(ctx, h)
 				cancel()
-				if err != nil || !res.Accepted || res.Key != key {
+				if err != nil || !res.Accepted {
 					t.Errorf("handoff %s: %+v, %v", key, res, err)
 				}
 			}

@@ -116,7 +116,7 @@ func newHandoffDeployment(t *testing.T, seed uint64) *diffDeployment {
 	return &diffDeployment{
 		submit: func(w jobio.Job, s string, p int) (string, string) {
 			res, err := shard.Handoff(context.Background(), &Handoff{
-				Key: w.Name, Origin: "gridfront", Attempt: 1, Job: w, Strategy: s, Priority: p})
+				Key: w.Name, Job: w, Strategy: s, Priority: p})
 			if err != nil {
 				return "other", err.Error()
 			}

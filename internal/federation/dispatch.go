@@ -118,7 +118,7 @@ func (r *Router) dispatch(id string) {
 			}
 		}
 		h := &Handoff{
-			Key: id, Origin: r.cfg.origin(), Attempt: attempt,
+			Key:      id,
 			Deadline: time.Now().Add(r.cfg.handoffTimeout()).UnixMilli(),
 			Job:      wire, Strategy: strategyName, Priority: priority,
 			Epoch: epoch,

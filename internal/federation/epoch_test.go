@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/service"
 )
@@ -20,7 +21,7 @@ func TestEpochGatedResurrection(t *testing.T) {
 	}
 	job := testJob("epoch-job", 60)
 	handoff := func(epoch int) *HandoffResult {
-		return ApplyHandoff(svc, &Handoff{Key: job.Name, Origin: "test", Job: job, Strategy: "S1", Epoch: epoch})
+		return ApplyHandoff(svc, &Handoff{Key: job.Name, Job: job, Strategy: "S1", Epoch: epoch})
 	}
 	revoke := func(epoch int) *RevokeResult {
 		return ApplyRevoke(svc, &RevokeRequest{Key: job.Name, Origin: "test", Reason: "test", Epoch: epoch})
@@ -91,10 +92,53 @@ func TestRevokeRaisesTombstoneEpoch(t *testing.T) {
 	// The stale epoch-2 frame of the revoked binding is refused; epoch 3
 	// resurrects.
 	job := testJob("k", 60)
-	if res := ApplyHandoff(svc, &Handoff{Key: "k", Origin: "test", Job: job, Strategy: "S1", Epoch: 2}); res.Accepted {
+	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: job, Strategy: "S1", Epoch: 2}); res.Accepted {
 		t.Fatalf("stale frame accepted over raised tombstone: %+v", res)
 	}
-	if res := ApplyHandoff(svc, &Handoff{Key: "k", Origin: "test", Job: job, Strategy: "S1", Epoch: 3}); !res.Accepted {
+	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: job, Strategy: "S1", Epoch: 3}); !res.Accepted {
+		t.Fatalf("epoch-3 resurrection = %+v", res)
+	}
+}
+
+// TestRevokeOfDrainedRaisesItsEpoch: a job drained at epoch 1 is revoked at
+// epoch 2. The shard answers revoked, so the router reallocates it as it
+// would on the drained notice, and the tombstone rises to epoch 2, still
+// drained, in the ledger and the journal alike: the revoked binding's
+// epoch-2 frame arriving later is refused, and epoch 3 starts a new life.
+func TestRevokeOfDrainedRaisesItsEpoch(t *testing.T) {
+	dir := t.TempDir()
+	jnl, _ := openTestJournal(t, dir)
+	wire := testJob("k", 60)
+	for _, rec := range []journal.Record{
+		{Job: "k", State: service.StateQueued, Strategy: "S1", Wire: &wire, Epoch: 1},
+		{Job: "k", State: service.StateDrained, Reason: "drained to snapshot on shutdown"},
+	} {
+		if _, err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl.Close()
+	jnl, recovery := openTestJournal(t, dir)
+	defer jnl.Close()
+	svc, err := service.New(service.Config{Env: testEnv(), Sched: metasched.Config{Seed: 4}, Journal: jnl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Restore(recovery); err != nil {
+		t.Fatal(err)
+	}
+	res := ApplyRevoke(svc, &RevokeRequest{Key: "k", Origin: "test", Reason: "moved", Epoch: 2})
+	if res.Outcome != RevokeOutcomeRevoked || res.State != service.StateDrained {
+		t.Fatalf("revoke of a drained record = %+v, want outcome revoked in state drained", res)
+	}
+	if rec, _ := svc.Job("k"); rec.State != service.StateDrained || rec.Epoch != 2 {
+		t.Fatalf("drained record after the revoke = %+v, want drained at epoch 2", rec)
+	}
+	checkFoldMatchesLedger(t, dir, svc, "k")
+	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: wire, Strategy: "S1", Epoch: 2}); res.Accepted {
+		t.Fatalf("stale frame accepted over the raised tombstone: %+v", res)
+	}
+	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: wire, Strategy: "S1", Epoch: 3}); !res.Accepted {
 		t.Fatalf("epoch-3 resurrection = %+v", res)
 	}
 }
@@ -182,7 +226,7 @@ func TestBanSaturationClearsAndResurrects(t *testing.T) {
 			continue
 		}
 		res, err := f.Handoff(context.Background(), &Handoff{
-			Key: "saturate-me", Origin: "test", Job: testJob("saturate-me", 60),
+			Key: "saturate-me", Job: testJob("saturate-me", 60),
 			Strategy: "S1", Epoch: rec.Epoch,
 		})
 		if err != nil || res.Accepted {

@@ -100,6 +100,8 @@ func TestHandoffAnswers(t *testing.T) {
 			setup: func(t *testing.T, svc *service.Server) { svc.Process(-1) }},
 		{name: "terminal", journal: []journal.Record{accept},
 			setup: func(t *testing.T, svc *service.Server) { svc.Process(-1); svc.Quiesce() }},
+		{name: "drained", journal: []journal.Record{accept,
+			{Job: "j", State: service.StateDrained, Reason: "drained to snapshot on shutdown"}}},
 		{name: "tombstone",
 			setup: func(t *testing.T, svc *service.Server) {
 				if _, err := svc.RevokeEpoch("j", "moved", e); err != nil {
@@ -166,12 +168,12 @@ func TestHandoffAnswers(t *testing.T) {
 					if c.bad {
 						deadline = 3
 					}
-					res := ApplyHandoff(svc, &Handoff{Key: "j", Origin: "test", Job: testJob("j", deadline),
+					res := ApplyHandoff(svc, &Handoff{Key: "j", Job: testJob("j", deadline),
 						Strategy: "S1", Priority: 1, Epoch: ep.epoch})
 					after, ok := svc.Job("j")
 
 					reopens := !known || (service.Tombstone(before.State) && ep.epoch > before.Epoch)
-					want := HandoffResult{Key: "j"}
+					var want HandoffResult
 					wantRec, wantKnown := before, known
 					var delta tally
 					if !c.bad {
@@ -179,7 +181,7 @@ func TestHandoffAnswers(t *testing.T) {
 					}
 					switch {
 					case !c.bad && c.draining:
-						want.Code, want.Reason, want.RetryAfter = service.CodeDraining, "service is draining; not accepting work", 1
+						want.Code, want.Reason = service.CodeDraining, "service is draining; not accepting work"
 					case !reopens:
 						want.Duplicate, want.Accepted, want.State = true, !service.Tombstone(before.State), before.State
 						want.Code = service.CodeDuplicate
@@ -275,7 +277,7 @@ func FuzzShardEpochProtocol(f *testing.F) {
 			m := model[key]
 			switch op >> 1 & 3 {
 			case 0:
-				res := ApplyHandoff(svc, &Handoff{Key: key, Origin: "fuzz", Job: testJob(key, 60), Strategy: "S1", Epoch: epoch})
+				res := ApplyHandoff(svc, &Handoff{Key: key, Job: testJob(key, 60), Strategy: "S1", Epoch: epoch})
 				if m.state == service.StateRevoked && epoch <= m.epoch && res.Accepted {
 					t.Fatalf("op %d: handoff %s@%d accepted over a tombstone at %d", i, key, epoch, m.epoch)
 				}

@@ -222,9 +222,8 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 
 	// The heartbeat probe over real HTTP, and the router's view of it:
 	// both shards pinged alive.
-	pr, err := fleet[1].Ping(context.Background())
-	if err != nil || pr.Shard != "s1" || pr.Draining {
-		t.Fatalf("ping = (%+v, %v)", pr, err)
+	if err := fleet[1].Ping(context.Background()); err != nil {
+		t.Fatalf("ping: %v", err)
 	}
 	if err := httpGetJSON(t, client, f.url+"/v1/metrics", &met); err != nil {
 		t.Fatal(err)

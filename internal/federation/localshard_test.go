@@ -51,10 +51,4 @@ func (l *LocalShard) Record(ctx context.Context, id string) (service.Record, boo
 }
 
 // Ping implements ShardClient.
-func (l *LocalShard) Ping(ctx context.Context) (*PingResponse, error) {
-	met := l.svc.Metrics()
-	return &PingResponse{
-		Shard: l.name, Version: Version,
-		Draining: met.Draining, QueueDepth: met.QueueDepth, Held: met.Held,
-	}, nil
-}
+func (l *LocalShard) Ping(ctx context.Context) error { return nil }

@@ -339,21 +339,13 @@ func (m *Member) deliver(n TerminalNotice) error {
 	return nil
 }
 
-// PingResponse is the shard's heartbeat answer.
-type PingResponse struct {
-	Shard      string `json:"shard"`
-	Version    int    `json:"version"`
-	Draining   bool   `json:"draining"`
-	QueueDepth int    `json:"queueDepth"`
-	Held       int    `json:"held"`
-}
-
 // Handler wraps next (the service's HTTP API) with the federation
 // endpoints:
 //
 //	POST /v1/federation/handoff — framed job handoff (idempotent by key)
 //	POST /v1/federation/revoke  — confirmed revocation / tombstone
-//	GET  /v1/federation/ping    — heartbeat; refreshes the router lease
+//	GET  /v1/federation/ping    — heartbeat: refreshes the router lease and
+//	                              answers a bare 200
 func (m *Member) Handler(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", next)
@@ -391,11 +383,7 @@ func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 
 func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
 	m.cfg.Lease.Refresh()
-	draining, depth, held := m.svc.QueueState()
-	writeJSON(w, http.StatusOK, PingResponse{
-		Shard: m.cfg.Shard, Version: Version,
-		Draining: draining, QueueDepth: depth, Held: held,
-	})
+	w.WriteHeader(http.StatusOK)
 }
 
 // ApplyHandoff maps one decoded handoff onto a service submission: the
@@ -410,50 +398,37 @@ func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 		// Stale handoff: the router stopped waiting. Refusing (retryably)
 		// instead of accepting keeps "accepted" synonymous with "the
 		// router may learn about it".
-		return &HandoffResult{Key: h.Key, Code: "expired", Reason: "handoff deadline passed", RetryAfter: 1}
+		return &HandoffResult{Code: "expired", Reason: "handoff deadline passed"}
 	}
 	rec, err := svc.SubmitEpoch(h.Job, h.Strategy, h.Priority, h.Epoch)
 	if err == nil {
-		return &HandoffResult{Key: h.Key, Accepted: true, State: rec.State}
+		return &HandoffResult{Accepted: true, State: rec.State}
 	}
-	var se *service.SubmitError
-	if errors.As(err, &se) && se.Code == service.CodeDuplicate {
-		return &HandoffResult{Key: h.Key, Duplicate: true, Accepted: !service.Tombstone(rec.State),
-			State: rec.State, Code: se.Code}
-	}
-	return handoffError(h.Key, err)
-}
-
-// handoffError maps a submission error onto the wire result. Retryable
-// codes carry a RetryAfter hint; invalid/infeasible are definitive.
-func handoffError(key string, err error) *HandoffResult {
 	var se *service.SubmitError
 	if !errors.As(err, &se) {
-		return &HandoffResult{Key: key, Code: service.CodeInternal, Reason: err.Error(), RetryAfter: 1}
+		return &HandoffResult{Code: service.CodeInternal, Reason: err.Error()}
 	}
-	switch se.Code {
-	case service.CodeOverloaded, service.CodeDraining, service.CodeInternal:
-		retry := int(se.RetryAfter / time.Second)
-		if retry < 1 {
-			retry = 1
-		}
-		return &HandoffResult{Key: key, Code: se.Code, Reason: se.Reason, RetryAfter: retry}
-	default: // invalid, infeasible — definitive
-		return &HandoffResult{Key: key, Code: se.Code, Reason: se.Reason}
+	if se.Code == service.CodeDuplicate {
+		return &HandoffResult{Duplicate: true, Accepted: !service.Tombstone(rec.State),
+			State: rec.State, Code: se.Code}
 	}
+	// Overloaded, draining and internal are retryable; invalid and
+	// infeasible are definitive. The router tells them apart by Code.
+	return &HandoffResult{Code: se.Code, Reason: se.Reason}
 }
 
 // ApplyRevoke maps a revocation onto the service, returning the confirmed
-// outcome.
+// outcome. A tombstone, revoked or drained, is revoked: the shard will never
+// run the job, so the router reallocates it.
 func ApplyRevoke(svc *service.Server, req *RevokeRequest) *RevokeResult {
 	rec, err := svc.RevokeEpoch(req.Key, fmt.Sprintf("revoked by %s: %s", req.Origin, req.Reason), req.Epoch)
 	if err != nil { // service.ErrInFlight, the only error RevokeEpoch returns
-		return &RevokeResult{Key: req.Key, Outcome: RevokeOutcomeInFlight, State: rec.State}
+		return &RevokeResult{Outcome: RevokeOutcomeInFlight, State: rec.State}
 	}
-	if rec.State == service.StateRevoked {
-		return &RevokeResult{Key: req.Key, Outcome: RevokeOutcomeRevoked, State: rec.State, Reason: rec.Reason}
+	if service.Tombstone(rec.State) {
+		return &RevokeResult{Outcome: RevokeOutcomeRevoked, State: rec.State, Reason: rec.Reason}
 	}
-	return &RevokeResult{Key: req.Key, Outcome: RevokeOutcomeTerminal, State: rec.State, Reason: rec.Reason}
+	return &RevokeResult{Outcome: RevokeOutcomeTerminal, State: rec.State, Reason: rec.Reason}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

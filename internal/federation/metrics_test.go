@@ -89,7 +89,7 @@ func TestRouterMetricsAreTheirSeries(t *testing.T) {
 	if _, err := r.Submit(testJob("bad", 60), "NOPE", 0); err == nil {
 		t.Fatal("an unknown strategy was accepted")
 	}
-	answer(&HandoffResult{Code: service.CodeOverloaded, RetryAfter: 1}, accepted) // a retry
+	answer(&HandoffResult{Code: service.CodeOverloaded}, accepted) // a retry
 	r.dispatch("done")
 	r.HandleTerminal(&TerminalNotice{Shard: shardOf("done"), Job: "done", State: service.StateCompleted})
 

@@ -123,7 +123,7 @@ func (r *Router) heartbeatLoop(name string) {
 		case <-t.C:
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.heartbeat())
-		_, err := client.Ping(ctx)
+		err := client.Ping(ctx)
 		cancel()
 		if err != nil {
 			r.brk.Get(name).Failure(r.now())

@@ -21,7 +21,7 @@ func testEnv() *resource.Environment {
 	for d := 0; d < 2; d++ {
 		for _, p := range perfs {
 			nodes = append(nodes, resource.NewNode(resource.NodeID(id),
-				fmt.Sprintf("n%d", id), p, p, fmt.Sprintf("dom-%d", d)))
+				fmt.Sprintf("n%d", id), p, fmt.Sprintf("dom-%d", d)))
 			id++
 		}
 	}
@@ -160,12 +160,12 @@ func (f *flakyShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, e
 	return f.LocalShard.Handoff(ctx, h)
 }
 
-func (f *flakyShard) Ping(ctx context.Context) (*PingResponse, error) {
+func (f *flakyShard) Ping(ctx context.Context) error {
 	f.mu.Lock()
 	broken := f.broken
 	f.mu.Unlock()
 	if broken {
-		return nil, fmt.Errorf("flaky: connection refused")
+		return fmt.Errorf("flaky: connection refused")
 	}
 	return f.LocalShard.Ping(ctx)
 }
@@ -219,7 +219,7 @@ func TestRetryExhaustionReallocatesThroughRevoke(t *testing.T) {
 	}
 	// The tombstone is durable at s0: a late handoff replay is refused.
 	flaky.setBroken(false)
-	res, err := flaky.Handoff(context.Background(), &Handoff{Key: id, Origin: "test", Job: testJob(id, 60), Strategy: "S1"})
+	res, err := flaky.Handoff(context.Background(), &Handoff{Key: id, Job: testJob(id, 60), Strategy: "S1"})
 	if err != nil || res.Accepted || !res.Duplicate || res.State != service.StateRevoked {
 		t.Fatalf("late replay after tombstone = (%+v, %v)", res, err)
 	}

@@ -30,8 +30,8 @@ type ShardClient interface {
 	// Record fetches the shard's ledger entry for a job; ok=false means
 	// the shard has never durably seen it.
 	Record(ctx context.Context, id string) (service.Record, bool, error)
-	// Ping is the heartbeat probe.
-	Ping(ctx context.Context) (*PingResponse, error)
+	// Ping is the heartbeat probe: nil when the shard answered.
+	Ping(ctx context.Context) error
 }
 
 // HTTPShard talks the wire protocol to a remote shard.
@@ -106,12 +106,9 @@ func (s *HTTPShard) Record(ctx context.Context, id string) (service.Record, bool
 }
 
 // Ping implements ShardClient.
-func (s *HTTPShard) Ping(ctx context.Context) (*PingResponse, error) {
-	var pr PingResponse
-	if _, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/federation/ping", nil, &pr); err != nil {
-		return nil, err
-	}
-	return &pr, nil
+func (s *HTTPShard) Ping(ctx context.Context) error {
+	_, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/federation/ping", nil, nil)
+	return err
 }
 
 // callJSON is one JSON round trip on the federation wire, the handoff frame

@@ -44,7 +44,7 @@ func TestRouterRefusesAnOversizedSubmit(t *testing.T) {
 	if err := json.Unmarshal(worst, &sr); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := EncodeHandoff(&Handoff{Key: sr.Name, Origin: "gridfront", Attempt: 1, Job: sr.Job, Strategy: sr.Strategy})
+	frame, err := EncodeHandoff(&Handoff{Key: sr.Name, Job: sr.Job, Strategy: sr.Strategy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func (s *scriptShard) Record(context.Context, string) (service.Record, bool, err
 	return service.Record{}, false, errUnreachable
 }
 
-func (s *scriptShard) Ping(context.Context) (*PingResponse, error) { return nil, errUnreachable }
+func (s *scriptShard) Ping(context.Context) error { return errUnreachable }
 
 // Placeholders for shard names a row cannot know before the ring binds.
 const (
@@ -150,7 +150,7 @@ var transitionTable = []transitionRow{
 		want:              ledgerRow{State: StateQueued, Epoch: 1, Reason: "tombstone at " + boundShard},
 		liveReasonDrifted: true},
 	{name: "bind/retryable-answer-exhausts-budget", from: StateQueued,
-		fire:    dispatchWith(&HandoffResult{Code: service.CodeOverloaded, RetryAfter: 1}, nil),
+		fire:    dispatchWith(&HandoffResult{Code: service.CodeOverloaded}, nil),
 		appends: 2, moves: []string{"handoffs"},
 		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: "handoff retry budget exhausted"}},
 	{name: "bind/transport-error-exhausts-budget", from: StateQueued,

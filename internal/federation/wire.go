@@ -50,10 +50,6 @@ var (
 type Handoff struct {
 	// Key is the idempotency key — the job's globally unique name.
 	Key string `json:"key"`
-	// Origin names the router making the handoff.
-	Origin string `json:"origin"`
-	// Attempt counts delivery attempts for this binding, 1-based.
-	Attempt int `json:"attempt,omitempty"`
 	// Deadline, when non-zero, is the wall-clock instant (Unix
 	// milliseconds) after which the router no longer wants an answer; a
 	// shard drops expired handoffs instead of doing stale work.
@@ -86,7 +82,6 @@ func (h *Handoff) Validate() error {
 // HandoffResult is the shard's answer, returned as plain JSON in the HTTP
 // response body.
 type HandoffResult struct {
-	Key string `json:"key"`
 	// Accepted means the shard now durably owns the job (a fresh accept,
 	// or a duplicate of an earlier accept — idempotent either way).
 	Accepted bool `json:"accepted"`
@@ -97,10 +92,9 @@ type HandoffResult struct {
 	Duplicate bool   `json:"duplicate,omitempty"`
 	State     string `json:"state,omitempty"`
 	// Code and Reason mirror service.SubmitError on a definitive or
-	// retryable rejection.
-	Code       string `json:"code,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-	RetryAfter int    `json:"retryAfterSeconds,omitempty"`
+	// retryable rejection; the router's own backoff times a retry.
+	Code   string `json:"code,omitempty"`
+	Reason string `json:"reason,omitempty"`
 }
 
 // RevokeRequest asks a shard to give a job back (or never accept it).
@@ -116,8 +110,9 @@ type RevokeRequest struct {
 // Revoke outcomes.
 const (
 	// RevokeOutcomeRevoked — the shard will never execute the job: it was
-	// still queued (now revoked), held from recovery (now revoked), or
-	// never seen (a tombstone was planted under the key).
+	// still queued (now revoked), held from recovery (now revoked), never
+	// seen (a tombstone was planted under the key), or already a tombstone,
+	// revoked or drained (State says which; its epoch is now the request's).
 	RevokeOutcomeRevoked = "revoked"
 	// RevokeOutcomeInFlight — the shard's engine already owns the job; it
 	// will reach a terminal state here and cannot be taken back.
@@ -129,7 +124,6 @@ const (
 
 // RevokeResult is the shard's confirmed answer to a revocation.
 type RevokeResult struct {
-	Key     string `json:"key"`
 	Outcome string `json:"outcome"` // revoked | inflight | terminal
 	State   string `json:"state,omitempty"`
 	Reason  string `json:"reason,omitempty"`

@@ -21,8 +21,7 @@ func testJob(name string, deadline int64) jobio.Job {
 }
 
 func testHandoff(key string) *Handoff {
-	return &Handoff{Key: key, Origin: "gridfront", Attempt: 1,
-		Job: testJob(key, 60), Strategy: "S1", Priority: 2}
+	return &Handoff{Key: key, Job: testJob(key, 60), Strategy: "S1", Priority: 2}
 }
 
 func TestHandoffRoundTrip(t *testing.T) {

@@ -161,6 +161,12 @@ func TestEnvironmentRoundTrip(t *testing.T) {
 			t.Errorf("node %d differs", i)
 		}
 	}
+	// A file written while nodes carried a price still reads; the price is
+	// dropped.
+	old, err := ReadEnvironment(strings.NewReader(`[{"name": "a", "performance": 0.5, "price": 0.5, "domain": "d"}]`))
+	if err != nil || old.NumNodes() != 1 || old.Nodes()[0].Perf != 0.5 || old.Nodes()[0].Domain != "d" {
+		t.Fatalf("an environment file with prices reads as %v, %v", old, err)
+	}
 }
 
 func TestToEnvironmentValidation(t *testing.T) {

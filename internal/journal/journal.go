@@ -171,7 +171,6 @@ type JobState struct {
 	Shard    string     `json:"shard,omitempty"`
 	Epoch    int        `json:"epoch,omitempty"`
 	FirstLSN uint64     `json:"firstLSN"`
-	LastLSN  uint64     `json:"lastLSN"`
 }
 
 // Stats is a point-in-time snapshot of journal activity. Appends, Fsyncs,
@@ -582,7 +581,6 @@ func foldRecord(state map[string]*JobState, order *[]string, rec *Record) {
 	}
 	js.State = rec.State
 	js.Reason = rec.Reason
-	js.LastLSN = rec.LSN
 	if rec.Strategy != "" {
 		js.Strategy = rec.Strategy
 	}

@@ -24,10 +24,8 @@ type Recovery struct {
 	// SnapshotLSN is the LSN of the compaction snapshot replay started
 	// from (0 when none existed).
 	SnapshotLSN uint64
-	// Segments and Records count the segment files scanned and the live
-	// records replayed past the snapshot.
-	Segments int
-	Records  int
+	// Records counts the live records replayed past the snapshot.
+	Records int
 	// TornBytes is how many trailing bytes of the final segment were
 	// discarded as a torn tail; TornReason says why. Opening the journal
 	// for write truncates them away.
@@ -75,7 +73,6 @@ func Recover(dir string) (*Recovery, error) {
 	rec.LastLSN = rec.SnapshotLSN
 
 	for i, seg := range segs {
-		rec.Segments++
 		last := i == len(segs)-1
 		if err := replaySegment(seg, last, rec, state, &order); err != nil {
 			return nil, err

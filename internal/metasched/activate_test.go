@@ -51,7 +51,7 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 		t.Fatalf("the fixture needs an admissible plan of several windows, got %+v", d)
 	}
 	aj := &activeJob{result: &JobResult{Job: job, Type: strategy.S1}, manager: m, failedAt: -1}
-	aj.install(st, true)
+	aj.install(st)
 
 	for task, p := range d.Placements {
 		blocker := simtime.Interval{Start: p.Window.End - 1, End: p.Window.End}

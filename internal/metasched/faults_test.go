@@ -72,9 +72,9 @@ func TestNodeOutageEvictsPlannedJob(t *testing.T) {
 	// and the job must recover on an up node of another tier.
 	e := sim.New()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "fast", 1.0, 1.0, "dom"),
-		resource.NewNode(1, "medium", 0.5, 0.5, "dom"),
-		resource.NewNode(2, "slow", 0.27, 0.2, "dom"), // discounted: strictly cheapest
+		resource.NewNode(0, "fast", 1.0, "dom"),
+		resource.NewNode(1, "medium", 0.5, "dom"),
+		resource.NewNode(2, "slow", 0.27, "dom"), // discounted: strictly cheapest
 	})
 	var tr MemoryTracer
 	vo := NewVO(e, env, Config{Objective: criticalworks.MinCost, Tracer: &tr})
@@ -126,7 +126,7 @@ func TestNodeOutageKillsRunningJobAndRetries(t *testing.T) {
 	// complete after the node recovers.
 	e := sim.New()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "fast", 1.0, 1.0, "dom"),
+		resource.NewNode(0, "fast", 1.0, "dom"),
 	})
 	var tr MemoryTracer
 	vo := NewVO(e, env, Config{
@@ -174,10 +174,10 @@ func TestDomainOutageForcesReallocation(t *testing.T) {
 	// (every candidate down), so the metascheduler must move the job.
 	e := sim.New()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "a-fast", 1.0, 1.0, "dom-a"),
-		resource.NewNode(1, "a-slow", 0.27, 0.27, "dom-a"),
-		resource.NewNode(2, "b-fast", 1.0, 1.0, "dom-b"),
-		resource.NewNode(3, "b-slow", 0.27, 0.27, "dom-b"),
+		resource.NewNode(0, "a-fast", 1.0, "dom-a"),
+		resource.NewNode(1, "a-slow", 0.27, "dom-a"),
+		resource.NewNode(2, "b-fast", 1.0, "dom-b"),
+		resource.NewNode(3, "b-slow", 0.27, "dom-b"),
 	})
 	var tr MemoryTracer
 	vo := NewVO(e, env, Config{Objective: criticalworks.MinCost, Tracer: &tr})
@@ -217,7 +217,7 @@ func TestMidRunTaskFailureFromRate(t *testing.T) {
 	// MaxRetries 0 the job must exhaust levels/domains and reject.
 	e := sim.New()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "fast", 1.0, 1.0, "dom"),
+		resource.NewNode(0, "fast", 1.0, "dom"),
 	})
 	vo := NewVO(e, env, Config{
 		Faults: faults.Config{TaskFailRate: 1, MaxRetries: 0, Seed: 1},

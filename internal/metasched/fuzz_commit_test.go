@@ -68,7 +68,7 @@ func decodeCommitInput(data []byte) []*fuzzPlan {
 func fuzzWorld() *VO {
 	nodes := make([]*resource.Node, 4)
 	for i := range nodes {
-		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), 1, 1, "d")
+		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), 1, "d")
 	}
 	env := resource.NewEnvironment(nodes)
 	ext := resource.External

@@ -159,16 +159,8 @@ type JobResult struct {
 	Domain    string
 	State     State
 
-	// Admissible records whether the initially generated strategy had any
-	// admissible distribution (the Fig. 3a criterion).
-	Admissible bool
-
 	Arrival simtime.Time
 	Finish  simtime.Time
-
-	// InitialLevel and FinalLevel are the estimation levels of the first
-	// and last activated distributions.
-	InitialLevel, FinalLevel resource.Tier
 
 	// Cost is the cost function CF of the finally executed distribution.
 	Cost float64
@@ -198,16 +190,8 @@ type JobResult struct {
 	// to its next successful activation (or terminal rejection).
 	Downtime simtime.Time
 
-	// Collisions counts the collisions of every schedule the job was charged
-	// for, over all generation passes; the records themselves are each
-	// Schedule's (Fig. 3b reads them from the strategies).
-	Collisions int
-
 	// Placements of the finally executed distribution, by Scheduled's TaskID.
 	Placements []criticalworks.Placement
-
-	// Evaluations spent generating (and re-generating) strategies.
-	Evaluations int64
 }
 
 // RunTime returns the executed span (finish − actual start), or 0.
@@ -501,8 +485,8 @@ func (m *JobManager) adopt(aj *activeJob) {
 // plan is the calendar half of placing aj in this domain: it generates (or
 // regenerates) the job's strategy on books, installs it and reserves the
 // cheapest admissible distribution's windows, returning that distribution —
-// nil when no level is admissible. initial marks the very first generation,
-// which defines the job's admissibility record. It reads and writes aj and
+// nil when no level is admissible. initial marks the very first generation
+// on the adopt span. It reads and writes aj and
 // this domain's books only; the caller follows it with launch, or unplaced.
 func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time, initial bool) (*strategy.Distribution, error) {
 	vo := m.vo
@@ -535,7 +519,7 @@ func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalwork
 	if err != nil {
 		return nil, err
 	}
-	aj.install(st, initial)
+	aj.install(st)
 	d := st.CheapestAdmissible()
 	if d != nil && !m.reserve(aj, d) {
 		// The plan was built on these books by their only writer.
@@ -568,21 +552,11 @@ func (m *JobManager) generate(ctx context.Context, aj *activeJob, books critical
 	return m.gen.GenerateCtx(ctx, aj.result.Job, aj.result.Type, books, now)
 }
 
-// install makes st the job's current strategy and books what generating it
-// cost. initial marks the very first generation, which defines the job's
-// admissibility record (the Fig. 3a criterion).
-func (aj *activeJob) install(st *strategy.Strategy, initial bool) {
+// install makes st the job's current strategy, no level of it yet used.
+func (aj *activeJob) install(st *strategy.Strategy) {
 	aj.strat = st
 	aj.result.Scheduled = st.Scheduled
 	aj.used = strategy.Levels{}
-	aj.result.Evaluations += st.Evaluations
-	for _, d := range st.Distributions {
-		aj.result.Collisions += len(d.Schedule.Collisions)
-	}
-	aj.result.Collisions += st.PartialCollisions
-	if initial {
-		aj.result.Admissible = st.Admissible()
-	}
 }
 
 // activate is reserve and launch back to back, for a plan built and booked
@@ -633,7 +607,6 @@ func (m *JobManager) launch(aj *activeJob, d *strategy.Distribution) {
 	aj.used[d.Level] = true
 	if !aj.everActivated {
 		aj.everActivated = true
-		aj.result.InitialLevel = d.Level
 		aj.result.PlannedStart = d.Start
 	}
 	if aj.failedAt >= 0 {
@@ -642,7 +615,6 @@ func (m *JobManager) launch(aj *activeJob, d *strategy.Distribution) {
 		aj.result.Downtime += now - aj.failedAt
 		aj.failedAt = -1
 	}
-	aj.result.FinalLevel = d.Level
 	aj.result.ActualStart = d.Start
 	m.vo.trace(Event{Kind: EventActivate, Job: aj.result.Job.Name, Domain: m.domain,
 		Level: int(d.Level), Start: d.Start, End: d.Finish})
@@ -774,16 +746,10 @@ func (m *JobManager) fallback(aj *activeJob) {
 		if sp != nil {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
-		d, partial, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now)
+		d, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now)
 		if err != nil || d == nil || !d.Admissible {
-			if partial != nil {
-				aj.result.Evaluations += partial.Evaluations
-				aj.result.Collisions += len(partial.Collisions)
-			}
 			continue
 		}
-		aj.result.Evaluations += d.Schedule.Evaluations
-		aj.result.Collisions += len(d.Schedule.Collisions)
 		aj.result.Fallbacks++
 		m.vo.trace(Event{Kind: EventFallback, Job: aj.result.Job.Name, Domain: m.domain, Level: int(d.Level)})
 		if !m.activate(aj, d) {

@@ -24,7 +24,7 @@ func twoDomainEnv() *resource.Environment {
 	for d := 0; d < 2; d++ {
 		for _, p := range perfs {
 			nodes = append(nodes, resource.NewNode(resource.NodeID(id),
-				fmt.Sprintf("n%d", id), p, p, fmt.Sprintf("dom-%d", d)))
+				fmt.Sprintf("n%d", id), p, fmt.Sprintf("dom-%d", d)))
 			id++
 		}
 	}
@@ -54,9 +54,6 @@ func TestSingleJobCompletes(t *testing.T) {
 	r := results[0]
 	if r.State != StateCompleted {
 		t.Fatalf("state = %v", r.State)
-	}
-	if !r.Admissible {
-		t.Error("job not admissible")
 	}
 	if r.Finish > 50+5 {
 		t.Errorf("finish = %d beyond release+deadline window", r.Finish)
@@ -88,9 +85,6 @@ func TestDeadlineZeroRejected(t *testing.T) {
 	r := vo.Results()[0]
 	if r.State != StateRejected {
 		t.Fatalf("state = %v, want rejected", r.State)
-	}
-	if r.Admissible {
-		t.Error("inadmissible job marked admissible")
 	}
 	// The metascheduler tried the other domain before giving up.
 	if r.Reallocations != 1 {
@@ -241,8 +235,8 @@ func TestDeterministicEvictionFallback(t *testing.T) {
 	// job must fall back to another supporting level and still complete.
 	e := sim.New()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "fast", 1.0, 1.0, "dom"),
-		resource.NewNode(1, "slow", 0.27, 0.27, "dom"),
+		resource.NewNode(0, "fast", 1.0, "dom"),
+		resource.NewNode(1, "slow", 0.27, "dom"),
 	})
 	vo := NewVO(e, env, Config{Objective: criticalworks.MinCost})
 
@@ -279,7 +273,7 @@ func TestDeterministicEvictionFallback(t *testing.T) {
 	if r.StartDeviation() == 0 {
 		t.Error("fallback did not register a start deviation")
 	}
-	if r.InitialLevel == r.FinalLevel && r.ActualStart == r.PlannedStart {
+	if r.ActualStart == r.PlannedStart {
 		t.Errorf("fallback changed nothing: %+v", r)
 	}
 }

@@ -129,8 +129,8 @@ func TestPlacerPriorityPlansFirst(t *testing.T) {
 	place := func(placers int, names ...string) map[string]criticalworks.Placement {
 		e := sim.New()
 		env := resource.NewEnvironment([]*resource.Node{
-			resource.NewNode(0, "fast", 1.0, 1.0, "dom"),
-			resource.NewNode(1, "slow", 0.27, 0.27, "dom"),
+			resource.NewNode(0, "fast", 1.0, "dom"),
+			resource.NewNode(1, "slow", 0.27, "dom"),
 		})
 		vo := NewVO(e, env, Config{Placers: placers})
 		for i, name := range names {
@@ -181,7 +181,7 @@ func TestPlacerSingletonBatchesMatchSequential(t *testing.T) {
 			x, y := a[i], b[i]
 			if x.Job.Name != y.Job.Name || x.State != y.State || x.Finish != y.Finish ||
 				x.Cost != y.Cost || x.Domain != y.Domain ||
-				x.InitialLevel != y.InitialLevel || x.FinalLevel != y.FinalLevel ||
+				x.PlannedStart != y.PlannedStart || x.ActualStart != y.ActualStart ||
 				!reflect.DeepEqual(x.Placements, y.Placements) {
 				t.Fatalf("seed %d: result %d diverged:\nplacers=1: %+v\nplacers=4: %+v", seed, i, x, y)
 			}

@@ -50,8 +50,8 @@ func TestTracerSeesEvictionChain(t *testing.T) {
 	// observed through the tracer.
 	e := sim.New()
 	env := resource.NewEnvironment([]*resource.Node{
-		resource.NewNode(0, "fast", 1.0, 1.0, "dom"),
-		resource.NewNode(1, "slow", 0.27, 0.27, "dom"),
+		resource.NewNode(0, "fast", 1.0, "dom"),
+		resource.NewNode(1, "slow", 0.27, "dom"),
 	})
 	tr := &MemoryTracer{}
 	vo := NewVO(e, env, Config{Objective: criticalworks.MinCost, Tracer: tr})

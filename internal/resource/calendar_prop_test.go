@@ -141,7 +141,7 @@ func TestCalendarVoid(t *testing.T) {
 }
 
 func TestNodeUpDownDepthAndDowntime(t *testing.T) {
-	n := NewNode(0, "n0", 1.0, 1.0, "dom")
+	n := NewNode(0, "n0", 1.0, "dom")
 	if !n.Up() {
 		t.Fatal("fresh node not up")
 	}
@@ -186,9 +186,9 @@ func TestNodeUpDownDepthAndDowntime(t *testing.T) {
 
 func TestEnvironmentUpNodesAndReset(t *testing.T) {
 	env := NewEnvironment([]*Node{
-		NewNode(0, "a", 1.0, 1.0, "d0"),
-		NewNode(1, "b", 0.5, 0.5, "d0"),
-		NewNode(2, "c", 0.33, 0.33, "d1"),
+		NewNode(0, "a", 1.0, "d0"),
+		NewNode(1, "b", 0.5, "d0"),
+		NewNode(2, "c", 0.33, "d1"),
 	})
 	env.Node(0).MarkDown(5)
 	env.Node(1).MarkDown(5)

@@ -82,15 +82,20 @@ func TierOf(perf float64) Tier {
 	return Tier(k)
 }
 
+// Estimate is §3's user estimate of a task on a node of tier k: T_ik =
+// k × T_i1, the task's base (tier-1) time times the tier. Planning (strategy
+// construction, reservations) always uses these tier-quantized estimates;
+// the actual execution time on a concrete node follows its continuous
+// relative performance and generally differs, which is the forecast error
+// Fig. 4c studies.
+func Estimate(base simtime.Time, k Tier) simtime.Time { return base * simtime.Time(k) }
+
 // Node is one autonomous processor node. Perf is relative performance in
-// (0,1]; Price is the economic rate in conventional units per tick of
-// reserved time (faster nodes cost more, §3's "user should pay additional
-// cost in order to use more powerful resource").
+// (0,1].
 type Node struct {
 	ID     NodeID
 	Name   string
 	Perf   float64
-	Price  float64
 	Domain string
 
 	cal *Calendar
@@ -105,11 +110,11 @@ type Node struct {
 }
 
 // NewNode creates a node with an empty calendar. Perf must lie in (0, 1].
-func NewNode(id NodeID, name string, perf float64, price float64, domain string) *Node {
+func NewNode(id NodeID, name string, perf float64, domain string) *Node {
 	if perf <= 0 || perf > 1 {
 		panic(fmt.Sprintf("resource: node %q has performance %v outside (0,1]", name, perf))
 	}
-	return &Node{ID: id, Name: name, Perf: perf, Price: price, Domain: domain, cal: NewCalendar()}
+	return &Node{ID: id, Name: name, Perf: perf, Domain: domain, cal: NewCalendar()}
 }
 
 // Group returns the node's performance group.

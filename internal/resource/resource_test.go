@@ -59,6 +59,50 @@ func TestTierOf(t *testing.T) {
 	}
 }
 
+func TestEstimateMatchesPaperTable(t *testing.T) {
+	// §3's table: Ti1 = {2,3,1,2,1,2}, Ti2 = 2×, Ti3 = 3×, Ti4 = 4×.
+	for i, t1 := range []simtime.Time{2, 3, 1, 2, 1, 2} {
+		for k := Tier(1); k <= NumTiers; k++ {
+			if got, want := Estimate(t1, k), t1*simtime.Time(k); got != want {
+				t.Errorf("T_%d%d = %d, want %d", i+1, k, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimateOnNodeTier: a node's estimate is its tier's, whatever its
+// exact performance.
+func TestEstimateOnNodeTier(t *testing.T) {
+	fast := NewNode(0, "f", 1.0, "d")
+	slow := NewNode(1, "s", 0.33, "d")
+	if got := Estimate(2, fast.Tier()); got != 2 {
+		t.Errorf("fast estimate = %d, want 2", got)
+	}
+	if got := Estimate(2, slow.Tier()); got != 6 { // tier 3 → 3×2
+		t.Errorf("slow estimate = %d, want 6", got)
+	}
+}
+
+func TestQuickEstimateMonotone(t *testing.T) {
+	// For any base time, estimates are positive and non-decreasing in tier,
+	// and the tier-1 estimate equals the base.
+	f := func(base uint16) bool {
+		bt := simtime.Time(base%500) + 1
+		if Estimate(bt, 1) != bt {
+			return false
+		}
+		for k := Tier(2); k <= NumTiers; k++ {
+			if Estimate(bt, k) < Estimate(bt, k-1) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestNewNodePanicsOnBadPerf(t *testing.T) {
 	for _, perf := range []float64{0, -0.5, 1.5} {
 		func() {
@@ -67,17 +111,17 @@ func TestNewNodePanicsOnBadPerf(t *testing.T) {
 					t.Errorf("NewNode with perf %v did not panic", perf)
 				}
 			}()
-			NewNode(0, "bad", perf, 1, "d")
+			NewNode(0, "bad", perf, "d")
 		}()
 	}
 }
 
 func newEnv() *Environment {
 	return NewEnvironment([]*Node{
-		NewNode(0, "f1", 1.0, 4, "alpha"),
-		NewNode(1, "f2", 0.8, 3, "alpha"),
-		NewNode(2, "m1", 0.5, 2, "beta"),
-		NewNode(3, "s1", 0.33, 1, "beta"),
+		NewNode(0, "f1", 1.0, "alpha"),
+		NewNode(1, "f2", 0.8, "alpha"),
+		NewNode(2, "m1", 0.5, "beta"),
+		NewNode(3, "s1", 0.33, "beta"),
 	})
 }
 
@@ -101,7 +145,7 @@ func TestEnvironmentIDCheck(t *testing.T) {
 			t.Fatal("non-dense IDs accepted")
 		}
 	}()
-	NewEnvironment([]*Node{NewNode(5, "x", 1, 1, "d")})
+	NewEnvironment([]*Node{NewNode(5, "x", 1, "d")})
 }
 
 func TestCalendarReserveAndConflict(t *testing.T) {

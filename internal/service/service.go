@@ -879,7 +879,9 @@ var ErrInFlight = fmt.Errorf("service: job is in flight and cannot be revoked")
 //   - never seen: a terminal "revoked" tombstone is planted under the ID,
 //     so a delayed handoff that arrives later is refused as a duplicate
 //     (this closes the reorder race that would double-execute);
-//   - already terminal: the existing record is returned unchanged;
+//   - a tombstone (revoked or drained): its epoch rises to the request's,
+//     its state kept;
+//   - otherwise terminal: the existing record is returned unchanged;
 //   - dequeued by the engine: ErrInFlight — the router must keep the job
 //     bound to this shard and wait for its terminal state.
 //
@@ -887,10 +889,10 @@ var ErrInFlight = fmt.Errorf("service: job is in flight and cannot be revoked")
 // against replayed RPCs: a record placed at a higher epoch than the
 // request's was bound here by a NEWER router decision, so the (necessarily
 // stale) revocation is refused with ErrInFlight instead of yanking a
-// legitimate placement. Revoking an already-revoked tombstone raises the
-// tombstone's epoch to the request's, so stale handoff replays of the
-// just-revoked binding stay refused. RevokeEpoch is idempotent: repeating
-// it returns the same terminal record.
+// legitimate placement. Revoking a tombstone raises its epoch to the
+// request's, so stale handoff replays of the just-revoked binding stay
+// refused. RevokeEpoch is idempotent: repeating it returns the same terminal
+// record.
 func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -915,11 +917,11 @@ func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 		return *e.rec, nil
 	}
 	if rec, ok := s.records[id]; ok {
-		if rec.State == StateRevoked {
+		if Tombstone(rec.State) {
 			if epoch > rec.Epoch {
 				rec.Epoch = epoch
 				rec.Reason = reason
-				_ = s.journalLocked(journal.Record{Job: id, State: StateRevoked, Reason: reason, Epoch: epoch})
+				_ = s.journalLocked(journal.Record{Job: id, State: rec.State, Reason: reason, Epoch: epoch})
 			}
 			return *rec, nil
 		}
@@ -1250,14 +1252,6 @@ func (s *Server) Metrics() Metrics {
 		}
 	}
 	return m
-}
-
-// QueueState reports what a federation heartbeat sends: whether the server
-// is draining, the admission queue's depth and the number of held jobs.
-func (s *Server) QueueState() (draining bool, depth, held int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining, len(s.queue), len(s.held)
 }
 
 // BreakerStates returns every domain breaker's state at the engine's

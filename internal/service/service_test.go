@@ -26,7 +26,7 @@ func testEnv() *resource.Environment {
 	for d := 0; d < 2; d++ {
 		for _, p := range perfs {
 			nodes = append(nodes, resource.NewNode(resource.NodeID(id),
-				fmt.Sprintf("n%d", id), p, p, fmt.Sprintf("dom-%d", d)))
+				fmt.Sprintf("n%d", id), p, fmt.Sprintf("dom-%d", d)))
 			id++
 		}
 	}

@@ -103,7 +103,7 @@ func (g *Generator) jobRNG(idx uint64) *rng.Source {
 // medium 0.34–0.66, and "slow" 0.25–0.34 (the paper pins the slow group at
 // the 0.33 floor; we widen it slightly downward so all four estimation
 // tiers of §3's table are populated). Nodes are spread round-robin across
-// `domains` job-manager domains, and priced proportionally to performance.
+// `domains` job-manager domains.
 func (g *Generator) Environment(domains int) *resource.Environment {
 	if domains < 1 {
 		domains = 1
@@ -132,7 +132,7 @@ func (g *Generator) Environment(domains int) *resource.Environment {
 		// a mix of the three performance bands (the band cycles with i%3;
 		// using i%domains here would segregate domains by speed).
 		dom := fmt.Sprintf("domain-%d", (i/3)%domains)
-		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("node-%02d", i), perf, perf, dom)
+		nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("node-%02d", i), perf, dom)
 	}
 	return resource.NewEnvironment(nodes)
 }

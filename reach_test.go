@@ -21,17 +21,40 @@ import (
 // keptAPI is one identifier production does not reach that the repository
 // keeps, and why: a "reference" is an implementation a test compares
 // production against; a "seam" lets a test observe or drive other production
-// behaviour. A test that only exercises the identifier itself is neither.
+// behaviour; a "wire" struct type is a client-facing JSON view whose fields
+// leave the process through an endpoint or file, which its why names first,
+// and need not be read back by production. A test that only exercises the
+// identifier itself is none of these.
 type keptAPI struct {
-	kind  string   // "reference" or "seam"
-	tests []string // the Test and Fuzz functions that need it
+	kind  string   // "reference", "seam" or "wire"
+	tests []string // the Test and Fuzz functions that need it; for "wire", ones that decode it
 	why   string
 }
 
 // reachAllow is the inventory of API that is unreached but kept, keyed the
-// way TestReachability names an identifier. An entry that production reaches
-// again, or whose tests are gone, fails the gate.
+// way TestReachability names an identifier. An entry naming a struct type
+// covers its unread fields. An entry that production reaches again, or
+// whose tests are gone, fails the gate.
 var reachAllow = map[string]keptAPI{
+	"internal/service.Record": {"wire", []string{"TestHTTPLifecycle", "TestJournalHoldsAcceptAndTerminalOnly"},
+		"GET /v1/jobs/{id} on gridd: a job's record as clients poll it"},
+	"internal/service.Metrics": {"wire", []string{"TestMetricsFieldsAreTheirSeries"},
+		"GET /v1/metrics on gridd: a shard's counters and queue state as clients poll them"},
+	"internal/journal.Stats": {"wire", []string{"TestHTTPRetryAfterAndHealthz"},
+		"GET /healthz on gridd (its journal member): the journal's activity as an operator reads it"},
+	"internal/federation.JobView": {"wire", []string{"TestHTTPFederationEndToEnd"},
+		"GET /v1/jobs/{id} on gridfront: a job's binding as clients poll it at the router"},
+	"internal/federation.Metrics": {"wire", []string{"TestHTTPFederationEndToEnd"},
+		"GET /v1/metrics on gridfront: the router's counters as clients poll them"},
+	"internal/federation.ShardStatus": {"wire", []string{"TestHTTPFederationEndToEnd"},
+		"GET /v1/metrics on gridfront (its shards member): each shard's health in the router's metrics"},
+	"internal/jobio.Job": {"wire", []string{"TestJobsStreamRoundTrip", "FuzzReadJobs"},
+		"jobgen's job stream and POST /v1/jobs bodies: the job file format, arrival times included"},
+	"internal/jobio.Node": {"wire", []string{"TestEnvironmentRoundTrip"},
+		"jobgen -env's environment file: the environment file format, groups and tiers included"},
+	"internal/data.DatasetID": {"reference", []string{"TestBuildMatchesCloneReference", "TestDenseReplicasMatchCatalog"},
+		"the map key of the string-keyed catalog the dense replica rows are compared with; its fields are compared as a key, never selected"},
+
 	"internal/dag.Job.LongestChain": {"reference", []string{"TestBuildMatchesCloneReference", "FuzzRefusalMatchesLadder"},
 		"refBuild (criticalworks/cow_test.go) finds each critical work with the allocating search; production runs LongestChainBuf"},
 	"internal/data.Catalog.Replicas": {"reference", []string{"TestDenseReplicasMatchCatalog", "TestBuildMatchesCloneReference"},
@@ -86,12 +109,17 @@ var reachAllow = map[string]keptAPI{
 //   - an exported field of a *Config or *Options struct declared under
 //     internal/ (or of strategy.Generator) is set by no non-test file outside
 //     the declaring package's own defaulting: an assignment there, or a
-//     compile-time constant in one of its literals.
+//     compile-time constant in one of its literals, or
+//   - an exported field of an exported struct type declared under internal/
+//     is read by no non-test file, where a read is a field selector that is
+//     not the target of =, op= or ++/-- (so a counter that is only
+//     incremented is unread). ./benchmark and cmd/ are non-test files.
 //
 // A method that satisfies an interface is reached through it, and
 // internal/chaostest is a test harness by design; both are exempt. Every
-// other exception is a reachAllow entry. The log line counts the option
-// fields the gate covers and how many of them the allowlist keeps.
+// other exception is a reachAllow entry; a field is also covered by one
+// naming its type. The log line counts the option fields the gate covers
+// and how many of them the allowlist keeps, and the unread fields it keeps.
 func TestReachability(t *testing.T) {
 	u := loadModule(t)
 	flagged := map[string]bool{}
@@ -108,6 +136,20 @@ func TestReachability(t *testing.T) {
 			t.Errorf("%s: set by no non-test file outside its package's defaulting", id)
 		}
 	}
+	allowedUnread := 0
+	for _, id := range u.unreadFields() {
+		owner := id[:strings.LastIndexByte(id, '.')]
+		switch _, field := reachAllow[id]; {
+		case field:
+			flagged[id] = true
+		case reachAllow[owner].kind != "":
+			flagged[owner] = true
+		default:
+			t.Errorf("%s: read by no non-test file", id)
+			continue
+		}
+		allowedUnread++
+	}
 	allowedOptions := 0
 	for id, k := range reachAllow {
 		if options[id] {
@@ -116,8 +158,8 @@ func TestReachability(t *testing.T) {
 		if !flagged[id] {
 			t.Errorf("reachAllow[%q]: production reaches it, or it is gone; drop the entry", id)
 		}
-		if k.kind != "reference" && k.kind != "seam" || k.why == "" || len(k.tests) == 0 {
-			t.Errorf("reachAllow[%q]: want kind reference or seam, a reason and the tests that need it", id)
+		if k.kind != "reference" && k.kind != "seam" && k.kind != "wire" || k.why == "" || len(k.tests) == 0 {
+			t.Errorf("reachAllow[%q]: want kind reference, seam or wire, a reason and the tests that need it", id)
 		}
 		for _, name := range k.tests {
 			if !u.tests[name] {
@@ -125,8 +167,8 @@ func TestReachability(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d exported option fields under the gate, %d of them allowlisted; %d allowlist entries in all",
-		len(options), allowedOptions, len(reachAllow))
+	t.Logf("%d exported option fields under the gate, %d of them allowlisted; %d unread fields allowlisted; %d allowlist entries in all",
+		len(options), allowedOptions, allowedUnread, len(reachAllow))
 }
 
 const modulePath = "repro"
@@ -149,6 +191,7 @@ type universe struct {
 	pkgs   []*checkedPackage
 	used   map[types.Object]bool
 	set    map[*types.Var]bool
+	read   map[*types.Var]bool
 	ifaces map[string][]*types.Interface // by method name
 	tests  map[string]bool
 }
@@ -175,6 +218,7 @@ func loadModule(t *testing.T) *universe {
 	u := &universe{
 		used:   map[types.Object]bool{},
 		set:    map[*types.Var]bool{},
+		read:   map[*types.Var]bool{},
 		ifaces: map[string][]*types.Interface{},
 		tests:  map[string]bool{},
 	}
@@ -265,6 +309,7 @@ func loadModule(t *testing.T) *universe {
 		for _, f := range cp.files {
 			u.collectWrites(cp, f)
 		}
+		u.collectReads(cp)
 		addScope(cp.types)
 	}
 	return u
@@ -361,6 +406,48 @@ func (u *universe) collectWrites(cp *checkedPackage, f *ast.File) {
 	})
 }
 
+// collectReads records the fields cp reads: every field selector that is not
+// the target of an assignment or increment, and the embedded fields a
+// promoted selector passes through. In cfg.Journal.Fsync = x, Journal is read
+// and Fsync is not, so a counter that is only incremented is unread.
+func (u *universe) collectReads(cp *checkedPackage) {
+	targets := map[*ast.SelectorExpr]bool{}
+	for _, f := range cp.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						targets[sel] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+					targets[sel] = true
+				}
+			}
+			return true
+		})
+	}
+	for sel, s := range cp.info.Selections {
+		if s.Kind() != types.FieldVal {
+			continue
+		}
+		if !targets[sel] {
+			u.read[origin(s.Obj()).(*types.Var)] = true
+		}
+		t := s.Recv()
+		for _, i := range s.Index()[:len(s.Index())-1] {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			v := t.Underlying().(*types.Struct).Field(i)
+			u.read[origin(v).(*types.Var)] = true
+			t = v.Type()
+		}
+	}
+}
+
 // gated reports whether the gate holds a package to its rules.
 func gated(path string) bool {
 	return strings.HasPrefix(path, modulePath+"/internal/") && path != modulePath+"/internal/chaostest"
@@ -410,6 +497,35 @@ func (u *universe) unreferenced() []string {
 							ids = append(ids, displayName(cp.info.Defs[ts.Name], ""))
 						}
 					}
+				}
+			}
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// unreadFields lists, sorted, the exported fields of gated exported struct
+// types that no non-test file reads.
+func (u *universe) unreadFields() []string {
+	var ids []string
+	for _, cp := range u.pkgs {
+		if !gated(cp.path) {
+			continue
+		}
+		scope := cp.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if v := st.Field(i); v.Exported() && !u.read[v] {
+					ids = append(ids, displayName(v, name))
 				}
 			}
 		}

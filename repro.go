@@ -4,10 +4,10 @@
 //
 // The library implements the paper's full stack from scratch:
 //
-//   - compound jobs as DAGs of tasks and data transfers (internal/dag)
-//     with the §3 user estimation tables (internal/estimate);
-//   - a heterogeneous resource model with reservation calendars and the
-//     paper's performance groups (internal/resource);
+//   - compound jobs as DAGs of tasks and data transfers (internal/dag);
+//   - a heterogeneous resource model with reservation calendars, the
+//     paper's performance groups and the §3 user estimates T_ik = k × T_i1
+//     (internal/resource);
 //   - the data policies distinguishing the strategy families: active
 //     replication, remote access, static storage (internal/data);
 //   - the VO economic model, CF = Σ ceil(V/T) (internal/economy);
@@ -65,8 +65,8 @@ type (
 )
 
 // NewNode creates a node; perf is relative performance in (0,1].
-func NewNode(id int, name string, perf, price float64, domain string) *Node {
-	return resource.NewNode(resource.NodeID(id), name, perf, price, domain)
+func NewNode(id int, name string, perf float64, domain string) *Node {
+	return resource.NewNode(resource.NodeID(id), name, perf, domain)
 }
 
 // NewEnvironment wraps nodes with dense IDs 0..n-1.

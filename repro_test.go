@@ -18,8 +18,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	job := b.MustBuild()
 
 	env := repro.NewEnvironment([]*repro.Node{
-		repro.NewNode(0, "fast", 1.0, 1.0, "site"),
-		repro.NewNode(1, "slow", 0.33, 0.33, "site"),
+		repro.NewNode(0, "fast", 1.0, "site"),
+		repro.NewNode(1, "slow", 0.33, "site"),
 	})
 
 	sched, err := repro.BuildSchedule(env, job)
