@@ -71,8 +71,6 @@ func main() {
 	var shards shardFlags
 	var (
 		listen       = flag.String("listen", ":8070", "HTTP listen address")
-		origin       = flag.String("origin", "gridfront", "router name stamped into handoffs and revocations")
-		replicas     = flag.Int("replicas", 0, "consistent-hash virtual points per shard (0 = default)")
 		seed         = flag.Uint64("seed", 1, "seed for backoff jitter and breaker jitter")
 		heartbeat    = flag.Duration("heartbeat", 250*time.Millisecond, "shard ping period")
 		deadAfter    = flag.Int("dead-after", 4, "consecutive missed heartbeats that declare a shard dead")
@@ -130,9 +128,7 @@ func main() {
 	}
 
 	cfg := federation.Config{
-		Origin:            *origin,
 		Shards:            fleet,
-		Replicas:          *replicas,
 		Journal:           jnl,
 		Telemetry:         reg,
 		HeartbeatInterval: *heartbeat,

@@ -85,8 +85,9 @@ func (p *targetPool) url(idx int) string { return p.urls[idx] }
 // fleet: each arrival fires at start + At·tick on its own goroutine, so
 // a slow or shedding server never slows the offered load (open loop).
 // After the last response it waits for accepted jobs to reach a terminal
-// state, then reads the server-side counters and scrapes /metrics for the
-// admission-latency histogram.
+// state, then scrapes every target's /metrics again: the server-side
+// counters are the difference of the two scrapes, the admission-latency
+// percentiles come from the second one's histogram.
 func run(o options) (*report, error) {
 	if o.jobs <= 0 {
 		return nil, fmt.Errorf("-jobs must be positive")
@@ -106,7 +107,7 @@ func run(o options) (*report, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	pool := newTargetPool(o.targets)
 
-	m0, err := sumMetrics(client, o.targets)
+	m0, err := scrapeFleet(client, o.targets)
 	if err != nil {
 		return nil, err
 	}
@@ -163,29 +164,27 @@ func run(o options) (*report, error) {
 	}
 	elapsed := time.Since(start).Seconds()
 
-	m1, err := sumMetrics(client, o.targets)
+	m1, err := scrapeFleet(client, o.targets)
 	if err != nil {
 		return nil, err
 	}
 	c := st.counts
-	c.Submitted = m1.Submitted - m0.Submitted
-	c.Accepted = m1.Accepted - m0.Accepted
-	c.Completed = m1.Completed - m0.Completed
-	c.Rejected = m1.Rejected - m0.Rejected
-	c.Shed = m1.Shed - m0.Shed
-	c.Infeasible = m1.Infeasible - m0.Infeasible
-	c.Overloaded = m1.Overloaded - m0.Overloaded
-	c.Drained = m1.Drained - m0.Drained
-	c.QueueHighWater = m1.QueueHighWater
-	c.EngineTicks = int64(m1.EngineNow - m0.EngineNow)
+	diff := func(stem string) uint64 { return m1.total[stem] - m0.total[stem] }
+	c.Submitted = diff("submitted")
+	c.Accepted = diff("accepted")
+	c.Completed = diff("completed")
+	c.Rejected = diff("rejected")
+	c.Shed = diff("shed")
+	c.Infeasible = diff("infeasible")
+	c.Overloaded = diff("overloaded")
+	c.Drained = diff("drained")
+	c.QueueHighWater = m1.queueHighWater
+	c.EngineTicks = m1.engineNow - m0.engineNow
 	if c.EngineTicks > 0 {
 		c.GoodputPerKTicks = float64(c.Completed) * 1000 / float64(c.EngineTicks)
 	}
 
-	p50, p95, p99, p999, err := scrapeQueueWait(client, o.targets)
-	if err != nil {
-		return nil, err
-	}
+	p50, p95, p99, p999 := m1.queueWait()
 	wall := wallClock{
 		ElapsedSeconds: elapsed,
 		AdmissionP50:   p50, AdmissionP95: p95, AdmissionP99: p99, AdmissionP999: p999,
@@ -292,89 +291,118 @@ func parseRetryAfter(resp *http.Response) (int, bool) {
 	return secs, true
 }
 
-// sumMetrics aggregates the admission counters across the fleet; the
-// queue high-water mark takes the fleet maximum and engine ticks sum (the
-// goodput denominator is total scheduling work done).
-func sumMetrics(client *http.Client, targets []string) (service.Metrics, error) {
-	var sum service.Metrics
-	for _, target := range targets {
-		var m service.Metrics
-		if err := getJSON(client, target+"/v1/metrics", &m); err != nil {
-			return sum, fmt.Errorf("target %s unreachable: %w", target, err)
-		}
-		sum.Submitted += m.Submitted
-		sum.Accepted += m.Accepted
-		sum.Completed += m.Completed
-		sum.Rejected += m.Rejected
-		sum.Shed += m.Shed
-		sum.Infeasible += m.Infeasible
-		sum.Overloaded += m.Overloaded
-		sum.Drained += m.Drained
-		sum.EngineNow += m.EngineNow
-		if m.QueueHighWater > sum.QueueHighWater {
-			sum.QueueHighWater = m.QueueHighWater
-		}
-	}
-	return sum, nil
+// serviceStems are the grid_service_<stem>_total counters a gridd target
+// contributes; a target without them is a gridfront router, which counts
+// routerStems as grid_fed_<stem>_total.
+var (
+	serviceStems = []string{"submitted", "accepted", "completed", "rejected", "shed", "infeasible", "overloaded", "drained"}
+	routerStems  = []string{"submitted", "accepted", "completed", "rejected", "drained"}
+)
+
+// fleetMetrics is one scrape of every target's /metrics: the admission
+// counters summed by stem, the fleet's maximum queue high-water mark, the
+// engine clocks summed (the goodput denominator is total scheduling work
+// done) and the queue-wait histogram's cumulative buckets merged by bound.
+type fleetMetrics struct {
+	total          map[string]uint64
+	queueHighWater int
+	engineNow      int64
+	wait           map[float64]uint64
 }
 
-// getJSON fetches url and decodes the body.
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
+// scrapeFleet scrapes every target's /metrics once.
+func scrapeFleet(client *http.Client, targets []string) (fleetMetrics, error) {
+	fm := fleetMetrics{total: map[string]uint64{}, wait: map[float64]uint64{}}
+	for _, target := range targets {
+		body, err := get(client, target+"/metrics")
+		if err != nil {
+			return fm, fmt.Errorf("target %s unreachable: %w", target, err)
+		}
+		text := string(body)
+		samples, err := parseSamples(text)
+		if err != nil {
+			return fm, fmt.Errorf("target %s: %w", target, err)
+		}
+		prefix, stems := "grid_service_", serviceStems
+		if _, ok := samples["grid_service_submitted_total"]; !ok {
+			prefix, stems = "grid_fed_", routerStems
+		}
+		for _, stem := range stems {
+			fm.total[stem] += uint64(samples[prefix+stem+"_total"])
+		}
+		fm.queueHighWater = max(fm.queueHighWater, int(samples["grid_service_queue_high_water"]))
+		fm.engineNow += int64(samples["grid_service_engine_now"])
+		// A gridfront router queues on its shards, not locally: it has no
+		// wait histogram, and the fleet's is merged from the rest.
+		if bounds, cums, err := parseBuckets(text, "grid_service_queue_wait_seconds_bucket"); err == nil {
+			for i, b := range bounds {
+				fm.wait[b] += cums[i]
+			}
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return fm, nil
 }
 
-// scrapeQueueWait reads the Prometheus exposition from every target's
-// /metrics and estimates the fleet-wide queue-wait percentiles from the
-// merged fixed buckets with telemetry.Quantile, the estimate
-// telemetry.Histogram.Quantile computes in process, demonstrating that
-// p99 is recoverable from scrape data. Targets without the series (a
-// gridfront router runs no admission queue of its own) are skipped, as
-// long as at least one target exposes it.
-func scrapeQueueWait(client *http.Client, targets []string) (p50, p95, p99, p999 float64, err error) {
-	merged := map[float64]uint64{}
-	for _, target := range targets {
-		resp, err := client.Get(target + "/metrics")
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		bounds, cums, err := parseBuckets(string(data), "grid_service_queue_wait_seconds_bucket")
-		if err != nil {
-			continue
-		}
-		for i, b := range bounds {
-			merged[b] += cums[i]
-		}
+// queueWait estimates the fleet-wide queue-wait percentiles from the merged
+// fixed buckets with telemetry.Quantile, the estimate
+// telemetry.Histogram.Quantile computes in process, demonstrating that p99
+// is recoverable from scrape data. A fleet with no admission queue anywhere
+// (only gridfront routers) reports zero percentiles, not a failed run.
+func (fm fleetMetrics) queueWait() (p50, p95, p99, p999 float64) {
+	if len(fm.wait) == 0 {
+		return 0, 0, 0, 0
 	}
-	if len(merged) == 0 {
-		// A fleet with no admission queue anywhere (e.g. only a gridfront
-		// router, which queues on its shards, not locally) has no wait
-		// histogram to report; zero percentiles, not a failed run.
-		return 0, 0, 0, 0, nil
-	}
-	bounds := make([]float64, 0, len(merged))
-	for b := range merged {
+	bounds := make([]float64, 0, len(fm.wait))
+	for b := range fm.wait {
 		bounds = append(bounds, b)
 	}
 	sort.Float64s(bounds)
 	cums := make([]uint64, len(bounds))
 	for i, b := range bounds {
-		cums[i] = merged[b]
+		cums[i] = fm.wait[b]
 	}
 	q := func(p float64) float64 { return bucketQuantile(bounds, cums, p) }
-	return q(0.5), q(0.95), q(0.99), q(0.999), nil
+	return q(0.5), q(0.95), q(0.99), q(0.999)
+}
+
+// parseSamples reads the unlabelled samples of a Prometheus text scrape by
+// series name.
+func parseSamples(text string) (map[string]float64, error) {
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad sample %q", line)
+		}
+		out[name] = v
+	}
+	return out, nil
+}
+
+// get fetches url and returns the body.
+func get(client *http.Client, url string) ([]byte, error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// getJSON fetches url and decodes the body.
+func getJSON(client *http.Client, url string, out any) error {
+	body, err := get(client, url)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
 }
 
 // bucketQuantile estimates the q-th quantile from a scrape's cumulative

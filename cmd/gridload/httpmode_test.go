@@ -92,8 +92,8 @@ func TestHTTPModeMultiTarget(t *testing.T) {
 	}
 	// Round-robin with a generous queue must land work on BOTH servers.
 	for i, srv := range servers {
-		if srv.Metrics().Submitted == 0 {
-			t.Errorf("server %d received no submissions", i)
+		if srv.Metrics().Accepted == 0 {
+			t.Errorf("server %d accepted no submissions", i)
 		}
 	}
 }

@@ -8,9 +8,9 @@
 // round-robin across the -target fleet. gridload measures client-observed
 // end-to-end latency, 429/503 rates and per-target Retry-After-honoring
 // backoff (an overloaded target is skipped until its hint expires while
-// the rest keep receiving load), diffs the fleet's /v1/metrics counters
-// across the run, and scrapes every target's /metrics for the aggregate
-// admission-latency percentiles.
+// the rest keep receiving load), and scrapes every target's /metrics
+// before and after the run: the server-side counters are their difference,
+// the aggregate admission-latency percentiles come from the histogram.
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -94,13 +95,21 @@ func TestHTTPMode(t *testing.T) {
 // duplicates): the second report's engine ticks are the model time that
 // run advanced, not the daemon's clock, and its goodput is per those ticks.
 func TestHTTPModeCountsOnlyItsOwnTicks(t *testing.T) {
-	srv, url := newTestServer(t, 64, 7)
+	_, url := newTestServer(t, 64, 7)
 	first := testOptions(url)
 	first.jobs = 20
 	if _, err := run(first); err != nil {
 		t.Fatal(err)
 	}
-	before := srv.Metrics().EngineNow
+	engineNow := func() int64 {
+		t.Helper()
+		m, err := scrapeFleet(http.DefaultClient, []string{url})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.engineNow
+	}
+	before := engineNow()
 	if before == 0 {
 		t.Fatal("the first run advanced no model time")
 	}
@@ -108,9 +117,9 @@ func TestHTTPModeCountsOnlyItsOwnTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := srv.Metrics().EngineNow
+	after := engineNow()
 	c := rep.Counts
-	if c.EngineTicks <= 0 || c.EngineTicks > int64(after-before) {
+	if c.EngineTicks <= 0 || c.EngineTicks > after-before {
 		t.Fatalf("engine ticks = %d, want the second run's share of %d → %d", c.EngineTicks, before, after)
 	}
 	if want := float64(c.Completed) * 1000 / float64(c.EngineTicks); c.GoodputPerKTicks != want {

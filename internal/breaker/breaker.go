@@ -81,9 +81,8 @@ type Config struct {
 
 	// Telemetry is the registry that keeps each breaker's trips, observed
 	// failures and current state as grid_breaker_* series labelled by the
-	// breaker name; Trips and Failures read them back. The handles are
-	// acquired once at New, so a state transition costs one atomic op. nil
-	// keeps them in a private registry.
+	// breaker name. The handles are acquired once at New, so a state
+	// transition costs one atomic op. nil keeps them in a private registry.
 	Telemetry *telemetry.Registry
 }
 
@@ -262,14 +261,6 @@ func (b *Breaker) RetryAfter(now simtime.Time) simtime.Time {
 	}
 	return 0
 }
-
-// Trips returns how many times the breaker has ever opened: its
-// grid_breaker_trips_total series.
-func (b *Breaker) Trips() int { return int(b.tripsC.Value()) }
-
-// Failures returns how many failures the breaker has ever observed: its
-// grid_breaker_failures_total series.
-func (b *Breaker) Failures() int { return int(b.failsC.Value()) }
 
 // Set manages one breaker per named resource, created lazily with a
 // shared config and per-name seeded jitter streams. Safe for concurrent

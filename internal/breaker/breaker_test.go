@@ -53,8 +53,8 @@ func TestBreakerStateMachine(t *testing.T) {
 			{5, "deny", Open, "quarantined"},
 			{13, "deny", Open, "window 10 not yet over"},
 		})
-		if b.Trips() != 1 || b.Failures() != 3 {
-			t.Fatalf("trips=%d failures=%d", b.Trips(), b.Failures())
+		if trips, fails := b.tripsC.Value(), b.failsC.Value(); trips != 1 || fails != 3 {
+			t.Fatalf("grid_breaker_trips_total=%d grid_breaker_failures_total=%d", trips, fails)
 		}
 	})
 
@@ -100,8 +100,8 @@ func TestBreakerStateMachine(t *testing.T) {
 			{73, "deny", Open, ""},
 			{74, "allow", HalfOpen, ""},
 		})
-		if got := b.Trips(); got != 3 {
-			t.Fatalf("trips = %d, want 3", got)
+		if got := b.tripsC.Value(); got != 3 {
+			t.Fatalf("grid_breaker_trips_total = %d, want 3", got)
 		}
 	})
 

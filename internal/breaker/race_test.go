@@ -114,8 +114,8 @@ func TestBreakerStress(t *testing.T) {
 	wg.Wait()
 	for _, n := range names {
 		b := s.Get(n)
-		if b.Failures() < 0 || b.Trips() < 0 {
-			t.Fatalf("breaker %s: negative stats", n)
+		if trips, fails := b.tripsC.Value(), b.failsC.Value(); trips > fails {
+			t.Fatalf("breaker %s: %d trips but only %d failures", n, trips, fails)
 		}
 	}
 }

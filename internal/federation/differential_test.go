@@ -3,10 +3,11 @@ package federation
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,19 @@ func diffWorkload(seed int64, n int) []diffOp {
 	}
 	ops = append(ops, diffOp{quiesce: true})
 	return ops
+}
+
+// serviceSeries scrapes a server's grid_service_* counters and gauges; the
+// queue-wait histogram, which measures wall time, is left out.
+func serviceSeries(t *testing.T, svc *service.Server) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for series, v := range scrape(t, svc.Handler()) {
+		if strings.HasPrefix(series, "grid_service_") && !strings.HasPrefix(series, "grid_service_queue_wait_seconds") {
+			out[series] = v
+		}
+	}
+	return out
 }
 
 // diffDeployment is either side of the comparison behind one interface.
@@ -190,11 +204,9 @@ func TestSingleShardFederationIsByteIdentical(t *testing.T) {
 					plain.trace.Len(), fed.trace.Len())
 			}
 
-			// Reports: the counters snapshot must serialize identically.
-			pm, _ := json.Marshal(plain.svc.Metrics())
-			fm, _ := json.Marshal(fed.svc.Metrics())
-			if !bytes.Equal(pm, fm) {
-				t.Fatalf("metrics diverged:\nplain: %s\nfed:   %s", pm, fm)
+			// Reports: every grid_service_* counter and gauge must agree.
+			if pm, fm := serviceSeries(t, plain.svc), serviceSeries(t, fed.svc); !reflect.DeepEqual(pm, fm) {
+				t.Fatalf("metrics diverged:\nplain: %v\nfed:   %v", pm, fm)
 			}
 		})
 	}

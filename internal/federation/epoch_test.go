@@ -24,7 +24,7 @@ func TestEpochGatedResurrection(t *testing.T) {
 		return ApplyHandoff(svc, &Handoff{Key: job.Name, Job: job, Strategy: "S1", Epoch: epoch})
 	}
 	revoke := func(epoch int) *RevokeResult {
-		return ApplyRevoke(svc, &RevokeRequest{Key: job.Name, Origin: "test", Reason: "test", Epoch: epoch})
+		return ApplyRevoke(svc, &RevokeRequest{Key: job.Name, Reason: "test", Epoch: epoch})
 	}
 
 	// First placement at epoch 0, then a confirmed revocation at epoch 0.
@@ -80,10 +80,10 @@ func TestRevokeRaisesTombstoneEpoch(t *testing.T) {
 	// Revoke-before-arrival plants a tombstone at epoch 0; the job was
 	// meanwhile rebound here at epoch 2 and revoked again — the second
 	// revoke must raise the tombstone to 2.
-	if res := ApplyRevoke(svc, &RevokeRequest{Key: "k", Origin: "test", Epoch: 0}); res.Outcome != RevokeOutcomeRevoked {
+	if res := ApplyRevoke(svc, &RevokeRequest{Key: "k", Epoch: 0}); res.Outcome != RevokeOutcomeRevoked {
 		t.Fatalf("tombstone plant = %+v", res)
 	}
-	if res := ApplyRevoke(svc, &RevokeRequest{Key: "k", Origin: "test", Epoch: 2}); res.Outcome != RevokeOutcomeRevoked {
+	if res := ApplyRevoke(svc, &RevokeRequest{Key: "k", Epoch: 2}); res.Outcome != RevokeOutcomeRevoked {
 		t.Fatalf("tombstone raise = %+v", res)
 	}
 	if rec, _ := svc.Job("k"); rec.Epoch != 2 {
@@ -127,7 +127,7 @@ func TestRevokeOfDrainedRaisesItsEpoch(t *testing.T) {
 	if _, err := svc.Restore(recovery); err != nil {
 		t.Fatal(err)
 	}
-	res := ApplyRevoke(svc, &RevokeRequest{Key: "k", Origin: "test", Reason: "moved", Epoch: 2})
+	res := ApplyRevoke(svc, &RevokeRequest{Key: "k", Reason: "moved", Epoch: 2})
 	if res.Outcome != RevokeOutcomeRevoked || res.State != service.StateDrained {
 		t.Fatalf("revoke of a drained record = %+v, want outcome revoked in state drained", res)
 	}

@@ -8,16 +8,28 @@ import (
 	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 )
 
-// tally is the counter part of service.Metrics.
+// tally is a shard's grid_service_* admission counters.
 type tally struct {
 	Submitted, Accepted, Completed, Rejected, Shed        uint64
 	Infeasible, Overloaded, Drained, Revoked, Resurrected uint64
 }
 
+// shardTally reads a shard's tally from its registry.
+func shardTally(reg *telemetry.Registry) tally {
+	c := func(stem string) uint64 { return reg.Counter("grid_service_"+stem+"_total", "").Value() }
+	return tally{
+		Submitted: c("submitted"), Accepted: c("accepted"), Completed: c("completed"),
+		Rejected: c("rejected"), Shed: c("shed"), Infeasible: c("infeasible"),
+		Overloaded: c("overloaded"), Drained: c("drained"), Revoked: c("revoked"),
+		Resurrected: c("resurrected"),
+	}
+}
+
 // metricsDelta is how far each counter moved from m0 to m1.
-func metricsDelta(m0, m1 service.Metrics) tally {
+func metricsDelta(m0, m1 tally) tally {
 	return tally{
 		Submitted: m1.Submitted - m0.Submitted, Accepted: m1.Accepted - m0.Accepted,
 		Completed: m1.Completed - m0.Completed, Rejected: m1.Rejected - m0.Rejected,
@@ -67,6 +79,30 @@ func checkFoldMatchesLedger(t testing.TB, dir string, svc *service.Server, key s
 	if fold.State != state || fold.Reason != rec.Reason || fold.Epoch != rec.Epoch {
 		t.Fatalf("%s: journal folds to state=%q reason=%q epoch=%d, ledger is %+v",
 			key, fold.State, fold.Reason, fold.Epoch, rec)
+	}
+}
+
+// TestDuplicateHandoffCarriesTheReason: a duplicate handoff is answered with
+// the record as it stands, its Reason included. A router whose first answer
+// was lost learns the outcome from the second; without the Reason it
+// recorded an infeasible job's rejection with none, and the later terminal
+// notice cannot repair a terminal record.
+func TestDuplicateHandoffCarriesTheReason(t *testing.T) {
+	svc, err := service.New(service.Config{Env: testEnv()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Handoff{Key: "j", Job: testJob("j", 3), Strategy: "S1"}
+	first := ApplyHandoff(svc, h)
+	if first.Code != service.CodeInfeasible || first.Reason == "" {
+		t.Fatalf("first answer %+v, want an infeasible refusal with its reason", *first)
+	}
+	rec, _ := svc.Job("j")
+	second := ApplyHandoff(svc, h)
+	want := HandoffResult{Accepted: true, Duplicate: true, State: service.StateRejected,
+		Code: service.CodeDuplicate, Reason: rec.Reason}
+	if *second != want || rec.Reason != first.Reason {
+		t.Fatalf("second answer %+v, want %+v", *second, want)
 	}
 }
 
@@ -140,8 +176,9 @@ func TestHandoffAnswers(t *testing.T) {
 					}
 					jnl, recovery := openTestJournal(t, dir)
 					defer jnl.Close()
+					reg := telemetry.NewRegistry()
 					svc, err := service.New(service.Config{Env: testEnv(), Sched: metasched.Config{Seed: 1},
-						Journal: jnl, HoldRecovered: p.hold, QueueCap: queueCap})
+						Journal: jnl, HoldRecovered: p.hold, QueueCap: queueCap, Telemetry: reg})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -156,14 +193,14 @@ func TestHandoffAnswers(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					for i := 0; c.full && svc.Metrics().QueueDepth < queueCap; i++ {
+					for i := 0; c.full && reg.Gauge("grid_service_queue_depth", "").Value() < queueCap; i++ {
 						if _, err := svc.Submit(testJob(fmt.Sprintf("filler-%d", i), 60), "S1", 0); err != nil {
 							t.Fatal(err)
 						}
 					}
 
 					before, known := svc.Job("j")
-					m0 := svc.Metrics()
+					m0 := shardTally(reg)
 					deadline := int64(60)
 					if c.bad {
 						deadline = 3
@@ -184,7 +221,7 @@ func TestHandoffAnswers(t *testing.T) {
 						want.Code, want.Reason = service.CodeDraining, "service is draining; not accepting work"
 					case !reopens:
 						want.Duplicate, want.Accepted, want.State = true, !service.Tombstone(before.State), before.State
-						want.Code = service.CodeDuplicate
+						want.Code, want.Reason = service.CodeDuplicate, before.Reason
 					default:
 						// A new life: the record starts over in place, keeping
 						// its Seq, or is created.
@@ -215,7 +252,7 @@ func TestHandoffAnswers(t *testing.T) {
 					if ok != wantKnown || after != wantRec {
 						t.Errorf("ledger (%v) %+v, want (%v) %+v", ok, after, wantKnown, wantRec)
 					}
-					if got := metricsDelta(m0, svc.Metrics()); got != delta {
+					if got := metricsDelta(m0, shardTally(reg)); got != delta {
 						t.Errorf("counters moved %+v, want %+v", got, delta)
 					}
 					checkFoldMatchesLedger(t, dir, svc, "j")
@@ -291,7 +328,7 @@ func FuzzShardEpochProtocol(f *testing.F) {
 					t.Fatalf("op %d: handoff %s@%d = %+v, want a duplicate of %s", i, key, epoch, res, m.state)
 				}
 			case 1:
-				res := ApplyRevoke(svc, &RevokeRequest{Key: key, Origin: "fuzz", Epoch: epoch})
+				res := ApplyRevoke(svc, &RevokeRequest{Key: key, Epoch: epoch})
 				want := RevokeOutcomeRevoked
 				switch {
 				case m.state == "":

@@ -185,17 +185,14 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 			t.Fatalf("unknown job status = %d", resp.StatusCode)
 		}
 	}
-	var met Metrics
-	if err := httpGetJSON(t, client, f.url+"/v1/metrics", &met); err != nil {
-		t.Fatal(err)
+	samples := scrape(t, f.router.Handler())
+	if a, c := samples["grid_fed_accepted_total"], samples["grid_fed_completed_total"]; a != float64(len(ids))+1 || c != float64(len(ids)) {
+		t.Fatalf("grid_fed_accepted_total = %v, grid_fed_completed_total = %v", a, c)
 	}
-	if met.Accepted != uint64(len(ids))+1 || met.Completed != uint64(len(ids)) {
-		t.Fatalf("metrics = %+v", met)
-	}
-	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
+	for path, want := range map[string]int{"/healthz": 200, "/readyz": 200, "/metrics": 200, "/v1/metrics": 404} {
 		resp, err := client.Get(f.url + path)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %v %d", path, err, resp.StatusCode)
+		if err != nil || resp.StatusCode != want {
+			t.Fatalf("GET %s: %v %d, want %d", path, err, resp.StatusCode, want)
 		}
 		resp.Body.Close()
 	}
@@ -212,7 +209,7 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	if !found && !(ok1 && rec1.State == service.StateCompleted) {
 		t.Fatalf("%s on neither shard ledger", ids[0])
 	}
-	res, err := fleet[0].Revoke(context.Background(), &RevokeRequest{Key: "never-seen", Origin: "test", Reason: "test", Epoch: 0})
+	res, err := fleet[0].Revoke(context.Background(), &RevokeRequest{Key: "never-seen", Reason: "test", Epoch: 0})
 	if err != nil || res.Outcome != RevokeOutcomeRevoked {
 		t.Fatalf("wire revoke = (%+v, %v)", res, err)
 	}
@@ -225,12 +222,10 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	if err := fleet[1].Ping(context.Background()); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if err := httpGetJSON(t, client, f.url+"/v1/metrics", &met); err != nil {
-		t.Fatal(err)
-	}
+	samples = scrape(t, f.router.Handler())
 	for _, name := range []string{"s0", "s1"} {
-		if st, ok := met.Shards[name]; !ok || !st.Alive {
-			t.Fatalf("shard %s not alive in router metrics: %+v", name, met.Shards)
+		if alive := samples[`grid_fed_shard_alive{shard="`+name+`"}`]; alive != 1 {
+			t.Fatalf("shard %s: grid_fed_shard_alive = %v, want 1", name, alive)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -410,7 +409,7 @@ func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 	}
 	if se.Code == service.CodeDuplicate {
 		return &HandoffResult{Duplicate: true, Accepted: !service.Tombstone(rec.State),
-			State: rec.State, Code: se.Code}
+			State: rec.State, Code: se.Code, Reason: rec.Reason}
 	}
 	// Overloaded, draining and internal are retryable; invalid and
 	// infeasible are definitive. The router tells them apart by Code.
@@ -421,7 +420,7 @@ func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 // outcome. A tombstone, revoked or drained, is revoked: the shard will never
 // run the job, so the router reallocates it.
 func ApplyRevoke(svc *service.Server, req *RevokeRequest) *RevokeResult {
-	rec, err := svc.RevokeEpoch(req.Key, fmt.Sprintf("revoked by %s: %s", req.Origin, req.Reason), req.Epoch)
+	rec, err := svc.RevokeEpoch(req.Key, "revoked by the router: "+req.Reason, req.Epoch)
 	if err != nil { // service.ErrInFlight, the only error RevokeEpoch returns
 		return &RevokeResult{Outcome: RevokeOutcomeInFlight, State: rec.State}
 	}

@@ -67,8 +67,9 @@ func TestRejoinJournalIsTheSameBytesEveryRun(t *testing.T) {
 		if err := m.joinOnce(); err != nil {
 			t.Fatal(err)
 		}
-		if m := svc.Metrics(); m.Held != 0 || m.QueueDepth != 4 || m.Revoked != 4 {
-			t.Fatalf("run %d: after the join %d held, %d queued, %d revoked; want 0, 4, 4", run, m.Held, m.QueueDepth, m.Revoked)
+		held, samples := svc.Held(), scrape(t, svc.Handler())
+		if depth, revoked := samples["grid_service_queue_depth"], samples["grid_service_revoked_total"]; len(held) != 0 || depth != 4 || revoked != 4 {
+			t.Fatalf("run %d: after the join %d held, %v queued, %v revoked; want 0, 4, 4", run, len(held), depth, revoked)
 		}
 		jnl.Close()
 
@@ -222,8 +223,8 @@ func TestLargeLedgerRejoins(t *testing.T) {
 	if err := m.joinOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if held, depth := svc.Held(), svc.Metrics().QueueDepth; len(held) != 0 || depth != 1 {
-		t.Fatalf("after the join %v held and %d queued; want the held job resumed", held, depth)
+	if held, depth := svc.Held(), scrape(t, svc.Handler())["grid_service_queue_depth"]; len(held) != 0 || depth != 1 {
+		t.Fatalf("after the join %v held and %v queued; want the held job resumed", held, depth)
 	}
 	if view, ok := r.Job("held"); !ok || view.Shard != "s0" {
 		t.Fatalf("router's record of the held job: %+v, %v; want it bound to s0", view, ok)

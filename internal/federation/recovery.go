@@ -68,7 +68,7 @@ func (r *Router) revokeLoop(id, why string) {
 
 		client := r.clients[shard]
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
-		res, err := client.Revoke(ctx, &RevokeRequest{Key: id, Origin: r.cfg.origin(), Reason: why, Epoch: epoch})
+		res, err := client.Revoke(ctx, &RevokeRequest{Key: id, Reason: why, Epoch: epoch})
 		cancel()
 		if err != nil {
 			r.logf("federation: revoke %s@%s attempt %d: %v", id, shard, attempt, err)

@@ -25,7 +25,7 @@ func TestRequeueLaterLeaksNoGoroutines(t *testing.T) {
 	defer r.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Metrics().Shards["s0"].Alive {
+	for alive(r, "s0") {
 		if time.Now().After(deadline) {
 			t.Fatal("unreachable shard never declared dead")
 		}

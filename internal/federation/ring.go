@@ -6,7 +6,7 @@ import (
 )
 
 // Ring is a consistent-hash ring partitioning the job flow across shards.
-// Each shard gets Replicas virtual points (FNV-1a of "name#i"); a job ID
+// Each shard gets ringReplicas virtual points (FNV-1a of "name#i"); a job ID
 // hashes to a point and walks clockwise. The walk order is the job's
 // preference list: the first live shard on it owns the job, so a shard
 // death moves only that shard's keys (spread across survivors), and its
@@ -21,18 +21,15 @@ type ringPoint struct {
 	shard string
 }
 
-// DefaultReplicas is the virtual-point count per shard; 64 keeps the load
+// ringReplicas is the virtual-point count per shard; 64 keeps the load
 // split within a few percent for small fleets while staying cheap to walk.
-const DefaultReplicas = 64
+const ringReplicas = 64
 
-// NewRing builds a ring over the named shards. replicas ≤ 0 uses
-// DefaultReplicas. Shard names must be unique and non-empty.
-func NewRing(shards []string, replicas int) (*Ring, error) {
+// NewRing builds a ring over the named shards. Shard names must be unique
+// and non-empty.
+func NewRing(shards []string) (*Ring, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("federation: ring needs at least one shard")
-	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
 	}
 	seen := make(map[string]struct{}, len(shards))
 	r := &Ring{shards: append([]string(nil), shards...)}
@@ -45,7 +42,7 @@ func NewRing(shards []string, replicas int) (*Ring, error) {
 			return nil, fmt.Errorf("federation: duplicate shard name %q", s)
 		}
 		seen[s] = struct{}{}
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < ringReplicas; i++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(fmt.Sprintf("%s#%d", s, i)), shard: s})
 		}
 	}

@@ -6,20 +6,20 @@ import (
 )
 
 func TestRingErrors(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate shard accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty shard name accepted")
 	}
 }
 
 func TestRingWalkCoversEveryShardOnce(t *testing.T) {
 	shards := []string{"s0", "s1", "s2", "s3"}
-	r, err := NewRing(shards, 0)
+	r, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestRingWalkCoversEveryShardOnce(t *testing.T) {
 }
 
 func TestRingDeterministicAcrossConstruction(t *testing.T) {
-	a, _ := NewRing([]string{"s2", "s0", "s1"}, 32)
-	b, _ := NewRing([]string{"s0", "s1", "s2"}, 32) // order must not matter
+	a, _ := NewRing([]string{"s2", "s0", "s1"})
+	b, _ := NewRing([]string{"s0", "s1", "s2"}) // order must not matter
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("job-%d", i)
 		wa, wb := a.Walk(key), b.Walk(key)
@@ -57,8 +57,8 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 // recovery ladder relies on: removing one shard must not move any key
 // whose owner survives.
 func TestRingStabilityUnderShardLoss(t *testing.T) {
-	full, _ := NewRing([]string{"s0", "s1", "s2"}, 0)
-	reduced, _ := NewRing([]string{"s0", "s1"}, 0)
+	full, _ := NewRing([]string{"s0", "s1", "s2"})
+	reduced, _ := NewRing([]string{"s0", "s1"})
 	moved := 0
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("job-%d", i)
@@ -90,7 +90,7 @@ func TestRingStabilityUnderShardLoss(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	shards := []string{"s0", "s1", "s2", "s3"}
-	r, _ := NewRing(shards, 0)
+	r, _ := NewRing(shards)
 	counts := map[string]int{}
 	const n = 4000
 	for i := 0; i < n; i++ {
@@ -107,7 +107,7 @@ func TestRingSpreadsLoad(t *testing.T) {
 }
 
 func TestRingSingleShardOwnsEverything(t *testing.T) {
-	r, _ := NewRing([]string{"only"}, 0)
+	r, _ := NewRing([]string{"only"})
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("job-%d", i)
 		if r.Walk(key)[0] != "only" || len(r.Walk(key)) != 1 {

@@ -37,14 +37,8 @@ func routerTerminal(state string) bool { return service.Terminal(state) }
 
 // Config configures a Router.
 type Config struct {
-	// Origin names this router in handoffs and revocations. Default
-	// "gridfront".
-	Origin string
 	// Shards is the fleet. Required, at least one.
 	Shards []ShardClient
-	// Replicas is the consistent-hash virtual point count (DefaultReplicas
-	// when ≤ 0).
-	Replicas int
 	// Journal, when non-nil, makes router placement state durable.
 	Journal *journal.Journal
 	// Telemetry keeps the grid_fed_* metrics, the only tally behind
@@ -77,13 +71,6 @@ type Config struct {
 	Workers int
 	// Logf receives operational log lines. nil discards.
 	Logf func(format string, args ...any)
-}
-
-func (c Config) origin() string {
-	if c.Origin == "" {
-		return "gridfront"
-	}
-	return c.Origin
 }
 
 func (c Config) heartbeat() time.Duration {
@@ -161,32 +148,12 @@ type shardHealth struct {
 	missed int
 }
 
-// ShardStatus is the JSON face of a shard's health.
-type ShardStatus struct {
-	Alive   bool   `json:"alive"`
-	Missed  int    `json:"missed"`
-	Breaker string `json:"breaker"`
-}
-
-// Metrics is the router's counter snapshot: every counter field is a read
-// of its grid_fed_* series.
+// Metrics is the in-process read of the router counters that gridfront's
+// drain log, the examples and the benchmark report: each field is its
+// grid_fed_* series. Every other number is read from GET /metrics.
 type Metrics struct {
-	Submitted    uint64                 `json:"submitted"`
-	Accepted     uint64                 `json:"accepted"`
-	Completed    uint64                 `json:"completed"`
-	Rejected     uint64                 `json:"rejected"`
-	Drained      uint64                 `json:"drained"`
-	Handoffs     uint64                 `json:"handoffs"`
-	Retries      uint64                 `json:"handoffRetries"`
-	Reallocated  uint64                 `json:"reallocated"`
-	Revocations  uint64                 `json:"revocations"`
-	ShardDeaths  uint64                 `json:"shardDeaths"`
-	Pending      int                    `json:"pending"`
-	Handed       int                    `json:"handed"`
-	Revoking     int                    `json:"revoking"`
-	Draining     bool                   `json:"draining"`
-	Shards       map[string]ShardStatus `json:"shards"`
-	JournalError uint64                 `json:"journalErrors,omitempty"`
+	Accepted, Completed, Rejected, Drained uint64
+	Reallocated, Revocations               uint64
 }
 
 // Router is the front tier: it accepts jobs, partitions them across shards
@@ -219,9 +186,8 @@ type Router struct {
 	th routerTelemetry
 }
 
-// routerTelemetry caches the router's registry handles. Every counter but
-// handoffs, handoffFailures and retries moves under r.mu, so Metrics reads
-// those whole.
+// routerTelemetry caches the router's registry handles. The counters
+// Metrics reads move under r.mu, so it reads them whole.
 type routerTelemetry struct {
 	submitted, accepted, completed, rejected *telemetry.Counter
 	drained                                  *telemetry.Counter
@@ -249,7 +215,7 @@ func New(cfg Config) (*Router, error) {
 		clients[sc.Name()] = sc
 		names = append(names, sc.Name())
 	}
-	ring, err := NewRing(names, cfg.Replicas)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
@@ -478,45 +444,19 @@ func (r *Router) Jobs() []JobView {
 	return out
 }
 
-// Metrics snapshots the router counters and per-shard health.
+// Metrics reads the router counters.
 func (r *Router) Metrics() Metrics {
 	th := &r.th
 	r.mu.Lock()
-	m := Metrics{
-		Submitted:    th.submitted.Value(),
-		Accepted:     th.accepted.Value(),
-		Completed:    th.completed.Value(),
-		Rejected:     th.rejected.Value(),
-		Drained:      th.drained.Value(),
-		Handoffs:     th.handoffs.Value(),
-		Retries:      th.retries.Value(),
-		Reallocated:  th.reallocated.Value(),
-		Revocations:  th.revocations.Value(),
-		ShardDeaths:  th.deaths.Value(),
-		Pending:      len(r.pending),
-		Draining:     r.draining,
-		JournalError: th.journalErrors.Value(),
+	defer r.mu.Unlock()
+	return Metrics{
+		Accepted:    th.accepted.Value(),
+		Completed:   th.completed.Value(),
+		Rejected:    th.rejected.Value(),
+		Drained:     th.drained.Value(),
+		Reallocated: th.reallocated.Value(),
+		Revocations: th.revocations.Value(),
 	}
-	for _, rec := range r.records {
-		switch rec.State {
-		case StateHanded:
-			m.Handed++
-		case StateRevoking:
-			m.Revoking++
-		}
-	}
-	health := make(map[string]*shardHealth, len(r.health))
-	for n, h := range r.health {
-		c := *h
-		health[n] = &c
-	}
-	r.mu.Unlock()
-	now := r.now()
-	m.Shards = make(map[string]ShardStatus, len(health))
-	for n, h := range health {
-		m.Shards[n] = ShardStatus{Alive: h.alive, Missed: h.missed, Breaker: r.brk.Get(n).State(now).String()}
-	}
-	return m
 }
 
 // Quiesced reports whether every ledgered job is terminal.

@@ -21,9 +21,8 @@ type errorBody struct {
 //	POST /v1/jobs                — submit (202, or the service error codes)
 //	GET  /v1/jobs                — router ledger
 //	GET  /v1/jobs/{id}           — one ledger entry
-//	GET  /v1/metrics             — router counters (JSON)
 //	GET  /metrics                — Prometheus text format
-//	GET  /healthz                — liveness + per-shard health
+//	GET  /healthz                — liveness (always 200)
 //	GET  /readyz                 — 503 while draining
 //	POST /v1/federation/join     — shard rejoin handshake
 //	POST /v1/federation/terminal — shard terminal notice
@@ -42,18 +41,18 @@ func (r *Router) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, view)
 	})
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, r.Metrics())
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.cfg.Telemetry.WritePrometheus(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "metrics": r.Metrics()})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if r.Metrics().Draining {
+		r.mu.Lock()
+		draining := r.draining
+		r.mu.Unlock()
+		if draining {
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 			return

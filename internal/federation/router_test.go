@@ -102,7 +102,7 @@ func TestAsyncDispatchAcrossShards(t *testing.T) {
 	}
 	waitQuiesced(t, r, 10*time.Second)
 
-	ring, _ := NewRing([]string{"s0", "s1", "s2"}, 0)
+	ring, _ := NewRing([]string{"s0", "s1", "s2"})
 	completed := 0
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("job-%d", i)
@@ -197,7 +197,7 @@ func TestRetryExhaustionReallocatesThroughRevoke(t *testing.T) {
 	defer r.Close()
 
 	// Find an ID the ring assigns to the flaky shard s0.
-	ring, _ := NewRing([]string{"s0", "s1"}, 0)
+	ring, _ := NewRing([]string{"s0", "s1"})
 	id := ""
 	for i := 0; ; i++ {
 		cand := fmt.Sprintf("job-%d", i)
@@ -275,7 +275,7 @@ func TestDeadShardSweep(t *testing.T) {
 	r.Start()
 	defer r.Close()
 
-	ring, _ := NewRing([]string{"s0", "s1"}, 0)
+	ring, _ := NewRing([]string{"s0", "s1"})
 	var s0jobs, s1jobs []string
 	for i := 0; len(s0jobs) < 3 || len(s1jobs) < 3; i++ {
 		id := fmt.Sprintf("job-%d", i)
@@ -295,10 +295,8 @@ func TestDeadShardSweep(t *testing.T) {
 	// Death after 3 missed beats; revokes then fail too (broken), so jobs
 	// stay safely in revoking until the shard "restarts".
 	time.Sleep(150 * time.Millisecond)
-	if m := r.Metrics(); !m.Shards["s0"].Alive {
-		// expected
-	} else {
-		t.Fatalf("s0 still alive after missed heartbeats: %+v", m.Shards)
+	if alive(r, "s0") {
+		t.Fatal("s0 still alive after missed heartbeats")
 	}
 	// Survivor keeps serving while s0 is dead.
 	extra := "extra-s1"
@@ -328,8 +326,8 @@ func TestDeadShardSweep(t *testing.T) {
 			t.Fatalf("s0 ledger for %s = %q", id, rec.State)
 		}
 	}
-	if m := r.Metrics(); m.ShardDeaths != 1 {
-		t.Fatalf("ShardDeaths = %d, want 1", m.ShardDeaths)
+	if deaths := r.th.deaths.Value(); deaths != 1 {
+		t.Fatalf("grid_fed_shard_deaths_total = %d, want 1", deaths)
 	}
 }
 

@@ -86,13 +86,14 @@ type HandoffResult struct {
 	// or a duplicate of an earlier accept — idempotent either way).
 	Accepted bool `json:"accepted"`
 	// Duplicate is set when the key was already in the shard's ledger;
-	// State then reports the existing record's state. A duplicate in state
+	// State and Reason then report the existing record's. A duplicate in state
 	// "revoked" is a tombstone: the router revoked this key here earlier,
 	// so the job must NOT be considered accepted.
 	Duplicate bool   `json:"duplicate,omitempty"`
 	State     string `json:"state,omitempty"`
 	// Code and Reason mirror service.SubmitError on a definitive or
-	// retryable rejection; the router's own backoff times a retry.
+	// retryable rejection; the router's own backoff times a retry. A
+	// duplicate carries the code duplicate and the record's Reason.
 	Code   string `json:"code,omitempty"`
 	Reason string `json:"reason,omitempty"`
 }
@@ -100,7 +101,6 @@ type HandoffResult struct {
 // RevokeRequest asks a shard to give a job back (or never accept it).
 type RevokeRequest struct {
 	Key    string `json:"key"`
-	Origin string `json:"origin"`
 	Reason string `json:"reason,omitempty"`
 	// Epoch is the reallocation round being revoked; the shard stamps it
 	// into the tombstone (see Handoff.Epoch).

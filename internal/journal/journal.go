@@ -117,9 +117,9 @@ type Options struct {
 	// only their ledger entry in snapshots, live jobs keep the full wire
 	// form. nil treats every state as live.
 	IsTerminal func(state string) bool
-	// Telemetry keeps the append/fsync/rotation/compaction counters, which
-	// Stats reads back, and the LSN gauge. nil keeps them in a private
-	// registry. A registry serves one journal: two would share one tally.
+	// Telemetry keeps the append/fsync/rotation/compaction counters and
+	// the LSN gauge. nil keeps them in a private registry. A registry
+	// serves one journal: two would share one tally.
 	Telemetry *telemetry.Registry
 }
 
@@ -173,15 +173,11 @@ type JobState struct {
 	FirstLSN uint64     `json:"firstLSN"`
 }
 
-// Stats is a point-in-time snapshot of journal activity. Appends, Fsyncs,
-// Rotations and Compactions are the grid_journal_* counters.
+// Stats is a point-in-time snapshot of what no grid_journal_* series
+// carries: the journal's positions and the size of its folded ledger.
 type Stats struct {
 	NextLSN     uint64 `json:"nextLSN"`
 	SnapshotLSN uint64 `json:"snapshotLSN"`
-	Appends     uint64 `json:"appends"`
-	Fsyncs      uint64 `json:"fsyncs"`
-	Rotations   uint64 `json:"rotations"`
-	Compactions uint64 `json:"compactions"`
 	Jobs        int    `json:"jobs"`
 	Live        int    `json:"live"`
 }
@@ -484,10 +480,6 @@ func (j *Journal) Stats() Stats {
 	st := Stats{
 		NextLSN:     j.nextLSN,
 		SnapshotLSN: j.snapLSN,
-		Appends:     j.appends.Value(),
-		Fsyncs:      j.fsyncs.Value(),
-		Rotations:   j.rotations.Value(),
-		Compactions: j.compactions.Value(),
 		Jobs:        len(j.state),
 	}
 	for _, js := range j.state {

@@ -114,12 +114,13 @@ func TestReopenContinuesLSN(t *testing.T) {
 
 func TestRotationAndSegmentNames(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 1}) // rotate after every append
+	reg := telemetry.NewRegistry()
+	j, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 1, Telemetry: reg}) // rotate after every append
 	for i := 0; i < 5; i++ {
 		mustAppend(t, j, Record{Job: fmt.Sprintf("j%d", i), State: "queued", Wire: testWire("x")})
 	}
-	if st := j.Stats(); st.Rotations != 5 {
-		t.Fatalf("rotations: %+v", st)
+	if n := reg.Counter("grid_journal_rotations_total", "").Value(); n != 5 {
+		t.Fatalf("rotations: %d", n)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -181,14 +182,15 @@ func TestCompactionFoldsTerminalAndDeletesDeadSegments(t *testing.T) {
 
 func TestAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := mustOpen(t, Options{Dir: dir, CompactEvery: 2})
+	reg := telemetry.NewRegistry()
+	j, _ := mustOpen(t, Options{Dir: dir, CompactEvery: 2, Telemetry: reg})
 	for i := 0; i < 5; i++ {
 		id := fmt.Sprintf("j%d", i)
 		mustAppend(t, j, Record{Job: id, State: "queued", Wire: testWire(id)})
 		mustAppend(t, j, Record{Job: id, State: "completed"})
 	}
-	if st := j.Stats(); st.Compactions != 2 {
-		t.Fatalf("compactions: %+v", st)
+	if n := reg.Counter("grid_journal_compactions_total", "").Value(); n != 2 {
+		t.Fatalf("compactions: %d", n)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -421,7 +423,8 @@ func TestFsyncPolicies(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			j, _ := mustOpen(t, Options{Dir: dir, Fsync: tc.policy, FsyncInterval: 5 * time.Millisecond})
+			reg := telemetry.NewRegistry()
+			j, _ := mustOpen(t, Options{Dir: dir, Fsync: tc.policy, FsyncInterval: 5 * time.Millisecond, Telemetry: reg})
 			mustAppend(t, j, Record{Job: "a", State: "queued", Wire: testWire("a")})
 			if tc.policy == FsyncInterval {
 				time.Sleep(25 * time.Millisecond) // let the syncer tick
@@ -436,8 +439,7 @@ func TestFsyncPolicies(t *testing.T) {
 			if rec.LastLSN != 1 {
 				t.Fatalf("%s: %+v", tc.name, rec)
 			}
-			st := j.Stats()
-			if tc.policy == FsyncAlways && st.Fsyncs == 0 {
+			if tc.policy == FsyncAlways && reg.Counter("grid_journal_fsyncs_total", "").Value() == 0 {
 				t.Fatal("always policy never fsynced")
 			}
 		})

@@ -18,7 +18,7 @@ import (
 // client was told, the terminal-state stream and the levels same-tick
 // batch members booked.
 type burstyOutcome struct {
-	Metrics              Metrics // only the counters listed in runBursty
+	Metrics              tally // only the counters listed in runBursty
 	Client429, Client503 int
 	RetryAfterViolations int
 	Terminal             map[string]uint64
@@ -76,8 +76,8 @@ func runBursty(t *testing.T, placers int) (burstyOutcome, uint64) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	m := s.Metrics()
-	out.Metrics = Metrics{
+	m := readTally(s)
+	out.Metrics = tally{
 		Submitted: m.Submitted, Accepted: m.Accepted, Completed: m.Completed,
 		Rejected: m.Rejected, Shed: m.Shed, Infeasible: m.Infeasible,
 		Overloaded: m.Overloaded, Drained: m.Drained,
@@ -100,7 +100,7 @@ func TestBurstyOverloadMatchesRecordedRun(t *testing.T) {
 		want    burstyOutcome
 	}{
 		{"placers=0", 0, burstyOutcome{
-			Metrics: Metrics{
+			Metrics: tally{
 				Submitted: 500, Accepted: 476, Completed: 101, Rejected: 319,
 				Shed: 48, Infeasible: 0, Overloaded: 24, Drained: 56,
 				QueueHighWater: 64, EngineNow: 841,
@@ -109,7 +109,7 @@ func TestBurstyOverloadMatchesRecordedRun(t *testing.T) {
 			Terminal:  map[string]uint64{StateCompleted: 101, StateDrained: 56, StateRejected: 319},
 		}},
 		{"placers=4", 4, burstyOutcome{
-			Metrics: Metrics{
+			Metrics: tally{
 				Submitted: 500, Accepted: 476, Completed: 35, Rejected: 385,
 				Shed: 48, Infeasible: 0, Overloaded: 24, Drained: 56,
 				QueueHighWater: 64, EngineNow: 313,

@@ -147,15 +147,15 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 		},
 	}
 
-	// The one Metrics field and registry counter each terminal state owns.
+	// The one tally field and registry counter each terminal state owns.
 	owners := map[string]struct {
-		field   func(Metrics) uint64
+		field   func(tally) uint64
 		counter string
 	}{
-		StateCompleted: {func(m Metrics) uint64 { return m.Completed }, "grid_service_completed_total"},
-		StateRejected:  {func(m Metrics) uint64 { return m.Rejected }, "grid_service_rejected_total"},
-		StateDrained:   {func(m Metrics) uint64 { return m.Drained }, "grid_service_drained_total"},
-		StateRevoked:   {func(m Metrics) uint64 { return m.Revoked }, "grid_service_revoked_total"},
+		StateCompleted: {func(m tally) uint64 { return m.Completed }, "grid_service_completed_total"},
+		StateRejected:  {func(m tally) uint64 { return m.Rejected }, "grid_service_rejected_total"},
+		StateDrained:   {func(m tally) uint64 { return m.Drained }, "grid_service_drained_total"},
+		StateRevoked:   {func(m tally) uint64 { return m.Revoked }, "grid_service_revoked_total"},
 	}
 
 	for _, tc := range cases {
@@ -186,16 +186,17 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 				tc.setup(t, w)
 			}
 			counter := func(name string) uint64 { return cfg.Telemetry.Counter(name, "").Value() }
-			before := w.s.Metrics()
+			before := readTally(w.s)
 			beforeCounters := map[string]uint64{}
 			for _, o := range owners {
 				beforeCounters[o.counter] = counter(o.counter)
 			}
-			beforeAppends, beforeStream := jnl.Stats().Appends, len(stream)
+			// Every append takes the next LSN.
+			beforeLSN, beforeStream := jnl.Stats().NextLSN, len(stream)
 
 			tc.step(t, w)
 
-			if n := jnl.Stats().Appends - beforeAppends; n != tc.appends {
+			if n := jnl.Stats().NextLSN - beforeLSN; n != uint64(tc.appends) {
 				t.Errorf("step appended %d journal records, want %d", n, tc.appends)
 			}
 			got, err := journal.Recover(dir)
@@ -221,14 +222,14 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 				t.Errorf("ledger %+v, want state=%q reason=%q epoch=%d", rec, tc.state, tc.reason, tc.epoch)
 			}
 
-			after := w.s.Metrics()
+			after := readTally(w.s)
 			for state, o := range owners {
 				want := uint64(0)
 				if state == tc.state {
 					want = 1
 				}
 				if d := o.field(after) - o.field(before); d != want {
-					t.Errorf("Metrics field of %q moved by %d, want %d", state, d, want)
+					t.Errorf("tally field of %q moved by %d, want %d", state, d, want)
 				}
 				if d := counter(o.counter) - beforeCounters[o.counter]; d != want {
 					t.Errorf("%s moved by %d, want %d", o.counter, d, want)

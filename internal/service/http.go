@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -38,7 +37,6 @@ type errorBody struct {
 //	POST /v1/jobs      — submit a job (202, or 400/409/413/422/429/503)
 //	GET  /v1/jobs      — list all job records
 //	GET  /v1/jobs/{id} — one job record (404 when unknown)
-//	GET  /v1/metrics   — counters snapshot (JSON, legacy)
 //	GET  /metrics      — Prometheus text format, streamed from the registry
 //	GET  /healthz      — liveness + journal/recovery detail (always 200)
 //	GET  /readyz       — readiness (503 + Retry-After while draining)
@@ -51,7 +49,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -65,28 +62,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// healthzBody is the GET /healthz response: liveness plus, when a journal
-// is configured, its activity stats and the outcome of startup recovery.
-// QueueWaitP50/P99 estimate the admission-latency distribution (seconds
-// spent in the queue) from the service histogram; they are omitted until
-// at least one job has been dequeued.
+// healthzBody is the GET /healthz response: liveness plus what no series
+// on GET /metrics carries — when a journal is configured, its positions and
+// ledger size, and the outcome of startup recovery.
 type healthzBody struct {
-	Status       string         `json:"status"`
-	QueueWaitP50 *float64       `json:"queueWaitP50,omitempty"`
-	QueueWaitP99 *float64       `json:"queueWaitP99,omitempty"`
-	Journal      *journal.Stats `json:"journal,omitempty"`
-	Recovery     *RecoveryStats `json:"recovery,omitempty"`
+	Status   string         `json:"status"`
+	Journal  *journal.Stats `json:"journal,omitempty"`
+	Recovery *RecoveryStats `json:"recovery,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := healthzBody{Status: "ok", Recovery: s.Recovery()}
-	// NaN (empty histogram) does not marshal; only finite estimates ship.
-	if p50 := s.th.queueWait.Quantile(0.5); !math.IsNaN(p50) {
-		body.QueueWaitP50 = &p50
-	}
-	if p99 := s.th.queueWait.Quantile(0.99); !math.IsNaN(p99) {
-		body.QueueWaitP99 = &p99
-	}
 	if s.cfg.Journal != nil {
 		st := s.cfg.Journal.Stats()
 		body.Journal = &st
@@ -253,13 +239,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-// handlePrometheus streams the registry in Prometheus text format. Unlike
-// the legacy JSON handler it builds no intermediate document per scrape:
-// WritePrometheus walks the live atomics straight into a buffered writer.
+// handlePrometheus streams the registry in Prometheus text format. It
+// builds no intermediate document per scrape: WritePrometheus walks the
+// live atomics straight into a buffered writer.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.telem.WritePrometheus(w)

@@ -134,14 +134,24 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("list = %d records: %+v", len(list), list)
 	}
 
-	var m Metrics
+	samples := scrape(t, s.Handler())
+	for series, want := range map[string]float64{
+		"grid_service_completed_total":  2,
+		"grid_service_overloaded_total": 1,
+		"grid_service_infeasible_total": 1,
+	} {
+		if got := samples[series]; got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+	// GET /metrics is the one exposition: no JSON counter view is served.
 	resp, err = ts.Client().Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeInto(t, resp, &m)
-	if m.Completed != 2 || m.Overloaded != 1 || m.Infeasible != 1 {
-		t.Fatalf("metrics: %+v", m)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics = %d, want 404", resp.StatusCode)
 	}
 
 	// Drain flips readiness and refuses new work with 503.
@@ -179,7 +189,7 @@ func TestHTTPConcurrentSubmitAndPoll(t *testing.T) {
 					done <- fmt.Errorf("worker %d: status %d", w, resp.StatusCode)
 					return
 				}
-				r, err := ts.Client().Get(ts.URL + "/v1/metrics")
+				r, err := ts.Client().Get(ts.URL + "/metrics")
 				if err != nil {
 					done <- err
 					return
@@ -205,8 +215,8 @@ func TestHTTPConcurrentSubmitAndPoll(t *testing.T) {
 }
 
 // TestHTTPRetryAfterAndHealthz: backpressure responses (429 and 503) must
-// carry Retry-After, and /healthz must surface journal activity and the
-// startup recovery outcome.
+// carry Retry-After, and /healthz must surface the journal's position and
+// ledger and the startup recovery outcome.
 func TestHTTPRetryAfterAndHealthz(t *testing.T) {
 	dir := t.TempDir()
 
@@ -226,7 +236,8 @@ func TestHTTPRetryAfterAndHealthz(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	// Restore journals nothing; one accept is the activity to surface.
+	// Restore journals nothing; one accept is the activity to surface: the
+	// journal's next LSN is one past it, and its ledger holds it live.
 	resp := postJob(t, ts, SubmitRequest{Job: wireJob("w3", 60)})
 	resp.Body.Close()
 
@@ -239,7 +250,8 @@ func TestHTTPRetryAfterAndHealthz(t *testing.T) {
 	if hb.Status != "ok" || hb.Journal == nil || hb.Recovery == nil {
 		t.Fatalf("healthz body: %+v", hb)
 	}
-	if hb.Journal.Appends != 1 || hb.Recovery.Requeued != 1 || hb.Recovery.Terminal != 1 {
+	if hb.Journal.NextLSN != hb.Recovery.LastLSN+2 || hb.Journal.Jobs != 3 || hb.Journal.Live != 2 ||
+		hb.Recovery.Requeued != 1 || hb.Recovery.Terminal != 1 {
 		t.Fatalf("healthz detail: journal=%+v recovery=%+v", hb.Journal, hb.Recovery)
 	}
 
@@ -285,7 +297,7 @@ func TestSubmitBodyIsCapped(t *testing.T) {
 		return SubmitRequest{Job: wireJob(prefix+strings.Repeat("x", size-len(bare)), 60)}
 	}
 
-	before := s.Metrics().Submitted
+	before := readTally(s).Submitted
 	big := submission("too-big", MaxSubmitBytes+1)
 	resp := postJob(t, ts, big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -299,7 +311,7 @@ func TestSubmitBodyIsCapped(t *testing.T) {
 	if _, ok := s.Job(big.Name); ok {
 		t.Error("the refused job is on the ledger")
 	}
-	if got := s.Metrics().Submitted; got != before {
+	if got := readTally(s).Submitted; got != before {
 		t.Errorf("the refused job was counted: submitted %d → %d", before, got)
 	}
 
@@ -342,7 +354,7 @@ func TestSubmitRejectsTrailingBytes(t *testing.T) {
 	far := strings.Repeat(" \n", 4000) // well past one decoder refill
 	for i, tail := range []string{"garbage", "}", "]", "{}", " x", "\n\n0", "\x00", far + "x", far + submitBody(t, "evil")} {
 		name := fmt.Sprintf("bad%d", i)
-		before := s.Metrics().Submitted
+		before := readTally(s).Submitted
 		rr := postRaw(h, submitBody(t, name)+tail)
 		var eb errorBody
 		if err := json.Unmarshal(rr.Body.Bytes(), &eb); err != nil {
@@ -354,7 +366,7 @@ func TestSubmitRejectsTrailingBytes(t *testing.T) {
 		if _, ok := s.Job(name); ok {
 			t.Errorf("tail %.20q: the refused job is on the ledger", tail)
 		}
-		if got := s.Metrics().Submitted; got != before {
+		if got := readTally(s).Submitted; got != before {
 			t.Errorf("tail %.20q: the refused job was counted", tail)
 		}
 	}

@@ -91,7 +91,7 @@ func TestJournalRecoveryAcrossCrash(t *testing.T) {
 			t.Fatalf("j%d: %+v", i, rec)
 		}
 	}
-	m := heir.Metrics()
+	m := readTally(heir)
 	if m.Completed != 2 || m.JournalErrors != 0 {
 		t.Fatalf("heir metrics (only requeued jobs complete here): %+v", m)
 	}
@@ -165,7 +165,7 @@ func TestJournalHoldsAcceptAndTerminalOnly(t *testing.T) {
 	if states := journalStates(t, dir, "j"); !reflect.DeepEqual(states, []string{StateQueued, StateCompleted}) {
 		t.Fatalf("completed job's journal is %v, want [queued completed]", states)
 	}
-	if m := s.Metrics(); m.JournalErrors != 0 {
+	if m := readTally(s); m.JournalErrors != 0 {
 		t.Fatalf("journal errors: %+v", m)
 	}
 }
@@ -260,7 +260,7 @@ func TestRestoreIdempotent(t *testing.T) {
 	if second.Restored != 0 || second.DuplicatesSuppressed != 3 {
 		t.Fatalf("second restore not suppressed: %+v", second)
 	}
-	if depth := s.Metrics().QueueDepth; depth != 2 {
+	if depth := readTally(s).QueueDepth; depth != 2 {
 		t.Fatalf("queue depth after double restore: %d, want 2", depth)
 	}
 
@@ -449,7 +449,7 @@ func TestRestoreJournalsNothing(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		jnl, rec := openJournal(t, dir)
 		heir := newServer(t, Config{Journal: jnl})
-		before := jnl.Stats().Appends
+		before := jnl.Stats().NextLSN // every append takes the next LSN
 		stats, err := heir.Restore(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -457,7 +457,7 @@ func TestRestoreJournalsNothing(t *testing.T) {
 		if stats.Requeued != jobs || stats.Restored != jobs {
 			t.Fatalf("round %d: recovery stats %+v, want %d restored and requeued", round, stats, jobs)
 		}
-		if got := jnl.Stats().Appends - before; got != 0 {
+		if got := jnl.Stats().NextLSN - before; got != 0 {
 			t.Fatalf("round %d: Restore appended %d journal records, want 0", round, got)
 		}
 		if err := jnl.Close(); err != nil {
@@ -490,7 +490,7 @@ func TestFailedDrainSnapshotKeepsJobsQueued(t *testing.T) {
 	if err := s.Drain(context.Background()); err == nil {
 		t.Fatal("Drain wrote a snapshot into a directory that does not exist")
 	}
-	if m := s.Metrics(); m.Drained != 0 || m.QueueDepth != 3 || terminal != 0 {
+	if m := readTally(s); m.Drained != 0 || m.QueueDepth != 3 || terminal != 0 {
 		t.Fatalf("after the failed drain: %d drained, %d queued, %d terminal notices; want 0, 3, 0", m.Drained, m.QueueDepth, terminal)
 	}
 

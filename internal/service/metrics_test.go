@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/metasched"
+	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
 
@@ -89,16 +89,32 @@ func scrape(t *testing.T, h http.Handler) map[string]float64 {
 	return out
 }
 
-// v1Metrics reads GET /v1/metrics.
-func v1Metrics(t *testing.T, h http.Handler) Metrics {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-	var m Metrics
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("GET /v1/metrics = %d: %v", rec.Code, err)
+// tally is the server's counters and queue gauges, read from its registry
+// handles: the accounting the tests check, which clients read on
+// GET /metrics.
+type tally struct {
+	Submitted, Accepted, Completed, Rejected uint64
+	Shed, Infeasible, Overloaded, Drained    uint64
+	Revoked, JournalErrors                   uint64
+	QueueDepth, QueueHighWater               int
+	EngineNow                                simtime.Time
+}
+
+// readTally reads the tally under s.mu, where the counters move, so it sees
+// every transition whole.
+func readTally(s *Server) tally {
+	th := &s.th
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return tally{
+		Submitted: th.submitted.Value(), Accepted: th.accepted.Value(),
+		Completed: th.completed.Value(), Rejected: th.rejected.Value(),
+		Shed: th.shed.Value(), Infeasible: th.infeasible.Value(),
+		Overloaded: th.overloaded.Value(), Drained: th.drained.Value(),
+		Revoked: th.revoked.Value(), JournalErrors: th.journalErrors.Value(),
+		QueueDepth: int(th.queueDepth.Value()), QueueHighWater: int(th.queueHighWater.Value()),
+		EngineNow: simtime.Time(th.engineNow.Value()),
 	}
-	return m
 }
 
 // sumFamily adds up a labelled family's samples.
@@ -121,12 +137,11 @@ func failingDomains(cfg Config) Config {
 	return cfg
 }
 
-// TestMetricsFieldsAreTheirSeries: on the shard tier every JSON counter —
-// each counter field of GET /v1/metrics, of the journal's Stats and of a
-// breaker's Trips and Failures — is a read of one series, so after a
-// lifecycle that moves every one of them each equals its sample on
-// GET /metrics. The server, its journal and its breakers share one
-// registry, as gridd wires them.
+// TestMetricsFieldsAreTheirSeries: each Metrics field is a read of one
+// series, so after a lifecycle that moves every counter the service, its
+// journal and its breakers keep — sharing one registry, as gridd wires them
+// — each field equals its sample on GET /metrics, and every other counter
+// shows on GET /metrics, moved.
 func TestMetricsFieldsAreTheirSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), IsTerminal: Terminal,
@@ -168,62 +183,52 @@ func TestMetricsFieldsAreTheirSeries(t *testing.T) {
 		t.Fatal("drain compacted a closed journal")
 	}
 
-	h := s.Handler()
-	m, samples, st := v1Metrics(t, h), scrape(t, h), jnl.Stats()
-	type row struct {
+	m, samples := s.Metrics(), scrape(t, s.Handler())
+	for _, f := range []struct {
 		field  string
-		value  float64
-		series string // a breaker family without labels is summed
-	}
-	rows := []row{
-		{"Submitted", float64(m.Submitted), "grid_service_submitted_total"},
-		{"Accepted", float64(m.Accepted), "grid_service_accepted_total"},
-		{"Completed", float64(m.Completed), "grid_service_completed_total"},
-		{"Rejected", float64(m.Rejected), "grid_service_rejected_total"},
-		{"Shed", float64(m.Shed), "grid_service_shed_total"},
-		{"Infeasible", float64(m.Infeasible), "grid_service_infeasible_total"},
-		{"Overloaded", float64(m.Overloaded), "grid_service_overloaded_total"},
-		{"Drained", float64(m.Drained), "grid_service_drained_total"},
-		{"Revoked", float64(m.Revoked), "grid_service_revoked_total"},
-		{"Resurrected", float64(m.Resurrected), "grid_service_resurrected_total"},
-		{"JournalErrors", float64(m.JournalErrors), "grid_service_journal_errors_total"},
-		{"QueueHighWater", float64(m.QueueHighWater), "grid_service_queue_high_water"},
-		{"EngineNow", float64(m.EngineNow), "grid_service_engine_now"},
-		{"EventsFired", float64(m.EventsFired), "grid_service_engine_events_fired"},
-		{"BreakerTrips", float64(m.BreakerTrips), "grid_breaker_trips_total"},
-		{"journal Appends", float64(st.Appends), "grid_journal_appends_total"},
-		{"journal Fsyncs", float64(st.Fsyncs), "grid_journal_fsyncs_total"},
-		{"journal Rotations", float64(st.Rotations), "grid_journal_rotations_total"},
-		{"journal Compactions", float64(st.Compactions), "grid_journal_compactions_total"},
-	}
-	for name := range s.BreakerStates() {
-		b, l := s.breakers.Get(name), `{name="`+name+`"}`
-		rows = append(rows,
-			row{name + " Trips", float64(b.Trips()), "grid_breaker_trips_total" + l},
-			row{name + " Failures", float64(b.Failures()), "grid_breaker_failures_total" + l})
-	}
-	for _, f := range rows {
+		value  uint64
+		series string
+	}{
+		{"Accepted", m.Accepted, "grid_service_accepted_total"},
+		{"Completed", m.Completed, "grid_service_completed_total"},
+		{"Rejected", m.Rejected, "grid_service_rejected_total"},
+		{"Drained", m.Drained, "grid_service_drained_total"},
+		{"Shed", m.Shed, "grid_service_shed_total"},
+		{"EventsFired", m.EventsFired, "grid_service_engine_events_fired"},
+	} {
 		sample, ok := samples[f.series]
-		if f.series == "grid_breaker_trips_total" {
-			sample, ok = sumFamily(samples, f.series), true
-		}
 		switch {
 		case !ok:
 			t.Errorf("%s = %v has no series %s", f.field, f.value, f.series)
-		case f.value != sample:
+		case float64(f.value) != sample:
 			t.Errorf("%s = %v, its series %s = %v", f.field, f.value, f.series, sample)
 		case f.value == 0:
 			t.Errorf("%s never moved: the lifecycle must move every counter", f.field)
 		}
 	}
+	moved := []string{
+		"grid_service_submitted_total", "grid_service_infeasible_total",
+		"grid_service_overloaded_total", "grid_service_revoked_total",
+		"grid_service_resurrected_total", "grid_service_journal_errors_total",
+		"grid_service_queue_high_water", "grid_service_engine_now",
+		"grid_journal_appends_total", "grid_journal_fsyncs_total",
+		"grid_journal_rotations_total", "grid_journal_compactions_total",
+	}
+	for name := range s.BreakerStates() {
+		l := `{name="` + name + `"}`
+		moved = append(moved, "grid_breaker_trips_total"+l, "grid_breaker_failures_total"+l)
+	}
+	for _, series := range moved {
+		if samples[series] == 0 {
+			t.Errorf("%s never moved: the lifecycle must move every counter", series)
+		}
+	}
 }
 
-// TestV1MetricsReportsBreakers: GET /v1/metrics reports the breakers on its
-// own. It used to carry their trips and states only after a caller had run
-// BreakerStates on the engine goroutine, which gridd never does, so a live
-// daemon reported breakerTrips 0 and no states while GET /metrics showed
-// the trips.
-func TestV1MetricsReportsBreakers(t *testing.T) {
+// TestPrometheusReportsBreakers: GET /metrics reports each domain breaker's
+// trips and state on its own, with no caller on the engine goroutine — which
+// gridd never has — reading the breakers first.
+func TestPrometheusReportsBreakers(t *testing.T) {
 	s := newServer(t, failingDomains(Config{QueueCap: 64}))
 	for i := 0; i < 12; i++ {
 		if _, err := s.Submit(wireJob(fmt.Sprintf("f%d", i), 200), "S1", 0); err != nil {
@@ -232,39 +237,49 @@ func TestV1MetricsReportsBreakers(t *testing.T) {
 		s.Process(1)
 		s.Quiesce()
 	}
-	h := s.Handler()
-	m, samples := v1Metrics(t, h), scrape(t, h)
-	if trips := sumFamily(samples, "grid_breaker_trips_total"); m.BreakerTrips == 0 || float64(m.BreakerTrips) != trips {
-		t.Errorf("breakerTrips = %d, grid_breaker_trips_total sums to %v", m.BreakerTrips, trips)
-	}
-	if len(m.Breakers) != 2 || m.Breakers["dom-0"] != "open" || m.Breakers["dom-1"] != "open" {
-		t.Errorf("breakers = %v, want both domains open", m.Breakers)
+	samples := scrape(t, s.Handler())
+	for _, name := range []string{"dom-0", "dom-1"} {
+		l := `{name="` + name + `"}`
+		if trips := samples["grid_breaker_trips_total"+l]; trips != 1 {
+			t.Errorf("grid_breaker_trips_total%s = %v, want 1: the breaker never closes", l, trips)
+		}
+		if state := samples["grid_breaker_state"+l]; state != float64(breaker.Open) {
+			t.Errorf("grid_breaker_state%s = %v, want %d (open)", l, state, breaker.Open)
+		}
 	}
 }
 
-// TestMetricsPollDuringBreakerTrips polls GET /v1/metrics from handler
-// goroutines while the engine goroutine trips the breakers it reads; the
-// race detector is the main assertion (CI runs it under -race).
+// TestMetricsPollDuringBreakerTrips polls GET /metrics from handler
+// goroutines while the engine goroutine trips the breakers whose gauges and
+// counters it reads; the race detector is the main assertion (CI runs it
+// under -race).
 func TestMetricsPollDuringBreakerTrips(t *testing.T) {
 	s := newServer(t, failingDomains(Config{QueueCap: 64}))
 	h := s.Handler()
 	s.Start()
 	stop := make(chan struct{})
-	polled := make(chan Metrics)
+	polled := make(chan float64)
 	for w := 0; w < 4; w++ {
 		go func() {
-			var last Metrics
+			var trips float64
 			for {
 				select {
 				case <-stop:
-					polled <- last
+					polled <- trips
 					return
 				default:
 				}
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-				if err := json.Unmarshal(rec.Body.Bytes(), &last); err != nil {
-					t.Error(err)
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				trips = 0
+				for _, line := range strings.Split(rec.Body.String(), "\n") {
+					if strings.HasPrefix(line, "grid_breaker_trips_total{") {
+						v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+						if err != nil {
+							t.Error(err)
+						}
+						trips += v
+					}
 				}
 			}
 		}()
@@ -274,20 +289,20 @@ func TestMetricsPollDuringBreakerTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for s.Metrics().Rejected+s.Metrics().Completed < 12 {
+	for m := s.Metrics(); m.Rejected+m.Completed < 12; m = s.Metrics() {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	for w := 0; w < 4; w++ {
-		if m := <-polled; m.BreakerTrips > 2 {
-			t.Errorf("a poll read %d trips; two breakers that never close trip once each", m.BreakerTrips)
+		if trips := <-polled; trips > 2 {
+			t.Errorf("a poll read %v trips; two breakers that never close trip once each", trips)
 		}
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.Metrics(); m.BreakerTrips != 2 {
-		t.Errorf("breakerTrips = %d after the run, want 2", m.BreakerTrips)
+	if trips := breakerTrips(t, s); trips != 2 {
+		t.Errorf("grid_breaker_trips_total sums to %v after the run, want 2", trips)
 	}
 }
 
@@ -310,35 +325,6 @@ func BenchmarkMetricsScrape(b *testing.B) {
 	s.Process(32)
 	h := s.Handler()
 	req := httptest.NewRequest("GET", "/metrics", nil)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("scrape = %d", rec.Code)
-		}
-	}
-}
-
-// BenchmarkLegacyJSON measures the old JSON handler, which re-marshals
-// its whole counters struct on every poll — kept as the baseline the
-// Prometheus endpoint's per-series cost is judged against (the registry
-// exposes ~20× more series than the legacy snapshot's eight fields).
-func BenchmarkLegacyJSON(b *testing.B) {
-	s, err := New(Config{Env: testEnv(), QueueCap: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if _, err := s.Submit(wireJob(benchName(i), 60), "S1", i%3); err != nil {
-			b.Fatalf("submit: %v", err)
-		}
-	}
-	s.Process(32)
-	h := s.Handler()
-	req := httptest.NewRequest("GET", "/v1/metrics", nil)
 
 	b.ReportAllocs()
 	b.ResetTimer()

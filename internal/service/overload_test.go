@@ -132,7 +132,7 @@ func TestOverloadEndToEnd(t *testing.T) {
 		got202High++
 	}
 
-	m := s.Metrics()
+	m := readTally(s)
 	if m.Overloaded != uint64(got429) {
 		t.Errorf("overloaded counter %d != client-observed 429s %d", m.Overloaded, got429)
 	}

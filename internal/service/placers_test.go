@@ -10,7 +10,7 @@ import (
 // placersServiceRun drives one deterministic manual-mode run with batched
 // concurrent placement: submit everything, schedule with Process(-1)
 // (which dequeues in groups of Sched.Placers), then quiesce.
-func placersServiceRun(t *testing.T, placers int) ([]Record, Metrics) {
+func placersServiceRun(t *testing.T, placers int) ([]Record, tally) {
 	t.Helper()
 	s := newServer(t, Config{
 		QueueCap: 64,
@@ -30,7 +30,7 @@ func placersServiceRun(t *testing.T, placers int) ([]Record, Metrics) {
 	}
 	s.Process(-1)
 	s.Quiesce()
-	return s.Jobs(), s.Metrics()
+	return s.Jobs(), readTally(s)
 }
 
 func jobName(i int) string {

@@ -42,7 +42,7 @@ func TestRevokeQueued(t *testing.T) {
 	if n := s.Process(-1); n != 0 {
 		t.Fatalf("processed %d jobs after revoke, want 0", n)
 	}
-	if m := s.Metrics(); m.Revoked != 1 {
+	if m := readTally(s); m.Revoked != 1 {
 		t.Fatalf("Revoked = %d, want 1", m.Revoked)
 	}
 }

@@ -212,33 +212,13 @@ type Record struct {
 	Seq   uint64 `json:"seq"`
 }
 
-// Metrics is a point-in-time counters snapshot. It is a read of the
-// server's registry — every counter field is its grid_service_* series, the
-// engine fields are the grid_service_engine_* gauges — and of the breaker
-// set at the published engine time.
+// Metrics is the in-process read of the counters that gridd's drain log,
+// the examples and the benchmark report: each field is its grid_service_*
+// series, EventsFired the grid_service_engine_events_fired gauge. Every
+// other number is read from GET /metrics.
 type Metrics struct {
-	Submitted      uint64            `json:"submitted"`
-	Accepted       uint64            `json:"accepted"`
-	Completed      uint64            `json:"completed"`
-	Rejected       uint64            `json:"rejected"`
-	Shed           uint64            `json:"shed"`
-	Infeasible     uint64            `json:"infeasible"`
-	Overloaded     uint64            `json:"overloaded"`
-	Drained        uint64            `json:"drained"`
-	Revoked        uint64            `json:"revoked,omitempty"`
-	Resurrected    uint64            `json:"resurrected,omitempty"`
-	Held           int               `json:"held,omitempty"`
-	QueueDepth     int               `json:"queueDepth"`
-	QueueHighWater int               `json:"queueHighWater"`
-	EngineNow      simtime.Time      `json:"engineNow"`
-	EventsFired    uint64            `json:"eventsFired"`
-	BreakerTrips   int               `json:"breakerTrips"`
-	Breakers       map[string]string `json:"breakers,omitempty"`
-	Draining       bool              `json:"draining"`
-	// JournalErrors counts lifecycle transitions that could not be
-	// journaled (the job still progresses in memory; only durability of
-	// that transition is degraded). Always 0 without a journal.
-	JournalErrors uint64 `json:"journalErrors,omitempty"`
+	Accepted, Completed, Rejected, Drained, Shed uint64
+	EventsFired                                  uint64
 }
 
 // RecoveryStats summarizes one journal Restore: how the remembered jobs
@@ -1219,44 +1199,24 @@ func (s *Server) Jobs() []Record {
 	return out
 }
 
-// Metrics returns a counters snapshot: a read of the registry, and of the
-// breakers at the engine time of the last completed processing step. Safe
-// from any goroutine.
+// Metrics reads the counters. Safe from any goroutine.
 func (s *Server) Metrics() Metrics {
 	th := &s.th
 	s.mu.Lock()
-	m := Metrics{
-		Submitted:      th.submitted.Value(),
-		Accepted:       th.accepted.Value(),
-		Completed:      th.completed.Value(),
-		Rejected:       th.rejected.Value(),
-		Shed:           th.shed.Value(),
-		Infeasible:     th.infeasible.Value(),
-		Overloaded:     th.overloaded.Value(),
-		Drained:        th.drained.Value(),
-		Revoked:        th.revoked.Value(),
-		Resurrected:    th.resurrected.Value(),
-		Held:           len(s.held),
-		QueueDepth:     len(s.queue),
-		QueueHighWater: int(th.queueHighWater.Value()),
-		Draining:       s.draining,
-		JournalErrors:  th.journalErrors.Value(),
+	defer s.mu.Unlock()
+	return Metrics{
+		Accepted:    th.accepted.Value(),
+		Completed:   th.completed.Value(),
+		Rejected:    th.rejected.Value(),
+		Drained:     th.drained.Value(),
+		Shed:        th.shed.Value(),
+		EventsFired: uint64(th.eventsFired.Value()),
 	}
-	s.mu.Unlock()
-	m.EngineNow = simtime.Time(th.engineNow.Value())
-	m.EventsFired = uint64(th.eventsFired.Value())
-	if s.breakers != nil {
-		m.Breakers = s.breakers.States(m.EngineNow)
-		for name := range m.Breakers {
-			m.BreakerTrips += s.breakers.Get(name).Trips()
-		}
-	}
-	return m
 }
 
 // BreakerStates returns every domain breaker's state at the engine's
-// current time. Engine goroutine (or manual mode) only — Metrics carries the
-// handler-safe view.
+// current time. Engine goroutine (or manual mode) only — GET /metrics
+// carries the handler-safe view, the grid_breaker_state gauges.
 func (s *Server) BreakerStates() map[string]string {
 	if s.breakers == nil {
 		return nil

@@ -123,7 +123,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := s.Submit(wireJob("tight", 60), "S1", 0); submitCode(err) != CodeDuplicate {
 		t.Fatal("duplicate of rejected job accepted")
 	}
-	m := s.Metrics()
+	m := readTally(s)
 	if m.Infeasible != 1 || m.Rejected != 1 {
 		t.Fatalf("metrics: %+v", m)
 	}
@@ -134,13 +134,13 @@ func TestAdmissionControl(t *testing.T) {
 // priority arrivals must bounce with a retry hint, and a higher-priority
 // arrival must displace the least important queued job.
 func TestOverloadBoundAndShedding(t *testing.T) {
-	scenario := func() ([]Record, Metrics) {
+	scenario := func() ([]Record, tally) {
 		s := newServer(t, Config{QueueCap: 4})
 		for i := 0; i < 4; i++ {
 			if _, err := s.Submit(wireJob(fmt.Sprintf("base%d", i), 60), "S1", 1); err != nil {
 				t.Fatalf("fill %d: %v", i, err)
 			}
-			if d := s.Metrics().QueueDepth; d > 4 {
+			if d := readTally(s).QueueDepth; d > 4 {
 				t.Fatalf("queue depth %d exceeds cap", d)
 			}
 		}
@@ -162,7 +162,7 @@ func TestOverloadBoundAndShedding(t *testing.T) {
 		if _, err := s.Submit(wireJob("vip", 60), "S1", 9); err != nil {
 			t.Fatalf("vip refused: %v", err)
 		}
-		m := s.Metrics()
+		m := readTally(s)
 		if m.QueueDepth != 4 || m.QueueHighWater != 4 {
 			t.Fatalf("queue depth/highwater = %d/%d, want 4/4", m.QueueDepth, m.QueueHighWater)
 		}
@@ -176,7 +176,7 @@ func TestOverloadBoundAndShedding(t *testing.T) {
 		// The survivors complete; the VIP goes first.
 		s.Process(-1)
 		s.Quiesce()
-		return s.Jobs(), s.Metrics()
+		return s.Jobs(), readTally(s)
 	}
 	recs1, m1 := scenario()
 	recs2, m2 := scenario()
@@ -250,8 +250,8 @@ func TestDrainSnapshotsQueuedAndFinishesInFlight(t *testing.T) {
 	if _, err := s.Submit(wireJob("late", 60), "S1", 0); submitCode(err) != CodeDraining {
 		t.Fatalf("post-drain submit: err = %v", err)
 	}
-	if m := s.Metrics(); !m.Draining || m.Drained != 5 {
-		t.Fatalf("metrics after drain: %+v", m)
+	if m := s.Metrics(); !s.Draining() || m.Drained != 5 {
+		t.Fatalf("draining %v, metrics after drain: %+v", s.Draining(), m)
 	}
 }
 
@@ -321,7 +321,7 @@ func TestChaosSoak(t *testing.T) {
 					mu.Unlock()
 					break
 				}
-				if d := s.Metrics().QueueDepth; d > 8 {
+				if d := readTally(s).QueueDepth; d > 8 {
 					t.Errorf("queue depth %d exceeds bound 8", d)
 				}
 			}
@@ -335,7 +335,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	m := s.Metrics()
+	m := readTally(s)
 	if m.QueueHighWater > 8 {
 		t.Fatalf("queue high water %d exceeds bound 8", m.QueueHighWater)
 	}
@@ -356,8 +356,8 @@ func TestChaosSoak(t *testing.T) {
 	if counts[StateCompleted] == 0 {
 		t.Fatal("soak completed zero jobs — the service never made progress")
 	}
-	t.Logf("soak: accepted=%d bounced=%d states=%v breaker-trips=%d engine-now=%d",
-		accepted, bounced, counts, breakerTrips(s), m.EngineNow)
+	t.Logf("soak: accepted=%d bounced=%d states=%v breaker-trips=%v engine-now=%d",
+		accepted, bounced, counts, breakerTrips(t, s), m.EngineNow)
 
 	// Goroutine hygiene: everything the server started must be gone.
 	deadline := time.Now().Add(5 * time.Second)
@@ -371,10 +371,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-func breakerTrips(s *Server) int {
-	states := s.BreakerStates() // safe: drain completed, engine is quiescent
-	_ = states
-	return s.Metrics().BreakerTrips
+// breakerTrips sums grid_breaker_trips_total over the domain breakers.
+func breakerTrips(t *testing.T, s *Server) float64 {
+	t.Helper()
+	return sumFamily(scrape(t, s.Handler()), "grid_breaker_trips_total")
 }
 
 // TestBreakerQuarantinesFailingDomain checks the breaker integration end
@@ -401,7 +401,7 @@ func TestBreakerQuarantinesFailingDomain(t *testing.T) {
 	if openCount == 0 {
 		t.Fatalf("no breaker opened under a 100%% failure rate: %v", states)
 	}
-	if s.Metrics().BreakerTrips == 0 {
+	if breakerTrips(t, s) == 0 {
 		t.Fatal("no trips recorded")
 	}
 }

@@ -38,16 +38,10 @@ type keptAPI struct {
 var reachAllow = map[string]keptAPI{
 	"internal/service.Record": {"wire", []string{"TestHTTPLifecycle", "TestJournalHoldsAcceptAndTerminalOnly"},
 		"GET /v1/jobs/{id} on gridd: a job's record as clients poll it"},
-	"internal/service.Metrics": {"wire", []string{"TestMetricsFieldsAreTheirSeries"},
-		"GET /v1/metrics on gridd: a shard's counters and queue state as clients poll them"},
 	"internal/journal.Stats": {"wire", []string{"TestHTTPRetryAfterAndHealthz"},
 		"GET /healthz on gridd (its journal member): the journal's activity as an operator reads it"},
 	"internal/federation.JobView": {"wire", []string{"TestHTTPFederationEndToEnd"},
 		"GET /v1/jobs/{id} on gridfront: a job's binding as clients poll it at the router"},
-	"internal/federation.Metrics": {"wire", []string{"TestHTTPFederationEndToEnd"},
-		"GET /v1/metrics on gridfront: the router's counters as clients poll them"},
-	"internal/federation.ShardStatus": {"wire", []string{"TestHTTPFederationEndToEnd"},
-		"GET /v1/metrics on gridfront (its shards member): each shard's health in the router's metrics"},
 	"internal/jobio.Job": {"wire", []string{"TestJobsStreamRoundTrip", "FuzzReadJobs"},
 		"jobgen's job stream and POST /v1/jobs bodies: the job file format, arrival times included"},
 	"internal/jobio.Node": {"wire", []string{"TestEnvironmentRoundTrip"},
@@ -67,8 +61,6 @@ var reachAllow = map[string]keptAPI{
 		"a fixed clock makes the span stream's bytes comparable"},
 	"internal/breaker.Breaker.RetryAfter": {"seam", []string{"TestBreakerStateMachine", "TestBreakerDefaultsAndZeroConfig"},
 		"reads the open window a trip computed (backoff, cap, jitter)"},
-	"internal/breaker.Breaker.Failures": {"seam", []string{"TestMetricsFieldsAreTheirSeries", "TestRouterMetricsAreTheirSeries"},
-		"reads a breaker's grid_breaker_failures_total series back for the JSON-view-equals-series checks"},
 	"internal/breaker.Config.OpenMax": {"seam", []string{"TestChaosSoak", "TestMetricsFieldsAreTheirSeries", "TestRouterMetricsAreTheirSeries"},
 		"holds a tripped breaker open for the length a scenario needs"},
 	"internal/telemetry.Histogram.BucketCount": {"seam", []string{"TestHistogramBuckets"},
