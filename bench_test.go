@@ -302,6 +302,47 @@ func BenchmarkBuildManyChains(b *testing.B) {
 	}
 }
 
+// BenchmarkDPWidth builds one eight-task chain on C = 4 … 64 candidates of
+// two alternating tiers, every other node booked with a 60-reservation
+// denseBook and the rest empty. The critical-works DP fills C cells per
+// chain position from the C cells before it; how ns/op grows with C is the
+// cost of that fill. probes/op counts the calendar probes the build issued,
+// one per cell that has a feasible predecessor: C per chain position.
+func BenchmarkDPWidth(b *testing.B) {
+	bl := dag.NewBuilder("chain").Deadline(400)
+	prev := bl.Task("T0", 2, 10)
+	for i := 1; i < 8; i++ {
+		t := bl.Task(fmt.Sprintf("T%d", i), 2, 10)
+		bl.Link(fmt.Sprintf("E%d", i), prev, t, 1, 5)
+		prev = t
+	}
+	job := bl.MustBuild()
+	for _, c := range []int{4, 8, 16, 32, 64} {
+		nodes := make([]*resource.Node, c)
+		for i := range nodes {
+			nodes[i] = resource.NewNode(resource.NodeID(i), fmt.Sprintf("n%d", i), []float64{1.0, 0.5}[i/2%2], "d")
+		}
+		env := resource.NewEnvironment(nodes)
+		base := criticalworks.EmptyCalendars(env)
+		for id := range base {
+			if id%2 == 1 {
+				base[id] = denseBook(60)
+			}
+		}
+		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
+			var probes int64
+			for i := 0; i < b.N; i++ {
+				s, err := criticalworks.Build(env, maps.Clone(base), job, criticalworks.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				probes = s.Evaluations
+			}
+			b.ReportMetric(float64(probes), "probes/op")
+		})
+	}
+}
+
 // BenchmarkCalendarReserve measures reservation book operations.
 func BenchmarkCalendarReserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {

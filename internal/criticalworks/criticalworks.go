@@ -75,7 +75,7 @@ type Schedule struct {
 	// contrasts between S1 and MS1. A DP cell probes once at the earliest
 	// start that can win it, not once per predecessor: one probe per cell
 	// under MinFinish, and under MinCost one more for every cheaper group of
-	// predecessors a probe rules out (bestStep). A build counts the attempts
+	// predecessors a probe rules out (bestPred). A build counts the attempts
 	// it ran: one the admissibility bound refuses counts 0, one the DP cut
 	// stops counts the margins before the cut, and one the calendar bound
 	// refuses counts margin 1 plus the bound's own probes, which never
@@ -266,7 +266,7 @@ type scratch struct {
 
 	dp     []cell      // runDP's table, chain positions × candidates
 	cells  []cellIn    // what each dp cell reads of its (task, node) pair
-	steps  []step      // one dp cell's predecessors
+	preds  []pred      // the dp row before the one runDP is filling, sorted
 	ins    []link      // the placed inputs of the task prepareCells is on
 	outs   []link      // and its placed outputs
 	placed []Placement // the attempt's placements by TaskID; zero where none
@@ -613,7 +613,7 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 // The DP cut. Under MinFinish the DP is feasibility-exact for the first
 // critical work: nothing else is placed yet, no node holds a replica, and a
 // cell keeps the least finish that any assignment of the chain prefix ending
-// there reaches (bestStep probes at the least earliest start, and fit is
+// there reaches (bestPred probes at the least earliest start, and fit is
 // monotone in it). So a phase fails only when the chain has no assignment to
 // candidates and free starts inside its windows: on empty books in the ideal
 // phase, on the view in the actual one. The windows only shrink as the

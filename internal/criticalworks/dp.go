@@ -1,6 +1,7 @@
 package criticalworks
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/dag"
@@ -128,13 +129,18 @@ type link struct {
 	at       simtime.Time    // the neighbour's finish (an input) or start (an output)
 }
 
-// step is a DP cell's view of one predecessor: the earliest start it allows
-// the cell's task and the chain's cost through it. ok is the predecessor
-// cell's own, cleared once a probe has ruled the predecessor out.
-type step struct {
-	ok       bool
-	earliest simtime.Time
-	cost     int64
+// pred is a feasible cell of the previous chain position as every cell of
+// the current one sees it. key is its finish plus the producer's leg of the
+// incoming transfer, which does not depend on the consumer's node: it
+// reaches a cell on node n at max(est, key + the consumer's leg into n).
+// A group is the entries bestPred probes for at once: the whole row under
+// MinFinish, one cost under MinCost.
+type pred struct {
+	key  simtime.Time
+	cost int64 // the chain's cost up to and including the predecessor
+	m    int32 // its candidate index
+	best int32 // the row position of its group's least (cost, index) up to it
+	end  int32 // one past its group
 }
 
 // runDP finds the cost-minimal feasible placement of the chain. With
@@ -152,17 +158,13 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 	b.dp = grow(b.dp, L*C)
 	dp := b.dp // row i is dp[i*C : (i+1)*C], and so is b.cells'
 	clear(dp)
-	b.steps = grow(b.steps, C)
 
 	for i := 0; i < L; i++ {
-		// The incoming edge's base time, resolved once per position: the
-		// predecessor loop below runs C² times and must not copy an Edge out
-		// of the job on each pass.
+		// The incoming edge's base time, resolved once per position.
 		var inBase simtime.Time
-		var prevRow []cell
 		if i > 0 {
 			inBase = b.chainEdge(chain.Tasks[i-1], chain.Tasks[i]).BaseTime
-			prevRow = dp[(i-1)*C : i*C]
+			b.sortRow(dp[(i-1)*C:i*C], inBase)
 		}
 		for c, n := range cands {
 			in := b.cells[i*C+c]
@@ -179,22 +181,9 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 				}
 				continue
 			}
-			// Whether the predecessor's output is already at n: a bit test,
-			// the same for every predecessor node.
-			held := b.held(chain.Tasks[i-1], n)
-			for m, pn := range cands {
-				prev := prevRow[m]
-				if !prev.ok {
-					b.steps[m] = step{}
-					continue
-				}
-				earliest := prev.finish + b.opt.Data.TransferTime(inBase, pn, n, held)
-				if in.est > earliest {
-					earliest = in.est
-				}
-				b.steps[m] = step{ok: true, earliest: earliest, cost: prev.cost + in.charge}
-			}
-			dp[i*C+c] = b.bestStep(n, book, in)
+			// The consumer's leg into n, the same for every predecessor.
+			recv := b.opt.Data.ReceiveTime(inBase, n, b.held(chain.Tasks[i-1], n))
+			dp[i*C+c] = b.bestPred(n, book, in, recv)
 		}
 	}
 
@@ -224,69 +213,121 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 	return placements, true
 }
 
-// bestStep fills the DP cell of the current task on node n from its
-// predecessors in b.steps, with one calendar probe where probing every
-// predecessor would find the same cell.
-//
-// Why one probe is enough. fit(n, book, e, dur, lft) returns the least start
-// ≥ e in a set that e does not change: the starts s with [s, s+dur) free in
-// the merged book (firstFree), inside the horizon and with s+dur ≤ lft — a
-// start past the horizon or lft has only later ones past it too. So fit
-// never decreases as e grows, fails for every e at or above one it fails
-// at, and returns the same start s for every e in [e₀, s] once it returns s
-// at e₀. A predecessor reaches the cell only through its earliest start and
-// its cost, and its finish would be fit of that start plus dur. Hence:
-//
-//   - MinFinish ranks (finish, cost): probe at the least earliest start. A
-//     miss leaves the cell infeasible. A hit at s is the least finish, and
-//     the predecessors reaching it are those whose earliest start is ≤ s.
-//   - MinCost ranks (cost, finish): probe the cheapest predecessors at their
-//     least earliest start. A hit at s is the cell: nothing cheaper is
-//     feasible, and the group's least finish is reached by its members
-//     whose earliest start is ≤ s. A miss rules out every predecessor whose
-//     earliest start is at or above the probed one, and the cheapest left
-//     are probed next.
-//
-// Either way the winner is the cheapest of the predecessors the hit admits,
-// the lowest candidate index among equals — what betterCell picks over a
-// probe per predecessor (TestDPBreaksCostTiesByIndex).
-func (b *builder) bestStep(n resource.NodeID, book *resource.Calendar, in cellIn) cell {
-	steps := b.steps
-	for {
-		at := -1
-		for m, s := range steps {
-			if s.ok && (at < 0 || b.probeBefore(s, steps[at])) {
-				at = m
-			}
+// sortRow puts the feasible cells of row, the previous chain position, in
+// b.preds in the order bestPred probes them — by (key, index) under
+// MinFinish, by (cost, key, index) under MinCost — and fills each entry's
+// best and end.
+func (b *builder) sortRow(row []cell, inBase simtime.Time) {
+	preds := b.preds[:0]
+	for m, p := range row {
+		if p.ok {
+			key := p.finish + b.opt.Data.SendTime(inBase, b.opt.Candidates[m])
+			preds = append(preds, pred{key: key, cost: p.cost, m: int32(m)})
 		}
-		if at < 0 {
-			return cell{}
+	}
+	b.preds = preds
+	minCost := b.opt.Objective == MinCost
+	if minCost {
+		slices.SortFunc(preds, byCostKey)
+	} else {
+		slices.SortFunc(preds, byKey)
+	}
+	end := int32(len(preds))
+	for k := len(preds) - 1; k >= 0; k-- {
+		if minCost && k+1 < len(preds) && preds[k+1].cost != preds[k].cost {
+			end = int32(k + 1)
 		}
-		e := steps[at].earliest
-		if start, finish, ok := b.fit(n, book, e, in.dur, in.lft); ok {
-			best := -1
-			for m, s := range steps {
-				if s.ok && s.earliest <= start && (best < 0 || s.cost < steps[best].cost) {
-					best = m
-				}
-			}
-			return cell{ok: true, cost: steps[best].cost, start: start, finish: finish, prev: best}
-		}
-		for m := range steps {
-			if steps[m].earliest >= e {
-				steps[m].ok = false
+		preds[k].end = end
+	}
+	for k := range preds {
+		preds[k].best = int32(k)
+		if k > 0 && preds[k-1].end == preds[k].end {
+			j := preds[k-1].best
+			if q := preds[j]; q.cost < preds[k].cost || q.cost == preds[k].cost && q.m < preds[k].m {
+				preds[k].best = j
 			}
 		}
 	}
 }
 
-// probeBefore orders predecessors for bestStep's next probe: by the
-// objective, with the earliest start standing in for the finish.
-func (b *builder) probeBefore(s, t step) bool {
-	if b.opt.Objective == MinCost && s.cost != t.cost {
-		return s.cost < t.cost
+// byKey orders a MinFinish row, byCostKey a MinCost one.
+func byKey(p, q pred) int {
+	if p.key != q.key {
+		return cmp.Compare(p.key, q.key)
 	}
-	return s.earliest < t.earliest
+	return cmp.Compare(p.m, q.m)
+}
+
+func byCostKey(p, q pred) int {
+	if p.cost != q.cost {
+		return cmp.Compare(p.cost, q.cost)
+	}
+	return byKey(p, q)
+}
+
+// bestPred fills the DP cell of the current task on node n from the
+// previous row as sortRow left it in b.preds, recv being the consumer's leg
+// of the transfer into n. It issues the probes a walk over every
+// predecessor would have to, and no others, and picks the predecessor that
+// walk would pick.
+//
+// Why this is exact. A predecessor reaches the cell at its earliest start
+// max(est, key + recv), and only through that start and its cost. fit(n,
+// book, e, dur, lft) returns the least start ≥ e in a set that e does not
+// change: the starts s with [s, s+dur) free in the merged book (firstFree),
+// inside the horizon and with s+dur ≤ lft — a start past the horizon or lft
+// has only later ones past it too. So fit never decreases as e grows, fails
+// for every e at or above one it fails at, and returns the same start s for
+// every e in [e₀, s] once it returns s at e₀. Hence a group is probed once,
+// at its least earliest start, that of its first key, and:
+//
+//   - MinFinish ranks (finish, cost): the row is one group. A miss leaves
+//     the cell infeasible. A hit at s is the least finish.
+//   - MinCost ranks (cost, finish): the groups are probed cheapest first. A
+//     hit at s is the cell: nothing cheaper is feasible, and s is the
+//     group's least finish. A miss at e rules out every predecessor whose
+//     earliest start is at or above e, so a later group whose least
+//     earliest start is at or above the last miss is skipped unprobed.
+//     Misses only fall, and a hit lies below all of them.
+//
+// The predecessors a hit at s admits are the group's members whose
+// earliest start is ≤ s: as est ≤ s, those with key + recv ≤ s, a prefix of
+// the group that a binary search finds. The winner is the cheapest of them,
+// the lowest candidate index among equals — what betterCell picks over a
+// probe per predecessor (TestDPBreaksCostTiesByIndex) — and the prefix's
+// last entry names it.
+func (b *builder) bestPred(n resource.NodeID, book *resource.Calendar, in cellIn, recv simtime.Time) cell {
+	preds := b.preds
+	var miss simtime.Time
+	missed := false
+	for g := 0; g < len(preds); g = int(preds[g].end) {
+		e := max(in.est, preds[g].key+recv)
+		if missed && e >= miss {
+			continue
+		}
+		start, finish, ok := b.fit(n, book, e, in.dur, in.lft)
+		if !ok {
+			miss, missed = e, true
+			continue
+		}
+		w := preds[reach(preds, g, int(preds[g].end), start-recv)-1].best
+		return cell{ok: true, cost: preds[w].cost + in.charge, start: start, finish: finish, prev: int(preds[w].m)}
+	}
+	return cell{}
+}
+
+// reach returns the first position in preds[lo:hi], sorted by key, whose
+// key is above lim, or hi.
+func reach(preds []pred, lo, hi int, lim simtime.Time) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if preds[mid].key <= lim {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // prepareCells fills b.cells with the cellIn of every (chain position,

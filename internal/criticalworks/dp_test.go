@@ -8,6 +8,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/data"
 	"repro/internal/resource"
+	"repro/internal/rng"
 	"repro/internal/simtime"
 )
 
@@ -66,16 +67,49 @@ func matchDPReference(env *resource.Environment, cals Calendars, job *dag.Job, o
 	return got, want, nil
 }
 
+// wideCorpus is the DP's corpus at the widths the workloads plan over:
+// randomJob's jobs on 20–30 nodes, sized like §4's grids, drawn from two or
+// four tiers, so that many nodes charge the same, hand a predecessor's data
+// on at the same key and share the est clamp. Three seeds in four book
+// every node densely; the rest lightly.
+func wideCorpus() []cowCase {
+	var out []cowCase
+	for seed := uint64(1); seed <= 48; seed++ {
+		r := rng.New(20261017 + seed)
+		perfs := [][]float64{{1.0, 0.5}, {1.0, 0.8, 0.5, 0.25}}[seed%2]
+		nodes := make([]*resource.Node, r.IntBetween(20, 30))
+		for i := range nodes {
+			nodes[i] = resource.NewNode(resource.NodeID(i), "n", perfs[r.Intn(len(perfs))], "d")
+		}
+		env := resource.NewEnvironment(nodes)
+		job := randomJob(r)
+		job = job.WithDeadline(job.Deadline * simtime.Time([]int{10, 6, 4}[seed%3]) / 10)
+		cals := EmptyCalendars(env)
+		load := r.Intn(2 * len(nodes))
+		if seed%4 != 0 {
+			load = 8 * len(nodes)
+		}
+		for i := 0; i < load; i++ {
+			n := resource.NodeID(r.Intn(len(nodes)))
+			st := simtime.Time(r.Intn(int(job.Deadline) + 10))
+			_ = cals[n].Reserve(simtime.Interval{Start: st, End: st + simtime.Time(r.IntBetween(1, 6))}, resource.External)
+		}
+		opt := Options{Data: data.Model{Storage: resource.NodeID(r.Intn(len(nodes)))}}
+		out = append(out, cowCase{name: fmt.Sprintf("wide/%d", seed), job: job, env: env, cals: cals, opt: opt})
+	}
+	return out
+}
+
 // TestDPMatchesReference pins runDP to the per-predecessor DP it replaced,
-// over TestBuildMatchesCloneReference's corpus crossed with dpVariants: every
-// field of every schedule — placements, collisions and their holders, costs,
-// the partial schedule of a failed build — and every error are the
-// reference's; Evaluations, the probes performed, is never above the
-// reference's in any case and below it in total.
+// over TestBuildMatchesCloneReference's corpus and wideCorpus crossed with
+// dpVariants: every field of every schedule — placements, collisions and
+// their holders, costs, the partial schedule of a failed build — and every
+// error are the reference's; Evaluations, the probes performed, is never
+// above the reference's in any case and below it in total.
 func TestDPMatchesReference(t *testing.T) {
 	var got, want int64
 	variants := dpVariants()
-	corpus := cowCorpus()
+	corpus := append(cowCorpus(), wideCorpus()...)
 	for _, tc := range corpus {
 		for _, v := range variants {
 			opt := tc.opt

@@ -11,13 +11,17 @@
 //     and storage→consumer legs (2× base), which strongly rewards
 //     co-locating tasks.
 //
-// What a transfer costs is stated once, in Model.TransferTime: a function of
-// the policy, the storage node, the two ends and whether a replica is
-// already at the consumer's end. Who knows that last fact differs. The
-// critical-works build keeps its replica sets per producing task in its own
-// arena and asks the Model directly; the Catalog keeps them in a map keyed
-// by job and dataset name, for callers that have no such arena (the
-// list-scheduling baselines, the benchmark's audit, tests). Either way cost
+// What a transfer costs is stated once, in two legs whose sum is
+// Model.TransferTime: Model.SendTime, the producer's, a function of the
+// policy, the storage node and the producer's end; Model.ReceiveTime, the
+// consumer's, a function of the policy, the storage node, the consumer's end
+// and whether a replica is already there. The critical-works DP reads the
+// legs apart, because a producer's leg does not depend on where the consumer
+// runs. Who knows whether a replica is there differs. The critical-works
+// build keeps its replica sets per producing task in its own arena and asks
+// the Model directly; the Catalog keeps them in a map keyed by job and
+// dataset name, for callers that have no such arena (the list-scheduling
+// baselines, the benchmark's audit, tests). Either way cost
 // is stateful under ActiveReplication, exactly the "active data replication
 // policy" effect that lowers S1's collision pressure on fast nodes (Fig. 3b).
 package data
@@ -79,7 +83,9 @@ type Model struct {
 // TransferTime returns the planned time for moving a dataset from the
 // producer's node to the consumer's, given the base (remote-access) transfer
 // time. held reports whether a replica of the dataset is already at `to`;
-// only ActiveReplication reads it.
+// only ActiveReplication reads it. It is the producer's leg, SendTime, plus
+// the consumer's, ReceiveTime: under no policy does one end's leg depend on
+// the other end.
 //
 // Co-locating producer and consumer does NOT waive the transfer: in the
 // paper's model data transfers are explicit pipeline stages that take
@@ -88,6 +94,26 @@ type Model struct {
 // an already-present replica (active replication) or residence on the
 // static-storage node removes a leg.
 func (m Model) TransferTime(base simtime.Time, from, to resource.NodeID, held bool) simtime.Time {
+	return m.SendTime(base, from) + m.ReceiveTime(base, to, held)
+}
+
+// SendTime is the producer's leg of a transfer out of node from: the
+// producer → storage half under StaticStorage (none when from is the storage
+// node), nothing under the other two policies.
+func (m Model) SendTime(base simtime.Time, from resource.NodeID) simtime.Time {
+	if m.Policy == StaticStorage && from != m.Storage {
+		// Half the nominal time per leg (the storage node is well
+		// provisioned): a full cross-node transfer costs about the
+		// remote-access baseline, and the S3 penalty comes from
+		// coarse-grain serialization rather than from transfer inflation.
+		return (base + 1) / 2
+	}
+	return 0
+}
+
+// ReceiveTime is the consumer's leg of a transfer into node to, held saying
+// whether a replica is already there.
+func (m Model) ReceiveTime(base simtime.Time, to resource.NodeID, held bool) simtime.Time {
 	switch m.Policy {
 	case ActiveReplication:
 		if held {
@@ -97,20 +123,10 @@ func (m Model) TransferTime(base simtime.Time, from, to resource.NodeID, held bo
 		// execution: the consumer observes about 3/4 of the nominal time.
 		return (3*base + 3) / 4
 	case StaticStorage:
-		// producer -> storage -> consumer, half the nominal time per leg
-		// (the storage node is well provisioned); co-location with the
-		// storage node removes the respective leg. A full cross-node
-		// transfer therefore costs about the remote-access baseline, and
-		// the S3 penalty comes from coarse-grain serialization rather
-		// than from transfer inflation.
-		var t simtime.Time
-		if from != m.Storage {
-			t += (base + 1) / 2
-		}
 		if to != m.Storage {
-			t += (base + 1) / 2
+			return (base + 1) / 2 // storage -> consumer
 		}
-		return t
+		return 0
 	default:
 		return base
 	}

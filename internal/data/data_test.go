@@ -248,3 +248,56 @@ func TestReplicaSetsAcrossWords(t *testing.T) {
 		t.Error("the same replica set built in another order is a different value")
 	}
 }
+
+// TestTransferTimeIsTheSumOfItsLegs: the producer's leg and the consumer's
+// add up to the whole transfer as each policy prices it — remote access
+// base, active replication nothing where a replica is held and ceil(3b/4)
+// elsewhere, static storage ceil(b/2) per end off the storage node — for
+// every policy, both ends on and off the storage node, held both ways and
+// odd and even base times (static storage's odd-base rounding is where a
+// split could drift).
+func TestTransferTimeIsTheSumOfItsLegs(t *testing.T) {
+	const storage = 2
+	whole := func(p Policy, base simtime.Time, from, to resource.NodeID, held bool) simtime.Time {
+		switch p {
+		case ActiveReplication:
+			if held {
+				return 0
+			}
+			return (3*base + 3) / 4
+		case StaticStorage:
+			var t simtime.Time
+			for _, end := range []resource.NodeID{from, to} {
+				if end != storage {
+					t += (base + 1) / 2
+				}
+			}
+			return t
+		default:
+			return base
+		}
+	}
+	ends := []resource.NodeID{0, storage, 3}
+	for _, p := range []Policy{ActiveReplication, RemoteAccess, StaticStorage} {
+		m := Model{Policy: p, Storage: storage}
+		for _, base := range []simtime.Time{0, 1, 2, 3, 4, 7, 8, 101} {
+			for _, from := range ends {
+				for _, to := range ends {
+					for _, held := range []bool{false, true} {
+						send, recv := m.SendTime(base, from), m.ReceiveTime(base, to, held)
+						want := whole(p, base, from, to, held)
+						if send+recv != want {
+							t.Errorf("%v, base %d, %d→%d, held %v: legs %d + %d, the policy prices %d", p, base, from, to, held, send, recv, want)
+						}
+						if got := m.TransferTime(base, from, to, held); got != want {
+							t.Errorf("%v, base %d, %d→%d, held %v: TransferTime = %d, the policy prices %d", p, base, from, to, held, got, want)
+						}
+						if send < 0 || recv < 0 {
+							t.Errorf("%v, base %d, %d→%d, held %v: a negative leg (%d, %d)", p, base, from, to, held, send, recv)
+						}
+					}
+				}
+			}
+		}
+	}
+}
