@@ -73,13 +73,9 @@ func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
 func (r *Router) dispatch(id string) {
 	r.mu.Lock()
 	rec, ok := r.records[id]
-	if !ok || rec.State != StateQueued {
-		r.mu.Unlock()
-		return
-	}
-	if rec.wire == nil {
-		// Adopted or recovered without a wire form: nothing to send. Leave
-		// it queued; a join from the owning shard resolves it.
+	if !ok || rec.State != StateQueued || rec.wire == nil {
+		// Not queued, or adopted or recovered without a wire form: nothing
+		// to send. A join from the owning shard resolves the latter.
 		r.mu.Unlock()
 		return
 	}
@@ -103,7 +99,7 @@ func (r *Router) dispatch(id string) {
 	// Journal the binding BEFORE the first byte leaves: if the router is
 	// SIGKILL'd mid-handoff, its next incarnation knows shard may own the
 	// job and reconciles instead of double-placing.
-	r.moveLocked(rec, StateHanded, shard, "")
+	r.moveLocked(rec, evBind, "", shard, "")
 	wire := *rec.wire
 	strategyName, priority, epoch := rec.Strategy, rec.Priority, rec.epoch
 	r.mu.Unlock()
@@ -153,28 +149,25 @@ func (r *Router) dispatch(id string) {
 func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rec.State != StateHanded || rec.Shard != shard {
-		// A concurrent death sweep moved the job to revoking; the
-		// revocation loop owns it now.
-		return true
-	}
 	switch {
+	case rec.Shard != shard:
+		// The job was reallocated: the answer is about a voided binding.
 	case res.Accepted:
-		if routerTerminal(res.State) {
-			// Duplicate of an already-finished accept: mirror it.
-			r.moveLocked(rec, res.State, shard, res.Reason)
-		}
-		return true
+		// A duplicate of an already-finished accept is mirrored; a live
+		// accept names no outcome and moves nothing.
+		r.moveLocked(rec, evAnswer, res.State, shard, res.Reason)
 	case res.Duplicate && service.Tombstone(res.State):
 		// Our own tombstone (or a drained shutdown remnant): this key was
 		// voided at this shard earlier, so the binding is void. Ban the
 		// shard and reallocate.
-		r.banAndRequeueLocked(rec, shard, "tombstone at "+shard)
-		return true
+		r.banAndRequeueLocked(rec, evTombstone, shard, "tombstone at "+shard)
 	case res.Code == service.CodeInvalid || res.Code == service.CodeInfeasible:
-		r.moveLocked(rec, service.StateRejected, shard, res.Reason)
-		return true
+		r.moveLocked(rec, evAnswer, service.StateRejected, shard, res.Reason)
 	default:
-		return false // overloaded, draining, expired, internal: retry
+		// Overloaded, draining, expired, internal: retry while an answer
+		// can still settle the binding. Once a death sweep or a notice
+		// moved the job, its revocation loop or outcome owns it.
+		return lifecycle[evAnswer][rec.State] == ""
 	}
+	return true
 }

@@ -144,10 +144,11 @@ func (m *Member) logf(format string, args ...any) {
 func (m *Member) Bind(svc *service.Server) { m.svc = svc }
 
 // Terminal is the service.Config.OnTerminal hook: it enqueues a terminal
-// notice for the router. It runs under the service's lock and returns
-// immediately; delivery happens on the notifier goroutine.
+// notice for the router, except for a revocation, which the router ordered
+// and its lifecycle refuses as a notice. It runs under the service's lock
+// and returns immediately; delivery happens on the notifier goroutine.
 func (m *Member) Terminal(rec service.Record) {
-	if m.cfg.Router == "" {
+	if m.cfg.Router == "" || rec.State == service.StateRevoked {
 		return
 	}
 	m.mu.Lock()
@@ -217,7 +218,7 @@ func (m *Member) joinLoop() {
 func (m *Member) joinOnce() error {
 	var terminal, held []JoinJob
 	for _, rec := range m.svc.Jobs() {
-		if service.Terminal(rec.State) {
+		if service.Terminal(rec.State) && rec.State != service.StateRevoked {
 			terminal = append(terminal, JoinJob{ID: rec.ID, State: rec.State, Reason: rec.Reason})
 		}
 	}

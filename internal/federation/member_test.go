@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 )
 
 // TestRejoinJournalIsTheSameBytesEveryRun: a rejoining shard applies the
@@ -236,5 +237,88 @@ func TestLargeLedgerRejoins(t *testing.T) {
 		if n >= maxFrameBytes {
 			t.Errorf("join request %d is %d bytes, at or past the %d-byte limit", i, n, maxFrameBytes)
 		}
+	}
+}
+
+// TestMemberSendsNoRevokedNotices: a revocation is the router's own order,
+// and the router's lifecycle refuses a revoked notice, so a member sends
+// none, neither live nor in its join's terminal catch-up. One revocation
+// used to cost one notice POST that changed nothing;
+// grid_fed_member_terminal_notices_total now reads none for it.
+func TestMemberSendsNoRevokedNotices(t *testing.T) {
+	delivered := make(chan string, 4)
+	joins := make(chan JoinRequest, 4)
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch req.URL.Path {
+		case "/v1/federation/join":
+			var jr JoinRequest
+			if err := decodeJSONBody(req.Body, maxFrameBytes, &jr); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			joins <- jr
+			writeJSON(w, http.StatusOK, JoinResponse{})
+		case "/v1/federation/terminal":
+			var n TerminalNotice
+			if err := json.NewDecoder(req.Body).Decode(&n); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			delivered <- n.Job
+			w.WriteHeader(http.StatusOK)
+		default:
+			http.NotFound(w, req)
+		}
+	}))
+	defer router.Close()
+
+	reg := telemetry.NewRegistry()
+	var member *Member
+	svc, err := service.New(service.Config{Env: testEnv(), OnTerminal: func(r service.Record) { member.Terminal(r) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member = NewMember(MemberConfig{Shard: "s0", Router: router.URL, Telemetry: reg,
+		RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond})
+	member.Bind(svc)
+	member.Start()
+	defer member.Close()
+	<-joins
+	notices := reg.Counter("grid_fed_member_terminal_notices_total", "", telemetry.L("shard", "s0"))
+
+	if res := ApplyHandoff(svc, &Handoff{Key: "moved", Job: testJob("moved", 60), Strategy: "S1"}); !res.Accepted {
+		t.Fatalf("handoff = %+v", res)
+	}
+	if res := ApplyRevoke(svc, &RevokeRequest{Key: "moved", Reason: "test"}); res.Outcome != RevokeOutcomeRevoked {
+		t.Fatalf("revoke = %+v", res)
+	}
+	// An infeasible handoff ends a second job, rejected: the notifier
+	// delivers in order, so its notice arrives after any for "moved".
+	ApplyHandoff(svc, &Handoff{Key: "sentinel", Job: testJob("sentinel", 3), Strategy: "S1"})
+	sent := 0
+	for got := ""; got != "sentinel"; sent++ {
+		select {
+		case got = <-delivered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the sentinel's notice was never delivered")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for notices.Value() != uint64(sent) {
+		if time.Now().After(deadline) {
+			t.Fatalf("notices counter = %d, %d delivered", notices.Value(), sent)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := notices.Value() - 1; n != 0 {
+		t.Errorf("one revocation cost %d terminal notices, want 0", n)
+	}
+
+	if err := member.joinOnce(); err != nil {
+		t.Fatal(err)
+	}
+	jr := <-joins
+	if len(jr.Terminal) != 1 || jr.Terminal[0].ID != "sentinel" {
+		t.Errorf("join catch-up = %+v, want the sentinel's rejection alone", jr.Terminal)
 	}
 }

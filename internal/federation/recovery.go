@@ -10,39 +10,42 @@ import (
 	"repro/internal/service"
 )
 
-// banAndRequeueLocked voids the current binding (already proven safe: the
-// shard holds a tombstone or confirmed the revoke) and requeues the job.
-// Caller holds r.mu.
-func (r *Router) banAndRequeueLocked(rec *jobRecord, shard, why string) {
+// banAndRequeueLocked voids the current binding by ev (already proven safe:
+// the shard holds a tombstone, drained the job or confirmed the revoke),
+// bans the shard for the job and requeues it. It reports whether lifecycle
+// let ev move the entry. Caller holds r.mu.
+func (r *Router) banAndRequeueLocked(rec *jobRecord, ev event, shard, why string) bool {
+	if !r.moveLocked(rec, ev, "", "", why) {
+		return false
+	}
 	if rec.banned == nil {
 		rec.banned = make(map[string]bool)
 	}
 	rec.banned[shard] = true
-	r.moveLocked(rec, StateQueued, "", why)
 	r.logf("federation: reallocating %s (%s)", rec.ID, why)
 	r.pushLocked(rec.ID)
+	return true
 }
 
 // beginRevoke moves a bound job into the revoking state and starts its
-// revocation loop (at most one per job).
+// revocation loop.
 func (r *Router) beginRevoke(id, why string) {
 	r.mu.Lock()
-	rec, ok := r.records[id]
-	if !ok || routerTerminal(rec.State) || rec.State == StateQueued {
-		r.mu.Unlock()
-		return
+	defer r.mu.Unlock()
+	if rec, ok := r.records[id]; ok && r.moveLocked(rec, evRevoke, "", rec.Shard, why) {
+		r.revokeLocked(rec, why)
 	}
-	if rec.State != StateRevoking {
-		r.moveLocked(rec, StateRevoking, rec.Shard, why)
-	}
+}
+
+// revokeLocked starts rec's revocation loop unless one runs: at most one
+// per job. Caller holds r.mu.
+func (r *Router) revokeLocked(rec *jobRecord, why string) {
 	if rec.revokeActive {
-		r.mu.Unlock()
 		return
 	}
 	rec.revokeActive = true
-	r.mu.Unlock()
 	r.wg.Add(1)
-	go r.revokeLoop(id, why)
+	go r.revokeLoop(rec.ID, why)
 }
 
 // revokeLoop retries the revocation RPC until the shard gives a durable
@@ -54,16 +57,13 @@ func (r *Router) revokeLoop(id, why string) {
 	defer r.wg.Done()
 	r.retry.retry(func(attempt int) bool {
 		r.mu.Lock()
-		rec, ok := r.records[id]
-		if !ok || rec.State != StateRevoking {
-			if ok {
-				rec.revokeActive = false
-			}
+		rec := r.records[id] // entries are never deleted
+		if rec.State != StateRevoking {
+			rec.revokeActive = false
 			r.mu.Unlock()
 			return true
 		}
-		shard := rec.Shard
-		epoch := rec.epoch
+		shard, epoch := rec.Shard, rec.epoch
 		r.mu.Unlock()
 
 		client := r.clients[shard]
@@ -78,35 +78,27 @@ func (r *Router) revokeLoop(id, why string) {
 	})
 }
 
-// resolveRevoke applies a confirmed revocation answer. Returns false when
-// the loop should keep trying (cannot happen today — every outcome is
-// durable — but kept for future protocol versions).
+// resolveRevoke applies a confirmed revocation answer. It returns false,
+// and the loop tries again, when lifecycle refuses the answer's move: the
+// entry left revoking meanwhile (the next attempt sees that and ends the
+// loop), or the outcome is one this router does not know.
 func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.records[id]
-	if !ok || rec.State != StateRevoking {
-		if ok {
-			rec.revokeActive = false
-		}
-		return true
-	}
-	rec.revokeActive = false
+	rec := r.records[id] // entries are never deleted
+	var moved bool
 	switch res.Outcome {
 	case RevokeOutcomeRevoked:
-		r.th.revocations.Inc()
-		r.banAndRequeueLocked(rec, shard, "revoked from "+shard)
+		moved = r.banAndRequeueLocked(rec, evRevoked, shard, "revoked from "+shard)
 	case RevokeOutcomeTerminal:
-		r.moveLocked(rec, res.State, shard, res.Reason)
+		moved = r.moveLocked(rec, evTerminal, res.State, shard, res.Reason)
 	case RevokeOutcomeInFlight:
 		// The shard's engine owns it; rebind and wait for the terminal
 		// notice. A later death sweeps it back into revocation.
-		r.moveLocked(rec, StateHanded, shard, "")
-	default:
-		rec.revokeActive = true
-		return false
+		moved = r.moveLocked(rec, evInFlight, "", shard, "")
 	}
-	return true
+	rec.revokeActive = !moved
+	return moved
 }
 
 // heartbeatLoop pings one shard forever, driving the failure detector and
@@ -200,12 +192,9 @@ func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
 			// refused submission does; the shard runs the job either way.
 			_, _ = r.createLocked(h.ID, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
 			resp.Decisions[h.ID] = JoinResume
-		case rec.State == StateHanded && rec.Shard == req.Shard:
-			resp.Decisions[h.ID] = JoinResume
-		case rec.State == StateQueued:
-			// We intended to place it and the shard already holds it:
-			// adopt the existing binding.
-			r.moveLocked(rec, StateHanded, req.Shard, "")
+		case rec.State == StateHanded && rec.Shard == req.Shard, r.moveLocked(rec, evAdopt, "", req.Shard, ""):
+			// Still the shard's, or queued here while the shard already
+			// holds it: adopt the existing binding.
 			resp.Decisions[h.ID] = JoinResume
 		default:
 			// Bound elsewhere, being revoked, or already terminal: the
@@ -228,7 +217,9 @@ func (r *Router) HandleTerminal(n *TerminalNotice) {
 	r.applyTerminalLocked(n)
 }
 
-// applyTerminalLocked is the idempotent core of terminal-notice handling.
+// applyTerminalLocked is the idempotent core of terminal-notice handling:
+// lifecycle refuses a notice for a terminal entry, and a revoked one,
+// which names no outcome (the job lives on; the revocation loop owns it).
 // Caller holds r.mu; the journal append inside makes the notice durable
 // before the HTTP 200 that stops the shard's redelivery.
 func (r *Router) applyTerminalLocked(n *TerminalNotice) {
@@ -236,31 +227,20 @@ func (r *Router) applyTerminalLocked(n *TerminalNotice) {
 	if !ok {
 		return // not ours (e.g. a key another router placed)
 	}
-	if routerTerminal(rec.State) {
-		return
-	}
-	switch n.State {
-	case service.StateRevoked:
-		// Shard-terminal only: the job itself lives on (we revoked it
-		// there); the revocation loop owns the transition.
-		return
-	case service.StateDrained:
+	switch {
+	case n.State == service.StateDrained:
 		// The shard shut down without running it: ownership released, so
 		// reallocate — unless the binding already moved.
-		if rec.Shard == n.Shard && (rec.State == StateHanded || rec.State == StateRevoking) {
-			r.th.revocations.Inc()
-			r.banAndRequeueLocked(rec, n.Shard, "drained at "+n.Shard)
+		if rec.Shard == n.Shard {
+			r.banAndRequeueLocked(rec, evDrainedAt, n.Shard, "drained at "+n.Shard)
 		}
-		return
+	case rec.Shard != "" && rec.Shard != n.Shard:
+		// A shard we revoked away from still finished it first — that can
+		// only be an inflight answer we rebound after, so the notice is
+		// authoritative for that shard's execution.
+		r.logf("federation: terminal notice for %s from %s but bound to %s", n.Job, n.Shard, rec.Shard)
 	default:
-		if rec.Shard != "" && rec.Shard != n.Shard {
-			// A shard we revoked away from still finished it first — that
-			// can only be an inflight answer we rebound after, so the
-			// notice is authoritative for that shard's execution.
-			r.logf("federation: terminal notice for %s from %s but bound to %s", n.Job, n.Shard, rec.Shard)
-			return
-		}
-		r.moveLocked(rec, n.State, n.Shard, n.Reason)
+		r.moveLocked(rec, evTerminal, n.State, n.Shard, n.Reason)
 	}
 }
 
@@ -274,14 +254,14 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 		return 0, nil
 	}
 	r.mu.Lock()
-	n := 0
-	var reconcile, revoking []string
+	n, revoking := 0, 0
+	var reconcile []string
 	for _, js := range rec.Jobs {
 		if _, dup := r.records[js.Job]; dup {
 			continue
 		}
 		state, shard := js.State, js.Shard
-		if _, known := r.clients[shard]; !known && !routerTerminal(state) && state != StateRevoking {
+		if _, known := r.clients[shard]; !known && !service.Terminal(state) && state != StateRevoking {
 			// Bound to a shard no longer in the fleet: requeue.
 			state = StateQueued
 		}
@@ -289,32 +269,26 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 			shard = ""
 		}
 		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
-		jr.Shard = shard
-		jr.Reason = js.Reason
-		jr.wire = js.Wire
-		jr.epoch = js.Epoch
-		jr.submitted = time.Time{}
+		jr.Shard, jr.Reason, jr.wire, jr.epoch, jr.submitted = shard, js.Reason, js.Wire, js.Epoch, time.Time{}
 		n++
 		switch {
-		case routerTerminal(state):
+		case service.Terminal(state):
 			// Done; nothing to do.
 		case state == StateQueued:
 			r.pushLocked(js.Job)
 		case state == StateRevoking:
-			revoking = append(revoking, js.Job)
+			r.revokeLocked(jr, "recovered in-doubt revocation")
+			revoking++
 		default: // handed
 			reconcile = append(reconcile, js.Job)
 		}
 	}
 	r.mu.Unlock()
-	for _, id := range revoking {
-		r.beginRevoke(id, "recovered in-doubt revocation")
-	}
 	for _, id := range reconcile {
 		r.wg.Add(1)
 		go r.reconcile(id)
 	}
-	r.logf("federation: restored %d jobs (%d to reconcile, %d revoking)", n, len(reconcile), len(revoking))
+	r.logf("federation: restored %d jobs (%d to reconcile, %d revoking)", n, len(reconcile), revoking)
 	return n, nil
 }
 

@@ -18,7 +18,7 @@ import (
 )
 
 // Router-side job states. Terminal states reuse the service vocabulary so
-// one journal fold function (service.Terminal) covers both tiers.
+// compaction's IsTerminal (service.Terminal) covers both tiers.
 const (
 	// StateQueued — accepted by the router, not yet bound to a shard.
 	StateQueued = service.StateQueued
@@ -32,8 +32,48 @@ const (
 	StateRevoking = "revoking"
 )
 
-// routerTerminal reports router-level terminal states.
-func routerTerminal(state string) bool { return service.Terminal(state) }
+// An event is what moves a router ledger entry; lifecycle says where each
+// leads.
+type event uint8
+
+const (
+	evBind      event = iota // dispatch binds the job to a shard
+	evAdopt                  // a joining shard holds the job
+	evAnswer                 // the bound shard answers the handoff definitively
+	evTombstone              // the bound shard holds a tombstone for the key
+	evRevoke                 // the binding is in doubt
+	evRevoked                // the shard confirms the revocation
+	evInFlight               // the shard's engine owns the job
+	evDrainedAt              // the bound shard drained the job at shutdown
+	evTerminal               // a shard reports the job's outcome
+	evDrain                  // the router shuts down before dispatching it
+)
+
+// outcome stands in a row for the state the event's message names, which
+// must be a service-tier terminal state that is no tombstone: the job ran,
+// or was refused, on the shard.
+const outcome = "outcome"
+
+// lifecycle is the router tier's job lifecycle: for each event, the state
+// it moves an entry from to the state it leads to. moveLocked consults it
+// for every change and refuses a pair it does not list, so a terminal
+// entry, which no row leaves, never moves again: the router half of
+// exactly-once. A move to queued voids a binding and raises the job's
+// epoch, so the next handoff outranks every tombstone the job left behind.
+// A queued entry takes an outcome from a shard that ran the job before this
+// router restarted.
+var lifecycle = [...]map[string]string{
+	evBind:      {StateQueued: StateHanded},
+	evAdopt:     {StateQueued: StateHanded},
+	evAnswer:    {StateHanded: outcome},
+	evTombstone: {StateHanded: StateQueued},
+	evRevoke:    {StateHanded: StateRevoking},
+	evRevoked:   {StateRevoking: StateQueued},
+	evInFlight:  {StateRevoking: StateHanded},
+	evDrainedAt: {StateHanded: StateQueued, StateRevoking: StateQueued},
+	evTerminal:  {StateQueued: outcome, StateHanded: outcome, StateRevoking: outcome},
+	evDrain:     {StateQueued: service.StateDrained},
+}
 
 // Config configures a Router.
 type Config struct {
@@ -369,35 +409,26 @@ func (r *Router) createLocked(id, strategyName string, priority int, wire *jobio
 }
 
 // moveLocked is the only code that changes a ledger entry's State, Shard,
-// Reason or epoch after creation. It journals the uniform record
-// {Job, State, Reason, Shard, Epoch} and counts the transition, so the
-// live ledger always equals the fold of its own journal. The transitions,
-// by the event that causes them:
-//
-//	queued   → handed     bind (dispatch), join adopts a held job
-//	queued   → terminal   drain before dispatch, notice from a shard that
-//	                      ran the job before this router restarted
-//	handed   → terminal   definitive handoff answer, terminal notice
-//	handed   → queued+1   tombstone answer, drained notice
-//	handed   → revoking   retry budget exhausted, death sweep, reconcile
-//	revoking → queued+1   revoke confirmed, drained notice
-//	revoking → handed     revoke answered "inflight"
-//	revoking → terminal   revoke answered "terminal", terminal notice
-//
-// "+1" is the reallocation epoch: only a voided binding re-queues a job,
-// and the next handoff must outrank every tombstone the job left behind.
-// A terminal entry never moves again — the router half of exactly-once.
-// Caller holds r.mu.
-func (r *Router) moveLocked(rec *jobRecord, state, shard, reason string) {
-	if routerTerminal(rec.State) {
-		return
+// Reason or epoch after creation. It looks ev's row up in lifecycle from
+// rec.State, with state the outcome a row marked outcome takes, and refuses
+// a pair the table does not list, returning false and changing nothing. A
+// listed move journals the uniform record {Job, State, Reason, Shard, Epoch}
+// and counts the transition, so the live ledger always equals the fold of
+// its own journal. Caller holds r.mu.
+func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason string) bool {
+	to, ok := lifecycle[ev][rec.State]
+	if to == outcome {
+		to, ok = state, service.Terminal(state) && !service.Tombstone(state)
 	}
-	if state == StateQueued {
+	if !ok {
+		return false
+	}
+	if to == StateQueued {
 		rec.epoch++
 	}
-	rec.State, rec.Shard, rec.Reason = state, shard, reason
-	_ = r.journal(journal.Record{Job: rec.ID, State: state, Reason: reason, Shard: shard, Epoch: rec.epoch}) // counted and logged; the move stands
-	switch state {
+	rec.State, rec.Shard, rec.Reason = to, shard, reason
+	_ = r.journal(journal.Record{Job: rec.ID, State: to, Reason: reason, Shard: shard, Epoch: rec.epoch}) // counted and logged; the move stands
+	switch to {
 	case StateQueued:
 		r.th.reallocated.Inc()
 	case service.StateCompleted:
@@ -407,9 +438,13 @@ func (r *Router) moveLocked(rec *jobRecord, state, shard, reason string) {
 	case service.StateDrained:
 		r.th.drained.Inc()
 	}
-	if routerTerminal(state) && !rec.submitted.IsZero() {
+	if ev == evRevoked || ev == evDrainedAt {
+		r.th.revocations.Inc()
+	}
+	if service.Terminal(to) && !rec.submitted.IsZero() {
 		r.th.jobLatency.Observe(time.Since(rec.submitted).Seconds())
 	}
+	return true
 }
 
 // newRecordLocked creates the ledger entry. Caller holds r.mu.
@@ -464,7 +499,7 @@ func (r *Router) Quiesced() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, rec := range r.records {
-		if !routerTerminal(rec.State) {
+		if !service.Terminal(rec.State) {
 			return false
 		}
 	}
@@ -491,9 +526,7 @@ wait:
 
 	r.mu.Lock()
 	for _, rec := range r.records {
-		if rec.State == StateQueued {
-			r.moveLocked(rec, service.StateDrained, rec.Shard, "router shutdown before dispatch")
-		}
+		r.moveLocked(rec, evDrain, "", rec.Shard, "router shutdown before dispatch")
 	}
 	r.mu.Unlock()
 	r.Close()

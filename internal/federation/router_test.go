@@ -66,7 +66,7 @@ func waitQuiesced(t *testing.T, r *Router, within time.Duration) {
 	for !r.Quiesced() {
 		if time.Now().After(deadline) {
 			for _, j := range r.Jobs() {
-				if !routerTerminal(j.State) {
+				if !service.Terminal(j.State) {
 					t.Logf("stuck: %+v", j)
 				}
 			}

@@ -139,7 +139,10 @@ func (o Options) fsyncInterval() time.Duration {
 
 // Record is one job lifecycle transition. Wire, Strategy and Priority are
 // set on admission records (state "queued") so recovery can rebuild and
-// re-enqueue the job; later transitions carry only the state change.
+// re-enqueue the job. A rejection at admission (infeasible) carries
+// Strategy, Priority and its Epoch too: the journal holds no accept to fold
+// them from. Later transitions carry the state change and the fields it
+// changes (a revocation its Epoch; a router move its Shard and Epoch).
 type Record struct {
 	LSN      uint64     `json:"lsn"`
 	Job      string     `json:"job"`

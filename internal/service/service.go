@@ -26,14 +26,18 @@
 // critical path on the fastest node tier). A valid job waits in the
 // bounded queue ("queued"), is handed to the VO ("scheduled"), and ends in
 // exactly one terminal state: "completed", "rejected" (with a reason:
-// infeasible, shed under overload, or no feasible allocation), or
-// "drained" (written to the shutdown snapshot). A full queue sheds the
-// lowest-priority queued job when a strictly more important one arrives;
-// otherwise the newcomer is refused with a retry hint (HTTP 429).
+// infeasible, shed under overload, or no feasible allocation), "drained"
+// (written to the shutdown snapshot), or "revoked" (taken back by a
+// federation router). The table lifecycle lists every move, and moveLocked
+// makes each. A full queue sheds the lowest-priority queued job when a
+// strictly more important one arrives; otherwise the newcomer is refused
+// with a retry hint (HTTP 429).
 package service
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -69,18 +73,67 @@ const (
 	StateRevoked = "revoked"
 )
 
-// Terminal reports whether a state is final.
-func Terminal(state string) bool {
-	return state == StateCompleted || state == StateRejected ||
-		state == StateDrained || state == StateRevoked
+// An event is what moves a job's record from one lifecycle state to the
+// next; lifecycle says where each leads.
+type event uint8
+
+const (
+	evAccept     event = iota // admitted: a new life enters the queue
+	evInfeasible              // refused at admission by the deadline bound
+	evSchedule                // dequeued by the engine loop
+	evComplete                // the VO ran it to plan
+	evReject                  // the VO rejected or refused it, or recovery cannot rebuild it
+	evShed                    // displaced from a full queue by more important work
+	evDrain                   // still queued or held at shutdown
+	evRevoke                  // taken back by the router, or tombstoned before it arrived
+	evRaise                   // revoked again, at a higher epoch, as a tombstone
+)
+
+// lifecycle is the service tier's job lifecycle: for each event, the
+// state it moves a record from ("" for an ID not yet ledgered) to the state
+// it leads to. moveLocked consults it for every state change and refuses a
+// pair it does not list. Every row journals {job, state, reason} plus the
+// fields it changes, except schedule, which lives in memory only: Restore
+// re-enqueues a job whose last record is its accept exactly as it would one
+// marked scheduled (the VO's books die with the process either way), so a
+// record would cost an fsync per job and tell recovery nothing. Accept and
+// infeasible start a life, over a new ID or over a tombstone a strictly
+// newer federation epoch outranks (SubmitEpoch).
+var lifecycle = [...]map[string]string{
+	evAccept:     {"": StateQueued, StateRevoked: StateQueued, StateDrained: StateQueued},
+	evInfeasible: {"": StateRejected, StateRevoked: StateRejected, StateDrained: StateRejected},
+	evSchedule:   {StateQueued: StateScheduled},
+	evComplete:   {StateScheduled: StateCompleted},
+	evReject:     {StateScheduled: StateRejected, "": StateRejected},
+	evShed:       {StateQueued: StateRejected},
+	evDrain:      {StateQueued: StateDrained},
+	evRevoke:     {StateQueued: StateRevoked, "": StateRevoked},
+	evRaise:      {StateRevoked: StateRevoked, StateDrained: StateDrained},
 }
 
-// Tombstone reports whether a terminal state left the job unexecuted here
-// (revoked or drained), so a handoff at a higher epoch may start a new
-// life over it.
-func Tombstone(state string) bool {
-	return state == StateRevoked || state == StateDrained
+// terminal and live are read off lifecycle once: the states some event
+// leads to, and those an event moves a record out of other than by
+// starting a life, as one over an unseen ID does, or by keeping the state
+// (an epoch raise).
+var terminal, live = map[string]bool{}, map[string]bool{}
+
+func init() {
+	for _, row := range lifecycle {
+		_, life := row[""]
+		for from, to := range row {
+			terminal[to] = true
+			live[from] = live[from] || !life && to != from
+		}
+	}
 }
+
+// Terminal reports whether a state is final: lifecycle leads to it and
+// moves a record out of it only into a new life or an epoch raise.
+func Terminal(state string) bool { return terminal[state] && !live[state] }
+
+// Tombstone reports whether a terminal state left the job unexecuted here
+// (revoked or drained): lifecycle lets a new life start over it.
+func Tombstone(state string) bool { return state != "" && lifecycle[evAccept][state] != "" }
 
 // Config tunes the service.
 type Config struct {
@@ -114,9 +167,10 @@ type Config struct {
 	// already carry their own.
 	Telemetry *telemetry.Registry
 	// Journal, when non-nil, makes the job lifecycle crash-safe: every
-	// transition (queued, scheduled, completed, rejected, drained) is
-	// appended — and made durable under the journal's fsync policy —
-	// before it is acknowledged. On startup, Restore replays a recovered
+	// transition but the in-memory schedule (queued, completed, rejected,
+	// drained, revoked, and a tombstone's epoch raise) is appended — and
+	// made durable under the journal's fsync policy — before it is
+	// acknowledged. On startup, Restore replays a recovered
 	// journal so accepted jobs survive SIGKILL, OOM and power loss. nil
 	// keeps the pre-journal behavior byte-identical.
 	Journal *journal.Journal
@@ -135,8 +189,8 @@ type Config struct {
 	// re-evaluate it). nil means always open.
 	Gate func() bool
 	// OnTerminal, when non-nil, is called exactly once per job the moment
-	// its record reaches a terminal state (completed, rejected or
-	// drained), with a copy of the record. It is the push-based
+	// its record reaches a terminal state (completed, rejected, drained or
+	// revoked), with a copy of the record. It is the push-based
 	// terminal-state stream: a federation shard reports terminal states to
 	// its router through it (federation.Member.Terminal), and the gridbench
 	// workloads tally terminal states with it without polling the job
@@ -406,21 +460,13 @@ func (s *Server) jobBuildCtx(jobName string) context.Context {
 // feeds the circuit breakers. Runs on the engine goroutine.
 func (s *Server) onEvent(e metasched.Event) {
 	now := e.At
-	if s.breakers != nil {
+	if s.breakers != nil && e.Domain != "" {
 		switch e.Kind {
 		case metasched.EventComplete:
-			if e.Domain != "" {
-				s.breakers.Success(e.Domain, now)
-			}
-		case metasched.EventTaskFailed:
-			if e.Domain != "" {
-				s.breakers.Failure(e.Domain, now)
-			}
-		case metasched.EventNodeDown:
-			if e.Domain != "" {
-				// A whole-domain outage is a definitive failure signal.
-				s.breakers.Failure(e.Domain, now)
-			}
+			s.breakers.Success(e.Domain, now)
+		case metasched.EventTaskFailed, metasched.EventNodeDown:
+			// A whole-domain outage is a definitive failure signal.
+			s.breakers.Failure(e.Domain, now)
 		}
 	}
 
@@ -440,50 +486,62 @@ func (s *Server) onEvent(e metasched.Event) {
 		rec.Retries = e.Level
 	case metasched.EventComplete:
 		rec.Finish = now
-		s.finishLocked(rec, StateCompleted, "", journal.Record{})
+		s.moveLocked(rec, evComplete, "", journal.Record{})
 	case metasched.EventReject:
 		rec.Finish = now
-		s.finishLocked(rec, StateRejected, "no feasible allocation", journal.Record{})
+		s.moveLocked(rec, evReject, "no feasible allocation", journal.Record{})
 	}
 }
 
-// journalLocked appends one lifecycle transition to the write-ahead
-// journal; callers hold s.mu so the per-job record order on disk matches
-// the in-memory transition order. The admission path refuses the job on
-// error (an unjournaled accept could be silently lost); engine-side
-// callers ignore the error — the transition already happened — and it is
-// surfaced through the JournalErrors counter instead.
-func (s *Server) journalLocked(rec journal.Record) error {
-	if s.cfg.Journal == nil {
+// errRefused is moveLocked's answer to a pair lifecycle does not list.
+var errRefused = errors.New("service: move not in the job lifecycle")
+
+// moveLocked is the only code that changes a record's State: it looks ev's
+// row up in lifecycle from rec.State and refuses a pair the table does not
+// list with errRefused, changing nothing. A listed move appends its
+// journal record — jr plus {job, state, reason} — before anything else, so
+// the transition is durable under the journal's fsync policy before it is
+// acknowledged; an accept the journal refuses changes nothing and returns
+// the append error (an unjournaled accept could be silently lost), while
+// every other move stands and the failure shows in JournalErrors. A move
+// that starts a life resets the record to the admission fields of jr; a
+// move from "" ledgers rec. A move into a terminal state bumps its counter,
+// fires OnTerminal once (after the journal, so an observer never learns of
+// a transition a crash could forget), and releases the job's build context.
+// Callers hold s.mu, so the per-job record order on disk matches the
+// in-memory transition order.
+func (s *Server) moveLocked(rec *Record, ev event, reason string, jr journal.Record) error {
+	from := rec.State
+	to, ok := lifecycle[ev][from]
+	if !ok {
+		return errRefused
+	}
+	if ev != evSchedule && s.cfg.Journal != nil {
+		jr.Job, jr.State, jr.Reason = rec.ID, to, reason
+		if _, err := s.cfg.Journal.Append(jr); err != nil {
+			s.th.journalErrors.Inc()
+			if ev == evAccept {
+				return err
+			}
+		}
+	}
+	switch {
+	case ev == evAccept || ev == evInfeasible:
+		if from != "" {
+			s.th.resurrected.Inc()
+		}
+		*rec = Record{ID: rec.ID, Strategy: jr.Strategy, Priority: jr.Priority, Epoch: jr.Epoch, Seq: rec.Seq}
+	case jr.Epoch != 0:
+		rec.Epoch = jr.Epoch
+	}
+	if from == "" {
+		s.ledgerLocked(rec)
+	}
+	rec.State, rec.Reason = to, reason
+	if !Terminal(to) || to == from {
 		return nil
 	}
-	if _, err := s.cfg.Journal.Append(rec); err != nil {
-		s.th.journalErrors.Inc()
-		return err
-	}
-	return nil
-}
-
-// finishLocked is the only way a record enters a terminal state; callers
-// hold s.mu and call it exactly once per record lifetime (SubmitEpoch over
-// a tombstone starts a new one). It is the lifecycle's transition table:
-//
-//	state      entered from                                   counters
-//	completed  VO complete event                              Completed
-//	rejected   VO reject event, VO refused the submission,    Rejected (+Shed,
-//	           shed, infeasible at admission,                 +Infeasible by
-//	           recovered entry that no longer builds           the caller)
-//	drained    still queued or held at shutdown               Drained
-//	revoked    router took a queued/held job back, tombstone  Revoked
-//
-// Every row journals {job, state, reason} plus the fields of extra — the
-// strategy, priority and epoch of a record the journal holds no accept
-// for, the epoch of a revocation — before the terminal-state stream fires
-// (so an observer never learns of a transition a crash could forget), and
-// releases the job's build context.
-func (s *Server) finishLocked(rec *Record, state, reason string, extra journal.Record) {
-	rec.State, rec.Reason = state, reason
-	switch state {
+	switch to {
 	case StateCompleted:
 		s.th.completed.Inc()
 	case StateRejected:
@@ -492,11 +550,7 @@ func (s *Server) finishLocked(rec *Record, state, reason string, extra journal.R
 		s.th.drained.Inc()
 	case StateRevoked:
 		s.th.revoked.Inc()
-	default:
-		panic(fmt.Sprintf("service: finishLocked: %q is not a terminal state", state))
 	}
-	extra.Job, extra.State, extra.Reason = rec.ID, state, reason
-	_ = s.journalLocked(extra)
 	if s.cfg.OnTerminal != nil {
 		s.cfg.OnTerminal(*rec)
 	}
@@ -504,6 +558,7 @@ func (s *Server) finishLocked(rec *Record, state, reason string, extra journal.R
 		cancel()
 		delete(s.buildCtxs, rec.ID)
 	}
+	return nil
 }
 
 // enqueueLocked puts e on the admission queue, publishes the new depth and
@@ -585,9 +640,11 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 		s.th.submitted.Inc()
 		s.th.infeasible.Inc()
 		// Ledger the rejection durably too: the duplicate-submit guard must
-		// give the same answer for this ID after a restart.
-		rec := s.newLifeLocked(prior, wire.Name, typ, priority, epoch, StateRejected)
-		s.finishLocked(rec, StateRejected,
+		// give the same answer for this ID after a restart. A new life
+		// starts in the tombstone it outranks, or in a record its first
+		// move ledgers.
+		rec := cmp.Or(prior, &Record{ID: wire.Name})
+		s.moveLocked(rec, evInfeasible,
 			fmt.Sprintf("infeasible: deadline %d is below the fastest-tier critical path %d", wire.Deadline, bound),
 			journal.Record{Strategy: typ.String(), Priority: priority, Epoch: epoch})
 		return rec.clone(), &SubmitError{Code: CodeInfeasible, Reason: rec.Reason}
@@ -618,14 +675,13 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 	// Write-ahead: the accept is journaled (and made durable under the
 	// journal's fsync policy) before the job exists anywhere in memory, so
 	// an acknowledged submission survives any crash.
-	if err := s.journalLocked(journal.Record{
-		Job: wire.Name, State: StateQueued,
+	rec := cmp.Or(prior, &Record{ID: wire.Name})
+	if err := s.moveLocked(rec, evAccept, "", journal.Record{
 		Strategy: typ.String(), Priority: priority, Wire: &wire, Epoch: epoch,
 	}); err != nil {
 		return nil, &SubmitError{Code: CodeInternal,
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
 	}
-	rec := s.newLifeLocked(prior, wire.Name, typ, priority, epoch, StateQueued)
 	s.th.accepted.Inc()
 	s.enqueueLocked(&entry{rec: rec, job: job, wire: wire, typ: typ, enq: time.Now()})
 	return rec.clone(), nil
@@ -635,23 +691,12 @@ func duplicateError(id string) *SubmitError {
 	return &SubmitError{Code: CodeDuplicate, Reason: fmt.Sprintf("job %q was already submitted", id)}
 }
 
-// newLifeLocked ledgers an admitted job: a new record, or — over a
-// tombstone — the prior record started over in place with its ID and Seq.
-func (s *Server) newLifeLocked(prior *Record, id string, typ strategy.Type, priority, epoch int, state string) *Record {
-	if prior == nil {
-		return s.newRecordLocked(id, typ, priority, epoch, state)
-	}
-	s.th.resurrected.Inc()
-	*prior = Record{ID: id, Strategy: typ.String(), Priority: priority, State: state, Epoch: epoch, Seq: prior.Seq}
-	return prior
-}
-
-func (s *Server) newRecordLocked(id string, typ strategy.Type, priority, epoch int, state string) *Record {
+// ledgerLocked enters rec in the registry under the next Seq.
+func (s *Server) ledgerLocked(rec *Record) {
 	s.seq++
-	rec := &Record{ID: id, Strategy: typ.String(), Priority: priority, State: state, Epoch: epoch, Seq: s.seq}
-	s.records[id] = rec
-	s.order = append(s.order, id)
-	return rec
+	rec.Seq = s.seq
+	s.records[rec.ID] = rec
+	s.order = append(s.order, rec.ID)
 }
 
 // shedCandidateLocked returns the queue index of the job to shed for an
@@ -678,7 +723,7 @@ func (s *Server) shedLocked(i int) {
 	e := s.queue[i]
 	s.queue = append(s.queue[:i], s.queue[i+1:]...)
 	s.th.queueDepth.Set(float64(len(s.queue)))
-	s.finishLocked(e.rec, StateRejected, "shed: displaced by higher-priority work under overload", journal.Record{})
+	s.moveLocked(e.rec, evShed, "shed: displaced by higher-priority work under overload", journal.Record{})
 	s.th.shed.Inc()
 }
 
@@ -795,17 +840,16 @@ func (s *Server) process(batch []*entry) {
 			s.th.queueWait.Observe(telemetry.Since(e.enq))
 		}
 		job := e.job.WithDeadline(arrival + simtime.Time(e.wire.Deadline))
-		// "scheduled" lives in memory only. Restore re-enqueues a job whose
-		// last record is its accept exactly as it would one marked scheduled
-		// (the VO's books die with the process either way), so a record here
-		// would cost an fsync per job and tell recovery nothing.
 		s.mu.Lock()
-		e.rec.State = StateScheduled
+		// A dequeued record is queued, and nothing else moves it: RevokeEpoch
+		// answers ErrInFlight for a job off the queue, and Drain waits for
+		// this loop to stop.
+		s.moveLocked(e.rec, evSchedule, "", journal.Record{})
 		e.rec.Arrival = arrival
 		s.mu.Unlock()
 		if err := s.vo.SubmitPrio(job, e.typ, arrival, e.rec.Priority); err != nil {
 			s.mu.Lock()
-			s.finishLocked(e.rec, StateRejected, err.Error(), journal.Record{})
+			s.moveLocked(e.rec, evReject, err.Error(), journal.Record{})
 			s.mu.Unlock()
 		}
 	}
@@ -876,52 +920,41 @@ var ErrInFlight = fmt.Errorf("service: job is in flight and cannot be revoked")
 func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.held[id]; ok {
-		if e.rec.Epoch > epoch {
-			return *e.rec, ErrInFlight
-		}
-		delete(s.held, id)
-		s.revokeEntryLocked(e.rec, reason, epoch)
-		return *e.rec, nil
+	rec := s.records[id]
+	switch {
+	case rec == nil:
+		// Tombstone: ledger the ID as revoked before any handoff ever landed.
+		rec = &Record{ID: id, Strategy: strategy.Type(0).String()}
+		s.moveLocked(rec, evRevoke, "revoked before arrival: "+reason, journal.Record{Epoch: epoch})
+	case rec.Epoch > epoch:
+		// A newer router decision placed the job here: the revoke is stale.
+	case s.unqueueLocked(id):
+		s.moveLocked(rec, evRevoke, reason, journal.Record{Epoch: epoch})
+	case epoch > rec.Epoch:
+		s.moveLocked(rec, evRaise, reason, journal.Record{Epoch: epoch})
 	}
-	for i, e := range s.queue {
-		if e.rec.ID != id {
-			continue
-		}
-		if e.rec.Epoch > epoch {
-			return *e.rec, ErrInFlight
-		}
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
-		s.th.queueDepth.Set(float64(len(s.queue)))
-		s.revokeEntryLocked(e.rec, reason, epoch)
-		return *e.rec, nil
+	if Terminal(rec.State) {
+		return *rec, nil
 	}
-	if rec, ok := s.records[id]; ok {
-		if Tombstone(rec.State) {
-			if epoch > rec.Epoch {
-				rec.Epoch = epoch
-				rec.Reason = reason
-				_ = s.journalLocked(journal.Record{Job: id, State: rec.State, Reason: reason, Epoch: epoch})
-			}
-			return *rec, nil
-		}
-		if Terminal(rec.State) {
-			return *rec, nil
-		}
-		return *rec, ErrInFlight
-	}
-	// Tombstone: ledger the ID as revoked before any handoff ever landed.
-	rec := s.newRecordLocked(id, strategy.Type(0), 0, epoch, StateRevoked)
-	s.finishLocked(rec, StateRevoked, "revoked before arrival: "+reason, journal.Record{Epoch: epoch})
-	return *rec, nil
+	return *rec, ErrInFlight
 }
 
-// revokeEntryLocked marks one reclaimed entry's record revoked.
-func (s *Server) revokeEntryLocked(rec *Record, reason string, epoch int) {
-	if epoch > rec.Epoch {
-		rec.Epoch = epoch
+// unqueueLocked takes id's entry off the queue or out of the held set and
+// reports whether it was there: only then is its record queued and not yet
+// the engine's.
+func (s *Server) unqueueLocked(id string) bool {
+	if _, ok := s.held[id]; ok {
+		delete(s.held, id)
+		return true
 	}
-	s.finishLocked(rec, StateRevoked, reason, journal.Record{Epoch: rec.Epoch})
+	for i, e := range s.queue {
+		if e.rec.ID == id {
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.th.queueDepth.Set(float64(len(s.queue)))
+			return true
+		}
+	}
+	return false
 }
 
 // Held returns the IDs of recovered jobs parked by Restore under
@@ -1072,10 +1105,9 @@ func (s *Server) snapshotQueued() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range entries {
-		// A RevokeEpoch may have taken the job back while the lock was free.
-		if e.rec.State == StateQueued {
-			s.finishLocked(e.rec, StateDrained, "drained to snapshot on shutdown", journal.Record{})
-		}
+		// A RevokeEpoch may have taken the job back while the lock was free:
+		// lifecycle drains no revoked record.
+		s.moveLocked(e.rec, evDrain, "drained to snapshot on shutdown", journal.Record{})
 	}
 	s.queue = nil
 	clear(s.held)
@@ -1104,37 +1136,32 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 			stats.DuplicatesSuppressed++
 			continue
 		}
-		typ, terr := strategy.ParseType(js.Strategy)
+		typ, err := strategy.ParseType(js.Strategy)
+		r := &Record{ID: js.Job, Strategy: typ.String(), Priority: js.Priority}
+		stats.Restored++
 		if Terminal(js.State) {
-			r := s.newRecordLocked(js.Job, typ, js.Priority, js.Epoch, js.State)
-			r.Reason = js.Reason
-			stats.Restored++
+			r.State, r.Reason, r.Epoch = js.State, js.Reason, js.Epoch
+			s.ledgerLocked(r)
 			stats.Terminal++
 			continue
 		}
 		// Non-terminal: rebuild and re-enqueue. A journal entry that can
 		// no longer build (lost wire form, unknown strategy, invalid
 		// graph) is ledgered as rejected rather than dropped silently.
-		reject := func(reason string) {
-			r := s.newRecordLocked(js.Job, typ, js.Priority, 0, StateRejected)
-			s.finishLocked(r, StateRejected, reason, journal.Record{})
-			stats.Restored++
-			stats.Invalid++
+		var job *dag.Job
+		switch {
+		case js.Wire == nil:
+			err = errors.New("journal entry has no wire payload")
+		case err == nil:
+			job, err = js.Wire.ToJob()
 		}
-		if js.Wire == nil {
-			reject("recovery: journal entry has no wire payload")
-			continue
-		}
-		if terr != nil {
-			reject(fmt.Sprintf("recovery: %v", terr))
-			continue
-		}
-		job, err := js.Wire.ToJob()
 		if err != nil {
-			reject(fmt.Sprintf("recovery: %v", err))
+			s.moveLocked(r, evReject, fmt.Sprintf("recovery: %v", err), journal.Record{})
+			stats.Invalid++
 			continue
 		}
-		r := s.newRecordLocked(js.Job, typ, js.Priority, js.Epoch, StateQueued)
+		r.State, r.Epoch = StateQueued, js.Epoch
+		s.ledgerLocked(r)
 		e := &entry{rec: r, job: job, wire: *js.Wire, typ: typ}
 		if s.cfg.HoldRecovered {
 			// Park it: the federation join handshake decides whether this
@@ -1149,7 +1176,6 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 		// Nothing to journal: the journal this recovery came from already
 		// holds the job's accept, and the compaction below keeps it.
 		s.th.accepted.Inc()
-		stats.Restored++
 	}
 	stats.ReplaySeconds = time.Since(start).Seconds()
 	s.recovery = &stats
