@@ -8,10 +8,11 @@
 //
 // With -journal-dir set, the router's placement ledger is crash-safe:
 // every binding, revocation and terminal result is journaled before it is
-// acknowledged, and on startup the ledger is replayed — in-doubt bindings
-// are reconciled against the owning shard before the job is retried or
-// reallocated, so an accepted job reaches a terminal state exactly once
-// across any SIGKILL/restart sequence on either side.
+// acknowledged, and on startup the ledger is replayed — each in-doubt
+// binding is sent again to the shard it is bound to, whose idempotent
+// answer settles it as a live binding's does, so an accepted job reaches a
+// terminal state exactly once across any SIGKILL/restart sequence on
+// either side.
 //
 // Usage:
 //

@@ -69,42 +69,52 @@ func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
 	return "", false
 }
 
-// dispatch binds one queued job to a shard and runs the handoff attempts.
+// dispatch sends the binding an entry holds and runs the handoff attempts:
+// a queued job is bound to a shard first; a handed one — restored from the
+// journal, or adopted while a requeue timer ran — is sent again to the shard
+// it is bound to, which answers a frame it already holds idempotently.
 func (r *Router) dispatch(id string) {
 	r.mu.Lock()
 	rec, ok := r.records[id]
-	if !ok || rec.State != StateQueued || rec.wire == nil {
-		// Not queued, or adopted or recovered without a wire form: nothing
-		// to send. A join from the owning shard resolves the latter.
+	if !ok || rec.wire == nil || rec.State != StateQueued && rec.State != StateHanded {
+		// Settled, being revoked, or adopted without a wire form: nothing
+		// to send. The owning shard's notice or next join resolves the last.
 		r.mu.Unlock()
 		return
 	}
-	shard, ok := r.eligibleLocked(rec)
-	if !ok && len(rec.banned) >= len(r.ring.Shards()) {
-		// Every shard holds a tombstone for this key. Each ban was taken
-		// only after a confirmed revocation (or a shard's own durable
-		// tombstone answer), so the job is provably running nowhere — the
-		// one situation where re-walking the ring is safe. The handoff
-		// carries an epoch above every tombstone's, which lets the target
-		// resurrect its tombstone instead of refusing the key forever.
-		r.logf("federation: %s banned on every shard; clearing bans at epoch %d", id, rec.epoch)
-		rec.banned = nil
+	shard := rec.Shard
+	if rec.State == StateQueued {
 		shard, ok = r.eligibleLocked(rec)
+		if !ok && len(rec.banned) >= len(r.ring.Shards()) {
+			// Every shard holds a tombstone for this key. Each ban was taken
+			// only after a confirmed revocation (or a shard's own durable
+			// tombstone answer), so the job is provably running nowhere — the
+			// one situation where re-walking the ring is safe. The handoff
+			// carries an epoch above every tombstone's, which lets the target
+			// resurrect its tombstone instead of refusing the key forever.
+			r.logf("federation: %s banned on every shard; clearing bans at epoch %d", id, rec.epoch)
+			rec.banned = nil
+			shard, ok = r.eligibleLocked(rec)
+		}
+		if !ok {
+			r.mu.Unlock()
+			r.requeueLater(id, r.cfg.heartbeat())
+			return
+		}
+		// Journal the binding BEFORE the first byte leaves: if the router
+		// is SIGKILL'd mid-handoff, its next incarnation restores the job
+		// as handed to shard and sends the same frame there again.
+		r.moveLocked(rec, evBind, "", shard, "")
 	}
-	if !ok {
-		r.mu.Unlock()
-		r.requeueLater(id, r.cfg.heartbeat())
-		return
-	}
-	// Journal the binding BEFORE the first byte leaves: if the router is
-	// SIGKILL'd mid-handoff, its next incarnation knows shard may own the
-	// job and reconciles instead of double-placing.
-	r.moveLocked(rec, evBind, "", shard, "")
 	wire := *rec.wire
 	strategyName, priority, epoch := rec.Strategy, rec.Priority, rec.epoch
 	r.mu.Unlock()
 
 	client := r.clients[shard]
+	if client == nil {
+		// Adopted at a join from a shard outside the fleet: no way to send.
+		return
+	}
 	budget := r.cfg.retryBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
 		if attempt > 1 {

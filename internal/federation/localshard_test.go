@@ -44,11 +44,5 @@ func (l *LocalShard) Revoke(ctx context.Context, req *RevokeRequest) (*RevokeRes
 	return ApplyRevoke(l.svc, req), nil
 }
 
-// Record implements ShardClient.
-func (l *LocalShard) Record(ctx context.Context, id string) (service.Record, bool, error) {
-	rec, ok := l.svc.Job(id)
-	return rec, ok, nil
-}
-
 // Ping implements ShardClient.
 func (l *LocalShard) Ping(ctx context.Context) error { return nil }

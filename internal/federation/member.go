@@ -230,7 +230,7 @@ func (m *Member) joinOnce() error {
 	decisions := map[string]string{}
 	for _, req := range joinPages(m.cfg.Shard, terminal, held) {
 		var jr JoinResponse
-		if _, err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &req, &jr); err != nil {
+		if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &req, &jr); err != nil {
 			return err
 		}
 		m.cfg.Lease.Refresh()
@@ -332,7 +332,7 @@ func (m *Member) notifyLoop() {
 }
 
 func (m *Member) deliver(n TerminalNotice) error {
-	if _, err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/terminal", &n, nil); err != nil {
+	if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/terminal", &n, nil); err != nil {
 		return err
 	}
 	m.cfg.Lease.Refresh()

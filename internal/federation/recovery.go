@@ -244,25 +244,24 @@ func (r *Router) applyTerminalLocked(n *TerminalNotice) {
 	}
 }
 
-// Restore rebuilds the router ledger from a journal recovery. Queued jobs
-// go back to dispatch; handed jobs are reconciled against their shard
-// (terminal → mirrored, still owned → kept, unknown → revoked and
-// reallocated); revoking jobs resume their revocation loop. Call before
-// Start.
+// Restore rebuilds the router ledger from a journal recovery; call it
+// before Start. It sends nothing itself: queued and handed jobs go to the
+// dispatchers Start launches, which bind the first and send the second
+// again to its shard, whose answer settles the binding as a live one's
+// does; revoking jobs resume their revocation loop. A job bound to a shard
+// no longer in the fleet is requeued.
 func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 	if rec == nil {
 		return 0, nil
 	}
 	r.mu.Lock()
-	n, revoking := 0, 0
-	var reconcile []string
+	n, handed, revoking := 0, 0, 0
 	for _, js := range rec.Jobs {
 		if _, dup := r.records[js.Job]; dup {
 			continue
 		}
 		state, shard := js.State, js.Shard
-		if _, known := r.clients[shard]; !known && !service.Terminal(state) && state != StateRevoking {
-			// Bound to a shard no longer in the fleet: requeue.
+		if _, known := r.clients[shard]; !known && !service.Terminal(state) {
 			state = StateQueued
 		}
 		if state == StateQueued {
@@ -271,59 +270,18 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
 		jr.Shard, jr.Reason, jr.wire, jr.epoch, jr.submitted = shard, js.Reason, js.Wire, js.Epoch, time.Time{}
 		n++
-		switch {
-		case service.Terminal(state):
-			// Done; nothing to do.
-		case state == StateQueued:
+		switch state {
+		case StateHanded:
+			handed++
 			r.pushLocked(js.Job)
-		case state == StateRevoking:
+		case StateQueued:
+			r.pushLocked(js.Job)
+		case StateRevoking:
 			r.revokeLocked(jr, "recovered in-doubt revocation")
 			revoking++
-		default: // handed
-			reconcile = append(reconcile, js.Job)
 		}
 	}
 	r.mu.Unlock()
-	for _, id := range reconcile {
-		r.wg.Add(1)
-		go r.reconcile(id)
-	}
-	r.logf("federation: restored %d jobs (%d to reconcile, %d revoking)", n, len(reconcile), revoking)
+	r.logf("federation: restored %d jobs (%d handed to resend, %d revoking)", n, handed, revoking)
 	return n, nil
-}
-
-// reconcile resolves one recovered "handed" binding against the shard's
-// durable ledger.
-func (r *Router) reconcile(id string) {
-	defer r.wg.Done()
-	r.retry.retry(func(attempt int) bool {
-		r.mu.Lock()
-		rec, ok := r.records[id]
-		if !ok || rec.State != StateHanded {
-			r.mu.Unlock()
-			return true // a death sweep or notice got there first
-		}
-		shard := rec.Shard
-		r.mu.Unlock()
-
-		client := r.clients[shard]
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
-		srec, found, err := client.Record(ctx, id)
-		cancel()
-		switch {
-		case err != nil:
-			r.logf("federation: reconcile %s@%s attempt %d: %v", id, shard, attempt, err)
-			return false
-		case !found:
-			// The shard never durably saw the handoff: revoke (plants a
-			// tombstone against the in-flight frame) and reallocate.
-			r.beginRevoke(id, "recovered handoff unknown at "+shard)
-		case srec.State == service.StateRevoked:
-			r.beginRevoke(id, "recovered handoff revoked at "+shard)
-		case service.Terminal(srec.State):
-			r.HandleTerminal(&TerminalNotice{Shard: shard, Job: id, State: srec.State, Reason: srec.Reason})
-		}
-		// Otherwise still owned and in progress; the terminal notice will come.
-		return true
-	})
 }

@@ -94,10 +94,10 @@ func (r *Router) handleTerminal(w http.ResponseWriter, req *http.Request) {
 	}
 	// The journal append inside happens before this 200, which ends the
 	// shard's redelivery. The router's record is not the only copy: the
-	// shard's journaled ledger is a second, read by reconcile for a job
-	// recovered as "handed" and replayed by every join. What the router's
-	// fsync buys is independence — after a crash its ledger is complete
-	// whether or not that shard and its disk are still there.
+	// shard's journaled ledger is a second, which answers a handoff resent
+	// for a job recovered as "handed" and is replayed by every join. What
+	// the router's fsync buys is independence — after a crash its ledger is
+	// complete whether or not that shard and its disk are still there.
 	r.HandleTerminal(&n)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -332,8 +332,9 @@ func TestDeadShardSweep(t *testing.T) {
 }
 
 // TestRouterJournalRecovery SIGKILL-simulates the router: a journaled
-// binding survives, reconciles against the shard ledger, and in-doubt
-// jobs resolve through revocation — never by double placement.
+// binding survives and is sent again to its shard, whose answer settles
+// it, and in-doubt jobs resolve through revocation — never by double
+// placement.
 func TestRouterJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	openJournal := func() (*journal.Journal, *journal.Recovery) {
@@ -412,6 +413,174 @@ func TestRouterJournalRecovery(t *testing.T) {
 	}
 	if executions != 1 {
 		t.Fatalf("in-doubt job executed on %d shards", executions)
+	}
+}
+
+// recoverJournal writes recs to a fresh journal and recovers it, as a
+// restarted router reads its own.
+func recoverJournal(t *testing.T, recs ...journal.Record) *journal.Recovery {
+	t.Helper()
+	dir := t.TempDir()
+	jnl, _ := openTestJournal(t, dir)
+	for _, rec := range recs {
+		if _, err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recovered
+}
+
+// TestRestoredBindingIsSentWhereItIsBound restarts a router whose journal
+// ends in handed@s0 at epoch 0 and checks that the binding is settled by
+// sending it to s0 again: s0's answer to the duplicate frame, or its
+// notice where the router holds no frame to send, decides where the job
+// runs, and it runs exactly once.
+func TestRestoredBindingIsSentWhereItIsBound(t *testing.T) {
+	const id = "job"
+	wire := testJob(id, 60)
+	bound := []journal.Record{
+		{Job: id, State: StateQueued, Strategy: "S1", Wire: &wire},
+		{Job: id, State: StateHanded, Shard: "s0"},
+	}
+	adopted := []journal.Record{
+		{Job: id, State: StateHanded, Shard: "s0", Reason: "adopted from shard join"},
+	}
+	for _, row := range []struct {
+		name    string
+		journal []journal.Record
+		// s0 prepares what s0 holds before the router restarts; live runs
+		// once the restored router is started.
+		s0, live func(t *testing.T, svc *service.Server)
+		// Where the job completes, and what settling it cost.
+		shard                   string
+		epoch                   int
+		handoffs, reallocations uint64
+	}{
+		{name: "never-seen", journal: bound,
+			shard: "s0", handoffs: 1},
+		{name: "already-completed", journal: bound,
+			s0: func(t *testing.T, svc *service.Server) {
+				ApplyHandoff(svc, &Handoff{Key: id, Job: wire, Strategy: "S1"})
+				deadline := time.Now().Add(10 * time.Second)
+				for rec, _ := svc.Job(id); rec.State != service.StateCompleted; rec, _ = svc.Job(id) {
+					if time.Now().After(deadline) {
+						t.Fatalf("s0 never completed the job: %+v", rec)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			},
+			shard: "s0", handoffs: 1},
+		{name: "revoked-tombstone", journal: bound,
+			s0:    func(t *testing.T, svc *service.Server) { ApplyRevoke(svc, &RevokeRequest{Key: id, Reason: "test"}) },
+			shard: "s1", epoch: 1, handoffs: 2, reallocations: 1},
+		{name: "adopted-without-wire", journal: adopted,
+			live: func(t *testing.T, svc *service.Server) {
+				ApplyHandoff(svc, &Handoff{Key: id, Job: wire, Strategy: "S1"})
+			},
+			shard: "s0"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var rt *Router
+			shards := newFedShards(t, 2, &rt)
+			for _, s := range shards {
+				s.svc.Start()
+				defer s.svc.Drain(context.Background())
+			}
+			if row.s0 != nil {
+				row.s0(t, shards[0].svc) // no router yet: a notice goes nowhere
+			}
+			r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt = r
+			if _, err := r.Restore(recoverJournal(t, row.journal...)); err != nil {
+				t.Fatal(err)
+			}
+			r.Start()
+			defer r.Close()
+			if row.live != nil {
+				row.live(t, shards[0].svc)
+			}
+			waitQuiesced(t, r, 10*time.Second)
+
+			view, _ := r.Job(id)
+			if view.State != service.StateCompleted || view.Shard != row.shard || view.Epoch != row.epoch {
+				t.Errorf("job = %+v, want completed on %s at epoch %d", view, row.shard, row.epoch)
+			}
+			if got := r.th.handoffs.Value(); got != row.handoffs {
+				t.Errorf("grid_fed_handoffs_total = %d, want %d", got, row.handoffs)
+			}
+			if got := r.th.reallocated.Value(); got != row.reallocations {
+				t.Errorf("grid_fed_reallocations_total = %d, want %d", got, row.reallocations)
+			}
+			executions := 0
+			for _, s := range shards {
+				if rec, ok := s.svc.Job(id); ok && !service.Tombstone(rec.State) {
+					executions++
+				}
+			}
+			if executions != 1 {
+				t.Errorf("job holds a live or finished record on %d shards, want 1", executions)
+			}
+		})
+	}
+}
+
+// TestRestoreRequeuesBindingsOffTheFleet restores a revocation in doubt at
+// a shard the fleet no longer lists: nothing can answer it there, so the
+// job is queued again and dispatched to the fleet.
+func TestRestoreRequeuesBindingsOffTheFleet(t *testing.T) {
+	const id = "job"
+	wire := testJob(id, 60)
+	recovered := recoverJournal(t,
+		journal.Record{Job: id, State: StateQueued, Strategy: "S1", Wire: &wire},
+		journal.Record{Job: id, State: StateHanded, Shard: "old"},
+		journal.Record{Job: id, State: StateRevoking, Shard: "old", Reason: inDoubt},
+	)
+	var rt *Router
+	shards := newFedShards(t, 1, &rt)
+	shards[0].svc.Start()
+	defer shards[0].svc.Drain(context.Background())
+	r, err := New(Config{Shards: []ShardClient{shards[0].local}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r
+	defer r.Close()
+	if _, err := r.Restore(recovered); err != nil {
+		t.Fatal(err)
+	}
+	if view, _ := r.Job(id); view.State != StateQueued || view.Shard != "" {
+		t.Fatalf("restored job = %+v, want queued and unbound", view)
+	}
+	r.Start()
+	waitQuiesced(t, r, 10*time.Second)
+	if view, _ := r.Job(id); view.State != service.StateCompleted || view.Shard != "s0" {
+		t.Fatalf("job = %+v, want completed on s0", view)
+	}
+}
+
+// TestDispatchSendsNothingOffTheFleet: a join from a shard the fleet does
+// not list adopts a queued job, and a requeue timer that fires afterwards
+// finds it handed there with a wire form but no client to send it with.
+func TestDispatchSendsNothingOffTheFleet(t *testing.T) {
+	x := newTableCtx(t, t.TempDir(), StateQueued)
+	defer x.r.Close()
+	join(x, "outsider")
+	x.r.dispatch(x.id)
+	if got, _ := x.r.Job(x.id); got.State != StateHanded || got.Shard != "outsider" {
+		t.Fatalf("job = %+v, want handed to outsider", got)
+	}
+	if got := x.r.th.handoffs.Value(); got != 0 {
+		t.Fatalf("grid_fed_handoffs_total = %d, want 0", got)
 	}
 }
 

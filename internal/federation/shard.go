@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-
-	"repro/internal/service"
 )
 
 // ShardClient is the router's view of one metascheduler shard. HTTPShard,
@@ -27,9 +24,6 @@ type ShardClient interface {
 	// Revoke asks the shard to give a job back; see the RevokeOutcome
 	// constants for the three confirmed answers.
 	Revoke(ctx context.Context, req *RevokeRequest) (*RevokeResult, error)
-	// Record fetches the shard's ledger entry for a job; ok=false means
-	// the shard has never durably seen it.
-	Record(ctx context.Context, id string) (service.Record, bool, error)
 	// Ping is the heartbeat probe: nil when the shard answered.
 	Ping(ctx context.Context) error
 }
@@ -86,55 +80,41 @@ func (s *HTTPShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, er
 // Revoke implements ShardClient.
 func (s *HTTPShard) Revoke(ctx context.Context, req *RevokeRequest) (*RevokeResult, error) {
 	var res RevokeResult
-	if _, err := callJSON(ctx, s.client, http.MethodPost, s.base+"/v1/federation/revoke", req, &res); err != nil {
+	if err := callJSON(ctx, s.client, http.MethodPost, s.base+"/v1/federation/revoke", req, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
-// Record implements ShardClient: GET /v1/jobs/{id}; 404 means unknown.
-func (s *HTTPShard) Record(ctx context.Context, id string) (service.Record, bool, error) {
-	var rec service.Record
-	status, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/jobs/"+url.PathEscape(id), nil, &rec)
-	switch {
-	case status == http.StatusNotFound:
-		return service.Record{}, false, nil
-	case err != nil:
-		return service.Record{}, false, err
-	}
-	return rec, true, nil
-}
-
 // Ping implements ShardClient.
 func (s *HTTPShard) Ping(ctx context.Context) error {
-	_, err := callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/federation/ping", nil, nil)
-	return err
+	return callJSON(ctx, s.client, http.MethodGet, s.base+"/v1/federation/ping", nil, nil)
 }
 
 // callJSON is one JSON round trip on the federation wire, the handoff frame
 // aside: it sends in, marshalled (no body when in is nil), and decodes a 200
-// answer of at most maxFrameBytes into out (out nil discards it). It returns
-// the status whatever it was; any status but 200 is also an error. The
-// answer is read to its end either way, so the connection is kept.
-func callJSON(ctx context.Context, client *http.Client, method, url string, in, out any) (int, error) {
+// answer of at most maxFrameBytes into out (out nil discards it). Any status
+// but 200 is an error naming it. The answer is read to its end either way,
+// so the connection is kept.
+func callJSON(ctx context.Context, client *http.Client, method, url string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -143,5 +123,5 @@ func callJSON(ctx context.Context, client *http.Client, method, url string, in, 
 		err = decodeJSONBody(resp.Body, maxFrameBytes, out)
 	}
 	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, err
+	return err
 }

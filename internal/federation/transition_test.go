@@ -12,9 +12,8 @@ import (
 )
 
 // scriptShard is a ShardClient that answers handoffs from a script and is
-// unreachable for everything else, so background revoke and reconcile
-// loops park in their backoff instead of moving the ledger behind the
-// test's back.
+// unreachable for everything else, so background revoke loops park in
+// their backoff instead of moving the ledger behind the test's back.
 type scriptShard struct {
 	name    string
 	handoff func() (*HandoffResult, error)
@@ -33,10 +32,6 @@ func (s *scriptShard) Handoff(context.Context, *Handoff) (*HandoffResult, error)
 
 func (s *scriptShard) Revoke(context.Context, *RevokeRequest) (*RevokeResult, error) {
 	return nil, errUnreachable
-}
-
-func (s *scriptShard) Record(context.Context, string) (service.Record, bool, error) {
-	return service.Record{}, false, errUnreachable
 }
 
 func (s *scriptShard) Ping(context.Context) error { return errUnreachable }
@@ -287,8 +282,8 @@ func newTableCtx(t *testing.T, dir, from string) *tableCtx {
 
 // newTableRouter is a router that is never Started: one handoff attempt per
 // binding, one missed heartbeat to death, and retry waits long enough that
-// a background revoke or reconcile loop makes one unanswered call and then
-// sleeps until Close.
+// a background revoke loop makes one unanswered call and then sleeps until
+// Close.
 func newTableRouter(t *testing.T, fleet [2]*scriptShard, jnl *journal.Journal) *Router {
 	t.Helper()
 	r, err := New(Config{
