@@ -184,16 +184,12 @@ func main() {
 		log.Fatalf("gridd: -join and -lease require -shard")
 	}
 	var member *federation.Member
-	var lease *federation.Lease
 	if *shardName != "" {
-		if *leaseTimeout > 0 {
-			lease = federation.NewLease(*leaseTimeout)
-			cfg.Gate = lease.Fresh
-		}
 		member = federation.NewMember(federation.MemberConfig{
-			Shard: *shardName, Router: *joinURL, Lease: lease,
+			Shard: *shardName, Router: *joinURL, Lease: *leaseTimeout,
 			Seed: *seed + 3, Telemetry: reg, Logf: log.Printf,
 		})
+		cfg.Gate = member.Fresh
 		cfg.OnTerminal = member.Terminal
 		cfg.HoldRecovered = true
 	}
@@ -201,9 +197,6 @@ func main() {
 	srv, err := service.New(cfg)
 	if err != nil {
 		log.Fatalf("gridd: %v", err)
-	}
-	if lease != nil {
-		lease.OnRefresh(srv.Kick)
 	}
 	if recovered != nil {
 		stats, err := srv.Restore(recovered)
@@ -250,11 +243,13 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout+5*time.Second)
 	defer cancel()
-	if member != nil {
-		member.Close()
-	}
+	// Drain before closing the member: the drained notices it delivers
+	// release the shard's queued jobs to the router for reallocation.
 	if err := srv.Drain(ctx); err != nil {
 		log.Printf("gridd: drain: %v", err)
+	}
+	if member != nil {
+		member.Close()
 	}
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("gridd: http shutdown: %v", err)

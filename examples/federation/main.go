@@ -78,9 +78,8 @@ func runShard() {
 	if err != nil {
 		log.Fatalf("[%s] journal: %v", name, err)
 	}
-	lease := federation.NewLease(2 * time.Second)
 	member := federation.NewMember(federation.MemberConfig{
-		Shard: name, Router: os.Getenv(routerEnv), Lease: lease, Logf: logf,
+		Shard: name, Router: os.Getenv(routerEnv), Lease: 2 * time.Second, Logf: logf,
 	})
 	svc, err := service.New(service.Config{
 		Env:           shardEnv(),
@@ -88,13 +87,12 @@ func runShard() {
 		QueueCap:      64,
 		Journal:       jnl,
 		HoldRecovered: true, // recovered jobs wait for the router's join ruling
-		Gate:          lease.Fresh,
+		Gate:          member.Fresh,
 		OnTerminal:    member.Terminal,
 	})
 	if err != nil {
 		log.Fatalf("[%s] service: %v", name, err)
 	}
-	lease.OnRefresh(svc.Kick)
 	if stats, err := svc.Restore(recovered); err != nil {
 		log.Fatalf("[%s] restore: %v", name, err)
 	} else if stats.Restored > 0 {
@@ -113,8 +111,8 @@ func runShard() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM)
 	<-sigc
+	_ = svc.Drain(context.Background()) // its drained notices leave in Close
 	member.Close()
-	_ = svc.Drain(context.Background())
 	_ = jnl.Close()
 	os.Exit(0)
 }

@@ -100,7 +100,6 @@ func fedShardChild() {
 		fmt.Fprintf(os.Stderr, "shard %s: journal: %v\n", name, err)
 		os.Exit(1)
 	}
-	lease := NewLease(400 * time.Millisecond)
 	var client *http.Client
 	if os.Getenv(fedFaultsEnv) == "1" {
 		// The shard→router direction gets mild ack-loss/dup faults too:
@@ -110,7 +109,7 @@ func fedShardChild() {
 		}, nil)}
 	}
 	member := NewMember(MemberConfig{
-		Shard: name, Router: routerURL, Lease: lease, Client: client,
+		Shard: name, Router: routerURL, Lease: 400 * time.Millisecond, Client: client,
 		RetryBase: 50 * time.Millisecond, RetryCap: time.Second, Seed: seed,
 		Logf: func(f string, a ...any) { fmt.Fprintf(os.Stderr, "shard %s: "+f+"\n", append([]any{name}, a...)...) },
 	})
@@ -120,14 +119,13 @@ func fedShardChild() {
 		QueueCap:      256,
 		Journal:       jnl,
 		HoldRecovered: true,
-		Gate:          lease.Fresh,
+		Gate:          member.Fresh,
 		OnTerminal:    member.Terminal,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shard %s: new: %v\n", name, err)
 		os.Exit(1)
 	}
-	lease.OnRefresh(svc.Kick)
 	if _, err := svc.Restore(recovered); err != nil {
 		fmt.Fprintf(os.Stderr, "shard %s: restore: %v\n", name, err)
 		os.Exit(1)
@@ -142,11 +140,11 @@ func fedShardChild() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM)
 	<-sigc
-	member.Close()
 	if err := svc.Drain(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "shard %s: drain: %v\n", name, err)
 		os.Exit(1)
 	}
+	member.Close()
 	if err := jnl.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "shard %s: close journal: %v\n", name, err)
 		os.Exit(1)

@@ -22,16 +22,19 @@ import (
 // HTTP servers with the member glue, and a started router behind its own,
 // talking to them through HTTPShard clients.
 type httpFederation struct {
-	router *Router
-	url    string // the router's base URL
-	client *http.Client
-	svcs   []*service.Server
-	fleet  []ShardClient
+	router  *Router
+	url     string // the router's base URL
+	client  *http.Client
+	svcs    []*service.Server
+	members []*Member
+	servers []*httptest.Server // the shards'
+	fleet   []ShardClient
 }
 
 // startHTTPFederation brings up n shards (s0, s1, …) and their router, and
-// tears everything down with the test.
-func startHTTPFederation(t *testing.T, n int) *httpFederation {
+// tears everything down with the test. tweak, when non-nil, edits shard i's
+// service config before the service is built.
+func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Config)) *httpFederation {
 	t.Helper()
 	// The members need the router's URL before the router exists, so the
 	// router's server delegates through a late-bound handler.
@@ -50,12 +53,16 @@ func startHTTPFederation(t *testing.T, n int) *httpFederation {
 			RetryBase: 10 * time.Millisecond, RetryCap: 100 * time.Millisecond,
 			Seed: uint64(i) + 1, Telemetry: telemetry.NewRegistry(),
 		})
-		svc, err := service.New(service.Config{
+		cfg := service.Config{
 			Env:        testEnv(),
 			Sched:      metasched.Config{Seed: uint64(i) + 1},
 			QueueCap:   64,
 			OnTerminal: member.Terminal,
-		})
+		}
+		if tweak != nil {
+			tweak(i, &cfg)
+		}
+		svc, err := service.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +77,7 @@ func startHTTPFederation(t *testing.T, n int) *httpFederation {
 			_ = svc.Drain(ctx)
 			ts.Close()
 		})
-		f.svcs = append(f.svcs, svc)
+		f.svcs, f.members, f.servers = append(f.svcs, svc), append(f.members, member), append(f.servers, ts)
 		f.fleet = append(f.fleet, NewHTTPShard(name, ts.URL, &http.Client{Timeout: 2 * time.Second}))
 	}
 
@@ -99,7 +106,7 @@ func startHTTPFederation(t *testing.T, n int) *httpFederation {
 // across processes; this test keeps it honest (and covered) at unit
 // speed.
 func TestHTTPFederationEndToEnd(t *testing.T) {
-	f := startHTTPFederation(t, 2)
+	f := startHTTPFederation(t, 2, nil)
 	client, fleet := f.client, f.fleet
 
 	post := func(body string) (*http.Response, []byte) {
@@ -307,4 +314,58 @@ func TestFaultTransportInjection(t *testing.T) {
 		}
 	}
 	resp.Body.Close()
+}
+
+// TestGracefulShardDrainReleasesItsJobs: a shard decommissioned with SIGTERM
+// drains its queued jobs, and its drained notices are what hand them back to
+// the router; once its listener is gone nothing else can, and the jobs would
+// sit revoking at the router for good. The member used to be closed before
+// the drain, and its Close dropped every notice still queued. Here s0's gate
+// stays shut, so five jobs the ring puts on s0 stay queued there; s0 drains,
+// closes its member and its listener, and all five must be reallocated to
+// s1 and complete there.
+func TestGracefulShardDrainReleasesItsJobs(t *testing.T) {
+	f := startHTTPFederation(t, 2, func(i int, cfg *service.Config) {
+		if i == 0 {
+			cfg.Gate = func() bool { return false }
+		}
+	})
+	var ids []string
+	for i := 0; len(ids) < 5; i++ {
+		id := fmt.Sprintf("decommissioned-%d", i)
+		if f.router.ring.Walk(id)[0] != "s0" {
+			continue
+		}
+		if _, err := f.router.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, id := range ids {
+		for {
+			if rec, ok := f.svcs[0].Job(id); ok && rec.State == service.StateQueued {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached s0's queue", id)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.svcs[0].Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	f.members[0].Close()
+	f.servers[0].Close()
+
+	waitQuiesced(t, f.router, 10*time.Second)
+	for _, id := range ids {
+		if v, _ := f.router.Job(id); v.State != service.StateCompleted || v.Shard != "s1" {
+			t.Errorf("%s ended %+v; want completed on s1", id, v)
+		}
+	}
 }

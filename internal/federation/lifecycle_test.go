@@ -268,7 +268,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 			case fzNotice:
 				x.r.HandleTerminal(&TerminalNotice{Shard: shard, Job: key, State: fzNoticeStates[variant&3], Reason: "noticed"})
 			case fzJoin:
-				x.r.HandleJoin(&JoinRequest{Shard: shard, Held: []JoinJob{{ID: key, State: service.StateQueued}}})
+				x.r.HandleJoin(&JoinRequest{Shard: shard, Held: []string{key}})
 			case fzBeginRevoke:
 				x.r.beginRevoke(key, "fuzz: in doubt")
 			case fzRevokeAnswer:

@@ -17,54 +17,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Lease tracks the freshness of router contact on a shard. The service's
-// dequeue gate closes when the lease goes stale, so a shard partitioned
-// away from its router stops STARTING new jobs (already-started ones
-// finish) — which keeps its queue revocable and lets the router reallocate
-// it. Every router contact (ping, handoff, revoke) refreshes the lease.
-//
-// Safety does not depend on the lease: a shard that raced a job into its
-// engine before the lease expired simply answers "inflight" to the revoke
-// and the router leaves the job bound. The lease only shrinks that window.
-type Lease struct {
-	timeout time.Duration
-	last    atomic.Int64 // unix nanos of the most recent router contact
-	kick    atomic.Value // func(): re-evaluate the service gate
-}
-
-// NewLease returns a lease that is fresh now. timeout ≤ 0 never expires
-// (standalone mode).
-func NewLease(timeout time.Duration) *Lease {
-	l := &Lease{timeout: timeout}
-	l.last.Store(time.Now().UnixNano())
-	return l
-}
-
-// OnRefresh registers the callback run after every refresh — the service's
-// Kick, so a gated engine loop wakes up.
-func (l *Lease) OnRefresh(f func()) { l.kick.Store(f) }
-
-// Refresh records router contact now. Like Fresh, it is safe on a nil
-// lease, which ignores it.
-func (l *Lease) Refresh() {
-	if l == nil {
-		return
-	}
-	l.last.Store(time.Now().UnixNano())
-	if f, ok := l.kick.Load().(func()); ok && f != nil {
-		f()
-	}
-}
-
-// Fresh reports whether the shard has heard from its router recently
-// enough to keep starting new work.
-func (l *Lease) Fresh() bool {
-	if l == nil || l.timeout <= 0 {
-		return true
-	}
-	return time.Since(time.Unix(0, l.last.Load())) < l.timeout
-}
-
 // MemberConfig configures a shard's federation glue.
 type MemberConfig struct {
 	// Shard is this shard's name in the fleet. Required.
@@ -74,8 +26,18 @@ type MemberConfig struct {
 	// the shard later) but no join handshake or terminal notifications are
 	// sent.
 	Router string
-	// Lease, when non-nil, is refreshed on every router contact.
-	Lease *Lease
+	// Lease, when positive, is how long the shard keeps starting new work
+	// after its last router contact (ping, handoff, revoke, join or notice
+	// answer). Fresh, the service's Gate, closes once the router has been
+	// silent that long, so a shard partitioned away from its router stops
+	// STARTING new jobs (already-started ones finish), which keeps its queue
+	// revocable and lets the router reallocate it. Zero never closes the
+	// gate (standalone mode).
+	//
+	// Safety does not depend on the lease: a shard that raced a job into its
+	// engine before the lease ran out answers "inflight" to the revoke, and
+	// the router leaves the job bound. The lease only shrinks that window.
+	Lease time.Duration
 	// Client is the HTTP client for join/terminal calls. nil uses a
 	// 5-second-timeout default.
 	Client *http.Client
@@ -93,16 +55,17 @@ type MemberConfig struct {
 
 // Member is the shard-side half of the federation protocol: it serves the
 // handoff/revoke/ping endpoints in front of a service.Server, runs the
-// rejoin handshake for held recovered jobs, and pushes terminal-state
-// notifications to the router. Create it BEFORE the service so its
-// Terminal method can be wired as service.Config.OnTerminal, then Bind the
-// server and Start.
+// rejoin handshake for held recovered jobs, pushes terminal-state
+// notifications to the router and keeps the router lease. Create it BEFORE
+// the service so its Terminal and Fresh methods can be wired as
+// service.Config.OnTerminal and Gate, then Bind the server and Start.
 type Member struct {
 	cfg    MemberConfig
 	client *http.Client // cfg.Client, or the default built once
 	svc    *service.Server
 	retry  *backoff
 	stopc  chan struct{} // closed by Close
+	last   atomic.Int64  // unix nanos of the most recent router contact
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -114,10 +77,11 @@ type Member struct {
 	handoffs, revokes, notifies, joins *telemetry.Counter
 }
 
-// NewMember builds the member. Bind must be called before Handler or
-// Start.
+// NewMember builds the member, its lease fresh now. Bind must be called
+// before Handler or Start.
 func NewMember(cfg MemberConfig) *Member {
 	m := &Member{cfg: cfg, client: cfg.Client, stopc: make(chan struct{})}
+	m.last.Store(time.Now().UnixNano())
 	if m.client == nil {
 		m.client = &http.Client{Timeout: 5 * time.Second}
 	}
@@ -143,10 +107,29 @@ func (m *Member) logf(format string, args ...any) {
 // Bind attaches the service the member fronts.
 func (m *Member) Bind(svc *service.Server) { m.svc = svc }
 
+// Fresh is the service.Config.Gate hook: it reports whether the shard has
+// heard from its router within the lease. Without a lease it is always true.
+func (m *Member) Fresh() bool {
+	return m.cfg.Lease <= 0 || time.Since(time.Unix(0, m.last.Load())) < m.cfg.Lease
+}
+
+// contact records router contact now. With a lease it kicks the bound
+// service, so an engine loop the gate parked wakes up and looks again.
+func (m *Member) contact() {
+	if m.cfg.Lease <= 0 {
+		return
+	}
+	m.last.Store(time.Now().UnixNano())
+	m.svc.Kick()
+}
+
 // Terminal is the service.Config.OnTerminal hook: it enqueues a terminal
 // notice for the router, except for a revocation, which the router ordered
 // and its lifecycle refuses as a notice. It runs under the service's lock
-// and returns immediately; delivery happens on the notifier goroutine.
+// and returns immediately; delivery happens on the notifier goroutine, or in
+// Close. A notice lost with the process is recovered by the next
+// incarnation's join, which leaves the job out of its held list: the router
+// resends the binding, and the duplicate answer carries the outcome.
 func (m *Member) Terminal(rec service.Record) {
 	if m.cfg.Router == "" || rec.State == service.StateRevoked {
 		return
@@ -170,9 +153,12 @@ func (m *Member) Start() {
 	go m.notifyLoop()
 }
 
-// Close stops the background loops. In-memory notices not yet delivered
-// are dropped — the join handshake of the next incarnation re-delivers
-// the terminal ledger.
+// Close stops the background loops and then gives each notice still queued
+// one delivery attempt, in order; the first failure drops the rest. Close a
+// member after draining its service, so the drained notices that release a
+// decommissioned shard's queued jobs to the router leave before it goes. A
+// dropped notice is not lost for good: the next incarnation's join has the
+// router resend the binding, whose duplicate answer settles it.
 func (m *Member) Close() {
 	m.mu.Lock()
 	if !m.closed {
@@ -182,6 +168,18 @@ func (m *Member) Close() {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.wg.Wait()
+
+	m.mu.Lock()
+	rest := m.notices
+	m.notices = nil
+	m.mu.Unlock()
+	for i, n := range rest {
+		if err := m.deliver(n); err != nil {
+			m.logf("federation: terminal notice %s at close: %v; dropping %d notices", n.Job, err, len(rest)-i)
+			return
+		}
+		m.notifies.Inc()
+	}
 }
 
 func (m *Member) isClosed() bool {
@@ -212,28 +210,17 @@ func (m *Member) joinLoop() {
 }
 
 // joinOnce sends one join handshake and applies the router's decisions. The
-// handshake is as many requests as the shard's ledger needs (joinPages); a
-// failed one fails the attempt, and the next attempt sends them all again,
-// which the router applies idempotently.
+// handshake names the held jobs alone, in as many requests as their IDs need
+// (joinPages); a failed one fails the attempt, and the next attempt sends
+// them all again, which the router applies idempotently.
 func (m *Member) joinOnce() error {
-	var terminal, held []JoinJob
-	for _, rec := range m.svc.Jobs() {
-		if service.Terminal(rec.State) && rec.State != service.StateRevoked {
-			terminal = append(terminal, JoinJob{ID: rec.ID, State: rec.State, Reason: rec.Reason})
-		}
-	}
-	for _, id := range m.svc.Held() {
-		if rec, ok := m.svc.Job(id); ok {
-			held = append(held, JoinJob{ID: id, State: rec.State, Reason: rec.Reason})
-		}
-	}
 	decisions := map[string]string{}
-	for _, req := range joinPages(m.cfg.Shard, terminal, held) {
+	for _, req := range joinPages(m.cfg.Shard, m.svc.Held()) {
 		var jr JoinResponse
 		if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &req, &jr); err != nil {
 			return err
 		}
-		m.cfg.Lease.Refresh()
+		m.contact()
 		for id, d := range jr.Decisions {
 			decisions[id] = d
 		}
@@ -274,25 +261,20 @@ func (m *Member) joinOnce() error {
 const joinPageBytes = maxFrameBytes / 2
 
 // joinPages splits one join into requests that each encode under
-// joinPageBytes: the terminal catch-up first, the held jobs after it, in the
-// last page when they fit there. A join with nothing to send is one empty
-// request.
-func joinPages(shard string, terminal, held []JoinJob) []JoinRequest {
+// joinPageBytes, the held IDs in order. A join with nothing held is one
+// empty request.
+func joinPages(shard string, held []string) []JoinRequest {
 	name, _ := json.Marshal(shard)
-	empty := len(`{"shard":,"held":[],"terminal":[]}`) + len(name)
+	empty := len(`{"shard":,"held":[]}`) + len(name)
 	var pages []JoinRequest
 	page, size := JoinRequest{Shard: shard}, empty
-	for i, j := range append(terminal[:len(terminal):len(terminal)], held...) {
-		b, _ := json.Marshal(j)
+	for _, id := range held {
+		b, _ := json.Marshal(id)
 		if size+len(b)+1 > joinPageBytes && size > empty {
 			pages = append(pages, page)
 			page, size = JoinRequest{Shard: shard}, empty
 		}
-		if i < len(terminal) {
-			page.Terminal = append(page.Terminal, j)
-		} else {
-			page.Held = append(page.Held, j)
-		}
+		page.Held = append(page.Held, id)
 		size += len(b) + 1 // and a comma
 	}
 	return append(pages, page)
@@ -335,7 +317,7 @@ func (m *Member) deliver(n TerminalNotice) error {
 	if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/terminal", &n, nil); err != nil {
 		return err
 	}
-	m.cfg.Lease.Refresh()
+	m.contact()
 	return nil
 }
 
@@ -356,7 +338,7 @@ func (m *Member) Handler(next http.Handler) http.Handler {
 }
 
 func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	m.cfg.Lease.Refresh()
+	m.contact()
 	m.handoffs.Inc()
 	h, err := readHandoff(r.Body)
 	if err != nil {
@@ -371,7 +353,7 @@ func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
-	m.cfg.Lease.Refresh()
+	m.contact()
 	m.revokes.Inc()
 	var req RevokeRequest
 	if err := decodeJSONBody(r.Body, maxFrameBytes, &req); err != nil || req.Key == "" {
@@ -382,7 +364,7 @@ func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
-	m.cfg.Lease.Refresh()
+	m.contact()
 	w.WriteHeader(http.StatusOK)
 }
 

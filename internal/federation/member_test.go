@@ -2,6 +2,7 @@ package federation
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,10 +36,10 @@ func TestRejoinJournalIsTheSameBytesEveryRun(t *testing.T) {
 			return
 		}
 		resp := JoinResponse{Decisions: map[string]string{}}
-		for i, h := range jr.Held {
-			resp.Decisions[h.ID] = JoinResume
+		for i, id := range jr.Held {
+			resp.Decisions[id] = JoinResume
 			if i%2 == 0 {
-				resp.Decisions[h.ID] = JoinRevoke + "@1"
+				resp.Decisions[id] = JoinRevoke + "@1"
 			}
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -174,75 +176,81 @@ func TestMemberRetryWaitsLeakNothingAndKeepWakeups(t *testing.T) {
 	}
 }
 
-// TestLargeLedgerRejoins: a rejoining shard sends the router every terminal
-// record it ever ledgered, and compaction keeps them all. 20 000 of them
-// with 1 KiB reasons encode past the frame limit the router reads a body
-// under, which it refused with 400 on every attempt, so the held job never
-// resumed. The member pages the catch-up: every request stays under the
-// limit, the router answers each, and the held job resumes.
+// TestLargeLedgerRejoins: a rejoin names the held jobs alone, so its bytes
+// do not grow with the terminal ledger, which compaction keeps whole. It
+// used to carry every terminal record as a catch-up: 20 000 of them with
+// 1 KiB reasons took about 20 MiB in pages. A shard with that ledger and
+// one held job, and a shard with the held job alone, must each send one
+// join request, the same bytes and under 1 KiB, and the held job resumes.
 func TestLargeLedgerRejoins(t *testing.T) {
-	r, err := New(Config{Shards: []ShardClient{&scriptShard{name: "s0"}}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var mu sync.Mutex
-	var bodies []int
-	handler := r.Handler()
-	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(req.Body)
+	var first []byte
+	for _, terminal := range []int{0, 20000} {
+		r, err := New(Config{Shards: []ShardClient{&scriptShard{name: "s0"}}, Seed: 1})
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			t.Fatal(err)
 		}
-		mu.Lock()
-		bodies = append(bodies, len(body))
-		mu.Unlock()
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		handler.ServeHTTP(w, req)
-	}))
-	defer router.Close()
+		defer r.Close()
+		var mu sync.Mutex
+		var bodies [][]byte
+		handler := r.Handler()
+		router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			body, err := io.ReadAll(req.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			bodies = append(bodies, body)
+			mu.Unlock()
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			handler.ServeHTTP(w, req)
+		}))
+		defer router.Close()
 
-	reason := strings.Repeat("r", 1024)
-	recovery := &journal.Recovery{}
-	for i := 0; i < 20000; i++ {
-		recovery.Jobs = append(recovery.Jobs, &journal.JobState{
-			Job: fmt.Sprintf("done-%05d", i), State: service.StateCompleted, Reason: reason, Strategy: "S1"})
-	}
-	wire := testJob("held", 60)
-	recovery.Jobs = append(recovery.Jobs, &journal.JobState{Job: "held", State: service.StateQueued, Strategy: "S1", Wire: &wire})
-	svc, err := service.New(service.Config{Env: testEnv(), HoldRecovered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Restore(recovery); err != nil {
-		t.Fatal(err)
-	}
+		reason := strings.Repeat("r", 1024)
+		recovery := &journal.Recovery{}
+		for i := 0; i < terminal; i++ {
+			recovery.Jobs = append(recovery.Jobs, &journal.JobState{
+				Job: fmt.Sprintf("done-%05d", i), State: service.StateCompleted, Reason: reason, Strategy: "S1"})
+		}
+		wire := testJob("held", 60)
+		recovery.Jobs = append(recovery.Jobs, &journal.JobState{Job: "held", State: service.StateQueued, Strategy: "S1", Wire: &wire})
+		svc, err := service.New(service.Config{Env: testEnv(), HoldRecovered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Restore(recovery); err != nil {
+			t.Fatal(err)
+		}
 
-	m := NewMember(MemberConfig{Shard: "s0", Router: router.URL})
-	m.Bind(svc)
-	if err := m.joinOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if held, depth := svc.Held(), scrape(t, svc.Handler())["grid_service_queue_depth"]; len(held) != 0 || depth != 1 {
-		t.Fatalf("after the join %v held and %v queued; want the held job resumed", held, depth)
-	}
-	if view, ok := r.Job("held"); !ok || view.Shard != "s0" {
-		t.Fatalf("router's record of the held job: %+v, %v; want it bound to s0", view, ok)
-	}
-	if len(bodies) < 2 {
-		t.Fatalf("%d join requests; a 20 MiB ledger needs pages", len(bodies))
-	}
-	for i, n := range bodies {
-		if n >= maxFrameBytes {
-			t.Errorf("join request %d is %d bytes, at or past the %d-byte limit", i, n, maxFrameBytes)
+		m := NewMember(MemberConfig{Shard: "s0", Router: router.URL})
+		m.Bind(svc)
+		if err := m.joinOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if held, depth := svc.Held(), scrape(t, svc.Handler())["grid_service_queue_depth"]; len(held) != 0 || depth != 1 {
+			t.Fatalf("%d terminal: after the join %v held and %v queued; want the held job resumed", terminal, held, depth)
+		}
+		if view, ok := r.Job("held"); !ok || view.Shard != "s0" {
+			t.Fatalf("%d terminal: router's record of the held job: %+v, %v; want it bound to s0", terminal, view, ok)
+		}
+		if len(bodies) != 1 {
+			t.Fatalf("%d terminal: %d join requests, want one", terminal, len(bodies))
+		}
+		if n := len(bodies[0]); n >= 1024 {
+			t.Fatalf("%d terminal: the join is %d bytes, want under 1 KiB", terminal, n)
+		}
+		if first == nil {
+			first = bodies[0]
+		} else if !bytes.Equal(bodies[0], first) {
+			t.Errorf("with %d terminal records the join is %s; with none it is %s", terminal, bodies[0], first)
 		}
 	}
 }
 
 // TestMemberSendsNoRevokedNotices: a revocation is the router's own order,
 // and the router's lifecycle refuses a revoked notice, so a member sends
-// none, neither live nor in its join's terminal catch-up. One revocation
+// none; and its join carries no catch-up of any outcome. One revocation
 // used to cost one notice POST that changed nothing;
 // grid_fed_member_terminal_notices_total now reads none for it.
 func TestMemberSendsNoRevokedNotices(t *testing.T) {
@@ -317,8 +325,170 @@ func TestMemberSendsNoRevokedNotices(t *testing.T) {
 	if err := member.joinOnce(); err != nil {
 		t.Fatal(err)
 	}
-	jr := <-joins
-	if len(jr.Terminal) != 1 || jr.Terminal[0].ID != "sentinel" {
-		t.Errorf("join catch-up = %+v, want the sentinel's rejection alone", jr.Terminal)
+	if jr := <-joins; jr.Shard != "s0" || len(jr.Held) != 0 {
+		t.Errorf("join = %+v, want the shard's name alone", jr)
+	}
+}
+
+// TestMemberLeaseGatesTheEngine pins the router lease the member keeps.
+// Without a lease the gate never closes, however long the router is silent.
+// With one, silence past the lease closes the gate and a queued job waits;
+// a ping reopens it and wakes the engine loop, which nothing else would,
+// and the job runs.
+func TestMemberLeaseGatesTheEngine(t *testing.T) {
+	standalone := NewMember(MemberConfig{Shard: "s0"})
+	standalone.last.Store(0)
+	if !standalone.Fresh() {
+		t.Fatal("a member without a lease closed the gate")
+	}
+
+	m := NewMember(MemberConfig{Shard: "s0", Lease: time.Minute})
+	svc, err := service.New(service.Config{Env: testEnv(), Gate: m.Fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Bind(svc)
+	if !m.Fresh() {
+		t.Fatal("a new member's lease is stale")
+	}
+	m.last.Store(time.Now().Add(-2 * time.Minute).UnixNano())
+	if m.Fresh() {
+		t.Fatal("the gate stayed open past the lease")
+	}
+	svc.Start()
+	defer svc.Drain(context.Background())
+	if _, err := svc.Submit(testJob("gated", 60), "S1", 0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if rec, _ := svc.Job("gated"); rec.State != service.StateQueued {
+		t.Fatalf("behind a closed gate the job is %s, want queued", rec.State)
+	}
+
+	w := httptest.NewRecorder()
+	m.Handler(svc.Handler()).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/federation/ping", nil))
+	if w.Code != http.StatusOK || !m.Fresh() {
+		t.Fatalf("ping answered %d and left the lease fresh=%v", w.Code, m.Fresh())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if rec, _ := svc.Job("gated"); service.Terminal(rec.State) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the ping reopened the gate but the engine loop never woke")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestJoinPagesStayUnderTheLimit: a join names held IDs alone, and IDs long
+// enough to pass the frame limit together still split into pages that each
+// encode under joinPageBytes, in order, with nothing lost.
+func TestJoinPagesStayUnderTheLimit(t *testing.T) {
+	ids := func(n, size int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%04d", i) + strings.Repeat("x", size)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		held  []string
+		pages int
+	}{
+		{"none", nil, 1},
+		{"short", ids(100, 8), 1},
+		{"long", ids(10, 1<<20), 2},
+		{"one ID longer than a page", ids(1, joinPageBytes), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pages := joinPages("s0", tc.held)
+			if len(pages) != tc.pages {
+				t.Errorf("%d pages, want %d", len(pages), tc.pages)
+			}
+			var got []string
+			for i, p := range pages {
+				b, _ := json.Marshal(p)
+				if len(b) > joinPageBytes && len(p.Held) > 1 {
+					t.Errorf("page %d encodes to %d bytes, past the %d-byte page", i, len(b), joinPageBytes)
+				}
+				if p.Shard != "s0" {
+					t.Errorf("page %d names shard %q", i, p.Shard)
+				}
+				got = append(got, p.Held...)
+			}
+			if !slices.Equal(got, tc.held) {
+				t.Errorf("pages carry %d IDs, want the %d held in order", len(got), len(tc.held))
+			}
+		})
+	}
+}
+
+// TestRejoinResendsBindingsTheShardDoesNotHold: a rejoin names the held jobs
+// alone, so the router resends every other job it holds bound to the shard,
+// and the shard's duplicate answer settles each. A job s0 completed while
+// the router did not hear ends completed there; one s0 drained while down is
+// requeued with s0 banned and completes on s1; one s0 never durably saw is
+// accepted there fresh.
+func TestRejoinResendsBindingsTheShardDoesNotHold(t *testing.T) {
+	var rt *Router
+	shards := newFedShards(t, 2, &rt)
+	recovery := &journal.Recovery{Jobs: []*journal.JobState{
+		{Job: "done", State: service.StateCompleted, Reason: "ran before the crash", Strategy: "S1"},
+		{Job: "drained", State: service.StateDrained, Reason: "drained at shutdown", Strategy: "S1"},
+	}}
+	if _, err := shards[0].svc.Restore(recovery); err != nil {
+		t.Fatal(err)
+	}
+	// s0 stays in manual mode, so the job it accepts fresh stays queued.
+	shards[1].svc.Start()
+	defer shards[1].svc.Drain(context.Background())
+	r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 3,
+		HeartbeatInterval: 50 * time.Millisecond, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r
+	r.mu.Lock()
+	for _, id := range []string{"done", "drained", "unseen"} {
+		wire := testJob(id, 60)
+		rec := r.newRecordLocked(id, "S1", 0, StateHanded)
+		rec.Shard, rec.wire = "s0", &wire
+	}
+	r.mu.Unlock()
+	r.Start()
+	defer r.Close()
+
+	if resp := r.HandleJoin(&JoinRequest{Shard: "s0"}); len(resp.Decisions) != 0 {
+		t.Fatalf("decisions %v for a join that holds nothing", resp.Decisions)
+	}
+	want := map[string]JobView{
+		"done":    {State: service.StateCompleted, Shard: "s0", Reason: "ran before the crash"},
+		"drained": {State: service.StateCompleted, Shard: "s1", Epoch: 1},
+		"unseen":  {State: StateHanded, Shard: "s0"},
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for id, w := range want {
+		for {
+			v, _ := r.Job(id)
+			if v.State == w.State && v.Shard == w.Shard && v.Epoch == w.Epoch && (w.Reason == "" || v.Reason == w.Reason) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s is %+v, want %+v", id, v, w)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	r.mu.Lock()
+	banned := r.records["drained"].banned["s0"]
+	r.mu.Unlock()
+	if !banned {
+		t.Error("the drained job was requeued without banning s0")
+	}
+	if rec, ok := shards[0].svc.Job("unseen"); !ok || rec.State != service.StateQueued {
+		t.Errorf("s0's record of the unseen job: %+v, %v; want it accepted and queued", rec, ok)
 	}
 }

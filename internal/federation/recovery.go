@@ -172,57 +172,65 @@ func (r *Router) noteAlive(name string) {
 	}
 }
 
-// HandleJoin is the router side of a shard's rejoin handshake: replay the
-// shard's terminal catch-up ledger, then rule on every held job — resume
-// what the shard still owns, revoke what moved or finished elsewhere.
+// HandleJoin is the router side of a shard's rejoin handshake. It rules on
+// every held job — resume what the shard still owns, revoke what moved or
+// finished elsewhere — and then queues for resending, in ID order, every
+// job handed to the shard that the shard does not hold. The shard answers
+// the resent handoff as a duplicate, which settles the binding as a live
+// one's is settled: an outcome it reached while the router did not hear
+// (evAnswer), a tombstone it revoked or drained (evTombstone), or a fresh
+// accept of a job it never durably saw.
 func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, t := range req.Terminal {
-		r.applyTerminalLocked(&TerminalNotice{Shard: req.Shard, Job: t.ID, State: t.State, Reason: t.Reason})
-	}
 	resp := &JoinResponse{Decisions: make(map[string]string, len(req.Held))}
-	for _, h := range req.Held {
-		rec, ok := r.records[h.ID]
+	for _, id := range req.Held {
+		rec, ok := r.records[id]
 		switch {
 		case !ok:
 			// A job this router never saw (journal lost, or the shard
 			// predates it): adopt the binding rather than orphan the job.
 			// An adoption the journal cannot take leaves no entry, as a
 			// refused submission does; the shard runs the job either way.
-			_, _ = r.createLocked(h.ID, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
-			resp.Decisions[h.ID] = JoinResume
+			_, _ = r.createLocked(id, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
+			resp.Decisions[id] = JoinResume
 		case rec.State == StateHanded && rec.Shard == req.Shard, r.moveLocked(rec, evAdopt, "", req.Shard, ""):
 			// Still the shard's, or queued here while the shard already
 			// holds it: adopt the existing binding.
-			resp.Decisions[h.ID] = JoinResume
+			resp.Decisions[id] = JoinResume
 		default:
 			// Bound elsewhere, being revoked, or already terminal: the
 			// shard must not run it. Its own revoked ledger entry (not
 			// this advisory answer) is what frees the key. The current
 			// epoch rides along so the tombstone refuses stale replays
 			// but yields to a genuinely newer re-handoff.
-			resp.Decisions[h.ID] = fmt.Sprintf("%s@%d", JoinRevoke, rec.epoch)
+			resp.Decisions[id] = fmt.Sprintf("%s@%d", JoinRevoke, rec.epoch)
 		}
 	}
-	r.logf("federation: join from %s: %d held ruled, %d terminal replayed",
-		req.Shard, len(req.Held), len(req.Terminal))
+	var resend []string
+	for id, rec := range r.records {
+		// Every held job has a decision by now; the rest are not held.
+		if rec.State == StateHanded && rec.Shard == req.Shard && resp.Decisions[id] == "" {
+			resend = append(resend, id)
+		}
+	}
+	sort.Strings(resend)
+	for _, id := range resend {
+		r.pushLocked(id)
+	}
+	r.logf("federation: join from %s: %d held ruled, %d bindings resent",
+		req.Shard, len(req.Held), len(resend))
 	return resp
 }
 
-// HandleTerminal applies one terminal notice from a shard. Idempotent.
+// HandleTerminal applies one terminal notice from a shard. It is idempotent:
+// lifecycle refuses a notice for a terminal entry, and a revoked one, which
+// names no outcome (the job lives on; the revocation loop owns it). The
+// journal append inside makes the notice durable before the HTTP 200 that
+// stops the shard's redelivery.
 func (r *Router) HandleTerminal(n *TerminalNotice) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.applyTerminalLocked(n)
-}
-
-// applyTerminalLocked is the idempotent core of terminal-notice handling:
-// lifecycle refuses a notice for a terminal entry, and a revoked one,
-// which names no outcome (the job lives on; the revocation loop owns it).
-// Caller holds r.mu; the journal append inside makes the notice durable
-// before the HTTP 200 that stops the shard's redelivery.
-func (r *Router) applyTerminalLocked(n *TerminalNotice) {
 	rec, ok := r.records[n.Job]
 	if !ok {
 		return // not ours (e.g. a key another router placed)

@@ -607,13 +607,7 @@ func TestJoinHandshakeDecisions(t *testing.T) {
 	_ = queued
 	r.mu.Unlock()
 
-	resp := r.HandleJoin(&JoinRequest{Shard: "s0", Held: []JoinJob{
-		{ID: "owned", State: service.StateQueued},
-		{ID: "moved", State: service.StateQueued},
-		{ID: "done", State: service.StateQueued},
-		{ID: "intent", State: service.StateQueued},
-		{ID: "stranger", State: service.StateQueued},
-	}})
+	resp := r.HandleJoin(&JoinRequest{Shard: "s0", Held: []string{"owned", "moved", "done", "intent", "stranger"}})
 	want := map[string]string{
 		"owned":    JoinResume,        // still bound here
 		"moved":    JoinRevoke + "@0", // bound to s1 meanwhile; epoch rides along

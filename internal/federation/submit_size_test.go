@@ -52,7 +52,7 @@ func TestRouterRefusesAnOversizedSubmit(t *testing.T) {
 		t.Fatalf("a %d-byte body at the cap makes a %d-byte frame a shard refuses: %v", len(worst), len(frame), err)
 	}
 
-	f := startHTTPFederation(t, 1)
+	f := startHTTPFederation(t, 1, nil)
 	post := func(body []byte) int {
 		t.Helper()
 		resp, err := f.client.Post(f.url+"/v1/jobs", "application/json", bytes.NewReader(body))

@@ -94,7 +94,7 @@ func notice(x *tableCtx, shard, state, reason string) {
 }
 
 func join(x *tableCtx, shard string) {
-	x.r.HandleJoin(&JoinRequest{Shard: shard, Held: []JoinJob{{ID: x.id, State: service.StateQueued}}})
+	x.r.HandleJoin(&JoinRequest{Shard: shard, Held: []string{x.id}})
 }
 
 func dispatchWith(res *HandoffResult, err error) func(*tableCtx) {

@@ -129,21 +129,14 @@ type RevokeResult struct {
 	Reason  string `json:"reason,omitempty"`
 }
 
-// JoinJob is one ledger entry in a shard's join handshake.
-type JoinJob struct {
-	ID     string `json:"id"`
-	State  string `json:"state"`
-	Reason string `json:"reason,omitempty"`
-}
-
 // JoinRequest is the rejoin handshake a shard sends its router on startup:
-// Held lists recovered non-terminal jobs parked until the router rules on
-// each; Terminal is the catch-up ledger of results whose notifications may
-// have been lost while the shard was down.
+// Held lists, by ID, the recovered non-terminal jobs parked until the router
+// rules on each. It carries nothing else, so it does not grow with the
+// shard's terminal ledger: every other job the router holds bound to the
+// shard is resent to it, and the shard's answer settles it.
 type JoinRequest struct {
-	Shard    string    `json:"shard"`
-	Held     []JoinJob `json:"held,omitempty"`
-	Terminal []JoinJob `json:"terminal,omitempty"`
+	Shard string   `json:"shard"`
+	Held  []string `json:"held,omitempty"`
 }
 
 // Join decisions.

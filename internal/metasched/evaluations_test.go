@@ -116,9 +116,9 @@ func TestBatchMembersAreBuiltOnce(t *testing.T) {
 		checked := 0
 		vo := placerOpts{seed: seed, placers: 4, domains: 3, jobs: 40, group: 8, gap: 150, stretch: 2, doomEvery: 9,
 			cfg: func(c *Config) {
-				c.BuildCtx = func(job string) context.Context {
+				c.BuildCtx = func(job string) (context.Context, context.CancelFunc) {
 					built[job]++
-					return context.Background()
+					return context.Background(), func() {}
 				}
 				c.Tracer = TracerFunc(func(ev Event) {
 					switch ev.Kind {

@@ -83,7 +83,7 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 		Seed:      11,
 		Placers:   4,
 		Telemetry: reg,
-		BuildCtx: func(job string) context.Context {
+		BuildCtx: func(job string) (context.Context, context.CancelFunc) {
 			if planned == nil {
 				if !open {
 					mark, open = recordLive(env), true
@@ -93,7 +93,7 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 			} else {
 				laterBuilds++
 			}
-			return context.Background()
+			return context.Background(), func() {}
 		},
 		Tracer: TracerFunc(func(ev Event) {
 			if open && ev.Kind != EventArrive {

@@ -79,13 +79,14 @@ type Config struct {
 	// domain (the simulation default).
 	DomainFilter func(domain string) bool
 
-	// BuildCtx, when set, supplies a per-job context bounding all strategy
-	// generation work done on the job's behalf (initial builds, retries,
-	// fallback re-anchoring). A cancelled context makes the in-progress
-	// build abort at its next checkpoint and the job fail its current
-	// recovery step. nil means unbounded builds — the simulation default,
-	// byte-identical to runs before the hook existed.
-	BuildCtx func(jobName string) context.Context
+	// BuildCtx, when set, supplies the context bounding one strategy build
+	// done on the job's behalf (an initial build, a retry, one fallback
+	// level's re-anchoring) and the cancel the VO calls when that build
+	// returns. A cancelled context makes the in-progress build abort at its
+	// next checkpoint and the job fail its current recovery step. nil means
+	// unbounded builds — the simulation default, byte-identical to runs
+	// before the hook existed.
+	BuildCtx func(jobName string) (context.Context, context.CancelFunc)
 
 	// Tracer, when set, receives every VO lifecycle event.
 	Tracer Tracer
@@ -457,15 +458,13 @@ func (m *JobManager) excluded(except []bool) bool {
 	return (except != nil && except[m.idx]) || !m.vo.env.DomainUp(m.domain) || !m.vo.domainAllowed(m.domain)
 }
 
-// buildCtx returns the job's build-bounding context, or Background.
-func (vo *VO) buildCtx(jobName string) context.Context {
+// buildCtx returns the context bounding one build of the job, or
+// Background, and the cancel to call when that build returns.
+func (vo *VO) buildCtx(jobName string) (context.Context, context.CancelFunc) {
 	if vo.cfg.BuildCtx == nil {
-		return context.Background()
+		return context.Background(), func() {}
 	}
-	if ctx := vo.cfg.BuildCtx(jobName); ctx != nil {
-		return ctx
-	}
-	return context.Background()
+	return vo.cfg.BuildCtx(jobName)
 }
 
 // adopt places the job in this domain inside one engine event: plan on the
@@ -474,7 +473,9 @@ func (vo *VO) buildCtx(jobName string) context.Context {
 // books; an arriving batch shares one (placeBatch).
 func (m *JobManager) adopt(aj *activeJob) {
 	vo := m.vo
-	d, err := m.plan(vo.buildCtx(aj.result.Job.Name), aj, vo.books, vo.engine.Now(), false)
+	ctx, cancel := vo.buildCtx(aj.result.Job.Name)
+	d, err := m.plan(ctx, aj, vo.books, vo.engine.Now(), false)
+	cancel()
 	if d == nil {
 		vo.unplaced(aj, err)
 		return
@@ -740,13 +741,14 @@ func (m *JobManager) fallback(aj *activeJob) {
 		}
 		aj.used[next.Level] = true
 		tried++
-		// buildCtx is re-acquired per level: each call arms a fresh
-		// build-timeout for the job, exactly as before instrumentation.
-		ctx := vo.buildCtx(aj.result.Job.Name)
+		// buildCtx is re-acquired per level: each level is one build, with
+		// its own build timeout.
+		ctx, cancel := vo.buildCtx(aj.result.Job.Name)
 		if sp != nil {
 			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 		}
 		d, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now)
+		cancel()
 		if err != nil || d == nil || !d.Admissible {
 			continue
 		}

@@ -402,11 +402,11 @@ func TestBuildCtxCancellationRejectsJob(t *testing.T) {
 			e := sim.New()
 			vo := NewVO(e, twoDomainEnv(), Config{
 				Placers: placers,
-				BuildCtx: func(job string) context.Context {
+				BuildCtx: func(job string) (context.Context, context.CancelFunc) {
 					if job == "doomed" {
-						return ctx
+						return ctx, func() {}
 					}
-					return context.Background()
+					return context.Background(), func() {}
 				},
 			})
 			for _, job := range []string{"doomed", "fine"} {

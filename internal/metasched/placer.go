@@ -155,7 +155,9 @@ func (vo *VO) placeBatch(work []*batchJob) {
 	sort.Slice(work, func(a, b int) bool { return commitBefore(work[a].key, work[b].key) })
 	now := vo.engine.Now()
 	for _, w := range work {
-		w.d, w.err = w.aj.manager.plan(vo.buildCtx(w.aj.result.Job.Name), w.aj, vo.books, now, true)
+		ctx, cancel := vo.buildCtx(w.aj.result.Job.Name)
+		w.d, w.err = w.aj.manager.plan(ctx, w.aj, vo.books, now, true)
+		cancel()
 	}
 	for _, w := range work {
 		if w.d != nil {

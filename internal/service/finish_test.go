@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/journal"
 	"repro/internal/resource"
@@ -16,8 +18,8 @@ import (
 // journal gains exactly the records that step owes (so the terminal one is
 // written once) and folds to the right state/reason/epoch, the terminal
 // stream fires exactly once with the ledger's record, exactly one Metrics
-// field and its grid_service_* counter move, and no build context outlives
-// the job.
+// field and its grid_service_* counter move, and every build context the
+// VO took is cancelled when its build returns.
 func TestFinishLockedTransitionTable(t *testing.T) {
 	const infeasible = "infeasible: deadline 3 is below the fastest-tier critical path 5"
 	type world struct {
@@ -176,12 +178,15 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Journal = jnl
 			cfg.Telemetry = telemetry.NewRegistry()
+			cfg.BuildTimeout = time.Minute // each build takes a context of its own
 			cfg.OnTerminal = func(r Record) {
 				if r.ID == "j" {
 					stream = append(stream, r)
 				}
 			}
 			w := world{s: newServer(t, cfg), recovery: recovery}
+			root := &buildRoot{Context: w.s.rootCtx}
+			w.s.rootCtx = root
 			if tc.setup != nil {
 				tc.setup(t, w)
 			}
@@ -236,12 +241,31 @@ func TestFinishLockedTransitionTable(t *testing.T) {
 				}
 			}
 
-			w.s.mu.Lock()
-			left := len(w.s.buildCtxs)
-			w.s.mu.Unlock()
-			if left != 0 {
-				t.Errorf("%d build contexts outlive the terminal job", left)
+			if n := root.live.Load(); n != 0 {
+				t.Errorf("%d of %d build contexts were never cancelled", n, root.taken.Load())
 			}
 		})
+	}
+}
+
+// buildRoot stands in for a server's root context and counts the build
+// contexts derived from it that are not yet cancelled. It hides the root's
+// own cancel context (Value answers nothing), so context.WithTimeout
+// registers each child through AfterFunc, and the child's cancel calls the
+// stop AfterFunc returned.
+type buildRoot struct {
+	context.Context
+	taken, live atomic.Int64
+}
+
+func (r *buildRoot) Value(any) any { return nil }
+
+func (r *buildRoot) AfterFunc(f func()) func() bool {
+	r.taken.Add(1)
+	r.live.Add(1)
+	stop := context.AfterFunc(r.Context, f)
+	return func() bool {
+		r.live.Add(-1)
+		return stop()
 	}
 }

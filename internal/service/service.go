@@ -145,9 +145,9 @@ type Config struct {
 	Sched metasched.Config
 	// QueueCap bounds the admission queue. Default 64.
 	QueueCap int
-	// BuildTimeout bounds the wall-clock time spent building (and
-	// re-building, through retries and fallbacks) any one job's strategy.
-	// Zero means unbounded.
+	// BuildTimeout bounds the wall-clock time of each strategy build: an
+	// initial build, a retry's rebuild, one fallback level. It does not
+	// bound a job's total across them. Zero means unbounded.
 	BuildTimeout time.Duration
 	// DrainTimeout bounds how long Drain waits for in-flight jobs before
 	// cancelling their builds. Default 10s.
@@ -182,8 +182,9 @@ type Config struct {
 	HoldRecovered bool
 	// Gate, when non-nil, is consulted before the engine loop dequeues
 	// work: a false return pauses scheduling (already-scheduled jobs still
-	// complete). A federated shard gates on its router lease so a
-	// partitioned shard stops starting new jobs, keeping them revocable.
+	// complete). A federated shard gates on its router lease
+	// (federation.Member.Fresh) so a partitioned shard stops starting new
+	// jobs, keeping them revocable.
 	// The gate runs under the server's internal lock: it must be fast and
 	// must not call back into the Server (use Kick from elsewhere to
 	// re-evaluate it). nil means always open.
@@ -328,16 +329,15 @@ type Server struct {
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     []*entry
-	held      map[string]*entry // parked recovered jobs (Config.HoldRecovered)
-	records   map[string]*Record
-	order     []string // record IDs in submission order
-	seq       uint64
-	draining  bool
-	buildCtxs map[string]context.CancelFunc // per scheduled job
-	recovery  *RecoveryStats                // set by Restore; nil before
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []*entry
+	held     map[string]*entry // parked recovered jobs (Config.HoldRecovered)
+	records  map[string]*Record
+	order    []string // record IDs in submission order
+	seq      uint64
+	draining bool
+	recovery *RecoveryStats // set by Restore; nil before
 
 	// drainDone is closed (and drainErr set) when the first Drain call
 	// finishes; later callers wait on it instead of racing the first.
@@ -394,11 +394,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: Config.Env is required")
 	}
 	s := &Server{
-		cfg:       cfg,
-		engine:    sim.New(),
-		records:   make(map[string]*Record),
-		held:      make(map[string]*entry),
-		buildCtxs: make(map[string]context.CancelFunc),
+		cfg:     cfg,
+		engine:  sim.New(),
+		records: make(map[string]*Record),
+		held:    make(map[string]*entry),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
@@ -437,23 +436,13 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// jobBuildCtx hands the VO the job's build-bounding context. Runs on the
-// engine goroutine.
-func (s *Server) jobBuildCtx(jobName string) context.Context {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ctx := s.rootCtx
-	var cancel context.CancelFunc
+// jobBuildCtx hands the VO the context bounding one build: BuildTimeout
+// under the root context, which Drain cancels. Runs on the engine goroutine.
+func (s *Server) jobBuildCtx(string) (context.Context, context.CancelFunc) {
 	if s.cfg.BuildTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.BuildTimeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		return context.WithTimeout(s.rootCtx, s.cfg.BuildTimeout)
 	}
-	if old, ok := s.buildCtxs[jobName]; ok {
-		old()
-	}
-	s.buildCtxs[jobName] = cancel
-	return ctx
+	return s.rootCtx, func() {}
 }
 
 // onEvent is the service's tracer hook: it keeps the registry current and
@@ -505,9 +494,9 @@ var errRefused = errors.New("service: move not in the job lifecycle")
 // the append error (an unjournaled accept could be silently lost), while
 // every other move stands and the failure shows in JournalErrors. A move
 // that starts a life resets the record to the admission fields of jr; a
-// move from "" ledgers rec. A move into a terminal state bumps its counter,
-// fires OnTerminal once (after the journal, so an observer never learns of
-// a transition a crash could forget), and releases the job's build context.
+// move from "" ledgers rec. A move into a terminal state bumps its counter
+// and fires OnTerminal once (after the journal, so an observer never learns
+// of a transition a crash could forget).
 // Callers hold s.mu, so the per-job record order on disk matches the
 // in-memory transition order.
 func (s *Server) moveLocked(rec *Record, ev event, reason string, jr journal.Record) error {
@@ -553,10 +542,6 @@ func (s *Server) moveLocked(rec *Record, ev event, reason string, jr journal.Rec
 	}
 	if s.cfg.OnTerminal != nil {
 		s.cfg.OnTerminal(*rec)
-	}
-	if cancel, ok := s.buildCtxs[rec.ID]; ok {
-		cancel()
-		delete(s.buildCtxs, rec.ID)
 	}
 	return nil
 }
@@ -1055,12 +1040,6 @@ func (s *Server) drain(ctx context.Context) error {
 	timer.Stop()
 	s.publishEngineStats()
 
-	s.mu.Lock()
-	for id, cancel := range s.buildCtxs {
-		cancel()
-		delete(s.buildCtxs, id)
-	}
-	s.mu.Unlock()
 	s.vo.Close()
 	s.rootCancel()
 	// Fold the final states into a compaction snapshot so the journal

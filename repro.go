@@ -93,7 +93,7 @@ const (
 )
 
 // Calendars is a scheduling view: one reservation calendar per node.
-// Builds read its calendars and publish a plan by replacing map entries.
+// Builds read it and write nothing; placing a plan reserves on the books.
 type Calendars = criticalworks.Calendars
 
 // EmptyCalendars returns a fresh view for every node in env.
