@@ -154,8 +154,9 @@ func (r *Router) dispatch(id string) {
 	r.beginRevoke(id, "handoff retry budget exhausted")
 }
 
-// resolveHandoff applies a durable shard answer. Returns false when the
-// answer is retryable.
+// resolveHandoff applies a durable shard answer, which may carry the job's
+// outcome (see HandoffResult.State). Returns false when the answer is
+// retryable.
 func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -163,8 +164,9 @@ func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult
 	case rec.Shard != shard:
 		// The job was reallocated: the answer is about a voided binding.
 	case res.Accepted:
-		// A duplicate of an already-finished accept is mirrored; a live
-		// accept names no outcome and moves nothing.
+		// An outcome is mirrored: an idle shard's fresh accept carries one,
+		// as does a duplicate of an already-finished accept. A live accept
+		// names none and moves nothing; the shard's notice will.
 		r.moveLocked(rec, evAnswer, res.State, shard, res.Reason)
 	case res.Duplicate && service.Tombstone(res.State):
 		// Our own tombstone (or a drained shutdown remnant): this key was

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,6 +30,51 @@ type httpFederation struct {
 	members []*Member
 	servers []*httptest.Server // the shards'
 	fleet   []ShardClient
+	// requests carries every request the router sends its shards and the
+	// members send the router.
+	requests *requestLog
+}
+
+// requestLog is a RoundTripper that counts requests by URL path, sent and
+// answered, and can send some of them through another transport.
+type requestLog struct {
+	mu       sync.Mutex
+	sent     map[string]int
+	answered map[string]int
+	// route, when non-nil, picks the transport for the n-th request to a
+	// path; nil from it means http.DefaultTransport.
+	route func(r *http.Request, n int) http.RoundTripper
+}
+
+func newRequestLog() *requestLog {
+	return &requestLog{sent: map[string]int{}, answered: map[string]int{}}
+}
+
+func (l *requestLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.sent[r.URL.Path]++
+	var next http.RoundTripper
+	if l.route != nil {
+		next = l.route(r, l.sent[r.URL.Path])
+	}
+	l.mu.Unlock()
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	resp, err := next.RoundTrip(r)
+	if err == nil {
+		l.mu.Lock()
+		l.answered[r.URL.Path]++
+		l.mu.Unlock()
+	}
+	return resp, err
+}
+
+// counts returns the requests sent to path and those answered.
+func (l *requestLog) counts(path string) (sent, answered int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sent[path], l.answered[path]
 }
 
 // startHTTPFederation brings up n shards (s0, s1, …) and their router, and
@@ -45,11 +91,11 @@ func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Con
 	t.Cleanup(rts.Close)
 	routerHandler.Store(http.HandlerFunc(http.NotFound))
 
-	f := &httpFederation{url: rts.URL, client: rts.Client()}
+	f := &httpFederation{url: rts.URL, client: rts.Client(), requests: newRequestLog()}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("s%d", i)
 		member := NewMember(MemberConfig{
-			Shard: name, Router: rts.URL,
+			Shard: name, Router: rts.URL, Client: &http.Client{Timeout: 5 * time.Second, Transport: f.requests},
 			RetryBase: 10 * time.Millisecond, RetryCap: 100 * time.Millisecond,
 			Seed: uint64(i) + 1, Telemetry: telemetry.NewRegistry(),
 		})
@@ -78,7 +124,7 @@ func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Con
 			ts.Close()
 		})
 		f.svcs, f.members, f.servers = append(f.svcs, svc), append(f.members, member), append(f.servers, ts)
-		f.fleet = append(f.fleet, NewHTTPShard(name, ts.URL, &http.Client{Timeout: 2 * time.Second}))
+		f.fleet = append(f.fleet, NewHTTPShard(name, ts.URL, &http.Client{Timeout: 2 * time.Second, Transport: f.requests}))
 	}
 
 	r, err := New(Config{

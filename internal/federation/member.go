@@ -55,10 +55,12 @@ type MemberConfig struct {
 
 // Member is the shard-side half of the federation protocol: it serves the
 // handoff/revoke/ping endpoints in front of a service.Server, runs the
-// rejoin handshake for held recovered jobs, pushes terminal-state
-// notifications to the router and keeps the router lease. Create it BEFORE
-// the service so its Terminal and Fresh methods can be wired as
-// service.Config.OnTerminal and Gate, then Bind the server and Start.
+// rejoin handshake for held recovered jobs, tells the router each job's
+// outcome and keeps the router lease. An idle shard decides a handed job
+// while the handoff waits, and the answer carries the outcome; any other
+// outcome goes out as a terminal notice. Create it BEFORE the service so
+// its Terminal and Fresh methods can be wired as service.Config.OnTerminal
+// and Gate, then Bind the server and Start.
 type Member struct {
 	cfg    MemberConfig
 	client *http.Client // cfg.Client, or the default built once
@@ -70,6 +72,7 @@ type Member struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	notices []TerminalNotice
+	waiters map[string]*waiter // handoffs under way, by key: see Terminal
 	closed  bool
 
 	wg sync.WaitGroup
@@ -80,7 +83,7 @@ type Member struct {
 // NewMember builds the member, its lease fresh now. Bind must be called
 // before Handler or Start.
 func NewMember(cfg MemberConfig) *Member {
-	m := &Member{cfg: cfg, client: cfg.Client, stopc: make(chan struct{})}
+	m := &Member{cfg: cfg, client: cfg.Client, stopc: make(chan struct{}), waiters: map[string]*waiter{}}
 	m.last.Store(time.Now().UnixNano())
 	if m.client == nil {
 		m.client = &http.Client{Timeout: 5 * time.Second}
@@ -123,23 +126,57 @@ func (m *Member) contact() {
 	m.svc.Kick()
 }
 
-// Terminal is the service.Config.OnTerminal hook: it enqueues a terminal
-// notice for the router, except for a revocation, which the router ordered
-// and its lifecycle refuses as a notice. It runs under the service's lock
-// and returns immediately; delivery happens on the notifier goroutine, or in
-// Close. A notice lost with the process is recovered by the next
-// incarnation's join, which leaves the job out of its held list: the router
-// resends the binding, and the duplicate answer carries the outcome.
+// waiter is a handoff under way: it catches its job's outcome, to answer
+// with, in place of a notice. An empty state means none caught.
+type waiter struct{ state, reason string }
+
+// Terminal is the service.Config.OnTerminal hook. A completion or rejection
+// of a job whose handoff is under way goes to that handoff's waiter, and its
+// answer carries it; every other outcome is queued as a terminal notice for
+// the router, except a revocation, which the router ordered and its
+// lifecycle refuses as a notice. A drained job is always a notice: the
+// router voids a binding only on the notice, and refuses the state in an
+// answer. Terminal runs under the service's lock and returns immediately;
+// delivery happens on the notifier goroutine, or in Close. A notice lost
+// with the process is recovered by the next incarnation's join, which
+// leaves the job out of its held list: the router resends the binding, and
+// the duplicate answer carries the outcome.
 func (m *Member) Terminal(rec service.Record) {
 	if m.cfg.Router == "" || rec.State == service.StateRevoked {
 		return
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if w := m.waiters[rec.ID]; w != nil && rec.State != service.StateDrained {
+		w.state, w.reason = rec.State, rec.Reason
+		return
+	}
 	m.notices = append(m.notices, TerminalNotice{
 		Shard: m.cfg.Shard, Job: rec.ID, State: rec.State, Reason: rec.Reason,
 	})
 	m.cond.Signal()
+}
+
+// await registers a waiter for key. A newer handoff for the key replaces an
+// older one's: the router stopped listening to the older when it sent the
+// newer, so only the newer's answer may carry the outcome.
+func (m *Member) await(key string) *waiter {
+	w := &waiter{}
+	m.mu.Lock()
+	m.waiters[key] = w
 	m.mu.Unlock()
+	return w
+}
+
+// release unregisters w and returns what it caught. Every outcome after it
+// goes out as a notice.
+func (m *Member) release(key string, w *waiter) waiter {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.waiters[key] == w {
+		delete(m.waiters, key)
+	}
+	return *w
 }
 
 // Start launches the join handshake and the terminal notifier. Call after
@@ -349,7 +386,19 @@ func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, HandoffResult{Code: "bad_frame", Reason: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, *ApplyHandoff(m.svc, h))
+	// The waiter goes in before admission, which can itself decide the job
+	// (an infeasible deadline), and comes out before the answer is written:
+	// an outcome the answer does not carry is a notice.
+	wt := m.await(h.Key)
+	res := ApplyHandoff(m.svc, h)
+	if res.Accepted && !res.Duplicate {
+		rec := m.svc.Settle(r.Context(), h.Key)
+		res.State, res.Reason = rec.State, rec.Reason
+	}
+	if out := m.release(h.Key, wt); out.state != "" {
+		res.State, res.Reason = out.state, out.reason
+	}
+	writeJSON(w, http.StatusOK, *res)
 }
 
 func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {

@@ -99,5 +99,5 @@ func (r *Router) handleTerminal(w http.ResponseWriter, req *http.Request) {
 	// the router's fsync buys is independence — after a crash its ledger is
 	// complete whether or not that shard and its disk are still there.
 	r.HandleTerminal(&n)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	w.WriteHeader(http.StatusOK)
 }

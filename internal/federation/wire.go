@@ -4,7 +4,10 @@
 // protocol — idempotency-keyed handoffs, confirmed revocations and
 // terminal-state notifications — with heartbeat-based shard failure
 // detection feeding per-shard circuit breakers and a final recovery-ladder
-// rung that reallocates a dead or exhausted shard's jobs to survivors.
+// rung that reallocates a dead or exhausted shard's jobs to survivors. An
+// idle shard decides a handed job before it answers, so the answer carries
+// the outcome and no notice follows; a busy shard answers at once and
+// notices the outcome when the job finishes.
 // Handoffs are journaled on both sides (internal/journal), so a SIGKILL'd
 // shard or router recovers in-flight handoffs exactly once through the
 // existing duplicate guard. DESIGN.md §13 states the failure model and the
@@ -89,8 +92,12 @@ type HandoffResult struct {
 	// State and Reason then report the existing record's. A duplicate in state
 	// "revoked" is a tombstone: the router revoked this key here earlier,
 	// so the job must NOT be considered accepted.
-	Duplicate bool   `json:"duplicate,omitempty"`
-	State     string `json:"state,omitempty"`
+	Duplicate bool `json:"duplicate,omitempty"`
+	// State is the job's state on the shard when it answered. A fresh
+	// accept at an idle shard answers after the engine decided the job, so
+	// State is its outcome (completed or rejected) and no terminal notice
+	// follows; otherwise it is live, and the outcome comes as a notice.
+	State string `json:"state,omitempty"`
 	// Code and Reason mirror service.SubmitError on a definitive or
 	// retryable rejection; the router's own backoff times a retry. A
 	// duplicate carries the code duplicate and the record's Reason.

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -345,6 +346,12 @@ type Server struct {
 	drainErr  error
 
 	loopDone chan struct{} // closed when the engine loop exits; nil before Start
+
+	// passes counts the engine loop's finished passes, each of which ends
+	// with a broadcast on cond; current is the batch of the pass under way,
+	// nil between passes. Settle waits on them.
+	passes  uint64
+	current []*entry
 }
 
 // telemetryHandles caches the service's registry handles so every counter
@@ -756,7 +763,9 @@ func (s *Server) placers() int {
 
 // Start launches the engine loop. Call at most once.
 func (s *Server) Start() {
+	s.mu.Lock()
 	s.loopDone = make(chan struct{})
+	s.mu.Unlock()
 	go s.loop()
 }
 
@@ -766,6 +775,11 @@ func (s *Server) loop() {
 	defer close(s.loopDone)
 	for {
 		s.mu.Lock()
+		if s.current != nil {
+			s.passes++
+			s.current = nil
+			s.cond.Broadcast()
+		}
 		for (len(s.queue) == 0 || !s.gateOpenLocked()) && !s.draining {
 			s.cond.Wait()
 		}
@@ -774,6 +788,7 @@ func (s *Server) loop() {
 			return
 		}
 		batch := s.dequeueBatchLocked(s.placers())
+		s.current = batch
 		s.mu.Unlock()
 		s.process(batch)
 		s.mu.Lock()
@@ -786,6 +801,46 @@ func (s *Server) loop() {
 		}
 		s.publishEngineStats()
 	}
+}
+
+// Settle waits for an idle engine to decide a job it just admitted, and
+// returns the job's record as it then stands. It waits only when the engine
+// loop runs (Start), the gate is open, the service is not draining and the
+// job is either the admission queue's only entry or in the pass under way
+// with nothing queued behind it; otherwise it returns at once. The wait
+// ends with the pass that takes the job: a pass that finds the queue empty
+// runs the engine to quiescence, so the record is then completed or
+// rejected, while one that finds more work leaves it scheduled. Drain and
+// ctx end the wait early, with the record as it stands.
+func (s *Server) Settle(ctx context.Context, id string) Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.records[id]
+	if rec == nil {
+		return Record{}
+	}
+	if s.loopDone == nil || s.draining || !s.gateOpenLocked() {
+		return *rec
+	}
+	var want uint64
+	switch {
+	case len(s.queue) == 1 && s.queue[0].rec == rec:
+		// The loop's next pass takes it: after the one under way, if any.
+		want = s.passes + 1
+		if s.current != nil {
+			want++
+		}
+	case len(s.queue) == 0 && slices.ContainsFunc(s.current, func(e *entry) bool { return e.rec == rec }):
+		want = s.passes + 1
+	default:
+		return *rec
+	}
+	stop := context.AfterFunc(ctx, s.Kick)
+	defer stop()
+	for s.passes < want && !Terminal(rec.State) && !s.draining && ctx.Err() == nil {
+		s.cond.Wait()
+	}
+	return *rec
 }
 
 // gateOpenLocked evaluates the optional dequeue gate under s.mu.
