@@ -18,7 +18,7 @@
 //
 //	gridfront -listen :8070 -shard s0=http://127.0.0.1:8081 -shard s1=http://127.0.0.1:8082
 //	gridfront -journal-dir /var/lib/gridfront/journal -fsync always \
-//	    -heartbeat 250ms -dead-after 4 -retry-budget 3
+//	    -heartbeat 250ms -breaker-threshold 5 -retry-budget 3
 //
 // See README.md ("Federated metascheduling") for a full multi-process
 // walkthrough and DESIGN.md §13 for the failure model.
@@ -74,13 +74,12 @@ func main() {
 		listen       = flag.String("listen", ":8070", "HTTP listen address")
 		seed         = flag.Uint64("seed", 1, "seed for backoff jitter and breaker jitter")
 		heartbeat    = flag.Duration("heartbeat", 250*time.Millisecond, "shard ping period")
-		deadAfter    = flag.Int("dead-after", 4, "consecutive missed heartbeats that declare a shard dead")
 		retryBudget  = flag.Int("retry-budget", 3, "handoff attempts per binding before revocation starts")
 		retryBase    = flag.Duration("retry-base", 100*time.Millisecond, "base handoff retry backoff")
 		retryCap     = flag.Duration("retry-cap", 2*time.Second, "handoff retry backoff cap")
-		rpcTimeout   = flag.Duration("rpc-timeout", 2*time.Second, "one handoff/revoke RPC budget (also the propagated deadline)")
+		rpcTimeout   = flag.Duration("rpc-timeout", 2*time.Second, "one handoff/revoke RPC budget")
 		workers      = flag.Int("workers", 4, "dispatcher pool size")
-		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failures that trip a shard breaker (0 disables)")
+		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failed pings or handoffs that declare a shard dead (0 = 5)")
 		journalDir   = flag.String("journal-dir", "", "write-ahead placement journal directory; empty disables crash safety")
 		fsyncMode    = flag.String("fsync", "always", "journal fsync policy: always|interval|never")
 		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
@@ -133,7 +132,6 @@ func main() {
 		Journal:           jnl,
 		Telemetry:         reg,
 		HeartbeatInterval: *heartbeat,
-		DeadAfter:         *deadAfter,
 		RetryBudget:       *retryBudget,
 		RetryBase:         *retryBase,
 		RetryCap:          *retryCap,
@@ -141,9 +139,7 @@ func main() {
 		Seed:              *seed,
 		Workers:           *workers,
 		Logf:              log.Printf,
-	}
-	if *brThreshold > 0 {
-		cfg.Breaker = breaker.Config{Threshold: *brThreshold, JitterFrac: 0.2, Seed: *seed + 2}
+		Breaker:           breaker.Config{Threshold: *brThreshold, JitterFrac: 0.2, Seed: *seed + 2},
 	}
 
 	router, err := federation.New(cfg)
@@ -164,8 +160,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *listen, Handler: router.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("gridfront: routing across %d shards on %s (heartbeat %s, dead-after %d, retry budget %d)",
-		len(fleet), *listen, *heartbeat, *deadAfter, *retryBudget)
+	log.Printf("gridfront: routing across %d shards on %s (heartbeat %s, breaker threshold %d, retry budget %d)",
+		len(fleet), *listen, *heartbeat, *brThreshold, *retryBudget)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -3,12 +3,12 @@
 // router (the code behind cmd/gridfront) and re-execs itself twice as
 // journaled metascheduler shards (the code behind gridd -shard), wired
 // over loopback HTTP with the versioned handoff wire protocol. Mid-run it
-// SIGKILLs one shard: the router's heartbeats detect the death, the
-// recovery ladder revokes the dead shard's queued jobs and reallocates
-// them to the survivor, and when the shard restarts against its journal
-// the rejoin handshake rules on every recovered job — so every accepted
-// job reaches a terminal state exactly once, which the final audit checks
-// against both shard ledgers.
+// SIGKILLs one shard: its failed heartbeats trip the router's breaker for
+// it, which declares it dead; the recovery ladder revokes the dead shard's
+// queued jobs and reallocates them to the survivor; and when the shard
+// restarts against its journal the rejoin handshake rules on every
+// recovered job — so every accepted job reaches a terminal state exactly
+// once, which the final audit checks against both shard ledgers.
 //
 // Run it with:
 //
@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/federation"
 	"repro/internal/jobio"
 	"repro/internal/journal"
@@ -171,7 +172,7 @@ func runRouter() error {
 		Journal:           jnl,
 		Seed:              42,
 		HeartbeatInterval: 150 * time.Millisecond,
-		DeadAfter:         4,
+		Breaker:           breaker.Config{Threshold: 4},
 		RetryBudget:       3,
 		RetryBase:         50 * time.Millisecond,
 		Logf:              log.Printf,

@@ -217,8 +217,9 @@ func (b *Breaker) Success(now simtime.Time) {
 // Failure records a failed unit of work at model time now. Tripping (from
 // closed after Threshold consecutive failures, or from half-open on any
 // probe failure) opens the breaker for an exponentially growing,
-// jittered window.
-func (b *Breaker) Failure(now simtime.Time) {
+// jittered window. It reports whether this failure tripped a closed
+// breaker: once per outage, however often a half-open probe re-trips it.
+func (b *Breaker) Failure(now simtime.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failsC.Inc()
@@ -227,6 +228,7 @@ func (b *Breaker) Failure(now simtime.Time) {
 		b.fails++
 		if b.fails >= b.cfg.threshold() {
 			b.trip(now)
+			return true
 		}
 	case HalfOpen:
 		b.state = HalfOpen
@@ -236,6 +238,7 @@ func (b *Breaker) Failure(now simtime.Time) {
 		// Stale failure from work admitted before the trip; the window is
 		// already in force.
 	}
+	return false
 }
 
 // trip opens the breaker at now with the next backoff window.
@@ -296,7 +299,7 @@ func (s *Set) Allow(name string, now simtime.Time) bool { return s.Get(name).All
 func (s *Set) Success(name string, now simtime.Time) { s.Get(name).Success(now) }
 
 // Failure is Get(name).Failure(now).
-func (s *Set) Failure(name string, now simtime.Time) { s.Get(name).Failure(now) }
+func (s *Set) Failure(name string, now simtime.Time) bool { return s.Get(name).Failure(now) }
 
 // States returns every breaker's state at now, keyed by name.
 func (s *Set) States(now simtime.Time) map[string]string {

@@ -211,3 +211,34 @@ func TestSetLazyCreationAndIteration(t *testing.T) {
 		t.Fatalf("States() = %v", st)
 	}
 }
+
+// TestFailureReportsTheClosedTrip: Failure reports a trip only when it opens
+// a closed breaker, so its caller sees one trip per outage: not the failures
+// below the threshold, a stale one inside the open window, or a half-open
+// probe that re-trips; and again after a success closed the breaker.
+func TestFailureReportsTheClosedTrip(t *testing.T) {
+	b := New("d", Config{Threshold: 2, OpenBase: 10, OpenMax: 100})
+	for _, s := range []struct {
+		at   simtime.Time
+		ok   bool // a Success instead of a Failure
+		trip bool
+	}{
+		{at: 0}, {at: 1, trip: true}, // the threshold's failure trips
+		{at: 5},            // stale: the window holds until 11
+		{at: 11},           // half-open probe fails: a re-trip
+		{at: 40},           // and again, after the doubled window
+		{at: 80, ok: true}, // half-open probe succeeds: closed
+		{at: 81}, {at: 82, trip: true},
+	} {
+		if s.ok {
+			b.Success(s.at)
+			continue
+		}
+		if got := b.Failure(s.at); got != s.trip {
+			t.Fatalf("Failure(%d) = %v, want %v (state %v)", s.at, got, s.trip, b.State(s.at))
+		}
+	}
+	if trips := b.tripsC.Value(); trips != 4 {
+		t.Fatalf("grid_breaker_trips_total = %d, want 4", trips)
+	}
+}

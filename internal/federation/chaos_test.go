@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/chaostest"
 	"repro/internal/journal"
 	"repro/internal/metasched"
@@ -190,7 +191,7 @@ func fedRouterChild() {
 		Journal:           jnl,
 		Seed:              seed,
 		HeartbeatInterval: 100 * time.Millisecond,
-		DeadAfter:         5,
+		Breaker:           breaker.Config{Threshold: 5},
 		RetryBudget:       3,
 		RetryBase:         50 * time.Millisecond,
 		RetryCap:          500 * time.Millisecond,

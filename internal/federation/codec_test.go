@@ -28,13 +28,17 @@ func encodeHandoffRef(h *Handoff) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("federation: encode handoff: %w", err)
 	}
+	return frameRef(payload), nil
+}
+
+// frameRef wraps payload, whatever JSON it holds, in a wire frame.
+func frameRef(payload []byte) []byte {
 	dst := make([]byte, 0, frameHeader+len(payload)+frameTrailer)
 	dst = append(dst, frameMagic...)
 	dst = append(dst, byte(Version))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return dst, nil
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
 // randomHandoff draws a handoff whose strings include what json.Marshal
@@ -46,9 +50,6 @@ func randomHandoff(rng *rand.Rand) *Handoff {
 	h := &Handoff{
 		Key: word(), Strategy: word(),
 		Priority: rng.Intn(5) - 1, Epoch: rng.Intn(3),
-	}
-	if rng.Intn(2) == 0 {
-		h.Deadline = rng.Int63()
 	}
 	h.Job = jobio.Job{Name: h.Key, Deadline: rng.Int63n(1000)}
 	for i, n := 0, rng.Intn(40); i < n; i++ {

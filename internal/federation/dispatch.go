@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/service"
 )
 
@@ -51,20 +52,15 @@ func (r *Router) dispatchLoop() {
 }
 
 // eligibleLocked returns the first shard on the preference list that is
-// not banned for this job, currently alive, and admitted by its breaker.
+// not banned for this job and whose breaker is closed. A half-open shard
+// gets no handoff as a probe: its next good ping closes the breaker, so no
+// job is bound to a shard that has not answered since it was declared dead.
 func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
 	now := r.now()
 	for _, s := range r.ring.Walk(rec.ID) {
-		if rec.banned[s] {
-			continue
+		if !rec.banned[s] && r.brk.Get(s).State(now) == breaker.Closed {
+			return s, true
 		}
-		if h := r.health[s]; h == nil || !h.alive {
-			continue
-		}
-		if !r.brk.Allow(s, now) {
-			continue
-		}
-		return s, true
 	}
 	return "", false
 }
@@ -118,17 +114,12 @@ func (r *Router) dispatch(id string) {
 	budget := r.cfg.retryBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
 		if attempt > 1 {
-			r.th.retries.Inc()
-			if !r.retry.wait(attempt - 1) {
+			if !r.retry.wait(attempt-1) || !r.boundTo(rec, shard) {
 				return
 			}
+			r.th.retries.Inc()
 		}
-		h := &Handoff{
-			Key:      id,
-			Deadline: time.Now().Add(r.cfg.handoffTimeout()).UnixMilli(),
-			Job:      wire, Strategy: strategyName, Priority: priority,
-			Epoch: epoch,
-		}
+		h := &Handoff{Key: id, Job: wire, Strategy: strategyName, Priority: priority, Epoch: epoch}
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
 		began := time.Now()
 		res, err := client.Handoff(ctx, h)
@@ -136,8 +127,8 @@ func (r *Router) dispatch(id string) {
 		r.th.handoffs.Inc()
 		if err != nil {
 			r.th.handoffFailures.Inc()
-			r.brk.Get(shard).Failure(r.now())
 			r.logf("federation: handoff %s→%s attempt %d: %v", id, shard, attempt, err)
+			r.shardFailed(shard)
 			continue
 		}
 		r.brk.Get(shard).Success(r.now())
@@ -145,13 +136,22 @@ func (r *Router) dispatch(id string) {
 		if r.resolveHandoff(rec, shard, res) {
 			return
 		}
-		// Retryable shard answer (overloaded / draining / expired):
-		// consume budget and try again.
+		// Retryable shard answer (overloaded / draining): consume budget
+		// and try again.
 	}
 	// Budget exhausted: the job is in doubt at shard (an attempt may have
 	// been processed with its ack lost). Walk the last recovery-ladder
 	// rung: confirmed revocation, then reallocation to a survivor.
 	r.beginRevoke(id, "handoff retry budget exhausted")
+}
+
+// boundTo reports whether rec is still handed to shard. A retry goes out
+// only while it is: once a death sweep, an answer or a notice moved the
+// job, its revocation loop or outcome owns it.
+func (r *Router) boundTo(rec *jobRecord, shard string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return rec.State == StateHanded && rec.Shard == shard
 }
 
 // resolveHandoff applies a durable shard answer, which may carry the job's
@@ -176,7 +176,7 @@ func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult
 	case res.Code == service.CodeInvalid || res.Code == service.CodeInfeasible:
 		r.moveLocked(rec, evAnswer, service.StateRejected, shard, res.Reason)
 	default:
-		// Overloaded, draining, expired, internal: retry while an answer
+		// Overloaded, draining, internal: retry while an answer
 		// can still settle the binding. Once a death sweep or a notice
 		// moved the job, its revocation loop or outcome owns it.
 		return lifecycle[evAnswer][rec.State] == ""

@@ -271,14 +271,14 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	}
 
 	// The heartbeat probe over real HTTP, and the router's view of it:
-	// both shards pinged alive.
+	// both shards' breakers closed.
 	if err := fleet[1].Ping(context.Background()); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 	samples = scrape(t, f.router.Handler())
 	for _, name := range []string{"s0", "s1"} {
-		if alive := samples[`grid_fed_shard_alive{shard="`+name+`"}`]; alive != 1 {
-			t.Fatalf("shard %s: grid_fed_shard_alive = %v, want 1", name, alive)
+		if state, ok := samples[`grid_breaker_state{name="`+name+`"}`]; !ok || state != 0 {
+			t.Fatalf("shard %s: grid_breaker_state = %v (series present %v), want 0", name, state, ok)
 		}
 	}
 }

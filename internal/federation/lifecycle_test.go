@@ -183,9 +183,9 @@ var (
 // FuzzRouterLifecycle drives one journaled two-shard router, on the
 // transition table's script shards, through random sequences of
 // submissions, dispatches under scripted answers, notices from either shard
-// in any state, joins, revocations begun and answered, and missed
-// heartbeats, for two keys. After every op it checks, from the journal (one
-// record per move) and the live ledger, that:
+// in any state, joins, revocations begun and answered, and failed pings,
+// for two keys. After every op it checks, from the journal (one record per
+// move) and the live ledger, that:
 //
 //   - every state change is a row of the router's lifecycle table;
 //   - an entry's epoch rises by one on each move to queued and never else;
@@ -205,7 +205,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 		{fzSubmit, fzDispatch | fzVariant(3)},
 		{fzSubmit, fzDispatch | fzVariant(5)},
 		{fzSubmit, fzDispatch | fzVariant(6)},
-		append(handed, fzMiss),
+		append(handed, fzMiss, fzMiss),
 		append(handed, fzNotice),
 		append(handed, fzNotice|fzAway),
 		append(handed, fzNotice|fzVariant(3)),
@@ -224,7 +224,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 		{fzSubmit, fzNotice | fzAway},
 		append(completed, fzNotice|fzVariant(1)),
 		append(completed, fzJoin),
-		{fzSubmit, fzSubmit | fzKeyB, fzDispatch, fzDispatch | fzKeyB, fzMiss, fzMiss | fzAway,
+		{fzSubmit, fzSubmit | fzKeyB, fzDispatch, fzDispatch | fzKeyB, fzMiss, fzMiss, fzMiss | fzAway, fzMiss | fzAway,
 			fzRevokeAnswer, fzDispatch, fzRevokeAnswer | fzKeyB | fzVariant(2), fzNotice | fzVariant(2)},
 	} {
 		f.Add(seed)
@@ -278,7 +278,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 					x.r.resolveRevoke(key, shard, &res)
 				}
 			case fzMiss:
-				x.r.noteMiss(shard)
+				x.r.shardFailed(shard)
 			}
 
 			recs := journalRecords(t, dir)

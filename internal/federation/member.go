@@ -425,12 +425,6 @@ func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
 // the frame replays a binding the router already voided, so the job
 // belongs elsewhere — while a live or finished accept is, idempotently.
 func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
-	if h.Deadline > 0 && time.Now().UnixMilli() > h.Deadline {
-		// Stale handoff: the router stopped waiting. Refusing (retryably)
-		// instead of accepting keeps "accepted" synonymous with "the
-		// router may learn about it".
-		return &HandoffResult{Code: "expired", Reason: "handoff deadline passed"}
-	}
 	rec, err := svc.SubmitEpoch(h.Job, h.Strategy, h.Priority, h.Epoch)
 	if err == nil {
 		return &HandoffResult{Accepted: true, State: rec.State}

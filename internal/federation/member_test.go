@@ -382,6 +382,43 @@ func TestMemberLeaseGatesTheEngine(t *testing.T) {
 	}
 }
 
+// TestHandoffIgnoresARoutersClock: a shard reads no deadline out of a
+// handoff frame, so the router's clock cannot make it refuse work. The
+// frame here carries the deadlineUnixMilli field that routers once stamped
+// from their own wall clock, set as a router whose clock runs far behind the
+// shard's would set it; the shard accepts and decides the job like any
+// other.
+func TestHandoffIgnoresARoutersClock(t *testing.T) {
+	svc, err := service.New(service.Config{Env: testEnv()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMember(MemberConfig{Shard: "s0"})
+	m.Bind(svc)
+	svc.Start()
+	defer svc.Drain(context.Background())
+
+	payload, err := json.Marshal(map[string]any{
+		"key": "skewed", "deadlineUnixMilli": 1, "job": testJob("skewed", 60), "strategy": "S1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	m.Handler(svc.Handler()).ServeHTTP(w, httptest.NewRequest(http.MethodPost,
+		"/v1/federation/handoff", bytes.NewReader(frameRef(payload))))
+	var res HandoffResult
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("handoff answered %d %q: %v", w.Code, w.Body.String(), err)
+	}
+	if !res.Accepted || res.Code != "" {
+		t.Fatalf("a frame stamped by a router with a slow clock = %+v, want accepted", res)
+	}
+	if rec, ok := svc.Job("skewed"); !ok || service.Tombstone(rec.State) {
+		t.Fatalf("shard ledger holds %+v (present %v), want the accepted job", rec, ok)
+	}
+}
+
 // TestJoinPagesStayUnderTheLimit: a join names held IDs alone, and IDs long
 // enough to pass the frame limit together still split into pages that each
 // encode under joinPageBytes, in order, with nothing lost.

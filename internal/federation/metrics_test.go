@@ -39,8 +39,17 @@ func scrape(t *testing.T, h http.Handler) map[string]float64 {
 	return out
 }
 
-// alive reads a shard's grid_fed_shard_alive gauge.
-func alive(r *Router, shard string) bool { return r.th.alive[shard].Value() == 1 }
+// closed reads a shard's grid_breaker_state gauge on GET /metrics: 0 while
+// the router's breaker for it is closed, the only state in which the router
+// binds jobs to the shard.
+func closed(t *testing.T, r *Router, shard string) bool {
+	t.Helper()
+	state, ok := scrape(t, r.Handler())[`grid_breaker_state{name="`+shard+`"}`]
+	if !ok {
+		t.Fatalf("no grid_breaker_state series for shard %s", shard)
+	}
+	return state == 0
+}
 
 // TestRouterMetricsAreTheirSeries: each Metrics field is a read of one
 // series, so after a lifecycle that moves every counter the router, its
@@ -58,7 +67,7 @@ func TestRouterMetricsAreTheirSeries(t *testing.T) {
 	fleet := [2]*scriptShard{{name: "s0"}, {name: "s1"}}
 	r, err := New(Config{
 		Shards: []ShardClient{fleet[0], fleet[1]}, Seed: 1, Journal: jnl, Telemetry: reg,
-		RetryBudget: 2, DeadAfter: 1, RetryBase: time.Millisecond, RetryCap: time.Millisecond,
+		RetryBudget: 2, RetryBase: time.Millisecond, RetryCap: time.Millisecond,
 		Breaker: breaker.Config{Threshold: 1, OpenBase: time.Hour.Milliseconds(), OpenMax: time.Hour.Milliseconds()},
 	})
 	if err != nil {
@@ -106,14 +115,14 @@ func TestRouterMetricsAreTheirSeries(t *testing.T) {
 	r.beginRevoke("moved", "test: binding in doubt")
 	r.resolveRevoke("moved", shardOf("moved"), &RevokeResult{Outcome: RevokeOutcomeRevoked, State: service.StateRevoked})
 
-	// Transport errors trip the breaker of the shard each job binds to; the
-	// second job finds the first one's breaker open and trips the other.
+	// Transport errors trip the breaker of the shard each job binds to,
+	// which declares the shard dead; the second job finds the first one's
+	// breaker open and trips the other.
 	answer(nil)
 	for _, id := range []string{"lost-0", "lost-1"} {
 		submit(id)
 		r.dispatch(id)
 	}
-	r.noteMiss("s0")
 
 	jnl.Close()
 	if _, err := r.Submit(testJob("unjournaled", 60), "S1", 0); err == nil {

@@ -101,8 +101,8 @@ func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 	return moved
 }
 
-// heartbeatLoop pings one shard forever, driving the failure detector and
-// the shard's breaker.
+// heartbeatLoop pings one shard forever: its answers are the shard's
+// breaker's only probe, so a success is what closes it again after a death.
 func (r *Router) heartbeatLoop(name string) {
 	defer r.wg.Done()
 	client := r.clients[name]
@@ -118,57 +118,34 @@ func (r *Router) heartbeatLoop(name string) {
 		err := client.Ping(ctx)
 		cancel()
 		if err != nil {
-			r.brk.Get(name).Failure(r.now())
-			r.noteMiss(name)
+			r.shardFailed(name)
 			continue
 		}
 		r.brk.Get(name).Success(r.now())
-		r.noteAlive(name)
 	}
 }
 
-func (r *Router) noteMiss(name string) {
-	r.mu.Lock()
-	h := r.health[name]
-	h.missed++
-	dead := h.alive && h.missed >= r.cfg.deadAfter()
-	if dead {
-		h.alive = false
-		r.th.deaths.Inc()
-	}
-	var sweep []string
-	if dead {
-		for id, rec := range r.records {
-			if rec.State == StateHanded && rec.Shard == name {
-				sweep = append(sweep, id)
-			}
-		}
-		sort.Strings(sweep)
-	}
-	r.mu.Unlock()
-	if !dead {
+// shardFailed records a failed ping or handoff transport at the shard's
+// breaker. The failure that trips a closed breaker declares the shard dead:
+// the caller counts the death once per outage and sweeps every job handed to
+// the shard into confirmed revocation.
+func (r *Router) shardFailed(name string) {
+	if !r.brk.Get(name).Failure(r.now()) {
 		return
 	}
-	r.th.alive[name].Set(0)
-	r.logf("federation: shard %s declared dead after %d missed heartbeats; revoking %d bound jobs",
-		name, r.cfg.deadAfter(), len(sweep))
+	r.th.deaths.Inc()
+	var sweep []string
+	r.mu.Lock()
+	for id, rec := range r.records {
+		if rec.State == StateHanded && rec.Shard == name {
+			sweep = append(sweep, id)
+		}
+	}
+	r.mu.Unlock()
+	sort.Strings(sweep)
+	r.logf("federation: shard %s declared dead by its breaker; revoking %d bound jobs", name, len(sweep))
 	for _, id := range sweep {
 		r.beginRevoke(id, "shard "+name+" declared dead")
-	}
-}
-
-func (r *Router) noteAlive(name string) {
-	r.mu.Lock()
-	h := r.health[name]
-	h.missed = 0
-	revived := !h.alive
-	h.alive = true
-	r.mu.Unlock()
-	if revived {
-		r.th.alive[name].Set(1)
-		r.logf("federation: shard %s is back", name)
-		// Queued jobs whose only eligible shard just returned are sitting
-		// on requeue timers; nothing to do — the timer re-pushes them.
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // TestRequeueLaterLeaksNoGoroutines pins the parked-job path: a job with no
@@ -16,7 +18,7 @@ func TestRequeueLaterLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r, err := New(Config{
 		Shards: []ShardClient{&scriptShard{name: "s0"}}, Seed: 1,
-		HeartbeatInterval: heartbeat, DeadAfter: 1, Workers: 1,
+		HeartbeatInterval: heartbeat, Breaker: breaker.Config{Threshold: 1}, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +27,7 @@ func TestRequeueLaterLeaksNoGoroutines(t *testing.T) {
 	defer r.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for alive(r, "s0") {
+	for closed(t, r, "s0") {
 		if time.Now().After(deadline) {
 			t.Fatal("unreachable shard never declared dead")
 		}

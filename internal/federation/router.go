@@ -86,14 +86,16 @@ type Config struct {
 	// A registry serves one router: two would share one tally. It is
 	// forwarded to the shard breakers unless Breaker carries its own.
 	Telemetry *telemetry.Registry
-	// Breaker configures the per-shard circuit breakers. Breaker time is
+	// Breaker configures the per-shard circuit breakers, the router's one
+	// failure detector: Threshold consecutive failed pings or handoff
+	// transports (default 5) trip a shard's breaker, which declares the
+	// shard dead and sweeps its bound jobs into revocation. A shard gets new
+	// bindings only while its breaker is closed: a half-open one gets no
+	// handoff as a probe, and its next good ping closes it. Breaker time is
 	// wall milliseconds since router start, so OpenBase=512 means ~0.5s.
 	Breaker breaker.Config
-	// HeartbeatInterval is the shard ping period (default 250ms);
-	// DeadAfter consecutive missed heartbeats declare a shard dead
-	// (default 4) and sweep its bound jobs into revocation.
+	// HeartbeatInterval is the shard ping period (default 250ms).
 	HeartbeatInterval time.Duration
-	DeadAfter         int
 	// RetryBudget is the handoff attempts per binding before the router
 	// gives the job up as in doubt and starts revocation (default 3).
 	RetryBudget int
@@ -102,8 +104,7 @@ type Config struct {
 	// attempts.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// HandoffTimeout bounds one handoff or revoke RPC (default 2s); it is
-	// also the deadline propagated inside the handoff frame.
+	// HandoffTimeout bounds one handoff or revoke RPC (default 2s).
 	HandoffTimeout time.Duration
 	// Seed drives all router randomness.
 	Seed uint64
@@ -118,13 +119,6 @@ func (c Config) heartbeat() time.Duration {
 		return 250 * time.Millisecond
 	}
 	return c.HeartbeatInterval
-}
-
-func (c Config) deadAfter() int {
-	if c.DeadAfter <= 0 {
-		return 4
-	}
-	return c.DeadAfter
 }
 
 func (c Config) retryBudget() int {
@@ -182,12 +176,6 @@ func (j *jobRecord) view() JobView {
 		State: j.State, Shard: j.Shard, Reason: j.Reason, Epoch: j.epoch, Seq: j.Seq}
 }
 
-// shardHealth is the router's liveness view of one shard.
-type shardHealth struct {
-	alive  bool
-	missed int
-}
-
 // Metrics is the in-process read of the router counters that gridfront's
 // drain log, the examples and the benchmark report: each field is its
 // grid_fed_* series. Every other number is read from GET /metrics.
@@ -197,11 +185,13 @@ type Metrics struct {
 }
 
 // Router is the front tier: it accepts jobs, partitions them across shards
-// by consistent hashing, detects shard failure by heartbeat, and walks the
-// recovery ladder — retry with backoff, circuit-break, then confirmed
-// revocation and reallocation to a surviving shard. Its placement state is
-// journaled write-ahead, so a SIGKILL'd router resumes every in-doubt
-// handoff instead of losing or duplicating it.
+// by consistent hashing, and walks the recovery ladder — retry with
+// backoff, then confirmed revocation and reallocation to a surviving shard.
+// One circuit breaker per shard, fed by heartbeats and handoff transports,
+// is its failure detector: a trip declares the shard dead and revokes what
+// it holds. Its placement state is journaled write-ahead, so a SIGKILL'd
+// router resumes every in-doubt handoff instead of losing or duplicating
+// it.
 type Router struct {
 	cfg     Config
 	ring    *Ring
@@ -213,7 +203,6 @@ type Router struct {
 	cond     *sync.Cond
 	records  map[string]*jobRecord
 	pending  []string
-	health   map[string]*shardHealth
 	seq      uint64
 	draining bool
 	closed   bool
@@ -235,7 +224,6 @@ type routerTelemetry struct {
 	reallocated, revocations, deaths         *telemetry.Counter
 	journalErrors                            *telemetry.Counter
 	pending                                  *telemetry.Gauge
-	alive                                    map[string]*telemetry.Gauge
 	handoffLatency                           *telemetry.Histogram
 	jobLatency                               *telemetry.Histogram
 }
@@ -277,16 +265,15 @@ func New(cfg Config) (*Router, error) {
 		brk:     breaker.NewSet(bcfg),
 		start:   time.Now(),
 		records: make(map[string]*jobRecord),
-		health:  make(map[string]*shardHealth, len(names)),
 		stopc:   make(chan struct{}),
 	}
 	r.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 2*time.Second,
 		rng.New(cfg.Seed).Split(fnv1a("router")), r.stopc)
 	r.cond = sync.NewCond(&r.mu)
 	for _, n := range names {
-		// Shards start alive: jobs dispatch immediately and the first
-		// heartbeat round corrects optimism within one interval.
-		r.health[n] = &shardHealth{alive: true}
+		// Breakers start closed, so jobs dispatch at once, and each shard's
+		// grid_breaker_state series shows from the start.
+		r.brk.Get(n)
 	}
 	r.th = routerTelemetry{
 		submitted:       reg.Counter("grid_fed_submitted_total", "jobs submitted to the router"),
@@ -299,7 +286,7 @@ func New(cfg Config) (*Router, error) {
 		retries:         reg.Counter("grid_fed_handoff_retries_total", "handoff retries after the first attempt"),
 		reallocated:     reg.Counter("grid_fed_reallocations_total", "jobs moved to another shard after confirmed revocation"),
 		revocations:     reg.Counter("grid_fed_revocations_total", "confirmed revocations (incl. tombstones)"),
-		deaths:          reg.Counter("grid_fed_shard_deaths_total", "shards declared dead by the heartbeat detector"),
+		deaths:          reg.Counter("grid_fed_shard_deaths_total", "shards declared dead by their breaker"),
 		journalErrors:   reg.Counter("grid_fed_journal_errors_total", "router journal append failures"),
 		pending:         reg.Gauge("grid_fed_jobs_pending", "router jobs awaiting dispatch"),
 		handoffLatency: reg.Histogram("grid_fed_handoff_latency_seconds",
@@ -308,12 +295,6 @@ func New(cfg Config) (*Router, error) {
 		jobLatency: reg.Histogram("grid_fed_job_latency_seconds",
 			"submit-to-terminal latency of federated jobs",
 			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}),
-		alive: make(map[string]*telemetry.Gauge, len(names)),
-	}
-	for _, n := range names {
-		g := reg.Gauge("grid_fed_shard_alive", "1 when the shard passes heartbeats", telemetry.L("shard", n))
-		g.Set(1)
-		r.th.alive[n] = g
 	}
 	return r, nil
 }

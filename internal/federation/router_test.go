@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/resource"
@@ -265,7 +266,7 @@ func TestDeadShardSweep(t *testing.T) {
 		Shards:            []ShardClient{flaky, shards[1].local},
 		Seed:              13,
 		HeartbeatInterval: 20 * time.Millisecond,
-		DeadAfter:         3,
+		Breaker:           breaker.Config{Threshold: 3},
 		RetryBase:         5 * time.Millisecond,
 	})
 	if err != nil {
@@ -292,11 +293,11 @@ func TestDeadShardSweep(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	flaky.setBroken(true)
 
-	// Death after 3 missed beats; revokes then fail too (broken), so jobs
-	// stay safely in revoking until the shard "restarts".
+	// Death after 3 failed pings or handoffs; revokes then fail too
+	// (broken), so jobs stay safely in revoking until the shard "restarts".
 	time.Sleep(150 * time.Millisecond)
-	if alive(r, "s0") {
-		t.Fatal("s0 still alive after missed heartbeats")
+	if closed(t, r, "s0") {
+		t.Fatal("s0's breaker still closed after failed heartbeats")
 	}
 	// Survivor keeps serving while s0 is dead.
 	extra := "extra-s1"
@@ -673,5 +674,306 @@ func TestTerminalNoticeEdgeCases(t *testing.T) {
 	r.mu.Unlock()
 	if !banned {
 		t.Fatal("drained shard not banned for b")
+	}
+}
+
+// liveShard is a scripted shard for a started router. Pings fail while
+// pingDown, or wait while held, and handoff transports fail while
+// handoffDown; an answered handoff gets answer, and a revoke gets revoke's
+// result, revoked when revoke is nil. It logs, in arrival order, every
+// answered ping ("ping"), every handoff ("handoff <key>" or
+// "handoff-failed <key>") and every revoke ("revoke <key>").
+type liveShard struct {
+	name   string
+	answer HandoffResult
+	revoke func(key string) RevokeResult
+
+	mu                    sync.Mutex
+	pingDown, handoffDown bool
+	held                  chan struct{} // non-nil: pings wait for it to close
+	log                   []string
+}
+
+func (s *liveShard) Name() string { return s.name }
+
+func (s *liveShard) Ping(context.Context) error {
+	s.mu.Lock()
+	held := s.held
+	s.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pingDown {
+		return errUnreachable
+	}
+	s.log = append(s.log, "ping")
+	return nil
+}
+
+func (s *liveShard) Handoff(_ context.Context, h *Handoff) (*HandoffResult, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.handoffDown {
+		s.log = append(s.log, "handoff-failed "+h.Key)
+		return nil, errUnreachable
+	}
+	s.log = append(s.log, "handoff "+h.Key)
+	res := s.answer
+	return &res, nil
+}
+
+func (s *liveShard) Revoke(_ context.Context, req *RevokeRequest) (*RevokeResult, error) {
+	s.mu.Lock()
+	s.log = append(s.log, "revoke "+req.Key)
+	s.mu.Unlock()
+	res := RevokeResult{Outcome: RevokeOutcomeRevoked, State: service.StateRevoked}
+	if s.revoke != nil {
+		res = s.revoke(req.Key)
+	}
+	return &res, nil
+}
+
+// hold makes the next ping wait, past its deadline, until the returned
+// func is called.
+func (s *liveShard) hold() (answer func()) {
+	held := make(chan struct{})
+	s.mu.Lock()
+	s.held = held
+	s.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			s.mu.Lock()
+			s.held = nil
+			s.mu.Unlock()
+			close(held)
+		})
+	}
+}
+
+func (s *liveShard) set(pingDown, handoffDown bool) {
+	s.mu.Lock()
+	s.pingDown, s.handoffDown = pingDown, handoffDown
+	s.mu.Unlock()
+}
+
+// first returns the index of entry's first line in the log, -1 when none,
+// and how many lines are entry.
+func (s *liveShard) first(entry string) (at, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	at = -1
+	for i, e := range s.log {
+		if e == entry {
+			if n == 0 {
+				at = i
+			}
+			n++
+		}
+	}
+	return at, n
+}
+
+func (s *liveShard) count(entry string) int {
+	_, n := s.first(entry)
+	return n
+}
+
+// homed returns n job IDs whose home on r's ring is shard.
+func homed(r *Router, shard string, n int) []string {
+	var ids []string
+	for i := 0; len(ids) < n; i++ {
+		if id := fmt.Sprintf("job-%d", i); r.ring.Walk(id)[0] == shard {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// trips reads grid_breaker_trips_total for shard's breaker.
+func trips(t *testing.T, r *Router, shard string) float64 {
+	t.Helper()
+	return scrape(t, r.Handler())[`grid_breaker_trips_total{name="`+shard+`"}`]
+}
+
+// detectorRouter is a router over fleet whose breakers trip on a shard's
+// second consecutive failure and hold it open 10 ms, then 20 ms.
+func detectorRouter(t *testing.T, retryBudget int, fleet ...ShardClient) *Router {
+	t.Helper()
+	r, err := New(Config{
+		Shards: fleet, Seed: 1,
+		HeartbeatInterval: 5 * time.Millisecond,
+		RetryBudget:       retryBudget, RetryBase: time.Millisecond, RetryCap: time.Millisecond,
+		Breaker: breaker.Config{Threshold: 2, OpenBase: 10, OpenMax: 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestOneOutageIsOneDeath: the trip that opens a shard's closed breaker
+// declares it dead once. While the shard stays down, every half-open window
+// ends in a failed ping that trips the breaker again; those re-trips neither
+// count a death nor sweep the job that a revocation rebound to the shard
+// meanwhile.
+func TestOneOutageIsOneDeath(t *testing.T) {
+	s0 := &liveShard{name: "s0", answer: HandoffResult{Accepted: true, State: service.StateQueued}}
+	s1 := &liveShard{name: "s1", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
+	r := detectorRouter(t, 3, s0, s1)
+	ids := homed(r, "s0", 2)
+	rebound, moved := ids[0], ids[1]
+	s0.revoke = func(key string) RevokeResult {
+		if key == rebound {
+			return RevokeResult{Outcome: RevokeOutcomeInFlight, State: service.StateScheduled}
+		}
+		return RevokeResult{Outcome: RevokeOutcomeRevoked, State: service.StateRevoked}
+	}
+	r.Start()
+	defer r.Close()
+	for _, id := range ids {
+		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "both jobs handed to s0", func() bool {
+		a, _ := r.Job(rebound)
+		b, _ := r.Job(moved)
+		return a.State == StateHanded && b.State == StateHanded
+	})
+
+	s0.set(true, false)
+	waitFor(t, "s0's breaker to trip four times", func() bool { return trips(t, r, "s0") >= 4 })
+	if deaths := r.th.deaths.Value(); deaths != 1 {
+		t.Fatalf("grid_fed_shard_deaths_total = %d over one outage, want 1", deaths)
+	}
+	if view, _ := r.Job(rebound); view.State != StateHanded || view.Shard != "s0" {
+		t.Fatalf("%s = %+v, want handed to s0 again after its inflight answer", rebound, view)
+	}
+	if n := s0.count("revoke " + rebound); n != 1 {
+		t.Fatalf("%s was revoked %d times at s0, want once: a re-trip swept it again", rebound, n)
+	}
+
+	s0.set(false, false)
+	waitFor(t, "a ping to close s0's breaker", func() bool { return closed(t, r, "s0") })
+	r.HandleTerminal(&TerminalNotice{Shard: "s0", Job: rebound, State: service.StateCompleted})
+	waitQuiesced(t, r, 10*time.Second)
+	for id, shard := range map[string]string{rebound: "s0", moved: "s1"} {
+		if view, _ := r.Job(id); view.State != service.StateCompleted || view.Shard != shard {
+			t.Errorf("%s = %+v, want completed on %s", id, view, shard)
+		}
+	}
+	if n := s1.count("handoff " + moved); n != 1 {
+		t.Errorf("s1 received %s %d times, want once", moved, n)
+	}
+	if completed, deaths := r.th.completed.Value(), r.th.deaths.Value(); completed != 2 || deaths != 1 {
+		t.Errorf("completed %d, deaths %d; want 2 and 1", completed, deaths)
+	}
+}
+
+// TestHandoffFailuresAloneDeclareDeath: a shard whose pings answer but
+// whose handoff transport fails is declared dead by those failures alone.
+// The dispatcher that saw the tripping failure sweeps every job handed to
+// the shard into confirmed revocation — the two it had accepted before the
+// failures began among them — before its own retry budget runs out, and
+// every job then completes exactly once on the survivor.
+func TestHandoffFailuresAloneDeclareDeath(t *testing.T) {
+	s0 := &liveShard{name: "s0", answer: HandoffResult{Accepted: true, State: service.StateQueued}}
+	s1 := &liveShard{name: "s1", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
+	const budget = 5
+	r := detectorRouter(t, budget, s0, s1)
+	defer r.Close()
+	ids := homed(r, "s0", 3)
+	// Not started yet: no ping can reset the count between the failures.
+	for i, id := range ids {
+		if i == 2 {
+			s0.set(false, true)
+		}
+		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+		r.dispatch(id)
+	}
+	if deaths := r.th.deaths.Value(); deaths != 1 {
+		t.Fatalf("grid_fed_shard_deaths_total = %d after failed handoffs, want 1", deaths)
+	}
+	if n := s0.count("handoff-failed " + ids[2]); n != 2 {
+		t.Fatalf("%d failed handoffs of %s, want 2: the trip's sweep ends the retries", n, ids[2])
+	}
+	for _, id := range ids {
+		if view, _ := r.Job(id); view.State == StateHanded {
+			t.Fatalf("%s = %+v after s0's death, want swept into revocation", id, view)
+		}
+	}
+
+	r.Start()
+	waitQuiesced(t, r, 10*time.Second)
+	for _, id := range ids {
+		if view, _ := r.Job(id); view.State != service.StateCompleted || view.Shard != "s1" {
+			t.Errorf("%s = %+v, want completed on s1", id, view)
+		}
+		if n := s0.count("revoke " + id); n != 1 {
+			t.Errorf("s0 revoked %s %d times, want once", id, n)
+		}
+	}
+	// Each job reached completed once: lifecycle lets no entry leave it.
+	if completed, deaths := r.th.completed.Value(), r.th.deaths.Value(); completed != 3 || deaths != 1 {
+		t.Errorf("completed %d, deaths %d; want 3 and 1", completed, deaths)
+	}
+	// Pings kept answering, so one closes the breaker again.
+	waitFor(t, "a ping to close s0's breaker", func() bool { return closed(t, r, "s0") })
+}
+
+// TestTrippedShardGetsNoHandoffUntilAPing: a job whose only shard is
+// declared dead waits. Once the shard's open window ends with a ping still
+// unanswered, its breaker stays half-open, and neither the router's own
+// retries nor direct dispatches send a handoff as a probe; the first
+// handoff follows the ping the shard answers.
+func TestTrippedShardGetsNoHandoffUntilAPing(t *testing.T) {
+	s0 := &liveShard{name: "s0", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
+	s0.set(true, false)
+	r := detectorRouter(t, 3, s0)
+	r.Start()
+	defer r.Close()
+	waitFor(t, "s0's breaker to trip", func() bool { return !closed(t, r, "s0") })
+	if _, err := r.Submit(testJob("parked", 60), "S1", 0); err != nil {
+		t.Fatal(err)
+	}
+
+	answer := s0.hold()
+	defer answer()
+	waitFor(t, "s0's breaker to go half-open", func() bool {
+		return r.brk.Get("s0").State(r.now()) == breaker.HalfOpen
+	})
+	for i := 0; i < 3; i++ {
+		r.dispatch("parked")
+	}
+	if n := s0.count("handoff parked"); n != 0 {
+		t.Fatalf("s0 received %d handoffs while half-open, want 0", n)
+	}
+
+	s0.set(false, false)
+	answer()
+	waitQuiesced(t, r, 10*time.Second)
+	if view, _ := r.Job("parked"); view.State != service.StateCompleted || view.Shard != "s0" {
+		t.Fatalf("parked = %+v, want completed on s0", view)
+	}
+	ping, _ := s0.first("ping")
+	if handoff, n := s0.first("handoff parked"); n != 1 || handoff < ping {
+		t.Fatalf("handoff %d of %d in s0's log, first answered ping %d: want one handoff, after the ping", handoff, n, ping)
 	}
 }

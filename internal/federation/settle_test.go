@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -115,10 +116,37 @@ func TestIdleShardAnswersWithTheOutcome(t *testing.T) {
 	}
 }
 
+// settling counts the goroutines inside service.Server.Settle. Settle
+// decides whether to wait under the server's lock, which nothing holds
+// while the engine is blocked in a pass, so an admission sent after a
+// handler shows here comes after that handler's decision.
+func settling() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "service.(*Server).Settle(")
+		}
+		buf = make([]byte, 2*len(buf)) // the dump was cut short
+	}
+}
+
+// waitSettling waits until n goroutines are inside Settle.
+func waitSettling(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for settling() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d handoffs reached Settle", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBusyShardAnswersAtOnceAndNotices: a handoff that finds work queued
 // ahead of its job is answered without waiting for the engine, and the
 // job's outcome follows as a terminal notice.
 func TestBusyShardAnswersAtOnceAndNotices(t *testing.T) {
+	settled := settling()
 	tweak, blocked, release := blockOn("blocker")
 	f := startHTTPFederation(t, 1, func(_ int, cfg *service.Config) { tweak(cfg) })
 	defer release()
@@ -128,7 +156,10 @@ func TestBusyShardAnswersAtOnceAndNotices(t *testing.T) {
 	}
 	<-blocked
 	// The blocker's handoff waits for its pass and "ahead" for the next;
-	// "behind" has work queued ahead of it.
+	// "behind" has work queued ahead of it. Blocked and queued are not yet
+	// waiting: a job admitted before a handler reaches Settle would leave
+	// that handler nothing to wait for, so each next job waits for it.
+	waitSettling(t, settled+1)
 	for _, id := range []string{"ahead", "behind"} {
 		if _, err := f.router.Submit(testJob(id, 60), "S1", 0); err != nil {
 			t.Fatal(err)
@@ -142,6 +173,9 @@ func TestBusyShardAnswersAtOnceAndNotices(t *testing.T) {
 				t.Fatalf("%s never reached the shard's queue", id)
 			}
 			time.Sleep(time.Millisecond)
+		}
+		if id == "ahead" {
+			waitSettling(t, settled+2)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/journal"
 	"repro/internal/service"
 )
@@ -155,8 +156,15 @@ var transitionTable = []transitionRow{
 
 	// A bound job.
 	{name: "handed/death-sweep", from: StateHanded,
-		fire:    func(x *tableCtx) { x.r.noteMiss(x.shard) },
+		fire:    func(x *tableCtx) { x.r.shardFailed(x.shard); x.r.shardFailed(x.shard) },
 		appends: 1, moves: []string{"deaths"},
+		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: "shard " + boundShard + " declared dead"}},
+	{name: "handed/transport-error-trips-breaker", from: StateHanded,
+		fire: func(x *tableCtx) {
+			x.r.shardFailed(x.shard)
+			dispatchWith(nil, errUnreachable)(x)
+		},
+		appends: 1, moves: []string{"handoffs", "handoffFailures", "deaths"},
 		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: "shard " + boundShard + " declared dead"}},
 	{name: "handed/terminal-notice", from: StateHanded,
 		fire:    func(x *tableCtx) { notice(x, x.shard, service.StateCompleted, "ok") },
@@ -281,14 +289,14 @@ func newTableCtx(t *testing.T, dir, from string) *tableCtx {
 }
 
 // newTableRouter is a router that is never Started: one handoff attempt per
-// binding, one missed heartbeat to death, and retry waits long enough that
-// a background revoke loop makes one unanswered call and then sleeps until
-// Close.
+// binding, two failures of a shard's pings or handoffs to its death, and
+// retry waits long enough that a background revoke loop makes one unanswered
+// call and then sleeps until Close.
 func newTableRouter(t *testing.T, fleet [2]*scriptShard, jnl *journal.Journal) *Router {
 	t.Helper()
 	r, err := New(Config{
 		Shards: []ShardClient{fleet[0], fleet[1]}, Seed: 1, Journal: jnl,
-		RetryBudget: 1, DeadAfter: 1,
+		RetryBudget: 1, Breaker: breaker.Config{Threshold: 2},
 		RetryBase: time.Hour, RetryCap: time.Hour,
 	})
 	if err != nil {

@@ -2,9 +2,10 @@
 // shards behind a thin front tier: a consistent-hash router (cmd/gridfront)
 // partitions jobs across gridd shards over a small versioned HTTP wire
 // protocol — idempotency-keyed handoffs, confirmed revocations and
-// terminal-state notifications — with heartbeat-based shard failure
-// detection feeding per-shard circuit breakers and a final recovery-ladder
-// rung that reallocates a dead or exhausted shard's jobs to survivors. An
+// terminal-state notifications — with one circuit breaker per shard, fed
+// by heartbeats and handoff transports, as the failure detector, and a
+// final recovery-ladder rung that reallocates a dead or exhausted shard's
+// jobs to survivors. An
 // idle shard decides a handed job before it answers, so the answer carries
 // the outcome and no notice follows; a busy shard answers at once and
 // notices the outcome when the job finishes.
@@ -53,10 +54,6 @@ var (
 type Handoff struct {
 	// Key is the idempotency key — the job's globally unique name.
 	Key string `json:"key"`
-	// Deadline, when non-zero, is the wall-clock instant (Unix
-	// milliseconds) after which the router no longer wants an answer; a
-	// shard drops expired handoffs instead of doing stale work.
-	Deadline int64 `json:"deadlineUnixMilli,omitempty"`
 	// Job is the full wire form of the job.
 	Job jobio.Job `json:"job"`
 	// Strategy and Priority carry the service-level submission fields.

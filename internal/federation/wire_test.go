@@ -26,7 +26,7 @@ func testHandoff(key string) *Handoff {
 
 func TestHandoffRoundTrip(t *testing.T) {
 	h := testHandoff("j1")
-	h.Deadline = 1234567890
+	h.Epoch = 3
 	frame, err := EncodeHandoff(h)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Key != "j1" || got.Job.Name != "j1" || got.Strategy != "S1" ||
-		got.Priority != 2 || got.Deadline != 1234567890 || len(got.Job.Tasks) != 2 {
+		got.Priority != 2 || got.Epoch != 3 || len(got.Job.Tasks) != 2 {
 		t.Fatalf("round trip mangled the handoff: %+v", got)
 	}
 }
