@@ -14,10 +14,13 @@
 //
 // With -shard set, gridd additionally serves the federation wire protocol
 // (handoff, revoke, ping) so a gridfront router can place jobs on it; with
-// -join it runs the rejoin handshake against the router on startup and
-// pushes terminal-state notices back, and -lease parks the engine whenever
-// the router has been silent too long (partition safety). Without -shard,
-// behavior is byte-identical to a standalone gridd.
+// -join it joins the router on startup, which has the router resend every
+// binding it holds at the shard, and pushes terminal-state notices back, and
+// -lease parks the engine whenever the router has been silent too long
+// (partition safety). A joining shard holds the jobs it recovers until the
+// router resends or revokes each; without -join they are requeued, as a
+// standalone gridd requeues them. Without -shard, behavior is
+// byte-identical to a standalone gridd.
 //
 // Usage:
 //
@@ -79,7 +82,7 @@ func main() {
 		segmentBytes = flag.Int64("segment-bytes", 4<<20, "journal segment rotation threshold")
 		compactEvery = flag.Int("compact-every", 256, "terminal jobs between journal compactions (0 = only on recovery/drain)")
 		shardName    = flag.String("shard", "", "run as a federation shard with this name (serves the handoff/revoke/ping endpoints)")
-		joinURL      = flag.String("join", "", "router base URL to join (requires -shard); empty serves federation endpoints standalone")
+		joinURL      = flag.String("join", "", "router base URL to join (requires -shard); recovered jobs wait for the router's resend or revocation. Empty serves federation endpoints standalone and requeues recovered jobs")
 		leaseTimeout = flag.Duration("lease", 0, "router-contact lease: park the engine when the router has been silent this long (0 disables; requires -shard)")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 		spansPath    = flag.String("spans", "", "write scheduling spans as JSON lines to this file, - for stderr")
@@ -173,25 +176,20 @@ func main() {
 	}
 
 	// Federation glue (-shard): the member serves the handoff/revoke/ping
-	// endpoints in front of the service and, with -join, runs the rejoin
-	// handshake and pushes terminal notices to the router. Recovered jobs
-	// are then parked for the router's join ruling instead of requeued
-	// blindly, and -lease parks the engine whenever the router has gone
-	// silent, so a partitioned shard stops starting work the router may be
-	// reallocating to a survivor. Without -shard none of this is built and
-	// gridd behaves exactly as before.
+	// endpoints in front of the service and, with -join, joins the router
+	// and pushes terminal notices to it, and -lease parks the engine
+	// whenever the router has gone silent, so a partitioned shard stops
+	// starting work the router may be reallocating to a survivor. Without
+	// -shard none of this is built and gridd behaves exactly as before.
 	if *shardName == "" && (*joinURL != "" || *leaseTimeout > 0) {
 		log.Fatalf("gridd: -join and -lease require -shard")
 	}
 	var member *federation.Member
 	if *shardName != "" {
-		member = federation.NewMember(federation.MemberConfig{
+		member = shardMember(&cfg, federation.MemberConfig{
 			Shard: *shardName, Router: *joinURL, Lease: *leaseTimeout,
 			Seed: *seed + 3, Telemetry: reg, Logf: log.Printf,
 		})
-		cfg.Gate = member.Fresh
-		cfg.OnTerminal = member.Terminal
-		cfg.HoldRecovered = true
 	}
 
 	srv, err := service.New(cfg)
@@ -204,8 +202,8 @@ func main() {
 			log.Fatalf("gridd: recovery: %v", err)
 		}
 		if stats.Restored > 0 || stats.TornBytes > 0 {
-			log.Printf("gridd: recovered journal through LSN %d in %.3fs — requeued=%d terminal=%d invalid=%d duplicates=%d",
-				stats.LastLSN, stats.ReplaySeconds, stats.Requeued, stats.Terminal, stats.Invalid, stats.DuplicatesSuppressed)
+			log.Printf("gridd: recovered journal through LSN %d in %.3fs — requeued=%d held=%d terminal=%d invalid=%d duplicates=%d",
+				stats.LastLSN, stats.ReplaySeconds, stats.Requeued, stats.Held, stats.Terminal, stats.Invalid, stats.DuplicatesSuppressed)
 		}
 	}
 	srv.Start()
@@ -262,6 +260,19 @@ func main() {
 			log.Printf("gridd: trace: %v", err)
 		}
 	}
+}
+
+// shardMember builds the federation member for -shard and wires it into
+// cfg: its lease gates the engine and its Terminal pushes outcomes. A shard
+// that joins a router holds the jobs it recovers until the router resends
+// or revokes each; one without a router has nothing to release them, so it
+// requeues them.
+func shardMember(cfg *service.Config, mc federation.MemberConfig) *federation.Member {
+	member := federation.NewMember(mc)
+	cfg.Gate = member.Fresh
+	cfg.OnTerminal = member.Terminal
+	cfg.HoldRecovered = mc.Router != ""
+	return member
 }
 
 // openSink opens (or reuses) a line-oriented JSONL sink. Identical paths

@@ -6,9 +6,10 @@
 // SIGKILLs one shard: its failed heartbeats trip the router's breaker for
 // it, which declares it dead; the recovery ladder revokes the dead shard's
 // queued jobs and reallocates them to the survivor; and when the shard
-// restarts against its journal the rejoin handshake rules on every
-// recovered job — so every accepted job reaches a terminal state exactly
-// once, which the final audit checks against both shard ledgers.
+// restarts against its journal it holds every recovered job and joins,
+// and the router resends each binding it holds there, which releases the
+// jobs still the shard's — so every accepted job reaches a terminal state
+// exactly once, which the final audit checks against both shard ledgers.
 //
 // Run it with:
 //
@@ -87,7 +88,7 @@ func runShard() {
 		Sched:         metasched.Config{Seed: 42},
 		QueueCap:      64,
 		Journal:       jnl,
-		HoldRecovered: true, // recovered jobs wait for the router's join ruling
+		HoldRecovered: true, // recovered jobs wait for the router's resend or revocation
 		Gate:          member.Fresh,
 		OnTerminal:    member.Terminal,
 	})
@@ -97,7 +98,7 @@ func runShard() {
 	if stats, err := svc.Restore(recovered); err != nil {
 		log.Fatalf("[%s] restore: %v", name, err)
 	} else if stats.Restored > 0 {
-		logf("recovered %d journaled jobs; holding non-terminal ones for the join ruling", stats.Restored)
+		logf("recovered %d journaled jobs; holding non-terminal ones for the router's resends", stats.Restored)
 	}
 	svc.Start()
 	member.Bind(svc)
@@ -225,8 +226,9 @@ func runRouter() error {
 	time.Sleep(1 * time.Second)
 
 	// Restart s0 against the same journal: it recovers its ledger, holds
-	// the non-terminal jobs, and the join handshake rules on each — resume
-	// what it still owns, revoke what moved while it was down.
+	// the non-terminal jobs and joins. The router resends every binding it
+	// holds at s0, which releases what s0 still owns; what moved while s0
+	// was down, the router's revocation took back.
 	fmt.Printf("\n>>> restarting s0 against its journal <<<\n\n")
 	procs["s0"] = spawn("s0")
 

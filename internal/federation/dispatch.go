@@ -67,14 +67,13 @@ func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
 
 // dispatch sends the binding an entry holds and runs the handoff attempts:
 // a queued job is bound to a shard first; a handed one — restored from the
-// journal, or adopted while a requeue timer ran — is sent again to the shard
-// it is bound to, which answers a frame it already holds idempotently.
+// journal, or resent at its shard's join — is sent again to the shard it is
+// bound to, which answers a frame it already holds idempotently.
 func (r *Router) dispatch(id string) {
 	r.mu.Lock()
 	rec, ok := r.records[id]
 	if !ok || rec.wire == nil || rec.State != StateQueued && rec.State != StateHanded {
-		// Settled, being revoked, or adopted without a wire form: nothing
-		// to send. The owning shard's notice or next join resolves the last.
+		// Settled, being revoked, or adopted by an older router's join (no wire form): nothing to send.
 		r.mu.Unlock()
 		return
 	}
@@ -107,10 +106,6 @@ func (r *Router) dispatch(id string) {
 	r.mu.Unlock()
 
 	client := r.clients[shard]
-	if client == nil {
-		// Adopted at a join from a shard outside the fleet: no way to send.
-		return
-	}
 	budget := r.cfg.retryBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
 		if attempt > 1 {

@@ -16,7 +16,7 @@ import (
 
 // eventNames names each router lifecycle event for subtest names.
 var eventNames = [...]string{
-	evBind: "bind", evAdopt: "adopt", evAnswer: "answer", evTombstone: "tombstone",
+	evBind: "bind", evAnswer: "answer", evTombstone: "tombstone",
 	evRevoke: "revoke", evRevoked: "revoked", evInFlight: "in-flight",
 	evDrainedAt: "drained-at", evTerminal: "terminal", evDrain: "drain",
 }
@@ -268,7 +268,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 			case fzNotice:
 				x.r.HandleTerminal(&TerminalNotice{Shard: shard, Job: key, State: fzNoticeStates[variant&3], Reason: "noticed"})
 			case fzJoin:
-				x.r.HandleJoin(&JoinRequest{Shard: shard, Held: []string{key}})
+				x.r.HandleJoin(&JoinRequest{Shard: shard})
 			case fzBeginRevoke:
 				x.r.beginRevoke(key, "fuzz: in doubt")
 			case fzRevokeAnswer:
@@ -286,7 +286,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 				l := lives[rec.Job]
 				switch {
 				case l.state == "":
-					if rec.State != StateQueued && rec.State != StateHanded || rec.Epoch != 0 {
+					if rec.State != StateQueued || rec.Epoch != 0 {
 						t.Fatalf("op %d: %s created as %+v", i, rec.Job, rec)
 					}
 				case !isRow(l.state, rec.State):

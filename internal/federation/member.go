@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,10 +18,11 @@ import (
 type MemberConfig struct {
 	// Shard is this shard's name in the fleet. Required.
 	Shard string
-	// Router is the router's base URL. Empty runs the member in standalone
-	// mode: the federation endpoints still serve (so a router can adopt
-	// the shard later) but no join handshake or terminal notifications are
-	// sent.
+	// Router is the router's base URL. Empty runs the member standalone: the
+	// federation endpoints still serve, so a router that lists the shard can
+	// hand it work, but no join or terminal notices are sent. A standalone
+	// shard must not hold recovered jobs (service.Config.HoldRecovered):
+	// only the resends a join asks for release them.
 	Router string
 	// Lease, when positive, is how long the shard keeps starting new work
 	// after its last router contact (ping, handoff, revoke, join or notice
@@ -54,11 +52,14 @@ type MemberConfig struct {
 }
 
 // Member is the shard-side half of the federation protocol: it serves the
-// handoff/revoke/ping endpoints in front of a service.Server, runs the
-// rejoin handshake for held recovered jobs, tells the router each job's
-// outcome and keeps the router lease. An idle shard decides a handed job
-// while the handoff waits, and the answer carries the outcome; any other
-// outcome goes out as a terminal notice. Create it BEFORE the service so
+// handoff/revoke/ping endpoints in front of a service.Server, joins the
+// router once at startup, which has the router resend every binding it
+// holds here, tells the router each job's outcome and keeps the router
+// lease. The member rules on nothing itself: a job held from recovery runs
+// when its resent handoff arrives, or ends revoked by the router's
+// revocation. An idle shard decides a handed job while the handoff waits,
+// and the answer carries the outcome; any other outcome goes out as a
+// terminal notice. Create it BEFORE the service so
 // its Terminal and Fresh methods can be wired as service.Config.OnTerminal
 // and Gate, then Bind the server and Start.
 type Member struct {
@@ -138,9 +139,8 @@ type waiter struct{ state, reason string }
 // router voids a binding only on the notice, and refuses the state in an
 // answer. Terminal runs under the service's lock and returns immediately;
 // delivery happens on the notifier goroutine, or in Close. A notice lost
-// with the process is recovered by the next incarnation's join, which
-// leaves the job out of its held list: the router resends the binding, and
-// the duplicate answer carries the outcome.
+// with the process is recovered by the next incarnation's join: the router
+// resends the binding, and the duplicate answer carries the outcome.
 func (m *Member) Terminal(rec service.Record) {
 	if m.cfg.Router == "" || rec.State == service.StateRevoked {
 		return
@@ -179,8 +179,9 @@ func (m *Member) release(key string, w *waiter) waiter {
 	return *w
 }
 
-// Start launches the join handshake and the terminal notifier. Call after
-// Bind (and after service.Restore, so Held is complete).
+// Start launches the join and the terminal notifier. Call after Bind and
+// after service.Restore: a resend the join asks for finds a held job only
+// once it is restored.
 func (m *Member) Start() {
 	if m.cfg.Router == "" {
 		return
@@ -225,96 +226,31 @@ func (m *Member) isClosed() bool {
 	return m.closed
 }
 
-// joinLoop runs the rejoin handshake until one round trip succeeds AND no
-// held jobs remain. Held jobs stay parked (never executed) until the
-// router's decisions dispose of them, so a lost response is safe: the next
-// attempt repeats the same question.
+// joinLoop sends the join until one round trip succeeds. The join names
+// the shard alone and the router answers it with a bare 200, so a lost answer
+// is safe: the next attempt asks for the same resends.
 func (m *Member) joinLoop() {
 	defer m.wg.Done()
 	m.retry.retry(func(attempt int) bool {
 		if m.isClosed() {
 			return true
 		}
-		if err := m.joinOnce(); err != nil {
+		if err := m.join(); err != nil {
 			m.logf("federation: join attempt %d: %v", attempt, err)
 			return false
 		}
 		m.joins.Inc()
-		// Held jobs left over mean decisions are missing for some of them
-		// (or the router asked us to wait): ask again.
-		return len(m.svc.Held()) == 0
+		return true
 	})
 }
 
-// joinOnce sends one join handshake and applies the router's decisions. The
-// handshake names the held jobs alone, in as many requests as their IDs need
-// (joinPages); a failed one fails the attempt, and the next attempt sends
-// them all again, which the router applies idempotently.
-func (m *Member) joinOnce() error {
-	decisions := map[string]string{}
-	for _, req := range joinPages(m.cfg.Shard, m.svc.Held()) {
-		var jr JoinResponse
-		if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &req, &jr); err != nil {
-			return err
-		}
-		m.contact()
-		for id, d := range jr.Decisions {
-			decisions[id] = d
-		}
+// join sends one join.
+func (m *Member) join() error {
+	if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &JoinRequest{Shard: m.cfg.Shard}, nil); err != nil {
+		return err
 	}
-	// Decisions apply in ID order, so the revocations they journal do too.
-	ids := make([]string, 0, len(decisions))
-	for id := range decisions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var resume []string
-	for _, id := range ids {
-		decision := decisions[id]
-		if decision == JoinResume {
-			resume = append(resume, id)
-			continue
-		}
-		cmd, arg, _ := strings.Cut(decision, "@")
-		if cmd != JoinRevoke {
-			m.logf("federation: join: unknown decision %q for %s", decision, id)
-			continue
-		}
-		// The optional "@N" suffix carries the router's reallocation epoch;
-		// the tombstone keeps it so stale handoff replays stay refused.
-		// ErrInFlight, RevokeEpoch's only error, means a newer binding
-		// placed the job here: it stays.
-		epoch, _ := strconv.Atoi(arg)
-		_, _ = m.svc.RevokeEpoch(id, "join: ownership moved while shard was down", epoch)
-	}
-	if n := m.svc.ResumeHeld(resume); n > 0 {
-		m.logf("federation: join resumed %d held jobs, %d still parked", n, len(m.svc.Held()))
-	}
+	m.contact()
 	return nil
-}
-
-// joinPageBytes bounds one join request's encoding: half the frame limit
-// the router reads a body under, whatever the shard's ledger holds.
-const joinPageBytes = maxFrameBytes / 2
-
-// joinPages splits one join into requests that each encode under
-// joinPageBytes, the held IDs in order. A join with nothing held is one
-// empty request.
-func joinPages(shard string, held []string) []JoinRequest {
-	name, _ := json.Marshal(shard)
-	empty := len(`{"shard":,"held":[]}`) + len(name)
-	var pages []JoinRequest
-	page, size := JoinRequest{Shard: shard}, empty
-	for _, id := range held {
-		b, _ := json.Marshal(id)
-		if size+len(b)+1 > joinPageBytes && size > empty {
-			pages = append(pages, page)
-			page, size = JoinRequest{Shard: shard}, empty
-		}
-		page.Held = append(page.Held, id)
-		size += len(b) + 1 // and a comma
-	}
-	return append(pages, page)
 }
 
 // notifyLoop delivers terminal notices in order, retrying with backoff.
@@ -423,7 +359,9 @@ func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
 // (the key was revoked or drained here) yields to a new life. A duplicate
 // is answered with the record as it stands: a tombstone is not accepted —
 // the frame replays a binding the router already voided, so the job
-// belongs elsewhere — while a live or finished accept is, idempotently.
+// belongs elsewhere — while a live or finished accept is, idempotently. A
+// queued duplicate the frame's epoch reaches is released if it is held from
+// recovery: the router's current binding sends the job here, so it runs.
 func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 	rec, err := svc.SubmitEpoch(h.Job, h.Strategy, h.Priority, h.Epoch)
 	if err == nil {
@@ -434,6 +372,9 @@ func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 		return &HandoffResult{Code: service.CodeInternal, Reason: err.Error()}
 	}
 	if se.Code == service.CodeDuplicate {
+		if rec.State == service.StateQueued && rec.Epoch <= h.Epoch {
+			svc.ResumeHeld([]string{h.Key})
+		}
 		return &HandoffResult{Duplicate: true, Accepted: !service.Tombstone(rec.State),
 			State: rec.State, Code: se.Code, Reason: rec.Reason}
 	}

@@ -8,10 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,76 +20,104 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestRejoinJournalIsTheSameBytesEveryRun: a rejoining shard applies the
-// router's decisions in ID order, so the revocations it journals come out in
-// one order. Eight held jobs, every other one revoked, are restored and
-// joined afresh on each run, and every run must leave the journal the first
-// run left, byte for byte.
-func TestRejoinJournalIsTheSameBytesEveryRun(t *testing.T) {
-	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var jr JoinRequest
-		if err := decodeJSONBody(req.Body, maxFrameBytes, &jr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp := JoinResponse{Decisions: map[string]string{}}
-		for i, id := range jr.Held {
-			resp.Decisions[id] = JoinResume
-			if i%2 == 0 {
-				resp.Decisions[id] = JoinRevoke + "@1"
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}))
+// TestJoinAppendsNothingToTheShardJournal: a rejoining shard rules on
+// nothing, so neither its join nor the resends it asks for write to its
+// journal. Eight held jobs are restored; the router holds the even ones
+// handed to the shard and has never heard of the odd ones. After the join
+// the resends have released the even ones, the odd ones stay held, and the
+// journal has no record it did not have before.
+func TestJoinAppendsNothingToTheShardJournal(t *testing.T) {
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("held-%d", i)
+	}
+	var rt *Router
+	s0, jnl := restoredShard(t, "s0", &rt, 0, ids...)
+	r, err := New(Config{Shards: []ShardClient{s0.local}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r
+	r.mu.Lock()
+	for i := 0; i < len(ids); i += 2 {
+		wire := testJob(ids[i], 60)
+		rec := r.newRecordLocked(ids[i], "S1", 0, StateHanded)
+		rec.Shard, rec.wire = "s0", &wire
+	}
+	r.mu.Unlock()
+	r.Start()
+	defer r.Close()
+	router := httptest.NewServer(r.Handler())
 	defer router.Close()
 
-	var first []byte
-	for run := 0; run < 6; run++ {
-		dir := t.TempDir()
-		jnl, _ := openTestJournal(t, dir)
-		for i := 0; i < 8; i++ {
-			wire := testJob(fmt.Sprintf("held-%d", i), 60)
-			if _, err := jnl.Append(journal.Record{Job: wire.Name, State: service.StateQueued, Strategy: "S1", Wire: &wire}); err != nil {
-				t.Fatal(err)
-			}
+	lsn := jnl.Stats().NextLSN
+	m := NewMember(MemberConfig{Shard: "s0", Router: router.URL})
+	m.Bind(s0.svc)
+	if err := m.join(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for queueDepth(t, s0.svc) != 4 || r.th.handoffs.Value() != 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the join %v jobs queued and %d handoffs resent, want 4 and 4", queueDepth(t, s0.svc), r.th.handoffs.Value())
 		}
-		jnl.Close()
-		jnl, recovery := openTestJournal(t, dir)
-		svc, err := service.New(service.Config{Env: testEnv(), Journal: jnl, HoldRecovered: true})
-		if err != nil {
-			t.Fatal(err)
+		time.Sleep(time.Millisecond)
+	}
+	if n := jnl.Stats().NextLSN - lsn; n != 0 {
+		t.Fatalf("the join appended %d shard journal records, want none", n)
+	}
+	if n := s0.svc.Process(-1); n != 4 {
+		t.Fatalf("the shard processed %d jobs, want the 4 released", n)
+	}
+	for i := 1; i < len(ids); i += 2 {
+		if rec, _ := s0.svc.Job(ids[i]); rec.State != service.StateQueued {
+			t.Errorf("%s is %s, want it still held", ids[i], rec.State)
 		}
-		if _, err := svc.Restore(recovery); err != nil {
-			t.Fatal(err)
-		}
-		m := NewMember(MemberConfig{Shard: "s0", Router: router.URL})
-		m.Bind(svc)
-		if err := m.joinOnce(); err != nil {
-			t.Fatal(err)
-		}
-		held, samples := svc.Held(), scrape(t, svc.Handler())
-		if depth, revoked := samples["grid_service_queue_depth"], samples["grid_service_revoked_total"]; len(held) != 0 || depth != 4 || revoked != 4 {
-			t.Fatalf("run %d: after the join %d held, %v queued, %v revoked; want 0, 4, 4", run, len(held), depth, revoked)
-		}
-		jnl.Close()
+	}
+}
 
-		var got []byte
-		files, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+// TestResentHandoffReleasesAHeldJobFromItsEpoch: a resent handoff releases
+// a job the shard holds from recovery only when its epoch is at or above the
+// held record's; a frame from an older binding leaves the job held. Every
+// answer is the duplicate's, queued, and writes nothing to the journal.
+func TestResentHandoffReleasesAHeldJobFromItsEpoch(t *testing.T) {
+	const held = 1 // the held record's epoch
+	for _, tc := range []struct {
+		name     string
+		epoch    int
+		released bool
+	}{
+		{"below", held - 1, false},
+		{"equal", held, true},
+		{"above", held + 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rt *Router
+			s0, jnl := restoredShard(t, "s0", &rt, held, "j")
+			m := NewMember(MemberConfig{Shard: "s0"})
+			m.Bind(s0.svc)
+
+			lsn := jnl.Stats().NextLSN
+			frame, err := EncodeHandoff(&Handoff{Key: "j", Job: testJob("j", 60), Strategy: "S1", Epoch: tc.epoch})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(append(got, f.Name()...), b...)
-		}
-		if run == 0 {
-			first = got
-		} else if !bytes.Equal(got, first) {
-			t.Fatalf("run %d journaled\n%s\nrun 0 journaled\n%s", run, got, first)
-		}
+			w := httptest.NewRecorder()
+			m.Handler(s0.svc.Handler()).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/federation/handoff", bytes.NewReader(frame)))
+			var res HandoffResult
+			if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || w.Code != http.StatusOK {
+				t.Fatalf("handoff answered %d %q: %v", w.Code, w.Body.String(), err)
+			}
+			if !res.Accepted || !res.Duplicate || res.State != service.StateQueued {
+				t.Errorf("answer %+v, want the queued duplicate", res)
+			}
+			if n := jnl.Stats().NextLSN - lsn; n != 0 {
+				t.Errorf("the handoff appended %d journal records, want none", n)
+			}
+			if n := s0.svc.Process(-1); (n == 1) != tc.released || n > 1 {
+				t.Errorf("the shard processed %d jobs; want the job released: %v", n, tc.released)
+			}
+		})
 	}
 }
 
@@ -114,7 +139,7 @@ func TestMemberRetryWaitsLeakNothingAndKeepWakeups(t *testing.T) {
 				http.Error(w, "not ready", http.StatusServiceUnavailable)
 				return
 			}
-			writeJSON(w, http.StatusOK, JoinResponse{})
+			w.WriteHeader(http.StatusOK)
 		case "/v1/federation/terminal":
 			var n TerminalNotice
 			if err := json.NewDecoder(req.Body).Decode(&n); err != nil {
@@ -176,19 +201,41 @@ func TestMemberRetryWaitsLeakNothingAndKeepWakeups(t *testing.T) {
 	}
 }
 
-// TestLargeLedgerRejoins: a rejoin names the held jobs alone, so its bytes
-// do not grow with the terminal ledger, which compaction keeps whole. It
-// used to carry every terminal record as a catch-up: 20 000 of them with
-// 1 KiB reasons took about 20 MiB in pages. A shard with that ledger and
-// one held job, and a shard with the held job alone, must each send one
-// join request, the same bytes and under 1 KiB, and the held job resumes.
+// TestLargeLedgerRejoins: a rejoin names the shard alone, so its bytes do
+// not grow with the terminal ledger, which compaction keeps whole. It used
+// to carry every terminal record as a catch-up: 20 000 of them with 1 KiB
+// reasons took about 20 MiB in pages. A shard with that ledger and one held
+// job, and a shard with the held job alone, must each send one join
+// request, the same bytes and under 1 KiB, and the held job, which the
+// router holds bound to s0, is resent and resumes.
 func TestLargeLedgerRejoins(t *testing.T) {
 	var first []byte
 	for _, terminal := range []int{0, 20000} {
-		r, err := New(Config{Shards: []ShardClient{&scriptShard{name: "s0"}}, Seed: 1})
+		reason := strings.Repeat("r", 1024)
+		recovery := &journal.Recovery{}
+		for i := 0; i < terminal; i++ {
+			recovery.Jobs = append(recovery.Jobs, &journal.JobState{
+				Job: fmt.Sprintf("done-%05d", i), State: service.StateCompleted, Reason: reason, Strategy: "S1"})
+		}
+		wire := testJob("held", 60)
+		recovery.Jobs = append(recovery.Jobs, &journal.JobState{Job: "held", State: service.StateQueued, Strategy: "S1", Wire: &wire})
+		svc, err := service.New(service.Config{Env: testEnv(), HoldRecovered: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := svc.Restore(recovery); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := New(Config{Shards: []ShardClient{NewLocalShard("s0", svc)}, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.mu.Lock()
+		rec := r.newRecordLocked("held", "S1", 0, StateHanded)
+		rec.Shard, rec.wire = "s0", &wire
+		r.mu.Unlock()
+		r.Start()
 		defer r.Close()
 		var mu sync.Mutex
 		var bodies [][]byte
@@ -207,32 +254,20 @@ func TestLargeLedgerRejoins(t *testing.T) {
 		}))
 		defer router.Close()
 
-		reason := strings.Repeat("r", 1024)
-		recovery := &journal.Recovery{}
-		for i := 0; i < terminal; i++ {
-			recovery.Jobs = append(recovery.Jobs, &journal.JobState{
-				Job: fmt.Sprintf("done-%05d", i), State: service.StateCompleted, Reason: reason, Strategy: "S1"})
-		}
-		wire := testJob("held", 60)
-		recovery.Jobs = append(recovery.Jobs, &journal.JobState{Job: "held", State: service.StateQueued, Strategy: "S1", Wire: &wire})
-		svc, err := service.New(service.Config{Env: testEnv(), HoldRecovered: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := svc.Restore(recovery); err != nil {
-			t.Fatal(err)
-		}
-
 		m := NewMember(MemberConfig{Shard: "s0", Router: router.URL})
 		m.Bind(svc)
-		if err := m.joinOnce(); err != nil {
+		if err := m.join(); err != nil {
 			t.Fatal(err)
 		}
-		if held, depth := svc.Held(), scrape(t, svc.Handler())["grid_service_queue_depth"]; len(held) != 0 || depth != 1 {
-			t.Fatalf("%d terminal: after the join %v held and %v queued; want the held job resumed", terminal, held, depth)
+		deadline := time.Now().Add(5 * time.Second)
+		for queueDepth(t, svc) != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d terminal: after the join %v queued; want the held job resumed", terminal, queueDepth(t, svc))
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if view, ok := r.Job("held"); !ok || view.Shard != "s0" {
-			t.Fatalf("%d terminal: router's record of the held job: %+v, %v; want it bound to s0", terminal, view, ok)
+		if view, ok := r.Job("held"); !ok || view.Shard != "s0" || view.State != StateHanded {
+			t.Fatalf("%d terminal: router's record of the held job: %+v, %v; want it handed to s0", terminal, view, ok)
 		}
 		if len(bodies) != 1 {
 			t.Fatalf("%d terminal: %d join requests, want one", terminal, len(bodies))
@@ -250,22 +285,22 @@ func TestLargeLedgerRejoins(t *testing.T) {
 
 // TestMemberSendsNoRevokedNotices: a revocation is the router's own order,
 // and the router's lifecycle refuses a revoked notice, so a member sends
-// none; and its join carries no catch-up of any outcome. One revocation
+// none; and its join carries the shard's name alone. One revocation
 // used to cost one notice POST that changed nothing;
 // grid_fed_member_terminal_notices_total now reads none for it.
 func TestMemberSendsNoRevokedNotices(t *testing.T) {
 	delivered := make(chan string, 4)
-	joins := make(chan JoinRequest, 4)
+	joins := make(chan string, 4)
 	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		switch req.URL.Path {
 		case "/v1/federation/join":
-			var jr JoinRequest
-			if err := decodeJSONBody(req.Body, maxFrameBytes, &jr); err != nil {
+			body, err := io.ReadAll(req.Body)
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			joins <- jr
-			writeJSON(w, http.StatusOK, JoinResponse{})
+			joins <- string(body)
+			w.WriteHeader(http.StatusOK)
 		case "/v1/federation/terminal":
 			var n TerminalNotice
 			if err := json.NewDecoder(req.Body).Decode(&n); err != nil {
@@ -322,11 +357,11 @@ func TestMemberSendsNoRevokedNotices(t *testing.T) {
 		t.Errorf("one revocation cost %d terminal notices, want 0", n)
 	}
 
-	if err := member.joinOnce(); err != nil {
+	if err := member.join(); err != nil {
 		t.Fatal(err)
 	}
-	if jr := <-joins; jr.Shard != "s0" || len(jr.Held) != 0 {
-		t.Errorf("join = %+v, want the shard's name alone", jr)
+	if jr := <-joins; jr != `{"shard":"s0"}` {
+		t.Errorf("join = %s, want the shard's name alone", jr)
 	}
 }
 
@@ -419,57 +454,12 @@ func TestHandoffIgnoresARoutersClock(t *testing.T) {
 	}
 }
 
-// TestJoinPagesStayUnderTheLimit: a join names held IDs alone, and IDs long
-// enough to pass the frame limit together still split into pages that each
-// encode under joinPageBytes, in order, with nothing lost.
-func TestJoinPagesStayUnderTheLimit(t *testing.T) {
-	ids := func(n, size int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = fmt.Sprintf("%04d", i) + strings.Repeat("x", size)
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name  string
-		held  []string
-		pages int
-	}{
-		{"none", nil, 1},
-		{"short", ids(100, 8), 1},
-		{"long", ids(10, 1<<20), 2},
-		{"one ID longer than a page", ids(1, joinPageBytes), 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pages := joinPages("s0", tc.held)
-			if len(pages) != tc.pages {
-				t.Errorf("%d pages, want %d", len(pages), tc.pages)
-			}
-			var got []string
-			for i, p := range pages {
-				b, _ := json.Marshal(p)
-				if len(b) > joinPageBytes && len(p.Held) > 1 {
-					t.Errorf("page %d encodes to %d bytes, past the %d-byte page", i, len(b), joinPageBytes)
-				}
-				if p.Shard != "s0" {
-					t.Errorf("page %d names shard %q", i, p.Shard)
-				}
-				got = append(got, p.Held...)
-			}
-			if !slices.Equal(got, tc.held) {
-				t.Errorf("pages carry %d IDs, want the %d held in order", len(got), len(tc.held))
-			}
-		})
-	}
-}
-
-// TestRejoinResendsBindingsTheShardDoesNotHold: a rejoin names the held jobs
-// alone, so the router resends every other job it holds bound to the shard,
-// and the shard's duplicate answer settles each. A job s0 completed while
-// the router did not hear ends completed there; one s0 drained while down is
-// requeued with s0 banned and completes on s1; one s0 never durably saw is
-// accepted there fresh.
-func TestRejoinResendsBindingsTheShardDoesNotHold(t *testing.T) {
+// TestRejoinResendsEveryBinding: a rejoin names the shard alone, and the
+// router resends every job it holds bound to the shard, whose answer settles
+// each. A job s0 completed while the router did not hear ends completed
+// there; one s0 drained while down is requeued with s0 banned and completes
+// on s1; one s0 never durably saw is accepted there fresh.
+func TestRejoinResendsEveryBinding(t *testing.T) {
 	var rt *Router
 	shards := newFedShards(t, 2, &rt)
 	recovery := &journal.Recovery{Jobs: []*journal.JobState{
@@ -498,9 +488,7 @@ func TestRejoinResendsBindingsTheShardDoesNotHold(t *testing.T) {
 	r.Start()
 	defer r.Close()
 
-	if resp := r.HandleJoin(&JoinRequest{Shard: "s0"}); len(resp.Decisions) != 0 {
-		t.Fatalf("decisions %v for a join that holds nothing", resp.Decisions)
-	}
+	r.HandleJoin(&JoinRequest{Shard: "s0"})
 	want := map[string]JobView{
 		"done":    {State: service.StateCompleted, Shard: "s0", Reason: "ran before the crash"},
 		"drained": {State: service.StateCompleted, Shard: "s1", Epoch: 1},

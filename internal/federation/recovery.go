@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"time"
 
@@ -149,45 +148,21 @@ func (r *Router) shardFailed(name string) {
 	}
 }
 
-// HandleJoin is the router side of a shard's rejoin handshake. It rules on
-// every held job — resume what the shard still owns, revoke what moved or
-// finished elsewhere — and then queues for resending, in ID order, every
-// job handed to the shard that the shard does not hold. The shard answers
-// the resent handoff as a duplicate, which settles the binding as a live
-// one's is settled: an outcome it reached while the router did not hear
-// (evAnswer), a tombstone it revoked or drained (evTombstone), or a fresh
-// accept of a job it never durably saw.
-func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
+// HandleJoin is the router side of a shard's rejoin handshake: it queues
+// for resending, in ID order, every job it holds handed to the shard. The
+// shard answers each resent handoff as a duplicate, which settles the
+// binding as a live one's is settled: an outcome it reached while the router
+// did not hear (evAnswer), a tombstone it revoked or drained (evTombstone),
+// a fresh accept of a job it never durably saw, or the release of a job it
+// holds from recovery (ApplyHandoff). A job it holds that the router is
+// revoking is settled by that job's revocation loop. A join binds nothing,
+// so one from a shard outside the fleet changes nothing.
+func (r *Router) HandleJoin(req *JoinRequest) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	resp := &JoinResponse{Decisions: make(map[string]string, len(req.Held))}
-	for _, id := range req.Held {
-		rec, ok := r.records[id]
-		switch {
-		case !ok:
-			// A job this router never saw (journal lost, or the shard
-			// predates it): adopt the binding rather than orphan the job.
-			// An adoption the journal cannot take leaves no entry, as a
-			// refused submission does; the shard runs the job either way.
-			_, _ = r.createLocked(id, "", 0, nil, StateHanded, req.Shard, "adopted from shard join")
-			resp.Decisions[id] = JoinResume
-		case rec.State == StateHanded && rec.Shard == req.Shard, r.moveLocked(rec, evAdopt, "", req.Shard, ""):
-			// Still the shard's, or queued here while the shard already
-			// holds it: adopt the existing binding.
-			resp.Decisions[id] = JoinResume
-		default:
-			// Bound elsewhere, being revoked, or already terminal: the
-			// shard must not run it. Its own revoked ledger entry (not
-			// this advisory answer) is what frees the key. The current
-			// epoch rides along so the tombstone refuses stale replays
-			// but yields to a genuinely newer re-handoff.
-			resp.Decisions[id] = fmt.Sprintf("%s@%d", JoinRevoke, rec.epoch)
-		}
-	}
 	var resend []string
 	for id, rec := range r.records {
-		// Every held job has a decision by now; the rest are not held.
-		if rec.State == StateHanded && rec.Shard == req.Shard && resp.Decisions[id] == "" {
+		if rec.State == StateHanded && rec.Shard == req.Shard {
 			resend = append(resend, id)
 		}
 	}
@@ -195,9 +170,7 @@ func (r *Router) HandleJoin(req *JoinRequest) *JoinResponse {
 	for _, id := range resend {
 		r.pushLocked(id)
 	}
-	r.logf("federation: join from %s: %d held ruled, %d bindings resent",
-		req.Shard, len(req.Held), len(resend))
-	return resp
+	r.logf("federation: join from %s: %d bindings resent", req.Shard, len(resend))
 }
 
 // HandleTerminal applies one terminal notice from a shard. It is idempotent:

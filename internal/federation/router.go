@@ -38,7 +38,6 @@ type event uint8
 
 const (
 	evBind      event = iota // dispatch binds the job to a shard
-	evAdopt                  // a joining shard holds the job
 	evAnswer                 // the bound shard answers the handoff definitively
 	evTombstone              // the bound shard holds a tombstone for the key
 	evRevoke                 // the binding is in doubt
@@ -64,7 +63,6 @@ const outcome = "outcome"
 // router restarted.
 var lifecycle = [...]map[string]string{
 	evBind:      {StateQueued: StateHanded},
-	evAdopt:     {StateQueued: StateHanded},
 	evAnswer:    {StateHanded: outcome},
 	evTombstone: {StateHanded: StateQueued},
 	evRevoke:    {StateHanded: StateRevoking},
@@ -363,30 +361,20 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 	}
 	// Write-ahead: the accept is durable before the job exists in memory,
 	// so an acknowledged submission survives a router SIGKILL, and one the
-	// journal could not take is refused, as a shard refuses it.
-	rec, err := r.createLocked(wire.Name, typ.String(), priority, &wire, StateQueued, "", "")
-	if err != nil {
+	// journal could not take is refused, as a shard refuses it. The accept
+	// is the only record that carries the admission fields (strategy,
+	// priority, wire form); every later change to the entry goes through
+	// moveLocked.
+	if err := r.journal(journal.Record{Job: wire.Name, State: StateQueued,
+		Strategy: typ.String(), Priority: priority, Wire: &wire}); err != nil {
 		return JobView{}, &service.SubmitError{Code: service.CodeInternal,
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
 	}
+	rec := r.newRecordLocked(wire.Name, typ.String(), priority, StateQueued)
+	rec.wire = &wire
 	r.th.accepted.Inc()
 	r.pushLocked(wire.Name)
 	return rec.view(), nil
-}
-
-// createLocked journals a ledger entry's creation record, the only record
-// that carries the admission fields (strategy, priority, wire form), and
-// then makes the entry. When the append fails it returns the error and makes
-// nothing. Every later change to the entry goes through moveLocked. Caller
-// holds r.mu.
-func (r *Router) createLocked(id, strategyName string, priority int, wire *jobio.Job, state, shard, reason string) (*jobRecord, error) {
-	if err := r.journal(journal.Record{Job: id, State: state, Reason: reason,
-		Strategy: strategyName, Priority: priority, Wire: wire, Shard: shard}); err != nil {
-		return nil, err
-	}
-	rec := r.newRecordLocked(id, strategyName, priority, state)
-	rec.Shard, rec.Reason, rec.wire = shard, reason, wire
-	return rec, nil
 }
 
 // moveLocked is the only code that changes a ledger entry's State, Shard,

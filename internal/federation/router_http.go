@@ -83,7 +83,8 @@ func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad join request"})
 		return
 	}
-	writeJSON(w, http.StatusOK, r.HandleJoin(&jr))
+	r.HandleJoin(&jr)
+	w.WriteHeader(http.StatusOK)
 }
 
 func (r *Router) handleTerminal(w http.ResponseWriter, req *http.Request) {
@@ -95,7 +96,7 @@ func (r *Router) handleTerminal(w http.ResponseWriter, req *http.Request) {
 	// The journal append inside happens before this 200, which ends the
 	// shard's redelivery. The router's record is not the only copy: the
 	// shard's journaled ledger is a second, which answers a handoff resent
-	// for a job recovered as "handed" and is replayed by every join. What
+	// for a job recovered as "handed" or at the shard's join. What
 	// the router's fsync buys is independence — after a crash its ledger is
 	// complete whether or not that shard and its disk are still there.
 	r.HandleTerminal(&n)

@@ -3,6 +3,9 @@ package federation
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -569,64 +572,200 @@ func TestRestoreRequeuesBindingsOffTheFleet(t *testing.T) {
 	}
 }
 
-// TestDispatchSendsNothingOffTheFleet: a join from a shard the fleet does
-// not list adopts a queued job, and a requeue timer that fires afterwards
-// finds it handed there with a wire form but no client to send it with.
-func TestDispatchSendsNothingOffTheFleet(t *testing.T) {
-	x := newTableCtx(t, t.TempDir(), StateQueued)
-	defer x.r.Close()
-	join(x, "outsider")
-	x.r.dispatch(x.id)
-	if got, _ := x.r.Job(x.id); got.State != StateHanded || got.Shard != "outsider" {
-		t.Fatalf("job = %+v, want handed to outsider", got)
-	}
-	if got := x.r.th.handoffs.Value(); got != 0 {
-		t.Fatalf("grid_fed_handoffs_total = %d, want 0", got)
-	}
-}
-
-// TestJoinHandshakeDecisions pins the router's rulings over a rejoining
-// shard's held jobs.
-func TestJoinHandshakeDecisions(t *testing.T) {
+// TestJoinFromOutsideTheFleetChangesNothing: a join binds nothing, so one
+// naming a shard the fleet does not list leaves a queued job queued, with
+// no journal record, and the job then completes on a fleet shard. The body
+// is the one members once sent, which also named the jobs they held.
+func TestJoinFromOutsideTheFleetChangesNothing(t *testing.T) {
 	var rt *Router
 	shards := newFedShards(t, 2, &rt)
-	r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 5})
+	for _, s := range shards {
+		s.svc.Start()
+		defer s.svc.Drain(context.Background())
+	}
+	jnl, _ := openTestJournal(t, t.TempDir())
+	defer jnl.Close()
+	r, err := New(Config{Shards: []ShardClient{shards[0].local, shards[1].local}, Seed: 1, Journal: jnl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt = r
-
-	// Seed the ledger by hand with the interesting states.
-	r.mu.Lock()
-	owned := r.newRecordLocked("owned", "S1", 0, StateHanded)
-	owned.Shard = "s0"
-	moved := r.newRecordLocked("moved", "S1", 0, StateHanded)
-	moved.Shard = "s1"
-	done := r.newRecordLocked("done", "S1", 0, service.StateCompleted)
-	done.Shard = "s0"
-	queued := r.newRecordLocked("intent", "S1", 0, StateQueued)
-	_ = queued
-	r.mu.Unlock()
-
-	resp := r.HandleJoin(&JoinRequest{Shard: "s0", Held: []string{"owned", "moved", "done", "intent", "stranger"}})
-	want := map[string]string{
-		"owned":    JoinResume,        // still bound here
-		"moved":    JoinRevoke + "@0", // bound to s1 meanwhile; epoch rides along
-		"done":     JoinRevoke + "@0", // already terminal
-		"intent":   JoinResume,        // router queued, shard already holds: adopt
-		"stranger": JoinResume,        // unknown: adopt rather than orphan
+	defer r.Close()
+	if _, err := r.Submit(testJob("job", 60), "S1", 0); err != nil {
+		t.Fatal(err)
 	}
-	for id, decision := range want {
-		if resp.Decisions[id] != decision {
-			t.Errorf("decision[%s] = %q, want %q", id, resp.Decisions[id], decision)
+
+	lsn := jnl.Stats().NextLSN
+	w := httptest.NewRecorder()
+	r.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/federation/join",
+		strings.NewReader(`{"shard":"outsider","held":["job"]}`)))
+	if w.Code != http.StatusOK || w.Body.Len() != 0 {
+		t.Fatalf("join answered %d %q, want a bare 200", w.Code, w.Body.String())
+	}
+	if view, _ := r.Job("job"); view.State != StateQueued || view.Shard != "" {
+		t.Fatalf("after the join the job is %+v, want queued and unbound", view)
+	}
+	if n := jnl.Stats().NextLSN - lsn; n != 0 {
+		t.Fatalf("the join appended %d router journal records, want none", n)
+	}
+
+	r.Start()
+	waitQuiesced(t, r, 10*time.Second)
+	if view, _ := r.Job("job"); view.State != service.StateCompleted || view.Shard != "s0" && view.Shard != "s1" {
+		t.Fatalf("job = %+v, want completed on a fleet shard", view)
+	}
+}
+
+// restoredShard is a shard restarted from a journal that holds each of ids
+// queued at epoch: it holds them all (HoldRecovered), runs in manual mode, so
+// nothing executes until the test calls Process, and notices its outcomes to
+// the router rt points at. It returns the shard and its journal.
+func restoredShard(t *testing.T, name string, rt **Router, epoch int, ids ...string) (*fedShard, *journal.Journal) {
+	t.Helper()
+	dir := t.TempDir()
+	jnl, _ := openTestJournal(t, dir)
+	for _, id := range ids {
+		wire := testJob(id, 60)
+		if _, err := jnl.Append(journal.Record{Job: id, State: service.StateQueued, Strategy: "S1", Wire: &wire, Epoch: epoch}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The adoption is ledgered.
-	if view, ok := r.Job("stranger"); !ok || view.State != StateHanded || view.Shard != "s0" {
-		t.Errorf("adopted stranger = %+v", view)
+	jnl.Close()
+	jnl, recovery := openTestJournal(t, dir)
+	t.Cleanup(func() { jnl.Close() })
+	svc, err := service.New(service.Config{
+		Env: testEnv(), Sched: metasched.Config{Seed: 1}, Journal: jnl, HoldRecovered: true,
+		OnTerminal: func(rec service.Record) {
+			if r := *rt; r != nil {
+				go r.HandleTerminal(&TerminalNotice{Shard: name, Job: rec.ID, State: rec.State, Reason: rec.Reason})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if view, _ := r.Job("intent"); view.State != StateHanded || view.Shard != "s0" {
-		t.Errorf("adopted intent = %+v", view)
+	if stats, err := svc.Restore(recovery); err != nil || stats.Held != len(ids) {
+		t.Fatalf("restore: %+v, %v; want %d held", stats, err, len(ids))
+	}
+	return &fedShard{name: name, svc: svc, local: NewLocalShard(name, svc)}, jnl
+}
+
+// queueDepth reads a shard's admission queue depth, where a held job is not.
+func queueDepth(t *testing.T, svc *service.Server) float64 {
+	t.Helper()
+	return scrape(t, svc.Handler())["grid_service_queue_depth"]
+}
+
+// TestRejoinReleasesAHeldJobItsRouterResends: a restarted shard holds a job
+// its router holds handed there. The join has the router resend the binding,
+// the duplicate handoff releases the job, and the shard runs it exactly
+// once. The release appends nothing to either tier's journal.
+func TestRejoinReleasesAHeldJobItsRouterResends(t *testing.T) {
+	var rt *Router
+	s0, shardJnl := restoredShard(t, "s0", &rt, 0, "held")
+	s1 := newFedShards(t, 2, &rt)[1]
+	routerJnl, _ := openTestJournal(t, t.TempDir())
+	defer routerJnl.Close()
+	r, err := New(Config{Shards: []ShardClient{s0.local, s1.local}, Seed: 3, Journal: routerJnl,
+		HeartbeatInterval: 50 * time.Millisecond, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r
+	r.mu.Lock()
+	wire := testJob("held", 60)
+	rec := r.newRecordLocked("held", "S1", 0, StateHanded)
+	rec.Shard, rec.wire = "s0", &wire
+	r.mu.Unlock()
+	r.Start()
+	defer r.Close()
+
+	if got := queueDepth(t, s0.svc); got != 0 {
+		t.Fatalf("before the join s0 queues %v jobs, want the job held", got)
+	}
+	routerLSN, shardLSN := routerJnl.Stats().NextLSN, shardJnl.Stats().NextLSN
+	r.HandleJoin(&JoinRequest{Shard: "s0"})
+	deadline := time.Now().Add(5 * time.Second)
+	for queueDepth(t, s0.svc) != 1 || r.th.handoffs.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the join s0 queues %v jobs and the router sent %d handoffs; want the held job resent and released",
+				queueDepth(t, s0.svc), r.th.handoffs.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := routerJnl.Stats().NextLSN - routerLSN; n != 0 {
+		t.Errorf("the release appended %d router journal records, want none", n)
+	}
+	if n := shardJnl.Stats().NextLSN - shardLSN; n != 0 {
+		t.Errorf("the release appended %d shard journal records, want none", n)
+	}
+	if view, _ := r.Job("held"); view.State != StateHanded || view.Shard != "s0" {
+		t.Errorf("after the release the router holds %+v, want it handed to s0", view)
+	}
+
+	if n := s0.svc.Process(-1); n != 1 {
+		t.Fatalf("s0 processed %d jobs, want the released one", n)
+	}
+	s0.svc.Quiesce()
+	waitQuiesced(t, r, 5*time.Second)
+	// A second join resends the finished binding: its answer changes nothing.
+	r.HandleJoin(&JoinRequest{Shard: "s0"})
+	if n := s0.svc.Process(-1); n != 0 {
+		t.Errorf("s0 processed %d more jobs after a second join, want none", n)
+	}
+	if view, _ := r.Job("held"); view.State != service.StateCompleted || view.Shard != "s0" || view.Epoch != 0 {
+		t.Errorf("job = %+v, want completed on s0 at epoch 0", view)
+	}
+	if m := s0.svc.Metrics(); m.Completed != 1 {
+		t.Errorf("s0 completed %d jobs, want 1", m.Completed)
+	}
+	if rec, ok := s1.svc.Job("held"); ok {
+		t.Errorf("s1 holds %+v, want no record", rec)
+	}
+}
+
+// TestRejoinLeavesARevokingHeldJobToItsRevocation: a restarted shard holds a
+// job its router is revoking there. The join neither resends nor releases
+// it; the revocation loop ends it revoked at the shard, and the router
+// reallocates it to s1 at epoch 1, where it completes.
+func TestRejoinLeavesARevokingHeldJobToItsRevocation(t *testing.T) {
+	var rt *Router
+	s0, _ := restoredShard(t, "s0", &rt, 0, "held")
+	s1 := newFedShards(t, 2, &rt)[1]
+	s1.svc.Start()
+	defer s1.svc.Drain(context.Background())
+	r, err := New(Config{Shards: []ShardClient{s0.local, s1.local}, Seed: 3,
+		HeartbeatInterval: 50 * time.Millisecond, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r
+	r.mu.Lock()
+	wire := testJob("held", 60)
+	rec := r.newRecordLocked("held", "S1", 0, StateRevoking)
+	rec.Shard, rec.wire = "s0", &wire
+	r.mu.Unlock()
+	r.Start()
+	defer r.Close()
+
+	r.HandleJoin(&JoinRequest{Shard: "s0"})
+	time.Sleep(50 * time.Millisecond)
+	if got, sent := queueDepth(t, s0.svc), r.th.handoffs.Value(); got != 0 || sent != 0 {
+		t.Fatalf("after the join s0 queues %v jobs and the router sent %d handoffs; want the job held and nothing sent", got, sent)
+	}
+
+	r.mu.Lock()
+	r.revokeLocked(rec, "test: binding in doubt")
+	r.mu.Unlock()
+	waitQuiesced(t, r, 10*time.Second)
+	if view, _ := r.Job("held"); view.State != service.StateCompleted || view.Shard != "s1" || view.Epoch != 1 {
+		t.Errorf("job = %+v, want completed on s1 at epoch 1", view)
+	}
+	if rec, _ := s0.svc.Job("held"); rec.State != service.StateRevoked {
+		t.Errorf("s0 holds the job %s, want revoked", rec.State)
+	}
+	if n := s0.svc.Process(-1); n != 0 {
+		t.Errorf("s0 processed %d jobs, want none", n)
 	}
 }
 

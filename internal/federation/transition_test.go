@@ -3,6 +3,8 @@ package federation
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +77,8 @@ type transitionRow struct {
 	// appends is how many journal records fire must write: one per
 	// transition it makes.
 	appends uint64
+	// pushes is how many times fire queues the job for dispatch.
+	pushes int
 	// moves names the counters fire must bump by exactly one — in Metrics,
 	// where a field exists, and in grid_fed_*; every other counter must stay
 	// put.
@@ -90,12 +94,25 @@ type transitionRow struct {
 	liveReasonDrifted bool
 }
 
+// pending counts the job's places in the router's dispatch queue.
+func (x *tableCtx) pending() int {
+	x.r.mu.Lock()
+	defer x.r.mu.Unlock()
+	n := 0
+	for _, id := range x.r.pending {
+		if id == x.id {
+			n++
+		}
+	}
+	return n
+}
+
 func notice(x *tableCtx, shard, state, reason string) {
 	x.r.HandleTerminal(&TerminalNotice{Shard: shard, Job: x.id, State: state, Reason: reason})
 }
 
 func join(x *tableCtx, shard string) {
-	x.r.HandleJoin(&JoinRequest{Shard: shard, Held: []string{x.id}})
+	x.r.HandleJoin(&JoinRequest{Shard: shard})
 }
 
 func dispatchWith(res *HandoffResult, err error) func(*tableCtx) {
@@ -115,7 +132,7 @@ var transitionTable = []transitionRow{
 	// Admission.
 	{name: "accept", from: "",
 		fire:    func(x *tableCtx) { x.r.Submit(testJob(x.id, 60), "S1", 0) },
-		appends: 1, moves: []string{"submitted", "accepted"},
+		appends: 1, moves: []string{"submitted", "accepted"}, pushes: 1,
 		want: ledgerRow{State: StateQueued}},
 	{name: "accept/invalid", from: "",
 		fire:  func(x *tableCtx) { x.r.Submit(testJob(x.id, 60), "NOPE", 0) },
@@ -142,7 +159,7 @@ var transitionTable = []transitionRow{
 	{name: "bind/tombstone-answer", from: StateQueued,
 		fire: dispatchWith(&HandoffResult{Duplicate: true, State: service.StateRevoked,
 			Code: service.CodeDuplicate}, nil),
-		appends: 2, moves: []string{"handoffs", "reallocated"},
+		appends: 2, moves: []string{"handoffs", "reallocated"}, pushes: 1,
 		want:              ledgerRow{State: StateQueued, Epoch: 1, Reason: "tombstone at " + boundShard},
 		liveReasonDrifted: true},
 	{name: "bind/retryable-answer-exhausts-budget", from: StateQueued,
@@ -178,15 +195,16 @@ var transitionTable = []transitionRow{
 		want: ledgerRow{State: StateHanded, Shard: boundShard}},
 	{name: "handed/drained-notice", from: StateHanded,
 		fire:    func(x *tableCtx) { notice(x, x.shard, service.StateDrained, "") },
-		appends: 1, moves: []string{"revocations", "reallocated"},
+		appends: 1, moves: []string{"revocations", "reallocated"}, pushes: 1,
 		want:              ledgerRow{State: StateQueued, Epoch: 1, Reason: "drained at " + boundShard},
 		liveReasonDrifted: true},
 	{name: "handed/drained-notice-wrong-shard", from: StateHanded,
 		fire: func(x *tableCtx) { notice(x, x.other, service.StateDrained, "") },
 		want: ledgerRow{State: StateHanded, Shard: boundShard}},
 	{name: "handed/join-resume", from: StateHanded,
-		fire: func(x *tableCtx) { join(x, x.shard) },
-		want: ledgerRow{State: StateHanded, Shard: boundShard}},
+		fire:   func(x *tableCtx) { join(x, x.shard) },
+		pushes: 1,
+		want:   ledgerRow{State: StateHanded, Shard: boundShard}},
 	{name: "handed/join-from-other-shard", from: StateHanded,
 		fire: func(x *tableCtx) { join(x, x.other) },
 		want: ledgerRow{State: StateHanded, Shard: boundShard}},
@@ -194,7 +212,7 @@ var transitionTable = []transitionRow{
 	// A job in doubt.
 	{name: "revoking/revoked", from: StateRevoking,
 		fire:    revokeAnswer(&RevokeResult{Outcome: RevokeOutcomeRevoked, State: service.StateRevoked}),
-		appends: 1, moves: []string{"revocations", "reallocated"},
+		appends: 1, moves: []string{"revocations", "reallocated"}, pushes: 1,
 		want:              ledgerRow{State: StateQueued, Epoch: 1, Reason: "revoked from " + boundShard},
 		liveReasonDrifted: true},
 	{name: "revoking/inflight", from: StateRevoking,
@@ -213,23 +231,24 @@ var transitionTable = []transitionRow{
 		want: ledgerRow{State: service.StateCompleted, Shard: boundShard, Reason: "ok"}},
 	{name: "revoking/drained-notice", from: StateRevoking,
 		fire:    func(x *tableCtx) { notice(x, x.shard, service.StateDrained, "") },
-		appends: 1, moves: []string{"revocations", "reallocated"},
+		appends: 1, moves: []string{"revocations", "reallocated"}, pushes: 1,
 		want:              ledgerRow{State: StateQueued, Epoch: 1, Reason: "drained at " + boundShard},
 		liveReasonDrifted: true},
 	{name: "revoking/revoke-again", from: StateRevoking,
 		fire: func(x *tableCtx) { x.r.beginRevoke(x.id, "a second opinion") },
 		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: inDoubt}},
 
-	// Join and drain on jobs no shard was bound to.
-	{name: "join/adopt-queued", from: StateQueued,
-		fire:    func(x *tableCtx) { join(x, x.other) },
-		appends: 1,
-		want:    ledgerRow{State: StateHanded, Shard: otherShard}},
-	{name: "join/adopt-stranger", from: "",
-		fire:              func(x *tableCtx) { join(x, x.other) },
-		appends:           1,
-		want:              ledgerRow{State: StateHanded, Shard: otherShard, Reason: "adopted from shard join"},
-		liveReasonDrifted: true},
+	// Joins, and a drain of a job no shard was bound to.
+	{name: "join/resends-handed", from: StateHanded,
+		fire: func(x *tableCtx) {
+			x.r.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost,
+				"/v1/federation/join", strings.NewReader(`{"shard":"`+x.shard+`"}`)))
+		},
+		pushes: 1,
+		want:   ledgerRow{State: StateHanded, Shard: boundShard}},
+	{name: "join/binds-nothing", from: StateQueued,
+		fire: func(x *tableCtx) { join(x, x.other) },
+		want: ledgerRow{State: StateQueued}},
 	{name: "queued/terminal-notice", from: StateQueued,
 		fire:    func(x *tableCtx) { notice(x, x.other, service.StateCompleted, "ran before the crash") },
 		appends: 1, moves: []string{"completed"},
@@ -353,9 +372,13 @@ func runTransitionRow(t *testing.T, row transitionRow) (liveReason, journaledRea
 
 	lsn := x.jnl.Stats().NextLSN // every append takes the next LSN
 	met0, series0 := counters(t, x.r)
+	pending := x.pending()
 	row.fire(x)
 	if got := x.jnl.Stats().NextLSN - lsn; got != row.appends {
 		t.Errorf("journal appends = %d, want %d", got, row.appends)
+	}
+	if got := x.pending() - pending; got != row.pushes {
+		t.Errorf("queued for dispatch %d times, want %d", got, row.pushes)
 	}
 	moved := map[string]uint64{}
 	for _, name := range row.moves {
@@ -425,7 +448,7 @@ func TestRouterTransitionTable(t *testing.T) {
 }
 
 // TestRouterLedgerReasonFollowsJournal pins what moveLocked fixed: on the
-// re-queue, inflight-rebind and stranger-adopt transitions the hand-written
+// re-queue and inflight-rebind transitions the hand-written
 // code journaled one Reason and kept another in memory, so a restarted
 // router showed a different reason than the one that wrote the journal.
 func TestRouterLedgerReasonFollowsJournal(t *testing.T) {

@@ -134,30 +134,12 @@ type RevokeResult struct {
 }
 
 // JoinRequest is the rejoin handshake a shard sends its router on startup:
-// Held lists, by ID, the recovered non-terminal jobs parked until the router
-// rules on each. It carries nothing else, so it does not grow with the
-// shard's terminal ledger: every other job the router holds bound to the
-// shard is resent to it, and the shard's answer settles it.
+// the shard's name and nothing else, so it does not grow with the shard's
+// ledger. The router answers with a bare 200 and resends every binding it
+// holds handed to the shard; the shard's answer to each settles it, and
+// releases a job the shard holds from recovery (ApplyHandoff).
 type JoinRequest struct {
-	Shard string   `json:"shard"`
-	Held  []string `json:"held,omitempty"`
-}
-
-// Join decisions.
-const (
-	JoinResume = "resume" // the shard still owns the job: requeue it
-	// JoinRevoke — ownership moved while the shard was down: drop it. The
-	// router appends "@N" with its reallocation epoch so the resulting
-	// tombstone refuses stale handoff replays (see Handoff.Epoch).
-	JoinRevoke = "revoke"
-)
-
-// JoinResponse maps each held job ID to a decision. The response is advice
-// the shard acts on; the router only treats a job as reclaimed once a
-// confirmed Revoke round-trip (or this shard's own revoked ledger entry)
-// proves the shard will not run it.
-type JoinResponse struct {
-	Decisions map[string]string `json:"decisions"`
+	Shard string `json:"shard"`
 }
 
 // TerminalNotice tells the router a job reached a terminal state on a

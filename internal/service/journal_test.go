@@ -173,7 +173,7 @@ func TestJournalHoldsAcceptAndTerminalOnly(t *testing.T) {
 // TestKilledInFlightRestoresExactlyOnce: a process that dies after handing a
 // job to the VO but before the job completes left only the accept on disk.
 // Its successor must take the job back exactly once — requeued on a plain
-// daemon, held for the router's ruling on a federated shard — and run it to
+// daemon, held for the router's resend on a federated shard — and run it to
 // one terminal record.
 func TestKilledInFlightRestoresExactlyOnce(t *testing.T) {
 	for _, hold := range []bool{false, true} {

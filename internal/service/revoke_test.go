@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,8 +124,15 @@ func TestHoldRecovered(t *testing.T) {
 	if stats.Held != 3 || stats.Requeued != 0 {
 		t.Fatalf("restore held=%d requeued=%d, want 3/0", stats.Held, stats.Requeued)
 	}
-	if got := s2.Held(); len(got) != 3 {
-		t.Fatalf("Held() = %v, want 3 ids", got)
+	s2.mu.Lock()
+	var held []string
+	for id := range s2.held {
+		held = append(held, id)
+	}
+	slices.Sort(held)
+	s2.mu.Unlock()
+	if !slices.Equal(held, []string{"a", "b", "c"}) {
+		t.Fatalf("held = %v, want a, b and c", held)
 	}
 	// Nothing runs while parked.
 	if n := s2.Process(-1); n != 0 {

@@ -177,9 +177,10 @@ type Config struct {
 	Journal *journal.Journal
 	// HoldRecovered parks non-terminal jobs found by Restore instead of
 	// re-enqueueing them: a federated shard must not re-execute recovered
-	// work until the router's join handshake confirms it still owns each
-	// job (ResumeHeld) or revokes it (RevokeEpoch). false keeps the
-	// standalone behavior: recovered jobs go straight back into the queue.
+	// work until the router resends the job's binding, which releases it
+	// (ResumeHeld), or revokes it (RevokeEpoch). Only a shard that joins a
+	// router gets those resends. false keeps the standalone behavior:
+	// recovered jobs go straight back into the queue.
 	HoldRecovered bool
 	// Gate, when non-nil, is consulted before the engine loop dequeues
 	// work: a false return pauses scheduling (already-scheduled jobs still
@@ -286,7 +287,7 @@ type RecoveryStats struct {
 	// queue to be scheduled again.
 	Requeued int `json:"requeued"`
 	// Held is how many non-terminal jobs were parked (Config.HoldRecovered)
-	// awaiting the federation join handshake instead of being requeued.
+	// awaiting the router's resend or revocation instead of being requeued.
 	Held int `json:"held,omitempty"`
 	// Terminal is how many jobs were already terminal; they are ledgered
 	// so the duplicate-submit guard holds across the restart but are never
@@ -997,21 +998,9 @@ func (s *Server) unqueueLocked(id string) bool {
 	return false
 }
 
-// Held returns the IDs of recovered jobs parked by Restore under
-// Config.HoldRecovered, sorted.
-func (s *Server) Held() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.held))
-	for id := range s.held {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ResumeHeld releases parked recovered jobs back into the admission queue
-// — the router's join handshake confirmed this shard still owns them.
+// — the router's current binding sent them here again, so this shard still
+// owns them.
 // Unknown or already-released IDs are ignored; the count moved is
 // returned.
 func (s *Server) ResumeHeld(ids []string) int {
@@ -1198,9 +1187,9 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 		s.ledgerLocked(r)
 		e := &entry{rec: r, job: job, wire: *js.Wire, typ: typ}
 		if s.cfg.HoldRecovered {
-			// Park it: the federation join handshake decides whether this
-			// shard still owns the job (ResumeHeld) or lost it while down
-			// (RevokeEpoch). Until then it must not execute.
+			// Park it: the router's resent binding releases the job
+			// (ResumeHeld) or its revocation takes it back (RevokeEpoch).
+			// Until then it must not execute.
 			s.held[js.Job] = e
 			stats.Held++
 		} else {
