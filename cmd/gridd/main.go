@@ -15,19 +15,18 @@
 // With -shard set, gridd additionally serves the federation wire protocol
 // (handoff, revoke, ping) so a gridfront router can place jobs on it; with
 // -join it joins the router on startup, which has the router resend every
-// binding it holds at the shard, and pushes terminal-state notices back, and
-// -lease parks the engine whenever the router has been silent too long
-// (partition safety). A joining shard holds the jobs it recovers until the
-// router resends or revokes each; without -join they are requeued, as a
-// standalone gridd requeues them. Without -shard, behavior is
-// byte-identical to a standalone gridd.
+// binding it holds at the shard, and pushes terminal-state notices back. A
+// joining shard holds the jobs it recovers until the router resends or
+// revokes each; without -join they are requeued, as a standalone gridd
+// requeues them. Without -shard, behavior is byte-identical to a standalone
+// gridd.
 //
 // Usage:
 //
 //	gridd -listen :8080 -domains 3 -seed 1
 //	gridd -env nodes.json -queue 32 -snapshot drained.json
 //	gridd -journal-dir /var/lib/gridd/journal -fsync always
-//	gridd -shard s0 -join http://127.0.0.1:8070 -lease 2s
+//	gridd -shard s0 -join http://127.0.0.1:8070
 //
 // The environment comes from -env (a jobio node file, e.g. the output of
 // `jobgen -env`) or is generated synthetically from -domains/-seed. See
@@ -83,7 +82,6 @@ func main() {
 		compactEvery = flag.Int("compact-every", 256, "terminal jobs between journal compactions (0 = only on recovery/drain)")
 		shardName    = flag.String("shard", "", "run as a federation shard with this name (serves the handoff/revoke/ping endpoints)")
 		joinURL      = flag.String("join", "", "router base URL to join (requires -shard); recovered jobs wait for the router's resend or revocation. Empty serves federation endpoints standalone and requeues recovered jobs")
-		leaseTimeout = flag.Duration("lease", 0, "router-contact lease: park the engine when the router has been silent this long (0 disables; requires -shard)")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 		spansPath    = flag.String("spans", "", "write scheduling spans as JSON lines to this file, - for stderr")
 		tracePath    = flag.String("trace", "", "write VO lifecycle events as JSON lines to this file, - for stderr; sharing the -spans path interleaves both streams line-atomically")
@@ -177,17 +175,15 @@ func main() {
 
 	// Federation glue (-shard): the member serves the handoff/revoke/ping
 	// endpoints in front of the service and, with -join, joins the router
-	// and pushes terminal notices to it, and -lease parks the engine
-	// whenever the router has gone silent, so a partitioned shard stops
-	// starting work the router may be reallocating to a survivor. Without
-	// -shard none of this is built and gridd behaves exactly as before.
-	if *shardName == "" && (*joinURL != "" || *leaseTimeout > 0) {
-		log.Fatalf("gridd: -join and -lease require -shard")
+	// and pushes terminal notices to it. Without -shard none of this is
+	// built and gridd behaves exactly as before.
+	if *shardName == "" && *joinURL != "" {
+		log.Fatalf("gridd: -join requires -shard")
 	}
 	var member *federation.Member
 	if *shardName != "" {
 		member = shardMember(&cfg, federation.MemberConfig{
-			Shard: *shardName, Router: *joinURL, Lease: *leaseTimeout,
+			Shard: *shardName, Router: *joinURL,
 			Seed: *seed + 3, Telemetry: reg, Logf: log.Printf,
 		})
 	}
@@ -263,13 +259,11 @@ func main() {
 }
 
 // shardMember builds the federation member for -shard and wires it into
-// cfg: its lease gates the engine and its Terminal pushes outcomes. A shard
-// that joins a router holds the jobs it recovers until the router resends
-// or revokes each; one without a router has nothing to release them, so it
-// requeues them.
+// cfg: its Terminal pushes outcomes. A shard that joins a router holds the
+// jobs it recovers until the router resends or revokes each; one without a
+// router has nothing to release them, so it requeues them.
 func shardMember(cfg *service.Config, mc federation.MemberConfig) *federation.Member {
 	member := federation.NewMember(mc)
-	cfg.Gate = member.Fresh
 	cfg.OnTerminal = member.Terminal
 	cfg.HoldRecovered = mc.Router != ""
 	return member

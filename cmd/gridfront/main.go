@@ -75,11 +75,11 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "seed for backoff jitter and breaker jitter")
 		heartbeat    = flag.Duration("heartbeat", 250*time.Millisecond, "shard ping period")
 		retryBudget  = flag.Int("retry-budget", 3, "handoff attempts per binding before revocation starts")
-		retryBase    = flag.Duration("retry-base", 100*time.Millisecond, "base handoff retry backoff")
-		retryCap     = flag.Duration("retry-cap", 2*time.Second, "handoff retry backoff cap")
+		retryBase    = flag.Duration("retry-base", 100*time.Millisecond, "base backoff before a handoff or revoke that settled nothing is sent again")
+		retryCap     = flag.Duration("retry-cap", 2*time.Second, "cap of the handoff and revoke retry backoff")
 		rpcTimeout   = flag.Duration("rpc-timeout", 2*time.Second, "one handoff/revoke RPC budget")
 		workers      = flag.Int("workers", 4, "dispatcher pool size")
-		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failed pings or handoffs that declare a shard dead (0 = 5)")
+		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failed pings, handoffs or revokes that declare a shard dead (0 = 5)")
 		journalDir   = flag.String("journal-dir", "", "write-ahead placement journal directory; empty disables crash safety")
 		fsyncMode    = flag.String("fsync", "always", "journal fsync policy: always|interval|never")
 		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")

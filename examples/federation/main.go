@@ -69,7 +69,7 @@ func main() {
 
 // runShard is the re-exec'd child: a journaled service behind the
 // federation member glue, exactly the wiring `gridd -shard s0 -join URL
-// -lease 2s -journal-dir DIR` performs.
+// -journal-dir DIR` performs.
 func runShard() {
 	name := os.Getenv(nameEnv)
 	logf := func(f string, a ...any) { log.Printf("[%s] "+f, append([]any{name}, a...)...) }
@@ -81,7 +81,7 @@ func runShard() {
 		log.Fatalf("[%s] journal: %v", name, err)
 	}
 	member := federation.NewMember(federation.MemberConfig{
-		Shard: name, Router: os.Getenv(routerEnv), Lease: 2 * time.Second, Logf: logf,
+		Shard: name, Router: os.Getenv(routerEnv), Logf: logf,
 	})
 	svc, err := service.New(service.Config{
 		Env:           shardEnv(),
@@ -89,7 +89,6 @@ func runShard() {
 		QueueCap:      64,
 		Journal:       jnl,
 		HoldRecovered: true, // recovered jobs wait for the router's resend or revocation
-		Gate:          member.Fresh,
 		OnTerminal:    member.Terminal,
 	})
 	if err != nil {

@@ -9,13 +9,14 @@ import (
 	"repro/internal/simtime"
 )
 
-// backoff paces the retries of one owner (the router, or a shard's member
-// glue) with jittered exponential waits that end early when the owner
-// stops. Several of the owner's goroutines may wait at once; they share
+// backoff paces the retries of one owner with jittered exponential
+// delays. The router reads only delay, for the timer that requeues a send;
+// a shard's member glue waits in retry, which ends early when the member
+// stops. Several of the owner's goroutines may use it at once; they share
 // the seeded jitter stream.
 type backoff struct {
 	base, limit time.Duration
-	stop        <-chan struct{} // closed when the owner shuts down
+	stop        <-chan struct{} // closed when the owner shuts down; nil for the router
 
 	mu sync.Mutex
 	r  *rng.Source

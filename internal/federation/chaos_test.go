@@ -87,7 +87,7 @@ func childListen(addr string) net.Listener {
 }
 
 // fedShardChild is one re-exec'd metascheduler shard: journal + held
-// recovery + lease-gated engine + federation member endpoints.
+// recovery + federation member endpoints.
 func fedShardChild() {
 	name := os.Getenv(fedNameEnv)
 	dir := os.Getenv(fedDirEnv)
@@ -110,7 +110,7 @@ func fedShardChild() {
 		}, nil)}
 	}
 	member := NewMember(MemberConfig{
-		Shard: name, Router: routerURL, Lease: 400 * time.Millisecond, Client: client,
+		Shard: name, Router: routerURL, Client: client,
 		RetryBase: 50 * time.Millisecond, RetryCap: time.Second, Seed: seed,
 		Logf: func(f string, a ...any) { fmt.Fprintf(os.Stderr, "shard %s: "+f+"\n", append([]any{name}, a...)...) },
 	})
@@ -120,7 +120,6 @@ func fedShardChild() {
 		QueueCap:      256,
 		Journal:       jnl,
 		HoldRecovered: true,
-		Gate:          member.Fresh,
 		OnTerminal:    member.Terminal,
 	})
 	if err != nil {

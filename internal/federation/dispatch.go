@@ -8,30 +8,45 @@ import (
 	"repro/internal/service"
 )
 
-// pushLocked queues a job for dispatch. Caller holds r.mu.
-func (r *Router) pushLocked(id string) {
-	r.pending = append(r.pending, id)
+// owed is one send a ledger entry is owed: the entry's state and attempts
+// when it was queued for dispatch.
+type owed struct {
+	id       string
+	state    string
+	attempts int
+}
+
+// pushLocked queues rec for dispatch now. Caller holds r.mu.
+func (r *Router) pushLocked(rec *jobRecord) {
+	r.owe(owed{rec.ID, rec.State, rec.attempts})
+}
+
+// owe queues o for dispatch unless the router is closed. Caller holds r.mu.
+func (r *Router) owe(o owed) {
+	if r.closed {
+		return
+	}
+	r.pending = append(r.pending, o)
 	r.th.pending.Set(float64(len(r.pending)))
 	r.cond.Signal()
 }
 
-// push is pushLocked for timers and RPC outcomes.
-func (r *Router) push(id string) {
-	r.mu.Lock()
-	if !r.closed {
-		r.pushLocked(id)
-	}
-	r.mu.Unlock()
+// requeueLater queues rec for dispatch again after d: the path of a send
+// that settled nothing, of one its shard's breaker held back and of a job
+// with no eligible shard. It starts no goroutine until d has passed.
+// Caller holds r.mu.
+func (r *Router) requeueLater(rec *jobRecord, d time.Duration) {
+	o := owed{rec.ID, rec.State, rec.attempts}
+	time.AfterFunc(d, func() {
+		r.mu.Lock()
+		r.owe(o)
+		r.mu.Unlock()
+	})
 }
 
-// requeueLater re-queues id after d — the "no eligible shard right now"
-// path, paced by the heartbeat interval.
-func (r *Router) requeueLater(id string, d time.Duration) {
-	time.AfterFunc(d, func() { r.push(id) })
-}
-
-// dispatchLoop is one worker: pop a pending job, dispatch it to the first
-// eligible shard on its preference list, with a bounded retry budget.
+// dispatchLoop is one worker: pop an owed send and make it. A send whose
+// entry moved or was sent since it was owed is dropped: whatever moved or
+// sent the entry owns its next send.
 func (r *Router) dispatchLoop() {
 	defer r.wg.Done()
 	for {
@@ -43,18 +58,22 @@ func (r *Router) dispatchLoop() {
 			r.mu.Unlock()
 			return
 		}
-		id := r.pending[0]
+		o := r.pending[0]
 		r.pending = r.pending[1:]
 		r.th.pending.Set(float64(len(r.pending)))
+		rec := r.records[o.id] // entries are never deleted
+		current := rec.State == o.state && rec.attempts == o.attempts
 		r.mu.Unlock()
-		r.dispatch(id)
+		if current {
+			r.dispatch(o.id)
+		}
 	}
 }
 
 // eligibleLocked returns the first shard on the preference list that is
 // not banned for this job and whose breaker is closed. A half-open shard
-// gets no handoff as a probe: its next good ping closes the breaker, so no
-// job is bound to a shard that has not answered since it was declared dead.
+// gets no binding: a job is bound only to a shard whose breaker a ping or
+// an answered send has closed since it was declared dead.
 func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
 	now := r.now()
 	for _, s := range r.ring.Walk(rec.ID) {
@@ -65,15 +84,21 @@ func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
 	return "", false
 }
 
-// dispatch sends the binding an entry holds and runs the handoff attempts:
-// a queued job is bound to a shard first; a handed one — restored from the
-// journal, or resent at its shard's join — is sent again to the shard it is
-// bound to, which answers a frame it already holds idempotently.
+// dispatch is the router's one sender: it makes at most one send for the
+// entry, chosen by its state. A queued entry is bound to a shard and handed
+// off; a handed one — restored from the journal, resent at its shard's
+// join, or retried — is handed off again to the shard it is bound to, which
+// answers a frame it already holds idempotently; a revoking one is revoked.
+// The shard's breaker paces every send: while it refuses, the entry waits a
+// heartbeat and uses no attempt. A send that settles nothing is requeued
+// after the retry backoff, except a handoff that has used RetryBudget
+// attempts, which puts the binding in doubt. A move made while the send is
+// out belongs to whatever made it.
 func (r *Router) dispatch(id string) {
 	r.mu.Lock()
 	rec, ok := r.records[id]
-	if !ok || rec.wire == nil || rec.State != StateQueued && rec.State != StateHanded {
-		// Settled, being revoked, or adopted by an older router's join (no wire form): nothing to send.
+	if !ok || service.Terminal(rec.State) || rec.wire == nil && rec.State != StateRevoking {
+		// Settled, or adopted by an older router's join (no wire form): nothing to send.
 		r.mu.Unlock()
 		return
 	}
@@ -91,62 +116,78 @@ func (r *Router) dispatch(id string) {
 			rec.banned = nil
 			shard, ok = r.eligibleLocked(rec)
 		}
-		if !ok {
-			r.mu.Unlock()
-			r.requeueLater(id, r.cfg.heartbeat())
-			return
-		}
+	}
+	if !ok || !r.brk.Get(shard).Allow(r.now()) {
+		r.requeueLater(rec, r.cfg.heartbeat())
+		r.mu.Unlock()
+		return
+	}
+	if rec.State == StateQueued {
 		// Journal the binding BEFORE the first byte leaves: if the router
 		// is SIGKILL'd mid-handoff, its next incarnation restores the job
 		// as handed to shard and sends the same frame there again.
 		r.moveLocked(rec, evBind, "", shard, "")
 	}
-	wire := *rec.wire
-	strategyName, priority, epoch := rec.Strategy, rec.Priority, rec.epoch
+	rec.attempts++
+	state, attempts := rec.State, rec.attempts
+	var h *Handoff
+	var req *RevokeRequest
+	if state == StateHanded {
+		h = &Handoff{Key: id, Job: *rec.wire, Strategy: rec.Strategy, Priority: rec.Priority, Epoch: rec.epoch}
+	} else {
+		req = &RevokeRequest{Key: id, Reason: rec.Reason, Epoch: rec.epoch}
+	}
 	r.mu.Unlock()
 
 	client := r.clients[shard]
-	budget := r.cfg.retryBudget()
-	for attempt := 1; attempt <= budget; attempt++ {
-		if attempt > 1 {
-			if !r.retry.wait(attempt-1) || !r.boundTo(rec, shard) {
-				return
-			}
-			r.th.retries.Inc()
-		}
-		h := &Handoff{Key: id, Job: wire, Strategy: strategyName, Priority: priority, Epoch: epoch}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
+	var settled bool
+	var err error
+	if h != nil {
 		began := time.Now()
-		res, err := client.Handoff(ctx, h)
-		cancel()
+		var res *HandoffResult
+		res, err = client.Handoff(ctx, h)
 		r.th.handoffs.Inc()
-		if err != nil {
+		if err == nil {
+			r.brk.Get(shard).Success(r.now())
+			r.th.handoffLatency.Observe(time.Since(began).Seconds())
+			settled = r.resolveHandoff(rec, shard, res)
+		} else {
 			r.th.handoffFailures.Inc()
-			r.logf("federation: handoff %s→%s attempt %d: %v", id, shard, attempt, err)
-			r.shardFailed(shard)
-			continue
 		}
-		r.brk.Get(shard).Success(r.now())
-		r.th.handoffLatency.Observe(time.Since(began).Seconds())
-		if r.resolveHandoff(rec, shard, res) {
-			return
+	} else {
+		var res *RevokeResult
+		res, err = client.Revoke(ctx, req)
+		if err == nil {
+			r.brk.Get(shard).Success(r.now())
+			settled = r.resolveRevoke(id, shard, res)
 		}
-		// Retryable shard answer (overloaded / draining): consume budget
-		// and try again.
 	}
-	// Budget exhausted: the job is in doubt at shard (an attempt may have
-	// been processed with its ack lost). Walk the last recovery-ladder
-	// rung: confirmed revocation, then reallocation to a survivor.
-	r.beginRevoke(id, "handoff retry budget exhausted")
-}
+	cancel()
+	if err != nil {
+		r.logf("federation: %s %s@%s attempt %d: %v", state, id, shard, attempts, err)
+		r.shardFailed(shard)
+	}
 
-// boundTo reports whether rec is still handed to shard. A retry goes out
-// only while it is: once a death sweep, an answer or a notice moved the
-// job, its revocation loop or outcome owns it.
-func (r *Router) boundTo(rec *jobRecord, shard string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return rec.State == StateHanded && rec.Shard == shard
+	switch {
+	case settled, rec.State != state, rec.attempts != attempts:
+		// Settled, or moved or sent again meanwhile by what owns it now.
+	case state == StateHanded && attempts >= r.cfg.retryBudget():
+		// Budget exhausted: the job is in doubt at shard (an attempt may
+		// have been processed with its ack lost). Walk the last
+		// recovery-ladder rung: confirmed revocation, then reallocation to
+		// a survivor.
+		if r.moveLocked(rec, evRevoke, "", shard, "handoff retry budget exhausted") {
+			r.pushLocked(rec)
+		}
+	default:
+		if state == StateHanded {
+			r.th.retries.Inc()
+		}
+		r.requeueLater(rec, r.retry.delay(attempts))
+	}
 }
 
 // resolveHandoff applies a durable shard answer, which may carry the job's
@@ -171,10 +212,8 @@ func (r *Router) resolveHandoff(rec *jobRecord, shard string, res *HandoffResult
 	case res.Code == service.CodeInvalid || res.Code == service.CodeInfeasible:
 		r.moveLocked(rec, evAnswer, service.StateRejected, shard, res.Reason)
 	default:
-		// Overloaded, draining, internal: retry while an answer
-		// can still settle the binding. Once a death sweep or a notice
-		// moved the job, its revocation loop or outcome owns it.
-		return lifecycle[evAnswer][rec.State] == ""
+		// Overloaded, draining, internal: retryable.
+		return false
 	}
 	return true
 }

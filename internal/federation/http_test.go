@@ -79,8 +79,9 @@ func (l *requestLog) counts(path string) (sent, answered int) {
 
 // startHTTPFederation brings up n shards (s0, s1, …) and their router, and
 // tears everything down with the test. tweak, when non-nil, edits shard i's
-// service config before the service is built.
-func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Config)) *httpFederation {
+// service config before the service is built; routerTweak, when given,
+// edits the router's config before the router is built.
+func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Config), routerTweak ...func(cfg *Config)) *httpFederation {
 	t.Helper()
 	// The members need the router's URL before the router exists, so the
 	// router's server delegates through a late-bound handler.
@@ -127,13 +128,17 @@ func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Con
 		f.fleet = append(f.fleet, NewHTTPShard(name, ts.URL, &http.Client{Timeout: 2 * time.Second, Transport: f.requests}))
 	}
 
-	r, err := New(Config{
+	cfg := Config{
 		Shards:            f.fleet,
 		Seed:              21,
 		Telemetry:         telemetry.NewRegistry(),
 		HeartbeatInterval: 50 * time.Millisecond,
 		RetryBase:         10 * time.Millisecond,
-	})
+	}
+	for _, tw := range routerTweak {
+		tw(&cfg)
+	}
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 			case fzBeginRevoke:
 				x.r.beginRevoke(key, "fuzz: in doubt")
 			case fzRevokeAnswer:
-				// A revocation loop answers only for an entry it found.
+				// A revoke is answered only for an entry the router holds.
 				if _, ok := x.r.Job(key); ok {
 					res := fzRevokes[variant&3]
 					x.r.resolveRevoke(key, shard, &res)

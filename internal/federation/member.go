@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
@@ -24,18 +23,6 @@ type MemberConfig struct {
 	// shard must not hold recovered jobs (service.Config.HoldRecovered):
 	// only the resends a join asks for release them.
 	Router string
-	// Lease, when positive, is how long the shard keeps starting new work
-	// after its last router contact (ping, handoff, revoke, join or notice
-	// answer). Fresh, the service's Gate, closes once the router has been
-	// silent that long, so a shard partitioned away from its router stops
-	// STARTING new jobs (already-started ones finish), which keeps its queue
-	// revocable and lets the router reallocate it. Zero never closes the
-	// gate (standalone mode).
-	//
-	// Safety does not depend on the lease: a shard that raced a job into its
-	// engine before the lease ran out answers "inflight" to the revoke, and
-	// the router leaves the job bound. The lease only shrinks that window.
-	Lease time.Duration
 	// Client is the HTTP client for join/terminal calls. nil uses a
 	// 5-second-timeout default.
 	Client *http.Client
@@ -54,21 +41,19 @@ type MemberConfig struct {
 // Member is the shard-side half of the federation protocol: it serves the
 // handoff/revoke/ping endpoints in front of a service.Server, joins the
 // router once at startup, which has the router resend every binding it
-// holds here, tells the router each job's outcome and keeps the router
-// lease. The member rules on nothing itself: a job held from recovery runs
-// when its resent handoff arrives, or ends revoked by the router's
-// revocation. An idle shard decides a handed job while the handoff waits,
-// and the answer carries the outcome; any other outcome goes out as a
-// terminal notice. Create it BEFORE the service so
-// its Terminal and Fresh methods can be wired as service.Config.OnTerminal
-// and Gate, then Bind the server and Start.
+// holds here, and tells the router each job's outcome. The member rules on
+// nothing itself: a job held from recovery runs when its resent handoff
+// arrives, or ends revoked by the router's revocation. An idle shard decides
+// a handed job while the handoff waits, and the answer carries the outcome;
+// any other outcome goes out as a terminal notice. Create it BEFORE the
+// service so its Terminal method can be wired as service.Config.OnTerminal,
+// then Bind the server and Start.
 type Member struct {
 	cfg    MemberConfig
 	client *http.Client // cfg.Client, or the default built once
 	svc    *service.Server
 	retry  *backoff
 	stopc  chan struct{} // closed by Close
-	last   atomic.Int64  // unix nanos of the most recent router contact
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -81,11 +66,10 @@ type Member struct {
 	handoffs, revokes, notifies, joins *telemetry.Counter
 }
 
-// NewMember builds the member, its lease fresh now. Bind must be called
-// before Handler or Start.
+// NewMember builds the member. Bind must be called before Handler or
+// Start.
 func NewMember(cfg MemberConfig) *Member {
 	m := &Member{cfg: cfg, client: cfg.Client, stopc: make(chan struct{}), waiters: map[string]*waiter{}}
-	m.last.Store(time.Now().UnixNano())
 	if m.client == nil {
 		m.client = &http.Client{Timeout: 5 * time.Second}
 	}
@@ -110,22 +94,6 @@ func (m *Member) logf(format string, args ...any) {
 
 // Bind attaches the service the member fronts.
 func (m *Member) Bind(svc *service.Server) { m.svc = svc }
-
-// Fresh is the service.Config.Gate hook: it reports whether the shard has
-// heard from its router within the lease. Without a lease it is always true.
-func (m *Member) Fresh() bool {
-	return m.cfg.Lease <= 0 || time.Since(time.Unix(0, m.last.Load())) < m.cfg.Lease
-}
-
-// contact records router contact now. With a lease it kicks the bound
-// service, so an engine loop the gate parked wakes up and looks again.
-func (m *Member) contact() {
-	if m.cfg.Lease <= 0 {
-		return
-	}
-	m.last.Store(time.Now().UnixNano())
-	m.svc.Kick()
-}
 
 // waiter is a handoff under way: it catches its job's outcome, to answer
 // with, in place of a notice. An empty state means none caught.
@@ -246,11 +214,7 @@ func (m *Member) joinLoop() {
 
 // join sends one join.
 func (m *Member) join() error {
-	if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &JoinRequest{Shard: m.cfg.Shard}, nil); err != nil {
-		return err
-	}
-	m.contact()
-	return nil
+	return callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &JoinRequest{Shard: m.cfg.Shard}, nil)
 }
 
 // notifyLoop delivers terminal notices in order, retrying with backoff.
@@ -287,11 +251,7 @@ func (m *Member) notifyLoop() {
 }
 
 func (m *Member) deliver(n TerminalNotice) error {
-	if err := callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/terminal", &n, nil); err != nil {
-		return err
-	}
-	m.contact()
-	return nil
+	return callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/terminal", &n, nil)
 }
 
 // Handler wraps next (the service's HTTP API) with the federation
@@ -299,8 +259,7 @@ func (m *Member) deliver(n TerminalNotice) error {
 //
 //	POST /v1/federation/handoff — framed job handoff (idempotent by key)
 //	POST /v1/federation/revoke  — confirmed revocation / tombstone
-//	GET  /v1/federation/ping    — heartbeat: refreshes the router lease and
-//	                              answers a bare 200
+//	GET  /v1/federation/ping    — heartbeat: answers a bare 200
 func (m *Member) Handler(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", next)
@@ -311,7 +270,6 @@ func (m *Member) Handler(next http.Handler) http.Handler {
 }
 
 func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	m.contact()
 	m.handoffs.Inc()
 	h, err := readHandoff(r.Body)
 	if err != nil {
@@ -338,7 +296,6 @@ func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
-	m.contact()
 	m.revokes.Inc()
 	var req RevokeRequest
 	if err := decodeJSONBody(r.Body, maxFrameBytes, &req); err != nil || req.Key == "" {
@@ -349,7 +306,6 @@ func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handlePing(w http.ResponseWriter, r *http.Request) {
-	m.contact()
 	w.WriteHeader(http.StatusOK)
 }
 

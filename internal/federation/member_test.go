@@ -365,58 +365,6 @@ func TestMemberSendsNoRevokedNotices(t *testing.T) {
 	}
 }
 
-// TestMemberLeaseGatesTheEngine pins the router lease the member keeps.
-// Without a lease the gate never closes, however long the router is silent.
-// With one, silence past the lease closes the gate and a queued job waits;
-// a ping reopens it and wakes the engine loop, which nothing else would,
-// and the job runs.
-func TestMemberLeaseGatesTheEngine(t *testing.T) {
-	standalone := NewMember(MemberConfig{Shard: "s0"})
-	standalone.last.Store(0)
-	if !standalone.Fresh() {
-		t.Fatal("a member without a lease closed the gate")
-	}
-
-	m := NewMember(MemberConfig{Shard: "s0", Lease: time.Minute})
-	svc, err := service.New(service.Config{Env: testEnv(), Gate: m.Fresh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Bind(svc)
-	if !m.Fresh() {
-		t.Fatal("a new member's lease is stale")
-	}
-	m.last.Store(time.Now().Add(-2 * time.Minute).UnixNano())
-	if m.Fresh() {
-		t.Fatal("the gate stayed open past the lease")
-	}
-	svc.Start()
-	defer svc.Drain(context.Background())
-	if _, err := svc.Submit(testJob("gated", 60), "S1", 0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if rec, _ := svc.Job("gated"); rec.State != service.StateQueued {
-		t.Fatalf("behind a closed gate the job is %s, want queued", rec.State)
-	}
-
-	w := httptest.NewRecorder()
-	m.Handler(svc.Handler()).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/federation/ping", nil))
-	if w.Code != http.StatusOK || !m.Fresh() {
-		t.Fatalf("ping answered %d and left the lease fresh=%v", w.Code, m.Fresh())
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if rec, _ := svc.Job("gated"); service.Terminal(rec.State) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the ping reopened the gate but the engine loop never woke")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestHandoffIgnoresARoutersClock: a shard reads no deadline out of a
 // handoff frame, so the router's clock cannot make it refuse work. The
 // frame here carries the deadlineUnixMilli field that routers once stamped

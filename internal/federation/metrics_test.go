@@ -103,6 +103,7 @@ func TestRouterMetricsAreTheirSeries(t *testing.T) {
 	}
 	answer(&HandoffResult{Code: service.CodeOverloaded}, accepted) // a retry
 	r.dispatch("done")
+	r.dispatch("done")
 	r.HandleTerminal(&TerminalNotice{Shard: shardOf("done"), Job: "done", State: service.StateCompleted})
 
 	submit("refused")

@@ -22,65 +22,24 @@ func (r *Router) banAndRequeueLocked(rec *jobRecord, ev event, shard, why string
 	}
 	rec.banned[shard] = true
 	r.logf("federation: reallocating %s (%s)", rec.ID, why)
-	r.pushLocked(rec.ID)
+	r.pushLocked(rec)
 	return true
 }
 
-// beginRevoke moves a bound job into the revoking state and starts its
-// revocation loop.
+// beginRevoke moves a bound job into the revoking state and queues its
+// revocation for the dispatchers.
 func (r *Router) beginRevoke(id, why string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if rec, ok := r.records[id]; ok && r.moveLocked(rec, evRevoke, "", rec.Shard, why) {
-		r.revokeLocked(rec, why)
+		r.pushLocked(rec)
 	}
 }
 
-// revokeLocked starts rec's revocation loop unless one runs: at most one
-// per job. Caller holds r.mu.
-func (r *Router) revokeLocked(rec *jobRecord, why string) {
-	if rec.revokeActive {
-		return
-	}
-	rec.revokeActive = true
-	r.wg.Add(1)
-	go r.revokeLoop(rec.ID, why)
-}
-
-// revokeLoop retries the revocation RPC until the shard gives a durable
-// answer. A SIGKILL'd shard answers after restart from its journal; a
-// shard that never returns leaves the job in-doubt forever — by design,
-// since reallocating without confirmation is the double-execution bug
-// this protocol exists to prevent.
-func (r *Router) revokeLoop(id, why string) {
-	defer r.wg.Done()
-	r.retry.retry(func(attempt int) bool {
-		r.mu.Lock()
-		rec := r.records[id] // entries are never deleted
-		if rec.State != StateRevoking {
-			rec.revokeActive = false
-			r.mu.Unlock()
-			return true
-		}
-		shard, epoch := rec.Shard, rec.epoch
-		r.mu.Unlock()
-
-		client := r.clients[shard]
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
-		res, err := client.Revoke(ctx, &RevokeRequest{Key: id, Reason: why, Epoch: epoch})
-		cancel()
-		if err != nil {
-			r.logf("federation: revoke %s@%s attempt %d: %v", id, shard, attempt, err)
-			return false
-		}
-		return r.resolveRevoke(id, shard, res)
-	})
-}
-
-// resolveRevoke applies a confirmed revocation answer. It returns false,
-// and the loop tries again, when lifecycle refuses the answer's move: the
-// entry left revoking meanwhile (the next attempt sees that and ends the
-// loop), or the outcome is one this router does not know.
+// resolveRevoke applies a confirmed revocation answer and reports whether
+// lifecycle let it move the entry. It refuses when the entry left revoking
+// meanwhile, or when the outcome is one this router does not know; dispatch
+// then sends the revocation again unless the entry moved.
 func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -96,12 +55,11 @@ func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
 		// notice. A later death sweeps it back into revocation.
 		moved = r.moveLocked(rec, evInFlight, "", shard, "")
 	}
-	rec.revokeActive = !moved
 	return moved
 }
 
-// heartbeatLoop pings one shard forever: its answers are the shard's
-// breaker's only probe, so a success is what closes it again after a death.
+// heartbeatLoop pings one shard forever. Its answers feed the shard's
+// breaker as every send's do, so a success closes it again after a death.
 func (r *Router) heartbeatLoop(name string) {
 	defer r.wg.Done()
 	client := r.clients[name]
@@ -124,10 +82,10 @@ func (r *Router) heartbeatLoop(name string) {
 	}
 }
 
-// shardFailed records a failed ping or handoff transport at the shard's
-// breaker. The failure that trips a closed breaker declares the shard dead:
-// the caller counts the death once per outage and sweeps every job handed to
-// the shard into confirmed revocation.
+// shardFailed records a failed ping, handoff or revoke transport at the
+// shard's breaker. The failure that trips a closed breaker declares the
+// shard dead: the caller counts the death once per outage and sweeps every
+// job handed to the shard into confirmed revocation.
 func (r *Router) shardFailed(name string) {
 	if !r.brk.Get(name).Failure(r.now()) {
 		return
@@ -155,7 +113,7 @@ func (r *Router) shardFailed(name string) {
 // did not hear (evAnswer), a tombstone it revoked or drained (evTombstone),
 // a fresh accept of a job it never durably saw, or the release of a job it
 // holds from recovery (ApplyHandoff). A job it holds that the router is
-// revoking is settled by that job's revocation loop. A join binds nothing,
+// revoking is settled by that job's revocation. A join binds nothing,
 // so one from a shard outside the fleet changes nothing.
 func (r *Router) HandleJoin(req *JoinRequest) {
 	r.mu.Lock()
@@ -168,14 +126,14 @@ func (r *Router) HandleJoin(req *JoinRequest) {
 	}
 	sort.Strings(resend)
 	for _, id := range resend {
-		r.pushLocked(id)
+		r.pushLocked(r.records[id])
 	}
 	r.logf("federation: join from %s: %d bindings resent", req.Shard, len(resend))
 }
 
 // HandleTerminal applies one terminal notice from a shard. It is idempotent:
 // lifecycle refuses a notice for a terminal entry, and a revoked one, which
-// names no outcome (the job lives on; the revocation loop owns it). The
+// names no outcome (the job lives on; its revocation owns it). The
 // journal append inside makes the notice durable before the HTTP 200 that
 // stops the shard's redelivery.
 func (r *Router) HandleTerminal(n *TerminalNotice) {
@@ -203,11 +161,11 @@ func (r *Router) HandleTerminal(n *TerminalNotice) {
 }
 
 // Restore rebuilds the router ledger from a journal recovery; call it
-// before Start. It sends nothing itself: queued and handed jobs go to the
-// dispatchers Start launches, which bind the first and send the second
+// before Start. It sends nothing itself: every live job goes to the
+// dispatchers Start launches, which bind a queued one, send a handed one
 // again to its shard, whose answer settles the binding as a live one's
-// does; revoking jobs resume their revocation loop. A job bound to a shard
-// no longer in the fleet is requeued.
+// does, and revoke a revoking one with the reason its revocation journaled.
+// A job bound to a shard no longer in the fleet is requeued.
 func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 	if rec == nil {
 		return 0, nil
@@ -228,14 +186,13 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
 		jr.Shard, jr.Reason, jr.wire, jr.epoch, jr.submitted = shard, js.Reason, js.Wire, js.Epoch, time.Time{}
 		n++
+		if !service.Terminal(state) {
+			r.pushLocked(jr)
+		}
 		switch state {
 		case StateHanded:
 			handed++
-			r.pushLocked(js.Job)
-		case StateQueued:
-			r.pushLocked(js.Job)
 		case StateRevoking:
-			r.revokeLocked(jr, "recovered in-doubt revocation")
 			revoking++
 		}
 	}

@@ -85,28 +85,30 @@ type Config struct {
 	// forwarded to the shard breakers unless Breaker carries its own.
 	Telemetry *telemetry.Registry
 	// Breaker configures the per-shard circuit breakers, the router's one
-	// failure detector: Threshold consecutive failed pings or handoff
-	// transports (default 5) trip a shard's breaker, which declares the
-	// shard dead and sweeps its bound jobs into revocation. A shard gets new
-	// bindings only while its breaker is closed: a half-open one gets no
-	// handoff as a probe, and its next good ping closes it. Breaker time is
-	// wall milliseconds since router start, so OpenBase=512 means ~0.5s.
+	// failure detector: Threshold consecutive failed pings, handoff or
+	// revoke transports (default 5) trip a shard's breaker, which declares
+	// the shard dead and sweeps its bound jobs into revocation. The breaker
+	// paces every send: an open one gets none, a half-open one a single
+	// resend or revoke as its probe, and only a closed one new bindings. A
+	// good ping or an answered send closes it. Breaker time is wall
+	// milliseconds since router start, so OpenBase=512 means ~0.5s.
 	Breaker breaker.Config
 	// HeartbeatInterval is the shard ping period (default 250ms).
 	HeartbeatInterval time.Duration
 	// RetryBudget is the handoff attempts per binding before the router
 	// gives the job up as in doubt and starts revocation (default 3).
 	RetryBudget int
-	// RetryBase/RetryCap bound the jittered exponential backoff between
-	// handoff attempts (defaults 100ms / 2s) and between revocation
-	// attempts.
+	// RetryBase/RetryCap bound the jittered exponential backoff after a
+	// handoff or revoke that settled nothing (defaults 100ms / 2s): the
+	// entry waits it out as a timed requeue, holding no dispatcher.
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// HandoffTimeout bounds one handoff or revoke RPC (default 2s).
 	HandoffTimeout time.Duration
 	// Seed drives all router randomness.
 	Seed uint64
-	// Workers is the dispatcher pool size (default 4).
+	// Workers is the dispatcher pool size (default 4): at most this many
+	// handoffs and revokes are in flight at once.
 	Workers int
 	// Logf receives operational log lines. nil discards.
 	Logf func(format string, args ...any)
@@ -150,11 +152,11 @@ type jobRecord struct {
 	Reason   string
 	Seq      uint64
 
-	wire         *jobio.Job
-	epoch        int             // reallocation round; +1 per confirmed revocation
-	banned       map[string]bool // shards holding a tombstone for this key
-	revokeActive bool            // a revocation loop owns this job
-	submitted    time.Time       // for the end-to-end latency histogram
+	wire      *jobio.Job
+	epoch     int             // reallocation round; +1 per confirmed revocation
+	banned    map[string]bool // shards holding a tombstone for this key
+	attempts  int             // sends since the entry last moved
+	submitted time.Time       // for the end-to-end latency histogram
 }
 
 // JobView is the JSON face of a router ledger entry.
@@ -185,11 +187,12 @@ type Metrics struct {
 // Router is the front tier: it accepts jobs, partitions them across shards
 // by consistent hashing, and walks the recovery ladder — retry with
 // backoff, then confirmed revocation and reallocation to a surviving shard.
-// One circuit breaker per shard, fed by heartbeats and handoff transports,
-// is its failure detector: a trip declares the shard dead and revokes what
-// it holds. Its placement state is journaled write-ahead, so a SIGKILL'd
-// router resumes every in-doubt handoff instead of losing or duplicating
-// it.
+// Every handoff and revoke is one dispatch by its worker pool, and a retry
+// is a timed requeue. One circuit breaker per shard, fed by heartbeats and
+// by every send, is its failure detector and paces the sends to a sick
+// shard: a trip declares the shard dead and revokes what it holds. Its
+// placement state is journaled write-ahead, so a SIGKILL'd router resumes
+// every in-doubt handoff instead of losing or duplicating it.
 type Router struct {
 	cfg     Config
 	ring    *Ring
@@ -200,7 +203,7 @@ type Router struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	records  map[string]*jobRecord
-	pending  []string
+	pending  []owed
 	seq      uint64
 	draining bool
 	closed   bool
@@ -266,7 +269,7 @@ func New(cfg Config) (*Router, error) {
 		stopc:   make(chan struct{}),
 	}
 	r.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 2*time.Second,
-		rng.New(cfg.Seed).Split(fnv1a("router")), r.stopc)
+		rng.New(cfg.Seed).Split(fnv1a("router")), nil)
 	r.cond = sync.NewCond(&r.mu)
 	for _, n := range names {
 		// Breakers start closed, so jobs dispatch at once, and each shard's
@@ -373,7 +376,7 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (JobV
 	rec := r.newRecordLocked(wire.Name, typ.String(), priority, StateQueued)
 	rec.wire = &wire
 	r.th.accepted.Inc()
-	r.pushLocked(wire.Name)
+	r.pushLocked(rec)
 	return rec.view(), nil
 }
 
@@ -395,7 +398,7 @@ func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason strin
 	if to == StateQueued {
 		rec.epoch++
 	}
-	rec.State, rec.Shard, rec.Reason = to, shard, reason
+	rec.State, rec.Shard, rec.Reason, rec.attempts = to, shard, reason, 0
 	_ = r.journal(journal.Record{Job: rec.ID, State: to, Reason: reason, Shard: shard, Epoch: rec.epoch}) // counted and logged; the move stands
 	switch to {
 	case StateQueued:

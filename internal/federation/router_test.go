@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -137,14 +138,15 @@ func TestAsyncDispatchAcrossShards(t *testing.T) {
 	}
 }
 
-// flakyShard scripts transport failures: handoffs fail while broken, but
-// revokes answer from the (empty) ledger — the "shard unreachable for
-// placement" case.
+// flakyShard scripts transport failures: handoffs and pings fail while
+// broken, but revokes answer from the ledger — the "shard unreachable for
+// placement" case — unless severRevokes cuts them too.
 type flakyShard struct {
 	*LocalShard
-	mu     sync.Mutex
-	broken bool
-	tried  int
+	severRevokes bool
+	mu           sync.Mutex
+	broken       bool
+	tried        int
 }
 
 func (f *flakyShard) setBroken(b bool) {
@@ -162,6 +164,16 @@ func (f *flakyShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, e
 		return nil, fmt.Errorf("flaky: connection refused")
 	}
 	return f.LocalShard.Handoff(ctx, h)
+}
+
+func (f *flakyShard) Revoke(ctx context.Context, req *RevokeRequest) (*RevokeResult, error) {
+	f.mu.Lock()
+	broken := f.broken
+	f.mu.Unlock()
+	if broken && f.severRevokes {
+		return nil, fmt.Errorf("flaky: connection refused")
+	}
+	return f.LocalShard.Revoke(ctx, req)
 }
 
 func (f *flakyShard) Ping(ctx context.Context) error {
@@ -244,7 +256,7 @@ func TestDeadShardSweep(t *testing.T) {
 	for _, s := range shards {
 		s.svc.Start()
 	}
-	flaky := &flakyShard{LocalShard: shards[0].local}
+	flaky := &flakyShard{LocalShard: shards[0].local, severRevokes: true}
 	gate := make(chan struct{})
 	// s0 accepts handoffs but its engine is stalled behind the service
 	// gate, so accepted jobs sit queued (revocable) when it "dies".
@@ -726,7 +738,7 @@ func TestRejoinReleasesAHeldJobItsRouterResends(t *testing.T) {
 
 // TestRejoinLeavesARevokingHeldJobToItsRevocation: a restarted shard holds a
 // job its router is revoking there. The join neither resends nor releases
-// it; the revocation loop ends it revoked at the shard, and the router
+// it; the revocation ends it revoked at the shard, and the router
 // reallocates it to s1 at epoch 1, where it completes.
 func TestRejoinLeavesARevokingHeldJobToItsRevocation(t *testing.T) {
 	var rt *Router
@@ -755,7 +767,7 @@ func TestRejoinLeavesARevokingHeldJobToItsRevocation(t *testing.T) {
 	}
 
 	r.mu.Lock()
-	r.revokeLocked(rec, "test: binding in doubt")
+	r.pushLocked(rec)
 	r.mu.Unlock()
 	waitQuiesced(t, r, 10*time.Second)
 	if view, _ := r.Job("held"); view.State != service.StateCompleted || view.Shard != "s1" || view.Epoch != 1 {
@@ -817,20 +829,21 @@ func TestTerminalNoticeEdgeCases(t *testing.T) {
 }
 
 // liveShard is a scripted shard for a started router. Pings fail while
-// pingDown, or wait while held, and handoff transports fail while
-// handoffDown; an answered handoff gets answer, and a revoke gets revoke's
-// result, revoked when revoke is nil. It logs, in arrival order, every
-// answered ping ("ping"), every handoff ("handoff <key>" or
-// "handoff-failed <key>") and every revoke ("revoke <key>").
+// pingDown, or wait while held, and handoff and revoke transports fail while
+// handoffDown and revokeDown; an answered handoff gets answer, and an
+// answered revoke gets revoke's result, revoked when revoke is nil. It logs,
+// in arrival order, every answered ping ("ping"), every handoff ("handoff
+// <key>" or "handoff-failed <key>") and every revoke ("revoke <key>" or
+// "revoke-failed <key>").
 type liveShard struct {
 	name   string
 	answer HandoffResult
 	revoke func(key string) RevokeResult
 
-	mu                    sync.Mutex
-	pingDown, handoffDown bool
-	held                  chan struct{} // non-nil: pings wait for it to close
-	log                   []string
+	mu                                sync.Mutex
+	pingDown, handoffDown, revokeDown bool
+	held                              chan struct{} // non-nil: pings wait for it to close
+	log                               []string
 }
 
 func (s *liveShard) Name() string { return s.name }
@@ -865,6 +878,11 @@ func (s *liveShard) Handoff(_ context.Context, h *Handoff) (*HandoffResult, erro
 
 func (s *liveShard) Revoke(_ context.Context, req *RevokeRequest) (*RevokeResult, error) {
 	s.mu.Lock()
+	if s.revokeDown {
+		s.log = append(s.log, "revoke-failed "+req.Key)
+		s.mu.Unlock()
+		return nil, errUnreachable
+	}
 	s.log = append(s.log, "revoke "+req.Key)
 	s.mu.Unlock()
 	res := RevokeResult{Outcome: RevokeOutcomeRevoked, State: service.StateRevoked}
@@ -892,9 +910,9 @@ func (s *liveShard) hold() (answer func()) {
 	}
 }
 
-func (s *liveShard) set(pingDown, handoffDown bool) {
+func (s *liveShard) set(pingDown, handoffDown, revokeDown bool) {
 	s.mu.Lock()
-	s.pingDown, s.handoffDown = pingDown, handoffDown
+	s.pingDown, s.handoffDown, s.revokeDown = pingDown, handoffDown, revokeDown
 	s.mu.Unlock()
 }
 
@@ -967,9 +985,10 @@ func detectorRouter(t *testing.T, retryBudget int, fleet ...ShardClient) *Router
 
 // TestOneOutageIsOneDeath: the trip that opens a shard's closed breaker
 // declares it dead once. While the shard stays down, every half-open window
-// ends in a failed ping that trips the breaker again; those re-trips neither
-// count a death nor sweep the job that a revocation rebound to the shard
-// meanwhile.
+// ends in a failed ping or revoke that trips the breaker again; those
+// re-trips count no death. Once the shard is back, each swept job is revoked
+// once: one is rebound to the shard by its inflight answer, the other moves
+// to the survivor.
 func TestOneOutageIsOneDeath(t *testing.T) {
 	s0 := &liveShard{name: "s0", answer: HandoffResult{Accepted: true, State: service.StateQueued}}
 	s1 := &liveShard{name: "s1", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
@@ -995,20 +1014,24 @@ func TestOneOutageIsOneDeath(t *testing.T) {
 		return a.State == StateHanded && b.State == StateHanded
 	})
 
-	s0.set(true, false)
+	s0.set(true, false, true)
 	waitFor(t, "s0's breaker to trip four times", func() bool { return trips(t, r, "s0") >= 4 })
 	if deaths := r.th.deaths.Value(); deaths != 1 {
 		t.Fatalf("grid_fed_shard_deaths_total = %d over one outage, want 1", deaths)
 	}
-	if view, _ := r.Job(rebound); view.State != StateHanded || view.Shard != "s0" {
+
+	s0.set(false, false, false)
+	waitFor(t, "a ping or an answered revoke to close s0's breaker", func() bool { return closed(t, r, "s0") })
+	waitFor(t, "the inflight answer to rebind "+rebound, func() bool {
+		view, _ := r.Job(rebound)
+		return view.State == StateHanded
+	})
+	if view, _ := r.Job(rebound); view.Shard != "s0" {
 		t.Fatalf("%s = %+v, want handed to s0 again after its inflight answer", rebound, view)
 	}
 	if n := s0.count("revoke " + rebound); n != 1 {
 		t.Fatalf("%s was revoked %d times at s0, want once: a re-trip swept it again", rebound, n)
 	}
-
-	s0.set(false, false)
-	waitFor(t, "a ping to close s0's breaker", func() bool { return closed(t, r, "s0") })
 	r.HandleTerminal(&TerminalNotice{Shard: "s0", Job: rebound, State: service.StateCompleted})
 	waitQuiesced(t, r, 10*time.Second)
 	for id, shard := range map[string]string{rebound: "s0", moved: "s1"} {
@@ -1040,13 +1063,14 @@ func TestHandoffFailuresAloneDeclareDeath(t *testing.T) {
 	// Not started yet: no ping can reset the count between the failures.
 	for i, id := range ids {
 		if i == 2 {
-			s0.set(false, true)
+			s0.set(false, true, false)
 		}
 		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
 			t.Fatal(err)
 		}
 		r.dispatch(id)
 	}
+	r.dispatch(ids[2]) // the second attempt: each dispatch makes one
 	if deaths := r.th.deaths.Value(); deaths != 1 {
 		t.Fatalf("grid_fed_shard_deaths_total = %d after failed handoffs, want 1", deaths)
 	}
@@ -1084,7 +1108,7 @@ func TestHandoffFailuresAloneDeclareDeath(t *testing.T) {
 // handoff follows the ping the shard answers.
 func TestTrippedShardGetsNoHandoffUntilAPing(t *testing.T) {
 	s0 := &liveShard{name: "s0", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
-	s0.set(true, false)
+	s0.set(true, false, false)
 	r := detectorRouter(t, 3, s0)
 	r.Start()
 	defer r.Close()
@@ -1105,7 +1129,7 @@ func TestTrippedShardGetsNoHandoffUntilAPing(t *testing.T) {
 		t.Fatalf("s0 received %d handoffs while half-open, want 0", n)
 	}
 
-	s0.set(false, false)
+	s0.set(false, false, false)
 	answer()
 	waitQuiesced(t, r, 10*time.Second)
 	if view, _ := r.Job("parked"); view.State != service.StateCompleted || view.Shard != "s0" {
@@ -1114,5 +1138,221 @@ func TestTrippedShardGetsNoHandoffUntilAPing(t *testing.T) {
 	ping, _ := s0.first("ping")
 	if handoff, n := s0.first("handoff parked"); n != 1 || handoff < ping {
 		t.Fatalf("handoff %d of %d in s0's log, first answered ping %d: want one handoff, after the ping", handoff, n, ping)
+	}
+}
+
+// TestDeathSweepStartsNoGoroutinePerJob: a shard declared dead with 200 jobs
+// handed to it, whose revokes fail, costs the router no goroutine per job.
+// Each revocation is a send the dispatchers owe the job; while the shard's
+// breaker is open they hold it back on a timer, which runs no goroutine
+// until it fires.
+func TestDeathSweepStartsNoGoroutinePerJob(t *testing.T) {
+	const jobs = 200
+	accept := func() (*HandoffResult, error) {
+		return &HandoffResult{Accepted: true, State: service.StateQueued}, nil
+	}
+	fleet := [2]*scriptShard{{name: "s0", handoff: accept}, {name: "s1", handoff: accept}}
+	before := runtime.NumGoroutine()
+	hour := time.Hour.Milliseconds()
+	r, err := New(Config{
+		Shards: []ShardClient{fleet[0], fleet[1]}, Seed: 1,
+		HeartbeatInterval: time.Hour, RetryBase: time.Hour, RetryCap: time.Hour,
+		Breaker: breaker.Config{Threshold: 1, OpenBase: hour, OpenMax: hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ids := homed(r, "s0", jobs)
+	for _, id := range ids {
+		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+		r.dispatch(id)
+	}
+	r.Start()
+	r.shardFailed("s0")
+	waitFor(t, "the sweep's revocations to leave the queue", func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, id := range ids {
+			if r.records[id].State != StateRevoking {
+				return false
+			}
+		}
+		return len(r.pending) == 0
+	})
+	time.Sleep(20 * time.Millisecond)
+	// Four dispatchers, two heartbeat loops, and slack for goroutines
+	// still winding down at the instant of the count.
+	const own, slack = 6, 4
+	if got := runtime.NumGoroutine(); got > before+own+slack {
+		t.Fatalf("%d goroutines after a death sweep of %d jobs, %d before the router: a goroutine per revocation",
+			got, jobs, before)
+	}
+}
+
+// TestRetryBackoffHoldsNoDispatcher: a handoff the shard answers
+// "overloaded" waits out its backoff as a timed requeue, not in the
+// dispatcher that sent it. With one dispatcher and an hour of backoff, a
+// second job still completes on the other shard at once.
+func TestRetryBackoffHoldsNoDispatcher(t *testing.T) {
+	s0 := &liveShard{name: "s0", answer: HandoffResult{Code: service.CodeOverloaded}}
+	s1 := &liveShard{name: "s1", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
+	r, err := New(Config{Shards: []ShardClient{s0, s1}, Seed: 1, Workers: 1,
+		RetryBase: time.Hour, RetryCap: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	busy, free := homed(r, "s0", 1)[0], homed(r, "s1", 1)[0]
+	for _, id := range []string{busy, free} {
+		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Start()
+	deadline := time.Now().Add(time.Second)
+	for view, _ := r.Job(free); view.State != service.StateCompleted; view, _ = r.Job(free) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %+v a second after Start: the only dispatcher sleeps out %s's backoff", free, view, busy)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if view, _ := r.Job(busy); view.State != StateHanded || s0.count("handoff "+busy) != 1 {
+		t.Errorf("%s = %+v after %d handoffs, want handed to s0 after one", busy, view, s0.count("handoff "+busy))
+	}
+}
+
+// pacedShard is a shard whose breaker TestBreakerPacesSendsToASickShard
+// watches. Its pings never return until release is closed, so only sends
+// feed its breaker. Handoffs are accepted while accept is set; every other
+// handoff and every revoke fails after a short while, and is logged with
+// the number of sends in flight at its arrival and whether the router's
+// breaker for the shard was open then.
+type pacedShard struct {
+	name    string
+	r       *Router
+	release chan struct{}
+
+	mu       sync.Mutex
+	accept   bool
+	inflight int
+	sends    []pacedSend
+}
+
+type pacedSend struct {
+	what     string
+	open     bool
+	inflight int
+}
+
+func (s *pacedShard) Name() string { return s.name }
+
+func (s *pacedShard) Ping(context.Context) error {
+	<-s.release
+	return errUnreachable
+}
+
+func (s *pacedShard) Handoff(_ context.Context, h *Handoff) (*HandoffResult, error) {
+	s.mu.Lock()
+	accept := s.accept
+	s.mu.Unlock()
+	if accept {
+		return &HandoffResult{Accepted: true, State: service.StateQueued}, nil
+	}
+	return nil, s.fail("handoff " + h.Key)
+}
+
+func (s *pacedShard) Revoke(_ context.Context, req *RevokeRequest) (*RevokeResult, error) {
+	return nil, s.fail("revoke " + req.Key)
+}
+
+func (s *pacedShard) fail(what string) error {
+	open := s.r.brk.Get(s.name).State(s.r.now()) == breaker.Open
+	s.mu.Lock()
+	s.inflight++
+	s.sends = append(s.sends, pacedSend{what, open, s.inflight})
+	s.mu.Unlock()
+	time.Sleep(2 * time.Millisecond)
+	s.mu.Lock()
+	s.inflight--
+	s.mu.Unlock()
+	return errUnreachable
+}
+
+// TestBreakerPacesSendsToASickShard: while a dead shard's breaker is open
+// it receives no revoke and no handoff resend, and while it is half-open at
+// most one send is in flight: the single probe. Ten jobs handed to the
+// shard are swept into revocation, and an eleventh binding is resent at a
+// join; every send fails, so the breaker never closes again.
+func TestBreakerPacesSendsToASickShard(t *testing.T) {
+	s0 := &pacedShard{name: "s0", release: make(chan struct{}), accept: true}
+	s1 := &liveShard{name: "s1", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
+	r := detectorRouter(t, 3, s0, s1)
+	s0.r = r
+	defer r.Close()
+	defer close(s0.release) // before Close, which waits for the heartbeat loops
+	ids := homed(r, "s0", 11)
+	for _, id := range ids[:10] {
+		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+		r.dispatch(id)
+	}
+	s0.mu.Lock()
+	s0.accept = false
+	s0.mu.Unlock()
+	r.Start()
+	r.shardFailed("s0")
+	r.shardFailed("s0")
+
+	r.mu.Lock()
+	wire := testJob(ids[10], 60)
+	rec := r.newRecordLocked(ids[10], "S1", 0, StateHanded)
+	rec.Shard, rec.wire = "s0", &wire
+	r.mu.Unlock()
+	r.HandleJoin(&JoinRequest{Shard: "s0"})
+	time.Sleep(300 * time.Millisecond)
+
+	s0.mu.Lock()
+	defer s0.mu.Unlock()
+	for _, s := range s0.sends {
+		if s.open {
+			t.Errorf("%s reached s0 while its breaker was open", s.what)
+		}
+		if s.inflight > 1 {
+			t.Errorf("%s reached s0 with %d sends in flight, want the one probe", s.what, s.inflight)
+		}
+	}
+	if len(s0.sends) < 2 {
+		t.Errorf("s0 received %d sends in 300ms of 10–20ms open windows, want a probe per half-open window", len(s0.sends))
+	}
+}
+
+// TestRevokeProbeSettlesAShardWhosePingsFail: a shard whose pings fail but
+// which answers revokes is declared dead, and its in-doubt job is still
+// settled: the half-open probe is its revoke, whose answer frees the job
+// for the survivor.
+func TestRevokeProbeSettlesAShardWhosePingsFail(t *testing.T) {
+	s0 := &liveShard{name: "s0", answer: HandoffResult{Accepted: true, State: service.StateQueued}}
+	s1 := &liveShard{name: "s1", answer: HandoffResult{Accepted: true, State: service.StateCompleted}}
+	r := detectorRouter(t, 3, s0, s1)
+	defer r.Close()
+	id := homed(r, "s0", 1)[0]
+	if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
+		t.Fatal(err)
+	}
+	r.dispatch(id)
+	s0.mu.Lock()
+	s0.pingDown = true
+	s0.mu.Unlock()
+	r.Start()
+	waitQuiesced(t, r, 10*time.Second)
+	if view, _ := r.Job(id); view.State != service.StateCompleted || view.Shard != "s1" {
+		t.Fatalf("%s = %+v, want completed on s1", id, view)
+	}
+	if revokes, handoffs := s0.count("revoke "+id), s1.count("handoff "+id); revokes != 1 || handoffs != 1 {
+		t.Errorf("s0 revoked %s %d times and s1 received it %d times, want once each", id, revokes, handoffs)
 	}
 }

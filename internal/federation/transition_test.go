@@ -15,8 +15,8 @@ import (
 )
 
 // scriptShard is a ShardClient that answers handoffs from a script and is
-// unreachable for everything else, so background revoke loops park in
-// their backoff instead of moving the ledger behind the test's back.
+// unreachable for everything else, so a revoke the test sends moves no
+// ledger entry.
 type scriptShard struct {
 	name    string
 	handoff func() (*HandoffResult, error)
@@ -99,8 +99,8 @@ func (x *tableCtx) pending() int {
 	x.r.mu.Lock()
 	defer x.r.mu.Unlock()
 	n := 0
-	for _, id := range x.r.pending {
-		if id == x.id {
+	for _, o := range x.r.pending {
+		if o.id == x.id {
 			n++
 		}
 	}
@@ -164,24 +164,24 @@ var transitionTable = []transitionRow{
 		liveReasonDrifted: true},
 	{name: "bind/retryable-answer-exhausts-budget", from: StateQueued,
 		fire:    dispatchWith(&HandoffResult{Code: service.CodeOverloaded}, nil),
-		appends: 2, moves: []string{"handoffs"},
+		appends: 2, moves: []string{"handoffs"}, pushes: 1,
 		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: "handoff retry budget exhausted"}},
 	{name: "bind/transport-error-exhausts-budget", from: StateQueued,
 		fire:    dispatchWith(nil, errUnreachable),
-		appends: 2, moves: []string{"handoffs", "handoffFailures"},
+		appends: 2, moves: []string{"handoffs", "handoffFailures"}, pushes: 1,
 		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: "handoff retry budget exhausted"}},
 
 	// A bound job.
 	{name: "handed/death-sweep", from: StateHanded,
 		fire:    func(x *tableCtx) { x.r.shardFailed(x.shard); x.r.shardFailed(x.shard) },
-		appends: 1, moves: []string{"deaths"},
+		appends: 1, moves: []string{"deaths"}, pushes: 1,
 		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: "shard " + boundShard + " declared dead"}},
 	{name: "handed/transport-error-trips-breaker", from: StateHanded,
 		fire: func(x *tableCtx) {
 			x.r.shardFailed(x.shard)
 			dispatchWith(nil, errUnreachable)(x)
 		},
-		appends: 1, moves: []string{"handoffs", "handoffFailures", "deaths"},
+		appends: 1, moves: []string{"handoffs", "handoffFailures", "deaths"}, pushes: 1,
 		want: ledgerRow{State: StateRevoking, Shard: boundShard, Reason: "shard " + boundShard + " declared dead"}},
 	{name: "handed/terminal-notice", from: StateHanded,
 		fire:    func(x *tableCtx) { notice(x, x.shard, service.StateCompleted, "ok") },
@@ -307,10 +307,10 @@ func newTableCtx(t *testing.T, dir, from string) *tableCtx {
 	return x
 }
 
-// newTableRouter is a router that is never Started: one handoff attempt per
-// binding, two failures of a shard's pings or handoffs to its death, and
-// retry waits long enough that a background revoke loop makes one unanswered
-// call and then sleeps until Close.
+// newTableRouter is a router that is never Started, so only the row sends:
+// one handoff attempt per binding, two failures of a shard's pings or sends
+// to its death, and retry waits long enough that no requeued send comes
+// back before Close.
 func newTableRouter(t *testing.T, fleet [2]*scriptShard, jnl *journal.Journal) *Router {
 	t.Helper()
 	r, err := New(Config{

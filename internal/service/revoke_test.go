@@ -157,8 +157,7 @@ func TestHoldRecovered(t *testing.T) {
 }
 
 // TestDequeueGate pauses the engine loop while the gate is closed and
-// resumes it on Kick — the lease-gating mechanism a partitioned shard
-// uses to stop starting new work.
+// resumes it on Kick.
 func TestDequeueGate(t *testing.T) {
 	var open atomic.Bool
 	s := newServer(t, Config{Gate: func() bool { return open.Load() }})

@@ -184,12 +184,9 @@ type Config struct {
 	HoldRecovered bool
 	// Gate, when non-nil, is consulted before the engine loop dequeues
 	// work: a false return pauses scheduling (already-scheduled jobs still
-	// complete). A federated shard gates on its router lease
-	// (federation.Member.Fresh) so a partitioned shard stops starting new
-	// jobs, keeping them revocable.
-	// The gate runs under the server's internal lock: it must be fast and
-	// must not call back into the Server (use Kick from elsewhere to
-	// re-evaluate it). nil means always open.
+	// complete). The gate runs under the server's internal lock: it must
+	// be fast and must not call back into the Server (use Kick from
+	// elsewhere to re-evaluate it). nil means always open.
 	Gate func() bool
 	// OnTerminal, when non-nil, is called exactly once per job the moment
 	// its record reaches a terminal state (completed, rejected, drained or
@@ -850,7 +847,7 @@ func (s *Server) gateOpenLocked() bool {
 }
 
 // Kick re-evaluates the dequeue gate: call it whenever the gate's input
-// changes (e.g. a router lease refresh) so a paused engine loop wakes up.
+// changes so a paused engine loop wakes up.
 func (s *Server) Kick() {
 	s.mu.Lock()
 	s.cond.Broadcast()
