@@ -12,21 +12,22 @@
 // process died are re-enqueued, so an accepted job reaches a terminal
 // state exactly once across any SIGKILL/restart sequence.
 //
-// With -shard set, gridd additionally serves the federation wire protocol
-// (handoff, revoke, ping) so a gridfront router can place jobs on it; with
-// -join it joins the router on startup, which has the router resend every
-// binding it holds at the shard, and pushes terminal-state notices back. A
-// joining shard holds the jobs it recovers until the router resends or
-// revokes each; without -join they are requeued, as a standalone gridd
-// requeues them. Without -shard, behavior is byte-identical to a standalone
-// gridd.
+// With -join name=url, gridd is the federation shard of that name under the
+// gridfront router at url: it additionally serves the federation wire
+// protocol (handoff, revoke, ping) so the router can place jobs on it, joins
+// the router on startup, which has the router resend every binding it holds
+// at the shard, and reports every outcome the router does not already have
+// back to it as a terminal notice. It holds the jobs it recovers until the
+// router resends or revokes each. A shard always has its router: there is no
+// federation mode without one. Without -join, behavior is byte-identical to
+// a lone gridd, which requeues the jobs it recovers.
 //
 // Usage:
 //
 //	gridd -listen :8080 -domains 3 -seed 1
 //	gridd -env nodes.json -queue 32 -snapshot drained.json
 //	gridd -journal-dir /var/lib/gridd/journal -fsync always
-//	gridd -shard s0 -join http://127.0.0.1:8070
+//	gridd -join s0=http://127.0.0.1:8070
 //
 // The environment comes from -env (a jobio node file, e.g. the output of
 // `jobgen -env`) or is generated synthetically from -domains/-seed. See
@@ -43,6 +44,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -59,7 +61,19 @@ import (
 	"repro/internal/workload"
 )
 
+// parseJoin reads -join name=url: the shard's name in the fleet and the
+// base URL of the router it reports to. It refuses either part empty, so no
+// shard is configured without its router.
+func parseJoin(v string) (shard, router string, err error) {
+	shard, router, ok := strings.Cut(v, "=")
+	if !ok || shard == "" || router == "" {
+		return "", "", fmt.Errorf("want name=url (the shard's name and its router's base URL), got %q", v)
+	}
+	return shard, router, nil
+}
+
 func main() {
+	var shard, router string // -join
 	var (
 		listen       = flag.String("listen", ":8080", "HTTP listen address")
 		envPath      = flag.String("env", "", "environment JSON (jobio node file); empty generates one")
@@ -80,12 +94,14 @@ func main() {
 		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
 		segmentBytes = flag.Int64("segment-bytes", 4<<20, "journal segment rotation threshold")
 		compactEvery = flag.Int("compact-every", 256, "terminal jobs between journal compactions (0 = only on recovery/drain)")
-		shardName    = flag.String("shard", "", "run as a federation shard with this name (serves the handoff/revoke/ping endpoints)")
-		joinURL      = flag.String("join", "", "router base URL to join (requires -shard); recovered jobs wait for the router's resend or revocation. Empty serves federation endpoints standalone and requeues recovered jobs")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 		spansPath    = flag.String("spans", "", "write scheduling spans as JSON lines to this file, - for stderr")
 		tracePath    = flag.String("trace", "", "write VO lifecycle events as JSON lines to this file, - for stderr; sharing the -spans path interleaves both streams line-atomically")
 	)
+	flag.Func("join", "run as the federation shard name under the router at url, given as name=url: serves the handoff/revoke/ping endpoints, joins the router and reports outcomes to it; recovered jobs wait for the router's resend or revocation", func(v string) (err error) {
+		shard, router, err = parseJoin(v)
+		return err
+	})
 	flag.Parse()
 
 	env, err := loadEnv(*envPath, *domains, *seed)
@@ -147,7 +163,6 @@ func main() {
 		Env:          env,
 		QueueCap:     *queueCap,
 		BuildTimeout: *buildTimeout,
-		DrainTimeout: *drainTimeout,
 		SnapshotPath: *snapshot,
 		Telemetry:    reg,
 		Journal:      jnl,
@@ -173,17 +188,14 @@ func main() {
 		cfg.Breaker = &breaker.Config{Threshold: *brThreshold, JitterFrac: 0.2, Seed: *seed + 2}
 	}
 
-	// Federation glue (-shard): the member serves the handoff/revoke/ping
-	// endpoints in front of the service and, with -join, joins the router
-	// and pushes terminal notices to it. Without -shard none of this is
-	// built and gridd behaves exactly as before.
-	if *shardName == "" && *joinURL != "" {
-		log.Fatalf("gridd: -join requires -shard")
-	}
+	// Federation glue (-join): the member serves the handoff/revoke/ping
+	// endpoints in front of the service, joins the router and pushes
+	// terminal notices to it. Without -join none of this is built and gridd
+	// behaves exactly as before.
 	var member *federation.Member
-	if *shardName != "" {
+	if shard != "" {
 		member = shardMember(&cfg, federation.MemberConfig{
-			Shard: *shardName, Router: *joinURL,
+			Shard: shard, Router: router,
 			Seed: *seed + 3, Telemetry: reg, Logf: log.Printf,
 		})
 	}
@@ -235,17 +247,19 @@ func main() {
 		log.Fatalf("gridd: http: %v", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout+5*time.Second)
-	defer cancel()
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainTimeout)
+	defer cancelDrain()
 	// Drain before closing the member: the drained notices it delivers
 	// release the shard's queued jobs to the router for reallocation.
-	if err := srv.Drain(ctx); err != nil {
+	if err := srv.Drain(drainCtx); err != nil {
 		log.Printf("gridd: drain: %v", err)
 	}
 	if member != nil {
 		member.Close()
 	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
+	shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelShut()
+	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		log.Printf("gridd: http shutdown: %v", err)
 	}
 	m := srv.Metrics()
@@ -258,14 +272,13 @@ func main() {
 	}
 }
 
-// shardMember builds the federation member for -shard and wires it into
-// cfg: its Terminal pushes outcomes. A shard that joins a router holds the
-// jobs it recovers until the router resends or revokes each; one without a
-// router has nothing to release them, so it requeues them.
+// shardMember builds the federation member for -join and wires it into
+// cfg: its Terminal pushes outcomes, and the shard holds the jobs it
+// recovers until its router resends or revokes each.
 func shardMember(cfg *service.Config, mc federation.MemberConfig) *federation.Member {
 	member := federation.NewMember(mc)
 	cfg.OnTerminal = member.Terminal
-	cfg.HoldRecovered = mc.Router != ""
+	cfg.HoldRecovered = true
 	return member
 }
 

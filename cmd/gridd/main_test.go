@@ -11,17 +11,29 @@ import (
 	"repro/internal/service"
 )
 
+// TestJoinFlagRefusesAShardWithoutARouter: -join takes the shard's name and
+// its router's URL together, and refuses a value missing either, so no
+// configuration yields a shard that has no router to report to.
+func TestJoinFlagRefusesAShardWithoutARouter(t *testing.T) {
+	for _, bad := range []string{"", "s0", "s0=", "=http://127.0.0.1:8070"} {
+		if shard, router, err := parseJoin(bad); err == nil {
+			t.Errorf("-join %q gave shard %q, router %q; want an error", bad, shard, router)
+		}
+	}
+	if shard, router, err := parseJoin("s0=http://127.0.0.1:8070"); err != nil || shard != "s0" || router != "http://127.0.0.1:8070" {
+		t.Fatalf("-join s0=http://127.0.0.1:8070 gave (%q, %q, %v)", shard, router, err)
+	}
+}
+
 // TestShardHoldsRecoveredJobsOnlyWhenItJoins restores a journal with one
-// queued job through gridd's -shard wiring. A shard without -join has no
-// router to resend the job, so the job must run to completion; a shard with
-// -join must hold it until its router resends or revokes it.
+// queued job through gridd's -join wiring. The shard must hold the job until
+// its router resends or revokes it.
 func TestShardHoldsRecoveredJobsOnlyWhenItJoins(t *testing.T) {
 	for _, tc := range []struct {
 		name, join string
 		held       int    // jobs the restore holds
 		want       string // the job's state once the service has run
 	}{
-		{"standalone", "", 0, service.StateCompleted},
 		{"join", "http://127.0.0.1:1", 1, service.StateQueued},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,10 +80,7 @@ func TestShardHoldsRecoveredJobsOnlyWhenItJoins(t *testing.T) {
 			defer srv.Drain(context.Background())
 
 			// A held job must stay queued; give it time to run if it could.
-			deadline := time.Now().Add(10 * time.Second)
-			if tc.held > 0 {
-				deadline = time.Now().Add(200 * time.Millisecond)
-			}
+			deadline := time.Now().Add(200 * time.Millisecond)
 			for time.Now().Before(deadline) {
 				if rec, _ := srv.Job(wire.Name); service.Terminal(rec.State) {
 					break

@@ -68,7 +68,7 @@ func main() {
 }
 
 // runShard is the re-exec'd child: a journaled service behind the
-// federation member glue, exactly the wiring `gridd -shard s0 -join URL
+// federation member glue, exactly the wiring `gridd -join s0=URL
 // -journal-dir DIR` performs.
 func runShard() {
 	name := os.Getenv(nameEnv)

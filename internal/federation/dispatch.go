@@ -59,7 +59,11 @@ func (r *Router) dispatchLoop() {
 			return
 		}
 		o := r.pending[0]
-		r.pending = r.pending[1:]
+		if len(r.pending) == 1 {
+			r.pending = r.pending[:0] // keep the backing array for the next owe
+		} else {
+			r.pending = r.pending[1:]
+		}
 		r.th.pending.Set(float64(len(r.pending)))
 		rec := r.records[o.id] // entries are never deleted
 		current := rec.State == o.state && rec.attempts == o.attempts

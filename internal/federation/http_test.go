@@ -79,9 +79,11 @@ func (l *requestLog) counts(path string) (sent, answered int) {
 
 // startHTTPFederation brings up n shards (s0, s1, …) and their router, and
 // tears everything down with the test. tweak, when non-nil, edits shard i's
-// service config before the service is built; routerTweak, when given,
-// edits the router's config before the router is built.
-func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Config), routerTweak ...func(cfg *Config)) *httpFederation {
+// service config before the service is built, and returns true to leave
+// that service in manual mode: it is never started, so the jobs handed to
+// it stay queued. routerTweak, when given, edits the router's config before
+// the router is built.
+func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Config) (manual bool), routerTweak ...func(cfg *Config)) *httpFederation {
 	t.Helper()
 	// The members need the router's URL before the router exists, so the
 	// router's server delegates through a late-bound handler.
@@ -106,14 +108,14 @@ func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Con
 			QueueCap:   64,
 			OnTerminal: member.Terminal,
 		}
-		if tweak != nil {
-			tweak(i, &cfg)
-		}
+		manual := tweak != nil && tweak(i, &cfg)
 		svc, err := service.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.Start()
+		if !manual {
+			svc.Start()
+		}
 		member.Bind(svc)
 		member.Start()
 		ts := httptest.NewServer(member.Handler(svc.Handler()))
@@ -371,16 +373,12 @@ func TestFaultTransportInjection(t *testing.T) {
 // drains its queued jobs, and its drained notices are what hand them back to
 // the router; once its listener is gone nothing else can, and the jobs would
 // sit revoking at the router for good. The member used to be closed before
-// the drain, and its Close dropped every notice still queued. Here s0's gate
-// stays shut, so five jobs the ring puts on s0 stay queued there; s0 drains,
-// closes its member and its listener, and all five must be reallocated to
-// s1 and complete there.
+// the drain, and its Close dropped every notice still queued. Here s0 runs in
+// manual mode, so five jobs the ring puts on s0 stay queued there; s0
+// drains, closes its member and its listener, and all five must be
+// reallocated to s1 and complete there.
 func TestGracefulShardDrainReleasesItsJobs(t *testing.T) {
-	f := startHTTPFederation(t, 2, func(i int, cfg *service.Config) {
-		if i == 0 {
-			cfg.Gate = func() bool { return false }
-		}
-	})
+	f := startHTTPFederation(t, 2, func(i int, _ *service.Config) bool { return i == 0 })
 	var ids []string
 	for i := 0; len(ids) < 5; i++ {
 		id := fmt.Sprintf("decommissioned-%d", i)

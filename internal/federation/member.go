@@ -17,17 +17,16 @@ import (
 type MemberConfig struct {
 	// Shard is this shard's name in the fleet. Required.
 	Shard string
-	// Router is the router's base URL. Empty runs the member standalone: the
-	// federation endpoints still serve, so a router that lists the shard can
-	// hand it work, but no join or terminal notices are sent. A standalone
-	// shard must not hold recovered jobs (service.Config.HoldRecovered):
-	// only the resends a join asks for release them.
+	// Router is the router's base URL, which the join and every terminal
+	// notice go to. Required: a shard reports every outcome to its router,
+	// and only the resends its join asks for release the jobs it holds from
+	// recovery (service.Config.HoldRecovered).
 	Router string
 	// Client is the HTTP client for join/terminal calls. nil uses a
 	// 5-second-timeout default.
 	Client *http.Client
 	// RetryBase/RetryCap bound the jittered exponential backoff between
-	// join and terminal-notification attempts. Defaults 100ms / 5s.
+	// attempts at one join or terminal notice. Defaults 100ms / 5s.
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// Seed drives the backoff's jitter.
@@ -41,13 +40,14 @@ type MemberConfig struct {
 // Member is the shard-side half of the federation protocol: it serves the
 // handoff/revoke/ping endpoints in front of a service.Server, joins the
 // router once at startup, which has the router resend every binding it
-// holds here, and tells the router each job's outcome. The member rules on
-// nothing itself: a job held from recovery runs when its resent handoff
-// arrives, or ends revoked by the router's revocation. An idle shard decides
-// a handed job while the handoff waits, and the answer carries the outcome;
-// any other outcome goes out as a terminal notice. Create it BEFORE the
-// service so its Terminal method can be wired as service.Config.OnTerminal,
-// then Bind the server and Start.
+// holds here, and then tells the router each job's outcome; the join and
+// the notices go out from one outbound loop. The member rules on nothing
+// itself: a job held from recovery runs when its resent handoff arrives, or
+// ends revoked by the router's revocation. An idle shard decides a handed
+// job while the handoff waits, and the answer carries the outcome; any other
+// outcome goes out as a terminal notice. Create it BEFORE the service so its
+// Terminal method can be wired as service.Config.OnTerminal, then Bind the
+// server and Start.
 type Member struct {
 	cfg    MemberConfig
 	client *http.Client // cfg.Client, or the default built once
@@ -106,11 +106,11 @@ type waiter struct{ state, reason string }
 // lifecycle refuses as a notice. A drained job is always a notice: the
 // router voids a binding only on the notice, and refuses the state in an
 // answer. Terminal runs under the service's lock and returns immediately;
-// delivery happens on the notifier goroutine, or in Close. A notice lost
+// delivery happens on the member's outbound loop, or in Close. A notice lost
 // with the process is recovered by the next incarnation's join: the router
 // resends the binding, and the duplicate answer carries the outcome.
 func (m *Member) Terminal(rec service.Record) {
-	if m.cfg.Router == "" || rec.State == service.StateRevoked {
+	if rec.State == service.StateRevoked {
 		return
 	}
 	m.mu.Lock()
@@ -147,19 +147,15 @@ func (m *Member) release(key string, w *waiter) waiter {
 	return *w
 }
 
-// Start launches the join and the terminal notifier. Call after Bind and
-// after service.Restore: a resend the join asks for finds a held job only
-// once it is restored.
+// Start launches the member's outbound loop. Call after Bind and after
+// service.Restore: a resend the join asks for finds a held job only once it
+// is restored.
 func (m *Member) Start() {
-	if m.cfg.Router == "" {
-		return
-	}
-	m.wg.Add(2)
-	go m.joinLoop()
-	go m.notifyLoop()
+	m.wg.Add(1)
+	go m.sendLoop()
 }
 
-// Close stops the background loops and then gives each notice still queued
+// Close stops the outbound loop and then gives each notice still queued
 // one delivery attempt, in order; the first failure drops the rest. Close a
 // member after draining its service, so the drained notices that release a
 // decommissioned shard's queued jobs to the router leave before it goes. A
@@ -188,39 +184,18 @@ func (m *Member) Close() {
 	}
 }
 
-func (m *Member) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
-}
-
-// joinLoop sends the join until one round trip succeeds. The join names
-// the shard alone and the router answers it with a bare 200, so a lost answer
-// is safe: the next attempt asks for the same resends.
-func (m *Member) joinLoop() {
+// sendLoop makes every call the member sends the router, one at a time:
+// first the join, then the terminal notices in order. Each is retried with
+// backoff until one round trip succeeds. The join names the shard alone and
+// the router answers it with a bare 200, so a lost answer is safe: the next
+// attempt asks for the same resends. Notice delivery is at-least-once; the
+// router's terminal handler is idempotent.
+func (m *Member) sendLoop() {
 	defer m.wg.Done()
-	m.retry.retry(func(attempt int) bool {
-		if m.isClosed() {
-			return true
-		}
-		if err := m.join(); err != nil {
-			m.logf("federation: join attempt %d: %v", attempt, err)
-			return false
-		}
-		m.joins.Inc()
-		return true
-	})
-}
-
-// join sends one join.
-func (m *Member) join() error {
-	return callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &JoinRequest{Shard: m.cfg.Shard}, nil)
-}
-
-// notifyLoop delivers terminal notices in order, retrying with backoff.
-// Delivery is at-least-once; the router's terminal handler is idempotent.
-func (m *Member) notifyLoop() {
-	defer m.wg.Done()
+	if !m.send("join", m.join) {
+		return
+	}
+	m.joins.Inc()
 	for {
 		m.mu.Lock()
 		for len(m.notices) == 0 && !m.closed {
@@ -233,14 +208,7 @@ func (m *Member) notifyLoop() {
 		n := m.notices[0]
 		m.mu.Unlock()
 
-		delivered := m.retry.retry(func(attempt int) bool {
-			err := m.deliver(n)
-			if err != nil {
-				m.logf("federation: terminal notice %s attempt %d: %v", n.Job, attempt, err)
-			}
-			return err == nil
-		})
-		if !delivered {
+		if !m.send("terminal notice "+n.Job, func() error { return m.deliver(n) }) {
 			return
 		}
 		m.notifies.Inc()
@@ -248,6 +216,23 @@ func (m *Member) notifyLoop() {
 		m.notices = m.notices[1:]
 		m.mu.Unlock()
 	}
+}
+
+// send retries call until one round trip succeeds. It reports false when
+// the member closed first.
+func (m *Member) send(what string, call func() error) bool {
+	return m.retry.retry(func(attempt int) bool {
+		err := call()
+		if err != nil {
+			m.logf("federation: %s attempt %d: %v", what, attempt, err)
+		}
+		return err == nil
+	})
+}
+
+// join sends one join.
+func (m *Member) join() error {
+	return callJSON(context.Background(), m.client, http.MethodPost, m.cfg.Router+"/v1/federation/join", &JoinRequest{Shard: m.cfg.Shard}, nil)
 }
 
 func (m *Member) deliver(n TerminalNotice) error {
@@ -329,7 +314,7 @@ func ApplyHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 	}
 	if se.Code == service.CodeDuplicate {
 		if rec.State == service.StateQueued && rec.Epoch <= h.Epoch {
-			svc.ResumeHeld([]string{h.Key})
+			svc.ResumeHeld(h.Key)
 		}
 		return &HandoffResult{Duplicate: true, Accepted: !service.Tombstone(rec.State),
 			State: rec.State, Code: se.Code, Reason: rec.Reason}

@@ -127,7 +127,7 @@ func TestResentHandoffReleasesAHeldJobFromItsEpoch(t *testing.T) {
 // later terminal notice (sync.Cond wakes waiters in arrival order), which
 // sat undelivered. A router that refuses the first joins makes the member
 // wait several times; afterwards two terminal notices must both arrive,
-// and the member must be back to its one notifier goroutine.
+// and the member must be back to its one outbound goroutine.
 func TestMemberRetryWaitsLeakNothingAndKeepWakeups(t *testing.T) {
 	const refusals = 8
 	var joins atomic.Int32
@@ -189,8 +189,8 @@ func TestMemberRetryWaitsLeakNothingAndKeepWakeups(t *testing.T) {
 		}
 	}
 
-	// The join loop has exited; only the notifier remains. Allow a little
-	// slack for connection goroutines still unwinding.
+	// Only the member's one outbound loop remains. Allow a little slack for
+	// connection goroutines still unwinding.
 	const slack = 2
 	for runtime.NumGoroutine() > before+1+slack {
 		if time.Now().After(deadline) {
@@ -335,8 +335,9 @@ func TestMemberSendsNoRevokedNotices(t *testing.T) {
 	if res := ApplyRevoke(svc, &RevokeRequest{Key: "moved", Reason: "test"}); res.Outcome != RevokeOutcomeRevoked {
 		t.Fatalf("revoke = %+v", res)
 	}
-	// An infeasible handoff ends a second job, rejected: the notifier
-	// delivers in order, so its notice arrives after any for "moved".
+	// An infeasible handoff ends a second job, rejected: the member's
+	// outbound loop delivers in order, so its notice arrives after any for
+	// "moved".
 	ApplyHandoff(svc, &Handoff{Key: "sentinel", Job: testJob("sentinel", 3), Strategy: "S1"})
 	sent := 0
 	for got := ""; got != "sentinel"; sent++ {

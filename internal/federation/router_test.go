@@ -257,24 +257,12 @@ func TestDeadShardSweep(t *testing.T) {
 		s.svc.Start()
 	}
 	flaky := &flakyShard{LocalShard: shards[0].local, severRevokes: true}
-	gate := make(chan struct{})
-	// s0 accepts handoffs but its engine is stalled behind the service
-	// gate, so accepted jobs sit queued (revocable) when it "dies".
-	stalled, err := service.New(service.Config{
-		Env: testEnv(), Sched: metasched.Config{Seed: 9},
-		Gate: func() bool {
-			select { // closed until gate closes
-			case <-gate:
-				return false
-			default:
-				return false
-			}
-		},
-	})
+	// s0 accepts handoffs but its service runs in manual mode and is never
+	// stepped, so accepted jobs sit queued (revocable) when it "dies".
+	stalled, err := service.New(service.Config{Env: testEnv(), Sched: metasched.Config{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stalled.Start()
 	flaky.LocalShard = NewLocalShard("s0", stalled)
 
 	r, err := New(Config{

@@ -148,7 +148,7 @@ func waitSettling(t *testing.T, n int) {
 func TestBusyShardAnswersAtOnceAndNotices(t *testing.T) {
 	settled := settling()
 	tweak, blocked, release := blockOn("blocker")
-	f := startHTTPFederation(t, 1, func(_ int, cfg *service.Config) { tweak(cfg) })
+	f := startHTTPFederation(t, 1, func(_ int, cfg *service.Config) bool { tweak(cfg); return false })
 	defer release()
 	waitJoined(t, f)
 	if _, err := f.router.Submit(testJob("blocker", 60), "S1", 0); err != nil {
@@ -273,17 +273,13 @@ func TestInfeasibleHandoffRejectsInTheAnswer(t *testing.T) {
 // TestDrainedJobIsNoticedDuringAHandoff: a handoff under way catches its
 // job's completion or rejection, never a drain. The router voids a binding
 // only on the drained notice, and refuses the state in an answer, so a
-// swallowed drain would leave the job bound to a shard that is gone. s0's
-// gate stays shut, so the job stays queued there; a waiter for it is held,
-// as a handoff settling at that moment holds one, across s0's drain. The
-// drained notice must still reach the router, which reallocates the job
+// swallowed drain would leave the job bound to a shard that is gone. s0
+// runs in manual mode, so the job stays queued there; a waiter for it is
+// held, as a handoff settling at that moment holds one, across s0's drain.
+// The drained notice must still reach the router, which reallocates the job
 // to s1.
 func TestDrainedJobIsNoticedDuringAHandoff(t *testing.T) {
-	f := startHTTPFederation(t, 2, func(i int, cfg *service.Config) {
-		if i == 0 {
-			cfg.Gate = func() bool { return false }
-		}
-	})
+	f := startHTTPFederation(t, 2, func(i int, _ *service.Config) bool { return i == 0 })
 	id := ""
 	for i := 0; id == ""; i++ {
 		if c := fmt.Sprintf("settling-%d", i); f.router.ring.Walk(c)[0] == "s0" {

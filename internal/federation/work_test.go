@@ -41,8 +41,9 @@ func TestWorkLedger(t *testing.T) {
 		t.Cleanup(func() { _ = j.Close() })
 		return j
 	}
-	f := startHTTPFederation(t, 2, func(_ int, cfg *service.Config) {
+	f := startHTTPFederation(t, 2, func(_ int, cfg *service.Config) bool {
 		cfg.Journal = openJournal(shardReg)
+		return false
 	}, func(cfg *Config) {
 		cfg.Seed, cfg.Telemetry, cfg.Journal = 1, routerReg, openJournal(routerReg)
 		cfg.HeartbeatInterval = time.Hour

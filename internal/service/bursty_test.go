@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/jobio"
+	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -25,27 +26,34 @@ type burstyOutcome struct {
 	PlacerCommits        uint64
 }
 
-// runBursty offers 500 jobs of workload.Default(1)'s bursty flow to a
+// burstyJobs is the bursty run's corpus size.
+const burstyJobs = 500
+
+// runBursty offers burstyJobs jobs of workload.Default(1)'s bursty flow to a
 // manual-mode server on 2 domains with a 64-slot queue, cycling three
 // priorities, and schedules 12 jobs after every 16 arrivals, so the backlog
 // grows by four a step until shedding and 429s carry the overload. It ends
 // with a Drain while the queue is still loaded. Every submission's wire
 // deadline is its relative budget, re-anchored at the service's own
-// arrival tick.
-func runBursty(t *testing.T, placers int) (burstyOutcome, uint64) {
+// arrival tick. jnl, when non-nil, journals the run; reg, when non-nil,
+// is the server's registry.
+func runBursty(t *testing.T, placers int, jnl *journal.Journal, reg *telemetry.Registry) (burstyOutcome, uint64) {
 	t.Helper()
 	gen := workload.New(workload.Default(1))
-	reg := telemetry.NewRegistry()
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	out := burstyOutcome{Terminal: map[string]uint64{}}
 	s := newServer(t, Config{
 		Env:        gen.Environment(2),
 		QueueCap:   64,
 		Telemetry:  reg,
+		Journal:    jnl,
 		Sched:      metasched.Config{Seed: 1, Placers: placers},
 		OnTerminal: func(r Record) { out.Terminal[r.State]++ },
 	})
 	var clientAccepted uint64
-	for i, a := range gen.FlowWith(workload.ArrivalSpec{Kind: workload.ProcBursty}, 0, 500, 0) {
+	for i, a := range gen.FlowWith(workload.ArrivalSpec{Kind: workload.ProcBursty}, 0, burstyJobs, 0) {
 		wire := jobio.FromJob(a.Job)
 		wire.Deadline = int64(a.Job.Deadline - a.At)
 		_, err := s.Submit(wire, "S1", i%3)
@@ -120,7 +128,7 @@ func TestBurstyOverloadMatchesRecordedRun(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got, _ := runBursty(t, tc.placers); !reflect.DeepEqual(got, tc.want) {
+			if got, _ := runBursty(t, tc.placers, nil, nil); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("run diverged from the recorded one:\n got  %+v\n want %+v", got, tc.want)
 			}
 		})
@@ -135,7 +143,7 @@ func TestBurstyOverloadMatchesRecordedRun(t *testing.T) {
 // exercised completion, 429s and drain-under-load.
 func TestBurstyOverloadInvariants(t *testing.T) {
 	for _, placers := range []int{0, 4} {
-		got, clientAccepted := runBursty(t, placers)
+		got, clientAccepted := runBursty(t, placers, nil, nil)
 		m := got.Metrics
 		if clientAccepted != m.Accepted {
 			t.Errorf("placers=%d: client accepted %d != server accepted %d", placers, clientAccepted, m.Accepted)

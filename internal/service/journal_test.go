@@ -210,8 +210,8 @@ func TestKilledInFlightRestoresExactlyOnce(t *testing.T) {
 				t.Fatalf("second restore took the job again: %+v", again)
 			}
 			if hold {
-				if n := heir.ResumeHeld([]string{"j"}); n != 1 {
-					t.Fatalf("resumed %d held jobs, want 1", n)
+				if !heir.ResumeHeld("j") {
+					t.Fatal("resumed no held job, want j")
 				}
 			}
 			if n := heir.Process(-1); n != 1 {

@@ -150,9 +150,6 @@ type Config struct {
 	// initial build, a retry's rebuild, one fallback level. It does not
 	// bound a job's total across them. Zero means unbounded.
 	BuildTimeout time.Duration
-	// DrainTimeout bounds how long Drain waits for in-flight jobs before
-	// cancelling their builds. Default 10s.
-	DrainTimeout time.Duration
 	// Breaker, when non-nil, arms a per-domain circuit breaker: a domain
 	// whose jobs repeatedly fail stops receiving placements until its open
 	// window expires.
@@ -178,16 +175,11 @@ type Config struct {
 	// HoldRecovered parks non-terminal jobs found by Restore instead of
 	// re-enqueueing them: a federated shard must not re-execute recovered
 	// work until the router resends the job's binding, which releases it
-	// (ResumeHeld), or revokes it (RevokeEpoch). Only a shard that joins a
-	// router gets those resends. false keeps the standalone behavior:
-	// recovered jobs go straight back into the queue.
+	// (ResumeHeld), or revokes it (RevokeEpoch). Every federated shard sets
+	// it, since every shard joins its router, which sends those resends.
+	// false keeps a lone gridd's behavior: recovered jobs go straight back
+	// into the queue.
 	HoldRecovered bool
-	// Gate, when non-nil, is consulted before the engine loop dequeues
-	// work: a false return pauses scheduling (already-scheduled jobs still
-	// complete). The gate runs under the server's internal lock: it must
-	// be fast and must not call back into the Server (use Kick from
-	// elsewhere to re-evaluate it). nil means always open.
-	Gate func() bool
 	// OnTerminal, when non-nil, is called exactly once per job the moment
 	// its record reaches a terminal state (completed, rejected, drained or
 	// revoked), with a copy of the record. It is the push-based
@@ -208,13 +200,6 @@ func (c Config) queueCap() int {
 		return 64
 	}
 	return c.QueueCap
-}
-
-func (c Config) drainTimeout() time.Duration {
-	if c.DrainTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return c.DrainTimeout
 }
 
 // retryAfter is the hint returned with backpressure rejections.
@@ -778,7 +763,7 @@ func (s *Server) loop() {
 			s.current = nil
 			s.cond.Broadcast()
 		}
-		for (len(s.queue) == 0 || !s.gateOpenLocked()) && !s.draining {
+		for len(s.queue) == 0 && !s.draining {
 			s.cond.Wait()
 		}
 		if s.draining {
@@ -803,7 +788,7 @@ func (s *Server) loop() {
 
 // Settle waits for an idle engine to decide a job it just admitted, and
 // returns the job's record as it then stands. It waits only when the engine
-// loop runs (Start), the gate is open, the service is not draining and the
+// loop runs (Start), the service is not draining and the
 // job is either the admission queue's only entry or in the pass under way
 // with nothing queued behind it; otherwise it returns at once. The wait
 // ends with the pass that takes the job: a pass that finds the queue empty
@@ -817,7 +802,7 @@ func (s *Server) Settle(ctx context.Context, id string) Record {
 	if rec == nil {
 		return Record{}
 	}
-	if s.loopDone == nil || s.draining || !s.gateOpenLocked() {
+	if s.loopDone == nil || s.draining {
 		return *rec
 	}
 	var want uint64
@@ -833,7 +818,7 @@ func (s *Server) Settle(ctx context.Context, id string) Record {
 	default:
 		return *rec
 	}
-	stop := context.AfterFunc(ctx, s.Kick)
+	stop := context.AfterFunc(ctx, s.kick)
 	defer stop()
 	for s.passes < want && !Terminal(rec.State) && !s.draining && ctx.Err() == nil {
 		s.cond.Wait()
@@ -841,14 +826,9 @@ func (s *Server) Settle(ctx context.Context, id string) Record {
 	return *rec
 }
 
-// gateOpenLocked evaluates the optional dequeue gate under s.mu.
-func (s *Server) gateOpenLocked() bool {
-	return s.cfg.Gate == nil || s.cfg.Gate()
-}
-
-// Kick re-evaluates the dequeue gate: call it whenever the gate's input
-// changes so a paused engine loop wakes up.
-func (s *Server) Kick() {
+// kick wakes every goroutine waiting on the server's cond, so a Settle
+// whose context ended sees it.
+func (s *Server) kick() {
 	s.mu.Lock()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -995,33 +975,26 @@ func (s *Server) unqueueLocked(id string) bool {
 	return false
 }
 
-// ResumeHeld releases parked recovered jobs back into the admission queue
-// — the router's current binding sent them here again, so this shard still
-// owns them.
-// Unknown or already-released IDs are ignored; the count moved is
-// returned.
-func (s *Server) ResumeHeld(ids []string) int {
+// ResumeHeld releases a parked recovered job back into the admission queue
+// — the router's current binding sent it here again, so this shard still
+// owns it. It reports whether id was held; an unknown or already-released
+// id is ignored.
+func (s *Server) ResumeHeld(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	moved := 0
-	for _, id := range ids {
-		e, ok := s.held[id]
-		if !ok {
-			continue
-		}
+	e, ok := s.held[id]
+	if ok {
 		delete(s.held, id)
 		s.enqueueLocked(e)
-		moved++
 	}
-	return moved
+	return ok
 }
 
 // Drain gracefully shuts the service down: admissions stop, the engine
 // loop exits, still-queued jobs are snapshotted to disk (jobio wire form)
 // and marked drained, and in-flight jobs are run to completion — bounded
-// by ctx and the configured DrainTimeout, after which their builds are
-// cancelled and the engine is given one last chance to settle. The VO is
-// closed at the end.
+// by ctx, whose end cancels their builds and gives the engine one last
+// chance to settle. The VO is closed at the end.
 //
 // Drain is idempotent: concurrent or repeated calls never snapshot twice
 // or race the first — later callers wait for the first drain to finish
@@ -1075,10 +1048,10 @@ func (s *Server) drain(ctx context.Context) error {
 		return err
 	}
 
-	// Finish what is in flight, within the drain budget.
-	timer := time.AfterFunc(s.cfg.drainTimeout(), s.rootCancel)
+	// Finish what is in flight, within ctx: its end cancels the builds.
+	stop := context.AfterFunc(ctx, s.rootCancel)
 	s.engine.Run()
-	timer.Stop()
+	stop()
 	s.publishEngineStats()
 
 	s.vo.Close()

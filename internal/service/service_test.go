@@ -267,7 +267,6 @@ func TestChaosSoak(t *testing.T) {
 	s := newServer(t, Config{
 		QueueCap:     8,
 		SnapshotPath: snap,
-		DrainTimeout: 5 * time.Second,
 		BuildTimeout: 2 * time.Second,
 		Breaker:      &breaker.Config{Threshold: 3, OpenBase: 50, OpenMax: 800, JitterFrac: 0.2, Seed: 11},
 		Sched: metasched.Config{
@@ -329,7 +328,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 	wg.Wait()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	// The drain's budget cuts in-flight builds at 5 s.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)

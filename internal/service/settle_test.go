@@ -68,17 +68,6 @@ func TestSettleReturnsAtOnceWhenItCannotWait(t *testing.T) {
 			t.Fatalf("Settle = %+v; want queued", rec)
 		}
 	})
-	t.Run("gate shut", func(t *testing.T) {
-		s := newServer(t, Config{Gate: func() bool { return false }})
-		s.Start()
-		defer s.Drain(context.Background())
-		if _, err := s.Submit(wireJob("j", 60), "S1", 0); err != nil {
-			t.Fatal(err)
-		}
-		if rec := settleWithin(t, s, context.Background(), "j", time.Second); rec.State != StateQueued {
-			t.Fatalf("Settle = %+v; want queued", rec)
-		}
-	})
 	t.Run("work queued ahead", func(t *testing.T) {
 		s, release := stalledServer(t)
 		defer s.Drain(context.Background())

@@ -91,8 +91,6 @@ var reachAllow = map[string]keptAPI{
 		"shortens the member's retry waits to test time"},
 	"internal/federation.MemberConfig.RetryCap": {"seam", []string{"TestMemberRetryWaitsLeakNothingAndKeepWakeups", "TestFederationPartitionChaos"},
 		"shortens the member's retry waits to test time"},
-	"internal/service.Config.Gate": {"seam", []string{"TestDequeueGate", "TestDeadShardSweep", "TestGracefulShardDrainReleasesItsJobs", "TestDrainedJobIsNoticedDuringAHandoff", "TestSettleReturnsAtOnceWhenItCannotWait"},
-		"stalls a started engine so queued jobs stay queued while a scenario acts on them"},
 }
 
 // TestReachability is the gate on unreached production API. It type-checks
