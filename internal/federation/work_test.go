@@ -82,7 +82,7 @@ func TestWorkLedger(t *testing.T) {
 	after := read()
 
 	var b bytes.Buffer
-	b.WriteString("# Work ledger (TestWorkLedger): counts per job; go test -run TestWorkLedger -update ./internal/federation regenerates it.\n")
+	b.WriteString("# Work ledger (TestWorkLedger): counts per job; go test ./internal/federation -run TestWorkLedger -update regenerates it.\n")
 	fmt.Fprintf(&b, "federation jobs %d\n", workJobs)
 	cols := make([]string, 0, len(after))
 	for col := range after {
@@ -106,7 +106,7 @@ func TestWorkLedger(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden (go test -run TestWorkLedger -update ./internal/federation creates it): %v", err)
+		t.Fatalf("missing golden (go test ./internal/federation -run TestWorkLedger -update creates it): %v", err)
 	}
 	if !bytes.Equal(b.Bytes(), want) {
 		t.Errorf("%s differs from the run; -update regenerates it\nrun:\n%s\ngolden:\n%s", path, b.Bytes(), want)
