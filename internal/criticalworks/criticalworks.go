@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/dag"
 	"repro/internal/data"
@@ -139,11 +138,12 @@ type Options struct {
 	// InfeasibleError). nil means no cancellation — byte-identical to
 	// builds before the hook existed.
 	Ctx context.Context
-	// Telemetry, when non-nil, receives the build's runtime metrics
+	// Telemetry, when non-nil, receives the build's counts
 	// (grid_criticalworks_*: outcome counters, evaluation and collision
-	// totals, wall-clock latency). Telemetry only observes — results are
-	// byte-identical with it on or off — and a nil registry costs the
-	// build nothing (zero allocations on the hot path).
+	// totals); its duration is the criticalworks.build span's. Telemetry
+	// only observes — results are byte-identical with it on or off — and a
+	// nil registry costs the build nothing (zero allocations on the hot
+	// path).
 	Telemetry *telemetry.Registry
 	// Spans, when non-nil, traces the build: one root span per Build,
 	// a child per margin attempt, one per critical work, and one per DP
@@ -514,10 +514,6 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	if opt.Telemetry == nil && opt.Spans == nil {
 		return build(env, cals, job, opt)
 	}
-	var start time.Time
-	if opt.Telemetry != nil {
-		start = time.Now()
-	}
 	name := opt.JobName
 	if name == "" {
 		name = job.Name
@@ -544,8 +540,6 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 			"DP slot-fitting probes performed").Add(uint64(evals))
 		opt.Telemetry.Counter("grid_criticalworks_collisions_total",
 			"resource collisions between critical works").Add(uint64(colls))
-		opt.Telemetry.Histogram("grid_criticalworks_build_seconds",
-			"wall-clock latency of one critical-works build", nil).Observe(telemetry.Since(start))
 	}
 	root.SetStr("result", buildResult(err)).SetInt("evaluations", evals).SetInt("collisions", colls).End()
 	return sched, err

@@ -148,13 +148,11 @@ func (r *Router) dispatch(id string) {
 	var settled bool
 	var err error
 	if h != nil {
-		began := time.Now()
 		var res *HandoffResult
 		res, err = client.Handoff(ctx, h)
 		r.th.handoffs.Inc()
 		if err == nil {
 			r.brk.Get(shard).Success(r.now())
-			r.th.handoffLatency.Observe(time.Since(began).Seconds())
 			settled = r.resolveHandoff(rec, shard, res)
 		} else {
 			r.th.handoffFailures.Inc()

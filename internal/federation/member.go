@@ -31,7 +31,8 @@ type MemberConfig struct {
 	RetryCap  time.Duration
 	// Seed drives the backoff's jitter.
 	Seed uint64
-	// Telemetry exports grid_fed_member_* counters. nil disables.
+	// Telemetry exports the member's joins and terminal notices
+	// (grid_fed_member_*). nil disables.
 	Telemetry *telemetry.Registry
 	// Logf receives operational log lines. nil discards.
 	Logf func(format string, args ...any)
@@ -63,7 +64,7 @@ type Member struct {
 
 	wg sync.WaitGroup
 
-	handoffs, revokes, notifies, joins *telemetry.Counter
+	notifies, joins *telemetry.Counter
 }
 
 // NewMember builds the member. Bind must be called before Handler or
@@ -78,8 +79,6 @@ func NewMember(cfg MemberConfig) *Member {
 	m.cond = sync.NewCond(&m.mu)
 	if reg := cfg.Telemetry; reg != nil {
 		l := telemetry.L("shard", cfg.Shard)
-		m.handoffs = reg.Counter("grid_fed_member_handoffs_total", "handoff frames processed by the shard", l)
-		m.revokes = reg.Counter("grid_fed_member_revokes_total", "revoke requests processed by the shard", l)
 		m.notifies = reg.Counter("grid_fed_member_terminal_notices_total", "terminal notices delivered to the router", l)
 		m.joins = reg.Counter("grid_fed_member_joins_total", "join handshakes completed", l)
 	}
@@ -255,7 +254,6 @@ func (m *Member) Handler(next http.Handler) http.Handler {
 }
 
 func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	m.handoffs.Inc()
 	h, err := readHandoff(r.Body)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -281,7 +279,6 @@ func (m *Member) handleHandoff(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Member) handleRevoke(w http.ResponseWriter, r *http.Request) {
-	m.revokes.Inc()
 	var req RevokeRequest
 	if err := decodeJSONBody(r.Body, maxFrameBytes, &req); err != nil || req.Key == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad revoke request"})

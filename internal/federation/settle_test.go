@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaostest"
 	"repro/internal/metasched"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -54,14 +55,16 @@ func noNotices(f *httpFederation) bool {
 	return true
 }
 
-// waitJoined waits until every member's first join has been answered. A
-// join that lands after a binding makes the router send that binding again,
-// so tests that count handoffs start after it.
+// waitJoined waits until every member's first join has been answered, as
+// its grid_fed_member_joins_total reads. A join that lands after a binding
+// makes the router send that binding again, so tests that count handoffs
+// start after it.
 func waitJoined(t *testing.T, f *httpFederation) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for _, m := range f.members {
-		for m.joins.Value() == 0 {
+		joins := m.cfg.Telemetry.Counter("grid_fed_member_joins_total", "", telemetry.L("shard", m.cfg.Shard))
+		for joins.Value() == 0 {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s never joined", m.cfg.Shard)
 			}

@@ -117,8 +117,8 @@ type Options struct {
 	// only their ledger entry in snapshots, live jobs keep the full wire
 	// form. nil treats every state as live.
 	IsTerminal func(state string) bool
-	// Telemetry keeps the append/fsync/rotation/compaction counters and
-	// the LSN gauge. nil keeps them in a private registry. A registry
+	// Telemetry keeps the append/fsync/rotation/compaction counters. nil
+	// keeps them in a private registry. A registry
 	// serves one journal: two would share one tally.
 	Telemetry *telemetry.Registry
 }
@@ -208,7 +208,6 @@ type Journal struct {
 	syncg sync.WaitGroup
 
 	appends, fsyncs, rotations, compactions *telemetry.Counter
-	lsnGauge                                *telemetry.Gauge
 }
 
 // Open recovers the journal directory (truncating a torn tail) and opens
@@ -246,7 +245,6 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		fsyncs:      reg.Counter("grid_journal_fsyncs_total", "journal fsync calls"),
 		rotations:   reg.Counter("grid_journal_rotations_total", "journal segment rotations"),
 		compactions: reg.Counter("grid_journal_compactions_total", "journal compactions"),
-		lsnGauge:    reg.Gauge("grid_journal_lsn", "highest assigned journal LSN"),
 	}
 	for _, js := range rec.Jobs {
 		cp := *js
@@ -327,7 +325,6 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 	j.nextLSN++
 	j.segBytes += int64(len(line))
 	j.appends.Inc()
-	j.lsnGauge.Set(float64(rec.LSN))
 	wasTerminal := false
 	if js, ok := j.state[rec.Job]; ok && j.opts.IsTerminal != nil {
 		wasTerminal = j.opts.IsTerminal(js.State)

@@ -43,7 +43,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
@@ -92,8 +91,8 @@ type Config struct {
 	Tracer Tracer
 
 	// Telemetry, when non-nil, receives runtime metrics from the whole
-	// hierarchy: grid_metasched_* event counters and generation latency
-	// here, grid_strategy_* and grid_criticalworks_* from the layers
+	// hierarchy: the grid_metasched_events_total counter here,
+	// grid_strategy_* and grid_criticalworks_* from the layers
 	// below (the registry is forwarded to every domain's generator).
 	// Telemetry only observes — a run with it enabled is byte-identical
 	// to one without, and nil costs the simulation path nothing.
@@ -492,23 +491,15 @@ func (m *JobManager) adopt(aj *activeJob) {
 func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time, initial bool) (*strategy.Distribution, error) {
 	vo := m.vo
 	var sp *telemetry.Span
-	var t0 time.Time
-	if vo.cfg.Telemetry != nil || vo.cfg.Spans != nil {
-		t0 = time.Now()
+	if vo.cfg.Spans != nil {
 		sp = vo.cfg.Spans.Start("metasched.adopt", telemetry.SpanFromContext(ctx))
-		if sp != nil {
-			sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
-			if initial {
-				sp.SetInt("initial", 1)
-			}
-			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
+		sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
+		if initial {
+			sp.SetInt("initial", 1)
 		}
+		ctx = telemetry.ContextWithSpan(ctx, sp.ID())
 	}
 	st, err := m.generate(ctx, aj, books, now)
-	if vo.cfg.Telemetry != nil {
-		vo.cfg.Telemetry.Histogram("grid_metasched_adopt_seconds",
-			"wall time of one adopt (strategy generation) pass", nil).Observe(telemetry.Since(t0))
-	}
 	if sp != nil {
 		if err != nil {
 			sp.SetStr("result", "error")

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 )
 
 // This file implements same-tick batches (DESIGN.md §12). With
@@ -101,10 +100,6 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 		res.Domain = m.domain
 		aj.manager = m
 		aj.triedDom[m.idx] = true
-		if vo.cfg.Telemetry != nil {
-			vo.cfg.Telemetry.Counter("grid_metasched_placements_total",
-				"jobs placed by the metascheduler, per domain", telemetry.L("domain", m.domain)).Inc()
-		}
 		vo.trace(Event{Kind: EventArrive, Job: p.job.Name, Domain: m.domain})
 		vo.active[p.job.Name] = aj
 		work = append(work, &batchJob{aj: aj, key: commitKey{prio: p.prio, seq: p.seq}})
