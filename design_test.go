@@ -15,7 +15,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "regenerate testdata/design.golden")
+var update = flag.Bool("update", false, "regenerate testdata/design.golden and METRICS.md's generated columns")
 
 // flagDefiner matches the flag package functions and *flag.FlagSet methods
 // that define one flag.
@@ -33,7 +33,9 @@ var flagDefiner = regexp.MustCompile(`^((Bool|Duration|Float64|Int|Int64|String|
 //     the package-level ones and the methods of its types;
 //   - options: the option fields TestReachability's second rule covers;
 //   - allow: reachAllow's entries by kind;
-//   - flags: the flags each cmd/ binary defines.
+//   - flags: the flags each cmd/ binary defines;
+//   - series: the grid_* families each package under internal/ registers
+//     (TestMetricsCatalogue's scan; METRICS.md catalogues them).
 func TestDesignLedger(t *testing.T) {
 	u := loadModule(t)
 	var b strings.Builder
@@ -75,6 +77,14 @@ func TestDesignLedger(t *testing.T) {
 	}
 	total("allow", kinds)
 	total("flags", flags)
+
+	series := map[string]int{}
+	for _, fam := range registeredFamilies(t, u) {
+		for _, pkg := range fam.pkgs {
+			series[pkg]++
+		}
+	}
+	total("series", series)
 
 	got := []byte(b.String())
 	path := filepath.Join("testdata", "design.golden")

@@ -354,26 +354,24 @@ type telemetryHandles struct {
 }
 
 func newTelemetryHandles(reg *telemetry.Registry) telemetryHandles {
-	c := func(name, help string) *telemetry.Counter { return reg.Counter(name, help) }
-	g := func(name, help string) *telemetry.Gauge { return reg.Gauge(name, help) }
 	return telemetryHandles{
-		submitted:      c("grid_service_submitted_total", "jobs offered to the admission queue"),
-		accepted:       c("grid_service_accepted_total", "jobs admitted into the queue"),
-		completed:      c("grid_service_completed_total", "jobs that ran to plan"),
-		rejected:       c("grid_service_rejected_total", "jobs that ended rejected (any reason)"),
-		shed:           c("grid_service_shed_total", "queued jobs displaced by higher-priority arrivals"),
-		infeasible:     c("grid_service_infeasible_total", "submissions rejected by deadline admission control"),
-		overloaded:     c("grid_service_overloaded_total", "submissions refused with backpressure"),
-		drained:        c("grid_service_drained_total", "queued jobs snapshotted at shutdown"),
-		revoked:        c("grid_service_revoked_total", "jobs revoked by the federation router (incl. tombstones)"),
-		resurrected:    c("grid_service_resurrected_total", "tombstones a newer federation epoch started a new life over"),
-		queueDepth:     g("grid_service_queue_depth", "current admission-queue length"),
-		queueHighWater: g("grid_service_queue_high_water", "maximum admission-queue length observed"),
-		engineNow:      g("grid_service_engine_now", "model time as of the last completed step"),
-		eventsFired:    g("grid_service_engine_events_fired", "simulation events fired so far"),
+		submitted:      reg.Counter("grid_service_submitted_total", "jobs offered to the admission queue"),
+		accepted:       reg.Counter("grid_service_accepted_total", "jobs admitted into the queue"),
+		completed:      reg.Counter("grid_service_completed_total", "jobs that ran to plan"),
+		rejected:       reg.Counter("grid_service_rejected_total", "jobs that ended rejected (any reason)"),
+		shed:           reg.Counter("grid_service_shed_total", "queued jobs displaced by higher-priority arrivals"),
+		infeasible:     reg.Counter("grid_service_infeasible_total", "submissions rejected by deadline admission control"),
+		overloaded:     reg.Counter("grid_service_overloaded_total", "submissions refused with backpressure"),
+		drained:        reg.Counter("grid_service_drained_total", "queued jobs snapshotted at shutdown"),
+		revoked:        reg.Counter("grid_service_revoked_total", "jobs revoked by the federation router (incl. tombstones)"),
+		resurrected:    reg.Counter("grid_service_resurrected_total", "tombstones a newer federation epoch started a new life over"),
+		queueDepth:     reg.Gauge("grid_service_queue_depth", "current admission-queue length"),
+		queueHighWater: reg.Gauge("grid_service_queue_high_water", "maximum admission-queue length observed"),
+		engineNow:      reg.Gauge("grid_service_engine_now", "model time as of the last completed step"),
+		eventsFired:    reg.Gauge("grid_service_engine_events_fired", "simulation events fired so far"),
 		queueWait: reg.Histogram("grid_service_queue_wait_seconds",
 			"wall time jobs spent in the admission queue", nil),
-		journalErrors: c("grid_service_journal_errors_total", "lifecycle transitions that failed to journal"),
+		journalErrors: reg.Counter("grid_service_journal_errors_total", "lifecycle transitions that failed to journal"),
 	}
 }
 

@@ -180,6 +180,7 @@ type listedPackage struct {
 // rules need: every object a non-test file references, every field one sets,
 // every interface in sight, and the names of the module's tests.
 type universe struct {
+	fset   *token.FileSet
 	pkgs   []*checkedPackage
 	used   map[types.Object]bool
 	set    map[*types.Var]bool
@@ -215,6 +216,7 @@ func loadModule(t *testing.T) *universe {
 		tests:  map[string]bool{},
 	}
 	fset := token.NewFileSet()
+	u.fset = fset
 	exports := map[string]string{}
 	checked := map[string]*types.Package{}
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
