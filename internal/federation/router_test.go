@@ -420,6 +420,105 @@ func TestRouterJournalRecovery(t *testing.T) {
 	}
 }
 
+// checkLive fails unless the router's count of non-terminal entries equals
+// a walk of its ledger.
+func checkLive(t *testing.T, r *Router, when string) int {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	walk := 0
+	for _, rec := range r.records {
+		if !service.Terminal(rec.State) {
+			walk++
+		}
+	}
+	if r.live != walk {
+		t.Fatalf("%s: live = %d, a ledger walk counts %d", when, r.live, walk)
+	}
+	return walk
+}
+
+// TestLiveCountMatchesTheLedger holds the count Quiesced and Drain read
+// equal to a walk of the ledger: while jobs are submitted and dispatched,
+// across a reallocation off a shard whose handoffs fail, after a restore
+// from the journal, and after a drain, which returns on the count's
+// fall to zero, well before its context ends.
+func TestLiveCountMatchesTheLedger(t *testing.T) {
+	dir := t.TempDir()
+	var rt *Router
+	shards := newFedShards(t, 2, &rt)
+	for _, s := range shards {
+		s.svc.Start()
+	}
+	flaky := &flakyShard{LocalShard: shards[0].local}
+	flaky.setBroken(true)
+	clients := []ShardClient{flaky, shards[1].local}
+	cfg := func(j *journal.Journal) Config {
+		return Config{Shards: clients, Seed: 11, Journal: j, RetryBudget: 2,
+			RetryBase: 5 * time.Millisecond, HeartbeatInterval: time.Hour}
+	}
+
+	j1, _ := openTestJournal(t, dir)
+	r1, err := New(cfg(j1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r1
+	r1.Start()
+	for i := 0; i < 8; i++ {
+		if _, err := r1.Submit(testJob(fmt.Sprintf("job-%d", i), 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+		checkLive(t, r1, "after a submit")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for checkLive(t, r1, "while dispatching") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("router never quiesced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if m := r1.Metrics(); m.Reallocated == 0 {
+		t.Fatalf("metrics = %+v: no job was reallocated off the flaky shard", m)
+	}
+	// Two more, never dispatched: r1 stops before it sends them.
+	r1.Close()
+	for _, id := range []string{"late-0", "late-1"} {
+		if _, err := r1.Submit(testJob(id, 60), "S1", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := checkLive(t, r1, "at the crash"); n != 2 {
+		t.Fatalf("%d live entries at the crash, want 2", n)
+	}
+	j1.Close()
+
+	flaky.setBroken(false)
+	j2, recovered := openTestJournal(t, dir)
+	defer j2.Close()
+	r2, err := New(cfg(j2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r2
+	if _, err := r2.Restore(recovered); err != nil {
+		t.Fatal(err)
+	}
+	if n := checkLive(t, r2, "after the restore"); n != 2 {
+		t.Fatalf("%d live entries after the restore, want 2", n)
+	}
+	r2.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := r2.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	checkLive(t, r2, "after the drain")
+	if !r2.Quiesced() {
+		t.Fatal("not quiesced after the drain")
+	}
+}
+
 // recoverJournal writes recs to a fresh journal and recovers it, as a
 // restarted router reads its own.
 func recoverJournal(t *testing.T, recs ...journal.Record) *journal.Recovery {
