@@ -73,11 +73,39 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 			return nil, -1, nil, err
 		}
 		if firstPartial == nil {
-			firstPartial, firstErr = b.partial(), err
+			firstPartial, firstErr = refPartial(b), err
 		}
 	}
 	firstPartial.Evaluations = evals
 	return firstPartial, -1, nil, firstErr
+}
+
+// refPartial packages the reference's abandoned attempt as a partial
+// schedule: the placements and collisions it recorded, no cost accounting.
+// Its Placements are nil when no chain was placed, else the dense table with
+// the zero Placement for each task left unplaced. Build returns no such
+// schedule; a failed build's error carries the counts that the partial of
+// the margin-1 attempt must match (sameCounts).
+func refPartial(b *builder) *Schedule {
+	s := &Schedule{Job: b.job, Collisions: b.collisions(), Evaluations: b.evals}
+	if b.nPlaced > 0 {
+		s.Placements = b.placements()
+	}
+	return s
+}
+
+// sameCounts reports where a failed build's error departs from want, the
+// reference's partial schedule: the collisions its margin-1 attempt
+// recorded, and the probes of its ladder, of which a build whose proofs
+// spared attempts spends fewer but never more.
+func sameCounts(inf *InfeasibleError, want *Schedule) error {
+	if inf.Collisions != int64(len(want.Collisions)) {
+		return fmt.Errorf("the error counts %d collisions, the reference's margin-1 attempt recorded %d", inf.Collisions, len(want.Collisions))
+	}
+	if inf.Evaluations > want.Evaluations {
+		return fmt.Errorf("the error counts %d evaluations, the reference %d", inf.Evaluations, want.Evaluations)
+	}
+	return nil
 }
 
 // refPlaceChains is builder.buildOnce's chain loop, placing each critical work
@@ -303,11 +331,12 @@ func cowCorpus() []cowCase {
 }
 
 // TestBuildMatchesCloneReference pins the overlay build to the
-// materialising reference, over the whole corpus: the schedule (placements,
-// collisions with their holders, costs, the partial one of a failed build)
-// is identical in every field but Evaluations, which is never above the
-// reference's, and the replica sets the finished build leaves in its arena
-// are the reference catalog's; the plan applied to the books gives the
+// materialising reference, over the whole corpus: a success's schedule
+// (placements, collisions with their holders, costs) is identical in every
+// field, a failure returns no schedule and an error whose counts match the
+// reference's partial one (sameCounts: the margin-1 attempt's collisions,
+// and never more probes), and the replica sets the finished build leaves in
+// its arena are the reference catalog's; the plan applied to the books gives the
 // reference's materialised books, reservations and generations; and after
 // every outcome the view is untouched — every entry the pointer that went
 // in, every book with the generation and reservations that went in.
@@ -336,28 +365,30 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("%s: err = %v, reference %v", tc.name, err, wantErr)
 		}
-		if (got == nil) != (want == nil) {
-			t.Fatalf("%s: schedule %v, reference %v", tc.name, got, want)
-		}
 		var inf *InfeasibleError
 		errors.As(err, &inf)
 		if inf != nil && inf.FirstWork && (len(want.Placements) != 0 || len(want.Collisions) != 0) {
 			t.Fatalf("%s: a proof refused a build whose reference ladder got somewhere: %+v", tc.name, want)
 		}
-		if got != nil {
-			if inf != nil && inf.Hopeless && got.Evaluations != 0 {
-				t.Errorf("%s: refused build reports %d evaluations, want 0", tc.name, got.Evaluations)
-			}
+		switch {
+		case err == nil:
 			// A success ran every attempt the reference ran.
-			if got.Evaluations > want.Evaluations || err == nil && got.Evaluations != want.Evaluations {
-				t.Fatalf("%s: %d evaluations, the reference %d", tc.name, got.Evaluations, want.Evaluations)
-			}
-			savedProbes += want.Evaluations - got.Evaluations
-			g := *got
-			g.Evaluations = want.Evaluations
-			if !reflect.DeepEqual(&g, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: schedule differs from the reference:\n got %+v\nwant %+v", tc.name, got, want)
 			}
+		case inf != nil:
+			if got != nil {
+				t.Fatalf("%s: a failed build returned a schedule: %+v", tc.name, got)
+			}
+			if inf.Hopeless && inf.Evaluations != 0 {
+				t.Errorf("%s: refused build reports %d evaluations, want 0", tc.name, inf.Evaluations)
+			}
+			if cerr := sameCounts(inf, want); cerr != nil {
+				t.Fatalf("%s: %v", tc.name, cerr)
+			}
+			savedProbes += want.Evaluations - inf.Evaluations
+		case got != nil || want != nil:
+			t.Fatalf("%s: schedule %v, reference %v", tc.name, got, want)
 		}
 		if err == nil {
 			if rerr := sameReplicas(arena, arena.bld.opt, refCat); rerr != nil {
@@ -453,21 +484,22 @@ var denseRegimes = []struct {
 	budget   float64
 }{
 	{"feasible", 400, true, false, 4},
-	{"refused", 12, false, true, 3},
-	{"ladder-infeasible", 22, false, false, 3},
+	{"refused", 12, false, true, 2},
+	{"ladder-infeasible", 22, false, false, 2},
 }
 
 // TestBuildAllocationBudget pins what one Build allocates on the dense
 // fixture in the three regimes of denseRegimes, with every option defaulted.
-// A build allocates only what it returns — the Schedule, its Placements (one
-// slice, and none at all when no chain was placed, as in the two failures
-// here), its Collisions at their exact length, the error (one per failed
-// attempt) — plus the candidates normalize defaults; the estimate table is a
-// view of the job, and its working memory, replica sets and collisions-so-far
-// included, is a pooled arena (TestBuildAllocsFig2 pins the count exactly,
-// with nothing defaulted). The budgets are the readings. Under -race
-// sync.Pool drops a quarter of the Puts on purpose and the next build makes a
-// new arena, so the pin skips there and runs in CI's step without it. With a
+// A build allocates only what it returns — a success its Schedule, its
+// Placements (one slice) and its Collisions at their exact length, a failure
+// its error alone (one per failed attempt) — plus the candidates normalize
+// defaults; the estimate table is a view of the job, and its working memory,
+// replica sets and collisions-so-far included, is a pooled arena
+// (TestBuildAllocsFig2 pins the count exactly, with nothing defaulted). The
+// budgets are the readings. Under -race sync.Pool drops a quarter of the Puts
+// on purpose and the next build makes a new arena, so the pin skips there and
+// runs in CI's step without it. With a failed build returning a partial
+// Schedule beside its error the two failures read 3 and 3. With a
 // two-allocation estimate table made per build, and the errors.As target
 // that tested each failed attempt's error escaping to the heap, the three
 // read 6, 5 and 7. With Placements a map the three read 9,
@@ -508,6 +540,9 @@ func TestBuildAllocationBudget(t *testing.T) {
 // copySchedule deep-copies what a Schedule owns (the job is shared and
 // immutable).
 func copySchedule(s *Schedule) *Schedule {
+	if s == nil {
+		return nil
+	}
 	cp := *s
 	cp.Placements = slices.Clone(s.Placements)
 	cp.Collisions = slices.Clone(s.Collisions)
@@ -516,12 +551,14 @@ func copySchedule(s *Schedule) *Schedule {
 
 // TestArenaReuseLeavesResultsAlone: a build's result must own its memory.
 // Build job A — in each regime of denseRegimes, and on a one-node
-// environment where the ladder gives up with a critical work placed, so the
-// partial schedule carries placements and collisions — and deep-copy what
-// came back. Then build a larger job on a larger environment and a smaller
-// one on a smaller, in all three regimes, on the same goroutine — which
-// takes the arena A's build returned, grows it and overwrites it. A's
-// result, its collisions copied out of that arena, still equals the copy.
+// environment where the ladder gives up with a critical work placed (the
+// reference's partial schedule says so), so the error counts the
+// collisions the margin-1 attempt recorded in the arena — and deep-copy
+// what came back. Then build a larger job on a larger environment and a
+// smaller one on a smaller, in all three regimes, on the same goroutine —
+// which takes the arena A's build returned, grows it and overwrites it. A's
+// result, its collisions copied or counted out of that arena, still equals
+// the copy.
 //
 // The other direction: an arena belongs to one build at a time. A second
 // build of A keeps its arena (buildHeld) while the later builds run — on
@@ -536,7 +573,7 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 		name                 string
 		levels, width, nodes int
 		deadline             simtime.Time
-		partialTasks         int // placements in the failed build's partial schedule
+		partialTasks         int // placements and collisions of the failed build's margin-1 attempt
 	}
 	var as []fixture
 	for _, r := range denseRegimes {
@@ -549,14 +586,24 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 			opt := Options{Data: data.Model{Policy: data.ActiveReplication}}
 			sched, err := Build(env, cals, job, opt)
 			var inf *InfeasibleError
-			if err != nil && (!errors.As(err, &inf) || placedTasks(sched) != a.partialTasks || len(sched.Collisions) != a.partialTasks) {
-				t.Errorf("%s: Build err = %v, schedule %+v", a.name, err, sched)
-				return
+			if err != nil {
+				if !errors.As(err, &inf) || sched != nil || inf.Collisions != int64(a.partialTasks) {
+					t.Errorf("%s: Build err = %v (%+v), schedule %+v", a.name, err, inf, sched)
+					return
+				}
+				if want, _, _, _ := refBuild(env, cals.Clone(), job, opt); placedTasks(want) != a.partialTasks {
+					t.Errorf("%s: the reference's margin-1 attempt placed %d tasks, want %d", a.name, placedTasks(want), a.partialTasks)
+					return
+				}
 			}
 			keep := copySchedule(sched)
-			again, arena, _ := buildHeld(env, cals, job, opt)
-			if !reflect.DeepEqual(again, sched) {
-				t.Errorf("%s: the same build in a held arena differs:\n got %+v\nwant %+v", a.name, again, sched)
+			var keepErr InfeasibleError
+			if inf != nil {
+				keepErr = *inf
+			}
+			again, arena, againErr := buildHeld(env, cals, job, opt)
+			if !reflect.DeepEqual(again, sched) || !reflect.DeepEqual(againErr, err) {
+				t.Errorf("%s: the same build in a held arena differs:\n got %+v, %v\nwant %+v, %v", a.name, again, againErr, sched, err)
 			}
 			keepReplicas := make([][]resource.NodeID, job.NumTasks())
 			for id := range keepReplicas {
@@ -569,7 +616,8 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 			for _, b := range denseRegimes {
 				for _, size := range []struct{ levels, width, nodes int }{{9, 3, 40}, {2, 1, 3}} {
 					envB, calsB, jobB := layeredFixture(size.levels, size.width, size.nodes, b.deadline*simtime.Time(size.levels)/5)
-					if _, err := Build(envB, calsB, jobB, opt); err != nil && !errors.As(err, &inf) {
+					var infB *InfeasibleError
+					if _, err := Build(envB, calsB, jobB, opt); err != nil && !errors.As(err, &infB) {
 						t.Errorf("%s: Build err = %v", b.name, err)
 						return
 					}
@@ -577,6 +625,9 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sched, keep) {
 				t.Errorf("%s: later builds changed a returned schedule:\n got %+v\nwant %+v", a.name, sched, keep)
+			}
+			if inf != nil && *inf != keepErr {
+				t.Errorf("%s: later builds changed a returned error:\n got %+v\nwant %+v", a.name, *inf, keepErr)
 			}
 			for id, want := range keepReplicas {
 				if got := arena.replicas(dag.TaskID(id)); !slices.Equal(got, want) {

@@ -52,12 +52,9 @@ type Collision struct {
 }
 
 // Schedule is the paper's Distribution: a complete coordinated allocation
-// of all tasks of one job, Placements[id] binding task id. Beside an
-// *InfeasibleError, Build returns the partial schedule of an abandoned
-// construction: its Placements are nil if no chain was placed, else the dense
-// table with the zero Placement (an empty Window, which no placed task has)
-// for each task left unplaced, and its Collisions are still meaningful (the
-// method attempted them).
+// of all tasks of one job, Placements[id] binding task id. Only a build that
+// succeeds returns one; a failed build returns a nil Schedule and an
+// *InfeasibleError that carries its counts.
 type Schedule struct {
 	Job        *dag.Job
 	Placements []Placement
@@ -75,11 +72,12 @@ type Schedule struct {
 	// start that can win it, not once per predecessor: one probe per cell
 	// under MinFinish, and under MinCost one more for every cheaper group of
 	// predecessors a probe rules out (bestPred). A build counts the attempts
-	// it ran: one the admissibility bound refuses counts 0, one the DP cut
-	// stops counts the margins before the cut, and one the calendar bound
-	// refuses counts margin 1 plus the bound's own probes, which never
-	// exceed what the spared attempts would have probed. So the count is at
-	// most the full five-margin ladder's.
+	// it ran, a failed one in InfeasibleError.Evaluations: one the
+	// admissibility bound refuses counts 0, one the DP cut stops counts the
+	// margins before the cut, and one the calendar bound refuses counts
+	// margin 1 plus the bound's own probes, which never exceed what the
+	// spared attempts would have probed. So the count is at most the full
+	// five-margin ladder's.
 	Evaluations int64
 }
 
@@ -227,12 +225,20 @@ func EmptyCalendars(env *resource.Environment) Calendars {
 // Without FirstWork the ladder ran until its margins, or a later margin's
 // DP cut, said no.
 //
+// Evaluations and Collisions are the failed build's counts, which Build's
+// telemetry and a strategy's probe total read: the probes of every attempt
+// the build ran, by Schedule.Evaluations' rule, and the collisions the
+// margin-1 attempt recorded before it failed. A refused build counts 0 of
+// each.
+//
 // Build returns it unwrapped, so a type assertion finds it.
 type InfeasibleError struct {
-	Job       string
-	Task      string
-	Hopeless  bool
-	FirstWork bool
+	Job         string
+	Task        string
+	Hopeless    bool
+	FirstWork   bool
+	Evaluations int64
+	Collisions  int64
 }
 
 func (e *InfeasibleError) Error() string {
@@ -247,9 +253,10 @@ var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 // attempt's placements with their per-node overlay, its replica sets and the
 // collisions it has recorded so far. A build borrows one from scratchPool,
 // sizes it for its job and environment, and runs its margin attempts in it
-// one after another; what it returns — the Schedule, its Placements and
-// its Collisions, copied out at their exact length — is allocated fresh and
-// never points here. Build is a function, not a method of a long-lived
+// one after another; what it returns is allocated fresh and never points
+// here: a success's Schedule, its Placements and its Collisions, copied out
+// at their exact length, or a failure's InfeasibleError, which copies out
+// nothing but two counts. Build is a function, not a method of a long-lived
 // owner, and builds run on several goroutines at once (experiments run jobs
 // on parallel workers), so the arena comes from a pool rather than a caller.
 type scratch struct {
@@ -374,12 +381,9 @@ func (b *builder) placement(id dag.TaskID) (Placement, bool) {
 	return b.placed[id], !b.placed[id].Window.Empty()
 }
 
-// placements copies the attempt's placements out of the arena as a
-// Schedule's table by TaskID; nil when nothing is placed.
+// placements copies the finished attempt's placements out of the arena as a
+// Schedule's table by TaskID.
 func (b *builder) placements() []Placement {
-	if b.nPlaced == 0 {
-		return nil
-	}
 	out := make([]Placement, len(b.placed))
 	copy(out, b.placed)
 	return out
@@ -509,7 +513,9 @@ var margins = []float64{1, 1.5, 2, 3, 4}
 // so builds may share a view (DESIGN.md §5); the plan is the
 // returned Schedule and nothing else is handed back: the replica sets an
 // attempt accumulates are its own working state. It allocates only what it
-// returns: its working memory is a pooled arena (scratch).
+// returns: its working memory is a pooled arena (scratch). A failed build
+// returns a nil Schedule and an *InfeasibleError holding its counts, and
+// allocates that error alone.
 func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
 	if opt.Telemetry == nil && opt.Spans == nil {
 		return build(env, cals, job, opt)
@@ -529,9 +535,10 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	}
 	sched, err := build(env, cals, job, opt)
 	var evals, colls int64
-	if sched != nil {
-		evals = sched.Evaluations
-		colls = int64(len(sched.Collisions))
+	if inf, ok := err.(*InfeasibleError); ok {
+		evals, colls = inf.Evaluations, inf.Collisions
+	} else if sched != nil {
+		evals, colls = sched.Evaluations, int64(len(sched.Collisions))
 	}
 	if opt.Telemetry != nil {
 		opt.Telemetry.Counter("grid_criticalworks_builds_total",
@@ -602,7 +609,8 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 // run is a build in the arena, which reset has pointed at the job: the
 // admissibility bound, then the margin ladder, cut short once a proof shows
 // that the margins left fail the way the last one did. opt is normalized. On
-// success the arena is left holding the successful attempt.
+// success the arena is left holding the successful attempt; a failure
+// returns the margin-1 attempt's InfeasibleError with the build's counts.
 //
 // The DP cut. Under MinFinish the DP is feasibility-exact for the first
 // critical work: nothing else is placed yet, no node holds a replica, and a
@@ -633,11 +641,9 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 	first.Tasks = sc.first
 	sc.computeBounds(1)
 	if sc.hopeless(env, opt, first) {
-		return &Schedule{Job: job},
-			&InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
+		return nil, &InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
 	}
 
-	var firstPartial *Schedule
 	var firstErr *InfeasibleError
 	var evals int64
 	for i, mg := range margins {
@@ -661,11 +667,11 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 		if !ok {
 			return nil, err
 		}
-		if firstPartial == nil {
-			// Keep the margin-1 attempt's partial schedule: its collisions
-			// reflect the method's genuine allocation attempts (Fig. 3b
-			// counts them).
-			firstPartial, firstErr = b.partial(), inf
+		if firstErr == nil {
+			// Keep the margin-1 attempt's error and the collisions it
+			// recorded: the count feeds grid_criticalworks_collisions_total.
+			firstErr = inf
+			firstErr.Collisions = int64(len(b.colls))
 		}
 		if b.nPlaced > 0 {
 			continue // a later critical work failed; a wider margin may place it
@@ -684,8 +690,8 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 			}
 		}
 	}
-	firstPartial.Evaluations = evals
-	return firstPartial, firstErr
+	firstErr.Evaluations = evals
+	return nil, firstErr
 }
 
 // hopeless is the admissibility bound: it reports whether the first
@@ -724,10 +730,9 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 // Every one of those attempts failed in its first chain's ideal phase:
 // none placed a task, reserved a slot or looked for a collision (collisions
 // are recorded after both phases succeed). The ladder's result is therefore
-// an empty partial schedule with no collisions and the error above — what
-// build returns. The one field that differs is Evaluations: the probes the
-// ladder would have spent proving this are not performed, and the count
-// says so (0).
+// the error above with no collision counted — what build returns. The one
+// count that differs is Evaluations: the probes the ladder would have spent
+// proving this are not performed, and the count says so (0).
 func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Chain) bool {
 	var prevFinish simtime.Time
 	for i, task := range chain.Tasks {
@@ -853,17 +858,6 @@ func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 		}
 	}
 	return b.finish()
-}
-
-// partial packages an abandoned build: placements and collisions recorded
-// so far, no cost accounting.
-func (b *builder) partial() *Schedule {
-	return &Schedule{
-		Job:         b.job,
-		Placements:  b.placements(),
-		Collisions:  b.collisions(),
-		Evaluations: b.evals,
-	}
 }
 
 // computeBounds fills bestUp and bestDown: the best-case (fastest-node)

@@ -164,7 +164,9 @@ func TestInfeasibleDeadline(t *testing.T) {
 // any attempt (Hopeless: nothing probed), stopped after margin 1 by a proof
 // about the first critical work (FirstWork: the DP cut, or the calendar
 // bound where the cut does not apply), or left to the ladder — with the same
-// text every way, and the count holds only the probes spent. Every node is
+// text every way, no schedule, and counts that hold only the probes spent
+// and the collisions of the margin-1 attempt, which the reference's partial
+// schedule shows. Every node is
 // booked for ticks 0–10. Fig. 2's critical path P1→P2→P4→P6 is 12 ticks on
 // the fastest node, transfers included, so P1 must end by deadline − 10.
 func TestInfeasibleSaysWhy(t *testing.T) {
@@ -203,13 +205,19 @@ func TestInfeasibleSaysWhy(t *testing.T) {
 		if want := `criticalworks: job "fig2": no feasible placement for task "P1"`; err.Error() != want {
 			t.Errorf("%s: error text %q, want %q", tc.name, err, want)
 		}
-		if s.Placements != nil || len(s.Collisions) != 0 || (s.Evaluations == 0) != tc.hopeless {
-			t.Errorf("%s: partial = %+v", tc.name, s)
+		if s != nil || inf.Collisions != 0 || (inf.Evaluations == 0) != tc.hopeless {
+			t.Errorf("%s: schedule %+v, error %+v", tc.name, s, inf)
 		}
-		// Each proof spares the attempts the full ladder runs after it.
+		// Each proof is that the first critical work has no placement: the
+		// full ladder places and collides nothing, and the proof spares the
+		// attempts the ladder runs after it.
 		want, _, _, _ := refBuild(env, booked.Clone(), fig2Job(tc.deadline), tc.opt)
-		if s.Evaluations >= want.Evaluations {
-			t.Errorf("%s: %d evaluations, the full ladder %d", tc.name, s.Evaluations, want.Evaluations)
+		if want.Placements != nil || len(want.Collisions) != 0 {
+			t.Errorf("%s: the reference ladder's margin-1 attempt placed %d tasks and recorded %d collisions",
+				tc.name, placedTasks(want), len(want.Collisions))
+		}
+		if inf.Evaluations >= want.Evaluations {
+			t.Errorf("%s: %d evaluations, the full ladder %d", tc.name, inf.Evaluations, want.Evaluations)
 		}
 	}
 
@@ -217,10 +225,16 @@ func TestInfeasibleSaysWhy(t *testing.T) {
 	// margin. No proof is about the first work; the ladder says no.
 	env1, cals1, job1 := layeredFixture(5, 2, 1, 60)
 	s, err := Build(env1, cals1, job1, Options{})
+	want, _, _, _ := refBuild(env1, cals1.Clone(), job1, Options{})
 	var inf *InfeasibleError
-	if !errors.As(err, &inf) || inf.Hopeless || inf.FirstWork || placedTasks(s) == 0 || len(s.Placements) != job1.NumTasks() {
-		t.Errorf("ladder: err = %v (%+v), partial with %d placements in a table of %d; want a plain InfeasibleError after a chain was placed",
-			err, inf, placedTasks(s), len(s.Placements))
+	if !errors.As(err, &inf) || inf.Hopeless || inf.FirstWork || s != nil || placedTasks(want) == 0 || len(want.Placements) != job1.NumTasks() {
+		t.Errorf("ladder: err = %v (%+v), schedule %+v, reference partial with %d placements in a table of %d; want a plain InfeasibleError after a chain was placed",
+			err, inf, s, placedTasks(want), len(want.Placements))
+	}
+	if inf != nil {
+		if cerr := sameCounts(inf, want); cerr != nil || inf.Collisions == 0 {
+			t.Errorf("ladder: %v (%d collisions counted); want the reference's margin-1 collisions, at least one", cerr, inf.Collisions)
+		}
 	}
 }
 

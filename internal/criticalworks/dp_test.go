@@ -42,12 +42,27 @@ func dpVariants() []dpVariant {
 // refBuild placing every critical work with refPlaceChain, the DP that
 // probes once per (cell, predecessor) — and reports a difference in any
 // Schedule field but Evaluations, in the error, or an Evaluations count
-// above the reference's. It returns both counts.
+// above the reference's. It returns both counts. A failed build returns
+// counts alone, which must match the reference's partial schedule
+// (sameCounts); that partial must also be, in every field but Evaluations,
+// the one refBuild's margin-1 attempt makes with runDP.
 func matchDPReference(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (got, want int64, err error) {
 	gotS, gotErr := Build(env, cals, job, opt)
 	wantS, _, _, wantErr := refBuildWith(refPlaceChain, env, cals.Clone(), job, opt)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		return 0, 0, fmt.Errorf("err = %v, reference %v", gotErr, wantErr)
+	}
+	if inf, ok := gotErr.(*InfeasibleError); ok {
+		if gotS != nil {
+			return 0, 0, fmt.Errorf("a failed build returned a schedule: %+v", gotS)
+		}
+		if err := sameCounts(inf, wantS); err != nil {
+			return 0, 0, err
+		}
+		// The margin-1 attempt's placements, made with runDP in the
+		// reference's ladder.
+		gotS, _, _, _ = refBuild(env, cals.Clone(), job, opt)
+		gotS.Evaluations = inf.Evaluations
 	}
 	if (gotS == nil) != (wantS == nil) {
 		return 0, 0, fmt.Errorf("schedule = %v, reference %v", gotS, wantS)
@@ -103,9 +118,10 @@ func wideCorpus() []cowCase {
 // TestDPMatchesReference pins runDP to the per-predecessor DP it replaced,
 // over TestBuildMatchesCloneReference's corpus and wideCorpus crossed with
 // dpVariants: every field of every schedule — placements, collisions and
-// their holders, costs, the partial schedule of a failed build — and every
-// error are the reference's; Evaluations, the probes performed, is never
-// above the reference's in any case and below it in total.
+// their holders, costs, the partial schedule of a failed build (refBuild's,
+// whose counts the error carries) — and every error are the reference's;
+// Evaluations, the probes performed, is never above the reference's in any
+// case and below it in total.
 func TestDPMatchesReference(t *testing.T) {
 	var got, want int64
 	variants := dpVariants()

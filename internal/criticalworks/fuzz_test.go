@@ -185,11 +185,13 @@ func bookMore(cals Calendars, job *dag.Job, raw []byte) {
 // admissibility bound, the calendar bound and the DP cut — to refBuild, the
 // unbounded five-margin ladder, on the inputs FuzzBuildSchedule decodes with
 // more background booked (bookMore), under each of the three data policies,
-// both objectives and both collision modes. The schedule and the error are
-// the reference's in every field but Evaluations, which is never above the
-// reference's. Wherever a proof about the first critical work fired
-// (InfeasibleError.FirstWork), the reference must have ended infeasible with
-// the same error text and an empty partial schedule with no collision.
+// both objectives and both collision modes. A success's schedule is the
+// reference's in every field; a failure returns no schedule, the
+// reference's error text, and counts that match the reference's partial
+// schedule: its margin-1 collisions, and never more evaluations. Wherever a
+// proof about the first critical work fired (InfeasibleError.FirstWork),
+// the reference must have ended infeasible with an empty partial schedule
+// with no collision.
 //
 // testdata/fuzz keeps one input the fuzzer found against each of four wrong
 // provers: the DP cut under MinCost, the DP cut under ResolveDelay, and the
@@ -221,32 +223,28 @@ func FuzzRefusalMatchesLadder(f *testing.F) {
 }
 
 // matchLadder builds the job with Build and with refBuild and reports where
-// they part: the error text, any schedule field but Evaluations, an
-// Evaluations count above the reference's, or a proof about the first
-// critical work where the reference ladder placed or collided something.
+// they part: the error text, any field of a success's schedule, a schedule
+// beside a failure, a failure's counts off the reference's partial schedule
+// (sameCounts), or a proof about the first critical work where the
+// reference ladder placed or collided something.
 func matchLadder(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) error {
 	got, err := Build(env, cals, job, opt)
 	want, _, _, wantErr := refBuild(env, cals.Clone(), job, opt)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		return fmt.Errorf("err = %v, reference %v", err, wantErr)
 	}
-	if (got == nil) != (want == nil) {
-		return fmt.Errorf("schedule = %v, reference %v", got, want)
-	}
-	if got == nil {
-		return nil // an error before or after the ladder, the same on both sides
-	}
 	var inf *InfeasibleError
-	if errors.As(err, &inf) && inf.FirstWork && (want.Placements != nil || len(want.Collisions) != 0) {
-		return fmt.Errorf("a proof refused the build, but the reference ladder placed %d tasks and recorded %d collisions",
-			placedTasks(want), len(want.Collisions))
+	if errors.As(err, &inf) {
+		if got != nil {
+			return fmt.Errorf("a failed build returned a schedule: %+v", got)
+		}
+		if inf.FirstWork && (want.Placements != nil || len(want.Collisions) != 0) {
+			return fmt.Errorf("a proof refused the build, but the reference ladder placed %d tasks and recorded %d collisions",
+				placedTasks(want), len(want.Collisions))
+		}
+		return sameCounts(inf, want)
 	}
-	if got.Evaluations > want.Evaluations {
-		return fmt.Errorf("%d evaluations, the reference %d", got.Evaluations, want.Evaluations)
-	}
-	g := *got
-	g.Evaluations = want.Evaluations
-	if !reflect.DeepEqual(&g, want) {
+	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("schedule differs from the reference:\n got %+v\nwant %+v", got, want)
 	}
 	return nil
@@ -257,8 +255,8 @@ func matchLadder(env *resource.Environment, cals Calendars, job *dag.Job, opt Op
 // both collision modes, and checks the admissibility bound against the
 // unbounded reference — a build the bound refused is one refBuild's full
 // margin ladder also gives up on, with the same error and nothing placed
-// or collided — and the safety invariants every Distribution
-// must satisfy — including partial (abandoned) ones:
+// or collided, the refused build counting nothing — and the safety
+// invariants every Distribution must satisfy:
 //
 //   - no task starts before the release time, and none is reserved beyond
 //     the search horizon;
@@ -313,9 +311,12 @@ func FuzzBuildSchedule(f *testing.F) {
 					t.Fatalf("the bound refused a build whose reference ladder placed %d tasks and recorded %d collisions",
 						placedTasks(want), len(want.Collisions))
 				}
-				if s.Placements != nil || len(s.Collisions) != 0 || s.Evaluations != 0 {
-					t.Fatalf("refused build returned a non-empty partial: %+v", s)
+				if inf.Evaluations != 0 || inf.Collisions != 0 {
+					t.Fatalf("refused build counts %d evaluations and %d collisions", inf.Evaluations, inf.Collisions)
 				}
+			}
+			if s != nil {
+				t.Fatalf("a failed build returned a schedule: %+v", s)
 			}
 			return
 		}

@@ -25,7 +25,7 @@ func Coarsen(j *Job) (*Job, error) {
 	// task — which a walk in that order meets before the rest of the run.
 	macro := make([]TaskID, n)
 	runs := 0
-	for _, t := range j.topo {
+	for _, t := range j.topo() {
 		if in := j.in(TaskID(t)); len(in) == 1 {
 			if pred := j.edges[in[0]].From; len(j.out(pred)) == 1 {
 				macro[t] = macro[pred]
@@ -46,7 +46,7 @@ func Coarsen(j *Job) (*Job, error) {
 		off[k+1] += off[k]
 	}
 	members := make([]TaskID, n)
-	for _, t := range j.topo {
+	for _, t := range j.topo() {
 		k := macro[t]
 		members[off[k]+fill[k]] = TaskID(t)
 		fill[k]++

@@ -41,22 +41,43 @@ type Edge struct {
 
 // Job is an immutable compound job: a validated DAG of tasks and transfers
 // with a required completion deadline (the paper's "fixed completion time").
+// The graph sits behind a pointer that every copy of the job shares: a Job
+// is its name, its deadline and that pointer, 32 bytes, so WithDeadline
+// copies those and nothing of the graph.
 type Job struct {
 	Name     string
 	Deadline simtime.Time
 
+	*graph
+}
+
+// graph is a job's immutable structure: its tasks, its edges and the
+// adjacency in compressed sparse rows, one []int32 laid out as
+//
+//	outOff[n+1] inOff[n+1] outIdx[m] inIdx[m] topo[n]
+//
+// for n tasks and m edges. Task t's outgoing edges are the indices into
+// edges at outIdx[outOff[t]:outOff[t+1]], its incoming ones at
+// inIdx[inOff[t]:inOff[t+1]], each run in edge insertion order; topo is the
+// deterministic topological order. The accessors cut each part by n and m.
+type graph struct {
 	tasks []Task
 	edges []Edge
-
-	// The graph in compressed sparse rows, cut from one allocation. Task t's
-	// outgoing edges are the indices into edges at
-	// outIdx[outOff[t]:outOff[t+1]], its incoming ones at
-	// inIdx[inOff[t]:inOff[t+1]], each run in edge insertion order; topo is
-	// the deterministic topological order.
-	outOff, outIdx []int32
-	inOff, inIdx   []int32
-	topo           []int32
+	csr   []int32
 }
+
+// topo is the deterministic topological order, the last part of g.csr.
+func (g *graph) topo() []int32 { return g.csr[2*len(g.tasks)+2+2*len(g.edges):] }
+
+// jobBlock is a built job and its graph in one allocation.
+type jobBlock struct {
+	job Job
+	g   graph
+}
+
+// buildBufs holds Build's working arrays: the fill cursors of the edge runs,
+// then the in-degrees and ready heap of the topological sort.
+var buildBufs = sync.Pool{New: func() any { return new([]int32) }}
 
 // Builder assembles a Job. Tasks are added by name and edges between task
 // IDs (Link): a caller resolves a name to its ID once, where it reads the
@@ -158,35 +179,43 @@ func (b *Builder) Build() (*Job, error) {
 		return nil, fmt.Errorf("dag: job %q is too large (%d tasks, %d edges)", b.name, n, m)
 	}
 	b.tasks, b.edges = slices.Clip(b.tasks), slices.Clip(b.edges)
-	j := &Job{Name: b.name, Deadline: b.deadline, tasks: b.tasks, edges: b.edges}
-
-	slab := make([]int32, 2*(n+1)+2*m+n)
-	j.outOff, slab = slab[:n+1:n+1], slab[n+1:]
-	j.inOff, slab = slab[:n+1:n+1], slab[n+1:]
-	j.outIdx, slab = slab[:m:m], slab[m:]
-	j.inIdx, j.topo = slab[:m:m], slab[m:]
+	blk := &jobBlock{
+		job: Job{Name: b.name, Deadline: b.deadline},
+		g:   graph{tasks: b.tasks, edges: b.edges, csr: make([]int32, 2*(n+1)+2*m+n)},
+	}
+	j := &blk.job
+	j.graph = &blk.g
 	if err := j.checkNames(); err != nil {
 		return nil, err
 	}
 	// Counting sort by endpoint: degrees, then prefix sums, then each edge
 	// into its task's run — in edge order, so a run keeps insertion order.
+	csr := j.csr
+	outOff, inOff := csr[:n+1], csr[n+1:2*n+2]
+	outIdx, inIdx := csr[2*n+2:2*n+2+m], csr[2*n+2+m:2*n+2+2*m]
 	for _, e := range j.edges {
-		j.outOff[e.From+1]++
-		j.inOff[e.To+1]++
+		outOff[e.From+1]++
+		inOff[e.To+1]++
 	}
 	for t := 0; t < n; t++ {
-		j.outOff[t+1] += j.outOff[t]
-		j.inOff[t+1] += j.inOff[t]
+		outOff[t+1] += outOff[t]
+		inOff[t+1] += inOff[t]
 	}
 	// Working memory: the fill cursors of the incoming and outgoing runs.
 	// The first ends up as every task's in-degree, which Kahn's loop counts
 	// down; the second is done with by then and becomes its ready heap.
-	tmp := make([]int32, 2*n)
+	buf := buildBufs.Get().(*[]int32)
+	defer buildBufs.Put(buf)
+	if cap(*buf) < 2*n {
+		*buf = make([]int32, 2*n)
+	}
+	tmp := (*buf)[:2*n]
+	clear(tmp)
 	indeg, outFill := tmp[:n], tmp[n:]
 	for i, e := range j.edges {
-		j.outIdx[j.outOff[e.From]+outFill[e.From]] = int32(i)
+		outIdx[outOff[e.From]+outFill[e.From]] = int32(i)
 		outFill[e.From]++
-		j.inIdx[j.inOff[e.To]+indeg[e.To]] = int32(i)
+		inIdx[inOff[e.To]+indeg[e.To]] = int32(i)
 		indeg[e.To]++
 	}
 	if err := j.computeTopo(indeg, outFill[:0]); err != nil {
@@ -205,9 +234,9 @@ func (b *Builder) MustBuild() *Job {
 }
 
 // checkNames returns an error naming a task name that two tasks share. It
-// sorts the task IDs by name in j.topo, which computeTopo overwrites next.
+// sorts the task IDs by name in j.topo(), which computeTopo overwrites next.
 func (j *Job) checkNames() error {
-	ids := j.topo
+	ids := j.topo()
 	for i := range ids {
 		ids[i] = int32(i)
 	}
@@ -220,7 +249,7 @@ func (j *Job) checkNames() error {
 	return nil
 }
 
-// computeTopo fills j.topo with the deterministic topological order — Kahn's
+// computeTopo fills j.topo() with the deterministic topological order — Kahn's
 // algorithm, always emitting the smallest ready TaskID — or returns an error
 // naming a task on a cycle. indeg holds every task's in-degree and is
 // consumed; ready is an empty buffer with room for every task, kept as a
@@ -231,7 +260,7 @@ func (j *Job) computeTopo(indeg, ready []int32) error {
 			ready = append(ready, int32(id)) // ascending, so already a heap
 		}
 	}
-	order := j.topo[:0]
+	order := j.topo()[:0]
 	for len(ready) > 0 {
 		id := ready[0]
 		last := len(ready) - 1
@@ -239,7 +268,7 @@ func (j *Job) computeTopo(indeg, ready []int32) error {
 		ready = ready[:last]
 		siftDown(ready, 0)
 		order = append(order, id)
-		for _, ei := range j.outIdx[j.outOff[id]:j.outOff[id+1]] {
+		for _, ei := range j.out(TaskID(id)) {
 			to := j.edges[ei].To
 			indeg[to]--
 			if indeg[to] == 0 {
@@ -287,7 +316,7 @@ func siftDown(h []int32, i int) {
 }
 
 // WithDeadline returns a copy of the job that differs only in its
-// deadline; the underlying immutable graph is shared.
+// deadline: one 32-byte allocation, the graph shared.
 func (j *Job) WithDeadline(d simtime.Time) *Job {
 	cp := *j
 	cp.Deadline = d
@@ -325,8 +354,9 @@ func (j *Job) EdgeAt(i int) Edge { return j.edges[i] }
 // TopoOrder returns a deterministic topological order of the task IDs (a
 // fresh slice).
 func (j *Job) TopoOrder() []TaskID {
-	out := make([]TaskID, len(j.topo))
-	for i, id := range j.topo {
+	topo := j.topo()
+	out := make([]TaskID, len(topo))
+	for i, id := range topo {
 		out[i] = TaskID(id)
 	}
 	return out
@@ -334,12 +364,18 @@ func (j *Job) TopoOrder() []TaskID {
 
 // TopoAt returns the i-th task of TopoOrder, 0 ≤ i < NumTasks, without the
 // copy.
-func (j *Job) TopoAt(i int) TaskID { return TaskID(j.topo[i]) }
+func (j *Job) TopoAt(i int) TaskID { return TaskID(j.topo()[i]) }
 
 // out and in return a task's outgoing and incoming edges as indices into
-// j.edges, in insertion order.
-func (j *Job) out(id TaskID) []int32 { return j.outIdx[j.outOff[id]:j.outOff[id+1]] }
-func (j *Job) in(id TaskID) []int32  { return j.inIdx[j.inOff[id]:j.inOff[id+1]] }
+// g.edges, in insertion order.
+func (g *graph) out(id TaskID) []int32 {
+	n := len(g.tasks)
+	return g.csr[2*n+2+int(g.csr[id]) : 2*n+2+int(g.csr[id+1])]
+}
+func (g *graph) in(id TaskID) []int32 {
+	n, m := len(g.tasks), len(g.edges)
+	return g.csr[2*n+2+m+int(g.csr[n+1+int(id)]) : 2*n+2+m+int(g.csr[n+2+int(id)])]
+}
 
 // Out returns the outgoing edges of a task (a fresh slice).
 func (j *Job) Out(id TaskID) []Edge {
@@ -455,7 +491,7 @@ func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) 
 		prev[i] = -1
 		dist[i] = -1
 	}
-	for _, t := range j.topo {
+	for _, t := range j.topo() {
 		id := TaskID(t)
 		if !incl(id) {
 			continue

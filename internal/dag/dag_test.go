@@ -3,11 +3,13 @@ package dag
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -975,6 +977,47 @@ func TestCriticalPathLengthAllocs(t *testing.T) {
 				t.Errorf("%s: %.0f allocs per CriticalPathLength, want 0", j.Name, allocs)
 			}
 		}
+	}
+}
+
+// TestWithDeadlineAllocs: WithDeadline copies the job's header — name,
+// deadline and the graph pointer, four words — and shares the graph, so a
+// copy of a 40-task job is one allocation no larger than that header. The
+// bytes are MemStats.TotalAlloc's, the counter testing.Benchmark's
+// AllocedBytesPerOp reads, without its one-second run. A Job that held its
+// lists and adjacency by value copied 192 bytes here.
+func TestWithDeadlineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations; the pin runs in CI's step without -race")
+	}
+	header := unsafe.Sizeof(Job{})
+	if header != 4*unsafe.Sizeof(uintptr(0)) {
+		t.Errorf("a Job is %d bytes, want four words: its name, deadline and graph pointer", header)
+	}
+	b := NewBuilder("chain").Deadline(500)
+	prev := b.Task("T0", 1, 1)
+	for i := 1; i < 40; i++ {
+		id := b.Task("T"+strconv.Itoa(i), 1, 1)
+		b.Link("D"+strconv.Itoa(i), prev, id, 1, 1)
+		prev = id
+	}
+	j := b.MustBuild()
+	var sink *Job
+	if allocs := testing.AllocsPerRun(100, func() { sink = j.WithDeadline(7) }); allocs != 1 {
+		t.Errorf("%.0f allocations per WithDeadline, want 1 (the header)", allocs)
+	}
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		sink = j.WithDeadline(simtime.Time(i))
+	}
+	runtime.ReadMemStats(&after)
+	if perCopy := (after.TotalAlloc - before.TotalAlloc) / n; perCopy > uint64(header) {
+		t.Errorf("%d bytes per WithDeadline on a %d-task job, want at most %d", perCopy, j.NumTasks(), header)
+	}
+	if sink.graph != j.graph || sink.Name != j.Name {
+		t.Errorf("WithDeadline's copy does not share the job's graph")
 	}
 }
 
