@@ -341,11 +341,11 @@ func (b *builder) prepareCells(chain dag.Chain) {
 	for i, task := range chain.Tasks {
 		b.linkPlaced(task)
 		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
-		base := b.job.Task(task).BaseTime
+		t := b.job.Task(task)
 		for c, n := range cands {
-			in := cellIn{dur: resource.Estimate(base, b.env.Node(n).Tier())}
+			in := cellIn{dur: resource.Estimate(t.BaseTime, b.env.Node(n).Tier())}
 			if in.dur > 0 {
-				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), b.charge(task, in.dur)
+				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), economy.TaskCharge(t.Volume, in.dur)
 			}
 			b.cells[i*C+c] = in
 		}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -51,23 +52,56 @@ type Job struct {
 	*graph
 }
 
-// graph is a job's immutable structure: its tasks, its edges and the
-// adjacency in compressed sparse rows, one []int32 laid out as
+// graph is a job's immutable structure in three flat parts, of which only
+// names holds a pointer, so a retained graph is three objects the garbage
+// collector never scans into. For n tasks and m edges:
 //
-//	outOff[n+1] inOff[n+1] outIdx[m] inIdx[m] topo[n]
+//	names  every task's name, then every edge's, back to back
+//	w      BaseTime, Volume of each task, then of each edge: 2(n+m)
+//	idx    nameOff[n+m+1] link[2m]
+//	       outOff[n+1] inOff[n+1] outIdx[m] inIdx[m] topo[n]
 //
-// for n tasks and m edges. Task t's outgoing edges are the indices into
-// edges at outIdx[outOff[t]:outOff[t+1]], its incoming ones at
+// The k-th name (task k, or edge k-n) is names[nameOff[k]:nameOff[k+1]];
+// link holds each edge's From and To; task t's outgoing edges are the edge
+// indices at outIdx[outOff[t]:outOff[t+1]], its incoming ones at
 // inIdx[inOff[t]:inOff[t+1]], each run in edge insertion order; topo is the
-// deterministic topological order. The accessors cut each part by n and m.
+// deterministic topological order. Task and Edge values are rebuilt from
+// these on each read, a name as a substring; the name offsets lead idx so
+// that Task reads a name without the counts, which dims derives from the
+// slab lengths.
 type graph struct {
-	tasks []Task
-	edges []Edge
-	csr   []int32
+	names string
+	w     []int64
+	idx   []int32
 }
 
-// topo is the deterministic topological order, the last part of g.csr.
-func (g *graph) topo() []int32 { return g.csr[2*len(g.tasks)+2+2*len(g.edges):] }
+// dims returns the task and edge counts n and m, which the slab lengths
+// give: len(w) is 2(n+m) and len(idx) is 4(n+m)+m+3.
+func (j *Job) dims() (n, m int) {
+	m = len(j.idx) - 3 - 2*len(j.w)
+	return len(j.w)/2 - m, m
+}
+
+// topo is the deterministic topological order.
+func (j *Job) topo() []int32 {
+	n, _ := j.dims()
+	return j.idx[len(j.idx)-n:]
+}
+
+// csr returns idx from outOff on, and the counts that cut it.
+func (j *Job) csr() (csr []int32, n, m int) {
+	n, m = j.dims()
+	return j.idx[n+3*m+1:], n, m
+}
+
+// link holds each edge's From and To, in pairs.
+func (j *Job) link() []int32 {
+	n, m := j.dims()
+	return j.idx[n+m+1 : n+3*m+1]
+}
+
+// name returns the k-th name: task k's, or edge k-n's.
+func (j *Job) name(k int) string { return j.names[j.idx[k]:j.idx[k+1]] }
 
 // jobBlock is a built job and its graph in one allocation.
 type jobBlock struct {
@@ -75,9 +109,60 @@ type jobBlock struct {
 	g   graph
 }
 
-// buildBufs holds Build's working arrays: the fill cursors of the edge runs,
-// then the in-degrees and ready heap of the topological sort.
+// buildBufs holds the int32 working arrays of Build (the fill cursors of the
+// edge runs, then the in-degrees and ready heap of the topological sort) and
+// of Coarsen.
 var buildBufs = sync.Pool{New: func() any { return new([]int32) }}
+
+// staging is a Builder's working copy of the graph it assembles, in the
+// graph's own terms: the task names and the edge names each back to back,
+// the end of each name in them, the weights in pairs and each edge's
+// endpoints. Stagings are pooled: Build copies one into the graph's slabs
+// at their exact lengths and gives it back.
+type staging struct {
+	tnames, enames []byte
+	tends, eends   []int32
+	tw, ew         []int64
+	links          []int32
+}
+
+var stagings = sync.Pool{New: func() any { return new(staging) }}
+
+// taskName is the name of the task added id-th.
+func (s *staging) taskName(id TaskID) []byte {
+	start := int32(0)
+	if id > 0 {
+		start = s.tends[id-1]
+	}
+	return s.tnames[start:s.tends[id]]
+}
+
+// load fills an empty staging with j's tasks and edges.
+func (s *staging) load(j *Job) {
+	n, m := j.dims()
+	off := j.idx[:n+m+1]
+	s.tnames = append(s.tnames, j.names[:off[n]]...)
+	s.enames = append(s.enames, j.names[off[n]:]...)
+	s.tends = append(s.tends, off[1:n+1]...)
+	for _, end := range off[n+1:] {
+		s.eends = append(s.eends, end-off[n])
+	}
+	s.tw = append(s.tw, j.w[:2*n]...)
+	s.ew = append(s.ew, j.w[2*n:]...)
+	s.links = append(s.links, j.link()...)
+}
+
+// extendTask appends "+k" to the name of the task added last.
+func (s *staging) extendTask(k int) {
+	s.tnames = strconv.AppendInt(append(s.tnames, '+'), int64(k), 10)
+	s.tends[len(s.tends)-1] = int32(len(s.tnames))
+}
+
+// extendEdge appends "+name" to the name of the edge added last.
+func (s *staging) extendEdge(name string) {
+	s.enames = append(append(s.enames, '+'), name...)
+	s.eends[len(s.eends)-1] = int32(len(s.enames))
+}
 
 // Builder assembles a Job. Tasks are added by name and edges between task
 // IDs (Link): a caller resolves a name to its ID once, where it reads the
@@ -89,8 +174,8 @@ var buildBufs = sync.Pool{New: func() any { return new([]int32) }}
 type Builder struct {
 	name     string
 	deadline simtime.Time
-	tasks    []Task
-	edges    []Edge
+	s        *staging // nil before the first Task and after a Build
+	built    *Job     // what the last Build copied out, which a later change starts from
 }
 
 // NewBuilder starts a job named name.
@@ -98,12 +183,30 @@ func NewBuilder(name string) *Builder {
 	return &Builder{name: name}
 }
 
+// stage returns the builder's staging, taking one from the pool if it has
+// none: empty, or holding what the last Build copied out.
+func (b *Builder) stage() *staging {
+	if b.s == nil {
+		s := stagings.Get().(*staging)
+		s.tnames, s.enames = s.tnames[:0], s.enames[:0]
+		s.tends, s.eends = s.tends[:0], s.eends[:0]
+		s.tw, s.ew, s.links = s.tw[:0], s.ew[:0], s.links[:0]
+		if b.built != nil {
+			s.load(b.built)
+			b.built = nil
+		}
+		b.s = s
+	}
+	return b.s
+}
+
 // Grow makes room for tasks more tasks and edges more edges, for a caller
-// that knows the job's size before it adds the first task: the lists then
-// never reallocate and Build hands them over without slack.
+// that knows the job's size before it adds the first task: the staging's
+// weights, endpoints and name ends then do not grow as they are added.
 func (b *Builder) Grow(tasks, edges int) *Builder {
-	b.tasks = slices.Grow(b.tasks, tasks)
-	b.edges = slices.Grow(b.edges, edges)
+	s := b.stage()
+	s.tends, s.tw = slices.Grow(s.tends, tasks), slices.Grow(s.tw, 2*tasks)
+	s.eends, s.ew, s.links = slices.Grow(s.eends, edges), slices.Grow(s.ew, 2*edges), slices.Grow(s.links, 2*edges)
 	return b
 }
 
@@ -123,26 +226,32 @@ func (b *Builder) Task(name string, baseTime simtime.Time, volume int64) TaskID 
 	if volume < 0 {
 		panic(fmt.Sprintf("dag: task %q has negative volume %d", name, volume))
 	}
-	id := TaskID(len(b.tasks))
-	b.tasks = append(b.tasks, Task{ID: id, Name: name, BaseTime: baseTime, Volume: volume})
-	return id
+	s := b.stage()
+	s.tnames = append(s.tnames, name...)
+	s.tends = append(s.tends, int32(len(s.tnames)))
+	s.tw = append(s.tw, baseTime, volume)
+	return TaskID(len(s.tends) - 1)
 }
 
 // Link adds a data transfer from task `from` to task `to`, by the IDs Task
 // returned.
 func (b *Builder) Link(name string, from, to TaskID, baseTime simtime.Time, volume int64) *Builder {
+	s := b.stage()
 	for _, id := range [2]TaskID{from, to} {
-		if id < 0 || int(id) >= len(b.tasks) {
+		if id < 0 || int(id) >= len(s.tends) {
 			panic(fmt.Sprintf("dag: edge %q references unknown task %d", name, id))
 		}
 	}
 	if from == to {
-		panic(fmt.Sprintf("dag: edge %q is a self-loop on %q", name, b.tasks[from].Name))
+		panic(fmt.Sprintf("dag: edge %q is a self-loop on %q", name, s.taskName(from)))
 	}
 	if baseTime < 0 || volume < 0 {
 		panic(fmt.Sprintf("dag: edge %q has negative weight", name))
 	}
-	b.edges = append(b.edges, Edge{Name: name, From: from, To: to, BaseTime: baseTime, Volume: volume})
+	s.enames = append(s.enames, name...)
+	s.eends = append(s.eends, int32(len(s.enames)))
+	s.ew = append(s.ew, baseTime, volume)
+	s.links = append(s.links, int32(from), int32(to))
 	return b
 }
 
@@ -157,45 +266,61 @@ func (b *Builder) Edge(name, from, to string, baseTime simtime.Time, volume int6
 
 // lookup returns the ID of the first task named task, for edge `edge`.
 func (b *Builder) lookup(edge, task string) TaskID {
-	for _, t := range b.tasks {
-		if t.Name == task {
-			return t.ID
+	s := b.stage()
+	for id := range s.tends {
+		if string(s.taskName(TaskID(id))) == task {
+			return TaskID(id)
 		}
 	}
 	panic(fmt.Sprintf("dag: edge %q references unknown task %q", edge, task))
 }
 
-// Build validates the graph and returns the immutable Job. The job takes
-// the builder's task and edge lists as they are, without a copy; they are
-// clipped first, so a Task or Edge added to the builder afterwards
-// reallocates its list and cannot write into a built job.
+// Build validates the graph and returns the immutable Job. The job's graph
+// is a copy of the builder's staging, which goes back to the pool: a
+// builder used after Build stages afresh from that copy, so it cannot
+// write into a built job or into another builder's staging.
 func (b *Builder) Build() (*Job, error) {
-	n, m := len(b.tasks), len(b.edges)
+	s := b.stage()
+	n, m := len(s.tends), len(s.eends)
 	if n == 0 {
 		return nil, fmt.Errorf("dag: job %q has no tasks", b.name)
 	}
-	// The adjacency stores task and edge indices as int32.
-	if n >= math.MaxInt32 || m > math.MaxInt32 {
+	// The graph stores task and edge indices and name offsets as int32.
+	if n >= math.MaxInt32 || m > math.MaxInt32 || len(s.tnames)+len(s.enames) > math.MaxInt32 {
 		return nil, fmt.Errorf("dag: job %q is too large (%d tasks, %d edges)", b.name, n, m)
 	}
-	b.tasks, b.edges = slices.Clip(b.tasks), slices.Clip(b.edges)
+	var names strings.Builder
+	names.Grow(len(s.tnames) + len(s.enames))
+	names.Write(s.tnames)
+	names.Write(s.enames)
+	w := make([]int64, 2*(n+m))
+	copy(w[copy(w, s.tw):], s.ew)
 	blk := &jobBlock{
 		job: Job{Name: b.name, Deadline: b.deadline},
-		g:   graph{tasks: b.tasks, edges: b.edges, csr: make([]int32, 2*(n+1)+2*m+n)},
+		g:   graph{names: names.String(), w: w, idx: make([]int32, 4*(n+m)+m+3)},
 	}
 	j := &blk.job
 	j.graph = &blk.g
+	idx := j.idx
+	nameOff, link := idx[:n+m+1], idx[n+m+1:n+3*m+1]
+	copy(link, s.links)
+	copy(nameOff[1:], s.tends)
+	for i, end := range s.eends {
+		nameOff[n+1+i] = int32(len(s.tnames)) + end
+	}
+	b.s, b.built = nil, j
+	stagings.Put(s)
 	if err := j.checkNames(); err != nil {
 		return nil, err
 	}
 	// Counting sort by endpoint: degrees, then prefix sums, then each edge
 	// into its task's run — in edge order, so a run keeps insertion order.
-	csr := j.csr
+	csr, _, _ := j.csr()
 	outOff, inOff := csr[:n+1], csr[n+1:2*n+2]
 	outIdx, inIdx := csr[2*n+2:2*n+2+m], csr[2*n+2+m:2*n+2+2*m]
-	for _, e := range j.edges {
-		outOff[e.From+1]++
-		inOff[e.To+1]++
+	for i := 0; i < m; i++ {
+		outOff[link[2*i]+1]++
+		inOff[link[2*i+1]+1]++
 	}
 	for t := 0; t < n; t++ {
 		outOff[t+1] += outOff[t]
@@ -212,11 +337,12 @@ func (b *Builder) Build() (*Job, error) {
 	tmp := (*buf)[:2*n]
 	clear(tmp)
 	indeg, outFill := tmp[:n], tmp[n:]
-	for i, e := range j.edges {
-		outIdx[outOff[e.From]+outFill[e.From]] = int32(i)
-		outFill[e.From]++
-		inIdx[inOff[e.To]+indeg[e.To]] = int32(i)
-		indeg[e.To]++
+	for i := 0; i < m; i++ {
+		from, to := link[2*i], link[2*i+1]
+		outIdx[outOff[from]+outFill[from]] = int32(i)
+		outFill[from]++
+		inIdx[inOff[to]+indeg[to]] = int32(i)
+		indeg[to]++
 	}
 	if err := j.computeTopo(indeg, outFill[:0]); err != nil {
 		return nil, err
@@ -240,9 +366,9 @@ func (j *Job) checkNames() error {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(j.tasks[a].Name, j.tasks[b].Name) })
+	slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(j.name(int(a)), j.name(int(b))) })
 	for i := 1; i < len(ids); i++ {
-		if name := j.tasks[ids[i]].Name; name == j.tasks[ids[i-1]].Name {
+		if name := j.name(int(ids[i])); name == j.name(int(ids[i-1])) {
 			return fmt.Errorf("dag: job %q has duplicate task %q", j.Name, name)
 		}
 	}
@@ -260,6 +386,7 @@ func (j *Job) computeTopo(indeg, ready []int32) error {
 			ready = append(ready, int32(id)) // ascending, so already a heap
 		}
 	}
+	link := j.link()
 	order := j.topo()[:0]
 	for len(ready) > 0 {
 		id := ready[0]
@@ -269,18 +396,18 @@ func (j *Job) computeTopo(indeg, ready []int32) error {
 		siftDown(ready, 0)
 		order = append(order, id)
 		for _, ei := range j.out(TaskID(id)) {
-			to := j.edges[ei].To
+			to := link[2*int(ei)+1]
 			indeg[to]--
 			if indeg[to] == 0 {
-				ready = append(ready, int32(to))
+				ready = append(ready, to)
 				siftUp(ready, len(ready)-1)
 			}
 		}
 	}
-	if len(order) != len(j.tasks) {
+	if len(order) != len(indeg) {
 		for id, d := range indeg {
 			if d > 0 {
-				return fmt.Errorf("dag: job %q has a cycle through task %q", j.Name, j.tasks[id].Name)
+				return fmt.Errorf("dag: job %q has a cycle through task %q", j.Name, j.name(id))
 			}
 		}
 	}
@@ -324,32 +451,65 @@ func (j *Job) WithDeadline(d simtime.Time) *Job {
 }
 
 // NumTasks returns the number of tasks in the job.
-func (j *Job) NumTasks() int { return len(j.tasks) }
+func (j *Job) NumTasks() int { n, _ := j.dims(); return n }
 
 // NumEdges returns the number of data-transfer edges.
-func (j *Job) NumEdges() int { return len(j.edges) }
+func (j *Job) NumEdges() int { _, m := j.dims(); return m }
 
 // Task returns the task with the given ID.
-func (j *Job) Task(id TaskID) Task { return j.tasks[id] }
+func (j *Job) Task(id TaskID) Task {
+	return Task{ID: id, Name: j.name(int(id)), BaseTime: j.w[2*id], Volume: j.w[2*id+1]}
+}
 
 // Tasks returns all tasks in ID order (a copy).
-func (j *Job) Tasks() []Task { return append([]Task(nil), j.tasks...) }
+func (j *Job) Tasks() []Task {
+	out := make([]Task, j.NumTasks())
+	for i := range out {
+		out[i] = j.Task(TaskID(i))
+	}
+	return out
+}
 
-// Edges returns all edges (a copy).
-func (j *Job) Edges() []Edge { return append([]Edge(nil), j.edges...) }
+// Edges returns all edges (a copy; nil for a job without edges).
+func (j *Job) Edges() []Edge {
+	n, m := j.dims()
+	if m == 0 {
+		return nil
+	}
+	out := make([]Edge, m)
+	for i := range out {
+		j.readEdge(&out[i], i, n, m)
+	}
+	return out
+}
 
 // TaskByName returns the task with the given name.
 func (j *Job) TaskByName(name string) (Task, bool) {
-	for _, t := range j.tasks {
-		if t.Name == name {
-			return t, true
+	for id := range j.NumTasks() {
+		if j.name(id) == name {
+			return j.Task(TaskID(id)), true
 		}
 	}
 	return Task{}, false
 }
 
 // EdgeAt returns the i-th edge of Edges, 0 ≤ i < NumEdges, without the copy.
-func (j *Job) EdgeAt(i int) Edge { return j.edges[i] }
+func (j *Job) EdgeAt(i int) (e Edge) {
+	n, m := j.dims()
+	j.readEdge(&e, i, n, m)
+	return e
+}
+
+// readEdge writes edge i of a job with n tasks and m edges to e, field by
+// field: an Edge has too many fields for the compiler to keep in
+// registers, and one built in a temporary and then copied whole costs a
+// stalled load on every read.
+func (j *Job) readEdge(e *Edge, i, n, m int) {
+	idx, k := j.idx, n+i // edge i is the k-th name and weight pair
+	e.Name = j.names[idx[k]:idx[k+1]]
+	e.From, e.To = TaskID(idx[k+m+1+i]), TaskID(idx[k+m+2+i])
+	e.BaseTime, e.Volume = j.w[2*k], j.w[2*k+1]
+}
 
 // TopoOrder returns a deterministic topological order of the task IDs (a
 // fresh slice).
@@ -366,15 +526,15 @@ func (j *Job) TopoOrder() []TaskID {
 // copy.
 func (j *Job) TopoAt(i int) TaskID { return TaskID(j.topo()[i]) }
 
-// out and in return a task's outgoing and incoming edges as indices into
-// g.edges, in insertion order.
-func (g *graph) out(id TaskID) []int32 {
-	n := len(g.tasks)
-	return g.csr[2*n+2+int(g.csr[id]) : 2*n+2+int(g.csr[id+1])]
+// out and in return a task's outgoing and incoming edges as edge indices,
+// in insertion order.
+func (j *Job) out(id TaskID) []int32 {
+	csr, n, _ := j.csr()
+	return csr[2*n+2+int(csr[id]) : 2*n+2+int(csr[id+1])]
 }
-func (g *graph) in(id TaskID) []int32 {
-	n, m := len(g.tasks), len(g.edges)
-	return g.csr[2*n+2+m+int(g.csr[n+1+int(id)]) : 2*n+2+m+int(g.csr[n+2+int(id)])]
+func (j *Job) in(id TaskID) []int32 {
+	csr, n, m := j.csr()
+	return csr[2*n+2+m+int(csr[n+1+int(id)]) : 2*n+2+m+int(csr[n+2+int(id)])]
 }
 
 // Out returns the outgoing edges of a task (a fresh slice).
@@ -390,17 +550,19 @@ func (j *Job) In(id TaskID) []Edge {
 // AppendOut appends the outgoing edges of a task to dst, in Out's order,
 // and returns the extended slice. Hot loops pass a reused buffer
 // (dst[:0]) to walk a task's edges without allocating.
-func (j *Job) AppendOut(dst []Edge, id TaskID) []Edge {
-	for _, ei := range j.out(id) {
-		dst = append(dst, j.edges[ei])
-	}
-	return dst
-}
+func (j *Job) AppendOut(dst []Edge, id TaskID) []Edge { return j.appendEdges(dst, j.out(id)) }
 
 // AppendIn is AppendOut for the incoming edges, in In's order.
-func (j *Job) AppendIn(dst []Edge, id TaskID) []Edge {
-	for _, ei := range j.in(id) {
-		dst = append(dst, j.edges[ei])
+func (j *Job) AppendIn(dst []Edge, id TaskID) []Edge { return j.appendEdges(dst, j.in(id)) }
+
+// appendEdges appends the edges at the indices run to dst, each written in
+// place.
+func (j *Job) appendEdges(dst []Edge, run []int32) []Edge {
+	n, m := j.dims()
+	k := len(dst)
+	dst = slices.Grow(dst, len(run))[:k+len(run)]
+	for x, i := range run {
+		j.readEdge(&dst[k+x], int(i), n, m)
 	}
 	return dst
 }
@@ -408,7 +570,7 @@ func (j *Job) AppendIn(dst []Edge, id TaskID) []Edge {
 // Sources returns tasks with no predecessors, in ID order.
 func (j *Job) Sources() []TaskID {
 	var out []TaskID
-	for id := range j.tasks {
+	for id := range j.NumTasks() {
 		if len(j.in(TaskID(id))) == 0 {
 			out = append(out, TaskID(id))
 		}
@@ -419,8 +581,8 @@ func (j *Job) Sources() []TaskID {
 // TotalVolume returns the sum of task computation volumes.
 func (j *Job) TotalVolume() int64 {
 	var v int64
-	for _, t := range j.tasks {
-		v += t.Volume
+	for id := range j.NumTasks() {
+		v += j.w[2*id+1]
 	}
 	return v
 }
@@ -481,7 +643,7 @@ func (j *Job) LongestChain(w WeightFunc, include func(TaskID) bool) (Chain, bool
 // are buf's: valid until the next search that uses it.
 func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) bool) (Chain, bool) {
 	incl := func(id TaskID) bool { return include == nil || include(id) }
-	n := len(j.tasks)
+	n, link := j.NumTasks(), j.link()
 	if cap(buf.dist) < n {
 		buf.dist, buf.prev, buf.tasks = make([]simtime.Time, n), make([]int32, n), make([]TaskID, n)
 	}
@@ -497,20 +659,24 @@ func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) 
 			continue
 		}
 		any = true
-		base := w.task(j.tasks[id])
+		base := w.task(j.Task(id))
 		if dist[id] < base {
 			dist[id] = base
 			prev[id] = -1
 		}
 		for _, ei := range j.out(id) {
-			e := j.edges[ei]
-			if !incl(e.To) {
+			to := TaskID(link[2*int(ei)+1])
+			if !incl(to) {
 				continue
 			}
-			cand := dist[id] + w.edge(e) + w.task(j.tasks[e.To])
-			if cand > dist[e.To] || (cand == dist[e.To] && better(prev[e.To], t)) {
-				dist[e.To] = cand
-				prev[e.To] = t
+			transfer := j.w[2*(n+int(ei))] // the edge's BaseTime, read whole only for a custom weight
+			if w.Edge != nil {
+				transfer = w.Edge(j.EdgeAt(int(ei)))
+			}
+			cand := dist[id] + transfer + w.task(j.Task(to))
+			if cand > dist[to] || (cand == dist[to] && better(prev[to], t)) {
+				dist[to] = cand
+				prev[to] = t
 			}
 		}
 	}
@@ -519,7 +685,7 @@ func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) 
 	}
 	// Pick the best terminal deterministically: max length, then min ID.
 	best := int32(-1)
-	for id := range j.tasks {
+	for id := range n {
 		if !incl(TaskID(id)) || dist[id] < 0 {
 			continue
 		}
@@ -558,13 +724,13 @@ func (j *Job) AllChains(w WeightFunc) []Chain {
 	var walk func(id TaskID, path []TaskID, length simtime.Time)
 	walk = func(id TaskID, path []TaskID, length simtime.Time) {
 		path = append(path, id)
-		length += w.task(j.tasks[id])
+		length += w.task(j.Task(id))
 		if len(j.out(id)) == 0 {
 			out = append(out, Chain{Tasks: append([]TaskID(nil), path...), Length: length})
 			return
 		}
 		for _, ei := range j.out(id) {
-			e := j.edges[ei]
+			e := j.EdgeAt(int(ei))
 			walk(e.To, path, length+w.edge(e))
 		}
 	}

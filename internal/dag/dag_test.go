@@ -1021,6 +1021,22 @@ func TestWithDeadlineAllocs(t *testing.T) {
 	}
 }
 
+// TestGraphHoldsNoPointers: a job's graph is one string and two slabs of
+// integers — the weights as int64, the indices and name offsets as int32 —
+// so the garbage collector scans none of a retained graph but its three
+// headers. A graph that held a Task per task and an Edge per edge held a
+// pointer per name.
+func TestGraphHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(graph{})
+	var fields []string
+	for i := range typ.NumField() {
+		fields = append(fields, typ.Field(i).Type.String())
+	}
+	if want := []string{"string", "[]int64", "[]int32"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("the graph's fields are %v, want %v: one string of names, then the int64 and int32 slabs", fields, want)
+	}
+}
+
 // TestBuilderReuseLeavesBuiltJobsAlone: Build hands the builder's lists to
 // the job without a copy, so whatever the builder does next — more tasks and
 // edges, another Build — must leave the first job as it was, sized lists

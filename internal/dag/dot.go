@@ -13,12 +13,12 @@ func (j *Job) WriteDOT(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", j.Name)
 	b.WriteString("  rankdir=LR;\n  node [shape=circle];\n")
-	for _, t := range j.tasks {
+	for _, t := range j.Tasks() {
 		fmt.Fprintf(&b, "  %q [label=\"%s\\nT=%d V=%d\"];\n", t.Name, t.Name, t.BaseTime, t.Volume)
 	}
-	for _, e := range j.edges {
+	for _, e := range j.Edges() {
 		fmt.Fprintf(&b, "  %q -> %q [label=\"%s (%d)\"];\n",
-			j.tasks[e.From].Name, j.tasks[e.To].Name, e.Name, e.BaseTime)
+			j.name(int(e.From)), j.name(int(e.To)), e.Name, e.BaseTime)
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

@@ -2,13 +2,15 @@ package jobio
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
 // TestToJobAllocs: compiling a §4 corpus job allocates the job's own memory
-// and nothing else: its task and edge lists, the Job with its graph (one
-// block) and the graph's CSR slab. The name map and Build's working memory
-// are pooled. With Build's working memory made per job the count was 5.
+// and nothing else: the Job with its graph (one block), the string of its
+// names and the graph's two slabs, weights and indices. The name map, the
+// builder's staging and Build's working memory are pooled. With Build's
+// working memory made per job the count was 5.
 func TestToJobAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items; the pin runs in CI's step without -race")
@@ -22,6 +24,36 @@ func TestToJobAllocs(t *testing.T) {
 		}); allocs > ceiling {
 			t.Errorf("job %d (%d tasks): %.0f allocs per ToJob, ceiling %d", i, len(w.Tasks), allocs, ceiling)
 		}
+	}
+}
+
+// TestToJobBytes: the bytes ToJob allocates per §4 corpus job (14 tasks and
+// 18 edges on average), once its pools are warm. The bytes are
+// MemStats.TotalAlloc's, the counter testing.Benchmark's AllocedBytesPerOp
+// reads, without its one-second run. A graph that held a Task per task and
+// an Edge per edge took 1 940 B per job; the flat one takes about 1 360.
+func TestToJobBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations; the pin runs in CI's step without -race")
+	}
+	const ceiling, rounds = 1450, 20
+	wires := corpusWires(64)
+	compile := func() {
+		for _, w := range wires {
+			if _, err := w.ToJob(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compile()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	if perJob := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(wires)); perJob > ceiling {
+		t.Errorf("%d bytes per ToJob, ceiling %d", perJob, ceiling)
 	}
 }
 

@@ -109,9 +109,13 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// Default 4 MiB.
 	SegmentBytes int64
-	// CompactEvery triggers a compaction after this many jobs newly reach
-	// a terminal state. 0 means compaction only happens when Compact is
-	// called explicitly (the service compacts after recovery and on drain).
+	// CompactEvery triggers a compaction once this many jobs, and at least
+	// half as many as the journal holds, have newly reached a terminal
+	// state since the last one. A snapshot rewrites every job the journal
+	// holds, terminal ones included, so the second bound keeps its cost
+	// within two entries per terminal job however long the history. 0
+	// means compaction only happens when Compact is called explicitly (the
+	// service compacts after recovery and on drain).
 	CompactEvery int
 	// IsTerminal classifies job states for compaction: terminal jobs keep
 	// only their ledger entry in snapshots, live jobs keep the full wire
@@ -289,11 +293,12 @@ func (j *Journal) openSegmentLocked() error {
 		f.Close()
 		return fmt.Errorf("journal: stat segment: %w", err)
 	}
-	j.f = f
-	j.segBytes = info.Size()
 	if err := atomicfile.SyncDir(j.opts.Dir); err != nil {
+		f.Close()
 		return err
 	}
+	j.f = f
+	j.segBytes = info.Size()
 	return nil
 }
 
@@ -330,7 +335,8 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 		wasTerminal = j.opts.IsTerminal(js.State)
 	}
 	foldRecord(j.state, &j.order, &j.rec)
-	if j.opts.IsTerminal != nil && !wasTerminal && j.opts.IsTerminal(rec.State) {
+	becameTerminal := j.opts.IsTerminal != nil && !wasTerminal && j.opts.IsTerminal(rec.State)
+	if becameTerminal {
 		j.terminalSince++
 	}
 
@@ -339,15 +345,14 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 			return 0, err
 		}
 	}
+	// The record is written (and synced, under FsyncAlways). A rotation or
+	// compaction that fails leaves the journal appending to its active
+	// segment, and a later append tries again, so neither fails this one.
 	if j.segBytes >= j.opts.segmentBytes() {
-		if err := j.rotateLocked(); err != nil {
-			return 0, err
-		}
+		_ = j.rotateLocked()
 	}
-	if n := j.opts.CompactEvery; n > 0 && j.terminalSince >= n {
-		if err := j.compactLocked(); err != nil {
-			return 0, err
-		}
+	if n := j.opts.CompactEvery; becameTerminal && n > 0 && j.terminalSince >= max(n, len(j.order)/2) {
+		_ = j.compactLocked()
 	}
 	return rec.LSN, nil
 }
@@ -366,11 +371,25 @@ func (j *Journal) rotateLocked() error {
 	if err := j.syncLocked(); err != nil {
 		return err
 	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: close segment: %w", err)
+	if err := j.swapSegmentLocked(); err != nil {
+		return err
 	}
 	j.rotations.Inc()
-	return j.openSegmentLocked()
+	return nil
+}
+
+// swapSegmentLocked opens a segment named after the next LSN and only then
+// closes the active one, which the caller has synced: if the open fails,
+// the active segment stays open and appends go on into it.
+func (j *Journal) swapSegmentLocked() error {
+	sealed := j.f
+	if err := j.openSegmentLocked(); err != nil {
+		return err
+	}
+	if err := sealed.Close(); err != nil {
+		return fmt.Errorf("journal: close segment: %w", err)
+	}
+	return nil
 }
 
 // Compact folds the current per-job state into a snapshot and deletes the
@@ -388,13 +407,12 @@ func (j *Journal) Compact() error {
 }
 
 func (j *Journal) compactLocked() error {
-	// Seal the active segment first: after this, every record on disk is
-	// covered by the snapshot we are about to write.
+	// Sync the active segment, then write the snapshot with the segment
+	// still open: every record on disk is covered by the snapshot, and a
+	// snapshot that cannot be written leaves the journal appending where it
+	// was. Segments swap only once the snapshot is durable.
 	if err := j.syncLocked(); err != nil {
 		return err
-	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: close segment: %w", err)
 	}
 	snapLSN := j.nextLSN - 1
 
@@ -411,11 +429,17 @@ func (j *Journal) compactLocked() error {
 	}); err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
+	if err := j.swapSegmentLocked(); err != nil {
+		return err
+	}
+	j.snapLSN = snapLSN
+	j.terminalSince = 0
+	j.compactions.Inc()
 
 	// Everything sealed is now dead: every segment (all records <=
-	// snapLSN) and every older snapshot. A crash between these removes and
-	// the new segment is safe — replay skips records at or below the
-	// snapshot LSN.
+	// snapLSN) and every older snapshot. A crash between these removes is
+	// safe — replay skips records at or below the snapshot LSN — and a
+	// file left behind goes at the next compaction.
 	names, err := os.ReadDir(j.opts.Dir)
 	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
@@ -428,10 +452,7 @@ func (j *Journal) compactLocked() error {
 			os.Remove(filepath.Join(j.opts.Dir, name))
 		}
 	}
-	j.snapLSN = snapLSN
-	j.terminalSince = 0
-	j.compactions.Inc()
-	return j.openSegmentLocked()
+	return nil
 }
 
 // syncLoop is the FsyncInterval background syncer.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +202,78 @@ func TestAutoCompaction(t *testing.T) {
 	}
 	if len(rec.Jobs) != 5 || rec.LastLSN != 10 {
 		t.Fatalf("recovery: %+v", rec)
+	}
+}
+
+// TestFailedCompactionKeepsAppending: a snapshot that cannot be written
+// leaves the journal appending to the segment it had open. The append that
+// triggered the compaction returns its LSN, since its record is written and
+// synced; Compact reports the failure; the next terminal append compacts
+// once the snapshot can be written. A compaction that closed the segment
+// before it wrote the snapshot failed that append and every later one.
+func TestFailedCompactionKeepsAppending(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	j, _ := mustOpen(t, Options{Dir: dir, CompactEvery: 1, Telemetry: reg})
+	blocker := snapshotPath(dir, 2) // the snapshot the second record triggers
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, Record{Job: "a", State: "queued", Wire: testWire("a")})
+	if lsn, err := j.Append(Record{Job: "a", State: "completed"}); lsn != 2 || err != nil {
+		t.Fatalf("the append that triggered a failed compaction = %d, %v; want 2, nil", lsn, err)
+	}
+	if err := j.Compact(); err == nil {
+		t.Fatal("Compact wrote a snapshot over a directory")
+	}
+	mustAppend(t, j, Record{Job: "b", State: "queued", Wire: testWire("b")})
+	compactions := reg.Counter("grid_journal_compactions_total", "")
+	if n := compactions.Value(); n != 0 {
+		t.Fatalf("compactions after two failures: %d", n)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, Record{Job: "b", State: "completed"})
+	if n := compactions.Value(); n != 1 {
+		t.Fatalf("the next terminal append did not compact: %d compactions", n)
+	}
+	mustAppend(t, j, Record{Job: "c", State: "queued", Wire: testWire("c")})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SnapshotLSN != 4 || rec.LastLSN != 5 || len(rec.Jobs) != 3 {
+		t.Fatalf("recovery: snapshot %d, last LSN %d, %d jobs; want 4, 5, 3", rec.SnapshotLSN, rec.LastLSN, len(rec.Jobs))
+	}
+}
+
+// TestCompactionCostLinearInHistory: every snapshot rewrites every job the
+// journal holds, terminal ones included, so compacting every CompactEvery
+// terminal jobs wrote N²/(2·CompactEvery) entries over N jobs (≈526k for
+// these 4 096). Waiting for as many terminal jobs as half the journal holds
+// keeps the total within two entries per terminal job.
+func TestCompactionCostLinearInHistory(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	j, _ := mustOpen(t, Options{Dir: t.TempDir(), Fsync: FsyncNever, CompactEvery: 16, Telemetry: reg})
+	defer j.Close()
+	compactions := reg.Counter("grid_journal_compactions_total", "")
+	const jobs = 4096
+	entries, seen := 0, uint64(0)
+	for i := range jobs {
+		id := "j" + strconv.Itoa(i)
+		mustAppend(t, j, Record{Job: id, State: "queued", Wire: testWire(id)})
+		mustAppend(t, j, Record{Job: id, State: "completed"})
+		if n := compactions.Value(); n != seen {
+			entries += len(j.order) // the snapshot just written holds every job
+			seen = n
+		}
+	}
+	if entries > 3*jobs {
+		t.Errorf("%d compactions wrote %d snapshot entries over %d terminal jobs, want at most %d", seen, entries, jobs, 3*jobs)
 	}
 }
 
