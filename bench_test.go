@@ -1,39 +1,60 @@
 // Benchmarks: one per paper artifact (see DESIGN.md §4's experiment
 // index), plus micro-benchmarks of the hot substrates. The experiment
-// benchmarks run reduced corpora and report the headline metric of their
-// figure via b.ReportMetric, so `go test -bench=. -benchmem` regenerates a
-// compact form of every table and figure. They run the experiment engine
-// sequentially (Workers: 1), so ns/op does not depend on the host's core
-// count; internal/experiments' TestFig3ParallelBeatsSequential holds the
+// benchmarks run their row of that index on reduced corpora and report the
+// headline metric of their figure via b.ReportMetric, so `go test -bench=.
+// -benchmem` regenerates a compact form of every table and figure. They run
+// the experiment engine on a pool of one worker (Workers: 1), so ns/op does
+// not depend on the host's core count; internal/experiments' TestFig3ParallelBeatsSequential holds the
 // pool to paying for itself.
 package repro
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/data"
 	"repro/internal/experiments"
+	"repro/internal/jobio"
+	"repro/internal/journal"
+	"repro/internal/metasched"
 	"repro/internal/resource"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
+
+// runRow runs row id of gridsim's experiment index on cfg.
+func runRow(b *testing.B, id string, cfg experiments.Config) *experiments.Report {
+	b.Helper()
+	for _, e := range experiments.Experiments {
+		if e.ID == id {
+			r, err := e.Run(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r
+		}
+	}
+	b.Fatalf("no experiment %q", id)
+	return nil
+}
 
 // BenchmarkFig2Strategy regenerates the §3 worked example (E1).
 func BenchmarkFig2Strategy(b *testing.B) {
 	var cheapest float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cheapest = r.Value("cheapest-cf")
+		cheapest = runRow(b, "fig2", experiments.Config{}).Value("cheapest-cf")
 	}
 	b.ReportMetric(cheapest, "cheapest-CF")
 }
@@ -43,11 +64,7 @@ func BenchmarkFig2Strategy(b *testing.B) {
 func BenchmarkFig3aAdmissibility(b *testing.B) {
 	var s1, s2, s3 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig3Config{Seed: 1, Jobs: 60, Workers: 1}
-		r, err := experiments.Fig3a(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "fig3a", experiments.Config{Seed: 1, Jobs: 60, Workers: 1})
 		s1, s2, s3 = r.Value("admissible-S1"), r.Value("admissible-S2"), r.Value("admissible-S3")
 	}
 	b.ReportMetric(100*s1, "S1-adm-%")
@@ -60,11 +77,7 @@ func BenchmarkFig3aAdmissibility(b *testing.B) {
 func BenchmarkFig3bCollisions(b *testing.B) {
 	var f1, f2, f3 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig3Config{Seed: 1, Jobs: 60, Workers: 1}
-		r, err := experiments.Fig3b(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "fig3b", experiments.Config{Seed: 1, Jobs: 60, Workers: 1})
 		f1, f2, f3 = r.Value("fast-S1"), r.Value("fast-S2"), r.Value("fast-S3")
 	}
 	b.ReportMetric(100*f1, "S1-fast-%")
@@ -76,11 +89,7 @@ func BenchmarkFig3bCollisions(b *testing.B) {
 func BenchmarkFig4aLoad(b *testing.B) {
 	var s1slow, s3fast float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
-		r, err := experiments.Fig4a(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "fig4a", experiments.Config{Seed: 1, Jobs: 60, Workers: 1})
 		s1slow, s3fast = r.Value("slow-S1"), r.Value("fast-S3")
 	}
 	b.ReportMetric(100*s1slow, "S1-slow-load-%")
@@ -91,11 +100,7 @@ func BenchmarkFig4aLoad(b *testing.B) {
 func BenchmarkFig4bCostTime(b *testing.B) {
 	var costS3, taskS3 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
-		r, err := experiments.Fig4b(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "fig4b", experiments.Config{Seed: 1, Jobs: 60, Workers: 1})
 		costS3, taskS3 = r.Value("cost-S3"), r.Value("task-S3")
 	}
 	b.ReportMetric(costS3, "S3-rel-cost")
@@ -106,11 +111,7 @@ func BenchmarkFig4bCostTime(b *testing.B) {
 func BenchmarkFig4cTTL(b *testing.B) {
 	var ttlS3, devMS1 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
-		r, err := experiments.Fig4c(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "fig4c", experiments.Config{Seed: 1, Jobs: 60, Workers: 1})
 		ttlS3, devMS1 = r.Value("ttl-S3"), r.Value("dev-MS1")
 	}
 	b.ReportMetric(ttlS3, "S3-rel-ttl")
@@ -121,10 +122,7 @@ func BenchmarkFig4cTTL(b *testing.B) {
 func BenchmarkPolicyWaitTimes(b *testing.B) {
 	var fcfs, easy, res float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Policies(experiments.PoliciesConfig{Seed: 1, Jobs: 250})
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "policies", experiments.Config{Seed: 1, Jobs: 250})
 		fcfs, easy, res = r.Value("wait-FCFS"), r.Value("wait-FCFS+easy-backfill"), r.Value("wait-FCFS+reservations")
 	}
 	b.ReportMetric(fcfs, "FCFS-wait")
@@ -136,11 +134,7 @@ func BenchmarkPolicyWaitTimes(b *testing.B) {
 func BenchmarkAblationCollision(b *testing.B) {
 	var realloc, delay float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig3Config{Seed: 1, Jobs: 40, Workers: 1}
-		r, err := experiments.AblationCollision(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "ablation-collision", experiments.Config{Seed: 1, Jobs: 40, Workers: 1})
 		realloc = r.Value("admissible-economic-reallocation")
 		delay = r.Value("admissible-pinned-node-delay")
 	}
@@ -152,11 +146,7 @@ func BenchmarkAblationCollision(b *testing.B) {
 func BenchmarkAblationLevels(b *testing.B) {
 	var s1, ms1 float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig3Config{Seed: 1, Jobs: 40, Workers: 1}
-		r, err := experiments.AblationLevels(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "ablation-levels", experiments.Config{Seed: 1, Jobs: 40, Workers: 1})
 		s1, ms1 = r.Value("evaluations-S1"), r.Value("evaluations-MS1")
 	}
 	b.ReportMetric(ms1/s1, "MS1/S1-evals")
@@ -166,11 +156,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 func BenchmarkComparison(b *testing.B) {
 	var cwCost, mmCost float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig3Config{Seed: 1, Jobs: 40, Workers: 1}
-		r, err := experiments.Comparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "comparison", experiments.Config{Seed: 1, Jobs: 40, Workers: 1})
 		cwCost, mmCost = r.Value("cf-critical-works-mincost"), r.Value("cf-min-min")
 	}
 	b.ReportMetric(cwCost/mmCost, "mincost/min-min-CF")
@@ -194,11 +180,7 @@ func BenchmarkBaselineMinMin(b *testing.B) {
 func BenchmarkLocalPassing(b *testing.B) {
 	var queued float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig4Config{Seed: 1, Jobs: 60, Workers: 1}
-		r, err := experiments.LocalPassing(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runRow(b, "local-passing", experiments.Config{Seed: 1, Jobs: 60, Workers: 1})
 		queued = r.Value("met-queued")
 	}
 	b.ReportMetric(100*queued, "queued-met-%")
@@ -341,6 +323,109 @@ func BenchmarkDPWidth(b *testing.B) {
 			b.ReportMetric(float64(probes), "probes/op")
 		})
 	}
+}
+
+// BenchmarkServiceKnee measures a started service's throughput against the
+// number of closed-loop clients, C ∈ {1, 4, 16, 64}: b.N jobs of the §4
+// corpus, job i from client i mod C under strategy S1, S2, S3, MS1 in turn,
+// through a journal that syncs every record (FsyncAlways) in b.TempDir().
+// A client submits its next job once the last one is terminal: OnTerminal
+// hands each record to its client's channel, so no client polls. It reports
+// jobs/s, journal fsyncs per job, the process's CPU ms per job (user and
+// system, getrusage) and the share of the b.N jobs that completed by their
+// deadline. It claims and gates nothing; it is where a change to the
+// journal's sync shows at the knee.
+func BenchmarkServiceKnee(b *testing.B) {
+	env := workload.New(workload.Default(1)).Environment(2)
+	cycle := []string{"S1", "S2", "S3", "MS1"}
+	for _, clients := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("C=%d", clients), func(b *testing.B) {
+			flow := workload.New(workload.Default(2)).Flow(0, b.N, 0)
+			wires := make([]jobio.Job, len(flow))
+			owner := make(map[string]int, len(flow))
+			for i, a := range flow {
+				wires[i] = jobio.FromJob(a.Job)
+				wires[i].Deadline = a.Job.Deadline - a.At // the budget, anchored at the service's arrival tick
+				owner[a.Job.Name] = i % clients
+			}
+			// A client has one job outstanding, so OnTerminal's send, made
+			// under the service's lock, never blocks on a buffer of one.
+			outcomes := make([]chan service.Record, clients)
+			for c := range outcomes {
+				outcomes[c] = make(chan service.Record, 1)
+			}
+			reg := telemetry.NewRegistry()
+			jnl, _, err := journal.Open(journal.Options{Dir: b.TempDir(), Fsync: journal.FsyncAlways,
+				IsTerminal: service.Terminal, Telemetry: reg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer jnl.Close()
+			srv, err := service.New(service.Config{
+				Env: env, Journal: jnl, Telemetry: reg,
+				Sched:      metasched.Config{Seed: 1, Placers: 4},
+				OnTerminal: func(r service.Record) { outcomes[owner[r.ID]] <- r },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv.Start()
+			fsyncs := reg.Counter("grid_journal_fsyncs_total", "")
+			fsyncs0, cpu0 := fsyncs.Value(), cpuTime()
+			errs := make([]error, clients)
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			start := time.Now()
+			for c := range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := c; i < len(wires); i += clients {
+						_, err := srv.Submit(wires[i], cycle[i%len(cycle)], 0)
+						var se *service.SubmitError
+						if err != nil && !(errors.As(err, &se) && se.Code == service.CodeInfeasible) {
+							errs[c] = fmt.Errorf("submit %s: %w", wires[i].Name, err)
+							return
+						}
+						<-outcomes[c] // an infeasible job is rejected, and terminal, inside Submit
+					}
+				}()
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			b.StopTimer()
+			cpu := cpuTime() - cpu0
+			fsynced := fsyncs.Value() - fsyncs0
+			if err := errors.Join(errs...); err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := srv.Drain(ctx); err != nil {
+				b.Fatal(err)
+			}
+			met := 0
+			for _, r := range srv.Results() {
+				if r.State == metasched.StateCompleted && r.Finish <= r.Job.Deadline {
+					met++
+				}
+			}
+			n := float64(b.N)
+			b.ReportMetric(n/elapsed.Seconds(), "jobs/s")
+			b.ReportMetric(float64(fsynced)/n, "fsyncs/job")
+			b.ReportMetric(float64(cpu.Microseconds())/1e3/n, "cpu-ms/job")
+			b.ReportMetric(float64(met)/n, "deadline_met_ratio")
+		})
+	}
+}
+
+// cpuTime is the user and system CPU time this process has used.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkCalendarReserve measures reservation book operations.

@@ -27,7 +27,7 @@ func main() {
 		exp     = flag.String("exp", "all", "experiment id (comma-separated), or all; see -list")
 		jobs    = flag.Int("jobs", 1000, "corpus size for the statistical experiments (the paper used >12000 for fig3)")
 		seed    = flag.Uint64("seed", 1, "deterministic seed")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for independent units (1 forces the sequential path; results are byte-identical at any value)")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for independent units (results are byte-identical at any value)")
 		list    = flag.Bool("list", false, "list the experiment ids and what they regenerate")
 
 		// Fault-injection knobs for the availability sweep (E12).
@@ -59,7 +59,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gridsim: -jobs %d: want at least 1\n", *jobs)
 		os.Exit(2)
 	}
-	cfg := experiments.DefaultAvailability(*seed, *jobs)
+	cfg := experiments.DefaultConfig(*seed, *jobs)
 	cfg.MTTR = *mttr
 	cfg.TaskFailRate = *taskFail
 	cfg.MaxRetries = *maxRetries

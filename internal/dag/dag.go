@@ -595,19 +595,11 @@ type Chain struct {
 	Length simtime.Time
 }
 
-// WeightFunc gives the estimated duration of a task and of a transfer edge
-// for chain-length purposes. Either function may be nil, meaning "use the
-// base estimate".
+// WeightFunc gives the estimated duration of a transfer edge for
+// chain-length purposes; a nil Edge means "use the base estimate". A task
+// always weighs its base estimate.
 type WeightFunc struct {
-	Task func(Task) simtime.Time
 	Edge func(Edge) simtime.Time
-}
-
-func (w WeightFunc) task(t Task) simtime.Time {
-	if w.Task == nil {
-		return t.BaseTime
-	}
-	return w.Task(t)
 }
 
 func (w WeightFunc) edge(e Edge) simtime.Time {
@@ -659,7 +651,7 @@ func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) 
 			continue
 		}
 		any = true
-		base := w.task(j.Task(id))
+		base := j.w[2*id]
 		if dist[id] < base {
 			dist[id] = base
 			prev[id] = -1
@@ -673,7 +665,7 @@ func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) 
 			if w.Edge != nil {
 				transfer = w.Edge(j.EdgeAt(int(ei)))
 			}
-			cand := dist[id] + transfer + w.task(j.Task(to))
+			cand := dist[id] + transfer + j.w[2*to]
 			if cand > dist[to] || (cand == dist[to] && better(prev[to], t)) {
 				dist[to] = cand
 				prev[to] = t
@@ -724,7 +716,7 @@ func (j *Job) AllChains(w WeightFunc) []Chain {
 	var walk func(id TaskID, path []TaskID, length simtime.Time)
 	walk = func(id TaskID, path []TaskID, length simtime.Time) {
 		path = append(path, id)
-		length += w.task(j.Task(id))
+		length += j.w[2*id]
 		if len(j.out(id)) == 0 {
 			out = append(out, Chain{Tasks: append([]TaskID(nil), path...), Length: length})
 			return

@@ -300,15 +300,12 @@ func TestLongestChainAllExcluded(t *testing.T) {
 
 func TestLongestChainCustomWeights(t *testing.T) {
 	j := fig2Job(t)
-	// Doubling every task time and zeroing transfers: critical work is the
-	// path maximizing task time only: P1,P2,P4,P6 = 2*(2+3+2+2)=18.
-	w := WeightFunc{
-		Task: func(tk Task) simtime.Time { return 2 * tk.BaseTime },
-		Edge: func(Edge) simtime.Time { return 0 },
-	}
+	// Zeroing transfers: critical work is the path maximizing task time
+	// only: P1,P2,P4,P6 = 2+3+2+2 = 9.
+	w := WeightFunc{Edge: func(Edge) simtime.Time { return 0 }}
 	c, _ := j.LongestChain(w, nil)
-	if c.Length != 18 {
-		t.Errorf("weighted length = %d, want 18", c.Length)
+	if c.Length != 9 {
+		t.Errorf("weighted length = %d, want 9", c.Length)
 	}
 }
 
@@ -670,7 +667,7 @@ func (j *refJob) longestChain(w WeightFunc, include func(TaskID) bool) (Chain, b
 			continue
 		}
 		any = true
-		base := w.task(j.tasks[id])
+		base := j.tasks[id].BaseTime
 		if dist[id] < base {
 			dist[id] = base
 			prev[id] = -1
@@ -680,7 +677,7 @@ func (j *refJob) longestChain(w WeightFunc, include func(TaskID) bool) (Chain, b
 			if !incl(e.To) {
 				continue
 			}
-			cand := dist[id] + w.edge(e) + w.task(j.tasks[e.To])
+			cand := dist[id] + w.edge(e) + j.tasks[e.To].BaseTime
 			if cand > dist[e.To] || (cand == dist[e.To] && refBetter(prev[e.To], int(id))) {
 				dist[e.To] = cand
 				prev[e.To] = int(id)
@@ -856,10 +853,7 @@ func sameGraph(j *Job, ref *refJob) error {
 // and with custom weights, through LongestChain and through one reused
 // ChainBuf, against the reference search.
 func sameChains(j *Job, ref *refJob, r *rng.Source) error {
-	custom := WeightFunc{
-		Task: func(t Task) simtime.Time { return t.BaseTime*3 + simtime.Time(t.ID%3) },
-		Edge: func(e Edge) simtime.Time { return e.BaseTime / 2 },
-	}
+	custom := WeightFunc{Edge: func(e Edge) simtime.Time { return e.BaseTime / 2 }}
 	var buf ChainBuf
 	check := func(w WeightFunc, include func(TaskID) bool) (Chain, bool, error) {
 		want, wantOK := ref.longestChain(w, include)

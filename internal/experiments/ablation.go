@@ -9,11 +9,12 @@ import (
 	"repro/internal/strategy"
 )
 
-// AblationCollision (E8) isolates the paper's collision-resolution design
+// ablationCollision (E8) isolates the paper's collision-resolution design
 // choice (§3): resolving a blocked critical work by economic reallocation
 // — the DP is free to pay for another node — versus the naive baseline
 // that only ever delays the task on its ideal node.
-func AblationCollision(cfg Fig3Config) (*Report, error) {
+func ablationCollision(cfg Config) (*Report, error) {
+	cfg.Jobs = min(cfg.Jobs, ablationMaxJobs)
 	r := newReport("ablation-collision",
 		"collision resolution: economic reallocation vs pinned-node delay (§3 design choice)")
 	names := []string{"economic-reallocation", "pinned-node-delay"}
@@ -50,10 +51,11 @@ const (
 	levelsBackgroundPerNode = 4.0
 )
 
-// AblationLevels (E9) quantifies §4's S1-vs-MS1 trade-off: sweeping only
+// ablationLevels (E9) quantifies §4's S1-vs-MS1 trade-off: sweeping only
 // the best- and worst-case estimation levels (MS1) is cheaper to generate
 // but covers fewer environment events than the full sweep (S1).
-func AblationLevels(cfg Fig3Config) (*Report, error) {
+func ablationLevels(cfg Config) (*Report, error) {
+	cfg.Jobs = min(cfg.Jobs, ablationMaxJobs)
 	r := newReport("ablation-levels",
 		"strategy breadth: full level sweep (S1) vs best/worst only (MS1) (§4)")
 	types := []strategy.Type{strategy.S1, strategy.MS1}
@@ -99,7 +101,7 @@ func AblationLevels(cfg Fig3Config) (*Report, error) {
 		}
 		share := float64(admissible) / float64(cfg.Jobs)
 		perJob := float64(levels) / float64(cfg.Jobs)
-		r.addLine("%-6s %12s %16d %18.2f", typ, Ratio(share), evaluations, perJob)
+		r.addLine("%-6s %12s %16d %18.2f", typ, ratio(share), evaluations, perJob)
 		r.Values["admissible-"+typ.String()] = share
 		r.Values["evaluations-"+typ.String()] = float64(evaluations)
 		r.Values["levels-"+typ.String()] = perJob

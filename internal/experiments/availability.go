@@ -2,55 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/faults"
 	"repro/internal/metasched"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 )
-
-// AvailabilityConfig parameterizes the fault-injection sweep (E12): one VO
-// run per (strategy family, node availability level), the same workload
-// and fault seed at every level so only the outage intensity varies.
-type AvailabilityConfig struct {
-	Seed uint64
-	Jobs int
-
-	// Levels are the steady-state node availabilities to sweep, from 1.0
-	// (faults off, the seed baseline) downward.
-	Levels []float64
-	// MTTR is the mean outage duration; MTBF is derived per level as
-	// MTTR·a/(1−a).
-	MTTR float64
-	// TaskFailRate and MaxRetries tune the mid-run failure ladder.
-	TaskFailRate float64
-	MaxRetries   int
-
-	// Workers bounds the pool running the (family × availability) cells;
-	// ≤ 0 means one worker per CPU, 1 forces the sequential path. Cells
-	// are independent VO runs, so any worker count produces byte-identical
-	// reports and traces.
-	Workers int
-	// Trace, when set, receives every cell's JSONL VO trace, flushed in
-	// cell (row) order after the pool drains.
-	Trace io.Writer
-	// Telemetry, when non-nil, receives the hierarchy's runtime metrics
-	// from every cell. Observe-only: reports and traces stay byte-identical.
-	Telemetry *telemetry.Registry
-}
-
-// DefaultAvailability returns the calibrated sweep configuration.
-func DefaultAvailability(seed uint64, jobs int) AvailabilityConfig {
-	return AvailabilityConfig{
-		Seed:         seed,
-		Jobs:         jobs,
-		Levels:       []float64{1.0, 0.98, 0.95, 0.9, 0.8},
-		MTTR:         20,
-		TaskFailRate: 0.05,
-		MaxRetries:   2,
-	}
-}
 
 // availOutcome aggregates one (type, availability) run.
 type availOutcome struct {
@@ -64,7 +20,7 @@ type availOutcome struct {
 // runAvailability executes one VO run with the outage process tuned to
 // the given availability. No background (external) load: the sweep
 // isolates the fault model's effect. tracer may be nil.
-func runAvailability(cfg AvailabilityConfig, typ strategy.Type, avail float64, tracer metasched.Tracer) (*availOutcome, error) {
+func runAvailability(cfg Config, typ strategy.Type, avail float64, tracer metasched.Tracer) (*availOutcome, error) {
 	var fcfg faults.Config
 	if avail < 1 {
 		mtbf, mttr := faults.ForAvailability(avail, cfg.MTTR)
@@ -108,12 +64,16 @@ func runAvailability(cfg AvailabilityConfig, typ strategy.Type, avail float64, t
 	return out, nil
 }
 
-// Availability runs the fault-injection sweep: QoS-miss rate and mean
+// availability runs the fault-injection sweep (E12): QoS-miss rate and mean
 // strategy time-to-live versus node availability, per strategy family
-// S1–S3. As availability drops, the miss rate must rise (within noise)
-// and plans live shorter — the quantitative cost of an unreliable
-// environment that the supporting-schedule machinery absorbs.
-func Availability(cfg AvailabilityConfig) (*Report, error) {
+// S1–S3, one VO run per (family, cfg.Levels level) on the first
+// availabilityMaxJobs jobs at most, with the same workload and fault seed at
+// every level so only the outage intensity varies. As availability drops,
+// the miss rate must rise (within noise) and plans live shorter — the
+// quantitative cost of an unreliable environment that the
+// supporting-schedule machinery absorbs.
+func availability(cfg Config) (*Report, error) {
+	cfg.Jobs = min(cfg.Jobs, availabilityMaxJobs)
 	types := []strategy.Type{strategy.S1, strategy.S2, strategy.S3}
 	r := newReport("availability",
 		"QoS-miss rate and strategy TTL vs node availability (fault-injection sweep)")
@@ -142,7 +102,7 @@ func Availability(cfg AvailabilityConfig) (*Report, error) {
 	for i, c := range grid {
 		o := outs[i]
 		r.addLine("%-6s %7.2f %10s %10.1f %10d %9d %9d %9d %8d",
-			c.typ, c.avail, Ratio(o.missRate), o.meanTTL,
+			c.typ, c.avail, ratio(o.missRate), o.meanTTL,
 			o.stats.TaskFailures, o.stats.Retries,
 			o.fallbacks, o.reallocs, o.stats.NodeOutages)
 		key := fmt.Sprintf("%s-%.2f", c.typ, c.avail)

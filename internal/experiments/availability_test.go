@@ -18,7 +18,7 @@ import (
 // Without this, byte-equality on that sweep could silently come to mean
 // "nothing was ever re-anchored".
 func TestAvailabilitySweepDrivesTheFallbackLadder(t *testing.T) {
-	cfg := DefaultAvailability(3, 12)
+	cfg := DefaultConfig(3, 12)
 	for _, avail := range []float64{0.95, 0.8} {
 		entered, fallbacks, reallocs := 0, 0, 0
 		for _, typ := range []strategy.Type{strategy.S1, strategy.S2, strategy.S3} {

@@ -10,13 +10,14 @@ import (
 	"repro/internal/resource"
 )
 
-// Comparison (E10) pits the critical works method against the classic
+// comparison (E10) pits the critical works method against the classic
 // list-scheduling heuristics of the [13] family (Min-Min, Max-Min,
 // Sufferage, OLB) on the Fig. 3 corpus: same jobs, same background load,
 // same substrates — only the allocation logic differs. The method's claim
 // to earn its complexity is higher deadline admissibility (its DP search
 // plus collision reallocation) at comparable or better economic cost.
-func Comparison(cfg Fig3Config) (*Report, error) {
+func comparison(cfg Config) (*Report, error) {
+	cfg.Jobs = min(cfg.Jobs, ablationMaxJobs)
 	r := newReport("comparison",
 		"critical works vs classic heuristics ([13] family) on the Fig. 3 corpus")
 	names := []string{"critical-works", "critical-works-mincost"}
@@ -96,7 +97,7 @@ func addPlanRows(r *Report, head string, width int, names []string, outcomes [][
 			}
 		}
 		share := float64(admissible) / float64(len(outcomes))
-		r.addLine("%-*s %12s %12.1f %10.1f", width, name, Ratio(share), finish.Mean(), cost.Mean())
+		r.addLine("%-*s %12s %12.1f %10.1f", width, name, ratio(share), finish.Mean(), cost.Mean())
 		r.Values["admissible-"+name] = share
 		r.Values["finish-"+name] = finish.Mean()
 		r.Values["cf-"+name] = cost.Mean()

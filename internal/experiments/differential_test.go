@@ -12,11 +12,11 @@ import (
 // The differential equivalence suite: every experiment that fans out
 // across the worker pool must produce byte-identical reports, identical
 // raw value maps, and byte-identical traces at any worker count. Each
-// case runs once sequentially (workers=1, the pre-pool code path) and
-// once wide (workers=8, oversubscribed on small machines on purpose),
-// across several seeds. Fig. 2 has neither a seed nor a worker count: each
-// of its rows runs it once, against its golden report, so a regression
-// still shows up in every row.
+// case runs once on a pool of one worker and once wide (workers=8,
+// oversubscribed on small machines on purpose), across several seeds.
+// Fig. 2 has neither a seed nor a worker count: each of its rows runs it
+// once, against its golden report, so a regression still shows up in every
+// row.
 
 // diffOutcome captures everything an experiment emits.
 type diffOutcome struct {
@@ -52,35 +52,35 @@ func TestParallelMatchesSequential(t *testing.T) {
 		run  func(t *testing.T, seed uint64, workers int) diffOutcome
 	}{
 		{"fig3a", func(t *testing.T, seed uint64, workers int) diffOutcome {
-			cfg := Fig3Config{Seed: seed, Jobs: 40, Workers: workers}
-			r, err := Fig3a(cfg)
+			cfg := Config{Seed: seed, Jobs: 40, Workers: workers}
+			r, err := fig3a(cfg)
 			return capture(t, r, err, nil)
 		}},
 		{"fig3b", func(t *testing.T, seed uint64, workers int) diffOutcome {
-			cfg := Fig3Config{Seed: seed, Jobs: 40, Workers: workers}
-			r, err := Fig3b(cfg)
+			cfg := Config{Seed: seed, Jobs: 40, Workers: workers}
+			r, err := fig3b(cfg)
 			return capture(t, r, err, nil)
 		}},
 		{"fig4", func(t *testing.T, seed uint64, workers int) diffOutcome {
 			var trace bytes.Buffer
-			cfg := Fig4Config{Seed: seed, Jobs: 25, Workers: workers, Trace: &trace}
-			r, err := Fig4a(cfg)
+			cfg := Config{Seed: seed, Jobs: 25, Workers: workers, Trace: &trace}
+			r, err := fig4a(cfg)
 			return capture(t, r, err, &trace)
 		}},
 		{"availability", func(t *testing.T, seed uint64, workers int) diffOutcome {
 			var trace bytes.Buffer
-			cfg := DefaultAvailability(seed, 12)
+			cfg := DefaultConfig(seed, 12)
 			cfg.Levels = []float64{1.0, 0.9}
 			cfg.Workers = workers
 			cfg.Trace = &trace
-			r, err := Availability(cfg)
+			r, err := availability(cfg)
 			return capture(t, r, err, &trace)
 		}},
 	}
 
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("fig2/seed%d", seed), func(t *testing.T) {
-			r, err := Fig2()
+			r, err := fig2(Config{})
 			compareGolden(t, "fig2_report.golden", capture(t, r, err, nil).report)
 		})
 	}
@@ -122,9 +122,9 @@ func TestFig3ParallelBeatsSequential(t *testing.T) {
 	var best [3]time.Duration // by worker count
 	for i := 0; i < 15 && (i < 5 || best[2] >= best[1]); i++ {
 		for _, workers := range []int{1, 2} {
-			cfg := Fig3Config{Seed: 1, Jobs: 60, Workers: workers}
+			cfg := Config{Seed: 1, Jobs: 60, Workers: workers}
 			start := time.Now()
-			if _, err := Fig3a(cfg); err != nil {
+			if _, err := fig3a(cfg); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); best[workers] == 0 || d < best[workers] {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFig2ReproducesPaperStructure(t *testing.T) {
-	r, err := Fig2()
+	r, err := fig2(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,8 +20,8 @@ func TestFig3Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	cfg := Fig3Config{Seed: 1, Jobs: 200}
-	for _, run := range []func(Fig3Config) (*Report, error){Fig3a, Fig3b} {
+	cfg := Config{Seed: 1, Jobs: 200}
+	for _, run := range []func(Config) (*Report, error){fig3a, fig3b} {
 		r, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -34,12 +34,12 @@ func TestFig3Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	cfg := Fig3Config{Seed: 7, Jobs: 60}
-	a1, err := Fig3a(cfg)
+	cfg := Config{Seed: 7, Jobs: 60}
+	a1, err := fig3a(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Fig3a(cfg)
+	a2, err := fig3a(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,15 +54,15 @@ func TestFig4Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	cfg := Fig4Config{Seed: 1, Jobs: 150}
-	for _, run := range []func(Fig4Config) (*Report, error){Fig4a, Fig4b} {
+	cfg := Config{Seed: 1, Jobs: 150}
+	for _, run := range []func(Config) (*Report, error){fig4a, fig4b} {
 		r, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkClaims(t, r)
 	}
-	c, err := Fig4c(cfg)
+	c, err := fig4c(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPoliciesShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	r, err := Policies(PoliciesConfig{Seed: 1, Jobs: 500})
+	r, err := policies(Config{Seed: 1, Jobs: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestAblationCollisionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	r, err := AblationCollision(Fig3Config{Seed: 1, Jobs: 120})
+	r, err := ablationCollision(Config{Seed: 1, Jobs: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAblationLevelsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	r, err := AblationLevels(Fig3Config{Seed: 1, Jobs: 120})
+	r, err := ablationLevels(Config{Seed: 1, Jobs: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	r, err := Comparison(Fig3Config{Seed: 1, Jobs: 120})
+	r, err := comparison(Config{Seed: 1, Jobs: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,12 @@ func TestFig4Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	cfg := Fig4Config{Seed: 3, Jobs: 40}
-	a1, err := Fig4a(cfg)
+	cfg := Config{Seed: 3, Jobs: 40}
+	a1, err := fig4a(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Fig4a(cfg)
+	a2, err := fig4a(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestLocalPassingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	r, err := LocalPassing(Fig4Config{Seed: 1, Jobs: 100})
+	r, err := localPassing(Config{Seed: 1, Jobs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestLocalPassingShape(t *testing.T) {
 }
 
 func TestReportWriteTo(t *testing.T) {
-	r, err := Fig2()
+	r, err := fig2(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,9 @@ func TestAvailabilityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	cfg := DefaultAvailability(1, 60)
+	cfg := DefaultConfig(1, 60)
 	cfg.Levels = []float64{1.0, 0.9, 0.8}
-	r, err := Availability(cfg)
+	r, err := availability(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestAvailabilityDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus experiment")
 	}
-	cfg := DefaultAvailability(3, 30)
+	cfg := DefaultConfig(3, 30)
 	cfg.Levels = []float64{0.9}
-	a, err := Availability(cfg)
+	a, err := availability(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Availability(cfg)
+	b, err := availability(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestEveryExperimentRefusesAnEmptyCorpus(t *testing.T) {
 							done <- result{panic: p}
 						}
 					}()
-					r, err := e.Run(DefaultAvailability(3, jobs))
+					r, err := e.Run(DefaultConfig(3, jobs))
 					done <- result{report: r, err: err}
 				}()
 				select {

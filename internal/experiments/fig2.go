@@ -7,7 +7,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/resource"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 )
 
 // Fig2Job builds the paper's Fig. 2(a) example: tasks P1..P6 with the §3
@@ -45,16 +44,12 @@ func Fig2Env() *resource.Environment {
 	return resource.NewEnvironment(nodes)
 }
 
-// Fig2 regenerates the paper's worked example: the four critical works of
+// fig2 regenerates the paper's worked example: the four critical works of
 // Fig. 2(a) and a strategy whose supporting schedules reproduce the
 // structure of Fig. 2(b) — several alternative Distributions where the
 // cheapest one (the paper's CF2 = 37 < CF1 = CF3 = 41) is NOT the fastest.
-func Fig2() (*Report, error) { return Fig2Telemetry(nil) }
-
-// Fig2Telemetry is Fig2 with the builds additionally reporting into reg
-// (nil disables metrics). Telemetry never changes the report: output is
-// byte-identical with reg nil or set.
-func Fig2Telemetry(reg *telemetry.Registry) (*Report, error) {
+// It has no corpus and no seed; of cfg it reads only Telemetry.
+func fig2(cfg Config) (*Report, error) {
 	r := newReport("fig2", "worked example: critical works and distributions (paper §3, Fig. 2)")
 	job := Fig2Job()
 	env := Fig2Env()
@@ -77,7 +72,7 @@ func Fig2Telemetry(reg *telemetry.Registry) (*Report, error) {
 	// from the Gantt's 20 to 24 so more than one estimation level is
 	// feasible and the strategy actually contains alternatives (with four
 	// nodes and full transfers, the tier-2 level needs 21 ticks).
-	gen := &strategy.Generator{Env: env, Telemetry: reg}
+	gen := &strategy.Generator{Env: env, Telemetry: cfg.Telemetry}
 	st, err := gen.Generate(job.WithDeadline(24), strategy.S2, criticalworks.EmptyCalendars(env), 0)
 	if err != nil {
 		return nil, err
@@ -111,7 +106,7 @@ func Fig2Telemetry(reg *telemetry.Registry) (*Report, error) {
 		resource.NewNode(1, "node-4", 0.25, "example"),
 	})
 	sched, err := criticalworks.Build(constrained, criticalworks.EmptyCalendars(constrained),
-		job.WithDeadline(80), criticalworks.Options{Telemetry: reg})
+		job.WithDeadline(80), criticalworks.Options{Telemetry: cfg.Telemetry})
 	if err != nil {
 		return nil, err
 	}

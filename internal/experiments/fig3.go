@@ -9,34 +9,16 @@ import (
 	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// Fig3Config parameterizes the §4 application-level study: strategies are
-// generated per job against resources carrying random background load from
-// independent flows, without job-flow coordination.
-type Fig3Config struct {
-	Seed uint64
-	// Jobs is the corpus size; the paper used "more than 12000".
-	Jobs int
-	// Workers bounds the pool fanning per-job strategy builds across
-	// goroutines; ≤ 0 means one worker per CPU, 1 forces the sequential
-	// path. Every worker count produces byte-identical reports: each job
-	// draws from its own pre-split RNG stream and the per-job tallies are
-	// merged in job order.
-	Workers int
-	// Telemetry, when non-nil, receives grid_strategy_* and
-	// grid_criticalworks_* runtime metrics from every build. Observe-only:
-	// reports are byte-identical with or without it, at any worker count.
-	Telemetry *telemetry.Registry
-}
-
-// The Fig. 3 corpus's calibration (EXPERIMENTS.md holds the trail: the
-// collision split is most sensitive to the transfer weight and pipeline
-// length, the admissibility rates to the deadline factor and background
-// volume). Tight deadlines push strategies with heavy data-transfer
-// penalties onto fast nodes.
+// The §4 application-level study generates strategies per job against
+// resources carrying random background load from independent flows, without
+// job-flow coordination. The Fig. 3 corpus's calibration (EXPERIMENTS.md
+// holds the trail: the collision split is most sensitive to the transfer
+// weight and pipeline length, the admissibility rates to the deadline factor
+// and background volume). Tight deadlines push strategies with heavy
+// data-transfer penalties onto fast nodes.
 const (
 	fig3DeadlineFactor    = 1.2
 	fig3BackgroundPerNode = 10.0
@@ -90,7 +72,7 @@ func loadedCalendars(env *resource.Environment, r *rng.Source, perNode float64) 
 // background snapshot of perNode reservations per node — across cfg.Workers
 // goroutines, and returns the results in job order. A job's snapshot comes
 // from its own pre-split RNG stream, so every worker count sees the same one.
-func mapCorpus[T any](cfg Fig3Config, deadlineFactor, perNode float64,
+func mapCorpus[T any](cfg Config, deadlineFactor, perNode float64,
 	plan func(env *resource.Environment, job *dag.Job, cals criticalworks.Calendars) (T, error)) ([]T, error) {
 	if err := checkJobs(cfg.Jobs); err != nil {
 		return nil, err
@@ -116,7 +98,7 @@ func checkJobs(jobs int) error {
 // fig3Run holds the per-strategy aggregates of one corpus pass.
 type fig3Run struct {
 	admissible map[strategy.Type]int
-	collisions map[strategy.Type]*Counter
+	collisions map[strategy.Type]*counter
 	total      int
 }
 
@@ -129,7 +111,7 @@ type fig3JobTally struct {
 
 // runFig3 generates each job's strategy for every family against identical
 // background snapshots and tallies admissibility and collision placement.
-func runFig3(cfg Fig3Config) (*fig3Run, error) {
+func runFig3(cfg Config) (*fig3Run, error) {
 	tallies, err := mapCorpus(cfg, fig3DeadlineFactor, fig3BackgroundPerNode,
 		func(env *resource.Environment, job *dag.Job, cals criticalworks.Calendars) (fig3JobTally, error) {
 			var tally fig3JobTally
@@ -169,28 +151,28 @@ func runFig3(cfg Fig3Config) (*fig3Run, error) {
 
 	run := &fig3Run{
 		admissible: make(map[strategy.Type]int),
-		collisions: make(map[strategy.Type]*Counter),
+		collisions: make(map[strategy.Type]*counter),
 		total:      cfg.Jobs,
 	}
 	for _, typ := range fig3Strategies {
-		run.collisions[typ] = NewCounter()
+		run.collisions[typ] = newCounter()
 	}
 	for _, tally := range tallies {
 		for ti, typ := range fig3Strategies {
 			if tally.admissible[ti] {
 				run.admissible[typ]++
 			}
-			run.collisions[typ].Inc("fast", tally.fast[ti])
-			run.collisions[typ].Inc("slow", tally.slow[ti])
+			run.collisions[typ].inc("fast", tally.fast[ti])
+			run.collisions[typ].inc("slow", tally.slow[ti])
 		}
 	}
 	return run, nil
 }
 
-// Fig3a regenerates Fig. 3(a): the percentage of jobs with at least one
+// fig3a regenerates Fig. 3(a): the percentage of jobs with at least one
 // admissible application-level schedule per strategy family (paper: S1
 // 38%, S2 37%, S3 33%).
-func Fig3a(cfg Fig3Config) (*Report, error) {
+func fig3a(cfg Config) (*Report, error) {
 	run, err := runFig3(cfg)
 	if err != nil {
 		return nil, err
@@ -199,15 +181,15 @@ func Fig3a(cfg Fig3Config) (*Report, error) {
 	r.addLine("%-6s %12s  (over %d jobs)", "type", "admissible", run.total)
 	for _, typ := range fig3Strategies {
 		share := float64(run.admissible[typ]) / float64(run.total)
-		r.addLine("%-6s %12s", typ, Ratio(share))
+		r.addLine("%-6s %12s", typ, ratio(share))
 		r.Values["admissible-"+typ.String()] = share
 	}
 	return r, nil
 }
 
-// Fig3b regenerates Fig. 3(b): where collisions between critical works
+// fig3b regenerates Fig. 3(b): where collisions between critical works
 // land — fast versus slow nodes (paper: S1 32/68, S2 56/44, S3 74/26).
-func Fig3b(cfg Fig3Config) (*Report, error) {
+func fig3b(cfg Config) (*Report, error) {
 	run, err := runFig3(cfg)
 	if err != nil {
 		return nil, err
@@ -217,10 +199,10 @@ func Fig3b(cfg Fig3Config) (*Report, error) {
 	for _, typ := range fig3Strategies {
 		c := run.collisions[typ]
 		r.addLine("%-6s %8s %8s %10d", typ,
-			Ratio(c.Share("fast")), Ratio(c.Share("slow")), c.Total())
-		r.Values["fast-"+typ.String()] = c.Share("fast")
-		r.Values["slow-"+typ.String()] = c.Share("slow")
-		r.Values["total-"+typ.String()] = float64(c.Total())
+			ratio(c.share("fast")), ratio(c.share("slow")), c.total())
+		r.Values["fast-"+typ.String()] = c.share("fast")
+		r.Values["slow-"+typ.String()] = c.share("slow")
+		r.Values["total-"+typ.String()] = float64(c.total())
 	}
 	return r, nil
 }

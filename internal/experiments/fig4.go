@@ -11,32 +11,8 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// Fig4Config parameterizes the coordinated job-flow study of Fig. 4: one
-// virtual organization run per strategy family over identical workload and
-// background-event streams.
-type Fig4Config struct {
-	Seed uint64
-	Jobs int
-
-	// Workers bounds the pool running the per-family VO cells; ≤ 0 means
-	// one worker per CPU, 1 forces the sequential path. Each cell owns its engine,
-	// environment and calendars, so any worker count produces byte-identical
-	// reports and traces.
-	Workers int
-	// Trace, when set, receives every cell's JSONL VO trace. Cells write
-	// into private buffers while running; the buffers are flushed to Trace
-	// in cell order after the pool drains, so the stream is identical at
-	// any worker count.
-	Trace io.Writer
-	// Telemetry, when non-nil, receives the whole hierarchy's runtime
-	// metrics (grid_metasched_*, grid_strategy_*, grid_criticalworks_*)
-	// from every cell. Observe-only: reports and traces stay byte-identical.
-	Telemetry *telemetry.Registry
-}
 
 // fig4Outcome aggregates one VO run.
 type fig4Outcome struct {
@@ -136,7 +112,7 @@ const (
 
 // runFig4Type runs the Fig. 4 flow under external load for one strategy
 // family. tracer may be nil.
-func runFig4Type(cfg Fig4Config, typ strategy.Type, tracer metasched.Tracer) (*fig4Outcome, error) {
+func runFig4Type(cfg Config, typ strategy.Type, tracer metasched.Tracer) (*fig4Outcome, error) {
 	vo, _, end, err := runFlow(cfg.Seed, cfg.Jobs, typ, metasched.Config{
 		ExternalMeanGap: fig4ExtMeanGap,
 		ExternalLead:    fig4ExtLead,
@@ -181,8 +157,11 @@ func runFig4Type(cfg Fig4Config, typ strategy.Type, tracer metasched.Tracer) (*f
 	return out, nil
 }
 
-// runFig4 executes one VO run per family, each an independent cell.
-func runFig4(cfg Fig4Config, types []strategy.Type) (map[strategy.Type]*fig4Outcome, error) {
+// runFig4 is the coordinated job-flow study of Fig. 4: one VO run per
+// family over identical workload and background-event streams, each an
+// independent cell, on the first fig4MaxJobs jobs at most.
+func runFig4(cfg Config, types []strategy.Type) (map[strategy.Type]*fig4Outcome, error) {
+	cfg.Jobs = min(cfg.Jobs, fig4MaxJobs)
 	outs, err := mapCells(cfg.Workers, len(types), cfg.Trace, func(i int, tracer metasched.Tracer) (*fig4Outcome, error) {
 		return runFig4Type(cfg, types[i], tracer)
 	})
@@ -196,10 +175,10 @@ func runFig4(cfg Fig4Config, types []strategy.Type) (map[strategy.Type]*fig4Outc
 	return out, nil
 }
 
-// Fig4a regenerates Fig. 4(a): average node load level per performance
+// fig4a regenerates Fig. 4(a): average node load level per performance
 // group under coordinated scheduling (paper: S2 balances the groups, S1
 // occupies the slow nodes, S3 the fastest ones).
-func Fig4a(cfg Fig4Config) (*Report, error) {
+func fig4a(cfg Config) (*Report, error) {
 	types := []strategy.Type{strategy.S1, strategy.S2, strategy.S3}
 	outs, err := runFig4(cfg, types)
 	if err != nil {
@@ -210,9 +189,9 @@ func Fig4a(cfg Fig4Config) (*Report, error) {
 	for _, typ := range types {
 		o := outs[typ]
 		r.addLine("%-6s %8s %8s %8s %10d %9d", typ,
-			Ratio(o.load[resource.GroupFast]),
-			Ratio(o.load[resource.GroupMedium]),
-			Ratio(o.load[resource.GroupSlow]),
+			ratio(o.load[resource.GroupFast]),
+			ratio(o.load[resource.GroupMedium]),
+			ratio(o.load[resource.GroupSlow]),
 			o.completed, o.rejected)
 		r.Values["fast-"+typ.String()] = o.load[resource.GroupFast]
 		r.Values["medium-"+typ.String()] = o.load[resource.GroupMedium]
@@ -225,10 +204,10 @@ func Fig4a(cfg Fig4Config) (*Report, error) {
 // fig4bcTypes are the families of Fig. 4(b,c).
 var fig4bcTypes = []strategy.Type{strategy.MS1, strategy.S2, strategy.S3}
 
-// Fig4b regenerates Fig. 4(b): relative job completion cost and relative
+// fig4b regenerates Fig. 4(b): relative job completion cost and relative
 // task execution time (paper: the lowest-cost strategies are the slowest
 // ones like S3; MS1's tasks run longer than S2's).
-func Fig4b(cfg Fig4Config) (*Report, error) {
+func fig4b(cfg Config) (*Report, error) {
 	outs, err := runFig4(cfg, fig4bcTypes)
 	if err != nil {
 		return nil, err
@@ -239,7 +218,7 @@ func Fig4b(cfg Fig4Config) (*Report, error) {
 		cost[typ.String()] = o.meanCF
 		task[typ.String()] = o.meanTask
 	}
-	relCost, relTask := Normalize(cost), Normalize(task)
+	relCost, relTask := normalize(cost), normalize(task)
 	r := newReport("fig4b", "relative job cost and task execution time (paper Fig. 4b: S3 cheapest and slowest)")
 	r.addLine("%-6s %10s %10s %12s %12s", "type", "rel-cost", "rel-task", "mean-CF", "mean-task")
 	for _, typ := range fig4bcTypes {
@@ -252,10 +231,10 @@ func Fig4b(cfg Fig4Config) (*Report, error) {
 	return r, nil
 }
 
-// Fig4c regenerates Fig. 4(c): relative strategy time-to-live and start
+// fig4c regenerates Fig. 4(c): relative strategy time-to-live and start
 // deviation ratio (paper: slow strategies like S3 are the most persistent;
 // fast accurate ones like S2 the least).
-func Fig4c(cfg Fig4Config) (*Report, error) {
+func fig4c(cfg Config) (*Report, error) {
 	outs, err := runFig4(cfg, fig4bcTypes)
 	if err != nil {
 		return nil, err
@@ -266,7 +245,7 @@ func Fig4c(cfg Fig4Config) (*Report, error) {
 		ttl[typ.String()] = o.meanTTL
 		dev[typ.String()] = o.meanDevRat
 	}
-	relTTL, relDev := Normalize(ttl), Normalize(dev)
+	relTTL, relDev := normalize(ttl), normalize(dev)
 	r := newReport("fig4c", "relative time-to-live and start deviation (paper Fig. 4c)")
 	r.addLine("%-6s %10s %10s %12s %14s %10s %9s", "type", "rel-ttl", "rel-dev", "mean-ttl", "mean-dev-ratio", "fallbacks", "reallocs")
 	for _, typ := range fig4bcTypes {

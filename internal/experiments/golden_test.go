@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -57,7 +59,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 
 // fig2TraceRun replays the §3 worked example through the full VO
 // hierarchy with a JSONL tracer attached and returns the trace bytes.
-// The deadline is relaxed to 24 as in Fig2, so the strategy holds more
+// The deadline is relaxed to 24 as in fig2, so the strategy holds more
 // than one admissible supporting schedule.
 func fig2TraceRun() ([]byte, error) {
 	var trace bytes.Buffer
@@ -97,7 +99,7 @@ func TestFig2Golden(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			runs, err := mapIndexed(workers, workers, func(int) (fig2Outputs, error) {
-				r, err := Fig2()
+				r, err := fig2(Config{})
 				if err != nil {
 					return fig2Outputs{}, err
 				}
@@ -129,7 +131,7 @@ const goldenJobs = 30
 // jobs. A moved cell fails its experiment's subtest at the first differing
 // line. Regenerate with -update after intentional changes.
 func TestExperimentGoldens(t *testing.T) {
-	cfg := DefaultAvailability(3, goldenJobs)
+	cfg := DefaultConfig(3, goldenJobs)
 	for _, e := range Experiments {
 		t.Run(e.ID, func(t *testing.T) {
 			r, err := e.Run(cfg)
@@ -142,6 +144,44 @@ func TestExperimentGoldens(t *testing.T) {
 			}
 			compareGolden(t, e.ID+"_report.golden", report.Bytes())
 			checkClaims(t, r)
+		})
+	}
+}
+
+// TestExperimentDigestsAtScale pins gridsim's whole stdout at two corpus
+// sizes the goldens' 30 jobs never reach: every row's report followed by a
+// newline, the way gridsim prints -exp all, hashed with MD5. At 1000 jobs
+// the fig4 and availability caps bind, so a cap that moved or fell off
+// changes the digest. The digests were recorded from gridsim's output.
+func TestExperimentDigestsAtScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("seconds of corpus runs; the race detector makes them minutes (CI's coverage job runs this without it)")
+	}
+	wide := DefaultConfig(1, 1000)
+	wide.Workers = 2
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"seed3-jobs200", DefaultConfig(3, 200), "5a624be1b7d909be4fd86e6697fac7a8"},
+		{"seed1-jobs1000-workers2", wide, "ec38f42ba074b3de9e799c31c03b0daa"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := md5.New()
+			for _, e := range Experiments {
+				r, err := e.Run(c.cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", e.ID, err)
+				}
+				if _, err := r.WriteTo(h); err != nil {
+					t.Fatal(err)
+				}
+				h.Write([]byte("\n"))
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+				t.Errorf("MD5 of every report = %s, want %s", got, c.want)
+			}
 		})
 	}
 }

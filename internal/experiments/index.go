@@ -1,54 +1,75 @@
 package experiments
 
+import (
+	"io"
+
+	"repro/internal/telemetry"
+)
+
+// Config is the one set of settings every experiment runs from: gridsim
+// builds it from its flags and hands it to each row of Experiments it runs.
+// An experiment reads the fields it needs and ignores the rest.
+type Config struct {
+	Seed uint64
+	// Jobs is the corpus size, which each experiment caps at its own scale;
+	// the paper's Fig. 3 used "more than 12000".
+	Jobs int
+	// Workers bounds the pool fanning independent units (a corpus's jobs, a
+	// sweep's VO cells) across goroutines; ≤ 0 means one worker per CPU.
+	// Every worker count produces byte-identical reports and traces.
+	Workers int
+	// Trace, when set, receives every VO cell's JSONL trace. Cells write
+	// into private buffers while running; the buffers are flushed to Trace
+	// in cell order after the pool drains.
+	Trace io.Writer
+	// Telemetry, when non-nil, receives the runtime metrics of every build
+	// and VO run. Observe-only: reports and traces stay byte-identical.
+	Telemetry *telemetry.Registry
+
+	// The availability sweep (E12). Levels are the steady-state node
+	// availabilities to sweep, from 1.0 (faults off) downward; MTTR is the
+	// mean outage duration, and each level's MTBF is MTTR·a/(1−a);
+	// TaskFailRate and MaxRetries tune the mid-run failure ladder.
+	Levels       []float64
+	MTTR         float64
+	TaskFailRate float64
+	MaxRetries   int
+}
+
+// DefaultConfig returns the calibrated settings for seed and a corpus of
+// jobs, one worker per CPU.
+func DefaultConfig(seed uint64, jobs int) Config {
+	return Config{
+		Seed:         seed,
+		Jobs:         jobs,
+		Levels:       []float64{1.0, 0.98, 0.95, 0.9, 0.8},
+		MTTR:         20,
+		TaskFailRate: 0.05,
+		MaxRetries:   2,
+	}
+}
+
 // Experiment is one row of gridsim's index: the -exp id, what the
-// experiment regenerates, and its run from the command line's settings.
+// experiment regenerates, and its run.
 type Experiment struct {
 	ID, About string
-	// Run takes the seed, the worker count and the registry from cfg and
-	// caps cfg.Jobs at the experiment's own scale; the availability sweep
-	// also takes cfg's fault settings.
-	Run func(cfg AvailabilityConfig) (*Report, error)
+	Run       func(Config) (*Report, error)
 }
 
 // Experiments is gridsim's index, in the order `-exp all` runs it.
 var Experiments = []Experiment{
-	{"fig2", "E1: the §3 worked example — critical works, distributions, collision", func(c AvailabilityConfig) (*Report, error) {
-		return Fig2Telemetry(c.Telemetry)
-	}},
-	{"fig3a", "E2: % admissible application-level schedules per strategy", func(c AvailabilityConfig) (*Report, error) {
-		return Fig3a(fig3Settings(c, c.Jobs))
-	}},
-	{"fig3b", "E3: collision split across fast/slow nodes", func(c AvailabilityConfig) (*Report, error) {
-		return Fig3b(fig3Settings(c, c.Jobs))
-	}},
-	{"fig4a", "E4: node load level by performance group under job flows", func(c AvailabilityConfig) (*Report, error) {
-		return Fig4a(fig4Settings(c))
-	}},
-	{"fig4b", "E5: relative job cost and task execution time", func(c AvailabilityConfig) (*Report, error) {
-		return Fig4b(fig4Settings(c))
-	}},
-	{"fig4c", "E6: strategy time-to-live and start deviation", func(c AvailabilityConfig) (*Report, error) {
-		return Fig4c(fig4Settings(c))
-	}},
-	{"policies", "E7: local batch policies (§5 claims)", func(c AvailabilityConfig) (*Report, error) {
-		return Policies(PoliciesConfig{Seed: c.Seed, Jobs: c.Jobs})
-	}},
-	{"ablation-collision", "E8: economic reallocation vs pinned-node delay", func(c AvailabilityConfig) (*Report, error) {
-		return AblationCollision(fig3Settings(c, min(c.Jobs, ablationMaxJobs)))
-	}},
-	{"ablation-levels", "E9: S1 vs MS1 generation expense and coverage", func(c AvailabilityConfig) (*Report, error) {
-		return AblationLevels(fig3Settings(c, min(c.Jobs, ablationMaxJobs)))
-	}},
-	{"comparison", "E10: critical works vs min-min/max-min/sufferage/OLB", func(c AvailabilityConfig) (*Report, error) {
-		return Comparison(fig3Settings(c, min(c.Jobs, ablationMaxJobs)))
-	}},
-	{"local-passing", "E11: advance reservations vs queued local passing", func(c AvailabilityConfig) (*Report, error) {
-		return LocalPassing(fig4Settings(c))
-	}},
-	{"availability", "E12: QoS-miss rate and TTL vs node availability (fault injection)", func(c AvailabilityConfig) (*Report, error) {
-		c.Jobs = min(c.Jobs, availabilityMaxJobs)
-		return Availability(c)
-	}},
+	{"fig2", "E1: the §3 worked example — critical works, distributions, collision", fig2},
+	{"fig3a", "E2: % admissible application-level schedules per strategy", fig3a},
+	{"fig3b", "E3: collision split across fast/slow nodes", fig3b},
+	{"fig4a", "E4: node load level by performance group under job flows", fig4a},
+	{"fig4b", "E5: relative job cost and task execution time", fig4b},
+	{"fig4c", "E6: strategy time-to-live and start deviation", fig4c},
+	{"policies", "E7: local batch policies (§5 claims)", policies},
+	{"ablation-collision", "E8: economic reallocation vs pinned-node delay", ablationCollision},
+	{"ablation-levels", "E9: S1 vs MS1 generation expense and coverage", ablationLevels},
+	{"comparison", "E10: critical works vs min-min/max-min/sufferage/OLB", comparison},
+	{"local-passing", "E11: advance reservations vs queued local passing", localPassing},
+	{"availability", "E12: QoS-miss rate and TTL vs node availability (fault injection)", availability},
 }
 
 // Each experiment caps the corpus at its own scale: a VO run is an order of
@@ -60,11 +81,3 @@ const (
 	ablationMaxJobs     = 2000
 	availabilityMaxJobs = 200
 )
-
-func fig3Settings(c AvailabilityConfig, jobs int) Fig3Config {
-	return Fig3Config{Seed: c.Seed, Jobs: jobs, Workers: c.Workers, Telemetry: c.Telemetry}
-}
-
-func fig4Settings(c AvailabilityConfig) Fig4Config {
-	return Fig4Config{Seed: c.Seed, Jobs: min(c.Jobs, fig4MaxJobs), Workers: c.Workers, Telemetry: c.Telemetry}
-}

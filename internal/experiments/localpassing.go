@@ -12,7 +12,7 @@ import (
 	"repro/internal/strategy"
 )
 
-// LocalPassing (E11) implements the simulation study the paper's §5 names
+// localPassing (E11) implements the simulation study the paper's §5 names
 // as future work: "Inseparability condition for the resources requires
 // additional advanced research and simulation approach of local job
 // passing", and "advance reservations have impact on the quality of
@@ -24,14 +24,15 @@ import (
 // planned node the moment its predecessors finish and its data arrives,
 // and waits like any local job. The comparison quantifies what the
 // reservation guarantee buys: the share of jobs still meeting their
-// deadline, and the lateness distribution.
-func LocalPassing(cfg Fig4Config) (*Report, error) {
+// deadline, and the lateness distribution. It replays the first fig4MaxJobs
+// jobs of the Fig. 4 flow at most.
+func localPassing(cfg Config) (*Report, error) {
 	r := newReport("local-passing",
 		"advance reservations vs queued local passing (§5 future work: reservations guarantee QoS)")
 
 	// Phase 1: the reservation-backed VO run (no background load, so the
 	// replay differences come from queueing alone).
-	vo, env, _, err := runFlow(cfg.Seed, cfg.Jobs, strategy.S1, metasched.Config{Telemetry: cfg.Telemetry})
+	vo, env, _, err := runFlow(cfg.Seed, min(cfg.Jobs, fig4MaxJobs), strategy.S1, metasched.Config{Telemetry: cfg.Telemetry})
 	if err != nil {
 		return nil, err
 	}
@@ -66,8 +67,8 @@ func LocalPassing(cfg Fig4Config) (*Report, error) {
 	queuedShare := float64(met) / float64(len(completed))
 
 	r.addLine("%-24s %14s %12s", "mode", "met-deadline", "mean-lateness")
-	r.addLine("%-24s %14s %12s", "advance-reservations", Ratio(reservedShare), "0.0")
-	r.addLine("%-24s %14s %12.1f", "queued-local-passing", Ratio(queuedShare), lateness.Mean())
+	r.addLine("%-24s %14s %12s", "advance-reservations", ratio(reservedShare), "0.0")
+	r.addLine("%-24s %14s %12.1f", "queued-local-passing", ratio(queuedShare), lateness.Mean())
 	r.addLine("(%d completed jobs replayed through per-node FCFS queues)", len(completed))
 	r.Values["met-reserved"] = reservedShare
 	r.Values["met-queued"] = queuedShare

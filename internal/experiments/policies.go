@@ -9,16 +9,10 @@ import (
 	"repro/internal/simtime"
 )
 
-// PoliciesConfig parameterizes the §5 local-queue study: the paper's
-// conclusions compare FCFS, LWF and backfilling, and observe that advance
-// reservations "nearly always increase queue waiting time" while
-// "backfilling decreases this time".
-type PoliciesConfig struct {
-	Seed uint64
-	Jobs int
-}
-
-// The study's cluster and request stream: policyNodes nodes; requests every
+// The §5 local-queue study: the paper's conclusions compare FCFS, LWF and
+// backfilling, and observe that advance reservations "nearly always increase
+// queue waiting time" while "backfilling decreases this time". The study's
+// cluster and request stream: policyNodes nodes; requests every
 // policyMeanGap ticks on average, each for up to policyMaxNodes nodes with a
 // walltime in policyWallLo–Hi and a runtime of policyRunLo–Hi of it. In the
 // +reservations scenario policyReservedShare of the requests book their
@@ -41,7 +35,7 @@ type policyArrival struct {
 	at  simtime.Time
 }
 
-func policyStream(cfg PoliciesConfig) []policyArrival {
+func policyStream(cfg Config) []policyArrival {
 	r := rng.New(cfg.Seed).Split(0x90)
 	out := make([]policyArrival, cfg.Jobs)
 	t := 0.0
@@ -73,7 +67,7 @@ type policyStats struct {
 	killed                     int
 }
 
-func runPolicy(cfg PoliciesConfig, mk func(e *sim.Engine) batch.System, reservedShare float64) policyStats {
+func runPolicy(cfg Config, mk func(e *sim.Engine) batch.System, reservedShare float64) policyStats {
 	e := sim.New()
 	sys := mk(e)
 	rr := rng.New(cfg.Seed).Split(0x91)
@@ -113,10 +107,10 @@ func runPolicy(cfg PoliciesConfig, mk func(e *sim.Engine) batch.System, reserved
 	return st
 }
 
-// Policies regenerates the §5 local-policy comparison (E7): queue waiting
+// policies regenerates the §5 local-policy comparison (E7): queue waiting
 // time and start-forecast error per policy, the backfilling gain, and the
 // advance-reservation penalty.
-func Policies(cfg PoliciesConfig) (*Report, error) {
+func policies(cfg Config) (*Report, error) {
 	if err := checkJobs(cfg.Jobs); err != nil {
 		return nil, err
 	}

@@ -51,9 +51,9 @@ func (e *panicError) Error() string {
 // a *panicError. After the first failure no new unit starts; the units in
 // flight finish, and the error of the lowest-indexed failed unit is returned
 // without results. Unit 0 is always dispatched before a failure can be seen,
-// so a run in which every unit fails reports unit 0's error at any width.
-// With one worker the units run in index order on the calling goroutine and
-// the first error ends the loop.
+// so a run in which every unit fails reports unit 0's error at any width;
+// a pool of one worker runs the units in index order and stops at the first
+// error.
 func mapIndexed[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -69,15 +69,6 @@ func mapIndexed[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return err
 	}
 	workers = poolWidth(workers, n)
-	if workers == 1 {
-		for i := range n {
-			if err := unit(i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool

@@ -65,19 +65,18 @@ func (s *Series) Percentile(p float64) float64 {
 	return sorted[rank-1]
 }
 
-// Counter tallies occurrences per string label.
-type Counter struct {
+// counter tallies occurrences per string label.
+type counter struct {
 	counts map[string]int
 }
 
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int)} }
+func newCounter() *counter { return &counter{counts: make(map[string]int)} }
 
-// Inc adds n to the label's tally.
-func (c *Counter) Inc(label string, n int) { c.counts[label] += n }
+// inc adds n to the label's tally.
+func (c *counter) inc(label string, n int) { c.counts[label] += n }
 
-// Total returns the sum across labels.
-func (c *Counter) Total() int {
+// total returns the sum across labels.
+func (c *counter) total() int {
 	t := 0
 	for _, n := range c.counts {
 		t += n
@@ -85,19 +84,19 @@ func (c *Counter) Total() int {
 	return t
 }
 
-// Share returns the label's fraction of the total, or 0 when empty.
-func (c *Counter) Share(label string) float64 {
-	t := c.Total()
+// share returns the label's fraction of the total, or 0 when empty.
+func (c *counter) share(label string) float64 {
+	t := c.total()
 	if t == 0 {
 		return 0
 	}
 	return float64(c.counts[label]) / float64(t)
 }
 
-// Normalize scales the values so the maximum becomes 1 — the paper's
+// normalize scales the values so the maximum becomes 1 — the paper's
 // "relative" presentation in Fig. 4(b,c). An all-zero input is returned
 // unchanged.
-func Normalize(values map[string]float64) map[string]float64 {
+func normalize(values map[string]float64) map[string]float64 {
 	var max float64
 	for _, v := range values {
 		if v > max {
@@ -115,5 +114,5 @@ func Normalize(values map[string]float64) map[string]float64 {
 	return out
 }
 
-// Ratio formats a fraction as a percentage with one decimal.
-func Ratio(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
+// ratio formats a fraction as a percentage with one decimal.
+func ratio(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

@@ -54,41 +54,41 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("fast", 32)
-	c.Inc("slow", 68)
-	if c.Total() != 100 {
-		t.Errorf("Total = %d", c.Total())
+	c := newCounter()
+	c.inc("fast", 32)
+	c.inc("slow", 68)
+	if c.total() != 100 {
+		t.Errorf("total = %d", c.total())
 	}
-	if c.Share("fast") != 0.32 {
-		t.Errorf("Share(fast) = %v", c.Share("fast"))
+	if c.share("fast") != 0.32 {
+		t.Errorf("share(fast) = %v", c.share("fast"))
 	}
-	if c.Share("missing") != 0 {
+	if c.share("missing") != 0 {
 		t.Error("missing label has a share")
 	}
 }
 
 func TestCounterEmptyShare(t *testing.T) {
-	if NewCounter().Share("x") != 0 {
+	if newCounter().share("x") != 0 {
 		t.Error("empty counter share not 0")
 	}
 }
 
 func TestNormalize(t *testing.T) {
 	in := map[string]float64{"S2": 10, "S3": 5, "MS1": 8}
-	out := Normalize(in)
+	out := normalize(in)
 	if out["S2"] != 1 || out["S3"] != 0.5 || out["MS1"] != 0.8 {
-		t.Errorf("Normalize = %v", out)
+		t.Errorf("normalize = %v", out)
 	}
-	zero := Normalize(map[string]float64{"a": 0, "b": 0})
+	zero := normalize(map[string]float64{"a": 0, "b": 0})
 	if zero["a"] != 0 || zero["b"] != 0 {
-		t.Errorf("all-zero Normalize = %v", zero)
+		t.Errorf("all-zero normalize = %v", zero)
 	}
 }
 
 func TestRatio(t *testing.T) {
-	if got := Ratio(0.38); got != "38.0%" {
-		t.Errorf("Ratio = %q", got)
+	if got := ratio(0.38); got != "38.0%" {
+		t.Errorf("ratio = %q", got)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestQuickPercentileMonotone(t *testing.T) {
 func TestQuickNormalizeMaxIsOne(t *testing.T) {
 	f := func(a, b, c uint16) bool {
 		in := map[string]float64{"a": float64(a), "b": float64(b), "c": float64(c)}
-		out := Normalize(in)
+		out := normalize(in)
 		var max float64
 		for _, v := range out {
 			if v < 0 || v > 1 {

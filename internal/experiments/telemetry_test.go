@@ -23,20 +23,20 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		run  func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome
 	}{
 		{"fig2", func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
-			r, err := Fig2Telemetry(reg)
+			r, err := fig2(Config{Telemetry: reg})
 			return capture(t, r, err, nil)
 		}},
 		{"fig3a", func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
-			cfg := Fig3Config{Seed: 3, Jobs: 40, Workers: workers, Telemetry: reg}
-			r, err := Fig3a(cfg)
+			cfg := Config{Seed: 3, Jobs: 40, Workers: workers, Telemetry: reg}
+			r, err := fig3a(cfg)
 			return capture(t, r, err, nil)
 		}},
 		{"ablation-levels", gridsimRow("ablation-levels")},
 		{"comparison", gridsimRow("comparison")},
 		{"fig4", func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
 			var trace bytes.Buffer
-			cfg := Fig4Config{Seed: 3, Jobs: 25, Workers: workers, Telemetry: reg, Trace: &trace}
-			r, err := Fig4a(cfg)
+			cfg := Config{Seed: 3, Jobs: 25, Workers: workers, Telemetry: reg, Trace: &trace}
+			r, err := fig4a(cfg)
 			return capture(t, r, err, &trace)
 		}},
 	}
@@ -80,7 +80,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 // handed in the way gridsim's -telemetry hands it.
 func gridsimRow(id string) func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
 	return func(t *testing.T, workers int, reg *telemetry.Registry) diffOutcome {
-		cfg := DefaultAvailability(3, 20)
+		cfg := DefaultConfig(3, 20)
 		cfg.Workers, cfg.Telemetry = workers, reg
 		for _, e := range Experiments {
 			if e.ID == id {
@@ -100,8 +100,8 @@ func gridsimRow(id string) func(t *testing.T, workers int, reg *telemetry.Regist
 func TestTelemetryRegistryIndependentOfWorkers(t *testing.T) {
 	countersAt := func(workers int) map[string]uint64 {
 		reg := telemetry.NewRegistry()
-		cfg := Fig3Config{Seed: 2, Jobs: 30, Workers: workers, Telemetry: reg}
-		if _, err := Fig3a(cfg); err != nil {
+		cfg := Config{Seed: 2, Jobs: 30, Workers: workers, Telemetry: reg}
+		if _, err := fig3a(cfg); err != nil {
 			t.Fatal(err)
 		}
 		got := map[string]uint64{}

@@ -212,6 +212,7 @@ type Journal struct {
 	syncg sync.WaitGroup
 
 	appends, fsyncs, rotations, compactions *telemetry.Counter
+	rotateFailures, compactFailures         *telemetry.Counter
 }
 
 // Open recovers the journal directory (truncating a torn tail) and opens
@@ -249,6 +250,10 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		fsyncs:      reg.Counter("grid_journal_fsyncs_total", "journal fsync calls"),
 		rotations:   reg.Counter("grid_journal_rotations_total", "journal segment rotations"),
 		compactions: reg.Counter("grid_journal_compactions_total", "journal compactions"),
+		rotateFailures: reg.Counter("grid_journal_failures_total", "journal rotations and compactions that failed",
+			telemetry.L("op", "rotate")),
+		compactFailures: reg.Counter("grid_journal_failures_total", "journal rotations and compactions that failed",
+			telemetry.L("op", "compact")),
 	}
 	for _, js := range rec.Jobs {
 		cp := *js
@@ -347,9 +352,12 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 	}
 	// The record is written (and synced, under FsyncAlways). A rotation or
 	// compaction that fails leaves the journal appending to its active
-	// segment, and a later append tries again, so neither fails this one.
+	// segment, and a later append tries again, so neither fails this one;
+	// grid_journal_failures_total counts each.
 	if j.segBytes >= j.opts.segmentBytes() {
-		_ = j.rotateLocked()
+		if err := j.rotateLocked(); err != nil {
+			j.rotateFailures.Inc()
+		}
 	}
 	if n := j.opts.CompactEvery; becameTerminal && n > 0 && j.terminalSince >= max(n, len(j.order)/2) {
 		_ = j.compactLocked()
@@ -406,7 +414,14 @@ func (j *Journal) Compact() error {
 	return j.compactLocked()
 }
 
-func (j *Journal) compactLocked() error {
+// compactLocked is Compact under j.mu. A failure counts in
+// grid_journal_failures_total{op="compact"}.
+func (j *Journal) compactLocked() (err error) {
+	defer func() {
+		if err != nil {
+			j.compactFailures.Inc()
+		}
+	}()
 	// Sync the active segment, then write the snapshot with the segment
 	// still open: every record on disk is covered by the snapshot, and a
 	// snapshot that cannot be written leaves the journal appending where it

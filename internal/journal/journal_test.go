@@ -211,6 +211,8 @@ func TestAutoCompaction(t *testing.T) {
 // synced; Compact reports the failure; the next terminal append compacts
 // once the snapshot can be written. A compaction that closed the segment
 // before it wrote the snapshot failed that append and every later one.
+// Both failures count in grid_journal_failures_total{op="compact"}, the
+// one series that shows a snapshot failing while the segment grows.
 func TestFailedCompactionKeepsAppending(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
@@ -231,6 +233,12 @@ func TestFailedCompactionKeepsAppending(t *testing.T) {
 	if n := compactions.Value(); n != 0 {
 		t.Fatalf("compactions after two failures: %d", n)
 	}
+	failures := func(op string) uint64 {
+		return reg.Counter("grid_journal_failures_total", "", telemetry.L("op", op)).Value()
+	}
+	if c, r := failures("compact"), failures("rotate"); c != 2 || r != 0 {
+		t.Fatalf("failures after two failed compactions: compact %d, rotate %d; want 2, 0", c, r)
+	}
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +256,36 @@ func TestFailedCompactionKeepsAppending(t *testing.T) {
 	}
 	if rec.SnapshotLSN != 4 || rec.LastLSN != 5 || len(rec.Jobs) != 3 {
 		t.Fatalf("recovery: snapshot %d, last LSN %d, %d jobs; want 4, 5, 3", rec.SnapshotLSN, rec.LastLSN, len(rec.Jobs))
+	}
+}
+
+// TestFailedRotationKeepsAppending: a segment that cannot be opened leaves
+// the journal appending to the one it had open, the next append rotates, and
+// the failure counts in grid_journal_failures_total{op="rotate"}.
+func TestFailedRotationKeepsAppending(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	j, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 1, Telemetry: reg}) // rotate after every append
+	// A directory where the first append's rotation opens its segment.
+	blocker := segmentPath(dir, 2)
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, Record{Job: "a", State: "queued", Wire: testWire("a")})
+	mustAppend(t, j, Record{Job: "b", State: "queued", Wire: testWire("b")})
+	rotations := reg.Counter("grid_journal_rotations_total", "").Value()
+	failures := reg.Counter("grid_journal_failures_total", "", telemetry.L("op", "rotate")).Value()
+	if rotations != 1 || failures != 1 {
+		t.Fatalf("rotations %d, rotate failures %d; want 1, 1", rotations, failures)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := Recover(dir); err != nil || rec.LastLSN != 2 || len(rec.Jobs) != 2 {
+		t.Fatalf("recovery: %+v, %v; want last LSN 2, 2 jobs", rec, err)
 	}
 }
 

@@ -71,11 +71,7 @@ var reachAllow = map[string]keptAPI{
 		"observes the events an activation scheduled, or that a refused one scheduled none"},
 	"internal/experiments.Report.Value": {"seam", []string{"TestFig2ReproducesPaperStructure"},
 		"reads one named cell of a report, failing on a typo"},
-	"internal/experiments.Fig2": {"seam", []string{"TestFig2Golden", "TestParallelMatchesSequential"},
-		"the Fig. 2 report without a registry; gridsim runs Fig2Telemetry"},
-	"internal/experiments.AvailabilityConfig.Trace": {"seam", []string{"TestParallelMatchesSequential", "TestTelemetryDoesNotPerturbResults"},
-		"captures each cell's VO event stream to compare runs"},
-	"internal/experiments.Fig4Config.Trace": {"seam", []string{"TestParallelMatchesSequential", "TestTelemetryDoesNotPerturbResults"},
+	"internal/experiments.Config.Trace": {"seam", []string{"TestParallelMatchesSequential", "TestTelemetryDoesNotPerturbResults"},
 		"captures each cell's VO event stream to compare runs"},
 	"internal/dag.Job.TaskByName": {"seam", []string{"TestSourcesSinks", "TestCoarsenMixed", "TestMinMinPicksShortTaskFirst"},
 		"finds a task's ID by the name a test built it under"},
