@@ -70,6 +70,6 @@ func main() {
 		actual := sched2.Placements[c.Task]
 		fmt.Printf("  %s wanted %v on %s (held by %s); resolved to %s %v\n",
 			job.Task(c.Task).Name, c.Window, constrained.Node(c.Node).Name,
-			c.Holder.Task, constrained.Node(actual.Node).Name, actual.Window)
+			job.Task(c.Holder).Name, constrained.Node(actual.Node).Name, actual.Window)
 	}
 }

@@ -28,7 +28,9 @@ import (
 // book). The DP and the collision scan of every later critical work are
 // therefore answered by Calendar.FirstFree and Calendar.ConflictWith on a
 // materialised merged book alone, which is what builder.firstFree and
-// builder.conflictWith claim to compute without building it. The replica
+// builder.holder claim to compute without building it; the book names a
+// collision's holder by its owner, which refHolder maps back to the
+// attempt's task or NoHolder. The replica
 // sets get the same treatment: every margin keeps a string-keyed
 // data.Catalog of its own, commits to it what commitPlaced commits, and after
 // every critical work the arena's dense rows must list exactly the
@@ -68,12 +70,12 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 			}
 			return sched, mi, cat, nil
 		}
-		var inf *InfeasibleError
-		if !errors.As(err, &inf) {
+		if err != errInfeasible {
 			return nil, -1, nil, err
 		}
 		if firstPartial == nil {
-			firstPartial, firstErr = refPartial(b), err
+			firstPartial = refPartial(b)
+			firstErr = &InfeasibleError{Job: opt.JobName, Task: job.Task(b.failed).Name}
 		}
 	}
 	firstPartial.Evaluations = evals
@@ -115,7 +117,16 @@ func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Cal
 	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
 		chain, _ := b.job.LongestChain(dag.WeightFunc{}, unplaced)
-		if err := place(b, chain); err != nil {
+		// The chain's collisions name their holders as the reference sees
+		// them: placeChain, asked on the materialised book with the overlay
+		// off, would call every earlier chain's placement NoHolder.
+		k := len(b.colls)
+		err := place(b, chain)
+		for i := range b.colls[k:] {
+			c := &b.colls[k+i]
+			c.Holder, _ = refHolder(b, c.Node, c.Window)
+		}
+		if err != nil {
 			return nil, err
 		}
 		for _, id := range chain.Tasks {
@@ -169,8 +180,7 @@ func sameReplicas(sc *scratch, opt Options, cat *data.Catalog) error {
 		}
 		for n := range sc.ownHead { // one entry per node
 			to := resource.NodeID(n)
-			e := dag.Edge{From: t, BaseTime: 7}
-			if got, want := b.transferTime(e, 0, to), cat.TransferTime(opt.JobName, name, 7, 0, to); got != want {
+			if got, want := b.opt.Data.TransferTime(7, 0, to, b.held(t, to)), cat.TransferTime(opt.JobName, name, 7, 0, to); got != want {
 				return fmt.Errorf("task %s → node %d: the arena prices the transfer at %d, the catalog at %d", name, n, got, want)
 			}
 		}
@@ -468,37 +478,48 @@ func denseFixture(deadline simtime.Time) (*resource.Environment, Calendars, *dag
 	return layeredFixture(5, 2, 24, deadline)
 }
 
-// denseRegimes are the deadlines that put denseFixture's job in each of the
-// three regimes the service lives in: a plan found at margin 1; a job the
-// admissibility bound refuses before the ladder (the critical path alone,
-// 19 ticks, overruns the deadline); and a job the bound must let through —
+// denseRegimes are the deadlines and options that put denseFixture's job in
+// each of the regimes the service lives in: a plan found at margin 1; a job
+// the admissibility bound refuses before the ladder (the critical path
+// alone, 19 ticks, overruns the deadline); a job the bound must let through —
 // its first chain fits the deadline on empty calendars — that no margin can
 // place in the dense books (margin 1's DP finds no placement for the first
-// critical work, and the DP cut spares the other four attempts). budget is
-// TestBuildAllocationBudget's.
+// critical work, and the DP cut spares the other four attempts); a plan found
+// at margin 1.5 after margin 1 placed the first critical work and failed a
+// later one (static storage prices every transfer through node 0); and, under
+// the delay baseline, a job whose margins 1 and 1.5 each place the first
+// critical work and fail a later one, and whose later margins fail the first,
+// so all five attempts run. budget is TestBuildAllocationBudget's, which
+// builds with opt; the other tests that walk the regimes take the deadline
+// alone, with options of their own.
 var denseRegimes = []struct {
 	name     string
 	deadline simtime.Time
+	opt      Options
 	feasible bool
 	hopeless bool
 	budget   float64
 }{
-	{"feasible", 400, true, false, 4},
-	{"refused", 12, false, true, 2},
-	{"ladder-infeasible", 22, false, false, 2},
+	{"feasible", 400, Options{}, true, false, 4},
+	{"refused", 12, Options{}, false, true, 2},
+	{"ladder-infeasible", 22, Options{}, false, false, 2},
+	{"margin-1.5", 40, Options{Data: data.Model{Policy: data.StaticStorage}}, true, false, 4},
+	{"ladder-placed", 50, Options{Mode: ResolveDelay}, false, false, 2},
 }
 
 // TestBuildAllocationBudget pins what one Build allocates on the dense
-// fixture in the three regimes of denseRegimes, with every option defaulted.
-// A build allocates only what it returns — a success its Schedule, its
-// Placements (one slice) and its Collisions at their exact length, a failure
-// its error alone (one per failed attempt) — plus the candidates normalize
-// defaults; the estimate table is a view of the job, and its working memory,
-// replica sets and collisions-so-far included, is a pooled arena
+// fixture in the regimes of denseRegimes. A build allocates only what it
+// returns — a success its Schedule, its Placements (one slice) and its
+// Collisions at their exact length, a failure its one error — plus the
+// candidates normalize defaults: a failed attempt allocates nothing, so the
+// two builds whose ladder runs past a failed attempt read what a build
+// without one reads. The estimate table is a view of the job, and its working
+// memory, replica sets and collisions-so-far included, is a pooled arena
 // (TestBuildAllocsFig2 pins the count exactly, with nothing defaulted). The
 // budgets are the readings. Under -race sync.Pool drops a quarter of the Puts
 // on purpose and the next build makes a new arena, so the pin skips there and
-// runs in CI's step without it. With a failed build returning a partial
+// runs in CI's step without it. With an error made by every failed attempt
+// the last two read 5 and 6. With a failed build returning a partial
 // Schedule beside its error the two failures read 3 and 3. With a
 // two-allocation estimate table made per build, and the errors.As target
 // that tested each failed attempt's error escaping to the heap, the three
@@ -515,7 +536,8 @@ var denseRegimes = []struct {
 // the first two read 99 and 110; the clone-per-margin build with allocating
 // edge walks before that, 4942 and 977. A breach means a build has started
 // making working memory again instead of borrowing it, an attempt copies
-// state it only reads, or the DP's inner loop or its phases allocate.
+// state it only reads or makes an error it drops, or the DP's inner loop or
+// its phases allocate.
 func TestBuildAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
@@ -524,7 +546,7 @@ func TestBuildAllocationBudget(t *testing.T) {
 		env, cals, job := denseFixture(tc.deadline)
 		var err error
 		allocs := testing.AllocsPerRun(100, func() {
-			_, err = Build(env, cals, job, Options{})
+			_, err = Build(env, cals, job, tc.opt)
 		})
 		var inf *InfeasibleError
 		if (err == nil) != tc.feasible || (errors.As(err, &inf) && inf.Hopeless) != tc.hopeless {
@@ -555,7 +577,7 @@ func copySchedule(s *Schedule) *Schedule {
 // reference's partial schedule says so), so the error counts the
 // collisions the margin-1 attempt recorded in the arena — and deep-copy
 // what came back. Then build a larger job on a larger environment and a
-// smaller one on a smaller, in all three regimes, on the same goroutine —
+// smaller one on a smaller, in every regime, on the same goroutine —
 // which takes the arena A's build returned, grows it and overwrites it. A's
 // result, its collisions copied or counted out of that arena, still equals
 // the copy.
@@ -650,9 +672,10 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 }
 
 // TestReleasedArenaHoldsNothing: a pooled arena outlives the engine event
-// its build ran in, so it must come back holding no job, with the builder no
-// view (live *resource.Calendars), options or context, and no edge's or
-// collision holder's name.
+// its build ran in, so it must come back holding no job, and with the builder
+// no view (live *resource.Calendars), options or context. The rest of the
+// arena is integers — the graph as the build reads it, and collisions, which
+// hold no pointer (TestCollisionHoldsNoPointers) — so it names nothing.
 // The arena taken right after a build is the one that build returned —
 // sync.Pool hands a goroutine its own last Put first — except that under
 // -race a quarter of the Puts are dropped; the test retries until it has
@@ -675,16 +698,6 @@ func TestReleasedArenaHoldsNothing(t *testing.T) {
 		}
 		if !reflect.ValueOf(sc.bld).IsZero() {
 			t.Errorf("%s: a released arena still holds its builder: %+v", tc.name, sc.bld)
-		}
-		for _, e := range sc.adj[:cap(sc.adj)] {
-			if e != (dag.Edge{}) {
-				t.Errorf("%s: a released arena still holds edge %+v", tc.name, e)
-			}
-		}
-		for _, c := range sc.colls[:cap(sc.colls)] {
-			if c != (Collision{}) {
-				t.Errorf("%s: a released arena still holds collision %+v", tc.name, c)
-			}
 		}
 	}
 	if used < 9 {

@@ -44,12 +44,21 @@ type Placement struct {
 // Collision records one resource conflict between critical works: the task
 // wanted Window on Node (its ideal placement) but the slot was already held
 // by Holder. Resolution is whatever placement the task actually received.
+// Holder is the task of the same job whose placement in this build held the
+// slot, or NoHolder when a reservation already in the view did: external
+// load, another job, or this job's reservation from an earlier plan. A
+// Collision holds no pointer, so the garbage collector never scans a
+// schedule's collisions.
 type Collision struct {
 	Task   dag.TaskID
 	Node   resource.NodeID
 	Window simtime.Interval
-	Holder resource.Owner
+	Holder dag.TaskID
 }
+
+// NoHolder is the Holder of a collision with a reservation in the view the
+// build read rather than with one of the build's own placements.
+const NoHolder dag.TaskID = -1
 
 // Schedule is the paper's Distribution: a complete coordinated allocation
 // of all tasks of one job, Placements[id] binding task id. Only a build that
@@ -248,6 +257,12 @@ func (e *InfeasibleError) Error() string {
 // ErrNoCandidates reports an empty candidate node set.
 var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 
+// errInfeasible is a margin attempt's failure to place a critical work, with
+// the chain's first task left in builder.failed. It never leaves the build:
+// run turns the ladder's failure into the build's one InfeasibleError, so an
+// attempt that fails allocates nothing.
+var errInfeasible = errors.New("criticalworks: no feasible placement")
+
 // scratch is a build's working memory: everything a build makes and its
 // result does not keep — the bounds, the chain searches, the DP table, the
 // attempt's placements with their per-node overlay, its replica sets and the
@@ -261,7 +276,14 @@ var ErrNoCandidates = errors.New("criticalworks: no candidate nodes")
 // on parallel workers), so the arena comes from a pool rather than a caller.
 type scratch struct {
 	job *dag.Job
-	adj []dag.Edge // edges of the one task an edge walk is visiting
+
+	// The job's graph as the build's loops read it, filled once by reset:
+	// each task's base time, each edge's ends and base time, and each task's
+	// incoming and outgoing edges as edge indices in the job's order — task
+	// t's at inIdx[inOff[t]:inOff[t+1]] and outIdx[outOff[t]:outOff[t+1]].
+	taskBase, edgeBase           []simtime.Time
+	edgeFrom, edgeTo             []dag.TaskID
+	inOff, outOff, inIdx, outIdx []int32
 
 	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
 	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
@@ -310,12 +332,13 @@ func takeScratch(job *dag.Job, nodes int) *scratch {
 	return sc
 }
 
-// reset points the arena at job and grows what is too small for it. What the
-// slices hold is whatever the last build left: every one is cleared or
-// overwritten before it is read (attempt, computeBounds, runDP, reserve);
-// the DP's own buffers are grown where they are filled.
+// reset points the arena at job, grows what is too small for it and reads
+// the job's graph into it. What the other slices hold is whatever the last
+// build left: every one is cleared or overwritten before it is read
+// (attempt, computeBounds, runDP, reserve); the DP's own buffers are grown
+// where they are filled.
 func (sc *scratch) reset(job *dag.Job, nodes int) {
-	n := job.NumTasks()
+	n, m := job.NumTasks(), job.NumEdges()
 	sc.job = job
 	sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
 	sc.placed = grow(sc.placed, n)
@@ -324,16 +347,51 @@ func (sc *scratch) reset(job *dag.Job, nodes int) {
 	sc.words = (nodes + 63) / 64
 	sc.replica = grow(sc.replica, n*sc.words)
 	sc.colls = grow(sc.colls, n)
+
+	sc.taskBase = grow(sc.taskBase, n)
+	for t := range sc.taskBase {
+		sc.taskBase[t] = job.Task(dag.TaskID(t)).BaseTime
+	}
+	sc.edgeBase, sc.edgeFrom, sc.edgeTo = grow(sc.edgeBase, m), grow(sc.edgeFrom, m), grow(sc.edgeTo, m)
+	sc.inOff, sc.outOff = grow(sc.inOff, n+1), grow(sc.outOff, n+1)
+	clear(sc.inOff)
+	clear(sc.outOff)
+	for i := range m {
+		e := job.EdgeAt(i)
+		sc.edgeBase[i], sc.edgeFrom[i], sc.edgeTo[i] = e.BaseTime, e.From, e.To
+		sc.inOff[e.To+1]++
+		sc.outOff[e.From+1]++
+	}
+	for t := range n {
+		sc.inOff[t+1] += sc.inOff[t]
+		sc.outOff[t+1] += sc.outOff[t]
+	}
+	// Fill each run in edge order, the job's own, with the run's start as a
+	// cursor, then shift the cursors back to the starts.
+	sc.inIdx, sc.outIdx = grow(sc.inIdx, m), grow(sc.outIdx, m)
+	for i := range m {
+		to, from := sc.edgeTo[i], sc.edgeFrom[i]
+		sc.inIdx[sc.inOff[to]], sc.outIdx[sc.outOff[from]] = int32(i), int32(i)
+		sc.inOff[to]++
+		sc.outOff[from]++
+	}
+	copy(sc.inOff[1:], sc.inOff[:n])
+	copy(sc.outOff[1:], sc.outOff[:n])
+	sc.inOff[0], sc.outOff[0] = 0, 0
 }
+
+// inEdges and outEdges return task t's incoming and outgoing edges as edge
+// indices, in the job's order.
+func (sc *scratch) inEdges(t dag.TaskID) []int32  { return sc.inIdx[sc.inOff[t]:sc.inOff[t+1]] }
+func (sc *scratch) outEdges(t dag.TaskID) []int32 { return sc.outIdx[sc.outOff[t]:sc.outOff[t+1]] }
 
 // release returns the arena holding nothing of the build it served: no job,
 // and with the builder no view, options or context — a pooled arena outlives
-// the engine event, and a view's calendars must not (liveBooks).
+// the engine event, and a view's calendars must not (liveBooks). Nothing else
+// in the arena holds a pointer.
 func (sc *scratch) release() {
 	sc.job = nil
 	sc.bld = builder{}
-	clear(sc.adj[:cap(sc.adj)])     // the edges' names
-	clear(sc.colls[:cap(sc.colls)]) // the holders' names
 	scratchPool.Put(sc)
 }
 
@@ -347,7 +405,7 @@ func grow[T any](s []T, n int) []T {
 
 // builder carries one Build attempt's state. The attempt is a what-if over
 // the caller's view: it reads the view's books and writes nothing but its
-// own placements, which firstFree, conflictWith and reserve overlay on the
+// own placements, which firstFree, holder and reserve overlay on the
 // book they query. A failed attempt is simply dropped.
 type builder struct {
 	env    *resource.Environment
@@ -357,6 +415,7 @@ type builder struct {
 
 	nPlaced int // tasks placed
 	evals   int64
+	failed  dag.TaskID // the first task of the chain placeChain failed at
 
 	// span is the enclosing margin attempt's span ID; 0 when tracing is
 	// off (per-chain and per-DP-phase spans hang under it).
@@ -430,15 +489,15 @@ func (b *builder) firstFree(n resource.NodeID, base *resource.Calendar, earliest
 	}
 }
 
-// conflictWith is Calendar.ConflictWith on the merged book: the
-// earlier-starting of the base book's first overlap with iv and the
-// attempt's own, the latter under the owner a real Reserve would carry.
-func (b *builder) conflictWith(n resource.NodeID, iv simtime.Interval) (resource.Reservation, bool) {
+// holder is Calendar.ConflictWith on the merged book, as a Collision names
+// what it found: the earlier-starting of the base book's first overlap with
+// iv, NoHolder, and the attempt's own, its task.
+func (b *builder) holder(n resource.NodeID, iv simtime.Interval) (dag.TaskID, bool) {
 	res, busy := b.base[n].ConflictWith(iv)
 	if p, hit := b.ownOverlap(n, iv); hit && (!busy || p.Window.Start < res.Interval.Start) {
-		return resource.Reservation{Interval: p.Window, Owner: b.owner(p.Task)}, true
+		return p.Task, true
 	}
-	return res, busy
+	return NoHolder, busy
 }
 
 // owner labels the attempt's reservation for a task.
@@ -452,7 +511,11 @@ func (b *builder) reserve(p Placement) error {
 	if p.Window.Empty() {
 		return fmt.Errorf("%w: %v", resource.ErrEmptyInterval, p.Window)
 	}
-	if existing, busy := b.conflictWith(p.Node, p.Window); busy {
+	if h, busy := b.holder(p.Node, p.Window); busy {
+		existing, _ := b.base[p.Node].ConflictWith(p.Window)
+		if h != NoHolder {
+			existing = resource.Reservation{Interval: b.placed[h].Window, Owner: b.owner(h)}
+		}
 		return &resource.ErrConflict{Wanted: p.Window, Existing: existing}
 	}
 	b.ownNext[p.Task], b.ownHead[p.Node] = b.ownHead[p.Node], int32(p.Task)+1
@@ -488,12 +551,11 @@ func (b *builder) commit(producer dag.TaskID, from, to resource.NodeID) {
 // commitPlaced commits the data placement of every edge whose two ends are
 // placed, so later critical works of this job see the replicas.
 func (b *builder) commitPlaced() {
-	for i, m := 0, b.job.NumEdges(); i < m; i++ {
-		e := b.job.EdgeAt(i)
-		from, okF := b.placement(e.From)
-		to, okT := b.placement(e.To)
+	for i, src := range b.edgeFrom {
+		from, okF := b.placement(src)
+		to, okT := b.placement(b.edgeTo[i])
 		if okF && okT {
-			b.commit(e.From, from.Node, to.Node)
+			b.commit(src, from.Node, to.Node)
 		}
 	}
 }
@@ -560,7 +622,7 @@ func buildResult(err error) string {
 		return "ok"
 	case inf != nil && inf.Hopeless:
 		return "hopeless"
-	case inf != nil:
+	case inf != nil, err == errInfeasible:
 		return "infeasible"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return "cancelled"
@@ -610,7 +672,8 @@ func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 // admissibility bound, then the margin ladder, cut short once a proof shows
 // that the margins left fail the way the last one did. opt is normalized. On
 // success the arena is left holding the successful attempt; a failure
-// returns the margin-1 attempt's InfeasibleError with the build's counts.
+// returns the build's one InfeasibleError, made when the ladder gives up:
+// the margin-1 attempt's task and collisions, with the build's probes.
 //
 // The DP cut. Under MinFinish the DP is feasibility-exact for the first
 // critical work: nothing else is placed yet, no node holds a replica, and a
@@ -644,8 +707,11 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 		return nil, &InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
 	}
 
-	var firstErr *InfeasibleError
-	var evals int64
+	// What the margin-1 attempt's failure reports: the task it failed at and
+	// the collisions it recorded, which feed grid_criticalworks_collisions_total.
+	var failed dag.TaskID
+	var colls, evals int64
+	firstWork := false
 	for i, mg := range margins {
 		b := sc.attempt(env, cals, opt, mg)
 		var asp *telemetry.Span
@@ -663,15 +729,11 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 			sched.Evaluations = evals
 			return sched, nil
 		}
-		inf, ok := err.(*InfeasibleError)
-		if !ok {
+		if err != errInfeasible {
 			return nil, err
 		}
-		if firstErr == nil {
-			// Keep the margin-1 attempt's error and the collisions it
-			// recorded: the count feeds grid_criticalworks_collisions_total.
-			firstErr = inf
-			firstErr.Collisions = int64(len(b.colls))
+		if i == 0 {
+			failed, colls = b.failed, int64(len(b.colls))
 		}
 		if b.nPlaced > 0 {
 			continue // a later critical work failed; a wider margin may place it
@@ -679,19 +741,18 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 		// The first critical work failed: the DP cut, or after margin 1 the
 		// calendar bound, may prove that every later margin fails it too.
 		if opt.Objective == MinFinish && opt.Mode == ResolveReallocate {
-			firstErr.FirstWork = i == 0
+			firstWork = i == 0
 			break
 		}
 		if i == 0 {
 			if probes, refused := sc.noGap(env, cals, opt, first); refused {
 				evals += probes
-				firstErr.FirstWork = true
+				firstWork = true
 				break
 			}
 		}
 	}
-	firstErr.Evaluations = evals
-	return nil, firstErr
+	return nil, &InfeasibleError{Job: opt.JobName, Task: job.Task(failed).Name, FirstWork: firstWork, Evaluations: evals, Collisions: colls}
 }
 
 // hopeless is the admissibility bound: it reports whether the first
@@ -738,13 +799,12 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 	for i, task := range chain.Tasks {
 		start := opt.Release + sc.bestUp[task]
 		if i > 0 {
-			prev := chain.Tasks[i-1]
-			e := sc.chainEdge(prev, task)
-			if s := prevFinish + opt.Data.MinTransferTime(e.BaseTime); s > start {
+			e := sc.chainEdge(chain.Tasks[i-1], task)
+			if s := prevFinish + opt.Data.MinTransferTime(sc.edgeBase[e]); s > start {
 				start = s
 			}
 		}
-		fastest, base := simtime.Infinity, sc.job.Task(task).BaseTime
+		fastest, base := simtime.Infinity, sc.taskBase[task]
 		for _, n := range opt.Candidates {
 			if dur := resource.Estimate(base, env.Node(n).Tier()); dur > 0 && dur < fastest {
 				fastest = dur
@@ -792,13 +852,13 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options, chain dag.Chain) (probes int64, refused bool) {
 	var budget int64
 	for _, n := range opt.Candidates {
-		if resource.Estimate(sc.job.Task(chain.Tasks[0]).BaseTime, env.Node(n).Tier()) > 0 {
+		if resource.Estimate(sc.taskBase[chain.Tasks[0]], env.Node(n).Tier()) > 0 {
 			budget += int64(len(margins) - 1)
 		}
 	}
 	for _, task := range chain.Tasks {
 		est, lft := opt.Release+sc.bestUp[task], opt.deadline-sc.bestDown[task]
-		gap, base := false, sc.job.Task(task).BaseTime
+		gap, base := false, sc.taskBase[task]
 		for _, n := range opt.Candidates {
 			dur := resource.Estimate(base, env.Node(n).Tier())
 			if dur <= 0 {
@@ -879,10 +939,9 @@ func (sc *scratch) computeBounds(margin float64) {
 	for i := 0; i < n; i++ {
 		id := sc.job.TopoAt(i)
 		var up simtime.Time
-		sc.adj = sc.job.AppendIn(sc.adj[:0], id)
-		for _, e := range sc.adj {
-			cand := sc.bestUp[e.From] + scale(sc.job.Task(e.From).BaseTime+e.BaseTime)
-			if cand > up {
+		for _, e := range sc.inEdges(id) {
+			from := sc.edgeFrom[e]
+			if cand := sc.bestUp[from] + scale(sc.taskBase[from]+sc.edgeBase[e]); cand > up {
 				up = cand
 			}
 		}
@@ -891,10 +950,9 @@ func (sc *scratch) computeBounds(margin float64) {
 	for i := n - 1; i >= 0; i-- {
 		id := sc.job.TopoAt(i)
 		var down simtime.Time
-		sc.adj = sc.job.AppendOut(sc.adj[:0], id)
-		for _, e := range sc.adj {
-			cand := sc.bestDown[e.To] + scale(sc.job.Task(e.To).BaseTime+e.BaseTime)
-			if cand > down {
+		for _, e := range sc.outEdges(id) {
+			to := sc.edgeTo[e]
+			if cand := sc.bestDown[to] + scale(sc.taskBase[to]+sc.edgeBase[e]); cand > down {
 				down = cand
 			}
 		}
@@ -928,15 +986,14 @@ func (b *builder) finish() (*Schedule, error) {
 			s.Finish = p.Window.End
 		}
 	}
-	for i, m := 0, b.job.NumEdges(); i < m; i++ {
-		e := b.job.EdgeAt(i)
-		from, to := b.placed[e.From], b.placed[e.To]
-		tt := b.transferTime(e, from.Node, to.Node)
+	for i, src := range b.edgeFrom {
+		from, to := b.placed[src], b.placed[b.edgeTo[i]]
+		tt := b.transferTime(i, from.Node, to.Node)
 		if to.Window.Start < from.Window.End+tt {
 			return nil, fmt.Errorf("criticalworks: internal error: edge %s violates precedence (%v + %d > %v)",
-				e.Name, from.Window, tt, to.Window)
+				b.job.EdgeAt(i).Name, from.Window, tt, to.Window)
 		}
-		b.commit(e.From, from.Node, to.Node)
+		b.commit(src, from.Node, to.Node)
 	}
 	// (Window.Start, Task) is a total key: a task sits in one chain, which
 	// records at most one collision for it.
@@ -947,7 +1004,7 @@ func (b *builder) finish() (*Schedule, error) {
 	return s, nil
 }
 
-// transferTime is the policy-aware transfer time for edge e between nodes.
-func (b *builder) transferTime(e dag.Edge, from, to resource.NodeID) simtime.Time {
-	return b.opt.Data.TransferTime(e.BaseTime, from, to, b.held(e.From, to))
+// transferTime is the policy-aware transfer time for edge i between nodes.
+func (b *builder) transferTime(i int, from, to resource.NodeID) simtime.Time {
+	return b.opt.Data.TransferTime(b.edgeBase[i], from, to, b.held(b.edgeFrom[i], to))
 }

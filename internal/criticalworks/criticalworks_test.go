@@ -3,6 +3,7 @@ package criticalworks
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -327,7 +328,8 @@ func TestFig2MinCostHeuristicMayFail(t *testing.T) {
 func TestCollisionDetectedOnContendedNode(t *testing.T) {
 	// Fork: S -> A, S -> B with identical estimates, a single candidate
 	// node. The second critical work's ideal slot overlaps the first's
-	// reservation: exactly one collision, held by the same job.
+	// reservation: exactly one collision, held by the other branch's task of
+	// the same build.
 	b := dag.NewBuilder("fork").Deadline(40)
 	b.Task("S", 2, 8)
 	b.Task("A", 4, 16)
@@ -349,8 +351,9 @@ func TestCollisionDetectedOnContendedNode(t *testing.T) {
 	if c.Node != 0 {
 		t.Errorf("collision on node %d", c.Node)
 	}
-	if c.Holder.Job != "fork" {
-		t.Errorf("collision holder = %+v, want own job", c.Holder)
+	A, B := dag.TaskID(1), dag.TaskID(2)
+	if !(c.Task == A && c.Holder == B || c.Task == B && c.Holder == A) {
+		t.Errorf("collision of task %d held by %d, want one branch task (A=%d, B=%d) held by the other", c.Task, c.Holder, A, B)
 	}
 }
 
@@ -370,12 +373,96 @@ func TestCollisionAgainstExternalReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Collisions) != 1 || s.Collisions[0].Holder != resource.External {
-		t.Fatalf("collisions = %+v, want one external", s.Collisions)
+	if len(s.Collisions) != 1 || s.Collisions[0].Holder != NoHolder {
+		t.Fatalf("collisions = %+v, want one held by the view", s.Collisions)
+	}
+	if res, busy := cals[0].ConflictWith(s.Collisions[0].Window); !busy || res.Owner != resource.External {
+		t.Fatalf("the view holds %+v at the collision's window %v, want the external reservation", res, s.Collisions[0].Window)
 	}
 	if s.Placements[0].Window.Start < 10 {
 		t.Errorf("task starts %d inside external reservation", s.Placements[0].Window.Start)
 	}
+}
+
+// TestCollisionHoldsNoPointers: a Collision is integers alone — the task,
+// the node, the window and the holder's TaskID, 40 bytes — so a schedule's
+// collisions are a block the garbage collector never scans. A Collision
+// whose Holder was a resource.Owner held two strings and took 64 bytes.
+func TestCollisionHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(Collision{})
+	var fields []string
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		fields = append(fields, f.Name+" "+f.Type.String())
+		if p := pointerIn(f.Type); p != "" {
+			t.Errorf("Collision.%s holds a pointer in %s", f.Name, p)
+		}
+	}
+	if want := []string{"Task dag.TaskID", "Node resource.NodeID", "Window simtime.Interval", "Holder dag.TaskID"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("Collision's fields are %v, want %v", fields, want)
+	}
+	if typ.Size() != 40 {
+		t.Errorf("a Collision takes %d bytes, want 40", typ.Size())
+	}
+}
+
+// TestReserveRefusesWhatTheBookRefuses: the overlay's reserve refuses a
+// window that overlaps the view's book or one of the attempt's own
+// placements with the *ErrConflict that Calendar.Reserve returns on the
+// merged book, the earlier-starting overlap named as the existing
+// reservation: the view's own, or the placement under the owner a real
+// reservation would carry.
+func TestReserveRefusesWhatTheBookRefuses(t *testing.T) {
+	b := dag.NewBuilder("two").Deadline(100)
+	b.Task("P", 4, 4)
+	b.Task("Q", 4, 4)
+	job := b.MustBuild()
+	env := resource.NewEnvironment([]*resource.Node{resource.NewNode(0, "only", 1.0, "d")})
+	cals := EmptyCalendars(env)
+	if err := cals[0].Reserve(simtime.Interval{Start: 10, End: 20}, resource.External); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := normalize(env, job, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := new(scratch)
+	sc.reset(job, env.NumNodes())
+	at := sc.attempt(env, cals, opt, 1)
+	own := Placement{Task: 0, Node: 0, Window: simtime.Interval{Start: 30, End: 40}}
+	if err := at.reserve(own); err != nil {
+		t.Fatal(err)
+	}
+	merged := cals.Clone()
+	if err := merged[0].Reserve(own.Window, resource.Owner{Job: "two", Task: "P"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []simtime.Interval{{Start: 15, End: 35}, {Start: 35, End: 45}, {Start: 5, End: 50}} {
+		got := at.reserve(Placement{Task: 1, Node: 0, Window: w})
+		want := merged[0].Reserve(w, resource.Owner{Job: "two", Task: "Q"})
+		if want == nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("reserve %v: got %v, the merged book %v", w, got, want)
+		}
+	}
+}
+
+// pointerIn names the first part of typ that holds a pointer, "" when none
+// does: only booleans and numbers, and structs and arrays of them, hold none.
+func pointerIn(typ reflect.Type) string {
+	switch k := typ.Kind(); {
+	case k == reflect.Struct:
+		for i := range typ.NumField() {
+			if p := pointerIn(typ.Field(i).Type); p != "" {
+				return p
+			}
+		}
+		return ""
+	case k == reflect.Array:
+		return pointerIn(typ.Elem())
+	case k >= reflect.Bool && k <= reflect.Complex128:
+		return ""
+	}
+	return typ.String()
 }
 
 func TestReallocateBeatsDelay(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 // placement on empty calendars (the placement the chain "attempts"), the
 // actual placement against the view as the attempt sees it, records a
 // collision for every task whose ideal slot is already reserved, and books
-// the actual reservations in the overlay.
+// the actual reservations in the overlay. A chain that has no placement
+// leaves its first task in b.failed and returns errInfeasible.
 func (b *builder) placeChain(chain dag.Chain) error {
 	var chainSpan *telemetry.Span
 	if b.opt.Spans != nil {
@@ -27,7 +28,8 @@ func (b *builder) placeChain(chain dag.Chain) error {
 
 	ideal, ok := b.dpPhase(chainSpan, "ideal", chain, true)
 	if !ok {
-		return &InfeasibleError{Job: b.opt.JobName, Task: b.job.Task(chain.Tasks[0]).Name}
+		b.failed = chain.Tasks[0]
+		return errInfeasible
 	}
 	if err := b.cancelled(); err != nil {
 		return err
@@ -41,18 +43,14 @@ func (b *builder) placeChain(chain dag.Chain) error {
 		actual, ok = b.dpPhase(chainSpan, "actual", chain, false)
 	}
 	if !ok {
-		return &InfeasibleError{Job: b.opt.JobName, Task: b.job.Task(chain.Tasks[0]).Name}
+		b.failed = chain.Tasks[0]
+		return errInfeasible
 	}
 
 	// A collision is an ideal slot that the calendar view cannot grant.
 	for _, p := range ideal {
-		if res, busy := b.conflictWith(p.Node, p.Window); busy {
-			b.colls = append(b.colls, Collision{
-				Task:   p.Task,
-				Node:   p.Node,
-				Window: p.Window,
-				Holder: res.Owner,
-			})
+		if h, busy := b.holder(p.Node, p.Window); busy {
+			b.colls = append(b.colls, Collision{Task: p.Task, Node: p.Node, Window: p.Window, Holder: h})
 		}
 	}
 
@@ -163,7 +161,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 		// The incoming edge's base time, resolved once per position.
 		var inBase simtime.Time
 		if i > 0 {
-			inBase = b.chainEdge(chain.Tasks[i-1], chain.Tasks[i]).BaseTime
+			inBase = b.edgeBase[b.chainEdge(chain.Tasks[i-1], chain.Tasks[i])]
 			b.sortRow(dp[(i-1)*C:i*C], inBase)
 		}
 		for c, n := range cands {
@@ -341,11 +339,11 @@ func (b *builder) prepareCells(chain dag.Chain) {
 	for i, task := range chain.Tasks {
 		b.linkPlaced(task)
 		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
-		t := b.job.Task(task)
+		base, vol := b.taskBase[task], b.job.Task(task).Volume
 		for c, n := range cands {
-			in := cellIn{dur: resource.Estimate(t.BaseTime, b.env.Node(n).Tier())}
+			in := cellIn{dur: resource.Estimate(base, b.env.Node(n).Tier())}
 			if in.dur > 0 {
-				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), economy.TaskCharge(t.Volume, in.dur)
+				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), economy.TaskCharge(vol, in.dur)
 			}
 			b.cells[i*C+c] = in
 		}
@@ -356,16 +354,15 @@ func (b *builder) prepareCells(chain dag.Chain) {
 // from its placed predecessors in b.ins, to its placed successors in b.outs.
 func (b *builder) linkPlaced(task dag.TaskID) {
 	b.ins, b.outs = b.ins[:0], b.outs[:0]
-	b.adj = b.job.AppendIn(b.adj[:0], task)
-	for _, e := range b.adj {
-		if p, ok := b.placement(e.From); ok {
-			b.ins = append(b.ins, link{base: e.BaseTime, producer: e.From, node: p.Node, at: p.Window.End})
+	for _, e := range b.inEdges(task) {
+		from := b.edgeFrom[e]
+		if p, ok := b.placement(from); ok {
+			b.ins = append(b.ins, link{base: b.edgeBase[e], producer: from, node: p.Node, at: p.Window.End})
 		}
 	}
-	b.adj = b.job.AppendOut(b.adj[:0], task)
-	for _, e := range b.adj {
-		if s, ok := b.placement(e.To); ok {
-			b.outs = append(b.outs, link{base: e.BaseTime, producer: task, node: s.Node, at: s.Window.Start})
+	for _, e := range b.outEdges(task) {
+		if s, ok := b.placement(b.edgeTo[e]); ok {
+			b.outs = append(b.outs, link{base: b.edgeBase[e], producer: task, node: s.Node, at: s.Window.Start})
 		}
 	}
 }
@@ -450,22 +447,17 @@ func (b *builder) charge(task dag.TaskID, dur simtime.Time) int64 {
 	return economy.TaskCharge(b.job.Task(task).Volume, dur)
 }
 
-// chainEdge returns the connecting edge between two consecutive chain
-// tasks, preferring the cheapest transfer when parallel edges exist.
-func (sc *scratch) chainEdge(from, to dag.TaskID) dag.Edge {
-	var best dag.Edge
-	found := false
-	sc.adj = sc.job.AppendOut(sc.adj[:0], from)
-	for _, e := range sc.adj {
-		if e.To != to {
-			continue
-		}
-		if !found || e.BaseTime < best.BaseTime {
-			best = e
-			found = true
+// chainEdge returns the index of the connecting edge between two
+// consecutive chain tasks, preferring the cheapest transfer when parallel
+// edges exist (the first of equals, in the job's order).
+func (sc *scratch) chainEdge(from, to dag.TaskID) int {
+	best := -1
+	for _, e := range sc.outEdges(from) {
+		if sc.edgeTo[e] == to && (best < 0 || sc.edgeBase[e] < sc.edgeBase[best]) {
+			best = int(e)
 		}
 	}
-	if !found {
+	if best < 0 {
 		panic("criticalworks: chain tasks not connected") // LongestChain guarantees connectivity
 	}
 	return best

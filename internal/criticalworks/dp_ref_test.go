@@ -17,7 +17,8 @@ import (
 func refPlaceChain(b *builder, chain dag.Chain) error {
 	ideal, ok := b.refRunDP(chain, true)
 	if !ok {
-		return &InfeasibleError{Job: b.opt.JobName, Task: b.job.Task(chain.Tasks[0]).Name}
+		b.failed = chain.Tasks[0]
+		return errInfeasible
 	}
 	if err := b.cancelled(); err != nil {
 		return err
@@ -30,11 +31,12 @@ func refPlaceChain(b *builder, chain dag.Chain) error {
 		actual, ok = b.refRunDP(chain, false)
 	}
 	if !ok {
-		return &InfeasibleError{Job: b.opt.JobName, Task: b.job.Task(chain.Tasks[0]).Name}
+		b.failed = chain.Tasks[0]
+		return errInfeasible
 	}
 	for _, p := range ideal {
-		if res, busy := b.conflictWith(p.Node, p.Window); busy {
-			b.colls = append(b.colls, Collision{Task: p.Task, Node: p.Node, Window: p.Window, Holder: res.Owner})
+		if h, busy := refHolder(b, p.Node, p.Window); busy {
+			b.colls = append(b.colls, Collision{Task: p.Task, Node: p.Node, Window: p.Window, Holder: h})
 		}
 	}
 	for _, p := range actual {
@@ -44,6 +46,25 @@ func refPlaceChain(b *builder, chain dag.Chain) error {
 	}
 	b.commitPlaced()
 	return nil
+}
+
+// refHolder is what holds iv on node n as the reference sees it, which books
+// every critical work into the attempt's view (refPlaceChains) before the
+// next one looks for collisions: the view's first reservation overlapping
+// iv, named by the task of this attempt whose placement it is, or NoHolder
+// when the view held it before the build. The placement is found by a walk
+// over every task, not through the overlay's node lists.
+func refHolder(b *builder, n resource.NodeID, iv simtime.Interval) (dag.TaskID, bool) {
+	res, busy := b.base[n].ConflictWith(iv)
+	if !busy {
+		return NoHolder, false
+	}
+	for id, p := range b.placed {
+		if p.Node == n && p.Window == res.Interval && res.Owner == b.owner(dag.TaskID(id)) {
+			return dag.TaskID(id), true
+		}
+	}
+	return NoHolder, true
 }
 
 // refRunDP finds the cost-minimal feasible placement of the chain. With
@@ -65,7 +86,7 @@ func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, b
 		var inBase simtime.Time
 		var prevRow []cell
 		if i > 0 {
-			inBase = b.chainEdge(chain.Tasks[i-1], task).BaseTime
+			inBase = b.refChainEdge(chain.Tasks[i-1], task).BaseTime
 			prevRow = dp[(i-1)*C : i*C]
 		}
 		for c, n := range cands {
@@ -156,8 +177,8 @@ func (b *builder) refDelayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Pl
 		dur := resource.Estimate(b.job.Task(task).BaseTime, node.Tier())
 		earliest := b.refEst(task, n)
 		if i > 0 {
-			e := b.chainEdge(chain.Tasks[i-1], task)
-			if t := prevFinish + b.transferTime(e, prevNode, n); t > earliest {
+			e := b.refChainEdge(chain.Tasks[i-1], task)
+			if t := prevFinish + b.refTransferTime(e, prevNode, n); t > earliest {
 				earliest = t
 			}
 		}
@@ -176,13 +197,12 @@ func (b *builder) refDelayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Pl
 // predecessors.
 func (b *builder) refEst(task dag.TaskID, n resource.NodeID) simtime.Time {
 	t := b.opt.Release + b.bestUp[task]
-	b.adj = b.job.AppendIn(b.adj[:0], task)
-	for _, e := range b.adj {
+	for _, e := range b.job.In(task) {
 		p, ok := b.placement(e.From)
 		if !ok {
 			continue
 		}
-		if cand := p.Window.End + b.transferTime(e, p.Node, n); cand > t {
+		if cand := p.Window.End + b.refTransferTime(e, p.Node, n); cand > t {
 			t = cand
 		}
 	}
@@ -193,15 +213,35 @@ func (b *builder) refEst(task dag.TaskID, n resource.NodeID) simtime.Time {
 // by the optimistic downstream bound and by already-placed successors.
 func (b *builder) refLft(task dag.TaskID, n resource.NodeID) simtime.Time {
 	t := b.opt.deadline - b.bestDown[task]
-	b.adj = b.job.AppendOut(b.adj[:0], task)
-	for _, e := range b.adj {
+	for _, e := range b.job.Out(task) {
 		s, ok := b.placement(e.To)
 		if !ok {
 			continue
 		}
-		if cand := s.Window.Start - b.transferTime(e, n, s.Node); cand < t {
+		if cand := s.Window.Start - b.refTransferTime(e, n, s.Node); cand < t {
 			t = cand
 		}
 	}
 	return t
+}
+
+// refChainEdge is chainEdge read off the job's own edges: the cheapest edge
+// from one chain task to the next, the first of equals.
+func (b *builder) refChainEdge(from, to dag.TaskID) dag.Edge {
+	var best dag.Edge
+	found := false
+	for _, e := range b.job.Out(from) {
+		if e.To == to && (!found || e.BaseTime < best.BaseTime) {
+			best, found = e, true
+		}
+	}
+	if !found {
+		panic("reference: chain tasks not connected")
+	}
+	return best
+}
+
+// refTransferTime is transferTime for an edge read off the job.
+func (b *builder) refTransferTime(e dag.Edge, from, to resource.NodeID) simtime.Time {
+	return b.opt.Data.TransferTime(e.BaseTime, from, to, b.held(e.From, to))
 }

@@ -3,6 +3,7 @@ package criticalworks
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dag"
@@ -49,7 +50,7 @@ func TestDenseReplicasMatchCatalog(t *testing.T) {
 						continue
 					}
 					base := simtime.Time(r.Intn(12))
-					got := b.transferTime(dag.Edge{From: producer, BaseTime: base}, from, to)
+					got := b.opt.Data.TransferTime(base, from, to, b.held(producer, to))
 					if want := cat.TransferTime("j", name, base, from, to); got != want {
 						t.Fatalf("%s, step %d: transfer of %s's output %d→%d at base %d costs %d, the catalog says %d",
 							what, step, name, from, to, base, got, want)
@@ -102,6 +103,23 @@ func TestBuildOnMultiWordReplicaRows(t *testing.T) {
 	}
 }
 
+// loadedFig2 is the Fig. 2 job on the paper's environment with every book
+// loaded with eight short external reservations, and the four candidates a
+// strategy hands in: a build there records collisions under every policy.
+func loadedFig2(t *testing.T) (*dag.Job, *resource.Environment, Calendars, []resource.NodeID) {
+	env := paperEnv()
+	cals := EmptyCalendars(env)
+	for id, c := range cals {
+		for k := 0; k < 8; k++ {
+			start := simtime.Time(5*k + int(id))
+			if err := c.Reserve(simtime.Interval{Start: start, End: start + 2}, resource.External); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return fig2Job(40), env, cals, []resource.NodeID{0, 1, 2, 3}
+}
+
 // TestBuildAllocsFig2 pins what one Build of the Fig. 2 job allocates on
 // loaded books, per data policy, with the table and the candidates handed in
 // (what strategy.Generator does): the Schedule, its Placements (one slice)
@@ -114,18 +132,7 @@ func TestBuildAllocsFig2(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
 	}
-	job := fig2Job(40)
-	env := paperEnv()
-	cands := []resource.NodeID{0, 1, 2, 3}
-	cals := EmptyCalendars(env)
-	for id, c := range cals {
-		for k := 0; k < 8; k++ {
-			start := simtime.Time(5*k + int(id))
-			if err := c.Reserve(simtime.Interval{Start: start, End: start + 2}, resource.External); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	job, env, cals, cands := loadedFig2(t)
 	for _, pol := range policies {
 		opt := Options{Candidates: cands, Data: data.Model{Policy: pol}}
 		s, err := Build(env, cals, job, opt)
@@ -146,4 +153,50 @@ func TestBuildAllocsFig2(t *testing.T) {
 			t.Errorf("%v: %.0f allocs per Build, ceiling %d", pol, allocs, ceiling)
 		}
 	}
+}
+
+// TestBuildBytes pins the bytes one Build of the Fig. 2 job allocates on
+// loaded books, per data policy: what TestBuildAllocsFig2 counts, by size.
+// The Schedule takes a 96-byte block, its six Placements 192 bytes and its
+// five Collisions, 40 bytes each, a 208-byte block. The ceiling is the
+// reading, the same under every policy. With a Collision's Holder a
+// resource.Owner, two strings, a Collision took 64 bytes and the reading was
+// 608. A breach means a Collision, a Placement or the Schedule has grown, or
+// a build has started allocating something it drops.
+func TestBuildBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the pin runs in CI's step without -race")
+	}
+	job, env, cals, cands := loadedFig2(t)
+	for _, pol := range policies {
+		opt := Options{Candidates: cands, Data: data.Model{Policy: pol}}
+		s, err := Build(env, cals, job, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		const ceiling = 496
+		bytes := bytesPerRun(200, func() {
+			if _, err := Build(env, cals, job, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %d bytes per Build, %d collisions", pol, bytes, len(s.Collisions))
+		if bytes > ceiling {
+			t.Errorf("%v: %d bytes per Build, ceiling %d", pol, bytes, ceiling)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call, on one P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestFig2ReproducesPaperStructure(t *testing.T) {
@@ -47,6 +49,46 @@ func TestFig3Deterministic(t *testing.T) {
 		if a2.Values[k] != v {
 			t.Errorf("value %q differs across identical runs: %v vs %v", k, v, a2.Values[k])
 		}
+	}
+}
+
+// TestFig4bcRunCellsOnce: Fig. 4(b) and Fig. 4(c) read the same three VO
+// cells, and rows run from one DefaultConfig, as gridsim runs them, run those
+// cells once. After fig4b the registry observes nothing more while fig4c
+// runs, and fig4c's report is the one it makes from a Config of its own.
+func TestFig4bcRunCellsOnce(t *testing.T) {
+	scrape := func(reg *telemetry.Registry) string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	report := func(r *Report, err error) string {
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	cfg := DefaultConfig(3, 20)
+	cfg.Telemetry = telemetry.NewRegistry()
+	report(fig4b(cfg))
+	after4b := scrape(cfg.Telemetry)
+	shared := report(fig4c(cfg))
+	if scrape(cfg.Telemetry) != after4b {
+		t.Error("fig4c ran VO cells again after fig4b had run them from the same Config")
+	}
+	own := DefaultConfig(3, 20)
+	own.Telemetry = telemetry.NewRegistry()
+	if alone := report(fig4c(own)); alone != shared {
+		t.Errorf("fig4c from fig4b's cells differs from fig4c alone:\n got %s\nwant %s", shared, alone)
+	}
+	if scrape(own.Telemetry) == scrape(telemetry.NewRegistry()) {
+		t.Error("fig4c alone observed nothing: the comparison above shows nothing")
 	}
 }
 

@@ -113,7 +113,7 @@ func fig2(cfg Config) (*Report, error) {
 	r.Values["collisions"] = float64(len(sched.Collisions))
 	for _, c := range sched.Collisions {
 		r.addLine("collision: task %s wanted %v on %s (held by %s) — resolved by reallocation",
-			job.Task(c.Task).Name, c.Window, constrained.Node(c.Node).Name, c.Holder.Task)
+			job.Task(c.Task).Name, c.Window, constrained.Node(c.Node).Name, job.Task(c.Holder).Name)
 	}
 	return r, nil
 }

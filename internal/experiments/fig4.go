@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/criticalworks"
 	"repro/internal/metasched"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -204,11 +206,44 @@ func fig4a(cfg Config) (*Report, error) {
 // fig4bcTypes are the families of Fig. 4(b,c).
 var fig4bcTypes = []strategy.Type{strategy.MS1, strategy.S2, strategy.S3}
 
+// fig4Memo holds the Fig. 4(b,c) cells of one run of them and what they
+// read of the Config: the seed, the corpus size and the registry.
+type fig4Memo struct {
+	mu   sync.Mutex
+	seed uint64
+	jobs int
+	reg  *telemetry.Registry
+	outs map[strategy.Type]*fig4Outcome
+}
+
+// fig4bcCells runs the VO cells that Fig. 4(b) and Fig. 4(c) both read, or
+// returns the ones an earlier row run from the same Config ran, so that
+// gridsim runs them once when both rows are asked for. A Config without a
+// memo (not made by DefaultConfig) or with a trace writer runs them for
+// every row, so that each row's trace stays whole.
+func fig4bcCells(cfg Config) (map[strategy.Type]*fig4Outcome, error) {
+	m := cfg.fig4bc
+	if m == nil || cfg.Trace != nil {
+		return runFig4(cfg, fig4bcTypes)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.outs != nil && m.seed == cfg.Seed && m.jobs == cfg.Jobs && m.reg == cfg.Telemetry {
+		return m.outs, nil
+	}
+	outs, err := runFig4(cfg, fig4bcTypes)
+	if err != nil {
+		return nil, err
+	}
+	m.seed, m.jobs, m.reg, m.outs = cfg.Seed, cfg.Jobs, cfg.Telemetry, outs
+	return outs, nil
+}
+
 // fig4b regenerates Fig. 4(b): relative job completion cost and relative
 // task execution time (paper: the lowest-cost strategies are the slowest
 // ones like S3; MS1's tasks run longer than S2's).
 func fig4b(cfg Config) (*Report, error) {
-	outs, err := runFig4(cfg, fig4bcTypes)
+	outs, err := fig4bcCells(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +270,7 @@ func fig4b(cfg Config) (*Report, error) {
 // deviation ratio (paper: slow strategies like S3 are the most persistent;
 // fast accurate ones like S2 the least).
 func fig4c(cfg Config) (*Report, error) {
-	outs, err := runFig4(cfg, fig4bcTypes)
+	outs, err := fig4bcCells(cfg)
 	if err != nil {
 		return nil, err
 	}

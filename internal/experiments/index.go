@@ -34,6 +34,11 @@ type Config struct {
 	MTTR         float64
 	TaskFailRate float64
 	MaxRetries   int
+
+	// fig4bc, made by DefaultConfig and shared by every copy of the Config,
+	// keeps the Fig. 4(b,c) cells the first of those two rows ran, so that
+	// the other reads them (fig4bcCells).
+	fig4bc *fig4Memo
 }
 
 // DefaultConfig returns the calibrated settings for seed and a corpus of
@@ -46,6 +51,7 @@ func DefaultConfig(seed uint64, jobs int) Config {
 		MTTR:         20,
 		TaskFailRate: 0.05,
 		MaxRetries:   2,
+		fig4bc:       new(fig4Memo),
 	}
 }
 
