@@ -363,7 +363,7 @@ func BenchmarkServiceKnee(b *testing.B) {
 			defer jnl.Close()
 			srv, err := service.New(service.Config{
 				Env: env, Journal: jnl, Telemetry: reg,
-				Sched:      metasched.Config{Seed: 1, Placers: 4},
+				Sched:      metasched.Config{Seed: 1},
 				OnTerminal: func(r service.Record) { outcomes[owner[r.ID]] <- r },
 			})
 			if err != nil {
