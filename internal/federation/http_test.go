@@ -83,7 +83,7 @@ func (l *requestLog) counts(path string) (sent, answered int) {
 // that service in manual mode: it is never started, so the jobs handed to
 // it stay queued. routerTweak, when given, edits the router's config before
 // the router is built.
-func startHTTPFederation(t *testing.T, n int, tweak func(i int, cfg *service.Config) (manual bool), routerTweak ...func(cfg *Config)) *httpFederation {
+func startHTTPFederation(t testing.TB, n int, tweak func(i int, cfg *service.Config) (manual bool), routerTweak ...func(cfg *Config)) *httpFederation {
 	t.Helper()
 	// The members need the router's URL before the router exists, so the
 	// router's server delegates through a late-bound handler.

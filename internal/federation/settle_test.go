@@ -59,7 +59,7 @@ func noNotices(f *httpFederation) bool {
 // its grid_fed_member_joins_total reads. A join that lands after a binding
 // makes the router send that binding again, so tests that count handoffs
 // start after it.
-func waitJoined(t *testing.T, f *httpFederation) {
+func waitJoined(t testing.TB, f *httpFederation) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for _, m := range f.members {
