@@ -5,8 +5,9 @@
 // jobio wire format.
 //
 // With -journal-dir set, gridd is crash-safe: every job lifecycle
-// transition is appended to a write-ahead journal (durable under the
-// -fsync policy) before it is acknowledged, and on startup the journal is
+// transition is appended to a write-ahead journal, and synced to disk under
+// -fsync always (the default; -fsync never leaves it to the page cache)
+// before it is acknowledged, and on startup the journal is
 // replayed — terminal jobs keep their ledger entries (the duplicate-submit
 // guard survives restarts) and jobs that were queued or in flight when the
 // process died are re-enqueued, so an accepted job reaches a terminal
@@ -26,7 +27,7 @@
 //
 //	gridd -listen :8080 -domains 3 -seed 1
 //	gridd -env nodes.json -queue 32 -snapshot drained.json
-//	gridd -journal-dir /var/lib/gridd/journal -fsync always
+//	gridd -journal-dir /var/lib/gridd/journal -fsync always|never
 //	gridd -join s0=http://127.0.0.1:8070
 //
 // The environment comes from -env (a jobio node file, e.g. the output of
@@ -90,8 +91,7 @@ func main() {
 		mttr         = flag.Float64("mttr", 50, "mean outage duration")
 		faultHorizon = flag.Int64("fault-horizon", 1_000_000, "model-time horizon of the outage schedule")
 		journalDir   = flag.String("journal-dir", "", "write-ahead job journal directory; empty disables crash safety")
-		fsyncMode    = flag.String("fsync", "always", "journal fsync policy: always|interval|never")
-		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
+		fsyncMode    = flag.String("fsync", "always", "journal fsync policy: always|never")
 		segmentBytes = flag.Int64("segment-bytes", 4<<20, "journal segment rotation threshold")
 		compactEvery = flag.Int("compact-every", 256, "terminal jobs between journal compactions (0 = only on recovery/drain)")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
@@ -142,13 +142,12 @@ func main() {
 			log.Fatalf("gridd: %v", err)
 		}
 		jnl, recovered, err = journal.Open(journal.Options{
-			Dir:           *journalDir,
-			Fsync:         policy,
-			FsyncInterval: *fsyncEvery,
-			SegmentBytes:  *segmentBytes,
-			CompactEvery:  *compactEvery,
-			IsTerminal:    service.Terminal,
-			Telemetry:     reg,
+			Dir:          *journalDir,
+			Fsync:        policy,
+			SegmentBytes: *segmentBytes,
+			CompactEvery: *compactEvery,
+			IsTerminal:   service.Terminal,
+			Telemetry:    reg,
 		})
 		if err != nil {
 			log.Fatalf("gridd: %v", err)

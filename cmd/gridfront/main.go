@@ -17,7 +17,7 @@
 // Usage:
 //
 //	gridfront -listen :8070 -shard s0=http://127.0.0.1:8081 -shard s1=http://127.0.0.1:8082
-//	gridfront -journal-dir /var/lib/gridfront/journal -fsync always \
+//	gridfront -journal-dir /var/lib/gridfront/journal -fsync always|never \
 //	    -heartbeat 250ms -breaker-threshold 5 -retry-budget 3
 //
 // See README.md ("Federated metascheduling") for a full multi-process
@@ -81,8 +81,7 @@ func main() {
 		workers      = flag.Int("workers", 4, "dispatcher pool size")
 		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failed pings, handoffs or revokes that declare a shard dead (0 = 5)")
 		journalDir   = flag.String("journal-dir", "", "write-ahead placement journal directory; empty disables crash safety")
-		fsyncMode    = flag.String("fsync", "always", "journal fsync policy: always|interval|never")
-		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
+		fsyncMode    = flag.String("fsync", "always", "journal fsync policy: always|never")
 		segmentBytes = flag.Int64("segment-bytes", 4<<20, "journal segment rotation threshold")
 		compactEvery = flag.Int("compact-every", 256, "terminal jobs between journal compactions (0 = only on recovery/drain)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
@@ -104,13 +103,12 @@ func main() {
 			log.Fatalf("gridfront: %v", err)
 		}
 		jnl, recovered, err = journal.Open(journal.Options{
-			Dir:           *journalDir,
-			Fsync:         policy,
-			FsyncInterval: *fsyncEvery,
-			SegmentBytes:  *segmentBytes,
-			CompactEvery:  *compactEvery,
-			IsTerminal:    service.Terminal,
-			Telemetry:     reg,
+			Dir:          *journalDir,
+			Fsync:        policy,
+			SegmentBytes: *segmentBytes,
+			CompactEvery: *compactEvery,
+			IsTerminal:   service.Terminal,
+			Telemetry:    reg,
 		})
 		if err != nil {
 			log.Fatalf("gridfront: %v", err)

@@ -278,10 +278,12 @@ type scratch struct {
 	job *dag.Job
 
 	// The job's graph as the build's loops read it, filled once by reset:
-	// each task's base time, each edge's ends and base time, and each task's
-	// incoming and outgoing edges as edge indices in the job's order — task
-	// t's at inIdx[inOff[t]:inOff[t+1]] and outIdx[outOff[t]:outOff[t+1]].
+	// each task's base time and volume, each edge's ends and base time, and
+	// each task's incoming and outgoing edges as edge indices in the job's
+	// order — task t's at inIdx[inOff[t]:inOff[t+1]] and
+	// outIdx[outOff[t]:outOff[t+1]].
 	taskBase, edgeBase           []simtime.Time
+	taskVol                      []int64
 	edgeFrom, edgeTo             []dag.TaskID
 	inOff, outOff, inIdx, outIdx []int32
 
@@ -348,9 +350,10 @@ func (sc *scratch) reset(job *dag.Job, nodes int) {
 	sc.replica = grow(sc.replica, n*sc.words)
 	sc.colls = grow(sc.colls, n)
 
-	sc.taskBase = grow(sc.taskBase, n)
+	sc.taskBase, sc.taskVol = grow(sc.taskBase, n), grow(sc.taskVol, n)
 	for t := range sc.taskBase {
-		sc.taskBase[t] = job.Task(dag.TaskID(t)).BaseTime
+		task := job.Task(dag.TaskID(t))
+		sc.taskBase[t], sc.taskVol[t] = task.BaseTime, task.Volume
 	}
 	sc.edgeBase, sc.edgeFrom, sc.edgeTo = grow(sc.edgeBase, m), grow(sc.edgeFrom, m), grow(sc.edgeTo, m)
 	sc.inOff, sc.outOff = grow(sc.inOff, n+1), grow(sc.outOff, n+1)

@@ -339,7 +339,7 @@ func (b *builder) prepareCells(chain dag.Chain) {
 	for i, task := range chain.Tasks {
 		b.linkPlaced(task)
 		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
-		base, vol := b.taskBase[task], b.job.Task(task).Volume
+		base, vol := b.taskBase[task], b.taskVol[task]
 		for c, n := range cands {
 			in := cellIn{dur: resource.Estimate(base, b.env.Node(n).Tier())}
 			if in.dur > 0 {
@@ -444,7 +444,7 @@ func (b *builder) fit(n resource.NodeID, book *resource.Calendar, earliest, dur,
 
 // charge is the task's cost term ceil(V/T) at a load time of dur.
 func (b *builder) charge(task dag.TaskID, dur simtime.Time) int64 {
-	return economy.TaskCharge(b.job.Task(task).Volume, dur)
+	return economy.TaskCharge(b.taskVol[task], dur)
 }
 
 // chainEdge returns the index of the connecting edge between two

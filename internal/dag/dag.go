@@ -539,21 +539,15 @@ func (j *Job) in(id TaskID) []int32 {
 
 // Out returns the outgoing edges of a task (a fresh slice).
 func (j *Job) Out(id TaskID) []Edge {
-	return j.AppendOut(make([]Edge, 0, len(j.out(id))), id)
+	run := j.out(id)
+	return j.appendEdges(make([]Edge, 0, len(run)), run)
 }
 
 // In returns the incoming edges of a task (a fresh slice).
 func (j *Job) In(id TaskID) []Edge {
-	return j.AppendIn(make([]Edge, 0, len(j.in(id))), id)
+	run := j.in(id)
+	return j.appendEdges(make([]Edge, 0, len(run)), run)
 }
-
-// AppendOut appends the outgoing edges of a task to dst, in Out's order,
-// and returns the extended slice. Hot loops pass a reused buffer
-// (dst[:0]) to walk a task's edges without allocating.
-func (j *Job) AppendOut(dst []Edge, id TaskID) []Edge { return j.appendEdges(dst, j.out(id)) }
-
-// AppendIn is AppendOut for the incoming edges, in In's order.
-func (j *Job) AppendIn(dst []Edge, id TaskID) []Edge { return j.appendEdges(dst, j.in(id)) }
 
 // appendEdges appends the edges at the indices run to dst, each written in
 // place.

@@ -175,19 +175,16 @@ func TestInOut(t *testing.T) {
 	}
 }
 
-// TestAppendInOutMatchInOut checks the allocation-free edge accessors
-// against In/Out and against an independent derivation (the edge list
-// filtered by endpoint), on Fig. 2 and on random DAGs: same edges, same
-// order, appended after whatever dst already held, and no allocation once
-// the buffer has grown.
-func TestAppendInOutMatchInOut(t *testing.T) {
+// TestInOutMatchEdgeList checks In and Out against an independent
+// derivation (the edge list filtered by endpoint), on Fig. 2 and on random
+// DAGs: same edges, same order, and no allocation but the slice returned.
+func TestInOutMatchEdgeList(t *testing.T) {
 	jobs := []*Job{fig2Job(t)}
 	for seed := uint64(1); seed <= 40; seed++ {
 		jobs = append(jobs, randomJob(rng.New(seed), 8))
 	}
-	sentinel := Edge{Name: "sentinel"}
 	for _, j := range jobs {
-		buf, buf2 := make([]Edge, 0, j.NumEdges()+1), make([]Edge, 0, j.NumEdges()+1)
+		returned := 0
 		for id := TaskID(0); int(id) < j.NumTasks(); id++ {
 			var wantIn, wantOut []Edge
 			for _, e := range j.Edges() {
@@ -199,34 +196,27 @@ func TestAppendInOutMatchInOut(t *testing.T) {
 				}
 			}
 			for _, tc := range []struct {
-				name        string
-				got, legacy []Edge
-				want        []Edge
+				name      string
+				got, want []Edge
 			}{
-				{"AppendIn", j.AppendIn(append(buf[:0], sentinel), id), j.In(id), wantIn},
-				{"AppendOut", j.AppendOut(append(buf2[:0], sentinel), id), j.Out(id), wantOut},
+				{"In", j.In(id), wantIn},
+				{"Out", j.Out(id), wantOut},
 			} {
-				if tc.got[0] != sentinel {
-					t.Fatalf("%s(%d) overwrote dst's contents", tc.name, id)
+				if !sameEdges(tc.got, tc.want) {
+					t.Fatalf("%s(%d) = %v, want %v", tc.name, id, tc.got, tc.want)
 				}
-				got := tc.got[1:]
-				if len(got) != len(tc.want) || len(tc.legacy) != len(tc.want) {
-					t.Fatalf("%s(%d) = %v, In/Out = %v, want %v", tc.name, id, got, tc.legacy, tc.want)
-				}
-				for k := range tc.want {
-					if got[k] != tc.want[k] || tc.legacy[k] != tc.want[k] {
-						t.Fatalf("%s(%d)[%d] = %v, In/Out %v, want %v", tc.name, id, k, got[k], tc.legacy[k], tc.want[k])
-					}
+				if len(tc.want) > 0 {
+					returned++
 				}
 			}
 		}
 		if n := testing.AllocsPerRun(10, func() {
 			for id := TaskID(0); int(id) < j.NumTasks(); id++ {
-				buf = j.AppendIn(buf[:0], id)
-				buf = j.AppendOut(buf[:0], id)
+				j.In(id)
+				j.Out(id)
 			}
-		}); n != 0 {
-			t.Errorf("edge walks over a reused buffer allocate %.0f times per pass", n)
+		}); n > float64(returned) {
+			t.Errorf("a pass of In and Out allocates %.0f times, want at most the %d slices it returns", n, returned)
 		}
 	}
 }
@@ -815,7 +805,6 @@ func sameGraph(j *Job, ref *refJob) error {
 		return fmt.Errorf("TopoOrder = %v, reference %v", j.TopoOrder(), ref.topo)
 	}
 	var sources []TaskID
-	buf := []Edge{{Name: "kept"}}
 	for i, t := range ref.tasks {
 		id := TaskID(i)
 		if j.Task(id) != t {
@@ -831,15 +820,6 @@ func sameGraph(j *Job, ref *refJob) error {
 		if !sameEdges(j.In(id), in) || !sameEdges(j.Out(id), out) {
 			return fmt.Errorf("task %d: In %v Out %v, reference %v %v", id, j.In(id), j.Out(id), in, out)
 		}
-		if buf = j.AppendIn(buf[:1], id); !sameEdges(buf[1:], in) {
-			return fmt.Errorf("AppendIn(%d) = %v, reference %v", id, buf[1:], in)
-		}
-		if buf = j.AppendOut(buf[:1], id); !sameEdges(buf[1:], out) {
-			return fmt.Errorf("AppendOut(%d) = %v, reference %v", id, buf[1:], out)
-		}
-	}
-	if buf[0].Name != "kept" {
-		return fmt.Errorf("an Append walk overwrote what its buffer held")
 	}
 	if !reflect.DeepEqual(j.Sources(), sources) {
 		return fmt.Errorf("Sources %v, reference %v", j.Sources(), sources)

@@ -38,7 +38,8 @@ func (d *discardResponse) WriteHeader(int)             {}
 
 // TestDurablePathAllocationCeilings: the fixed steps every federated job
 // pays — the router's strict decode of the submission, a journal append
-// with and without the wire form, the handoff frame — allocate what they
+// with and without the wire form, the sync that makes an append durable,
+// the handoff frame — allocate what they
 // return and nothing for the encoding or the buffers around it. Each
 // ceiling is the measured value; a step that starts building its record,
 // frame or read buffer afresh breaches it here, per commit, instead of
@@ -48,7 +49,7 @@ func TestDurablePathAllocationCeilings(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race; the ceilings hold for the plain build")
 	}
 
-	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncNever, IsTerminal: service.Terminal})
+	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncAlways, IsTerminal: service.Terminal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +96,15 @@ func TestDurablePathAllocationCeilings(t *testing.T) {
 		}},
 		{"Journal.Append, queued with wire form", 0, appendRec(journal.Record{Job: "light", State: service.StateQueued, Strategy: "S1", Priority: 1, Wire: &wire})},
 		{"Journal.Append, state only", 0, appendRec(journal.Record{Job: "light", State: service.StateCompleted})},
+		{"Journal.Sync of an append", 0, func() {
+			lsn, err := jnl.Append(journal.Record{Job: "light", State: service.StateCompleted})
+			if err == nil {
+				err = jnl.Sync(lsn)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"handoff frame encode", 0, func() {
 			if err := frame.encodeHandoff(handoff); err != nil {
 				t.Fatal(err)

@@ -29,8 +29,7 @@ func (r *Router) banAndRequeueLocked(rec *jobRecord, ev event, shard, why string
 // beginRevoke moves a bound job into the revoking state and queues its
 // revocation for the dispatchers.
 func (r *Router) beginRevoke(id, why string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock(r.lock())
 	if rec, ok := r.records[id]; ok && r.moveLocked(rec, evRevoke, "", rec.Shard, why) {
 		r.pushLocked(rec)
 	}
@@ -41,8 +40,7 @@ func (r *Router) beginRevoke(id, why string) {
 // meanwhile, or when the outcome is one this router does not know; dispatch
 // then sends the revocation again unless the entry moved.
 func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock(r.lock())
 	rec := r.records[id] // entries are never deleted
 	var moved bool
 	switch res.Outcome {
@@ -133,12 +131,11 @@ func (r *Router) HandleJoin(req *JoinRequest) {
 
 // HandleTerminal applies one terminal notice from a shard. It is idempotent:
 // lifecycle refuses a notice for a terminal entry, and a revoked one, which
-// names no outcome (the job lives on; its revocation owns it). The
-// journal append inside makes the notice durable before the HTTP 200 that
+// names no outcome (the job lives on; its revocation owns it). Its record
+// is synced before HandleTerminal returns, so before the HTTP 200 that
 // stops the shard's redelivery.
 func (r *Router) HandleTerminal(n *TerminalNotice) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	defer r.unlock(r.lock())
 	rec, ok := r.records[n.Job]
 	if !ok {
 		return // not ours (e.g. a key another router placed)

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/jobio"
 	"repro/internal/telemetry"
@@ -529,16 +528,15 @@ func TestFsyncPolicies(t *testing.T) {
 		policy FsyncPolicy
 	}{
 		{"always", FsyncAlways},
-		{"interval", FsyncInterval},
 		{"never", FsyncNever},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			reg := telemetry.NewRegistry()
-			j, _ := mustOpen(t, Options{Dir: dir, Fsync: tc.policy, FsyncInterval: 5 * time.Millisecond, Telemetry: reg})
-			mustAppend(t, j, Record{Job: "a", State: "queued", Wire: testWire("a")})
-			if tc.policy == FsyncInterval {
-				time.Sleep(25 * time.Millisecond) // let the syncer tick
+			j, _ := mustOpen(t, Options{Dir: dir, Fsync: tc.policy, Telemetry: reg})
+			lsn := mustAppend(t, j, Record{Job: "a", State: "queued", Wire: testWire("a")})
+			if err := j.Sync(lsn); err != nil {
+				t.Fatal(err)
 			}
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
@@ -558,14 +556,16 @@ func TestFsyncPolicies(t *testing.T) {
 }
 
 func TestParseFsyncPolicy(t *testing.T) {
-	for _, s := range []string{"always", "interval", "never"} {
+	for _, s := range []string{"always", "never"} {
 		p, err := ParseFsyncPolicy(s)
 		if err != nil || p.String() != s {
 			t.Fatalf("%s: %v %v", s, p, err)
 		}
 	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, bad := range []string{"sometimes", "interval"} {
+		if _, err := ParseFsyncPolicy(bad); err == nil {
+			t.Fatalf("bad policy %q accepted", bad)
+		}
 	}
 }
 
