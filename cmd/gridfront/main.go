@@ -7,8 +7,10 @@
 // endpoint.
 //
 // With -journal-dir set, the router's placement ledger is crash-safe:
-// every binding, revocation and terminal result is journaled before it is
-// acknowledged, and on startup the ledger is replayed — each in-doubt
+// every acceptance, binding and revocation is journaled and synced before
+// it is acknowledged or sent, a terminal result, which mirrors a shard's
+// durable answer, rides the next sync, and on startup the ledger is
+// replayed — each in-doubt
 // binding is sent again to the shard it is bound to, whose idempotent
 // answer settles it as a live binding's does, so an accepted job reaches a
 // terminal state exactly once across any SIGKILL/restart sequence on

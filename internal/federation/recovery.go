@@ -38,9 +38,12 @@ func (r *Router) beginRevoke(id, why string) {
 // resolveRevoke applies a confirmed revocation answer and reports whether
 // lifecycle let it move the entry. It refuses when the entry left revoking
 // meanwhile, or when the outcome is one this router does not know; dispatch
-// then sends the revocation again unless the entry moved.
+// then sends the revocation again unless the entry moved. Its moves mirror
+// the shard's durable answer and ride the next sync: a crash that loses one
+// restores the job revoking, and the resent revoke is answered the same.
 func (r *Router) resolveRevoke(id, shard string, res *RevokeResult) bool {
-	defer r.unlock(r.lock())
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	rec := r.records[id] // entries are never deleted
 	var moved bool
 	switch res.Outcome {
@@ -132,10 +135,14 @@ func (r *Router) HandleJoin(req *JoinRequest) {
 // HandleTerminal applies one terminal notice from a shard. It is idempotent:
 // lifecycle refuses a notice for a terminal entry, and a revoked one, which
 // names no outcome (the job lives on; its revocation owns it). Its record
-// is synced before HandleTerminal returns, so before the HTTP 200 that
-// stops the shard's redelivery.
+// mirrors the shard's durable outcome, so it is not synced here: it rides
+// the router's next sync (an unlock that appended, a read that shows an
+// outcome, compaction or Close). A crash that loses it restores the job
+// handed, and the handoff resent to the shard is answered with the same
+// outcome.
 func (r *Router) HandleTerminal(n *TerminalNotice) {
-	defer r.unlock(r.lock())
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	rec, ok := r.records[n.Job]
 	if !ok {
 		return // not ours (e.g. a key another router placed)

@@ -37,7 +37,7 @@ const (
 type event uint8
 
 const (
-	evBind      event = iota // dispatch binds the job to a shard
+	evBind      event = iota // Submit or dispatch binds the job to a shard
 	evAnswer                 // the bound shard answers the handoff definitively
 	evTombstone              // the bound shard holds a tombstone for the key
 	evRevoke                 // the binding is in doubt
@@ -305,8 +305,9 @@ func (r *Router) now() simtime.Time {
 	return simtime.Time(time.Since(r.start) / time.Millisecond)
 }
 
-// journal appends rec when the router journals; the caller's unlock syncs
-// it. A failed append is counted, logged and returned. Caller holds r.mu.
+// journal appends rec when the router journals; the caller's unlock, or a
+// later sync, makes it durable. A failed append is counted, logged and
+// returned. Caller holds r.mu.
 func (r *Router) journal(rec journal.Record) error {
 	if r.cfg.Journal == nil {
 		return nil
@@ -330,7 +331,10 @@ func (r *Router) lock() uint64 {
 // or a read that shows an outcome, passing 0 — then waits until every
 // record the router had journaled is on disk: its own, and those appended
 // before them. So a call answers on durable state only, and concurrent
-// calls share their fsyncs. A failed sync is counted, logged and returned.
+// calls share their fsyncs. A move that only mirrors a shard's durable
+// answer is made under a plain r.mu and rides this sync, the next one that
+// shows an outcome, or the journal's compaction or Close (see
+// HandleTerminal). A failed sync is counted, logged and returned.
 func (r *Router) unlock(since uint64) error {
 	lsn := r.lsn
 	r.mu.Unlock()
@@ -359,8 +363,9 @@ func (r *Router) Start() {
 
 // Submit accepts one job into the federation. Validation failures and
 // duplicates are refused with the same SubmitError codes a plain service
-// uses. An accepted job is journaled, synced and queued; its fate is
-// visible via Job/Jobs.
+// uses. An accepted job is journaled, bound to its shard when one is
+// eligible, synced and queued for dispatch; its fate is visible via
+// Job/Jobs.
 func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ JobView, err error) {
 	typ, err := strategy.ParseType(strategyName)
 	if err == nil {
@@ -401,6 +406,13 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 	rec := r.newRecordLocked(wire.Name, typ.String(), priority, StateQueued)
 	rec.wire = &wire
 	r.th.accepted.Inc()
+	// The job is bound in the accept's lock section, so the binding shares
+	// the accept's fsync and is on disk before the dispatcher sends the
+	// handoff. With no closed-breaker shard it stays queued, and the
+	// dispatcher binds it once one is.
+	if shard, ok := r.eligibleLocked(rec); ok {
+		r.moveLocked(rec, evBind, "", shard, "")
+	}
 	r.pushLocked(rec)
 	return rec.view(), nil
 }
@@ -410,7 +422,8 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 // rec.State, with state the outcome a row marked outcome takes, and refuses
 // a pair the table does not list, returning false and changing nothing. A
 // listed move journals the uniform record {Job, State, Reason, Shard, Epoch},
-// which the caller's unlock syncs, and counts the transition, so the live
+// which the caller's unlock syncs (or, for a mirrored answer, the next
+// sync), and counts the transition, so the live
 // ledger always equals the fold of its own journal. Caller holds r.mu.
 func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason string) bool {
 	to, ok := lifecycle[ev][rec.State]

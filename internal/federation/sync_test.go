@@ -52,29 +52,38 @@ func syncedRouter(t *testing.T) (*Router, *syncProbe) {
 }
 
 // TestRouterSyncsWhatItAcknowledges: each router record is on disk when
-// the step that acknowledges it happens, by the call DESIGN §11 names —
-// Submit before it answers (row 1), the dispatcher before the handoff
-// leaves (row 2), the answer's resolution (row 5) and HandleTerminal before
-// it returns (row 5). The fsync count is read from the journal's counter,
-// never through Job, which syncs too.
+// the step that acknowledges it happens, by the call DESIGN §11 names.
+// Submit binds the job in its accept's lock section, so the accept and the
+// binding share the one fsync before Submit answers (rows 1 and 2), and the
+// handoff leaves after it and no other. An outcome, from a handoff's answer
+// or from a notice, mirrors the shard's durable record (row 5): it is
+// appended without a sync, and Job shows it only after the sync it rides.
+// The fsync count is read from the journal's counter; Quiesced, which
+// syncs nothing, says when the outcome has moved the entry.
 func TestRouterSyncsWhatItAcknowledges(t *testing.T) {
 	r, probe := syncedRouter(t)
 	if _, err := r.Submit(testJob("a", 60), "S1", 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := probe.fsyncs.Value(); n != 1 {
-		t.Fatalf("Submit answered after %d fsyncs, want the accept's 1", n)
+		t.Fatalf("Submit answered after %d fsyncs, want the accept and binding's 1", n)
 	}
 	r.Start()
 	select {
 	case n := <-probe.atSend:
-		if n != 2 {
-			t.Fatalf("the handoff left after %d fsyncs, want 2: the accept and the binding", n)
+		if n != 1 {
+			t.Fatalf("the handoff left after %d fsyncs, want 1: the accept and the binding's", n)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no handoff")
 	}
-	waitFor(t, "the outcome's fsync", func() bool { return probe.fsyncs.Value() == 3 })
+	waitFor(t, "the answer's outcome", r.Quiesced)
+	if n := probe.fsyncs.Value(); n != 1 {
+		t.Fatalf("the answer's outcome cost %d fsyncs, want none of its own", n-1)
+	}
+	if v, _ := r.Job("a"); v.State != service.StateCompleted || probe.fsyncs.Value() != 2 {
+		t.Fatalf("Job showed %+v after %d fsyncs, want completed after 2", v, probe.fsyncs.Value())
+	}
 
 	r, probe = syncedRouter(t)
 	r.mu.Lock()
@@ -82,7 +91,10 @@ func TestRouterSyncsWhatItAcknowledges(t *testing.T) {
 	b.Shard = "s0"
 	r.mu.Unlock()
 	r.HandleTerminal(&TerminalNotice{Shard: "s0", Job: "b", State: service.StateCompleted})
-	if n := probe.fsyncs.Value(); n != 1 {
-		t.Fatalf("HandleTerminal returned after %d fsyncs, want the outcome's 1", n)
+	if n := probe.fsyncs.Value(); n != 0 {
+		t.Fatalf("HandleTerminal returned after %d fsyncs, want 0: the outcome rides the next sync", n)
+	}
+	if v, _ := r.Job("b"); v.State != service.StateCompleted || probe.fsyncs.Value() != 1 {
+		t.Fatalf("Job showed %+v after %d fsyncs, want completed after 1", v, probe.fsyncs.Value())
 	}
 }

@@ -132,8 +132,8 @@ var transitionTable = []transitionRow{
 	// Admission.
 	{name: "accept", from: "",
 		fire:    func(x *tableCtx) { x.r.Submit(testJob(x.id, 60), "S1", 0) },
-		appends: 1, moves: []string{"submitted", "accepted"}, pushes: 1,
-		want: ledgerRow{State: StateQueued}},
+		appends: 2, moves: []string{"submitted", "accepted"}, pushes: 1,
+		want: ledgerRow{State: StateHanded, Shard: boundShard}},
 	{name: "accept/invalid", from: "",
 		fire:  func(x *tableCtx) { x.r.Submit(testJob(x.id, 60), "NOPE", 0) },
 		moves: []string{"submitted"}},
@@ -272,7 +272,9 @@ var transitionTable = []transitionRow{
 }
 
 // newTableCtx builds the row's router and walks the job to row.from through
-// the real entry points.
+// the real entry points. Submit binds a job to its home shard, whose breaker
+// starts closed, so a queued entry is built as a restarted router restores
+// one: from its journaled accept alone.
 func newTableCtx(t *testing.T, dir, from string) *tableCtx {
 	t.Helper()
 	jnl, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever, IsTerminal: service.Terminal})
@@ -285,14 +287,28 @@ func newTableCtx(t *testing.T, dir, from string) *tableCtx {
 	if x.shard == "s0" {
 		x.other = "s1"
 	}
-	if from == "" {
+	switch from {
+	case "":
+		return x
+	case StateQueued:
+		wire := testJob(x.id, 60)
+		if _, err := jnl.Append(journal.Record{Job: x.id, State: StateQueued, Strategy: "S1", Wire: &wire}); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := journal.Recover(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.r.Restore(recovered); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := x.r.Job(x.id); got.State != StateQueued || got.Shard != "" {
+			t.Fatalf("setup reached %+v, want queued and unbound", got)
+		}
 		return x
 	}
 	if _, err := x.r.Submit(testJob(x.id, 60), "S1", 0); err != nil {
 		t.Fatal(err)
-	}
-	if from == StateQueued {
-		return x
 	}
 	dispatchWith(&HandoffResult{Accepted: true, State: service.StateQueued}, nil)(x)
 	switch from {
