@@ -21,7 +21,7 @@ func TestEpochGatedResurrection(t *testing.T) {
 	}
 	job := testJob("epoch-job", 60)
 	handoff := func(epoch int) *HandoffResult {
-		return ApplyHandoff(svc, &Handoff{Key: job.Name, Job: job, Strategy: "S1", Epoch: epoch})
+		return ApplyHandoff(context.Background(), svc, &Handoff{Key: job.Name, Job: job, Strategy: "S1", Epoch: epoch})
 	}
 	revoke := func(epoch int) *RevokeResult {
 		return ApplyRevoke(svc, &RevokeRequest{Key: job.Name, Reason: "test", Epoch: epoch})
@@ -92,10 +92,10 @@ func TestRevokeRaisesTombstoneEpoch(t *testing.T) {
 	// The stale epoch-2 frame of the revoked binding is refused; epoch 3
 	// resurrects.
 	job := testJob("k", 60)
-	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: job, Strategy: "S1", Epoch: 2}); res.Accepted {
+	if res := ApplyHandoff(context.Background(), svc, &Handoff{Key: "k", Job: job, Strategy: "S1", Epoch: 2}); res.Accepted {
 		t.Fatalf("stale frame accepted over raised tombstone: %+v", res)
 	}
-	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: job, Strategy: "S1", Epoch: 3}); !res.Accepted {
+	if res := ApplyHandoff(context.Background(), svc, &Handoff{Key: "k", Job: job, Strategy: "S1", Epoch: 3}); !res.Accepted {
 		t.Fatalf("epoch-3 resurrection = %+v", res)
 	}
 }
@@ -135,10 +135,10 @@ func TestRevokeOfDrainedRaisesItsEpoch(t *testing.T) {
 		t.Fatalf("drained record after the revoke = %+v, want drained at epoch 2", rec)
 	}
 	checkFoldMatchesLedger(t, dir, svc, "k")
-	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: wire, Strategy: "S1", Epoch: 2}); res.Accepted {
+	if res := ApplyHandoff(context.Background(), svc, &Handoff{Key: "k", Job: wire, Strategy: "S1", Epoch: 2}); res.Accepted {
 		t.Fatalf("stale frame accepted over the raised tombstone: %+v", res)
 	}
-	if res := ApplyHandoff(svc, &Handoff{Key: "k", Job: wire, Strategy: "S1", Epoch: 3}); !res.Accepted {
+	if res := ApplyHandoff(context.Background(), svc, &Handoff{Key: "k", Job: wire, Strategy: "S1", Epoch: 3}); !res.Accepted {
 		t.Fatalf("epoch-3 resurrection = %+v", res)
 	}
 }

@@ -93,12 +93,12 @@ func TestDuplicateHandoffCarriesTheReason(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &Handoff{Key: "j", Job: testJob("j", 3), Strategy: "S1"}
-	first := ApplyHandoff(svc, h)
+	first := ApplyHandoff(context.Background(), svc, h)
 	if first.Code != service.CodeInfeasible || first.Reason == "" {
 		t.Fatalf("first answer %+v, want an infeasible refusal with its reason", *first)
 	}
 	rec, _ := svc.Job("j")
-	second := ApplyHandoff(svc, h)
+	second := ApplyHandoff(context.Background(), svc, h)
 	want := HandoffResult{Accepted: true, Duplicate: true, State: service.StateRejected,
 		Code: service.CodeDuplicate, Reason: rec.Reason}
 	if *second != want || rec.Reason != first.Reason {
@@ -205,7 +205,7 @@ func TestHandoffAnswers(t *testing.T) {
 					if c.bad {
 						deadline = 3
 					}
-					res := ApplyHandoff(svc, &Handoff{Key: "j", Job: testJob("j", deadline),
+					res := ApplyHandoff(context.Background(), svc, &Handoff{Key: "j", Job: testJob("j", deadline),
 						Strategy: "S1", Priority: 1, Epoch: ep.epoch})
 					after, ok := svc.Job("j")
 
@@ -314,7 +314,7 @@ func FuzzShardEpochProtocol(f *testing.F) {
 			m := model[key]
 			switch op >> 1 & 3 {
 			case 0:
-				res := ApplyHandoff(svc, &Handoff{Key: key, Job: testJob(key, 60), Strategy: "S1", Epoch: epoch})
+				res := ApplyHandoff(context.Background(), svc, &Handoff{Key: key, Job: testJob(key, 60), Strategy: "S1", Epoch: epoch})
 				if m.state == service.StateRevoked && epoch <= m.epoch && res.Accepted {
 					t.Fatalf("op %d: handoff %s@%d accepted over a tombstone at %d", i, key, epoch, m.epoch)
 				}

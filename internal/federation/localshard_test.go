@@ -36,7 +36,7 @@ func (l *LocalShard) Handoff(ctx context.Context, h *Handoff) (*HandoffResult, e
 	if err != nil {
 		return nil, err
 	}
-	return ApplyHandoff(l.svc, decoded), nil
+	return ApplyHandoff(ctx, l.svc, decoded), nil
 }
 
 // Revoke implements ShardClient.

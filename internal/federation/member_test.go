@@ -329,7 +329,7 @@ func TestMemberSendsNoRevokedNotices(t *testing.T) {
 	<-joins
 	notices := reg.Counter("grid_fed_member_terminal_notices_total", "", telemetry.L("shard", "s0"))
 
-	if res := ApplyHandoff(svc, &Handoff{Key: "moved", Job: testJob("moved", 60), Strategy: "S1"}); !res.Accepted {
+	if res := ApplyHandoff(context.Background(), svc, &Handoff{Key: "moved", Job: testJob("moved", 60), Strategy: "S1"}); !res.Accepted {
 		t.Fatalf("handoff = %+v", res)
 	}
 	if res := ApplyRevoke(svc, &RevokeRequest{Key: "moved", Reason: "test"}); res.Outcome != RevokeOutcomeRevoked {
@@ -338,7 +338,7 @@ func TestMemberSendsNoRevokedNotices(t *testing.T) {
 	// An infeasible handoff ends a second job, rejected: the member's
 	// outbound loop delivers in order, so its notice arrives after any for
 	// "moved".
-	ApplyHandoff(svc, &Handoff{Key: "sentinel", Job: testJob("sentinel", 3), Strategy: "S1"})
+	ApplyHandoff(context.Background(), svc, &Handoff{Key: "sentinel", Job: testJob("sentinel", 3), Strategy: "S1"})
 	sent := 0
 	for got := ""; got != "sentinel"; sent++ {
 		select {

@@ -9,12 +9,25 @@ import (
 	"repro/internal/metasched"
 )
 
+// settleAsync runs Settle on its own goroutine and sends the record it
+// returns; a sync error fails the test.
+func settleAsync(t *testing.T, s *Server, ctx context.Context, id string) <-chan Record {
+	done := make(chan Record, 1)
+	go func() {
+		rec, err := s.Settle(ctx, id)
+		if err != nil {
+			t.Errorf("Settle(%s): %v", id, err)
+		}
+		done <- rec
+	}()
+	return done
+}
+
 // settleWithin runs Settle on its own goroutine and fails the test unless
 // it returns within d.
 func settleWithin(t *testing.T, s *Server, ctx context.Context, id string, d time.Duration) Record {
 	t.Helper()
-	done := make(chan Record, 1)
-	go func() { done <- s.Settle(ctx, id) }()
+	done := settleAsync(t, s, ctx, id)
 	select {
 	case rec := <-done:
 		return rec
@@ -101,8 +114,7 @@ func TestSettleWaitsForThePassThatTakesTheJob(t *testing.T) {
 	if _, err := s.Submit(wireJob("next", 60), "S1", 0); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan Record, 1)
-	go func() { done <- s.Settle(context.Background(), "next") }()
+	done := settleAsync(t, s, context.Background(), "next")
 	select {
 	case rec := <-done:
 		t.Fatalf("Settle returned %+v while the pass before the job's was under way", rec)
@@ -131,8 +143,7 @@ func TestSettleEndsOnContextAndDrain(t *testing.T) {
 		t.Fatalf("Settle past its context = %+v; want queued", rec)
 	}
 
-	done := make(chan Record, 1)
-	go func() { done <- s.Settle(context.Background(), "waiting") }()
+	done := settleAsync(t, s, context.Background(), "waiting")
 	time.Sleep(10 * time.Millisecond)
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()

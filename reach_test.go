@@ -59,8 +59,6 @@ var reachAllow = map[string]keptAPI{
 		"frames the handoffs the decoder, a local shard and the size limit are driven with; the router encodes in place"},
 	"internal/telemetry.Tracer.SetClock": {"seam", []string{"TestSpanJSONLExactBytes"},
 		"a fixed clock makes the span stream's bytes comparable"},
-	"internal/breaker.Breaker.RetryAfter": {"seam", []string{"TestBreakerStateMachine", "TestBreakerDefaultsAndZeroConfig"},
-		"reads the open window a trip computed (backoff, cap, jitter)"},
 	"internal/breaker.Config.OpenMax": {"seam", []string{"TestChaosSoak", "TestMetricsFieldsAreTheirSeries", "TestRouterMetricsAreTheirSeries"},
 		"holds a tripped breaker open for the length a scenario needs"},
 	"internal/telemetry.Histogram.BucketCount": {"seam", []string{"TestHistogramBuckets"},
