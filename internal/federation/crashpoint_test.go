@@ -245,8 +245,7 @@ func sendOwed(r *Router) {
 		current := rec.State == o.state && rec.attempts == o.attempts
 		r.mu.Unlock()
 		if current {
-			_ = r.cfg.Journal.Sync(o.lsn)
-			r.dispatch(o.id)
+			r.dispatch(o.id, o.lsn)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // owed is one send a ledger entry is owed: the entry's state and attempts
 // when it was queued for dispatch, and the router's newest record then,
-// which the dispatcher syncs before it makes the send.
+// which dispatch syncs before it makes the send.
 type owed struct {
 	id       string
 	state    string
@@ -20,7 +21,7 @@ type owed struct {
 
 // pushLocked queues rec for dispatch now. Caller holds r.mu.
 func (r *Router) pushLocked(rec *jobRecord) {
-	r.owe(owed{rec.ID, rec.State, rec.attempts, r.lsn})
+	r.owe(owed{rec.ID, rec.State, rec.attempts, r.led.LSN()})
 }
 
 // owe queues o for dispatch unless the router is closed. Caller holds r.mu.
@@ -38,7 +39,7 @@ func (r *Router) owe(o owed) {
 // with no eligible shard. It starts no goroutine until d has passed.
 // Caller holds r.mu.
 func (r *Router) requeueLater(rec *jobRecord, d time.Duration) {
-	o := owed{rec.ID, rec.State, rec.attempts, r.lsn}
+	o := owed{rec.ID, rec.State, rec.attempts, r.led.LSN()}
 	time.AfterFunc(d, func() {
 		r.mu.Lock()
 		r.owe(o)
@@ -70,13 +71,8 @@ func (r *Router) dispatchLoop() {
 		rec := r.records[o.id] // entries are never deleted
 		current := rec.State == o.state && rec.attempts == o.attempts
 		r.mu.Unlock()
-		// The move that owed the send is on disk before the send leaves:
-		// Submit's binding, whose own sync may still be under way, shares
-		// that fsync. Syncing only through o.lsn, not the newest record,
-		// spares the dispatcher a wait on later moves' fsyncs.
 		if current {
-			_ = r.cfg.Journal.Sync(o.lsn)
-			r.dispatch(o.id)
+			r.dispatch(o.id, o.lsn)
 		}
 	}
 }
@@ -101,12 +97,14 @@ func (r *Router) eligibleLocked(rec *jobRecord) (string, bool) {
 // join, or retried — is handed off again to the shard it is bound to, which
 // answers a frame it already holds idempotently; a revoking one is revoked.
 // The shard's breaker paces every send: while it refuses, the entry uses no
-// attempt and is requeued for when the breaker may admit it. A send that settles nothing is requeued
-// after the retry backoff, except a handoff that has used RetryBudget
-// attempts, which puts the binding in doubt. A move made while the send is
-// out belongs to whatever made it.
-func (r *Router) dispatch(id string) {
-	since := r.lock()
+// attempt and is requeued for when the breaker may admit it. A send that
+// settles nothing, or that stays home because the sync before it failed, is
+// requeued after the retry backoff, except a handoff that has used
+// RetryBudget attempts, which puts the binding in doubt. A move made while
+// the send is out belongs to whatever made it. owing is the router's newest
+// record when the send was owed, so the move that owed it is at or below it.
+func (r *Router) dispatch(id string, owing uint64) {
+	since := r.led.Lock()
 	rec, ok := r.records[id]
 	if !ok || service.Terminal(rec.State) || rec.wire == nil && rec.State != StateRevoking {
 		// Settled, or adopted by an older router's join (no wire form): nothing to send.
@@ -158,16 +156,23 @@ func (r *Router) dispatch(id string) {
 	} else {
 		req = &RevokeRequest{Key: id, Reason: rec.Reason, Epoch: rec.epoch}
 	}
-	// The binding is on disk before the first byte leaves. A failed sync is
-	// counted and logged, and the send goes out, as after a failed append:
-	// the move stands.
-	_ = r.unlock(since)
+	// A binding made here, and the move that owed the send, are on disk
+	// before the first byte leaves: Submit's binding, whose own sync may
+	// still be under way, shares that fsync. Syncing only through owing, not
+	// the newest record, spares the send a wait on later moves' fsyncs. When
+	// the sync fails the send stays home and settles nothing: the move it
+	// would act on may be on no disk, and a router restored without it could
+	// bind the job to a second shard.
+	serr := cmp.Or(r.led.Unlock(since), r.cfg.Journal.Sync(owing))
 
 	client := r.clients[shard]
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.handoffTimeout())
 	var settled bool
 	var err error
-	if h != nil {
+	switch {
+	case serr != nil:
+		r.logf("federation: %s %s@%s not sent: %v", state, id, shard, serr)
+	case h != nil:
 		var res *HandoffResult
 		res, err = client.Handoff(ctx, h)
 		r.th.handoffs.Inc()
@@ -177,7 +182,7 @@ func (r *Router) dispatch(id string) {
 		} else {
 			r.th.handoffFailures.Inc()
 		}
-	} else {
+	default:
 		var res *RevokeResult
 		res, err = client.Revoke(ctx, req)
 		if err == nil {
@@ -191,7 +196,7 @@ func (r *Router) dispatch(id string) {
 		r.shardFailed(shard)
 	}
 
-	defer r.unlock(r.lock())
+	defer r.led.Unlock(r.led.Lock())
 	switch {
 	case settled, rec.State != state, rec.attempts != attempts:
 		// Settled, or moved or sent again meanwhile by what owns it now.

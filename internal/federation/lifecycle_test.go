@@ -264,7 +264,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 			case fzDispatch:
 				a := fzAnswers[variant]
 				x.answer(a.res, a.err)
-				x.r.dispatch(key)
+				x.r.dispatch(key, 0)
 			case fzNotice:
 				x.r.HandleTerminal(&TerminalNotice{Shard: shard, Job: key, State: fzNoticeStates[variant&3], Reason: "noticed"})
 			case fzJoin:

@@ -340,11 +340,16 @@ func admitHandoff(svc *service.Server, h *Handoff) *HandoffResult {
 
 // ApplyRevoke maps a revocation onto the service, returning the confirmed
 // outcome. A tombstone, revoked or drained, is revoked: the shard will never
-// run the job, so the router reallocates it.
+// run the job, so the router reallocates it. A revocation whose sync failed
+// is answered with no outcome, which the router refuses and sends again:
+// the shard cannot say what it holds on disk.
 func ApplyRevoke(svc *service.Server, req *RevokeRequest) *RevokeResult {
 	rec, err := svc.RevokeEpoch(req.Key, "revoked by the router: "+req.Reason, req.Epoch)
-	if err != nil { // service.ErrInFlight, the only error RevokeEpoch returns
+	switch {
+	case errors.Is(err, service.ErrInFlight):
 		return &RevokeResult{Outcome: RevokeOutcomeInFlight, State: rec.State}
+	case err != nil:
+		return &RevokeResult{Reason: fmt.Sprintf("journal sync failed; the revocation may not survive a crash: %v", err)}
 	}
 	if service.Tombstone(rec.State) {
 		return &RevokeResult{Outcome: RevokeOutcomeRevoked, State: rec.State, Reason: rec.Reason}

@@ -102,17 +102,17 @@ func TestRouterMetricsAreTheirSeries(t *testing.T) {
 		t.Fatal("an unknown strategy was accepted")
 	}
 	answer(&HandoffResult{Code: service.CodeOverloaded}, accepted) // a retry
-	r.dispatch("done")
-	r.dispatch("done")
+	r.dispatch("done", 0)
+	r.dispatch("done", 0)
 	r.HandleTerminal(&TerminalNotice{Shard: shardOf("done"), Job: "done", State: service.StateCompleted})
 
 	submit("refused")
 	answer(&HandoffResult{Code: service.CodeInfeasible, Reason: "deadline too tight"})
-	r.dispatch("refused")
+	r.dispatch("refused", 0)
 
 	submit("moved")
 	answer(accepted)
-	r.dispatch("moved")
+	r.dispatch("moved", 0)
 	r.beginRevoke("moved", "test: binding in doubt")
 	r.resolveRevoke("moved", shardOf("moved"), &RevokeResult{Outcome: RevokeOutcomeRevoked, State: service.StateRevoked})
 
@@ -122,7 +122,7 @@ func TestRouterMetricsAreTheirSeries(t *testing.T) {
 	answer(nil)
 	for _, id := range []string{"lost-0", "lost-1"} {
 		submit(id)
-		r.dispatch(id)
+		r.dispatch(id, 0)
 	}
 
 	jnl.Close()

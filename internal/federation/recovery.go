@@ -29,7 +29,7 @@ func (r *Router) banAndRequeueLocked(rec *jobRecord, ev event, shard, why string
 // beginRevoke moves a bound job into the revoking state and queues its
 // revocation for the dispatchers.
 func (r *Router) beginRevoke(id, why string) {
-	defer r.unlock(r.lock())
+	defer r.led.Unlock(r.led.Lock())
 	if rec, ok := r.records[id]; ok && r.moveLocked(rec, evRevoke, "", rec.Shard, why) {
 		r.pushLocked(rec)
 	}
@@ -136,7 +136,7 @@ func (r *Router) HandleJoin(req *JoinRequest) {
 // lifecycle refuses a notice for a terminal entry, and a revoked one, which
 // names no outcome (the job lives on; its revocation owns it). Its record
 // mirrors the shard's durable outcome, so it is not synced here: it rides
-// the router's next sync (an unlock that appended, a read that shows an
+// the router's next sync (a Ledger.Unlock that appended, a read that shows an
 // outcome, compaction or Close). A crash that loses it restores the job
 // handed, and the handoff resent to the shard is answered with the same
 // outcome.

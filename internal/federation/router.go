@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -201,12 +202,12 @@ type Router struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
+	led      *journal.Ledger[struct{}] // journals the moves made under mu
 	records  map[string]*jobRecord
 	live     int           // entries not yet terminal; Quiesced reads it
 	quiet    chan struct{} // closed when live falls to 0 under a Drain
 	pending  []owed
 	seq      uint64
-	lsn      uint64 // the newest record the router journaled; unlock syncs through it
 	draining bool
 	closed   bool
 
@@ -225,7 +226,6 @@ type routerTelemetry struct {
 	drained                                  *telemetry.Counter
 	handoffs, handoffFailures, retries       *telemetry.Counter
 	reallocated, revocations, deaths         *telemetry.Counter
-	journalErrors                            *telemetry.Counter
 	pending                                  *telemetry.Gauge
 }
 
@@ -271,6 +271,7 @@ func New(cfg Config) (*Router, error) {
 	r.retry = newBackoff(cfg.RetryBase, cfg.RetryCap, 2*time.Second,
 		rng.New(cfg.Seed).Split(fnv1a("router")), nil)
 	r.cond = sync.NewCond(&r.mu)
+	r.led = journal.NewLedger[struct{}](&r.mu, cfg.Journal, nil)
 	for _, n := range names {
 		// Breakers start closed, so jobs dispatch at once, and each shard's
 		// grid_breaker_state series shows from the start.
@@ -288,7 +289,6 @@ func New(cfg Config) (*Router, error) {
 		reallocated:     reg.Counter("grid_fed_reallocations_total", "jobs moved to another shard after confirmed revocation"),
 		revocations:     reg.Counter("grid_fed_revocations_total", "confirmed revocations (incl. tombstones)"),
 		deaths:          reg.Counter("grid_fed_shard_deaths_total", "shards declared dead by their breaker"),
-		journalErrors:   reg.Counter("grid_fed_journal_errors_total", "router journal append failures"),
 		pending:         reg.Gauge("grid_fed_jobs_pending", "router jobs awaiting dispatch"),
 	}
 	return r, nil
@@ -303,50 +303,6 @@ func (r *Router) logf(format string, args ...any) {
 // now maps wall time onto breaker ticks: milliseconds since router start.
 func (r *Router) now() simtime.Time {
 	return simtime.Time(time.Since(r.start) / time.Millisecond)
-}
-
-// journal appends rec when the router journals; the caller's unlock, or a
-// later sync, makes it durable. A failed append is counted, logged and
-// returned. Caller holds r.mu.
-func (r *Router) journal(rec journal.Record) error {
-	if r.cfg.Journal == nil {
-		return nil
-	}
-	lsn, err := r.cfg.Journal.Append(rec)
-	if err != nil {
-		r.th.journalErrors.Inc()
-		r.logf("federation: journal append %s/%s: %v", rec.Job, rec.State, err)
-	}
-	r.lsn = max(r.lsn, lsn)
-	return err
-}
-
-// lock takes r.mu and returns the newest journal position, for unlock.
-func (r *Router) lock() uint64 {
-	r.mu.Lock()
-	return r.lsn
-}
-
-// unlock releases r.mu. A caller that appended since lock returned since —
-// or a read that shows an outcome, passing 0 — then waits until every
-// record the router had journaled is on disk: its own, and those appended
-// before them. So a call answers on durable state only, and concurrent
-// calls share their fsyncs. A move that only mirrors a shard's durable
-// answer is made under a plain r.mu and rides this sync, the next one that
-// shows an outcome, or the journal's compaction or Close (see
-// HandleTerminal). A failed sync is counted, logged and returned.
-func (r *Router) unlock(since uint64) error {
-	lsn := r.lsn
-	r.mu.Unlock()
-	if lsn == since {
-		return nil
-	}
-	err := r.cfg.Journal.Sync(lsn)
-	if err != nil {
-		r.th.journalErrors.Inc()
-		r.logf("federation: journal sync through LSN %d: %v", lsn, err)
-	}
-	return err
 }
 
 // Start launches the dispatcher pool and the per-shard heartbeat loops.
@@ -373,9 +329,9 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 		_, err = wire.ToJob()
 	}
 
-	since := r.lock()
+	since := r.led.Lock()
 	defer func() {
-		if serr := r.unlock(since); serr != nil && err == nil {
+		if serr := r.led.Unlock(since); serr != nil && err == nil {
 			err = &service.SubmitError{Code: service.CodeInternal,
 				Reason: fmt.Sprintf("journal sync failed; the accepted job may not survive a crash: %v", serr)}
 		}
@@ -398,7 +354,7 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 	// is the only record that carries the admission fields (strategy,
 	// priority, wire form); every later change to the entry goes through
 	// moveLocked.
-	if err := r.journal(journal.Record{Job: wire.Name, State: StateQueued,
+	if err := r.led.Append(journal.Record{Job: wire.Name, State: StateQueued,
 		Strategy: typ.String(), Priority: priority, Wire: &wire}); err != nil {
 		return JobView{}, &service.SubmitError{Code: service.CodeInternal,
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
@@ -422,9 +378,10 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 // rec.State, with state the outcome a row marked outcome takes, and refuses
 // a pair the table does not list, returning false and changing nothing. A
 // listed move journals the uniform record {Job, State, Reason, Shard, Epoch},
-// which the caller's unlock syncs (or, for a mirrored answer, the next
-// sync), and counts the transition, so the live
-// ledger always equals the fold of its own journal. Caller holds r.mu.
+// which the caller's r.led.Unlock syncs (or, for a mirrored answer, the
+// next one that syncs), and counts the transition, so the live ledger
+// always equals the fold of its own journal. A failed append is logged;
+// the move stands. Caller holds r.mu.
 func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason string) bool {
 	to, ok := lifecycle[ev][rec.State]
 	if to == outcome {
@@ -443,7 +400,9 @@ func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason strin
 			r.quiet = nil
 		}
 	}
-	_ = r.journal(journal.Record{Job: rec.ID, State: to, Reason: reason, Shard: shard, Epoch: rec.epoch}) // counted and logged; the move stands
+	if err := r.led.Append(journal.Record{Job: rec.ID, State: to, Reason: reason, Shard: shard, Epoch: rec.epoch}); err != nil {
+		r.logf("federation: journal append %s/%s: %v", rec.ID, to, err)
+	}
 	switch to {
 	case StateQueued:
 		r.th.reallocated.Inc()
@@ -475,13 +434,7 @@ func (r *Router) newRecordLocked(id, strategyName string, priority int, state st
 // Job returns one router ledger entry; an outcome only once it is durable.
 func (r *Router) Job(id string) (view JobView, _ bool) {
 	r.mu.Lock()
-	defer func() {
-		if service.Terminal(view.State) {
-			r.unlock(0)
-		} else {
-			r.mu.Unlock()
-		}
-	}()
+	defer func() { r.led.UnlockShowing(service.Terminal(view.State)) }()
 	rec, ok := r.records[id]
 	if !ok {
 		return JobView{}, false
@@ -493,7 +446,7 @@ func (r *Router) Job(id string) (view JobView, _ bool) {
 // shows are durable.
 func (r *Router) Jobs() []JobView {
 	r.mu.Lock()
-	defer r.unlock(0)
+	defer r.led.Unlock(0)
 	out := make([]JobView, 0, len(r.records))
 	for _, rec := range r.records {
 		out = append(out, rec.view())
@@ -527,7 +480,8 @@ func (r *Router) Quiesced() bool {
 // Drain stops admission, waits for in-flight jobs to settle (until ctx),
 // marks what never dispatched as drained, and stops the loops. The wait is
 // on its own channel, not r.cond: a dispatcher's wake-up is a Signal, which
-// a drain waiting on the same cond could take.
+// a drain waiting on the same cond could take. It returns the sync error
+// of its drained records, if any, or else ctx's.
 func (r *Router) Drain(ctx context.Context) error {
 	r.mu.Lock()
 	r.draining = true
@@ -546,13 +500,13 @@ func (r *Router) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 
-	since := r.lock()
+	since := r.led.Lock()
 	for _, rec := range r.records {
 		r.moveLocked(rec, evDrain, "", rec.Shard, "router shutdown before dispatch")
 	}
-	r.unlock(since)
+	err := r.led.Unlock(since)
 	r.Close()
-	return ctx.Err()
+	return cmp.Or(err, ctx.Err())
 }
 
 // Close stops the background loops without waiting for jobs.

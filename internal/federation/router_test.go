@@ -1157,9 +1157,9 @@ func TestHandoffFailuresAloneDeclareDeath(t *testing.T) {
 		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
 			t.Fatal(err)
 		}
-		r.dispatch(id)
+		r.dispatch(id, 0)
 	}
-	r.dispatch(ids[2]) // the second attempt: each dispatch makes one
+	r.dispatch(ids[2], 0) // the second attempt: each dispatch makes one
 	if deaths := r.th.deaths.Value(); deaths != 1 {
 		t.Fatalf("grid_fed_shard_deaths_total = %d after failed handoffs, want 1", deaths)
 	}
@@ -1212,7 +1212,7 @@ func TestTrippedShardGetsNoHandoffUntilAPing(t *testing.T) {
 		return r.brk.Get("s0").State(r.now()) == breaker.HalfOpen
 	})
 	for i := 0; i < 3; i++ {
-		r.dispatch("parked")
+		r.dispatch("parked", 0)
 	}
 	if n := s0.count("handoff parked"); n != 0 {
 		t.Fatalf("s0 received %d handoffs while half-open, want 0", n)
@@ -1257,7 +1257,7 @@ func TestDeathSweepStartsNoGoroutinePerJob(t *testing.T) {
 		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
 			t.Fatal(err)
 		}
-		r.dispatch(id)
+		r.dispatch(id, 0)
 	}
 	r.Start()
 	r.shardFailed("s0")
@@ -1387,7 +1387,7 @@ func TestBreakerPacesSendsToASickShard(t *testing.T) {
 		if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
 			t.Fatal(err)
 		}
-		r.dispatch(id)
+		r.dispatch(id, 0)
 	}
 	s0.mu.Lock()
 	s0.accept = false
@@ -1461,7 +1461,7 @@ func TestRevokeProbeSettlesAShardWhosePingsFail(t *testing.T) {
 	if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
 		t.Fatal(err)
 	}
-	r.dispatch(id)
+	r.dispatch(id, 0)
 	s0.mu.Lock()
 	s0.pingDown = true
 	s0.mu.Unlock()

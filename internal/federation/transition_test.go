@@ -118,7 +118,7 @@ func join(x *tableCtx, shard string) {
 func dispatchWith(res *HandoffResult, err error) func(*tableCtx) {
 	return func(x *tableCtx) {
 		x.answer(res, err)
-		x.r.dispatch(x.id)
+		x.r.dispatch(x.id, 0)
 	}
 }
 
@@ -357,7 +357,6 @@ var routerCounters = map[string]struct {
 	"reallocated":     {func(m Metrics) uint64 { return m.Reallocated }, "grid_fed_reallocations_total"},
 	"revocations":     {func(m Metrics) uint64 { return m.Revocations }, "grid_fed_revocations_total"},
 	"deaths":          {nil, "grid_fed_shard_deaths_total"},
-	"journalErrors":   {nil, "grid_fed_journal_errors_total"},
 }
 
 // counters reads every counter the router keeps: its Metrics field and its

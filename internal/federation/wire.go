@@ -126,9 +126,10 @@ const (
 	RevokeOutcomeTerminal = "terminal"
 )
 
-// RevokeResult is the shard's confirmed answer to a revocation.
+// RevokeResult is the shard's confirmed answer to a revocation. An empty
+// Outcome confirms nothing: the shard's sync failed, and Reason says so.
 type RevokeResult struct {
-	Outcome string `json:"outcome"` // revoked | inflight | terminal
+	Outcome string `json:"outcome"` // revoked | inflight | terminal, or ""
 	State   string `json:"state,omitempty"`
 	Reason  string `json:"reason,omitempty"`
 }

@@ -11,7 +11,9 @@
 // straight into a buffer the Journal keeps, and written with one Write; an
 // append allocates nothing. Concurrent callers share fsyncs: a Sync that
 // finds none under way leads one, with the journal's lock released, and the
-// Syncs that arrive meanwhile share the next.
+// Syncs that arrive meanwhile share the next. A tier that journals its moves
+// under its own lock commits them through a Ledger: append under the lock,
+// sync after releasing it, and only then answer or announce.
 //
 // # On-disk layout
 //
@@ -200,6 +202,7 @@ type Journal struct {
 	syncErr      error                // the first failed fsync's; see failLocked
 
 	appends, fsyncs, rotations, compactions *telemetry.Counter
+	appendFailures, syncFailures            *telemetry.Counter
 	rotateFailures, compactFailures         *telemetry.Counter
 }
 
@@ -230,20 +233,20 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		reg = telemetry.NewRegistry()
 	}
 	j := &Journal{
-		opts:        opts,
-		nextLSN:     rec.LastLSN + 1,
-		snapLSN:     rec.SnapshotLSN,
-		synced:      rec.LastLSN,
-		fsync:       (*os.File).Sync,
-		state:       make(map[string]*JobState, len(rec.Jobs)),
-		appends:     reg.Counter("grid_journal_appends_total", "journal records appended"),
-		fsyncs:      reg.Counter("grid_journal_fsyncs_total", "journal fsync calls"),
-		rotations:   reg.Counter("grid_journal_rotations_total", "journal segment rotations"),
-		compactions: reg.Counter("grid_journal_compactions_total", "journal compactions"),
-		rotateFailures: reg.Counter("grid_journal_failures_total", "journal rotations and compactions that failed",
-			telemetry.L("op", "rotate")),
-		compactFailures: reg.Counter("grid_journal_failures_total", "journal rotations and compactions that failed",
-			telemetry.L("op", "compact")),
+		opts:            opts,
+		nextLSN:         rec.LastLSN + 1,
+		snapLSN:         rec.SnapshotLSN,
+		synced:          rec.LastLSN,
+		fsync:           (*os.File).Sync,
+		state:           make(map[string]*JobState, len(rec.Jobs)),
+		appends:         reg.Counter("grid_journal_appends_total", "journal records appended"),
+		fsyncs:          reg.Counter("grid_journal_fsyncs_total", "journal fsync calls"),
+		rotations:       reg.Counter("grid_journal_rotations_total", "journal segment rotations"),
+		compactions:     reg.Counter("grid_journal_compactions_total", "journal compactions"),
+		appendFailures:  reg.Counter("grid_journal_failures_total", failuresHelp, telemetry.L("op", "append")),
+		syncFailures:    reg.Counter("grid_journal_failures_total", failuresHelp, telemetry.L("op", "sync")),
+		rotateFailures:  reg.Counter("grid_journal_failures_total", failuresHelp, telemetry.L("op", "rotate")),
+		compactFailures: reg.Counter("grid_journal_failures_total", failuresHelp, telemetry.L("op", "compact")),
 	}
 	j.synchronized.L = &j.mu
 	for _, js := range rec.Jobs {
@@ -255,6 +258,16 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		return nil, nil, err
 	}
 	return j, rec, nil
+}
+
+const failuresHelp = "journal appends, syncs, rotations and compactions that failed"
+
+// countFailed counts a failed call in c: deferred with the call's named
+// error result.
+func countFailed(err *error, c *telemetry.Counter) {
+	if *err != nil {
+		c.Inc()
+	}
 }
 
 func truncateFile(path string, size int64) error {
@@ -303,10 +316,12 @@ func snapshotPath(dir string, lsn uint64) string {
 
 // Append writes one record and assigns its LSN, which it returns. The record
 // is durable once Sync(lsn) returns: Append itself does not sync, so a
-// caller can append under its own lock and sync after releasing it.
-func (j *Journal) Append(rec Record) (uint64, error) {
+// caller can append under its own lock and sync after releasing it. A
+// failed call counts in grid_journal_failures_total{op="append"}.
+func (j *Journal) Append(rec Record) (_ uint64, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	defer countFailed(&err, j.appendFailures)
 	if j.closed {
 		return 0, fmt.Errorf("journal: closed")
 	}
@@ -357,13 +372,15 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 // j.mu and advance the same mark, so a Sync that races them returns once
 // they have made its records durable. Under FsyncNever, or on a nil
 // Journal, Sync returns at once. Once an fsync has failed, every Sync
-// returns its error (see failLocked).
-func (j *Journal) Sync(lsn uint64) error {
+// returns its error (see failLocked). A failed call counts in
+// grid_journal_failures_total{op="sync"}.
+func (j *Journal) Sync(lsn uint64) (err error) {
 	if j == nil || j.opts.Fsync == FsyncNever {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	defer countFailed(&err, j.syncFailures)
 	for j.syncErr == nil && j.synced < lsn {
 		switch {
 		case lsn >= j.nextLSN:
@@ -471,11 +488,7 @@ func (j *Journal) Compact() error {
 // compactLocked is Compact under j.mu. A failure counts in
 // grid_journal_failures_total{op="compact"}.
 func (j *Journal) compactLocked() (err error) {
-	defer func() {
-		if err != nil {
-			j.compactFailures.Inc()
-		}
-	}()
+	defer countFailed(&err, j.compactFailures)
 	// Sync the active segment, then write the snapshot with the segment
 	// still open: every record on disk is covered by the snapshot, and a
 	// snapshot that cannot be written leaves the journal appending where it

@@ -249,3 +249,52 @@ func TestFailedFsyncIsSticky(t *testing.T) {
 		t.Fatalf("grid_journal_fsyncs_total %d counts a failed fsync", n)
 	}
 }
+
+// TestFailedCallsCountOnce: grid_journal_failures_total counts each Append
+// and Sync call that fails once, under its op, and none that succeeds; once
+// an fsync has failed, each call its sticky error refuses counts once. A
+// refused compaction counts under its own op only.
+func TestFailedCallsCountOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	j, g := openGated(t, Options{Dir: t.TempDir(), Telemetry: reg})
+	g.err = errors.New("injected write-back error")
+	failures := func(op string) uint64 {
+		return reg.Counter("grid_journal_failures_total", "", telemetry.L("op", op)).Value()
+	}
+	want := func(what string, appends, syncs uint64) {
+		t.Helper()
+		if a, s := failures("append"), failures("sync"); a != appends || s != syncs {
+			t.Fatalf("after %s: append failures %d, sync failures %d; want %d, %d", what, a, s, appends, syncs)
+		}
+	}
+	lsn := mustAppend(t, j, Record{Job: "a", State: "queued"})
+	want("a good append", 0, 0)
+	if err := j.Sync(lsn + 1); err == nil {
+		t.Fatal("Sync of an unwritten LSN succeeded")
+	}
+	want("a sync of an unwritten LSN", 0, 1)
+	done := syncAsync(j, lsn)
+	<-g.entered
+	g.open()
+	if err := recvErr(t, done, "the failing Sync"); !errors.Is(err, g.err) {
+		t.Fatalf("the failing Sync returned %v, want the fsync's error", err)
+	}
+	want("the failed fsync", 0, 2)
+	for i := uint64(1); i <= 3; i++ {
+		if _, err := j.Append(Record{Job: "b", State: "queued"}); !errors.Is(err, g.err) {
+			t.Fatalf("Append after the failed fsync returned %v, want its error", err)
+		}
+		want(fmt.Sprintf("refused append %d", i), i, 1+i)
+		if err := j.Sync(lsn); !errors.Is(err, g.err) {
+			t.Fatalf("Sync after the failed fsync returned %v, want its error", err)
+		}
+		want(fmt.Sprintf("refused sync %d", i), i, 2+i)
+	}
+	if err := j.Compact(); !errors.Is(err, g.err) {
+		t.Fatalf("Compact after the failed fsync returned %v, want its error", err)
+	}
+	want("a refused compaction", 3, 5)
+	if c, r := failures("compact"), failures("rotate"); c != 1 || r != 0 {
+		t.Fatalf("compact failures %d, rotate failures %d; want 1, 0", c, r)
+	}
+}

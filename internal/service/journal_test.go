@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/metasched"
+	"repro/internal/telemetry"
 )
 
 // openJournal opens (or reopens) a journal over dir with the service's
@@ -33,9 +34,13 @@ func openJournal(t *testing.T, dir string) (*journal.Journal, *journal.Recovery)
 // journal directory and restores whatever the journal remembers.
 func newJournaledServer(t *testing.T, dir string) (*Server, RecoveryStats) {
 	t.Helper()
-	jnl, rec := openJournal(t, dir)
+	reg := telemetry.NewRegistry()
+	jnl, rec, err := journal.Open(journal.Options{Dir: dir, IsTerminal: Terminal, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { jnl.Close() })
-	s := newServer(t, Config{Journal: jnl})
+	s := newServer(t, Config{Journal: jnl, Telemetry: reg})
 	stats, err := s.Restore(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +97,8 @@ func TestJournalRecoveryAcrossCrash(t *testing.T) {
 		}
 	}
 	m := readTally(heir)
-	if m.Completed != 2 || m.JournalErrors != 0 {
-		t.Fatalf("heir metrics (only requeued jobs complete here): %+v", m)
+	if m.Completed != 2 || journalFailures(t, heir) != 0 {
+		t.Fatalf("heir metrics (only requeued jobs complete here): %+v, journal failures %v", m, journalFailures(t, heir))
 	}
 	if rs := heir.Recovery(); rs == nil || rs.Requeued != 2 {
 		t.Fatalf("Recovery() accessor: %+v", rs)
@@ -165,8 +170,8 @@ func TestJournalHoldsAcceptAndTerminalOnly(t *testing.T) {
 	if states := journalStates(t, dir, "j"); !reflect.DeepEqual(states, []string{StateQueued, StateCompleted}) {
 		t.Fatalf("completed job's journal is %v, want [queued completed]", states)
 	}
-	if m := readTally(s); m.JournalErrors != 0 {
-		t.Fatalf("journal errors: %+v", m)
+	if n := journalFailures(t, s); n != 0 {
+		t.Fatalf("journal failures: %v", n)
 	}
 }
 

@@ -95,7 +95,7 @@ func scrape(t *testing.T, h http.Handler) map[string]float64 {
 type tally struct {
 	Submitted, Accepted, Completed, Rejected uint64
 	Shed, Infeasible, Overloaded, Drained    uint64
-	Revoked, JournalErrors                   uint64
+	Revoked                                  uint64
 	QueueDepth, QueueHighWater               int
 	EngineNow                                simtime.Time
 }
@@ -111,10 +111,17 @@ func readTally(s *Server) tally {
 		Completed: th.completed.Value(), Rejected: th.rejected.Value(),
 		Shed: th.shed.Value(), Infeasible: th.infeasible.Value(),
 		Overloaded: th.overloaded.Value(), Drained: th.drained.Value(),
-		Revoked: th.revoked.Value(), JournalErrors: th.journalErrors.Value(),
+		Revoked:    th.revoked.Value(),
 		QueueDepth: int(th.queueDepth.Value()), QueueHighWater: int(th.queueHighWater.Value()),
 		EngineNow: simtime.Time(th.engineNow.Value()),
 	}
+}
+
+// journalFailures adds up the grid_journal_failures_total samples a server
+// serves: its journal's failed calls when the two share a registry.
+func journalFailures(t *testing.T, s *Server) float64 {
+	t.Helper()
+	return sumFamily(scrape(t, s.Handler()), "grid_journal_failures_total")
 }
 
 // sumFamily adds up a labelled family's samples.
@@ -209,7 +216,7 @@ func TestMetricsFieldsAreTheirSeries(t *testing.T) {
 	moved := []string{
 		"grid_service_submitted_total", "grid_service_infeasible_total",
 		"grid_service_overloaded_total", "grid_service_revoked_total",
-		"grid_service_resurrected_total", "grid_service_journal_errors_total",
+		"grid_service_resurrected_total", `grid_journal_failures_total{op="append"}`,
 		"grid_service_queue_high_water", "grid_service_engine_now",
 		"grid_journal_appends_total", "grid_journal_fsyncs_total",
 		"grid_journal_rotations_total", "grid_journal_compactions_total",

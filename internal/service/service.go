@@ -338,18 +338,9 @@ type Server struct {
 	passes  uint64
 	current []*entry
 
-	// lsn is the newest journal record the server appended, and announce
-	// the terminal records OnTerminal owes, each behind its record's LSN:
-	// unlock syncs through lsn, then fires what the sync covered.
-	lsn      uint64
-	announce []announcement
-}
-
-// announcement is a terminal record OnTerminal owes once the journal record
-// at lsn is durable.
-type announcement struct {
-	lsn uint64
-	rec Record
+	// led journals every move made under mu and owes OnTerminal the
+	// terminal ones; its Unlock syncs them before the call answers.
+	led *journal.Ledger[Record]
 }
 
 // telemetryHandles caches the service's registry handles so every counter
@@ -365,7 +356,6 @@ type telemetryHandles struct {
 	queueDepth, queueHighWater               *telemetry.Gauge
 	engineNow, eventsFired                   *telemetry.Gauge
 	queueWait                                *telemetry.Histogram
-	journalErrors                            *telemetry.Counter
 }
 
 func newTelemetryHandles(reg *telemetry.Registry) telemetryHandles {
@@ -386,7 +376,6 @@ func newTelemetryHandles(reg *telemetry.Registry) telemetryHandles {
 		eventsFired:    reg.Gauge("grid_service_engine_events_fired", "simulation events fired so far"),
 		queueWait: reg.Histogram("grid_service_queue_wait_seconds",
 			"wall time jobs spent in the admission queue", nil),
-		journalErrors: reg.Counter("grid_service_journal_errors_total", "lifecycle transitions that failed to journal"),
 	}
 }
 
@@ -403,6 +392,7 @@ func New(cfg Config) (*Server, error) {
 		held:    make(map[string]*entry),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.led = journal.NewLedger(&s.mu, cfg.Journal, cfg.OnTerminal)
 	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
 	s.telem = cfg.Telemetry
 	if s.telem == nil {
@@ -462,7 +452,7 @@ func (s *Server) onEvent(e metasched.Event) {
 		}
 	}
 
-	defer s.unlock(s.lock())
+	defer s.led.Unlock(s.led.Lock())
 	rec, ok := s.records[e.Job]
 	if !ok {
 		return
@@ -491,14 +481,14 @@ var errRefused = errors.New("service: move not in the job lifecycle")
 // row up in lifecycle from rec.State and refuses a pair the table does not
 // list with errRefused, changing nothing. A listed move appends its
 // journal record — jr plus {job, state, reason} — before anything else; the
-// caller's unlock syncs it before the call answers. An accept the journal
-// refuses changes nothing and returns the append error (an unjournaled
-// accept could be silently lost), while every other move stands and the
-// failure shows in JournalErrors. A move that starts a life resets the
+// caller's s.led.Unlock syncs it before the call answers. An accept the
+// journal refuses changes nothing and returns the append error (an
+// unjournaled accept could be silently lost), while every other move stands
+// and the journal counts the failure. A move that starts a life resets the
 // record to the admission fields of jr; a move from "" ledgers rec. A move
 // into a terminal state bumps its counter and owes one OnTerminal, which
-// unlock fires once the record is synced, so an observer never learns of a
-// transition a crash could forget.
+// s.led.Unlock fires once the record is synced, so an observer never learns
+// of a transition a crash could forget.
 // Callers hold s.mu, so the per-job record order on disk matches the
 // in-memory transition order.
 func (s *Server) moveLocked(rec *Record, ev event, reason string, jr journal.Record) error {
@@ -507,16 +497,11 @@ func (s *Server) moveLocked(rec *Record, ev event, reason string, jr journal.Rec
 	if !ok {
 		return errRefused
 	}
-	if ev != evSchedule && s.cfg.Journal != nil {
+	if ev != evSchedule {
 		jr.Job, jr.State, jr.Reason = rec.ID, to, reason
-		lsn, err := s.cfg.Journal.Append(jr)
-		if err != nil {
-			s.th.journalErrors.Inc()
-			if ev == evAccept {
-				return err
-			}
+		if err := s.led.Append(jr); err != nil && ev == evAccept {
+			return err
 		}
-		s.lsn = max(s.lsn, lsn)
 	}
 	switch {
 	case ev == evAccept || ev == evInfeasible:
@@ -544,55 +529,8 @@ func (s *Server) moveLocked(rec *Record, ev event, reason string, jr journal.Rec
 	case StateRevoked:
 		s.th.revoked.Inc()
 	}
-	if s.cfg.OnTerminal != nil {
-		s.announce = append(s.announce, announcement{s.lsn, *rec})
-	}
+	s.led.Owe(*rec)
 	return nil
-}
-
-// lock takes s.mu and returns the newest journal position, for unlock.
-func (s *Server) lock() uint64 {
-	s.mu.Lock()
-	return s.lsn
-}
-
-// unlock releases s.mu. A caller that appended since lock returned since,
-// that finds OnTerminal calls owed, or that reads an outcome (since 0) then
-// waits until every record the server had journaled is on disk: its own,
-// and those appended before them. So a call answers with durable state
-// only, and concurrent calls share their fsyncs. It then fires, under s.mu,
-// the OnTerminal calls owed to records its sync covered. A failed sync
-// counts in JournalErrors, announces nothing and is returned.
-func (s *Server) unlock(since uint64) error {
-	lsn, owed := s.lsn, len(s.announce) > 0
-	s.mu.Unlock()
-	if lsn == since && !owed {
-		return nil
-	}
-	if err := s.cfg.Journal.Sync(lsn); err != nil {
-		s.th.journalErrors.Inc()
-		return err
-	}
-	if owed {
-		s.mu.Lock()
-		n := 0
-		for ; n < len(s.announce) && s.announce[n].lsn <= lsn; n++ {
-			s.cfg.OnTerminal(s.announce[n].rec)
-		}
-		s.announce = append(s.announce[:0], s.announce[n:]...)
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// unlockShowing is a read's unlock: it syncs only when the state the read
-// returns is an outcome, which no crash may take back once shown.
-func (s *Server) unlockShowing(state string) {
-	if Terminal(state) {
-		s.unlock(0)
-	} else {
-		s.mu.Unlock()
-	}
 }
 
 // enqueueLocked puts e on the admission queue, publishes the new depth and
@@ -665,12 +603,12 @@ func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int
 		return nil, &SubmitError{Code: CodeInvalid, Reason: err.Error()}
 	}
 	bound := minDeadline(job)
-	since := s.lock()
+	since := s.led.Lock()
 	defer func() {
 		if !durable && err == nil {
-			since = s.lsn // the accept rides the caller's sync
+			since = s.led.LSN() // the accept rides the caller's sync
 		}
-		if serr := s.unlock(since); serr != nil && err == nil {
+		if serr := s.led.Unlock(since); serr != nil && err == nil {
 			err = &SubmitError{Code: CodeInternal,
 				Reason: fmt.Sprintf("journal sync failed; the accepted job may not survive a crash: %v", serr)}
 		}
@@ -874,7 +812,7 @@ func (s *Server) loop() {
 // take back, and must not be acknowledged.
 func (s *Server) Settle(ctx context.Context, id string) (_ Record, err error) {
 	s.mu.Lock()
-	defer func() { err = s.unlock(0) }()
+	defer func() { err = s.led.Unlock(0) }()
 	rec := s.records[id]
 	if rec == nil {
 		return Record{}, nil
@@ -943,9 +881,9 @@ func (s *Server) process(batch []*entry) {
 		e.rec.Arrival = arrival
 		s.mu.Unlock()
 		if err := s.vo.SubmitPrio(job, e.typ, arrival, e.rec.Priority); err != nil {
-			since := s.lock()
+			since := s.led.Lock()
 			s.moveLocked(e.rec, evReject, err.Error(), journal.Record{})
-			s.unlock(since)
+			s.led.Unlock(since)
 		}
 	}
 	s.engine.RunUntil(arrival + 1)
@@ -1011,9 +949,14 @@ var ErrInFlight = fmt.Errorf("service: job is in flight and cannot be revoked")
 // legitimate placement. Revoking a tombstone raises its epoch to the
 // request's, so stale handoff replays of the just-revoked binding stay
 // refused. RevokeEpoch is idempotent: repeating it returns the same terminal
-// record.
-func (s *Server) RevokeEpoch(id, reason string, epoch int) (Record, error) {
-	defer s.unlock(s.lock())
+// record. A revocation is confirmed only once it is durable: whatever it
+// answers, RevokeEpoch first syncs through the server's newest record, as a
+// read that shows an outcome does, so a repeated revoke of a tombstone
+// whose own sync failed is not confirmed from memory; when the sync fails
+// it returns that error in place of either answer.
+func (s *Server) RevokeEpoch(id, reason string, epoch int) (_ Record, err error) {
+	s.mu.Lock()
+	defer func() { err = cmp.Or(s.led.Unlock(0), err) }()
 	rec := s.records[id]
 	switch {
 	case rec == nil:
@@ -1171,7 +1114,7 @@ func (s *Server) snapshotQueued() error {
 		}
 	}
 
-	defer s.unlock(s.lock())
+	defer s.led.Unlock(s.led.Lock())
 	for _, e := range entries {
 		// A RevokeEpoch may have taken the job back while the lock was free:
 		// lifecycle drains no revoked record.
@@ -1198,7 +1141,7 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 	start := time.Now()
 	stats := RecoveryStats{TornBytes: rec.TornBytes, LastLSN: rec.LastLSN}
 
-	since := s.lock()
+	since := s.led.Lock()
 	for _, js := range rec.Jobs {
 		if _, ok := s.records[js.Job]; ok {
 			stats.DuplicatesSuppressed++
@@ -1247,7 +1190,7 @@ func (s *Server) Restore(rec *journal.Recovery) (RecoveryStats, error) {
 	}
 	stats.ReplaySeconds = time.Since(start).Seconds()
 	s.recovery = &stats
-	s.unlock(since)
+	s.led.Unlock(since)
 
 	// Fold the restored state into a fresh snapshot: replay cost stays
 	// bounded no matter how many crash/restart cycles the journal lived
@@ -1275,7 +1218,7 @@ func (s *Server) Recovery() *RecoveryStats {
 // durable.
 func (s *Server) Job(id string) (out Record, _ bool) {
 	s.mu.Lock()
-	defer func() { s.unlockShowing(out.State) }()
+	defer func() { s.led.UnlockShowing(Terminal(out.State)) }()
 	rec, ok := s.records[id]
 	if !ok {
 		return Record{}, false
@@ -1287,7 +1230,7 @@ func (s *Server) Job(id string) (out Record, _ bool) {
 // states they show are durable.
 func (s *Server) Jobs() []Record {
 	s.mu.Lock()
-	defer s.unlock(0)
+	defer s.led.Unlock(0)
 	out := make([]Record, 0, len(s.order))
 	for _, id := range s.order {
 		out = append(out, *s.records[id])
