@@ -270,18 +270,18 @@ func fedSubmit(addr, id string, deadline int64) (int, error) {
 	return resp.StatusCode, nil
 }
 
-func fedJobs(t *testing.T, addr string) map[string]JobView {
+func fedJobs(t *testing.T, addr string) map[string]service.Record {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/v1/jobs")
 	if err != nil {
 		t.Fatalf("list jobs: %v", err)
 	}
 	defer resp.Body.Close()
-	var views []JobView
+	var views []service.Record
 	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
 		t.Fatalf("decode jobs: %v", err)
 	}
-	out := make(map[string]JobView, len(views))
+	out := make(map[string]service.Record, len(views))
 	for _, v := range views {
 		out[v.ID] = v
 	}

@@ -121,7 +121,7 @@ func (r *Router) dispatch(id string, owing uint64) {
 			// one situation where re-walking the ring is safe. The handoff
 			// carries an epoch above every tombstone's, which lets the target
 			// resurrect its tombstone instead of refusing the key forever.
-			r.logf("federation: %s banned on every shard; clearing bans at epoch %d", id, rec.epoch)
+			r.logf("federation: %s banned on every shard; clearing bans at epoch %d", id, rec.Epoch)
 			rec.banned = nil
 			shard, ok = r.eligibleLocked(rec)
 		}
@@ -152,9 +152,9 @@ func (r *Router) dispatch(id string, owing uint64) {
 	var h *Handoff
 	var req *RevokeRequest
 	if state == StateHanded {
-		h = &Handoff{Key: id, Job: *rec.wire, Strategy: rec.Strategy, Priority: rec.Priority, Epoch: rec.epoch}
+		h = &Handoff{Key: id, Job: *rec.wire, Strategy: rec.Strategy, Priority: rec.Priority, Epoch: rec.Epoch}
 	} else {
-		req = &RevokeRequest{Key: id, Reason: rec.Reason, Epoch: rec.epoch}
+		req = &RevokeRequest{Key: id, Reason: rec.Reason, Epoch: rec.Epoch}
 	}
 	// A binding made here, and the move that owed the send, are on disk
 	// before the first byte leaves: Submit's binding, whose own sync may

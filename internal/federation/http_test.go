@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/chaostest"
+	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -209,7 +210,7 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var views []JobView
+		var views []service.Record
 		if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +231,7 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 	}
 
 	// Read-side endpoints.
-	var view JobView
+	var view service.Record
 	if err := httpGetJSON(t, client, f.url+"/v1/jobs/"+ids[0], &view); err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +288,61 @@ func TestHTTPFederationEndToEnd(t *testing.T) {
 		if state, ok := samples[`grid_breaker_state{name="`+name+`"}`]; !ok || state != 0 {
 			t.Fatalf("shard %s: grid_breaker_state = %v (series present %v), want 0", name, state, ok)
 		}
+	}
+}
+
+// TestRouterProbesAnswerAsAShardDoes: the router answers GET /healthz and
+// GET /readyz through the service's own client API. Its /healthz carries
+// its journal's positions when it journals, as gridd's does, and once it
+// drains its /readyz answers as a draining gridd's does: 503, with the same
+// Retry-After and body.
+func TestRouterProbesAnswerAsAShardDoes(t *testing.T) {
+	svc, err := service.New(service.Config{Env: testEnv(), Sched: metasched.Config{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), IsTerminal: service.Terminal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = jnl.Close() })
+	r, err := New(Config{Shards: []ShardClient{NewLocalShard("s0", svc)}, Journal: jnl, Seed: 1,
+		HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	if _, err := r.Submit(testJob("j", 60), "S1", 0); err != nil {
+		t.Fatal(err)
+	}
+	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w
+	}
+
+	w := get(r.Handler(), "/healthz")
+	var health struct {
+		Status  string
+		Journal *journal.Stats
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &health); err != nil || w.Code != http.StatusOK ||
+		health.Status != "ok" || health.Journal == nil || *health.Journal != jnl.Stats() || health.Journal.Jobs != 1 {
+		t.Fatalf("router /healthz answered %d %s, want 200 with its journal's positions %+v",
+			w.Code, w.Body.Bytes(), jnl.Stats())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = r.Drain(ctx)
+	_ = svc.Drain(ctx)
+	rw, sw := get(r.Handler(), "/readyz"), get(svc.Handler(), "/readyz")
+	if rw.Code != http.StatusServiceUnavailable || rw.Header().Get("Retry-After") == "" ||
+		rw.Code != sw.Code || rw.Header().Get("Retry-After") != sw.Header().Get("Retry-After") ||
+		rw.Body.String() != sw.Body.String() {
+		t.Fatalf("draining router /readyz answered %d Retry-After %q %s; a draining gridd %d Retry-After %q %s",
+			rw.Code, rw.Header().Get("Retry-After"), rw.Body.Bytes(),
+			sw.Code, sw.Header().Get("Retry-After"), sw.Body.Bytes())
 	}
 }
 

@@ -78,9 +78,9 @@ func TestRouterMoveRefusesUnlistedPairs(t *testing.T) {
 			defer x.r.Close()
 			x.r.mu.Lock()
 			rec := x.r.newRecordLocked(x.id, "S1", 0, m.from)
-			rec.Shard, rec.Reason, rec.epoch = x.shard, "before", 2
+			rec.Shard, rec.Reason, rec.Epoch = x.shard, "before", 2
 			x.r.mu.Unlock()
-			want := rec.view()
+			want := rec.Record
 			lsn, series := x.jnl.Stats().NextLSN, fedSeries(t, x.r)
 
 			x.r.mu.Lock()
@@ -252,7 +252,7 @@ func FuzzRouterLifecycle(f *testing.F) {
 			epoch int
 		}
 		lives := map[string]*life{"a": {}, "b": {}}
-		views := map[string]JobView{}
+		views := map[string]service.Record{}
 		read := 0
 
 		for i, op := range ops {

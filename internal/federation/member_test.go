@@ -438,7 +438,7 @@ func TestRejoinResendsEveryBinding(t *testing.T) {
 	defer r.Close()
 
 	r.HandleJoin(&JoinRequest{Shard: "s0"})
-	want := map[string]JobView{
+	want := map[string]service.Record{
 		"done":    {State: service.StateCompleted, Shard: "s0", Reason: "ran before the crash"},
 		"drained": {State: service.StateCompleted, Shard: "s1", Epoch: 1},
 		"unseen":  {State: StateHanded, Shard: "s0"},

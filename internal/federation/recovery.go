@@ -188,7 +188,7 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 			shard = ""
 		}
 		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
-		jr.Shard, jr.Reason, jr.wire, jr.epoch = shard, js.Reason, js.Wire, js.Epoch
+		jr.Shard, jr.Reason, jr.wire, jr.Epoch = shard, js.Reason, js.Wire, js.Epoch
 		n++
 		if !service.Terminal(state) {
 			r.pushLocked(jr)

@@ -143,37 +143,15 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// jobRecord is the router's ledger entry for one job.
+// jobRecord is the router's ledger entry for one job: the Record clients
+// read, whose Shard is the binding and whose Epoch is the reallocation
+// round (+1 per confirmed revocation), and the routing state beside it.
 type jobRecord struct {
-	ID       string
-	Strategy string
-	Priority int
-	State    string
-	Shard    string
-	Reason   string
-	Seq      uint64
+	service.Record
 
 	wire     *jobio.Job
-	epoch    int             // reallocation round; +1 per confirmed revocation
 	banned   map[string]bool // shards holding a tombstone for this key
 	attempts int             // sends since the entry last moved
-}
-
-// JobView is the JSON face of a router ledger entry.
-type JobView struct {
-	ID       string `json:"id"`
-	Strategy string `json:"strategy"`
-	Priority int    `json:"priority"`
-	State    string `json:"state"`
-	Shard    string `json:"shard,omitempty"`
-	Reason   string `json:"reason,omitempty"`
-	Epoch    int    `json:"epoch,omitempty"`
-	Seq      uint64 `json:"seq"`
-}
-
-func (j *jobRecord) view() JobView {
-	return JobView{ID: j.ID, Strategy: j.Strategy, Priority: j.Priority,
-		State: j.State, Shard: j.Shard, Reason: j.Reason, Epoch: j.epoch, Seq: j.Seq}
 }
 
 // Metrics is the in-process read of the router counters that gridfront's
@@ -320,9 +298,10 @@ func (r *Router) Start() {
 // Submit accepts one job into the federation. Validation failures and
 // duplicates are refused with the same SubmitError codes a plain service
 // uses. An accepted job is journaled, bound to its shard when one is
-// eligible, synced and queued for dispatch; its fate is visible via
+// eligible, synced and queued for dispatch. It returns a copy of the
+// entry's Record, as Server.Submit does; the job's fate is visible via
 // Job/Jobs.
-func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ JobView, err error) {
+func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ *service.Record, err error) {
 	typ, err := strategy.ParseType(strategyName)
 	if err == nil {
 		// The graph is built and dropped: only Build finds a cycle.
@@ -338,14 +317,14 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 	}()
 	r.th.submitted.Inc()
 	if err != nil {
-		return JobView{}, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
+		return nil, &service.SubmitError{Code: service.CodeInvalid, Reason: err.Error()}
 	}
 	if r.draining {
-		return JobView{}, &service.SubmitError{Code: service.CodeDraining,
+		return nil, &service.SubmitError{Code: service.CodeDraining,
 			Reason: "router is draining; not accepting work", RetryAfter: time.Second}
 	}
 	if _, dup := r.records[wire.Name]; dup {
-		return JobView{}, &service.SubmitError{Code: service.CodeDuplicate,
+		return nil, &service.SubmitError{Code: service.CodeDuplicate,
 			Reason: fmt.Sprintf("job %q was already submitted", wire.Name)}
 	}
 	// Write-ahead: the accept is durable before Submit answers, so an
@@ -356,7 +335,7 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 	// moveLocked.
 	if err := r.led.Append(journal.Record{Job: wire.Name, State: StateQueued,
 		Strategy: typ.String(), Priority: priority, Wire: &wire}); err != nil {
-		return JobView{}, &service.SubmitError{Code: service.CodeInternal,
+		return nil, &service.SubmitError{Code: service.CodeInternal,
 			Reason: fmt.Sprintf("journal append failed, job not accepted: %v", err)}
 	}
 	rec := r.newRecordLocked(wire.Name, typ.String(), priority, StateQueued)
@@ -370,7 +349,8 @@ func (r *Router) Submit(wire jobio.Job, strategyName string, priority int) (_ Jo
 		r.moveLocked(rec, evBind, "", shard, "")
 	}
 	r.pushLocked(rec)
-	return rec.view(), nil
+	out := rec.Record
+	return &out, nil
 }
 
 // moveLocked is the only code that changes a ledger entry's State, Shard,
@@ -391,7 +371,7 @@ func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason strin
 		return false
 	}
 	if to == StateQueued {
-		rec.epoch++
+		rec.Epoch++
 	}
 	rec.State, rec.Shard, rec.Reason, rec.attempts = to, shard, reason, 0
 	if service.Terminal(to) { // every row moves from a non-terminal state
@@ -400,7 +380,7 @@ func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason strin
 			r.quiet = nil
 		}
 	}
-	if err := r.led.Append(journal.Record{Job: rec.ID, State: to, Reason: reason, Shard: shard, Epoch: rec.epoch}); err != nil {
+	if err := r.led.Append(journal.Record{Job: rec.ID, State: to, Reason: reason, Shard: shard, Epoch: rec.Epoch}); err != nil {
 		r.logf("federation: journal append %s/%s: %v", rec.ID, to, err)
 	}
 	switch to {
@@ -422,8 +402,8 @@ func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason strin
 // newRecordLocked creates the ledger entry. Caller holds r.mu.
 func (r *Router) newRecordLocked(id, strategyName string, priority int, state string) *jobRecord {
 	r.seq++
-	rec := &jobRecord{ID: id, Strategy: strategyName, Priority: priority,
-		State: state, Seq: r.seq}
+	rec := &jobRecord{Record: service.Record{ID: id, Strategy: strategyName,
+		Priority: priority, State: state, Seq: r.seq}}
 	r.records[id] = rec
 	if !service.Terminal(state) {
 		r.live++
@@ -431,28 +411,36 @@ func (r *Router) newRecordLocked(id, strategyName string, priority int, state st
 	return rec
 }
 
-// Job returns one router ledger entry; an outcome only once it is durable.
-func (r *Router) Job(id string) (view JobView, _ bool) {
+// Job returns the Record of one router ledger entry; an outcome only once
+// it is durable.
+func (r *Router) Job(id string) (out service.Record, _ bool) {
 	r.mu.Lock()
-	defer func() { r.led.UnlockShowing(service.Terminal(view.State)) }()
+	defer func() { r.led.UnlockShowing(service.Terminal(out.State)) }()
 	rec, ok := r.records[id]
 	if !ok {
-		return JobView{}, false
+		return service.Record{}, false
 	}
-	return rec.view(), true
+	return rec.Record, true
 }
 
-// Jobs returns the ledger sorted by submission order, once the states it
-// shows are durable.
-func (r *Router) Jobs() []JobView {
+// Jobs returns the Records of the ledger in submission order, once the
+// states they show are durable.
+func (r *Router) Jobs() []service.Record {
 	r.mu.Lock()
 	defer r.led.Unlock(0)
-	out := make([]JobView, 0, len(r.records))
+	out := make([]service.Record, 0, len(r.records))
 	for _, rec := range r.records {
-		out = append(out, rec.view())
+		out = append(out, rec.Record)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
+}
+
+// Draining reports whether Drain has stopped admission.
+func (r *Router) Draining() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.draining
 }
 
 // Metrics reads the router counters.

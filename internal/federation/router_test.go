@@ -703,8 +703,8 @@ func TestJoinFromOutsideTheFleetChangesNothing(t *testing.T) {
 	if w.Code != http.StatusOK || w.Body.Len() != 0 {
 		t.Fatalf("join answered %d %q, want a bare 200", w.Code, w.Body.String())
 	}
-	if view, _ := r.Job("job"); view != submitted {
-		t.Fatalf("after the join the job is %+v, want Submit's %+v", view, submitted)
+	if view, _ := r.Job("job"); view != *submitted {
+		t.Fatalf("after the join the job is %+v, want Submit's %+v", view, *submitted)
 	}
 	if n := jnl.Stats().NextLSN - lsn; n != 0 {
 		t.Fatalf("the join appended %d router journal records, want none", n)

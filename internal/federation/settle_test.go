@@ -23,7 +23,7 @@ const (
 
 // waitRouterTerminal waits until the router holds id in a terminal state
 // and returns its entry.
-func waitRouterTerminal(t *testing.T, r *Router, id string, within time.Duration) JobView {
+func waitRouterTerminal(t *testing.T, r *Router, id string, within time.Duration) service.Record {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for {

@@ -2,7 +2,10 @@ package federation
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -224,5 +227,63 @@ func TestRouterSendsNothingAfterAFailedSync(t *testing.T) {
 	cancel() // the job never dispatches: drain at once
 	if err := r.Drain(ctx); err == nil || errors.Is(err, context.Canceled) {
 		t.Errorf("Drain returned %v after a failed fsync, want the sync's error", err)
+	}
+}
+
+// TestReadRefusedAfterAFailedSync: a read that shows an outcome answers
+// only once its sync has made the outcome durable, so when that sync fails
+// GET /v1/jobs/{id} and GET /v1/jobs answer 500, not the outcome, on either
+// tier: the router, whose outcome mirrors a terminal notice and rides its
+// next sync, and a shard, whose engine's own sync of the outcome failed.
+// Both tiers answer through service.ClientMux.
+func TestReadRefusedAfterAFailedSync(t *testing.T) {
+	const id = "read"
+	for _, tc := range []struct {
+		name string
+		// outcome leaves id completed in memory on a tier whose journal's
+		// fsync fails from the outcome on, and returns the tier's handler.
+		outcome func(t *testing.T) (service.Tier, http.Handler)
+	}{
+		{"router", func(t *testing.T) (service.Tier, http.Handler) {
+			rig := newCrashRig()
+			svc, _ := rig.shard(t, t.TempDir(), false)
+			r, mark := rig.router(t, t.TempDir())
+			if _, err := r.Submit(testJob(id, 60), "S1", 0); err != nil {
+				t.Fatal(err)
+			}
+			sendOwed(r) // a manual-mode shard answers the handoff queued
+			svc.Process(-1)
+			svc.Quiesce()
+			rig.deliver(r) // the outcome's record is appended, not synced
+			failFsyncs(t, mark.dir)
+			return r, r.Handler()
+		}},
+		{"shard", func(t *testing.T) (service.Tier, http.Handler) {
+			svc, mark := newCrashRig().shard(t, t.TempDir(), false)
+			if _, err := svc.Submit(testJob(id, 60), "S1", 0); err != nil {
+				t.Fatal(err)
+			}
+			failFsyncs(t, mark.dir)
+			svc.Process(-1) // the engine's sync of the outcome fails
+			svc.Quiesce()
+			return svc, svc.Handler()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tier, h := tc.outcome(t)
+			if rec, _ := tier.Job(id); rec.State != service.StateCompleted {
+				t.Fatalf("the tier holds %+v, want %s in memory", rec, service.StateCompleted)
+			}
+			for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs"} {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+				var body struct{ Code string }
+				if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != http.StatusInternalServerError ||
+					err != nil || body.Code != service.CodeInternal {
+					t.Errorf("GET %s answered %d %s after a failed fsync, want 500 with code %s",
+						path, w.Code, w.Body.Bytes(), service.CodeInternal)
+				}
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/jobio"
 	"repro/internal/journal"
+	"repro/internal/telemetry"
 )
 
 // SubmitRequest is the POST /v1/jobs body: the jobio wire form of the job
@@ -32,27 +33,93 @@ type errorBody struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Handler returns the service's HTTP API:
+// Handler returns the service's HTTP API: the client API of ClientMux,
+// whose GET /healthz carries the outcome of startup recovery too.
+func (s *Server) Handler() http.Handler {
+	return ClientMux(s, s.cfg.Journal, s.telem, s.Recovery)
+}
+
+// Tier is a scheduling tier as its clients see it. gridd's Server is one,
+// and so is gridfront's federation router, which answers with the Record of
+// its own ledger entry.
+type Tier interface {
+	Submit(wire jobio.Job, strategyName string, priority int) (*Record, error)
+	Job(id string) (Record, bool)
+	Jobs() []Record
+	Draining() bool
+}
+
+// ClientMux returns the client API both tiers serve, for t, whose journal is
+// j (nil when it keeps none) and whose registry is reg:
 //
-//	POST /v1/jobs      — submit a job (202, or 400/409/413/422/429/503)
+//	POST /v1/jobs      — submit a job (202, or 400/409/413/422/429/500/503)
 //	GET  /v1/jobs      — list all job records
 //	GET  /v1/jobs/{id} — one job record (404 when unknown)
 //	GET  /metrics      — Prometheus text format, streamed from the registry
-//	GET  /healthz      — liveness + journal/recovery detail (always 200)
+//	GET  /healthz      — liveness + journal detail (always 200)
 //	GET  /readyz       — readiness (503 + Retry-After while draining)
 //
 // Backpressure responses (429 queue full, 503 draining) carry a
 // Retry-After header so clients back off instead of hammering a daemon
-// that is overloaded or restarting.
-func (s *Server) Handler() http.Handler {
+// that is overloaded or restarting. A read answers 500 once j holds a
+// failed sync: the sync the read made before it showed an outcome may have
+// lost it. recovery, when non-nil, adds its outcome to GET /healthz.
+func ClientMux(t Tier, j *journal.Journal, reg *telemetry.Registry, recovery func() *RecoveryStats) *http.ServeMux {
+	// read answers v unless j holds a failed sync. A failed fsync is sticky,
+	// so Sync(0) returns it, and a read's own failed sync is among them.
+	read := func(w http.ResponseWriter, v any) {
+		if err := j.Sync(0); err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "journal sync failed",
+				Code: CodeInternal, Reason: err.Error()})
+			return
+		}
+		writeJSON(w, http.StatusOK, v)
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		var req SubmitRequest
+		if !DecodeSubmit(w, r, &req) {
+			return
+		}
+		rec, err := t.Submit(req.Job, req.Strategy, req.Priority)
+		if err != nil {
+			WriteSubmitError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, rec)
+	})
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, _ *http.Request) {
+		read(w, t.Jobs())
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		rec, ok := t.Job(id)
+		if !ok {
+			writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job", Reason: id})
+			return
+		}
+		read(w, rec)
+	})
+	// GET /metrics builds no intermediate document per scrape:
+	// WritePrometheus walks the live atomics straight into a buffered
+	// writer.
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		body := healthzBody{Status: "ok"}
+		if j != nil {
+			st := j.Stats()
+			body.Journal = &st
+		}
+		if recovery != nil {
+			body.Recovery = recovery()
+		}
+		writeJSON(w, http.StatusOK, body)
+	})
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		if t.Draining() {
 			setRetryAfter(w, retryAfter)
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 			return
@@ -64,20 +131,11 @@ func (s *Server) Handler() http.Handler {
 
 // healthzBody is the GET /healthz response: liveness plus what no series
 // on GET /metrics carries — when a journal is configured, its positions and
-// ledger size, and the outcome of startup recovery.
+// ledger size, and on a service the outcome of startup recovery.
 type healthzBody struct {
 	Status   string         `json:"status"`
 	Journal  *journal.Stats `json:"journal,omitempty"`
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := healthzBody{Status: "ok", Recovery: s.Recovery()}
-	if s.cfg.Journal != nil {
-		st := s.cfg.Journal.Stats()
-		body.Journal = &st
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 // MaxSubmitBytes bounds a POST /v1/jobs body on both tiers. What the router
@@ -144,8 +202,7 @@ func (d *submitDecoder) onlySpaceFollows() error {
 // DecodeSubmit reads one POST /v1/jobs body into req: strict fields, one
 // JSON value and nothing but whitespace after it, at most MaxSubmitBytes.
 // When it cannot it answers 400 — 413 for an oversized body — with the JSON
-// error envelope and reports false. The federation router decodes through
-// it too.
+// error envelope and reports false.
 func DecodeSubmit(w http.ResponseWriter, r *http.Request, req any) bool {
 	d := submitDecoders.Get().(*submitDecoder)
 	d.body, d.read = http.MaxBytesReader(w, r.Body, MaxSubmitBytes), 0
@@ -171,25 +228,11 @@ func DecodeSubmit(w http.ResponseWriter, r *http.Request, req any) bool {
 	return false
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !DecodeSubmit(w, r, &req) {
-		return
-	}
-	rec, err := s.Submit(req.Job, req.Strategy, req.Priority)
-	if err != nil {
-		WriteSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, rec)
-}
-
 // WriteSubmitError renders a refused submission: the SubmitError code picks
 // the status (400 invalid, 409 duplicate, 422 infeasible, 429 overloaded,
 // 503 draining, 500 internal), a backoff hint becomes Retry-After, and the
-// body is the JSON error envelope. The federation router answers POST
-// /v1/jobs through this same function, so a client cannot tell the tiers
-// apart by their refusals.
+// body is the JSON error envelope. Both tiers answer POST /v1/jobs through
+// ClientMux, so a client cannot tell them apart by their refusals.
 func WriteSubmitError(w http.ResponseWriter, err error) {
 	var se *SubmitError
 	if !errors.As(err, &se) {
@@ -223,28 +266,6 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec, ok := s.Job(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job", Reason: id})
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// handlePrometheus streams the registry in Prometheus text format. It
-// builds no intermediate document per scrape: WritePrometheus walks the
-// live atomics straight into a buffered writer.
-func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.telem.WritePrometheus(w)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -232,23 +232,31 @@ const (
 	CodeInternal = "internal"
 )
 
-// Record is one job's service-side ledger entry.
+// Record is one job's ledger entry as a client sees it, on either tier:
+// the service's own, and the core of a federation router's.
 type Record struct {
-	ID       string       `json:"id"`
-	Strategy string       `json:"strategy"`
-	Priority int          `json:"priority"`
-	State    string       `json:"state"`
-	Reason   string       `json:"reason,omitempty"`
-	Domain   string       `json:"domain,omitempty"`
-	Arrival  simtime.Time `json:"arrival,omitempty"`
-	Finish   simtime.Time `json:"finish,omitempty"`
-	Level    int          `json:"level,omitempty"`
-	Retries  int          `json:"retries,omitempty"`
-	// Epoch is the federation reallocation round that placed (or revoked)
-	// this job on this shard; always 0 outside federation. Revocation
-	// tombstones keep the epoch they were planted at, and RevokeEpoch /
-	// SubmitEpoch use it to tell a stale replay of an old binding from a
-	// deliberate router decision.
+	ID       string `json:"id"`
+	Strategy string `json:"strategy"`
+	Priority int    `json:"priority"`
+	State    string `json:"state"`
+	// Shard is the shard a federation router binds the job to; a shard
+	// never sets it.
+	Shard   string       `json:"shard,omitempty"`
+	Reason  string       `json:"reason,omitempty"`
+	Domain  string       `json:"domain,omitempty"`
+	Arrival simtime.Time `json:"arrival,omitempty"`
+	Finish  simtime.Time `json:"finish,omitempty"`
+	// Level and Retries are int32 so that a Record, Shard included, fits
+	// the 144-byte allocation size class: a record a shard allocates costs
+	// nothing for the field only a router sets.
+	Level   int32 `json:"level,omitempty"`
+	Retries int32 `json:"retries,omitempty"`
+	// Epoch is the federation reallocation round: on a shard the one that
+	// placed (or revoked) this job there, on a router the job's current
+	// one; always 0 outside federation. Revocation tombstones keep the
+	// epoch they were planted at, and RevokeEpoch / SubmitEpoch use it to
+	// tell a stale replay of an old binding from a deliberate router
+	// decision.
 	Epoch int    `json:"epoch,omitempty"`
 	Seq   uint64 `json:"seq"`
 }
@@ -460,11 +468,11 @@ func (s *Server) onEvent(e metasched.Event) {
 	switch e.Kind {
 	case metasched.EventActivate:
 		rec.Domain = e.Domain
-		rec.Level = e.Level
+		rec.Level = int32(e.Level)
 	case metasched.EventReallocate:
 		rec.Domain = e.Domain
 	case metasched.EventRetry:
-		rec.Retries = e.Level
+		rec.Retries = int32(e.Level)
 	case metasched.EventComplete:
 		rec.Finish = now
 		s.moveLocked(rec, evComplete, "", journal.Record{})

@@ -36,12 +36,10 @@ type keptAPI struct {
 // covers its unread fields. An entry that production reaches again, or
 // whose tests are gone, fails the gate.
 var reachAllow = map[string]keptAPI{
-	"internal/service.Record": {"wire", []string{"TestHTTPLifecycle", "TestJournalHoldsAcceptAndTerminalOnly"},
-		"GET /v1/jobs/{id} on gridd: a job's record as clients poll it"},
-	"internal/journal.Stats": {"wire", []string{"TestHTTPRetryAfterAndHealthz"},
-		"GET /healthz on gridd (its journal member): the journal's activity as an operator reads it"},
-	"internal/federation.JobView": {"wire", []string{"TestHTTPFederationEndToEnd"},
-		"GET /v1/jobs/{id} on gridfront: a job's binding as clients poll it at the router"},
+	"internal/service.Record": {"wire", []string{"TestHTTPLifecycle", "TestJournalHoldsAcceptAndTerminalOnly", "TestHTTPFederationEndToEnd"},
+		"GET /v1/jobs/{id} on gridd and gridfront: a job's record as clients poll it"},
+	"internal/journal.Stats": {"wire", []string{"TestHTTPRetryAfterAndHealthz", "TestRouterProbesAnswerAsAShardDoes"},
+		"GET /healthz on gridd and gridfront (its journal member): the journal's activity as an operator reads it"},
 	"internal/jobio.Job": {"wire", []string{"TestJobsStreamRoundTrip", "FuzzReadJobs"},
 		"jobgen's job stream and POST /v1/jobs bodies: the job file format, arrival times included"},
 	"internal/jobio.Node": {"wire", []string{"TestEnvironmentRoundTrip"},
