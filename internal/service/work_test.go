@@ -22,7 +22,7 @@ import (
 	"repro/internal/workload"
 )
 
-var update = flag.Bool("update", false, "regenerate testdata/work.golden")
+var update = flag.Bool("update", false, "regenerate the testdata goldens")
 
 // steadyJobs is the steady row's corpus size.
 const steadyJobs = 96
