@@ -81,7 +81,7 @@ func main() {
 		domains      = flag.Int("domains", 2, "domain count for the generated environment")
 		seed         = flag.Uint64("seed", 1, "seed for the generated environment and fault schedule")
 		queueCap     = flag.Int("queue", 64, "admission queue bound")
-		snapshot     = flag.String("snapshot", "gridd-drained.json", "drain snapshot path (empty disables)")
+		snapshot     = flag.String("snapshot", "gridd-drained.json", "drain snapshot path (empty disables); a journaled gridd refuses the drained IDs after a restart, so resubmit them under new names or to a gridd without that journal")
 		buildTimeout = flag.Duration("build-timeout", 30*time.Second, "per-job strategy build budget (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
 		placers      = flag.Int("placers", 0, "jobs per arrival batch (≤1 = every arrival is a batch of one)")

@@ -1,7 +1,7 @@
 // Federation demonstrates fault-tolerant federated metascheduling as a
 // real multi-process deployment: the parent process runs the front-tier
 // router (the code behind cmd/gridfront) and re-execs itself twice as
-// journaled metascheduler shards (the code behind gridd -shard), wired
+// journaled metascheduler shards (the code behind gridd -join), wired
 // over loopback HTTP with the versioned handoff wire protocol. Mid-run it
 // SIGKILLs one shard: its failed heartbeats trip the router's breaker for
 // it, which declares it dead; the recovery ladder revokes the dead shard's
@@ -235,7 +235,7 @@ func runRouter() error {
 	for {
 		done := 0
 		for _, id := range accepted {
-			if v, ok := router.Job(id); ok && routerTerminal(v.State) {
+			if v, ok := router.Job(id); ok && service.Terminal(v.State) {
 				done++
 			}
 		}
@@ -290,10 +290,6 @@ func runRouter() error {
 	_ = router.Drain(ctx)
 	router.Close()
 	return nil
-}
-
-func routerTerminal(state string) bool {
-	return state == service.StateCompleted || state == service.StateRejected
 }
 
 // freeAddr grabs a loopback port the shard child will re-listen on.

@@ -148,13 +148,13 @@ type Options struct {
 	// Telemetry, when non-nil, receives the build's counts
 	// (grid_criticalworks_*: outcome counters, evaluation and collision
 	// totals); its duration is the criticalworks.build span's. Telemetry
-	// only observes — results are byte-identical with it on or off — and a
-	// nil registry costs the build nothing (zero allocations on the hot
-	// path).
+	// only observes — results are byte-identical with it on or off — and
+	// a nil registry's counters no-op without allocating.
 	Telemetry *telemetry.Registry
 	// Spans, when non-nil, traces the build: one root span per Build,
 	// a child per margin attempt, one per critical work, and one per DP
-	// phase (ideal/actual). nil disables tracing at zero cost.
+	// phase (ideal/actual). A nil tracer's spans no-op without allocating:
+	// a build runs the same statements with tracing on or off.
 	Spans *telemetry.Tracer
 
 	// Set by Build: the job's deadline, the horizon calendar searches stop
@@ -582,37 +582,33 @@ var margins = []float64{1, 1.5, 2, 3, 4}
 // returns a nil Schedule and an *InfeasibleError holding its counts, and
 // allocates that error alone.
 func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
-	if opt.Telemetry == nil && opt.Spans == nil {
-		return build(env, cals, job, opt)
+	root := opt.Spans.Start("criticalworks.build", telemetry.SpanFromContext(opt.Ctx))
+	opt, err := normalize(env, job, opt)
+	root.SetStr("job", opt.JobName)
+	opt.parentSpan = root.ID()
+	// Before the bound: a build whose context is already done reports that,
+	// never infeasibility.
+	if err == nil {
+		err = cancelled(opt.Ctx, opt.JobName)
 	}
-	name := opt.JobName
-	if name == "" {
-		name = job.Name
+	var sched *Schedule
+	if err == nil {
+		sc := takeScratch(job, env.NumNodes())
+		defer sc.release()
+		sched, err = sc.run(env, cals, opt)
 	}
-	var parent telemetry.SpanID
-	if opt.Ctx != nil {
-		parent = telemetry.SpanFromContext(opt.Ctx)
-	}
-	root := opt.Spans.Start("criticalworks.build", parent)
-	root.SetStr("job", name)
-	if root != nil {
-		opt.parentSpan = root.ID()
-	}
-	sched, err := build(env, cals, job, opt)
 	var evals, colls int64
 	if inf, ok := err.(*InfeasibleError); ok {
 		evals, colls = inf.Evaluations, inf.Collisions
 	} else if sched != nil {
 		evals, colls = sched.Evaluations, int64(len(sched.Collisions))
 	}
-	if opt.Telemetry != nil {
-		opt.Telemetry.Counter("grid_criticalworks_builds_total",
-			"critical-works builds by outcome", telemetry.L("result", buildResult(err))).Inc()
-		opt.Telemetry.Counter("grid_criticalworks_evaluations_total",
-			"DP slot-fitting probes performed").Add(uint64(evals))
-		opt.Telemetry.Counter("grid_criticalworks_collisions_total",
-			"resource collisions between critical works").Add(uint64(colls))
-	}
+	opt.Telemetry.Counter("grid_criticalworks_builds_total",
+		"critical-works builds by outcome", telemetry.L("result", buildResult(err))).Inc()
+	opt.Telemetry.Counter("grid_criticalworks_evaluations_total",
+		"DP slot-fitting probes performed").Add(uint64(evals))
+	opt.Telemetry.Counter("grid_criticalworks_collisions_total",
+		"resource collisions between critical works").Add(uint64(colls))
 	root.SetStr("result", buildResult(err)).SetInt("evaluations", evals).SetInt("collisions", colls).End()
 	return sched, err
 }
@@ -651,24 +647,6 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 		return opt, ErrNoCandidates
 	}
 	return opt, nil
-}
-
-// build is the uninstrumented core of Build: the options' defaults, then the
-// run in a borrowed arena.
-func build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
-	opt, err := normalize(env, job, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Before the bound: a build whose context is already done reports that,
-	// never infeasibility.
-	if err := cancelled(opt.Ctx, opt.JobName); err != nil {
-		return nil, err
-	}
-
-	sc := takeScratch(job, env.NumNodes())
-	defer sc.release()
-	return sc.run(env, cals, opt)
 }
 
 // run is a build in the arena, which reset has pointed at the job: the
@@ -717,16 +695,11 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 	firstWork := false
 	for i, mg := range margins {
 		b := sc.attempt(env, cals, opt, mg)
-		var asp *telemetry.Span
-		if opt.Spans != nil {
-			asp = opt.Spans.Start("criticalworks.attempt", opt.parentSpan)
-			asp.SetInt("margin_pct", int64(mg*100))
-			b.span = asp.ID()
-		}
+		asp := opt.Spans.Start("criticalworks.attempt", opt.parentSpan)
+		asp.SetInt("margin_pct", int64(mg*100))
+		b.span = asp.ID()
 		sched, err := b.buildOnce(first)
-		if asp != nil {
-			asp.SetStr("result", buildResult(err)).SetInt("evaluations", b.evals).End()
-		}
+		asp.SetStr("result", buildResult(err)).SetInt("evaluations", b.evals).End()
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals

@@ -18,15 +18,12 @@ import (
 // the actual reservations in the overlay. A chain that has no placement
 // leaves its first task in b.failed and returns errInfeasible.
 func (b *builder) placeChain(chain dag.Chain) error {
-	var chainSpan *telemetry.Span
-	if b.opt.Spans != nil {
-		evals0 := b.evals
-		chainSpan = b.opt.Spans.Start("criticalworks.chain", b.span)
-		chainSpan.SetInt("tasks", int64(len(chain.Tasks)))
-		defer func() { chainSpan.SetInt("evaluations", b.evals-evals0).End() }()
-	}
+	evals0 := b.evals
+	chainSpan := b.opt.Spans.Start("criticalworks.chain", b.span)
+	chainSpan.SetInt("tasks", int64(len(chain.Tasks)))
+	defer func() { chainSpan.SetInt("evaluations", b.evals-evals0).End() }()
 
-	ideal, ok := b.dpPhase(chainSpan, "ideal", chain, true)
+	ideal, ok := b.runDP(chainSpan.ID(), chain, true)
 	if !ok {
 		b.failed = chain.Tasks[0]
 		return errInfeasible
@@ -40,7 +37,7 @@ func (b *builder) placeChain(chain dag.Chain) error {
 	case ResolveDelay:
 		actual, ok = b.delayOnIdealNodes(chain, ideal)
 	default:
-		actual, ok = b.dpPhase(chainSpan, "actual", chain, false)
+		actual, ok = b.runDP(chainSpan.ID(), chain, false)
 	}
 	if !ok {
 		b.failed = chain.Tasks[0]
@@ -61,22 +58,6 @@ func (b *builder) placeChain(chain dag.Chain) error {
 	}
 	b.commitPlaced()
 	return nil
-}
-
-// dpPhase runs one DP pass under a span when tracing is on; with tracing
-// off it is exactly runDP.
-func (b *builder) dpPhase(parent *telemetry.Span, phase string, chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
-	if b.opt.Spans == nil {
-		return b.runDP(chain, ignoreCalendar)
-	}
-	sp := b.opt.Spans.Start("criticalworks.dp", parent.ID())
-	sp.SetStr("phase", phase)
-	out, ok := b.runDP(chain, ignoreCalendar)
-	if !ok {
-		sp.SetStr("result", "infeasible")
-	}
-	sp.End()
-	return out, ok
 }
 
 // cell is one DP state: the best (cost, finish) for "chain prefix ending
@@ -141,11 +122,18 @@ type pred struct {
 	end  int32 // one past its group
 }
 
-// runDP finds the cost-minimal feasible placement of the chain. With
-// ignoreCalendar the search pretends every node is free (the "ideal"
-// attempt); otherwise starts come from the calendar view. The result lives
-// in the scratch's ideal or actual buffer until the next chain's same phase.
-func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
+// runDP finds the cost-minimal feasible placement of the chain, under a
+// criticalworks.dp span that is parent's child. With ignoreCalendar the
+// search pretends every node is free (the "ideal" phase); otherwise starts
+// come from the calendar view (the "actual" phase). The result lives in the
+// scratch's ideal or actual buffer until the next chain's same phase.
+func (b *builder) runDP(parent telemetry.SpanID, chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
+	phase := "actual"
+	if ignoreCalendar {
+		phase = "ideal"
+	}
+	sp := b.opt.Spans.Start("criticalworks.dp", parent)
+	sp.SetStr("phase", phase)
 	if ignoreCalendar {
 		// The ideal phase runs first for every chain, and nothing is placed
 		// before the actual phase or delayOnIdealNodes reads the same cells.
@@ -193,6 +181,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 		}
 	}
 	if finalIdx < 0 {
+		sp.SetStr("result", "infeasible").End()
 		return nil, false
 	}
 	placements := b.actual[:L]
@@ -208,6 +197,7 @@ func (b *builder) runDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool
 		}
 		c = st.prev
 	}
+	sp.End()
 	return placements, true
 }
 

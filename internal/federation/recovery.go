@@ -188,9 +188,10 @@ func (r *Router) Restore(rec *journal.Recovery) (int, error) {
 			shard = ""
 		}
 		jr := r.newRecordLocked(js.Job, js.Strategy, js.Priority, state)
-		jr.Shard, jr.Reason, jr.wire, jr.Epoch = shard, js.Reason, js.Wire, js.Epoch
+		jr.Shard, jr.Reason, jr.Epoch = shard, js.Reason, js.Epoch
 		n++
 		if !service.Terminal(state) {
+			jr.wire = js.Wire
 			r.pushLocked(jr)
 		}
 		switch state {

@@ -149,7 +149,7 @@ func (c Config) workers() int {
 type jobRecord struct {
 	service.Record
 
-	wire     *jobio.Job
+	wire     *jobio.Job      // what a handoff sends; nil once terminal
 	banned   map[string]bool // shards holding a tombstone for this key
 	attempts int             // sends since the entry last moved
 }
@@ -375,6 +375,7 @@ func (r *Router) moveLocked(rec *jobRecord, ev event, state, shard, reason strin
 	}
 	rec.State, rec.Shard, rec.Reason, rec.attempts = to, shard, reason, 0
 	if service.Terminal(to) { // every row moves from a non-terminal state
+		rec.wire = nil // dispatch sends no terminal entry
 		if r.live--; r.live == 0 && r.quiet != nil {
 			close(r.quiet)
 			r.quiet = nil

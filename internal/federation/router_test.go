@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/jobio"
 	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/resource"
@@ -668,6 +669,59 @@ func TestRestoreRequeuesBindingsOffTheFleet(t *testing.T) {
 	waitQuiesced(t, r, 10*time.Second)
 	if view, _ := r.Job(id); view.State != service.StateCompleted || view.Shard != "s0" {
 		t.Fatalf("job = %+v, want completed on s0", view)
+	}
+}
+
+// TestTerminalEntryHoldsNoWire: the router keeps a job's wire form only
+// while it may still hand the job off. The move to a terminal state drops
+// it, and a restore hands it back to live entries alone.
+func TestTerminalEntryHoldsNoWire(t *testing.T) {
+	wireOf := func(r *Router, id string) *jobio.Job {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.records[id].wire
+	}
+	var rt *Router
+	shards := newFedShards(t, 1, &rt)
+	shards[0].svc.Start()
+	defer shards[0].svc.Drain(context.Background())
+	r, err := New(Config{Shards: []ShardClient{shards[0].local}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt = r
+	r.Start()
+	defer r.Close()
+	if _, err := r.Submit(testJob("done", 60), "S1", 0); err != nil {
+		t.Fatal(err)
+	}
+	waitQuiesced(t, r, 10*time.Second)
+	if view, _ := r.Job("done"); view.State != service.StateCompleted {
+		t.Fatalf("job = %+v, want completed", view)
+	}
+	if wireOf(r, "done") != nil {
+		t.Error("a completed entry still holds its wire form")
+	}
+
+	done, live := testJob("done", 60), testJob("live", 60)
+	recovered := recoverJournal(t,
+		journal.Record{Job: "done", State: StateQueued, Strategy: "S1", Wire: &done},
+		journal.Record{Job: "done", State: service.StateCompleted, Shard: "s0"},
+		journal.Record{Job: "live", State: StateQueued, Strategy: "S1", Wire: &live},
+	)
+	heir, err := New(Config{Shards: []ShardClient{shards[0].local}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heir.Close()
+	if _, err := heir.Restore(recovered); err != nil {
+		t.Fatal(err)
+	}
+	if wireOf(heir, "done") != nil {
+		t.Error("a restored completed entry holds its wire form")
+	}
+	if w := wireOf(heir, "live"); w == nil || w.Name != "live" {
+		t.Errorf("the restored queued entry's wire form is %+v, want the journaled one", w)
 	}
 }
 

@@ -118,6 +118,11 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
+// terminal reports whether state is terminal; with no IsTerminal, none is.
+func (o Options) terminal(state string) bool {
+	return o.IsTerminal != nil && o.IsTerminal(state)
+}
+
 func (o Options) segmentBytes() int64 {
 	if o.SegmentBytes <= 0 {
 		return 4 << 20
@@ -189,6 +194,7 @@ type Journal struct {
 	snapLSN       uint64
 	state         map[string]*JobState
 	order         []string // job IDs by first-seen LSN
+	live          int      // jobs in state whose State is not terminal
 	terminalSince int
 	closed        bool
 
@@ -253,6 +259,9 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		cp := *js
 		j.state[js.Job] = &cp
 		j.order = append(j.order, js.Job)
+		if !opts.terminal(js.State) {
+			j.live++
+		}
 	}
 	if err := j.openSegmentLocked(); err != nil {
 		return nil, nil, err
@@ -340,12 +349,17 @@ func (j *Journal) Append(rec Record) (_ uint64, err error) {
 	j.nextLSN++
 	j.segBytes += int64(len(line))
 	j.appends.Inc()
-	wasTerminal := false
-	if js, ok := j.state[rec.Job]; ok && j.opts.IsTerminal != nil {
-		wasTerminal = j.opts.IsTerminal(js.State)
-	}
+	js, known := j.state[rec.Job]
+	wasTerminal := known && j.opts.terminal(js.State)
 	foldRecord(j.state, &j.order, &j.rec)
-	becameTerminal := j.opts.IsTerminal != nil && !wasTerminal && j.opts.IsTerminal(rec.State)
+	isTerminal := j.opts.terminal(rec.State)
+	switch {
+	case !isTerminal && (!known || wasTerminal):
+		j.live++ // a new job, or a new life in a tombstone
+	case isTerminal && known && !wasTerminal:
+		j.live--
+	}
+	becameTerminal := isTerminal && !wasTerminal
 	if becameTerminal {
 		j.terminalSince++
 	}
@@ -501,7 +515,7 @@ func (j *Journal) compactLocked() (err error) {
 	snap := snapshotFile{LSN: snapLSN, Jobs: make([]*JobState, 0, len(j.order))}
 	for _, id := range j.order {
 		js := j.state[id]
-		if j.opts.IsTerminal != nil && j.opts.IsTerminal(js.State) {
+		if j.opts.terminal(js.State) {
 			js.Wire = nil // fold: terminal jobs keep only the ledger entry
 		}
 		snap.Jobs = append(snap.Jobs, js)
@@ -552,21 +566,17 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Stats returns a snapshot of journal activity.
+// Stats returns a snapshot of journal activity. It walks no jobs: Live is
+// the count Append keeps, so a health probe does not stall appends.
 func (j *Journal) Stats() Stats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Stats{
+	return Stats{
 		NextLSN:     j.nextLSN,
 		SnapshotLSN: j.snapLSN,
 		Jobs:        len(j.state),
+		Live:        j.live,
 	}
-	for _, js := range j.state {
-		if j.opts.IsTerminal == nil || !j.opts.IsTerminal(js.State) {
-			st.Live++
-		}
-	}
-	return st
 }
 
 // envelope is the on-disk line form: CRC over the exact bytes of Rec.

@@ -17,7 +17,7 @@ import (
 // terminal mirrors the service's terminal-state predicate without
 // importing it (service imports journal).
 func terminal(state string) bool {
-	return state == "completed" || state == "rejected" || state == "drained"
+	return state == "completed" || state == "rejected" || state == "drained" || state == "revoked"
 }
 
 func testWire(name string) *jobio.Job {
@@ -138,15 +138,42 @@ func TestRotationAndSegmentNames(t *testing.T) {
 	}
 }
 
+// checkLive fails unless Stats' Live, the count Append keeps, equals a walk
+// of the folded state and want.
+func checkLive(t *testing.T, j *Journal, when string, want int) {
+	t.Helper()
+	live := j.Stats().Live
+	j.mu.Lock()
+	walk := 0
+	for _, js := range j.state {
+		if !terminal(js.State) {
+			walk++
+		}
+	}
+	j.mu.Unlock()
+	if live != walk || live != want {
+		t.Fatalf("%s: Stats().Live = %d, a walk of the jobs counts %d, want %d", when, live, walk, want)
+	}
+}
+
 func TestCompactionFoldsTerminalAndDeletesDeadSegments(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 1})
 	mustAppend(t, j, Record{Job: "done", State: "queued", Strategy: "S1", Wire: testWire("done")})
 	mustAppend(t, j, Record{Job: "done", State: "completed"})
 	mustAppend(t, j, Record{Job: "live", State: "queued", Strategy: "S1", Wire: testWire("live")})
+	checkLive(t, j, "after the appends", 1)
+	// A tombstone that a new life reopens is live again.
+	mustAppend(t, j, Record{Job: "back", State: "revoked", Epoch: 1})
+	checkLive(t, j, "after a revocation", 1)
+	mustAppend(t, j, Record{Job: "back", State: "queued", Strategy: "S1", Wire: testWire("back"), Epoch: 2})
+	checkLive(t, j, "after the revoked job's new life", 2)
+	mustAppend(t, j, Record{Job: "back", State: "completed"})
+	checkLive(t, j, "after the new life ends", 1)
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	checkLive(t, j, "after the compaction", 1)
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if len(segs) != 1 {
 		t.Fatalf("dead segments not deleted: %v", segs)
@@ -161,11 +188,12 @@ func TestCompactionFoldsTerminalAndDeletesDeadSegments(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(dir)
-	if err != nil {
+	reopened, rec := mustOpen(t, Options{Dir: dir})
+	checkLive(t, reopened, "after a reopen", 1)
+	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.SnapshotLSN != 3 || rec.LastLSN != 4 || rec.Records != 1 {
+	if rec.SnapshotLSN != 6 || rec.LastLSN != 7 || rec.Records != 1 {
 		t.Fatalf("recovery: %+v", rec)
 	}
 	byID := map[string]*JobState{}

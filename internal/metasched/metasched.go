@@ -99,7 +99,8 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Spans, when non-nil, traces the scheduling work: metasched.adopt
 	// and metasched.fallback spans with the strategy/critical-works
-	// build spans beneath them. nil disables tracing at zero cost.
+	// build spans beneath them. nil disables tracing: the same statements
+	// run, and allocate nothing.
 	Spans *telemetry.Tracer
 
 	// Seed drives the injector's randomness.
@@ -294,7 +295,7 @@ func NewVO(engine *sim.Engine, env *resource.Environment, cfg Config) *VO {
 	for _, n := range env.Nodes() {
 		vo.books[n.ID] = n.Calendar()
 	}
-	if cfg.Telemetry != nil && cfg.Placers > 1 {
+	if cfg.Placers > 1 {
 		vo.placerCommits = cfg.Telemetry.Counter("grid_placer_commits_total",
 			"levels arriving same-tick batch members booked")
 	}
@@ -490,27 +491,17 @@ func (m *JobManager) adopt(aj *activeJob) {
 // this domain's books only; the caller follows it with launch, or unplaced.
 func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time, initial bool) (*strategy.Distribution, error) {
 	vo := m.vo
-	var sp *telemetry.Span
-	if vo.cfg.Spans != nil {
-		sp = vo.cfg.Spans.Start("metasched.adopt", telemetry.SpanFromContext(ctx))
-		sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
-		if initial {
-			sp.SetInt("initial", 1)
-		}
-		ctx = telemetry.ContextWithSpan(ctx, sp.ID())
+	sp := vo.cfg.Spans.Start("metasched.adopt", telemetry.SpanFromContext(ctx))
+	sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
+	if initial {
+		sp.SetInt("initial", 1)
 	}
-	st, err := m.generate(ctx, aj, books, now)
-	if sp != nil {
-		if err != nil {
-			sp.SetStr("result", "error")
-		} else {
-			sp.SetStr("result", "ok")
-		}
-		sp.End()
-	}
+	st, err := m.generate(telemetry.ContextWithSpan(ctx, sp.ID()), aj, books, now)
 	if err != nil {
+		sp.SetStr("result", "error").End()
 		return nil, err
 	}
+	sp.SetStr("result", "ok").End()
 	aj.install(st)
 	d := st.CheapestAdmissible()
 	if d != nil && !m.reserve(aj, d) {
@@ -716,13 +707,10 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 func (m *JobManager) fallback(aj *activeJob) {
 	vo := m.vo
 	now := vo.engine.Now()
-	var sp *telemetry.Span
 	tried := 0
-	if vo.cfg.Spans != nil {
-		sp = vo.cfg.Spans.Start("metasched.fallback", 0)
-		sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
-		defer func() { sp.SetInt("levels_tried", int64(tried)).End() }()
-	}
+	sp := vo.cfg.Spans.Start("metasched.fallback", 0)
+	sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
+	defer func() { sp.SetInt("levels_tried", int64(tried)).End() }()
 	// Try remaining levels in the cost order of the original generation.
 	for {
 		next := aj.strat.AdmissibleAfter(aj.used)
@@ -735,10 +723,7 @@ func (m *JobManager) fallback(aj *activeJob) {
 		// buildCtx is re-acquired per level: each level is one build, with
 		// its own build timeout.
 		ctx, cancel := vo.buildCtx(aj.result.Job.Name)
-		if sp != nil {
-			ctx = telemetry.ContextWithSpan(ctx, sp.ID())
-		}
-		d, err := m.gen.BuildLevelCtx(ctx, aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now)
+		d, err := m.gen.BuildLevelCtx(telemetry.ContextWithSpan(ctx, sp.ID()), aj.strat.Scheduled, aj.result.Job.Name, aj.result.Type, next.Level, vo.books, now)
 		cancel()
 		if err != nil || d == nil || !d.Admissible {
 			continue

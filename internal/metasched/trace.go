@@ -120,10 +120,8 @@ func (t *MemoryTracer) Count(kind EventKind) int {
 // /metrics shows lifecycle rates even when nobody captures the full event
 // stream. e travels by value, so emitting allocates nothing of its own.
 func (vo *VO) trace(e Event) {
-	if vo.cfg.Telemetry != nil {
-		vo.cfg.Telemetry.Counter("grid_metasched_events_total",
-			"VO lifecycle events by kind", telemetry.L("kind", string(e.Kind))).Inc()
-	}
+	vo.cfg.Telemetry.Counter("grid_metasched_events_total",
+		"VO lifecycle events by kind", telemetry.L("kind", string(e.Kind))).Inc()
 	if vo.cfg.Tracer == nil {
 		return
 	}

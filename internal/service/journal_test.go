@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/jobio"
 	"repro/internal/journal"
 	"repro/internal/metasched"
 	"repro/internal/telemetry"
@@ -507,5 +508,67 @@ func TestFailedDrainSnapshotKeepsJobsQueued(t *testing.T) {
 	}
 	if stats.Requeued != 3 || stats.Terminal != 0 {
 		t.Fatalf("restart after the failed drain: %+v, want all 3 requeued", stats)
+	}
+}
+
+// TestDrainedJobIsADuplicateAfterRestart: a drain writes a still-queued job
+// to the snapshot and ledgers it drained, a tombstone. A restart over the
+// same journal keeps the tombstone, and a client's submission (epoch 0)
+// never outranks one, so the snapshot's own wire form comes back 409: the
+// exactly-once argument of a federated shard rests on that refusal. The
+// same job under a new name is admitted.
+func TestDrainedJobIsADuplicateAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(t.TempDir(), "drained.json")
+	jnl, rec := openJournal(t, dir)
+	s := newServer(t, Config{Journal: jnl, SnapshotPath: snap})
+	if _, err := s.Restore(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(wireJob("d0", 60), "S1", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drained []jobio.Job
+	err = json.NewDecoder(f).Decode(&drained)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(drained) != 1 || drained[0].Name != "d0" {
+		t.Fatalf("snapshot holds %+v, want the one queued job d0", drained)
+	}
+
+	jnl2, rec2 := openJournal(t, dir)
+	defer jnl2.Close()
+	heir := newServer(t, Config{Journal: jnl2})
+	if _, err := heir.Restore(rec2); err != nil {
+		t.Fatal(err)
+	}
+	h := heir.Handler()
+	body, err := json.Marshal(SubmitRequest{Job: drained[0], Strategy: "S1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr := postRaw(h, string(body)); rr.Code != http.StatusConflict {
+		t.Fatalf("resubmitting the drained job after the restart: %d %s, want 409", rr.Code, rr.Body)
+	}
+	renamed := drained[0]
+	renamed.Name = "d0-again"
+	if body, err = json.Marshal(SubmitRequest{Job: renamed, Strategy: "S1"}); err != nil {
+		t.Fatal(err)
+	}
+	if rr := postRaw(h, string(body)); rr.Code != http.StatusAccepted {
+		t.Fatalf("the drained job under a new name: %d %s, want 202", rr.Code, rr.Body)
 	}
 }

@@ -586,22 +586,20 @@ func (s *Server) SubmitEpoch(wire jobio.Job, strategyName string, priority, epoc
 	return s.submit(wire, strategyName, priority, epoch, false)
 }
 
-// submit is Submit and SubmitEpoch, inside the admission span when spans
-// are on; durable says whether the accept is synced before it returns.
+// submit is Submit and SubmitEpoch, inside the admission span; durable says
+// whether the accept is synced before it returns.
 func (s *Server) submit(wire jobio.Job, strategyName string, priority, epoch int, durable bool) (_ *Record, err error) {
-	if s.spans != nil {
-		sp := s.spans.Start("service.submit", 0)
-		sp.SetStr("job", wire.Name)
-		defer func() {
-			outcome := "accepted"
-			if se, ok := err.(*SubmitError); ok {
-				outcome = se.Code
-			} else if err != nil {
-				outcome = "error"
-			}
-			sp.SetStr("outcome", outcome).End()
-		}()
-	}
+	sp := s.spans.Start("service.submit", 0)
+	sp.SetStr("job", wire.Name)
+	defer func() {
+		outcome := "accepted"
+		if se, ok := err.(*SubmitError); ok {
+			outcome = se.Code
+		} else if err != nil {
+			outcome = "error"
+		}
+		sp.SetStr("outcome", outcome).End()
+	}()
 	typ, err := strategy.ParseType(strategyName)
 	if err != nil {
 		return nil, &SubmitError{Code: CodeInvalid, Reason: err.Error()}

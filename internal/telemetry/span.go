@@ -220,9 +220,12 @@ type spanCtxKey struct{}
 
 // ContextWithSpan returns ctx carrying id as the active span, so layers
 // that only share a context (strategy → criticalworks) can still parent
-// their spans. Callers should skip this when tracing is disabled — a nil
-// tracer never needs the value and context.WithValue allocates.
+// their spans. A zero id, what a nil span reports, returns ctx itself: a
+// run with tracing off wraps no context and allocates nothing here.
 func ContextWithSpan(ctx context.Context, id SpanID) context.Context {
+	if id == 0 {
+		return ctx
+	}
 	return context.WithValue(ctx, spanCtxKey{}, id)
 }
 

@@ -95,6 +95,22 @@ func TestSpanContextPlumbing(t *testing.T) {
 	}
 }
 
+// TestZeroSpanContextAllocationFree pins the one branch tracing off takes
+// in a context: a nil span's ID is 0, and ContextWithSpan(ctx, 0) hands
+// back ctx itself without allocating, so callers need not check first.
+func TestZeroSpanContextAllocationFree(t *testing.T) {
+	ctx := ContextWithSpan(context.Background(), 7)
+	if got := ContextWithSpan(ctx, 0); got != ctx {
+		t.Fatal("ContextWithSpan(ctx, 0) wrapped ctx, want ctx itself")
+	}
+	var sp *Span
+	if n := testing.AllocsPerRun(1000, func() {
+		_ = ContextWithSpan(ctx, sp.ID())
+	}); n != 0 {
+		t.Fatalf("ContextWithSpan(ctx, 0) allocates %v times per run, want 0", n)
+	}
+}
+
 type failWriter struct{ calls int }
 
 func (f *failWriter) Write(p []byte) (int, error) {
