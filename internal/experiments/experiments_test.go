@@ -52,11 +52,25 @@ func TestFig3Deterministic(t *testing.T) {
 	}
 }
 
+// TestFig3abRunCorpusOnce: Fig. 3(a) and Fig. 3(b) read the same corpus
+// pass, and rows run from one DefaultConfig, as gridsim runs them, run it
+// once.
+func TestFig3abRunCorpusOnce(t *testing.T) {
+	checkRunsOnce(t, "fig3b", fig3a, fig3b)
+}
+
 // TestFig4bcRunCellsOnce: Fig. 4(b) and Fig. 4(c) read the same three VO
 // cells, and rows run from one DefaultConfig, as gridsim runs them, run those
-// cells once. After fig4b the registry observes nothing more while fig4c
-// runs, and fig4c's report is the one it makes from a Config of its own.
+// cells once.
 func TestFig4bcRunCellsOnce(t *testing.T) {
+	checkRunsOnce(t, "fig4c", fig4b, fig4c)
+}
+
+// checkRunsOnce runs first and then second from one DefaultConfig. After
+// first the registry observes nothing more while second runs, and second's
+// report is the one it makes from a Config of its own.
+func checkRunsOnce(t *testing.T, name string, first, second func(Config) (*Report, error)) {
+	t.Helper()
 	scrape := func(reg *telemetry.Registry) string {
 		var buf bytes.Buffer
 		if err := reg.WritePrometheus(&buf); err != nil {
@@ -76,19 +90,19 @@ func TestFig4bcRunCellsOnce(t *testing.T) {
 	}
 	cfg := DefaultConfig(3, 20)
 	cfg.Telemetry = telemetry.NewRegistry()
-	report(fig4b(cfg))
-	after4b := scrape(cfg.Telemetry)
-	shared := report(fig4c(cfg))
-	if scrape(cfg.Telemetry) != after4b {
-		t.Error("fig4c ran VO cells again after fig4b had run them from the same Config")
+	report(first(cfg))
+	afterFirst := scrape(cfg.Telemetry)
+	shared := report(second(cfg))
+	if scrape(cfg.Telemetry) != afterFirst {
+		t.Errorf("%s ran its units again after the row before it had run them from the same Config", name)
 	}
 	own := DefaultConfig(3, 20)
 	own.Telemetry = telemetry.NewRegistry()
-	if alone := report(fig4c(own)); alone != shared {
-		t.Errorf("fig4c from fig4b's cells differs from fig4c alone:\n got %s\nwant %s", shared, alone)
+	if alone := report(second(own)); alone != shared {
+		t.Errorf("%s from the shared run differs from %s alone:\n got %s\nwant %s", name, name, shared, alone)
 	}
 	if scrape(own.Telemetry) == scrape(telemetry.NewRegistry()) {
-		t.Error("fig4c alone observed nothing: the comparison above shows nothing")
+		t.Errorf("%s alone observed nothing: the comparison above shows nothing", name)
 	}
 }
 

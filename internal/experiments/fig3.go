@@ -80,7 +80,7 @@ func mapCorpus[T any](cfg Config, deadlineFactor, perNode float64,
 	gen := workload.New(fig3Workload(cfg.Seed, deadlineFactor))
 	env := gen.Environment(1)
 	streams := rng.New(cfg.Seed).Split(0xB6).SplitN(cfg.Jobs)
-	return mapIndexed(cfg.Workers, cfg.Jobs, func(i int) (T, error) {
+	return workload.MapIndexed(cfg.Workers, cfg.Jobs, func(i int) (T, error) {
 		return plan(env, gen.Job(i), loadedCalendars(env, streams[i], perNode))
 	})
 }
@@ -111,6 +111,8 @@ type fig3JobTally struct {
 
 // runFig3 generates each job's strategy for every family against identical
 // background snapshots and tallies admissibility and collision placement.
+// Fig. 3(a) and Fig. 3(b) both read its pass, which one Config's memo keeps
+// (memo.get), so gridsim runs it once when both rows are asked for.
 func runFig3(cfg Config) (*fig3Run, error) {
 	tallies, err := mapCorpus(cfg, fig3DeadlineFactor, fig3BackgroundPerNode,
 		func(env *resource.Environment, job *dag.Job, cals criticalworks.Calendars) (fig3JobTally, error) {
@@ -173,7 +175,7 @@ func runFig3(cfg Config) (*fig3Run, error) {
 // admissible application-level schedule per strategy family (paper: S1
 // 38%, S2 37%, S3 33%).
 func fig3a(cfg Config) (*Report, error) {
-	run, err := runFig3(cfg)
+	run, err := cfg.fig3.get(cfg, runFig3)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +192,7 @@ func fig3a(cfg Config) (*Report, error) {
 // fig3b regenerates Fig. 3(b): where collisions between critical works
 // land — fast versus slow nodes (paper: S1 32/68, S2 56/44, S3 74/26).
 func fig3b(cfg Config) (*Report, error) {
-	run, err := runFig3(cfg)
+	run, err := cfg.fig3.get(cfg, runFig3)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/criticalworks"
 	"repro/internal/metasched"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/strategy"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -85,7 +83,7 @@ func runFlow(seed uint64, jobs int, typ strategy.Type, mc metasched.Config) (*me
 // any worker count.
 func mapCells[T any](workers, n int, trace io.Writer, cell func(i int, tracer metasched.Tracer) (T, error)) ([]T, error) {
 	traces := make([]bytes.Buffer, n)
-	outs, err := mapIndexed(workers, n, func(i int) (T, error) {
+	outs, err := workload.MapIndexed(workers, n, func(i int) (T, error) {
 		var tracer metasched.Tracer
 		if trace != nil {
 			tracer = metasched.NewJSONLTracer(&traces[i])
@@ -206,37 +204,17 @@ func fig4a(cfg Config) (*Report, error) {
 // fig4bcTypes are the families of Fig. 4(b,c).
 var fig4bcTypes = []strategy.Type{strategy.MS1, strategy.S2, strategy.S3}
 
-// fig4Memo holds the Fig. 4(b,c) cells of one run of them and what they
-// read of the Config: the seed, the corpus size and the registry.
-type fig4Memo struct {
-	mu   sync.Mutex
-	seed uint64
-	jobs int
-	reg  *telemetry.Registry
-	outs map[strategy.Type]*fig4Outcome
-}
-
 // fig4bcCells runs the VO cells that Fig. 4(b) and Fig. 4(c) both read, or
-// returns the ones an earlier row run from the same Config ran, so that
-// gridsim runs them once when both rows are asked for. A Config without a
-// memo (not made by DefaultConfig) or with a trace writer runs them for
-// every row, so that each row's trace stays whole.
+// returns the ones an earlier row run from the same Config ran (memo.get),
+// so that gridsim runs them once when both rows are asked for. A Config with
+// a trace writer runs them for every row, so that each row's trace stays
+// whole.
 func fig4bcCells(cfg Config) (map[strategy.Type]*fig4Outcome, error) {
-	m := cfg.fig4bc
-	if m == nil || cfg.Trace != nil {
-		return runFig4(cfg, fig4bcTypes)
+	run := func(cfg Config) (map[strategy.Type]*fig4Outcome, error) { return runFig4(cfg, fig4bcTypes) }
+	if cfg.Trace != nil {
+		return run(cfg)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.outs != nil && m.seed == cfg.Seed && m.jobs == cfg.Jobs && m.reg == cfg.Telemetry {
-		return m.outs, nil
-	}
-	outs, err := runFig4(cfg, fig4bcTypes)
-	if err != nil {
-		return nil, err
-	}
-	m.seed, m.jobs, m.reg, m.outs = cfg.Seed, cfg.Jobs, cfg.Telemetry, outs
-	return outs, nil
+	return cfg.fig4bc.get(cfg, run)
 }
 
 // fig4b regenerates Fig. 4(b): relative job completion cost and relative

@@ -14,6 +14,7 @@ import (
 	"repro/internal/metasched"
 	"repro/internal/sim"
 	"repro/internal/strategy"
+	"repro/internal/workload"
 )
 
 var update = flag.Bool("update", false, "regenerate the golden files under testdata/")
@@ -98,7 +99,7 @@ type fig2Outputs struct{ report, trace []byte }
 func TestFig2Golden(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			runs, err := mapIndexed(workers, workers, func(int) (fig2Outputs, error) {
+			runs, err := workload.MapIndexed(workers, workers, func(int) (fig2Outputs, error) {
 				r, err := fig2(Config{})
 				if err != nil {
 					return fig2Outputs{}, err

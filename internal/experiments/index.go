@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"io"
+	"sync"
 
+	"repro/internal/strategy"
 	"repro/internal/telemetry"
 )
 
@@ -16,7 +18,9 @@ type Config struct {
 	Jobs int
 	// Workers bounds the pool fanning independent units (a corpus's jobs, a
 	// sweep's VO cells) across goroutines; ≤ 0 means one worker per CPU.
-	// Every worker count produces byte-identical reports and traces.
+	// Every worker count produces byte-identical reports and traces. A VO
+	// cell's flow builds its jobs on one worker per CPU whatever Workers is
+	// (workload.Generator.FlowWith).
 	Workers int
 	// Trace, when set, receives every VO cell's JSONL trace. Cells write
 	// into private buffers while running; the buffers are flushed to Trace
@@ -35,10 +39,43 @@ type Config struct {
 	TaskFailRate float64
 	MaxRetries   int
 
-	// fig4bc, made by DefaultConfig and shared by every copy of the Config,
-	// keeps the Fig. 4(b,c) cells the first of those two rows ran, so that
-	// the other reads them (fig4bcCells).
-	fig4bc *fig4Memo
+	// fig3 and fig4bc, made by DefaultConfig and shared by every copy of
+	// the Config, keep the Fig. 3 corpus pass and the Fig. 4(b,c) cells
+	// that the first of the two rows reading them ran, so that the other
+	// reads them too (memo.get).
+	fig3   *memo[*fig3Run]
+	fig4bc *memo[map[strategy.Type]*fig4Outcome]
+}
+
+// memo keeps the result of a run that two rows read, with what the run read
+// of the Config: the seed, the corpus size and the registry.
+type memo[T any] struct {
+	mu   sync.Mutex
+	done bool
+	seed uint64
+	jobs int
+	reg  *telemetry.Registry
+	val  T
+}
+
+// get returns what run made from an earlier Config of the same seed, corpus
+// size and registry, or runs it and keeps the result. A nil memo (in a
+// Config not made by DefaultConfig) runs it on every call.
+func (m *memo[T]) get(cfg Config, run func(Config) (T, error)) (T, error) {
+	if m == nil {
+		return run(cfg)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done && m.seed == cfg.Seed && m.jobs == cfg.Jobs && m.reg == cfg.Telemetry {
+		return m.val, nil
+	}
+	val, err := run(cfg)
+	if err != nil {
+		return val, err
+	}
+	m.done, m.seed, m.jobs, m.reg, m.val = true, cfg.Seed, cfg.Jobs, cfg.Telemetry, val
+	return val, nil
 }
 
 // DefaultConfig returns the calibrated settings for seed and a corpus of
@@ -51,7 +88,8 @@ func DefaultConfig(seed uint64, jobs int) Config {
 		MTTR:         20,
 		TaskFailRate: 0.05,
 		MaxRetries:   2,
-		fig4bc:       new(fig4Memo),
+		fig3:         new(memo[*fig3Run]),
+		fig4bc:       new(memo[map[strategy.Type]*fig4Outcome]),
 	}
 }
 

@@ -6,7 +6,13 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/workload"
 )
+
+// The experiments' units fan out through workload.MapIndexed, the module's
+// one pool; these tests drive it through that exported face. The tests of
+// its unexported width and panic record are beside it in workload.
 
 // TestForEachRunsEveryUnitOnce hammers the pool across GOMAXPROCS values
 // and worker counts (1, 2, N, 4N) and corpus sizes including zero,
@@ -23,12 +29,12 @@ func TestForEachRunsEveryUnitOnce(t *testing.T) {
 				name := fmt.Sprintf("procs=%d/workers=%d/units=%d", procs, workers, units)
 				t.Run(name, func(t *testing.T) {
 					counts := make([]atomic.Int32, units)
-					_, err := mapIndexed(workers, units, func(i int) (struct{}, error) {
+					_, err := workload.MapIndexed(workers, units, func(i int) (struct{}, error) {
 						counts[i].Add(1)
 						return struct{}{}, nil
 					})
 					if err != nil {
-						t.Fatalf("mapIndexed: %v", err)
+						t.Fatalf("MapIndexed: %v", err)
 					}
 					for i := range counts {
 						if got := counts[i].Load(); got != 1 {
@@ -46,7 +52,7 @@ func TestForEachRunsEveryUnitOnce(t *testing.T) {
 // them.
 func TestMapCollectsIndexOrdered(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		out, err := mapIndexed(workers, 500, func(i int) (int, error) {
+		out, err := workload.MapIndexed(workers, 500, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -60,36 +66,13 @@ func TestMapCollectsIndexOrdered(t *testing.T) {
 	}
 }
 
-// TestPanicRecoveredIntoError asserts a panicking unit surfaces as a
-// *panicError instead of crashing the run, sequentially and in parallel.
-func TestPanicRecoveredIntoError(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		_, err := mapIndexed(workers, 50, func(i int) (int, error) {
-			if i == 17 {
-				panic("unit exploded")
-			}
-			return i, nil
-		})
-		var pe *panicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *panicError", workers, err)
-		}
-		if pe.index != 17 {
-			t.Fatalf("workers=%d: panic index = %d, want 17", workers, pe.index)
-		}
-		if pe.value != "unit exploded" || len(pe.stack) == 0 {
-			t.Fatalf("workers=%d: panic detail lost: %+v", workers, pe)
-		}
-	}
-}
-
 // TestErrorsReportLowestIndex asserts the deterministic error contract: a
 // single failing unit is reported by its index, and a run where every unit
 // fails reports unit 0 at any worker count.
 func TestErrorsReportLowestIndex(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 8} {
-		_, err := mapIndexed(workers, 100, func(i int) (int, error) {
+		_, err := workload.MapIndexed(workers, 100, func(i int) (int, error) {
 			if i == 42 {
 				return 0, fmt.Errorf("unit %d: %w", i, sentinel)
 			}
@@ -99,7 +82,7 @@ func TestErrorsReportLowestIndex(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want unit 42", workers, err)
 		}
 
-		_, err = mapIndexed(workers, 100, func(i int) (int, error) {
+		_, err = workload.MapIndexed(workers, 100, func(i int) (int, error) {
 			return 0, fmt.Errorf("unit %d: %w", i, sentinel)
 		})
 		if !errors.Is(err, sentinel) || err.Error() != "unit 0: boom" {
@@ -110,7 +93,7 @@ func TestErrorsReportLowestIndex(t *testing.T) {
 
 // TestMapDiscardsResultsOnError asserts errored runs return nil results.
 func TestMapDiscardsResultsOnError(t *testing.T) {
-	out, err := mapIndexed(4, 10, func(i int) (int, error) {
+	out, err := workload.MapIndexed(4, 10, func(i int) (int, error) {
 		if i == 3 {
 			return 0, errors.New("nope")
 		}
@@ -121,25 +104,12 @@ func TestMapDiscardsResultsOnError(t *testing.T) {
 	}
 }
 
-// TestResolve pins the width semantics: < 1 means one worker per CPU, and
-// never more workers than units.
-func TestResolve(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	for _, c := range []struct{ workers, units, want int }{
-		{0, 1000, procs}, {-3, 1000, procs}, {5, 1000, 5}, {5, 3, 3},
-	} {
-		if got := poolWidth(c.workers, c.units); got != c.want {
-			t.Errorf("poolWidth(%d, %d) = %d, want %d", c.workers, c.units, got, c.want)
-		}
-	}
-}
-
 // TestZeroUnits asserts the degenerate corpus is a no-op at any width.
 func TestZeroUnits(t *testing.T) {
 	called := false
-	out, err := mapIndexed(8, 0, func(int) (int, error) { called = true; return 0, nil })
+	out, err := workload.MapIndexed(8, 0, func(int) (int, error) { called = true; return 0, nil })
 	if err != nil || len(out) != 0 {
-		t.Fatalf("mapIndexed on empty corpus: out=%v err=%v", out, err)
+		t.Fatalf("MapIndexed on empty corpus: out=%v err=%v", out, err)
 	}
 	if called {
 		t.Fatal("unit ran on an empty corpus")
@@ -149,7 +119,7 @@ func TestZeroUnits(t *testing.T) {
 // BenchmarkMapOverhead measures the pool's dispatch cost on trivial units.
 func BenchmarkMapOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := mapIndexed(4, 256, func(i int) (int, error) { return i, nil }); err != nil {
+		if _, err := workload.MapIndexed(4, 256, func(i int) (int, error) { return i, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

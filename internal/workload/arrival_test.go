@@ -1,10 +1,16 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dag"
+	"repro/internal/jobio"
 	"repro/internal/simtime"
 )
 
@@ -139,4 +145,53 @@ func TestArrivalSpecDefaults(t *testing.T) {
 	if sp.Amplitude >= 1 {
 		t.Errorf("amplitude not clamped: %v", sp.Amplitude)
 	}
+}
+
+// TestFlowWithSameAtAnyWidth: a flow's jobs are built on the pool, and every
+// process gives the same wire bytes, arrival ticks included, on one core and
+// on four. Concurrent builders of one flow share the generator and the
+// pooled job scratch, so under -race this is also their data-race guard.
+func TestFlowWithSameAtAnyWidth(t *testing.T) {
+	wire := func(flow []Arrival) []byte {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for _, a := range flow {
+			if err := enc.Encode(jobio.FromJob(a.Job)); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "%d\n", a.At)
+		}
+		return buf.Bytes()
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	g := New(Default(5))
+	for _, k := range allKinds {
+		var got [2][]byte
+		for w, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			got[w] = wire(g.FlowWith(ArrivalSpec{Kind: k}, 3, 400, 10))
+		}
+		if !bytes.Equal(got[0], got[1]) {
+			t.Errorf("%v: the flow built on 4 cores differs from the one built on 1", k)
+		}
+	}
+}
+
+// TestFlowWithBuildPanicReachesCaller: a job that cannot be built (here a
+// job of no layers, so of no tasks) panics on FlowWith's caller, not on a
+// pool goroutine, and the panic names the flow position and the cause.
+func TestFlowWithBuildPanicReachesCaller(t *testing.T) {
+	cfg := Default(1)
+	cfg.MinLayers, cfg.MaxLayers = 0, 0
+	defer func() {
+		err, ok := recover().(error)
+		if !ok {
+			t.Fatalf("FlowWith did not panic with an error")
+		}
+		if msg := err.Error(); !strings.Contains(msg, "unit 0 panicked") || !strings.Contains(msg, "no tasks") {
+			t.Fatalf("panic %q does not name the job and its cause", msg)
+		}
+	}()
+	New(cfg).Flow(0, 8, 0)
 }

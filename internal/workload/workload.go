@@ -147,9 +147,8 @@ func (g *Generator) Job(idx int) *dag.Job { return g.job(idx, 0) }
 // at its arrival.
 //
 // The job is drawn by task index — task P_k is ID k-1, transfer D_k the
-// k-th edge drawn — into pooled scratch, and built once the draws are done:
-// only then is it known how many names P1.. and D1.. to cut, from one
-// string each.
+// k-th edge drawn — into pooled scratch, and built once the draws are done,
+// with the names P1.. and D1.. read from the scratch's name tables.
 func (g *Generator) job(idx int, at simtime.Time) *dag.Job {
 	cfg := &g.cfg
 	r := g.jobRNG(uint64(idx))
@@ -230,10 +229,10 @@ func (g *Generator) job(idx int, at simtime.Time) *dag.Job {
 	}
 
 	b := dag.NewBuilder(fmt.Sprintf("job-%05d", idx)).Grow(n, len(s.edges))
-	for i, name := range s.cut('P', n) {
+	for i, name := range s.names(&s.pNames, 'P', n) {
 		b.Task(name, s.tasks[i].BaseTime, s.tasks[i].Volume)
 	}
-	for i, name := range s.cut('D', len(s.edges)) {
+	for i, name := range s.names(&s.dNames, 'D', len(s.edges)) {
 		e := s.edges[i]
 		b.Link(name, e.From, e.To, e.BaseTime, e.Volume)
 	}
@@ -245,7 +244,9 @@ func (g *Generator) job(idx int, at simtime.Time) *dag.Job {
 	if deadline <= cp {
 		deadline = cp + 1
 	}
-	return job.WithDeadline(at + deadline)
+	// Nothing else holds the job yet, so its deadline is set in place.
+	job.Deadline = at + deadline
+	return job
 }
 
 // element is one layer element: a pipeline from head to tail.
@@ -262,28 +263,35 @@ type jobScratch struct {
 	adj    []uint64   // the edges drawn so far, as an n×n bitmap
 	outDeg []int32    // every task's out-degree so far
 	buf    []byte
-	names  []string
+	// pNames and dNames are the name tables P1, P2, … and D1, D2, … as far
+	// as any job built in this scratch has needed them.
+	pNames, dNames []string
 }
 
 var scratch = sync.Pool{New: func() any { return new(jobScratch) }}
 
-// cut returns the names prefix1 … prefixN, cut from one string.
-func (s *jobScratch) cut(prefix byte, n int) []string {
+// names returns the first n names of the table prefix1, prefix2, …. Only
+// when n outgrows the table is it cut anew, from one string.
+func (s *jobScratch) names(table *[]string, prefix byte, n int) []string {
+	if n <= len(*table) {
+		return (*table)[:n]
+	}
 	s.buf = s.buf[:0]
 	for i := 1; i <= n; i++ {
 		s.buf = strconv.AppendInt(append(s.buf, prefix), int64(i), 10)
 	}
 	all := string(s.buf)
-	s.names = s.names[:0]
+	t := (*table)[:0]
 	for len(all) > 0 {
 		end := strings.IndexByte(all[1:], prefix) + 1
 		if end == 0 {
 			end = len(all)
 		}
-		s.names = append(s.names, all[:end])
+		t = append(t, all[:end])
 		all = all[end:]
 	}
-	return s.names
+	*table = t
+	return t
 }
 
 // Arrival is one job of a flow with its submission time.
