@@ -23,6 +23,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/data"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/jobio"
 	"repro/internal/journal"
 	"repro/internal/metasched"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/strategy"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -487,4 +489,53 @@ func BenchmarkVOThroughput(b *testing.B) {
 			b.Fatalf("results = %d", len(vo.Results()))
 		}
 	}
+}
+
+// BenchmarkFaultedVOWarmup runs the untimed warm-up that the benchmark
+// ledger's vo_faults workload makes before it starts its clock, one per
+// iteration: 200 jobs of the Fig. 4 corpus at seed 1, strategies S1, S2, S3
+// and MS1 in turn, through a bare VO planning under MinCost with external
+// load, node and domain outages and mid-run task failures, a registry and
+// an event tracer attached (benchmark/vo.go, newVORun). The warm-up is most
+// of vo_faults' setup_s, and the critical-works DP is most of the warm-up,
+// so this is where a change to the DP shows without the noise of a whole
+// process.
+func BenchmarkFaultedVOWarmup(b *testing.B) {
+	cfg := workload.Default(1)
+	cfg.DeadlineFactor = 1.8
+	cfg.TransferLo, cfg.TransferHi = 2, 8
+	cfg.PipelineProb, cfg.MaxPipeline = 0.6, 3
+	cfg.MinWidth, cfg.MaxWidth = 2, 3
+	cfg.MinLayers, cfg.MaxLayers = 3, 4
+	cfg.MeanInterarrival = 16
+	flow := workload.New(cfg).Flow(0, 200, 0)
+	until := flow[len(flow)-1].At + 200
+	mtbf, mttr := faults.ForAvailability(0.98, 20)
+	var events int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine := sim.New()
+		vo := metasched.NewVO(engine, workload.New(workload.Default(1)).Environment(2), metasched.Config{
+			ExternalMeanGap: 5, ExternalLead: 8, ExternalDurLo: 10, ExternalDurHi: 30, ExternalUntil: until,
+			Objective: criticalworks.MinCost,
+			Seed:      1,
+			Telemetry: telemetry.NewRegistry(),
+			Faults: faults.Config{
+				MTBF: mtbf, MTTR: mttr, DomainOutageProb: 0.1,
+				TaskFailRate: 0.05, MaxRetries: 2, Until: until, Seed: 1,
+			},
+			Tracer: metasched.TracerFunc(func(metasched.Event) { events++ }),
+		})
+		for k, a := range flow {
+			if err := vo.Submit(a.Job, strategy.AllTypes[k%len(strategy.AllTypes)], a.At); err != nil {
+				b.Fatal(err)
+			}
+		}
+		engine.Run()
+		if len(vo.Results()) != len(flow) {
+			b.Fatalf("results = %d, want %d", len(vo.Results()), len(flow))
+		}
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

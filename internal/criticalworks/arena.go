@@ -24,11 +24,14 @@ import (
 type scratch struct {
 	job *dag.Job
 
-	// The job's graph as the build's loops read it, filled once by reset:
-	// each task's base time and volume, each edge's ends and base time, and
-	// each task's incoming and outgoing edges as edge indices in the job's
-	// order — task t's at inIdx[inOff[t]:inOff[t+1]] and
-	// outIdx[outOff[t]:outOff[t+1]].
+	// The job's graph as the build's loops read it, read by reset: each
+	// task's base time and volume, each edge's ends and base time, and each
+	// task's incoming and outgoing edges as edge indices in the job's order —
+	// task t's at inIdx[inOff[t]:inOff[t+1]] and outIdx[outOff[t]:outOff[t+1]].
+	// Everything from here to chains is a function of these values alone, so
+	// it stands from one build to the next while reset reads the same graph
+	// again: the levels of a strategy, its re-anchored levels and its
+	// regenerations all build one job.
 	taskBase, edgeBase           []simtime.Time
 	taskVol                      []int64
 	edgeFrom, edgeTo             []dag.TaskID
@@ -36,11 +39,21 @@ type scratch struct {
 
 	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
 	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
+	boundsAt float64        // the margin bestUp and bestDown are for; 0 when none
 
-	// The first critical work, found once and placed first by every margin:
-	// its own slice, because every later search overwrites chains.
-	first  []dag.TaskID
+	// The first critical work, found once per graph and placed first by
+	// every margin: its own slice, because every later search overwrites
+	// chains. Its Tasks are empty until run finds it.
+	first  dag.Chain
 	chains dag.ChainBuf // the next-critical-work search and its result
+
+	// The build's candidates as the DP reads them, by node: the node's
+	// estimation tier and the view's book for it. view fills them for the
+	// candidates once per build, before the first read; release clears the
+	// books, which are the view's.
+	tier   []resource.Tier
+	book   []*resource.Calendar
+	viewed bool
 
 	dp     []cell      // runDP's table, chain positions × candidates
 	cells  []cellIn    // what each dp cell reads of its (task, node) pair
@@ -69,6 +82,10 @@ type scratch struct {
 	// task sits in one chain, which records at most one collision for it).
 	colls []Collision
 
+	// fresh lists the tasks the attempt has reserved since it last committed
+	// replicas (commitPlaced); room for every task.
+	fresh []dag.TaskID
+
 	bld builder // the attempt in progress
 }
 
@@ -82,35 +99,66 @@ func takeScratch(job *dag.Job, nodes int) *scratch {
 }
 
 // reset points the arena at job, grows what is too small for it and reads
-// the job's graph into it. What the other slices hold is whatever the last
-// build left: every one is cleared or overwritten before it is read
-// (attempt, computeBounds, runDP, reserve); the DP's own buffers are grown
-// where they are filled.
+// the job's graph into it. When the graph tables already held that graph —
+// the same tasks and edges, value for value — what the arena derived from
+// them stands: the edge lists, the first critical work and the bounds. What
+// the other slices hold is whatever the last build left: every one is
+// cleared or overwritten before it is read (attempt, view, computeBounds,
+// runDP, reserve); the DP's own buffers are grown where they are filled.
 func (sc *scratch) reset(job *dag.Job, nodes int) {
-	n, m := job.NumTasks(), job.NumEdges()
+	n := job.NumTasks()
 	sc.job = job
-	sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
 	sc.placed = grow(sc.placed, n)
 	sc.ideal, sc.actual = grow(sc.ideal, n), grow(sc.actual, n)
 	sc.ownHead, sc.ownNext = grow(sc.ownHead, nodes), grow(sc.ownNext, n)
+	sc.tier, sc.book = grow(sc.tier, nodes), grow(sc.book, nodes)
+	sc.viewed = false
 	sc.words = (nodes + 63) / 64
 	sc.replica = grow(sc.replica, n*sc.words)
 	sc.colls = grow(sc.colls, n)
+	sc.fresh = grow(sc.fresh, n)
+	if !sc.readGraph(job) {
+		sc.linkEdges()
+		sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
+		sc.boundsAt = 0
+		sc.first.Tasks = sc.first.Tasks[:0]
+	}
+}
 
+// readGraph reads job's tasks and edges into the graph tables and reports
+// whether the tables already held exactly these. The graph is all that the
+// edge lists, the critical-work searches and the bounds read of a job (the
+// topological order too is a function of the edges), so equal tables mean
+// equal derived facts, whichever *dag.Job they were read from: the check
+// keys the arena by value and keeps no pointer to the job.
+func (sc *scratch) readGraph(job *dag.Job) bool {
+	n, m := job.NumTasks(), job.NumEdges()
+	same := len(sc.taskBase) == n && len(sc.edgeBase) == m
 	sc.taskBase, sc.taskVol = grow(sc.taskBase, n), grow(sc.taskVol, n)
 	for t := range sc.taskBase {
 		task := job.Task(dag.TaskID(t))
+		same = same && sc.taskBase[t] == task.BaseTime && sc.taskVol[t] == task.Volume
 		sc.taskBase[t], sc.taskVol[t] = task.BaseTime, task.Volume
 	}
 	sc.edgeBase, sc.edgeFrom, sc.edgeTo = grow(sc.edgeBase, m), grow(sc.edgeFrom, m), grow(sc.edgeTo, m)
+	for i := range m {
+		e := job.EdgeAt(i)
+		same = same && sc.edgeBase[i] == e.BaseTime && sc.edgeFrom[i] == e.From && sc.edgeTo[i] == e.To
+		sc.edgeBase[i], sc.edgeFrom[i], sc.edgeTo[i] = e.BaseTime, e.From, e.To
+	}
+	return same
+}
+
+// linkEdges fills each task's incoming and outgoing edge lists from the
+// graph tables.
+func (sc *scratch) linkEdges() {
+	n, m := len(sc.taskBase), len(sc.edgeBase)
 	sc.inOff, sc.outOff = grow(sc.inOff, n+1), grow(sc.outOff, n+1)
 	clear(sc.inOff)
 	clear(sc.outOff)
 	for i := range m {
-		e := job.EdgeAt(i)
-		sc.edgeBase[i], sc.edgeFrom[i], sc.edgeTo[i] = e.BaseTime, e.From, e.To
-		sc.inOff[e.To+1]++
-		sc.outOff[e.From+1]++
+		sc.inOff[sc.edgeTo[i]+1]++
+		sc.outOff[sc.edgeFrom[i]+1]++
 	}
 	for t := range n {
 		sc.inOff[t+1] += sc.inOff[t]
@@ -130,17 +178,31 @@ func (sc *scratch) reset(job *dag.Job, nodes int) {
 	sc.inOff[0], sc.outOff[0] = 0, 0
 }
 
+// view fills the candidate table for a build over cals on the candidates
+// cands, unless this build has filled it already.
+func (sc *scratch) view(env *resource.Environment, cals Calendars, cands []resource.NodeID) {
+	if sc.viewed {
+		return
+	}
+	for _, n := range cands {
+		sc.tier[n], sc.book[n] = env.Node(n).Tier(), cals[n]
+	}
+	sc.viewed = true
+}
+
 // inEdges and outEdges return task t's incoming and outgoing edges as edge
 // indices, in the job's order.
 func (sc *scratch) inEdges(t dag.TaskID) []int32  { return sc.inIdx[sc.inOff[t]:sc.inOff[t+1]] }
 func (sc *scratch) outEdges(t dag.TaskID) []int32 { return sc.outIdx[sc.outOff[t]:sc.outOff[t+1]] }
 
 // release returns the arena holding nothing of the build it served: no job,
-// and with the builder no view, options or context — a pooled arena outlives
-// the engine event, and a view's calendars must not (liveBooks). Nothing else
-// in the arena holds a pointer.
+// no book of the view, and with the builder no view, options or context — a
+// pooled arena outlives the engine event, and a view's calendars must not
+// (liveBooks). What stays are integers: the graph tables and what was
+// derived from them, which the next build of the same graph reuses (reset).
 func (sc *scratch) release() {
 	sc.job = nil
+	clear(sc.book)
 	sc.bld = builder{}
 	scratchPool.Put(sc)
 }
@@ -181,6 +243,8 @@ func (sc *scratch) attempt(env *resource.Environment, cals Calendars, opt Option
 	clear(sc.ownHead)
 	clear(sc.replica)
 	sc.colls = sc.colls[:0]
+	sc.fresh = sc.fresh[:0]
+	sc.view(env, cals, opt.Candidates)
 	sc.bld = builder{env: env, base: cals, opt: opt, margin: margin, scratch: sc}
 	return &sc.bld
 }
@@ -243,7 +307,7 @@ func (b *builder) firstFree(n resource.NodeID, base *resource.Calendar, earliest
 // what it found: the earlier-starting of the base book's first overlap with
 // iv, NoHolder, and the attempt's own, its task.
 func (b *builder) holder(n resource.NodeID, iv simtime.Interval) (dag.TaskID, bool) {
-	res, busy := b.base[n].ConflictWith(iv)
+	res, busy := b.book[n].ConflictWith(iv)
 	if p, hit := b.ownOverlap(n, iv); hit && (!busy || p.Window.Start < res.Interval.Start) {
 		return p.Task, true
 	}
@@ -262,7 +326,7 @@ func (b *builder) reserve(p Placement) error {
 		return fmt.Errorf("%w: %v", resource.ErrEmptyInterval, p.Window)
 	}
 	if h, busy := b.holder(p.Node, p.Window); busy {
-		existing, _ := b.base[p.Node].ConflictWith(p.Window)
+		existing, _ := b.book[p.Node].ConflictWith(p.Window)
 		if h != NoHolder {
 			existing = resource.Reservation{Interval: b.placed[h].Window, Owner: b.owner(h)}
 		}
@@ -270,6 +334,7 @@ func (b *builder) reserve(p Placement) error {
 	}
 	b.ownNext[p.Task], b.ownHead[p.Node] = b.ownHead[p.Node], int32(p.Task)+1
 	b.placed[p.Task] = p
+	b.fresh = append(b.fresh, p.Task)
 	b.nPlaced++
 	return nil
 }
@@ -299,13 +364,28 @@ func (b *builder) commit(producer dag.TaskID, from, to resource.NodeID) {
 }
 
 // commitPlaced commits the data placement of every edge whose two ends are
-// placed, so later critical works of this job see the replicas.
+// placed, so later critical works of this job see the replicas. An edge
+// placed at both ends before the tasks reserved since the last call was
+// committed by that call, and committing is idempotent, so only the edges of
+// those tasks are walked.
 func (b *builder) commitPlaced() {
-	for i, src := range b.edgeFrom {
-		from, okF := b.placement(src)
-		to, okT := b.placement(b.edgeTo[i])
-		if okF && okT {
-			b.commit(src, from.Node, to.Node)
+	for _, t := range b.fresh {
+		for _, e := range b.inEdges(t) {
+			b.commitEdge(e)
 		}
+		for _, e := range b.outEdges(t) {
+			b.commitEdge(e)
+		}
+	}
+	b.fresh = b.fresh[:0]
+}
+
+// commitEdge commits edge e's data placement if both its ends are placed.
+func (b *builder) commitEdge(e int32) {
+	src := b.edgeFrom[e]
+	from, okF := b.placement(src)
+	to, okT := b.placement(b.edgeTo[e])
+	if okF && okT {
+		b.commit(src, from.Node, to.Node)
 	}
 }

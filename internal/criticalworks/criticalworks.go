@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/data"
@@ -302,31 +303,85 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	} else if sched != nil {
 		evals, colls = sched.Evaluations, int64(len(sched.Collisions))
 	}
-	opt.Telemetry.Counter("grid_criticalworks_builds_total",
-		"critical-works builds by outcome", telemetry.L("result", buildResult(err))).Inc()
-	opt.Telemetry.Counter("grid_criticalworks_evaluations_total",
-		"DP slot-fitting probes performed").Add(uint64(evals))
-	opt.Telemetry.Counter("grid_criticalworks_collisions_total",
-		"resource collisions between critical works").Add(uint64(colls))
-	root.SetStr("result", buildResult(err)).SetInt("evaluations", evals).SetInt("collisions", colls).End()
+	result := buildResult(err)
+	countersFor(opt.Telemetry).count(result, evals, colls)
+	root.SetStr("result", buildResults[result]).SetInt("evaluations", evals).SetInt("collisions", colls).End()
 	return sched, err
 }
 
-// buildResult classifies a build's outcome for the telemetry counters.
-func buildResult(err error) string {
+// buildResults are the outcomes of a build, as buildResult classifies them.
+var buildResults = [...]string{"ok", "hopeless", "infeasible", "cancelled", "error"}
+
+// buildResult classifies a build's outcome for the telemetry counters and
+// spans, as an index into buildResults.
+func buildResult(err error) int {
 	inf, _ := err.(*InfeasibleError) // Build returns it unwrapped
 	switch {
 	case err == nil:
-		return "ok"
+		return 0
 	case inf != nil && inf.Hopeless:
-		return "hopeless"
+		return 1
 	case inf != nil, err == errInfeasible:
-		return "infeasible"
+		return 2
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "cancelled"
+		return 3
 	default:
-		return "error"
+		return 4
 	}
+}
+
+// counters are one registry's grid_criticalworks_* handles. A registry's
+// are resolved once (countersFor), not looked up by every build; a
+// builds_total series is resolved by the first build with its result, so the
+// registry holds the series of the results that happened and no other.
+type counters struct {
+	reg          *telemetry.Registry
+	evals, colls *telemetry.Counter
+	builds       [len(buildResults)]atomic.Pointer[telemetry.Counter]
+}
+
+// countersKept holds the handles of the last registries that builds counted
+// into, for countersFor: a process has one registry per service, VO or
+// shard, and a slot taken by a new registry is the next one round.
+var (
+	countersKept [4]atomic.Pointer[counters]
+	countersNext atomic.Uint32
+)
+
+// countersFor returns reg's handles, nil for a nil registry.
+func countersFor(reg *telemetry.Registry) *counters {
+	if reg == nil {
+		return nil
+	}
+	for i := range countersKept {
+		if c := countersKept[i].Load(); c != nil && c.reg == reg {
+			return c
+		}
+	}
+	c := &counters{
+		reg:   reg,
+		evals: reg.Counter("grid_criticalworks_evaluations_total", "DP slot-fitting probes performed"),
+		colls: reg.Counter("grid_criticalworks_collisions_total", "resource collisions between critical works"),
+	}
+	countersKept[countersNext.Add(1)%uint32(len(countersKept))].Store(c)
+	return c
+}
+
+// count adds one build with the given result and counts; a nil c counts
+// nothing.
+func (c *counters) count(result int, evals, colls int64) {
+	if c == nil {
+		return
+	}
+	b := c.builds[result].Load()
+	if b == nil {
+		b = c.reg.Counter("grid_criticalworks_builds_total",
+			"critical-works builds by outcome", telemetry.L("result", buildResults[result]))
+		c.builds[result].Store(b)
+	}
+	b.Inc()
+	c.evals.Add(uint64(evals))
+	c.colls.Add(uint64(colls))
 }
 
 // normalize applies Build's option defaulting.
@@ -377,13 +432,17 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (*Schedule, error) {
 	job := sc.job
 	// The first critical work is the longest chain over all tasks by base
-	// (tier-1) times and base transfer times — the same at every margin, so
-	// it is found once and handed to every attempt.
-	first, _ := job.LongestChainBuf(&sc.chains, dag.WeightFunc{}, nil)
-	sc.first = append(sc.first[:0], first.Tasks...)
-	first.Tasks = sc.first
+	// (tier-1) times and base transfer times — the same at every margin, and
+	// for every build of the graph, so it is found once and handed to every
+	// attempt.
+	if len(sc.first.Tasks) == 0 {
+		first, _ := job.LongestChainBuf(&sc.chains, dag.WeightFunc{}, nil)
+		sc.first.Tasks, sc.first.Length = append(sc.first.Tasks[:0], first.Tasks...), first.Length
+	}
+	first := sc.first
+	sc.view(env, cals, opt.Candidates)
 	sc.computeBounds(1)
-	if sc.hopeless(env, opt, first) {
+	if sc.hopeless(opt, first) {
 		return nil, &InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
 	}
 
@@ -398,7 +457,7 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 		asp.SetInt("margin_pct", int64(mg*100))
 		b.span = asp.ID()
 		sched, err := b.buildOnce(first)
-		asp.SetStr("result", buildResult(err)).SetInt("evaluations", b.evals).End()
+		asp.SetStr("result", buildResults[buildResult(err)]).SetInt("evaluations", b.evals).End()
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
@@ -420,7 +479,7 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 			break
 		}
 		if i == 0 {
-			if probes, refused := sc.noGap(env, cals, opt, first); refused {
+			if probes, refused := sc.noGap(opt, first); refused {
 				evals += probes
 				firstWork = true
 				break
@@ -469,7 +528,7 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 // the error above with no collision counted — what build returns. The one
 // count that differs is Evaluations: the probes the ladder would have spent
 // proving this are not performed, and the count says so (0).
-func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Chain) bool {
+func (sc *scratch) hopeless(opt Options, chain dag.Chain) bool {
 	var prevFinish simtime.Time
 	for i, task := range chain.Tasks {
 		start := opt.Release + sc.bestUp[task]
@@ -481,7 +540,7 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 		}
 		fastest, base := simtime.Infinity, sc.taskBase[task]
 		for _, n := range opt.Candidates {
-			if dur := resource.Estimate(base, env.Node(n).Tier()); dur > 0 && dur < fastest {
+			if dur := resource.Estimate(base, sc.tier[n]); dur > 0 && dur < fastest {
 				fastest = dur
 			}
 		}
@@ -524,10 +583,10 @@ func (sc *scratch) hopeless(env *resource.Environment, opt Options, chain dag.Ch
 // it spends more, and a refusal never counts above the full ladder. A bound
 // that lets the ladder go on stands in for no attempt, and its probes are
 // not counted.
-func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options, chain dag.Chain) (probes int64, refused bool) {
+func (sc *scratch) noGap(opt Options, chain dag.Chain) (probes int64, refused bool) {
 	var budget int64
 	for _, n := range opt.Candidates {
-		if resource.Estimate(sc.taskBase[chain.Tasks[0]], env.Node(n).Tier()) > 0 {
+		if resource.Estimate(sc.taskBase[chain.Tasks[0]], sc.tier[n]) > 0 {
 			budget += int64(len(margins) - 1)
 		}
 	}
@@ -535,7 +594,7 @@ func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options,
 		est, lft := opt.Release+sc.bestUp[task], opt.deadline-sc.bestDown[task]
 		gap, base := false, sc.taskBase[task]
 		for _, n := range opt.Candidates {
-			dur := resource.Estimate(base, env.Node(n).Tier())
+			dur := resource.Estimate(base, sc.tier[n])
 			if dur <= 0 {
 				continue
 			}
@@ -543,7 +602,7 @@ func (sc *scratch) noGap(env *resource.Environment, cals Calendars, opt Options,
 				return probes, false
 			}
 			probes++
-			if s, ok := cals[n].FirstFree(est, dur, opt.horizon); ok && s+dur <= lft {
+			if s, ok := sc.book[n].FirstFree(est, dur, opt.horizon); ok && s+dur <= lft {
 				gap = true
 				break
 			}
@@ -602,8 +661,14 @@ func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 // without the transfer terms, the first critical work packs its tasks
 // back-to-back and later works cannot squeeze their tasks (plus transfers)
 // into the remaining windows — the idle gaps visible in the paper's Fig. 2
-// Gantt charts are exactly this reserved room.
+// Gantt charts are exactly this reserved room. The bounds are a function of
+// the graph and the margin alone, so they are computed again only when the
+// margin differs from the one they are for.
 func (sc *scratch) computeBounds(margin float64) {
+	if margin == sc.boundsAt {
+		return
+	}
+	sc.boundsAt = margin
 	scale := func(t simtime.Time) simtime.Time {
 		if margin <= 1 {
 			return t

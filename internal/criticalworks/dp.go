@@ -1,7 +1,6 @@
 package criticalworks
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/dag"
@@ -150,16 +149,21 @@ func (b *builder) runDP(parent telemetry.SpanID, chain dag.Chain, ignoreCalendar
 		var inBase simtime.Time
 		if i > 0 {
 			inBase = b.edgeBase[b.chainEdge(chain.Tasks[i-1], chain.Tasks[i])]
-			b.sortRow(dp[(i-1)*C:i*C], inBase)
+			if b.sortRow(dp[(i-1)*C:i*C], inBase); len(b.preds) == 0 {
+				// No cell of the row before is feasible, so none of this row
+				// or any later one is, and none would probe: the table's
+				// cleared rows already say so.
+				break
+			}
 		}
 		for c, n := range cands {
-			in := b.cells[i*C+c]
+			in := &b.cells[i*C+c]
 			if in.dur <= 0 {
 				continue
 			}
 			var book *resource.Calendar // stays nil in the ideal phase
 			if !ignoreCalendar {
-				book = b.base[n]
+				book = b.book[n]
 			}
 			if i == 0 {
 				if st, fin, ok := b.fit(n, book, in.est, in.dur, in.lft); ok {
@@ -169,7 +173,7 @@ func (b *builder) runDP(parent telemetry.SpanID, chain dag.Chain, ignoreCalendar
 			}
 			// The consumer's leg into n, the same for every predecessor.
 			recv := b.opt.Data.ReceiveTime(inBase, n, b.held(chain.Tasks[i-1], n))
-			dp[i*C+c] = b.bestPred(n, book, in, recv)
+			b.bestPred(&dp[i*C+c], n, book, in, recv)
 		}
 	}
 
@@ -204,22 +208,35 @@ func (b *builder) runDP(parent telemetry.SpanID, chain dag.Chain, ignoreCalendar
 // sortRow puts the feasible cells of row, the previous chain position, in
 // b.preds in the order bestPred probes them — by (key, index) under
 // MinFinish, by (cost, key, index) under MinCost — and fills each entry's
-// best and end.
+// best and end. The row is gathered in index order and each entry is
+// inserted after every entry that does not sort above it on key, or on
+// (cost, key), so entries equal there keep index order: the sort compares
+// the fields themselves, exact for any values, and calls no comparator.
 func (b *builder) sortRow(row []cell, inBase simtime.Time) {
-	preds := b.preds[:0]
-	for m, p := range row {
-		if p.ok {
-			key := p.finish + b.opt.Data.SendTime(inBase, b.opt.Candidates[m])
-			preds = append(preds, pred{key: key, cost: p.cost, m: int32(m)})
-		}
-	}
-	b.preds = preds
 	minCost := b.opt.Objective == MinCost
-	if minCost {
-		slices.SortFunc(preds, byCostKey)
-	} else {
-		slices.SortFunc(preds, byKey)
+	preds, n := grow(b.preds, len(row)), 0
+	for m := range row {
+		p := &row[m]
+		if !p.ok {
+			continue
+		}
+		x := pred{key: p.finish + b.opt.Data.SendTime(inBase, b.opt.Candidates[m]), cost: p.cost, m: int32(m)}
+		k := n
+		for n++; k > 0; k-- {
+			q := &preds[k-1]
+			if minCost && q.cost != x.cost {
+				if q.cost < x.cost {
+					break
+				}
+			} else if q.key <= x.key {
+				break
+			}
+			preds[k] = *q
+		}
+		preds[k] = x
 	}
+	preds = preds[:n]
+	b.preds = preds
 	end := int32(len(preds))
 	for k := len(preds) - 1; k >= 0; k-- {
 		if minCost && k+1 < len(preds) && preds[k+1].cost != preds[k].cost {
@@ -231,30 +248,15 @@ func (b *builder) sortRow(row []cell, inBase simtime.Time) {
 		preds[k].best = int32(k)
 		if k > 0 && preds[k-1].end == preds[k].end {
 			j := preds[k-1].best
-			if q := preds[j]; q.cost < preds[k].cost || q.cost == preds[k].cost && q.m < preds[k].m {
+			if q, p := &preds[j], &preds[k]; q.cost < p.cost || q.cost == p.cost && q.m < p.m {
 				preds[k].best = j
 			}
 		}
 	}
 }
 
-// byKey orders a MinFinish row, byCostKey a MinCost one.
-func byKey(p, q pred) int {
-	if p.key != q.key {
-		return cmp.Compare(p.key, q.key)
-	}
-	return cmp.Compare(p.m, q.m)
-}
-
-func byCostKey(p, q pred) int {
-	if p.cost != q.cost {
-		return cmp.Compare(p.cost, q.cost)
-	}
-	return byKey(p, q)
-}
-
-// bestPred fills the DP cell of the current task on node n from the
-// previous row as sortRow left it in b.preds, recv being the consumer's leg
+// bestPred fills out, the DP cell of the current task on node n, which
+// runDP has cleared, from the previous row as sortRow left it in b.preds, recv being the consumer's leg
 // of the transfer into n. It issues the probes a walk over every
 // predecessor would have to, and no others, and picks the predecessor that
 // walk would pick.
@@ -284,7 +286,7 @@ func byCostKey(p, q pred) int {
 // the lowest candidate index among equals — what betterCell picks over a
 // probe per predecessor (TestDPBreaksCostTiesByIndex) — and the prefix's
 // last entry names it.
-func (b *builder) bestPred(n resource.NodeID, book *resource.Calendar, in cellIn, recv simtime.Time) cell {
+func (b *builder) bestPred(out *cell, n resource.NodeID, book *resource.Calendar, in *cellIn, recv simtime.Time) {
 	preds := b.preds
 	var miss simtime.Time
 	missed := false
@@ -299,9 +301,9 @@ func (b *builder) bestPred(n resource.NodeID, book *resource.Calendar, in cellIn
 			continue
 		}
 		w := preds[reach(preds, g, int(preds[g].end), start-recv)-1].best
-		return cell{ok: true, cost: preds[w].cost + in.charge, start: start, finish: finish, prev: int(preds[w].m)}
+		*out = cell{ok: true, cost: preds[w].cost + in.charge, start: start, finish: finish, prev: int(preds[w].m)}
+		return
 	}
-	return cell{}
 }
 
 // reach returns the first position in preds[lo:hi], sorted by key, whose
@@ -331,7 +333,7 @@ func (b *builder) prepareCells(chain dag.Chain) {
 		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
 		base, vol := b.taskBase[task], b.taskVol[task]
 		for c, n := range cands {
-			in := cellIn{dur: resource.Estimate(base, b.env.Node(n).Tier())}
+			in := cellIn{dur: resource.Estimate(base, b.tier[n])}
 			if in.dur > 0 {
 				in.est, in.lft, in.charge = b.est(up, n), b.lft(down, n), economy.TaskCharge(vol, in.dur)
 			}
@@ -401,7 +403,7 @@ func (b *builder) delayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Place
 				earliest = t
 			}
 		}
-		st, fin, ok := b.fit(n, b.base[n], earliest, in.dur, in.lft)
+		st, fin, ok := b.fit(n, b.book[n], earliest, in.dur, in.lft)
 		if !ok {
 			return nil, false
 		}

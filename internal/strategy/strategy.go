@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
@@ -301,11 +302,7 @@ func (g *Generator) generateCtx(ctx context.Context, s *Strategy, base criticalw
 			root.SetStr("result", "error").End()
 			return
 		}
-		fam := telemetry.L("family", s.Type.String())
-		g.Telemetry.Counter("grid_strategy_levels_built_total",
-			"supporting schedules built", fam).Add(uint64(len(s.Distributions)))
-		g.Telemetry.Counter("grid_strategy_levels_failed_total",
-			"estimation levels with no feasible placement", fam).Add(uint64(len(s.FailedLevels)))
+		countersFor(g.Telemetry).count(s.Type, len(s.Distributions), len(s.FailedLevels))
 		root.SetInt("levels", int64(len(s.Distributions))).SetInt("evaluations", s.Evaluations).End()
 	}()
 	if s.Scheduled == nil {
@@ -346,6 +343,65 @@ func (g *Generator) generateCtx(ctx context.Context, s *Strategy, base criticalw
 		s.Distributions = append(s.Distributions, *d)
 	}
 	return s, nil
+}
+
+// counters are one registry's grid_strategy_* handles. A registry's are
+// resolved once per family (countersFor, count), not looked up by every
+// generation, and a family's series only once a generation of it counts.
+type counters struct {
+	reg *telemetry.Registry
+	fam [MS1 + 1]atomic.Pointer[familyCounters]
+}
+
+// familyCounters are one family's grid_strategy_* handles.
+type familyCounters struct{ built, failed *telemetry.Counter }
+
+// countersKept holds the handles of the last registries that generations
+// counted into, for countersFor: a process has one registry per service, VO
+// or shard, and a slot taken by a new registry is the next one round.
+var (
+	countersKept [4]atomic.Pointer[counters]
+	countersNext atomic.Uint32
+)
+
+// countersFor returns reg's handles, nil for a nil registry.
+func countersFor(reg *telemetry.Registry) *counters {
+	if reg == nil {
+		return nil
+	}
+	for i := range countersKept {
+		if c := countersKept[i].Load(); c != nil && c.reg == reg {
+			return c
+		}
+	}
+	c := &counters{reg: reg}
+	countersKept[countersNext.Add(1)%uint32(len(countersKept))].Store(c)
+	return c
+}
+
+// count adds a generation of family typ that built and failed the given
+// numbers of levels; a nil c counts nothing.
+func (c *counters) count(typ Type, built, failed int) {
+	if c == nil {
+		return
+	}
+	known := typ >= 0 && int(typ) < len(c.fam)
+	var fc *familyCounters
+	if known {
+		fc = c.fam[typ].Load()
+	}
+	if fc == nil {
+		fam := telemetry.L("family", typ.String())
+		fc = &familyCounters{
+			built:  c.reg.Counter("grid_strategy_levels_built_total", "supporting schedules built", fam),
+			failed: c.reg.Counter("grid_strategy_levels_failed_total", "estimation levels with no feasible placement", fam),
+		}
+		if known {
+			c.fam[typ].Store(fc)
+		}
+	}
+	fc.built.Add(uint64(built))
+	fc.failed.Add(uint64(failed))
 }
 
 // BuildLevelCtx runs the critical works method for a single estimation
