@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	gridsim -exp all                 # run everything at default scale
-//	gridsim -exp fig3a -jobs 12000   # the paper's full corpus size
+//	gridsim -exp all                 # the whole record, each experiment at its paper scale (results_full.txt)
+//	gridsim -exp fig3a -jobs 2000    # one experiment on a smaller corpus
 //	gridsim -exp fig4c -seed 7
 package main
 
@@ -22,23 +22,31 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is gridsim on the command-line arguments args: the reports go to
+// stdout, diagnostics to stderr, and it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "experiment id (comma-separated), or all; see -list")
-		jobs    = flag.Int("jobs", 1000, "corpus size for the statistical experiments (the paper used >12000 for fig3)")
-		seed    = flag.Uint64("seed", 1, "deterministic seed")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for independent units (results are byte-identical at any value)")
-		list    = flag.Bool("list", false, "list the experiment ids and what they regenerate")
+		exp     = fs.String("exp", "all", "experiment id (comma-separated), or all; see -list")
+		jobs    = fs.Int("jobs", 0, "corpus size for the statistical experiments; unset runs each at its scale in the paper record (results_full.txt), Fig. 3 at the paper's 12000")
+		seed    = fs.Uint64("seed", 1, "deterministic seed")
+		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for independent units (results are byte-identical at any value)")
+		list    = fs.Bool("list", false, "list the experiment ids and what they regenerate")
 
 		// Fault-injection knobs for the availability sweep (E12).
-		mtbf       = flag.Float64("mtbf", 0, "mean time between node failures; overrides the sweep's availability levels when set (requires -mttr)")
-		mttr       = flag.Float64("mttr", 20, "mean outage duration in ticks")
-		taskFail   = flag.Float64("task-fail-rate", 0.05, "per-activation probability a running job loses a task")
-		maxRetries = flag.Int("max-retries", 2, "bounded retry attempts before falling back to remaining supporting levels")
+		mtbf       = fs.Float64("mtbf", 0, "mean time between node failures; overrides the sweep's availability levels when set (requires -mttr)")
+		mttr       = fs.Float64("mttr", 20, "mean outage duration in ticks")
+		taskFail   = fs.Float64("task-fail-rate", 0.05, "per-activation probability a running job loses a task")
+		maxRetries = fs.Int("max-retries", 2, "bounded retry attempts before falling back to remaining supporting levels")
 
-		telemetryOut = flag.String("telemetry", "", "dump a final metrics-registry snapshot (Prometheus text format) to this file, or - for stderr; reports on stdout are unaffected")
+		telemetryOut = fs.String("telemetry", "", "dump a final metrics-registry snapshot (Prometheus text format) to this file, or - for stderr; reports on stdout are unaffected")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// The registry snapshot goes to stderr or a file, never stdout: the
 	// experiment reports must stay byte-identical with telemetry on.
@@ -48,16 +56,20 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("experiments (see DESIGN.md §4 and EXPERIMENTS.md):")
+		fmt.Fprintln(stdout, "experiments (see DESIGN.md §4 and EXPERIMENTS.md):")
 		for _, e := range experiments.Experiments {
-			fmt.Printf("  %-20s %s\n", e.ID, e.About)
+			fmt.Fprintf(stdout, "  %-20s %s\n", e.ID, e.About)
 		}
-		return
+		return 0
 	}
 
-	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "gridsim: -jobs %d: want at least 1\n", *jobs)
-		os.Exit(2)
+	// An explicit -jobs must be at least 1; left unset, each experiment runs
+	// at its own scale (experiments.Experiment.Scale).
+	jobsSet := false
+	fs.Visit(func(f *flag.Flag) { jobsSet = jobsSet || f.Name == "jobs" })
+	if jobsSet && *jobs < 1 {
+		fmt.Fprintf(stderr, "gridsim: -jobs %d: want at least 1\n", *jobs)
+		return 2
 	}
 	cfg := experiments.DefaultConfig(*seed, *jobs)
 	cfg.MTTR = *mttr
@@ -83,36 +95,41 @@ func main() {
 			id = strings.TrimSpace(id)
 			e, ok := byID[id]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "gridsim: unknown experiment %q (have %s, all)\n", id, strings.Join(ids, ", "))
-				os.Exit(2)
+				fmt.Fprintf(stderr, "gridsim: unknown experiment %q (have %s, all)\n", id, strings.Join(ids, ", "))
+				return 2
 			}
 			selected = append(selected, e)
 		}
 	}
 	for _, e := range selected {
-		rep, err := e.Run(cfg)
+		ecfg := cfg
+		if !jobsSet {
+			ecfg.Jobs = e.Scale
+		}
+		rep, err := e.Run(ecfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gridsim: %s: %v\n", e.ID, err)
+			return 1
 		}
-		if _, err := rep.WriteTo(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
-			os.Exit(1)
+		if _, err := rep.WriteTo(stdout); err != nil {
+			fmt.Fprintf(stderr, "gridsim: %v\n", err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if reg != nil {
-		if err := dumpTelemetry(reg, *telemetryOut); err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: telemetry: %v\n", err)
-			os.Exit(1)
+		if err := dumpTelemetry(reg, *telemetryOut, stderr); err != nil {
+			fmt.Fprintf(stderr, "gridsim: telemetry: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // dumpTelemetry writes the final registry snapshot to path ("-" = stderr).
-func dumpTelemetry(reg *telemetry.Registry, path string) error {
-	var w io.Writer = os.Stderr
+func dumpTelemetry(reg *telemetry.Registry, path string, stderr io.Writer) error {
+	w := stderr
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
