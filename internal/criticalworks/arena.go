@@ -66,9 +66,10 @@ type scratch struct {
 	ideal, actual []Placement
 
 	// The attempt's overlay on the view it reads: its placements node by
-	// node, as lists threaded through placed. ownHead[n] is 1 + the task
-	// placed last on node n, ownNext[t] 1 + the task placed on t's node
-	// before t, 0 ends a list.
+	// node, as lists threaded through placed in the order of their starts.
+	// ownHead[n] is 1 + the task whose placement on node n starts first,
+	// ownNext[t] 1 + the task whose placement on t's node starts next after
+	// t's, 0 ends a list.
 	ownHead, ownNext []int32
 
 	// The attempt's replica sets, a row of `words` uint64s per task: bit n of
@@ -265,15 +266,17 @@ func (b *builder) placements() []Placement {
 // ownOverlap returns the attempt's earliest-starting placement on node n
 // that overlaps iv. Own placements on a node are pairwise disjoint (reserve
 // checks), so that is also the first one a merged book would report. Only
-// node n's list is walked: a node the attempt has not reserved on costs one
-// load, whatever the job's size.
+// node n's list is walked, in the order of the starts, which is also that
+// of the ends: the first placement that ends after iv starts is the answer
+// if it starts before iv ends, and no later one overlaps otherwise. A node
+// the attempt has not reserved on costs one load, whatever the job's size.
 func (b *builder) ownOverlap(n resource.NodeID, iv simtime.Interval) (first Placement, ok bool) {
 	for l := b.ownHead[n]; l != 0; l = b.ownNext[l-1] {
-		if p := &b.placed[l-1]; p.Window.Overlaps(iv) && (!ok || p.Window.Start < first.Window.Start) {
-			first, ok = *p, true
+		if p := &b.placed[l-1]; p.Window.End > iv.Start {
+			return *p, p.Window.Overlaps(iv)
 		}
 	}
-	return first, ok
+	return Placement{}, false
 }
 
 // firstFree is Calendar.FirstFree on node n's book — base, the view's —
@@ -332,7 +335,11 @@ func (b *builder) reserve(p Placement) error {
 		}
 		return &resource.ErrConflict{Wanted: p.Window, Existing: existing}
 	}
-	b.ownNext[p.Task], b.ownHead[p.Node] = b.ownHead[p.Node], int32(p.Task)+1
+	link := &b.ownHead[p.Node]
+	for *link != 0 && b.placed[*link-1].Window.Start < p.Window.Start {
+		link = &b.ownNext[*link-1]
+	}
+	b.ownNext[p.Task], *link = *link, int32(p.Task)+1
 	b.placed[p.Task] = p
 	b.fresh = append(b.fresh, p.Task)
 	b.nPlaced++
