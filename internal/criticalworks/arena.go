@@ -221,8 +221,12 @@ func grow[T any](s []T, n int) []T {
 // own placements, which firstFree, holder and reserve overlay on the
 // book they query. A failed attempt is simply dropped.
 type builder struct {
-	env    *resource.Environment
-	base   Calendars // the caller's view; never written, map or calendars
+	// The environment and the caller's view, never written, map or
+	// calendars. The build reads them through the candidate table (view);
+	// the reference DP the tests hold it to reads them here.
+	env  *resource.Environment
+	base Calendars
+
 	opt    Options
 	margin float64 // serialization margin scaling the bounds
 

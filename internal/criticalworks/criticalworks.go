@@ -24,7 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/data"
@@ -304,7 +304,7 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 		evals, colls = sched.Evaluations, int64(len(sched.Collisions))
 	}
 	result := buildResult(err)
-	countersFor(opt.Telemetry).count(result, evals, colls)
+	count(opt.Telemetry, result, evals, colls)
 	root.SetStr("result", buildResults[result]).SetInt("evaluations", evals).SetInt("collisions", colls).End()
 	return sched, err
 }
@@ -330,58 +330,42 @@ func buildResult(err error) int {
 	}
 }
 
-// counters are one registry's grid_criticalworks_* handles. A registry's
-// are resolved once (countersFor), not looked up by every build; a
-// builds_total series is resolved by the first build with its result, so the
-// registry holds the series of the results that happened and no other.
+// counters holds one registry's grid_criticalworks_* handles, so that a
+// build resolves none of them (count) when the registry is the last one
+// its holder counted into. A builds_total series is resolved by the first
+// build with its result, so the registry holds the series of the results
+// that happened and no other. A holder belongs to one build at a time:
+// count takes it from countersPool and puts it back.
 type counters struct {
 	reg          *telemetry.Registry
 	evals, colls *telemetry.Counter
-	builds       [len(buildResults)]atomic.Pointer[telemetry.Counter]
+	builds       [len(buildResults)]*telemetry.Counter
 }
 
-// countersKept holds the handles of the last registries that builds counted
-// into, for countersFor: a process has one registry per service, VO or
-// shard, and a slot taken by a new registry is the next one round.
-var (
-	countersKept [4]atomic.Pointer[counters]
-	countersNext atomic.Uint32
-)
+var countersPool = sync.Pool{New: func() any { return new(counters) }}
 
-// countersFor returns reg's handles, nil for a nil registry.
-func countersFor(reg *telemetry.Registry) *counters {
+// count adds one build with the given result and counts to reg; a nil reg
+// counts nothing.
+func count(reg *telemetry.Registry, result int, evals, colls int64) {
 	if reg == nil {
-		return nil
-	}
-	for i := range countersKept {
-		if c := countersKept[i].Load(); c != nil && c.reg == reg {
-			return c
-		}
-	}
-	c := &counters{
-		reg:   reg,
-		evals: reg.Counter("grid_criticalworks_evaluations_total", "DP slot-fitting probes performed"),
-		colls: reg.Counter("grid_criticalworks_collisions_total", "resource collisions between critical works"),
-	}
-	countersKept[countersNext.Add(1)%uint32(len(countersKept))].Store(c)
-	return c
-}
-
-// count adds one build with the given result and counts; a nil c counts
-// nothing.
-func (c *counters) count(result int, evals, colls int64) {
-	if c == nil {
 		return
 	}
-	b := c.builds[result].Load()
-	if b == nil {
-		b = c.reg.Counter("grid_criticalworks_builds_total",
-			"critical-works builds by outcome", telemetry.L("result", buildResults[result]))
-		c.builds[result].Store(b)
+	c := countersPool.Get().(*counters)
+	if c.reg != reg {
+		*c = counters{
+			reg:   reg,
+			evals: reg.Counter("grid_criticalworks_evaluations_total", "DP slot-fitting probes performed"),
+			colls: reg.Counter("grid_criticalworks_collisions_total", "resource collisions between critical works"),
+		}
 	}
-	b.Inc()
+	if c.builds[result] == nil {
+		c.builds[result] = reg.Counter("grid_criticalworks_builds_total",
+			"critical-works builds by outcome", telemetry.L("result", buildResults[result]))
+	}
+	c.builds[result].Inc()
 	c.evals.Add(uint64(evals))
 	c.colls.Add(uint64(colls))
+	countersPool.Put(c)
 }
 
 // normalize applies Build's option defaulting.

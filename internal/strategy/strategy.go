@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/criticalworks"
 	"repro/internal/dag"
@@ -302,7 +301,7 @@ func (g *Generator) generateCtx(ctx context.Context, s *Strategy, base criticalw
 			root.SetStr("result", "error").End()
 			return
 		}
-		countersFor(g.Telemetry).count(s.Type, len(s.Distributions), len(s.FailedLevels))
+		count(g.Telemetry, s.Type, len(s.Distributions), len(s.FailedLevels))
 		root.SetInt("levels", int64(len(s.Distributions))).SetInt("evaluations", s.Evaluations).End()
 	}()
 	if s.Scheduled == nil {
@@ -345,63 +344,44 @@ func (g *Generator) generateCtx(ctx context.Context, s *Strategy, base criticalw
 	return s, nil
 }
 
-// counters are one registry's grid_strategy_* handles. A registry's are
-// resolved once per family (countersFor, count), not looked up by every
-// generation, and a family's series only once a generation of it counts.
+// counters holds one registry's grid_strategy_* handles by family, so that
+// a generation resolves none of them (count) when the registry is the last
+// one its holder counted into. A family's series are resolved by the first
+// generation of it that counts. A holder belongs to one generation at a
+// time: count takes it from countersPool and puts it back.
 type counters struct {
-	reg *telemetry.Registry
-	fam [MS1 + 1]atomic.Pointer[familyCounters]
+	reg           *telemetry.Registry
+	built, failed [MS1 + 1]*telemetry.Counter
 }
 
-// familyCounters are one family's grid_strategy_* handles.
-type familyCounters struct{ built, failed *telemetry.Counter }
-
-// countersKept holds the handles of the last registries that generations
-// counted into, for countersFor: a process has one registry per service, VO
-// or shard, and a slot taken by a new registry is the next one round.
-var (
-	countersKept [4]atomic.Pointer[counters]
-	countersNext atomic.Uint32
-)
-
-// countersFor returns reg's handles, nil for a nil registry.
-func countersFor(reg *telemetry.Registry) *counters {
-	if reg == nil {
-		return nil
-	}
-	for i := range countersKept {
-		if c := countersKept[i].Load(); c != nil && c.reg == reg {
-			return c
-		}
-	}
-	c := &counters{reg: reg}
-	countersKept[countersNext.Add(1)%uint32(len(countersKept))].Store(c)
-	return c
-}
+var countersPool = sync.Pool{New: func() any { return new(counters) }}
 
 // count adds a generation of family typ that built and failed the given
-// numbers of levels; a nil c counts nothing.
-func (c *counters) count(typ Type, built, failed int) {
-	if c == nil {
+// numbers of levels to reg; a nil reg counts nothing.
+func count(reg *telemetry.Registry, typ Type, built, failed int) {
+	if reg == nil {
 		return
 	}
-	known := typ >= 0 && int(typ) < len(c.fam)
-	var fc *familyCounters
+	c := countersPool.Get().(*counters)
+	if c.reg != reg {
+		*c = counters{reg: reg}
+	}
+	var builtC, failedC *telemetry.Counter
+	known := typ >= 0 && int(typ) < len(c.built) // else not a family: resolved on every call
 	if known {
-		fc = c.fam[typ].Load()
+		builtC, failedC = c.built[typ], c.failed[typ]
 	}
-	if fc == nil {
+	if builtC == nil {
 		fam := telemetry.L("family", typ.String())
-		fc = &familyCounters{
-			built:  c.reg.Counter("grid_strategy_levels_built_total", "supporting schedules built", fam),
-			failed: c.reg.Counter("grid_strategy_levels_failed_total", "estimation levels with no feasible placement", fam),
-		}
+		builtC = reg.Counter("grid_strategy_levels_built_total", "supporting schedules built", fam)
+		failedC = reg.Counter("grid_strategy_levels_failed_total", "estimation levels with no feasible placement", fam)
 		if known {
-			c.fam[typ].Store(fc)
+			c.built[typ], c.failed[typ] = builtC, failedC
 		}
 	}
-	fc.built.Add(uint64(built))
-	fc.failed.Add(uint64(failed))
+	builtC.Add(uint64(built))
+	failedC.Add(uint64(failed))
+	countersPool.Put(c)
 }
 
 // BuildLevelCtx runs the critical works method for a single estimation
