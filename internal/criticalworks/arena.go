@@ -274,7 +274,7 @@ func (b *builder) placements() []Placement {
 // of the ends: the first placement that ends after iv starts is the answer
 // if it starts before iv ends, and no later one overlaps otherwise. A node
 // the attempt has not reserved on costs one load, whatever the job's size.
-func (b *builder) ownOverlap(n resource.NodeID, iv simtime.Interval) (first Placement, ok bool) {
+func (b *builder) ownOverlap(n resource.NodeID, iv simtime.Interval) (Placement, bool) {
 	for l := b.ownHead[n]; l != 0; l = b.ownNext[l-1] {
 		if p := &b.placed[l-1]; p.Window.End > iv.Start {
 			return *p, p.Window.Overlaps(iv)

@@ -652,7 +652,6 @@ func (sc *scratch) computeBounds(margin float64) {
 	if margin == sc.boundsAt {
 		return
 	}
-	sc.boundsAt = margin
 	scale := func(t simtime.Time) simtime.Time {
 		if margin <= 1 {
 			return t
@@ -682,6 +681,7 @@ func (sc *scratch) computeBounds(margin float64) {
 		}
 		sc.bestDown[id] = down
 	}
+	sc.boundsAt = margin
 }
 
 func allNodes(env *resource.Environment) []resource.NodeID {
