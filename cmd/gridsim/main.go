@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +45,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		telemetryOut = fs.String("telemetry", "", "dump a final metrics-registry snapshot (Prometheus text format) to this file, or - for stderr; reports on stdout are unaffected")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 
