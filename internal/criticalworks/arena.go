@@ -24,14 +24,11 @@ import (
 type scratch struct {
 	job *dag.Job
 
-	// The job's graph as the build's loops read it, read by reset: each
-	// task's base time and volume, each edge's ends and base time, and each
-	// task's incoming and outgoing edges as edge indices in the job's order —
-	// task t's at inIdx[inOff[t]:inOff[t+1]] and outIdx[outOff[t]:outOff[t+1]].
-	// Everything from here to chains is a function of these values alone, so
-	// it stands from one build to the next while reset reads the same graph
-	// again: the levels of a strategy, its re-anchored levels and its
-	// regenerations all build one job.
+	// The job's graph as the build's loops read it, filled once by reset:
+	// each task's base time and volume, each edge's ends and base time, and
+	// each task's incoming and outgoing edges as edge indices in the job's
+	// order — task t's at inIdx[inOff[t]:inOff[t+1]] and
+	// outIdx[outOff[t]:outOff[t+1]].
 	taskBase, edgeBase           []simtime.Time
 	taskVol                      []int64
 	edgeFrom, edgeTo             []dag.TaskID
@@ -39,12 +36,10 @@ type scratch struct {
 
 	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
 	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
-	boundsAt float64        // the margin bestUp and bestDown are for; 0 when none
 
-	// The first critical work, found once per graph and placed first by
-	// every margin: its own slice, because every later search overwrites
-	// chains. Its Tasks are empty until run finds it.
-	first  dag.Chain
+	// The first critical work, found once and placed first by every margin:
+	// its own slice, because every later search overwrites chains.
+	first  []dag.TaskID
 	chains dag.ChainBuf // the next-critical-work search and its result
 
 	// The build's candidates as the DP reads them, by node: the node's
@@ -100,15 +95,14 @@ func takeScratch(job *dag.Job, nodes int) *scratch {
 }
 
 // reset points the arena at job, grows what is too small for it and reads
-// the job's graph into it. When the graph tables already held that graph —
-// the same tasks and edges, value for value — what the arena derived from
-// them stands: the edge lists, the first critical work and the bounds. What
-// the other slices hold is whatever the last build left: every one is
-// cleared or overwritten before it is read (attempt, view, computeBounds,
-// runDP, reserve); the DP's own buffers are grown where they are filled.
+// the job's graph into it. What the other slices hold is whatever the last
+// build left: every one is cleared or overwritten before it is read
+// (attempt, view, computeBounds, runDP, reserve); the DP's own buffers are
+// grown where they are filled.
 func (sc *scratch) reset(job *dag.Job, nodes int) {
-	n := job.NumTasks()
+	n, m := job.NumTasks(), job.NumEdges()
 	sc.job = job
+	sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
 	sc.placed = grow(sc.placed, n)
 	sc.ideal, sc.actual = grow(sc.ideal, n), grow(sc.actual, n)
 	sc.ownHead, sc.ownNext = grow(sc.ownHead, nodes), grow(sc.ownNext, n)
@@ -118,48 +112,21 @@ func (sc *scratch) reset(job *dag.Job, nodes int) {
 	sc.replica = grow(sc.replica, n*sc.words)
 	sc.colls = grow(sc.colls, n)
 	sc.fresh = grow(sc.fresh, n)
-	if !sc.readGraph(job) {
-		sc.linkEdges()
-		sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
-		sc.boundsAt = 0
-		sc.first.Tasks = sc.first.Tasks[:0]
-	}
-}
 
-// readGraph reads job's tasks and edges into the graph tables and reports
-// whether the tables already held exactly these. The graph is all that the
-// edge lists, the critical-work searches and the bounds read of a job (the
-// topological order too is a function of the edges), so equal tables mean
-// equal derived facts, whichever *dag.Job they were read from: the check
-// keys the arena by value and keeps no pointer to the job.
-func (sc *scratch) readGraph(job *dag.Job) bool {
-	n, m := job.NumTasks(), job.NumEdges()
-	same := len(sc.taskBase) == n && len(sc.edgeBase) == m
 	sc.taskBase, sc.taskVol = grow(sc.taskBase, n), grow(sc.taskVol, n)
 	for t := range sc.taskBase {
 		task := job.Task(dag.TaskID(t))
-		same = same && sc.taskBase[t] == task.BaseTime && sc.taskVol[t] == task.Volume
 		sc.taskBase[t], sc.taskVol[t] = task.BaseTime, task.Volume
 	}
 	sc.edgeBase, sc.edgeFrom, sc.edgeTo = grow(sc.edgeBase, m), grow(sc.edgeFrom, m), grow(sc.edgeTo, m)
-	for i := range m {
-		e := job.EdgeAt(i)
-		same = same && sc.edgeBase[i] == e.BaseTime && sc.edgeFrom[i] == e.From && sc.edgeTo[i] == e.To
-		sc.edgeBase[i], sc.edgeFrom[i], sc.edgeTo[i] = e.BaseTime, e.From, e.To
-	}
-	return same
-}
-
-// linkEdges fills each task's incoming and outgoing edge lists from the
-// graph tables.
-func (sc *scratch) linkEdges() {
-	n, m := len(sc.taskBase), len(sc.edgeBase)
 	sc.inOff, sc.outOff = grow(sc.inOff, n+1), grow(sc.outOff, n+1)
 	clear(sc.inOff)
 	clear(sc.outOff)
 	for i := range m {
-		sc.inOff[sc.edgeTo[i]+1]++
-		sc.outOff[sc.edgeFrom[i]+1]++
+		e := job.EdgeAt(i)
+		sc.edgeBase[i], sc.edgeFrom[i], sc.edgeTo[i] = e.BaseTime, e.From, e.To
+		sc.inOff[e.To+1]++
+		sc.outOff[e.From+1]++
 	}
 	for t := range n {
 		sc.inOff[t+1] += sc.inOff[t]
@@ -199,8 +166,7 @@ func (sc *scratch) outEdges(t dag.TaskID) []int32 { return sc.outIdx[sc.outOff[t
 // release returns the arena holding nothing of the build it served: no job,
 // no book of the view, and with the builder no view, options or context — a
 // pooled arena outlives the engine event, and a view's calendars must not
-// (liveBooks). What stays are integers: the graph tables and what was
-// derived from them, which the next build of the same graph reuses (reset).
+// (liveBooks). Nothing else in the arena holds a pointer.
 func (sc *scratch) release() {
 	sc.job = nil
 	clear(sc.book)

@@ -1,8 +1,10 @@
 package criticalworks
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -16,16 +18,24 @@ import (
 // with no telemetry: it resets sc to job, runs the build, and leaves sc as
 // release leaves an arena, without putting it back.
 func buildIn(sc *scratch, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
+	sched, _, err := buildAt(sc, env, cals, job, opt)
+	return sched, err
+}
+
+// buildAt is buildIn, and also returns the margin of the ladder's last
+// attempt; 0 when it made none.
+func buildAt(sc *scratch, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, float64, error) {
 	opt, err := normalize(env, job, opt)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sc.reset(job, env.NumNodes())
 	sched, err := sc.run(env, cals, opt)
+	margin := sc.bld.margin
 	sc.job = nil
 	clear(sc.book)
 	sc.bld = builder{}
-	return sched, err
+	return sched, margin, err
 }
 
 // sameOutcome reports where a build in a reused arena departs from the same
@@ -41,11 +51,12 @@ func sameOutcome(got *Schedule, gotErr error, want *Schedule, wantErr error) err
 	return nil
 }
 
-// TestSharedArenaMatchesFreshArenas: an arena keeps, from one build to the
-// next, what reset derived from the job's graph — the edge lists, the first
-// critical work, and the bounds at the margin they were last computed for.
-// Builds through one arena must therefore return exactly what builds in
-// fresh arenas return.
+// TestSharedArenaMatchesFreshArenas: a pooled arena serves one build after
+// another, and what a build leaves in it — the graph tables and edge lists,
+// the first critical work, the bounds at the margin its ladder ended at, the
+// candidate table, the overlay and the replica rows — must not reach the
+// next. Builds through one arena must return exactly what builds in fresh
+// arenas return.
 //
 // The corpus is the Fig. 4 one, on the experiments' two-domain
 // environment with background load on its books. Each job is built level by
@@ -104,13 +115,34 @@ func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i+1 < 40; i += 2 {
-		a, b := gen.Job(i), gen.Job(i+1)
+	// Partners share their task and edge counts where the corpus allows, so
+	// that every table the arena grows is refilled, not regrown, when the
+	// other graph comes in.
+	jobs := make([]int, 40)
+	for i := range jobs {
+		jobs[i] = i
+	}
+	shape := func(i int) (int, int) { j := gen.Job(i); return j.NumTasks(), j.NumEdges() }
+	slices.SortStableFunc(jobs, func(a, b int) int {
+		na, ma := shape(a)
+		nb, mb := shape(b)
+		return cmp.Or(cmp.Compare(na, nb), cmp.Compare(ma, mb))
+	})
+	sameShape := 0
+	for k := 0; k+1 < len(jobs); k += 2 {
+		i, j := jobs[k], jobs[k+1]
+		a, b := gen.Job(i), gen.Job(j)
+		if a.NumTasks() == b.NumTasks() && a.NumEdges() == b.NumEdges() {
+			sameShape++
+		}
 		sweep(a, i)
-		sweep(b, i+1)
+		sweep(b, j)
 		sweep(a, i)
 	}
-	t.Logf("%d builds through one arena, %d of them failed", builds, failed)
+	if sameShape == 0 {
+		t.Fatal("no two partners share their task and edge counts")
+	}
+	t.Logf("%d builds through one arena, %d of them failed; %d pairs of partners share their shape", builds, failed, sameShape)
 	if failed == 0 || failed == builds {
 		t.Fatalf("%d of %d builds failed: the corpus misses successes or failures", failed, builds)
 	}
@@ -123,7 +155,7 @@ func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 		opt := tc.opt
 		opt.Data.Policy = tc.pol
 		probe := new(scratch)
-		if buildIn(probe, tc.env, tc.cals, tc.job, opt); probe.boundsAt != 3 {
+		if _, margin, _ := buildAt(probe, tc.env, tc.cals, tc.job, opt); margin != 3 {
 			continue
 		}
 		for _, again := range []struct {

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/data"
@@ -303,69 +302,31 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	} else if sched != nil {
 		evals, colls = sched.Evaluations, int64(len(sched.Collisions))
 	}
-	result := buildResult(err)
-	count(opt.Telemetry, result, evals, colls)
-	root.SetStr("result", buildResults[result]).SetInt("evaluations", evals).SetInt("collisions", colls).End()
+	opt.Telemetry.Counter("grid_criticalworks_builds_total",
+		"critical-works builds by outcome", telemetry.L("result", buildResult(err))).Inc()
+	opt.Telemetry.Counter("grid_criticalworks_evaluations_total",
+		"DP slot-fitting probes performed").Add(uint64(evals))
+	opt.Telemetry.Counter("grid_criticalworks_collisions_total",
+		"resource collisions between critical works").Add(uint64(colls))
+	root.SetStr("result", buildResult(err)).SetInt("evaluations", evals).SetInt("collisions", colls).End()
 	return sched, err
 }
 
-// buildResults are the outcomes of a build, as buildResult classifies them.
-var buildResults = [...]string{"ok", "hopeless", "infeasible", "cancelled", "error"}
-
-// buildResult classifies a build's outcome for the telemetry counters and
-// spans, as an index into buildResults.
-func buildResult(err error) int {
+// buildResult classifies a build's outcome for the telemetry counters.
+func buildResult(err error) string {
 	inf, _ := err.(*InfeasibleError) // Build returns it unwrapped
 	switch {
 	case err == nil:
-		return 0
+		return "ok"
 	case inf != nil && inf.Hopeless:
-		return 1
+		return "hopeless"
 	case inf != nil, err == errInfeasible:
-		return 2
+		return "infeasible"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return 3
+		return "cancelled"
 	default:
-		return 4
+		return "error"
 	}
-}
-
-// counters holds one registry's grid_criticalworks_* handles, so that a
-// build resolves none of them (count) when the registry is the last one
-// its holder counted into. A builds_total series is resolved by the first
-// build with its result, so the registry holds the series of the results
-// that happened and no other. A holder belongs to one build at a time:
-// count takes it from countersPool and puts it back.
-type counters struct {
-	reg          *telemetry.Registry
-	evals, colls *telemetry.Counter
-	builds       [len(buildResults)]*telemetry.Counter
-}
-
-var countersPool = sync.Pool{New: func() any { return new(counters) }}
-
-// count adds one build with the given result and counts to reg; a nil reg
-// counts nothing.
-func count(reg *telemetry.Registry, result int, evals, colls int64) {
-	if reg == nil {
-		return
-	}
-	c := countersPool.Get().(*counters)
-	if c.reg != reg {
-		*c = counters{
-			reg:   reg,
-			evals: reg.Counter("grid_criticalworks_evaluations_total", "DP slot-fitting probes performed"),
-			colls: reg.Counter("grid_criticalworks_collisions_total", "resource collisions between critical works"),
-		}
-	}
-	if c.builds[result] == nil {
-		c.builds[result] = reg.Counter("grid_criticalworks_builds_total",
-			"critical-works builds by outcome", telemetry.L("result", buildResults[result]))
-	}
-	c.builds[result].Inc()
-	c.evals.Add(uint64(evals))
-	c.colls.Add(uint64(colls))
-	countersPool.Put(c)
 }
 
 // normalize applies Build's option defaulting.
@@ -416,14 +377,11 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (*Schedule, error) {
 	job := sc.job
 	// The first critical work is the longest chain over all tasks by base
-	// (tier-1) times and base transfer times — the same at every margin, and
-	// for every build of the graph, so it is found once and handed to every
-	// attempt.
-	if len(sc.first.Tasks) == 0 {
-		first, _ := job.LongestChainBuf(&sc.chains, dag.WeightFunc{}, nil)
-		sc.first.Tasks, sc.first.Length = append(sc.first.Tasks[:0], first.Tasks...), first.Length
-	}
-	first := sc.first
+	// (tier-1) times and base transfer times — the same at every margin, so
+	// it is found once and handed to every attempt.
+	first, _ := job.LongestChainBuf(&sc.chains, dag.WeightFunc{}, nil)
+	sc.first = append(sc.first[:0], first.Tasks...)
+	first.Tasks = sc.first
 	sc.view(env, cals, opt.Candidates)
 	sc.computeBounds(1)
 	if sc.hopeless(opt, first) {
@@ -436,12 +394,15 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 	var colls, evals int64
 	firstWork := false
 	for i, mg := range margins {
+		if i > 0 {
+			sc.computeBounds(mg) // margin 1's are the admissibility bound's
+		}
 		b := sc.attempt(env, cals, opt, mg)
 		asp := opt.Spans.Start("criticalworks.attempt", opt.parentSpan)
 		asp.SetInt("margin_pct", int64(mg*100))
 		b.span = asp.ID()
 		sched, err := b.buildOnce(first)
-		asp.SetStr("result", buildResults[buildResult(err)]).SetInt("evaluations", b.evals).End()
+		asp.SetStr("result", buildResult(err)).SetInt("evaluations", b.evals).End()
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
@@ -611,11 +572,10 @@ func cancelled(ctx context.Context, jobName string) error {
 
 func (b *builder) cancelled() error { return cancelled(b.opt.Ctx, b.opt.JobName) }
 
-// buildOnce runs the full multiphase procedure for one margin: the first
-// critical work the build already found, then critical works until no task
-// is left.
+// buildOnce runs the full multiphase procedure for one margin, on the bounds
+// computed for it: the first critical work the build already found, then
+// critical works until no task is left.
 func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
-	b.computeBounds(b.margin)
 	if err := b.cancelled(); err != nil {
 		return nil, err
 	}
@@ -645,13 +605,8 @@ func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 // without the transfer terms, the first critical work packs its tasks
 // back-to-back and later works cannot squeeze their tasks (plus transfers)
 // into the remaining windows — the idle gaps visible in the paper's Fig. 2
-// Gantt charts are exactly this reserved room. The bounds are a function of
-// the graph and the margin alone, so they are computed again only when the
-// margin differs from the one they are for.
+// Gantt charts are exactly this reserved room.
 func (sc *scratch) computeBounds(margin float64) {
-	if margin == sc.boundsAt {
-		return
-	}
 	scale := func(t simtime.Time) simtime.Time {
 		if margin <= 1 {
 			return t
@@ -681,7 +636,6 @@ func (sc *scratch) computeBounds(margin float64) {
 		}
 		sc.bestDown[id] = down
 	}
-	sc.boundsAt = margin
 }
 
 func allNodes(env *resource.Environment) []resource.NodeID {

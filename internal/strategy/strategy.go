@@ -301,7 +301,11 @@ func (g *Generator) generateCtx(ctx context.Context, s *Strategy, base criticalw
 			root.SetStr("result", "error").End()
 			return
 		}
-		count(g.Telemetry, s.Type, len(s.Distributions), len(s.FailedLevels))
+		fam := telemetry.L("family", s.Type.String())
+		g.Telemetry.Counter("grid_strategy_levels_built_total",
+			"supporting schedules built", fam).Add(uint64(len(s.Distributions)))
+		g.Telemetry.Counter("grid_strategy_levels_failed_total",
+			"estimation levels with no feasible placement", fam).Add(uint64(len(s.FailedLevels)))
 		root.SetInt("levels", int64(len(s.Distributions))).SetInt("evaluations", s.Evaluations).End()
 	}()
 	if s.Scheduled == nil {
@@ -342,46 +346,6 @@ func (g *Generator) generateCtx(ctx context.Context, s *Strategy, base criticalw
 		s.Distributions = append(s.Distributions, *d)
 	}
 	return s, nil
-}
-
-// counters holds one registry's grid_strategy_* handles by family, so that
-// a generation resolves none of them (count) when the registry is the last
-// one its holder counted into. A family's series are resolved by the first
-// generation of it that counts. A holder belongs to one generation at a
-// time: count takes it from countersPool and puts it back.
-type counters struct {
-	reg           *telemetry.Registry
-	built, failed [MS1 + 1]*telemetry.Counter
-}
-
-var countersPool = sync.Pool{New: func() any { return new(counters) }}
-
-// count adds a generation of family typ that built and failed the given
-// numbers of levels to reg; a nil reg counts nothing.
-func count(reg *telemetry.Registry, typ Type, built, failed int) {
-	if reg == nil {
-		return
-	}
-	c := countersPool.Get().(*counters)
-	if c.reg != reg {
-		*c = counters{reg: reg}
-	}
-	var builtC, failedC *telemetry.Counter
-	known := typ >= 0 && int(typ) < len(c.built) // else not a family: resolved on every call
-	if known {
-		builtC, failedC = c.built[typ], c.failed[typ]
-	}
-	if builtC == nil {
-		fam := telemetry.L("family", typ.String())
-		builtC = reg.Counter("grid_strategy_levels_built_total", "supporting schedules built", fam)
-		failedC = reg.Counter("grid_strategy_levels_failed_total", "estimation levels with no feasible placement", fam)
-		if known {
-			c.built[typ], c.failed[typ] = builtC, failedC
-		}
-	}
-	builtC.Add(uint64(built))
-	failedC.Add(uint64(failed))
-	countersPool.Put(c)
 }
 
 // BuildLevelCtx runs the critical works method for a single estimation
