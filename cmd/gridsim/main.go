@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	gridsim -exp all                 # the whole record, each experiment at its paper scale (results_full.txt)
+//	gridsim -exp all                 # the whole record at paper scale (results_full.txt)
 //	gridsim -exp fig3a -jobs 2000    # one experiment on a smaller corpus
 //	gridsim -exp fig4c -seed 7
 package main
@@ -32,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		exp     = fs.String("exp", "all", "experiment id (comma-separated), or all; see -list")
-		jobs    = fs.Int("jobs", 0, "corpus size for the statistical experiments; unset runs each at its scale in the paper record (results_full.txt), Fig. 3 at the paper's 12000")
+		jobs    = fs.Int("jobs", 12000, "corpus size for the statistical experiments (the paper's for Fig. 3); every other experiment caps it at its own scale")
 		seed    = fs.Uint64("seed", 1, "deterministic seed")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for independent units (results are byte-identical at any value)")
 		list    = fs.Bool("list", false, "list the experiment ids and what they regenerate")
@@ -66,11 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// An explicit -jobs must be at least 1; left unset, each experiment runs
-	// at its own scale (experiments.Experiment.Scale).
-	jobsSet := false
-	fs.Visit(func(f *flag.Flag) { jobsSet = jobsSet || f.Name == "jobs" })
-	if jobsSet && *jobs < 1 {
+	if *jobs < 1 {
 		fmt.Fprintf(stderr, "gridsim: -jobs %d: want at least 1\n", *jobs)
 		return 2
 	}
@@ -105,11 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	for _, e := range selected {
-		ecfg := cfg
-		if !jobsSet {
-			ecfg.Jobs = e.Scale
-		}
-		rep, err := e.Run(ecfg)
+		rep, err := e.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "gridsim: %s: %v\n", e.ID, err)
 			return 1

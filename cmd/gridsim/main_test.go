@@ -15,10 +15,10 @@ import (
 // a change that moves any number in it shows here; after an intended change,
 // regenerate it with `go run ./cmd/gridsim -exp all > results_full.txt`. It
 // takes several seconds, so it skips under -short and under the race
-// detector; CI runs it in a step of its own.
+// detector; CI's coverage step runs it without either.
 func TestRecordMatchesResultsFull(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("the paper-scale record takes several seconds; CI runs it without -short and -race")
+		t.Skip("the paper-scale record takes several seconds; CI's coverage step runs it without -short and -race")
 	}
 	want, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
 	if err != nil {
@@ -46,8 +46,8 @@ func TestRecordMatchesResultsFull(t *testing.T) {
 	}
 }
 
-// TestJobsFlag: an explicit -jobs below 1 is refused with exit status 2;
-// left unset, the flag runs each experiment at its own scale (above).
+// TestJobsFlag: a -jobs below 1 is refused with exit status 2; left unset,
+// it is the paper's Fig. 3 corpus, which every other experiment caps.
 func TestJobsFlag(t *testing.T) {
 	for _, jobs := range []string{"0", "-3"} {
 		var out, diag bytes.Buffer

@@ -3,5 +3,5 @@
 package main
 
 // raceEnabled: the race detector slows the paper-scale record several times
-// over, so TestRecordMatchesResultsFull runs in CI's step without -race.
+// over, so TestRecordMatchesResultsFull runs in CI's coverage step, without it.
 const raceEnabled = true

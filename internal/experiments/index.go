@@ -94,40 +94,36 @@ func DefaultConfig(seed uint64, jobs int) Config {
 }
 
 // Experiment is one row of gridsim's index: the -exp id, what the
-// experiment regenerates, its run, and the corpus size it runs at in the
-// paper record (results_full.txt, which gridsim prints when -jobs is
-// unset): Fig. 3's "more than 12000" jobs, and each other row's own cap;
-// 0 for a row without a corpus.
+// experiment regenerates, and its run.
 type Experiment struct {
 	ID, About string
 	Run       func(Config) (*Report, error)
-	Scale     int
 }
 
 // Experiments is gridsim's index, in the order `-exp all` runs it.
 var Experiments = []Experiment{
-	{"fig2", "E1: the §3 worked example — critical works, distributions, collision", fig2, 0},
-	{"fig3a", "E2: % admissible application-level schedules per strategy", fig3a, fig3Jobs},
-	{"fig3b", "E3: collision split across fast/slow nodes", fig3b, fig3Jobs},
-	{"fig4a", "E4: node load level by performance group under job flows", fig4a, fig4MaxJobs},
-	{"fig4b", "E5: relative job cost and task execution time", fig4b, fig4MaxJobs},
-	{"fig4c", "E6: strategy time-to-live and start deviation", fig4c, fig4MaxJobs},
-	{"policies", "E7: local batch policies (§5 claims)", policies, policiesJobs},
-	{"ablation-collision", "E8: economic reallocation vs pinned-node delay", ablationCollision, ablationMaxJobs},
-	{"ablation-levels", "E9: S1 vs MS1 generation expense and coverage", ablationLevels, ablationMaxJobs},
-	{"comparison", "E10: critical works vs min-min/max-min/sufferage/OLB", comparison, ablationMaxJobs},
-	{"local-passing", "E11: advance reservations vs queued local passing", localPassing, fig4MaxJobs},
-	{"availability", "E12: QoS-miss rate and TTL vs node availability (fault injection)", availability, availabilityMaxJobs},
+	{"fig2", "E1: the §3 worked example — critical works, distributions, collision", fig2},
+	{"fig3a", "E2: % admissible application-level schedules per strategy", fig3a},
+	{"fig3b", "E3: collision split across fast/slow nodes", fig3b},
+	{"fig4a", "E4: node load level by performance group under job flows", fig4a},
+	{"fig4b", "E5: relative job cost and task execution time", fig4b},
+	{"fig4c", "E6: strategy time-to-live and start deviation", fig4c},
+	{"policies", "E7: local batch policies (§5 claims)", policies},
+	{"ablation-collision", "E8: economic reallocation vs pinned-node delay", ablationCollision},
+	{"ablation-levels", "E9: S1 vs MS1 generation expense and coverage", ablationLevels},
+	{"comparison", "E10: critical works vs min-min/max-min/sufferage/OLB", comparison},
+	{"local-passing", "E11: advance reservations vs queued local passing", localPassing},
+	{"availability", "E12: QoS-miss rate and TTL vs node availability (fault injection)", availability},
 }
 
 // Each experiment caps the corpus at its own scale: a VO run is an order of
 // magnitude heavier per job than the application-level corpus, and the
 // availability sweep runs one VO per (strategy, availability) pair, an order
-// of magnitude more again. Fig. 3 and the policy study take any size; the
-// paper record runs them at fig3Jobs and policiesJobs.
+// of magnitude more again. The policy study, six batch queues over one
+// corpus, stops at policiesMaxJobs. Only Fig. 3 takes any size; gridsim's
+// default -jobs is the paper's 12000 for it.
 const (
-	fig3Jobs            = 12000
-	policiesJobs        = 5000
+	policiesMaxJobs     = 5000
 	fig4MaxJobs         = 400
 	ablationMaxJobs     = 2000
 	availabilityMaxJobs = 200

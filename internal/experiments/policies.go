@@ -111,6 +111,7 @@ func runPolicy(cfg Config, mk func(e *sim.Engine) batch.System, reservedShare fl
 // time and start-forecast error per policy, the backfilling gain, and the
 // advance-reservation penalty.
 func policies(cfg Config) (*Report, error) {
+	cfg.Jobs = min(cfg.Jobs, policiesMaxJobs)
 	if err := checkJobs(cfg.Jobs); err != nil {
 		return nil, err
 	}
