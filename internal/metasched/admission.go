@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/criticalworks"
 	"repro/internal/dag"
 	"repro/internal/resource"
 	"repro/internal/simtime"
@@ -89,36 +88,32 @@ func (vo *VO) buildCtx(jobName string) (context.Context, context.CancelFunc) {
 	return vo.cfg.BuildCtx(jobName)
 }
 
-// adopt places the job in this domain inside one engine event: plan on the
-// live books, then the engine-side half. It is how a job enters a domain on
-// the recovery paths (reallocation, retry), which take their own view of the
-// books; an arriving batch shares one (placeBatch).
+// adopt places the job in this domain, or sends it back to the
+// metascheduler when no level is admissible. It is how a job enters a domain
+// on the recovery paths (reallocation, retry): the one-member case of an
+// arriving batch (placeBatch).
 func (m *JobManager) adopt(aj *activeJob) {
-	vo := m.vo
-	ctx, cancel := vo.buildCtx(aj.result.Job.Name)
-	d, err := m.plan(ctx, aj, vo.books, vo.engine.Now(), false)
-	cancel()
-	if d == nil {
-		vo.unplaced(aj, err)
-		return
+	if d, err := m.place(aj, false); d == nil {
+		m.vo.unplaced(aj, err)
 	}
-	m.launch(aj, d)
 }
 
-// plan is the calendar half of placing aj in this domain: it generates (or
-// regenerates) the job's strategy on books, installs it and reserves the
-// cheapest admissible distribution's windows, returning that distribution —
-// nil when no level is admissible. initial marks the very first generation
-// on the adopt span. It reads and writes aj and
-// this domain's books only; the caller follows it with launch, or unplaced.
-func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time, initial bool) (*strategy.Distribution, error) {
+// place is one job's placement in this domain, inside one engine event: it
+// generates (or regenerates) the job's strategy on the live books, installs
+// it, books the cheapest admissible distribution's windows and launches it,
+// returning that distribution — nil, with the generation error if there was
+// one, when no level is admissible; the caller then sends the job to
+// unplaced. initial marks the very first generation on the adopt span.
+func (m *JobManager) place(aj *activeJob, initial bool) (*strategy.Distribution, error) {
 	vo := m.vo
+	ctx, cancel := vo.buildCtx(aj.result.Job.Name)
 	sp := vo.cfg.Spans.Start("metasched.adopt", telemetry.SpanFromContext(ctx))
 	sp.SetStr("job", aj.result.Job.Name).SetStr("domain", m.domain)
 	if initial {
 		sp.SetInt("initial", 1)
 	}
-	st, err := m.generate(telemetry.ContextWithSpan(ctx, sp.ID()), aj, books, now)
+	st, err := m.generate(telemetry.ContextWithSpan(ctx, sp.ID()), aj)
+	cancel()
 	if err != nil {
 		sp.SetStr("result", "error").End()
 		return nil, err
@@ -126,9 +121,9 @@ func (m *JobManager) plan(ctx context.Context, aj *activeJob, books criticalwork
 	sp.SetStr("result", "ok").End()
 	aj.install(st)
 	d := st.CheapestAdmissible()
-	if d != nil && !m.reserve(aj, d) {
-		// The plan was built on these books by their only writer.
-		panic(fmt.Sprintf("metasched: activation conflict for %s at level %d", aj.result.Job.Name, d.Level))
+	if d != nil {
+		m.reserve(aj, d)
+		m.launch(aj, d)
 	}
 	return d, nil
 }
@@ -145,12 +140,13 @@ func (vo *VO) unplaced(aj *activeJob, err error) {
 	vo.reallocate(aj)
 }
 
-// generate builds aj's strategy in this domain on books. Whatever sent the
-// job round again — a retry, a reallocation — its graph has not changed, so
-// a job that already has a strategy keeps what that one derived from the
-// graph alone (strategy.Generator.RegenerateCtx). It reads aj and writes
-// nothing.
-func (m *JobManager) generate(ctx context.Context, aj *activeJob, books criticalworks.Calendars, now simtime.Time) (*strategy.Strategy, error) {
+// generate builds aj's strategy in this domain on the live books. Whatever
+// sent the job round again — a retry, a reallocation — its graph has not
+// changed, so a job that already has a strategy keeps what that one derived
+// from the graph alone (strategy.Generator.RegenerateCtx). It reads aj and
+// writes nothing.
+func (m *JobManager) generate(ctx context.Context, aj *activeJob) (*strategy.Strategy, error) {
+	books, now := m.vo.books, m.vo.engine.Now()
 	if aj.strat != nil {
 		return m.gen.RegenerateCtx(ctx, aj.strat, books, now)
 	}
@@ -164,36 +160,28 @@ func (aj *activeJob) install(st *strategy.Strategy) {
 	aj.used = strategy.Levels{}
 }
 
-// activate is reserve and launch back to back, for a plan built and booked
-// inside one engine event (fallback).
-func (m *JobManager) activate(aj *activeJob, d *strategy.Distribution) bool {
-	if !m.reserve(aj, d) {
-		return false
-	}
-	m.launch(aj, d)
-	return true
-}
-
 // reserve is the only way a plan reaches the live calendars: the paper's
 // all-or-nothing advance reservation of every window at resource-request
 // time (§3, §5). Pass 1 asks each placement's node whether its window is
-// still free and returns false, having changed nothing, on the first one
-// that is not. Pass 2 reserves every window. The two passes are atomic
-// because the engine goroutine is the books' only writer (DESIGN.md §12),
-// so a Reserve refusing a window pass 1 just found free is an internal bug.
-// It writes calendars and nothing else.
-func (m *JobManager) reserve(aj *activeJob, d *strategy.Distribution) bool {
+// still free; pass 2 reserves every window. Every plan it is handed was
+// built on these books a moment ago, inside the same engine event, by their
+// only writer (DESIGN.md §12), so a window that is not free is an internal
+// bug: reserve panics, naming the job, the level and the window, and pass 1
+// finds such a window before anything is written. It writes calendars and
+// nothing else.
+func (m *JobManager) reserve(aj *activeJob, d *strategy.Distribution) {
 	env := m.vo.env
 	for _, p := range d.Placements {
-		if _, busy := env.Node(p.Node).Calendar().ConflictWith(p.Window); busy {
-			return false
+		if r, busy := env.Node(p.Node).Calendar().ConflictWith(p.Window); busy {
+			panic(fmt.Sprintf("metasched: %s's level %d window %v on node %d is taken by %v %v",
+				aj.result.Job.Name, d.Level, p.Window, p.Node, r.Owner, r.Interval))
 		}
 	}
 	for _, p := range d.Placements {
 		owner := resource.Owner{Job: aj.result.Job.Name, Task: aj.strat.Scheduled.Task(p.Task).Name}
 		if err := env.Node(p.Node).Calendar().Reserve(p.Window, owner); err != nil {
-			panic(fmt.Sprintf("metasched: activation conflict for %s: %v", aj.result.Job.Name, err))
+			panic(fmt.Sprintf("metasched: %s's level %d window %v on node %d: %v",
+				aj.result.Job.Name, d.Level, p.Window, p.Node, err))
 		}
 	}
-	return true
 }

@@ -30,17 +30,18 @@ func recordLive(env *resource.Environment) map[resource.NodeID]liveBook {
 
 // TestPlacerPipelinesPlanOnTheLiveBooks is the guard for the writer rule of
 // DESIGN.md §12: the engine goroutine is the books' only reader and writer,
-// and a batch plans on the live books themselves. A loaded three-domain
-// environment whose every book was just written — so none has a published
-// window-query index — takes one same-tick batch of twelve jobs at Placers
-// 4, through the VO's public hooks only:
+// and a batch places its members on the live books themselves, one after
+// another. A loaded three-domain environment whose every book was just
+// written — so none has a published window-query index — takes one same-tick
+// batch of twelve jobs at Placers 4, through the VO's public hooks only:
 //
 //   - the view the builds share maps every node to its live calendar itself;
-//   - no plan books a node outside the domain its member was assigned;
-//   - after the planning walk (the first trace event since the batch's first
-//     build context was handed out) the books are the ones the batch began
-//     with plus exactly the plans of the activate events the launch walk
-//     then emits.
+//   - no plan books a node outside the domain its member was in when it was
+//     placed, the domain it was assigned unless it was reallocated;
+//   - every build of the tick, each member's and then the reallocated
+//     members', starts on the books the batch began with plus exactly the
+//     plans of the activate events traced before it. So a member's plan is
+//     booked and launched before the next member is built.
 func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 	const jobs = 12
 	e := sim.New()
@@ -58,70 +59,61 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 	}
 
 	var vo *VO
-	var mark map[resource.NodeID]liveBook    // the books when the batch began
-	var planned map[resource.NodeID]liveBook // the books at the first event after the planning walk
-	want := map[resource.NodeID]liveBook{}   // mark plus the plans activated since
-	members := map[string]string{}           // batch member → the domain it was assigned
-	open, walking := false, false            // planning walk running; launch walk running
-	batchBuilds, laterBuilds, activations := 0, 0, 0
-
-	// closeWalk compares the books after planning with the plans launched since.
-	closeWalk := func() {
-		if !walking {
-			return
-		}
-		walking = false
-		for id, w := range want {
-			sort.Slice(w.res, func(i, j int) bool { return w.res[i].Interval.Start < w.res[j].Interval.Start })
-			if got := planned[id]; got.gen != w.gen || !reflect.DeepEqual(got.res, w.res) {
-				t.Errorf("after planning node %d is not the batch's starting book plus the activated plans (gen %d, want %d)", id, got.gen, w.gen)
-			}
-		}
-	}
+	var want map[resource.NodeID]liveBook // the batch's starting books plus the plans activated since
+	members := map[string]string{}        // batch member → the domain it was assigned
+	moved := map[string]bool{}            // members reallocated since
+	memberBuilds, laterBuilds, builds, activations, memberActivations := 0, 0, 0, 0, 0
 	reg := telemetry.NewRegistry()
 	cfg := Config{
 		Seed:      11,
 		Placers:   4,
 		Telemetry: reg,
 		BuildCtx: func(job string) (context.Context, context.CancelFunc) {
-			if planned == nil {
-				if !open {
-					mark, open = recordLive(env), true
-				}
-				members[job] = vo.active[job].manager.domain
-				batchBuilds++
-			} else {
+			if e.Now() != 0 {
+				return context.Background(), func() {}
+			}
+			if want == nil {
+				want = recordLive(env)
+			}
+			if _, ok := members[job]; ok {
 				laterBuilds++
+			} else {
+				members[job] = vo.active[job].manager.domain
+				memberBuilds++
+			}
+			builds++
+			for id, got := range recordLive(env) {
+				w := want[id]
+				sort.Slice(w.res, func(i, j int) bool { return w.res[i].Interval.Start < w.res[j].Interval.Start })
+				if got.gen != w.gen || !reflect.DeepEqual(got.res, w.res) {
+					t.Errorf("build %d (%s): node %d is not the batch's starting book plus the activated plans (gen %d, want %d)", builds, job, id, got.gen, w.gen)
+				}
 			}
 			return context.Background(), func() {}
 		},
 		Tracer: TracerFunc(func(ev Event) {
-			if open && ev.Kind != EventArrive {
-				// Every member is planned: this is the launch walk.
-				open, walking = false, true
-				planned = recordLive(env)
-				for id, was := range mark {
-					want[id] = liveBook{gen: was.gen, res: append([]resource.Reservation(nil), was.res...)}
-				}
-			}
-			if !walking {
+			if ev.At != 0 {
 				return
 			}
-			if ev.Kind != EventActivate {
-				closeWalk()
-				return
-			}
-			activations++
-			aj := vo.active[ev.Job]
-			for _, p := range aj.current.Placements {
-				if dom := env.Node(p.Node).Domain; dom != ev.Domain || dom != members[ev.Job] {
-					t.Errorf("%s, assigned to %s, booked node %d of domain %s", ev.Job, members[ev.Job], p.Node, dom)
+			switch ev.Kind {
+			case EventReallocate:
+				moved[ev.Job] = true
+			case EventActivate:
+				activations++
+				if !moved[ev.Job] {
+					memberActivations++
 				}
-				b := want[p.Node]
-				b.gen++
-				b.res = append(b.res, resource.Reservation{Interval: p.Window,
-					Owner: resource.Owner{Job: ev.Job, Task: aj.strat.Scheduled.Task(p.Task).Name}})
-				want[p.Node] = b
+				aj := vo.active[ev.Job]
+				for _, p := range aj.current.Placements {
+					if dom := env.Node(p.Node).Domain; dom != ev.Domain || (!moved[ev.Job] && dom != members[ev.Job]) {
+						t.Errorf("%s, assigned to %s, booked node %d of domain %s", ev.Job, members[ev.Job], p.Node, dom)
+					}
+					b := want[p.Node]
+					b.gen++
+					b.res = append(b.res, resource.Reservation{Interval: p.Window,
+						Owner: resource.Owner{Job: ev.Job, Task: aj.strat.Scheduled.Task(p.Task).Name}})
+					want[p.Node] = b
+				}
 			}
 		}),
 	}
@@ -142,8 +134,6 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.RunUntil(1)
-	closeWalk()
 	e.Run()
 
 	if got := len(vo.Results()); got != jobs {
@@ -154,10 +144,10 @@ func TestPlacerPipelinesPlanOnTheLiveBooks(t *testing.T) {
 		domains[d] = true
 	}
 	commits := reg.Counter("grid_placer_commits_total", "").Value()
-	t.Logf("%d batch builds over %d domains, %d later builds, %d activations checked against the planned books; batch commits %d",
-		batchBuilds, len(domains), laterBuilds, activations, commits)
-	if batchBuilds != jobs || len(domains) != 3 || activations == 0 || uint64(activations) != commits {
-		t.Errorf("the guard looked at nothing, or the batch did not span three domains")
+	t.Logf("%d member builds over %d domains, %d reallocated builds, %d activations (%d of members in their first domain); batch commits %d",
+		memberBuilds, len(domains), laterBuilds, activations, memberActivations, commits)
+	if memberBuilds != jobs || len(domains) != 3 || laterBuilds == 0 || memberActivations < 2 || uint64(memberActivations) != commits {
+		t.Errorf("the guard looked at nothing: the batch did not span three domains, place two members, or reallocate one")
 	}
 }
 

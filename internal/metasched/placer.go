@@ -1,7 +1,8 @@
 package metasched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/simtime"
@@ -14,22 +15,20 @@ import (
 //
 //  1. the metascheduler assigns every member the least-loaded domain
 //     (leastLoadedWith), exactly as sequential arrivals would spread;
-//  2. the members are put in the arbiter's total order — the paper's
+//  2. the members are put in the arbiter's order — the paper's
 //     collision-resolution rule: priority first, then submission order —
-//     and planned one after another on one view of the live books:
-//     generate, choose the cheapest admissible level, reserve its windows
-//     on the domain's own calendars (JobManager.plan). A member therefore
-//     plans on the books as its predecessors left them and can never want
-//     a window one of them took. Two jobs can only collide inside one
-//     domain, so this is each domain's share of the batch placed in the
-//     arbiter's order, the domains interleaved;
-//  3. the engine goroutine walks the whole batch again in that order and
-//     does the engine-side half of every activation (JobManager.launch:
-//     events, the task-failure draw, the trace), then walks it once more
-//     for the members that found no admissible level, which go back to the
-//     metascheduler (reallocate). They come last because a reallocated job
-//     books in another domain, whose later members must not see its
-//     windows: every member gets its first chance before anyone a second.
+//     and placed one after another on the live books: generate, choose the
+//     cheapest admissible level, book its windows on the domain's own
+//     calendars and launch it (JobManager.place). A member therefore plans
+//     on the books as its predecessors left them and can never want a
+//     window one of them took. Two jobs can only collide inside one domain,
+//     so this is each domain's share of the batch placed in the arbiter's
+//     order, the domains interleaved;
+//  3. the members that found no admissible level go back to the
+//     metascheduler (reallocate), in the same order. They come last
+//     because a reallocated job books in another domain, whose later
+//     members must not see its windows: every member gets its first chance
+//     before anyone a second.
 //
 // Placers ≤ 1 is the same code, not another path: every submission is a
 // batch of one. Each singleton keeps its own engine event because the
@@ -47,28 +46,13 @@ type pendingArrival struct {
 	seq  int
 }
 
-// batchJob is one placeable batch member and what planning made of it.
+// batchJob is one placeable batch member, its place in the arbiter's order
+// and what placing it made of it.
 type batchJob struct {
-	aj  *activeJob
-	key commitKey
-	d   *strategy.Distribution // the level plan booked; nil if none
-	err error                  // structural generation failure
-}
-
-// commitKey orders a batch's members. The order is total: any two distinct
-// submissions differ in seq.
-type commitKey struct {
-	prio int
-	seq  int
-}
-
-// commitBefore is the arbiter's collision-resolution order: higher
-// priority first (QoS), then earlier submission.
-func commitBefore(a, b commitKey) bool {
-	if a.prio != b.prio {
-		return a.prio > b.prio
-	}
-	return a.seq < b.seq
+	aj        *activeJob
+	prio, seq int
+	d         *strategy.Distribution // the level placed; nil if none
+	err       error                  // structural generation failure
 }
 
 // arriveBatch is the one arrival path: it runs the metascheduler's flow
@@ -77,7 +61,7 @@ func commitBefore(a, b commitKey) bool {
 // rejected on arrival) and places the placeable ones.
 func (vo *VO) arriveBatch(batch []pendingArrival) {
 	counts := make([]int, len(vo.managers))
-	work := make([]*batchJob, 0, len(batch))
+	work := make([]batchJob, 0, len(batch))
 	for _, p := range batch {
 		m := vo.leastLoadedWith(nil, counts)
 		res := &JobResult{
@@ -102,7 +86,7 @@ func (vo *VO) arriveBatch(batch []pendingArrival) {
 		aj.triedDom[m.idx] = true
 		vo.trace(Event{Kind: EventArrive, Job: p.job.Name, Domain: m.domain})
 		vo.active[p.job.Name] = aj
-		work = append(work, &batchJob{aj: aj, key: commitKey{prio: p.prio, seq: p.seq}})
+		work = append(work, batchJob{aj: aj, prio: p.prio, seq: p.seq})
 	}
 	vo.placeBatch(work)
 }
@@ -141,23 +125,17 @@ func (vo *VO) leastLoadedWith(except []bool, counts []int) *JobManager {
 	return best
 }
 
-// placeBatch places a batch's members in the arbiter's order on one view of
-// the live books, then does the engine-side walks (steps 2 and 3 above).
-func (vo *VO) placeBatch(work []*batchJob) {
-	if len(work) == 0 {
-		return
-	}
-	sort.Slice(work, func(a, b int) bool { return commitBefore(work[a].key, work[b].key) })
-	now := vo.engine.Now()
-	for _, w := range work {
-		ctx, cancel := vo.buildCtx(w.aj.result.Job.Name)
-		w.d, w.err = w.aj.manager.plan(ctx, w.aj, vo.books, now, true)
-		cancel()
-	}
-	for _, w := range work {
-		if w.d != nil {
+// placeBatch places a batch's members in the arbiter's order — higher
+// priority first, then earlier submission — each on the books its
+// predecessors left, then sends the unplaced back (steps 2 and 3 above).
+func (vo *VO) placeBatch(work []batchJob) {
+	slices.SortFunc(work, func(a, b batchJob) int {
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.seq, b.seq))
+	})
+	for i := range work {
+		w := &work[i]
+		if w.d, w.err = w.aj.manager.place(w.aj, true); w.d != nil {
 			vo.placerCommits.Inc()
-			w.aj.manager.launch(w.aj, w.d)
 		}
 	}
 	for _, w := range work {

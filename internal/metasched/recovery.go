@@ -2,7 +2,9 @@ package metasched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/resource"
@@ -64,10 +66,8 @@ func (m *JobManager) fallback(aj *activeJob) {
 		}
 		aj.result.Fallbacks++
 		m.vo.trace(Event{Kind: EventFallback, Job: aj.result.Job.Name, Domain: m.domain, Level: int(d.Level)})
-		if !m.activate(aj, d) {
-			// Re-anchored on these books a moment ago, inside this event.
-			panic(fmt.Sprintf("metasched: activation conflict for %s at re-anchored level %d", aj.result.Job.Name, d.Level))
-		}
+		m.reserve(aj, d)
+		m.launch(aj, d)
 		return
 	}
 }
@@ -96,13 +96,7 @@ func (vo *VO) reallocate(aj *activeJob) {
 // through the ordinary eviction/fallback path.
 func (vo *VO) outageDown(o faults.Outage) {
 	now := vo.engine.Now()
-	ids := []resource.NodeID{o.Node}
-	if o.Domain != "" {
-		ids = ids[:0]
-		for _, n := range vo.env.ByDomain(o.Domain) {
-			ids = append(ids, n.ID)
-		}
-	}
+	ids := vo.outageNodes(o)
 	vo.nodeOutages++
 	if o.Domain != "" {
 		vo.domainOutages++
@@ -147,17 +141,24 @@ func (vo *VO) outageDown(o faults.Outage) {
 // outageUp ends one outage window.
 func (vo *VO) outageUp(o faults.Outage) {
 	now := vo.engine.Now()
-	ids := []resource.NodeID{o.Node}
-	if o.Domain != "" {
-		ids = ids[:0]
-		for _, n := range vo.env.ByDomain(o.Domain) {
-			ids = append(ids, n.ID)
-		}
-	}
-	for _, id := range ids {
+	for _, id := range vo.outageNodes(o) {
 		vo.env.Node(id).MarkUp(now)
 	}
 	vo.trace(Event{Kind: EventNodeUp, Domain: o.Domain, Node: int(o.Node)})
+}
+
+// outageNodes lists the nodes an outage takes down: every node of its
+// domain, or its one node.
+func (vo *VO) outageNodes(o faults.Outage) []resource.NodeID {
+	if o.Domain == "" {
+		return []resource.NodeID{o.Node}
+	}
+	nodes := vo.env.ByDomain(o.Domain)
+	ids := make([]resource.NodeID, 0, len(nodes))
+	for _, n := range nodes {
+		ids = append(ids, n.ID)
+	}
+	return ids
 }
 
 // scheduleNextExternal arms the background-load injector.
@@ -238,41 +239,27 @@ func (vo *VO) isProtected(owner resource.Owner) bool {
 // booked. Exposed for deterministic scenario construction.
 func (vo *VO) InjectExternal(node resource.NodeID, iv simtime.Interval) bool {
 	n := vo.env.Node(node)
-	// A view of the book: read to its end before the teardowns below move it.
-	conflicts := n.Calendar().ConflictsWith(iv)
 	var victims []*activeJob
-	for _, c := range conflicts {
-		if c.Owner == resource.External {
-			return false // externals do not fight each other
+	// A view of the book: read to its end before the teardowns below move it.
+	for _, c := range n.Calendar().ConflictsWith(iv) {
+		if vo.isProtected(c.Owner) {
+			return false // externals do not fight each other; started jobs win
 		}
-		aj, ok := vo.active[c.Owner.Job]
-		if !ok || aj.result.State != StatePlanned {
-			return false // executing (or unknown) jobs are protected
-		}
-		victims = append(victims, aj)
+		victims = append(victims, vo.active[c.Owner.Job])
 	}
-	// Deduplicate victims while keeping deterministic order.
-	sort.Slice(victims, func(a, b int) bool {
-		return victims[a].result.Job.Name < victims[b].result.Job.Name
-	})
-	seen := map[*activeJob]bool{}
-	var evictees []*activeJob
-	for _, v := range victims {
-		if !seen[v] {
-			seen[v] = true
-			evictees = append(evictees, v)
-		}
-	}
+	// In name order, each job once: one name is one *activeJob.
+	slices.SortFunc(victims, func(a, b *activeJob) int { return strings.Compare(a.result.Job.Name, b.result.Job.Name) })
+	victims = slices.Compact(victims)
 	// Tear every victim down first so the external's booking cannot fail,
 	// then let the victims replan against the post-event state.
-	for _, v := range evictees {
+	for _, v := range victims {
 		v.manager.teardown(v)
 	}
 	if err := n.Calendar().Reserve(iv, resource.External); err != nil {
 		panic(fmt.Sprintf("metasched: external booking failed after eviction: %v", err))
 	}
 	vo.trace(Event{Kind: EventExternal, Node: int(node), Start: iv.Start, End: iv.End})
-	for _, v := range evictees {
+	for _, v := range victims {
 		v.manager.fallback(v)
 	}
 	return true

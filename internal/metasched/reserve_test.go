@@ -2,8 +2,10 @@ package metasched
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/resource"
@@ -13,17 +15,18 @@ import (
 	"repro/internal/workload"
 )
 
-// TestActivateIsAllOrNothing pins the one way onto the books
-// (JobManager.reserve, through activate = reserve + launch; DESIGN.md §12).
-// On a loaded VO a distribution is built on the live books; then, for each
-// of its windows in turn, one tick of that window is made busy behind the
-// plan's back. activate must return
-// false and leave everything as it found it — every live book's generation
-// and reservations, aj.used, the engine's pending events, the trace —
-// whichever window it was and wherever the map walk meets it. With the
-// window freed again the same distribution is booked: true, and the books
-// differ from before by exactly its placements.
-func TestActivateIsAllOrNothing(t *testing.T) {
+// TestReserveIsAllOrNothing pins the one way onto the books
+// (JobManager.reserve; DESIGN.md §12). On a loaded VO a distribution is
+// built on the live books; then, for each of its windows in turn, one tick
+// of that window is taken behind the VO's back. reserve must panic, naming
+// the job, the level and the window, and leave everything as it found it —
+// every live book's generation and reservations, aj, the engine's pending
+// events, the trace — whichever window it was. With the window freed again
+// the same distribution is booked, and the books differ from before by
+// exactly its placements; reserve schedules and traces nothing, and launch,
+// which touches no book, schedules the start and finish and traces one
+// activation.
+func TestReserveIsAllOrNothing(t *testing.T) {
 	e := sim.New()
 	wcfg := workload.Default(11)
 	wcfg.DeadlineFactor *= 3 // room to plan around the background load
@@ -52,6 +55,11 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	}
 	aj := &activeJob{result: &JobResult{Job: job, Type: strategy.S1}, manager: m, failedAt: -1}
 	aj.install(st)
+	reserve := func() (refusal any) {
+		defer func() { refusal = recover() }()
+		m.reserve(aj, d)
+		return nil
+	}
 
 	for task, p := range d.Placements {
 		blocker := simtime.Interval{Start: p.Window.End - 1, End: p.Window.End}
@@ -60,13 +68,21 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 			t.Fatalf("task %d: its window was not free after the build: %v", task, err)
 		}
 		before, pending, traced := recordLive(env), e.Pending(), len(events)
-		if m.activate(aj, d) {
-			t.Fatalf("task %d: activate booked a plan whose window %v on node %d is busy", task, p.Window, p.Node)
+		ajWas, resultWas := *aj, *aj.result
+		refusal := reserve()
+		if refusal == nil {
+			t.Fatalf("task %d: reserve booked a plan whose window %v on node %d is busy", task, p.Window, p.Node)
+		}
+		msg := fmt.Sprint(refusal)
+		for _, want := range []string{aj.result.Job.Name, fmt.Sprintf("level %d", d.Level), fmt.Sprint(p.Window), fmt.Sprintf("node %d", p.Node)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("task %d: the refusal %q does not name %q", task, msg, want)
+			}
 		}
 		if now := recordLive(env); !reflect.DeepEqual(now, before) {
 			t.Errorf("task %d: a refused plan moved the live books", task)
 		}
-		if aj.used != (strategy.Levels{}) || aj.current != nil || aj.everActivated {
+		if !reflect.DeepEqual(*aj, ajWas) || !reflect.DeepEqual(*aj.result, resultWas) {
 			t.Errorf("task %d: a refused plan changed the job: used %v, current %v", task, aj.used, aj.current)
 		}
 		if e.Pending() != pending || len(events) != traced {
@@ -78,8 +94,8 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	}
 
 	want, pending, traced := recordLive(env), e.Pending(), len(events)
-	if !m.activate(aj, d) {
-		t.Fatal("activate refused a plan whose every window is free")
+	if refusal := reserve(); refusal != nil {
+		t.Fatalf("reserve refused a plan whose every window is free: %v", refusal)
 	}
 	for _, p := range d.Placements {
 		b := want[p.Node]
@@ -94,6 +110,13 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	if now := recordLive(env); !reflect.DeepEqual(now, want) {
 		t.Errorf("the booked plan changed the books by something other than its placements")
 	}
+	if e.Pending() != pending || len(events) != traced {
+		t.Errorf("reserve scheduled %d events and traced %d", e.Pending()-pending, len(events)-traced)
+	}
+	m.launch(aj, d)
+	if now := recordLive(env); !reflect.DeepEqual(now, want) {
+		t.Errorf("launch moved the books")
+	}
 	var used strategy.Levels
 	used[d.Level] = true
 	if aj.used != used || aj.current != d {
@@ -101,6 +124,6 @@ func TestActivateIsAllOrNothing(t *testing.T) {
 	}
 	// A start and a finish event (no fault injection), one activate record.
 	if e.Pending() != pending+2 || len(events) != traced+1 || events[len(events)-1].Kind != EventActivate {
-		t.Errorf("booking scheduled %d events and traced %d", e.Pending()-pending, len(events)-traced)
+		t.Errorf("launch scheduled %d events and traced %d", e.Pending()-pending, len(events)-traced)
 	}
 }

@@ -63,8 +63,8 @@ var reachAllow = map[string]keptAPI{
 		"observes which bucket Observe filled"},
 	"internal/batch.Gang.SlotCount": {"seam", []string{"TestGangPacksSameSlot"},
 		"observes how the gang scheduler packed its slots"},
-	"internal/sim.Engine.Pending": {"seam", []string{"TestActivateIsAllOrNothing", "TestRunUntil"},
-		"observes the events an activation scheduled, or that a refused one scheduled none"},
+	"internal/sim.Engine.Pending": {"seam", []string{"TestReserveIsAllOrNothing", "TestRunUntil"},
+		"observes the events a launch scheduled, or that a refused booking scheduled none"},
 	"internal/experiments.Report.Value": {"seam", []string{"TestFig2ReproducesPaperStructure"},
 		"reads one named cell of a report, failing on a typo"},
 	"internal/experiments.Config.Trace": {"seam", []string{"TestParallelMatchesSequential", "TestTelemetryDoesNotPerturbResults"},
