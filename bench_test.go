@@ -12,7 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sync"
 	"syscall"
 	"testing"
@@ -243,7 +243,7 @@ func BenchmarkBuild(b *testing.B) {
 		// An infeasible job is a legitimate outcome on these books: all
 		// five margins run, which is the service's common case.
 		var inf *criticalworks.InfeasibleError
-		if _, err := criticalworks.Build(env, maps.Clone(base), job, criticalworks.Options{}); err != nil && !errors.As(err, &inf) {
+		if _, err := criticalworks.Build(env, slices.Clone(base), job, criticalworks.Options{}); err != nil && !errors.As(err, &inf) {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func BenchmarkBuild(b *testing.B) {
 // books. BenchmarkBuild's single dense job places few chains and missed a
 // +35 % per-probe scan of the attempt's own placements that this one caught.
 // Node 7 is left out because the outage benchmark this fixture comes from
-// dropped it: EXPERIMENTS.md E15–E17 read this build as
+// dropped it: EXPERIMENTS-ledger.md E15–E17 read this build as
 // "BenchmarkOutageRepair -repair=false".
 func BenchmarkBuildManyChains(b *testing.B) {
 	bl := dag.NewBuilder("outage").Deadline(600)
@@ -316,7 +316,7 @@ func BenchmarkDPWidth(b *testing.B) {
 		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
 			var probes int64
 			for i := 0; i < b.N; i++ {
-				s, err := criticalworks.Build(env, maps.Clone(base), job, criticalworks.Options{})
+				s, err := criticalworks.Build(env, slices.Clone(base), job, criticalworks.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

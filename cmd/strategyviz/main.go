@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,19 +24,27 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		jobIdx  = flag.Int("job", -1, "workload job index; -1 renders the paper's Fig. 2 example")
-		typName = flag.String("type", "S2", "strategy family: S1, S2, S3, MS1")
-		seed    = flag.Uint64("seed", 1, "workload seed for -job")
-		dot     = flag.Bool("dot", false, "emit the job graph as Graphviz DOT instead of Gantt charts")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	typ, ok := parseType(*typName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "strategyviz: unknown strategy type %q\n", *typName)
-		os.Exit(2)
+// run is strategyviz on the command-line arguments args: the charts go to
+// stdout, diagnostics to stderr, and it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("strategyviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		jobIdx  = fs.Int("job", -1, "workload job index; -1 renders the paper's Fig. 2 example")
+		typName = fs.String("type", "S2", "strategy family: S1, S2, S3, MS1")
+		seed    = fs.Uint64("seed", 1, "workload seed for -job")
+		dot     = fs.Bool("dot", false, "emit the job graph as Graphviz DOT instead of Gantt charts")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	typ, err := strategy.ParseType(*typName)
+	if err != nil {
+		fmt.Fprintf(stderr, "strategyviz: %v\n", err)
+		return 2
 	}
 
 	var job *dag.Job
@@ -50,44 +59,36 @@ func main() {
 	}
 
 	if *dot {
-		if err := job.WriteDOT(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "strategyviz: %v\n", err)
-			os.Exit(1)
+		if err := job.WriteDOT(stdout); err != nil {
+			fmt.Fprintf(stderr, "strategyviz: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	gen := &strategy.Generator{Env: env}
 	st, err := gen.Generate(job, typ, criticalworks.EmptyCalendars(env), 0)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "strategyviz: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "strategyviz: %v\n", err)
+		return 1
 	}
 
-	fmt.Printf("job %s: %d tasks, %d transfers, deadline %d, strategy %s\n",
+	fmt.Fprintf(stdout, "job %s: %d tasks, %d transfers, deadline %d, strategy %s\n",
 		job.Name, job.NumTasks(), job.NumEdges(), job.Deadline, typ)
 	if len(st.FailedLevels) > 0 {
-		fmt.Printf("infeasible levels: %v\n", st.FailedLevels)
+		fmt.Fprintf(stdout, "infeasible levels: %v\n", st.FailedLevels)
 	}
 	for _, d := range st.Distributions {
-		fmt.Printf("\nDistribution (level %d): CF=%d finish=%d admissible=%v\n",
+		fmt.Fprintf(stdout, "\nDistribution (level %d): CF=%d finish=%d admissible=%v\n",
 			d.Level, d.Cost, d.Finish, d.Admissible)
-		renderGantt(os.Stdout, env, st.Scheduled, d)
+		renderGantt(stdout, env, st.Scheduled, d)
 	}
-}
-
-func parseType(s string) (strategy.Type, bool) {
-	for _, t := range strategy.AllTypes {
-		if strings.EqualFold(t.String(), s) {
-			return t, true
-		}
-	}
-	return 0, false
+	return 0
 }
 
 // renderGantt prints one row per node that hosts a task, with task names
 // written into their reservation windows.
-func renderGantt(w *os.File, env *resource.Environment, job *dag.Job, d strategy.Distribution) {
+func renderGantt(w io.Writer, env *resource.Environment, job *dag.Job, d strategy.Distribution) {
 	span := d.Finish
 	if span <= 0 {
 		return

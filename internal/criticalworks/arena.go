@@ -10,29 +10,49 @@ import (
 	"repro/internal/telemetry"
 )
 
-// scratch is a build's working memory: everything a build makes and its
+// builder is one build's state: its inputs, read in place — the job, the
+// caller's view and the options — and everything a build makes and its
 // result does not keep — the bounds, the chain searches, the DP table, the
 // attempt's placements with their per-node overlay, its replica sets and the
-// collisions it has recorded so far. A build borrows one from scratchPool,
-// sizes it for its job and environment, and runs its margin attempts in it
-// one after another; what it returns is allocated fresh and never points
+// collisions it has recorded so far. A build borrows one from builderPool,
+// resets it for its job, view and options, and runs its margin attempts in
+// it one after another; what it returns is allocated fresh and never points
 // here: a success's Schedule, its Placements and its Collisions, copied out
 // at their exact length, or a failure's InfeasibleError, which copies out
 // nothing but two counts. Build is a function, not a method of a long-lived
 // owner, and builds run on several goroutines at once (experiments run jobs
-// on parallel workers), so the arena comes from a pool rather than a caller.
-type scratch struct {
-	job *dag.Job
+// on parallel workers), so the state comes from a pool rather than a caller.
+//
+// An attempt is a what-if over the caller's view: it reads the view's books
+// and writes nothing but its own placements, which firstFree, holder and
+// reserve overlay on the book they query. A failed attempt is simply
+// dropped.
+type builder struct {
+	// The build's inputs, never written: the job, whose edge runs the loops
+	// read in place (inEdges, outEdges), the caller's view, one book per
+	// node, and the normalized options.
+	job  *dag.Job
+	cals Calendars
+	opt  Options
+
+	// The job's deadline, the horizon calendar searches stop at (4× the
+	// deadline span) and the span the margin attempts hang under.
+	deadline, horizon simtime.Time
+	parentSpan        telemetry.SpanID
+
+	// The attempt in progress: the tasks it placed, its probes, the first
+	// task of the chain placeChain failed at, and its span's ID, 0 when
+	// tracing is off (per-chain and per-DP-phase spans hang under it).
+	nPlaced int
+	evals   int64
+	failed  dag.TaskID
+	span    telemetry.SpanID
 
 	// The job's graph as the build's loops read it, filled once by reset:
-	// each task's base time and volume, each edge's ends and base time, and
-	// each task's incoming and outgoing edges as edge indices in the job's
-	// order — task t's at inIdx[inOff[t]:inOff[t+1]] and
-	// outIdx[outOff[t]:outOff[t+1]].
-	taskBase, edgeBase           []simtime.Time
-	taskVol                      []int64
-	edgeFrom, edgeTo             []dag.TaskID
-	inOff, outOff, inIdx, outIdx []int32
+	// each task's base time and volume, each edge's ends and base time.
+	taskBase, edgeBase []simtime.Time
+	taskVol            []int64
+	edgeFrom, edgeTo   []dag.TaskID
 
 	bestUp   []simtime.Time // earliest-start offset per task (margin-scaled)
 	bestDown []simtime.Time // remaining time after task finish (margin-scaled)
@@ -42,13 +62,8 @@ type scratch struct {
 	first  []dag.TaskID
 	chains dag.ChainBuf // the next-critical-work search and its result
 
-	// The build's candidates as the DP reads them, by node: the node's
-	// estimation tier and the view's book for it. view fills them for the
-	// candidates once per build, before the first read; release clears the
-	// books, which are the view's.
-	tier   []resource.Tier
-	book   []*resource.Calendar
-	viewed bool
+	// tier is each candidate's estimation tier, by node, filled by reset.
+	tier []resource.Tier
 
 	dp     []cell      // runDP's table, chain positions × candidates
 	cells  []cellIn    // what each dp cell reads of its (task, node) pair
@@ -81,97 +96,59 @@ type scratch struct {
 	// fresh lists the tasks the attempt has reserved since it last committed
 	// replicas (commitPlaced); room for every task.
 	fresh []dag.TaskID
-
-	bld builder // the attempt in progress
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
-// takeScratch borrows an arena for one build of job over nodes nodes.
-func takeScratch(job *dag.Job, nodes int) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	sc.reset(job, nodes)
-	return sc
-}
-
-// reset points the arena at job, grows what is too small for it and reads
-// the job's graph into it. What the other slices hold is whatever the last
-// build left: every one is cleared or overwritten before it is read
-// (attempt, view, computeBounds, runDP, reserve); the DP's own buffers are
-// grown where they are filled.
-func (sc *scratch) reset(job *dag.Job, nodes int) {
-	n, m := job.NumTasks(), job.NumEdges()
-	sc.job = job
-	sc.bestUp, sc.bestDown = grow(sc.bestUp, n), grow(sc.bestDown, n)
-	sc.placed = grow(sc.placed, n)
-	sc.ideal, sc.actual = grow(sc.ideal, n), grow(sc.actual, n)
-	sc.ownHead, sc.ownNext = grow(sc.ownHead, nodes), grow(sc.ownNext, n)
-	sc.tier, sc.book = grow(sc.tier, nodes), grow(sc.book, nodes)
-	sc.viewed = false
-	sc.words = (nodes + 63) / 64
-	sc.replica = grow(sc.replica, n*sc.words)
-	sc.colls = grow(sc.colls, n)
-	sc.fresh = grow(sc.fresh, n)
-
-	sc.taskBase, sc.taskVol = grow(sc.taskBase, n), grow(sc.taskVol, n)
-	for t := range sc.taskBase {
-		task := job.Task(dag.TaskID(t))
-		sc.taskBase[t], sc.taskVol[t] = task.BaseTime, task.Volume
+// reset points the state at a build of job over the view cals with the
+// normalized options opt, grows what is too small for them, fills the tier
+// table for the candidates and reads the job's graph tables. What the other
+// slices hold is whatever the last build left: every one is cleared or
+// overwritten before it is read (attempt, computeBounds, runDP, reserve);
+// the DP's own buffers are grown where they are filled.
+func (b *builder) reset(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) {
+	n, m, nodes := job.NumTasks(), job.NumEdges(), len(cals)
+	b.job, b.cals, b.opt = job, cals, opt
+	b.deadline = job.Deadline
+	b.horizon = opt.Release + 4*(b.deadline-opt.Release)
+	b.bestUp, b.bestDown = grow(b.bestUp, n), grow(b.bestDown, n)
+	b.placed = grow(b.placed, n)
+	b.ideal, b.actual = grow(b.ideal, n), grow(b.actual, n)
+	b.ownHead, b.ownNext = grow(b.ownHead, nodes), grow(b.ownNext, n)
+	b.tier = grow(b.tier, nodes)
+	for _, c := range opt.Candidates {
+		b.tier[c] = env.Node(c).Tier()
 	}
-	sc.edgeBase, sc.edgeFrom, sc.edgeTo = grow(sc.edgeBase, m), grow(sc.edgeFrom, m), grow(sc.edgeTo, m)
-	sc.inOff, sc.outOff = grow(sc.inOff, n+1), grow(sc.outOff, n+1)
-	clear(sc.inOff)
-	clear(sc.outOff)
+	b.words = (nodes + 63) / 64
+	b.replica = grow(b.replica, n*b.words)
+	b.colls = grow(b.colls, n)
+	b.fresh = grow(b.fresh, n)
+
+	b.taskBase, b.taskVol = grow(b.taskBase, n), grow(b.taskVol, n)
+	for t := range b.taskBase {
+		task := job.Task(dag.TaskID(t))
+		b.taskBase[t], b.taskVol[t] = task.BaseTime, task.Volume
+	}
+	b.edgeBase, b.edgeFrom, b.edgeTo = grow(b.edgeBase, m), grow(b.edgeFrom, m), grow(b.edgeTo, m)
 	for i := range m {
 		e := job.EdgeAt(i)
-		sc.edgeBase[i], sc.edgeFrom[i], sc.edgeTo[i] = e.BaseTime, e.From, e.To
-		sc.inOff[e.To+1]++
-		sc.outOff[e.From+1]++
+		b.edgeBase[i], b.edgeFrom[i], b.edgeTo[i] = e.BaseTime, e.From, e.To
 	}
-	for t := range n {
-		sc.inOff[t+1] += sc.inOff[t]
-		sc.outOff[t+1] += sc.outOff[t]
-	}
-	// Fill each run in edge order, the job's own, with the run's start as a
-	// cursor, then shift the cursors back to the starts.
-	sc.inIdx, sc.outIdx = grow(sc.inIdx, m), grow(sc.outIdx, m)
-	for i := range m {
-		to, from := sc.edgeTo[i], sc.edgeFrom[i]
-		sc.inIdx[sc.inOff[to]], sc.outIdx[sc.outOff[from]] = int32(i), int32(i)
-		sc.inOff[to]++
-		sc.outOff[from]++
-	}
-	copy(sc.inOff[1:], sc.inOff[:n])
-	copy(sc.outOff[1:], sc.outOff[:n])
-	sc.inOff[0], sc.outOff[0] = 0, 0
-}
-
-// view fills the candidate table for a build over cals on the candidates
-// cands, unless this build has filled it already.
-func (sc *scratch) view(env *resource.Environment, cals Calendars, cands []resource.NodeID) {
-	if sc.viewed {
-		return
-	}
-	for _, n := range cands {
-		sc.tier[n], sc.book[n] = env.Node(n).Tier(), cals[n]
-	}
-	sc.viewed = true
 }
 
 // inEdges and outEdges return task t's incoming and outgoing edges as edge
-// indices, in the job's order.
-func (sc *scratch) inEdges(t dag.TaskID) []int32  { return sc.inIdx[sc.inOff[t]:sc.inOff[t+1]] }
-func (sc *scratch) outEdges(t dag.TaskID) []int32 { return sc.outIdx[sc.outOff[t]:sc.outOff[t+1]] }
+// indices, in the job's order: the job's own runs, read in place.
+func (b *builder) inEdges(t dag.TaskID) []int32  { return b.job.InIdx(t) }
+func (b *builder) outEdges(t dag.TaskID) []int32 { return b.job.OutIdx(t) }
 
-// release returns the arena holding nothing of the build it served: no job,
-// no book of the view, and with the builder no view, options or context — a
-// pooled arena outlives the engine event, and a view's calendars must not
-// (liveBooks). Nothing else in the arena holds a pointer.
-func (sc *scratch) release() {
-	sc.job = nil
-	clear(sc.book)
-	sc.bld = builder{}
-	scratchPool.Put(sc)
+// release returns the state holding nothing of the build it served: no job,
+// no view and no options, so no context, candidates, registry or tracer — a
+// pooled state outlives the engine event, and a view's calendars must not
+// (liveBooks). Nothing else in it holds a pointer. The parent span goes too,
+// because only Build sets it.
+func (b *builder) release() {
+	b.job, b.cals, b.opt, b.parentSpan = nil, nil, Options{}, 0
+	builderPool.Put(b)
 }
 
 // grow returns s with length n, reallocated when its capacity is short.
@@ -182,42 +159,15 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// builder carries one Build attempt's state. The attempt is a what-if over
-// the caller's view: it reads the view's books and writes nothing but its
-// own placements, which firstFree, holder and reserve overlay on the
-// book they query. A failed attempt is simply dropped.
-type builder struct {
-	// The environment and the caller's view, never written, map or
-	// calendars. The build reads them through the candidate table (view);
-	// the reference DP the tests hold it to reads them here.
-	env  *resource.Environment
-	base Calendars
-
-	opt    Options
-	margin float64 // serialization margin scaling the bounds
-
-	nPlaced int // tasks placed
-	evals   int64
-	failed  dag.TaskID // the first task of the chain placeChain failed at
-
-	// span is the enclosing margin attempt's span ID; 0 when tracing is
-	// off (per-chain and per-DP-phase spans hang under it).
-	span telemetry.SpanID
-
-	*scratch
-}
-
-// attempt starts a margin's attempt in the arena: empty overlay, nothing
-// placed, no replica anywhere, no collision recorded.
-func (sc *scratch) attempt(env *resource.Environment, cals Calendars, opt Options, margin float64) *builder {
-	clear(sc.placed)
-	clear(sc.ownHead)
-	clear(sc.replica)
-	sc.colls = sc.colls[:0]
-	sc.fresh = sc.fresh[:0]
-	sc.view(env, cals, opt.Candidates)
-	sc.bld = builder{env: env, base: cals, opt: opt, margin: margin, scratch: sc}
-	return &sc.bld
+// attempt starts a margin's attempt: empty overlay, nothing placed, no
+// replica anywhere, no collision recorded, no probe counted.
+func (b *builder) attempt() {
+	clear(b.placed)
+	clear(b.ownHead)
+	clear(b.replica)
+	b.colls = b.colls[:0]
+	b.fresh = b.fresh[:0]
+	b.nPlaced, b.evals, b.failed, b.span = 0, 0, 0, 0
 }
 
 // placement returns task id's placement in this attempt, if it has one.
@@ -225,7 +175,7 @@ func (b *builder) placement(id dag.TaskID) (Placement, bool) {
 	return b.placed[id], !b.placed[id].Window.Empty()
 }
 
-// placements copies the finished attempt's placements out of the arena as a
+// placements copies the finished attempt's placements out of the state as a
 // Schedule's table by TaskID.
 func (b *builder) placements() []Placement {
 	out := make([]Placement, len(b.placed))
@@ -280,7 +230,7 @@ func (b *builder) firstFree(n resource.NodeID, base *resource.Calendar, earliest
 // what it found: the earlier-starting of the base book's first overlap with
 // iv, NoHolder, and the attempt's own, its task.
 func (b *builder) holder(n resource.NodeID, iv simtime.Interval) (dag.TaskID, bool) {
-	res, busy := b.book[n].ConflictWith(iv)
+	res, busy := b.cals[n].ConflictWith(iv)
 	if p, hit := b.ownOverlap(n, iv); hit && (!busy || p.Window.Start < res.Interval.Start) {
 		return p.Task, true
 	}
@@ -299,7 +249,7 @@ func (b *builder) reserve(p Placement) error {
 		return fmt.Errorf("%w: %v", resource.ErrEmptyInterval, p.Window)
 	}
 	if h, busy := b.holder(p.Node, p.Window); busy {
-		existing, _ := b.book[p.Node].ConflictWith(p.Window)
+		existing, _ := b.cals[p.Node].ConflictWith(p.Window)
 		if h != NoHolder {
 			existing = resource.Reservation{Interval: b.placed[h].Window, Owner: b.owner(h)}
 		}
@@ -316,7 +266,7 @@ func (b *builder) reserve(p Placement) error {
 	return nil
 }
 
-// collisions copies the attempt's collisions out of the arena at their exact
+// collisions copies the attempt's collisions out of the state at their exact
 // length; nil when there are none.
 func (b *builder) collisions() []Collision {
 	if len(b.colls) == 0 {

@@ -1,7 +1,10 @@
 package criticalworks
 
 import (
+	"bufio"
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"slices"
@@ -11,30 +14,46 @@ import (
 	"repro/internal/data"
 	"repro/internal/resource"
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// buildIn is Build's build in the arena sc rather than one from the pool,
-// with no telemetry: it resets sc to job, runs the build, and leaves sc as
-// release leaves an arena, without putting it back.
-func buildIn(sc *scratch, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
-	sched, _, err := buildAt(sc, env, cals, job, opt)
+// buildIn is Build's build in the state b rather than one from the pool,
+// with no telemetry: it resets b to job, runs the build, and leaves b as
+// release leaves a state, without putting it back.
+func buildIn(b *builder, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
+	opt, err := normalize(env, job, opt)
+	if err != nil {
+		return nil, err
+	}
+	b.reset(env, cals, job, opt)
+	sched, err := b.run()
+	b.job, b.cals, b.opt, b.parentSpan = nil, nil, Options{}, 0
 	return sched, err
 }
 
-// buildAt is buildIn, and also returns the margin of the ladder's last
-// attempt; 0 when it made none.
-func buildAt(sc *scratch, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, float64, error) {
-	opt, err := normalize(env, job, opt)
-	if err != nil {
-		return nil, 0, err
+// buildAt is buildIn, traced, and also returns the margin of the ladder's
+// last attempt as its criticalworks.attempt span reports it; 0 when it made
+// none.
+func buildAt(b *builder, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, float64, error) {
+	var spans bytes.Buffer
+	opt.Spans = telemetry.NewTracer(&spans)
+	sched, err := buildIn(b, env, cals, job, opt)
+	var margin float64
+	for sc := bufio.NewScanner(&spans); sc.Scan(); {
+		var sp struct {
+			Name  string
+			Attrs struct {
+				MarginPct int64 `json:"margin_pct"`
+			}
+		}
+		if jerr := json.Unmarshal(sc.Bytes(), &sp); jerr != nil {
+			panic(jerr)
+		}
+		if sp.Name == "criticalworks.attempt" {
+			margin = float64(sp.Attrs.MarginPct) / 100
+		}
 	}
-	sc.reset(job, env.NumNodes())
-	sched, err := sc.run(env, cals, opt)
-	margin := sc.bld.margin
-	sc.job = nil
-	clear(sc.book)
-	sc.bld = builder{}
 	return sched, margin, err
 }
 
@@ -52,10 +71,9 @@ func sameOutcome(got *Schedule, gotErr error, want *Schedule, wantErr error) err
 }
 
 // TestSharedArenaMatchesFreshArenas: a pooled arena serves one build after
-// another, and what a build leaves in it — the graph tables and edge lists,
-// the first critical work, the bounds at the margin its ladder ended at, the
-// candidate table, the overlay and the replica rows — must not reach the
-// next. Builds through one arena must return exactly what builds in fresh
+// another, and what a build leaves in it — the graph tables, the first
+// critical work, the bounds at the margin its ladder ended at, the tier
+// table, the overlay and the replica rows — must not reach the next. Builds through one arena must return exactly what builds in fresh
 // arenas return.
 //
 // The corpus is the Fig. 4 one, on the experiments' two-domain
@@ -93,7 +111,7 @@ func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 		return ids
 	}
 
-	shared := new(scratch)
+	shared := new(builder)
 	var builds, failed int
 	sweep := func(job *dag.Job, i int) {
 		for _, obj := range []Objective{MinFinish, MinCost} {
@@ -104,7 +122,7 @@ func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 				}
 				opt := Options{Objective: obj, Candidates: cands, Data: data.Model{Policy: policies[i%len(policies)]}}
 				got, gotErr := buildIn(shared, env, cals, job, opt)
-				want, wantErr := buildIn(new(scratch), env, cals, job, opt)
+				want, wantErr := buildIn(new(builder), env, cals, job, opt)
 				if err := sameOutcome(got, gotErr, want, wantErr); err != nil {
 					t.Fatalf("job %d, objective %d, level %d: %v", i, obj, level, err)
 				}
@@ -154,7 +172,7 @@ func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 	for _, tc := range cowCorpus() {
 		opt := tc.opt
 		opt.Data.Policy = tc.pol
-		probe := new(scratch)
+		probe := new(builder)
 		if _, margin, _ := buildAt(probe, tc.env, tc.cals, tc.job, opt); margin != 3 {
 			continue
 		}
@@ -163,7 +181,7 @@ func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 			cals Calendars
 		}{{tc.job, tc.cals}, {tc.job.WithDeadline(4 * tc.job.Deadline), EmptyCalendars(tc.env)}} {
 			got, gotErr := buildIn(probe, tc.env, again.cals, again.job, opt)
-			want, wantErr := buildIn(new(scratch), tc.env, again.cals, again.job, opt)
+			want, wantErr := buildIn(new(builder), tc.env, again.cals, again.job, opt)
 			if err := sameOutcome(got, gotErr, want, wantErr); err != nil {
 				t.Fatalf("%s: a build after one that ended at margin 3: %v", tc.name, err)
 			}

@@ -42,11 +42,15 @@ import (
 // refBuildWith takes the placement step as an argument, and with
 // refPlaceChain (dp_ref_test.go) the whole build is the reference.
 func refBuild(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, *data.Catalog, error) {
-	return refBuildWith((*builder).placeChain, env, cals, job, opt)
+	place := func(_ *resource.Environment, b *builder, chain dag.Chain) error { return b.placeChain(chain) }
+	return refBuildWith(place, env, cals, job, opt)
 }
 
+// placeFunc places one critical work in the attempt b over env's nodes.
+type placeFunc func(env *resource.Environment, b *builder, chain dag.Chain) error
+
 // refBuildWith is refBuild placing each critical work with place.
-func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, *data.Catalog, error) {
+func refBuildWith(place placeFunc, env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, int, *data.Catalog, error) {
 	opt, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, -1, nil, err
@@ -56,12 +60,12 @@ func refBuildWith(place func(*builder, dag.Chain) error, env *resource.Environme
 	var evals int64
 	for mi, mg := range margins {
 		trial := cals.Clone()
-		sc := new(scratch) // never pooled: the reference owes the arena nothing
-		sc.reset(job, env.NumNodes())
-		b := sc.attempt(env, trial, opt, mg)
+		b := new(builder) // never pooled: the reference owes the pool nothing
+		b.reset(env, trial, job, opt)
+		b.attempt()
 		b.computeBounds(mg)
 		cat := data.NewCatalog(opt.Data.Policy, opt.Data.Storage)
-		sched, err := refPlaceChains(b, place, trial, cat)
+		sched, err := refPlaceChains(env, b, place, trial, cat)
 		evals += b.evals
 		if err == nil {
 			sched.Evaluations = evals
@@ -113,7 +117,7 @@ func sameCounts(inf *InfeasibleError, want *Schedule) error {
 // refPlaceChains is builder.buildOnce's chain loop, placing each critical work
 // with place and materialising it into trial — the builder's own view — and
 // its data placements into cat as soon as it is placed.
-func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Calendars, cat *data.Catalog) (*Schedule, error) {
+func refPlaceChains(env *resource.Environment, b *builder, place placeFunc, trial Calendars, cat *data.Catalog) (*Schedule, error) {
 	unplaced := func(id dag.TaskID) bool { return b.placed[id].Window.Empty() }
 	for b.nPlaced < b.job.NumTasks() {
 		chain, _ := b.job.LongestChain(dag.WeightFunc{}, unplaced)
@@ -121,7 +125,7 @@ func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Cal
 		// them: placeChain, asked on the materialised book with the overlay
 		// off, would call every earlier chain's placement NoHolder.
 		k := len(b.colls)
-		err := place(b, chain)
+		err := place(env, b, chain)
 		for i := range b.colls[k:] {
 			c := &b.colls[k+i]
 			c.Holder, _ = refHolder(b, c.Node, c.Window)
@@ -143,7 +147,7 @@ func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Cal
 				cat.Commit(b.opt.JobName, b.job.Task(e.From).Name, from.Node, to.Node)
 			}
 		}
-		if err := sameReplicas(b.scratch, b.opt, cat); err != nil {
+		if err := sameReplicas(b, cat); err != nil {
 			return nil, fmt.Errorf("reference: after chain %v: %w", chain.Tasks, err)
 		}
 	}
@@ -151,10 +155,10 @@ func refPlaceChains(b *builder, place func(*builder, dag.Chain) error, trial Cal
 }
 
 // replicas lists the nodes holding a copy of task t's output in the attempt
-// the arena ran last, ascending; nil when none does.
-func (sc *scratch) replicas(t dag.TaskID) []resource.NodeID {
+// b ran last, ascending; nil when none does.
+func (b *builder) replicas(t dag.TaskID) []resource.NodeID {
 	var out []resource.NodeID
-	for w, word := range sc.replica[int(t)*sc.words : (int(t)+1)*sc.words] {
+	for w, word := range b.replica[int(t)*b.words : (int(t)+1)*b.words] {
 		for ; word != 0; word &= word - 1 {
 			out = append(out, resource.NodeID(64*w+bits.TrailingZeros64(word)))
 		}
@@ -162,23 +166,24 @@ func (sc *scratch) replicas(t dag.TaskID) []resource.NodeID {
 	return out
 }
 
-// sameReplicas compares the arena's replica sets, task by task, with what cat
-// holds for opt's job — and through them every answer the policy can give:
+// sameReplicas compares b's replica sets, task by task, with what cat holds
+// for b's job under b's options — and through them every answer the policy
+// can give:
 // for each node as the consumer's end, the transfer time the build would
 // read against the catalog's. The sets themselves are compared under active
 // replication, the one policy that reads them; a catalog under static storage
 // also lists the storage node, which the build has no use for.
-func sameReplicas(sc *scratch, opt Options, cat *data.Catalog) error {
-	b := &builder{opt: opt, scratch: sc}
-	for id := 0; id < sc.job.NumTasks(); id++ {
+func sameReplicas(b *builder, cat *data.Catalog) error {
+	opt := b.opt
+	for id := 0; id < b.job.NumTasks(); id++ {
 		t := dag.TaskID(id)
-		name := sc.job.Task(t).Name
+		name := b.job.Task(t).Name
 		if opt.Data.Policy == data.ActiveReplication {
-			if got, want := sc.replicas(t), cat.Replicas(data.DatasetID{Job: opt.JobName, Dataset: name}); !slices.Equal(got, want) {
+			if got, want := b.replicas(t), cat.Replicas(data.DatasetID{Job: opt.JobName, Dataset: name}); !slices.Equal(got, want) {
 				return fmt.Errorf("task %s: the arena lists replicas at %v, the catalog at %v", name, got, want)
 			}
 		}
-		for n := range sc.ownHead { // one entry per node
+		for n := range b.ownHead { // one entry per node
 			to := resource.NodeID(n)
 			if got, want := b.opt.Data.TransferTime(7, 0, to, b.held(t, to)), cat.TransferTime(opt.JobName, name, 7, 0, to); got != want {
 				return fmt.Errorf("task %s → node %d: the arena prices the transfer at %d, the catalog at %d", name, n, got, want)
@@ -188,17 +193,18 @@ func sameReplicas(sc *scratch, opt Options, cat *data.Catalog) error {
 	return nil
 }
 
-// buildHeld is build with the arena handed to the caller instead of back to
+// buildHeld is build with the state handed to the caller instead of back to
 // the pool, so that a test can read the finished build's replica sets. The
 // caller releases it.
-func buildHeld(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, *scratch, error) {
+func buildHeld(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, *builder, error) {
 	opt, err := normalize(env, job, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc := takeScratch(job, env.NumNodes())
-	sched, err := sc.run(env, cals, opt)
-	return sched, sc, err
+	b := builderPool.Get().(*builder)
+	b.reset(env, cals, job, opt)
+	sched, err := b.run()
+	return sched, b, err
 }
 
 // policies maps a corpus draw to a data policy, in the order the corpora were
@@ -232,7 +238,7 @@ type bookState struct {
 func recordBooks(cals Calendars) []bookState {
 	out := make([]bookState, 0, len(cals))
 	for id, c := range cals {
-		out = append(out, bookState{id: id, cal: c, gen: c.Gen(), res: c.Reservations()})
+		out = append(out, bookState{id: resource.NodeID(id), cal: c, gen: c.Gen(), res: c.Reservations()})
 	}
 	return out
 }
@@ -401,7 +407,7 @@ func TestBuildMatchesCloneReference(t *testing.T) {
 			t.Fatalf("%s: schedule %v, reference %v", tc.name, got, want)
 		}
 		if err == nil {
-			if rerr := sameReplicas(arena, arena.bld.opt, refCat); rerr != nil {
+			if rerr := sameReplicas(arena, refCat); rerr != nil {
 				t.Errorf("%s: the finished build's replica sets differ from the reference: %v", tc.name, rerr)
 			}
 			applied, aerr := applySchedule(tc.cals, got, tc.job.Name)
@@ -671,15 +677,15 @@ func TestArenaReuseLeavesResultsAlone(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReleasedArenaHoldsNothing: a pooled arena outlives the engine event
-// its build ran in, so it must come back holding no job, and with the builder
-// no view (live *resource.Calendars), options or context. The rest of the
-// arena is integers — the graph as the build reads it, and collisions, which
-// hold no pointer (TestCollisionHoldsNoPointers) — so it names nothing.
-// The arena taken right after a build is the one that build returned —
-// sync.Pool hands a goroutine its own last Put first — except that under
-// -race a quarter of the Puts are dropped; the test retries until it has
-// seen enough used ones.
+// TestReleasedArenaHoldsNothing: a pooled build state outlives the engine
+// event its build ran in, so it must come back holding no job, no view (live
+// *resource.Calendars) and no options, so no context, candidates or
+// registry. The rest of the state is integers — the graph tables as the
+// build reads them, and collisions, which hold no pointer
+// (TestCollisionHoldsNoPointers) — so it names nothing. The state taken
+// right after a build is the one that build returned — sync.Pool hands a
+// goroutine its own last Put first — except that under -race a quarter of
+// the Puts are dropped; the test retries until it has seen enough used ones.
 func TestReleasedArenaHoldsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -688,16 +694,19 @@ func TestReleasedArenaHoldsNothing(t *testing.T) {
 		tc := denseRegimes[try%len(denseRegimes)]
 		env, cals, job := denseFixture(tc.deadline)
 		_, _ = Build(env, cals, job, Options{Ctx: ctx, Data: data.Model{Policy: data.ActiveReplication}})
-		sc := scratchPool.Get().(*scratch)
-		if cap(sc.bestUp) == 0 {
-			continue // a fresh arena: the pool dropped or lost the build's
+		b := builderPool.Get().(*builder)
+		if cap(b.bestUp) == 0 {
+			continue // a fresh state: the pool dropped or lost the build's
 		}
 		used++
-		if sc.job != nil {
-			t.Errorf("%s: a released arena still holds job %q", tc.name, sc.job.Name)
+		if b.job != nil {
+			t.Errorf("%s: a released state still holds job %q", tc.name, b.job.Name)
 		}
-		if !reflect.ValueOf(sc.bld).IsZero() {
-			t.Errorf("%s: a released arena still holds its builder: %+v", tc.name, sc.bld)
+		if b.cals != nil {
+			t.Errorf("%s: a released state still holds a view of %d books", tc.name, len(b.cals))
+		}
+		if !reflect.ValueOf(b.opt).IsZero() {
+			t.Errorf("%s: a released state still holds its options: %+v", tc.name, b.opt)
 		}
 	}
 	if used < 9 {

@@ -155,19 +155,15 @@ type Options struct {
 	// phase (ideal/actual). A nil tracer's spans no-op without allocating:
 	// a build runs the same statements with tracing on or off.
 	Spans *telemetry.Tracer
-
-	// Set by Build: the job's deadline, the horizon calendar searches stop
-	// at (4× the deadline span) and the span the margin attempts hang under.
-	deadline, horizon simtime.Time
-	parentSpan        telemetry.SpanID
 }
 
-// Calendars is a scheduling view: one calendar per node. Build reads a view
-// and writes nothing — no reservation, no map entry — so builds may share one
-// view, and the view may be the live books themselves as long as nobody
+// Calendars is a scheduling view: one calendar per node, indexed by the
+// node's ID — the dense IDs resource.NewEnvironment assigns. Build reads a
+// view and writes nothing — no reservation, no entry — so builds may share
+// one view, and the view may be the live books themselves as long as nobody
 // writes them meanwhile. A view belongs to one goroutine: a query may
 // rebuild a book's window index (resource.Calendar).
-type Calendars map[resource.NodeID]*resource.Calendar
+type Calendars []*resource.Calendar
 
 // Clone deep-copies the view, for code that reserves into it in place.
 func (cals Calendars) Clone() Calendars {
@@ -190,13 +186,13 @@ func Snapshot(env *resource.Environment) Calendars {
 }
 
 // SnapshotVersioned is Snapshot plus the generation each live book carried
-// when it was copied, so a caller can later tell which books have moved
-// since (resource.Calendar.Gen). Production plans on the live books and
-// does not call it; the signature and the deep copy stay because
+// when it was copied, by node, so a caller can later tell which books have
+// moved since (resource.Calendar.Gen). Production plans on the live books
+// and does not call it; the signature and the deep copy stay because
 // benchmark/probes.go times this function.
-func SnapshotVersioned(env *resource.Environment) (Calendars, map[resource.NodeID]uint64) {
+func SnapshotVersioned(env *resource.Environment) (Calendars, []uint64) {
 	out := make(Calendars, env.NumNodes())
-	gens := make(map[resource.NodeID]uint64, env.NumNodes())
+	gens := make([]uint64, env.NumNodes())
 	for _, n := range env.Nodes() {
 		cal := n.Calendar()
 		out[n.ID] = cal.Clone()
@@ -272,19 +268,18 @@ var errInfeasible = errors.New("criticalworks: no feasible placement")
 var margins = []float64{1, 1.5, 2, 3, 4}
 
 // Build runs the critical works method for one job against the given
-// calendar view and returns the resulting Distribution. Build reads cals
-// and writes nothing — no reservation, no map entry, whatever the outcome —
-// so builds may share a view (DESIGN.md §5); the plan is the
-// returned Schedule and nothing else is handed back: the replica sets an
-// attempt accumulates are its own working state. It allocates only what it
-// returns: its working memory is a pooled arena (scratch). A failed build
-// returns a nil Schedule and an *InfeasibleError holding its counts, and
-// allocates that error alone.
+// calendar view, which holds one book per node of env, and returns the
+// resulting Distribution. Build reads cals and writes nothing — no
+// reservation, no entry, whatever the outcome — so builds may share a view
+// (DESIGN.md §5); the plan is the returned Schedule and nothing else is
+// handed back: the replica sets an attempt accumulates are its own working
+// state. It allocates only what it returns: its state is pooled (builder). A
+// failed build returns a nil Schedule and an *InfeasibleError holding its
+// counts, and allocates that error alone.
 func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options) (*Schedule, error) {
 	root := opt.Spans.Start("criticalworks.build", telemetry.SpanFromContext(opt.Ctx))
 	opt, err := normalize(env, job, opt)
 	root.SetStr("job", opt.JobName)
-	opt.parentSpan = root.ID()
 	// Before the bound: a build whose context is already done reports that,
 	// never infeasibility.
 	if err == nil {
@@ -292,9 +287,11 @@ func Build(env *resource.Environment, cals Calendars, job *dag.Job, opt Options)
 	}
 	var sched *Schedule
 	if err == nil {
-		sc := takeScratch(job, env.NumNodes())
-		defer sc.release()
-		sched, err = sc.run(env, cals, opt)
+		b := builderPool.Get().(*builder)
+		b.reset(env, cals, job, opt)
+		b.parentSpan = root.ID()
+		defer b.release()
+		sched, err = b.run()
 	}
 	var evals, colls int64
 	if inf, ok := err.(*InfeasibleError); ok {
@@ -334,11 +331,9 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 	if opt.JobName == "" {
 		opt.JobName = job.Name
 	}
-	opt.deadline = job.Deadline
-	if opt.deadline <= opt.Release {
+	if job.Deadline <= opt.Release {
 		return opt, &InfeasibleError{Job: opt.JobName, Task: job.Task(job.TopoAt(0)).Name, Hopeless: true, FirstWork: true}
 	}
-	opt.horizon = opt.Release + 4*(opt.deadline-opt.Release)
 	if opt.Candidates == nil {
 		opt.Candidates = allNodes(env)
 	}
@@ -348,10 +343,10 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 	return opt, nil
 }
 
-// run is a build in the arena, which reset has pointed at the job: the
-// admissibility bound, then the margin ladder, cut short once a proof shows
-// that the margins left fail the way the last one did. opt is normalized. On
-// success the arena is left holding the successful attempt; a failure
+// run is the build reset has pointed the state at: the admissibility bound,
+// then the margin ladder, cut short once a proof shows that the margins left
+// fail the way the last one did. On success the state is left holding the
+// successful attempt; a failure
 // returns the build's one InfeasibleError, made when the ladder gives up:
 // the margin-1 attempt's task and collisions, with the build's probes.
 //
@@ -374,17 +369,16 @@ func normalize(env *resource.Environment, job *dag.Job, opt Options) (Options, e
 // The admissibility bound, the calendar bound and a cut at margin 1 prove
 // that the first critical work has no placement at any margin; the error
 // says so (FirstWork).
-func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (*Schedule, error) {
-	job := sc.job
+func (b *builder) run() (*Schedule, error) {
+	job, opt := b.job, b.opt
 	// The first critical work is the longest chain over all tasks by base
 	// (tier-1) times and base transfer times — the same at every margin, so
 	// it is found once and handed to every attempt.
-	first, _ := job.LongestChainBuf(&sc.chains, dag.WeightFunc{}, nil)
-	sc.first = append(sc.first[:0], first.Tasks...)
-	first.Tasks = sc.first
-	sc.view(env, cals, opt.Candidates)
-	sc.computeBounds(1)
-	if sc.hopeless(opt, first) {
+	first, _ := job.LongestChainBuf(&b.chains, dag.WeightFunc{}, nil)
+	b.first = append(b.first[:0], first.Tasks...)
+	first.Tasks = b.first
+	b.computeBounds(1)
+	if b.hopeless(first) {
 		return nil, &InfeasibleError{Job: opt.JobName, Task: job.Task(first.Tasks[0]).Name, Hopeless: true, FirstWork: true}
 	}
 
@@ -395,10 +389,10 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 	firstWork := false
 	for i, mg := range margins {
 		if i > 0 {
-			sc.computeBounds(mg) // margin 1's are the admissibility bound's
+			b.computeBounds(mg) // margin 1's are the admissibility bound's
 		}
-		b := sc.attempt(env, cals, opt, mg)
-		asp := opt.Spans.Start("criticalworks.attempt", opt.parentSpan)
+		b.attempt()
+		asp := opt.Spans.Start("criticalworks.attempt", b.parentSpan)
 		asp.SetInt("margin_pct", int64(mg*100))
 		b.span = asp.ID()
 		sched, err := b.buildOnce(first)
@@ -424,7 +418,7 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 			break
 		}
 		if i == 0 {
-			if probes, refused := sc.noGap(opt, first); refused {
+			if probes, refused := b.noGap(first); refused {
 				evals += probes
 				firstWork = true
 				break
@@ -473,23 +467,23 @@ func (sc *scratch) run(env *resource.Environment, cals Calendars, opt Options) (
 // the error above with no collision counted — what build returns. The one
 // count that differs is Evaluations: the probes the ladder would have spent
 // proving this are not performed, and the count says so (0).
-func (sc *scratch) hopeless(opt Options, chain dag.Chain) bool {
+func (b *builder) hopeless(chain dag.Chain) bool {
 	var prevFinish simtime.Time
 	for i, task := range chain.Tasks {
-		start := opt.Release + sc.bestUp[task]
+		start := b.opt.Release + b.bestUp[task]
 		if i > 0 {
-			e := sc.chainEdge(chain.Tasks[i-1], task)
-			if s := prevFinish + opt.Data.MinTransferTime(sc.edgeBase[e]); s > start {
+			e := b.chainEdge(chain.Tasks[i-1], task)
+			if s := prevFinish + b.opt.Data.MinTransferTime(b.edgeBase[e]); s > start {
 				start = s
 			}
 		}
-		fastest, base := simtime.Infinity, sc.taskBase[task]
-		for _, n := range opt.Candidates {
-			if dur := resource.Estimate(base, sc.tier[n]); dur > 0 && dur < fastest {
+		fastest, base := simtime.Infinity, b.taskBase[task]
+		for _, n := range b.opt.Candidates {
+			if dur := resource.Estimate(base, b.tier[n]); dur > 0 && dur < fastest {
 				fastest = dur
 			}
 		}
-		if fastest == simtime.Infinity || start+fastest > opt.deadline-sc.bestDown[task] {
+		if fastest == simtime.Infinity || start+fastest > b.deadline-b.bestDown[task] {
 			return true
 		}
 		prevFinish = start + fastest
@@ -528,18 +522,18 @@ func (sc *scratch) hopeless(opt Options, chain dag.Chain) bool {
 // it spends more, and a refusal never counts above the full ladder. A bound
 // that lets the ladder go on stands in for no attempt, and its probes are
 // not counted.
-func (sc *scratch) noGap(opt Options, chain dag.Chain) (probes int64, refused bool) {
+func (b *builder) noGap(chain dag.Chain) (probes int64, refused bool) {
 	var budget int64
-	for _, n := range opt.Candidates {
-		if resource.Estimate(sc.taskBase[chain.Tasks[0]], sc.tier[n]) > 0 {
+	for _, n := range b.opt.Candidates {
+		if resource.Estimate(b.taskBase[chain.Tasks[0]], b.tier[n]) > 0 {
 			budget += int64(len(margins) - 1)
 		}
 	}
 	for _, task := range chain.Tasks {
-		est, lft := opt.Release+sc.bestUp[task], opt.deadline-sc.bestDown[task]
-		gap, base := false, sc.taskBase[task]
-		for _, n := range opt.Candidates {
-			dur := resource.Estimate(base, sc.tier[n])
+		est, lft := b.opt.Release+b.bestUp[task], b.deadline-b.bestDown[task]
+		gap, base := false, b.taskBase[task]
+		for _, n := range b.opt.Candidates {
+			dur := resource.Estimate(base, b.tier[n])
 			if dur <= 0 {
 				continue
 			}
@@ -547,7 +541,7 @@ func (sc *scratch) noGap(opt Options, chain dag.Chain) (probes int64, refused bo
 				return probes, false
 			}
 			probes++
-			if s, ok := sc.book[n].FirstFree(est, dur, opt.horizon); ok && s+dur <= lft {
+			if s, ok := b.cals[n].FirstFree(est, dur, b.horizon); ok && s+dur <= lft {
 				gap = true
 				break
 			}
@@ -606,35 +600,35 @@ func (b *builder) buildOnce(first dag.Chain) (*Schedule, error) {
 // back-to-back and later works cannot squeeze their tasks (plus transfers)
 // into the remaining windows — the idle gaps visible in the paper's Fig. 2
 // Gantt charts are exactly this reserved room.
-func (sc *scratch) computeBounds(margin float64) {
+func (b *builder) computeBounds(margin float64) {
 	scale := func(t simtime.Time) simtime.Time {
 		if margin <= 1 {
 			return t
 		}
 		return simtime.Time(float64(t)*margin + 0.5)
 	}
-	n := sc.job.NumTasks()
+	n := b.job.NumTasks()
 	for i := 0; i < n; i++ {
-		id := sc.job.TopoAt(i)
+		id := b.job.TopoAt(i)
 		var up simtime.Time
-		for _, e := range sc.inEdges(id) {
-			from := sc.edgeFrom[e]
-			if cand := sc.bestUp[from] + scale(sc.taskBase[from]+sc.edgeBase[e]); cand > up {
+		for _, e := range b.inEdges(id) {
+			from := b.edgeFrom[e]
+			if cand := b.bestUp[from] + scale(b.taskBase[from]+b.edgeBase[e]); cand > up {
 				up = cand
 			}
 		}
-		sc.bestUp[id] = up
+		b.bestUp[id] = up
 	}
 	for i := n - 1; i >= 0; i-- {
-		id := sc.job.TopoAt(i)
+		id := b.job.TopoAt(i)
 		var down simtime.Time
-		for _, e := range sc.outEdges(id) {
-			to := sc.edgeTo[e]
-			if cand := sc.bestDown[to] + scale(sc.taskBase[to]+sc.edgeBase[e]); cand > down {
+		for _, e := range b.outEdges(id) {
+			to := b.edgeTo[e]
+			if cand := b.bestDown[to] + scale(b.taskBase[to]+b.edgeBase[e]); cand > down {
 				down = cand
 			}
 		}
-		sc.bestDown[id] = down
+		b.bestDown[id] = down
 	}
 }
 

@@ -426,9 +426,9 @@ func TestReserveRefusesWhatTheBookRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := new(scratch)
-	sc.reset(job, env.NumNodes())
-	at := sc.attempt(env, cals, opt, 1)
+	at := new(builder)
+	at.reset(env, cals, job, opt)
+	at.attempt()
 	own := Placement{Task: 0, Node: 0, Window: simtime.Interval{Start: 30, End: 40}}
 	if err := at.reserve(own); err != nil {
 		t.Fatal(err)

@@ -125,7 +125,7 @@ type pred struct {
 // criticalworks.dp span that is parent's child. With ignoreCalendar the
 // search pretends every node is free (the "ideal" phase); otherwise starts
 // come from the calendar view (the "actual" phase). The result lives in the
-// scratch's ideal or actual buffer until the next chain's same phase.
+// builder's ideal or actual buffer until the next chain's same phase.
 func (b *builder) runDP(parent telemetry.SpanID, chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
 	phase := "actual"
 	if ignoreCalendar {
@@ -163,7 +163,7 @@ func (b *builder) runDP(parent telemetry.SpanID, chain dag.Chain, ignoreCalendar
 			}
 			var book *resource.Calendar // stays nil in the ideal phase
 			if !ignoreCalendar {
-				book = b.book[n]
+				book = b.cals[n]
 			}
 			if i == 0 {
 				if st, fin, ok := b.fit(n, book, in.est, in.dur, in.lft); ok {
@@ -330,7 +330,7 @@ func (b *builder) prepareCells(chain dag.Chain) {
 	b.cells = grow(b.cells, len(chain.Tasks)*C)
 	for i, task := range chain.Tasks {
 		b.linkPlaced(task)
-		up, down := b.opt.Release+b.bestUp[task], b.opt.deadline-b.bestDown[task]
+		up, down := b.opt.Release+b.bestUp[task], b.deadline-b.bestDown[task]
 		base, vol := b.taskBase[task], b.taskVol[task]
 		for c, n := range cands {
 			in := cellIn{dur: resource.Estimate(base, b.tier[n])}
@@ -403,7 +403,7 @@ func (b *builder) delayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Place
 				earliest = t
 			}
 		}
-		st, fin, ok := b.fit(n, b.book[n], earliest, in.dur, in.lft)
+		st, fin, ok := b.fit(n, b.cals[n], earliest, in.dur, in.lft)
 		if !ok {
 			return nil, false
 		}
@@ -421,7 +421,7 @@ func (b *builder) fit(n resource.NodeID, book *resource.Calendar, earliest, dur,
 	if book == nil {
 		start = earliest
 	} else {
-		s, found := b.firstFree(n, book, earliest, dur, b.opt.horizon)
+		s, found := b.firstFree(n, book, earliest, dur, b.horizon)
 		if !found {
 			return 0, 0, false
 		}
@@ -442,10 +442,10 @@ func (b *builder) charge(task dag.TaskID, dur simtime.Time) int64 {
 // chainEdge returns the index of the connecting edge between two
 // consecutive chain tasks, preferring the cheapest transfer when parallel
 // edges exist (the first of equals, in the job's order).
-func (sc *scratch) chainEdge(from, to dag.TaskID) int {
+func (b *builder) chainEdge(from, to dag.TaskID) int {
 	best := -1
-	for _, e := range sc.outEdges(from) {
-		if sc.edgeTo[e] == to && (best < 0 || sc.edgeBase[e] < sc.edgeBase[best]) {
+	for _, e := range b.outEdges(from) {
+		if b.edgeTo[e] == to && (best < 0 || b.edgeBase[e] < b.edgeBase[best]) {
 			best = int(e)
 		}
 	}

@@ -10,12 +10,14 @@ import (
 // one calendar probe per (cell, predecessor), est and lft walking the task's
 // edges for every cell, and ResolveDelay reading them the same way. It is the
 // reference TestDPMatchesReference and FuzzDPMatchesReference hold runDP to,
-// and it reads nothing runDP prepares (scratch.cells).
+// and it reads nothing runDP prepares (builder.cells): each task's duration
+// comes from env's nodes, not the tier table, and each edge from the job
+// itself, not the edge tables or the job's index runs.
 
 // refPlaceChain is placeChain with the reference DP in both phases and the
-// reference delay baseline, and no tracing.
-func refPlaceChain(b *builder, chain dag.Chain) error {
-	ideal, ok := b.refRunDP(chain, true)
+// reference delay baseline, and no tracing, over env's nodes.
+func refPlaceChain(env *resource.Environment, b *builder, chain dag.Chain) error {
+	ideal, ok := b.refRunDP(env, chain, true)
 	if !ok {
 		b.failed = chain.Tasks[0]
 		return errInfeasible
@@ -26,9 +28,9 @@ func refPlaceChain(b *builder, chain dag.Chain) error {
 	var actual []Placement
 	switch b.opt.Mode {
 	case ResolveDelay:
-		actual, ok = b.refDelayOnIdealNodes(chain, ideal)
+		actual, ok = b.refDelayOnIdealNodes(env, chain, ideal)
 	default:
-		actual, ok = b.refRunDP(chain, false)
+		actual, ok = b.refRunDP(env, chain, false)
 	}
 	if !ok {
 		b.failed = chain.Tasks[0]
@@ -55,7 +57,7 @@ func refPlaceChain(b *builder, chain dag.Chain) error {
 // when the view held it before the build. The placement is found by a walk
 // over every task, not through the overlay's node lists.
 func refHolder(b *builder, n resource.NodeID, iv simtime.Interval) (dag.TaskID, bool) {
-	res, busy := b.base[n].ConflictWith(iv)
+	res, busy := b.cals[n].ConflictWith(iv)
 	if !busy {
 		return NoHolder, false
 	}
@@ -67,11 +69,12 @@ func refHolder(b *builder, n resource.NodeID, iv simtime.Interval) (dag.TaskID, 
 	return NoHolder, true
 }
 
-// refRunDP finds the cost-minimal feasible placement of the chain. With
-// ignoreCalendar the search pretends every node is free (the "ideal"
-// attempt); otherwise starts come from the calendar view. The result lives
-// in the scratch's ideal or actual buffer until the next chain's same phase.
-func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
+// refRunDP finds the cost-minimal feasible placement of the chain on env's
+// nodes. With ignoreCalendar the search pretends every node is free (the
+// "ideal" attempt); otherwise starts come from the calendar view. The result
+// lives in the state's ideal or actual buffer until the next chain's same
+// phase.
+func (b *builder) refRunDP(env *resource.Environment, chain dag.Chain, ignoreCalendar bool) ([]Placement, bool) {
 	cands := b.opt.Candidates
 	L, C := len(chain.Tasks), len(cands)
 	b.dp = grow(b.dp, L*C)
@@ -90,7 +93,7 @@ func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, b
 			prevRow = dp[(i-1)*C : i*C]
 		}
 		for c, n := range cands {
-			dur := resource.Estimate(b.job.Task(task).BaseTime, b.env.Node(n).Tier())
+			dur := resource.Estimate(b.job.Task(task).BaseTime, env.Node(n).Tier())
 			if dur <= 0 {
 				continue
 			}
@@ -98,7 +101,7 @@ func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, b
 			est, lft, charge := b.refEst(task, n), b.refLft(task, n), b.charge(task, dur)
 			var book *resource.Calendar // stays nil in the ideal phase
 			if !ignoreCalendar {
-				book = b.base[n]
+				book = b.cals[n]
 			}
 			best := cell{}
 			if i == 0 {
@@ -165,15 +168,15 @@ func (b *builder) refRunDP(chain dag.Chain, ignoreCalendar bool) ([]Placement, b
 }
 
 // refDelayOnIdealNodes is the E8 ablation baseline: keep every task on its
-// ideal node and only push it later until the calendar has room.
-func (b *builder) refDelayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Placement, bool) {
+// ideal node of env and only push it later until the calendar has room.
+func (b *builder) refDelayOnIdealNodes(env *resource.Environment, chain dag.Chain, ideal []Placement) ([]Placement, bool) {
 	out := b.actual[:len(ideal)]
 	var prevFinish simtime.Time
 	var prevNode resource.NodeID
 	for i, p := range ideal {
 		task := p.Task
 		n := p.Node
-		node := b.env.Node(n)
+		node := env.Node(n)
 		dur := resource.Estimate(b.job.Task(task).BaseTime, node.Tier())
 		earliest := b.refEst(task, n)
 		if i > 0 {
@@ -182,7 +185,7 @@ func (b *builder) refDelayOnIdealNodes(chain dag.Chain, ideal []Placement) ([]Pl
 				earliest = t
 			}
 		}
-		st, fin, ok := b.fit(n, b.base[n], earliest, dur, b.refLft(task, n))
+		st, fin, ok := b.fit(n, b.cals[n], earliest, dur, b.refLft(task, n))
 		if !ok {
 			return nil, false
 		}
@@ -212,7 +215,7 @@ func (b *builder) refEst(task dag.TaskID, n resource.NodeID) simtime.Time {
 // refLft returns the latest finish of task on node n: the deadline tightened
 // by the optimistic downstream bound and by already-placed successors.
 func (b *builder) refLft(task dag.TaskID, n resource.NodeID) simtime.Time {
-	t := b.opt.deadline - b.bestDown[task]
+	t := b.deadline - b.bestDown[task]
 	for _, e := range b.job.Out(task) {
 		s, ok := b.placement(e.To)
 		if !ok {

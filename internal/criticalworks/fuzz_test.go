@@ -343,7 +343,7 @@ func FuzzBuildSchedule(f *testing.F) {
 		// The replica sets the build ended with are those of a string-keyed
 		// catalog that committed the plan's data placements, and answer as it
 		// does for every task and node.
-		if err := sameReplicas(arena, arena.bld.opt, committedCatalog(s, opt.Data)); err != nil {
+		if err := sameReplicas(arena, committedCatalog(s, opt.Data)); err != nil {
 			t.Errorf("the finished build's replica sets: %v", err)
 		}
 

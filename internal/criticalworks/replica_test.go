@@ -36,9 +36,9 @@ func TestDenseReplicasMatchCatalog(t *testing.T) {
 				opt := Options{JobName: "j", Data: data.Model{Policy: pol, Storage: node()}}
 				what := fmt.Sprintf("%d nodes, %v, seed %d", nodes, pol, seed)
 
-				sc := new(scratch)
-				sc.reset(job, nodes)
-				b := sc.attempt(nil, nil, opt, 1)
+				b := new(builder)
+				b.reset(nil, make(Calendars, nodes), job, opt)
+				b.attempt()
 				cat := data.NewCatalog(pol, opt.Data.Storage)
 				for step := 0; step < 300; step++ {
 					producer := dag.TaskID(r.Intn(job.NumTasks()))
@@ -56,11 +56,11 @@ func TestDenseReplicasMatchCatalog(t *testing.T) {
 							what, step, name, from, to, base, got, want)
 					}
 				}
-				if err := sameReplicas(sc, opt, cat); err != nil {
+				if err := sameReplicas(b, cat); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				sc.attempt(nil, nil, opt, 1)
-				if err := sameReplicas(sc, opt, data.NewCatalog(pol, opt.Data.Storage)); err != nil {
+				b.attempt()
+				if err := sameReplicas(b, data.NewCatalog(pol, opt.Data.Storage)); err != nil {
 					t.Fatalf("%s: a new attempt inherited replicas: %v", what, err)
 				}
 			}
@@ -87,7 +87,7 @@ func TestBuildOnMultiWordReplicaRows(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: schedule differs from the reference:\n got %+v\nwant %+v", pol, got, want)
 		}
-		if err := sameReplicas(arena, arena.bld.opt, refCat); err != nil {
+		if err := sameReplicas(arena, refCat); err != nil {
 			t.Errorf("%v: %v", pol, err)
 		}
 		var words [3]bool

@@ -38,8 +38,8 @@ func Coarsen(j *Job) (*Job, error) {
 	macro := cut(n)
 	runs := int32(0)
 	for _, t := range j.topo() {
-		if in := j.in(TaskID(t)); len(in) == 1 {
-			if pred := link[2*int(in[0])]; len(j.out(TaskID(pred))) == 1 {
+		if in := j.InIdx(TaskID(t)); len(in) == 1 {
+			if pred := link[2*int(in[0])]; len(j.OutIdx(TaskID(pred))) == 1 {
 				macro[t] = macro[pred]
 				continue
 			}
@@ -77,7 +77,7 @@ func Coarsen(j *Job) (*Job, error) {
 			bt += w[2*int(id)]
 			vol += w[2*int(id)+1]
 			if i > 0 {
-				bt += w[2*(n+int(j.in(TaskID(id))[0]))] // its one incoming edge, from run[i-1]
+				bt += w[2*(n+int(j.InIdx(TaskID(id))[0]))] // its one incoming edge, from run[i-1]
 			}
 		}
 		b.Task(j.name(int(run[0])), bt, vol)

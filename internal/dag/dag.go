@@ -395,7 +395,7 @@ func (j *Job) computeTopo(indeg, ready []int32) error {
 		ready = ready[:last]
 		siftDown(ready, 0)
 		order = append(order, id)
-		for _, ei := range j.out(TaskID(id)) {
+		for _, ei := range j.OutIdx(TaskID(id)) {
 			to := link[2*int(ei)+1]
 			indeg[to]--
 			if indeg[to] == 0 {
@@ -526,26 +526,32 @@ func (j *Job) TopoOrder() []TaskID {
 // copy.
 func (j *Job) TopoAt(i int) TaskID { return TaskID(j.topo()[i]) }
 
-// out and in return a task's outgoing and incoming edges as edge indices,
-// in insertion order.
-func (j *Job) out(id TaskID) []int32 {
+// OutIdx returns task id's outgoing edges as edge indices (EdgeAt), in
+// insertion order. The slice is a read-only view of the job's own run, with
+// its capacity clipped to it: the caller must not write it, and an append
+// copies.
+func (j *Job) OutIdx(id TaskID) []int32 {
 	csr, n, _ := j.csr()
-	return csr[2*n+2+int(csr[id]) : 2*n+2+int(csr[id+1])]
+	lo, hi := 2*n+2+int(csr[id]), 2*n+2+int(csr[id+1])
+	return csr[lo:hi:hi]
 }
-func (j *Job) in(id TaskID) []int32 {
+
+// InIdx is OutIdx for task id's incoming edges.
+func (j *Job) InIdx(id TaskID) []int32 {
 	csr, n, m := j.csr()
-	return csr[2*n+2+m+int(csr[n+1+int(id)]) : 2*n+2+m+int(csr[n+2+int(id)])]
+	lo, hi := 2*n+2+m+int(csr[n+1+int(id)]), 2*n+2+m+int(csr[n+2+int(id)])
+	return csr[lo:hi:hi]
 }
 
 // Out returns the outgoing edges of a task (a fresh slice).
 func (j *Job) Out(id TaskID) []Edge {
-	run := j.out(id)
+	run := j.OutIdx(id)
 	return j.appendEdges(make([]Edge, 0, len(run)), run)
 }
 
 // In returns the incoming edges of a task (a fresh slice).
 func (j *Job) In(id TaskID) []Edge {
-	run := j.in(id)
+	run := j.InIdx(id)
 	return j.appendEdges(make([]Edge, 0, len(run)), run)
 }
 
@@ -565,7 +571,7 @@ func (j *Job) appendEdges(dst []Edge, run []int32) []Edge {
 func (j *Job) Sources() []TaskID {
 	var out []TaskID
 	for id := range j.NumTasks() {
-		if len(j.in(TaskID(id))) == 0 {
+		if len(j.InIdx(TaskID(id))) == 0 {
 			out = append(out, TaskID(id))
 		}
 	}
@@ -650,7 +656,7 @@ func (j *Job) LongestChainBuf(buf *ChainBuf, w WeightFunc, include func(TaskID) 
 			dist[id] = base
 			prev[id] = -1
 		}
-		for _, ei := range j.out(id) {
+		for _, ei := range j.OutIdx(id) {
 			to := TaskID(link[2*int(ei)+1])
 			if !incl(to) {
 				continue
@@ -711,11 +717,11 @@ func (j *Job) AllChains(w WeightFunc) []Chain {
 	walk = func(id TaskID, path []TaskID, length simtime.Time) {
 		path = append(path, id)
 		length += j.w[2*id]
-		if len(j.out(id)) == 0 {
+		if len(j.OutIdx(id)) == 0 {
 			out = append(out, Chain{Tasks: append([]TaskID(nil), path...), Length: length})
 			return
 		}
-		for _, ei := range j.out(id) {
+		for _, ei := range j.OutIdx(id) {
 			e := j.EdgeAt(int(ei))
 			walk(e.To, path, length+w.edge(e))
 		}

@@ -820,6 +820,20 @@ func sameGraph(j *Job, ref *refJob) error {
 		if !sameEdges(j.In(id), in) || !sameEdges(j.Out(id), out) {
 			return fmt.Errorf("task %d: In %v Out %v, reference %v %v", id, j.In(id), j.Out(id), in, out)
 		}
+		// The index runs name the same edges in the same order, and an
+		// append to one cannot write into the job's next run.
+		for _, r := range []struct {
+			run  []int32
+			want []Edge
+		}{{j.InIdx(id), in}, {j.OutIdx(id), out}} {
+			var got []Edge
+			for _, e := range r.run {
+				got = append(got, j.EdgeAt(int(e)))
+			}
+			if !sameEdges(got, r.want) || cap(r.run) != len(r.run) {
+				return fmt.Errorf("task %d: index run %v (cap %d) reads %v, reference %v", id, r.run, cap(r.run), got, r.want)
+			}
+		}
 	}
 	if !reflect.DeepEqual(j.Sources(), sources) {
 		return fmt.Errorf("Sources %v, reference %v", j.Sources(), sources)

@@ -250,9 +250,9 @@ type VO struct {
 	extRng   *rng.Source
 	extOn    bool
 
-	// books is the view every build of this VO plans on: each node mapped to
-	// its live calendar itself, no copy, filled once by NewVO (a node keeps
-	// its book for life). That is sound because the engine goroutine is the
+	// books is the view every build of this VO plans on: each node's live
+	// calendar itself at the node's ID, no copy, filled once by NewVO (a
+	// node keeps its book for life). That is sound because the engine goroutine is the
 	// books' only reader and writer: a build only reads its view (the
 	// criticalworks.Build contract), and the engine goroutine runs every
 	// build to its end before it writes a book.

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -207,4 +208,64 @@ func (q quote) matches(r string) bool {
 		return err == nil && strconv.FormatFloat(v/1e6, 'f', decimals, 64) == q.s
 	}
 	return r == q.s || (!strings.Contains(q.s, ".") && r == q.s+".0")
+}
+
+// experimentHeading is an entry of EXPERIMENTS.md or EXPERIMENTS-ledger.md;
+// experimentRef is a reference to one in prose; codeSpan is a fenced block
+// or an inline code span, which no line break of a blank line ends, and
+// whose text names code, not entries (ROADMAP's edge "E0-3").
+var (
+	experimentHeading = regexp.MustCompile(`(?m)^## (E\d+) —`)
+	experimentRef     = regexp.MustCompile(`\bE\d+\b`)
+	codeSpan          = regexp.MustCompile("(?s)```.*?```|`(?:[^`\\n]|\\n[^`\\n])*`")
+)
+
+// TestExperimentReferencesResolve: the paper record (EXPERIMENTS.md, E1–E12)
+// and the engineering ledger (EXPERIMENTS-ledger.md, E13 onward) hold each
+// entry once between them, and every E<n> the other documents cite is one
+// of those entries, so moving an entry from one file to the other cannot
+// leave a reference pointing nowhere.
+func TestExperimentReferencesResolve(t *testing.T) {
+	entries := map[string]string{} // entry → the file holding it
+	for _, f := range []string{"EXPERIMENTS.md", "EXPERIMENTS-ledger.md"} {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range experimentHeading.FindAllStringSubmatch(string(doc), -1) {
+			if prev, dup := entries[m[1]]; dup {
+				t.Errorf("%s is an entry of both %s and %s", m[1], prev, f)
+			}
+			entries[m[1]] = f
+		}
+	}
+	if entries["E12"] != "EXPERIMENTS.md" || entries["E13"] != "EXPERIMENTS-ledger.md" {
+		t.Errorf("E12 is in %q and E13 in %q; the record ends at E12", entries["E12"], entries["E13"])
+	}
+	refs := 0
+	for _, f := range []string{"DESIGN.md", "README.md", "ROADMAP.md", "CHANGES.md", "METRICS.md"} {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range experimentRefs(string(doc)) {
+			refs++
+			if entries[ref] == "" {
+				t.Errorf("%s cites %s, which neither EXPERIMENTS file has", f, ref)
+			}
+		}
+	}
+	t.Logf("%d entries, %d references", len(entries), refs)
+	if refs == 0 {
+		t.Fatal("found no reference to check")
+	}
+	// The reader itself: an edge named in code is not a reference.
+	if got := experimentRefs("see E12 and E999, not `edge\nE0-3`"); !slices.Equal(got, []string{"E12", "E999"}) {
+		t.Errorf("probe: references %q, want [E12 E999]", got)
+	}
+}
+
+// experimentRefs returns the entries doc's prose cites, in order.
+func experimentRefs(doc string) []string {
+	return experimentRef.FindAllString(codeSpan.ReplaceAllString(doc, ""), -1)
 }

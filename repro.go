@@ -92,8 +92,9 @@ const (
 	MS1 = strategy.MS1
 )
 
-// Calendars is a scheduling view: one reservation calendar per node.
-// Builds read it and write nothing; placing a plan reserves on the books.
+// Calendars is a scheduling view: one reservation calendar per node,
+// indexed by the node's ID. Builds read it and write nothing; placing a
+// plan reserves on the books.
 type Calendars = criticalworks.Calendars
 
 // EmptyCalendars returns a fresh view for every node in env.
