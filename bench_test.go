@@ -205,9 +205,8 @@ func BenchmarkCriticalWorksBuild(b *testing.B) {
 
 // denseBook builds a book of n reservations [10i, 10i+7) — every gap 3
 // ticks wide — with one length-50 hole before the final reservation, so
-// a FirstFree probe for anything wider than 3 must reach the far end of
-// the book: the linear walk's worst case, one max-gap-tree descent for
-// the index.
+// a FirstFree probe for anything wider than 3 must walk to the far end of
+// the book: FirstFree's worst case (DESIGN.md §14).
 func denseBook(n int) *resource.Calendar {
 	c := resource.NewCalendar()
 	hole := simtime.Time((n - 1) * 10)

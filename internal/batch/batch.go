@@ -24,10 +24,6 @@ type Request struct {
 	Nodes    int
 	Walltime simtime.Time
 	Runtime  simtime.Time
-	// Priority orders the queue under the Priority discipline (higher
-	// first). §5 ties it to the VO economy: a user raising the execution
-	// cost they are willing to pay raises their jobs' priority.
-	Priority int
 }
 
 // Outcome records the fate of one request.
@@ -76,10 +72,6 @@ const (
 	FCFS Discipline = iota
 	// LWF serves least work (walltime × nodes) first.
 	LWF
-	// Priority serves the highest Request.Priority first (FCFS within a
-	// priority class); priorities may change while queued (§5's dynamic
-	// priority changes driven by the VO economy).
-	Priority
 )
 
 // Backfill selects the backfilling variant layered on the discipline.
@@ -105,11 +97,8 @@ type Policy struct {
 // Name renders the policy as in the experiment tables.
 func (p Policy) Name() string {
 	d := "FCFS"
-	switch p.Discipline {
-	case LWF:
+	if p.Discipline == LWF {
 		d = "LWF"
-	case Priority:
-		d = "PRIO"
 	}
 	switch p.Backfill {
 	case EasyBackfill:
@@ -266,13 +255,6 @@ func (c *Cluster) ordered() []*queued {
 			wb := int64(out[b].req.Walltime) * int64(out[b].req.Nodes)
 			if wa != wb {
 				return wa < wb
-			}
-			return out[a].seq < out[b].seq
-		})
-	case Priority:
-		sort.Slice(out, func(a, b int) bool {
-			if out[a].req.Priority != out[b].req.Priority {
-				return out[a].req.Priority > out[b].req.Priority
 			}
 			return out[a].seq < out[b].seq
 		})

@@ -157,33 +157,6 @@ func TestLWFReordersQueue(t *testing.T) {
 	}
 }
 
-func TestPriorityDiscipline(t *testing.T) {
-	e := sim.New()
-	c := NewCluster(e, 1, Policy{Discipline: Priority})
-	c.Submit(req("runner", 1, 10, 10)) // occupies the node
-	lo := req("low", 1, 5, 5)
-	hi := req("high", 1, 5, 5)
-	hi.Priority = 10
-	c.Submit(lo)
-	c.Submit(hi)
-	e.Run()
-	if got := outcomeByID(t, c.Outcomes(), "high").Start; got != 10 {
-		t.Errorf("high-priority start = %d, want 10", got)
-	}
-	if got := outcomeByID(t, c.Outcomes(), "low").Start; got != 15 {
-		t.Errorf("low-priority start = %d, want 15", got)
-	}
-}
-
-func TestPriorityPolicyName(t *testing.T) {
-	if got := (Policy{Discipline: Priority}).Name(); got != "PRIO" {
-		t.Errorf("Name = %q", got)
-	}
-	if got := (Policy{Discipline: Priority, Backfill: EasyBackfill}).Name(); got != "PRIO+easy-backfill" {
-		t.Errorf("Name = %q", got)
-	}
-}
-
 func TestReservationBlocksQueue(t *testing.T) {
 	e := sim.New()
 	c := NewCluster(e, 2, Policy{})
@@ -440,7 +413,7 @@ func TestQuickCapacityNeverExceeded(t *testing.T) {
 		capacity := r.IntBetween(1, 8)
 		reqs := randomStream(r, 40, capacity)
 		policy := Policy{
-			Discipline: Discipline(r.Intn(3)),
+			Discipline: Discipline(r.Intn(2)),
 			Backfill:   Backfill(r.Intn(3)),
 		}
 		outs := runStream(policy, capacity, reqs, simtime.Time(r.IntBetween(1, 5)))

@@ -81,9 +81,13 @@ func sameOutcome(got *Schedule, gotErr error, want *Schedule, wantErr error) err
 // level, as a strategy sweeps them (candidates of tier ≥ the level), under
 // both objectives and a data policy by job, and jobs take turns in the
 // arena — A, B, then A again — so the arena sees a graph come back after
-// another one. Then a build that ends at margin 3 is followed by a margin-1
-// build of the same job, which must compute the margin-1 bounds again
-// rather than read the margin-3 ones the arena holds.
+// another one. Each level is built three ways: with its candidates in ID
+// order, reversed, and without the last one, so the candidate a build
+// names last is not the same node every time, and a table entry of that
+// candidate left over from an earlier build is seen. Then a build that
+// ends at margin 3 is followed by a margin-1 build of the same job, which
+// must compute the margin-1 bounds again rather than read the margin-3
+// ones the arena holds.
 func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 	cfg := workload.Default(1)
 	cfg.DeadlineFactor = 1.8
@@ -120,15 +124,25 @@ func TestSharedArenaMatchesFreshArenas(t *testing.T) {
 				if len(cands) == 0 {
 					continue
 				}
-				opt := Options{Objective: obj, Candidates: cands, Data: data.Model{Policy: policies[i%len(policies)]}}
-				got, gotErr := buildIn(shared, env, cals, job, opt)
-				want, wantErr := buildIn(new(builder), env, cals, job, opt)
-				if err := sameOutcome(got, gotErr, want, wantErr); err != nil {
-					t.Fatalf("job %d, objective %d, level %d: %v", i, obj, level, err)
-				}
-				builds++
-				if gotErr != nil {
-					failed++
+				reversed := slices.Clone(cands)
+				slices.Reverse(reversed)
+				for _, v := range []struct {
+					name  string
+					cands []resource.NodeID
+				}{{"in ID order", cands}, {"reversed", reversed}, {"without the last", cands[:len(cands)-1]}} {
+					if len(v.cands) == 0 {
+						continue
+					}
+					opt := Options{Objective: obj, Candidates: v.cands, Data: data.Model{Policy: policies[i%len(policies)]}}
+					got, gotErr := buildIn(shared, env, cals, job, opt)
+					want, wantErr := buildIn(new(builder), env, cals, job, opt)
+					if err := sameOutcome(got, gotErr, want, wantErr); err != nil {
+						t.Fatalf("job %d, objective %d, level %d, candidates %s: %v", i, obj, level, v.name, err)
+					}
+					builds++
+					if gotErr != nil {
+						failed++
+					}
 				}
 			}
 		}

@@ -161,8 +161,8 @@ type Options struct {
 // node's ID — the dense IDs resource.NewEnvironment assigns. Build reads a
 // view and writes nothing — no reservation, no entry — so builds may share
 // one view, and the view may be the live books themselves as long as nobody
-// writes them meanwhile. A view belongs to one goroutine: a query may
-// rebuild a book's window index (resource.Calendar).
+// writes them meanwhile. Every calendar query is a pure read of its book,
+// so builds on several goroutines may share a view too.
 type Calendars []*resource.Calendar
 
 // Clone deep-copies the view, for code that reserves into it in place.
@@ -640,8 +640,9 @@ func allNodes(env *resource.Environment) []resource.NodeID {
 	return ids
 }
 
-// finish assembles the Schedule, prices it, commits data placements and
-// verifies precedence consistency (a violation is an internal bug).
+// finish assembles the Schedule, prices it and verifies precedence
+// consistency (a violation is an internal bug). Every edge's data placement
+// was committed by commitPlaced once both its ends were placed.
 func (b *builder) finish() (*Schedule, error) {
 	s := &Schedule{
 		Job:         b.job,
@@ -665,7 +666,6 @@ func (b *builder) finish() (*Schedule, error) {
 			return nil, fmt.Errorf("criticalworks: internal error: edge %s violates precedence (%v + %d > %v)",
 				b.job.EdgeAt(i).Name, from.Window, tt, to.Window)
 		}
-		b.commit(src, from.Node, to.Node)
 	}
 	// (Window.Start, Task) is a total key: a task sits in one chain, which
 	// records at most one collision for it.

@@ -11,14 +11,15 @@ import (
 // only.
 //
 // The very first activation (in whichever domain it happens) defines the
-// job's planned start for the Fig. 4c deviation metric.
+// job's planned start for the Fig. 4c deviation metric. It is the one with no
+// TTL recorded yet: a release, a teardown or a completion ends every
+// activation and records its TTL before the next launch.
 func (m *JobManager) launch(aj *activeJob, d *strategy.Distribution) {
 	now := m.vo.engine.Now()
 	aj.current = d
 	aj.activate = now
 	aj.used[d.Level] = true
-	if !aj.everActivated {
-		aj.everActivated = true
+	if len(aj.result.TTLs) == 0 {
 		aj.result.PlannedStart = d.Start
 	}
 	if aj.failedAt >= 0 {

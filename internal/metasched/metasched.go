@@ -214,19 +214,17 @@ func (r *JobResult) StartDeviation() simtime.Time {
 
 // activeJob is the manager-side state of a job in flight.
 type activeJob struct {
-	result        *JobResult
-	strat         *strategy.Strategy
-	manager       *JobManager
-	used          strategy.Levels // levels activated since the strategy was installed
-	current       *strategy.Distribution
-	activate      simtime.Time // when the current plan was activated
-	everActivated bool
-	finishEv      sim.Handle
-	startEv       sim.Handle
-	failEv        sim.Handle
-	triedDom      []bool       // by JobManager.idx: domains the job was placed in
-	retries       int          // recovery attempts consumed
-	failedAt      simtime.Time // last unrecovered failure time, -1 if none
+	result   *JobResult
+	strat    *strategy.Strategy
+	manager  *JobManager
+	used     strategy.Levels // levels activated since the strategy was installed
+	current  *strategy.Distribution
+	activate simtime.Time // when the current plan was activated
+	finishEv sim.Handle
+	startEv  sim.Handle
+	failEv   sim.Handle
+	triedDom []bool       // by JobManager.idx: domains the job was placed in
+	failedAt simtime.Time // last unrecovered failure time, -1 if none
 }
 
 // JobManager owns one domain's nodes and keeps its jobs' strategies alive.

@@ -24,11 +24,10 @@ func (m *JobManager) taskFailed(aj *activeJob, detail string) {
 	vo.trace(Event{Kind: EventTaskFailed, Job: aj.result.Job.Name, Domain: m.domain, Detail: detail})
 	m.release(aj)
 	aj.failedAt = now
-	if aj.retries < vo.cfg.Faults.MaxRetries {
-		aj.retries++
+	if aj.result.Retries < vo.cfg.Faults.MaxRetries {
 		aj.result.Retries++
-		at := now + vo.cfg.Faults.JitteredBackoff(aj.retries, vo.jitterRng)
-		vo.trace(Event{Kind: EventRetry, Job: aj.result.Job.Name, Domain: m.domain, Level: aj.retries, Start: at})
+		at := now + vo.cfg.Faults.JitteredBackoff(aj.result.Retries, vo.jitterRng)
+		vo.trace(Event{Kind: EventRetry, Job: aj.result.Job.Name, Domain: m.domain, Level: aj.result.Retries, Start: at})
 		vo.engine.At(at, "retry", func() {
 			m.adopt(aj)
 		})

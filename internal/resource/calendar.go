@@ -36,12 +36,6 @@ type Reservation struct {
 type Calendar struct {
 	res []Reservation // sorted by Interval.Start, pairwise disjoint
 	gen uint64        // bumped on every mutation of res
-
-	// idx is the derived window-query index (a max-gap tree, see index.go):
-	// nil until the first query, marked stale by every mutation and rebuilt
-	// in place by the next query. A book has one goroutine (DESIGN.md §14),
-	// so nobody reads an index while it is rebuilt.
-	idx *calIndex
 }
 
 // NewCalendar returns an empty calendar.
@@ -69,22 +63,6 @@ func (c *Calendar) Len() int { return len(c.res) }
 // mutation and never decreases. Two reads returning the same generation
 // bracket a span in which the book did not change.
 func (c *Calendar) Gen() uint64 { return c.gen }
-
-// mutated marks the derived index stale; call sites bump gen alongside.
-func (c *Calendar) mutated() {
-	if c.idx != nil {
-		c.idx.stale = true
-	}
-}
-
-// index returns the calendar's window-query index, rebuilding it in its own
-// memory on the first query after a mutation.
-func (c *Calendar) index() *calIndex {
-	if c.idx == nil || c.idx.stale {
-		c.idx = buildIndex(c.idx, c.res)
-	}
-	return c.idx
-}
 
 // Reservations returns a copy of all reservations in start order.
 func (c *Calendar) Reservations() []Reservation {
@@ -123,6 +101,22 @@ func (c *Calendar) ConflictsWith(iv simtime.Interval) []Reservation {
 	return c.res[i:j:j]
 }
 
+// searchRes is sort.Search specialized to the reservation slice; pred
+// must be monotone over the sorted slice. Reservations are sorted by Start
+// and pairwise disjoint, so their Ends strictly increase too.
+func searchRes(res []Reservation, pred func(*Reservation) bool) int {
+	lo, hi := 0, len(res)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pred(&res[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // Free reports whether iv overlaps no reservation.
 func (c *Calendar) Free(iv simtime.Interval) bool {
 	_, busy := c.ConflictWith(iv)
@@ -143,7 +137,6 @@ func (c *Calendar) Reserve(iv simtime.Interval, owner Owner) error {
 	copy(c.res[i+1:], c.res[i:])
 	c.res[i] = Reservation{Interval: iv, Owner: owner}
 	c.gen++
-	c.mutated()
 	return nil
 }
 
@@ -154,7 +147,6 @@ func (c *Calendar) Release(iv simtime.Interval, owner Owner) bool {
 		if r.Interval == iv && r.Owner == owner {
 			c.res = append(c.res[:i], c.res[i+1:]...)
 			c.gen++
-			c.mutated()
 			return true
 		}
 	}
@@ -175,7 +167,6 @@ func (c *Calendar) ReleaseJob(job string) int {
 	c.res = out
 	if removed > 0 {
 		c.gen++
-		c.mutated()
 	}
 	return removed
 }
@@ -184,23 +175,17 @@ func (c *Calendar) ReleaseJob(job string) int {
 // is free, searching up to the horizon. ok is false when no such window
 // exists before the horizon.
 //
-// Equivalent to walking the book linearly — skip reservations ending by t,
-// stop at the first gap of `length` ticks — but answered through the
-// max-gap tree: find the first reservation ending after `earliest`; if its
-// start already leaves room, start at `earliest`, otherwise descend to the
-// first following gap that fits.
+// It finds the first reservation ending after earliest, then walks the run
+// that blocks the window, moving t past each reservation until the next one
+// starts at least length ticks later (DESIGN.md §14).
 func (c *Calendar) FirstFree(earliest, length, horizon simtime.Time) (simtime.Time, bool) {
 	if length <= 0 || earliest >= horizon {
 		return 0, false
 	}
 	t := earliest
 	i := searchRes(c.res, func(r *Reservation) bool { return r.Interval.End > earliest })
-	if i < len(c.res) && c.res[i].Interval.Start < earliest+length {
-		j := c.index().firstGapAtLeast(i, length)
-		if j < 0 {
-			j = len(c.res) - 1 // length > Infinity: walk past everything
-		}
-		t = c.res[j].Interval.End
+	for ; i < len(c.res) && c.res[i].Interval.Start < t+length; i++ {
+		t = c.res[i].Interval.End
 	}
 	if t+length <= horizon {
 		return t, true
@@ -209,9 +194,7 @@ func (c *Calendar) FirstFree(earliest, length, horizon simtime.Time) (simtime.Ti
 }
 
 // BusyIn returns the number of reserved ticks inside span: the clipped
-// sum of the contiguous run of reservations overlapping it. It reads the
-// sorted slice directly and never touches the lazy index, so asking about
-// a book a commit just moved builds nothing.
+// sum of the contiguous run of reservations overlapping it.
 func (c *Calendar) BusyIn(span simtime.Interval) simtime.Time {
 	var total simtime.Time
 	i := searchRes(c.res, func(r *Reservation) bool { return r.Interval.End > span.Start })
@@ -238,7 +221,6 @@ func (c *Calendar) PruneBefore(t simtime.Time) int {
 	c.res = kept
 	if removed > 0 {
 		c.gen++
-		c.mutated()
 	}
 	return removed
 }
@@ -253,7 +235,6 @@ func (c *Calendar) Void(dst []Reservation) []Reservation {
 	if len(c.res) > 0 {
 		c.res = c.res[:0]
 		c.gen++
-		c.mutated()
 	}
 	return dst
 }
@@ -261,9 +242,7 @@ func (c *Calendar) Void(dst []Reservation) []Reservation {
 // Clone returns a deep copy of the calendar, for a caller that reserves
 // into it or keeps it while the live book moves on. The clone carries the
 // source's generation, so comparing the two later tells whether the live
-// book has moved since the copy. It does not carry the source's index: an
-// index is rebuilt in place after its book's next mutation, which must not
-// reach into the other book's readers; the copy builds its own on first use.
+// book has moved since the copy.
 func (c *Calendar) Clone() *Calendar {
 	cp := &Calendar{res: make([]Reservation, len(c.res)), gen: c.gen}
 	copy(cp.res, c.res)

@@ -8,11 +8,11 @@ import (
 	"repro/internal/simtime"
 )
 
-// refCalendar is the naive linear reference model for the indexed
-// Calendar: a verbatim copy of the pre-index implementation, every query
-// a full walk over the sorted slice. The equivalence suite drives both
-// implementations with identical operation sequences and demands
-// identical answers to every query — the index must never change a
+// refCalendar is the naive linear reference model for Calendar: every
+// query a full walk over the sorted slice, with no binary search. The
+// equivalence suite drives both implementations with identical operation
+// sequences and demands identical answers to every query — the search
+// that skips to the first overlapping reservation must never change a
 // single result (DESIGN.md §14).
 type refCalendar struct {
 	res []Reservation
@@ -189,7 +189,7 @@ func sameReservations(a, b []Reservation) bool {
 	return true
 }
 
-// compareCalendars cross-examines the indexed calendar against the
+// compareCalendars cross-examines the calendar against the
 // reference on the full query surface, over a battery of windows derived
 // from the current book plus the probe values supplied by the driver.
 func compareCalendars(t failer, step int, c *Calendar, ref *refCalendar, probes []simtime.Time) {
@@ -201,7 +201,7 @@ func compareCalendars(t failer, step int, c *Calendar, ref *refCalendar, probes 
 		t.Fatalf("step %d: Gen %d != reference %d", step, c.Gen(), ref.Gen())
 	}
 	if !sameReservations(c.Reservations(), ref.Reservations()) {
-		t.Fatalf("step %d: reservation listing diverged:\n  indexed:   %v\n  reference: %v",
+		t.Fatalf("step %d: reservation listing diverged:\n  calendar:  %v\n  reference: %v",
 			step, c.Reservations(), ref.Reservations())
 	}
 	spans := make([]simtime.Interval, 0, len(probes)*len(probes)/2+4)
@@ -323,15 +323,13 @@ func TestCalendarIndexEquivalenceRandomOps(t *testing.T) {
 	}
 }
 
-// TestCalendarCloneRecycleInterleaved: an index is recycled — marked stale by
-// a mutation, rebuilt in place by the next query — so it must belong to one
-// book only. A family of books grows by cloning; every step picks a member at
-// random and mutates it (equivStep, whose own Clone case hands the member on
-// to its copy half the time), or clones it into the family, and then every
-// member — the one just touched, its source, its clones, books last queried
-// many steps ago — is cross-examined against its own linear reference. A
-// recycled index still visible from another book answers for the wrong
-// reservations and fails here.
+// TestCalendarCloneRecycleInterleaved: clones must not share books. A family
+// of books grows by cloning; every step picks a member at random and mutates
+// it (equivStep, whose own Clone case hands the member on to its copy half
+// the time), or clones it into the family, and then every member — the one
+// just touched, its source, its clones, books last queried many steps ago —
+// is cross-examined against its own linear reference. A slice still shared
+// with another book answers for the wrong reservations and fails here.
 func TestCalendarCloneRecycleInterleaved(t *testing.T) {
 	type book struct {
 		c   *Calendar
@@ -364,10 +362,9 @@ func TestCalendarCloneRecycleInterleaved(t *testing.T) {
 	}
 }
 
-// TestCalendarIndexAllocs pins the index's lifecycle on a warm book: a
-// mutation marks the index stale, the next query rebuilds it where it lay, so
-// Reserve → FirstFree → ReleaseJob on a 32-reservation book whose slice and
-// index have reached their size allocates nothing.
+// TestCalendarIndexAllocs pins a warm book's query cost: FirstFree is a pure
+// read of the sorted slice, so Reserve → FirstFree → ReleaseJob on a
+// 32-reservation book whose slice has reached its size allocates nothing.
 func TestCalendarIndexAllocs(t *testing.T) {
 	c := NewCalendar()
 	for k := 0; k < 32; k++ {
@@ -390,7 +387,7 @@ func TestCalendarIndexAllocs(t *testing.T) {
 			t.Fatalf("FirstFree = (%d, %v) after the release", at, ok)
 		}
 	}
-	cycle() // the slice grows to 33 and the first index is built
+	cycle() // the slice grows to 33
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("Reserve → FirstFree → ReleaseJob on a warm book allocates %.1f objects, want 0", allocs)
 	}

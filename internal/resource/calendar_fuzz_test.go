@@ -7,7 +7,7 @@ import (
 	"repro/internal/simtime"
 )
 
-// FuzzCalendarIndex feeds an arbitrary operation program to the indexed
+// FuzzCalendarIndex feeds an arbitrary operation program to the
 // Calendar and the naive linear reference model and demands identical
 // behavior: every mutation result, every window-query answer, the
 // reservation listing and the generation counter. The corpus is seeded
@@ -16,10 +16,9 @@ import (
 // plus the degenerate empty program.
 //
 // The program drives two books: the current one and the one it was last
-// cloned from (or swapped with), which every step cross-examines too. A
-// book's index is recycled in place after a mutation, so clone, mutate the
-// source, mutate the clone — in any interleaving — must leave each book
-// answering for its own reservations.
+// cloned from (or swapped with), which every step cross-examines too: clone,
+// mutate the source, mutate the clone — in any interleaving — must leave
+// each book answering for its own reservations.
 //
 // Program encoding, per op: 1 opcode byte followed by two little-endian
 // uint16 operands (a, b). Times derive from the operands modulo a 1<<13

@@ -280,10 +280,8 @@ func TestCalendarCloneIsolated(t *testing.T) {
 // TestCalendarCloneWithRoom pins Clone: the copy is the same book — same
 // reservations, same generation — at exact capacity (snapshots mostly stay
 // unwritten and must not pay for room), and it shares nothing with its
-// source, the lazy index included. An index is rebuilt in place after its
-// book's next mutation, so one handed to a copy would be rewritten under the
-// copy's readers: mutate the source after cloning, then the clone, and both
-// must keep answering like the linear reference.
+// source: mutate the source after cloning, then the clone, and both must
+// keep answering like the linear reference.
 func TestCalendarCloneWithRoom(t *testing.T) {
 	c, ref := NewCalendar(), &refCalendar{}
 	for k := 0; k < 40; k++ {
@@ -297,57 +295,39 @@ func TestCalendarCloneWithRoom(t *testing.T) {
 		}
 	}
 	probes := []simtime.Time{0, 3, 95, 200, 399, 1000}
-	for _, indexed := range []bool{false, true} {
-		if indexed {
-			c.FirstFree(0, 6, 1000) // publishes the lazy index
-		}
-		if got := c.idx != nil; got != indexed {
-			t.Fatalf("source index published = %v, want %v", got, indexed)
-		}
-		cp, cpRef := c.Clone(), ref.Clone()
-		if cp.Gen() != c.Gen() || !reflect.DeepEqual(cp.res, c.res) {
-			t.Fatalf("indexed=%v: clone is not a copy of its source", indexed)
-		}
-		if cp.idx != nil {
-			t.Errorf("indexed=%v: clone carries an index it did not build", indexed)
-		}
-		if cap(cp.res) != len(c.res) {
-			t.Errorf("indexed=%v: clone capacity %d, want exactly %d", indexed, cap(cp.res), len(c.res))
-		}
-		compareCalendars(t, 0, cp, cpRef, probes) // the clone builds its own index
+	cp, cpRef := c.Clone(), ref.Clone()
+	if cp.Gen() != c.Gen() || !reflect.DeepEqual(cp.res, c.res) {
+		t.Fatal("clone is not a copy of its source")
+	}
+	if cap(cp.res) != len(c.res) {
+		t.Errorf("clone capacity %d, want exactly %d", cap(cp.res), len(c.res))
+	}
+	compareCalendars(t, 0, cp, cpRef, probes)
 
-		// Mutate the source: its index goes stale, then is rebuilt in place
-		// by the next query. The clone's must not notice.
-		was := c.idx
-		iv, o := simtime.Interval{Start: 5, End: 10}, Owner{Job: "src"}
-		if err := c.Reserve(iv, o); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Reserve(iv, o); err != nil {
-			t.Fatal(err)
-		}
-		compareCalendars(t, 1, c, ref, probes)
-		if indexed && c.idx != was {
-			t.Errorf("the source's index was not rebuilt where the last one lay")
-		}
-		compareCalendars(t, 1, cp, cpRef, probes)
+	// Mutate the source; the clone must not notice.
+	iv, o := simtime.Interval{Start: 5, End: 10}, Owner{Job: "src"}
+	if err := c.Reserve(iv, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Reserve(iv, o); err != nil {
+		t.Fatal(err)
+	}
+	compareCalendars(t, 1, c, ref, probes)
+	compareCalendars(t, 1, cp, cpRef, probes)
 
-		// Then the clone, the same way.
-		iv, o = simtime.Interval{Start: 15, End: 20}, Owner{Job: "cp"}
-		if err := cp.Reserve(iv, o); err != nil {
-			t.Fatal(err)
-		}
-		if err := cpRef.Reserve(iv, o); err != nil {
-			t.Fatal(err)
-		}
-		compareCalendars(t, 2, cp, cpRef, probes)
-		compareCalendars(t, 2, c, ref, probes)
+	// Then the clone, the same way.
+	iv, o = simtime.Interval{Start: 15, End: 20}, Owner{Job: "cp"}
+	if err := cp.Reserve(iv, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := cpRef.Reserve(iv, o); err != nil {
+		t.Fatal(err)
+	}
+	compareCalendars(t, 2, cp, cpRef, probes)
+	compareCalendars(t, 2, c, ref, probes)
 
-		if c.Len() != cp.Len() || c.Gen() != cp.Gen() || reflect.DeepEqual(c.res, cp.res) {
-			t.Errorf("indexed=%v: clone not isolated: source %d (gen %d), clone %d (gen %d)", indexed, c.Len(), c.Gen(), cp.Len(), cp.Gen())
-		}
-		c.Release(simtime.Interval{Start: 5, End: 10}, Owner{Job: "src"})
-		ref.Release(simtime.Interval{Start: 5, End: 10}, Owner{Job: "src"})
+	if c.Len() != cp.Len() || c.Gen() != cp.Gen() || reflect.DeepEqual(c.res, cp.res) {
+		t.Errorf("clone not isolated: source %d (gen %d), clone %d (gen %d)", c.Len(), c.Gen(), cp.Len(), cp.Gen())
 	}
 }
 
